@@ -133,6 +133,22 @@ fn bench_record_codec(c: &mut Criterion) {
     });
 }
 
+fn bench_ranges(c: &mut Criterion) {
+    use rvm::ranges::{ByteRange, RangeSet};
+    // One transaction declaring 10 000 disjoint ranges: quadratic if an
+    // insert walks the set from its first member, n log n if it starts
+    // at the new range's predecessor.
+    c.bench_function("rangeset_insert_10k_disjoint", |b| {
+        b.iter(|| {
+            let mut set = RangeSet::new();
+            for i in 0..10_000u64 {
+                set.insert(ByteRange::at(i * 64, 32));
+            }
+            set
+        });
+    });
+}
+
 fn bench_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery");
     group.sample_size(10);
@@ -198,6 +214,7 @@ criterion_group!(
     bench_commit,
     bench_commit_overhead,
     bench_record_codec,
+    bench_ranges,
     bench_recovery,
     bench_allocator
 );

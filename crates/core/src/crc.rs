@@ -4,12 +4,22 @@
 //! before a crash may be partially present on disk. Every record carries a
 //! CRC over its header and payload; recovery treats a CRC mismatch as
 //! end-of-log (§5.1.2).
+//!
+//! The kernel is slice-by-16: sixteen 256-entry tables, generated at
+//! compile time, fold sixteen input bytes into the state per step with no
+//! dependency between the sixteen lookups. It computes the same function
+//! as the one-table bytewise loop (kept below as the test reference), so
+//! every record, status block and `.sums` catalog on disk is unchanged.
 
 const POLY: u32 = 0xEDB8_8320;
 
-/// Table-driven CRC-32, generated at compile time.
-const fn make_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes folded into the state per step of the kernel.
+const SLICES: usize = 16;
+
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is the CRC
+/// state after byte `b` followed by `k` zero bytes.
+const fn make_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,13 +32,23 @@ const fn make_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = make_table();
+static TABLES: [[u32; 256]; SLICES] = make_tables();
 
 /// Computes the CRC-32 of `data`.
 ///
@@ -47,8 +67,32 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Start from `0xFFFF_FFFF`, feed chunks, and XOR with `0xFFFF_FFFF` to
 /// finalize; [`crc32`] does all three for a single slice.
 pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
-    for &byte in data {
-        state = (state >> 8) ^ TABLE[((state ^ byte as u32) & 0xFF) as usize];
+    let t = &TABLES;
+    let (blocks, rest) = data.as_chunks::<SLICES>();
+    for b in blocks {
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ state;
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        state = t[15][(w0 & 0xFF) as usize]
+            ^ t[14][((w0 >> 8) & 0xFF) as usize]
+            ^ t[13][((w0 >> 16) & 0xFF) as usize]
+            ^ t[12][(w0 >> 24) as usize]
+            ^ t[11][(w1 & 0xFF) as usize]
+            ^ t[10][((w1 >> 8) & 0xFF) as usize]
+            ^ t[9][((w1 >> 16) & 0xFF) as usize]
+            ^ t[8][(w1 >> 24) as usize]
+            ^ t[7][(w2 & 0xFF) as usize]
+            ^ t[6][((w2 >> 8) & 0xFF) as usize]
+            ^ t[5][((w2 >> 16) & 0xFF) as usize]
+            ^ t[4][(w2 >> 24) as usize]
+            ^ t[3][(w3 & 0xFF) as usize]
+            ^ t[2][((w3 >> 8) & 0xFF) as usize]
+            ^ t[1][((w3 >> 16) & 0xFF) as usize]
+            ^ t[0][(w3 >> 24) as usize];
+    }
+    for &byte in rest {
+        state = (state >> 8) ^ t[0][((state ^ byte as u32) & 0xFF) as usize];
     }
     state
 }
@@ -56,6 +100,22 @@ pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bit-at-a-time reference: the definition of the checksum, sharing
+    /// nothing with the kernel but the polynomial.
+    fn reference_update(mut state: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            state ^= byte as u32;
+            for _ in 0..8 {
+                state = if state & 1 != 0 {
+                    (state >> 1) ^ POLY
+                } else {
+                    state >> 1
+                };
+            }
+        }
+        state
+    }
 
     #[test]
     fn known_vectors() {
@@ -68,13 +128,40 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_one_shot() {
-        let data = b"recoverable virtual memory";
-        let mut state = 0xFFFF_FFFF;
-        for chunk in data.chunks(5) {
-            state = crc32_update(state, chunk);
+    fn kernel_matches_reference_at_every_length_and_alignment() {
+        // 16-byte-aligned backing store, so `align` is the slice's true
+        // start alignment; every length crosses zero to eighteen whole
+        // kernel steps plus every possible remainder.
+        #[repr(align(16))]
+        struct Aligned([u8; 320]);
+        let mut backing = Aligned([0; 320]);
+        let mut x = 0x9E37_79B9u32;
+        for byte in backing.0.iter_mut() {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            *byte = (x >> 24) as u8;
         }
-        assert_eq!(state ^ 0xFFFF_FFFF, crc32(data));
+        for align in 0..16 {
+            for len in 0..=300 {
+                let data = &backing.0[align..align + len];
+                assert_eq!(
+                    crc32_update(0xFFFF_FFFF, data),
+                    reference_update(0xFFFF_FFFF, data),
+                    "align {align} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_matches_one_shot() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc32(&data);
+        assert_eq!(whole, reference_update(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            let state = crc32_update(crc32_update(0xFFFF_FFFF, a), b);
+            assert_eq!(state ^ 0xFFFF_FFFF, whole, "split at {split}");
+        }
     }
 
     #[test]

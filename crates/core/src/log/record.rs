@@ -19,8 +19,16 @@
 //! predecessor's; recovery stops at the first gap, which distinguishes the
 //! live tail from stale records surviving from a previous lap of the
 //! circular log.
+//!
+//! There is one validator: [`parse_header`] checks the header,
+//! [`validate_record`] checks everything else and hands back a
+//! [`RecordView`] whose ranges borrow the bytes they were validated in.
+//! Truncation and recovery replay straight from those views;
+//! [`parse_record`] copies one into an owned [`TxnRecord`] for tools and
+//! tests.
 
 use crate::crc::crc32;
+use crate::ranges::Piece;
 use crate::segment::SegmentId;
 
 /// Alignment quantum for records in the log area.
@@ -144,12 +152,12 @@ fn put_u64(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-fn get_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("slice length checked"))
+fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 
-fn get_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice length checked"))
+fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 
 fn encode(
@@ -221,103 +229,169 @@ pub fn encode_pad(seq: u64, total_len: u64) -> Vec<u8> {
 /// Parses and validates a record header; `buf` must hold at least
 /// [`HEADER_SIZE`] bytes. Returns `None` on any inconsistency.
 pub fn parse_header(buf: &[u8]) -> Option<HeaderInfo> {
-    if buf.len() < HEADER_SIZE as usize {
+    let header = buf.first_chunk::<{ HEADER_SIZE as usize }>()?;
+    if le_u32(header, 0)? != HEADER_MAGIC {
         return None;
     }
-    if get_u32(buf, 0) != HEADER_MAGIC {
+    if crc32(header.get(..32)?) != le_u32(header, 32)? {
         return None;
     }
-    if crc32(&buf[..32]) != get_u32(buf, 32) {
-        return None;
-    }
-    let kind = RecordKind::from_u8(buf[4])?;
     Some(HeaderInfo {
-        kind,
-        seq: get_u64(buf, 8),
-        tid: get_u64(buf, 16),
-        num_ranges: get_u32(buf, 24),
-        payload_len: get_u32(buf, 28),
+        kind: RecordKind::from_u8(*header.get(4)?)?,
+        seq: le_u64(header, 8)?,
+        tid: le_u64(header, 16)?,
+        num_ranges: le_u32(header, 24)?,
+        payload_len: le_u32(header, 28)?,
     })
 }
 
 /// Parses and validates a record trailer; `buf` must hold exactly the last
 /// [`TRAILER_SIZE`] bytes of a record. Returns `None` on any inconsistency.
 pub fn parse_trailer(buf: &[u8]) -> Option<TrailerInfo> {
-    if buf.len() < TRAILER_SIZE as usize {
+    let trailer = buf.first_chunk::<{ TRAILER_SIZE as usize }>()?;
+    if le_u32(trailer, 0)? != TRAILER_MAGIC {
         return None;
     }
-    if get_u32(buf, 0) != TRAILER_MAGIC {
-        return None;
-    }
-    let padded = get_u64(buf, 16);
+    let padded = le_u64(trailer, 16)?;
     if padded == 0 || !padded.is_multiple_of(LOG_BLOCK) {
         return None;
     }
     Some(TrailerInfo {
-        record_crc: get_u32(buf, 4),
-        seq: get_u64(buf, 8),
+        record_crc: le_u32(trailer, 4)?,
+        seq: le_u64(trailer, 8)?,
         padded_len: padded,
     })
 }
 
-/// Fully validates a padded record image and, for transaction records,
-/// decodes it. Returns `None` if any check fails; `Some((header, None))`
-/// for a valid pad record.
-pub fn parse_record(buf: &[u8]) -> Option<(HeaderInfo, Option<TxnRecord>)> {
-    let header = parse_header(buf)?;
+/// A record that passed every check, borrowed from the buffer it was
+/// validated in: nothing is copied until a caller asks for an owned
+/// [`TxnRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    header: HeaderInfo,
+    /// The range descriptors (empty for a pad record).
+    table: &'a [u8],
+    /// The ranges' new values, back to back in table order.
+    data: &'a [u8],
+}
+
+impl<'a> RecordView<'a> {
+    /// The record's header fields.
+    pub fn header(&self) -> HeaderInfo {
+        self.header
+    }
+
+    /// The modified ranges in record order, each borrowing its new value
+    /// from the record's bytes. Empty for a pad record.
+    pub fn ranges(&self) -> RecordRanges<'a> {
+        RecordRanges {
+            table: self.table,
+            data: self.data,
+        }
+    }
+
+    /// An owned copy of a transaction record; `None` for a pad record.
+    pub fn to_txn(&self) -> Option<TxnRecord> {
+        (self.header.kind == RecordKind::Txn).then(|| TxnRecord {
+            tid: self.header.tid,
+            seq: self.header.seq,
+            ranges: self
+                .ranges()
+                .map(|r| RecordRange {
+                    seg: SegmentId::new(r.seg),
+                    offset: r.start,
+                    data: r.data.to_vec(),
+                })
+                .collect(),
+        })
+    }
+}
+
+/// Iterator over a [`RecordView`]'s ranges. Stops early — leaving table
+/// entries unconsumed — at a descriptor whose length overruns the data,
+/// which is how [`validate_record`] detects one.
+#[derive(Debug, Clone)]
+pub struct RecordRanges<'a> {
+    table: &'a [u8],
+    data: &'a [u8],
+}
+
+impl<'a> Iterator for RecordRanges<'a> {
+    type Item = Piece<'a>;
+
+    fn next(&mut self) -> Option<Piece<'a>> {
+        let (entry, table) = self
+            .table
+            .split_first_chunk::<{ RANGE_ENTRY_SIZE as usize }>()?;
+        let len = usize::try_from(le_u64(entry, 16)?).ok()?;
+        let (data, rest) = self.data.split_at_checked(len)?;
+        self.table = table;
+        self.data = rest;
+        Some(Piece {
+            seg: le_u32(entry, 0)?,
+            start: le_u64(entry, 8)?,
+            data,
+        })
+    }
+}
+
+impl HeaderInfo {
+    /// Splits a record's bytes into the view's parts by the lengths this
+    /// header declares, checking layout only — `record` must start at the
+    /// record's first byte and hold at least header and payload.
+    pub(crate) fn layout<'a>(&self, record: &'a [u8]) -> Option<RecordView<'a>> {
+        let payload = record
+            .get(HEADER_SIZE as usize..)?
+            .get(..self.payload_len as usize)?;
+        let (table, data): (&[u8], &[u8]) = match self.kind {
+            RecordKind::Pad => (&[], &[]),
+            RecordKind::Txn => {
+                let table_len = u64::from(self.num_ranges) * RANGE_ENTRY_SIZE;
+                payload.split_at_checked(usize::try_from(table_len).ok()?)?
+            }
+        };
+        Some(RecordView {
+            header: *self,
+            table,
+            data,
+        })
+    }
+}
+
+/// Validates the whole padded image `buf` of a record whose header
+/// [`parse_header`] already accepted: exact length, trailer magic, length
+/// and sequence echo, the CRC over header and payload, and — for a
+/// transaction record — that the range table and the range data fill the
+/// payload exactly. Returns `None` if any check fails.
+pub fn validate_record<'a>(header: &HeaderInfo, buf: &'a [u8]) -> Option<RecordView<'a>> {
     let padded = header.padded_len();
-    if buf.len() != padded as usize {
+    if buf.len() as u64 != padded {
         return None;
     }
-    let trailer = parse_trailer(&buf[buf.len() - TRAILER_SIZE as usize..])?;
+    let trailer = parse_trailer(buf.get(buf.len().checked_sub(TRAILER_SIZE as usize)?..)?)?;
     if trailer.padded_len != padded || trailer.seq != header.seq {
         return None;
     }
-    let body_len = (HEADER_SIZE + header.payload_len as u64) as usize;
-    if body_len + TRAILER_SIZE as usize > buf.len() {
+    let body = buf.get(..HEADER_SIZE as usize + header.payload_len as usize)?;
+    if crc32(body) != trailer.record_crc {
         return None;
     }
-    if crc32(&buf[..body_len]) != trailer.record_crc {
+    let view = header.layout(body)?;
+    let mut ranges = view.ranges();
+    ranges.by_ref().for_each(drop);
+    if !ranges.table.is_empty() || !ranges.data.is_empty() {
         return None;
     }
-    if header.kind == RecordKind::Pad {
-        return Some((header, None));
-    }
+    Some(view)
+}
 
-    // Decode the range table.
-    let table_len = header.num_ranges as u64 * RANGE_ENTRY_SIZE;
-    if HEADER_SIZE + table_len > body_len as u64 {
-        return None;
-    }
-    let mut ranges = Vec::with_capacity(header.num_ranges as usize);
-    let mut entry_at = HEADER_SIZE as usize;
-    let mut data_at = (HEADER_SIZE + table_len) as usize;
-    for _ in 0..header.num_ranges {
-        let seg = SegmentId::new(get_u32(buf, entry_at));
-        let offset = get_u64(buf, entry_at + 8);
-        let len = get_u64(buf, entry_at + 16) as usize;
-        if data_at + len > body_len {
-            return None;
-        }
-        ranges.push(RecordRange {
-            seg,
-            offset,
-            data: buf[data_at..data_at + len].to_vec(),
-        });
-        entry_at += RANGE_ENTRY_SIZE as usize;
-        data_at += len;
-    }
-    if data_at != body_len {
-        return None;
-    }
-    Some((
-        header,
-        Some(TxnRecord {
-            tid: header.tid,
-            seq: header.seq,
-            ranges,
-        }),
-    ))
+/// Fully validates a padded record image and, for transaction records,
+/// decodes it into an owned copy. Returns `None` if any check fails;
+/// `Some((header, None))` for a valid pad record.
+pub fn parse_record(buf: &[u8]) -> Option<(HeaderInfo, Option<TxnRecord>)> {
+    let header = parse_header(buf)?;
+    let view = validate_record(&header, buf)?;
+    Some((header, view.to_txn()))
 }
 
 #[cfg(test)]

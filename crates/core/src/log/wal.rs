@@ -13,6 +13,11 @@
 //! to locate the true tail (the first invalid record or sequence gap) and
 //! then processes records newest-first; the backward scan backs the
 //! post-mortem inspection tool.
+//!
+//! The forward scan ([`scan_span`]) reads the span in a few large reads
+//! and validates each record where it lies, so what truncation and
+//! recovery replay from is borrowed from those reads; [`scan_forward`]
+//! copies the same result into owned records for tools and tests.
 
 use std::sync::Arc;
 
@@ -21,8 +26,8 @@ use rvm_storage::{Device, IoToken};
 use crate::cursor::{CursorSnapshot, WalCursor};
 use crate::error::{Result, RvmError};
 use crate::log::record::{
-    self, encode_pad, encode_txn, parse_header, parse_record, RecordRange, TxnRecord, HEADER_SIZE,
-    LOG_BLOCK, MIN_RECORD_SIZE, TRAILER_SIZE,
+    self, encode_pad, encode_txn, parse_header, parse_record, validate_record, HeaderInfo,
+    RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, MIN_RECORD_SIZE, TRAILER_SIZE,
 };
 use crate::log::status::LOG_AREA_START;
 
@@ -428,7 +433,77 @@ impl Wal {
     }
 }
 
-/// Everything a forward scan learns about the live log.
+/// First read of a scan; each later read doubles, up to
+/// [`SCAN_CHUNK_MAX`], so an empty or short log costs one small read and a
+/// long one is read in few.
+const SCAN_CHUNK_MIN: u64 = 64 << 10;
+/// Largest read of a scan, unless a single record is larger.
+const SCAN_CHUNK_MAX: u64 = 1 << 20;
+
+/// One read of the record area and the transaction records validated in
+/// it. A chunk never crosses the physical end of the area, and no record
+/// straddles two chunks.
+#[derive(Debug)]
+struct SpanChunk {
+    /// Logical offset of `bytes[0]`.
+    base: u64,
+    bytes: Vec<u8>,
+    /// `(offset in bytes, header)` of each transaction record, oldest
+    /// first.
+    records: Vec<(usize, HeaderInfo)>,
+}
+
+impl SpanChunk {
+    /// The bytes read from logical offset `pos` (at or past `base`) on.
+    fn from(&self, pos: u64) -> &[u8] {
+        let at = (pos - self.base) as usize;
+        self.bytes.get(at..).unwrap_or_default()
+    }
+}
+
+/// The live span of the log in memory: the chunks a forward scan read and
+/// an index of the records it validated in them. Replay borrows every
+/// byte it applies from here.
+#[derive(Debug)]
+pub struct LiveSpan {
+    chunks: Vec<SpanChunk>,
+    /// Logical offset one past the last valid record (the true tail).
+    pub tail: u64,
+    /// Sequence number the next appended record should carry.
+    pub next_seq: u64,
+    /// Pad records encountered.
+    pub pads: u64,
+}
+
+impl LiveSpan {
+    /// The valid committed transaction records with their logical
+    /// offsets, oldest first (`.rev()` for the newest-first order replay
+    /// wants).
+    pub fn records(&self) -> impl DoubleEndedIterator<Item = (u64, RecordView<'_>)> + '_ {
+        self.chunks.iter().flat_map(|chunk| {
+            chunk.records.iter().filter_map(move |&(at, header)| {
+                let view = header.layout(chunk.bytes.get(at..)?)?;
+                Some((chunk.base + at as u64, view))
+            })
+        })
+    }
+
+    /// Number of transaction records.
+    pub fn record_count(&self) -> usize {
+        self.chunks.iter().map(|c| c.records.len()).sum()
+    }
+
+    /// Number of ranges over all transaction records.
+    pub fn range_count(&self) -> usize {
+        self.chunks
+            .iter()
+            .flat_map(|c| &c.records)
+            .map(|(_, header)| header.num_ranges as usize)
+            .sum()
+    }
+}
+
+/// Everything a forward scan learns about the live log, in owned form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Valid committed transaction records, oldest first, with their
@@ -444,10 +519,118 @@ pub struct ScanOutcome {
 
 /// Scans the record area forward from `head`, stopping at the first
 /// invalid record, the first sequence gap, `stop_at`, or after one full
-/// lap.
+/// lap, and keeps what it read.
 ///
-/// Device read errors abort the scan with an error; torn or stale records
-/// are *expected* and simply terminate it.
+/// The area is read in chunks of [`SCAN_CHUNK_MIN`] doubling to
+/// [`SCAN_CHUNK_MAX`] — never past `stop_at` unless the record in hand
+/// needs it — and each record is validated where it lies: one header
+/// parse, then trailer, sequence and body CRC. Device read errors abort
+/// the scan with an error; torn or stale records are *expected* and
+/// simply terminate it.
+pub fn scan_span(
+    dev: &dyn Device,
+    area_len: u64,
+    head: u64,
+    seq_at_head: u64,
+    stop_at: Option<u64>,
+) -> Result<LiveSpan> {
+    let mut span = LiveSpan {
+        chunks: Vec::new(),
+        tail: head,
+        next_seq: seq_at_head,
+        pads: 0,
+    };
+    let mut cur = SpanChunk {
+        base: head,
+        bytes: Vec::new(),
+        records: Vec::new(),
+    };
+    let mut chunk_len = SCAN_CHUNK_MIN;
+    let mut pos = head;
+    let dev_len = dev.len()?;
+
+    loop {
+        if pos - head >= area_len || stop_at.is_some_and(|stop| pos >= stop) {
+            break;
+        }
+        // Bytes from `pos` that are contiguous on the device (which a
+        // truncated log file ends early) and still within one lap of
+        // `head`: no record may be longer.
+        let phys = LOG_AREA_START + pos % area_len;
+        let room = (area_len - pos % area_len)
+            .min(area_len - (pos - head))
+            .min(dev_len.saturating_sub(phys));
+        // Makes `cur` hold at least `need` bytes from `pos` on: if it
+        // does not, a new chunk starting at `pos` replaces it, carrying
+        // over what `cur` already read.
+        let mut ensure = |cur: &mut SpanChunk, need: u64| -> Result<()> {
+            let carried = cur.from(pos);
+            if carried.len() as u64 >= need {
+                return Ok(());
+            }
+            let ahead = stop_at.map_or(chunk_len, |stop| chunk_len.min(stop - pos));
+            let len = need.max(ahead).min(room) as usize;
+            let mut bytes = Vec::with_capacity(len);
+            bytes.extend_from_slice(carried);
+            bytes.resize(len, 0);
+            let fresh = bytes.get_mut(carried.len()..).unwrap_or_default();
+            dev.read_at(phys + carried.len() as u64, fresh)?;
+            let records = Vec::with_capacity(len / MIN_RECORD_SIZE as usize);
+            let done = std::mem::replace(
+                cur,
+                SpanChunk {
+                    base: pos,
+                    bytes,
+                    records,
+                },
+            );
+            if !done.records.is_empty() {
+                span.chunks.push(done);
+            }
+            chunk_len = (chunk_len * 2).min(SCAN_CHUNK_MAX);
+            Ok(())
+        };
+
+        if room < HEADER_SIZE {
+            break;
+        }
+        ensure(&mut cur, HEADER_SIZE)?;
+        let Some(header) = parse_header(cur.from(pos)) else {
+            break;
+        };
+        if header.seq != span.next_seq {
+            break;
+        }
+        let padded = header.padded_len();
+        if padded > room {
+            break;
+        }
+        ensure(&mut cur, padded)?;
+        let at = (pos - cur.base) as usize;
+        let valid = cur
+            .bytes
+            .get(at..at + padded as usize)
+            .and_then(|image| validate_record(&header, image));
+        if valid.is_none() {
+            break;
+        }
+        match header.kind {
+            RecordKind::Txn => cur.records.push((at, header)),
+            RecordKind::Pad => span.pads += 1,
+        }
+        pos += padded;
+        span.next_seq += 1;
+    }
+
+    if !cur.records.is_empty() {
+        span.chunks.push(cur);
+    }
+    span.tail = pos;
+    Ok(span)
+}
+
+/// [`scan_span`] with every record copied out of the scan's buffers —
+/// the form the inspection tools, the checker and the tests consume.
 pub fn scan_forward(
     dev: &dyn Device,
     area_len: u64,
@@ -455,53 +638,15 @@ pub fn scan_forward(
     seq_at_head: u64,
     stop_at: Option<u64>,
 ) -> Result<ScanOutcome> {
-    let mut records = Vec::new();
-    let mut pads = 0u64;
-    let mut pos = head;
-    let mut expect = seq_at_head;
-
-    loop {
-        if pos - head >= area_len {
-            break;
-        }
-        if let Some(stop) = stop_at {
-            if pos >= stop {
-                break;
-            }
-        }
-        let lap_remaining = area_len - pos % area_len;
-        debug_assert!(lap_remaining >= LOG_BLOCK);
-
-        let mut header_buf = [0u8; HEADER_SIZE as usize];
-        dev.read_at(LOG_AREA_START + pos % area_len, &mut header_buf)?;
-        let Some(header) = parse_header(&header_buf) else {
-            break;
-        };
-        if header.seq != expect {
-            break;
-        }
-        let padded = header.padded_len();
-        if padded > lap_remaining || pos - head + padded > area_len {
-            break;
-        }
-        let mut buf = vec![0u8; padded as usize];
-        dev.read_at(LOG_AREA_START + pos % area_len, &mut buf)?;
-        let Some((_, decoded)) = parse_record(&buf) else {
-            break;
-        };
-        match decoded {
-            Some(txn) => records.push((pos, txn)),
-            None => pads += 1,
-        }
-        pos += padded;
-        expect += 1;
-    }
-
+    let span = scan_span(dev, area_len, head, seq_at_head, stop_at)?;
     Ok(ScanOutcome {
-        records,
-        tail: pos,
-        next_seq: expect,
-        pads,
+        records: span
+            .records()
+            .filter_map(|(pos, view)| Some((pos, view.to_txn()?)))
+            .collect(),
+        tail: span.tail,
+        next_seq: span.next_seq,
+        pads: span.pads,
     })
 }
 
@@ -553,6 +698,7 @@ pub fn scan_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::record::LOG_BLOCK;
     use crate::segment::SegmentId;
     use rvm_storage::MemDevice;
 

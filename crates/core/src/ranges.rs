@@ -8,10 +8,14 @@
 //!   [`RangeSet`] does this, and reports which sub-ranges were *newly*
 //!   covered so old-value capture copies each byte at most once.
 //! * **Recovery trees** (§5.1.2): scanning the log tail→head, the first
-//!   (newest) value seen for each byte wins — [`IntervalMap`] implements
-//!   `insert_if_uncovered` for this.
+//!   (newest) value seen for each byte wins. [`latest_pieces`] resolves a
+//!   whole span at once over values *borrowed* from the log bytes — the
+//!   form truncation and recovery replay from; [`IntervalMap`] is the
+//!   owned, incremental form (`insert_if_uncovered`) the inspection tools
+//!   use, and the model `latest_pieces` is tested against.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A half-open byte range `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -102,10 +106,16 @@ impl RangeSet {
         let mut cursor = range.start;
 
         // Collect members touching `range`: start ≤ range.end and
-        // end ≥ range.start. Candidates begin at the last member starting
-        // at or before range.end.
+        // end ≥ range.start. Members are disjoint, so of those starting
+        // before `range.start` only the nearest can reach it: the walk
+        // begins at that predecessor, not at the first member.
+        let first = self
+            .ranges
+            .range(..=range.start)
+            .next_back()
+            .map_or(range.start, |(&start, _)| start);
         let mut to_remove = Vec::new();
-        for (&start, &end) in self.ranges.range(..=range.end) {
+        for (&start, &end) in self.ranges.range(first..=range.end) {
             if end < range.start {
                 continue;
             }
@@ -212,6 +222,132 @@ impl SegCoverage {
     pub fn is_empty(&self) -> bool {
         self.per_seg.is_empty()
     }
+}
+
+/// The new value of `[start, start + data.len())` in segment `seg`,
+/// borrowed from wherever the bytes live — for replay, the chunk of log a
+/// record was validated in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Piece<'a> {
+    /// Raw id of the segment the bytes belong to.
+    pub seg: u32,
+    /// Byte offset within the segment.
+    pub start: u64,
+    /// The new value.
+    pub data: &'a [u8],
+}
+
+impl Piece<'_> {
+    /// One past the last byte the piece covers.
+    pub fn end(&self) -> u64 {
+        self.start.saturating_add(self.data.len() as u64)
+    }
+}
+
+/// Resolves ranges given newest first into "the latest committed changes
+/// for each data segment" (§5.1.2): the result is sorted by
+/// `(seg, start)`, disjoint within a segment, and holds for every byte
+/// the value of the first input range that covers it. `capacity` sizes
+/// the working set (the number of input ranges, when known).
+///
+/// The pieces are exactly the entries an [`IntervalMap`] per segment
+/// would hold after `insert_if_uncovered` of the same ranges in the same
+/// order — one per maximal run of an input range that no newer range
+/// covers, never merged with a neighbour — but found by one sort and one
+/// sweep over borrowed slices, with no allocation per range.
+pub fn latest_pieces<'a>(
+    newest_first: impl Iterator<Item = Piece<'a>>,
+    capacity: usize,
+) -> Vec<Piece<'a>> {
+    // (piece, rank); the lower rank is the newer range and wins.
+    let mut input: Vec<(Piece<'a>, usize)> = Vec::with_capacity(capacity);
+    input.extend(
+        newest_first
+            .filter(|p| !p.data.is_empty())
+            .enumerate()
+            .map(|(rank, p)| (p, rank)),
+    );
+    input.sort_unstable_by_key(|(p, rank)| (p.seg, p.start, *rank));
+
+    let mut out: Vec<Piece<'a>> = Vec::with_capacity(input.len());
+    // Ranges of the current segment that start at or before `cur`, newest
+    // on top; one that has ended is dropped only once it surfaces.
+    let mut active: BinaryHeap<Reverse<(usize, Piece<'a>)>> = BinaryHeap::new();
+    for group in input.chunk_by(|a, b| a.0.seg == b.0.seg) {
+        active.clear();
+        let mut unstarted = group.iter().peekable();
+        let mut cur = 0u64;
+        // The piece being grown, ending at `cur`: the rank and extent of
+        // the range it is cut from, and where it starts.
+        let mut run: Option<(usize, Piece<'a>, u64)> = None;
+        loop {
+            while let Some(&(range, rank)) = unstarted.next_if(|(p, _)| p.start <= cur) {
+                active.push(Reverse((rank, range)));
+            }
+            while active.peek().is_some_and(|Reverse((_, p))| p.end() <= cur) {
+                active.pop();
+            }
+            let next_start = unstarted.peek().map(|(p, _)| p.start);
+            let Some(&Reverse((rank, newest))) = active.peek() else {
+                // Nothing covers `cur`: jump to the next range, if any.
+                close_run(&mut out, run.take(), cur);
+                match next_start {
+                    Some(start) => cur = start,
+                    None => break,
+                }
+                continue;
+            };
+            // `newest` wins from `cur` until it ends or another range
+            // starts, whichever comes first.
+            if run.map(|(r, ..)| r) != Some(rank) {
+                close_run(&mut out, run.replace((rank, newest, cur)), cur);
+            }
+            cur = next_start.map_or(newest.end(), |start| start.min(newest.end()));
+        }
+    }
+    out
+}
+
+/// Emits the finished run `[start, end)` of `range` as one piece.
+fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(usize, Piece<'a>, u64)>, end: u64) {
+    let Some((_, range, start)) = run else {
+        return;
+    };
+    let within = (start - range.start) as usize..(end - range.start) as usize;
+    if let Some(data) = range.data.get(within) {
+        out.push(Piece {
+            seg: range.seg,
+            start,
+            data,
+        });
+    }
+}
+
+/// Copies the parts of `pieces` (one segment's, sorted and disjoint) that
+/// fall in `[start, start + buf.len())` into `buf`, leaving gaps
+/// untouched. Returns how many bytes of pieces lie in
+/// `[start, start + span)`, which may reach past `buf`.
+pub(crate) fn overlay_pieces(pieces: &[Piece<'_>], start: u64, span: u64, buf: &mut [u8]) -> u64 {
+    let end = start.saturating_add(span);
+    let mut covered = 0;
+    for piece in pieces.iter().take_while(|p| p.start < end) {
+        let from = piece.start.max(start);
+        let to = piece.end().min(end);
+        if from >= to {
+            continue;
+        }
+        covered += to - from;
+        // As much of `[from, to)` as both the piece and `buf` hold.
+        let src = piece.data.get((from - piece.start) as usize..);
+        let dst = buf.get_mut((from - start) as usize..);
+        if let (Some(src), Some(dst)) = (src, dst) {
+            let n = ((to - from) as usize).min(src.len()).min(dst.len());
+            if let (Some(src), Some(dst)) = (src.get(..n), dst.get_mut(..n)) {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
+    covered
 }
 
 /// Disjoint intervals each carrying a byte payload, with newest-wins

@@ -9,11 +9,13 @@
 //! idempotency of recovery is achieved by delaying this step until all
 //! other recovery actions are complete."
 //!
-//! Concretely: the forward scan locates the true tail (first torn record
-//! or sequence gap past the durable head); records are then processed
-//! newest-first into one [`IntervalMap`] per segment, so the first value
-//! seen for any byte — the latest committed one — wins and older values
-//! are dropped without being applied.
+//! Concretely: the forward scan reads the live span into memory and
+//! locates the true tail (first torn record or sequence gap past the
+//! durable head); the records' ranges are then resolved newest-first into
+//! disjoint pieces per segment, so the first value seen for any byte — the
+//! latest committed one — wins and older values are dropped without being
+//! applied. The pieces borrow their bytes from the scan's buffers: nothing
+//! is copied between the log read and the segment write.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,8 +24,8 @@ use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
 use crate::log::status::{write_status, StatusBlock};
-use crate::log::wal::scan_forward;
-use crate::ranges::IntervalMap;
+use crate::log::wal::{scan_span, LiveSpan};
+use crate::ranges::{latest_pieces, Piece};
 use crate::scrub::{apply_tree_verified, sidecar_name, ApplyContext, SegmentChecksums};
 use crate::segment::DeviceResolver;
 
@@ -51,23 +53,36 @@ pub struct RecoveryReport {
     pub corrupt_pages_repaired: u64,
 }
 
-/// Builds the latest-committed-change tree per segment from scanned
-/// records, newest record first, so the first value seen for any byte —
-/// the latest committed one — wins. Shared by crash recovery and epoch
+/// Resolves a scanned span into the latest committed change of every
+/// byte, newest record first so the first value seen — the latest
+/// committed one — wins: pieces sorted by `(seg, start)`, one segment's
+/// pieces being one "tree" of §5.1.2. Shared by crash recovery and epoch
 /// truncation (the paper reused its recovery code the same way).
-pub(crate) fn build_latest_trees(
-    records: &[(u64, crate::log::record::TxnRecord)],
-) -> HashMap<u32, IntervalMap> {
-    let mut trees: HashMap<u32, IntervalMap> = HashMap::new();
-    for (_, record) in records.iter().rev() {
-        for range in &record.ranges {
-            trees
-                .entry(range.seg.as_u32())
-                .or_default()
-                .insert_if_uncovered(range.offset, &range.data);
-        }
-    }
-    trees
+pub(crate) fn latest_trees(span: &LiveSpan) -> Vec<Piece<'_>> {
+    latest_pieces(
+        span.records().rev().flat_map(|(_, record)| record.ranges()),
+        span.range_count(),
+    )
+}
+
+/// Splits [`latest_trees`]' output into one slice of pieces per segment,
+/// ascending by segment id.
+pub(crate) fn by_segment<'p, 'a>(
+    pieces: &'p [Piece<'a>],
+) -> impl Iterator<Item = (u32, &'p [Piece<'a>])> {
+    pieces
+        .chunk_by(|a, b| a.seg == b.seg)
+        .filter_map(|tree| Some((tree.first()?.seg, tree)))
+}
+
+/// Bytes held by a segment's pieces.
+pub(crate) fn tree_len(tree: &[Piece<'_>]) -> u64 {
+    tree.iter().map(|p| p.data.len() as u64).sum()
+}
+
+/// One past the highest byte a segment's (sorted, disjoint) pieces cover.
+pub(crate) fn tree_end(tree: &[Piece<'_>]) -> u64 {
+    tree.last().map_or(0, Piece::end)
 }
 
 /// Recovery output consumed by [`Rvm::initialize`](crate::Rvm::initialize).
@@ -93,7 +108,7 @@ pub(crate) fn recover(
     resolver: &DeviceResolver,
     checksums: bool,
 ) -> Result<Recovered> {
-    let scan = scan_forward(
+    let scan = scan_span(
         dev.as_ref(),
         status.area_len,
         status.head,
@@ -103,7 +118,7 @@ pub(crate) fn recover(
 
     // Build the latest-committed-change tree per segment, newest record
     // first.
-    let trees = build_latest_trees(&scan.records);
+    let trees = latest_trees(&scan);
 
     // Traverse the trees, applying modifications to the external data
     // segments. The verified apply also brings each catalog up to date,
@@ -115,9 +130,7 @@ pub(crate) fn recover(
     let mut bytes_applied = 0u64;
     let mut corrupt_pages_detected = 0u64;
     let mut corrupt_pages_repaired = 0u64;
-    let mut sorted: Vec<_> = trees.iter().collect();
-    sorted.sort_by_key(|(id, _)| **id);
-    for (&seg_raw, tree) in sorted {
+    for (seg_raw, tree) in by_segment(&trees) {
         let info = status
             .segment_by_id(crate::segment::SegmentId::new(seg_raw))
             .ok_or_else(|| {
@@ -125,12 +138,7 @@ pub(crate) fn recover(
                     "log references segment id {seg_raw} absent from the segment table"
                 ))
             })?;
-        let needed = tree
-            .iter()
-            .map(|(start, payload)| start + payload.len() as u64)
-            .max()
-            .unwrap_or(0)
-            .max(info.min_len);
+        let needed = tree_end(tree).max(info.min_len);
         let seg_dev = (resolver)(&info.name, needed)?;
         if seg_dev.len()? < needed {
             seg_dev.set_len(needed)?;
@@ -153,7 +161,7 @@ pub(crate) fn recover(
         )?;
         corrupt_pages_detected += outcome.corruptions_detected;
         corrupt_pages_repaired += outcome.corruptions_repaired;
-        bytes_applied += tree.total_len();
+        bytes_applied += tree_len(tree);
         if let Some(catalog) = catalog {
             seg_catalogs.insert(seg_raw, catalog);
         }
@@ -165,7 +173,7 @@ pub(crate) fn recover(
     // status; the scan above already covered that span, so the fields are
     // simply cleared here.
     let report = RecoveryReport {
-        records_replayed: scan.records.len(),
+        records_replayed: scan.record_count(),
         bytes_applied,
         segments_updated: seg_devices.len(),
         pads_skipped: scan.pads,

@@ -16,12 +16,12 @@ use crate::error::{Result, RvmError};
 use crate::group::{GroupCommit, GroupSlot, SlotWork};
 use crate::log::record::{self, RecordRange};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
-use crate::log::wal::{scan_forward, AppendInfo, StagingBuf, Wal, WalCheckpoint};
+use crate::log::wal::{scan_span, AppendInfo, StagingBuf, Wal, WalCheckpoint};
 use crate::options::{CommitMode, LoadPolicy, Options, Tuning, TxnMode, PAGE_SIZE};
 use crate::pipeline::{InFlightBatch, LogPipeline};
 use crate::query::{LogInfo, QueryInfo};
 use crate::ranges::{ByteRange, RangeSet};
-use crate::recovery::{build_latest_trees, recover, RecoveryReport};
+use crate::recovery::{by_segment, latest_trees, recover, tree_end, tree_len, RecoveryReport};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
 use crate::scrub::{
@@ -2088,7 +2088,7 @@ impl RvmShared {
         if split <= head {
             return Ok(false);
         }
-        let scan = scan_forward(
+        let scan = scan_span(
             core.wal.device().as_ref(),
             core.wal.capacity(),
             head,
@@ -2096,17 +2096,9 @@ impl RvmShared {
             Some(split),
         )?;
 
-        let trees = build_latest_trees(&scan.records);
-        let mut seg_ids: Vec<u32> = trees.keys().copied().collect();
-        seg_ids.sort_unstable();
-        for seg_raw in seg_ids {
-            let tree = &trees[&seg_raw];
-            let needed = tree
-                .iter()
-                .map(|(s, p)| s + p.len() as u64)
-                .max()
-                .unwrap_or(0);
-            let dev = self.segment_device(core, SegmentId::new(seg_raw), needed)?;
+        let trees = latest_trees(&scan);
+        for (seg_raw, tree) in by_segment(&trees) {
+            let dev = self.segment_device(core, SegmentId::new(seg_raw), tree_end(tree))?;
             let catalog = self.segment_catalog(core, SegmentId::new(seg_raw), &dev)?;
             // Writes, syncs, and persists the catalog — all before the
             // head advance below (the scrub module's crash ordering).
@@ -2121,10 +2113,8 @@ impl RvmShared {
 
         let stats = &self.stats;
         stats.add(&stats.truncation_bytes_scanned, split - head);
-        for tree in trees.values() {
-            stats.add(&stats.truncation_ranges_applied, tree.len() as u64);
-            stats.add(&stats.truncation_bytes_applied, tree.total_len());
-        }
+        stats.add(&stats.truncation_ranges_applied, trees.len() as u64);
+        stats.add(&stats.truncation_bytes_applied, tree_len(&trees));
         core.wal.advance_head(scan.tail, scan.next_seq);
         if scan.tail == core.wal.tail() {
             core.segs_in_log.clear();
@@ -2294,7 +2284,7 @@ impl RvmShared {
         start_seq: u64,
         end: u64,
     ) -> Result<()> {
-        let scan = scan_forward(dev.as_ref(), area_len, start, start_seq, Some(end))?;
+        let scan = scan_span(dev.as_ref(), area_len, start, start_seq, Some(end))?;
         if scan.tail != end {
             // Everything in the span was forced before the snapshot; a
             // short scan means the log was corrupted underneath us.
@@ -2303,28 +2293,19 @@ impl RvmShared {
                 scan.tail
             )));
         }
-        let trees = build_latest_trees(&scan.records);
-        let mut seg_ids: Vec<u32> = trees.keys().copied().collect();
-        seg_ids.sort_unstable();
+        let trees = latest_trees(&scan);
         type SegTargets = Vec<(Arc<dyn Device>, Option<Arc<SegmentChecksums>>)>;
         let seg_targets: SegTargets = {
             let core = self.core.lock();
-            let mut seg_targets = Vec::with_capacity(seg_ids.len());
-            for &seg_raw in &seg_ids {
-                let tree = &trees[&seg_raw];
-                let needed = tree
-                    .iter()
-                    .map(|(s, p)| s + p.len() as u64)
-                    .max()
-                    .unwrap_or(0);
-                let dev = self.segment_device(&core, SegmentId::new(seg_raw), needed)?;
+            let mut seg_targets = Vec::new();
+            for (seg_raw, tree) in by_segment(&trees) {
+                let dev = self.segment_device(&core, SegmentId::new(seg_raw), tree_end(tree))?;
                 let catalog = self.segment_catalog(&core, SegmentId::new(seg_raw), &dev)?;
                 seg_targets.push((dev, catalog));
             }
             seg_targets
         };
-        for (seg_raw, (seg_dev, catalog)) in seg_ids.iter().zip(&seg_targets) {
-            let tree = &trees[seg_raw];
+        for ((_, tree), (seg_dev, catalog)) in by_segment(&trees).zip(&seg_targets) {
             // Writes, syncs, and persists the catalog; the head advances
             // only after phase 3 (the scrub module's crash ordering).
             let outcome = apply_tree_verified(
@@ -2337,10 +2318,8 @@ impl RvmShared {
         }
         let stats = &self.stats;
         stats.add(&stats.truncation_bytes_scanned, end - start);
-        for tree in trees.values() {
-            stats.add(&stats.truncation_ranges_applied, tree.len() as u64);
-            stats.add(&stats.truncation_bytes_applied, tree.total_len());
-        }
+        stats.add(&stats.truncation_ranges_applied, trees.len() as u64);
+        stats.add(&stats.truncation_bytes_applied, tree_len(&trees));
         Ok(())
     }
 

@@ -50,7 +50,6 @@
 //! their checksums before anything verifies), or torn (self-check fails,
 //! re-adopted).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -59,7 +58,7 @@ use rvm_storage::Device;
 use crate::crc::crc32;
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
-use crate::ranges::IntervalMap;
+use crate::ranges::{overlay_pieces, Piece};
 
 const MAGIC: &[u8; 4] = b"RVMC";
 const VERSION: u32 = 1;
@@ -353,83 +352,84 @@ pub(crate) enum ApplyContext {
     Truncation,
 }
 
-/// Applies a latest-wins interval tree to a segment device, keeping the
-/// checksum catalog exact — the one shared write path of truncation and
-/// recovery.
+/// Applies one segment's latest-wins pieces (sorted, disjoint — see
+/// [`latest_pieces`](crate::ranges::latest_pieces)) to its device,
+/// keeping the checksum catalog exact — the one shared write path of
+/// truncation and recovery.
 ///
 /// Without a catalog this is a plain range apply. With one, every touched
 /// page's *pre-apply* image is read under checksum scrutiny so that rot in
 /// the unwritten remainder of a page cannot be laundered into a fresh
 /// catalog entry: a verified (or repaired) page gets an exact post-apply
-/// checksum; an unverifiable page gets one if the tree rewrites it
+/// checksum; an unverifiable page gets one if the pieces rewrite it
 /// completely, or — in the [`ApplyContext::Recovery`] context — by
 /// re-adoption of the post-apply bytes (a torn page inside the redo
 /// footprint is the crash being recovered from, not rot). Otherwise the
 /// stale entry stays so the page keeps failing verification until a
-/// mirror, a scrub rung, or quarantine resolves it. Ordering: range
-/// writes → segment sync → catalog persist; the caller advances the log
-/// head only after this returns.
+/// mirror, a scrub rung, or quarantine resolves it. Ordering: per touched
+/// page read-verify → overlay → catalog update, then range writes →
+/// segment sync → catalog persist; the caller advances the log head only
+/// after this returns. The pages are visited in one ascending walk
+/// through one reused page buffer.
 pub(crate) fn apply_tree_verified(
     dev: &dyn Device,
     catalog: Option<&SegmentChecksums>,
-    tree: &IntervalMap,
+    pieces: &[Piece<'_>],
     ctx: ApplyContext,
 ) -> Result<ApplyOutcome> {
     let mut outcome = ApplyOutcome::default();
     let Some(catalog) = catalog else {
-        for (start, payload) in tree.iter() {
-            dev.write_at(start, payload)?;
+        for piece in pieces {
+            dev.write_at(piece.start, piece.data)?;
         }
         dev.sync()?;
         return Ok(outcome);
     };
     let seg_len = dev.len()?;
-    // Bytes the tree covers of each touched page.
-    let mut covered: BTreeMap<usize, u64> = BTreeMap::new();
-    for (start, payload) in tree.iter() {
-        let mut off = start;
-        let end = start + payload.len() as u64;
-        while off < end {
-            let page = (off / PAGE_SIZE) as usize;
-            let page_end = (page as u64 + 1) * PAGE_SIZE;
-            let take = end.min(page_end) - off;
-            *covered.entry(page).or_insert(0) += take;
-            off += take;
-        }
-    }
-    for (&page, &covered_bytes) in &covered {
+    let mut page_buf = vec![0u8; PAGE_SIZE as usize];
+    // Pieces not yet wholly behind the walk: the first of them names the
+    // next touched page.
+    let mut ahead = pieces;
+    let mut next_page = 0usize;
+    while let Some(first) = ahead.first() {
+        let page = next_page.max((first.start / PAGE_SIZE) as usize);
+        let page_start = page as u64 * PAGE_SIZE;
         let plen = page_len(seg_len, page);
-        let mut buf = vec![0u8; plen];
-        let (verified, healed) = read_page_verified(dev, catalog, page, &mut buf)?;
+        let buf = page_buf.get_mut(..plen).unwrap_or_default();
+        let (verified, healed) = read_page_verified(dev, catalog, page, buf)?;
         if !verified || healed {
             outcome.corruptions_detected += 1;
         }
+        let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
         let fully_rewritten = covered_bytes == plen as u64;
-        tree.overlay_onto(page as u64 * PAGE_SIZE, &mut buf);
         if verified || fully_rewritten {
             if !verified || healed {
                 outcome.corruptions_repaired += 1;
             }
-            catalog.update(page, &buf);
+            catalog.update(page, buf);
         } else if ctx == ApplyContext::Recovery {
             // Unverifiable and only partially covered, but this is the
             // redo of a crashed apply: the tear that explains the
             // mismatch lies inside the covered ranges being rewritten
-            // below, so the post-apply page (device remainder + tree
+            // below, so the post-apply page (device remainder + piece
             // data) is the committed image — re-adopt it. Counted as
             // detected but not repaired: a mirror already had its
             // chance in `read_page_verified`, and rot that struck the
             // uncovered remainder during the same window is
             // indistinguishable from the tear here.
-            catalog.update(page, &buf);
+            catalog.update(page, buf);
         }
         // else: live truncation over a partially-covered, unverifiable
         // page — the committed ranges below are still authoritative for
         // their bytes, but the stale entry stays so the page keeps
         // failing verification until a mirror or quarantine resolves it.
+        next_page = page + 1;
+        let page_end = page_start + PAGE_SIZE;
+        let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
+        ahead = ahead.get(behind..).unwrap_or_default();
     }
-    for (start, payload) in tree.iter() {
-        dev.write_at(start, payload)?;
+    for piece in pieces {
+        dev.write_at(piece.start, piece.data)?;
     }
     dev.sync()?;
     catalog.persist()?;
@@ -477,6 +477,14 @@ impl ScrubReport {
 mod tests {
     use super::*;
     use rvm_storage::MemDevice;
+
+    fn piece(start: u64, data: &[u8]) -> Piece<'_> {
+        Piece {
+            seg: 0,
+            start,
+            data,
+        }
+    }
 
     fn seg_with(len: u64, pattern: u8) -> Arc<MemDevice> {
         let seg = Arc::new(MemDevice::with_len(len));
@@ -596,8 +604,7 @@ mod tests {
         let seg = seg_with(PAGE_SIZE * 2, 1);
         let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
         let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE * 2).unwrap();
-        let mut tree = IntervalMap::new();
-        tree.insert_if_uncovered(100, &[9; 50]);
+        let tree = [piece(100, &[9; 50])];
         let out =
             apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
         assert_eq!(out.corruptions_detected, 0);
@@ -615,8 +622,7 @@ mod tests {
         let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
         let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
         seg.write_at(50, &[0xEE]).unwrap(); // silent rot
-        let mut tree = IntervalMap::new();
-        tree.insert_if_uncovered(0, &[7; PAGE_SIZE as usize]);
+        let tree = [piece(0, &[7; PAGE_SIZE as usize])];
         let out =
             apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
         assert_eq!(out.corruptions_detected, 1);
@@ -630,8 +636,7 @@ mod tests {
         let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
         let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
         seg.write_at(4000, &[0xEE]).unwrap(); // rot outside the tree span
-        let mut tree = IntervalMap::new();
-        tree.insert_if_uncovered(0, &[8; 64]);
+        let tree = [piece(0, &[8; 64])];
         let out =
             apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
         assert_eq!(out.corruptions_detected, 1);

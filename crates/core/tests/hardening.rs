@@ -69,6 +69,122 @@ fn wire_format_golden_values() {
     assert_eq!(&buf[504..512], &512u64.to_le_bytes());
 }
 
+/// Expands a fixture: hex digits, with `|n|` standing for `n` zero bytes.
+fn fixture(rle: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (i, part) in rle.split('|').enumerate() {
+        if i % 2 == 1 {
+            out.resize(out.len() + part.parse::<usize>().unwrap(), 0);
+        } else {
+            out.extend(
+                (0..part.len())
+                    .step_by(2)
+                    .map(|at| u8::from_str_radix(&part[at..at + 2], 16).unwrap()),
+            );
+        }
+    }
+    out
+}
+
+/// Images written by the commit before the slice-by-16 CRC kernel and the
+/// in-place record validator (00f6058): one transaction record, one pad
+/// record, one status-block copy, one `.sums` catalog.
+const PARENT_TXN_RECORD: &str = "\
+     314d5652010000002a000000000000000700000000000000020000009b000000\
+     793db57400000000010000000000000000100000000000006400000000000000\
+     0200000000000000070000000000000007000000000000000001020304050607\
+     08090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021222324252627\
+     28292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f4041424344454647\
+     48494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f6061626355555555\
+     555555|293|544d565286b9cb532a000000000000000002000000000000";
+const PARENT_PAD_RECORD: &str = "\
+     314d56520200000009|19|c00100009070b172|452|544d5652c429a6ae09000\
+     000000000000002000000000000";
+const PARENT_STATUS_COPY: &str = "\
+     31544154534d5652020000000000000005000000000000000006000000000000\
+     0010000000000000040000000000000009000000000000000000100000000000\
+     0200000000080000000000000500000000000000000000000400000000200000\
+     0000000073656741030000000a0000006400000000000000646174612f736567\
+     2d62|8058|c9d7acd8";
+const PARENT_SUMS_CATALOG: &str = "\
+     52564d43010000000300000000000000f1952c200000000007f965d420351e89\
+     88f7dfb5";
+
+/// Logs, status blocks and catalogs written before this code must read
+/// back, and this code must write the same bytes: the checksum kernel and
+/// the validator changed, the format did not.
+#[test]
+fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
+    use rvm::log::record::{encode_pad, encode_txn, parse_record, RecordKind, RecordRange};
+    use rvm::log::status::StatusBlock;
+    use rvm::scrub::SegmentChecksums;
+    use rvm::segment::{SegmentId, SegmentInfo};
+
+    let ranges = vec![
+        RecordRange {
+            seg: SegmentId::new(1),
+            offset: 4096,
+            data: (0u8..100).collect(),
+        },
+        RecordRange {
+            seg: SegmentId::new(2),
+            offset: 7,
+            data: vec![0x55; 7],
+        },
+    ];
+    let txn = fixture(PARENT_TXN_RECORD);
+    assert_eq!(encode_txn(42, 7, &ranges), txn);
+    let (header, decoded) = parse_record(&txn).expect("parent's record parses");
+    assert_eq!(
+        (header.kind, header.seq, header.tid),
+        (RecordKind::Txn, 42, 7)
+    );
+    assert_eq!(decoded.unwrap().ranges, ranges);
+
+    let pad = fixture(PARENT_PAD_RECORD);
+    assert_eq!(encode_pad(9, 512), pad);
+    let (header, decoded) = parse_record(&pad).expect("parent's pad parses");
+    assert_eq!((header.kind, header.seq), (RecordKind::Pad, 9));
+    assert!(decoded.is_none());
+
+    let mut status = StatusBlock::fresh(1 << 20);
+    status.seq = 5;
+    status.head = 1536;
+    status.tail = 4096;
+    status.seq_at_head = 4;
+    status.next_seq = 9;
+    status.epoch_end = 2048;
+    status.epoch_next_seq = 5;
+    for (id, name, min_len) in [(0, "segA", 8192), (3, "data/seg-b", 100)] {
+        status.segments.push(SegmentInfo {
+            id: SegmentId::new(id),
+            name: name.to_owned(),
+            min_len,
+        });
+    }
+    let copy = fixture(PARENT_STATUS_COPY);
+    assert_eq!(status.encode(), copy);
+    assert_eq!(StatusBlock::decode(&copy), Some(status));
+
+    let seg_len = 2 * PAGE_SIZE + 100;
+    let seg = MemDevice::with_len(seg_len);
+    let image: Vec<u8> = (0..seg_len).map(|i| (i % 251) as u8).collect();
+    seg.write_at(0, &image).unwrap();
+    let catalog = fixture(PARENT_SUMS_CATALOG);
+    let side = Arc::new(MemDevice::with_len(0));
+    SegmentChecksums::open(side.clone(), &seg, seg_len).unwrap();
+    assert_eq!(
+        side.snapshot(),
+        catalog,
+        "adoption writes the parent's bytes"
+    );
+    let loaded = SegmentChecksums::load_readonly(&MemDevice::from_image(catalog))
+        .unwrap()
+        .expect("parent's catalog validates");
+    assert_eq!(loaded.len(), 3);
+    assert_eq!(loaded[2], rvm::crc32(&image[2 * PAGE_SIZE as usize..]));
+}
+
 #[test]
 fn status_area_layout_is_stable() {
     use rvm::log::status::{LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET};
@@ -212,6 +328,222 @@ fn adversarial_random_bytes_in_record_area_never_replay() {
     log.write_at(16384, &junk).unwrap();
     let rvm = boot(&log, &segs);
     assert_eq!(rvm.recovery_report().records_replayed, 0);
+}
+
+/// A log device that counts the reads a scan issues.
+struct CountingReads {
+    inner: MemDevice,
+    reads: std::sync::atomic::AtomicU64,
+    bytes: std::sync::atomic::AtomicU64,
+}
+
+impl CountingReads {
+    fn over(inner: MemDevice) -> Self {
+        CountingReads {
+            inner,
+            reads: Default::default(),
+            bytes: Default::default(),
+        }
+    }
+
+    /// `(reads, bytes read)` since the last call.
+    fn take(&self) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (self.reads.swap(0, Relaxed), self.bytes.swap(0, Relaxed))
+    }
+}
+
+impl Device for CountingReads {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.reads.fetch_add(1, Relaxed);
+        self.bytes.fetch_add(buf.len() as u64, Relaxed);
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+/// The forward scan reads the span in a few growing chunks, each byte at
+/// most once, across the physical end of the area — and an empty log
+/// costs one small read, not the area.
+#[test]
+fn scan_reads_the_span_in_chunks_across_the_wrap() {
+    use rvm::log::record::{RecordRange, LOG_BLOCK};
+    use rvm::log::status::LOG_AREA_START;
+    use rvm::log::wal::{scan_forward, scan_span, Wal};
+    use rvm::segment::SegmentId;
+
+    let area = 1024 * LOG_BLOCK;
+    let dev = Arc::new(CountingReads::over(MemDevice::with_len(
+        LOG_AREA_START + area,
+    )));
+    let scan = scan_span(dev.as_ref(), area, 0, 1, None).unwrap();
+    assert_eq!((scan.record_count(), scan.tail), (0, 0));
+    assert_eq!(dev.take(), (1, 64 << 10), "an empty log costs one read");
+
+    // Three-block records, so chunk ends fall inside records and the
+    // scan has to carry a partial record into its next read.
+    let record = |tid: u64| {
+        vec![RecordRange {
+            seg: SegmentId::new(0),
+            offset: tid * 8,
+            data: vec![tid as u8; 1000],
+        }]
+    };
+    let mut wal = Wal::new(dev.clone(), area, 0, 0, 1, 1);
+    for tid in 1..=300 {
+        wal.append_txn(tid, &record(tid)).unwrap();
+    }
+    // Drop the first 200 and run the tail around the physical end.
+    wal.advance_head(200 * 3 * LOG_BLOCK, 201);
+    for tid in 301..=500 {
+        wal.append_txn(tid, &record(tid)).unwrap();
+    }
+    assert!(wal.tail() > area, "the live span wraps");
+
+    dev.take();
+    let span = scan_span(dev.as_ref(), area, wal.head(), wal.seq_at_head(), None).unwrap();
+    let (reads, bytes) = dev.take();
+    assert_eq!((span.tail, span.next_seq), (wal.tail(), wal.next_seq()));
+    assert_eq!(
+        (span.record_count(), span.range_count(), span.pads),
+        (300, 300, 1)
+    );
+    assert!(reads <= 6, "{reads} reads for a 450 KiB span");
+    assert!(bytes <= area, "{bytes} bytes read: no byte twice");
+    let tids: Vec<u64> = span.records().map(|(_, r)| r.header().tid).collect();
+    assert_eq!(tids, (201..=500).collect::<Vec<u64>>());
+    for (_, view) in span.records().rev().take(3) {
+        let tid = view.header().tid;
+        let ranges: Vec<_> = view.ranges().collect();
+        assert_eq!(ranges.len(), 1);
+        assert_eq!(ranges[0].start, tid * 8);
+        assert_eq!(ranges[0].data, &[tid as u8; 1000][..]);
+    }
+
+    // The owned adapter reports the same records, and a stop offset bounds
+    // the reads to the span asked for.
+    let owned = scan_forward(dev.as_ref(), area, wal.head(), wal.seq_at_head(), None).unwrap();
+    assert_eq!(owned.records.len(), 300);
+    assert!(owned
+        .records
+        .iter()
+        .zip(201..)
+        .all(|((_, r), tid)| r.tid == tid));
+    dev.take();
+    let stop = wal.head() + 30 * LOG_BLOCK;
+    let short = scan_span(
+        dev.as_ref(),
+        area,
+        wal.head(),
+        wal.seq_at_head(),
+        Some(stop),
+    )
+    .unwrap();
+    assert_eq!((short.record_count(), short.tail), (10, stop));
+    assert_eq!(dev.take(), (1, 30 * LOG_BLOCK));
+}
+
+/// Forged records with *valid* checksums and lying lengths, a log cut
+/// short, a stop offset inside a record: the in-place validator ends the
+/// log there (or accepts what the old two-read scan accepted) and never
+/// panics.
+#[test]
+fn hostile_lengths_end_the_log_without_panicking() {
+    use rvm::log::record::{encode_txn, parse_record, RecordRange, HEADER_SIZE, LOG_BLOCK};
+    use rvm::log::status::LOG_AREA_START;
+    use rvm::log::wal::scan_forward;
+    use rvm::segment::SegmentId;
+
+    let area = 8 * LOG_BLOCK;
+    let good = |seq: u64| {
+        encode_txn(
+            seq,
+            seq,
+            &[
+                RecordRange {
+                    seg: SegmentId::new(0),
+                    offset: 0,
+                    data: vec![seq as u8; 600],
+                },
+                RecordRange {
+                    seg: SegmentId::new(0),
+                    offset: 4096,
+                    data: vec![seq as u8; 8],
+                },
+            ],
+        )
+    };
+    // Re-seals a patched record so header CRC and record CRC hold again.
+    let reseal = |image: &mut Vec<u8>| {
+        let crc = rvm::crc32(&image[..32]);
+        image[32..36].copy_from_slice(&crc.to_le_bytes());
+        let payload = u32::from_le_bytes(image[28..32].try_into().unwrap()) as usize;
+        let body = (HEADER_SIZE as usize + payload).min(image.len());
+        let crc = rvm::crc32(&image[..body]);
+        let trailer = image.len() - 24;
+        image[trailer + 4..trailer + 8].copy_from_slice(&crc.to_le_bytes());
+    };
+    // Scans a log holding `good(1)`, then `second` where record 2 belongs.
+    let scan_with = |second: &[u8], dev_len: u64, stop: Option<u64>| {
+        let dev = MemDevice::with_len(LOG_AREA_START + area);
+        dev.write_at(LOG_AREA_START, &good(1)).unwrap();
+        dev.write_at(LOG_AREA_START + 2 * LOG_BLOCK, second)
+            .unwrap();
+        dev.set_len(dev_len).unwrap();
+        scan_forward(&dev, area, 0, 1, stop).unwrap()
+    };
+    let whole = LOG_AREA_START + area;
+    assert_eq!(good(1).len() as u64, 2 * LOG_BLOCK);
+    assert_eq!(scan_with(&good(2), whole, None).records.len(), 2);
+
+    type Forgery<'a> = (&'a str, &'a dyn Fn(&mut Vec<u8>));
+    let forgeries: [Forgery; 5] = [
+        ("payload length past the lap end", &|r| {
+            r[28..32].copy_from_slice(&(1u32 << 20).to_le_bytes())
+        }),
+        ("payload length filling the rest of the lap", &|r| {
+            r[28..32].copy_from_slice(&((6 * LOG_BLOCK - 64) as u32).to_le_bytes())
+        }),
+        ("range table larger than the payload", &|r| {
+            r[24..28].copy_from_slice(&u32::MAX.to_le_bytes())
+        }),
+        ("range length past the payload", &|r| {
+            r[56..64].copy_from_slice(&u64::MAX.to_le_bytes())
+        }),
+        ("range lengths short of the payload", &|r| {
+            r[56..64].copy_from_slice(&599u64.to_le_bytes())
+        }),
+    ];
+    for (what, forge) in forgeries {
+        let mut record = good(2);
+        forge(&mut record);
+        reseal(&mut record);
+        assert!(parse_record(&record).is_none(), "{what}: parse_record");
+        let scan = scan_with(&record, whole, None);
+        assert_eq!(scan.records.len(), 1, "{what}");
+        assert_eq!((scan.tail, scan.next_seq), (2 * LOG_BLOCK, 2), "{what}");
+    }
+
+    // The device ends inside record 2, and inside its header.
+    for cut in [3 * LOG_BLOCK, 2 * LOG_BLOCK + 20] {
+        let scan = scan_with(&good(2), LOG_AREA_START + cut, None);
+        assert_eq!((scan.records.len(), scan.tail), (1, 2 * LOG_BLOCK));
+    }
+    // A record that begins below the stop offset is scanned whole.
+    let scan = scan_with(&good(2), whole, Some(2 * LOG_BLOCK + 8));
+    assert_eq!((scan.records.len(), scan.tail), (2, 4 * LOG_BLOCK));
 }
 
 #[test]

@@ -6,14 +6,14 @@ mod common {
     include!("lib.rs");
 }
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use common::World;
 use proptest::prelude::*;
 use rvm::log::record::{encode_txn, parse_record, RecordRange};
 use rvm::log::status::StatusBlock;
-use rvm::ranges::{ByteRange, IntervalMap, RangeSet};
+use rvm::ranges::{latest_pieces, ByteRange, IntervalMap, Piece, RangeSet};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
@@ -21,38 +21,39 @@ use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// RangeSet against a naive per-byte model: coverage identical, the
-    /// `newly` report exactly the bytes that were new, and the set stays
-    /// coalesced.
+    /// RangeSet against a naive bitmap: the `newly` report is exactly the
+    /// bytes that were unset, and the members are the bitmap's maximal
+    /// runs. Many short inserts over a wide space, so the set holds many
+    /// disjoint members and an insert meets a predecessor it touches,
+    /// abuts, or misses.
     #[test]
-    fn rangeset_matches_naive_model(ops in prop::collection::vec((0u64..500, 1u64..60), 1..40)) {
+    fn rangeset_matches_naive_model(ops in prop::collection::vec((0u64..2000, 1u64..24), 1..200)) {
         let mut set = RangeSet::new();
-        let mut model: BTreeSet<u64> = BTreeSet::new();
+        let mut bitmap = [false; 2024];
         for (start, len) in ops {
             let newly = set.insert(ByteRange::at(start, len));
-            let mut newly_bytes: BTreeSet<u64> = BTreeSet::new();
+            prop_assert!(newly.windows(2).all(|w| w[0].end < w[1].start), "newly ranges sorted, apart");
+            let mut reported = [false; 2024];
             for r in &newly {
-                for b in r.start..r.end {
-                    prop_assert!(newly_bytes.insert(b), "newly ranges overlap");
-                }
+                prop_assert!(start <= r.start && r.end <= start + len && !r.is_empty());
+                reported[r.start as usize..r.end as usize].fill(true);
             }
-            for b in start..start + len {
-                let was_new = model.insert(b);
-                prop_assert_eq!(was_new, newly_bytes.contains(&b), "byte {}", b);
+            for b in start as usize..(start + len) as usize {
+                prop_assert_eq!(reported[b], !bitmap[b], "byte {}", b);
+                bitmap[b] = true;
             }
         }
-        // Coverage identical.
-        let covered: BTreeSet<u64> = set
-            .iter()
-            .flat_map(|r| r.start..r.end)
-            .collect();
-        prop_assert_eq!(&covered, &model);
-        // Coalesced: consecutive ranges have gaps.
-        let ranges: Vec<ByteRange> = set.iter().collect();
-        for pair in ranges.windows(2) {
-            prop_assert!(pair[0].end < pair[1].start);
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while at < bitmap.len() {
+            let run = bitmap[at..].iter().take_while(|&&set| set == bitmap[at]).count();
+            if bitmap[at] {
+                runs.push(ByteRange::at(at as u64, run as u64));
+            }
+            at += run;
         }
-        prop_assert_eq!(set.total_len(), model.len() as u64);
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), runs);
+        prop_assert_eq!(set.total_len(), bitmap.iter().filter(|&&b| b).count() as u64);
     }
 
     /// IntervalMap newest-wins equals a naive reverse-apply model.
@@ -72,6 +73,31 @@ proptest! {
         map.overlay_onto(0, &mut got);
         // Bytes never written stay 0 in both.
         prop_assert_eq!(got, model);
+    }
+
+    /// The one-pass resolution replay uses yields, segment by segment,
+    /// exactly the entries the incremental IntervalMap holds after the
+    /// same ranges in the same (newest-first) order: same cuts, same
+    /// bytes, nothing merged.
+    #[test]
+    fn latest_pieces_match_interval_maps(
+        writes in prop::collection::vec(
+            (0u32..3, 0u64..300, prop::collection::vec(any::<u8>(), 0..40)),
+            0..40
+        )
+    ) {
+        let newest_first = || writes.iter().map(|(seg, start, data)| Piece { seg: *seg, start: *start, data });
+        let pieces = latest_pieces(newest_first(), writes.len());
+        let mut maps: BTreeMap<u32, IntervalMap> = BTreeMap::new();
+        for p in newest_first() {
+            maps.entry(p.seg).or_default().insert_if_uncovered(p.start, p.data);
+        }
+        let expected: Vec<(u32, u64, &[u8])> = maps
+            .iter()
+            .flat_map(|(seg, map)| map.iter().map(move |(start, data)| (*seg, start, data)))
+            .collect();
+        let got: Vec<(u32, u64, &[u8])> = pieces.iter().map(|p| (p.seg, p.start, p.data)).collect();
+        prop_assert_eq!(got, expected);
     }
 
     /// Record encode/decode round-trips arbitrary range sets.
