@@ -1,22 +1,30 @@
 //! Group-commit scaling: flush-commit throughput versus thread count,
-//! grouped versus serialized, over the virtual disk clock.
+//! grouped (the default batch cap) versus one force per commit
+//! (`group_commit_max_txns: 1`), over the virtual disk clock.
 //!
 //! Each cell boots a fresh RVM over a `circa_1990` simulated log disk,
 //! splits a fixed transaction budget across N committer threads working
 //! disjoint pages, and measures the virtual I/O time the log consumed.
-//! Serialized commits pay one ~17.4 ms force each, so throughput is flat
-//! (~57 txn/s) no matter how many threads commit; group commit shares
+//! One committer forcing every commit pays one ~17.4 ms force each: the
+//! paper's 57 txn/s ceiling (§7.1.2). With more threads at cap 1 every
+//! commit still costs a force; with no accumulation window a leader
+//! usually drains the queue before the next committer arrives, so those
+//! rows sit at the same ceiling, and when committers do pile up behind
+//! it the leader submits its force instead of waiting, so forces queue
+//! back to back at the disk and the row rises (thread timing, not a
+//! guarantee — the gate uses the one-thread row). Group commit shares
 //! one force per batch, so throughput scales with the achieved batch
-//! size. The per-cell stats expose the mechanism: `log_forces` falls
-//! below `flush_commits` and the disk sees one coalesced extent per
-//! batch instead of one per commit.
+//! size. The
+//! per-cell stats expose the mechanism: `log_forces` falls below
+//! `flush_commits` and the disk sees one coalesced extent per batch
+//! instead of one per commit.
 //!
 //! Usage: `commit_scaling [--quick] [--check] [--txns N]`
 //!
 //! Writes `BENCH_commit_scaling.json` (machine-readable, at the repo
 //! root) and `results/commit_scaling.txt` (the table). `--check` exits
-//! non-zero unless grouped throughput at 8 threads beats serialized by
-//! at least 4x — the CI perf-smoke gate.
+//! non-zero unless grouped throughput at 8 threads beats the one-thread,
+//! one-force-per-commit ceiling by at least 4x — the CI perf-smoke gate.
 
 use std::sync::{Arc, Barrier};
 
@@ -43,7 +51,8 @@ struct Cell {
 }
 
 /// Runs `total` flush commits split across `threads` threads, returning
-/// the cell. `grouped` toggles `Tuning::group_commit`.
+/// the cell. `grouped` keeps the default batch cap; otherwise the cap is
+/// 1, one force per commit.
 fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
     let clock = Clock::new();
     let log = Arc::new(SimDisk::new(
@@ -64,7 +73,11 @@ fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
         Ok(data_for_resolver.clone())
     });
     let tuning = Tuning {
-        group_commit: grouped,
+        group_commit_max_txns: if grouped {
+            Tuning::default().group_commit_max_txns
+        } else {
+            1
+        },
         // A short accumulation window (wall-clock; the virtual disk is
         // not charged) so concurrent committers reliably share a batch.
         group_commit_wait_us: if grouped { 300 } else { 0 },
@@ -242,11 +255,12 @@ fn main() {
             .map(|c| c.txn_per_s)
     };
     let gate_threads = *threads.iter().rev().find(|&&t| t <= 8).unwrap_or(&1);
-    let speedup = match (at("grouped", gate_threads), at("serialized", gate_threads)) {
+    let speedup = match (at("grouped", gate_threads), at("serialized", 1)) {
         (Some(g), Some(s)) if s > 0.0 => g / s,
         _ => 0.0,
     };
-    let summary = format!("\ngrouped vs serialized at {gate_threads} threads: {speedup:.2}x\n");
+    let summary =
+        format!("\ngrouped at {gate_threads} threads vs serialized at 1 thread: {speedup:.2}x\n");
     println!("{summary}");
     table.push_str(&summary);
 
@@ -267,7 +281,7 @@ fn main() {
     std::fs::write("results/commit_scaling.txt", &table).expect("write table");
 
     if check && speedup < 4.0 {
-        eprintln!("FAIL: grouped@{gate_threads} is only {speedup:.2}x serialized (need >= 4x)");
+        eprintln!("FAIL: grouped@{gate_threads} is only {speedup:.2}x serialized@1 (need >= 4x)");
         std::process::exit(1);
     }
 }

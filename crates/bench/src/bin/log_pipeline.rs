@@ -1,17 +1,20 @@
-//! Pipelined log writer: flush-commit throughput with double-buffered
-//! asynchronous submission versus plain group commit, over the virtual
-//! disk clock.
+//! Overlapped log forces: flush-commit throughput when a batch cap below
+//! the committer count leaves committers queued behind every leader, over
+//! the virtual disk clock.
 //!
 //! Each cell boots a fresh RVM over a `circa_1990` simulated log disk
 //! and splits a fixed transaction budget across N committer threads on
-//! disjoint pages. Both modes share one force per batch; the difference
-//! is *when* the force runs. Plain group commit fills, forces, and waits
-//! before the next batch may fill. The pipeline submits buffer A's force
-//! and fills buffer B while it spins, so record serialization rides for
-//! free inside the force window and queued forces earn the controller's
-//! tagged-command discount. The per-cell disk stats expose the
-//! mechanism: `overlapped_syncs` counts forces submitted while the
-//! mechanism was still busy (always zero for the serial loop), and the
+//! disjoint pages, at a batch cap of 8. Every batch shares one force;
+//! what the thread count changes is *when* the force runs. With at most
+//! 8 committers a leader's drain empties the queue, so it writes, forces
+//! and completes its batch itself — plain group commit — before the next
+//! batch may fill. With 16, a drain leaves committers queued: the leader
+//! submits batch A's force and the next leader fills and submits batch B
+//! while it spins, so record serialization rides for free inside the
+//! force window and queued forces earn the controller's tagged-command
+//! discount. The per-cell disk stats expose the mechanism:
+//! `overlapped_syncs` counts forces submitted while the mechanism was
+//! still busy (always zero when every batch completes inline), and the
 //! interval trace proves at least one force's service span intersected a
 //! record transfer on the virtual timeline.
 //!
@@ -19,9 +22,9 @@
 //!
 //! Writes `BENCH_log_pipeline.json` (machine-readable, at the repo
 //! root) and `results/log_pipeline.txt` (the table). `--check` exits
-//! non-zero unless, at 16 threads, the pipelined writer beats grouped
-//! (same batch cap) by at least 1.2x and exceeds 748 txn/s — the CI
-//! perf-smoke gate.
+//! non-zero unless the 16-thread cell exceeds 748 txn/s — the CI
+//! perf-smoke gate; every run also checks that the 16-thread cell
+//! overlapped its forces and that the 4-thread cell submitted nothing.
 
 use std::sync::{Arc, Barrier};
 
@@ -31,14 +34,13 @@ use rvm_storage::{MemDevice, NullDevice};
 use simclock::Clock;
 use simdisk::{DiskOp, DiskParams, SimDisk};
 
-/// Both modes use the same modest batch cap so the comparison isolates
-/// pipelining: with the cap below the committer count, consecutive
-/// batches exist to overlap at all.
+/// A modest batch cap: above it (16 threads) consecutive batches exist to
+/// overlap at all; at or below it (4 threads) every drain empties the
+/// queue.
 const BATCH_CAP: usize = 8;
 
 /// One measured cell of the sweep.
 struct Cell {
-    mode: &'static str,
     threads: u64,
     txns: u64,
     io_ms: f64,
@@ -54,9 +56,8 @@ struct Cell {
 }
 
 /// Runs `total` flush commits split across `threads` threads, returning
-/// the cell. `pipelined` toggles `Tuning::log_pipeline`; group commit
-/// itself is on in both modes.
-fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
+/// the cell.
+fn run_cell(threads: u64, total: u64) -> Cell {
     let clock = Clock::new();
     let log = Arc::new(SimDisk::new(
         Arc::new(MemDevice::with_len(256 << 20)),
@@ -76,7 +77,6 @@ fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
         Ok(data_for_resolver.clone())
     });
     let tuning = Tuning {
-        log_pipeline: pipelined,
         group_commit_max_txns: BATCH_CAP,
         // A short accumulation window (wall-clock; the virtual disk is
         // not charged) so concurrent committers reliably share a batch.
@@ -148,7 +148,6 @@ fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
     let stats = rvm.stats().delta_since(&before_stats);
     let disk = log.stats().delta_since(&before_disk);
     Cell {
-        mode: if pipelined { "pipelined" } else { "grouped" },
         threads,
         txns,
         io_ms,
@@ -167,14 +166,13 @@ fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
 fn json_cell(c: &Cell) -> String {
     format!(
         concat!(
-            "    {{\"mode\": \"{}\", \"threads\": {}, \"txns\": {}, ",
+            "    {{\"threads\": {}, \"txns\": {}, ",
             "\"io_ms\": {:.3}, \"txn_per_s\": {:.2}, \"log_forces\": {}, ",
             "\"flush_commits\": {}, \"mean_batch\": {:.2}, ",
             "\"pipeline_submits\": {}, \"forces_in_flight_hw\": {}, ",
             "\"pipeline_stall_ms\": {:.3}, \"overlapped_syncs\": {}, ",
             "\"forces_overlapping_writes\": {}}}"
         ),
-        c.mode,
         c.threads,
         c.txns,
         c.io_ms,
@@ -216,65 +214,42 @@ fn main() {
     }
 
     let header = format!(
-        "{:<10} {:>7} {:>9} {:>11} {:>8} {:>10} {:>8} {:>8} {:>9} {:>9}",
-        "mode",
-        "threads",
-        "txn/s",
-        "io_ms",
-        "forces",
-        "mean_batch",
-        "submits",
-        "hw",
-        "ovl_sync",
-        "ovl_f/w"
+        "{:>7} {:>9} {:>11} {:>8} {:>10} {:>8} {:>8} {:>9} {:>9}",
+        "threads", "txn/s", "io_ms", "forces", "mean_batch", "submits", "hw", "ovl_sync", "ovl_f/w"
     );
     println!("{header}");
     let mut table = String::new();
     table.push_str(&format!(
-        "pipelined vs grouped log writer, {total} flush commits per cell, \
+        "overlapped log forces, {total} flush commits per cell, \
          batch cap {BATCH_CAP}, circa-1990 disk\n\n{header}\n"
     ));
     let mut cells: Vec<Cell> = Vec::new();
-    for &pipelined in &[false, true] {
-        for &t in &threads {
-            let c = run_cell(t, total, pipelined);
-            let line = format!(
-                "{:<10} {:>7} {:>9.1} {:>11.1} {:>8} {:>10.2} {:>8} {:>8} {:>9} {:>9}",
-                c.mode,
-                c.threads,
-                c.txn_per_s,
-                c.io_ms,
-                c.log_forces,
-                c.mean_batch,
-                c.pipeline_submits,
-                c.forces_in_flight_hw,
-                c.overlapped_syncs,
-                c.forces_overlapping_writes
-            );
-            println!("{line}");
-            table.push_str(&line);
-            table.push('\n');
-            cells.push(c);
-        }
+    for &t in &threads {
+        let c = run_cell(t, total);
+        let line = format!(
+            "{:>7} {:>9.1} {:>11.1} {:>8} {:>10.2} {:>8} {:>8} {:>9} {:>9}",
+            c.threads,
+            c.txn_per_s,
+            c.io_ms,
+            c.log_forces,
+            c.mean_batch,
+            c.pipeline_submits,
+            c.forces_in_flight_hw,
+            c.overlapped_syncs,
+            c.forces_overlapping_writes
+        );
+        println!("{line}");
+        table.push_str(&line);
+        table.push('\n');
+        cells.push(c);
     }
 
+    let at = |threads: u64| cells.iter().find(|c| c.threads == threads);
     let gate_threads = *threads.last().expect("non-empty sweep");
-    let find = |mode: &str| {
-        cells
-            .iter()
-            .find(|c| c.mode == mode && c.threads == gate_threads)
-    };
-    let piped = find("pipelined").expect("pipelined gate cell");
-    let grouped = find("grouped").expect("grouped gate cell");
-    let speedup = if grouped.txn_per_s > 0.0 {
-        piped.txn_per_s / grouped.txn_per_s
-    } else {
-        0.0
-    };
+    let overlapped = at(gate_threads).expect("gate cell");
     let summary = format!(
-        "\npipelined vs grouped at {gate_threads} threads: {speedup:.2}x \
-         ({:.1} vs {:.1} txn/s)\n",
-        piped.txn_per_s, grouped.txn_per_s
+        "\n{gate_threads} threads at cap {BATCH_CAP}: {:.1} txn/s, {} of {} forces overlapped\n",
+        overlapped.txn_per_s, overlapped.overlapped_syncs, overlapped.log_forces
     );
     println!("{summary}");
     table.push_str(&summary);
@@ -286,11 +261,8 @@ fn main() {
     json.push_str(&format!("  \"batch_cap\": {BATCH_CAP},\n"));
     json.push_str("  \"disk\": \"circa_1990\",\n");
     json.push_str(&format!(
-        "  \"speedup_at_{gate_threads}_threads\": {speedup:.3},\n"
-    ));
-    json.push_str(&format!(
-        "  \"pipelined_txn_per_s_at_{gate_threads}_threads\": {:.2},\n",
-        piped.txn_per_s
+        "  \"txn_per_s_at_{gate_threads}_threads\": {:.2},\n",
+        overlapped.txn_per_s
     ));
     json.push_str("  \"cells\": [\n");
     let body: Vec<String> = cells.iter().map(json_cell).collect();
@@ -304,23 +276,26 @@ fn main() {
     // every run so a regression cannot hide behind a still-passing
     // throughput number.
     assert!(
-        piped.overlapped_syncs > 0,
-        "pipelined cell never queued a force behind a busy mechanism"
+        overlapped.overlapped_syncs > 0,
+        "{gate_threads} threads never queued a force behind a busy mechanism"
     );
     assert!(
-        piped.forces_overlapping_writes > 0,
-        "no pipelined force overlapped record serialization"
+        overlapped.forces_overlapping_writes > 0,
+        "no force overlapped record serialization"
     );
-    assert_eq!(
-        grouped.overlapped_syncs, 0,
-        "the serial force loop cannot queue forces"
-    );
+    if let Some(inline) = at(4) {
+        assert_eq!(
+            (inline.pipeline_submits, inline.overlapped_syncs),
+            (0, 0),
+            "4 committers under a cap of {BATCH_CAP} never leave one queued: \
+             every batch must complete inline"
+        );
+    }
 
-    if check && (speedup < 1.2 || piped.txn_per_s <= 748.0) {
+    if check && overlapped.txn_per_s <= 748.0 {
         eprintln!(
-            "FAIL: pipelined@{gate_threads} is {:.1} txn/s at {speedup:.2}x grouped \
-             (need > 748 txn/s and >= 1.2x)",
-            piped.txn_per_s
+            "FAIL: {gate_threads} threads at cap {BATCH_CAP} reached {:.1} txn/s (need > 748)",
+            overlapped.txn_per_s
         );
         std::process::exit(1);
     }

@@ -555,14 +555,14 @@ pub struct RvmQuery {
     /// Regions quarantined into read-only degraded mode
     /// ([`RvmReturn::RvmEMedia`]).
     pub regions_quarantined: u64,
-    /// Group-commit batches submitted through the pipelined log writer
-    /// (writes and force in flight while the next batch filled).
+    /// Flush batches submitted asynchronously (writes and force in
+    /// flight while the next batch filled) rather than completed inline.
     pub pipeline_submits: u64,
-    /// High-water mark of forces simultaneously in flight (≥ 2 means the
-    /// pipeline actually overlapped device work).
+    /// High-water mark of forces simultaneously in flight (≥ 2 means
+    /// consecutive batches actually overlapped device work).
     pub forces_in_flight_hw: u64,
-    /// Nanoseconds pipelined leaders stalled waiting for a staging
-    /// buffer (i.e. for an in-flight force to complete).
+    /// Nanoseconds leaders about to submit stalled waiting for room in
+    /// the in-flight queue (i.e. for an in-flight force to complete).
     pub pipeline_stall_ns: u64,
 }
 
@@ -914,40 +914,46 @@ mod tests {
     #[test]
     fn query_round_trips_pipeline_counters() {
         use rvm::segment::MemResolver;
-        use rvm::Tuning;
+        use rvm::{CommitMode, RegionDescriptor, Tuning, TxnMode};
         use rvm_storage::MemDevice;
 
+        const THREADS: u64 = 4;
         // The C entry point has no tuning parameter, so build the handle
-        // around a pipelined instance directly — the query path is the
-        // thing under test, not initialization.
+        // around a tuned instance directly — the query path is the thing
+        // under test, not initialization. Batches are submitted only
+        // when committers stay queued behind a leader's drain: a batch
+        // cap below the thread count, and a window for them to pile up.
         let rvm = Rvm::initialize(
             Options::new(Arc::new(MemDevice::with_len(4 << 20)))
                 .resolver(MemResolver::new().into_resolver())
                 .create_if_empty()
                 .tuning(Tuning {
-                    log_pipeline: true,
+                    group_commit_max_txns: 2,
+                    group_commit_wait_us: 20_000,
                     ..Tuning::default()
                 }),
         )
         .unwrap();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, THREADS * 4096))
+            .unwrap();
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (rvm, region, barrier) = (&rvm, &region, &barrier);
+                s.spawn(move || {
+                    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                    region.put_u64(&mut txn, t * 4096, t + 1).unwrap();
+                    barrier.wait();
+                    txn.commit(CommitMode::Flush).unwrap();
+                });
+            }
+        });
+        drop(region);
         let h = Box::into_raw(Box::new(RvmHandle { rvm }));
         // SAFETY: `h` is a live handle from the Box above; pointers passed
         // to the C functions are valid for the duration of each call.
         unsafe {
-            let mut r: *mut RegionHandle = std::ptr::null_mut();
-            assert_eq!(
-                rvm_map(h, c"seg".as_ptr(), 0, 4096, &mut r),
-                RvmReturn::RvmSuccess
-            );
-            for i in 0..4u8 {
-                let mut tid: *mut TidHandle = std::ptr::null_mut();
-                rvm_begin_transaction(h, RVM_RESTORE, &mut tid);
-                assert_eq!(rvm_set_range(tid, r, 0, 8), RvmReturn::RvmSuccess);
-                rvm_region_base(r).write_bytes(i, 8);
-                assert_eq!(rvm_end_transaction(tid, RVM_FLUSH), RvmReturn::RvmSuccess);
-                rvm_free_tid(tid);
-            }
-
             // The C-side struct must agree field-for-field with the Rust
             // query the pipeline counters come from.
             let expect = (*h).rvm.query();
@@ -957,9 +963,8 @@ mod tests {
             assert_eq!(q.forces_in_flight_hw, expect.stats.forces_in_flight_hw);
             assert_eq!(q.pipeline_stall_ns, expect.stats.pipeline_stall_ns);
             assert!(q.pipeline_submits >= 1, "pipeline never submitted: {q:?}");
-            assert_eq!(q.flush_commits, 4);
+            assert_eq!(q.flush_commits, THREADS);
 
-            rvm_free_region(r);
             assert_eq!(rvm_terminate(h), RvmReturn::RvmSuccess);
         }
     }

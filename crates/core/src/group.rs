@@ -1,17 +1,18 @@
-//! Group commit: the leader/follower pipeline that amortizes log forces
-//! across concurrent flush-mode commits.
+//! The flush-commit queue: the leader/follower baton that amortizes log
+//! forces across concurrent flush-mode commits.
 //!
 //! The paper's throughput ceiling is the log force — 17.4 ms per force
-//! caps a serialized commit path at 57.4 txn/s (§7.1.2) — and one force
-//! per flush commit means N committer threads go no faster than one.
-//! Group commit is the classic WAL answer: committers serialize their
-//! records *outside* the core lock (already the case), park them in a
-//! queue, and the first committer to find no leader becomes one. The
-//! leader drains a bounded batch from the queue front, appends every
-//! member in queue order under the core lock, issues a **single**
-//! `wal.force()` for the whole group, and hands each member its own
-//! [`AppendInfo`](crate::log::wal::AppendInfo) through its slot before
-//! waking the batch.
+//! caps a one-force-per-commit path at 57.4 txn/s (§7.1.2) — so N
+//! committer threads that each force go no faster than one. Group commit
+//! is the classic WAL answer: committers serialize their records
+//! *outside* the core lock, park them in this queue, and the first
+//! committer to find no leader becomes one. The leader drains a bounded
+//! batch from the queue front, stages every member in queue order under
+//! the core lock, issues a **single** force for the whole group, and each
+//! member receives its own
+//! [`AppendInfo`](crate::log::wal::AppendInfo) through its slot once the
+//! batch completes (`RvmShared::leader_round` / `complete_batch`). One
+//! force per commit is a batch cap of 1 (`group_commit_max_txns`).
 //!
 //! Lock order: the group lock is taken either alone or *after* a slot
 //! lock is released; the leader takes `core` while holding neither. Slot
@@ -24,21 +25,23 @@
 //! span, so a leader's batch can run *during* a truncation — that is the
 //! point of the concurrent protocol. Two consequences for the leader:
 //!
-//! * **Waiting happens inside `append_with_space`.** If the log cannot
-//!   fit the next record while an epoch is in flight, the append waits on
-//!   the `epoch_done` condvar (releasing `core`), then retries. The
-//!   leader never spins; its stall is bounded by the epoch apply, and is
-//!   measured in `truncation_stall_ns`.
-//! * **A released lock invalidates the batch checkpoint.** The leader
-//!   takes a WAL checkpoint before appending the batch so a mid-batch
-//!   append failure can roll the whole batch back. But if an append
-//!   waited (lock released and reacquired), another thread may have
-//!   appended records past the checkpoint; rolling back would destroy
-//!   *their* records. `Core::wait_generation` counts those releases: the
-//!   leader only rolls back if the generation is unchanged, and otherwise
-//!   leaves the partial batch in the log — harmless, since the failure
-//!   path poisons the instance anyway and recovery replays only complete,
-//!   committed records.
+//! * **Waiting happens inside the fill.** If the log cannot fit the next
+//!   member while an epoch is in flight, the leader rolls its staged
+//!   appends back, waits on the `epoch_done` condvar (releasing `core`),
+//!   and stages the batch again. The leader never spins; its stall is
+//!   bounded by the epoch apply, and is measured in
+//!   `truncation_stall_ns`.
+//! * **A released lock invalidates a checkpoint.** A batch's WAL
+//!   checkpoint lets a failed force roll the whole batch back. But once
+//!   the core lock has been released and reacquired — by the spool drain
+//!   waiting for space under this leader, or by anyone while a submitted
+//!   batch is in flight — another thread may have appended records past
+//!   the checkpoint; rolling back would destroy *their* records.
+//!   `Core::wait_generation` counts those releases: a batch only rolls
+//!   back if the generation is unchanged, and otherwise leaves its
+//!   records in the log — harmless, since the failure path poisons the
+//!   instance anyway and recovery replays only complete, committed
+//!   records.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,7 +55,7 @@ use crate::region::RegionInner;
 
 /// The payload a committer parks in the queue and the leader fills in.
 pub(crate) struct SlotWork {
-    /// The serialized new-value ranges, read by the leader's append.
+    /// The serialized new-value ranges, staged by the leader.
     pub(crate) ranges: Vec<RecordRange>,
     /// Pages to mark dirty and enqueue for truncation on success.
     pub(crate) region_pages: Vec<(Arc<RegionInner>, Vec<usize>)>,
@@ -83,18 +86,10 @@ pub(crate) struct GroupState {
 }
 
 /// The commit queue, its leadership flag, and the follower wakeup.
+#[derive(Default)]
 pub(crate) struct GroupCommit {
     pub(crate) state: Mutex<GroupState>,
     /// Signalled after a leader publishes a batch's outcomes and releases
     /// leadership; woken followers re-check their slot or take over.
     pub(crate) wakeup: Condvar,
-}
-
-impl GroupCommit {
-    pub(crate) fn new() -> Self {
-        Self {
-            state: Mutex::new(GroupState::default()),
-            wakeup: Condvar::new(),
-        }
-    }
 }

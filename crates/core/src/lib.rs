@@ -71,9 +71,10 @@
 //!   failure lands mid-commit, keeping in-memory cursors and the durable
 //!   image consistent.
 //! * Group commit: concurrent flush-mode commits share a single log
-//!   force through a leader/follower commit queue
-//!   ([`Tuning::group_commit`], on by default), with per-batch statistics
-//!   surfaced via `query`.
+//!   force through a leader/follower commit queue (bounded by
+//!   [`Tuning::group_commit_max_txns`]), and a leader with committers
+//!   still queued behind it overlaps its force with the next batch; both
+//!   with per-batch statistics surfaced via `query`.
 //!
 //! Layered packages live in sibling crates, as the paper suggests (§8):
 //! `rvm-alloc` (recoverable heap), `rvm-loader` (segment loader),
@@ -150,6 +151,7 @@ mod txn;
 pub use check::CheckViolation;
 pub use crc::crc32;
 pub use error::{Result, RvmError};
+#[cfg(feature = "mutation-hooks")]
 #[doc(hidden)]
 pub use options::MutationHooks;
 pub use options::{CommitMode, LoadPolicy, Options, TruncationMode, Tuning, TxnMode, PAGE_SIZE};

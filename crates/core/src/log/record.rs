@@ -134,14 +134,25 @@ pub fn padded_len(payload_len: u64) -> u64 {
     raw.div_ceil(LOG_BLOCK) * LOG_BLOCK
 }
 
-/// Padded size of a transaction record over ranges of the given data
-/// lengths (used for space accounting before serialization).
-pub fn txn_record_size(range_data_lens: impl Iterator<Item = u64>) -> u64 {
-    let mut payload = 0u64;
-    for len in range_data_lens {
-        payload += RANGE_ENTRY_SIZE + len;
-    }
-    padded_len(payload)
+/// Bytes of range table + data in a transaction record over `ranges`.
+fn txn_payload_len(ranges: &[RecordRange]) -> u64 {
+    ranges
+        .iter()
+        .map(|r| RANGE_ENTRY_SIZE + r.data.len() as u64)
+        .sum()
+}
+
+/// Padded size of a transaction record over `ranges` (used for space
+/// accounting before serialization).
+pub fn txn_record_size(ranges: &[RecordRange]) -> u64 {
+    padded_len(txn_payload_len(ranges))
+}
+
+/// Unpadded size of a transaction record over `ranges` — header, payload
+/// and trailer: the quantity Table 2 reports as "bytes written to log",
+/// and what batch and spool byte limits count.
+pub fn txn_record_bytes(ranges: &[RecordRange]) -> u64 {
+    HEADER_SIZE + txn_payload_len(ranges) + TRAILER_SIZE
 }
 
 fn put_u32(buf: &mut [u8], at: usize, v: u32) {
@@ -160,33 +171,37 @@ fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 
+/// Appends one encoded, padded record to `out`.
 fn encode(
     kind: RecordKind,
     seq: u64,
     tid: u64,
     ranges: &[RecordRange],
     payload_len: u64,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     let total = padded_len(payload_len) as usize;
-    let mut buf = vec![0u8; total];
+    let start = out.len();
+    out.resize(start + total, 0);
+    let buf = &mut out[start..];
 
     // Header.
-    put_u32(&mut buf, 0, HEADER_MAGIC);
+    put_u32(buf, 0, HEADER_MAGIC);
     buf[4] = kind.to_u8();
-    put_u64(&mut buf, 8, seq);
-    put_u64(&mut buf, 16, tid);
-    put_u32(&mut buf, 24, ranges.len() as u32);
-    put_u32(&mut buf, 28, payload_len as u32);
+    put_u64(buf, 8, seq);
+    put_u64(buf, 16, tid);
+    put_u32(buf, 24, ranges.len() as u32);
+    put_u32(buf, 28, payload_len as u32);
     let header_crc = crc32(&buf[..32]);
-    put_u32(&mut buf, 32, header_crc);
+    put_u32(buf, 32, header_crc);
 
     // Range table, then data.
     let mut entry_at = HEADER_SIZE as usize;
     let mut data_at = HEADER_SIZE as usize + ranges.len() * RANGE_ENTRY_SIZE as usize;
     for range in ranges {
-        put_u32(&mut buf, entry_at, range.seg.as_u32());
-        put_u64(&mut buf, entry_at + 8, range.offset);
-        put_u64(&mut buf, entry_at + 16, range.data.len() as u64);
+        put_u32(buf, entry_at, range.seg.as_u32());
+        put_u64(buf, entry_at + 8, range.offset);
+        put_u64(buf, entry_at + 16, range.data.len() as u64);
         entry_at += RANGE_ENTRY_SIZE as usize;
         buf[data_at..data_at + range.data.len()].copy_from_slice(&range.data);
         data_at += range.data.len();
@@ -195,20 +210,30 @@ fn encode(
     // Trailer at the very end of the padded extent.
     let record_crc = crc32(&buf[..HEADER_SIZE as usize + payload_len as usize]);
     let t = total - TRAILER_SIZE as usize;
-    put_u32(&mut buf, t, TRAILER_MAGIC);
-    put_u32(&mut buf, t + 4, record_crc);
-    put_u64(&mut buf, t + 8, seq);
-    put_u64(&mut buf, t + 16, total as u64);
-    buf
+    put_u32(buf, t, TRAILER_MAGIC);
+    put_u32(buf, t + 4, record_crc);
+    put_u64(buf, t + 8, seq);
+    put_u64(buf, t + 16, total as u64);
 }
 
 /// Serializes a committed transaction as one padded record.
 pub fn encode_txn(seq: u64, tid: u64, ranges: &[RecordRange]) -> Vec<u8> {
-    let payload: u64 = ranges
-        .iter()
-        .map(|r| RANGE_ENTRY_SIZE + r.data.len() as u64)
-        .sum();
-    encode(RecordKind::Txn, seq, tid, ranges, payload)
+    let mut buf = Vec::new();
+    encode_txn_into(seq, tid, ranges, &mut buf);
+    buf
+}
+
+/// [`encode_txn`] appended to `out`, so a batch of records lands in one
+/// buffer without a copy each.
+pub fn encode_txn_into(seq: u64, tid: u64, ranges: &[RecordRange], out: &mut Vec<u8>) {
+    encode(
+        RecordKind::Txn,
+        seq,
+        tid,
+        ranges,
+        txn_payload_len(ranges),
+        out,
+    );
 }
 
 /// Serializes a pad record of exactly `total_len` bytes (which must be a
@@ -223,7 +248,9 @@ pub fn encode_pad(seq: u64, total_len: u64) -> Vec<u8> {
         "invalid pad length {total_len}"
     );
     let payload = total_len - HEADER_SIZE - TRAILER_SIZE;
-    encode(RecordKind::Pad, seq, 0, &[], payload)
+    let mut buf = Vec::new();
+    encode(RecordKind::Pad, seq, 0, &[], payload, &mut buf);
+    buf
 }
 
 /// Parses and validates a record header; `buf` must hold at least
@@ -457,7 +484,7 @@ mod tests {
     #[test]
     fn size_accounting_matches_encoding() {
         let ranges = sample_ranges();
-        let predicted = txn_record_size(ranges.iter().map(|r| r.data.len() as u64));
+        let predicted = txn_record_size(&ranges);
         assert_eq!(predicted, encode_txn(1, 1, &ranges).len() as u64);
     }
 

@@ -26,7 +26,7 @@ use rvm_storage::{Device, IoToken};
 use crate::cursor::{CursorSnapshot, WalCursor};
 use crate::error::{Result, RvmError};
 use crate::log::record::{
-    self, encode_pad, encode_txn, parse_header, parse_record, validate_record, HeaderInfo,
+    self, encode_pad, encode_txn_into, parse_header, parse_record, validate_record, HeaderInfo,
     RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, MIN_RECORD_SIZE, TRAILER_SIZE,
 };
 use crate::log::status::LOG_AREA_START;
@@ -45,20 +45,25 @@ pub struct AppendInfo {
     pub space_consumed: u64,
 }
 
-/// Staging memory for pipelined appends: encoded record bytes accumulated
+/// Staging memory for a batch of appends: encoded record bytes accumulated
 /// in RAM, addressed by *physical* device offset, instead of being written
 /// to the device one record at a time.
 ///
-/// Contiguous appends coalesce into one chunk, so a whole group-commit
-/// batch typically submits as a single device write (two when a pad
-/// record wraps the lap: the pad fills the old lap's physical end while
-/// the record restarts at the area's physical start). The buffer is
-/// reusable — `clear` keeps chunk allocations for the next batch, which
-/// is what makes double-buffering cheap.
+/// Contiguous appends coalesce into one chunk, so a whole flush batch
+/// typically reaches the device as a single write (two when a pad record
+/// wraps the lap: the pad fills the old lap's physical end while the
+/// record restarts at the area's physical start). Every chunk lives in
+/// one byte buffer. Written in place ([`Wal::write_staged`]), the buffer
+/// keeps that allocation across [`StagingBuf::clear`], so a reused buffer
+/// fills without allocating. Submitted ([`Wal::submit_staged`]), the
+/// bytes leave with the writes — [`Device::submit_write`] owns its
+/// payload — and the next fill starts from an empty buffer.
 #[derive(Debug, Default)]
 pub struct StagingBuf {
-    /// `(physical offset, bytes)`, in append order.
-    chunks: Vec<(u64, Vec<u8>)>,
+    bytes: Vec<u8>,
+    /// `(physical offset, start in bytes)` of each chunk, append order; a
+    /// chunk runs to the next one's start, the last to the end of `bytes`.
+    chunks: Vec<(u64, usize)>,
 }
 
 impl StagingBuf {
@@ -67,34 +72,38 @@ impl StagingBuf {
         StagingBuf::default()
     }
 
-    /// Drops staged bytes but keeps allocations for reuse.
+    /// Drops staged bytes, keeping the byte buffer's allocation.
     pub fn clear(&mut self) {
+        self.bytes.clear();
         self.chunks.clear();
     }
 
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
-    /// Total staged payload bytes.
-    pub fn bytes(&self) -> u64 {
-        self.chunks.iter().map(|(_, b)| b.len() as u64).sum()
-    }
-
     /// The staged `(physical offset, bytes)` chunks, append order.
-    pub fn chunks(&self) -> &[(u64, Vec<u8>)] {
-        &self.chunks
+    pub fn chunks(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let ends = self
+            .chunks
+            .iter()
+            .skip(1)
+            .map(|&(_, start)| start)
+            .chain(std::iter::once(self.bytes.len()));
+        self.chunks
+            .iter()
+            .zip(ends)
+            .map(|(&(phys, start), end)| (phys, self.bytes.get(start..end).unwrap_or_default()))
     }
 
-    fn push(&mut self, phys: u64, data: &[u8]) {
-        if let Some((off, buf)) = self.chunks.last_mut() {
-            if *off + buf.len() as u64 == phys {
-                buf.extend_from_slice(data);
-                return;
-            }
+    /// The byte buffer, positioned for bytes destined for `phys`: they
+    /// extend the last chunk when they continue it on the device and
+    /// start a new chunk otherwise.
+    fn at(&mut self, phys: u64) -> &mut Vec<u8> {
+        let continues = self
+            .chunks
+            .last()
+            .is_some_and(|&(off, start)| off + (self.bytes.len() - start) as u64 == phys);
+        if !continues {
+            self.chunks.push((phys, self.bytes.len()));
         }
-        self.chunks.push((phys, data.to_vec()));
+        &mut self.bytes
     }
 }
 
@@ -234,7 +243,8 @@ impl Wal {
         }
     }
 
-    /// Appends one committed transaction as a single record.
+    /// Appends one committed transaction as a single record: stages it
+    /// ([`Wal::append_txn_staged`]) and writes the staged bytes.
     ///
     /// The caller is responsible for ensuring space (triggering truncation
     /// as needed); if the record cannot fit in the *entire* area the error
@@ -242,23 +252,40 @@ impl Wal {
     /// error is [`RvmError::LogFull`] with `capacity` set to the free
     /// space — callers distinguish by comparing against [`Wal::capacity`].
     pub fn append_txn(&mut self, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
-        // A failed append must leave the in-memory cursors exactly where
-        // they were: if the pad record persisted but the txn record did
-        // not (or either write failed outright), an advanced `tail` /
-        // `next_seq` would diverge from what a recovery scan of the
-        // durable image accepts. Restoring both makes a failed append
-        // harmless — a healed device can simply re-append, rewriting the
-        // identical pad bytes.
-        let (tail0, seq0) = (self.tail(), self.next_seq());
-        let result = self.append_txn_inner(tid, ranges);
-        if result.is_err() {
-            self.set_tail(tail0, seq0);
+        let ckpt = self.checkpoint();
+        let mut staging = StagingBuf::new();
+        let info = self.append_txn_staged(tid, ranges, &mut staging)?;
+        if let Err(e) = self.write_staged(&staging) {
+            // A failed append must leave the in-memory cursors exactly
+            // where they were: if the pad record persisted but the txn
+            // record did not (or either write failed outright), an
+            // advanced `tail` / `next_seq` would diverge from what a
+            // recovery scan of the durable image accepts. Restoring both
+            // makes a failed append harmless — a healed device can simply
+            // re-append, rewriting the identical pad bytes.
+            self.rollback_to(ckpt);
+            return Err(e);
         }
-        result
+        Ok(info)
     }
 
-    fn append_txn_inner(&mut self, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
-        let padded = record::txn_record_size(ranges.iter().map(|r| r.data.len() as u64));
+    /// Appends one committed transaction into `staging` instead of the
+    /// device: the cursors advance past the record (and a pad record, if
+    /// the record does not fit in the current lap), but the encoded bytes
+    /// land in RAM. The caller later pushes the whole buffer to the device
+    /// with [`Wal::write_staged`] or [`Wal::submit_staged`]. This is the
+    /// one place a record is encoded and the tail advanced.
+    ///
+    /// The only possible error is [`RvmError::LogFull`], raised before any
+    /// cursor or staging mutation, so a failed staged append needs no
+    /// rollback and leaves `staging` untouched.
+    pub fn append_txn_staged(
+        &mut self,
+        tid: u64,
+        ranges: &[RecordRange],
+        staging: &mut StagingBuf,
+    ) -> Result<AppendInfo> {
+        let padded = record::txn_record_size(ranges);
         if padded > self.area_len {
             return Err(RvmError::LogFull {
                 needed: padded,
@@ -278,101 +305,62 @@ impl Wal {
         if padded > lap_remaining {
             debug_assert!(lap_remaining >= MIN_RECORD_SIZE);
             let pad = encode_pad(self.next_seq(), lap_remaining);
-            self.dev.write_at(self.phys(self.tail()), &pad)?;
+            staging.at(self.phys(self.tail())).extend_from_slice(&pad);
             self.set_tail(self.tail() + lap_remaining, self.next_seq() + 1);
         }
 
         let seq = self.next_seq();
-        let buf = encode_txn(seq, tid, ranges);
-        debug_assert_eq!(buf.len() as u64, padded);
         let offset = self.tail();
-        self.dev.write_at(self.phys(offset), &buf)?;
+        let buf = staging.at(self.phys(offset));
+        let staged = buf.len();
+        encode_txn_into(seq, tid, ranges, buf);
+        debug_assert_eq!((buf.len() - staged) as u64, padded);
         self.set_tail(offset + padded, seq + 1);
 
-        let record_bytes = HEADER_SIZE
-            + ranges
-                .iter()
-                .map(|r| record::RANGE_ENTRY_SIZE + r.data.len() as u64)
-                .sum::<u64>()
-            + TRAILER_SIZE;
         Ok(AppendInfo {
             offset,
             seq,
-            record_bytes,
+            record_bytes: record::txn_record_bytes(ranges),
             space_consumed: need,
         })
     }
 
-    /// Appends one committed transaction into `staging` instead of the
-    /// device: the cursors advance exactly as [`Wal::append_txn`] would
-    /// advance them, but the encoded bytes (pad record included) land in
-    /// RAM. The caller later pushes the whole buffer to the device with
-    /// [`Wal::submit_staged`] — the fill half of the reserve/fill/submit
-    /// pipeline.
-    ///
-    /// The only possible error is [`RvmError::LogFull`], raised before any
-    /// cursor or staging mutation, so a failed staged append needs no
-    /// rollback and leaves `staging` untouched.
-    pub fn append_txn_staged(
-        &mut self,
-        tid: u64,
-        ranges: &[RecordRange],
-        staging: &mut StagingBuf,
-    ) -> Result<AppendInfo> {
-        let padded = record::txn_record_size(ranges.iter().map(|r| r.data.len() as u64));
-        if padded > self.area_len {
-            return Err(RvmError::LogFull {
-                needed: padded,
-                capacity: self.area_len,
-            });
+    /// Writes every staged chunk to the device in place, leaving `staging`
+    /// (and its allocation) to the caller. The writes are *completed*, not
+    /// durable — pair them with [`Wal::force`].
+    pub fn write_staged(&self, staging: &StagingBuf) -> Result<()> {
+        for (phys, bytes) in staging.chunks() {
+            self.dev.write_at(phys, bytes)?;
         }
-        let need = self.space_needed(padded);
-        if need > self.free_space() {
-            return Err(RvmError::LogFull {
-                needed: need,
-                capacity: self.free_space(),
-            });
-        }
-
-        let lap_remaining = self.area_len - self.tail() % self.area_len;
-        if padded > lap_remaining {
-            debug_assert!(lap_remaining >= MIN_RECORD_SIZE);
-            let pad = encode_pad(self.next_seq(), lap_remaining);
-            staging.push(self.phys(self.tail()), &pad);
-            self.set_tail(self.tail() + lap_remaining, self.next_seq() + 1);
-        }
-
-        let seq = self.next_seq();
-        let buf = encode_txn(seq, tid, ranges);
-        debug_assert_eq!(buf.len() as u64, padded);
-        let offset = self.tail();
-        staging.push(self.phys(offset), &buf);
-        self.set_tail(offset + padded, seq + 1);
-
-        let record_bytes = HEADER_SIZE
-            + ranges
-                .iter()
-                .map(|r| record::RANGE_ENTRY_SIZE + r.data.len() as u64)
-                .sum::<u64>()
-            + TRAILER_SIZE;
-        Ok(AppendInfo {
-            offset,
-            seq,
-            record_bytes,
-            space_consumed: need,
-        })
+        Ok(())
     }
 
     /// Submits every staged chunk as an asynchronous device write,
-    /// draining `staging` (its allocations move into the tokens' payloads;
-    /// the buffer itself is reusable). The writes are *submitted*, not
-    /// durable — the caller must pair them with [`Wal::submit_force`] and
-    /// wait both before acknowledging anything.
+    /// draining `staging`: the bytes move into the writes' payloads. The
+    /// writes are *submitted*, not durable — the caller must pair them
+    /// with [`Wal::submit_force`] and wait both before acknowledging
+    /// anything.
     pub fn submit_staged(&self, staging: &mut StagingBuf) -> Vec<IoToken> {
-        staging
+        // Peel chunks off the end; the first (usually only) chunk is the
+        // buffer the batch was encoded in, moved rather than copied.
+        let mut rest = std::mem::take(&mut staging.bytes);
+        let mut payloads: Vec<(u64, Vec<u8>)> = staging
             .chunks
             .drain(..)
-            .map(|(off, data)| self.dev.submit_write(off, data))
+            .rev()
+            .map(|(phys, start)| {
+                let data = if start == 0 {
+                    std::mem::take(&mut rest)
+                } else {
+                    rest.split_off(start)
+                };
+                (phys, data)
+            })
+            .collect();
+        payloads.reverse();
+        payloads
+            .into_iter()
+            .map(|(phys, data)| self.dev.submit_write(phys, data))
             .collect()
     }
 
@@ -985,9 +973,9 @@ mod tests {
             assert_eq!(a, b, "staged append reports identical AppendInfo");
         }
         // Three contiguous records coalesce into one chunk.
-        assert_eq!(buf.chunks().len(), 1);
+        assert_eq!(buf.chunks().count(), 1);
         let tokens = staged.submit_staged(&mut buf);
-        assert!(buf.is_empty(), "submit drains the staging buffer");
+        assert_eq!(buf.chunks().count(), 0, "submit drains the staging buffer");
         for t in tokens {
             staged.device().wait(t).unwrap();
         }
@@ -1014,8 +1002,14 @@ mod tests {
         // the physical start of the area: a second, non-contiguous chunk.
         wal.append_txn_staged(3, &[range(0, 0, 3, 1000)], &mut buf)
             .unwrap();
-        assert_eq!(buf.chunks().len(), 2);
-        assert_eq!(buf.chunks()[1].0, LOG_AREA_START, "wrap restarts the area");
+        assert_eq!(buf.chunks().count(), 2);
+        let (wrapped_at, wrapped) = buf.chunks().nth(1).expect("two chunks");
+        assert_eq!(wrapped_at, LOG_AREA_START, "wrap restarts the area");
+        assert_eq!(
+            wrapped.len() as u64,
+            3 * LOG_BLOCK,
+            "the wrapped record alone"
+        );
         for t in wal.submit_staged(&mut buf) {
             wal.device().wait(t).unwrap();
         }
@@ -1041,14 +1035,15 @@ mod tests {
         let mut buf = StagingBuf::new();
         wal.append_txn_staged(1, &[range(0, 0, 1, 100)], &mut buf)
             .unwrap();
-        let (tail0, seq0, bytes0) = (wal.tail(), wal.next_seq(), buf.bytes());
+        let staged = |buf: &StagingBuf| buf.chunks().map(|(_, b)| b.len()).sum::<usize>();
+        let (tail0, seq0, bytes0) = (wal.tail(), wal.next_seq(), staged(&buf));
         let err = wal
             .append_txn_staged(2, &[range(0, 0, 2, 10_000)], &mut buf)
             .unwrap_err();
         assert!(matches!(err, RvmError::LogFull { .. }));
         assert_eq!(wal.tail(), tail0);
         assert_eq!(wal.next_seq(), seq0);
-        assert_eq!(buf.bytes(), bytes0, "failed staged append stages nothing");
+        assert_eq!(staged(&buf), bytes0, "failed staged append stages nothing");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Interleaving models of the group-commit protocol.
+//! Interleaving models of the flush-commit protocol.
 //!
 //! Two models, two halves of the protocol:
 //!
-//! * [`GroupModel`] — the leader's *batch* half: WAL checkpoint, append
-//!   loop that may release the core lock inside `append_with_space`
-//!   (waiting out an epoch truncation), single force, and the
-//!   `wait_generation`-guarded rollback on force failure. The property at
-//!   stake is that a rollback never destroys records appended by another
-//!   thread while the leader's lock was released.
+//! * [`GroupModel`] — the leader's *batch* half: WAL checkpoint, a fill
+//!   that rolls its staged appends back and starts over whenever it has
+//!   to release the core lock (waiting out an epoch truncation), the
+//!   submitted force that completes with the lock released, and the
+//!   guarded rollback on force failure. The property at stake is that a
+//!   rollback never destroys records appended by another thread while the
+//!   batch was in flight.
 //! * [`BatonModel`] — the committer's *queue* half: enqueue, wait on the
 //!   group condvar or take the leadership baton, leader publishes every
 //!   queued outcome and hands off. The property at stake is that every
@@ -21,11 +22,15 @@ const DONE: u8 = 99;
 /// Leader / truncator / flusher model of the batch-rollback protocol.
 ///
 /// Threads:
-/// * **0 — leader**: holds the core lock across `ckpt → append A →
-///   append B → force → (rollback) → publish`, except that an append
-///   issued while an epoch is in flight waits on `epoch_done`,
-///   releasing the lock (and bumping `wait_gen` on wake, as
-///   `append_with_space` does).
+/// * **0 — leader**: under the core lock, `ckpt → stage A → stage B →
+///   submit`; a stage attempted while an epoch is in flight rolls the
+///   staged records back, waits on `epoch_done` (releasing the lock,
+///   bumping `wait_gen` on wake) and restarts from a fresh checkpoint.
+///   After the submit the lock is released; the force completes
+///   off-lock; the leader then reacquires the lock to complete the batch
+///   — publish, or on a failed force the guarded rollback. (The inline
+///   side of the real path is the schedule in which nobody runs between
+///   the submit and the completion.)
 /// * **1 — truncator**: the three-phase epoch truncation — snapshot
 ///   under the lock, apply off-lock, complete under the lock and
 ///   `notify_all`.
@@ -33,14 +38,16 @@ const DONE: u8 = 99;
 ///   appends without waiting and forces immediately — the thread whose
 ///   record a bad rollback would destroy.
 ///
-/// The leader's appends wait whenever an epoch is in flight (modeling
+/// The leader's stages wait whenever an epoch is in flight (modeling
 /// "batch does not fit until the frozen span is freed"); the flusher's
-/// single record always fits. This asymmetry is what creates the
-/// interference window the generation guard exists for.
+/// single record always fits. The window between the leader's submit and
+/// its completion is where the flusher can append past the batch — the
+/// interference the rollback guard (`end_len` and `wait_gen` unchanged)
+/// exists for.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct GroupModel {
-    /// Model mutation: `false` removes the `wait_generation` guard, the
-    /// bug the explorer must be able to exhibit.
+    /// Model mutation: `false` removes the rollback guard, the bug the
+    /// explorer must be able to exhibit.
     pub guard_enabled: bool,
     /// Whether the leader's force fails (exercising the rollback path).
     pub force_fails: bool,
@@ -58,6 +65,8 @@ pub struct GroupModel {
     leader_pc: u8,
     ckpt_len: u8,
     ckpt_gen: u8,
+    /// Log length right after the batch's appends (`end_tail`).
+    end_len: u8,
     leader_outcome: Option<bool>,
     rollbacks: u8,
 
@@ -81,6 +90,7 @@ impl GroupModel {
             leader_pc: 0,
             ckpt_len: 0,
             ckpt_gen: 0,
+            end_len: 0,
             leader_outcome: None,
             rollbacks: 0,
             trunc_pc: 0,
@@ -89,12 +99,16 @@ impl GroupModel {
         }
     }
 
-    fn leader_append(&mut self, waiting_pc: u8, next_pc: u8) {
+    fn leader_stage(&mut self, next_pc: u8) {
         if self.epoch {
-            // append_with_space: wait on epoch_done, releasing the lock.
+            // No room until the epoch completes: roll the staged records
+            // back (the lock has been held since the checkpoint, so
+            // everything past it is this batch's), then wait on
+            // epoch_done, releasing the lock.
+            self.log.truncate(self.ckpt_len as usize);
             self.epoch_waiters |= 1;
             self.lock = None;
-            self.leader_pc = waiting_pc;
+            self.leader_pc = 20;
         } else {
             self.log.push(0);
             self.leader_pc = next_pc;
@@ -113,41 +127,46 @@ impl GroupModel {
                 self.ckpt_gen = self.wait_gen;
                 self.leader_pc = 2;
             }
-            2 => self.leader_append(20, 3),
-            3 => self.leader_append(22, 4),
+            2 => self.leader_stage(3),
+            3 => self.leader_stage(4),
             4 => {
-                if self.force_fails {
-                    self.leader_pc = 5;
-                } else {
-                    self.forced = self.log.len() as u8;
-                    self.leader_pc = 6;
-                }
+                // Submit the writes and the force; the batch is in flight
+                // and the lock is free.
+                self.end_len = self.log.len() as u8;
+                self.lock = None;
+                self.leader_pc = 5;
             }
             5 => {
-                // Rollback, guarded by the generation check.
-                if !self.guard_enabled || self.wait_gen == self.ckpt_gen {
-                    self.log.truncate(self.ckpt_len as usize);
-                    self.forced = self.forced.min(self.ckpt_len);
-                    self.rollbacks += 1;
+                // The force completes (or fails) with no lock held.
+                if !self.force_fails {
+                    self.forced = self.forced.max(self.end_len);
                 }
                 self.leader_pc = 6;
             }
             6 => {
+                self.lock = Some(0);
+                self.leader_pc = 7;
+            }
+            7 => {
+                // complete_batch: on failure, roll back iff nothing
+                // appended past the batch.
+                let untouched =
+                    self.wait_gen == self.ckpt_gen && self.log.len() as u8 == self.end_len;
+                if self.force_fails && (!self.guard_enabled || untouched) {
+                    self.log.truncate(self.ckpt_len as usize);
+                    self.forced = self.forced.min(self.ckpt_len);
+                    self.rollbacks += 1;
+                }
                 self.leader_outcome = Some(!self.force_fails);
                 self.lock = None;
                 self.leader_pc = DONE;
             }
             // Woken from an epoch wait: reacquire the lock, bump the
-            // generation (as append_with_space does), retry the append.
+            // generation, start the fill over from a fresh checkpoint.
             21 => {
                 self.lock = Some(0);
                 self.wait_gen += 1;
-                self.leader_pc = 2;
-            }
-            23 => {
-                self.lock = Some(0);
-                self.wait_gen += 1;
-                self.leader_pc = 3;
+                self.leader_pc = 1;
             }
             _ => unreachable!("leader stepped while blocked"),
         }
@@ -179,12 +198,8 @@ impl GroupModel {
             5 => {
                 // Phase 3: advance the head, wake every epoch waiter.
                 self.epoch = false;
-                if self.epoch_waiters & 1 != 0 {
-                    self.leader_pc = match self.leader_pc {
-                        20 => 21,
-                        22 => 23,
-                        pc => pc,
-                    };
+                if self.epoch_waiters & 1 != 0 && self.leader_pc == 20 {
+                    self.leader_pc = 21;
                 }
                 self.epoch_waiters = 0;
                 self.trunc_pc = 6;
@@ -230,8 +245,9 @@ impl Model for GroupModel {
     fn runnable(&self, t: usize) -> bool {
         match t {
             0 => match self.leader_pc {
-                DONE | 20 | 22 => false,            // finished / parked on epoch_done
-                0 | 21 | 23 => self.lock.is_none(), // acquire steps
+                DONE | 20 => false,                // finished / parked on epoch_done
+                0 | 6 | 21 => self.lock.is_none(), // acquire steps
+                5 => true,                         // the off-lock force
                 _ => self.lock == Some(0),
             },
             1 => match self.trunc_pc {
@@ -273,8 +289,7 @@ impl Model for GroupModel {
         }
         if self.flusher_forced && !self.log.contains(&2) {
             return Err(
-                "rollback destroyed another thread's forced record (generation guard missing)"
-                    .into(),
+                "rollback destroyed another thread's forced record (rollback guard missing)".into(),
             );
         }
         let all_done = self.leader_pc == DONE && self.trunc_pc == DONE && self.flush_pc == DONE;

@@ -17,13 +17,14 @@
 //! Three protocols are modeled, matching the PRs that complicated the
 //! durability argument:
 //!
-//! * [`group_model`] — the group-commit leader baton: batch checkpoint,
-//!   append loop that may release the core lock inside
-//!   `append_with_space`, the single force, and the
-//!   `wait_generation`-guarded rollback. The headline theorem is that the
-//!   guard is *necessary and sufficient* in the model: with it no
-//!   schedule destroys another thread's appended record, and with it
-//!   removed the explorer exhibits a schedule that does.
+//! * [`group_model`] — the flush-commit leader baton: batch checkpoint,
+//!   a fill that starts over whenever it released the core lock, the
+//!   single force completing while the batch is in flight, and the
+//!   rollback guarded by `end_tail`/`wait_generation`. The headline
+//!   theorem is that the guard is *necessary and sufficient* in the
+//!   model: with it no schedule destroys another thread's appended
+//!   record, and with it removed the explorer exhibits a schedule that
+//!   does.
 //! * [`epoch_model`] — the `epoch_done` condvar handshake between the
 //!   three-phase epoch truncation and `append_with_space` waiters: no
 //!   schedule deadlocks (no lost wakeup), every waiter bumps

@@ -72,7 +72,9 @@ pub enum TruncationMode {
     Incremental,
 }
 
-/// Deliberate protocol mutations for the `rvm-crashmc` model checker.
+/// Deliberate protocol mutations for the `rvm-crashmc` model checker,
+/// installed through `Rvm::set_mutation_hooks` (which exists only under
+/// the `mutation-hooks` cargo feature; without it every hook stays off).
 ///
 /// The checker's acceptance test is double-sided: the real tree must show
 /// **zero** committed-prefix violations, and a tree with one of these
@@ -82,14 +84,13 @@ pub enum TruncationMode {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationHooks {
-    /// Group-commit leader skips the batch's single `wal.force()` but
-    /// still reports success: commits are acknowledged without being
-    /// durable. The checker must find a crash image where an acked
-    /// transaction is missing after recovery.
+    /// The flush-commit leader skips the batch's single force but still
+    /// reports success: commits are acknowledged without being durable.
+    /// The checker must find a crash image where an acked transaction is
+    /// missing after recovery.
     pub skip_group_force: bool,
-    /// Group-commit leader skips the WAL-cursor rollback after a batch
-    /// failure, leaving cursors pointing past records that were never
-    /// forced.
+    /// A failed batch skips its WAL-cursor rollback, leaving cursors
+    /// pointing past records that were never forced.
     pub skip_group_rollback: bool,
 }
 
@@ -131,13 +132,11 @@ pub struct Tuning {
     /// instead of only recording it. For tests and debugging sessions
     /// that want to die at the first contract breach.
     pub panic_on_violation: bool,
-    /// Amortize log forces across concurrent flush-mode commits (group
-    /// commit): committers publish their serialized records to a queue,
-    /// one leader appends every waiting transaction and issues a single
-    /// force for the whole group. Durable-log order still matches commit
-    /// order; with one committer the path degenerates to a batch of one.
-    pub group_commit: bool,
-    /// Maximum transactions appended under one group-commit force.
+    /// Maximum transactions appended under one force. Concurrent
+    /// flush-mode commits queue up and one leader appends every waiting
+    /// transaction and forces once for the whole batch (group commit);
+    /// durable-log order still matches commit order, and a lone committer
+    /// is a batch of one. `1` is one force per commit.
     pub group_commit_max_txns: usize,
     /// Maximum record bytes appended under one group-commit force; a
     /// batch closes before the transaction that would exceed it.
@@ -147,15 +146,6 @@ pub struct Tuning {
     /// batch. Zero (the default) batches only what lock contention
     /// naturally accumulates, adding no latency to solo commits.
     pub group_commit_wait_us: u64,
-    /// Pipeline group-commit batches through double-buffered staging
-    /// memory and asynchronous device submission: a leader encodes its
-    /// batch into one of two staging buffers and *submits* the writes and
-    /// the force without waiting, so the next leader can fill and submit
-    /// the other buffer while the first force is still in flight. Commit
-    /// acknowledgements still wait for the batch's own force — durability
-    /// semantics are unchanged; only the serialization and the device time
-    /// overlap. Requires `group_commit`; off by default.
-    pub log_pipeline: bool,
     /// Maintain a per-page checksum catalog beside each data segment:
     /// updated whenever truncation or recovery writes segment pages,
     /// verified when mapped regions load pages and by scrub passes. The
@@ -168,10 +158,6 @@ pub struct Tuning {
     pub background_scrub: bool,
     /// Milliseconds between background scrub passes.
     pub scrub_interval_ms: u64,
-    /// Deliberate protocol mutations for the crash-state model checker;
-    /// all off in real use. See [`MutationHooks`].
-    #[doc(hidden)]
-    pub mutation: MutationHooks,
 }
 
 impl Default for Tuning {
@@ -187,15 +173,12 @@ impl Default for Tuning {
             check_unlogged_writes: false,
             check_range_conflicts: false,
             panic_on_violation: false,
-            group_commit: true,
             group_commit_max_txns: 64,
             group_commit_max_bytes: 8 << 20,
             group_commit_wait_us: 0,
-            log_pipeline: false,
             segment_checksums: true,
             background_scrub: false,
             scrub_interval_ms: 200,
-            mutation: MutationHooks::default(),
         }
     }
 }
@@ -276,20 +259,43 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_expectations() {
-        let t = Tuning::default();
-        assert!(t.intra_optimization && t.inter_optimization);
-        assert_eq!(t.truncation_mode, TruncationMode::Epoch);
-        assert!((0.0..1.0).contains(&t.truncation_threshold));
+        // Exhaustive on purpose (no `..`): a new knob cannot land without
+        // stating its default here.
+        let Tuning {
+            truncation_threshold,
+            truncation_mode,
+            background_truncation,
+            intra_optimization,
+            inter_optimization,
+            spool_max_bytes,
+            incremental_reclaim_bytes,
+            check_unlogged_writes,
+            check_range_conflicts,
+            panic_on_violation,
+            group_commit_max_txns,
+            group_commit_max_bytes,
+            group_commit_wait_us,
+            segment_checksums,
+            background_scrub,
+            scrub_interval_ms,
+        } = Tuning::default();
+        assert!(intra_optimization && inter_optimization);
+        assert_eq!(truncation_mode, TruncationMode::Epoch);
+        assert!((0.0..1.0).contains(&truncation_threshold));
+        assert!(!background_truncation, "truncation runs inline by default");
+        assert!(spool_max_bytes > 0 && incremental_reclaim_bytes > 0);
+        assert!(
+            !(check_unlogged_writes || check_range_conflicts || panic_on_violation),
+            "debug checks are opt-in"
+        );
         assert_eq!(TxnMode::default(), TxnMode::Restore);
         assert_eq!(CommitMode::default(), CommitMode::Flush);
-        assert!(t.group_commit, "group commit is on by default");
-        assert!(t.group_commit_max_txns >= 1);
-        assert!(t.group_commit_max_bytes > 0);
-        assert_eq!(t.group_commit_wait_us, 0, "solo commits pay no window");
-        assert!(!t.log_pipeline, "pipelined log writer is opt-in");
-        assert!(t.segment_checksums, "media detection is on by default");
-        assert!(!t.background_scrub, "scrubber is opt-in");
-        assert!(t.scrub_interval_ms > 0);
+        assert!(group_commit_max_txns > 1, "flush commits share forces");
+        assert!(group_commit_max_bytes > 0);
+        assert_eq!(group_commit_wait_us, 0, "solo commits pay no window");
+        assert!(segment_checksums, "media detection is on by default");
+        assert!(!background_scrub, "scrubber is opt-in");
+        assert!(scrub_interval_ms > 0);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::group::{GroupCommit, GroupSlot, SlotWork};
 use crate::log::record::{self, RecordRange};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
 use crate::log::wal::{scan_span, AppendInfo, StagingBuf, Wal, WalCheckpoint};
-use crate::options::{CommitMode, LoadPolicy, Options, Tuning, TxnMode, PAGE_SIZE};
-use crate::pipeline::{InFlightBatch, LogPipeline};
+use crate::options::{CommitMode, LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
+use crate::pipeline::{Batch, InFlightBatch, LogPipeline, PIPELINE_DEPTH};
 use crate::query::{LogInfo, QueryInfo};
 use crate::ranges::{ByteRange, RangeSet};
 use crate::recovery::{by_segment, latest_trees, recover, tree_end, tree_len, RecoveryReport};
@@ -61,11 +61,19 @@ pub(crate) struct Core {
     /// processing continues in the rest of the log).
     epoch: Option<EpochInFlight>,
     /// Bumped by any thread that releases and reacquires the core lock
-    /// inside [`RvmShared::append_with_space`] (waiting out an in-flight
-    /// epoch). A group-commit leader compares it against the value at
-    /// its WAL checkpoint: if it changed, other committers' records may
-    /// have interleaved and the checkpoint is no longer a rollback point.
+    /// mid-operation (waiting out an in-flight epoch or draining the
+    /// pipeline). A flush batch compares it against the value at its WAL
+    /// checkpoint: if it changed, other committers' records may have
+    /// interleaved and the checkpoint is no longer a rollback point.
     wait_generation: u64,
+    /// Where the flush-commit leader stages its batch (leadership is
+    /// exclusive, so one buffer serves every round). Completed inline it
+    /// keeps its allocation for the next round; submitted, its bytes
+    /// leave with the writes.
+    staging: StagingBuf,
+    /// crashmc's deliberate protocol mutations; all off unless the
+    /// `mutation-hooks` feature's setter flipped one.
+    hooks: MutationHooks,
 }
 
 /// A concurrent epoch truncation in flight: the frozen span
@@ -124,7 +132,7 @@ pub(crate) struct RvmShared {
     /// core lock. (The synchronous space-critical path never sets
     /// `core.epoch` and so never sets this either, same as before.)
     epoch_active: AtomicBool,
-    /// The group-commit queue (see [`crate::group`]). Its lock is never
+    /// The flush-commit queue (see [`crate::group`]). Its lock is never
     /// held while acquiring `core` or vice versa.
     group: GroupCommit,
     regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
@@ -155,10 +163,10 @@ pub(crate) struct RvmShared {
     /// True while an epoch apply is running off-lock (phase 2); commits
     /// that complete in that window count `commits_during_truncation`.
     truncating: AtomicBool,
-    /// The pipelined log writer's staging buffers and in-flight batches
-    /// (see [`crate::pipeline`]); inert unless [`Tuning::log_pipeline`].
-    /// Its lock ranks just above `core` and is never held across an
-    /// acquisition of `core`.
+    /// Flush batches submitted to the device but not yet reaped (see
+    /// [`crate::pipeline`]); empty while leaders complete their batches
+    /// inline. Its lock ranks just above `core` and is never held across
+    /// an acquisition of `core`.
     pipeline: LogPipeline,
 }
 
@@ -310,6 +318,8 @@ impl Rvm {
                 segs_in_log: HashSet::new(),
                 epoch: None,
                 wait_generation: 0,
+                staging: StagingBuf::new(),
+                hooks: MutationHooks::default(),
             }),
             cursor,
             log_capacity,
@@ -318,7 +328,7 @@ impl Rvm {
             seg_catalogs: RwLock::new(recovered.seg_catalogs),
             queued_pages,
             epoch_active: AtomicBool::new(false),
-            group: GroupCommit::new(),
+            group: GroupCommit::default(),
             regions: RwLock::new(HashMap::new()),
             check: Mutex::new(CheckState::default()),
             next_tid: AtomicU64::new(1),
@@ -334,7 +344,7 @@ impl Rvm {
             scrub_stop: AtomicBool::new(false),
             epoch_done: Condvar::new(),
             truncating: AtomicBool::new(false),
-            pipeline: LogPipeline::new(),
+            pipeline: LogPipeline::default(),
         });
 
         let bg_thread = options
@@ -576,7 +586,7 @@ impl Rvm {
     /// Replaces the tuning options (§4.2 `set_options`).
     ///
     /// Commit paths read the tuning once at entry, so a change applies to
-    /// commits that *begin* after this call; a group-commit leader mid
+    /// commits that *begin* after this call; a flush-commit leader mid
     /// batch finishes with the tuning its batch started under.
     ///
     /// Toggling `background_truncation` spawns or stops the background
@@ -584,65 +594,50 @@ impl Rvm {
     /// ignored after construction). Stopping joins the thread, so a
     /// disable returns only once any truncation it is running completes.
     /// `background_scrub` toggles the scrubber thread the same way.
-    ///
-    /// Toggling `log_pipeline` or `group_commit` drains the pipelined
-    /// writer first (and again after the switch, for committers that
-    /// copied the old tuning just before it): a batch submitted under the
-    /// old mode would otherwise sit in flight with no new-mode committer
-    /// ever reaping it, parking its members indefinitely.
     pub fn set_options(&self, tuning: Tuning) {
-        let commit_mode_changed = {
-            let t = self.shared.tuning.read();
-            t.log_pipeline != tuning.log_pipeline || t.group_commit != tuning.group_commit
+        // `bg_thread`/`scrub_thread` are locked around both the tuning
+        // write and the spawn/stop so concurrent `set_options` calls
+        // cannot leave the thread state disagreeing with the flags.
+        let mut bg = self.bg_thread.lock();
+        let mut scrub = self.scrub_thread.lock();
+        let (was_bg, was_scrub) = {
+            let mut t = self.shared.tuning.write();
+            let was = (t.background_truncation, t.background_scrub);
+            *t = tuning;
+            was
         };
-        if commit_mode_changed {
-            // Settle every in-flight batch (reap floor empty) before the
-            // switch. `pipeline_drain` must run with no locks held.
-            self.shared.pipeline_drain();
-        }
-        {
-            // `bg_thread`/`scrub_thread` are locked around both the tuning
-            // write and the spawn/stop so concurrent `set_options` calls
-            // cannot leave the thread state disagreeing with the flags.
-            let mut bg = self.bg_thread.lock();
-            let mut scrub = self.scrub_thread.lock();
-            let (was_bg, was_scrub) = {
-                let mut t = self.shared.tuning.write();
-                let was = (t.background_truncation, t.background_scrub);
-                *t = tuning;
-                was
-            };
-            if tuning.background_truncation && !was_bg {
-                if bg.is_none() {
-                    *bg = Some(spawn_bg_thread(&self.shared));
-                }
-            } else if !tuning.background_truncation && was_bg {
-                if let Some(handle) = bg.take() {
-                    self.shared.bg_stop.store(true, Ordering::Release);
-                    self.shared.bg_condvar.notify_all();
-                    let _ = handle.join();
-                    self.shared.bg_stop.store(false, Ordering::Release);
-                }
+        if tuning.background_truncation && !was_bg {
+            if bg.is_none() {
+                *bg = Some(spawn_bg_thread(&self.shared));
             }
-            if tuning.background_scrub && !was_scrub {
-                if scrub.is_none() {
-                    *scrub = Some(spawn_scrub_thread(&self.shared));
-                }
-            } else if !tuning.background_scrub && was_scrub {
-                if let Some(handle) = scrub.take() {
-                    self.shared.scrub_stop.store(true, Ordering::Release);
-                    self.shared.scrub_condvar.notify_all();
-                    let _ = handle.join();
-                    self.shared.scrub_stop.store(false, Ordering::Release);
-                }
+        } else if !tuning.background_truncation && was_bg {
+            if let Some(handle) = bg.take() {
+                self.shared.bg_stop.store(true, Ordering::Release);
+                self.shared.bg_condvar.notify_all();
+                let _ = handle.join();
+                self.shared.bg_stop.store(false, Ordering::Release);
             }
         }
-        if commit_mode_changed {
-            // Catch committers that entered a leader round with the old
-            // tuning while the write above was happening; new commits see
-            // the new tuning and will not resubmit.
-            self.shared.pipeline_drain();
+        if tuning.background_scrub && !was_scrub {
+            if scrub.is_none() {
+                *scrub = Some(spawn_scrub_thread(&self.shared));
+            }
+        } else if !tuning.background_scrub && was_scrub {
+            if let Some(handle) = scrub.take() {
+                self.shared.scrub_stop.store(true, Ordering::Release);
+                self.shared.scrub_condvar.notify_all();
+                let _ = handle.join();
+                self.shared.scrub_stop.store(false, Ordering::Release);
+            }
         }
+    }
+
+    /// Installs deliberate protocol mutations for the `rvm-crashmc`
+    /// model checker, which must convict each one. Not part of the API.
+    #[cfg(feature = "mutation-hooks")]
+    #[doc(hidden)]
+    pub fn set_mutation_hooks(&self, hooks: MutationHooks) {
+        self.shared.core.lock().hooks = hooks;
     }
 
     /// Library-wide information (§4.2 `query`).
@@ -956,17 +951,13 @@ impl RvmShared {
         tid: u64,
         ranges: &[RecordRange],
     ) -> Result<AppendInfo> {
-        let padded = record::txn_record_size(ranges.iter().map(|r| r.data.len() as u64));
-        if padded > core.wal.capacity() {
-            return Err(RvmError::LogFull {
-                needed: padded,
-                capacity: core.wal.capacity(),
-            });
-        }
         loop {
-            if core.wal.space_needed(padded) <= core.wal.free_space() {
-                return core.wal.append_txn(tid, ranges);
-            }
+            let full = match core.wal.append_txn(tid, ranges) {
+                // `LogFull` against less than the whole area: the record
+                // does not fit right now, and truncation can make room.
+                Err(e @ RvmError::LogFull { capacity, .. }) if capacity < core.wal.capacity() => e,
+                result => return result,
+            };
             let stall = Instant::now();
             if core.epoch.is_some() {
                 // The in-flight epoch owns the head and will free the
@@ -985,10 +976,7 @@ impl RvmShared {
             self.stats
                 .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
             if !advanced? {
-                return Err(RvmError::LogFull {
-                    needed: core.wal.space_needed(padded),
-                    capacity: core.wal.free_space(),
-                });
+                return Err(full);
             }
         }
     }
@@ -1244,11 +1232,11 @@ impl RvmShared {
         }
 
         let mut over_threshold = false;
-        if !ranges.is_empty() && mode == CommitMode::Flush && tuning.group_commit {
-            // Group commit: park the serialized transaction in the
-            // commit queue and share one force with every concurrent
-            // flush committer (see `group_commit_enqueue`).
-            match self.group_commit_enqueue(txn.tid, ranges, region_pages, &tuning) {
+        if !ranges.is_empty() && mode == CommitMode::Flush {
+            // Park the serialized transaction in the commit queue and
+            // share one force with every concurrent flush committer (see
+            // `flush_commit_enqueue`).
+            match self.flush_commit_enqueue(txn.tid, ranges, region_pages, &tuning) {
                 Ok(()) => {
                     stats.add(&stats.flush_commits, 1);
                     over_threshold = self.utilization_snapshot() > tuning.truncation_threshold;
@@ -1258,18 +1246,13 @@ impl RvmShared {
                     return Err(e);
                 }
             }
-        } else if !ranges.is_empty() && mode == CommitMode::NoFlush {
+        } else if !ranges.is_empty() {
             // The no-flush fast path: nothing here touches the core lock.
             // The record goes to the spool plane (one shard lock), page
             // bookkeeping stays behind the per-region `page_vector`
             // locks, and the threshold check reads the cursor seqlock —
             // disjoint-region no-flush commits share no lock at all.
-            let record_bytes = record::HEADER_SIZE
-                + ranges
-                    .iter()
-                    .map(|r| record::RANGE_ENTRY_SIZE + r.data.len() as u64)
-                    .sum::<u64>()
-                + record::TRAILER_SIZE;
+            let record_bytes = record::txn_record_bytes(&ranges);
             let mut pages_list = Vec::new();
             for (region, pages) in &region_pages {
                 region.note_pages_spooled(pages);
@@ -1298,43 +1281,6 @@ impl RvmShared {
                 }
             }
             over_threshold = self.utilization_snapshot() > tuning.truncation_threshold;
-        } else if !ranges.is_empty() {
-            // Serialized flush commit (group commit off).
-            let mut core = self.core.lock();
-            // Preserve commit order in the durable log. A device
-            // failure anywhere in here — after retries — poisons
-            // the instance: `append_txn` has already rolled the
-            // WAL cursors back, and no later commit may run over
-            // an image whose true durable tail is unknown (a
-            // failed force leaves even successfully appended
-            // records unacknowledged).
-            let append = (|| -> Result<AppendInfo> {
-                self.flush_spool_locked(&mut core)?;
-                let info = self.append_with_space(&mut core, txn.tid, &ranges)?;
-                core.wal.force()?;
-                Ok(info)
-            })();
-            let info = match self.guard_io(append) {
-                Ok(info) => info,
-                Err(e) => {
-                    drop(core);
-                    txn.rollback();
-                    return Err(e);
-                }
-            };
-            stats.add(&stats.log_forces, 1);
-            stats.add(&stats.bytes_logged, info.record_bytes);
-            stats.add(&stats.flush_commits, 1);
-            for (region, pages) in &region_pages {
-                region.note_pages_logged(pages);
-                for &p in pages {
-                    core.page_queue.enqueue(region, p, info.offset, info.seq);
-                }
-            }
-            for r in &ranges {
-                core.segs_in_log.insert(r.seg.as_u32());
-            }
-            over_threshold = core.wal.utilization() > tuning.truncation_threshold;
         } else {
             // An empty transaction logs nothing itself, but a flush-mode
             // commit still promises that every commit that returned
@@ -1375,7 +1321,7 @@ impl RvmShared {
         Ok(())
     }
 
-    /// Group-commit committer side: parks the serialized transaction in
+    /// Flush-commit committer side: parks the serialized transaction in
     /// the commit queue, then either waits for a leader to commit it or
     /// becomes the leader itself. (The caller derives the truncation
     /// trigger from the cursor seqlock afterwards, as every commit path
@@ -1383,28 +1329,22 @@ impl RvmShared {
     ///
     /// Leadership is a baton, not a thread: the first committer to find
     /// no active leader takes it, runs one bounded batch via
-    /// [`RvmShared::group_leader_round`], releases it, and re-checks its
-    /// own slot. A committer whose slot was left out of a bounded batch
-    /// simply takes the baton next and leads the following batch, so
+    /// [`RvmShared::leader_round`], releases it, and re-checks its own
+    /// slot. A committer whose slot was left out of a bounded batch — or
+    /// whose batch is still in flight — simply takes the baton next, so
     /// every enqueued transaction is committed after at most
     /// `queue length / max_txns` rounds and durable-log order equals
     /// queue order.
-    fn group_commit_enqueue(
+    fn flush_commit_enqueue(
         self: &Arc<Self>,
         tid: u64,
         ranges: Vec<RecordRange>,
         region_pages: Vec<(Arc<RegionInner>, Vec<usize>)>,
         tuning: &Tuning,
     ) -> Result<()> {
-        let record_bytes = record::HEADER_SIZE
-            + ranges
-                .iter()
-                .map(|r| record::RANGE_ENTRY_SIZE + r.data.len() as u64)
-                .sum::<u64>()
-            + record::TRAILER_SIZE;
         let slot = Arc::new(GroupSlot {
             tid,
-            record_bytes,
+            record_bytes: record::txn_record_bytes(&ranges),
             work: Mutex::new(SlotWork {
                 ranges,
                 region_pages,
@@ -1428,31 +1368,41 @@ impl RvmShared {
             }
             gs.leader_active = true;
             drop(gs);
-            if tuning.log_pipeline {
-                self.pipeline_leader_round(tuning);
-            } else {
-                self.group_leader_round(tuning);
-            }
+            self.leader_round(tuning);
             self.group.state.lock().leader_active = false;
             self.group.wakeup.notify_all();
         }
     }
 
-    /// Group-commit leader side: one bounded batch. Drains up to
-    /// `group_commit_max_txns` / `group_commit_max_bytes` slots from the
-    /// queue front, appends them in order under the core lock, forces the
-    /// log **once**, does the per-member page bookkeeping, and publishes
-    /// each member's outcome into its slot. The caller releases
-    /// leadership and wakes the followers.
+    /// Leader side — the one flush-commit path. One bounded batch: drains
+    /// up to `group_commit_max_txns` / `group_commit_max_bytes` slots from
+    /// the queue front and, under one core-lock hold, flushes the spool,
+    /// checkpoints the WAL, and stages every member in queue order. The
+    /// staged batch then reaches [`Self::complete_batch`] one of two ways,
+    /// chosen from what the leader observes, never from an option:
     ///
-    /// Failure semantics extend the single-commit path to the batch: a
-    /// `LogFull` on one member fails only that member (nothing of it was
-    /// appended; the others still force and commit), while a device error
-    /// on any append, the spool drain, or the shared force fails the
-    /// *whole* batch — the WAL cursors are rolled back to the pre-group
-    /// checkpoint and the instance is poisoned, because records may sit
-    /// unacknowledged in the device's write-behind cache.
-    fn group_leader_round(self: &Arc<Self>, tuning: &Tuning) {
+    /// * **inline** — the drain emptied the commit queue and no batch is
+    ///   in flight, so there is nobody to overlap with: the leader writes
+    ///   the staged bytes, forces the log once, and completes the batch
+    ///   before it releases the core lock;
+    /// * **submitted** — otherwise: the leader *submits* the writes and
+    ///   the force without waiting and queues the batch in flight, so the
+    ///   next leader's fill overlaps this force; a later FIFO reap
+    ///   ([`Self::pipeline_reap_batch`]) waits for the device and
+    ///   completes it. See [`crate::pipeline`].
+    ///
+    /// Staging and submission both happen under one core-lock hold, in
+    /// queue order: a successor batch must never reach the device while
+    /// an earlier batch's bytes are still an unwritten hole below it, or
+    /// a crash after the successor's force could strand forced records
+    /// beyond a gap the recovery scan cannot cross.
+    ///
+    /// Failure semantics: a `LogFull` on one member fails only that
+    /// member (nothing of it was staged; the others still force and
+    /// commit), while a device error on the spool drain, a write, or the
+    /// shared force fails the *whole* batch — see
+    /// [`Self::complete_batch`].
+    fn leader_round(self: &Arc<Self>, tuning: &Tuning) {
         if tuning.group_commit_wait_us > 0 {
             // Accumulation window: let concurrent committers join the
             // batch. Wall-clock only; nothing is charged to a simulated
@@ -1462,389 +1412,195 @@ impl RvmShared {
             ));
         }
         let max_txns = tuning.group_commit_max_txns.max(1);
-        let batch: Vec<Arc<GroupSlot>> = {
+        let (slots, queue_drained) = {
             let mut gs = self.group.state.lock();
-            let mut batch = Vec::new();
+            let mut slots: Vec<Arc<GroupSlot>> = Vec::new();
             let mut bytes = 0u64;
-            while batch.len() < max_txns {
-                let Some(front) = gs.queue.front() else { break };
-                if !batch.is_empty() && bytes + front.record_bytes > tuning.group_commit_max_bytes {
-                    break;
+            while slots.len() < max_txns {
+                match gs.queue.front() {
+                    Some(front)
+                        if slots.is_empty()
+                            || bytes + front.record_bytes <= tuning.group_commit_max_bytes =>
+                    {
+                        bytes += front.record_bytes
+                    }
+                    _ => break,
                 }
-                bytes += front.record_bytes;
-                batch.push(gs.queue.pop_front().expect("front was Some"));
+                slots.extend(gs.queue.pop_front());
             }
-            batch
+            (slots, gs.queue.is_empty())
         };
-        if batch.is_empty() {
-            return;
-        }
-
-        let stats = &self.stats;
-        let mut core = self.core.lock();
-        if self.poisoned.load(Ordering::Acquire) {
-            // Poisoned between enqueue and leadership (e.g. by the
-            // previous batch): fail fast without touching the log.
-            drop(core);
-            for slot in &batch {
-                slot.work.lock().outcome = Some(Err(RvmError::Poisoned));
-            }
-            return;
-        }
-
-        let mut outcomes: Vec<Result<AppendInfo>> = Vec::with_capacity(batch.len());
-        let group_result: Result<()> = (|| {
-            self.flush_spool_locked(&mut core)?;
-            // The checkpoint is only a valid rollback point while no one
-            // else has appended past it. `append_with_space` may release
-            // the core lock to wait out an in-flight epoch truncation,
-            // letting other committers interleave records; the
-            // wait-generation counter detects that, and the batch then
-            // fails *without* rolling back (its records stay in the log
-            // unacknowledged, exactly like a failed force — the instance
-            // poisons below).
-            let ckpt = core.wal.checkpoint();
-            let ckpt_gen = core.wait_generation;
-            let rollback = |core: &mut Core| {
-                // `skip_group_rollback` is a crashmc mutation hook: it
-                // reintroduces the cursors-past-unforced-records bug the
-                // rollback exists to prevent, so the model checker can
-                // prove it would catch that bug.
-                if core.wait_generation == ckpt_gen && !tuning.mutation.skip_group_rollback {
-                    core.wal.rollback_to(ckpt);
-                }
-            };
-            let mut appended_any = false;
-            for slot in &batch {
-                let work = slot.work.lock();
-                match self.append_with_space(&mut core, slot.tid, &work.ranges) {
-                    Ok(info) => {
-                        appended_any = true;
-                        outcomes.push(Ok(info));
-                    }
-                    Err(e @ RvmError::LogFull { .. }) => outcomes.push(Err(e)),
-                    Err(e) => {
-                        rollback(&mut core);
-                        return Err(e);
-                    }
-                }
-            }
-            if appended_any && !tuning.mutation.skip_group_force {
-                // `skip_group_force` is a crashmc mutation hook: it
-                // acknowledges the batch without the durability barrier,
-                // the classic lost-commit bug the model checker must be
-                // able to see.
-                if let Err(e) = core.wal.force() {
-                    rollback(&mut core);
-                    return Err(e);
-                }
-            }
-            Ok(())
-        })();
-
-        match self.guard_io(group_result) {
-            Ok(()) => {
-                let successes = outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-                if successes > 0 {
-                    stats.add(&stats.log_forces, 1);
-                    stats.add(&stats.group_commit_batches, 1);
-                    stats.add(&stats.group_commit_txns, successes);
-                    stats.add(
-                        &stats.group_commit_batch_sizes[batch_size_bucket(successes)],
-                        1,
-                    );
-                }
-                for (slot, outcome) in batch.iter().zip(&outcomes) {
-                    if let Ok(info) = outcome {
-                        let work = slot.work.lock();
-                        stats.add(&stats.bytes_logged, info.record_bytes);
-                        for (region, pages) in &work.region_pages {
-                            region.note_pages_logged(pages);
-                            for &p in pages {
-                                core.page_queue.enqueue(region, p, info.offset, info.seq);
-                            }
-                        }
-                        for r in &work.ranges {
-                            core.segs_in_log.insert(r.seg.as_u32());
-                        }
-                    }
-                }
-                drop(core);
-                for (slot, outcome) in batch.iter().zip(outcomes) {
-                    slot.work.lock().outcome = Some(outcome);
-                }
-            }
-            Err(e) => {
-                drop(core);
-                // The whole batch failed. One member receives the
-                // original error (for a batch of one this is exactly the
-                // serialized path's behaviour); the rest observe the
-                // instance state the failure left behind: `Poisoned`
-                // after a device error, or a reconstructed `LogFull`
-                // when the spool drain ran out of log space (which
-                // leaves the instance healthy).
-                let log_full = match &e {
-                    RvmError::LogFull { needed, capacity } => Some((*needed, *capacity)),
-                    _ => None,
-                };
-                let mut original = Some(e);
-                let mut outcomes = outcomes.into_iter();
-                for slot in &batch {
-                    let result = match outcomes.next() {
-                        // This member individually ran out of log space
-                        // before the group failed; keep its own error.
-                        Some(Err(member_err)) => Err(member_err),
-                        _ => Err(original.take().unwrap_or(match log_full {
-                            Some((needed, capacity)) => RvmError::LogFull { needed, capacity },
-                            None => RvmError::Poisoned,
-                        })),
-                    };
-                    slot.work.lock().outcome = Some(result);
-                }
-            }
-        }
-    }
-
-    /// Pipelined leader side (`Tuning::log_pipeline`): one bounded batch,
-    /// encoded into a staging buffer and *submitted* — writes and force —
-    /// without waiting for the device. The batch goes onto the in-flight
-    /// queue; the next leader's fill overlaps its force, and a later reap
-    /// ([`Self::pipeline_reap_batch`]) acknowledges the committers. See
-    /// [`crate::pipeline`] for the protocol.
-    ///
-    /// Reservation and submission both happen under one core-lock hold,
-    /// in queue order: a successor batch must never reach the device
-    /// while an earlier batch's bytes are still an unwritten hole below
-    /// it, or a crash after the successor's force could strand forced
-    /// records beyond a gap the recovery scan cannot cross.
-    fn pipeline_leader_round(self: &Arc<Self>, tuning: &Tuning) {
-        if tuning.group_commit_wait_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(
-                tuning.group_commit_wait_us,
-            ));
-        }
-        let max_txns = tuning.group_commit_max_txns.max(1);
-        let batch: Vec<Arc<GroupSlot>> = {
-            let mut gs = self.group.state.lock();
-            let mut batch = Vec::new();
-            let mut bytes = 0u64;
-            while batch.len() < max_txns {
-                let Some(front) = gs.queue.front() else { break };
-                if !batch.is_empty() && bytes + front.record_bytes > tuning.group_commit_max_bytes {
-                    break;
-                }
-                bytes += front.record_bytes;
-                batch.push(gs.queue.pop_front().expect("front was Some"));
-            }
-            batch
-        };
-        if batch.is_empty() {
+        if slots.is_empty() {
             // Nothing queued: this round is the pipeline tail. Stand in
             // as the reaper so in-flight committers (including, possibly,
             // this thread's own batch) get their outcomes.
             self.pipeline_reap_front();
             return;
         }
-
-        let mut staging = self.pipeline_acquire_buf();
-        let stats = &self.stats;
-        let mut core = self.core.lock();
-
-        enum Fill {
-            Submitted {
-                write_tokens: Vec<rvm_storage::IoToken>,
-                force_token: Option<rvm_storage::IoToken>,
-                ckpt: WalCheckpoint,
-                ckpt_gen: u64,
-            },
-            Failed(RvmError),
+        // Only a leader puts batches in flight and leadership is
+        // exclusive, so a pipeline observed idle here stays idle for the
+        // rest of the round.
+        let inline = queue_drained && self.pipeline.is_idle();
+        if !inline {
+            self.pipeline_wait_for_room();
         }
 
-        let mut outcomes: Vec<Result<AppendInfo>> = Vec::with_capacity(batch.len());
+        let stats = &self.stats;
+        let mut core = self.core.lock();
+        let mut outcomes: Vec<Result<AppendInfo>> = Vec::with_capacity(slots.len());
         // Members truncation provably cannot make room for; on the next
-        // fill attempt they take their own `LogFull` instead of
-        // re-truncating (guarantees the retry loop terminates).
-        let mut wont_fit: Vec<bool> = vec![false; batch.len()];
-        let fill: Fill = 'attempt: loop {
+        // attempt they keep their own `LogFull` instead of re-truncating
+        // (guarantees the retry loop terminates).
+        let mut wont_fit = vec![false; slots.len()];
+        let staged: Result<(WalCheckpoint, u64)> = 'attempt: loop {
             // Any path that released the core lock restarts the fill from
             // scratch: the staged appends were rolled back first, and the
             // checkpoint below is re-taken.
-            staging.clear();
+            core.staging.clear();
             outcomes.clear();
             if self.poisoned.load(Ordering::Acquire) {
-                break Fill::Failed(RvmError::Poisoned);
+                // Poisoned between enqueue and leadership (e.g. by the
+                // previous batch): fail fast without touching the log.
+                break Err(RvmError::Poisoned);
             }
             if let Err(e) = self.flush_spool_locked(&mut core) {
-                break Fill::Failed(e);
+                break Err(e);
             }
             let ckpt = core.wal.checkpoint();
             let ckpt_gen = core.wait_generation;
-            let mut appended_any = false;
-            for (i, slot) in batch.iter().enumerate() {
+            for (slot, wont_fit) in slots.iter().zip(&mut wont_fit) {
                 let work = slot.work.lock();
-                let padded =
-                    record::txn_record_size(work.ranges.iter().map(|r| r.data.len() as u64));
-                if padded > core.wal.capacity() {
-                    outcomes.push(Err(RvmError::LogFull {
-                        needed: padded,
-                        capacity: core.wal.capacity(),
-                    }));
-                    continue;
-                }
-                if wont_fit[i] {
-                    outcomes.push(Err(RvmError::LogFull {
-                        needed: core.wal.space_needed(padded),
-                        capacity: core.wal.free_space(),
-                    }));
-                    continue;
-                }
-                if core.wal.space_needed(padded) > core.wal.free_space() {
-                    // Out of space mid-fill. Rolling back the staged
-                    // cursor advances is always safe here — the core lock
-                    // has been held since the checkpoint, so nothing
-                    // interleaved — and nothing of this batch reached the
-                    // device yet.
+                let Core { wal, staging, .. } = &mut *core;
+                let outcome = wal.append_txn_staged(slot.tid, &work.ranges, staging);
+                // `LogFull` against less than the whole area means "does
+                // not fit right now": make room and start over.
+                if matches!(&outcome, Err(RvmError::LogFull { capacity, .. })
+                    if *capacity < wal.capacity() && !*wont_fit)
+                {
+                    // Rolling back the staged cursor advances is always
+                    // safe here — the core lock has been held since the
+                    // checkpoint, so nothing interleaved — and nothing of
+                    // this batch reached the device yet.
                     drop(work);
-                    core.wal.rollback_to(ckpt);
+                    wal.rollback_to(ckpt);
                     let stall = Instant::now();
-                    if core.epoch.is_some() {
-                        // The in-flight epoch owns the head; wait it out
-                        // (releases the core lock).
+                    let advanced = if core.epoch.is_some() {
+                        // The in-flight epoch owns the head and frees its
+                        // span when it completes; wait it out (releases
+                        // the core lock).
                         self.epoch_done.wait(&mut core);
                         core.wait_generation += 1;
-                        stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
-                        continue 'attempt;
+                        Ok(true)
+                    } else if !self.pipeline.is_idle() {
+                        // Synchronous truncation can only reclaim below
+                        // the pipeline floor, so drain the in-flight
+                        // batches first. Reaping needs the core lock —
+                        // release it around the drain, then look again:
+                        // an epoch may have begun meanwhile.
+                        drop(core);
+                        self.pipeline_drain();
+                        core = self.core.lock();
+                        core.wait_generation += 1;
+                        Ok(true)
+                    } else {
+                        self.epoch_truncate_locked(&mut core)
+                    };
+                    stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
+                    match advanced {
+                        Ok(advanced) => *wont_fit = !advanced,
+                        Err(e) => break 'attempt Err(e),
                     }
-                    // Synchronous truncation can only reclaim below the
-                    // pipeline floor, so drain the in-flight batches
-                    // first. Reaping needs the core lock — release it
-                    // around the drain.
-                    drop(core);
-                    self.pipeline_drain();
-                    core = self.core.lock();
-                    core.wait_generation += 1;
-                    match self.epoch_truncate_locked(&mut core) {
-                        Ok(advanced) => {
-                            stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
-                            if !advanced {
-                                wont_fit[i] = true;
-                            }
-                            continue 'attempt;
-                        }
-                        Err(e) => break 'attempt Fill::Failed(e),
-                    }
+                    continue 'attempt;
                 }
-                match core
-                    .wal
-                    .append_txn_staged(slot.tid, &work.ranges, &mut staging)
-                {
-                    Ok(info) => {
-                        appended_any = true;
-                        outcomes.push(Ok(info));
-                    }
-                    Err(e @ RvmError::LogFull { .. }) => outcomes.push(Err(e)),
-                    Err(e) => break 'attempt Fill::Failed(e),
-                }
+                outcomes.push(outcome);
             }
-            let write_tokens = core.wal.submit_staged(&mut staging);
-            // `skip_group_force` is the crashmc mutation hook from the
-            // serial path: acknowledge without the durability barrier.
-            let force_token = (appended_any && !tuning.mutation.skip_group_force)
-                .then(|| core.wal.submit_force());
-            break Fill::Submitted {
-                write_tokens,
-                force_token,
-                ckpt,
-                ckpt_gen,
-            };
+            break Ok((ckpt, ckpt_gen));
+        };
+        let (ckpt, ckpt_gen) = match staged {
+            Ok(staged) => staged,
+            Err(e) => {
+                drop(core);
+                let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
+                self.publish_failure(&slots, outcomes, e);
+                return;
+            }
         };
 
-        match fill {
-            Fill::Submitted {
+        let appended_any = outcomes.iter().any(|o| o.is_ok());
+        // `skip_group_force` (crashmc mutation hook) acknowledges the
+        // batch without its durability barrier: the classic lost-commit
+        // bug the model checker must be able to see.
+        let force = appended_any && !core.hooks.skip_group_force;
+        let batch = Batch {
+            slots,
+            outcomes,
+            ckpt,
+            ckpt_gen,
+            end_tail: core.wal.tail(),
+        };
+        if inline || !appended_any {
+            // (With nothing appended — every member individually out of
+            // log space — no bytes are staged and there is nothing to
+            // wait on, so the batch completes here on either side.)
+            let io = core.wal.write_staged(&core.staging).and_then(|()| {
+                if force {
+                    core.wal.force()
+                } else {
+                    Ok(())
+                }
+            });
+            self.complete_batch(&mut core, batch, io);
+            return;
+        }
+
+        let Core { wal, staging, .. } = &mut *core;
+        let write_tokens = wal.submit_staged(staging);
+        let force_token = force.then(|| wal.submit_force());
+        stats.add(&stats.pipeline_submits, 1);
+        let (depth, has_predecessor) = {
+            let mut ps = self.pipeline.pipe.lock();
+            ps.in_flight.push_back(InFlightBatch {
+                batch,
                 write_tokens,
                 force_token,
-                ckpt,
-                ckpt_gen,
-            } => {
-                if write_tokens.is_empty() && force_token.is_none() {
-                    // Every member individually failed (`LogFull`): no
-                    // bytes reached the device, nothing to wait on.
-                    drop(core);
-                    self.pipeline_release_buf(staging);
-                    for (slot, outcome) in batch.iter().zip(outcomes) {
-                        slot.work.lock().outcome = Some(outcome);
-                    }
-                    return;
-                }
-                let end_tail = core.wal.tail();
-                let dev = Arc::clone(core.wal.device());
-                stats.add(&stats.pipeline_submits, 1);
-                let depth = {
-                    let mut ps = self.pipeline.pipe.lock();
-                    ps.in_flight.push_back(InFlightBatch {
-                        slots: batch,
-                        outcomes,
-                        write_tokens,
-                        force_token,
-                        dev,
-                        ckpt,
-                        ckpt_gen,
-                        end_tail,
-                        buf: staging,
-                    });
-                    ps.in_flight.len() as u64 + u64::from(ps.reap_floor.is_some())
-                };
-                stats
-                    .forces_in_flight_hw
-                    .fetch_max(depth, Ordering::Relaxed);
-                drop(core);
-                // Reap the predecessor, if any: its force has been in
-                // flight while this batch filled. This batch itself stays
-                // in flight so the *next* leader's fill overlaps it.
-                let has_predecessor = self.pipeline.pipe.lock().in_flight.len() > 1;
-                if has_predecessor {
-                    self.pipeline_reap_front();
-                }
-            }
-            Fill::Failed(e) => {
-                drop(core);
-                self.pipeline_release_buf(staging);
-                let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
-                self.pipeline_publish_failure(&batch, outcomes, e);
-            }
+            });
+            (ps.depth(), ps.in_flight.len() > 1)
+        };
+        stats
+            .forces_in_flight_hw
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        drop(core);
+        // Reap the predecessor, if any: its force has been in flight
+        // while this batch filled. This batch itself stays in flight so
+        // the *next* leader's fill overlaps it.
+        if has_predecessor {
+            self.pipeline_reap_front();
         }
     }
 
-    /// Takes a free staging buffer, reaping the oldest in-flight batch
-    /// when both are out. Time spent waiting is the pipeline *stall*
-    /// (`pipeline_stall_ns`): the fill could not start until a force
-    /// completed.
-    fn pipeline_acquire_buf(&self) -> StagingBuf {
+    /// Waits until the in-flight queue has room for one more batch — at
+    /// most [`PIPELINE_DEPTH`] may be submitted or mid-reap — reaping the
+    /// oldest itself when nobody else is. Time spent here is the pipeline
+    /// *stall* (`pipeline_stall_ns`): the fill could not start until a
+    /// force completed.
+    fn pipeline_wait_for_room(&self) {
         let mut stalled: Option<Instant> = None;
-        loop {
-            let mut ps = self.pipeline.pipe.lock();
-            if let Some(buf) = ps.free.pop() {
-                drop(ps);
-                if let Some(t) = stalled {
-                    self.stats.add(&self.stats.pipeline_stall_ns, elapsed_ns(t));
-                }
-                return buf;
-            }
+        let mut ps = self.pipeline.pipe.lock();
+        while ps.depth() >= PIPELINE_DEPTH {
             stalled.get_or_insert_with(Instant::now);
-            if ps.reap_floor.is_none() {
-                if let Some(batch) = ps.in_flight.pop_front() {
-                    ps.reap_floor = Some(batch.ckpt);
+            match ps.begin_reap() {
+                Some(batch) => {
                     drop(ps);
-                    let buf = self.pipeline_reap_batch(batch);
-                    self.pipeline_settle(buf);
-                    continue;
+                    self.pipeline_reap_batch(batch);
+                    ps = self.pipeline.pipe.lock();
                 }
-                // No free buffer, nothing in flight, no reap in progress:
-                // unreachable while leadership is exclusive (at most one
-                // filling buffer exists, and it is not this caller's).
-                debug_assert!(false, "staging buffers unaccounted for");
+                // Another thread owns the reap; it signals when it settles.
+                None => self.pipeline.pipe_cv.wait(&mut ps),
             }
-            self.pipeline.pipe_cv.wait(&mut ps);
+        }
+        drop(ps);
+        if let Some(t) = stalled {
+            self.stats.add(&self.stats.pipeline_stall_ns, elapsed_ns(t));
         }
     }
 
@@ -1853,15 +1609,13 @@ impl RvmShared {
     fn pipeline_reap_front(&self) {
         let mut ps = self.pipeline.pipe.lock();
         loop {
-            if ps.reap_floor.is_none() {
-                let Some(batch) = ps.in_flight.pop_front() else {
-                    return; // idle
-                };
-                ps.reap_floor = Some(batch.ckpt);
+            if let Some(batch) = ps.begin_reap() {
                 drop(ps);
-                let buf = self.pipeline_reap_batch(batch);
-                self.pipeline_settle(buf);
+                self.pipeline_reap_batch(batch);
                 return;
+            }
+            if ps.reap_floor.is_none() {
+                return; // idle
             }
             // Another thread owns the reap; FIFO order means waiting it
             // out is as good as reaping the front ourselves.
@@ -1869,57 +1623,28 @@ impl RvmShared {
         }
     }
 
-    /// Returns a drained staging buffer to the free list and releases the
-    /// reap floor set by the caller's pop.
-    fn pipeline_settle(&self, buf: StagingBuf) {
-        let mut ps = self.pipeline.pipe.lock();
-        debug_assert!(ps.reap_floor.is_some());
-        ps.reap_floor = None;
-        ps.free.push(buf);
-        drop(ps);
-        self.pipeline.pipe_cv.notify_all();
-    }
-
-    /// Returns a buffer that never made it into an in-flight batch.
-    fn pipeline_release_buf(&self, mut buf: StagingBuf) {
-        buf.clear();
-        let mut ps = self.pipeline.pipe.lock();
-        ps.free.push(buf);
-        drop(ps);
-        self.pipeline.pipe_cv.notify_all();
-    }
-
     /// Reaps every in-flight batch. Used by paths that need the log
     /// settled: mapping a segment the pipeline may reference, and the
     /// space-critical synchronous truncation (which can only reclaim
     /// below the pipeline floor). Must be called with **no** locks held.
     pub(crate) fn pipeline_drain(&self) {
-        loop {
-            {
-                let ps = self.pipeline.pipe.lock();
-                if ps.in_flight.is_empty() && ps.reap_floor.is_none() {
-                    return;
-                }
-            }
+        while !self.pipeline.is_idle() {
             self.pipeline_reap_front();
         }
     }
 
-    /// Completion side: waits the batch's submitted writes and force with
-    /// no locks held, then performs the same post-force bookkeeping as
-    /// the serial leader (success) or the rollback-and-poison protocol
-    /// (failure), and publishes every member's outcome. Returns the
-    /// batch's staging buffer for the caller to settle.
-    fn pipeline_reap_batch(&self, mut batch: InFlightBatch) -> StagingBuf {
+    /// Submitted side's completion: waits the batch's writes and force
+    /// with no locks held, completes it under the core lock, and releases
+    /// the reap floor its caller set when popping it
+    /// ([`PipeState::begin_reap`](crate::pipeline::PipeState)).
+    fn pipeline_reap_batch(&self, mut in_flight: InFlightBatch) {
         let mut io: rvm_storage::Result<()> = Ok(());
-        for t in batch.write_tokens.drain(..) {
-            let r = batch.dev.wait(t);
-            if io.is_ok() {
-                io = r;
-            }
-        }
-        if let Some(f) = batch.force_token.take() {
-            let r = batch.dev.wait(f);
+        for t in in_flight
+            .write_tokens
+            .drain(..)
+            .chain(in_flight.force_token.take())
+        {
+            let r = self.dev.wait(t);
             if io.is_ok() {
                 io = r;
             }
@@ -1932,75 +1657,94 @@ impl RvmShared {
             // succeeded.
             result = Err(RvmError::Poisoned);
         }
-        let tuning = *self.tuning.read();
-        let stats = &self.stats;
-        match result {
-            Ok(()) => {
-                let mut core = self.core.lock();
-                let successes = batch.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-                if successes > 0 {
-                    stats.add(&stats.log_forces, 1);
-                    stats.add(&stats.group_commit_batches, 1);
-                    stats.add(&stats.group_commit_txns, successes);
-                    stats.add(
-                        &stats.group_commit_batch_sizes[batch_size_bucket(successes)],
-                        1,
-                    );
-                }
-                for (slot, outcome) in batch.slots.iter().zip(&batch.outcomes) {
-                    if let Ok(info) = outcome {
-                        let work = slot.work.lock();
-                        stats.add(&stats.bytes_logged, info.record_bytes);
-                        for (region, pages) in &work.region_pages {
-                            region.note_pages_logged(pages);
-                            for &p in pages {
-                                core.page_queue.enqueue(region, p, info.offset, info.seq);
-                            }
-                        }
-                        for r in &work.ranges {
-                            core.segs_in_log.insert(r.seg.as_u32());
-                        }
-                    }
-                }
-                drop(core);
-                for (slot, outcome) in batch.slots.iter().zip(batch.outcomes) {
-                    slot.work.lock().outcome = Some(outcome);
-                }
-            }
-            Err(e) => {
-                {
-                    let mut core = self.core.lock();
-                    // Roll back iff nothing appended past this batch: the
-                    // tail still matches its post-append position and no
-                    // core-lock release bumped the wait generation.
-                    // (`skip_group_rollback` is the crashmc mutation hook,
-                    // exactly as in the serial path.)
-                    if core.wait_generation == batch.ckpt_gen
-                        && core.wal.tail() == batch.end_tail
-                        && !tuning.mutation.skip_group_rollback
-                    {
-                        core.wal.rollback_to(batch.ckpt);
-                    }
-                }
-                let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
-                self.pipeline_publish_failure(&batch.slots, batch.outcomes, e);
-            }
+        {
+            let mut core = self.core.lock();
+            self.complete_batch(&mut core, in_flight.batch, result);
         }
+        {
+            let mut ps = self.pipeline.pipe.lock();
+            debug_assert!(ps.reap_floor.is_some());
+            ps.reap_floor = None;
+        }
+        self.pipeline.pipe_cv.notify_all();
         // Purely an accelerant: parked committers re-check their slots
         // sooner. Missed wakeups are impossible — a committer that finds
         // `leader_active` false claims leadership itself, and leadership
         // release notifies under the group-state lock.
         self.group.wakeup.notify_all();
-        batch.buf
     }
 
-    /// Failure publication shared by the pipelined submit and reap paths;
-    /// mirrors the serial group path: one member receives the original
-    /// error, members that individually ran out of log space keep their
-    /// own `LogFull`, and the rest observe the state the failure left
-    /// behind (`Poisoned` after a device error, or a reconstructed
-    /// `LogFull`).
-    fn pipeline_publish_failure(
+    /// Completes a staged batch whose writes and force finished with
+    /// `io` — the one place a flush batch's outcome is decided, called
+    /// with the core lock held by whichever thread waited for the device
+    /// (the leader itself inline, the FIFO reap otherwise).
+    ///
+    /// On success: statistics, page-queue and `segs_in_log` bookkeeping,
+    /// and each member's own outcome. On failure the batch fails *whole*:
+    /// the WAL cursors roll back to the pre-batch checkpoint iff nothing
+    /// appended past the batch, and a device error poisons the instance,
+    /// because records may sit unacknowledged in the device's
+    /// write-behind cache.
+    fn complete_batch(&self, core: &mut Core, batch: Batch, io: Result<()>) {
+        let stats = &self.stats;
+        if let Err(e) = io {
+            // The checkpoint is a valid rollback point only while nothing
+            // appended past the batch: the tail still matches its
+            // post-append position and no core-lock release (which lets
+            // other committers interleave records) bumped the wait
+            // generation. Otherwise the records stay in the log
+            // unacknowledged — the instance poisons below.
+            // (`skip_group_rollback`, a crashmc mutation hook,
+            // reintroduces the cursors-past-unforced-records bug the
+            // rollback exists to prevent.)
+            if core.wait_generation == batch.ckpt_gen
+                && core.wal.tail() == batch.end_tail
+                && !core.hooks.skip_group_rollback
+            {
+                core.wal.rollback_to(batch.ckpt);
+            }
+            let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
+            self.publish_failure(&batch.slots, batch.outcomes, e);
+            return;
+        }
+        let successes = batch.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
+        if successes > 0 {
+            stats.add(&stats.log_forces, 1);
+            stats.add(&stats.group_commit_batches, 1);
+            stats.add(&stats.group_commit_txns, successes);
+            if let Some(bucket) = stats
+                .group_commit_batch_sizes
+                .get(batch_size_bucket(successes))
+            {
+                stats.add(bucket, 1);
+            }
+        }
+        for (slot, outcome) in batch.slots.iter().zip(batch.outcomes) {
+            let mut work = slot.work.lock();
+            if let Ok(info) = &outcome {
+                stats.add(&stats.bytes_logged, info.record_bytes);
+                for (region, pages) in &work.region_pages {
+                    region.note_pages_logged(pages);
+                    for &p in pages {
+                        core.page_queue.enqueue(region, p, info.offset, info.seq);
+                    }
+                }
+                for r in &work.ranges {
+                    core.segs_in_log.insert(r.seg.as_u32());
+                }
+            }
+            work.outcome = Some(outcome);
+        }
+    }
+
+    /// Publishes a whole-batch failure: one member receives the original
+    /// error (for a batch of one, exactly what a lone commit would see),
+    /// members that individually ran out of log space keep their own
+    /// `LogFull`, and the rest observe the state the failure left behind
+    /// — `Poisoned` after a device error, or a reconstructed `LogFull`
+    /// when the spool drain ran out of log space (which leaves the
+    /// instance healthy).
+    fn publish_failure(
         &self,
         slots: &[Arc<GroupSlot>],
         outcomes: Vec<Result<AppendInfo>>,

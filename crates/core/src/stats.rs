@@ -123,16 +123,17 @@ pub struct Stats {
     pub(crate) group_commit_txns: AtomicU64,
     /// Batch-size histogram (additive buckets, so deltas stay field-wise).
     pub(crate) group_commit_batch_sizes: [AtomicU64; GROUP_BATCH_BUCKETS],
-    /// Batches submitted through the pipelined log writer (staged fill +
-    /// async submit instead of a synchronous force).
+    /// Flush batches submitted asynchronously (writes and force handed to
+    /// the device and reaped later) rather than completed inline by their
+    /// leader.
     pub(crate) pipeline_submits: AtomicU64,
     /// High-water mark of log forces in flight at once. NOT additive:
     /// snapshots report the absolute mark, and `delta_since` carries the
     /// later snapshot's value through unchanged. Above 1 proves forces
     /// actually overlapped.
     pub(crate) forces_in_flight_hw: AtomicU64,
-    /// Nanoseconds pipelined leaders spent blocked waiting for a free
-    /// staging buffer (both in flight): the pipeline's backpressure.
+    /// Nanoseconds leaders about to submit spent waiting for room in the
+    /// in-flight queue (two batches already in flight): its backpressure.
     pub(crate) pipeline_stall_ns: AtomicU64,
     pub(crate) spool_flushes: AtomicU64,
     pub(crate) epoch_truncations: AtomicU64,
@@ -242,13 +243,15 @@ pub struct StatsSnapshot {
     /// Group-commit batch-size histogram: batches of size 1, 2, 3–4,
     /// 5–8, 9–16, and 17+ (see [`batch_size_bucket`]).
     pub group_commit_batch_sizes: [u64; GROUP_BATCH_BUCKETS],
-    /// Batches submitted through the pipelined log writer.
+    /// Flush batches submitted asynchronously rather than completed
+    /// inline by their leader.
     pub pipeline_submits: u64,
     /// High-water mark of log forces in flight at once (absolute, not
     /// additive; `delta_since` carries the later value through). Above 1
     /// means forces genuinely overlapped.
     pub forces_in_flight_hw: u64,
-    /// Nanoseconds pipelined leaders spent waiting for a staging buffer.
+    /// Nanoseconds leaders about to submit waited for room in the
+    /// in-flight queue.
     pub pipeline_stall_ns: u64,
     /// Spool flushes (each covers many no-flush commits).
     pub spool_flushes: u64,

@@ -176,11 +176,11 @@ impl Transaction {
     /// [`CommitMode::Flush`] the log is forced before returning; with
     /// [`CommitMode::NoFlush`] the records are spooled (§4.2).
     ///
-    /// When [`Tuning::group_commit`](crate::Tuning) is on (the default),
-    /// concurrent flush-mode commits are batched through a leader/follower
-    /// queue and share a single log force; this changes only latency and
-    /// force count, never durability — the force still completes before
-    /// `commit` returns.
+    /// Concurrent flush-mode commits are batched through a
+    /// leader/follower queue and share a single log force (up to
+    /// [`Tuning::group_commit_max_txns`](crate::Tuning) per force); this
+    /// changes only latency and force count, never durability — the force
+    /// still completes before `commit` returns.
     pub fn commit(mut self, mode: CommitMode) -> Result<()> {
         if self.ended {
             return Err(RvmError::TransactionEnded);

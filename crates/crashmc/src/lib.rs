@@ -44,7 +44,7 @@
 //! The checker's acceptance is double-sided: the real tree must show
 //! zero violations over every workload, and a tree with a
 //! [`MutationHooks`](rvm::MutationHooks) switch flipped (e.g.
-//! `skip_group_force`: acknowledge group commits without the batch's log
+//! `skip_group_force`: acknowledge flush commits without the batch's log
 //! force) must show at least one — proving the checker can see the bug
 //! class each switch reintroduces.
 //!

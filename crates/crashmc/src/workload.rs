@@ -27,9 +27,10 @@ use crate::{xorshift64, DeviceBase, SegWrite, Trace, TxnSpec};
 /// The canned workload shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    /// Three threads × three rounds of barrier-aligned flush commits:
-    /// exercises the group-commit leader baton. Multi-threaded
-    /// (disjoint-cell oracle).
+    /// Three threads × three rounds of barrier-aligned flush commits under
+    /// the default batch cap: every leader drains the whole queue, so
+    /// each batch is written, forced and completed inline by its leader.
+    /// Multi-threaded (disjoint-cell oracle).
     GroupCommit,
     /// Flush commits with explicit epoch truncations interleaved:
     /// exercises the three-phase truncation crash windows (segment
@@ -41,12 +42,13 @@ pub enum Workload {
     /// Flush commits interleaved with deliberately aborted transactions
     /// writing poison values that must never survive recovery.
     AbortMix,
-    /// Three threads of flush commits through the *pipelined* log writer
-    /// (`log_pipeline` tuning): a batch cap below the thread count makes
-    /// consecutive batches coexist, so the trace contains windows where
-    /// buffer A's force has completed but buffer B's records are not yet
-    /// submitted — exactly the states the committed-prefix oracle must
-    /// survive. Multi-threaded (disjoint-cell oracle).
+    /// Three threads of flush commits with a batch cap *below* the thread
+    /// count: a leader's drain leaves committers queued, so batches are
+    /// submitted asynchronously and consecutive batches coexist in
+    /// flight. The trace contains windows where batch A's force has
+    /// completed but batch B's records are not yet submitted — exactly
+    /// the states the committed-prefix oracle must survive.
+    /// Multi-threaded (disjoint-cell oracle).
     Pipeline,
     /// A seeded single-threaded mix of all of the above.
     Seeded(u64),
@@ -115,8 +117,8 @@ impl Capture {
 
 /// Builds a traced `Rvm`: log and every resolved segment wrapped in
 /// [`TraceDevice`]s sharing one recorder (disabled until
-/// [`Capture::start`]).
-fn setup(log_len: u64, tuning: Tuning) -> (Capture, Rvm) {
+/// [`Capture::start`]), with `hooks` installed.
+fn setup(log_len: u64, tuning: Tuning, hooks: MutationHooks) -> (Capture, Rvm) {
     let recorder = TraceRecorder::new();
     recorder.set_enabled(false);
     let log_mem = Arc::new(MemDevice::with_len(log_len));
@@ -152,6 +154,7 @@ fn setup(log_len: u64, tuning: Tuning) -> (Capture, Rvm) {
             .create_if_empty(),
     )
     .expect("workload log initializes");
+    rvm.set_mutation_hooks(hooks);
     (
         Capture {
             recorder,
@@ -204,13 +207,6 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
     }
 }
 
-fn tuning_with(hooks: MutationHooks) -> Tuning {
-    Tuning {
-        mutation: hooks,
-        ..Tuning::default()
-    }
-}
-
 fn group_commit(hooks: MutationHooks) -> Trace {
     const THREADS: u32 = 3;
     const ROUNDS: u64 = 3;
@@ -220,9 +216,9 @@ fn group_commit(hooks: MutationHooks) -> Trace {
         // A leader lingers so barrier-aligned committers join its batch:
         // bigger batches mean more pending pieces per crash window.
         group_commit_wait_us: 2_000,
-        ..tuning_with(hooks)
+        ..Tuning::default()
     };
-    let (mut cap, rvm) = setup(1 << 16, tuning);
+    let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
         .expect("map cells");
@@ -276,7 +272,6 @@ fn pipeline(hooks: MutationHooks) -> Trace {
     const CELL: u64 = 1024;
 
     let tuning = Tuning {
-        log_pipeline: true,
         // The leader lingers so barrier-aligned committers pile up, and
         // the batch cap splits them below the thread count: the follower
         // batch fills and submits while the first batch's force is still
@@ -285,9 +280,9 @@ fn pipeline(hooks: MutationHooks) -> Trace {
         // one between buffer A's completion and buffer B's submission.
         group_commit_wait_us: 2_000,
         group_commit_max_txns: 2,
-        ..tuning_with(hooks)
+        ..Tuning::default()
     };
-    let (mut cap, rvm) = setup(1 << 16, tuning);
+    let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
         .expect("map cells");
@@ -336,7 +331,7 @@ fn pipeline(hooks: MutationHooks) -> Trace {
 }
 
 fn truncation(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, tuning_with(hooks));
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
         .expect("map cells");
@@ -365,7 +360,7 @@ fn truncation(hooks: MutationHooks) -> Trace {
 }
 
 fn no_flush_spool(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, tuning_with(hooks));
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
         .expect("map cells");
@@ -408,7 +403,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
 }
 
 fn abort_mix(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, tuning_with(hooks));
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
         .expect("map cells");
@@ -458,7 +453,7 @@ fn abort_mix(hooks: MutationHooks) -> Trace {
 /// sound — a byte flipped inside any acked write's range is always
 /// covered by the recovery tree, so redo must rewrite it.
 fn bit_rot(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, tuning_with(hooks));
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
         .expect("map cells");
@@ -488,7 +483,7 @@ fn bit_rot(hooks: MutationHooks) -> Trace {
 /// determined by the seed.
 fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
     let mut rng = seed;
-    let (mut cap, rvm) = setup(1 << 16, tuning_with(hooks));
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 8 * PAGE_SIZE))
         .expect("map cells");

@@ -1,8 +1,9 @@
 //! The [`Device`] trait.
 
+use std::io;
 use std::sync::Arc;
 
-use crate::Result;
+use crate::{DeviceError, Result};
 
 /// Outcome of a [`Device::read_verified`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,13 +195,20 @@ pub trait Device: Send + Sync {
     /// The default resolves inline tokens; devices that mint pending
     /// tokens must override it.
     fn wait(&self, token: IoToken) -> Result<()> {
-        match token.into_inline() {
-            Ok(result) => result,
-            // A pending token can only reach the default when a device
-            // overrode submit_* without overriding wait; treat the
-            // operation as already complete rather than hang.
-            Err(_pending) => Ok(()),
-        }
+        // A pending token reaches the default only when a device overrode
+        // `submit_*` without overriding `wait`. Nothing here can tell
+        // whether that operation ever completed, so it must not be
+        // acknowledged: reporting `Ok` for an unresolved force is a lost
+        // commit.
+        token.into_inline().unwrap_or_else(|pending| {
+            Err(DeviceError::Io(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "pending I/O token {} reached a device that does not override `wait`",
+                    pending.id()
+                ),
+            )))
+        })
     }
 }
 
@@ -255,5 +263,47 @@ impl<D: Device + ?Sized> Device for Arc<D> {
 
     fn wait(&self, token: IoToken) -> Result<()> {
         (**self).wait(token)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MemDevice;
+
+    /// Mints pending tokens for its forces but inherits the default
+    /// `wait`, which has no way to resolve them.
+    struct ForgetsWait(MemDevice);
+
+    impl Device for ForgetsWait {
+        fn len(&self) -> Result<u64> {
+            self.0.len()
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.0.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+            self.0.write_at(offset, data)
+        }
+        fn sync(&self) -> Result<()> {
+            self.0.sync()
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.0.set_len(len)
+        }
+        fn submit_sync(&self) -> IoToken {
+            IoToken::pending(7)
+        }
+    }
+
+    #[test]
+    fn default_wait_refuses_a_pending_token_it_cannot_resolve() {
+        let dev = ForgetsWait(MemDevice::with_len(4096));
+        // Inline tokens (the inherited `submit_write`) still resolve.
+        dev.wait(dev.submit_write(0, vec![1; 8])).unwrap();
+        // The never-completed force must not be acknowledged.
+        let err = dev.wait(dev.submit_sync()).unwrap_err();
+        assert!(!err.is_transient(), "retrying cannot resolve it: {err}");
+        assert!(err.to_string().contains("pending I/O token 7"), "{err}");
     }
 }

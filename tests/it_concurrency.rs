@@ -146,9 +146,8 @@ fn pipelined_log_writer_amortizes_and_recovers() {
     const TXNS: u64 = 25;
     let world = World::new(8 << 20);
     let rvm = Arc::new(world.boot_tuned(Tuning {
-        log_pipeline: true,
         // A 2 ms accumulation window lets committers pile up (as in the
-        // serial group-commit test above), and a batch cap below the
+        // group-commit test above), and a batch cap below the
         // thread count splits them so consecutive batches coexist in the
         // pipeline instead of one batch swallowing every waiter.
         group_commit_wait_us: 2_000,
@@ -180,7 +179,7 @@ fn pipelined_log_writer_amortizes_and_recovers() {
         t.join().unwrap();
     }
 
-    // Same amortization contract as serial group commit, plus evidence
+    // Same amortization contract as the test above, plus evidence
     // the pipeline engaged: batches were submitted asynchronously and at
     // least two forces coexisted in flight (one buffer filling while the
     // other's force was pending).
@@ -479,6 +478,91 @@ fn query_returns_while_a_commit_is_parked_inside_its_force() {
     gate.open();
     committer.join().unwrap();
     assert_eq!(rvm.stats().flush_commits, 2);
+}
+
+/// The flush-commit selection rule, pinned by counters so neither side
+/// can silently disappear. A leader whose drain emptied the queue with
+/// nothing in flight completes its batch inline — never a submit, one
+/// force per lone commit; a leader that leaves committers queued submits
+/// its batch, and the next one submits behind it, so two forces coexist
+/// in flight (the staging depth).
+#[test]
+fn leader_completes_inline_alone_and_submits_when_committers_queue() {
+    const QUEUED: u64 = 8;
+    let gate = SyncGate::new();
+    let gated: Arc<dyn Device> = Arc::new(GatedLog {
+        inner: Arc::new(MemDevice::with_len(2 << 20)),
+        gate: gate.clone(),
+    });
+    let rvm = Arc::new(
+        Rvm::initialize(
+            Options::new(gated)
+                .resolver(MemResolver::new().into_resolver())
+                .create_if_empty()
+                .tuning(Tuning {
+                    group_commit_max_txns: 2,
+                    ..Tuning::default()
+                }),
+        )
+        .expect("initialize"),
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let commit = |rvm: &Rvm, region: &rvm::Region, slot: u64, ready: &dyn Fn()| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
+        ready();
+        txn.commit(CommitMode::Flush).unwrap();
+    };
+
+    // A single committer: every round drains the queue and finds the
+    // pipeline idle.
+    for slot in 0..20 {
+        commit(&rvm, &region, slot, &|| ());
+    }
+    let alone = rvm.stats();
+    assert_eq!(alone.flush_commits, 20);
+    assert_eq!(alone.log_forces, alone.flush_commits);
+    assert_eq!(alone.pipeline_submits, 0, "a lone commit was submitted");
+    assert_eq!(alone.forces_in_flight_hw, 0);
+
+    // Park one more lone commit inside its inline force: it holds
+    // leadership (and the core lock) while the others queue up behind it.
+    gate.close();
+    let parked = {
+        let (rvm, region) = (rvm.clone(), region.clone());
+        std::thread::spawn(move || commit(&rvm, &region, 20, &|| ()))
+    };
+    gate.wait_parked();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let queued: Vec<_> = (0..QUEUED)
+        .map(|t| {
+            let (rvm, region, tx) = (rvm.clone(), region.clone(), tx.clone());
+            std::thread::spawn(move || commit(&rvm, &region, 21 + t, &|| tx.send(()).unwrap()))
+        })
+        .collect();
+    for _ in 0..QUEUED {
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("committer never reached its commit");
+    }
+    // Each signal precedes its enqueue by a few instructions; nothing
+    // can drain the queue while the leader is parked.
+    std::thread::sleep(Duration::from_millis(100));
+    gate.open();
+    parked.join().unwrap();
+    for t in queued {
+        t.join().unwrap();
+    }
+
+    let s = rvm.stats();
+    assert_eq!(s.flush_commits, 21 + QUEUED);
+    assert!(s.pipeline_submits > 0, "queued committers never overlapped");
+    assert_eq!(s.forces_in_flight_hw, 2, "{s:?}");
+    assert!(
+        s.log_forces < s.flush_commits,
+        "queued commits shared forces"
+    );
 }
 
 /// The read-only fast-path pin: a transaction that only reads — begin,

@@ -4,7 +4,7 @@
 //! enumerate every crash image the sector-granular disk model permits,
 //! recover each image with the real recovery path, and assert the
 //! committed-prefix invariant. They also prove the checker has teeth:
-//! a seeded mutation that skips the group-commit log force must be
+//! a seeded mutation that skips a flush batch's log force must be
 //! convicted as a durability violation.
 
 use proptest::prelude::*;
@@ -21,62 +21,54 @@ fn checked(label: &str, workload: Workload) -> Report {
     report
 }
 
-/// Tentpole acceptance: the group-commit workload must be checked
-/// *exhaustively* and span more than 1000 distinct crash states, with
-/// zero violations. Group formation depends on thread timing, so a
-/// poorly batched run (every commit forced solo) is retried — but a
-/// violation on any attempt is an immediate failure.
-#[test]
-fn group_commit_state_space_is_exhaustive_and_clean() {
-    let mut last = None;
-    for _ in 0..4 {
-        let report = checked("group commit", Workload::GroupCommit);
-        if report.exhaustive && report.images_unique > 1000 {
-            return;
-        }
-        last = Some(report);
-    }
-    let report = last.unwrap();
-    panic!(
-        "group commit never batched well enough for a large exhaustive \
-         state space:\n{}",
-        report.render()
-    );
-}
-
-/// Pipelined log writer: buffer B's records are submitted while buffer
-/// A's force is in flight, so the enumerated crash images include every
-/// state between A's completion and B's submission. Recovery must stop
-/// at the committed prefix in all of them. Like group formation, batch
-/// overlap depends on thread timing, so a run whose state space stayed
-/// small is retried — but a violation on any attempt fails immediately.
-#[test]
-fn pipelined_commits_survive_every_crash_image() {
-    // The staging buffer coalesces a whole batch into one contiguous log
-    // write, so at the default 512-byte sector a crash point offers few
-    // torn-write pieces. Enumerate at finer granularity to keep the
-    // per-point image space large while staying exhaustive.
+/// Checks a commit workload *exhaustively* over more than 1000 distinct
+/// crash states, with zero violations.
+///
+/// A staged batch reaches the log as one coalesced write, so at the
+/// default 512-byte sector a crash point offers few torn-write pieces;
+/// the commit workloads enumerate at 128-byte sectors, `pieces` per
+/// write, to keep the per-point image space large while staying
+/// exhaustive. Batch formation depends on thread timing, so a poorly
+/// batched run (every commit forced solo) is retried — but a violation
+/// on any attempt is an immediate failure.
+fn commit_workload_is_exhaustive_and_clean(label: &str, workload: Workload, pieces: usize) {
     let cfg = EnumConfig {
         sector: 128,
-        max_pieces_per_write: 8,
+        max_pieces_per_write: pieces,
         ..EnumConfig::default()
     };
     let mut last = None;
     for _ in 0..4 {
-        let trace = run_workload(Workload::Pipeline, MutationHooks::default());
+        let trace = run_workload(workload, MutationHooks::default());
         let report = check_trace(&trace, &cfg);
-        assert!(report.is_clean(), "pipeline:\n{}", report.render());
+        assert!(report.is_clean(), "{label}:\n{}", report.render());
         if report.exhaustive && report.images_unique > 1000 {
             return;
         }
         last = Some(report);
     }
-    let report = last.unwrap();
     panic!(
-        "pipelined commits never batched well enough for a large \
-         exhaustive state space:\n{}",
-        report.render()
+        "{label} never batched well enough for a large exhaustive state space:\n{}",
+        last.unwrap().render()
     );
+}
+
+/// Inline side of the flush-commit path: every leader drains the whole
+/// queue, then writes, forces and completes its batch itself. One write
+/// is pending per crash point (three well-batched rounds in all), so it
+/// is cut finer than the overlapping batches below.
+#[test]
+fn group_commit_state_space_is_exhaustive_and_clean() {
+    commit_workload_is_exhaustive_and_clean("group commit", Workload::GroupCommit, 10);
+}
+
+/// Submitted side: batch B's records are submitted while batch A's force
+/// is in flight, so the enumerated crash images include every state
+/// between A's completion and B's submission. Recovery must stop at the
+/// committed prefix in all of them.
+#[test]
+fn pipelined_commits_survive_every_crash_image() {
+    commit_workload_is_exhaustive_and_clean("pipelined commits", Workload::Pipeline, 8);
 }
 
 #[test]
@@ -98,28 +90,31 @@ fn aborted_transactions_never_surface_in_any_crash_image() {
     assert!(report.exhaustive, "{}", report.render());
 }
 
-/// The checker must have teeth: skipping the group-commit log force
-/// (a seeded mutation in the real commit path) acknowledges
-/// transactions whose records were never forced, and some crash image
-/// must expose that as a durability violation.
+/// The checker must have teeth: skipping a batch's log force (a seeded
+/// mutation in the real commit path) acknowledges transactions whose
+/// records were never forced, and some crash image must expose that as a
+/// durability violation — whether the leader forces inline (`GroupCommit`)
+/// or submits the force (`Pipeline`).
 #[test]
 fn model_checker_catches_a_skipped_group_force() {
     let hooks = MutationHooks {
         skip_group_force: true,
         ..MutationHooks::default()
     };
-    let trace = run_workload(Workload::GroupCommit, hooks);
-    let report = check_trace(&trace, &EnumConfig::default());
-    assert!(
-        !report.is_clean(),
-        "skip_group_force mutation went undetected:\n{}",
-        report.render()
-    );
-    let detail = &report.violations[0].detail;
-    assert!(
-        detail.contains("acknowledged") && detail.contains("lost"),
-        "unexpected violation shape: {detail}"
-    );
+    for workload in [Workload::GroupCommit, Workload::Pipeline] {
+        let trace = run_workload(workload, hooks);
+        let report = check_trace(&trace, &EnumConfig::default());
+        assert!(
+            !report.is_clean(),
+            "skip_group_force mutation went undetected on {workload:?}:\n{}",
+            report.render()
+        );
+        let detail = &report.violations[0].detail;
+        assert!(
+            detail.contains("acknowledged") && detail.contains("lost"),
+            "unexpected violation shape on {workload:?}: {detail}"
+        );
+    }
 }
 
 /// Media-failure satellite: the bit-rot workload never truncates, so

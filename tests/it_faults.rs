@@ -392,19 +392,20 @@ fn failed_group_append_recovers_none_of_the_group() {
     }
 }
 
-/// Pipelined variant of the failed-group-force scenario
-/// (`Tuning::log_pipeline`): the force is *submitted* asynchronously and
-/// its failure surfaces at the reap, not inline in the leader. The
-/// contract must be unchanged — the in-flight batch rolls its WAL cursor
-/// back and poisons exactly once, every member fails, and work arriving
-/// after the poison fails fast without touching the device.
+/// Submitted-side twin of the failed-group-force scenario: a batch cap
+/// below the committer count leaves committers queued behind the first
+/// leader's drain, so its force is *submitted* asynchronously and the
+/// failure surfaces at the reap, not inline in the leader. The contract
+/// must be unchanged — the failure poisons exactly once, every member of
+/// that batch and of the batch submitted behind it fails, and work
+/// arriving after the poison fails fast without touching the device.
 #[test]
 fn failed_pipelined_force_rolls_back_and_poisons_once() {
     const N: u64 = 4;
 
     fn pipelined_tuning() -> Tuning {
         Tuning {
-            log_pipeline: true,
+            group_commit_max_txns: 2,
             ..grouped_tuning()
         }
     }
@@ -730,25 +731,28 @@ fn seeded_fault_storms_either_heal_or_poison_recoverably() {
     }
 }
 
-/// The `set_options` mode-flip regression: toggling `log_pipeline` /
-/// `group_commit` at runtime used to race in-flight batches — a batch
-/// submitted under the old mode could sit in the pipeline with no
-/// new-mode committer ever reaping it, parking its members forever.
-/// `set_options` now drains the pipeline (reap floor empty) before the
-/// switch and again after it, so committers hammering flush commits
-/// through every flip must all complete, with nothing lost across a
-/// reboot.
+/// `set_options` under load: flipping the batch cap between one force per
+/// commit, tiny batches (committers left queued, so batches are submitted
+/// and overlap) and the default (leaders drain everything and complete
+/// inline) moves consecutive rounds between the two sides of the
+/// flush-commit path while batches are in flight. Nothing in
+/// `set_options` drains the pipeline; every batch is reaped by a later
+/// leader round whatever the cap has become, so committers hammering
+/// flush commits through every flip must all complete, with nothing lost
+/// across a reboot.
 #[test]
-fn commit_mode_flips_under_concurrent_committers_strand_no_batch() {
+fn batch_cap_flips_under_concurrent_committers_strand_no_batch() {
     const THREADS: u64 = 4;
     const TXNS: u64 = 60;
     let world = World::new(16 << 20);
-    let rvm = Arc::new(world.boot_tuned(Tuning {
+    let tuning = |group_commit_max_txns| Tuning {
         // An accumulation window keeps batches multi-member, so a flip
-        // mid-batch has members to strand if the drain were missing.
+        // mid-batch has members to strand.
         group_commit_wait_us: 500,
+        group_commit_max_txns,
         ..Tuning::default()
-    }));
+    };
+    let rvm = Arc::new(world.boot_tuned(tuning(64)));
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, THREADS * PAGE_SIZE))
         .unwrap();
@@ -771,17 +775,9 @@ fn commit_mode_flips_under_concurrent_committers_strand_no_batch() {
         })
         .collect();
 
-    // Flip through every commit-mode combination while the committers
-    // run: pipelined, serial group, fully serialized, and back.
     barrier.wait();
-    let modes = [(true, true), (false, true), (false, false), (true, true)];
-    for &(log_pipeline, group_commit) in modes.iter().cycle().take(12) {
-        rvm.set_options(Tuning {
-            log_pipeline,
-            group_commit,
-            group_commit_wait_us: 500,
-            ..Tuning::default()
-        });
+    for &cap in [1, 2, 64, 2].iter().cycle().take(12) {
+        rvm.set_options(tuning(cap));
         std::thread::sleep(Duration::from_millis(2));
     }
     for c in committers {
@@ -794,7 +790,7 @@ fn commit_mode_flips_under_concurrent_committers_strand_no_batch() {
     assert_eq!(rvm.query().active_transactions, 0);
 
     // Crash without terminating: every acknowledged flush commit must
-    // survive, whichever mode carried it.
+    // survive, whichever side carried it.
     drop(region);
     std::mem::forget(Arc::try_unwrap(rvm).expect("sole owner"));
     let rvm = Rvm::initialize(world.options()).unwrap();
@@ -806,8 +802,70 @@ fn commit_mode_flips_under_concurrent_committers_strand_no_batch() {
         assert_eq!(
             region.get_u64(t * PAGE_SIZE + 11 * 8).unwrap(),
             t * 1000 + TXNS,
-            "thread {t} lost a commit across mode flips"
+            "thread {t} lost a commit across batch-cap flips"
         );
     }
     rvm.terminate().unwrap();
+}
+
+/// The `skip_group_rollback` mutation hook must be convictable on both
+/// sides of the flush-commit path. A crash image cannot show it — a
+/// failed batch poisons the instance, which then never writes again — so
+/// the conviction is the in-memory invariant itself: after a batch's
+/// force fails with nothing appended past it, the WAL tail is back at the
+/// batch's checkpoint; with the hook on, it still claims the unforced
+/// records.
+#[test]
+fn skipped_batch_rollback_is_convicted_on_both_sides() {
+    use rvm::log::record::LOG_BLOCK;
+
+    /// Runs `n` one-block committers at batch cap `cap` with the
+    /// `nth_force` after setup failing; returns the WAL tail growth since
+    /// setup, in records, and how many batches were submitted.
+    fn tail_growth(cap: usize, n: u64, nth_force: u64, skip_rollback: bool) -> (u64, u64) {
+        let tuning = || Tuning {
+            group_commit_max_txns: cap,
+            ..grouped_tuning()
+        };
+        let log = Arc::new(MemDevice::with_len(1 << 20));
+        let segments = MemResolver::new();
+        let clock = FaultClock::new(vec![]);
+        let (sleeper, _) = recording_sleeper();
+        let (rvm, _region) =
+            group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(tuning()));
+        let (_, _, dry_syncs) = clock.ops_seen();
+        std::mem::forget(rvm);
+
+        let log = Arc::new(MemDevice::with_len(1 << 20));
+        let segments = MemResolver::new();
+        let clock = FaultClock::new(vec![FlakyFault::permanent(
+            FaultOp::Sync,
+            dry_syncs + nth_force,
+        )]);
+        let (sleeper, _) = recording_sleeper();
+        let (rvm, region) =
+            group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(tuning()));
+        rvm.set_mutation_hooks(rvm::MutationHooks {
+            skip_group_rollback: skip_rollback,
+            ..Default::default()
+        });
+        let tail0 = rvm.query().log.tail;
+        let results = run_group(&rvm, &region, n);
+        assert!(rvm.is_poisoned(), "{results:?}");
+        let q = rvm.query();
+        std::mem::forget(rvm);
+        ((q.log.tail - tail0) / LOG_BLOCK, q.stats.pipeline_submits)
+    }
+
+    // Inline side: one batch of four, its force fails.
+    assert_eq!(tail_growth(64, 4, 1, false), (0, 0), "batch rolled back");
+    assert_eq!(tail_growth(64, 4, 1, true), (4, 0), "hook went unnoticed");
+    // Submitted side: batches of two then one, both in flight; the
+    // first force succeeds and the second — the last batch's — fails.
+    assert_eq!(
+        tail_growth(2, 3, 2, false),
+        (2, 2),
+        "last batch rolled back"
+    );
+    assert_eq!(tail_growth(2, 3, 2, true), (3, 2), "hook went unnoticed");
 }

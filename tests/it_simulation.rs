@@ -143,7 +143,6 @@ fn pipelined_forces_overlap_record_serialization_on_simdisk() {
                 .resolver(MemResolver::new().into_resolver())
                 .create_if_empty()
                 .tuning(Tuning {
-                    log_pipeline: true,
                     group_commit_wait_us: 2_000,
                     group_commit_max_txns: 4,
                     ..Tuning::default()
