@@ -25,16 +25,16 @@
 //! span, so a leader's batch can run *during* a truncation — that is the
 //! point of the concurrent protocol. Two consequences for the leader:
 //!
-//! * **Waiting happens inside the fill.** If the log cannot fit the next
-//!   member while an epoch is in flight, the leader rolls its staged
-//!   appends back, waits on the `epoch_done` condvar (releasing `core`),
-//!   and stages the batch again. The leader never spins; its stall is
-//!   bounded by the epoch apply, and is measured in
-//!   `truncation_stall_ns`.
+//! * **Making room happens inside the fill.** If the log cannot fit the
+//!   next member, the leader rolls its staged appends back, calls
+//!   `make_log_space` — which waits out an epoch in flight or runs one,
+//!   releasing `core` either way — and stages the batch again. The
+//!   leader never spins; its stall is bounded by the epoch apply, and is
+//!   measured in `truncation_stall_ns`.
 //! * **A released lock invalidates a checkpoint.** A batch's WAL
 //!   checkpoint lets a failed force roll the whole batch back. But once
 //!   the core lock has been released and reacquired — by the spool drain
-//!   waiting for space under this leader, or by anyone while a submitted
+//!   making space under this leader, or by anyone while a submitted
 //!   batch is in flight — another thread may have appended records past
 //!   the checkpoint; rolling back would destroy *their* records.
 //!   `Core::wait_generation` counts those releases: a batch only rolls

@@ -60,7 +60,10 @@
 //!   delayed status update (§5.1.2).
 //! * Epoch **and** incremental truncation (page vector, page queue,
 //!   uncommitted reference counts — Figure 7), with automatic reversion
-//!   to epoch truncation when incremental progress is blocked.
+//!   to epoch truncation when incremental progress is blocked. Epoch
+//!   truncation is one protocol — recovery applied to the oldest part of
+//!   the log while commits continue in the rest — whether a `truncate`
+//!   call, the threshold or a full log starts it.
 //! * Intra- and inter-transaction log optimizations (§5.2), individually
 //!   switchable for ablation.
 //! * No-restore and no-flush transaction modes, `flush`/`truncate` log
@@ -103,9 +106,8 @@
 //!    `mem_lock` while holding a `page_vector`, or `core` while holding
 //!    either.
 //! 4. Leaf locks, never held while acquiring any of the above:
-//!    `RvmShared::check` (debug-checker state), `RvmShared::bg_wakeup` /
-//!    `scrub_wakeup`, `Rvm::bg_thread` / `scrub_thread`, and
-//!    `SegmentChecksums`' internal entry table.
+//!    `RvmShared::check` (debug-checker state), `RvmShared::bg_wakeup`,
+//!    `Rvm::bg_thread`, and `SegmentChecksums`' internal entry table.
 //!
 //! Non-obvious consequences:
 //!
@@ -121,7 +123,13 @@
 //!   `query` / read-only `begin_transaction` acquire no shared lock at
 //!   all ([`Rvm::core_lock_acquisitions`] pins this in tests).
 //!
-//! The `epoch_done` condvar waits on `core` itself (releasing it while
+//! There is one epoch-truncation protocol (`truncation::epoch`): freeze
+//! the stable log prefix under `core`, apply it with `core` *released*,
+//! reacquire to advance the head. Anyone may start it — `truncate`, the
+//! threshold trigger, or a holder of `core` that ran out of log space
+//! (`make_log_space`, which releases the caller's guard around the apply
+//! with `MutexGuard::unlocked`) — and only its owner moves the head. The
+//! `epoch_done` condvar waits on `core` itself (releasing it while
 //! parked), so epoch truncation never blocks commits while holding a
 //! second lock.
 

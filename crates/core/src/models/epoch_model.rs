@@ -1,23 +1,29 @@
-//! Interleaving model of the `epoch_done` condvar + `wait_generation`
-//! handshake between concurrent epoch truncation and
-//! `append_with_space`.
+//! Interleaving model of the one epoch-truncation protocol and the
+//! `epoch_done` condvar + `wait_generation` handshake around it
+//! (`truncation::epoch`: `epoch_truncate`, `make_log_space`,
+//! `truncate_now`).
 //!
-//! Threads: one truncator running the three-phase epoch protocol, and
-//! two committers appending into a log with no free space. A committer
-//! that finds an epoch in flight waits on `epoch_done` (releasing the
-//! core lock and bumping `wait_generation` on wake); one that finds no
-//! epoch runs the synchronous space-critical truncation itself, exactly
-//! as `append_with_space` falls back.
+//! Threads: one explicit truncator (`truncate_now`: wait out an epoch in
+//! flight, then run one) and two committers appending into a log with no
+//! free space, each through `make_log_space`. A committer that finds an
+//! epoch in flight waits on `epoch_done` (releasing the core lock); one
+//! that finds none *becomes* the truncator — freeze under the lock,
+//! apply with the lock released, reacquire to complete and wake everyone
+//! — so the other committer may arrive during its apply. Either way the
+//! committer bumps `wait_generation` before it looks at the log again.
 //!
 //! Checked properties:
 //!
 //! * **No lost wakeup** — every schedule terminates; the explorer reports
-//!   any state where a committer is parked and nothing can wake it.
-//!   `notify_all` (not `notify_one`) matters here: both committers can be
-//!   parked when the truncator completes.
-//! * **Generation discipline** — a committer that waited must bump
-//!   `wait_generation` *before* it re-derives any state from the core
-//!   lock (the group-commit rollback guard depends on this).
+//!   any state where a thread is parked and nothing can wake it.
+//!   `notify_all` (not `notify_one`) matters here: several threads can be
+//!   parked when an epoch completes.
+//! * **One owner** — an epoch is frozen only while none is in flight, so
+//!   no two threads ever race to move the head.
+//! * **Generation discipline** — a committer that released the core lock
+//!   (parked, or ran the epoch itself) must bump `wait_generation`
+//!   *before* it re-derives any state from the lock (the flush-batch
+//!   rollback guard depends on this).
 //! * The model's own power is demonstrated by two mutations the explorer
 //!   must catch: a non-atomic wait (release-then-park ⇒ deadlock) and a
 //!   skipped generation bump (⇒ invariant violation).
@@ -25,32 +31,39 @@
 use super::explore::Model;
 
 const DONE: u8 = 99;
+/// Wait-set bit of the explicit truncator (committers are bits 0 and 1).
+const TRUNCATOR: u8 = 1 << 2;
 
 /// See the [module docs](self).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct EpochModel {
-    /// Model mutation: `false` splits the condvar wait into
+    /// Model mutation: `false` splits a committer's condvar wait into
     /// release-then-park, losing wakeups that land in between.
     pub atomic_wait: bool,
-    /// Model mutation: `true` skips the `wait_generation` bump on wake,
-    /// the omission that would silently re-enable unsafe group rollbacks.
+    /// Model mutation: `true` skips the `wait_generation` bump after
+    /// `make_log_space` released the lock, the omission that would
+    /// silently re-enable unsafe batch rollbacks.
     pub skip_gen_bump: bool,
 
     lock: Option<u8>,
+    /// An epoch is in flight (`core.epoch.is_some()`).
     epoch: bool,
+    /// A freeze found an epoch already in flight: two owners.
+    double_owner: bool,
     /// Whether the log has room to append (starts false: log full).
     space: bool,
     wait_gen: u8,
-    /// Bitmask of committers parked on `epoch_done`.
+    /// Bitmask of threads parked on `epoch_done`.
     waiters: u8,
 
     trunc_pc: u8,
     com_pc: [u8; 2],
-    /// Per committer: it waited at least once.
-    waited: [bool; 2],
-    /// Per committer: it bumped `wait_gen` after its latest wake.
+    /// Per committer: it released the lock since it last looked at the
+    /// log.
+    released: [bool; 2],
+    /// Per committer: it bumped `wait_gen` after its latest release.
     bumped: [bool; 2],
-    /// Per committer: it appended while `waited && !bumped` — the
+    /// Per committer: it appended while `released && !bumped` — the
     /// generation-discipline violation.
     bad_append: [bool; 2],
 }
@@ -62,17 +75,41 @@ impl EpochModel {
             skip_gen_bump,
             lock: None,
             epoch: false,
+            double_owner: false,
             space: false,
             wait_gen: 0,
             waiters: 0,
             trunc_pc: 0,
             com_pc: [0; 2],
-            waited: [false; 2],
+            released: [false; 2],
             bumped: [false; 2],
             bad_append: [false; 2],
         }
     }
 
+    /// Phase 1, under the lock: the stable span becomes the epoch.
+    fn freeze(&mut self) {
+        self.double_owner |= self.epoch;
+        self.epoch = true;
+    }
+
+    /// Phase 3, under the lock: advance the head, free the span, wake
+    /// every waiter (`notify_all`).
+    fn complete(&mut self) {
+        self.space = true;
+        self.epoch = false;
+        for j in 0..2usize {
+            if self.waiters & (1 << j) != 0 {
+                self.com_pc[j] = 4;
+            }
+        }
+        if self.waiters & TRUNCATOR != 0 {
+            self.trunc_pc = 0;
+        }
+        self.waiters = 0;
+    }
+
+    /// `truncate_now`.
     fn step_truncator(&mut self) {
         match self.trunc_pc {
             0 => {
@@ -80,14 +117,18 @@ impl EpochModel {
                 self.trunc_pc = 1;
             }
             1 => {
-                // Phase 1: snapshot the boundary under the lock. If a
-                // space-critical committer already truncated, there is
-                // nothing left to do.
-                if self.space {
+                if self.epoch {
+                    // Wait the epoch in flight out (atomic release+park),
+                    // then look again.
+                    self.waiters |= TRUNCATOR;
+                    self.lock = None;
+                    self.trunc_pc = 7;
+                } else if self.space {
+                    // A committer already truncated: nothing is live.
                     self.lock = None;
                     self.trunc_pc = DONE;
                 } else {
-                    self.epoch = true;
+                    self.freeze();
                     self.trunc_pc = 2;
                 }
             }
@@ -104,16 +145,7 @@ impl EpochModel {
                 self.trunc_pc = 5;
             }
             5 => {
-                // Phase 3: advance the head, free the span, wake every
-                // waiter.
-                self.space = true;
-                self.epoch = false;
-                for j in 0..2usize {
-                    if self.waiters & (1 << j) != 0 {
-                        self.com_pc[j] = 4;
-                    }
-                }
-                self.waiters = 0;
+                self.complete();
                 self.trunc_pc = 6;
             }
             6 => {
@@ -124,6 +156,8 @@ impl EpochModel {
         }
     }
 
+    /// A committer: append, through `make_log_space` while it does not
+    /// fit.
     fn step_committer(&mut self, i: usize) {
         let t = (i + 1) as u8;
         match self.com_pc[i] {
@@ -132,28 +166,29 @@ impl EpochModel {
                 self.com_pc[i] = 1;
             }
             1 => {
-                // append_with_space, one iteration of its loop.
                 if self.space {
-                    if self.waited[i] && !self.bumped[i] {
+                    if self.released[i] && !self.bumped[i] {
                         self.bad_append[i] = true;
                     }
                     self.lock = None;
                     self.com_pc[i] = DONE;
-                } else if self.epoch {
-                    self.waited[i] = true;
-                    self.bumped[i] = false;
-                    if self.atomic_wait {
-                        self.waiters |= 1 << i;
-                        self.lock = None;
-                        self.com_pc[i] = 2;
-                    } else {
-                        self.lock = None;
-                        self.com_pc[i] = 3;
-                    }
+                    return;
+                }
+                // `make_log_space`: whichever branch runs releases the
+                // lock.
+                self.released[i] = true;
+                self.bumped[i] = false;
+                if !self.epoch {
+                    // No epoch in flight: this committer runs it.
+                    self.freeze();
+                    self.com_pc[i] = 5;
+                } else if self.atomic_wait {
+                    self.waiters |= 1 << i;
+                    self.lock = None;
+                    self.com_pc[i] = 2;
                 } else {
-                    // Synchronous space-critical epoch truncation.
-                    self.space = true;
-                    // Loop: the next step re-checks and appends.
+                    self.lock = None;
+                    self.com_pc[i] = 3;
                 }
             }
             3 => {
@@ -165,13 +200,36 @@ impl EpochModel {
             4 => {
                 // Woken: reacquire the lock, bump the generation.
                 self.lock = Some(t);
-                if !self.skip_gen_bump {
-                    self.wait_gen = self.wait_gen.wrapping_add(1);
-                    self.bumped[i] = true;
-                }
+                self.bump(i);
+                self.com_pc[i] = 1;
+            }
+            5 => {
+                self.lock = None;
+                self.com_pc[i] = 6;
+            }
+            6 => {
+                // Phase 2, this committer's own: the other one may arrive
+                // (and park) meanwhile.
+                self.com_pc[i] = 7;
+            }
+            7 => {
+                self.lock = Some(t);
+                self.com_pc[i] = 8;
+            }
+            8 => {
+                self.complete();
+                self.bump(i);
                 self.com_pc[i] = 1;
             }
             _ => unreachable!("committer stepped while parked"),
+        }
+    }
+
+    /// `make_log_space`'s one `wait_generation` bump.
+    fn bump(&mut self, i: usize) {
+        if !self.skip_gen_bump {
+            self.wait_gen = self.wait_gen.wrapping_add(1);
+            self.bumped[i] = true;
         }
     }
 }
@@ -184,7 +242,7 @@ impl Model for EpochModel {
     fn runnable(&self, t: usize) -> bool {
         if t == 0 {
             return match self.trunc_pc {
-                DONE => false,
+                DONE | 7 => false,
                 0 | 4 => self.lock.is_none(),
                 3 => true,
                 _ => self.lock == Some(0),
@@ -193,8 +251,8 @@ impl Model for EpochModel {
         let i = t - 1;
         match self.com_pc[i] {
             DONE | 2 => false,
-            0 | 4 => self.lock.is_none(),
-            3 => true,
+            0 | 4 | 7 => self.lock.is_none(),
+            3 | 6 => true,
             _ => self.lock == Some((i + 1) as u8),
         }
     }
@@ -216,10 +274,13 @@ impl Model for EpochModel {
     }
 
     fn check(&self) -> Result<(), String> {
+        if self.double_owner {
+            return Err("an epoch was frozen while another was in flight".into());
+        }
         for i in 0..2 {
             if self.bad_append[i] {
                 return Err(format!(
-                    "committer {i} re-derived core state after a wait without bumping wait_generation"
+                    "committer {i} re-derived core state after releasing the lock without bumping wait_generation"
                 ));
             }
         }

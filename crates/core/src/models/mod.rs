@@ -25,11 +25,13 @@
 //!   model: with it no schedule destroys another thread's appended
 //!   record, and with it removed the explorer exhibits a schedule that
 //!   does.
-//! * [`epoch_model`] — the `epoch_done` condvar handshake between the
-//!   three-phase epoch truncation and `append_with_space` waiters: no
-//!   schedule deadlocks (no lost wakeup), every waiter bumps
-//!   `wait_generation` before re-deriving state, and breaking the
-//!   wait's atomicity (release-then-sleep) is caught as a deadlock.
+//! * [`epoch_model`] — the one epoch-truncation protocol and its
+//!   `epoch_done` condvar handshake: a committer out of log space waits
+//!   an epoch in flight out or becomes the truncator itself (lock
+//!   released around the apply). No schedule deadlocks (no lost wakeup),
+//!   no two epochs are ever in flight, every committer bumps
+//!   `wait_generation` before re-deriving state, and breaking the wait's
+//!   atomicity (release-then-sleep) is caught as a deadlock.
 //! * [`cursor_model`] — the `WalCursor` seqlock behind the
 //!   concurrency-plane split: reserve/publish/rollback against lock-free
 //!   snapshots and a truncation head advance. No schedule yields a torn

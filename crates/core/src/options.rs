@@ -138,9 +138,6 @@ pub struct Tuning {
     /// durable-log order still matches commit order, and a lone committer
     /// is a batch of one. `1` is one force per commit.
     pub group_commit_max_txns: usize,
-    /// Maximum record bytes appended under one group-commit force; a
-    /// batch closes before the transaction that would exceed it.
-    pub group_commit_max_bytes: u64,
     /// Accumulation window in microseconds: a new leader waits this long
     /// before draining the queue so concurrent committers can join its
     /// batch. Zero (the default) batches only what lock contention
@@ -148,16 +145,11 @@ pub struct Tuning {
     pub group_commit_wait_us: u64,
     /// Maintain a per-page checksum catalog beside each data segment:
     /// updated whenever truncation or recovery writes segment pages,
-    /// verified when mapped regions load pages and by scrub passes. The
+    /// verified when mapped regions load pages and by
+    /// [`Rvm::scrub`](crate::Rvm::scrub) passes. The
     /// detection layer the repair ladder (mirror read-repair → log
     /// reconstruction → quarantine) rests on. On by default.
     pub segment_checksums: bool,
-    /// Run a background scrubber thread that periodically walks segment
-    /// pages against the checksum catalog and repairs what it can — the
-    /// media analog of background truncation. Off by default.
-    pub background_scrub: bool,
-    /// Milliseconds between background scrub passes.
-    pub scrub_interval_ms: u64,
 }
 
 impl Default for Tuning {
@@ -174,11 +166,8 @@ impl Default for Tuning {
             check_range_conflicts: false,
             panic_on_violation: false,
             group_commit_max_txns: 64,
-            group_commit_max_bytes: 8 << 20,
             group_commit_wait_us: 0,
             segment_checksums: true,
-            background_scrub: false,
-            scrub_interval_ms: 200,
         }
     }
 }
@@ -273,11 +262,8 @@ mod tests {
             check_range_conflicts,
             panic_on_violation,
             group_commit_max_txns,
-            group_commit_max_bytes,
             group_commit_wait_us,
             segment_checksums,
-            background_scrub,
-            scrub_interval_ms,
         } = Tuning::default();
         assert!(intra_optimization && inter_optimization);
         assert_eq!(truncation_mode, TruncationMode::Epoch);
@@ -291,11 +277,8 @@ mod tests {
         assert_eq!(TxnMode::default(), TxnMode::Restore);
         assert_eq!(CommitMode::default(), CommitMode::Flush);
         assert!(group_commit_max_txns > 1, "flush commits share forces");
-        assert!(group_commit_max_bytes > 0);
         assert_eq!(group_commit_wait_us, 0, "solo commits pay no window");
         assert!(segment_checksums, "media detection is on by default");
-        assert!(!background_scrub, "scrubber is opt-in");
-        assert!(scrub_interval_ms > 0);
     }
 
     #[test]

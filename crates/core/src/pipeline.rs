@@ -44,9 +44,10 @@
 //! Truncation must never treat in-flight records as stable: the oldest
 //! unreaped batch's pre-append checkpoint is the **pipeline floor**
 //! ([`LogPipeline::floor`]), and every truncation path caps its work
-//! below it. Everything under the floor is fully written *and forced*
-//! (reaps are FIFO; inline completions and spool flushes force under the
-//! core lock).
+//! at the log's stable end (`RvmShared::stable_end`: the floor, or the
+//! tail when nothing is in flight). Everything under the floor is fully
+//! written *and forced* (reaps are FIFO; inline completions and spool
+//! flushes force before they release the core lock).
 //!
 //! Lock order: the pipeline lock (`pipe`) ranks above `core` and the
 //! commit-queue `work` slots — it may be taken while `core` is held

@@ -24,10 +24,10 @@ use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
 use crate::log::status::{write_status, StatusBlock};
-use crate::log::wal::{scan_span, LiveSpan};
-use crate::ranges::{latest_pieces, Piece};
+use crate::log::wal::scan_span;
+use crate::ranges::latest_pieces;
 use crate::scrub::{apply_tree_verified, sidecar_name, ApplyContext, SegmentChecksums};
-use crate::segment::DeviceResolver;
+use crate::segment::{DeviceResolver, SegmentId};
 
 /// What recovery did, for inspection and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -53,36 +53,78 @@ pub struct RecoveryReport {
     pub corrupt_pages_repaired: u64,
 }
 
-/// Resolves a scanned span into the latest committed change of every
-/// byte, newest record first so the first value seen — the latest
-/// committed one — wins: pieces sorted by `(seg, start)`, one segment's
-/// pieces being one "tree" of §5.1.2. Shared by crash recovery and epoch
-/// truncation (the paper reused its recovery code the same way).
-pub(crate) fn latest_trees(span: &LiveSpan) -> Vec<Piece<'_>> {
-    latest_pieces(
-        span.records().rev().flat_map(|(_, record)| record.ranges()),
-        span.range_count(),
-    )
+/// A segment's device and, with checksums on, its catalog.
+pub(crate) type SegmentTarget = (Arc<dyn Device>, Option<Arc<SegmentChecksums>>);
+
+/// What [`apply_span`] did.
+pub(crate) struct SpanApplied {
+    /// Logical offset one past the last valid record scanned.
+    pub tail: u64,
+    /// Sequence number the record at `tail` would carry.
+    pub next_seq: u64,
+    /// Newest-wins pieces written, over all segments.
+    pub ranges: u64,
+    /// The counts, in recovery's terms (`interrupted_epoch` unset).
+    pub report: RecoveryReport,
 }
 
-/// Splits [`latest_trees`]' output into one slice of pieces per segment,
-/// ascending by segment id.
-pub(crate) fn by_segment<'p, 'a>(
-    pieces: &'p [Piece<'a>],
-) -> impl Iterator<Item = (u32, &'p [Piece<'a>])> {
-    pieces
-        .chunk_by(|a, b| a.seg == b.seg)
-        .filter_map(|tree| Some((tree.first()?.seg, tree)))
-}
-
-/// Bytes held by a segment's pieces.
-pub(crate) fn tree_len(tree: &[Piece<'_>]) -> u64 {
-    tree.iter().map(|p| p.data.len() as u64).sum()
-}
-
-/// One past the highest byte a segment's (sorted, disjoint) pieces cover.
-pub(crate) fn tree_end(tree: &[Piece<'_>]) -> u64 {
-    tree.last().map_or(0, Piece::end)
+/// Scans the log span from `head` (to `end`, or to the true tail) and
+/// applies the latest committed change of every byte to its segment —
+/// the recovery procedure, and therefore also epoch truncation, which
+/// is "the crash recovery procedure applied to the oldest part of the
+/// log" (§5.1.2; the paper reused its recovery code the same way).
+///
+/// The records' ranges are resolved newest first, so the first value
+/// seen for a byte wins; one segment's sorted, disjoint pieces are one
+/// "tree". `resolve` maps a raw segment id and the tree's end offset to
+/// where that tree goes: the status table and resolver at `initialize`,
+/// the instance's registries at run time. Each tree is written, synced
+/// and its catalog persisted ([`apply_tree_verified`]) before this
+/// returns, so the caller may move the log head past the span.
+pub(crate) fn apply_span(
+    log: &dyn Device,
+    area_len: u64,
+    head: u64,
+    seq_at_head: u64,
+    end: Option<u64>,
+    ctx: ApplyContext,
+    resolve: &mut dyn FnMut(u32, u64) -> Result<SegmentTarget>,
+) -> Result<SpanApplied> {
+    let scan = scan_span(log, area_len, head, seq_at_head, end)?;
+    if end.is_some_and(|end| scan.tail != end) {
+        // Everything below a truncation boundary was forced before it
+        // was drawn; a short scan means the log was corrupted underneath.
+        return Err(RvmError::BadLog(format!(
+            "scan from {head} ended at {} before the boundary {end:?}",
+            scan.tail
+        )));
+    }
+    let pieces = latest_pieces(
+        scan.records().rev().flat_map(|(_, record)| record.ranges()),
+        scan.range_count(),
+    );
+    let mut report = RecoveryReport {
+        records_replayed: scan.record_count(),
+        bytes_applied: pieces.iter().map(|p| p.data.len() as u64).sum(),
+        pads_skipped: scan.pads,
+        ..RecoveryReport::default()
+    };
+    for tree in pieces.chunk_by(|a, b| a.seg == b.seg) {
+        let (Some(first), Some(last)) = (tree.first(), tree.last()) else {
+            continue;
+        };
+        let (dev, catalog) = resolve(first.seg, last.end())?;
+        let outcome = apply_tree_verified(dev.as_ref(), catalog.as_deref(), tree, ctx)?;
+        report.segments_updated += 1;
+        report.corrupt_pages_detected += outcome.corruptions_detected;
+        report.corrupt_pages_repaired += outcome.corruptions_repaired;
+    }
+    Ok(SpanApplied {
+        tail: scan.tail,
+        next_seq: scan.next_seq,
+        ranges: pieces.len() as u64,
+        report,
+    })
 }
 
 /// Recovery output consumed by [`Rvm::initialize`](crate::Rvm::initialize).
@@ -108,83 +150,53 @@ pub(crate) fn recover(
     resolver: &DeviceResolver,
     checksums: bool,
 ) -> Result<Recovered> {
-    let scan = scan_span(
+    let mut seg_devices = HashMap::new();
+    let mut seg_catalogs = HashMap::new();
+    let applied = apply_span(
         dev.as_ref(),
         status.area_len,
         status.head,
         status.seq_at_head,
         None,
+        ApplyContext::Recovery,
+        &mut |seg_raw, tree_end| {
+            let info = status
+                .segment_by_id(SegmentId::new(seg_raw))
+                .ok_or_else(|| {
+                    RvmError::BadLog(format!(
+                        "log references segment id {seg_raw} absent from the segment table"
+                    ))
+                })?;
+            let needed = tree_end.max(info.min_len);
+            let seg_dev = (resolver)(&info.name, needed)?;
+            if seg_dev.len()? < needed {
+                seg_dev.set_len(needed)?;
+            }
+            let catalog = if checksums {
+                let side = (resolver)(&sidecar_name(&info.name), 0)?;
+                let catalog = Arc::new(SegmentChecksums::open(side, &seg_dev, seg_dev.len()?)?);
+                seg_catalogs.insert(seg_raw, catalog.clone());
+                Some(catalog)
+            } else {
+                None
+            };
+            seg_devices.insert(seg_raw, seg_dev.clone());
+            Ok((seg_dev, catalog))
+        },
     )?;
-
-    // Build the latest-committed-change tree per segment, newest record
-    // first.
-    let trees = latest_trees(&scan);
-
-    // Traverse the trees, applying modifications to the external data
-    // segments. The verified apply also brings each catalog up to date,
-    // and persists it, *before* the status reset below advances the head
-    // past the records that produced it (the scrub module's crash
-    // ordering invariant).
-    let mut seg_devices = HashMap::new();
-    let mut seg_catalogs = HashMap::new();
-    let mut bytes_applied = 0u64;
-    let mut corrupt_pages_detected = 0u64;
-    let mut corrupt_pages_repaired = 0u64;
-    for (seg_raw, tree) in by_segment(&trees) {
-        let info = status
-            .segment_by_id(crate::segment::SegmentId::new(seg_raw))
-            .ok_or_else(|| {
-                RvmError::BadLog(format!(
-                    "log references segment id {seg_raw} absent from the segment table"
-                ))
-            })?;
-        let needed = tree_end(tree).max(info.min_len);
-        let seg_dev = (resolver)(&info.name, needed)?;
-        if seg_dev.len()? < needed {
-            seg_dev.set_len(needed)?;
-        }
-        let catalog = if checksums {
-            let side = (resolver)(&sidecar_name(&info.name), 0)?;
-            Some(Arc::new(SegmentChecksums::open(
-                side,
-                &seg_dev,
-                seg_dev.len()?,
-            )?))
-        } else {
-            None
-        };
-        let outcome = apply_tree_verified(
-            seg_dev.as_ref(),
-            catalog.as_deref(),
-            tree,
-            ApplyContext::Recovery,
-        )?;
-        corrupt_pages_detected += outcome.corruptions_detected;
-        corrupt_pages_repaired += outcome.corruptions_repaired;
-        bytes_applied += tree_len(tree);
-        if let Some(catalog) = catalog {
-            seg_catalogs.insert(seg_raw, catalog);
-        }
-        seg_devices.insert(seg_raw, seg_dev);
-    }
 
     // Only now reset the status block to an empty log (idempotency). A
     // crash mid-epoch-truncation leaves a nonzero epoch boundary in the
     // status; the scan above already covered that span, so the fields are
     // simply cleared here.
     let report = RecoveryReport {
-        records_replayed: scan.record_count(),
-        bytes_applied,
-        segments_updated: seg_devices.len(),
-        pads_skipped: scan.pads,
         interrupted_epoch: status.epoch_end != 0,
-        corrupt_pages_detected,
-        corrupt_pages_repaired,
+        ..applied.report
     };
-    status.head = scan.tail;
-    status.tail = scan.tail;
-    status.seq_at_head = scan.next_seq;
-    status.next_seq = scan.next_seq;
+    status.head = applied.tail;
+    status.tail = applied.tail;
+    status.seq_at_head = applied.next_seq;
+    status.next_seq = applied.next_seq;
     status.epoch_end = 0;
     status.epoch_next_seq = 0;
     write_status(dev.as_ref(), &mut status)?;
@@ -203,7 +215,7 @@ mod tests {
     use crate::log::record::RecordRange;
     use crate::log::status::{format_log, read_status, LOG_AREA_START};
     use crate::log::wal::Wal;
-    use crate::segment::{MemResolver, SegmentId, SegmentInfo};
+    use crate::segment::{MemResolver, SegmentInfo};
     use rvm_storage::MemDevice;
 
     fn setup(area_blocks: u64) -> (Arc<dyn Device>, StatusBlock, MemResolver) {

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -16,32 +16,30 @@ use crate::error::{Result, RvmError};
 use crate::group::{GroupCommit, GroupSlot, SlotWork};
 use crate::log::record::{self, RecordRange};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
-use crate::log::wal::{scan_span, AppendInfo, StagingBuf, Wal, WalCheckpoint};
+use crate::log::wal::{AppendInfo, StagingBuf, Wal, WalCheckpoint};
 use crate::options::{CommitMode, LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
 use crate::pipeline::{Batch, InFlightBatch, LogPipeline, PIPELINE_DEPTH};
 use crate::query::{LogInfo, QueryInfo};
 use crate::ranges::{ByteRange, RangeSet};
-use crate::recovery::{by_segment, latest_trees, recover, tree_end, tree_len, RecoveryReport};
+use crate::recovery::{recover, RecoveryReport};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
-use crate::scrub::{
-    apply_tree_verified, read_page_verified, sidecar_name, ApplyContext, ApplyOutcome, ScrubReport,
-    SegmentChecksums,
-};
+use crate::scrub::{read_page_verified, sidecar_name, ScrubReport, SegmentChecksums};
 use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
 use crate::spool::{SpoolPlane, SpooledTxn};
 use crate::stats::{batch_size_bucket, Stats, StatsSnapshot, TracedMutex};
 use crate::truncation::page_vector::PageVector;
-use crate::truncation::{PageDesc, PageQueue};
+use crate::truncation::{spawn_bg_thread, EpochInFlight, PageQueue};
 use crate::txn::{Transaction, TxnRegion};
 
-/// Pages written per incremental-truncation sync batch.
-const INCREMENTAL_BATCH_PAGES: usize = 32;
+/// Maximum record bytes appended under one flush-batch force; a batch
+/// closes before the transaction that would exceed it.
+const BATCH_MAX_BYTES: u64 = 8 << 20;
 
 /// The held core lock. Functions that may *release and reacquire* the
-/// lock (waiting out an in-flight epoch truncation) take this guard type;
-/// functions that only mutate state take plain `&mut Core`.
-type CoreGuard<'a> = MutexGuard<'a, Core>;
+/// lock (making log space, see [`RvmShared::make_log_space`]) take this
+/// guard type; functions that only mutate state take plain `&mut Core`.
+pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 
 /// State guarded by the "core" lock: the WAL, the segment table, and the
 /// page queue. Historically this one lock also guarded the spool, the
@@ -50,22 +48,21 @@ type CoreGuard<'a> = MutexGuard<'a, Core>;
 /// `seg_catalogs`, `stats`, and the lock-free `cursor` view of the WAL),
 /// so `core` serializes only log mutation and truncation boundaries.
 pub(crate) struct Core {
-    wal: Wal,
+    pub(crate) wal: Wal,
     status_seq: u64,
     segments: Vec<SegmentInfo>,
-    page_queue: PageQueue,
+    pub(crate) page_queue: PageQueue,
     /// Segments referenced by live (untruncated) log records.
-    segs_in_log: HashSet<u32>,
-    /// The in-flight concurrent epoch truncation, if any (§5.1.2,
-    /// Figure 6: the old epoch is applied to segments while forward
-    /// processing continues in the rest of the log).
-    epoch: Option<EpochInFlight>,
-    /// Bumped by any thread that releases and reacquires the core lock
-    /// mid-operation (waiting out an in-flight epoch or draining the
-    /// pipeline). A flush batch compares it against the value at its WAL
-    /// checkpoint: if it changed, other committers' records may have
-    /// interleaved and the checkpoint is no longer a rollback point.
-    wait_generation: u64,
+    pub(crate) segs_in_log: HashSet<u32>,
+    /// The epoch truncation in flight, if any. Written only by
+    /// [`crate::truncation`]; its owner alone moves the head.
+    pub(crate) epoch: Option<EpochInFlight>,
+    /// Bumped when a thread releases and reacquires the core lock
+    /// mid-operation ([`RvmShared::make_log_space`]). A flush batch
+    /// compares it against the value at its WAL checkpoint: if it
+    /// changed, other committers' records may have interleaved and the
+    /// checkpoint is no longer a rollback point.
+    pub(crate) wait_generation: u64,
     /// Where the flush-commit leader stages its batch (leadership is
     /// exclusive, so one buffer serves every round). Completed inline it
     /// keeps its allocation for the next round; submitted, its bytes
@@ -76,34 +73,13 @@ pub(crate) struct Core {
     hooks: MutationHooks,
 }
 
-/// A concurrent epoch truncation in flight: the frozen span
-/// `[wal.head(), end)` is being scanned and applied to data segments with
-/// the core lock *released*. The head does not move and nothing in the
-/// span can be overwritten meanwhile, because free-space accounting still
-/// counts the span as live; and everything in it is fully written and
-/// forced, because records are appended and forced under a single lock
-/// hold.
-struct EpochInFlight {
-    /// Exclusive logical end of the frozen span.
-    end: u64,
-    /// `next_seq` the log had at `end` when the epoch was snapshotted
-    /// (becomes `seq_at_head` when the head advances to `end`).
-    next_seq: u64,
-    /// Segments referenced by frozen-span records (restored on failure).
-    segs: HashSet<u32>,
-    /// Page-queue descriptors covered by the frozen span, drained at
-    /// snapshot time so commits landing during the apply re-enqueue
-    /// their pages with new-epoch offsets.
-    drained: Vec<PageDesc>,
-}
-
 /// Shared library state behind [`Rvm`] handles and live transactions.
 pub(crate) struct RvmShared {
-    dev: Arc<dyn Device>,
+    pub(crate) dev: Arc<dyn Device>,
     resolver: DeviceResolver,
     pub(crate) tuning: RwLock<Tuning>,
     pub(crate) stats: Stats,
-    core: TracedMutex<Core>,
+    pub(crate) core: TracedMutex<Core>,
     /// Lock-free seqlock view of the WAL cursors (shared with `core.wal`,
     /// which is the only writer — always under the core lock). Readers
     /// (`query`, truncation-threshold checks) snapshot it without
@@ -111,7 +87,7 @@ pub(crate) struct RvmShared {
     cursor: Arc<WalCursor>,
     /// The record area's byte capacity; immutable after `initialize`, so
     /// utilization can be derived from a cursor snapshot alone.
-    log_capacity: u64,
+    pub(crate) log_capacity: u64,
     /// The spool plane: sharded locks + lock-free gauges (see
     /// [`crate::spool::SpoolPlane`]). No-flush commits push here without
     /// taking `core`.
@@ -127,15 +103,14 @@ pub(crate) struct RvmShared {
     seg_catalogs: RwLock<HashMap<u32, Arc<SegmentChecksums>>>,
     /// Mirror of `core.page_queue.len()` (see [`PageQueue::gauge`]).
     queued_pages: Arc<AtomicUsize>,
-    /// Mirror of `core.epoch.is_some()` for the *concurrent* epoch
-    /// protocol, so `query` reports `truncation_in_flight` without the
-    /// core lock. (The synchronous space-critical path never sets
-    /// `core.epoch` and so never sets this either, same as before.)
-    epoch_active: AtomicBool,
+    /// Mirror of `core.epoch.is_some()`, so `query` reports
+    /// `truncation_in_flight`, and commits count
+    /// `commits_during_truncation`, without the core lock.
+    pub(crate) epoch_active: AtomicBool,
     /// The flush-commit queue (see [`crate::group`]). Its lock is never
     /// held while acquiring `core` or vice versa.
     group: GroupCommit,
-    regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
+    pub(crate) regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
     /// Debug-mode checker state (snapshots, declared ranges, violations).
     /// Lock order: `regions` → `check` → region memory locks; never taken
     /// while holding `core`.
@@ -143,31 +118,23 @@ pub(crate) struct RvmShared {
     next_tid: AtomicU64,
     next_region_id: AtomicU64,
     pub(crate) active_txns: AtomicU64,
-    terminated: AtomicBool,
+    pub(crate) terminated: AtomicBool,
     /// Set when an unrecoverable I/O failure left the durable image ahead
     /// of what callers were told; see [`RvmError::Poisoned`].
-    poisoned: AtomicBool,
-    bg_wakeup: Mutex<bool>,
-    bg_condvar: Condvar,
+    pub(crate) poisoned: AtomicBool,
+    pub(crate) bg_wakeup: Mutex<bool>,
+    pub(crate) bg_condvar: Condvar,
     /// Tells the background truncation thread to exit; set by
     /// [`Rvm::set_options`] when `background_truncation` is toggled off.
-    bg_stop: AtomicBool,
-    /// Wakeup flag/condvar/stop for the background scrubber thread,
-    /// mirroring the truncation trio above.
-    scrub_wakeup: Mutex<bool>,
-    scrub_condvar: Condvar,
-    scrub_stop: AtomicBool,
-    /// Paired with `core`: signalled whenever an in-flight epoch
-    /// truncation completes or fails. Waiters hold the core lock.
-    epoch_done: Condvar,
-    /// True while an epoch apply is running off-lock (phase 2); commits
-    /// that complete in that window count `commits_during_truncation`.
-    truncating: AtomicBool,
+    pub(crate) bg_stop: AtomicBool,
+    /// Paired with `core`: signalled whenever an epoch truncation
+    /// completes or fails. Waiters hold the core lock.
+    pub(crate) epoch_done: Condvar,
     /// Flush batches submitted to the device but not yet reaped (see
     /// [`crate::pipeline`]); empty while leaders complete their batches
     /// inline. Its lock ranks just above `core` and is never held across
     /// an acquisition of `core`.
-    pipeline: LogPipeline,
+    pub(crate) pipeline: LogPipeline,
 }
 
 /// A recoverable-virtual-memory instance over one log (§4.2's
@@ -204,8 +171,6 @@ pub struct Rvm {
     /// The background truncation thread, if running. Behind a mutex so
     /// [`Rvm::set_options`] can spawn/stop it through `&self`.
     bg_thread: Mutex<Option<JoinHandle<()>>>,
-    /// The background scrubber thread, if running (same discipline).
-    scrub_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Failure from [`Rvm::terminate`], carrying the instance back to the
@@ -339,11 +304,7 @@ impl Rvm {
             bg_wakeup: Mutex::new(false),
             bg_condvar: Condvar::new(),
             bg_stop: AtomicBool::new(false),
-            scrub_wakeup: Mutex::new(false),
-            scrub_condvar: Condvar::new(),
-            scrub_stop: AtomicBool::new(false),
             epoch_done: Condvar::new(),
-            truncating: AtomicBool::new(false),
             pipeline: LogPipeline::default(),
         });
 
@@ -351,16 +312,11 @@ impl Rvm {
             .tuning
             .background_truncation
             .then(|| spawn_bg_thread(&shared));
-        let scrub_thread = options
-            .tuning
-            .background_scrub
-            .then(|| spawn_scrub_thread(&shared));
 
         Ok(Self {
             shared,
             recovery_report: recovered.report,
             bg_thread: Mutex::new(bg_thread),
-            scrub_thread: Mutex::new(scrub_thread),
         })
     }
 
@@ -405,98 +361,93 @@ impl Rvm {
         let shared = &self.shared;
         let mut core = shared.core.lock();
 
-        // Enter the segment into the durable table on first sight; the
-        // table must be durable before any record references the id.
-        let mut status_dirty = false;
-        let seg_id = match core.segments.iter().position(|s| s.name == desc.segment) {
-            Some(i) => core.segments[i].id,
+        // Enter the segment into the durable table on first sight (or grow
+        // its recorded length), and persist the table under the hold that
+        // changed it, before anything can fail or release the core lock —
+        // the settle below does: the table must be durable before any
+        // record references the id, and a concurrent `map` that finds the
+        // entry by name may commit such records.
+        let min_len = desc.offset + desc.len;
+        let (seg_id, status_dirty) = match core.segments.iter_mut().find(|s| s.name == desc.segment)
+        {
+            Some(info) => {
+                let grew = info.min_len < min_len;
+                info.min_len = info.min_len.max(min_len);
+                (info.id, grew)
+            }
             None => {
                 if !StatusBlock::segments_fit(&core.segments, desc.segment.len()) {
                     return Err(RvmError::SegmentTableFull);
                 }
                 let id = SegmentId::new(core.segments.len() as u32);
-                core.segments.push(SegmentInfo {
-                    id,
-                    name: desc.segment.clone(),
-                    min_len: desc.offset + desc.len,
-                });
-                status_dirty = true;
-                id
+                let name = desc.segment.clone();
+                core.segments.push(SegmentInfo { id, name, min_len });
+                (id, true)
             }
         };
-        {
-            let info = core
-                .segments
-                .iter_mut()
-                .find(|s| s.id == seg_id)
-                .expect("segment just looked up");
-            if info.min_len < desc.offset + desc.len {
-                info.min_len = desc.offset + desc.len;
-                status_dirty = true;
-            }
-        }
-
-        // §4.1 mapping rules: no region mapped twice, no overlap.
-        let new_range = ByteRange::at(desc.offset, desc.len);
-        for region in shared.regions.read().values() {
-            if region.seg == seg_id {
-                let existing = ByteRange::at(region.seg_offset, region.len);
-                if new_range.start < existing.end && existing.start < new_range.end {
-                    return Err(RvmError::BadMapping(format!(
-                        "[{}, {}) of '{}' overlaps the mapped region [{}, {})",
-                        new_range.start, new_range.end, desc.segment, existing.start, existing.end
-                    )));
-                }
-            }
-        }
-
-        let min_len = desc.offset + desc.len;
-        let seg_dev = self.shared.segment_device(&core, seg_id, min_len)?;
-        let catalog = self.shared.segment_catalog(&core, seg_id, &seg_dev)?;
         if status_dirty {
             let r = shared.write_status_locked(&mut core);
             shared.guard_io(r)?;
         }
+        let seg_dev = shared.segment_device(&core, seg_id, min_len)?;
+        let catalog = shared.segment_catalog(&core, seg_id, &seg_dev)?;
 
-        // A pipelined batch not yet reaped may reference this segment
-        // without appearing in `segs_in_log` (membership is recorded at
-        // reap): drain the pipeline so the image decision below sees a
-        // settled log. Reaping needs the core lock, so release it around
-        // the drain; batches are submitted under `core`, so once the
-        // pipeline is idle *while we hold the lock* none can be in flight.
-        while !shared.pipeline.is_idle() {
-            drop(core);
-            shared.pipeline_drain();
-            core = shared.core.lock();
-            core.wait_generation += 1;
-        }
-
-        // Guarantee the mapped image is the committed one: if live log
-        // records, an in-flight epoch apply, or spooled commits reference
-        // this segment, reflect them into the device first.
-        let epoch_references = |core: &Core| {
-            core.epoch
-                .as_ref()
-                .is_some_and(|e| e.segs.contains(&seg_id.as_u32()))
-        };
-        if core.segs_in_log.contains(&seg_id.as_u32())
-            || shared.spool.references(seg_id)
-            || epoch_references(&core)
-        {
-            // An off-lock epoch apply owns the span `[head, epoch.end)`;
-            // wait it out rather than scanning a span another thread is
-            // applying (the wait releases the core lock).
-            while core.epoch.is_some() {
-                shared.epoch_done.wait(&mut core);
+        // Guarantee the mapped image is the committed one. While no
+        // mapped region overlaps the new range nothing can commit into
+        // it, so what must reach the device first is fixed the moment
+        // that is observed: the spool, the batches in flight (their
+        // segments are recorded only at reap) and the live log — all
+        // below the tail once the spool is flushed. Later commits to
+        // *other* regions of the segment are not waited for, which bounds
+        // the rounds under load. Every round releases the core lock, so
+        // each looks again, and the last look shares its hold with the
+        // insert below.
+        let seg_raw = seg_id.as_u32();
+        let new_range = ByteRange::at(desc.offset, desc.len);
+        // (log offset to apply through, `next_region_id` when it was taken)
+        let mut settle: Option<(u64, u64)> = None;
+        loop {
+            // §4.1 mapping rules: no region mapped twice, no overlap.
+            let taken = shared.regions.read().values().find_map(|r| {
+                let existing = ByteRange::at(r.seg_offset, r.len);
+                let overlaps = new_range.start < existing.end && existing.start < new_range.end;
+                (r.seg == seg_id && overlaps).then_some(existing)
+            });
+            if let Some(ByteRange { start, end }) = taken {
+                return Err(RvmError::BadMapping(format!(
+                    "[{}, {}) of '{}' overlaps the mapped region [{start}, {end})",
+                    new_range.start, new_range.end, desc.segment
+                )));
             }
-            if shared.poisoned.load(Ordering::Acquire) {
-                return Err(RvmError::Poisoned);
+            // A `map` that completed while the lock was released may have
+            // mapped, committed into and unmapped an overlapping range:
+            // take the offset again.
+            let maps = shared.next_region_id.load(Ordering::Relaxed);
+            let through = match settle {
+                Some((through, seen)) if seen == maps => through,
+                _ => {
+                    let referenced = !shared.pipeline.is_idle()
+                        || core.segs_in_log.contains(&seg_raw)
+                        || shared.spool.references(seg_id)
+                        || core
+                            .epoch
+                            .as_ref()
+                            .is_some_and(|e| e.segs.contains(&seg_raw));
+                    if !referenced {
+                        break;
+                    }
+                    let r = shared.flush_spool_locked(&mut core);
+                    shared.guard_io(r)?;
+                    settle = Some((core.wal.tail(), maps));
+                    continue;
+                }
+            };
+            if core.wal.head() >= through {
+                break;
             }
-            if core.segs_in_log.contains(&seg_id.as_u32()) || shared.spool.references(seg_id) {
-                let r = shared.flush_spool_locked(&mut core);
-                shared.guard_io(r)?;
-                let r = shared.epoch_truncate_locked(&mut core);
-                shared.guard_io(r)?;
+            let r = shared.make_log_space(&mut core);
+            if !shared.guard_io(r)? {
+                break; // nothing live below the tail
             }
         }
 
@@ -570,12 +521,7 @@ impl Rvm {
     /// first for that.
     pub fn truncate(&self) -> Result<()> {
         self.check_live()?;
-        // Settle any in-flight pipelined batches first: the epoch can
-        // only freeze the span below the pipeline floor, and an explicit
-        // truncate promises to reclaim everything committed so far.
-        self.shared.pipeline_drain();
-        self.shared.epoch_truncate_concurrent(None, true)?;
-        Ok(())
+        self.shared.truncate_now()
     }
 
     /// Current tuning options.
@@ -593,19 +539,13 @@ impl Rvm {
     /// truncation thread accordingly (the toggle used to be silently
     /// ignored after construction). Stopping joins the thread, so a
     /// disable returns only once any truncation it is running completes.
-    /// `background_scrub` toggles the scrubber thread the same way.
     pub fn set_options(&self, tuning: Tuning) {
-        // `bg_thread`/`scrub_thread` are locked around both the tuning
-        // write and the spawn/stop so concurrent `set_options` calls
-        // cannot leave the thread state disagreeing with the flags.
+        // `bg_thread` is locked around both the tuning write and the
+        // spawn/stop so concurrent `set_options` calls cannot leave the
+        // thread state disagreeing with the flag.
         let mut bg = self.bg_thread.lock();
-        let mut scrub = self.scrub_thread.lock();
-        let (was_bg, was_scrub) = {
-            let mut t = self.shared.tuning.write();
-            let was = (t.background_truncation, t.background_scrub);
-            *t = tuning;
-            was
-        };
+        let was_bg =
+            std::mem::replace(&mut *self.shared.tuning.write(), tuning).background_truncation;
         if tuning.background_truncation && !was_bg {
             if bg.is_none() {
                 *bg = Some(spawn_bg_thread(&self.shared));
@@ -616,18 +556,6 @@ impl Rvm {
                 self.shared.bg_condvar.notify_all();
                 let _ = handle.join();
                 self.shared.bg_stop.store(false, Ordering::Release);
-            }
-        }
-        if tuning.background_scrub && !was_scrub {
-            if scrub.is_none() {
-                *scrub = Some(spawn_scrub_thread(&self.shared));
-            }
-        } else if !tuning.background_scrub && was_scrub {
-            if let Some(handle) = scrub.take() {
-                self.shared.scrub_stop.store(true, Ordering::Release);
-                self.shared.scrub_condvar.notify_all();
-                let _ = handle.join();
-                self.shared.scrub_stop.store(false, Ordering::Release);
             }
         }
     }
@@ -715,8 +643,21 @@ impl Rvm {
 
     /// Verifies every mapped region's on-segment pages against their
     /// checksum catalogs, repairing what it can — one synchronous scrub
-    /// pass (the background analog is
-    /// [`Tuning::background_scrub`](crate::Tuning)).
+    /// pass, and the only way to run one. An application that wants
+    /// periodic scrubbing calls it from a timer of its own:
+    ///
+    /// ```no_run
+    /// # fn periodic(rvm: std::sync::Arc<rvm::Rvm>) {
+    /// std::thread::spawn(move || loop {
+    ///     std::thread::sleep(std::time::Duration::from_secs(60));
+    ///     match rvm.scrub() {
+    ///         Ok(report) if report.is_clean() => {}
+    ///         Ok(report) => eprintln!("scrub: {report:?}"),
+    ///         Err(_) => break, // terminated or poisoned
+    ///     }
+    /// });
+    /// # }
+    /// ```
     ///
     /// Detection requires [`Tuning::segment_checksums`](crate::Tuning)
     /// (on by default); regions mapped while it was off are skipped. On a
@@ -763,21 +704,13 @@ impl Rvm {
         if self.shared.terminated.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
-        // Wake and join the background truncation and scrubber threads.
+        // Wake and join the background truncation thread.
         {
             let mut flag = self.shared.bg_wakeup.lock();
             *flag = true;
             self.shared.bg_condvar.notify_all();
         }
         if let Some(handle) = self.bg_thread.lock().take() {
-            let _ = handle.join();
-        }
-        {
-            let mut flag = self.shared.scrub_wakeup.lock();
-            *flag = true;
-            self.shared.scrub_condvar.notify_all();
-        }
-        if let Some(handle) = self.scrub_thread.lock().take() {
             let _ = handle.join();
         }
         // A poisoned instance must not touch the durable image again: the
@@ -829,7 +762,7 @@ impl RvmShared {
     /// durable image can no longer be trusted to match in-memory state.
     /// Non-device errors (`LogFull`, mapping errors, ...) pass through:
     /// they leave the log consistent and the instance usable.
-    fn guard_io<T>(&self, result: Result<T>) -> Result<T> {
+    pub(crate) fn guard_io<T>(&self, result: Result<T>) -> Result<T> {
         if let Err(RvmError::Device(_)) = &result {
             self.poison();
         }
@@ -840,7 +773,12 @@ impl RvmShared {
     /// the `seg_devices` registry plane; only the miss path needs `core`
     /// (for the durable name table), which every caller already holds.
     /// The registry guard is never held across device I/O.
-    fn segment_device(&self, core: &Core, seg: SegmentId, min_len: u64) -> Result<Arc<dyn Device>> {
+    pub(crate) fn segment_device(
+        &self,
+        core: &Core,
+        seg: SegmentId,
+        min_len: u64,
+    ) -> Result<Arc<dyn Device>> {
         let cached = self.seg_devices.read().get(&seg.as_u32()).cloned();
         if let Some(dev) = cached {
             if dev.len()? < min_len {
@@ -872,7 +810,7 @@ impl RvmShared {
     /// when [`Tuning::segment_checksums`] is off. A cached catalog is
     /// grown to cover a segment that grew since it was opened. Same plane
     /// discipline as [`RvmShared::segment_device`].
-    fn segment_catalog(
+    pub(crate) fn segment_catalog(
         &self,
         core: &Core,
         seg: SegmentId,
@@ -908,20 +846,8 @@ impl RvmShared {
         self.cursor.snapshot().utilization(self.log_capacity)
     }
 
-    /// Charges a verified apply's corruption counts to the instance-wide
-    /// media counters.
-    fn charge_media(&self, outcome: &ApplyOutcome) {
-        let media = &self.stats.media;
-        media
-            .corruptions_detected
-            .fetch_add(outcome.corruptions_detected, Ordering::Relaxed);
-        media
-            .corruptions_repaired
-            .fetch_add(outcome.corruptions_repaired, Ordering::Relaxed);
-    }
-
     /// Writes the status block from live state.
-    fn write_status_locked(&self, core: &mut Core) -> Result<()> {
+    pub(crate) fn write_status_locked(&self, core: &mut Core) -> Result<()> {
         let mut status = StatusBlock {
             seq: core.status_seq,
             head: core.wal.head(),
@@ -936,49 +862,6 @@ impl RvmShared {
         write_status(self.dev.as_ref(), &mut status)?;
         core.status_seq = status.seq;
         Ok(())
-    }
-
-    /// Appends a record, making room as needed. With an epoch truncation
-    /// in flight, the thread waits for it to free the frozen span — the
-    /// wait **releases the core lock** (callers must re-validate any
-    /// state derived from it; `Core::wait_generation` records that the
-    /// release happened). With no epoch in flight, it falls back to the
-    /// synchronous space-critical epoch truncation of §5.1.2. Both stall
-    /// paths are charged to `truncation_stall_ns`.
-    fn append_with_space(
-        &self,
-        core: &mut CoreGuard<'_>,
-        tid: u64,
-        ranges: &[RecordRange],
-    ) -> Result<AppendInfo> {
-        loop {
-            let full = match core.wal.append_txn(tid, ranges) {
-                // `LogFull` against less than the whole area: the record
-                // does not fit right now, and truncation can make room.
-                Err(e @ RvmError::LogFull { capacity, .. }) if capacity < core.wal.capacity() => e,
-                result => return result,
-            };
-            let stall = Instant::now();
-            if core.epoch.is_some() {
-                // The in-flight epoch owns the head and will free the
-                // frozen span when it completes; waiting releases the
-                // core lock so the apply thread can finish phase 3.
-                self.epoch_done.wait(core);
-                core.wait_generation += 1;
-                self.stats
-                    .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
-                if self.poisoned.load(Ordering::Acquire) {
-                    return Err(RvmError::Poisoned);
-                }
-                continue;
-            }
-            let advanced = self.epoch_truncate_locked(core);
-            self.stats
-                .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
-            if !advanced? {
-                return Err(full);
-            }
-        }
     }
 
     /// `begin_transaction` hook: snapshots every fully loaded mapped
@@ -1307,9 +1190,8 @@ impl RvmShared {
             );
         }
         stats.add(&stats.txns_committed, 1);
-        // lint:allow(atomics): stats-only hint (commits_during_truncation); a stale read is fine
-        if self.truncating.load(Ordering::Relaxed) {
-            // An epoch apply is running off-lock right now; this commit
+        if self.epoch_active.load(Ordering::Acquire) {
+            // An epoch truncation is in flight right now; this commit
             // made progress through it.
             stats.add(&stats.commits_during_truncation, 1);
         }
@@ -1375,7 +1257,7 @@ impl RvmShared {
     }
 
     /// Leader side — the one flush-commit path. One bounded batch: drains
-    /// up to `group_commit_max_txns` / `group_commit_max_bytes` slots from
+    /// up to `group_commit_max_txns` / [`BATCH_MAX_BYTES`] slots from
     /// the queue front and, under one core-lock hold, flushes the spool,
     /// checkpoints the WAL, and stages every member in queue order. The
     /// staged batch then reaches [`Self::complete_batch`] one of two ways,
@@ -1419,8 +1301,7 @@ impl RvmShared {
             while slots.len() < max_txns {
                 match gs.queue.front() {
                     Some(front)
-                        if slots.is_empty()
-                            || bytes + front.record_bytes <= tuning.group_commit_max_bytes =>
+                        if slots.is_empty() || bytes + front.record_bytes <= BATCH_MAX_BYTES =>
                     {
                         bytes += front.record_bytes
                     }
@@ -1453,9 +1334,9 @@ impl RvmShared {
         // (guarantees the retry loop terminates).
         let mut wont_fit = vec![false; slots.len()];
         let staged: Result<(WalCheckpoint, u64)> = 'attempt: loop {
-            // Any path that released the core lock restarts the fill from
-            // scratch: the staged appends were rolled back first, and the
-            // checkpoint below is re-taken.
+            // Making log space releases the core lock, so it restarts the
+            // fill from scratch: the staged appends were rolled back first,
+            // and the checkpoint below is re-taken.
             core.staging.clear();
             outcomes.clear();
             if self.poisoned.load(Ordering::Acquire) {
@@ -1483,30 +1364,7 @@ impl RvmShared {
                     // this batch reached the device yet.
                     drop(work);
                     wal.rollback_to(ckpt);
-                    let stall = Instant::now();
-                    let advanced = if core.epoch.is_some() {
-                        // The in-flight epoch owns the head and frees its
-                        // span when it completes; wait it out (releases
-                        // the core lock).
-                        self.epoch_done.wait(&mut core);
-                        core.wait_generation += 1;
-                        Ok(true)
-                    } else if !self.pipeline.is_idle() {
-                        // Synchronous truncation can only reclaim below
-                        // the pipeline floor, so drain the in-flight
-                        // batches first. Reaping needs the core lock —
-                        // release it around the drain, then look again:
-                        // an epoch may have begun meanwhile.
-                        drop(core);
-                        self.pipeline_drain();
-                        core = self.core.lock();
-                        core.wait_generation += 1;
-                        Ok(true)
-                    } else {
-                        self.epoch_truncate_locked(&mut core)
-                    };
-                    stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
-                    match advanced {
+                    match self.make_log_space(&mut core) {
                         Ok(advanced) => *wont_fit = !advanced,
                         Err(e) => break 'attempt Err(e),
                     }
@@ -1605,8 +1463,9 @@ impl RvmShared {
     }
 
     /// Reaps the oldest in-flight batch, waiting out a concurrent reaper
-    /// first so reaps stay FIFO. No-op when the pipeline is idle.
-    fn pipeline_reap_front(&self) {
+    /// first so reaps stay FIFO. No-op when the pipeline is idle. Must be
+    /// called with **no** locks held.
+    pub(crate) fn pipeline_reap_front(&self) {
         let mut ps = self.pipeline.pipe.lock();
         loop {
             if let Some(batch) = ps.begin_reap() {
@@ -1620,16 +1479,6 @@ impl RvmShared {
             // Another thread owns the reap; FIFO order means waiting it
             // out is as good as reaping the front ourselves.
             self.pipeline.pipe_cv.wait(&mut ps);
-        }
-    }
-
-    /// Reaps every in-flight batch. Used by paths that need the log
-    /// settled: mapping a segment the pipeline may reference, and the
-    /// space-critical synchronous truncation (which can only reclaim
-    /// below the pipeline floor). Must be called with **no** locks held.
-    pub(crate) fn pipeline_drain(&self) {
-        while !self.pipeline.is_idle() {
-            self.pipeline_reap_front();
         }
     }
 
@@ -1768,25 +1617,43 @@ impl RvmShared {
         }
     }
 
-    /// Writes every spooled record to the log and forces it once. May
-    /// release and reacquire the core lock if an append has to wait out
-    /// an in-flight epoch truncation (see
-    /// [`RvmShared::append_with_space`]).
-    fn flush_spool_locked(&self, core: &mut CoreGuard<'_>) -> Result<()> {
+    /// Writes every spooled record to the log and forces it. A record
+    /// that does not fit goes back to the spool front — so whoever drains
+    /// next still appends in commit order — and what was appended so far
+    /// is forced, before [`RvmShared::make_log_space`] **releases the core
+    /// lock**: nothing may sit unforced below a truncation boundary.
+    pub(crate) fn flush_spool_locked(&self, core: &mut CoreGuard<'_>) -> Result<()> {
         if self.spool.is_empty() {
             return Ok(());
         }
         let stats = &self.stats;
         let mut flushed_any = false;
+        let mut unforced = false;
         while let Some(spooled) = self.spool.pop_front() {
-            let info = match self.append_with_space(core, spooled.tid, &spooled.ranges) {
+            let info = match core.wal.append_txn(spooled.tid, &spooled.ranges) {
                 Ok(info) => info,
                 Err(e) => {
                     self.spool.requeue_front(spooled);
-                    return Err(e);
+                    // `LogFull` against less than the whole area: the
+                    // record does not fit right now, and truncation can
+                    // make room.
+                    let retry = matches!(&e, RvmError::LogFull { capacity, .. }
+                        if *capacity < core.wal.capacity());
+                    if !retry {
+                        return Err(e);
+                    }
+                    if std::mem::take(&mut unforced) {
+                        core.wal.force()?;
+                        stats.add(&stats.log_forces, 1);
+                    }
+                    if !self.make_log_space(core)? {
+                        return Err(e);
+                    }
+                    continue;
                 }
             };
             flushed_any = true;
+            unforced = true;
             stats.add(&stats.bytes_logged, info.record_bytes);
             for (weak, pages) in &spooled.pages {
                 if let Some(region) = weak.upgrade() {
@@ -1800,486 +1667,14 @@ impl RvmShared {
                 core.segs_in_log.insert(r.seg.as_u32());
             }
         }
-        if flushed_any {
+        if unforced {
             core.wal.force()?;
             stats.add(&stats.log_forces, 1);
+        }
+        if flushed_any {
             stats.add(&stats.spool_flushes, 1);
         }
         Ok(())
-    }
-
-    /// Synchronous epoch truncation (§5.1.2's "space critical" path): the
-    /// recovery procedure applied to the whole live log under the core
-    /// lock, without releasing it. Only legal when no concurrent epoch is
-    /// in flight — the two would race for the head. Returns whether the
-    /// head moved.
-    fn epoch_truncate_locked(&self, core: &mut Core) -> Result<bool> {
-        debug_assert!(
-            core.epoch.is_none(),
-            "synchronous epoch truncation with an epoch in flight"
-        );
-        if core.wal.used() == 0 {
-            return Ok(false);
-        }
-        let head = core.wal.head();
-        // In-flight pipelined batches past the floor are written (or still
-        // being written) but not forced; only the stable prefix below the
-        // floor may be scanned and reclaimed.
-        let split = match self.pipeline.floor() {
-            Some(f) => f.tail().min(core.wal.tail()),
-            None => core.wal.tail(),
-        };
-        if split <= head {
-            return Ok(false);
-        }
-        let scan = scan_span(
-            core.wal.device().as_ref(),
-            core.wal.capacity(),
-            head,
-            core.wal.seq_at_head(),
-            Some(split),
-        )?;
-
-        let trees = latest_trees(&scan);
-        for (seg_raw, tree) in by_segment(&trees) {
-            let dev = self.segment_device(core, SegmentId::new(seg_raw), tree_end(tree))?;
-            let catalog = self.segment_catalog(core, SegmentId::new(seg_raw), &dev)?;
-            // Writes, syncs, and persists the catalog — all before the
-            // head advance below (the scrub module's crash ordering).
-            let outcome = apply_tree_verified(
-                dev.as_ref(),
-                catalog.as_deref(),
-                tree,
-                ApplyContext::Truncation,
-            )?;
-            self.charge_media(&outcome);
-        }
-
-        let stats = &self.stats;
-        stats.add(&stats.truncation_bytes_scanned, split - head);
-        stats.add(&stats.truncation_ranges_applied, trees.len() as u64);
-        stats.add(&stats.truncation_bytes_applied, tree_len(&trees));
-        core.wal.advance_head(scan.tail, scan.next_seq);
-        if scan.tail == core.wal.tail() {
-            core.segs_in_log.clear();
-            core.page_queue.clear();
-            for region in self.regions.read().values() {
-                region.page_vector.lock().clear_dirty_where_flushed();
-            }
-        } else {
-            // Records above the pipeline floor are still live: drop only
-            // the queue prefix this epoch applied and keep the (possibly
-            // overbroad — that is merely conservative) segment set.
-            core.page_queue.drain_below(scan.tail);
-        }
-        self.write_status_locked(core)?;
-        self.stats.add(&self.stats.epoch_truncations, 1);
-        Ok(true)
-    }
-
-    /// Concurrent epoch truncation (§5.1.2, Figure 6: the old epoch is
-    /// truncated "while forward processing continues in the rest" of the
-    /// log). Three phases:
-    ///
-    /// 1. **Snapshot** (core lock held): freeze the span
-    ///    `[head, tail)` as the epoch, take over its segment set, drain
-    ///    its page-queue prefix, and persist the boundary in the status
-    ///    block — a crash from here on recovers by scanning from the
-    ///    unmoved head, re-applying the span idempotently.
-    /// 2. **Apply** (core lock *released*): scan the frozen span, build
-    ///    the newest-wins recovery trees, write them to the data segments
-    ///    and sync — while commits keep appending past `end`.
-    /// 3. **Complete** (core lock reacquired): advance the head to `end`,
-    ///    clear the epoch from core and status, settle the drained page
-    ///    descriptors, and wake every thread waiting on the epoch.
-    ///
-    /// The off-lock scan is safe because records are appended *and
-    /// forced* under a single core-lock hold — whenever the lock is free,
-    /// every byte of `[head, tail)` is a fully written record — and the
-    /// frozen span cannot be overwritten, because free-space accounting
-    /// counts it as live until the head advances.
-    ///
-    /// `threshold`: re-checked under the lock; with `Some(t)` the epoch
-    /// is skipped if utilization already dropped to `t` or below (another
-    /// thread truncated first). `wait_if_busy`: wait for an in-flight
-    /// epoch and then truncate what remains (explicit [`Rvm::truncate`])
-    /// versus return immediately (threshold triggers — the in-flight
-    /// epoch *is* the truncation that was asked for). Returns whether the
-    /// head moved.
-    fn epoch_truncate_concurrent(
-        &self,
-        threshold: Option<f64>,
-        wait_if_busy: bool,
-    ) -> Result<bool> {
-        // Phase 1: snapshot the epoch boundary under the core lock.
-        let (dev, area_len, start, start_seq, end) = {
-            let mut core = self.core.lock();
-            while core.epoch.is_some() {
-                if !wait_if_busy {
-                    return Ok(false);
-                }
-                self.epoch_done.wait(&mut core);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(RvmError::Poisoned);
-            }
-            if let Some(t) = threshold {
-                if core.wal.utilization() <= t {
-                    return Ok(false);
-                }
-            }
-            if core.wal.used() == 0 {
-                return Ok(false);
-            }
-            let start = core.wal.head();
-            let start_seq = core.wal.seq_at_head();
-            // Freeze only the stable prefix below the pipeline floor:
-            // in-flight pipelined batches are written (or still being
-            // written) but not forced, and the off-lock apply requires
-            // every byte of the span to be a fully written, forced record.
-            let (end, next_seq, full) = match self.pipeline.floor() {
-                Some(f) if f.tail() < core.wal.tail() => (f.tail(), f.next_seq(), false),
-                _ => (core.wal.tail(), core.wal.next_seq(), true),
-            };
-            if end <= start {
-                return Ok(false);
-            }
-            let segs = if full {
-                std::mem::take(&mut core.segs_in_log)
-            } else {
-                // Records above the floor still reference segments; keep
-                // the set (an overbroad set is merely conservative).
-                core.segs_in_log.clone()
-            };
-            let drained = core.page_queue.drain_below(end);
-            core.epoch = Some(EpochInFlight {
-                end,
-                next_seq,
-                segs,
-                drained,
-            });
-            self.epoch_active.store(true, Ordering::Release);
-            // Persist the boundary *before* touching any segment.
-            if let Err(e) = self.write_status_locked(&mut core) {
-                self.abandon_epoch(&mut core);
-                return self.guard_io(Err(e));
-            }
-            self.truncating.store(true, Ordering::Release);
-            (
-                core.wal.device().clone(),
-                core.wal.capacity(),
-                start,
-                start_seq,
-                end,
-            )
-        };
-
-        // Phase 2: scan and apply the frozen span, off-lock.
-        let applied = self.apply_epoch_span(&dev, area_len, start, start_seq, end);
-        self.truncating.store(false, Ordering::Release);
-
-        // Phase 3: reacquire to advance the head and settle the queue.
-        let mut core = self.core.lock();
-        let result = match applied {
-            Ok(()) => {
-                let epoch = core.epoch.take().expect("epoch still in flight");
-                self.epoch_active.store(false, Ordering::Release);
-                core.wal.advance_head(epoch.end, epoch.next_seq);
-                // A drained page not re-dirtied during the apply is clean
-                // now: its latest committed bytes were all in the frozen
-                // span. One re-enqueued by a commit that landed during
-                // the apply keeps its new descriptor and its dirty bit;
-                // one with spooled (unflushed) data stays dirty too.
-                for desc in &epoch.drained {
-                    if core.page_queue.contains(desc.region_id, desc.page) {
-                        continue;
-                    }
-                    if let Some(region) = desc.region.upgrade() {
-                        let mut pv = region.page_vector.lock();
-                        let entry = pv.entry_mut(desc.page);
-                        if entry.unflushed == 0 {
-                            entry.dirty = false;
-                        }
-                    }
-                }
-                self.write_status_locked(&mut core)
-            }
-            Err(e) => {
-                self.abandon_epoch(&mut core);
-                Err(e)
-            }
-        };
-        self.epoch_done.notify_all();
-        drop(core);
-        self.guard_io(result)?;
-        self.stats.add(&self.stats.epoch_truncations, 1);
-        self.stats.add(&self.stats.epochs_truncated, 1);
-        Ok(true)
-    }
-
-    /// Scans the frozen span `[start, end)` and applies its newest-wins
-    /// trees to the data segments. Runs with the core lock released; the
-    /// lock is taken only briefly to resolve segment devices.
-    fn apply_epoch_span(
-        &self,
-        dev: &Arc<dyn Device>,
-        area_len: u64,
-        start: u64,
-        start_seq: u64,
-        end: u64,
-    ) -> Result<()> {
-        let scan = scan_span(dev.as_ref(), area_len, start, start_seq, Some(end))?;
-        if scan.tail != end {
-            // Everything in the span was forced before the snapshot; a
-            // short scan means the log was corrupted underneath us.
-            return Err(RvmError::BadLog(format!(
-                "epoch scan ended at {} before the snapshotted boundary {end}",
-                scan.tail
-            )));
-        }
-        let trees = latest_trees(&scan);
-        type SegTargets = Vec<(Arc<dyn Device>, Option<Arc<SegmentChecksums>>)>;
-        let seg_targets: SegTargets = {
-            let core = self.core.lock();
-            let mut seg_targets = Vec::new();
-            for (seg_raw, tree) in by_segment(&trees) {
-                let dev = self.segment_device(&core, SegmentId::new(seg_raw), tree_end(tree))?;
-                let catalog = self.segment_catalog(&core, SegmentId::new(seg_raw), &dev)?;
-                seg_targets.push((dev, catalog));
-            }
-            seg_targets
-        };
-        for ((_, tree), (seg_dev, catalog)) in by_segment(&trees).zip(&seg_targets) {
-            // Writes, syncs, and persists the catalog; the head advances
-            // only after phase 3 (the scrub module's crash ordering).
-            let outcome = apply_tree_verified(
-                seg_dev.as_ref(),
-                catalog.as_deref(),
-                tree,
-                ApplyContext::Truncation,
-            )?;
-            self.charge_media(&outcome);
-        }
-        let stats = &self.stats;
-        stats.add(&stats.truncation_bytes_scanned, end - start);
-        stats.add(&stats.truncation_ranges_applied, trees.len() as u64);
-        stats.add(&stats.truncation_bytes_applied, tree_len(&trees));
-        Ok(())
-    }
-
-    /// Reverts an epoch snapshot after a failure: the span is still live
-    /// and unapplied, so its segment set and drained page descriptors go
-    /// back where they were.
-    fn abandon_epoch(&self, core: &mut Core) {
-        if let Some(epoch) = core.epoch.take() {
-            self.epoch_active.store(false, Ordering::Release);
-            core.segs_in_log.extend(epoch.segs);
-            core.page_queue.requeue_front(epoch.drained);
-        }
-    }
-
-    /// Incremental truncation (Figure 7): write dirty pages from VM in
-    /// page-queue order, advancing the log head. Returns bytes reclaimed.
-    ///
-    /// Steps are batched: up to [`INCREMENTAL_BATCH_PAGES`] writable pages
-    /// are written and their segment devices synced once before the head
-    /// advances past all of them, so each step costs one positioning
-    /// batch rather than one sync per page.
-    fn incremental_truncate_locked(&self, core: &mut CoreGuard<'_>, target: u64) -> Result<u64> {
-        let start_head = core.wal.head();
-        'outer: loop {
-            // `flush_spool_locked` below may release the core lock while
-            // waiting for space; if an epoch truncation started in that
-            // window, stop — the epoch owns the head now, and every
-            // remaining queue descriptor sits at or past its boundary.
-            if core.epoch.is_some() {
-                break;
-            }
-            if core.wal.head() - start_head >= target {
-                break;
-            }
-            if core.page_queue.is_empty() {
-                // Queue drained: every *reaped*, flushed change is
-                // applied. The log is reclaimable up to the pipeline
-                // floor; in-flight batches keep their span (their pages
-                // only enter the queue at reap).
-                let (tail, seq) = match self.pipeline.floor() {
-                    Some(f) if f.tail() < core.wal.tail() => (f.tail(), f.next_seq()),
-                    _ => (core.wal.tail(), core.wal.next_seq()),
-                };
-                if tail > core.wal.head() {
-                    let full = tail == core.wal.tail();
-                    core.wal.advance_head(tail, seq);
-                    if full {
-                        core.segs_in_log.clear();
-                    }
-                }
-                break;
-            }
-
-            // Gather a batch of writable pages from the queue head.
-            let mut batch: Vec<(Arc<RegionInner>, usize)> = Vec::new();
-            while batch.len() < INCREMENTAL_BATCH_PAGES {
-                let Some(front) = core.page_queue.front() else {
-                    break;
-                };
-                let Some(region) = front.region.upgrade() else {
-                    if batch.is_empty() {
-                        // The region was unmapped: its pages cannot be
-                        // written from VM any more. Revert to epoch
-                        // truncation (§5.1.2).
-                        self.epoch_truncate_locked(core)?;
-                        break 'outer;
-                    }
-                    break;
-                };
-                let page = front.page;
-                {
-                    let mut pv = region.page_vector.lock();
-                    let entry = *pv.entry(page);
-                    if entry.uncommitted > 0 {
-                        // "Incremental truncation is now blocked until
-                        // the uncommitted reference count drops to zero."
-                        break;
-                    }
-                    if entry.unflushed > 0 {
-                        if !batch.is_empty() {
-                            break;
-                        }
-                        // Committed data still in the spool: flushing it
-                        // is always safe and unblocks the page.
-                        drop(pv);
-                        self.flush_spool_locked(core)?;
-                        continue 'outer;
-                    }
-                    pv.entry_mut(page).reserved = true;
-                }
-                core.page_queue.pop_front();
-                batch.push((region, page));
-            }
-            if batch.is_empty() {
-                break; // blocked at the queue head
-            }
-
-            // Write the batch from VM to the data segments, one sync per
-            // distinct device. Region pages are full segment pages
-            // (mapping offsets are page-aligned), so the VM image updates
-            // the checksum catalog exactly.
-            for (region, page) in &batch {
-                let page_off = *page as u64 * PAGE_SIZE;
-                let len = PAGE_SIZE.min(region.len - page_off);
-                let buf = region.read_bytes(page_off, len);
-                region
-                    .seg_dev
-                    .write_at(region.seg_offset + page_off, &buf)?;
-                if let Some(catalog) = &region.catalog {
-                    catalog.update(((region.seg_offset + page_off) / PAGE_SIZE) as usize, &buf);
-                }
-            }
-            let mut synced: Vec<u64> = Vec::new();
-            for (region, _) in &batch {
-                if !synced.contains(&region.id) {
-                    region.seg_dev.sync()?;
-                    synced.push(region.id);
-                }
-            }
-            // Persist updated catalogs (once per segment) before the head
-            // advances past the records whose pages were just applied.
-            let mut persisted: Vec<u32> = Vec::new();
-            for (region, _) in &batch {
-                if let Some(catalog) = &region.catalog {
-                    if !persisted.contains(&region.seg.as_u32()) {
-                        catalog.persist()?;
-                        persisted.push(region.seg.as_u32());
-                    }
-                }
-            }
-            for (region, page) in &batch {
-                let mut pv = region.page_vector.lock();
-                pv.entry_mut(*page).reserved = false;
-                pv.entry_mut(*page).dirty = false;
-            }
-            self.stats.add(&self.stats.incremental_steps, 1);
-            self.stats
-                .add(&self.stats.pages_written_incremental, batch.len() as u64);
-
-            // Move the log head to the next descriptor's offset — capped
-            // at the pipeline floor: in-flight batches have no queue
-            // entries yet, so the queue can skip straight from below the
-            // floor to a later spool-flush descriptor, and the head must
-            // not jump over unforced records.
-            let floor = self.pipeline.floor();
-            let cap = |off: u64, seq: u64| match floor {
-                Some(f) if f.tail() < off => (f.tail(), f.next_seq()),
-                None | Some(_) => (off, seq),
-            };
-            let (new_head, new_seq) = match core.page_queue.front() {
-                Some(d) if d.offset > core.wal.head() => cap(d.offset, d.seq),
-                Some(_) => (core.wal.head(), core.wal.seq_at_head()),
-                None => cap(core.wal.tail(), core.wal.next_seq()),
-            };
-            core.wal.advance_head(new_head, new_seq);
-        }
-        let reclaimed = core.wal.head() - start_head;
-        if reclaimed > 0 {
-            self.write_status_locked(core)?;
-        }
-        Ok(reclaimed)
-    }
-
-    /// Runs the configured truncation mechanism once, in response to a
-    /// threshold trigger (inline committer or the background thread).
-    /// Takes the core lock itself; the caller must not hold it.
-    pub(crate) fn run_triggered_truncation(&self, tuning: &Tuning) {
-        // Threshold-triggered truncation swallows errors at its call
-        // sites, so the poison transition must happen here or a failed
-        // truncation would go entirely unnoticed.
-        let result = (|| -> Result<()> {
-            match tuning.truncation_mode {
-                crate::options::TruncationMode::Epoch => {
-                    // Concurrent protocol. If an epoch is already in
-                    // flight, it *is* the truncation this trigger asked
-                    // for — don't wait, just return.
-                    self.epoch_truncate_concurrent(Some(tuning.truncation_threshold), false)?;
-                }
-                crate::options::TruncationMode::Incremental => {
-                    let mut core = self.core.lock();
-                    // Re-check under the lock; another committer may have
-                    // truncated already. With an epoch in flight the head
-                    // is owned by its completion — nothing to do inline.
-                    if core.epoch.is_some() || core.wal.utilization() <= tuning.truncation_threshold
-                    {
-                        return Ok(());
-                    }
-                    let reclaimed = self
-                        .incremental_truncate_locked(&mut core, tuning.incremental_reclaim_bytes)?;
-                    // Blocked with space critical: revert to epoch
-                    // truncation. The revert point must sit at or above
-                    // the trigger threshold — with a threshold above
-                    // 0.95, a bare `min(0.95)` would put the "critical"
-                    // mark *below* the trigger and every blocked trigger
-                    // would look critical immediately.
-                    let critical = (tuning.truncation_threshold + 0.3)
-                        .min(0.95)
-                        .max(tuning.truncation_threshold);
-                    if reclaimed == 0 && core.wal.utilization() > critical && core.epoch.is_none() {
-                        self.epoch_truncate_locked(&mut core)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        let _ = self.guard_io(result);
-    }
-
-    fn request_truncation(&self, tuning: &Tuning) {
-        if tuning.background_truncation {
-            let mut flag = self.bg_wakeup.lock();
-            *flag = true;
-            self.bg_condvar.notify_all();
-        } else {
-            self.run_triggered_truncation(tuning);
-        }
     }
 
     /// One scrub pass over every mapped region with a checksum catalog
@@ -2396,76 +1791,6 @@ impl RvmShared {
     }
 }
 
-fn background_truncation_loop(shared: Weak<RvmShared>) {
-    loop {
-        let Some(strong) = shared.upgrade() else {
-            return;
-        };
-        {
-            let mut flag = strong.bg_wakeup.lock();
-            if !*flag {
-                strong
-                    .bg_condvar
-                    .wait_for(&mut flag, std::time::Duration::from_millis(50));
-            }
-            *flag = false;
-        }
-        if strong.terminated.load(Ordering::Acquire) || strong.bg_stop.load(Ordering::Acquire) {
-            return;
-        }
-        let tuning = *strong.tuning.read();
-        strong.run_triggered_truncation(&tuning);
-        drop(strong);
-    }
-}
-
-/// Spawns the background truncation thread. The thread holds only a weak
-/// reference so a dropped [`Rvm`] lets it exit on its next wakeup.
-fn spawn_bg_thread(shared: &Arc<RvmShared>) -> JoinHandle<()> {
-    let weak = Arc::downgrade(shared);
-    std::thread::Builder::new()
-        .name("rvm-truncation".to_owned())
-        .spawn(move || background_truncation_loop(weak))
-        .expect("failed to spawn the rvm truncation thread")
-}
-
-fn background_scrub_loop(shared: Weak<RvmShared>) {
-    loop {
-        let Some(strong) = shared.upgrade() else {
-            return;
-        };
-        let interval = strong.tuning.read().scrub_interval_ms.max(1);
-        {
-            let mut flag = strong.scrub_wakeup.lock();
-            if !*flag {
-                strong
-                    .scrub_condvar
-                    .wait_for(&mut flag, std::time::Duration::from_millis(interval));
-            }
-            *flag = false;
-        }
-        if strong.terminated.load(Ordering::Acquire) || strong.scrub_stop.load(Ordering::Acquire) {
-            return;
-        }
-        // A pass has no caller to report device errors to; the next tick
-        // retries. A poisoned instance is left alone entirely — its
-        // durable image must not be touched again.
-        if !strong.poisoned.load(Ordering::Acquire) {
-            let _ = strong.scrub_pass();
-        }
-        drop(strong);
-    }
-}
-
-/// Spawns the background scrubber thread (weak reference, as above).
-fn spawn_scrub_thread(shared: &Arc<RvmShared>) -> JoinHandle<()> {
-    let weak = Arc::downgrade(shared);
-    std::thread::Builder::new()
-        .name("rvm-scrub".to_owned())
-        .spawn(move || background_scrub_loop(weak))
-        .expect("failed to spawn the rvm scrub thread")
-}
-
-fn elapsed_ns(start: Instant) -> u64 {
+pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }

@@ -6,9 +6,8 @@
 //! supplies the detection half of that layer: every data segment carries a
 //! sidecar *checksum catalog* — one CRC-32 per [`PAGE_SIZE`] page —
 //! updated whenever truncation or recovery writes segment pages and
-//! verified whenever mapped regions load pages, by explicit
-//! [`Rvm::scrub`](crate::Rvm::scrub) passes, and by the optional
-//! background scrubber ([`Tuning::background_scrub`](crate::Tuning)).
+//! verified whenever mapped regions load pages and by
+//! [`Rvm::scrub`](crate::Rvm::scrub) passes.
 //!
 //! A checksum mismatch feeds the repair ladder (in `rvm.rs`): a healthy
 //! mirror replica first, then reconstruction from the committed image
@@ -436,8 +435,7 @@ pub(crate) fn apply_tree_verified(
     Ok(outcome)
 }
 
-/// What one scrub pass did ([`Rvm::scrub`](crate::Rvm::scrub) and the
-/// background scrubber).
+/// What one scrub pass did ([`Rvm::scrub`](crate::Rvm::scrub)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Pages checksum-verified this pass.
@@ -463,7 +461,7 @@ impl ScrubReport {
         self.corruptions_detected == self.corruptions_repaired && self.pages_quarantined == 0
     }
 
-    /// Field-wise accumulation (background scrubber totals).
+    /// Field-wise accumulation (totals over several passes).
     pub fn absorb(&mut self, other: &ScrubReport) {
         self.pages_scanned += other.pages_scanned;
         self.corruptions_detected += other.corruptions_detected;

@@ -136,17 +136,15 @@ pub struct Stats {
     /// in-flight queue (two batches already in flight): its backpressure.
     pub(crate) pipeline_stall_ns: AtomicU64,
     pub(crate) spool_flushes: AtomicU64,
+    /// Completed epoch truncations (feeds both `epoch_truncations` and
+    /// `epochs_truncated` of the snapshot: there is one epoch protocol).
     pub(crate) epoch_truncations: AtomicU64,
-    /// Epochs completed by the *concurrent* protocol (snapshot under the
-    /// lock, apply off-lock); `epoch_truncations` also counts the
-    /// synchronous space-critical fallback.
-    pub(crate) epochs_truncated: AtomicU64,
     /// Transactions that committed while an epoch apply was in flight —
     /// direct evidence that truncation no longer stalls the pipeline.
     pub(crate) commits_during_truncation: AtomicU64,
-    /// Nanoseconds commit-path threads spent blocked on truncation (the
-    /// space-critical synchronous epoch, or waiting out an in-flight
-    /// epoch when the log was full).
+    /// Nanoseconds threads holding the core lock spent making log space
+    /// (`RvmShared::make_log_space`: waiting out an epoch, running the
+    /// epoch themselves, or reaping the oldest batch in flight).
     pub(crate) truncation_stall_ns: AtomicU64,
     /// Log bytes scanned by epoch truncation.
     pub(crate) truncation_bytes_scanned: AtomicU64,
@@ -192,7 +190,7 @@ impl Stats {
             pipeline_stall_ns: self.pipeline_stall_ns.load(Ordering::Relaxed),
             spool_flushes: self.spool_flushes.load(Ordering::Relaxed),
             epoch_truncations: self.epoch_truncations.load(Ordering::Relaxed),
-            epochs_truncated: self.epochs_truncated.load(Ordering::Relaxed),
+            epochs_truncated: self.epoch_truncations.load(Ordering::Relaxed),
             commits_during_truncation: self.commits_during_truncation.load(Ordering::Relaxed),
             truncation_stall_ns: self.truncation_stall_ns.load(Ordering::Relaxed),
             truncation_bytes_scanned: self.truncation_bytes_scanned.load(Ordering::Relaxed),
@@ -257,9 +255,8 @@ pub struct StatsSnapshot {
     pub spool_flushes: u64,
     /// Completed epoch truncations.
     pub epoch_truncations: u64,
-    /// Epochs completed by the concurrent protocol (apply ran off-lock
-    /// while commits kept appending); `epoch_truncations` additionally
-    /// counts the synchronous space-critical fallback.
+    /// The same count: every epoch runs the one protocol (apply off-lock
+    /// while commits keep appending). Kept for the C API's query struct.
     pub epochs_truncated: u64,
     /// Transactions committed while an epoch apply was in flight.
     pub commits_during_truncation: u64,

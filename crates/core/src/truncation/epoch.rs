@@ -1,0 +1,243 @@
+//! Epoch truncation (§5.1.2, Figure 6): "the crash recovery procedure
+//! applied to the oldest part of the log while forward processing
+//! continues in the rest". There is one protocol, whoever starts it —
+//! an explicit [`Rvm::truncate`](crate::Rvm::truncate), the threshold
+//! trigger, or a thread that holds the core lock and has run out of log
+//! space ([`RvmShared::make_log_space`]). Three phases:
+//!
+//! 1. **Freeze** (core lock held): the stable span `[head, end)` becomes
+//!    the epoch. Its segment set and page-queue prefix move into
+//!    [`EpochInFlight`], and the boundary is persisted in the status
+//!    block — a crash from here on recovers by scanning from the unmoved
+//!    head, re-applying the span idempotently.
+//! 2. **Apply** (core lock *released*): [`recovery::apply_span`] scans
+//!    the frozen span and writes its newest-wins trees to the data
+//!    segments, while commits keep appending past `end`.
+//! 3. **Complete** (core lock reacquired): the head advances to `end`,
+//!    the boundary is cleared from core and status, the drained page
+//!    descriptors are settled, and every thread parked on `epoch_done`
+//!    is woken.
+//!
+//! The off-lock scan is safe because everything below the stable end is
+//! fully written and forced (flush batches force before they complete,
+//! spool drains force before they release the lock), and the frozen span
+//! cannot be overwritten, because free-space accounting counts it as live
+//! until the head advances. The head moves by epoch only while the mover
+//! owns `core.epoch`, so two truncations cannot race for it.
+
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+use std::time::Instant;
+
+use parking_lot::MutexGuard;
+
+use super::PageDesc;
+use crate::error::{Result, RvmError};
+use crate::log::wal::WalCheckpoint;
+use crate::recovery;
+use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
+use crate::scrub::ApplyContext;
+use crate::segment::SegmentId;
+
+/// An epoch truncation in flight: `[wal.head(), end)` is frozen and being
+/// applied to the data segments with the core lock released.
+pub(crate) struct EpochInFlight {
+    /// Exclusive logical end of the frozen span.
+    pub(crate) end: u64,
+    /// `next_seq` the log had at `end` (becomes `seq_at_head` when the
+    /// head advances to `end`).
+    pub(crate) next_seq: u64,
+    /// Segments referenced by frozen-span records (restored on failure).
+    pub(crate) segs: HashSet<u32>,
+    /// Page-queue descriptors covered by the frozen span, drained at the
+    /// freeze so commits landing during the apply re-enqueue their pages
+    /// with new-epoch offsets.
+    drained: Vec<PageDesc>,
+}
+
+impl RvmShared {
+    /// The stable end of the log — everything below it is fully written
+    /// and forced, so truncation may scan and reclaim it: the pipeline
+    /// floor while submitted batches are in flight (written, or still
+    /// being written, but not forced), else the tail itself.
+    pub(crate) fn stable_end(&self, core: &Core) -> WalCheckpoint {
+        match self.pipeline.floor() {
+            Some(floor) if floor.tail() < core.wal.tail() => floor,
+            _ => core.wal.checkpoint(),
+        }
+    }
+
+    /// Runs one epoch truncation over the stable log prefix. **Releases
+    /// and reacquires the core lock** around the apply; the caller must
+    /// re-derive whatever it read under the lock before. Returns whether
+    /// the head moved — `false` when an epoch is already in flight (its
+    /// owner frees the span) or nothing stable is live. Device failures
+    /// poison the instance before the waiters are woken.
+    pub(crate) fn epoch_truncate(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(RvmError::Poisoned);
+        }
+        if core.epoch.is_some() {
+            return Ok(false);
+        }
+        let (start, start_seq) = (core.wal.head(), core.wal.seq_at_head());
+        let stable = self.stable_end(core);
+        if stable.tail() <= start {
+            return Ok(false);
+        }
+        let segs = if stable.tail() == core.wal.tail() {
+            std::mem::take(&mut core.segs_in_log)
+        } else {
+            // Records above the floor still reference segments; keep the
+            // set (an overbroad set is merely conservative).
+            core.segs_in_log.clone()
+        };
+        let drained = core.page_queue.drain_below(stable.tail());
+        core.epoch = Some(EpochInFlight {
+            end: stable.tail(),
+            next_seq: stable.next_seq(),
+            segs,
+            drained,
+        });
+        self.epoch_active.store(true, Ordering::Release);
+        // Persist the boundary *before* touching any segment.
+        let frozen = self.write_status_locked(core);
+        let applied = frozen.and_then(|()| {
+            MutexGuard::unlocked(core, || {
+                self.apply_epoch_span(start, start_seq, stable.tail())
+            })
+        });
+        let result = self.guard_io(self.finish_epoch(core, applied));
+        self.epoch_done.notify_all();
+        result.map(|()| true)
+    }
+
+    /// Phase 2: applies the frozen span `[start, end)` to the data
+    /// segments. Runs with the core lock released; it is taken briefly
+    /// per segment to resolve the device and catalog.
+    fn apply_epoch_span(&self, start: u64, start_seq: u64, end: u64) -> Result<()> {
+        let applied = recovery::apply_span(
+            self.dev.as_ref(),
+            self.log_capacity,
+            start,
+            start_seq,
+            Some(end),
+            ApplyContext::Truncation,
+            &mut |seg_raw, tree_end| {
+                let seg = SegmentId::new(seg_raw);
+                let core = self.core.lock();
+                let dev = self.segment_device(&core, seg, tree_end)?;
+                let catalog = self.segment_catalog(&core, seg, &dev)?;
+                Ok((dev, catalog))
+            },
+        )?;
+        let (stats, report) = (&self.stats, &applied.report);
+        stats.add(
+            &stats.media.corruptions_detected,
+            report.corrupt_pages_detected,
+        );
+        stats.add(
+            &stats.media.corruptions_repaired,
+            report.corrupt_pages_repaired,
+        );
+        stats.add(&stats.truncation_bytes_scanned, end - start);
+        stats.add(&stats.truncation_ranges_applied, applied.ranges);
+        stats.add(&stats.truncation_bytes_applied, report.bytes_applied);
+        Ok(())
+    }
+
+    /// Phase 3: ends the epoch in flight. Applied, the head advances past
+    /// the span; failed (at the freeze's status write or in the apply),
+    /// the span is still live and unapplied, so its segment set and
+    /// drained page descriptors go back where they were.
+    fn finish_epoch(&self, core: &mut Core, applied: Result<()>) -> Result<()> {
+        let Some(epoch) = core.epoch.take() else {
+            return Err(RvmError::BadLog(
+                "epoch truncation lost its boundary before completing".to_owned(),
+            ));
+        };
+        self.epoch_active.store(false, Ordering::Release);
+        if let Err(e) = applied {
+            core.segs_in_log.extend(epoch.segs);
+            core.page_queue.requeue_front(epoch.drained);
+            return Err(e);
+        }
+        core.wal.advance_head(epoch.end, epoch.next_seq);
+        // A drained page not re-dirtied during the apply is clean now:
+        // its latest committed bytes were all in the frozen span. One
+        // re-enqueued by a commit that landed during the apply keeps its
+        // new descriptor and its dirty bit; one with spooled (unflushed)
+        // data stays dirty too.
+        for desc in &epoch.drained {
+            if core.page_queue.contains(desc.region_id, desc.page) {
+                continue;
+            }
+            if let Some(region) = desc.region.upgrade() {
+                let mut pv = region.page_vector.lock();
+                let entry = pv.entry_mut(desc.page);
+                if entry.unflushed == 0 {
+                    entry.dirty = false;
+                }
+            }
+        }
+        self.write_status_locked(core)?;
+        self.stats.add(&self.stats.epoch_truncations, 1);
+        Ok(())
+    }
+
+    /// Explicit truncation ([`Rvm::truncate`](crate::Rvm::truncate)):
+    /// waits out an epoch in flight, then truncates what remains.
+    pub(crate) fn truncate_now(&self) -> Result<()> {
+        // Settle in-flight batches first: the epoch can only freeze the
+        // span below the pipeline floor, and an explicit truncate promises
+        // to reclaim everything committed so far.
+        while !self.pipeline.is_idle() {
+            self.pipeline_reap_front();
+        }
+        let mut core = self.core.lock();
+        while core.epoch.is_some() {
+            self.epoch_done.wait(&mut core);
+        }
+        self.epoch_truncate(&mut core).map(|_| ())
+    }
+
+    /// Makes room in the log for a caller that holds the core lock and
+    /// cannot go on without it — an append that does not fit, a `map`
+    /// that needs the segment's live records applied, an incremental
+    /// truncation that is blocked. An epoch in flight is waited out; else
+    /// the caller runs the epoch itself over whatever is stable; else —
+    /// everything live sits above the pipeline floor — the oldest batch
+    /// in flight is reaped, so the next call finds it stable. All three
+    /// **release and reacquire the core lock**, which the bump of
+    /// `Core::wait_generation` records: the caller must re-derive what
+    /// it read before and try again. Returns `false` — the lock never
+    /// released — when there was nothing to reclaim. The time spent is
+    /// `truncation_stall_ns`.
+    pub(crate) fn make_log_space(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
+        let stall = Instant::now();
+        let advanced = if core.epoch.is_some() {
+            // Its owner advances the head in phase 3, which needs the
+            // lock this wait releases.
+            self.epoch_done.wait(core);
+            Ok(true)
+        } else if self.stable_end(core).tail() > core.wal.head() {
+            self.epoch_truncate(core)
+        } else if !self.pipeline.is_idle() {
+            // One reap, not a drain: under sustained load the pipeline
+            // need not ever go idle, while its oldest batch is stable
+            // within one force. Reaping needs the core lock; an epoch may
+            // begin meanwhile.
+            MutexGuard::unlocked(core, || self.pipeline_reap_front());
+            Ok(true)
+        } else {
+            Ok(false)
+        };
+        core.wait_generation += 1;
+        self.stats
+            .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
+        match advanced {
+            Ok(_) if self.poisoned.load(Ordering::Acquire) => Err(RvmError::Poisoned),
+            advanced => advanced,
+        }
+    }
+}

@@ -1,19 +1,31 @@
-//! Truncation machinery (§5.1.2).
+//! The truncation plane (§5.1.2).
 //!
 //! Truncation "is the process of reclaiming space allocated to log entries
 //! by applying the changes contained in them to the recoverable data
 //! segment". Two mechanisms exist:
 //!
-//! * **epoch truncation** — the crash-recovery procedure applied to the
-//!   live log (implemented in [`crate::rvm`], reusing
-//!   [`crate::recovery`]'s tree building exactly as the paper reused its
-//!   recovery code);
-//! * **incremental truncation** — dirty pages written directly from VM,
-//!   coordinated by the per-region page vector (this module's
-//!   [`page_vector`]) and the FIFO [`PageQueue`] of page modification
-//!   descriptors (Figure 7).
+//! * **epoch truncation** ([`epoch`]) — the crash-recovery procedure
+//!   applied to the stable log prefix while commits continue in the
+//!   rest: one three-phase protocol built on
+//!   [`recovery::apply_span`](crate::recovery), exactly as the paper
+//!   reused its recovery code, whoever starts it;
+//! * **incremental truncation** ([`incremental`]) — dirty pages written
+//!   directly from VM, coordinated by the per-region page vector
+//!   ([`page_vector`]) and the FIFO [`PageQueue`] of page modification
+//!   descriptors (Figure 7), reverting to an epoch when blocked.
+//!
+//! The rest of the crate reaches in through three doors: `truncate_now`
+//! (the explicit call), `request_truncation` (the threshold [`trigger`],
+//! inline or on the background thread), and `make_log_space` (a holder
+//! of the core lock that cannot go on without room in the log).
 
+mod epoch;
+mod incremental;
 pub mod page_vector;
+mod trigger;
+
+pub(crate) use epoch::EpochInFlight;
+pub(crate) use trigger::spawn_bg_thread;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,14 +108,6 @@ impl PageQueue {
         Some(desc)
     }
 
-    /// Empties the queue (after an epoch truncation has applied the whole
-    /// log).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.queued.clear();
-        self.refresh_gauge();
-    }
-
     /// Whether a descriptor for `(region_id, page)` is queued.
     pub fn contains(&self, region_id: u64, page: usize) -> bool {
         self.queued.contains(&(region_id, page))
@@ -182,18 +186,6 @@ mod tests {
         q.enqueue(&region, 0, 400, 4);
         assert_eq!(q.len(), 2);
         assert_eq!(q.front().unwrap().page, 1);
-    }
-
-    #[test]
-    fn clear_resets_dedup_state() {
-        let region = make_test_region(PAGE_SIZE);
-        let mut q = PageQueue::new();
-        q.enqueue(&region, 0, 100, 1);
-        q.clear();
-        assert!(q.is_empty());
-        q.enqueue(&region, 0, 500, 5);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.front().unwrap().offset, 500);
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl PageVector {
         self.pages[page].dirty = true;
     }
 
-    /// Clears the dirty bit of every page whose committed changes are known
-    /// to be applied (those with no unflushed spool records). Called after
-    /// a full epoch truncation.
-    pub fn clear_dirty_where_flushed(&mut self) {
-        for entry in &mut self.pages {
-            if entry.unflushed == 0 {
-                entry.dirty = false;
-            }
-        }
-    }
-
     /// Iterates indices of dirty pages.
     pub fn dirty_pages(&self) -> impl Iterator<Item = usize> + '_ {
         self.pages
@@ -161,19 +150,5 @@ mod tests {
         assert!(pv.entry(0).dirty && pv.entry(1).dirty);
         assert!(!pv.entry(2).dirty);
         assert_eq!(pv.dirty_pages().collect::<Vec<_>>(), vec![0, 1]);
-    }
-
-    #[test]
-    fn clear_dirty_respects_unflushed() {
-        let mut pv = PageVector::new(PAGE_SIZE * 3);
-        pv.mark_dirty(0, PAGE_SIZE * 3);
-        pv.inc_unflushed(1);
-        pv.clear_dirty_where_flushed();
-        assert!(!pv.entry(0).dirty);
-        assert!(pv.entry(1).dirty, "unflushed page stays dirty");
-        assert!(!pv.entry(2).dirty);
-        pv.dec_unflushed(1);
-        pv.clear_dirty_where_flushed();
-        assert!(!pv.entry(1).dirty);
     }
 }

@@ -32,9 +32,11 @@ pub enum Workload {
     /// each batch is written, forced and completed inline by its leader.
     /// Multi-threaded (disjoint-cell oracle).
     GroupCommit,
-    /// Flush commits with explicit epoch truncations interleaved:
-    /// exercises the three-phase truncation crash windows (segment
-    /// application, status advance).
+    /// Commits over a small log, with explicit epoch truncations
+    /// interleaved and then none, so a commit (or the spool drain ahead
+    /// of it) that finds the log full starts the epoch: exercises the
+    /// three-phase truncation crash windows (boundary write, segment
+    /// application, status advance) whoever starts it.
     Truncation,
     /// No-flush commits spooled and flushed in batches, with a tail of
     /// never-flushed transactions that a crash may legally drop.
@@ -193,6 +195,27 @@ fn flush_txn(
     }
 }
 
+/// One committed no-flush transaction writing `data` at `offset` of
+/// `region`: spooled, so unacknowledged until a later flush covers it.
+fn lazy_txn(rvm: &Rvm, region: &Region, segment: &str, offset: u64, data: Vec<u8>) -> TxnSpec {
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
+    region.write(&mut txn, offset, &data).expect("write");
+    txn.commit(CommitMode::NoFlush).expect("no-flush commit");
+    TxnSpec {
+        thread: 0,
+        committed: true,
+        ack: None,
+        writes: vec![SegWrite {
+            segment: segment.to_owned(),
+            offset,
+            data,
+        }],
+    }
+}
+
+/// Transactions the [`Workload::Truncation`] script commits.
+const TRUNCATION_TXNS: u64 = 16;
+
 /// Runs a workload and captures its trace. `hooks` injects deliberate
 /// protocol mutations (all-off for real checking).
 pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
@@ -331,15 +354,34 @@ fn pipeline(hooks: MutationHooks) -> Trace {
 }
 
 fn truncation(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
+    // A 4 KiB record area — four of these records, so an epoch's segment
+    // writes stay within the enumerator's exhaustive cap — and no
+    // threshold trigger: after the two explicit truncations the commits
+    // go on until the log is full, and the commit that finds no room
+    // runs the epoch itself.
+    let tuning = Tuning {
+        truncation_threshold: 1.0,
+        ..Tuning::default()
+    };
+    let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
-        .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
+        .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
         .expect("map cells");
     cap.start();
 
-    let mut txns = Vec::new();
-    for i in 0..8u64 {
+    let mut txns: Vec<TxnSpec> = Vec::new();
+    let mut unacked: Vec<usize> = Vec::new();
+    for i in 0..TRUNCATION_TXNS {
         let data = vec![0x10 + i as u8; 700];
+        if i > 5 && i % 3 != 0 {
+            // In the fill rounds two of three commits are lazy: the next
+            // flush commit drains them, and when the second one does not
+            // fit, the first is already appended — it must be forced
+            // before the epoch that makes room may apply it.
+            unacked.push(txns.len());
+            txns.push(lazy_txn(&rvm, &region, "cells", i * 768, data));
+            continue;
+        }
         txns.push(flush_txn(
             &rvm,
             &cap.recorder,
@@ -349,10 +391,19 @@ fn truncation(hooks: MutationHooks) -> Trace {
             i * 768,
             data,
         ));
+        // A flush commit makes every commit before it durable too.
+        let ack = cap.recorder.len();
+        for idx in unacked.drain(..) {
+            txns[idx].ack = Some(ack);
+        }
         if i == 2 || i == 5 {
             rvm.truncate().expect("epoch truncation");
         }
     }
+    assert!(
+        rvm.stats().epoch_truncations > 2,
+        "no commit found the log full"
+    );
 
     let trace = cap.finish(txns, true);
     drop(rvm);
@@ -370,20 +421,8 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     let mut unacked: Vec<usize> = Vec::new();
     for i in 0..6u64 {
         let data = vec![0x20 + i as u8; 600];
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
-        region.write(&mut txn, i * 640, &data).expect("write");
-        txn.commit(CommitMode::NoFlush).expect("no-flush commit");
         unacked.push(txns.len());
-        txns.push(TxnSpec {
-            thread: 0,
-            committed: true,
-            ack: None,
-            writes: vec![SegWrite {
-                segment: "cells".into(),
-                offset: i * 640,
-                data,
-            }],
-        });
+        txns.push(lazy_txn(&rvm, &region, "cells", i * 640, data));
         if i == 1 || i == 3 {
             rvm.flush().expect("flush");
             // The flush's return is the ack point for every spooled
@@ -509,21 +548,8 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
                 }
             }
             3 => {
-                let data = vec![value; len];
-                let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
-                region.write(&mut txn, offset, &data).expect("write");
-                txn.commit(CommitMode::NoFlush).expect("no-flush commit");
                 unacked.push(txns.len());
-                txns.push(TxnSpec {
-                    thread: 0,
-                    committed: true,
-                    ack: None,
-                    writes: vec![SegWrite {
-                        segment: "cells".into(),
-                        offset,
-                        data,
-                    }],
-                });
+                txns.push(lazy_txn(&rvm, &region, "cells", offset, vec![value; len]));
             }
             4 => {
                 let data = vec![0xEE; len];
@@ -573,15 +599,16 @@ mod tests {
     fn truncation_workload_traces_commits_and_truncations() {
         let trace = run_workload(Workload::Truncation, MutationHooks::default());
         assert!(trace.single_threaded);
-        assert_eq!(trace.txns.len(), 8);
+        assert_eq!(trace.txns.len() as u64, TRUNCATION_TXNS);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
         let syncs = trace
             .ops
             .iter()
             .filter(|o| matches!(o.kind, TraceOpKind::Sync))
-            .count();
-        // 8 forced commits plus the truncation's segment/status syncs.
-        assert!(syncs > 8, "got {syncs} syncs");
+            .count() as u64;
+        // A force per flush commit (ten of them) plus each truncation's
+        // boundary, segment, catalog and completion syncs.
+        assert!(syncs > TRUNCATION_TXNS, "got {syncs} syncs");
         // Truncation writes to the segment device mid-trace.
         let seg_id = trace
             .devices

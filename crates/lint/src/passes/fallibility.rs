@@ -37,7 +37,8 @@ pub const FALLIBLE: &[&str] = &[
     // WAL.
     "force",
     "append_txn",
-    "append_with_space",
+    "flush_spool_locked",
+    "make_log_space",
     // Status block.
     "read_status",
     "write_status",

@@ -17,6 +17,16 @@
 //! (this is the shape of the `query` check→core inversion PR 4 fixed by
 //! hand). Undeclared locks, re-acquisition of a held lock, and condvar
 //! waits that hold extra locks or park on the wrong lock are findings.
+//!
+//! `MutexGuard::unlocked(g, || ...)` runs its closure with `g`'s lock
+//! released and every other lock still held. Inside the region the walk
+//! carries on with `g` taken out of the held set, so what the closure
+//! acquires or calls is checked against the guards that stay live; in the
+//! function's acquisition summary the region counts in full *except* for
+//! `g`'s own lock, so a caller that passes its guard down is not told it
+//! re-acquires it, while a caller holding anything else across the call
+//! still gets its order check. A guard that arrives as a parameter is
+//! matched to its lock by name (`core` ↔ `core.lock`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -26,7 +36,7 @@ use crate::items::FileModel;
 use crate::lexer::{Kind, Tok};
 use crate::passes::{
     brace_match, call_sites, chain_matches, fn_key, in_regions, paren_match, receiver_chain,
-    spawn_regions, CallGraph,
+    spawn_regions, unlocked_regions, CallGraph,
 };
 
 const GUARD_METHODS: [&str; 3] = ["lock", "read", "write"];
@@ -105,6 +115,25 @@ fn acquisitions(order: &LockOrder, toks: &[Tok], open: usize, close: usize) -> V
     out
 }
 
+/// The guard a call names: the first ident inside the parens at
+/// `open_paren`, after optional `&` / `mut`.
+fn first_arg_ident(toks: &[Tok], open_paren: usize) -> Option<&str> {
+    toks.get(open_paren + 1..)?
+        .iter()
+        .find(|x| !(x.is_punct('&') || x.is_ident("mut")))
+        .filter(|x| x.kind == Kind::Ident)
+        .map(|x| x.text.as_str())
+}
+
+/// The lock a guard ident names when the guard is not tracked locally
+/// (it is a parameter): `core` is the guard of `core.lock`.
+fn lock_named(order: &LockOrder, guard: &str) -> Option<usize> {
+    let chain = [guard.to_owned()];
+    GUARD_METHODS
+        .iter()
+        .find_map(|m| match_decl(order, &chain, m))
+}
+
 /// Next `;` at paren depth 0, starting from `from` (exclusive bound
 /// `close`).
 fn next_semi(toks: &[Tok], from: usize, close: usize) -> usize {
@@ -152,39 +181,76 @@ pub struct Analysis<'a> {
     pub order: &'a LockOrder,
     /// fn key -> transitively acquired decl indices.
     pub closure: HashMap<String, HashSet<usize>>,
-    pub graph: CallGraph,
     pub resolved: HashMap<String, String>,
+}
+
+/// A stretch of a body that runs under one held set: the body proper
+/// (`released: None`), or the closure of an `unlocked(g, ..)` call,
+/// which runs without `g`'s lock.
+struct Part<'a> {
+    released: Option<usize>,
+    direct: HashSet<usize>,
+    calls: HashSet<&'a String>,
 }
 
 /// Builds summaries + transitive closure over the file set.
 pub fn analyze<'a>(order: &'a LockOrder, files: &[&FileModel]) -> Analysis<'a> {
-    let mut direct: HashMap<String, HashSet<usize>> = HashMap::new();
+    let (_, resolved) = CallGraph::build(files);
+    let mut parts: HashMap<String, Vec<Part>> = HashMap::new();
     for fm in files {
         for f in fm.fns.iter().filter(|f| !f.is_test) {
             let Some((open, close)) = f.body else {
                 continue;
             };
-            let set: HashSet<usize> = acquisitions(order, &fm.lexed.toks, open, close)
-                .into_iter()
-                .filter_map(|a| a.decl)
+            let toks = &fm.lexed.toks;
+            let acqs = acquisitions(order, toks, open, close);
+            let calls = call_sites(toks, open, close);
+            let unlocked = unlocked_regions(toks, open, close);
+            // The body proper is whatever no region claims.
+            let stretches = std::iter::once(None).chain(unlocked.iter().copied().map(Some));
+            let fn_parts = stretches
+                .map(|region| {
+                    let within = |i: usize| match region {
+                        Some(r) => in_regions(&[r], i),
+                        None => !in_regions(&unlocked, i),
+                    };
+                    Part {
+                        released: region
+                            .and_then(|(start, _)| first_arg_ident(toks, start))
+                            .and_then(|guard| lock_named(order, guard)),
+                        direct: acqs
+                            .iter()
+                            .filter(|a| within(a.at))
+                            .filter_map(|a| a.decl)
+                            .collect(),
+                        calls: calls
+                            .iter()
+                            .filter(|&&site| within(site))
+                            .filter_map(|&site| resolved.get(&toks[site].text))
+                            .collect(),
+                    }
+                })
                 .collect();
-            direct.insert(fn_key(&fm.path, &f.qual), set);
+            parts.insert(fn_key(&fm.path, &f.qual), fn_parts);
         }
     }
-    let (graph, resolved) = CallGraph::build(files);
-    // Fixpoint: propagate callee sets into callers.
-    let mut closure = direct.clone();
+    // Fixpoint: propagate callee sets into callers, part by part.
+    let mut closure: HashMap<String, HashSet<usize>> =
+        parts.keys().map(|k| (k.clone(), HashSet::new())).collect();
     loop {
         let mut changed = false;
-        let keys: Vec<String> = closure.keys().cloned().collect();
-        for k in keys {
+        for (k, fn_parts) in &parts {
             let mut add: HashSet<usize> = HashSet::new();
-            for callee in graph.calls.get(&k).into_iter().flatten() {
-                if let Some(s) = closure.get(callee) {
-                    add.extend(s.iter().copied());
-                }
+            for part in fn_parts {
+                let callees = part.calls.iter().filter_map(|c| closure.get(*c)).flatten();
+                add.extend(
+                    part.direct
+                        .iter()
+                        .chain(callees)
+                        .filter(|&&d| Some(d) != part.released),
+                );
             }
-            let e = closure.entry(k).or_default();
+            let e = closure.entry(k.clone()).or_default();
             let before = e.len();
             e.extend(add);
             changed |= e.len() != before;
@@ -196,7 +262,6 @@ pub fn analyze<'a>(order: &'a LockOrder, files: &[&FileModel]) -> Analysis<'a> {
     Analysis {
         order,
         closure,
-        graph,
         resolved,
     }
 }
@@ -250,7 +315,10 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
             acqs.iter().enumerate().map(|(n, a)| (a.at, n)).collect();
         let calls: HashSet<usize> = call_sites(toks, open, close).into_iter().collect();
         let spawns = spawn_regions(toks, open, close);
+        let unlocked = unlocked_regions(toks, open, close);
         let mut guards: Vec<Guard> = Vec::new();
+        // Guards released around an `unlocked` region, with its end.
+        let mut suspended: Vec<(usize, Guard)> = Vec::new();
         // Per-function edge dedup.
         let mut seen_edges: HashSet<String> = HashSet::new();
         let mut blocks: Vec<usize> = Vec::new(); // open-brace token indices
@@ -266,7 +334,21 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
                 continue;
             }
             let t = &toks[i];
+            // `unlocked(g, ...)`: `g` is not held inside the region (the
+            // argument group), everything else still is.
+            while let Some(n) = suspended.iter().position(|&(end, _)| end < i) {
+                guards.push(suspended.swap_remove(n).1);
+            }
             guards.retain(|g| g.until > i);
+            if let Some(&(start, end)) = unlocked.iter().find(|&&(a, _)| a == i) {
+                let released = first_arg_ident(toks, start);
+                while let Some(n) = guards
+                    .iter()
+                    .position(|g| g.name.is_some() && g.name.as_deref() == released)
+                {
+                    suspended.push((end, guards.swap_remove(n)));
+                }
+            }
             if t.is_punct('{') {
                 blocks.push(i);
                 stmt_start = i + 1;
@@ -307,19 +389,7 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
                     .condvars
                     .iter()
                     .find(|c| chain.last().is_some_and(|l| l == &c.pattern));
-                // The parked guard: first ident inside the parens after
-                // optional `&` / `mut`.
-                let mut j = i + 2;
-                while toks
-                    .get(j)
-                    .is_some_and(|x| x.is_punct('&') || x.is_ident("mut"))
-                {
-                    j += 1;
-                }
-                let parked = toks
-                    .get(j)
-                    .filter(|x| x.kind == Kind::Ident)
-                    .map(|x| x.text.clone());
+                let parked = first_arg_ident(toks, i + 1).map(str::to_owned);
                 let parked_guard = guards
                     .iter()
                     .filter(|g| g.name.is_some() && g.name == parked)

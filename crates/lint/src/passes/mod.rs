@@ -281,18 +281,31 @@ impl CallGraph {
 /// kill the new thread rather than unwinding into the caller. Both the
 /// lock-order walk and the call graph skip these regions.
 pub fn spawn_regions(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for i in open + 1..close {
-        let t = &toks[i];
-        if t.kind == Kind::Ident
-            && t.text == "spawn"
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !(i > 0 && toks[i - 1].is_ident("fn"))
-        {
-            out.push((i + 1, paren_match(toks, i + 1)));
-        }
-    }
-    out
+    call_arg_regions(toks, open, close, "spawn")
+}
+
+/// Argument regions of `MutexGuard::unlocked(guard, || ...)` calls within
+/// `(open, close)`: the closure runs with `guard`'s lock *released*, so
+/// what it acquires or calls is not done while holding that lock — in
+/// this function or in any caller that passed the guard down — though
+/// still under every other lock held. The lock-order pass walks these
+/// regions with that one guard set aside; the call graph keeps them
+/// whole, since a panic inside still unwinds into the caller.
+pub fn unlocked_regions(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
+    call_arg_regions(toks, open, close, "unlocked")
+}
+
+/// Argument regions (open paren, close paren) of every call to `name`
+/// within `(open, close)`; definitions (`fn name(`) are not calls.
+fn call_arg_regions(toks: &[Tok], open: usize, close: usize, name: &str) -> Vec<(usize, usize)> {
+    (open + 1..close)
+        .filter(|&i| {
+            toks[i].is_ident(name)
+                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+                && !(i > 0 && toks[i - 1].is_ident("fn"))
+        })
+        .map(|i| (i + 1, paren_match(toks, i + 1)))
+        .collect()
 }
 
 /// `true` if `i` falls inside any of `regions`.

@@ -138,6 +138,8 @@ fn lockorder_fixture_convicts_and_clean_passes() {
         "vector_then_helper",
         "if_let_extends_guard",
         "undeclared_lock",
+        "unlocked_with_second_guard",
+        "vector_across_unlocked_callee",
     ] {
         assert!(
             fns.contains(expected),
@@ -147,6 +149,16 @@ fn lockorder_fixture_convicts_and_clean_passes() {
     // The helper itself acquires in isolation — legal; only the caller
     // holding `page_vector` across it is a violation.
     assert!(!fns.contains("helper_touches_memory"), "{findings:#?}");
+    // Likewise a function that releases its caller's guard around a
+    // closure; and the guard it released is not "re-acquired" in there.
+    assert!(!fns.contains("releases_core_around"), "{findings:#?}");
+    assert!(
+        findings
+            .iter()
+            .filter(|f| f.function == "unlocked_with_second_guard")
+            .all(|f| f.message.contains("`check`") && !f.message.contains("re-acqui")),
+        "lock-order: `unlocked` releases its own guard and no other: {findings:#?}"
+    );
     assert!(
         findings
             .iter()

@@ -43,3 +43,31 @@ fn if_let_extends_guard(shared: &Shared) {
 fn undeclared_lock(shared: &Shared) {
     let _g = shared.secret_side_table.lock();
 }
+
+/// `unlocked` releases only `core`: `check` stays held across the
+/// region, so taking `core` again in there is rank 25 -> rank 10 — not
+/// a re-acquisition, an inversion.
+fn unlocked_with_second_guard(shared: &Shared) {
+    let mut core = shared.core.lock();
+    let state = shared.check.lock();
+    MutexGuard::unlocked(&mut core, || {
+        let _again = shared.core.lock();
+    });
+    consume(&state);
+}
+
+/// The same through a call: `releases_core_around` drops the caller's
+/// `core` for its closure, but the `regions` acquisition in there still
+/// happens under whatever else the caller holds — here `page_vector`
+/// (rank 40 -> rank 20).
+fn vector_across_unlocked_callee(shared: &Shared, region: &Region, core: &mut CoreGuard) {
+    let pv = region.page_vector.lock();
+    releases_core_around(shared, core);
+    drop(pv);
+}
+
+fn releases_core_around(shared: &Shared, core: &mut CoreGuard) {
+    MutexGuard::unlocked(core, || {
+        let _regions = shared.regions.read();
+    });
+}

@@ -43,3 +43,32 @@ fn spawn_is_not_holding(shared: &Shared) {
         let _core = shared.core.lock();
     });
 }
+
+/// `unlocked` releases the guard around its closure: the re-acquisition
+/// inside (directly or through `relocks_core`) is not nested under it,
+/// here or for a caller that holds `core` across `releases_around`.
+fn releases_around(shared: &Shared, core: &mut CoreGuard) {
+    MutexGuard::unlocked(core, || relocks_core(shared));
+}
+
+fn relocks_core(shared: &Shared) {
+    let _core = shared.core.lock();
+}
+
+fn holds_core_across_release(shared: &Shared) {
+    let mut core = shared.core.lock();
+    releases_around(shared, &mut core);
+    MutexGuard::unlocked(&mut core, || {
+        let _again = shared.core.lock();
+    });
+}
+
+/// A second guard stays held across the region; acquiring above it in
+/// there is in order.
+fn second_guard_in_order(shared: &Shared, region: &Region) {
+    let mut core = shared.core.lock();
+    let _regions = shared.regions.read();
+    MutexGuard::unlocked(&mut core, || {
+        let _pv = region.page_vector.lock();
+    });
+}

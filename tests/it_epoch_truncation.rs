@@ -9,15 +9,20 @@
 //! a kill at that instant would leave behind — rebooted into a fresh
 //! instance.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use rvm::log::status::read_status;
 use rvm::segment::{DeviceResolver, MemResolver};
-use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode};
-use rvm_storage::{Device, MemDevice};
+use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
+use rvm_storage::{Device, IoToken, MemDevice};
 
 const SLOTS: u64 = 16;
 const SLOT_STRIDE: u64 = 512; // distinct pagesworth-of-separation ranges
 const REGION_LEN: u64 = SLOTS * SLOT_STRIDE;
+/// A log whose record area holds 32 one-block records: `commit_slot`
+/// fills it within a few dozen commits.
+const TINY_LOG: u64 = 32 * 1024;
 
 /// Where the gate parks the epoch apply.
 #[derive(Clone, Copy, Debug)]
@@ -97,6 +102,16 @@ impl Gate {
     }
 }
 
+/// Opens the gate when dropped, so a failed assertion inside a thread
+/// scope unparks the apply instead of hanging the scope's join.
+struct OpenOnDrop<'a>(&'a Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
 /// A segment device whose writes and syncs pass through a [`Gate`].
 struct GatedDevice {
     inner: Arc<MemDevice>,
@@ -124,7 +139,8 @@ impl Device for GatedDevice {
 }
 
 /// One world with a gated segment: the log is a plain memory device, the
-/// single segment `seg` parks per the gate.
+/// segment `seg` parks per the gate, and every other name (sidecars,
+/// other segments) resolves to a plain memory device of its own.
 struct GatedWorld {
     log: Arc<MemDevice>,
     seg_inner: Arc<MemDevice>,
@@ -140,21 +156,18 @@ impl GatedWorld {
             inner: seg_inner.clone(),
             gate: gate.clone(),
         });
-        // The checksum sidecar gets its own ungated device: the gate
-        // models a stuck *segment*, and parking catalog maintenance
-        // would stall `map` before the scenario even starts.
-        let sums: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
-        let for_resolver = gated.clone();
+        // The checksum sidecar stays ungated: the gate models a stuck
+        // *segment*, and parking catalog maintenance would stall `map`
+        // before the scenario even starts.
+        let ungated = MemResolver::new();
         let resolver: DeviceResolver = Arc::new(move |name, min| {
-            let dev = if rvm::scrub::is_sidecar(name) {
-                sums.clone()
-            } else {
-                for_resolver.clone()
-            };
-            if dev.len()? < min {
-                dev.set_len(min)?;
+            if name != "seg" {
+                return ungated.resolve(name, min);
             }
-            Ok(dev)
+            if gated.len()? < min {
+                gated.set_len(min)?;
+            }
+            Ok(gated.clone())
         });
         Self {
             log: Arc::new(MemDevice::with_len(log_len)),
@@ -165,16 +178,33 @@ impl GatedWorld {
     }
 
     fn boot(&self) -> Rvm {
+        self.boot_with_threshold(0.99)
+    }
+
+    /// A threshold of 1.0 never triggers: only a full log truncates.
+    fn boot_with_threshold(&self, truncation_threshold: f64) -> Rvm {
         Rvm::initialize(
             Options::new(self.log.clone())
                 .resolver(self.resolver.clone())
                 .tuning(Tuning {
-                    truncation_threshold: 0.99,
+                    truncation_threshold,
                     ..Tuning::default()
                 })
                 .create_if_empty(),
         )
         .expect("initialize")
+    }
+}
+
+/// Commits slots `1..` until an epoch truncation has completed,
+/// publishing each acknowledged value through `acked`. Over a tiny log
+/// with no trigger, the commit that finds the log full runs the epoch.
+fn commit_until_an_epoch_completes(rvm: &Rvm, region: &rvm::Region, acked: &AtomicU64) {
+    let mut i = 1;
+    while rvm.stats().epoch_truncations == 0 {
+        commit_slot(rvm, region, i);
+        acked.store(i, Ordering::SeqCst);
+        i += 1;
     }
 }
 
@@ -264,83 +294,387 @@ fn commits_progress_while_epoch_apply_is_parked() {
     assert_slots(&region, 48, "after reboot");
 }
 
+/// Who starts the epoch whose apply the crash interrupts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Starter {
+    /// An explicit `truncate()` over a roomy log.
+    Truncate,
+    /// A flush commit that finds a tiny log full (no trigger configured).
+    LogFullCommit,
+}
+
 /// The crash matrix: snapshot the devices while the epoch apply is
 /// parked at each stage — before the first segment write, after one,
-/// mid-span, and after every write but before the sync — with and
-/// without commits landing in the new epoch during the park. Reboot the
-/// snapshot; recovery must report the interrupted epoch and restore
-/// every acknowledged commit.
+/// mid-span, and after every write but before the sync — whoever started
+/// the epoch, with and without commits landing in the new epoch during
+/// the park (a full log admits none). Reboot the snapshot; recovery must
+/// report the interrupted epoch and restore every acknowledged commit.
 #[test]
 fn crash_at_every_stage_of_an_inflight_epoch_recovers() {
-    for park in [
-        Park::Writes(0),
-        Park::Writes(1),
-        Park::Writes(5),
-        Park::Sync,
-    ] {
-        for commits_during in [0u64, 6] {
-            let world = GatedWorld::new(256 * 1024, park);
-            let rvm = world.boot();
-            let region = rvm
-                .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
-                .unwrap();
-            let mut committed = 0;
-            for i in 1..=40 {
-                commit_slot(&rvm, &region, i);
-                committed = i;
-            }
-
-            let (log_image, seg_image) = std::thread::scope(|s| {
-                let handle = s.spawn(|| rvm.truncate());
-                world.gate.wait_parked();
-                // Commits that land in the new epoch before the crash.
-                for i in 41..=40 + commits_during {
-                    commit_slot(&rvm, &region, i);
-                    committed = i;
+    for starter in [Starter::Truncate, Starter::LogFullCommit] {
+        for park in [
+            Park::Writes(0),
+            Park::Writes(1),
+            Park::Writes(5),
+            Park::Sync,
+        ] {
+            for commits_during in [0u64, 6] {
+                if starter == Starter::LogFullCommit && commits_during > 0 {
+                    continue;
                 }
-                // The crash image: both devices, frozen mid-apply.
-                let images = (world.log.snapshot(), world.seg_inner.snapshot());
-                world.gate.open();
-                handle.join().unwrap().unwrap();
-                images
-            });
-            drop(region);
-            drop(rvm);
-
-            // Reboot the crash image.
-            let crash_log = Arc::new(MemDevice::from_image(log_image));
-            let segments = MemResolver::new();
-            segments.resolve("seg", REGION_LEN).unwrap();
-            segments.get("seg").unwrap().restore(seg_image);
-            let rvm = Rvm::initialize(
-                Options::new(crash_log.clone()).resolver(segments.clone().into_resolver()),
-            )
-            .unwrap();
-            let ctx = format!("park {park:?}, {commits_during} new-epoch commits");
-            assert!(
-                rvm.recovery_report().interrupted_epoch,
-                "{ctx}: the status block carried the epoch boundary"
-            );
-            let region = rvm
-                .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
-                .unwrap();
-            assert_slots(&region, committed, &ctx);
-
-            // The recovered instance is fully live: commit once more and
-            // reboot again over the same devices.
-            commit_slot(&rvm, &region, committed + 1);
-            drop(region);
-            drop(rvm);
-            let rvm =
-                Rvm::initialize(Options::new(crash_log).resolver(segments.clone().into_resolver()))
-                    .unwrap();
-            assert!(!rvm.recovery_report().interrupted_epoch, "{ctx}");
-            let region = rvm
-                .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
-                .unwrap();
-            assert_slots(&region, committed + 1, &ctx);
+                crash_mid_epoch_and_recover(starter, park, commits_during);
+            }
         }
     }
+}
+
+fn crash_mid_epoch_and_recover(starter: Starter, park: Park, commits_during: u64) {
+    let ctx = format!("{starter:?}, park {park:?}, {commits_during} new-epoch commits");
+    let (log_len, threshold, preload) = match starter {
+        Starter::Truncate => (256 * 1024, 0.99, 40),
+        Starter::LogFullCommit => (TINY_LOG, 1.0, 0),
+    };
+    let world = GatedWorld::new(log_len, park);
+    let rvm = world.boot_with_threshold(threshold);
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    for i in 1..=preload {
+        commit_slot(&rvm, &region, i);
+    }
+    // Highest value whose commit has returned.
+    let acked = AtomicU64::new(preload);
+
+    let (log_image, seg_image, committed) = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        let handle = s.spawn(|| match starter {
+            Starter::Truncate => rvm.truncate().unwrap(),
+            Starter::LogFullCommit => commit_until_an_epoch_completes(&rvm, &region, &acked),
+        });
+        world.gate.wait_parked();
+        // Commits that land in the new epoch before the crash.
+        for i in preload + 1..=preload + commits_during {
+            commit_slot(&rvm, &region, i);
+            acked.store(i, Ordering::SeqCst);
+        }
+        // The crash image: both devices, frozen mid-apply. The commit
+        // that found the log full is not acknowledged and not in it.
+        let images = (
+            world.log.snapshot(),
+            world.seg_inner.snapshot(),
+            acked.load(Ordering::SeqCst),
+        );
+        world.gate.open();
+        handle.join().unwrap();
+        images
+    });
+    drop(region);
+    drop(rvm);
+
+    // Reboot the crash image.
+    let crash_log = Arc::new(MemDevice::from_image(log_image));
+    let segments = MemResolver::new();
+    segments.resolve("seg", REGION_LEN).unwrap();
+    segments.get("seg").unwrap().restore(seg_image);
+    let rvm =
+        Rvm::initialize(Options::new(crash_log.clone()).resolver(segments.clone().into_resolver()))
+            .unwrap();
+    assert!(
+        rvm.recovery_report().interrupted_epoch,
+        "{ctx}: the status block carried the epoch boundary"
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_slots(&region, committed, &ctx);
+
+    // The recovered instance is fully live: commit once more and
+    // reboot again over the same devices.
+    commit_slot(&rvm, &region, committed + 1);
+    drop(region);
+    drop(rvm);
+    let rvm = Rvm::initialize(Options::new(crash_log).resolver(segments.clone().into_resolver()))
+        .unwrap();
+    assert!(!rvm.recovery_report().interrupted_epoch, "{ctx}");
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_slots(&region, committed + 1, &ctx);
+}
+
+/// A commit that finds the log full runs the *same* epoch as everyone
+/// else: it parks in the off-lock apply with the epoch visible to
+/// `query`, other work that needs the core lock proceeds meanwhile, and
+/// the epoch is counted once by both counters.
+#[test]
+fn log_full_commit_runs_the_same_epoch() {
+    let world = GatedWorld::new(TINY_LOG, Park::Writes(0));
+    let rvm = world.boot_with_threshold(1.0);
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    let acked = AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        let committer = s.spawn(|| commit_until_an_epoch_completes(&rvm, &region, &acked));
+        world.gate.wait_parked();
+        assert!(rvm.query().truncation_in_flight);
+        assert_eq!(rvm.stats().epoch_truncations, 0, "parked before completing");
+
+        // The apply is provably stuck, yet a map of another segment and
+        // a no-flush commit — both need what the committer would be
+        // holding if the epoch ran under the core lock — complete.
+        let other = rvm
+            .map(&RegionDescriptor::new("other", 0, PAGE_SIZE))
+            .unwrap();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        other.put_u64(&mut txn, 0, 7).unwrap();
+        txn.commit(CommitMode::NoFlush).unwrap();
+        assert!(rvm.query().truncation_in_flight);
+
+        world.gate.open();
+        committer.join().unwrap();
+    });
+
+    let stats = rvm.stats();
+    assert!(!rvm.query().truncation_in_flight);
+    assert_eq!((stats.epoch_truncations, stats.epochs_truncated), (1, 1));
+    assert!(
+        stats.truncation_stall_ns > 0,
+        "the committer stalled for it"
+    );
+    assert_slots(&region, acked.load(Ordering::SeqCst), "after the epoch");
+}
+
+/// §4.1: no two mappings may overlap — also when both `map` calls are
+/// in flight at once and each releases the core lock to settle the
+/// segment. An epoch over `seg`'s live records (left by an earlier
+/// mapping) is parked in its apply; A maps pages `[0, 2)` and B maps
+/// `[1, 3)`, and both wait the epoch out. Exactly one of them may succeed.
+#[test]
+fn overlapping_maps_racing_through_the_settle_cannot_both_succeed() {
+    const SEG_LEN: u64 = 3 * PAGE_SIZE;
+    let world = GatedWorld::new(256 * 1024, Park::Writes(0));
+    let rvm = world.boot();
+    let first = rvm.map(&RegionDescriptor::new("seg", 0, SEG_LEN)).unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    first.put_u64(&mut txn, PAGE_SIZE, 42).unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    rvm.unmap(&first).unwrap();
+    drop(first);
+
+    let (a, b) = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        let truncator = s.spawn(|| rvm.truncate());
+        world.gate.wait_parked();
+        // Both maps have entered once each has gone for the core lock,
+        // which is free (the apply runs without it, and a map that waits
+        // for the epoch releases it). The assertions below hold under any
+        // interleaving; the pause only makes it likely that both are
+        // parked in the settle when the gate opens, which is the schedule
+        // an unchecked insert would get wrong.
+        let before = rvm.core_lock_acquisitions();
+        let a = s.spawn(|| rvm.map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE)));
+        let b = s.spawn(|| rvm.map(&RegionDescriptor::new("seg", PAGE_SIZE, 2 * PAGE_SIZE)));
+        while rvm.core_lock_acquisitions() < before + 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        world.gate.open();
+        truncator.join().unwrap().unwrap();
+        (a.join().unwrap(), b.join().unwrap())
+    });
+
+    let refused = [&a, &b]
+        .iter()
+        .filter(|r| matches!(r, Err(RvmError::BadMapping(_))))
+        .count();
+    assert_eq!(refused, 1, "a: {a:?}, b: {b:?}");
+    assert_eq!(rvm.query().mapped_regions, 1);
+    // Page 1 of the segment sits at a different offset in each range.
+    let (winner, page_1) = match (a, b) {
+        (Ok(region), _) => (region, PAGE_SIZE),
+        (_, Ok(region)) => (region, 0),
+        (Err(a), Err(b)) => panic!("both refused: {a:?}, {b:?}"),
+    };
+    assert_eq!(winner.get_u64(page_1).unwrap(), 42, "the committed image");
+}
+
+/// A `map` settles what was committed *before* it, not what sibling
+/// regions of the same segment (Coda maps several per segment) commit
+/// while it waits. The map of page 1 starts the epoch over page 0's live
+/// records and parks in its apply; page 0 keeps committing meanwhile.
+/// Once the gate opens the map returns after that one epoch, leaving the
+/// new-epoch records live — it must not chase the tail.
+#[test]
+fn map_of_a_sibling_region_settles_only_what_predates_it() {
+    let world = GatedWorld::new(256 * 1024, Park::Writes(0));
+    let rvm = world.boot();
+    let first = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let commit_first = |value: u64| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        first.put_u64(&mut txn, (value % 8) * 8, value).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+    };
+    (1..=4).for_each(commit_first);
+
+    let second = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rvm = &rvm;
+        s.spawn(move || {
+            let mapped = rvm.map(&RegionDescriptor::new("seg", PAGE_SIZE, PAGE_SIZE));
+            tx.send(mapped).unwrap();
+        });
+        world.gate.wait_parked();
+        assert!(rvm.query().truncation_in_flight, "the map runs the epoch");
+        (5..=8).for_each(commit_first);
+        world.gate.open();
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("map starved behind commits to a sibling region")
+            .unwrap()
+    });
+
+    assert_eq!(rvm.stats().epoch_truncations, 1, "one epoch was enough");
+    assert!(rvm.query().log.used > 0, "new-epoch records stay live");
+    assert_eq!(second.get_u64(0).unwrap(), 0);
+    for value in 1..=8 {
+        assert_eq!(first.get_u64((value % 8) * 8).unwrap(), value);
+    }
+}
+
+/// A log device whose submitted forces complete only through the gate:
+/// a submitted batch stays in flight — the pipeline non-idle, the core
+/// lock free — until the test opens it. Inline forces are not gated.
+struct AsyncGatedLog {
+    inner: Arc<MemDevice>,
+    gate: Arc<Gate>,
+}
+
+impl Device for AsyncGatedLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn submit_sync(&self) -> IoToken {
+        IoToken::pending(1)
+    }
+    fn poll(&self, token: &IoToken) -> bool {
+        token.is_inline() || self.gate.state.lock().unwrap().open
+    }
+    fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
+        token.into_inline().unwrap_or_else(|_| {
+            self.gate.pass(true);
+            self.inner.sync()
+        })
+    }
+}
+
+/// The segment table must be durable before any record can carry a new
+/// segment's id — so `map` persists the entry under the hold that
+/// creates it, before its settle may release the core lock (another
+/// `map` of the same name would find the entry, skip the status write,
+/// and commit). Two submitted batches are parked in their forces, which
+/// sends the map of a brand-new segment into the settle; the crash image
+/// taken while it is still in there already lists the segment.
+#[test]
+fn new_segment_is_durable_before_map_releases_the_core_lock() {
+    let deadline = || std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let gate = Gate::closed(Park::Sync);
+    let log = Arc::new(MemDevice::with_len(256 * 1024));
+    let segments = MemResolver::new();
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(AsyncGatedLog {
+            inner: log.clone(),
+            gate: gate.clone(),
+        }))
+        .resolver(segments.clone().into_resolver())
+        .create_if_empty(),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let commit = |region: &rvm::Region, slot: u64| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+    };
+    // A lone commit completes inline; truncating it leaves nothing
+    // stable for the map's settle to run an epoch over (an epoch would
+    // persist the table as a side effect of its boundary).
+    commit(&region, 0);
+    rvm.truncate().unwrap();
+    // One member per batch and a long accumulation window: the first
+    // leader leaves the second committer queued, so both batches are
+    // submitted, and the second leader parks reaping the first.
+    rvm.set_options(Tuning {
+        group_commit_max_txns: 1,
+        group_commit_wait_us: 200_000,
+        ..rvm.options()
+    });
+
+    std::thread::scope(|s| {
+        let _open = OpenOnDrop(&gate);
+        let (rvm, region, commit) = (&rvm, &region, &commit);
+        for slot in [1, 2] {
+            s.spawn(move || commit(region, slot));
+        }
+        let until = deadline();
+        while rvm.stats().pipeline_submits < 2 {
+            assert!(
+                std::time::Instant::now() < until,
+                "the two committers never overlapped"
+            );
+            std::thread::yield_now();
+        }
+        gate.wait_parked();
+
+        let mapper = s.spawn(|| rvm.map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE)));
+        let listed = |image: Vec<u8>| {
+            let status = read_status(&MemDevice::from_image(image)).unwrap();
+            status.segments.iter().any(|seg| seg.name == "fresh")
+        };
+        let until = deadline();
+        while !listed(log.snapshot()) {
+            assert!(
+                std::time::Instant::now() < until,
+                "the map entered its settle without persisting the table"
+            );
+            std::thread::yield_now();
+        }
+        assert!(!mapper.is_finished(), "the batches it waits for are parked");
+
+        gate.open();
+        let fresh = mapper.join().unwrap().unwrap();
+        commit(&fresh, 3);
+    });
+    let image = log.snapshot();
+    drop(region);
+    std::mem::forget(rvm); // the "crash"
+
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
+    )
+    .unwrap();
+    let fresh = rvm
+        .map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE))
+        .unwrap();
+    assert_eq!(fresh.get_u64(3 * 8).unwrap(), 4);
 }
 
 /// A crash *after* the epoch completed (head advanced, boundary cleared)
