@@ -1,0 +1,444 @@
+//! The commit plane: the one way a record reaches the log.
+//!
+//! The paper has a single log writer — spooled or not, `end_transaction`
+//! and `flush` end in the same append-and-force (§4.2, §5.1.1) — and its
+//! throughput ceiling is that force: 17.4 ms per force caps a
+//! one-force-per-commit path at 57.4 txn/s (§7.1.2), so N committers
+//! that each force go no faster than one. Group commit is the classic
+//! WAL answer, and here it is the *only* writer:
+//!
+//! * a **flush commit** serializes its record outside the core lock and
+//!   parks it in the commit queue; the first waiter to find no leader
+//!   takes the leadership baton ([`RvmShared::flush_commit_enqueue`]);
+//! * a **no-flush commit** pushes its record onto the spool
+//!   ([`crate::spool`]) and returns: no waiter, no shared lock;
+//! * a **barrier** — [`Rvm::flush`](crate::Rvm::flush), `terminate`,
+//!   spool overflow, an empty flush-mode commit, a `map` settling its
+//!   segment, incremental truncation unblocking a page — is an empty
+//!   flush commit: a queue slot with a waiter and no record
+//!   ([`RvmShared::flush_barrier`]).
+//!
+//! The leader runs one bounded round ([`round`]): under the core lock it
+//! stages every *member* into one buffer — the spooled records in ticket
+//! order, then the claimed slots in queue order, which is the durable
+//! order — writes or submits the buffer once, forces once, and one
+//! completion settles every member, whichever thread waited for the
+//! device. One force per commit is a batch cap of 1
+//! (`group_commit_max_txns` bounds waiters per force; spooled records
+//! and barriers ride along uncounted).
+//!
+//! ## Inline or submitted
+//!
+//! A leader with nobody to overlap with — its claim emptied the queue
+//! and no batch is in flight — writes its batch, forces, and completes
+//! it on its own thread. Otherwise the force would be device time during
+//! which the next batch could already be serializing: the leader
+//! *submits* the writes and the force
+//! ([`Device::submit_write`](rvm_storage::Device) / `submit_sync`) and
+//! queues the batch in flight ([`inflight`]), the next leader stages and
+//! submits behind it, and completions are reaped strictly FIFO — only
+//! the reap, which waits the batch's tokens, acknowledges its waiters.
+//! Which side runs is observed, never configured, and durability is the
+//! same on both. At most [`inflight::PIPELINE_DEPTH`] batches are
+//! submitted-or-mid-reap at once: a leader about to submit first waits
+//! for room, reaping the oldest batch itself if nobody else is. Any
+//! thread may reap — in practice the *successor* leader, a leader that
+//! found the queue empty (the pipeline tail), or one waiting for room —
+//! but only one at a time, oldest batch first.
+//!
+//! ## Failure and poison rules
+//!
+//! A record that does not fit in the log fails alone with its own
+//! `LogFull`; a spooled one goes back to the spool front and the rest of
+//! its round — whose waiters were promised everything spooled before
+//! them — fails with the same error, leaving the instance healthy. A
+//! batch whose writes or force fail fails *whole*: the WAL cursors roll
+//! back iff nothing was appended past the batch, and the instance is
+//! poisoned — records may sit unacknowledged in the device's
+//! write-behind cache. Batches submitted *after* a failed one fail with
+//! `Poisoned` even if their own force succeeded: their records sit
+//! beyond an unforced hole, where a recovery scan cannot reach them.
+//! Every writer is a round, so that includes every barrier: `flush()`
+//! cannot acknowledge records above a hole.
+//!
+//! ## Making room, and the stable end
+//!
+//! Epoch truncation applies its frozen span with the core lock released,
+//! so a round can run *during* a truncation. When a member does not fit
+//! *right now*, one rule applies (`stage` in [`round`]): the batch staged
+//! so far is closed — written or submitted, forced, completed — then
+//! `make_log_space` waits out or runs an epoch, releasing `core`, and
+//! the fill resumes with the rest. The lock is never released over bytes
+//! staged but not submitted, so truncation never scans what has not
+//! reached the device, and the leader's stall is bounded by the epoch
+//! apply (`truncation_stall_ns`).
+//!
+//! Nor may truncation treat in-flight records as stable: the oldest
+//! unreaped batch's checkpoint is the **pipeline floor**
+//! ([`LogPipeline::floor`]), and every truncation path stops at the
+//! log's stable end (`RvmShared::stable_end`: the floor, or the tail
+//! with nothing in flight). Everything under it is written *and forced*:
+//! reaps are FIFO and inline completions force before they release the
+//! core lock.
+//!
+//! A batch's checkpoint lets a failed force roll the whole batch back —
+//! unless a later round appended past it while it was in flight, whose
+//! records a rollback would destroy. `Core::wait_generation` counts the
+//! lock releases and `end_tail` catches the appends: a batch rolls back
+//! only if both are unchanged, and otherwise leaves its records in the
+//! log — harmless, since the failure poisons the instance and recovery
+//! replays only complete, committed records.
+//!
+//! ## Lock order
+//!
+//! The queue lock (`state`) is taken alone, or holding a slot's `work`
+//! only to read its outcome — never with `core`: the leader claims its
+//! slots, releases `state`, then takes `core`, and a barrier raised by a
+//! holder of the core guard runs under `MutexGuard::unlocked`. Under
+//! `core` the leader pops spool shards and locks slot `work`. The
+//! pipeline lock (`pipe`) ranks above both: taken while `core` is held
+//! (queueing a submitted batch; floor reads inside truncation), **never**
+//! held while acquiring either. Its condvar parks on `pipe` alone.
+
+mod inflight;
+mod round;
+
+pub(crate) use inflight::LogPipeline;
+
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
+
+use crate::error::{Result, RvmError};
+use crate::log::record::{self, RecordRange};
+use crate::options::{CommitMode, Tuning};
+use crate::ranges::ByteRange;
+use crate::rvm::RvmShared;
+use crate::spool::SpooledTxn;
+use crate::truncation::page_vector::PageVector;
+use crate::txn::Transaction;
+
+/// Maximum record bytes staged under one force; a batch closes before
+/// the member that would exceed it.
+const BATCH_MAX_BYTES: u64 = 8 << 20;
+
+/// The payload a committer parks in the queue and the leader fills in.
+struct SlotWork {
+    /// The serialized transaction, taken by the leader that claims the
+    /// slot; `None` from the start for a barrier, which logs nothing.
+    record: Option<SpooledTxn>,
+    /// Set when the slot's batch completes (or its round fails); the
+    /// committer takes it.
+    outcome: Option<Result<()>>,
+}
+
+/// One waiter's pending flush-mode commit or barrier.
+struct GroupSlot {
+    work: Mutex<SlotWork>,
+}
+
+/// Queue state guarded by the queue lock.
+#[derive(Default)]
+struct GroupState {
+    /// Waiting committers, oldest first; durable-log order follows queue
+    /// order because batches are drained from the front by one leader at
+    /// a time.
+    queue: VecDeque<Arc<GroupSlot>>,
+    /// Whether some committer currently holds leadership.
+    leader_active: bool,
+}
+
+/// The commit queue, its leadership flag, and the follower wakeup.
+#[derive(Default)]
+pub(crate) struct GroupCommit {
+    state: Mutex<GroupState>,
+    /// Signalled after a leader publishes a batch's outcomes and releases
+    /// leadership; woken followers re-check their slot or take over.
+    wakeup: Condvar,
+}
+
+impl RvmShared {
+    /// Commits a transaction; called from [`Transaction::commit`].
+    pub(crate) fn commit_txn(&self, txn: &mut Transaction, mode: CommitMode) -> Result<()> {
+        if let Err(e) = self.check_live() {
+            txn.rollback();
+            return Err(e);
+        }
+        self.run_commit_check(txn);
+        // `Tuning` is `Copy`: a plain read through the lock, no per-commit
+        // heap clone.
+        let tuning = *self.tuning.read();
+        let stats = &self.stats;
+
+        // Read the new values out of recoverable memory *now* — "new-value
+        // records that reflect the current contents of the corresponding
+        // ranges of memory" (§5.1.1).
+        let mut ranges: Vec<RecordRange> = Vec::new();
+        let mut net_data = 0u64;
+        let mut pages_list = Vec::new();
+        let mut txn_regions: Vec<_> = txn.regions.values().collect();
+        txn_regions.sort_by_key(|r| r.region.id);
+        for txn_region in txn_regions {
+            let region = &txn_region.region;
+            let iter: Vec<ByteRange> = if tuning.intra_optimization {
+                txn_region.ranges.iter().collect()
+            } else {
+                txn_region.raw_ranges.clone()
+            };
+            let mut pages = std::collections::BTreeSet::new();
+            for r in &iter {
+                let data = region.read_bytes(r.start, r.len());
+                net_data += data.len() as u64;
+                pages.extend(PageVector::page_span(r.start, r.len()));
+                ranges.push(RecordRange {
+                    seg: region.seg,
+                    offset: region.seg_offset + r.start,
+                    data,
+                });
+            }
+            let pages: Vec<usize> = pages.into_iter().collect();
+            if mode == CommitMode::NoFlush {
+                region.note_pages_spooled(&pages);
+            }
+            pages_list.push((Arc::downgrade(region), pages));
+        }
+        if tuning.intra_optimization && txn.gross_bytes >= net_data {
+            stats.add(&stats.bytes_saved_intra, txn.gross_bytes - net_data);
+        }
+        let record = (!ranges.is_empty()).then(|| SpooledTxn {
+            tid: txn.tid,
+            ticket: 0, // assigned by the spool, if that is where it goes
+            record_bytes: record::txn_record_bytes(&ranges),
+            ranges,
+            pages: pages_list,
+        });
+
+        // A commit that adds nothing to the log or the spool, and drains
+        // nothing, cannot have crossed the truncation threshold.
+        let touches_log = record.is_some() || (mode == CommitMode::Flush && !self.spool.is_empty());
+        let committed = match (mode, record) {
+            // The no-flush fast path: nothing here touches the core lock.
+            // The record goes to the spool plane (one shard lock), page
+            // bookkeeping stays behind the per-region `page_vector`
+            // locks, and the threshold check reads the cursor seqlock —
+            // disjoint-region no-flush commits share no lock at all.
+            (CommitMode::NoFlush, Some(record)) => {
+                let saved = self.spool.push(record, tuning.inter_optimization);
+                stats.add(&stats.bytes_saved_inter, saved);
+                if self.spool.bytes() > tuning.spool_max_bytes {
+                    // Spool overflow is the slow path: drain it.
+                    self.flush_commit_enqueue(None, &tuning)
+                } else {
+                    Ok(())
+                }
+            }
+            (CommitMode::NoFlush, None) => Ok(()),
+            // Park the record in the commit queue and share one force
+            // with every concurrent flush committer. An empty transaction
+            // logs nothing itself, but a flush-mode commit still promises
+            // that every commit that returned before it is durable —
+            // including spooled no-flush commits: it is the barrier.
+            (CommitMode::Flush, record) => self.flush_commit_enqueue(record, &tuning),
+        };
+        if let Err(e) = committed {
+            txn.rollback();
+            return Err(e);
+        }
+        stats.add(
+            match mode {
+                CommitMode::Flush => &stats.flush_commits,
+                CommitMode::NoFlush => &stats.no_flush_commits,
+            },
+            1,
+        );
+        stats.add(&stats.txns_committed, 1);
+        if self.epoch_active.load(Ordering::Acquire) {
+            // An epoch truncation is in flight right now; this commit
+            // made progress through it.
+            stats.add(&stats.commits_during_truncation, 1);
+        }
+        txn.release();
+
+        if touches_log && self.utilization_snapshot() > tuning.truncation_threshold {
+            self.request_truncation(&tuning);
+        }
+        Ok(())
+    }
+
+    /// Waiter side: parks `record` — or, with `None`, a barrier — in the
+    /// commit queue, then either waits for a leader to settle it or
+    /// becomes the leader itself.
+    ///
+    /// Leadership is a baton, not a thread: the first waiter to find no
+    /// active leader takes it, runs one bounded round via
+    /// [`RvmShared::leader_round`], releases it, and re-checks its own
+    /// slot. A waiter whose slot was left out of a bounded round — or
+    /// whose batch is still in flight — simply takes the baton next, so
+    /// every enqueued slot is settled after at most
+    /// `queue length / max_txns` rounds and durable-log order equals
+    /// queue order.
+    fn flush_commit_enqueue(&self, record: Option<SpooledTxn>, tuning: &Tuning) -> Result<()> {
+        let barrier = record.is_none();
+        let slot = Arc::new(GroupSlot {
+            work: Mutex::new(SlotWork {
+                record,
+                outcome: None,
+            }),
+        });
+        {
+            let mut gs = self.group.state.lock();
+            // Only a leader pops the spool, stages, or puts a batch in
+            // flight, and nobody becomes one without this lock: with no
+            // leader, an empty spool and an idle pipeline, every record
+            // committed so far has been settled, and a barrier has
+            // nothing to wait for.
+            if barrier && !gs.leader_active && self.spool.is_empty() && self.pipeline.is_idle() {
+                return if self.poisoned.load(Ordering::Acquire) {
+                    Err(RvmError::Poisoned)
+                } else {
+                    Ok(())
+                };
+            }
+            gs.queue.push_back(slot.clone());
+        }
+        loop {
+            let mut gs = self.group.state.lock();
+            {
+                let mut work = slot.work.lock();
+                if let Some(outcome) = work.outcome.take() {
+                    return outcome;
+                }
+            }
+            if gs.leader_active {
+                // A leader is running (possibly carrying this slot in its
+                // batch); wait for it to publish and hand off.
+                self.group.wakeup.wait(&mut gs);
+                continue;
+            }
+            gs.leader_active = true;
+            drop(gs);
+            self.leader_round(tuning);
+            self.group.state.lock().leader_active = false;
+            self.group.wakeup.notify_all();
+        }
+    }
+
+    /// The barrier: an empty flush-mode commit. On `Ok` every commit that
+    /// returned before the call is durable — the spool drained, every
+    /// record at or below its last one written and forced. Takes the
+    /// queue lock and, as leader, the core lock: a caller that holds the
+    /// core guard runs this under `MutexGuard::unlocked`.
+    pub(crate) fn flush_barrier(&self) -> Result<()> {
+        let tuning = *self.tuning.read();
+        self.flush_commit_enqueue(None, &tuning)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use parking_lot::{Condvar, Mutex};
+    use rvm_storage::{Device, IoToken, MemDevice};
+
+    use crate::segment::MemResolver;
+    use crate::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
+
+    /// A log whose *submitted* forces complete only once the gate opens:
+    /// a submitted batch stays in flight, the core lock free, until then.
+    struct GatedForceLog {
+        inner: MemDevice,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Device for GatedForceLog {
+        fn len(&self) -> rvm_storage::Result<u64> {
+            self.inner.len()
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&self) -> rvm_storage::Result<()> {
+            self.inner.sync()
+        }
+        fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+            self.inner.set_len(len)
+        }
+        fn submit_sync(&self) -> IoToken {
+            IoToken::pending(1)
+        }
+        fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
+            token.into_inline().unwrap_or_else(|_| {
+                let mut open = self.open.lock();
+                while !*open {
+                    self.opened.wait(&mut open);
+                }
+                self.inner.sync()
+            })
+        }
+    }
+
+    /// `PageQueue`'s invariant — descriptor offsets never decrease, which
+    /// `drain_below` relies on — across a `flush()` issued while an older
+    /// batch is still in flight: the drain is a batch behind it in the
+    /// FIFO reap, so its descriptors are enqueued after that batch's.
+    /// (When the drain was a second writer it appended above the batch
+    /// in flight and enqueued first.)
+    #[test]
+    fn flush_behind_a_batch_in_flight_enqueues_in_log_order() {
+        let log = Arc::new(GatedForceLog {
+            inner: MemDevice::with_len(1 << 20),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        });
+        let rvm = Rvm::initialize(
+            Options::new(log.clone())
+                .resolver(MemResolver::new().into_resolver())
+                // One waiter per batch and a window for both committers
+                // to queue up: the first batch is submitted, not inline.
+                .tuning(Tuning {
+                    group_commit_max_txns: 1,
+                    group_commit_wait_us: 50_000,
+                    ..Tuning::default()
+                })
+                .create_if_empty(),
+        )
+        .unwrap();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, 4 * PAGE_SIZE))
+            .unwrap();
+        let commit = |page: u64, mode| {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region
+                .put_u64(&mut txn, page * PAGE_SIZE, page + 1)
+                .unwrap();
+            txn.commit(mode)
+        };
+        std::thread::scope(|s| {
+            let committers = [0, 1].map(|page| s.spawn(move || commit(page, CommitMode::Flush)));
+            while rvm.stats().pipeline_submits == 0 {
+                std::thread::yield_now();
+            }
+            let flusher = s.spawn(|| commit(2, CommitMode::NoFlush).and_then(|()| rvm.flush()));
+            // The flush cannot return before the batch ahead of it does.
+            while rvm.stats().pipeline_submits < 2 {
+                std::thread::yield_now();
+            }
+            assert!(!flusher.is_finished());
+            *log.open.lock() = true;
+            log.opened.notify_all();
+            for handle in committers.into_iter().chain([flusher]) {
+                handle.join().unwrap().unwrap();
+            }
+        });
+        let offsets = rvm.shared.core.lock().page_queue.offsets();
+        assert_eq!(offsets.len(), 3, "three pages, three records");
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{offsets:?}");
+    }
+}

@@ -1,0 +1,378 @@
+//! The leader's round: claim, fill, close, complete.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use parking_lot::MutexGuard;
+
+use super::inflight::InFlightBatch;
+use super::{GroupSlot, BATCH_MAX_BYTES};
+use crate::error::{Result, RvmError};
+use crate::log::wal::{AppendInfo, WalCheckpoint};
+use crate::options::Tuning;
+use crate::rvm::{Core, CoreGuard, RvmShared};
+use crate::spool::SpooledTxn;
+use crate::stats::batch_size_bucket;
+
+/// One member of a batch. A flush commit has a waiter and a record, a
+/// spooled lazy commit only the record, a barrier only the waiter.
+struct Member {
+    waiter: Option<Arc<GroupSlot>>,
+    /// The record and where it was staged.
+    record: Option<(SpooledTxn, AppendInfo)>,
+}
+
+/// The members staged under one force, and what
+/// [`RvmShared::complete_batch`] needs once the batch's writes and force
+/// have finished, whichever thread waited.
+pub(super) struct Batch {
+    /// Log order.
+    members: Vec<Member>,
+    /// Unpadded record bytes staged, against [`BATCH_MAX_BYTES`].
+    bytes: u64,
+    /// WAL cursors before this batch's appends — the rollback point and,
+    /// while this batch is the oldest in flight, the pipeline floor.
+    pub(super) ckpt: WalCheckpoint,
+    /// `Core::wait_generation` at the checkpoint.
+    ckpt_gen: u64,
+    /// WAL tail right after this batch's appends (set when it closes); a
+    /// failure rolls back only if the tail still matches.
+    end_tail: u64,
+}
+
+impl Batch {
+    /// An empty batch at the current tail. The core lock stays held from
+    /// here to the close, so everything in between is this batch's.
+    fn open(core: &Core) -> Self {
+        Batch {
+            members: Vec::new(),
+            bytes: 0,
+            ckpt: core.wal.checkpoint(),
+            ckpt_gen: core.wait_generation,
+            end_tail: core.wal.tail(),
+        }
+    }
+
+    /// Adds a member to the open batch, opening one if need be.
+    fn join(
+        open: &mut Option<Batch>,
+        core: &Core,
+        waiter: Option<Arc<GroupSlot>>,
+        record: Option<(SpooledTxn, AppendInfo)>,
+    ) {
+        let batch = open.get_or_insert_with(|| Batch::open(core));
+        batch.members.push(Member { waiter, record });
+    }
+}
+
+impl RvmShared {
+    /// Leader side — the one log writer. One bounded round: claims up to
+    /// `group_commit_max_txns` slots from the queue front and, under the
+    /// core lock, stages the spooled records (ticket order) and then the
+    /// claimed slots (queue order) into the open batch, which
+    /// [`Self::close_batch`] writes or submits.
+    ///
+    /// Staging and submission both happen under one core-lock hold, in
+    /// queue order: a successor batch must never reach the device while
+    /// an earlier batch's bytes are still an unwritten hole below it, or
+    /// a crash after the successor's force could strand forced records
+    /// beyond a gap the recovery scan cannot cross.
+    pub(super) fn leader_round(&self, tuning: &Tuning) {
+        if tuning.group_commit_wait_us > 0 {
+            // Accumulation window: let concurrent committers join the
+            // batch. Wall-clock only; nothing is charged to a simulated
+            // clock, and no lock is held.
+            std::thread::sleep(std::time::Duration::from_micros(
+                tuning.group_commit_wait_us,
+            ));
+        }
+        let (slots, queue_drained) = {
+            let mut gs = self.group.state.lock();
+            let claim = gs.queue.len().min(tuning.group_commit_max_txns.max(1));
+            let slots: Vec<Arc<GroupSlot>> = gs.queue.drain(..claim).collect();
+            (slots, gs.queue.is_empty())
+        };
+        if slots.is_empty() {
+            // Nothing queued: this round is the pipeline tail. Stand in
+            // as the reaper so in-flight waiters (including, possibly,
+            // this thread's own batch) get their outcomes.
+            self.pipeline_reap_front();
+            return;
+        }
+        // Inline when there is nobody to overlap with. Only a leader puts
+        // batches in flight and leadership is exclusive, so a pipeline
+        // observed idle here stays idle for the rest of the round.
+        let inline = queue_drained && self.pipeline.is_idle();
+        if !inline {
+            self.pipeline_wait_for_room();
+        }
+
+        let mut core = self.core.lock();
+        let mut open: Option<Batch> = None;
+        match self.stage_spool(&mut core, &mut open, inline) {
+            // The waiters were promised everything spooled before them.
+            Err(e) => self.fail_waiters(slots.iter(), e),
+            Ok(()) => {
+                for slot in &slots {
+                    let record = slot.work.lock().record.take();
+                    let staged = match record {
+                        None => Ok(None), // a barrier: nothing to append
+                        Some(txn) => self
+                            .stage(&mut core, &mut open, inline, &txn)
+                            .map(|info| Some((txn, info))),
+                    };
+                    match staged {
+                        Ok(record) => Batch::join(&mut open, &core, Some(slot.clone()), record),
+                        // Its own failure (out of log space, say), alone.
+                        Err(e) => slot.work.lock().outcome = Some(Err(e)),
+                    }
+                }
+            }
+        }
+        let behind_predecessor = self.close_batch(&mut core, &mut open, inline);
+        drop(core);
+        // Reap the predecessor, if any: its force has been in flight
+        // while this batch filled. This batch itself stays in flight so
+        // the *next* leader's fill overlaps it.
+        if behind_predecessor {
+            self.pipeline_reap_front();
+        }
+    }
+
+    /// Stages every spooled record, oldest first — the only code that
+    /// pops the spool. A record that cannot be staged goes back to the
+    /// spool front, so whoever drains next still appends in commit order.
+    fn stage_spool(
+        &self,
+        core: &mut CoreGuard<'_>,
+        open: &mut Option<Batch>,
+        inline: bool,
+    ) -> Result<()> {
+        if self.poisoned.load(Ordering::Acquire) {
+            // Poisoned between enqueue and leadership (e.g. by the
+            // previous batch): fail fast without touching the log.
+            return Err(RvmError::Poisoned);
+        }
+        let mut drained = false;
+        while !self.spool.is_empty() {
+            let Some(txn) = self.spool.pop_front() else {
+                break;
+            };
+            match self.stage(core, open, inline, &txn) {
+                Ok(info) => {
+                    drained = true;
+                    Batch::join(open, core, None, Some((txn, info)));
+                }
+                Err(e) => {
+                    self.spool.requeue_front(txn);
+                    return Err(e);
+                }
+            }
+        }
+        if drained {
+            self.stats.add(&self.stats.spool_flushes, 1);
+        }
+        Ok(())
+    }
+
+    /// Stages one record into the open batch (opening one if need be).
+    /// One rule for a record that does not fit *right now* — in the log,
+    /// or under [`BATCH_MAX_BYTES`]: the batch staged so far closes, so
+    /// nothing sits unforced below a truncation boundary;
+    /// [`Self::make_log_space`] **releases the core lock** to make room;
+    /// and the fill resumes in a new batch. With nothing reclaimable the
+    /// record keeps its own `LogFull` (raised before any cursor or
+    /// staging mutation, so there is nothing to undo).
+    fn stage(
+        &self,
+        core: &mut CoreGuard<'_>,
+        open: &mut Option<Batch>,
+        inline: bool,
+        txn: &SpooledTxn,
+    ) -> Result<AppendInfo> {
+        if open
+            .as_ref()
+            .is_some_and(|b| b.bytes > 0 && b.bytes + txn.record_bytes > BATCH_MAX_BYTES)
+        {
+            self.close_and_continue(core, open, inline);
+        }
+        loop {
+            if self.poisoned.load(Ordering::Acquire) {
+                return Err(RvmError::Poisoned);
+            }
+            let batch = open.get_or_insert_with(|| Batch::open(core));
+            let Core { wal, staging, .. } = &mut **core;
+            match wal.append_txn_staged(txn.tid, &txn.ranges, staging) {
+                Ok(info) => {
+                    batch.bytes += txn.record_bytes;
+                    return Ok(info);
+                }
+                Err(e) if wal.full_for_now(&e) => {
+                    self.close_and_continue(core, open, inline);
+                    if !self.make_log_space(core)? {
+                        return Err(e);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Mid-round close: the fill goes on in a new batch, which on the
+    /// submitted side needs room in flight first (core lock released for
+    /// the wait; nothing is staged).
+    fn close_and_continue(&self, core: &mut CoreGuard<'_>, open: &mut Option<Batch>, inline: bool) {
+        self.close_batch(core, open, inline);
+        if !inline {
+            MutexGuard::unlocked(core, || self.pipeline_wait_for_room());
+        }
+    }
+
+    /// Closes the open batch, if it has members: the staged bytes reach
+    /// the device in one write (two on wrap) under one force — the only
+    /// caller of the WAL's — and one [`Self::complete_batch`] settles
+    /// every member: here, inline, or at the reap of the batch this
+    /// submits. Returns whether it was submitted behind an older batch
+    /// still in flight.
+    fn close_batch(
+        &self,
+        core: &mut CoreGuard<'_>,
+        open: &mut Option<Batch>,
+        inline: bool,
+    ) -> bool {
+        let Some(mut batch) = open.take().filter(|b| !b.members.is_empty()) else {
+            return false;
+        };
+        batch.end_tail = core.wal.tail();
+        // A batch of barriers appends nothing and needs no force of its
+        // own: everything below it is forced by the time it completes.
+        // `skip_group_force` (crashmc mutation hook) acknowledges a batch
+        // without its durability barrier: the classic lost-commit bug the
+        // model checker must be able to see.
+        let force = batch.bytes > 0 && !core.hooks.skip_group_force;
+        if inline {
+            let io = core.wal.write_staged(&core.staging).and_then(|()| {
+                if force {
+                    core.wal.force()
+                } else {
+                    Ok(())
+                }
+            });
+            core.staging.clear();
+            self.complete_batch(core, batch, io);
+            return false;
+        }
+        let Core { wal, staging, .. } = &mut **core;
+        let mut tokens = wal.submit_staged(staging);
+        tokens.extend(force.then(|| wal.submit_force()));
+        let stats = &self.stats;
+        stats.add(&stats.pipeline_submits, 1);
+        let (depth, behind_predecessor) = {
+            let mut ps = self.pipeline.pipe.lock();
+            ps.in_flight.push_back(InFlightBatch { batch, tokens });
+            (ps.depth(), ps.in_flight.len() > 1)
+        };
+        stats
+            .forces_in_flight_hw
+            .fetch_max(depth as u64, Ordering::Relaxed);
+        behind_predecessor
+    }
+
+    /// Completes a closed batch whose writes and force finished with
+    /// `io` — the one place a batch's outcome is decided, called with
+    /// the core lock held by whichever thread waited for the device (the
+    /// leader itself inline, the FIFO reap otherwise).
+    ///
+    /// On success: statistics, page-vector, page-queue and `segs_in_log`
+    /// bookkeeping for every record, and `Ok` to every waiter. On failure
+    /// the batch fails *whole*: the WAL cursors roll back to the
+    /// pre-batch checkpoint iff nothing appended past the batch, and a
+    /// device error poisons the instance, because records may sit
+    /// unacknowledged in the device's write-behind cache.
+    pub(super) fn complete_batch(&self, core: &mut Core, batch: Batch, io: Result<()>) {
+        let stats = &self.stats;
+        if let Err(e) = io {
+            // The checkpoint is a valid rollback point only while nothing
+            // appended past the batch: the tail still matches its
+            // post-append position and no core-lock release (which lets
+            // a later round append) bumped the wait generation. Otherwise
+            // the records stay in the log unacknowledged — the instance
+            // poisons below. (`skip_group_rollback`, a crashmc mutation
+            // hook, reintroduces the cursors-past-unforced-records bug
+            // the rollback exists to prevent.)
+            if core.wait_generation == batch.ckpt_gen
+                && core.wal.tail() == batch.end_tail
+                && !core.hooks.skip_group_rollback
+            {
+                core.wal.rollback_to(batch.ckpt);
+            }
+            let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
+            let waiters = batch.members.iter().filter_map(|m| m.waiter.as_ref());
+            self.fail_waiters(waiters, e);
+            return;
+        }
+        // Flush commits only: spooled records and barriers ride along.
+        let committed = batch
+            .members
+            .iter()
+            .filter(|m| m.waiter.is_some() && m.record.is_some())
+            .count() as u64;
+        if batch.bytes > 0 {
+            stats.add(&stats.log_forces, 1);
+            stats.add(&stats.bytes_logged, batch.bytes);
+        }
+        if committed > 0 {
+            stats.add(&stats.group_commit_batches, 1);
+            stats.add(&stats.group_commit_txns, committed);
+            if let Some(bucket) = stats
+                .group_commit_batch_sizes
+                .get(batch_size_bucket(committed))
+            {
+                stats.add(bucket, 1);
+            }
+        }
+        for Member { waiter, record } in batch.members {
+            if let Some((txn, info)) = record {
+                for (region, pages) in &txn.pages {
+                    // A spooled record's region may have been unmapped.
+                    let Some(region) = region.upgrade() else {
+                        continue;
+                    };
+                    match waiter {
+                        Some(_) => region.note_pages_logged(pages),
+                        None => region.note_spool_drained(pages),
+                    }
+                    for &p in pages {
+                        core.page_queue.enqueue(&region, p, info.offset, info.seq);
+                    }
+                }
+                for r in &txn.ranges {
+                    core.segs_in_log.insert(r.seg.as_u32());
+                }
+            }
+            if let Some(slot) = waiter {
+                slot.work.lock().outcome = Some(Ok(()));
+            }
+        }
+    }
+
+    /// Fails `waiters` with `e`: the first receives the original error
+    /// (for a lone waiter, exactly what its own call would see) and the
+    /// rest the state the failure left behind — `Poisoned` after a device
+    /// error, or the same `LogFull` when a spooled record ran out of log
+    /// space, which leaves the instance healthy.
+    fn fail_waiters<'a>(&self, waiters: impl Iterator<Item = &'a Arc<GroupSlot>>, e: RvmError) {
+        let log_full = match &e {
+            RvmError::LogFull { needed, capacity } => Some((*needed, *capacity)),
+            _ => None,
+        };
+        let mut original = Some(e);
+        for slot in waiters {
+            let e = original.take().unwrap_or(match log_full {
+                Some((needed, capacity)) => RvmError::LogFull { needed, capacity },
+                None => RvmError::Poisoned,
+            });
+            slot.work.lock().outcome = Some(Err(e));
+        }
+    }
+}

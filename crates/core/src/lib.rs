@@ -73,11 +73,13 @@
 //!   *poisoning* ([`RvmError::Poisoned`]) when an unrecoverable I/O
 //!   failure lands mid-commit, keeping in-memory cursors and the durable
 //!   image consistent.
-//! * Group commit: concurrent flush-mode commits share a single log
-//!   force through a leader/follower commit queue (bounded by
-//!   [`Tuning::group_commit_max_txns`]), and a leader with committers
-//!   still queued behind it overlaps its force with the next batch; both
-//!   with per-batch statistics surfaced via `query`.
+//! * Group commit, the one log writer: concurrent flush-mode commits
+//!   share a single log force through a leader/follower commit queue
+//!   (bounded by [`Tuning::group_commit_max_txns`]), spooled no-flush
+//!   commits ride the leader's batch, `flush` is an empty flush commit in
+//!   the same queue, and a leader with committers still queued behind it
+//!   overlaps its force with the next batch; all with per-batch
+//!   statistics surfaced via `query`.
 //!
 //! Layered packages live in sibling crates, as the paper suggests (§8):
 //! `rvm-alloc` (recoverable heap), `rvm-loader` (segment loader),
@@ -96,8 +98,8 @@
 //!    checksum catalogs live behind their own `RwLock` registries
 //!    (`seg_devices`, `seg_catalogs`, ranked just above `core`); spooled
 //!    no-flush commits land in sharded `SpoolPlane` locks
-//!    (rank between `core` and `group-work` — `flush_spool_locked` pops
-//!    shards while holding `core`). Statistics are relaxed atomics with
+//!    (rank between `core` and `group-work` — the commit leader's fill
+//!    pops shards while holding `core`). Statistics are relaxed atomics with
 //!    no lock at all.
 //! 2. `RvmShared::regions` (read or write) — the region map.
 //! 3. Per-region memory locks (`mem_lock`), then per-region
@@ -115,9 +117,11 @@
 //!   `check` *before* anything that takes `core` (`query` historically
 //!   held `check` across its `core` acquisition while commit paths took
 //!   them in the opposite order — a lock-order inversion, fixed).
-//! * The group-commit queue locks (`group::CommitQueue`) are taken only
-//!   while `core` is *not* held; the leader acquires `core` after
-//!   claiming the batch.
+//! * The commit-queue locks (`commit::GroupCommit`) are taken only while
+//!   `core` is *not* held: the leader acquires `core` after claiming its
+//!   slots, and a holder of the core guard that needs the spool durable
+//!   (a `map` settling its segment, incremental truncation) raises the
+//!   barrier under `MutexGuard::unlocked`.
 //! * The commit fast paths are plane-local: a disjoint-region no-flush
 //!   commit touches only its spool shard plus per-region state, and
 //!   `query` / read-only `begin_transaction` acquire no shared lock at
@@ -134,15 +138,14 @@
 //! second lock.
 
 mod check;
+mod commit;
 pub mod crc;
 mod cursor;
 mod error;
-mod group;
 pub mod log;
 #[cfg(any(loom, test))]
 pub mod models;
 mod options;
-mod pipeline;
 pub mod query;
 pub mod ranges;
 pub mod recovery;

@@ -107,10 +107,8 @@ impl StagingBuf {
     }
 }
 
-/// A snapshot of the append cursors, taken before a group-commit batch so
-/// a failed shared force can roll the whole group back at once (the
-/// multi-record extension of the single-append restore in
-/// [`Wal::append_txn`]).
+/// A snapshot of the append cursors, taken when a batch opens so a failed
+/// shared force can roll the whole batch back at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalCheckpoint {
     tail: u64,
@@ -244,13 +242,13 @@ impl Wal {
     }
 
     /// Appends one committed transaction as a single record: stages it
-    /// ([`Wal::append_txn_staged`]) and writes the staged bytes.
+    /// ([`Wal::append_txn_staged`]) and writes the staged bytes. The
+    /// one-record convenience for tools and tests; the library's commit
+    /// plane stages whole batches itself.
     ///
     /// The caller is responsible for ensuring space (triggering truncation
-    /// as needed); if the record cannot fit in the *entire* area the error
-    /// is [`RvmError::LogFull`], and if it merely cannot fit right now the
-    /// error is [`RvmError::LogFull`] with `capacity` set to the free
-    /// space — callers distinguish by comparing against [`Wal::capacity`].
+    /// as needed); see [`Wal::full_for_now`] for telling the two kinds of
+    /// [`RvmError::LogFull`] apart.
     pub fn append_txn(&mut self, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
         let ckpt = self.checkpoint();
         let mut staging = StagingBuf::new();
@@ -278,7 +276,10 @@ impl Wal {
     ///
     /// The only possible error is [`RvmError::LogFull`], raised before any
     /// cursor or staging mutation, so a failed staged append needs no
-    /// rollback and leaves `staging` untouched.
+    /// rollback and leaves `staging` untouched. A record that cannot fit
+    /// in the *entire* area reports the area as `capacity`; one that
+    /// merely cannot fit right now reports the free space
+    /// ([`Wal::full_for_now`]).
     pub fn append_txn_staged(
         &mut self,
         tid: u64,
@@ -323,6 +324,13 @@ impl Wal {
             record_bytes: record::txn_record_bytes(ranges),
             space_consumed: need,
         })
+    }
+
+    /// Whether `e` is an append's "does not fit *right now*": a
+    /// [`RvmError::LogFull`] against less than the whole area, which
+    /// truncation can cure by making room.
+    pub fn full_for_now(&self, e: &RvmError) -> bool {
+        matches!(e, RvmError::LogFull { capacity, .. } if *capacity < self.area_len)
     }
 
     /// Writes every staged chunk to the device in place, leaving `staging`

@@ -1,47 +1,52 @@
-//! Interleaving models of the flush-commit protocol.
+//! Interleaving models of the commit plane.
 //!
 //! Two models, two halves of the protocol:
 //!
-//! * [`GroupModel`] — the leader's *batch* half: WAL checkpoint, a fill
-//!   that rolls its staged appends back and starts over whenever it has
-//!   to release the core lock (waiting out an epoch truncation), the
-//!   submitted force that completes with the lock released, and the
-//!   guarded rollback on force failure. The property at stake is that a
-//!   rollback never destroys records appended by another thread while the
-//!   batch was in flight.
-//! * [`BatonModel`] — the committer's *queue* half: enqueue, wait on the
-//!   group condvar or take the leadership baton, leader publishes every
-//!   queued outcome and hands off. The property at stake is that every
-//!   committer eventually observes exactly one outcome — no lost wakeup,
-//!   no slot stranded in the queue.
+//! * [`GroupModel`] — the leader's *batch* half: a fill that, when a
+//!   member does not fit, closes the batch staged so far, releases the
+//!   core lock to wait out an epoch truncation, and resumes in a new
+//!   batch at a fresh checkpoint; the submitted force that completes with
+//!   the lock released; and the guarded rollback on force failure. The
+//!   property at stake is that a rollback never destroys records appended
+//!   by another thread while the batch was in flight.
+//! * [`BatonModel`] — the waiter's *queue* half: a flush committer and a
+//!   lazy committer that spools its record and then raises a barrier;
+//!   each waiter takes its outcome, waits on the queue condvar or takes
+//!   the leadership baton; the leader pops the spool, settles every
+//!   queued slot and hands off. The properties at stake are that every
+//!   waiter observes exactly one outcome — no lost wakeup, no slot
+//!   stranded, nothing published twice — and that the barrier never
+//!   returns before the record spooled ahead of it is in the log.
 
 use super::explore::Model;
 
 const DONE: u8 = 99;
 
-/// Leader / truncator / flusher model of the batch-rollback protocol.
+/// Leader / truncator / successor model of the batch-rollback protocol.
 ///
 /// Threads:
-/// * **0 — leader**: under the core lock, `ckpt → stage A → stage B →
-///   submit`; a stage attempted while an epoch is in flight rolls the
-///   staged records back, waits on `epoch_done` (releasing the lock,
-///   bumping `wait_gen` on wake) and restarts from a fresh checkpoint.
-///   After the submit the lock is released; the force completes
-///   off-lock; the leader then reacquires the lock to complete the batch
+/// * **0 — leader**: under the core lock, opens a batch (checkpoint) and
+///   stages members A and B. A member staged while an epoch is in flight
+///   "does not fit right now": the leader closes the batch staged so far
+///   — written, forced and completed before the lock is released — waits
+///   on `epoch_done` (releasing the lock, bumping `wait_gen` on wake) and
+///   resumes the fill in a new batch at a fresh checkpoint. The last
+///   batch is submitted: the lock is released, the force completes
+///   off-lock, and the leader reacquires the lock to complete the batch
 ///   — publish, or on a failed force the guarded rollback. (The inline
 ///   side of the real path is the schedule in which nobody runs between
 ///   the submit and the completion.)
 /// * **1 — truncator**: the three-phase epoch truncation — snapshot
 ///   under the lock, apply off-lock, complete under the lock and
 ///   `notify_all`.
-/// * **2 — flusher**: an independent committer whose (small) record
-///   appends without waiting and forces immediately — the thread whose
-///   record a bad rollback would destroy.
+/// * **2 — successor**: the next leader, whose (small) round appends
+///   without waiting and forces immediately — the thread whose record a
+///   bad rollback would destroy.
 ///
 /// The leader's stages wait whenever an epoch is in flight (modeling
-/// "batch does not fit until the frozen span is freed"); the flusher's
-/// single record always fits. The window between the leader's submit and
-/// its completion is where the flusher can append past the batch — the
+/// "does not fit until the frozen span is freed"); the successor's single
+/// record always fits. The window between the leader's submit and its
+/// completion is where the successor can append past the batch — the
 /// interference the rollback guard (`end_len` and `wait_gen` unchanged)
 /// exists for.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -49,7 +54,8 @@ pub struct GroupModel {
     /// Model mutation: `false` removes the rollback guard, the bug the
     /// explorer must be able to exhibit.
     pub guard_enabled: bool,
-    /// Whether the leader's force fails (exercising the rollback path).
+    /// Whether the leader's submitted force fails (exercising the rollback
+    /// path).
     pub force_fails: bool,
 
     lock: Option<u8>,
@@ -63,6 +69,8 @@ pub struct GroupModel {
     epoch_waiters: u8,
 
     leader_pc: u8,
+    /// Members staged so far, over all of the round's batches.
+    staged: u8,
     ckpt_len: u8,
     ckpt_gen: u8,
     /// Log length right after the batch's appends (`end_tail`).
@@ -72,8 +80,8 @@ pub struct GroupModel {
 
     trunc_pc: u8,
 
-    flush_pc: u8,
-    flusher_forced: bool,
+    succ_pc: u8,
+    successor_forced: bool,
 }
 
 impl GroupModel {
@@ -88,30 +96,15 @@ impl GroupModel {
             forced: 0,
             epoch_waiters: 0,
             leader_pc: 0,
+            staged: 0,
             ckpt_len: 0,
             ckpt_gen: 0,
             end_len: 0,
             leader_outcome: None,
             rollbacks: 0,
             trunc_pc: 0,
-            flush_pc: 0,
-            flusher_forced: false,
-        }
-    }
-
-    fn leader_stage(&mut self, next_pc: u8) {
-        if self.epoch {
-            // No room until the epoch completes: roll the staged records
-            // back (the lock has been held since the checkpoint, so
-            // everything past it is this batch's), then wait on
-            // epoch_done, releasing the lock.
-            self.log.truncate(self.ckpt_len as usize);
-            self.epoch_waiters |= 1;
-            self.lock = None;
-            self.leader_pc = 20;
-        } else {
-            self.log.push(0);
-            self.leader_pc = next_pc;
+            succ_pc: 0,
+            successor_forced: false,
         }
     }
 
@@ -122,13 +115,28 @@ impl GroupModel {
                 self.leader_pc = 1;
             }
             1 => {
-                // wal.checkpoint() + wait_generation snapshot.
+                // Open a batch: wal.checkpoint() + wait_generation.
                 self.ckpt_len = self.log.len() as u8;
                 self.ckpt_gen = self.wait_gen;
                 self.leader_pc = 2;
             }
-            2 => self.leader_stage(3),
-            3 => self.leader_stage(4),
+            2 if self.epoch => {
+                // The next member does not fit until the epoch completes:
+                // close the batch staged so far (the lock has been held
+                // since it opened, so it completes here, forced), then
+                // wait on epoch_done, releasing the lock.
+                self.forced = self.log.len() as u8;
+                self.epoch_waiters |= 1;
+                self.lock = None;
+                self.leader_pc = 20;
+            }
+            2 => {
+                self.log.push(0);
+                self.staged += 1;
+                if self.staged == 2 {
+                    self.leader_pc = 4;
+                }
+            }
             4 => {
                 // Submit the writes and the force; the batch is in flight
                 // and the lock is free.
@@ -162,7 +170,7 @@ impl GroupModel {
                 self.leader_pc = DONE;
             }
             // Woken from an epoch wait: reacquire the lock, bump the
-            // generation, start the fill over from a fresh checkpoint.
+            // generation, resume the fill in a new batch.
             21 => {
                 self.lock = Some(0);
                 self.wait_gen += 1;
@@ -212,25 +220,25 @@ impl GroupModel {
         }
     }
 
-    fn step_flusher(&mut self) {
-        match self.flush_pc {
+    fn step_successor(&mut self) {
+        match self.succ_pc {
             0 => {
                 self.lock = Some(2);
-                self.flush_pc = 1;
+                self.succ_pc = 1;
             }
             1 => {
                 self.log.push(2);
-                self.flush_pc = 2;
+                self.succ_pc = 2;
             }
             2 => {
                 // A force makes the whole log prefix durable.
                 self.forced = self.log.len() as u8;
-                self.flusher_forced = true;
-                self.flush_pc = 3;
+                self.successor_forced = true;
+                self.succ_pc = 3;
             }
             3 => {
                 self.lock = None;
-                self.flush_pc = DONE;
+                self.succ_pc = DONE;
             }
             _ => unreachable!("flusher stepped while blocked"),
         }
@@ -256,7 +264,7 @@ impl Model for GroupModel {
                 3 => true,                    // the off-lock apply
                 _ => self.lock == Some(1),
             },
-            _ => match self.flush_pc {
+            _ => match self.succ_pc {
                 DONE => false,
                 0 => self.lock.is_none(),
                 _ => self.lock == Some(2),
@@ -268,7 +276,7 @@ impl Model for GroupModel {
         match t {
             0 => self.leader_pc == DONE,
             1 => self.trunc_pc == DONE,
-            _ => self.flush_pc == DONE,
+            _ => self.succ_pc == DONE,
         }
     }
 
@@ -276,7 +284,7 @@ impl Model for GroupModel {
         match t {
             0 => self.step_leader(),
             1 => self.step_truncator(),
-            _ => self.step_flusher(),
+            _ => self.step_successor(),
         }
     }
 
@@ -287,12 +295,12 @@ impl Model for GroupModel {
         if self.rollbacks > 1 {
             return Err("batch rollback ran twice".into());
         }
-        if self.flusher_forced && !self.log.contains(&2) {
+        if self.successor_forced && !self.log.contains(&2) {
             return Err(
                 "rollback destroyed another thread's forced record (rollback guard missing)".into(),
             );
         }
-        let all_done = self.leader_pc == DONE && self.trunc_pc == DONE && self.flush_pc == DONE;
+        let all_done = self.leader_pc == DONE && self.trunc_pc == DONE && self.succ_pc == DONE;
         if all_done {
             if self.leader_outcome.is_none() {
                 return Err("leader finished without publishing an outcome".into());
@@ -308,62 +316,97 @@ impl Model for GroupModel {
     }
 }
 
-/// Committer-side model of the leadership baton and follower wakeup.
+/// Waiter-side model of the leadership baton and follower wakeup.
 ///
-/// Two committers enqueue one slot each, then loop exactly like
-/// `group_commit_enqueue`: take the outcome if published, wait on the
-/// group condvar if a leader is active, otherwise take the baton, commit
-/// the whole queue, release the baton, and notify. The explorer's
-/// deadlock detection doubles as the lost-wakeup check: a committer
-/// parked on the condvar after its wakeup already fired can never finish.
+/// Waiter 0 is a flush committer: it enqueues a slot carrying a record.
+/// Waiter 1 is a lazy committer: it pushes its record onto the spool —
+/// no lock, no slot — and then raises a barrier: under the queue lock it
+/// returns at once if no leader is active and the spool is empty, and
+/// otherwise enqueues a slot with no record. Both then loop exactly like
+/// `flush_commit_enqueue`: take the outcome if published, wait on the
+/// queue condvar if a leader is active, otherwise take the baton, run a
+/// round (claim the queue and pop the spool; then log what was popped
+/// and publish every claimed slot), release the baton, and notify. The
+/// explorer's deadlock detection doubles as the lost-wakeup check: a
+/// waiter parked on the condvar after its wakeup already fired can never
+/// finish.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BatonModel {
     /// Model mutation: `false` splits the condvar wait into
     /// release-then-park (the classic lost-wakeup bug); `true` parks and
     /// releases atomically, as `Condvar::wait` does.
     pub atomic_wait: bool,
+    /// Model mutation: `false` lets the barrier return on an empty spool
+    /// alone, without looking at `leader_active` — while a leader may
+    /// hold the popped record, not yet logged.
+    pub barrier_sees_leader: bool,
 
     lock: Option<u8>,
     queue: Vec<u8>,
     leader_active: bool,
-    outcome_published: [bool; 2],
+    /// Records in the spool, in the round leader's hands, and in the log.
+    spool: u8,
+    in_hand: u8,
+    logged: u8,
+    /// Slots the round in progress claimed.
+    claimed: Vec<u8>,
+    /// Times each waiter's outcome was published / whether it was taken.
+    published: [u8; 2],
     outcome_taken: [bool; 2],
-    /// Bitmask of committers parked on the group condvar.
+    /// Bitmask of waiters parked on the queue condvar.
     waiters: u8,
     pc: [u8; 2],
 }
 
 impl BatonModel {
-    pub fn new(atomic_wait: bool) -> Self {
+    pub fn new(atomic_wait: bool, barrier_sees_leader: bool) -> Self {
         BatonModel {
             atomic_wait,
+            barrier_sees_leader,
             lock: None,
             queue: Vec::new(),
             leader_active: false,
-            outcome_published: [false; 2],
+            spool: 0,
+            in_hand: 0,
+            logged: 0,
+            claimed: Vec::new(),
+            published: [0; 2],
             outcome_taken: [false; 2],
             waiters: 0,
-            pc: [0; 2],
+            // The lazy committer starts by spooling its record.
+            pc: [0, 10],
         }
     }
 
-    fn step_committer(&mut self, i: usize) {
+    fn step_waiter(&mut self, i: usize) {
         match self.pc[i] {
+            // The no-flush commit: one spool push, no shared lock.
+            10 => {
+                self.spool += 1;
+                self.pc[i] = 0;
+            }
             0 => {
                 self.lock = Some(i as u8);
                 self.pc[i] = 1;
             }
             1 => {
-                self.queue.push(i as u8);
+                let settled = self.spool == 0 && !(self.barrier_sees_leader && self.leader_active);
+                if i == 1 && settled {
+                    // The barrier's fast return.
+                    self.outcome_taken[i] = true;
+                    self.pc[i] = DONE;
+                } else {
+                    self.queue.push(i as u8);
+                    self.pc[i] = 2;
+                }
                 self.lock = None;
-                self.pc[i] = 2;
             }
             2 => {
                 self.lock = Some(i as u8);
                 self.pc[i] = 3;
             }
             3 => {
-                if self.outcome_published[i] {
+                if self.published[i] > 0 {
                     self.outcome_taken[i] = true;
                     self.lock = None;
                     self.pc[i] = DONE;
@@ -390,12 +433,19 @@ impl BatonModel {
                 self.pc[i] = 4;
             }
             6 => {
-                // Leader round: commit every queued slot (the real leader
-                // takes the core lock here, not the group lock).
-                for &j in &self.queue {
-                    self.outcome_published[j as usize] = true;
+                // Leader round, claim: the queued slots, then (under the
+                // core lock, which this model leaves out) the spool.
+                self.claimed = std::mem::take(&mut self.queue);
+                self.in_hand = std::mem::take(&mut self.spool);
+                self.pc[i] = 9;
+            }
+            9 => {
+                // Leader round, completion: the popped records reach the
+                // log and every claimed slot gets its outcome.
+                self.logged += std::mem::take(&mut self.in_hand);
+                for j in std::mem::take(&mut self.claimed) {
+                    self.published[j as usize] += 1;
                 }
-                self.queue.clear();
                 self.pc[i] = 7;
             }
             7 => {
@@ -414,7 +464,7 @@ impl BatonModel {
                 self.lock = None;
                 self.pc[i] = 2;
             }
-            _ => unreachable!("committer stepped while parked"),
+            _ => unreachable!("waiter stepped while parked"),
         }
     }
 }
@@ -428,7 +478,7 @@ impl Model for BatonModel {
         match self.pc[t] {
             DONE | 4 => false,
             0 | 2 | 7 => self.lock.is_none(),
-            5 | 6 => true,
+            5 | 6 | 9 | 10 => true,
             _ => self.lock == Some(t as u8),
         }
     }
@@ -438,24 +488,36 @@ impl Model for BatonModel {
     }
 
     fn step(&mut self, t: usize) {
-        self.step_committer(t);
+        self.step_waiter(t);
     }
 
     fn check(&self) -> Result<(), String> {
-        for i in 0..2 {
-            if self.outcome_taken[i] && !self.outcome_published[i] {
-                return Err(format!("committer {i} took an unpublished outcome"));
-            }
+        if self.outcome_taken[0] && self.published[0] == 0 {
+            return Err("the committer took an unpublished outcome".into());
+        }
+        if let Some(i) = self.published.iter().position(|&n| n > 1) {
+            return Err(format!("waiter {i}'s outcome was published twice"));
+        }
+        if self.pc[1] == DONE && self.logged == 0 {
+            return Err(
+                "the barrier returned before the record spooled ahead of it was logged".into(),
+            );
         }
         if self.pc.iter().all(|&pc| pc == DONE) {
             if self.leader_active {
                 return Err("leadership baton leaked past termination".into());
             }
-            if !self.queue.is_empty() {
+            if !self.queue.is_empty() || !self.claimed.is_empty() {
                 return Err("slot stranded in the queue".into());
             }
             if !(self.outcome_taken[0] && self.outcome_taken[1]) {
-                return Err("a committer finished without its outcome".into());
+                return Err("a waiter finished without its outcome".into());
+            }
+            if self.logged != 1 {
+                return Err(format!(
+                    "the spooled record was logged {} times",
+                    self.logged
+                ));
             }
         }
         Ok(())
@@ -501,11 +563,11 @@ mod tests {
 
     #[test]
     fn baton_handoff_never_strands_a_committer() {
-        let report = explore(BatonModel::new(true), 2_000_000);
+        let report = explore(BatonModel::new(true, true), 2_000_000);
         assert!(report.complete, "state space fully covered");
         assert!(
             report.violation.is_none(),
-            "no lost wakeup, every slot commits: {:?}",
+            "no lost wakeup, every slot settles once, the barrier holds: {:?}",
             report.violation
         );
         assert!(report.states > 50, "nontrivial state space");
@@ -513,10 +575,19 @@ mod tests {
 
     #[test]
     fn non_atomic_wait_loses_a_wakeup() {
-        let report = explore(BatonModel::new(false), 2_000_000);
+        let report = explore(BatonModel::new(false, true), 2_000_000);
         let (msg, _) = report
             .violation
             .expect("release-then-park must deadlock in some schedule");
         assert!(msg.contains("deadlock"), "unexpected violation: {msg}");
+    }
+
+    #[test]
+    fn barrier_that_ignores_the_leader_acknowledges_an_unlogged_record() {
+        let report = explore(BatonModel::new(true, false), 2_000_000);
+        let (msg, _) = report
+            .violation
+            .expect("an empty spool alone does not mean the record is in the log");
+        assert!(msg.contains("barrier returned"), "unexpected: {msg}");
     }
 }

@@ -17,14 +17,17 @@
 //! Three protocols are modeled, matching the PRs that complicated the
 //! durability argument:
 //!
-//! * [`group_model`] — the flush-commit leader baton: batch checkpoint,
-//!   a fill that starts over whenever it released the core lock, the
-//!   single force completing while the batch is in flight, and the
-//!   rollback guarded by `end_tail`/`wait_generation`. The headline
-//!   theorem is that the guard is *necessary and sufficient* in the
-//!   model: with it no schedule destroys another thread's appended
-//!   record, and with it removed the explorer exhibits a schedule that
-//!   does.
+//! * [`group_model`] — the commit plane. The leader's batch: a
+//!   checkpoint, a fill that closes the batch and resumes in a new one
+//!   whenever it must release the core lock, the single force completing
+//!   while the batch is in flight, and the rollback guarded by
+//!   `end_tail`/`wait_generation` — the guard is *necessary and
+//!   sufficient* in the model: with it no schedule destroys another
+//!   thread's appended record, and with it removed the explorer exhibits
+//!   a schedule that does. And the leadership baton, with a spooled
+//!   record and a barrier slot: no lost wakeup, nothing published twice,
+//!   and a barrier that skips the leader check is convicted of returning
+//!   before the record spooled ahead of it is logged.
 //! * [`epoch_model`] — the one epoch-truncation protocol and its
 //!   `epoch_done` condvar handshake: a committer out of log space waits
 //!   an epoch in flight out or becomes the truncator itself (lock

@@ -132,11 +132,12 @@ pub struct Tuning {
     /// instead of only recording it. For tests and debugging sessions
     /// that want to die at the first contract breach.
     pub panic_on_violation: bool,
-    /// Maximum transactions appended under one force. Concurrent
+    /// Maximum flush-mode commits acknowledged by one force. Concurrent
     /// flush-mode commits queue up and one leader appends every waiting
     /// transaction and forces once for the whole batch (group commit);
     /// durable-log order still matches commit order, and a lone committer
-    /// is a batch of one. `1` is one force per commit.
+    /// is a batch of one. `1` is one force per commit. Spooled no-flush
+    /// commits ride along in the leader's batch uncounted.
     pub group_commit_max_txns: usize,
     /// Accumulation window in microseconds: a new leader waits this long
     /// before draining the queue so concurrent committers can join its

@@ -1,5 +1,7 @@
-//! The top-level RVM instance: initialization, mapping, commit paths,
-//! flushing, and truncation (Figure 4's operation set).
+//! The top-level RVM instance: initialization, mapping, flushing, and
+//! truncation (Figure 4's operation set), and the state the commit
+//! ([`crate::commit`]) and truncation ([`crate::truncation`]) planes
+//! share.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -11,14 +13,12 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rvm_storage::Device;
 
 use crate::check::{self, CheckState, CheckViolation};
+use crate::commit::{GroupCommit, LogPipeline};
 use crate::cursor::WalCursor;
 use crate::error::{Result, RvmError};
-use crate::group::{GroupCommit, GroupSlot, SlotWork};
-use crate::log::record::{self, RecordRange};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
-use crate::log::wal::{AppendInfo, StagingBuf, Wal, WalCheckpoint};
-use crate::options::{CommitMode, LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
-use crate::pipeline::{Batch, InFlightBatch, LogPipeline, PIPELINE_DEPTH};
+use crate::log::wal::{StagingBuf, Wal};
+use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
 use crate::query::{LogInfo, QueryInfo};
 use crate::ranges::{ByteRange, RangeSet};
 use crate::recovery::{recover, RecoveryReport};
@@ -26,15 +26,11 @@ use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
 use crate::scrub::{read_page_verified, sidecar_name, ScrubReport, SegmentChecksums};
 use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
-use crate::spool::{SpoolPlane, SpooledTxn};
-use crate::stats::{batch_size_bucket, Stats, StatsSnapshot, TracedMutex};
+use crate::spool::SpoolPlane;
+use crate::stats::{Stats, StatsSnapshot, TracedMutex};
 use crate::truncation::page_vector::PageVector;
 use crate::truncation::{spawn_bg_thread, EpochInFlight, PageQueue};
 use crate::txn::{Transaction, TxnRegion};
-
-/// Maximum record bytes appended under one flush-batch force; a batch
-/// closes before the transaction that would exceed it.
-const BATCH_MAX_BYTES: u64 = 8 << 20;
 
 /// The held core lock. Functions that may *release and reacquire* the
 /// lock (making log space, see [`RvmShared::make_log_space`]) take this
@@ -58,19 +54,19 @@ pub(crate) struct Core {
     /// [`crate::truncation`]; its owner alone moves the head.
     pub(crate) epoch: Option<EpochInFlight>,
     /// Bumped when a thread releases and reacquires the core lock
-    /// mid-operation ([`RvmShared::make_log_space`]). A flush batch
-    /// compares it against the value at its WAL checkpoint: if it
-    /// changed, other committers' records may have interleaved and the
-    /// checkpoint is no longer a rollback point.
+    /// mid-operation ([`RvmShared::make_log_space`]). A batch compares
+    /// it against the value at its WAL checkpoint: if it changed, a
+    /// later round's records may sit past the batch and the checkpoint
+    /// is no longer a rollback point.
     pub(crate) wait_generation: u64,
-    /// Where the flush-commit leader stages its batch (leadership is
+    /// Where the commit leader stages its batch (leadership is
     /// exclusive, so one buffer serves every round). Completed inline it
     /// keeps its allocation for the next round; submitted, its bytes
     /// leave with the writes.
-    staging: StagingBuf,
+    pub(crate) staging: StagingBuf,
     /// crashmc's deliberate protocol mutations; all off unless the
     /// `mutation-hooks` feature's setter flipped one.
-    hooks: MutationHooks,
+    pub(crate) hooks: MutationHooks,
 }
 
 /// Shared library state behind [`Rvm`] handles and live transactions.
@@ -90,8 +86,8 @@ pub(crate) struct RvmShared {
     pub(crate) log_capacity: u64,
     /// The spool plane: sharded locks + lock-free gauges (see
     /// [`crate::spool::SpoolPlane`]). No-flush commits push here without
-    /// taking `core`.
-    spool: SpoolPlane,
+    /// taking `core`; only the commit leader's fill pops it.
+    pub(crate) spool: SpoolPlane,
     /// Resolved segment devices, behind their own reader/writer lock so
     /// cache hits (commit bookkeeping, `query` mirror health) never take
     /// `core`. The miss path resolves by name from `core.segments`, which
@@ -107,9 +103,9 @@ pub(crate) struct RvmShared {
     /// `truncation_in_flight`, and commits count
     /// `commits_during_truncation`, without the core lock.
     pub(crate) epoch_active: AtomicBool,
-    /// The flush-commit queue (see [`crate::group`]). Its lock is never
-    /// held while acquiring `core` or vice versa.
-    group: GroupCommit,
+    /// The commit queue (see [`crate::commit`]). Its lock is never held
+    /// while acquiring `core` or vice versa.
+    pub(crate) group: GroupCommit,
     pub(crate) regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
     /// Debug-mode checker state (snapshots, declared ranges, violations).
     /// Lock order: `regions` → `check` → region memory locks; never taken
@@ -130,8 +126,8 @@ pub(crate) struct RvmShared {
     /// Paired with `core`: signalled whenever an epoch truncation
     /// completes or fails. Waiters hold the core lock.
     pub(crate) epoch_done: Condvar,
-    /// Flush batches submitted to the device but not yet reaped (see
-    /// [`crate::pipeline`]); empty while leaders complete their batches
+    /// Batches submitted to the device but not yet reaped (see
+    /// [`crate::commit`]); empty while leaders complete their batches
     /// inline. Its lock ranks just above `core` and is never held across
     /// an acquisition of `core`.
     pub(crate) pipeline: LogPipeline,
@@ -166,7 +162,7 @@ pub(crate) struct RvmShared {
 /// assert_eq!(region.read_vec(0, 5).unwrap(), b"hello");
 /// ```
 pub struct Rvm {
-    shared: Arc<RvmShared>,
+    pub(crate) shared: Arc<RvmShared>,
     recovery_report: RecoveryReport,
     /// The background truncation thread, if running. Behind a mutex so
     /// [`Rvm::set_options`] can spawn/stop it through `&self`.
@@ -325,16 +321,6 @@ impl Rvm {
         &self.recovery_report
     }
 
-    fn check_live(&self) -> Result<()> {
-        if self.shared.terminated.load(Ordering::Acquire) {
-            Err(RvmError::Terminated)
-        } else if self.shared.poisoned.load(Ordering::Acquire) {
-            Err(RvmError::Poisoned)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Whether the instance is poisoned (see [`RvmError::Poisoned`]).
     /// Reads of already-mapped regions keep working on a poisoned
     /// instance; everything that touches the log fails fast.
@@ -356,7 +342,7 @@ impl Rvm {
     /// removes the startup latency of reading recoverable memory in en
     /// masse.
     pub fn map_with(&self, desc: &RegionDescriptor, policy: LoadPolicy) -> Result<Region> {
-        self.check_live()?;
+        self.shared.check_live()?;
         desc.validate()?;
         let shared = &self.shared;
         let mut core = shared.core.lock();
@@ -397,7 +383,7 @@ impl Rvm {
         // it, so what must reach the device first is fixed the moment
         // that is observed: the spool, the batches in flight (their
         // segments are recorded only at reap) and the live log — all
-        // below the tail once the spool is flushed. Later commits to
+        // below the tail once the barrier returns. Later commits to
         // *other* regions of the segment are not waited for, which bounds
         // the rounds under load. Every round releases the core lock, so
         // each looks again, and the last look shares its hold with the
@@ -436,8 +422,7 @@ impl Rvm {
                     if !referenced {
                         break;
                     }
-                    let r = shared.flush_spool_locked(&mut core);
-                    shared.guard_io(r)?;
+                    MutexGuard::unlocked(&mut core, || shared.flush_barrier())?;
                     settle = Some((core.wal.tail(), maps));
                     continue;
                 }
@@ -494,7 +479,7 @@ impl Rvm {
 
     /// Starts a transaction (§4.2 `begin_transaction`).
     pub fn begin_transaction(&self, mode: TxnMode) -> Result<Transaction> {
-        self.check_live()?;
+        self.shared.check_live()?;
         self.shared.active_txns.fetch_add(1, Ordering::AcqRel);
         let tid = self.shared.next_tid.fetch_add(1, Ordering::Relaxed);
         let txn = Transaction::new(tid, mode, self.shared.clone());
@@ -505,11 +490,15 @@ impl Rvm {
     }
 
     /// Forces all spooled no-flush commits to the log (§4.2 `flush`).
+    ///
+    /// Returns `Ok` only when every record at or below the spool's last
+    /// one is written and forced: the drain is a batch like any flush
+    /// commit's, so it waits out — and fails with — every batch still in
+    /// flight ahead of it, and a crash after an `Ok` recovers every
+    /// commit that returned before the call.
     pub fn flush(&self) -> Result<()> {
-        self.check_live()?;
-        let mut core = self.shared.core.lock();
-        let r = self.shared.flush_spool_locked(&mut core);
-        self.shared.guard_io(r)
+        self.shared.check_live()?;
+        self.shared.flush_barrier()
     }
 
     /// Applies every committed change in the write-ahead log to its data
@@ -520,7 +509,7 @@ impl Rvm {
     /// Spooled no-flush commits are *not* included — call [`Rvm::flush`]
     /// first for that.
     pub fn truncate(&self) -> Result<()> {
-        self.check_live()?;
+        self.shared.check_live()?;
         self.shared.truncate_now()
     }
 
@@ -668,7 +657,7 @@ impl Rvm {
     /// the region turns read-only and further writes fail with
     /// [`RvmError::Media`], while every other region keeps committing.
     pub fn scrub(&self) -> Result<ScrubReport> {
-        self.check_live()?;
+        self.shared.check_live()?;
         self.shared.scrub_pass()
     }
 
@@ -719,9 +708,8 @@ impl Rvm {
         if self.shared.poisoned.load(Ordering::Acquire) {
             return Err(RvmError::Poisoned);
         }
+        self.shared.flush_barrier()?;
         let mut core = self.shared.core.lock();
-        let r = self.shared.flush_spool_locked(&mut core);
-        self.shared.guard_io(r)?;
         let r = self.shared.write_status_locked(&mut core);
         self.shared.guard_io(r)?;
         Ok(())
@@ -747,6 +735,17 @@ impl std::fmt::Debug for Rvm {
 }
 
 impl RvmShared {
+    /// Fails fast on a terminated or poisoned instance.
+    pub(crate) fn check_live(&self) -> Result<()> {
+        if self.terminated.load(Ordering::Acquire) {
+            Err(RvmError::Terminated)
+        } else if self.poisoned.load(Ordering::Acquire) {
+            Err(RvmError::Poisoned)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Marks the instance poisoned (idempotent; counts once).
     fn poison(&self) {
         if !self.poisoned.swap(true, Ordering::AcqRel) {
@@ -842,7 +841,7 @@ impl RvmShared {
 
     /// Log utilization from the lock-free cursor seqlock — the commit
     /// paths' truncation-threshold check, off the core lock.
-    fn utilization_snapshot(&self) -> f64 {
+    pub(crate) fn utilization_snapshot(&self) -> f64 {
         self.cursor.snapshot().utilization(self.log_capacity)
     }
 
@@ -887,7 +886,7 @@ impl RvmShared {
     /// transaction's (their commits will log those bytes). Whatever
     /// remains changed behind RVM's back (§6's forgotten-`set_range`
     /// disaster) and is recorded as a [`CheckViolation`].
-    fn run_commit_check(&self, txn: &Transaction) {
+    pub(crate) fn run_commit_check(&self, txn: &Transaction) {
         let (enabled, panic_on) = {
             let t = self.tuning.read();
             (t.check_unlogged_writes, t.panic_on_violation)
@@ -1057,624 +1056,6 @@ impl RvmShared {
         if let Some(msg) = msg {
             panic!("rvm check violation: {msg}");
         }
-    }
-
-    /// Commits a transaction; called from [`Transaction::commit`].
-    pub(crate) fn commit_txn(
-        self: &Arc<Self>,
-        txn: &mut Transaction,
-        mode: CommitMode,
-    ) -> Result<()> {
-        if self.terminated.load(Ordering::Acquire) {
-            txn.rollback();
-            return Err(RvmError::Terminated);
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            txn.rollback();
-            return Err(RvmError::Poisoned);
-        }
-        self.run_commit_check(txn);
-        // `Tuning` is `Copy`: a plain read through the lock, no per-commit
-        // heap clone.
-        let tuning = *self.tuning.read();
-        let stats = &self.stats;
-
-        // Read the new values out of recoverable memory *now* — "new-value
-        // records that reflect the current contents of the corresponding
-        // ranges of memory" (§5.1.1).
-        let mut ranges: Vec<RecordRange> = Vec::new();
-        let mut net_data = 0u64;
-        let mut region_pages: Vec<(Arc<RegionInner>, Vec<usize>)> = Vec::new();
-        let mut txn_regions: Vec<_> = txn.regions.values().collect();
-        txn_regions.sort_by_key(|r| r.region.id);
-        for txn_region in txn_regions {
-            let region = &txn_region.region;
-            let use_coalesced = tuning.intra_optimization;
-            let iter: Vec<ByteRange> = if use_coalesced {
-                txn_region.ranges.iter().collect()
-            } else {
-                txn_region.raw_ranges.clone()
-            };
-            let mut pages = std::collections::BTreeSet::new();
-            for r in &iter {
-                let data = region.read_bytes(r.start, r.len());
-                net_data += data.len() as u64;
-                for p in PageVector::page_span(r.start, r.len()) {
-                    pages.insert(p);
-                }
-                ranges.push(RecordRange {
-                    seg: region.seg,
-                    offset: region.seg_offset + r.start,
-                    data,
-                });
-            }
-            region_pages.push((region.clone(), pages.into_iter().collect()));
-        }
-        if tuning.intra_optimization && txn.gross_bytes >= net_data {
-            stats.add(&stats.bytes_saved_intra, txn.gross_bytes - net_data);
-        }
-
-        let mut over_threshold = false;
-        if !ranges.is_empty() && mode == CommitMode::Flush {
-            // Park the serialized transaction in the commit queue and
-            // share one force with every concurrent flush committer (see
-            // `flush_commit_enqueue`).
-            match self.flush_commit_enqueue(txn.tid, ranges, region_pages, &tuning) {
-                Ok(()) => {
-                    stats.add(&stats.flush_commits, 1);
-                    over_threshold = self.utilization_snapshot() > tuning.truncation_threshold;
-                }
-                Err(e) => {
-                    txn.rollback();
-                    return Err(e);
-                }
-            }
-        } else if !ranges.is_empty() {
-            // The no-flush fast path: nothing here touches the core lock.
-            // The record goes to the spool plane (one shard lock), page
-            // bookkeeping stays behind the per-region `page_vector`
-            // locks, and the threshold check reads the cursor seqlock —
-            // disjoint-region no-flush commits share no lock at all.
-            let record_bytes = record::txn_record_bytes(&ranges);
-            let mut pages_list = Vec::new();
-            for (region, pages) in &region_pages {
-                region.note_pages_spooled(pages);
-                pages_list.push((Arc::downgrade(region), pages.clone()));
-            }
-            let saved = self.spool.push(
-                SpooledTxn {
-                    tid: txn.tid,
-                    ticket: 0, // assigned by the plane
-                    ranges,
-                    pages: pages_list,
-                    record_bytes,
-                },
-                tuning.inter_optimization,
-            );
-            stats.add(&stats.bytes_saved_inter, saved);
-            stats.add(&stats.no_flush_commits, 1);
-            if self.spool.bytes() > tuning.spool_max_bytes {
-                // Spool overflow is the slow path: drain under `core`.
-                let mut core = self.core.lock();
-                let r = self.flush_spool_locked(&mut core);
-                drop(core);
-                if let Err(e) = self.guard_io(r) {
-                    txn.rollback();
-                    return Err(e);
-                }
-            }
-            over_threshold = self.utilization_snapshot() > tuning.truncation_threshold;
-        } else {
-            // An empty transaction logs nothing itself, but a flush-mode
-            // commit still promises that every commit that returned
-            // before it is durable — including spooled no-flush commits.
-            // Drain the spool exactly as a non-empty flush commit would
-            // (previously skipped, which silently weakened the flush
-            // guarantee to "durable except what the spool still holds").
-            if mode == CommitMode::Flush && !self.spool.is_empty() {
-                let mut core = self.core.lock();
-                let r = self.flush_spool_locked(&mut core);
-                if let Err(e) = self.guard_io(r) {
-                    drop(core);
-                    txn.rollback();
-                    return Err(e);
-                }
-                over_threshold = core.wal.utilization() > tuning.truncation_threshold;
-            }
-            stats.add(
-                match mode {
-                    CommitMode::Flush => &stats.flush_commits,
-                    CommitMode::NoFlush => &stats.no_flush_commits,
-                },
-                1,
-            );
-        }
-        stats.add(&stats.txns_committed, 1);
-        if self.epoch_active.load(Ordering::Acquire) {
-            // An epoch truncation is in flight right now; this commit
-            // made progress through it.
-            stats.add(&stats.commits_during_truncation, 1);
-        }
-        txn.release();
-
-        if over_threshold {
-            self.request_truncation(&tuning);
-        }
-        Ok(())
-    }
-
-    /// Flush-commit committer side: parks the serialized transaction in
-    /// the commit queue, then either waits for a leader to commit it or
-    /// becomes the leader itself. (The caller derives the truncation
-    /// trigger from the cursor seqlock afterwards, as every commit path
-    /// does.)
-    ///
-    /// Leadership is a baton, not a thread: the first committer to find
-    /// no active leader takes it, runs one bounded batch via
-    /// [`RvmShared::leader_round`], releases it, and re-checks its own
-    /// slot. A committer whose slot was left out of a bounded batch — or
-    /// whose batch is still in flight — simply takes the baton next, so
-    /// every enqueued transaction is committed after at most
-    /// `queue length / max_txns` rounds and durable-log order equals
-    /// queue order.
-    fn flush_commit_enqueue(
-        self: &Arc<Self>,
-        tid: u64,
-        ranges: Vec<RecordRange>,
-        region_pages: Vec<(Arc<RegionInner>, Vec<usize>)>,
-        tuning: &Tuning,
-    ) -> Result<()> {
-        let slot = Arc::new(GroupSlot {
-            tid,
-            record_bytes: record::txn_record_bytes(&ranges),
-            work: Mutex::new(SlotWork {
-                ranges,
-                region_pages,
-                outcome: None,
-            }),
-        });
-        self.group.state.lock().queue.push_back(slot.clone());
-        loop {
-            let mut gs = self.group.state.lock();
-            {
-                let mut work = slot.work.lock();
-                if let Some(outcome) = work.outcome.take() {
-                    return outcome.map(|_| ());
-                }
-            }
-            if gs.leader_active {
-                // A leader is running (possibly carrying this slot in its
-                // batch); wait for it to publish and hand off.
-                self.group.wakeup.wait(&mut gs);
-                continue;
-            }
-            gs.leader_active = true;
-            drop(gs);
-            self.leader_round(tuning);
-            self.group.state.lock().leader_active = false;
-            self.group.wakeup.notify_all();
-        }
-    }
-
-    /// Leader side — the one flush-commit path. One bounded batch: drains
-    /// up to `group_commit_max_txns` / [`BATCH_MAX_BYTES`] slots from
-    /// the queue front and, under one core-lock hold, flushes the spool,
-    /// checkpoints the WAL, and stages every member in queue order. The
-    /// staged batch then reaches [`Self::complete_batch`] one of two ways,
-    /// chosen from what the leader observes, never from an option:
-    ///
-    /// * **inline** — the drain emptied the commit queue and no batch is
-    ///   in flight, so there is nobody to overlap with: the leader writes
-    ///   the staged bytes, forces the log once, and completes the batch
-    ///   before it releases the core lock;
-    /// * **submitted** — otherwise: the leader *submits* the writes and
-    ///   the force without waiting and queues the batch in flight, so the
-    ///   next leader's fill overlaps this force; a later FIFO reap
-    ///   ([`Self::pipeline_reap_batch`]) waits for the device and
-    ///   completes it. See [`crate::pipeline`].
-    ///
-    /// Staging and submission both happen under one core-lock hold, in
-    /// queue order: a successor batch must never reach the device while
-    /// an earlier batch's bytes are still an unwritten hole below it, or
-    /// a crash after the successor's force could strand forced records
-    /// beyond a gap the recovery scan cannot cross.
-    ///
-    /// Failure semantics: a `LogFull` on one member fails only that
-    /// member (nothing of it was staged; the others still force and
-    /// commit), while a device error on the spool drain, a write, or the
-    /// shared force fails the *whole* batch — see
-    /// [`Self::complete_batch`].
-    fn leader_round(self: &Arc<Self>, tuning: &Tuning) {
-        if tuning.group_commit_wait_us > 0 {
-            // Accumulation window: let concurrent committers join the
-            // batch. Wall-clock only; nothing is charged to a simulated
-            // clock, and no lock is held.
-            std::thread::sleep(std::time::Duration::from_micros(
-                tuning.group_commit_wait_us,
-            ));
-        }
-        let max_txns = tuning.group_commit_max_txns.max(1);
-        let (slots, queue_drained) = {
-            let mut gs = self.group.state.lock();
-            let mut slots: Vec<Arc<GroupSlot>> = Vec::new();
-            let mut bytes = 0u64;
-            while slots.len() < max_txns {
-                match gs.queue.front() {
-                    Some(front)
-                        if slots.is_empty() || bytes + front.record_bytes <= BATCH_MAX_BYTES =>
-                    {
-                        bytes += front.record_bytes
-                    }
-                    _ => break,
-                }
-                slots.extend(gs.queue.pop_front());
-            }
-            (slots, gs.queue.is_empty())
-        };
-        if slots.is_empty() {
-            // Nothing queued: this round is the pipeline tail. Stand in
-            // as the reaper so in-flight committers (including, possibly,
-            // this thread's own batch) get their outcomes.
-            self.pipeline_reap_front();
-            return;
-        }
-        // Only a leader puts batches in flight and leadership is
-        // exclusive, so a pipeline observed idle here stays idle for the
-        // rest of the round.
-        let inline = queue_drained && self.pipeline.is_idle();
-        if !inline {
-            self.pipeline_wait_for_room();
-        }
-
-        let stats = &self.stats;
-        let mut core = self.core.lock();
-        let mut outcomes: Vec<Result<AppendInfo>> = Vec::with_capacity(slots.len());
-        // Members truncation provably cannot make room for; on the next
-        // attempt they keep their own `LogFull` instead of re-truncating
-        // (guarantees the retry loop terminates).
-        let mut wont_fit = vec![false; slots.len()];
-        let staged: Result<(WalCheckpoint, u64)> = 'attempt: loop {
-            // Making log space releases the core lock, so it restarts the
-            // fill from scratch: the staged appends were rolled back first,
-            // and the checkpoint below is re-taken.
-            core.staging.clear();
-            outcomes.clear();
-            if self.poisoned.load(Ordering::Acquire) {
-                // Poisoned between enqueue and leadership (e.g. by the
-                // previous batch): fail fast without touching the log.
-                break Err(RvmError::Poisoned);
-            }
-            if let Err(e) = self.flush_spool_locked(&mut core) {
-                break Err(e);
-            }
-            let ckpt = core.wal.checkpoint();
-            let ckpt_gen = core.wait_generation;
-            for (slot, wont_fit) in slots.iter().zip(&mut wont_fit) {
-                let work = slot.work.lock();
-                let Core { wal, staging, .. } = &mut *core;
-                let outcome = wal.append_txn_staged(slot.tid, &work.ranges, staging);
-                // `LogFull` against less than the whole area means "does
-                // not fit right now": make room and start over.
-                if matches!(&outcome, Err(RvmError::LogFull { capacity, .. })
-                    if *capacity < wal.capacity() && !*wont_fit)
-                {
-                    // Rolling back the staged cursor advances is always
-                    // safe here — the core lock has been held since the
-                    // checkpoint, so nothing interleaved — and nothing of
-                    // this batch reached the device yet.
-                    drop(work);
-                    wal.rollback_to(ckpt);
-                    match self.make_log_space(&mut core) {
-                        Ok(advanced) => *wont_fit = !advanced,
-                        Err(e) => break 'attempt Err(e),
-                    }
-                    continue 'attempt;
-                }
-                outcomes.push(outcome);
-            }
-            break Ok((ckpt, ckpt_gen));
-        };
-        let (ckpt, ckpt_gen) = match staged {
-            Ok(staged) => staged,
-            Err(e) => {
-                drop(core);
-                let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
-                self.publish_failure(&slots, outcomes, e);
-                return;
-            }
-        };
-
-        let appended_any = outcomes.iter().any(|o| o.is_ok());
-        // `skip_group_force` (crashmc mutation hook) acknowledges the
-        // batch without its durability barrier: the classic lost-commit
-        // bug the model checker must be able to see.
-        let force = appended_any && !core.hooks.skip_group_force;
-        let batch = Batch {
-            slots,
-            outcomes,
-            ckpt,
-            ckpt_gen,
-            end_tail: core.wal.tail(),
-        };
-        if inline || !appended_any {
-            // (With nothing appended — every member individually out of
-            // log space — no bytes are staged and there is nothing to
-            // wait on, so the batch completes here on either side.)
-            let io = core.wal.write_staged(&core.staging).and_then(|()| {
-                if force {
-                    core.wal.force()
-                } else {
-                    Ok(())
-                }
-            });
-            self.complete_batch(&mut core, batch, io);
-            return;
-        }
-
-        let Core { wal, staging, .. } = &mut *core;
-        let write_tokens = wal.submit_staged(staging);
-        let force_token = force.then(|| wal.submit_force());
-        stats.add(&stats.pipeline_submits, 1);
-        let (depth, has_predecessor) = {
-            let mut ps = self.pipeline.pipe.lock();
-            ps.in_flight.push_back(InFlightBatch {
-                batch,
-                write_tokens,
-                force_token,
-            });
-            (ps.depth(), ps.in_flight.len() > 1)
-        };
-        stats
-            .forces_in_flight_hw
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        drop(core);
-        // Reap the predecessor, if any: its force has been in flight
-        // while this batch filled. This batch itself stays in flight so
-        // the *next* leader's fill overlaps it.
-        if has_predecessor {
-            self.pipeline_reap_front();
-        }
-    }
-
-    /// Waits until the in-flight queue has room for one more batch — at
-    /// most [`PIPELINE_DEPTH`] may be submitted or mid-reap — reaping the
-    /// oldest itself when nobody else is. Time spent here is the pipeline
-    /// *stall* (`pipeline_stall_ns`): the fill could not start until a
-    /// force completed.
-    fn pipeline_wait_for_room(&self) {
-        let mut stalled: Option<Instant> = None;
-        let mut ps = self.pipeline.pipe.lock();
-        while ps.depth() >= PIPELINE_DEPTH {
-            stalled.get_or_insert_with(Instant::now);
-            match ps.begin_reap() {
-                Some(batch) => {
-                    drop(ps);
-                    self.pipeline_reap_batch(batch);
-                    ps = self.pipeline.pipe.lock();
-                }
-                // Another thread owns the reap; it signals when it settles.
-                None => self.pipeline.pipe_cv.wait(&mut ps),
-            }
-        }
-        drop(ps);
-        if let Some(t) = stalled {
-            self.stats.add(&self.stats.pipeline_stall_ns, elapsed_ns(t));
-        }
-    }
-
-    /// Reaps the oldest in-flight batch, waiting out a concurrent reaper
-    /// first so reaps stay FIFO. No-op when the pipeline is idle. Must be
-    /// called with **no** locks held.
-    pub(crate) fn pipeline_reap_front(&self) {
-        let mut ps = self.pipeline.pipe.lock();
-        loop {
-            if let Some(batch) = ps.begin_reap() {
-                drop(ps);
-                self.pipeline_reap_batch(batch);
-                return;
-            }
-            if ps.reap_floor.is_none() {
-                return; // idle
-            }
-            // Another thread owns the reap; FIFO order means waiting it
-            // out is as good as reaping the front ourselves.
-            self.pipeline.pipe_cv.wait(&mut ps);
-        }
-    }
-
-    /// Submitted side's completion: waits the batch's writes and force
-    /// with no locks held, completes it under the core lock, and releases
-    /// the reap floor its caller set when popping it
-    /// ([`PipeState::begin_reap`](crate::pipeline::PipeState)).
-    fn pipeline_reap_batch(&self, mut in_flight: InFlightBatch) {
-        let mut io: rvm_storage::Result<()> = Ok(());
-        for t in in_flight
-            .write_tokens
-            .drain(..)
-            .chain(in_flight.force_token.take())
-        {
-            let r = self.dev.wait(t);
-            if io.is_ok() {
-                io = r;
-            }
-        }
-        let mut result: Result<()> = io.map_err(RvmError::from);
-        if result.is_ok() && self.poisoned.load(Ordering::Acquire) {
-            // An older batch failed after this one was submitted: these
-            // records sit beyond an unforced hole a recovery scan cannot
-            // cross, so the batch fails even though its own force
-            // succeeded.
-            result = Err(RvmError::Poisoned);
-        }
-        {
-            let mut core = self.core.lock();
-            self.complete_batch(&mut core, in_flight.batch, result);
-        }
-        {
-            let mut ps = self.pipeline.pipe.lock();
-            debug_assert!(ps.reap_floor.is_some());
-            ps.reap_floor = None;
-        }
-        self.pipeline.pipe_cv.notify_all();
-        // Purely an accelerant: parked committers re-check their slots
-        // sooner. Missed wakeups are impossible — a committer that finds
-        // `leader_active` false claims leadership itself, and leadership
-        // release notifies under the group-state lock.
-        self.group.wakeup.notify_all();
-    }
-
-    /// Completes a staged batch whose writes and force finished with
-    /// `io` — the one place a flush batch's outcome is decided, called
-    /// with the core lock held by whichever thread waited for the device
-    /// (the leader itself inline, the FIFO reap otherwise).
-    ///
-    /// On success: statistics, page-queue and `segs_in_log` bookkeeping,
-    /// and each member's own outcome. On failure the batch fails *whole*:
-    /// the WAL cursors roll back to the pre-batch checkpoint iff nothing
-    /// appended past the batch, and a device error poisons the instance,
-    /// because records may sit unacknowledged in the device's
-    /// write-behind cache.
-    fn complete_batch(&self, core: &mut Core, batch: Batch, io: Result<()>) {
-        let stats = &self.stats;
-        if let Err(e) = io {
-            // The checkpoint is a valid rollback point only while nothing
-            // appended past the batch: the tail still matches its
-            // post-append position and no core-lock release (which lets
-            // other committers interleave records) bumped the wait
-            // generation. Otherwise the records stay in the log
-            // unacknowledged — the instance poisons below.
-            // (`skip_group_rollback`, a crashmc mutation hook,
-            // reintroduces the cursors-past-unforced-records bug the
-            // rollback exists to prevent.)
-            if core.wait_generation == batch.ckpt_gen
-                && core.wal.tail() == batch.end_tail
-                && !core.hooks.skip_group_rollback
-            {
-                core.wal.rollback_to(batch.ckpt);
-            }
-            let e = self.guard_io(Err::<(), _>(e)).unwrap_err();
-            self.publish_failure(&batch.slots, batch.outcomes, e);
-            return;
-        }
-        let successes = batch.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        if successes > 0 {
-            stats.add(&stats.log_forces, 1);
-            stats.add(&stats.group_commit_batches, 1);
-            stats.add(&stats.group_commit_txns, successes);
-            if let Some(bucket) = stats
-                .group_commit_batch_sizes
-                .get(batch_size_bucket(successes))
-            {
-                stats.add(bucket, 1);
-            }
-        }
-        for (slot, outcome) in batch.slots.iter().zip(batch.outcomes) {
-            let mut work = slot.work.lock();
-            if let Ok(info) = &outcome {
-                stats.add(&stats.bytes_logged, info.record_bytes);
-                for (region, pages) in &work.region_pages {
-                    region.note_pages_logged(pages);
-                    for &p in pages {
-                        core.page_queue.enqueue(region, p, info.offset, info.seq);
-                    }
-                }
-                for r in &work.ranges {
-                    core.segs_in_log.insert(r.seg.as_u32());
-                }
-            }
-            work.outcome = Some(outcome);
-        }
-    }
-
-    /// Publishes a whole-batch failure: one member receives the original
-    /// error (for a batch of one, exactly what a lone commit would see),
-    /// members that individually ran out of log space keep their own
-    /// `LogFull`, and the rest observe the state the failure left behind
-    /// — `Poisoned` after a device error, or a reconstructed `LogFull`
-    /// when the spool drain ran out of log space (which leaves the
-    /// instance healthy).
-    fn publish_failure(
-        &self,
-        slots: &[Arc<GroupSlot>],
-        outcomes: Vec<Result<AppendInfo>>,
-        e: RvmError,
-    ) {
-        let log_full = match &e {
-            RvmError::LogFull { needed, capacity } => Some((*needed, *capacity)),
-            _ => None,
-        };
-        let mut original = Some(e);
-        let mut outcomes = outcomes.into_iter();
-        for slot in slots {
-            let result = match outcomes.next() {
-                Some(Err(member_err)) => Err(member_err),
-                _ => Err(original.take().unwrap_or(match log_full {
-                    Some((needed, capacity)) => RvmError::LogFull { needed, capacity },
-                    None => RvmError::Poisoned,
-                })),
-            };
-            slot.work.lock().outcome = Some(result);
-        }
-    }
-
-    /// Writes every spooled record to the log and forces it. A record
-    /// that does not fit goes back to the spool front — so whoever drains
-    /// next still appends in commit order — and what was appended so far
-    /// is forced, before [`RvmShared::make_log_space`] **releases the core
-    /// lock**: nothing may sit unforced below a truncation boundary.
-    pub(crate) fn flush_spool_locked(&self, core: &mut CoreGuard<'_>) -> Result<()> {
-        if self.spool.is_empty() {
-            return Ok(());
-        }
-        let stats = &self.stats;
-        let mut flushed_any = false;
-        let mut unforced = false;
-        while let Some(spooled) = self.spool.pop_front() {
-            let info = match core.wal.append_txn(spooled.tid, &spooled.ranges) {
-                Ok(info) => info,
-                Err(e) => {
-                    self.spool.requeue_front(spooled);
-                    // `LogFull` against less than the whole area: the
-                    // record does not fit right now, and truncation can
-                    // make room.
-                    let retry = matches!(&e, RvmError::LogFull { capacity, .. }
-                        if *capacity < core.wal.capacity());
-                    if !retry {
-                        return Err(e);
-                    }
-                    if std::mem::take(&mut unforced) {
-                        core.wal.force()?;
-                        stats.add(&stats.log_forces, 1);
-                    }
-                    if !self.make_log_space(core)? {
-                        return Err(e);
-                    }
-                    continue;
-                }
-            };
-            flushed_any = true;
-            unforced = true;
-            stats.add(&stats.bytes_logged, info.record_bytes);
-            for (weak, pages) in &spooled.pages {
-                if let Some(region) = weak.upgrade() {
-                    region.note_spool_drained(pages);
-                    for &p in pages {
-                        core.page_queue.enqueue(&region, p, info.offset, info.seq);
-                    }
-                }
-            }
-            for r in &spooled.ranges {
-                core.segs_in_log.insert(r.seg.as_u32());
-            }
-        }
-        if unforced {
-            core.wal.force()?;
-            stats.add(&stats.log_forces, 1);
-        }
-        if flushed_any {
-            stats.add(&stats.spool_flushes, 1);
-        }
-        Ok(())
     }
 
     /// One scrub pass over every mapped region with a checksum catalog

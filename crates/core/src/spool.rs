@@ -1,7 +1,8 @@
 //! The no-flush commit spool and inter-transaction optimization (§5.2).
 //!
 //! No-flush ("lazy") commits do not force the log: their records are
-//! spooled in memory and written out together on the next `flush`. The
+//! spooled in memory and ride the next commit leader's batch — a flush
+//! commit's, or the barrier a `flush` raises ([`crate::commit`]). The
 //! spool is where the inter-transaction optimization lives: "if the
 //! modifications being committed subsume those from an earlier unflushed
 //! transaction, the older log records are discarded."
@@ -9,9 +10,9 @@
 //! Since the concurrency-planes split, the spool is its own plane
 //! ([`SpoolPlane`]): a no-flush commit pushes its record under one of
 //! [`SPOOL_SHARDS`] shard locks — never the global core lock — while
-//! `flush` drains records in global commit order through a monotone
-//! *ticket* assigned at push. Atomic length/byte gauges serve `query()`
-//! and the overflow check without any lock at all.
+//! the leader's fill drains records in global commit order through a
+//! monotone *ticket* assigned at push. Atomic length/byte gauges serve
+//! `query()` and the overflow check without any lock at all.
 //!
 //! Dropping a spooled record must release the *unflushed* page counts it
 //! holds (see
@@ -35,17 +36,20 @@ use crate::segment::SegmentId;
 /// workloads never contend.
 pub(crate) const SPOOL_SHARDS: usize = 16;
 
-/// One committed-but-unflushed transaction.
+/// One committed transaction's log record, not yet written: in the spool
+/// (a no-flush commit) or parked in a commit-queue slot (a flush commit,
+/// which never takes a ticket).
 pub(crate) struct SpooledTxn {
     /// Transaction id (diagnostics).
     pub tid: u64,
     /// Global push order, assigned by [`SpoolPlane::push`] under the
-    /// shard lock; `flush` drains shards in ticket order so the durable
+    /// shard lock; the drain pops shards in ticket order so the durable
     /// log preserves spool order across shards.
     pub ticket: u64,
     /// New-value ranges, segment-absolute, exactly as they will be logged.
     pub ranges: Vec<RecordRange>,
-    /// Pages whose unflushed count this record holds, per region.
+    /// Pages the record dirties, per region; a spooled record holds their
+    /// unflushed counts.
     pub pages: Vec<(Weak<RegionInner>, Vec<usize>)>,
     /// Unpadded record size, for Table 2 accounting.
     pub record_bytes: u64,
@@ -150,10 +154,10 @@ impl Spool {
 ///   stays exact for single-segment workloads — assigns the global
 ///   ticket *under* that lock (shard order therefore equals ticket
 ///   order), and updates the gauges.
-/// * **Pop** (flush, under the core lock): finds the minimum front
-///   ticket across shards and pops it, re-scanning if a concurrent
-///   push's subsumption removed the chosen front. Records are exposed
-///   one at a time, exactly as the single-queue spool drained.
+/// * **Pop** (the commit leader's fill, under the core lock): finds the
+///   minimum front ticket across shards and pops it, re-scanning if a
+///   concurrent push's subsumption removed the chosen front. Records are
+///   exposed one at a time, exactly as the single-queue spool drained.
 /// * **Gauges**: `len`/`bytes` are relaxed atomics updated while the
 ///   shard lock is held; `query()` and the spool-overflow check read
 ///   them without any lock.

@@ -117,13 +117,15 @@ pub struct Stats {
     /// Record bytes suppressed by inter-transaction optimization.
     pub(crate) bytes_saved_inter: AtomicU64,
     pub(crate) log_forces: AtomicU64,
-    /// Group-commit batches forced (each batch is one log force).
+    /// Forced batches that carried at least one flush commit (a batch of
+    /// spooled records and barriers alone is a log force, not one of
+    /// these).
     pub(crate) group_commit_batches: AtomicU64,
     /// Flush-mode transactions committed through group-commit batches.
     pub(crate) group_commit_txns: AtomicU64,
     /// Batch-size histogram (additive buckets, so deltas stay field-wise).
     pub(crate) group_commit_batch_sizes: [AtomicU64; GROUP_BATCH_BUCKETS],
-    /// Flush batches submitted asynchronously (writes and force handed to
+    /// Batches submitted asynchronously (writes and force handed to
     /// the device and reaped later) rather than completed inline by their
     /// leader.
     pub(crate) pipeline_submits: AtomicU64,
@@ -232,16 +234,17 @@ pub struct StatsSnapshot {
     pub bytes_saved_intra: u64,
     /// Record bytes suppressed by inter-transaction optimization.
     pub bytes_saved_inter: u64,
-    /// Synchronous log forces.
+    /// Log forces: one per batch that appended anything, whoever its
+    /// members were (flush commits, spooled records, both).
     pub log_forces: u64,
-    /// Group-commit batches forced (each batch is one log force).
+    /// Forced batches that carried at least one flush commit.
     pub group_commit_batches: u64,
     /// Flush-mode transactions committed through group-commit batches.
     pub group_commit_txns: u64,
     /// Group-commit batch-size histogram: batches of size 1, 2, 3–4,
     /// 5–8, 9–16, and 17+ (see [`batch_size_bucket`]).
     pub group_commit_batch_sizes: [u64; GROUP_BATCH_BUCKETS],
-    /// Flush batches submitted asynchronously rather than completed
+    /// Batches submitted asynchronously rather than completed
     /// inline by their leader.
     pub pipeline_submits: u64,
     /// High-water mark of log forces in flight at once (absolute, not
@@ -251,7 +254,8 @@ pub struct StatsSnapshot {
     /// Nanoseconds leaders about to submit waited for room in the
     /// in-flight queue.
     pub pipeline_stall_ns: u64,
-    /// Spool flushes (each covers many no-flush commits).
+    /// Spool drains: commit rounds that moved at least one spooled
+    /// record into the log (each covers many no-flush commits).
     pub spool_flushes: u64,
     /// Completed epoch truncations.
     pub epoch_truncations: u64,
@@ -325,8 +329,8 @@ impl StatsSnapshot {
     /// Log forces per flush-mode commit: the amortization ratio group
     /// commit exists to shrink. 1.0 means every flush commit paid its own
     /// force; below 1.0 forces are being shared. In mixed workloads the
-    /// numerator also counts spool-flush forces, so read this on
-    /// flush-dominated runs (or on a `delta_since` window).
+    /// numerator also counts the forces of `flush()` drains, so read this
+    /// on flush-dominated runs (or on a `delta_since` window).
     pub fn forces_per_flush_commit(&self) -> f64 {
         if self.flush_commits == 0 {
             0.0

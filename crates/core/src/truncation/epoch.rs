@@ -19,11 +19,12 @@
 //!    is woken.
 //!
 //! The off-lock scan is safe because everything below the stable end is
-//! fully written and forced (flush batches force before they complete,
-//! spool drains force before they release the lock), and the frozen span
-//! cannot be overwritten, because free-space accounting counts it as live
-//! until the head advances. The head moves by epoch only while the mover
-//! owns `core.epoch`, so two truncations cannot race for it.
+//! fully written and forced (every batch forces before it completes, and
+//! the commit leader never releases the lock with bytes staged but not
+//! submitted), and the frozen span cannot be overwritten, because
+//! free-space accounting counts it as live until the head advances. The
+//! head moves by epoch only while the mover owns `core.epoch`, so two
+//! truncations cannot race for it.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;

@@ -5,6 +5,8 @@
 
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
+
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
 use crate::region::RegionInner;
@@ -28,8 +30,8 @@ impl RvmShared {
     ) -> Result<u64> {
         let start_head = core.wal.head();
         'outer: loop {
-            // `flush_spool_locked` and `make_log_space` below release the
-            // core lock; if an epoch truncation started in that window,
+            // The barrier and `make_log_space` below release the core
+            // lock; if an epoch truncation started in that window,
             // stop — the epoch owns the head now, and every remaining
             // queue descriptor sits at or past its boundary.
             if core.epoch.is_some() {
@@ -87,7 +89,7 @@ impl RvmShared {
                         // Committed data still in the spool: flushing it
                         // is always safe and unblocks the page.
                         drop(pv);
-                        self.flush_spool_locked(core)?;
+                        MutexGuard::unlocked(core, || self.flush_barrier())?;
                         continue 'outer;
                     }
                     pv.entry_mut(page).reserved = true;
@@ -143,9 +145,7 @@ impl RvmShared {
 
             // Move the log head to the next descriptor's offset — capped
             // at the stable end: in-flight batches have no queue entries
-            // yet, so the queue can skip straight from below the pipeline
-            // floor to a later spool-flush descriptor, and the head must
-            // not jump over unforced records.
+            // yet, and the head must not pass their unforced records.
             let stable = self.stable_end(core);
             let (new_head, new_seq) = match core.page_queue.front() {
                 Some(d) if d.offset <= core.wal.head() => (core.wal.head(), core.wal.seq_at_head()),

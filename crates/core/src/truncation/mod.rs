@@ -83,6 +83,10 @@ impl PageQueue {
     /// Enqueues a descriptor unless the page is already queued (in which
     /// case the earlier descriptor — with the earlier offset — stands).
     pub fn enqueue(&mut self, region: &Arc<RegionInner>, page: usize, offset: u64, seq: u64) {
+        debug_assert!(
+            self.queue.back().is_none_or(|back| back.offset <= offset),
+            "page descriptors are enqueued in append order"
+        );
         if self.queued.insert((region.id, page)) {
             self.queue.push_back(PageDesc {
                 region: Arc::downgrade(region),
@@ -159,6 +163,12 @@ impl PageQueue {
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The queued descriptors' log offsets, front to back.
+    #[cfg(test)]
+    pub fn offsets(&self) -> Vec<u64> {
+        self.queue.iter().map(|d| d.offset).collect()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -739,6 +739,52 @@ fn empty_flush_commit_drains_the_spool() {
     );
 }
 
+/// One log writer: a flush commit that finds lazy commits spooled carries
+/// them in its own batch — one coalesced write (two when the batch wraps
+/// the log), one force — instead of draining them record by record under
+/// a force of their own first.
+#[test]
+fn spooled_commits_ride_the_flush_commits_batch() {
+    use rvm_storage::{TraceOpKind, TraceRecorder};
+
+    let recorder = TraceRecorder::new();
+    let log = recorder.wrap("log", Arc::new(MemDevice::with_len(1 << 20)));
+    let rvm = Rvm::initialize(
+        Options::new(log.clone())
+            .resolver(MemResolver::new().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 4 * PAGE_SIZE))
+        .unwrap();
+    let commit = |page: u64, mode| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region
+            .put_u64(&mut txn, page * PAGE_SIZE, page + 1)
+            .unwrap();
+        txn.commit(mode).unwrap();
+    };
+    (0..3).for_each(|page| commit(page, CommitMode::NoFlush));
+    let (forces, traced) = (rvm.stats().log_forces, recorder.len());
+    commit(3, CommitMode::Flush);
+
+    let stats = rvm.stats();
+    assert_eq!(stats.log_forces - forces, 1, "one batch, one force");
+    assert_eq!(
+        (stats.spool_flushes, rvm.query().spooled_transactions),
+        (1, 0)
+    );
+    let ops = recorder.ops().split_off(traced);
+    let count = |want_sync: bool| {
+        ops.iter()
+            .filter(|op| op.device == log.id())
+            .filter(|op| matches!(op.kind, TraceOpKind::Sync) == want_sync)
+            .count()
+    };
+    assert_eq!((count(true), count(false)), (1, 1), "{ops:?}");
+}
+
 mod on_demand {
     use super::*;
     use rvm::LoadPolicy;

@@ -38,8 +38,11 @@ pub enum Workload {
     /// three-phase truncation crash windows (boundary write, segment
     /// application, status advance) whoever starts it.
     Truncation,
-    /// No-flush commits spooled and flushed in batches, with a tail of
-    /// never-flushed transactions that a crash may legally drop.
+    /// No-flush commits spooled and flushed in batches over a small log —
+    /// by `flush`, by a flush commit that carries them in its own batch,
+    /// and by a drain that outgrows the free log, closes a batch, runs
+    /// an epoch and resumes — with a tail of never-flushed transactions
+    /// that a crash may legally drop.
     NoFlushSpool,
     /// Flush commits interleaved with deliberately aborted transactions
     /// writing poison values that must never survive recovery.
@@ -410,31 +413,68 @@ fn truncation(hooks: MutationHooks) -> Trace {
     trace
 }
 
+/// Transactions the [`Workload::NoFlushSpool`] script commits, and how
+/// many of them (the tail) are never flushed.
+const SPOOL_TXNS: usize = 14;
+const SPOOL_UNACKED_TAIL: usize = 2;
+
 fn no_flush_spool(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
+    // A 4 KiB record area — four of these records — and no threshold
+    // trigger, so a drain that runs out of log closes the batch staged
+    // so far, runs the epoch itself and resumes.
+    let tuning = Tuning {
+        truncation_threshold: 1.0,
+        ..Tuning::default()
+    };
+    let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
-        .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
+        .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
         .expect("map cells");
     cap.start();
 
     let mut txns: Vec<TxnSpec> = Vec::new();
     let mut unacked: Vec<usize> = Vec::new();
-    for i in 0..6u64 {
+    for i in 0..SPOOL_TXNS as u64 {
         let data = vec![0x20 + i as u8; 600];
-        unacked.push(txns.len());
-        txns.push(lazy_txn(&rvm, &region, "cells", i * 640, data));
-        if i == 1 || i == 3 {
-            rvm.flush().expect("flush");
-            // The flush's return is the ack point for every spooled
-            // commit it covered.
-            let ack = cap.recorder.len();
-            for idx in unacked.drain(..) {
-                txns[idx].ack = Some(ack);
+        if i == 6 {
+            // A flush commit behind two spooled ones: one mixed batch,
+            // one force — and the log is full, so its round starts with
+            // an epoch.
+            txns.push(flush_txn(
+                &rvm,
+                &cap.recorder,
+                &region,
+                "cells",
+                0,
+                i * 640,
+                data,
+            ));
+        } else {
+            unacked.push(txns.len());
+            txns.push(lazy_txn(&rvm, &region, "cells", i * 640, data));
+            // `flush` after 0-1 and 2-3 fills the log; after 7-11 it
+            // drains five records into room for one: 7 closes a batch,
+            // an epoch runs, 8-11 follow in the next.
+            if ![1, 3, 11].contains(&i) {
+                continue;
             }
+            rvm.flush().expect("flush");
+        }
+        // The return of the flush (or flush commit) is the ack point for
+        // every spooled commit it covered.
+        let ack = cap.recorder.len();
+        for idx in unacked.drain(..) {
+            txns[idx].ack = Some(ack);
         }
     }
-    // Transactions 4 and 5 stay unflushed: a crash may legally drop
-    // them, but only as a suffix.
+    // The last two stay unflushed: a crash may legally drop them, but
+    // only as a suffix.
+    assert_eq!(unacked.len(), SPOOL_UNACKED_TAIL);
+    let stats = rvm.stats();
+    assert!(
+        stats.epoch_truncations >= 2 && stats.spool_flushes == 4,
+        "no drain found the log full: {stats:?}"
+    );
 
     let trace = cap.finish(txns, true);
     drop(rvm);
@@ -659,9 +699,13 @@ mod tests {
     #[test]
     fn no_flush_tail_is_unacked() {
         let trace = run_workload(Workload::NoFlushSpool, MutationHooks::default());
-        assert_eq!(trace.txns.len(), 6);
-        assert!(trace.txns[..4].iter().all(|t| t.ack.is_some()));
-        assert!(trace.txns[4..].iter().all(|t| t.ack.is_none()));
+        assert_eq!(trace.txns.len(), SPOOL_TXNS);
+        let (acked, tail) = trace.txns.split_at(SPOOL_TXNS - SPOOL_UNACKED_TAIL);
+        assert!(acked.iter().all(|t| t.ack.is_some()));
+        assert!(tail.iter().all(|t| t.ack.is_none()));
+        // The mixed batch: the flush commit and the two lazy commits
+        // ahead of it share one ack point.
+        assert_eq!(trace.txns[4].ack, trace.txns[6].ack);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub const FALLIBLE: &[&str] = &[
     // WAL.
     "force",
     "append_txn",
-    "flush_spool_locked",
+    "flush_barrier",
     "make_log_space",
     // Status block.
     "read_status",

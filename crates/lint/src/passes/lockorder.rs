@@ -23,10 +23,12 @@
 //! carries on with `g` taken out of the held set, so what the closure
 //! acquires or calls is checked against the guards that stay live; in the
 //! function's acquisition summary the region counts in full *except* for
-//! `g`'s own lock, so a caller that passes its guard down is not told it
-//! re-acquires it, while a caller holding anything else across the call
-//! still gets its order check. A guard that arrives as a parameter is
-//! matched to its lock by name (`core` ↔ `core.lock`).
+//! `g`'s own lock, and every other lock it takes is remembered as taken
+//! with `g` released, so a caller that passes its guard down is told
+//! neither that it re-acquires it nor that those locks nest under it,
+//! while a caller holding anything else across the call still gets its
+//! order check. A guard that arrives as a parameter is matched to its
+//! lock by name (`core` ↔ `core.lock`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -179,8 +181,9 @@ pub struct FnLocks {
 
 pub struct Analysis<'a> {
     pub order: &'a LockOrder,
-    /// fn key -> transitively acquired decl indices.
-    pub closure: HashMap<String, HashSet<usize>>,
+    /// fn key -> transitively acquired decl indices, each with the lock
+    /// an `unlocked` region had released around the acquisition, if any.
+    pub closure: HashMap<String, HashSet<(usize, Option<usize>)>>,
     pub resolved: HashMap<String, String>,
 }
 
@@ -235,19 +238,21 @@ pub fn analyze<'a>(order: &'a LockOrder, files: &[&FileModel]) -> Analysis<'a> {
         }
     }
     // Fixpoint: propagate callee sets into callers, part by part.
-    let mut closure: HashMap<String, HashSet<usize>> =
+    let mut closure: HashMap<String, HashSet<(usize, Option<usize>)>> =
         parts.keys().map(|k| (k.clone(), HashSet::new())).collect();
     loop {
         let mut changed = false;
         for (k, fn_parts) in &parts {
-            let mut add: HashSet<usize> = HashSet::new();
+            let mut add: HashSet<(usize, Option<usize>)> = HashSet::new();
             for part in fn_parts {
                 let callees = part.calls.iter().filter_map(|c| closure.get(*c)).flatten();
                 add.extend(
                     part.direct
                         .iter()
-                        .chain(callees)
-                        .filter(|&&d| Some(d) != part.released),
+                        .map(|&d| (d, None))
+                        .chain(callees.copied())
+                        .filter(|&(d, _)| Some(d) != part.released)
+                        .map(|(d, released)| (d, released.or(part.released))),
                 );
             }
             let e = closure.entry(k.clone()).or_default();
@@ -444,9 +449,11 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
                     if callee_key != &fn_key(&fm.path, &f.qual) {
                         if let Some(acquired) = a.closure.get(callee_key) {
                             for g in &guards {
-                                for &b in acquired {
+                                for &(b, released) in acquired {
                                     let (ra, rb) = (order.locks[g.decl].rank, order.locks[b].rank);
-                                    if rb <= ra {
+                                    // Taken with this guard's lock released
+                                    // (the callee was handed the guard).
+                                    if rb <= ra && released != Some(g.decl) {
                                         let detail = format!(
                                             "{}->{} via {}",
                                             order.locks[g.decl].name, order.locks[b].name, t.text

@@ -17,6 +17,12 @@ use rvm_lint::passes;
 /// A miniature canonical order covering the locks the fixtures touch.
 const FIXTURE_ORDER: &str = r#"
 [[lock]]
+rank = 5
+name = "queue"
+patterns = ["queue.lock"]
+desc = "a queue never held together with core"
+
+[[lock]]
 rank = 10
 name = "core"
 patterns = ["core.lock"]
@@ -140,6 +146,7 @@ fn lockorder_fixture_convicts_and_clean_passes() {
         "undeclared_lock",
         "unlocked_with_second_guard",
         "vector_across_unlocked_callee",
+        "regions_across_lower_release",
     ] {
         assert!(
             fns.contains(expected),
@@ -152,6 +159,7 @@ fn lockorder_fixture_convicts_and_clean_passes() {
     // Likewise a function that releases its caller's guard around a
     // closure; and the guard it released is not "re-acquired" in there.
     assert!(!fns.contains("releases_core_around"), "{findings:#?}");
+    assert!(!fns.contains("takes_queue_around"), "{findings:#?}");
     assert!(
         findings
             .iter()

@@ -71,3 +71,16 @@ fn releases_core_around(shared: &Shared, core: &mut CoreGuard) {
         let _regions = shared.regions.read();
     });
 }
+
+/// ... but only `core` was released: the queue lock (rank 5) taken in
+/// the callee's region still nests under the caller's `regions`.
+fn regions_across_lower_release(shared: &Shared, core: &mut CoreGuard) {
+    let _regions = shared.regions.read();
+    takes_queue_around(shared, core);
+}
+
+fn takes_queue_around(shared: &Shared, core: &mut CoreGuard) {
+    MutexGuard::unlocked(core, || {
+        let _queue = shared.queue.lock();
+    });
+}

@@ -72,3 +72,18 @@ fn second_guard_in_order(shared: &Shared, region: &Region) {
         let _pv = region.page_vector.lock();
     });
 }
+
+/// A callee that releases its caller's `core` may take a lock ranked
+/// *below* `core` in there (a queue lock that is
+/// never held together with `core`): it is not nested under the guard
+/// the caller passed down.
+fn holds_core_across_lower_release(shared: &Shared) {
+    let mut core = shared.core.lock();
+    takes_queue_around(shared, &mut core);
+}
+
+fn takes_queue_around(shared: &Shared, core: &mut CoreGuard) {
+    MutexGuard::unlocked(core, || {
+        let _queue = shared.queue.lock();
+    });
+}

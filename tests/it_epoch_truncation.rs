@@ -9,13 +9,14 @@
 //! a kill at that instant would leave behind — rebooted into a fresh
 //! instance.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use rvm::log::status::read_status;
 use rvm::segment::{DeviceResolver, MemResolver};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
-use rvm_storage::{Device, IoToken, MemDevice};
+use rvm_storage::{Device, DeviceError, FaultOp, IoToken, MemDevice};
 
 const SLOTS: u64 = 16;
 const SLOT_STRIDE: u64 = 512; // distinct pagesworth-of-separation ranges
@@ -675,6 +676,151 @@ fn new_segment_is_durable_before_map_releases_the_core_lock() {
         .map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE))
         .unwrap();
     assert_eq!(fresh.get_u64(3 * 8).unwrap(), 4);
+}
+
+/// A log device whose *submitted* writes and forces park at the gate,
+/// and whose first submitted write, once released, fails for good
+/// without reaching the medium: a batch in flight whose bytes stay a
+/// hole. Inline writes and forces pass straight through.
+struct HoleLog {
+    inner: Arc<MemDevice>,
+    gate: Arc<Gate>,
+    /// Submitted writes not yet waited, by token id.
+    pending: Mutex<HashMap<u64, (u64, Vec<u8>)>>,
+    next_id: AtomicU64,
+}
+
+impl Device for HoleLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn submit_write(&self, offset: u64, data: Vec<u8>) -> IoToken {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst) + 1;
+        self.pending.lock().unwrap().insert(id, (offset, data));
+        IoToken::pending(id)
+    }
+    fn submit_sync(&self) -> IoToken {
+        IoToken::pending(self.next_id.fetch_add(1, Ordering::SeqCst) + 1)
+    }
+    fn poll(&self, token: &IoToken) -> bool {
+        token.is_inline() || self.gate.state.lock().unwrap().open
+    }
+    fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
+        token.into_inline().unwrap_or_else(|pending| {
+            self.gate.pass(true);
+            let write = self.pending.lock().unwrap().remove(&pending.id());
+            match write {
+                Some(_) if pending.id() == 1 => Err(DeviceError::Injected {
+                    op: FaultOp::Write,
+                    transient: false,
+                }),
+                Some((offset, data)) => self.inner.write_at(offset, &data),
+                None => self.inner.sync(),
+            }
+        })
+    }
+}
+
+/// `flush()` returns `Ok` only when every record at or below the spool's
+/// last one is written and forced. Two flush committers leave a batch in
+/// flight — its write parked, the core lock free; a third thread commits
+/// lazily and calls `flush()`; then the parked write fails. The drain is
+/// a batch behind the one in flight, so it must fail with it: were it a
+/// second writer appending above the unwritten batch and forcing on its
+/// own, `flush()` would promise a record that recovery — whose scan
+/// stops at the hole — can never find.
+#[test]
+fn flush_cannot_acknowledge_records_above_a_batch_still_in_flight() {
+    let gate = Gate::closed(Park::Sync);
+    let log = Arc::new(MemDevice::with_len(256 * 1024));
+    let segments = MemResolver::new();
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(HoleLog {
+            inner: log.clone(),
+            gate: gate.clone(),
+            pending: Mutex::default(),
+            next_id: AtomicU64::new(0),
+        }))
+        .resolver(segments.clone().into_resolver())
+        .create_if_empty(),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let commit = |slot: u64, mode| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
+        txn.commit(mode)
+    };
+    // One waiter per batch and a long accumulation window: the first
+    // leader leaves the second committer queued, so its batch is
+    // submitted, and the second leader spends its window with that batch
+    // in flight and the core lock free.
+    rvm.set_options(Tuning {
+        group_commit_max_txns: 1,
+        group_commit_wait_us: 200_000,
+        ..rvm.options()
+    });
+
+    let (flushed, image) = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&gate);
+        let committers = [1, 2].map(|slot| s.spawn(move || commit(slot, CommitMode::Flush)));
+        while rvm.stats().pipeline_submits == 0 {
+            std::thread::yield_now();
+        }
+        let flusher = s.spawn(|| {
+            commit(3, CommitMode::NoFlush).unwrap();
+            let flushed = rvm.flush();
+            // What a crash right after `flush()` returned would keep.
+            (flushed, log.snapshot())
+        });
+        // The second leader has submitted its batch and reaps the first:
+        // parked on the write that is about to fail.
+        gate.wait_parked();
+        gate.open();
+        for committer in committers {
+            let outcome = committer.join().unwrap();
+            assert!(
+                matches!(outcome, Err(RvmError::Device(_) | RvmError::Poisoned)),
+                "a commit in or behind the failed batch returned {outcome:?}"
+            );
+        }
+        flusher.join().unwrap()
+    });
+    assert!(rvm.is_poisoned());
+    drop(region);
+    std::mem::forget(rvm); // the "crash"
+
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let recovered = region.get_u64(3 * 8).unwrap();
+    assert!(
+        flushed.is_err() || recovered == 4,
+        "flush() returned Ok, yet a crash right after it recovers {recovered} where the lazy \
+         commit wrote 4: its record sits above a hole"
+    );
+    assert!(
+        matches!(flushed, Err(RvmError::Device(_) | RvmError::Poisoned)),
+        "flush() behind a failed batch returned {flushed:?}"
+    );
 }
 
 /// A crash *after* the epoch completed (head advanced, boundary cleared)

@@ -491,6 +491,44 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     );
 }
 
+/// `terminate()` drains the spool with the same batch `flush()` does
+/// (the in-flight variant of the hole — see `it_epoch_truncation.rs` —
+/// cannot be staged against it: `terminate` takes the instance by value
+/// and refuses while a transaction is committing). When that batch's
+/// force fails, terminate must report it and hand the poisoned instance
+/// back, not write a clean-shutdown status over records never forced.
+#[test]
+fn terminate_fails_with_its_spool_drain() {
+    // Dry run: device syncs consumed before the shutdown drain's force.
+    let run = |faults: Vec<FlakyFault>| {
+        let log = Arc::new(MemDevice::with_len(1 << 20));
+        let segments = MemResolver::new();
+        let clock = FaultClock::new(faults);
+        let (sleeper, _) = recording_sleeper();
+        let rvm = Rvm::initialize(flaky_options(&log, &segments, &clock, sleeper)).unwrap();
+        let region = rvm.map(&descriptor()).unwrap();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, INDEX_OFF, 7).unwrap();
+        txn.commit(CommitMode::NoFlush).unwrap();
+        (rvm, clock)
+    };
+    let dry_syncs = {
+        let (rvm, clock) = run(vec![]);
+        std::mem::forget(rvm);
+        clock.ops_seen().2
+    };
+
+    let (rvm, _clock) = run(vec![FlakyFault::permanent(FaultOp::Sync, dry_syncs + 1)]);
+    let failure = rvm.terminate().expect_err("the drain's force failed");
+    assert!(
+        matches!(failure.error, RvmError::Device(_)),
+        "terminate failed with {}",
+        failure.error
+    );
+    assert!(failure.rvm.is_poisoned());
+    assert_eq!(failure.rvm.query().stats.poisonings, 1);
+}
+
 /// Builds a log + segments image holding `n` acknowledged commits whose
 /// owner crashed without terminating (the log is un-truncated).
 fn build_crashed_image(n: u64) -> (Arc<MemDevice>, MemResolver) {
