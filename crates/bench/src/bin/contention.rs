@@ -4,8 +4,8 @@
 //! The commit fast path for a no-flush transaction is plane-local: the
 //! record is pushed onto a spool shard (keyed by segment), page
 //! bookkeeping happens under the region's own locks, and the
-//! truncation-threshold check reads the WAL-cursor seqlock — the global
-//! `core` lock is acquired zero times. Each cell maps one region per
+//! truncation-threshold check reads the WAL's two published words — the
+//! global `core` lock is acquired zero times. Each cell maps one region per
 //! thread on its *own* data segment (distinct segments land on distinct
 //! spool shards), runs a fixed commit budget split across the threads,
 //! and measures wall-clock throughput. With no shared lock on the path,

@@ -27,8 +27,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::ranges::ByteRange;
+use crate::ranges::{ByteRange, RangeSet};
+use crate::region::RegionInner;
+use crate::rvm::RvmShared;
+use crate::txn::{Transaction, TxnRegion};
 
 /// A detected violation of the RVM programming contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,6 +162,203 @@ pub(crate) fn subtract_ranges(range: ByteRange, allowed: &[ByteRange]) -> Vec<By
         out.push(ByteRange::at(cursor, range.end - cursor));
     }
     out
+}
+
+impl RvmShared {
+    /// `begin_transaction` hook: snapshots every fully loaded mapped
+    /// region for the commit-time unlogged-write diff. On-demand regions
+    /// still holding unfetched pages are skipped — a page fetch mutates
+    /// memory without any transaction writing it, which the diff would
+    /// misread as an unlogged write.
+    pub(crate) fn snapshot_for_check(&self, tid: u64) {
+        let regions = self.regions.read();
+        let mut snaps = HashMap::new();
+        for (id, region) in regions.iter() {
+            if region.unloaded.lock().is_some() {
+                continue;
+            }
+            snaps.insert(*id, region.read_bytes(0, region.len));
+        }
+        self.check.lock().snapshots.insert(tid, snaps);
+    }
+
+    /// Commit-time unlogged-write check: diffs each snapshotted region
+    /// against current memory and subtracts every declared `set_range`
+    /// interval — this transaction's own write set plus every other live
+    /// transaction's (their commits will log those bytes). Whatever
+    /// remains changed behind RVM's back (§6's forgotten-`set_range`
+    /// disaster) and is recorded as a [`CheckViolation`].
+    pub(crate) fn run_commit_check(&self, txn: &Transaction) {
+        let (enabled, panic_on) = {
+            let t = self.tuning.read();
+            (t.check_unlogged_writes, t.panic_on_violation)
+        };
+        let regions = self.regions.read();
+        let mut state = self.check.lock();
+        let Some(snaps) = state.snapshots.remove(&txn.tid) else {
+            return;
+        };
+        if !enabled {
+            // Checking was turned off mid-transaction; drop the snapshot.
+            return;
+        }
+        let mut found = Vec::new();
+        let mut refresh: Vec<(u64, ByteRange, Vec<u8>)> = Vec::new();
+        for (region_id, old) in &snaps {
+            let Some(region) = regions.get(region_id) else {
+                continue; // unmapped since begin_transaction
+            };
+            let current = region.read_bytes(0, region.len);
+            let mut allowed = RangeSet::new();
+            if let Some(txn_region) = txn.regions.get(region_id) {
+                for r in txn_region.ranges.iter() {
+                    allowed.insert(r);
+                }
+            }
+            if let Some(declared) = state.declared.get(region_id) {
+                for (tid, r) in declared {
+                    if *tid != txn.tid {
+                        allowed.insert(*r);
+                    }
+                }
+            }
+            let allowed: Vec<ByteRange> = allowed.iter().collect();
+            for d in diff_intervals(old, &current) {
+                for bad in subtract_ranges(d, &allowed) {
+                    found.push(CheckViolation::UnloggedWrite {
+                        tid: txn.tid,
+                        segment: region.seg_name.clone(),
+                        offset: bad.start,
+                        len: bad.len(),
+                    });
+                    let bytes = current[bad.start as usize..bad.end as usize].to_vec();
+                    refresh.push((*region_id, bad, bytes));
+                }
+            }
+        }
+        // Fold the offending bytes into the other live snapshots so one
+        // unlogged write is reported once, not once per open transaction.
+        for (region_id, bad, bytes) in refresh {
+            for snaps in state.snapshots.values_mut() {
+                if let Some(img) = snaps.get_mut(&region_id) {
+                    img[bad.start as usize..bad.end as usize].copy_from_slice(&bytes);
+                }
+            }
+        }
+        self.record_check_violations(&mut state, found, panic_on);
+    }
+
+    /// `set_range` hook: records the declaration for the diff exclusion
+    /// set and, with conflict checking on, flags overlaps with other live
+    /// transactions' declarations (§3.1's punted data-race class).
+    pub(crate) fn check_declared_range(
+        &self,
+        tid: u64,
+        region: &Arc<RegionInner>,
+        range: ByteRange,
+    ) {
+        let (track, conflicts, panic_on) = {
+            let t = self.tuning.read();
+            (
+                t.check_unlogged_writes || t.check_range_conflicts,
+                t.check_range_conflicts,
+                t.panic_on_violation,
+            )
+        };
+        if !track {
+            return;
+        }
+        let mut state = self.check.lock();
+        let found = {
+            let entries = state.declared.entry(region.id).or_default();
+            let mut found = Vec::new();
+            if conflicts {
+                for (other, r) in entries.iter() {
+                    if *other != tid && r.start < range.end && range.start < r.end {
+                        let start = range.start.max(r.start);
+                        let end = range.end.min(r.end);
+                        found.push(CheckViolation::RangeConflict {
+                            tid,
+                            other_tid: *other,
+                            segment: region.seg_name.clone(),
+                            offset: start,
+                            len: end - start,
+                        });
+                    }
+                }
+            }
+            entries.push((tid, range));
+            found
+        };
+        self.record_check_violations(&mut state, found, panic_on);
+    }
+
+    /// Transaction-end hook (commit, abort, or drop): refreshes the other
+    /// live snapshots over this transaction's declared ranges — those
+    /// bytes are now either committed or restored, and must not read as
+    /// unlogged at someone else's commit — then forgets the transaction.
+    pub(crate) fn check_txn_ended(&self, tid: u64, regions: &HashMap<u64, TxnRegion>) {
+        let mut state = self.check.lock();
+        if state.snapshots.is_empty() && state.declared.is_empty() {
+            return;
+        }
+        for (region_id, txn_region) in regions {
+            if state.snapshots.values().any(|m| m.contains_key(region_id)) {
+                for r in txn_region.ranges.iter() {
+                    let bytes = txn_region.region.read_bytes(r.start, r.len());
+                    for snaps in state.snapshots.values_mut() {
+                        if let Some(img) = snaps.get_mut(region_id) {
+                            img[r.start as usize..r.end as usize].copy_from_slice(&bytes);
+                        }
+                    }
+                }
+            }
+            let empty = if let Some(entries) = state.declared.get_mut(region_id) {
+                entries.retain(|(t, _)| *t != tid);
+                entries.is_empty()
+            } else {
+                false
+            };
+            if empty {
+                state.declared.remove(region_id);
+            }
+        }
+        state.snapshots.remove(&tid);
+    }
+
+    /// Counts, stores, and (with `panic_on_violation`) panics on check
+    /// violations.
+    fn record_check_violations(
+        &self,
+        state: &mut CheckState,
+        found: Vec<CheckViolation>,
+        panic_on: bool,
+    ) {
+        if found.is_empty() {
+            return;
+        }
+        for v in &found {
+            match v {
+                CheckViolation::UnloggedWrite { .. } => {
+                    self.stats.add(&self.stats.check_unlogged_writes, 1)
+                }
+                CheckViolation::RangeConflict { .. } => {
+                    self.stats.add(&self.stats.check_range_conflicts, 1)
+                }
+            }
+        }
+        let msg = panic_on.then(|| {
+            found
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("; ")
+        });
+        state.violations.extend(found);
+        if let Some(msg) = msg {
+            panic!("rvm check violation: {msg}");
+        }
+    }
 }
 
 #[cfg(test)]

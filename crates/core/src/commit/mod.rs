@@ -222,8 +222,8 @@ impl RvmShared {
             // The no-flush fast path: nothing here touches the core lock.
             // The record goes to the spool plane (one shard lock), page
             // bookkeeping stays behind the per-region `page_vector`
-            // locks, and the threshold check reads the cursor seqlock —
-            // disjoint-region no-flush commits share no lock at all.
+            // locks, and the threshold check reads the WAL's published
+            // view — disjoint-region no-flush commits share no lock at all.
             (CommitMode::NoFlush, Some(record)) => {
                 let saved = self.spool.push(record, tuning.inter_optimization);
                 stats.add(&stats.bytes_saved_inter, saved);
@@ -261,7 +261,7 @@ impl RvmShared {
         }
         txn.release();
 
-        if touches_log && self.utilization_snapshot() > tuning.truncation_threshold {
+        if touches_log && self.log_view.snapshot().utilization > tuning.truncation_threshold {
             self.request_truncation(&tuning);
         }
         Ok(())

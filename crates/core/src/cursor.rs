@@ -1,273 +1,230 @@
-//! The atomic WAL-position cursor: the lock-free publication plane for
-//! the log cursors (head, tail, and their sequence numbers).
+//! The published log view: the two WAL words lock-free readers use.
 //!
-//! Splitting `Core` into independently synchronized planes leaves one
-//! problem behind: many readers — `query()`, the no-flush commit's
-//! truncation-threshold check, the background truncation trigger — only
-//! need a *coherent view* of where the log starts and ends, yet they used
-//! to take the global lock to get one. [`WalCursor`] publishes the four
-//! cursors through a seqlock-style protocol so those readers never touch
-//! `core`, while the WAL's mutation discipline is unchanged: every byte
-//! is still appended (and forced) by a thread holding the core lock.
+//! [`Wal`](crate::log::wal::Wal) owns its cursors as plain fields behind
+//! `&mut self` — the core lock; there is one log writer. `query()` and the
+//! commit path's truncation-threshold check want the log's occupancy
+//! without that lock; they read `head` and `tail` and nothing else, so
+//! those two words are all the WAL publishes, one Release store each time
+//! one moves.
 //!
-//! ## Protocol
+//! The writer keeps `head <= tail <= head + capacity` at every store, the
+//! head only grows, and the tail never drops below it (`Wal::rollback_to`
+//! skips a checkpoint the head has passed). A reader Acquire-loads `head`,
+//! `tail`, `head` and retries if the head moved:
 //!
-//! The cursor is a generation word plus four position atomics:
+//! * the tail load follows the head store the first load read, so it sees
+//!   a tail at least as new as the one that head was checked against, and
+//!   every later tail is at or above a later head: `head <= tail`;
+//! * the last load follows the tail store the tail load read, so it sees a
+//!   head at least as new as the one that tail was checked against, and
+//!   the head only grows: `tail <= head + capacity`.
 //!
-//! * **Reserve** — a writer claims the publish window by CAS-ing the
-//!   generation from even `g` to odd `g + 1`. A failed CAS means another
-//!   writer holds the window (impossible while writers serialize on
-//!   `core`, but the protocol does not rely on that).
-//! * **Publish** — holding the window, the writer verifies the expected
-//!   current positions (its reservation basis), stores the new positions,
-//!   and releases the window by storing `g + 2`. If the basis no longer
-//!   matches — someone else advanced the cursor between the writer's read
-//!   and its reserve — the writer releases the window untouched and
-//!   reports failure. This is how `rollback_to` refuses to restore a
-//!   checkpoint that newer appends (or a head advance) have passed: the
-//!   same check `Core::wait_generation` performs at the batch level, made
-//!   local to the cursor.
-//! * **Snapshot** — readers loop: load the generation (must be even),
-//!   load the four positions, re-load the generation; equal generations
-//!   bracket a torn-free view. Readers never write, so they cannot block
-//!   or be blocked by a writer.
-//!
-//! The mini-loom model in [`models::cursor_model`](crate::models) runs
-//! reserve/publish/rollback against concurrent snapshots (and a
-//! truncation head advance) over every interleaving, including a
-//! deliberately broken writer that skips the reserve step — which the
-//! explorer convicts of a torn read.
+//! Equal first and last loads make both hold of one pair — no generation
+//! word, nothing for a writer to reserve. Two loads give one bound or the
+//! other, and a tail stored below the head breaks the first; the
+//! interleaving model in this file's tests convicts each.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A coherent view of the four WAL cursors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct CursorSnapshot {
-    /// Oldest logical byte still live in the log.
-    pub head: u64,
-    /// Logical byte one past the last published record.
-    pub tail: u64,
-    /// Sequence number of the record at `head`.
-    pub seq_at_head: u64,
-    /// Sequence number the next append will take.
-    pub next_seq: u64,
-}
+use crate::query::LogInfo;
 
-impl CursorSnapshot {
-    /// Bytes between head and tail.
-    pub fn used(&self) -> u64 {
-        self.tail - self.head
-    }
-
-    /// Fraction of `capacity` occupied.
-    pub fn utilization(&self, capacity: u64) -> f64 {
-        if capacity == 0 {
-            0.0
-        } else {
-            self.used() as f64 / capacity as f64
-        }
-    }
-}
-
-/// The shared cursor cell. Writers (all holding the core lock today)
-/// advance it with [`WalCursor::update`]; lock-free readers take
-/// [`WalCursor::snapshot`]s.
+/// The shared cell. The WAL stores into it under the core lock; readers
+/// take [`WalView::snapshot`]s without it.
 #[derive(Debug)]
-pub(crate) struct WalCursor {
-    /// Seqlock generation: odd while a publish window is held.
-    gen: AtomicU64,
+pub(crate) struct WalView {
     head: AtomicU64,
     tail: AtomicU64,
-    seq_at_head: AtomicU64,
-    next_seq: AtomicU64,
+    /// The record area's byte capacity; fixed at `initialize`.
+    pub(crate) capacity: u64,
 }
 
-impl WalCursor {
-    pub(crate) fn new(init: CursorSnapshot) -> Self {
+impl WalView {
+    pub(crate) fn new(head: u64, tail: u64, capacity: u64) -> Self {
         Self {
-            gen: AtomicU64::new(0),
-            head: AtomicU64::new(init.head),
-            tail: AtomicU64::new(init.tail),
-            seq_at_head: AtomicU64::new(init.seq_at_head),
-            next_seq: AtomicU64::new(init.next_seq),
+            head: AtomicU64::new(head),
+            tail: AtomicU64::new(tail),
+            capacity,
         }
     }
 
-    /// Single-field reads for the core-lock holder: coherent only because
-    /// the holder is the sole writer (acquiring `core` synchronized with
-    /// the previous holder's release).
-    pub(crate) fn head(&self) -> u64 {
-        // lint:allow(atomics): single-writer read under the core lock; the lock edge orders it
-        self.head.load(Ordering::Relaxed)
-    }
-    pub(crate) fn tail(&self) -> u64 {
-        // lint:allow(atomics): single-writer read under the core lock; the lock edge orders it
-        self.tail.load(Ordering::Relaxed)
-    }
-    pub(crate) fn seq_at_head(&self) -> u64 {
-        // lint:allow(atomics): single-writer read under the core lock; the lock edge orders it
-        self.seq_at_head.load(Ordering::Relaxed)
-    }
-    pub(crate) fn next_seq(&self) -> u64 {
-        // lint:allow(atomics): single-writer read under the core lock; the lock edge orders it
-        self.next_seq.load(Ordering::Relaxed)
+    /// Publishes a head advance; `head` is at or below the published tail.
+    pub(crate) fn set_head(&self, head: u64) {
+        self.head.store(head, Ordering::Release);
     }
 
-    /// Lock-free coherent read: loops until a stable even generation
-    /// brackets the four position loads.
-    pub(crate) fn snapshot(&self) -> CursorSnapshot {
+    /// Publishes an append or a rollback; `tail` is at or above the
+    /// published head and within one capacity of it.
+    pub(crate) fn set_tail(&self, tail: u64) {
+        self.tail.store(tail, Ordering::Release);
+    }
+
+    /// Lock-free coherent read (see the module docs).
+    pub(crate) fn snapshot(&self) -> LogInfo {
         loop {
-            let g1 = self.gen.load(Ordering::Acquire);
-            if g1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap = CursorSnapshot {
-                head: self.head.load(Ordering::Acquire),
-                tail: self.tail.load(Ordering::Acquire),
-                seq_at_head: self.seq_at_head.load(Ordering::Acquire),
-                next_seq: self.next_seq.load(Ordering::Acquire),
-            };
-            if self.gen.load(Ordering::Acquire) == g1 {
-                return snap;
+            let head = self.head.load(Ordering::Acquire);
+            let tail = self.tail.load(Ordering::Acquire);
+            if self.head.load(Ordering::Acquire) == head {
+                let used = tail - head;
+                return LogInfo {
+                    head,
+                    tail,
+                    used,
+                    capacity: self.capacity,
+                    utilization: used as f64 / self.capacity.max(1) as f64,
+                };
             }
             std::hint::spin_loop();
         }
-    }
-
-    /// Reserve-and-publish: atomically moves the cursor from `expect` to
-    /// `new`. Fails (without changing the positions) if the publish
-    /// window is held or the current positions are not `expect` — the
-    /// caller's reservation basis is stale and it must re-derive.
-    ///
-    /// All three cursor motions use this one entry point: the append
-    /// advance (reserve new tail bytes, publish once the record is
-    /// staged), the failed-append rollback (restore the checkpoint iff
-    /// nothing advanced past it), and the truncation head advance (the
-    /// epoch snapshot's boundary publish).
-    #[must_use]
-    pub(crate) fn update(&self, expect: CursorSnapshot, new: CursorSnapshot) -> bool {
-        let g = self.gen.load(Ordering::Acquire);
-        if g & 1 == 1 {
-            return false;
-        }
-        if self
-            .gen
-            .compare_exchange(g, g + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        // Plain accessor reads: the winning CAS made this thread the sole
-        // writer for the window, so the Relaxed loads inside them are
-        // ordered by the AcqRel edge above.
-        let cur = CursorSnapshot {
-            head: self.head(),
-            tail: self.tail(),
-            seq_at_head: self.seq_at_head(),
-            next_seq: self.next_seq(),
-        };
-        if cur != expect {
-            // Release the window untouched; the even-generation bump is a
-            // harmless spurious "change" to concurrent snapshots.
-            self.gen.store(g + 2, Ordering::Release);
-            return false;
-        }
-        self.head.store(new.head, Ordering::Release);
-        self.tail.store(new.tail, Ordering::Release);
-        self.seq_at_head.store(new.seq_at_head, Ordering::Release);
-        self.next_seq.store(new.next_seq, Ordering::Release);
-        self.gen.store(g + 2, Ordering::Release);
-        true
-    }
-
-    /// [`update`](Self::update) for the single-writer paths (the caller
-    /// holds the core lock, so the expectation cannot fail): publishes
-    /// `new` unconditionally against the current positions.
-    pub(crate) fn publish(&self, new: CursorSnapshot) {
-        let cur = CursorSnapshot {
-            head: self.head(),
-            tail: self.tail(),
-            seq_at_head: self.seq_at_head(),
-            next_seq: self.next_seq(),
-        };
-        let ok = self.update(cur, new);
-        debug_assert!(ok, "cursor publish raced: writer not under the core lock");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(head: u64, tail: u64, seq_at_head: u64, next_seq: u64) -> CursorSnapshot {
-        CursorSnapshot {
-            head,
-            tail,
-            seq_at_head,
-            next_seq,
-        }
-    }
+    use crate::models::explore::{explore, Model};
 
     #[test]
     fn snapshot_sees_published_state() {
-        let c = WalCursor::new(snap(0, 0, 1, 1));
-        assert_eq!(c.snapshot(), snap(0, 0, 1, 1));
-        c.publish(snap(0, 128, 1, 2));
-        assert_eq!(c.snapshot(), snap(0, 128, 1, 2));
-        assert_eq!(c.tail(), 128);
-        assert_eq!(c.next_seq(), 2);
-    }
-
-    #[test]
-    fn update_fails_on_stale_expectation() {
-        let c = WalCursor::new(snap(0, 0, 1, 1));
-        c.publish(snap(0, 128, 1, 2));
-        // A rollback based on the pre-append state must refuse.
-        assert!(!c.update(snap(0, 0, 1, 1), snap(0, 64, 1, 1)));
-        assert_eq!(c.snapshot(), snap(0, 128, 1, 2));
-        // Based on the current state it succeeds.
-        assert!(c.update(snap(0, 128, 1, 2), snap(0, 0, 1, 1)));
-        assert_eq!(c.snapshot(), snap(0, 0, 1, 1));
+        let v = WalView::new(0, 0, 4096);
+        assert_eq!(v.snapshot().used, 0);
+        v.set_tail(128);
+        let LogInfo { head, tail, .. } = v.snapshot();
+        assert_eq!((head, tail), (0, 128));
     }
 
     #[test]
     fn head_advance_is_an_update_like_any_other() {
-        let c = WalCursor::new(snap(0, 4096, 1, 9));
-        c.publish(snap(2048, 4096, 5, 9));
-        let s = c.snapshot();
-        assert_eq!(s.used(), 2048);
-        assert!((s.utilization(4096) - 0.5).abs() < 1e-9);
-        assert_eq!(CursorSnapshot::utilization(&s, 0), 0.0);
+        let v = WalView::new(0, 4096, 4096);
+        v.set_head(2048);
+        let s = v.snapshot();
+        assert_eq!((s.used, s.capacity), (2048, 4096));
+        assert!((s.utilization - 0.5).abs() < 1e-9);
+    }
+
+    /// A writer fills a 256-byte log, rolls half of it back, refills and
+    /// truncates, ten thousand laps; no reader may see a pair the writer
+    /// never had.
+    #[test]
+    fn snapshots_under_contention_are_never_torn() {
+        const CAP: u64 = 256;
+        let v = WalView::new(0, 0, CAP);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for lap in 0..10_000 {
+                    let base = lap * CAP;
+                    for step in [64, 128, 192, 256, 128, 256] {
+                        v.set_tail(base + step);
+                    }
+                    v.set_head(base + CAP);
+                }
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..20_000 {
+                        let LogInfo { head, tail, .. } = v.snapshot();
+                        assert!(head <= tail && tail - head <= CAP, "[{head}, {tail})");
+                    }
+                });
+            }
+        });
+    }
+
+    /// Every interleaving of one writer storing a word at a time and one
+    /// reader, over a log of capacity 8. The writer's steps: an append, a
+    /// head advance past it, a rollback to the checkpoint the head has
+    /// passed (skipped), an append into the freed space, a rollback that
+    /// takes it back, and the append again.
+    #[derive(Clone, Default, PartialEq, Eq, Hash)]
+    struct ViewModel {
+        /// Mutation: the reader returns after `head`, `tail`.
+        no_recheck: bool,
+        /// Mutation: `rollback_to` without its `head <= ckpt.tail` guard.
+        blind_rollback: bool,
+        head: u8,
+        tail: u8,
+        /// Writer steps taken.
+        w_pc: u8,
+        /// Reader loads done (3 = returned), and what they saw.
+        r_pc: u8,
+        r_head: u8,
+        r_tail: u8,
+    }
+
+    impl Model for ViewModel {
+        fn threads(&self) -> usize {
+            2
+        }
+        fn runnable(&self, t: usize) -> bool {
+            !self.finished(t)
+        }
+        fn finished(&self, t: usize) -> bool {
+            [self.w_pc == 6, self.r_pc == 3][t]
+        }
+        fn step(&mut self, t: usize) {
+            if t == 0 {
+                match self.w_pc {
+                    0 | 3 | 5 => self.tail += 8,
+                    1 => self.head = self.tail,
+                    // `rollback_to` the checkpoint taken before step 0, then
+                    // the one taken before step 3.
+                    pc => {
+                        let ckpt = if pc == 2 { 0 } else { 8 };
+                        if self.head <= ckpt || self.blind_rollback {
+                            self.tail = ckpt;
+                        }
+                    }
+                }
+                self.w_pc += 1;
+                return;
+            }
+            self.r_pc = match self.r_pc {
+                0 => {
+                    self.r_head = self.head;
+                    1
+                }
+                1 => {
+                    self.r_tail = self.tail;
+                    2 + u8::from(self.no_recheck)
+                }
+                // The re-check: if the head moved, start over.
+                _ if self.head != self.r_head => 0,
+                _ => 3,
+            };
+        }
+        fn check(&self) -> Result<(), String> {
+            let (head, tail) = (self.r_head, self.r_tail);
+            if self.r_pc == 3 && (tail < head || tail - head > 8) {
+                return Err(format!("reader returned head {head}, tail {tail}"));
+            }
+            Ok(())
+        }
+    }
+
+    fn verdict(no_recheck: bool, blind_rollback: bool) -> Option<String> {
+        let model = ViewModel {
+            no_recheck,
+            blind_rollback,
+            ..ViewModel::default()
+        };
+        let report = explore(model, 10_000);
+        assert!(report.complete || report.violation.is_some());
+        report.violation.map(|(msg, _)| msg)
     }
 
     #[test]
-    fn snapshots_under_contention_are_never_torn() {
-        use std::sync::Arc;
-        let c = Arc::new(WalCursor::new(snap(0, 0, 0, 0)));
-        let writer = {
-            let c = Arc::clone(&c);
-            std::thread::spawn(move || {
-                for i in 1..=10_000u64 {
-                    // Keep an invariant between the fields: tail = 64*seq.
-                    c.publish(snap(0, i * 64, 0, i));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..20_000 {
-                        let s = c.snapshot();
-                        assert_eq!(s.tail, s.next_seq * 64, "torn snapshot: {s:?}");
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
+    fn three_load_reader_never_sees_an_incoherent_pair() {
+        assert_eq!(verdict(false, false), None);
+    }
+
+    #[test]
+    fn reader_without_the_recheck_is_convicted() {
+        let msg = verdict(true, false).expect("a stale head beside a new tail");
+        assert_eq!(msg, "reader returned head 0, tail 16");
+    }
+
+    #[test]
+    fn rollback_below_the_head_is_convicted() {
+        let msg = verdict(false, true).expect("a tail stored below the head");
+        assert_eq!(msg, "reader returned head 8, tail 0");
     }
 }

@@ -93,18 +93,20 @@
 //! concurrency-plane split:
 //!
 //! 1. `RvmShared::core` — log *mutation*, the page queue, and
-//!    truncation-boundary state. Reads of the log cursors go through the
-//!    `cursor::WalCursor` seqlock instead; resolved segment devices and
-//!    checksum catalogs live behind their own `RwLock` registries
-//!    (`seg_devices`, `seg_catalogs`, ranked just above `core`); spooled
-//!    no-flush commits land in sharded `SpoolPlane` locks
-//!    (rank between `core` and `group-work` — the commit leader's fill
-//!    pops shards while holding `core`). Statistics are relaxed atomics with
-//!    no lock at all.
+//!    truncation-boundary state, the log cursors included: the WAL
+//!    publishes only `head` and `tail`, as two atomics, for readers that
+//!    want the log's occupancy without the lock (`cursor::WalView`).
+//!    Resolved segment devices and checksum catalogs live behind their
+//!    own `RwLock` registries (`seg_devices`, `seg_catalogs`, ranked just
+//!    above `core`); spooled no-flush commits land in sharded
+//!    `SpoolPlane` locks (rank between `core` and `group-work` — the
+//!    commit leader's fill pops shards while holding `core`). Statistics
+//!    are relaxed atomics with no lock at all.
 //! 2. `RvmShared::regions` (read or write) — the region map.
 //! 3. Per-region memory locks (`mem_lock`), then per-region
-//!    `page_vector` — the scrubber's VM-rewrite rung holds
-//!    `core → mem_lock → page_vector` in that order; no path acquires
+//!    `page_vector` — `committed_page` (incremental write-back, the
+//!    scrubber's rewrite rung) holds `core → mem_lock → page_vector` in
+//!    that order across its check and copy; no path acquires
 //!    `mem_lock` while holding a `page_vector`, or `core` while holding
 //!    either.
 //! 4. Leaf locks, never held while acquiring any of the above:

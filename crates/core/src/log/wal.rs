@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use rvm_storage::{Device, IoToken};
 
-use crate::cursor::{CursorSnapshot, WalCursor};
+use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::record::{
     self, encode_pad, encode_txn_into, parse_header, parse_record, validate_record, HeaderInfo,
@@ -129,16 +129,19 @@ impl WalCheckpoint {
 
 /// The circular log writer.
 ///
-/// The four cursors live in a shared [`WalCursor`] cell rather than plain
-/// fields: every mutation still happens through `&mut Wal` (the holder of
-/// the core lock), but each one is *published* through the cursor's
-/// seqlock so lock-free readers — `query()`, the no-flush threshold
-/// check, the background truncation trigger — can take coherent
-/// snapshots without the lock.
+/// The four cursors are plain fields: every mutation happens through
+/// `&mut Wal`, which only the holder of the core lock has. `head` and
+/// `tail` are also stored into a shared `WalView` each time they move,
+/// for the readers that want the log's occupancy without the lock
+/// (`query()`, the commit path's truncation-threshold check).
 pub struct Wal {
     dev: Arc<dyn Device>,
     area_len: u64,
-    cursor: Arc<WalCursor>,
+    head: u64,
+    tail: u64,
+    seq_at_head: u64,
+    next_seq: u64,
+    pub(crate) view: Arc<WalView>,
 }
 
 impl Wal {
@@ -156,48 +159,40 @@ impl Wal {
         Self {
             dev,
             area_len,
-            cursor: Arc::new(WalCursor::new(CursorSnapshot {
-                head,
-                tail,
-                seq_at_head,
-                next_seq,
-            })),
+            head,
+            tail,
+            seq_at_head,
+            next_seq,
+            view: Arc::new(WalView::new(head, tail, area_len)),
         }
     }
 
-    /// The shared cursor cell, for lock-free snapshot readers.
-    pub(crate) fn cursor(&self) -> Arc<WalCursor> {
-        Arc::clone(&self.cursor)
-    }
-
-    /// Publishes new tail cursors (head untouched) through the seqlock.
+    /// Moves the tail (an append, or a rollback to at or above the head)
+    /// and publishes it.
     fn set_tail(&mut self, tail: u64, next_seq: u64) {
-        self.cursor.publish(CursorSnapshot {
-            head: self.head(),
-            tail,
-            seq_at_head: self.seq_at_head(),
-            next_seq,
-        });
+        self.tail = tail;
+        self.next_seq = next_seq;
+        self.view.set_tail(tail);
     }
 
     /// Logical offset of the oldest live record.
     pub fn head(&self) -> u64 {
-        self.cursor.head()
+        self.head
     }
 
     /// Logical offset one past the newest record.
     pub fn tail(&self) -> u64 {
-        self.cursor.tail()
+        self.tail
     }
 
     /// Sequence number expected at `head`.
     pub fn seq_at_head(&self) -> u64 {
-        self.cursor.seq_at_head()
+        self.seq_at_head
     }
 
     /// Next sequence number to be assigned.
     pub fn next_seq(&self) -> u64 {
-        self.cursor.next_seq()
+        self.next_seq
     }
 
     /// Bytes of live log.
@@ -404,7 +399,9 @@ impl Wal {
     /// checkpointed tail; the records below it were already applied to
     /// their segments and the checkpoint no longer names a valid cursor
     /// state, so the rollback is skipped — callers poison the instance on
-    /// this path, which makes the stale cursors unreachable.
+    /// this path, which makes the stale cursors unreachable. The same
+    /// guard is why the published tail never drops below the published
+    /// head, which lock-free readers rely on (`cursor.rs`).
     pub fn rollback_to(&mut self, ckpt: WalCheckpoint) {
         debug_assert!(ckpt.tail <= self.tail() && ckpt.next_seq <= self.next_seq());
         if self.head() <= ckpt.tail {
@@ -419,13 +416,10 @@ impl Wal {
     ///
     /// Panics (debug) if the head would move backward or past the tail.
     pub fn advance_head(&mut self, new_head: u64, new_seq_at_head: u64) {
-        debug_assert!(new_head >= self.head() && new_head <= self.tail());
-        self.cursor.publish(CursorSnapshot {
-            head: new_head,
-            tail: self.tail(),
-            seq_at_head: new_seq_at_head,
-            next_seq: self.next_seq(),
-        });
+        debug_assert!(new_head >= self.head && new_head <= self.tail);
+        self.head = new_head;
+        self.seq_at_head = new_seq_at_head;
+        self.view.set_head(new_head);
     }
 }
 

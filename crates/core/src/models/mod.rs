@@ -14,8 +14,9 @@
 //! they run in every environment (the CI loom job builds them with
 //! `RUSTFLAGS="--cfg loom"`; they also build under plain `cfg(test)`).
 //!
-//! Three protocols are modeled, matching the PRs that complicated the
-//! durability argument:
+//! Two protocols are modeled here, matching the PRs that complicated the
+//! durability argument (the WAL's two published words have a model of
+//! their own beside them, in `cursor.rs`'s tests):
 //!
 //! * [`group_model`] — the commit plane. The leader's batch: a
 //!   checkpoint, a fill that closes the batch and resumes in a new one
@@ -35,14 +36,7 @@
 //!   no two epochs are ever in flight, every committer bumps
 //!   `wait_generation` before re-deriving state, and breaking the wait's
 //!   atomicity (release-then-sleep) is caught as a deadlock.
-//! * [`cursor_model`] — the `WalCursor` seqlock behind the
-//!   concurrency-plane split: reserve/publish/rollback against lock-free
-//!   snapshots and a truncation head advance. No schedule yields a torn
-//!   snapshot or moves the head backwards; a writer that skips the
-//!   reserve, or a rollback that skips its basis validation, is
-//!   convicted by the explorer.
 
-pub mod cursor_model;
 pub mod epoch_model;
 pub mod explore;
 pub mod group_model;

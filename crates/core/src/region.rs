@@ -193,6 +193,18 @@ impl Drop for RegionMemory {
     }
 }
 
+/// What [`RegionInner::committed_page`] found.
+pub(crate) enum PageImage {
+    /// Exactly the committed, logged bytes of the page.
+    Committed(Vec<u8>),
+    /// The page was never fetched from its segment (on-demand mapping).
+    Unloaded,
+    /// A live transaction has declared a range on the page.
+    Uncommitted,
+    /// A committed change to the page is still in the spool.
+    Unflushed,
+}
+
 /// Library-internal state of a mapped region.
 pub(crate) struct RegionInner {
     pub(crate) id: u64,
@@ -406,6 +418,45 @@ impl RegionInner {
             *tracker = None;
         }
         Ok(())
+    }
+
+    /// The committed image of region page `page`, copied out of VM — the
+    /// one way a page leaves VM for its segment (incremental truncation's
+    /// write-back, the scrubber's rewrite rung).
+    ///
+    /// VM holds exactly the committed, logged bytes of a page when the
+    /// page is loaded (committed changes were applied at load or written
+    /// since), no live transaction has declared a range on it (declared
+    /// bytes may be uncommitted, or read into a record not yet durable),
+    /// and no committed change to it is still in the spool (the record
+    /// could be lost with half its pages written). The counts are checked
+    /// and the page copied under one hold of the memory lock *and* the
+    /// page vector (`core → mem_lock → page_vector`; callers hold `core`):
+    /// every `set_range` takes the page vector before its caller may
+    /// write, through the safe API or a raw pointer, so nothing declared
+    /// after the check can reach the copy.
+    pub(crate) fn committed_page(&self, page: usize) -> Result<PageImage> {
+        let loaded = self
+            .unloaded
+            .lock()
+            .as_ref()
+            .is_none_or(|pending| pending.get(page) == Some(&false));
+        if !loaded {
+            return Ok(PageImage::Unloaded);
+        }
+        let _mem = self.mem_lock.read();
+        let pv = self.page_vector.lock();
+        let entry = pv.entry(page);
+        if entry.uncommitted > 0 {
+            return Ok(PageImage::Uncommitted);
+        }
+        if entry.unflushed > 0 {
+            return Ok(PageImage::Unflushed);
+        }
+        let mut image = vec![0u8; PAGE_SIZE as usize];
+        // SAFETY: shared memory lock held; bounds checked by `copy_out`.
+        unsafe { self.mem.copy_out(page * PAGE_SIZE as usize, &mut image) }?;
+        Ok(PageImage::Committed(image))
     }
 
     /// Reads bytes with the shared lock held (library-internal).

@@ -12,25 +12,25 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rvm_storage::Device;
 
-use crate::check::{self, CheckState, CheckViolation};
+use crate::check::CheckState;
 use crate::commit::{GroupCommit, LogPipeline};
-use crate::cursor::WalCursor;
+use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
 use crate::log::wal::{StagingBuf, Wal};
 use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
-use crate::query::{LogInfo, QueryInfo};
-use crate::ranges::{ByteRange, RangeSet};
+use crate::query::QueryInfo;
+use crate::ranges::ByteRange;
 use crate::recovery::{recover, RecoveryReport};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
-use crate::scrub::{read_page_verified, sidecar_name, ScrubReport, SegmentChecksums};
+use crate::scrub::{sidecar_name, ScrubReport, SegmentChecksums};
 use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
 use crate::truncation::page_vector::PageVector;
 use crate::truncation::{spawn_bg_thread, EpochInFlight, PageQueue};
-use crate::txn::{Transaction, TxnRegion};
+use crate::txn::Transaction;
 
 /// The held core lock. Functions that may *release and reacquire* the
 /// lock (making log space, see [`RvmShared::make_log_space`]) take this
@@ -41,7 +41,7 @@ pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 /// page queue. Historically this one lock also guarded the spool, the
 /// segment-device registry, and every statistic; those now live in their
 /// own concurrency planes on [`RvmShared`] (`spool`, `seg_devices` /
-/// `seg_catalogs`, `stats`, and the lock-free `cursor` view of the WAL),
+/// `seg_catalogs`, `stats`, and the published `log_view` of the WAL),
 /// so `core` serializes only log mutation and truncation boundaries.
 pub(crate) struct Core {
     pub(crate) wal: Wal,
@@ -76,14 +76,10 @@ pub(crate) struct RvmShared {
     pub(crate) tuning: RwLock<Tuning>,
     pub(crate) stats: Stats,
     pub(crate) core: TracedMutex<Core>,
-    /// Lock-free seqlock view of the WAL cursors (shared with `core.wal`,
-    /// which is the only writer — always under the core lock). Readers
-    /// (`query`, truncation-threshold checks) snapshot it without
-    /// touching `core`.
-    cursor: Arc<WalCursor>,
-    /// The record area's byte capacity; immutable after `initialize`, so
-    /// utilization can be derived from a cursor snapshot alone.
-    pub(crate) log_capacity: u64,
+    /// The log's published `(head, tail)` (stored by `core.wal`, always
+    /// under the core lock). Readers (`query`, the truncation-threshold
+    /// check) snapshot it without touching `core`.
+    pub(crate) log_view: Arc<WalView>,
     /// The spool plane: sharded locks + lock-free gauges (see
     /// [`crate::spool::SpoolPlane`]). No-flush commits push here without
     /// taking `core`; only the commit leader's fill pops it.
@@ -110,7 +106,7 @@ pub(crate) struct RvmShared {
     /// Debug-mode checker state (snapshots, declared ranges, violations).
     /// Lock order: `regions` → `check` → region memory locks; never taken
     /// while holding `core`.
-    check: Mutex<CheckState>,
+    pub(crate) check: Mutex<CheckState>,
     next_tid: AtomicU64,
     next_region_id: AtomicU64,
     pub(crate) active_txns: AtomicU64,
@@ -262,8 +258,7 @@ impl Rvm {
             status.next_seq,
         );
 
-        let cursor = wal.cursor();
-        let log_capacity = wal.capacity();
+        let log_view = wal.view.clone();
         let page_queue = PageQueue::new();
         let queued_pages = page_queue.gauge();
         let shared = Arc::new(RvmShared {
@@ -282,8 +277,7 @@ impl Rvm {
                 staging: StagingBuf::new(),
                 hooks: MutationHooks::default(),
             }),
-            cursor,
-            log_capacity,
+            log_view,
             spool: SpoolPlane::new(),
             seg_devices: RwLock::new(recovered.seg_devices),
             seg_catalogs: RwLock::new(recovered.seg_catalogs),
@@ -560,7 +554,7 @@ impl Rvm {
     /// Library-wide information (§4.2 `query`).
     ///
     /// Served entirely from the lock-free planes — the atomic stats, the
-    /// spool and page-queue gauges, the WAL cursor seqlock, and the
+    /// spool and page-queue gauges, the WAL's published view, and the
     /// segment-device registry's read lock. `query` never acquires the
     /// core lock, so it cannot be wedged behind a commit that is itself
     /// stuck on a slow or gated device.
@@ -591,8 +585,6 @@ impl Rvm {
                 replicas_total += total;
             }
         }
-        let snap = self.shared.cursor.snapshot();
-        let capacity = self.shared.log_capacity;
         QueryInfo {
             active_transactions: self.shared.active_txns.load(Ordering::Acquire),
             mapped_regions,
@@ -602,13 +594,7 @@ impl Rvm {
             spooled_transactions: self.shared.spool.len(),
             spool_bytes: self.shared.spool.bytes(),
             queued_pages: self.shared.queued_pages.load(Ordering::Relaxed),
-            log: LogInfo {
-                head: snap.head,
-                tail: snap.tail,
-                used: snap.used(),
-                capacity,
-                utilization: snap.utilization(capacity),
-            },
+            log: self.shared.log_view.snapshot(),
             truncation_in_flight: self.shared.epoch_active.load(Ordering::Acquire),
             poisoned: self.shared.poisoned.load(Ordering::Acquire),
             check_violations,
@@ -839,12 +825,6 @@ impl RvmShared {
         Ok(Some(catalog))
     }
 
-    /// Log utilization from the lock-free cursor seqlock — the commit
-    /// paths' truncation-threshold check, off the core lock.
-    pub(crate) fn utilization_snapshot(&self) -> f64 {
-        self.cursor.snapshot().utilization(self.log_capacity)
-    }
-
     /// Writes the status block from live state.
     pub(crate) fn write_status_locked(&self, core: &mut Core) -> Result<()> {
         let mut status = StatusBlock {
@@ -860,314 +840,6 @@ impl RvmShared {
         };
         write_status(self.dev.as_ref(), &mut status)?;
         core.status_seq = status.seq;
-        Ok(())
-    }
-
-    /// `begin_transaction` hook: snapshots every fully loaded mapped
-    /// region for the commit-time unlogged-write diff. On-demand regions
-    /// still holding unfetched pages are skipped — a page fetch mutates
-    /// memory without any transaction writing it, which the diff would
-    /// misread as an unlogged write.
-    fn snapshot_for_check(&self, tid: u64) {
-        let regions = self.regions.read();
-        let mut snaps = HashMap::new();
-        for (id, region) in regions.iter() {
-            if region.unloaded.lock().is_some() {
-                continue;
-            }
-            snaps.insert(*id, region.read_bytes(0, region.len));
-        }
-        self.check.lock().snapshots.insert(tid, snaps);
-    }
-
-    /// Commit-time unlogged-write check: diffs each snapshotted region
-    /// against current memory and subtracts every declared `set_range`
-    /// interval — this transaction's own write set plus every other live
-    /// transaction's (their commits will log those bytes). Whatever
-    /// remains changed behind RVM's back (§6's forgotten-`set_range`
-    /// disaster) and is recorded as a [`CheckViolation`].
-    pub(crate) fn run_commit_check(&self, txn: &Transaction) {
-        let (enabled, panic_on) = {
-            let t = self.tuning.read();
-            (t.check_unlogged_writes, t.panic_on_violation)
-        };
-        let regions = self.regions.read();
-        let mut state = self.check.lock();
-        let Some(snaps) = state.snapshots.remove(&txn.tid) else {
-            return;
-        };
-        if !enabled {
-            // Checking was turned off mid-transaction; drop the snapshot.
-            return;
-        }
-        let mut found = Vec::new();
-        let mut refresh: Vec<(u64, ByteRange, Vec<u8>)> = Vec::new();
-        for (region_id, old) in &snaps {
-            let Some(region) = regions.get(region_id) else {
-                continue; // unmapped since begin_transaction
-            };
-            let current = region.read_bytes(0, region.len);
-            let mut allowed = RangeSet::new();
-            if let Some(txn_region) = txn.regions.get(region_id) {
-                for r in txn_region.ranges.iter() {
-                    allowed.insert(r);
-                }
-            }
-            if let Some(declared) = state.declared.get(region_id) {
-                for (tid, r) in declared {
-                    if *tid != txn.tid {
-                        allowed.insert(*r);
-                    }
-                }
-            }
-            let allowed: Vec<ByteRange> = allowed.iter().collect();
-            for d in check::diff_intervals(old, &current) {
-                for bad in check::subtract_ranges(d, &allowed) {
-                    found.push(CheckViolation::UnloggedWrite {
-                        tid: txn.tid,
-                        segment: region.seg_name.clone(),
-                        offset: bad.start,
-                        len: bad.len(),
-                    });
-                    let bytes = current[bad.start as usize..bad.end as usize].to_vec();
-                    refresh.push((*region_id, bad, bytes));
-                }
-            }
-        }
-        // Fold the offending bytes into the other live snapshots so one
-        // unlogged write is reported once, not once per open transaction.
-        for (region_id, bad, bytes) in refresh {
-            for snaps in state.snapshots.values_mut() {
-                if let Some(img) = snaps.get_mut(&region_id) {
-                    img[bad.start as usize..bad.end as usize].copy_from_slice(&bytes);
-                }
-            }
-        }
-        self.record_check_violations(&mut state, found, panic_on);
-    }
-
-    /// `set_range` hook: records the declaration for the diff exclusion
-    /// set and, with conflict checking on, flags overlaps with other live
-    /// transactions' declarations (§3.1's punted data-race class).
-    pub(crate) fn check_declared_range(
-        &self,
-        tid: u64,
-        region: &Arc<RegionInner>,
-        range: ByteRange,
-    ) {
-        let (track, conflicts, panic_on) = {
-            let t = self.tuning.read();
-            (
-                t.check_unlogged_writes || t.check_range_conflicts,
-                t.check_range_conflicts,
-                t.panic_on_violation,
-            )
-        };
-        if !track {
-            return;
-        }
-        let mut state = self.check.lock();
-        let found = {
-            let entries = state.declared.entry(region.id).or_default();
-            let mut found = Vec::new();
-            if conflicts {
-                for (other, r) in entries.iter() {
-                    if *other != tid && r.start < range.end && range.start < r.end {
-                        let start = range.start.max(r.start);
-                        let end = range.end.min(r.end);
-                        found.push(CheckViolation::RangeConflict {
-                            tid,
-                            other_tid: *other,
-                            segment: region.seg_name.clone(),
-                            offset: start,
-                            len: end - start,
-                        });
-                    }
-                }
-            }
-            entries.push((tid, range));
-            found
-        };
-        self.record_check_violations(&mut state, found, panic_on);
-    }
-
-    /// Transaction-end hook (commit, abort, or drop): refreshes the other
-    /// live snapshots over this transaction's declared ranges — those
-    /// bytes are now either committed or restored, and must not read as
-    /// unlogged at someone else's commit — then forgets the transaction.
-    pub(crate) fn check_txn_ended(&self, tid: u64, regions: &HashMap<u64, TxnRegion>) {
-        let mut state = self.check.lock();
-        if state.snapshots.is_empty() && state.declared.is_empty() {
-            return;
-        }
-        for (region_id, txn_region) in regions {
-            if state.snapshots.values().any(|m| m.contains_key(region_id)) {
-                for r in txn_region.ranges.iter() {
-                    let bytes = txn_region.region.read_bytes(r.start, r.len());
-                    for snaps in state.snapshots.values_mut() {
-                        if let Some(img) = snaps.get_mut(region_id) {
-                            img[r.start as usize..r.end as usize].copy_from_slice(&bytes);
-                        }
-                    }
-                }
-            }
-            let empty = if let Some(entries) = state.declared.get_mut(region_id) {
-                entries.retain(|(t, _)| *t != tid);
-                entries.is_empty()
-            } else {
-                false
-            };
-            if empty {
-                state.declared.remove(region_id);
-            }
-        }
-        state.snapshots.remove(&tid);
-    }
-
-    /// Counts, stores, and (with `panic_on_violation`) panics on check
-    /// violations.
-    fn record_check_violations(
-        &self,
-        state: &mut CheckState,
-        found: Vec<CheckViolation>,
-        panic_on: bool,
-    ) {
-        if found.is_empty() {
-            return;
-        }
-        for v in &found {
-            match v {
-                CheckViolation::UnloggedWrite { .. } => {
-                    self.stats.add(&self.stats.check_unlogged_writes, 1)
-                }
-                CheckViolation::RangeConflict { .. } => {
-                    self.stats.add(&self.stats.check_range_conflicts, 1)
-                }
-            }
-        }
-        let msg = panic_on.then(|| {
-            found
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        });
-        state.violations.extend(found);
-        if let Some(msg) = msg {
-            panic!("rvm check violation: {msg}");
-        }
-    }
-
-    /// One scrub pass over every mapped region with a checksum catalog
-    /// (see [`Rvm::scrub`]). Device failures propagate (they are *not*
-    /// checksum mismatches — the media may be fine); corruption never
-    /// poisons the instance, it quarantines at most the affected regions.
-    pub(crate) fn scrub_pass(&self) -> Result<ScrubReport> {
-        let mut report = ScrubReport::default();
-        let regions: Vec<Arc<RegionInner>> = self.regions.read().values().cloned().collect();
-        for region in regions {
-            self.scrub_region(&region, &mut report)?;
-        }
-        Ok(report)
-    }
-
-    /// Scrubs one region page by page, taking the core lock per page so
-    /// commits interleave freely with a pass.
-    fn scrub_region(&self, region: &Arc<RegionInner>, report: &mut ScrubReport) -> Result<()> {
-        if region.catalog.is_none() {
-            return Ok(());
-        }
-        let pages = (region.len / PAGE_SIZE) as usize;
-        for page in 0..pages {
-            let core = self.core.lock();
-            if core.epoch.is_some() {
-                // An off-lock epoch apply owns the segment writers; the
-                // rest of this region waits for the next pass.
-                report.pages_skipped += (pages - page) as u64;
-                return Ok(());
-            }
-            if !region.mapped.load(Ordering::Acquire) || region.is_degraded() {
-                report.pages_skipped += (pages - page) as u64;
-                return Ok(());
-            }
-            self.scrub_region_page(core, region, page, report)?;
-        }
-        Ok(())
-    }
-
-    /// Verifies one region page against the catalog and runs the repair
-    /// ladder on a mismatch: bounded re-reads and mirror read-repair
-    /// (inside [`read_page_verified`]), then a rewrite from the committed
-    /// image in VM, else quarantine.
-    ///
-    /// Holding `core` for the whole page excludes every other segment
-    /// writer (truncation holds `core`; the epoch apply was ruled out by
-    /// the caller), so the read-check-rewrite sequence cannot race a
-    /// concurrent apply to the same page.
-    fn scrub_region_page(
-        &self,
-        _core: CoreGuard<'_>,
-        region: &Arc<RegionInner>,
-        page: usize,
-        report: &mut ScrubReport,
-    ) -> Result<()> {
-        let catalog = region.catalog.as_ref().expect("caller checked");
-        let media = &self.stats.media;
-        let page_off = page as u64 * PAGE_SIZE;
-        let seg_page = ((region.seg_offset + page_off) / PAGE_SIZE) as usize;
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        let (verified, healed) =
-            read_page_verified(region.seg_dev.as_ref(), catalog, seg_page, &mut buf)?;
-        report.pages_scanned += 1;
-        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if verified {
-            if healed {
-                report.corruptions_detected += 1;
-                report.corruptions_repaired += 1;
-                media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(());
-        }
-        report.corruptions_detected += 1;
-        media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-        // Re-reads and any mirror failed; next rung is a rewrite from the
-        // committed image. A *loaded* page with no uncommitted
-        // transaction activity holds exactly that image in VM: committed
-        // changes were applied at load or written since, and map-time
-        // truncation drained the segment's live log records before the
-        // load, so nothing committed is missing from memory.
-        let loaded = region
-            .unloaded
-            .lock()
-            .as_ref()
-            .is_none_or(|pending| !pending[page]);
-        if loaded {
-            let _mem = region.mem_lock.read();
-            let uncommitted = region.page_vector.lock().entry(page).uncommitted;
-            if uncommitted > 0 {
-                // VM holds uncommitted bytes; retry on a later pass.
-                report.pages_skipped += 1;
-                return Ok(());
-            }
-            let len = PAGE_SIZE.min(region.len - page_off) as usize;
-            let mut img = vec![0u8; len];
-            // SAFETY: shared memory lock held; bounds within the region.
-            unsafe { region.mem.copy_out(page_off as usize, &mut img) }?;
-            region
-                .seg_dev
-                .write_at(region.seg_offset + page_off, &img)?;
-            region.seg_dev.sync()?;
-            catalog.update(seg_page, &img);
-            catalog.persist()?;
-            report.corruptions_repaired += 1;
-            media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        // Unloaded and unverifiable: no healthy replica, no VM image, and
-        // no log span to rebuild from — quarantine the region.
-        report.pages_quarantined += 1;
-        let _ = region.quarantine(seg_page);
         Ok(())
     }
 }

@@ -9,11 +9,12 @@
 //! verified whenever mapped regions load pages and by
 //! [`Rvm::scrub`](crate::Rvm::scrub) passes.
 //!
-//! A checksum mismatch feeds the repair ladder (in `rvm.rs`): a healthy
-//! mirror replica first, then reconstruction from the committed image
-//! (the un-truncated log span, whose contents the VM image of a loaded
-//! page reproduces exactly), else quarantine of the affected region into
-//! read-only degraded mode ([`RvmError::Media`](crate::RvmError::Media)).
+//! A checksum mismatch feeds the repair ladder (`scrub_region_page`,
+//! below): a healthy mirror replica first, then reconstruction from the
+//! committed image (the un-truncated log span, whose contents the VM
+//! image of a loaded page reproduces exactly), else quarantine of the
+//! affected region into read-only degraded mode
+//! ([`RvmError::Media`](crate::RvmError::Media)).
 //!
 //! # Catalog format
 //!
@@ -49,6 +50,7 @@
 //! their checksums before anything verifies), or torn (self-check fails,
 //! re-adopted).
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -58,6 +60,8 @@ use crate::crc::crc32;
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
 use crate::ranges::{overlay_pieces, Piece};
+use crate::region::{PageImage, RegionInner};
+use crate::rvm::{CoreGuard, RvmShared};
 
 const MAGIC: &[u8; 4] = b"RVMC";
 const VERSION: u32 = 1;
@@ -448,9 +452,10 @@ pub struct ScrubReport {
     /// Pages whose corruption survived the whole repair ladder; their
     /// regions are now quarantined (degraded, read-only).
     pub pages_quarantined: u64,
-    /// Pages skipped: uncommitted transaction activity pinned them, an
-    /// epoch truncation owned the segment writers, or their region was
-    /// already quarantined. They are re-examined on the next pass.
+    /// Pages skipped: a live transaction or an unflushed lazy commit
+    /// pinned them, an epoch truncation owned the segment writers, or
+    /// their region was already quarantined. They are re-examined on the
+    /// next pass.
     pub pages_skipped: u64,
 }
 
@@ -468,6 +473,110 @@ impl ScrubReport {
         self.corruptions_repaired += other.corruptions_repaired;
         self.pages_quarantined += other.pages_quarantined;
         self.pages_skipped += other.pages_skipped;
+    }
+}
+
+impl RvmShared {
+    /// One scrub pass over every mapped region with a checksum catalog
+    /// (see [`Rvm::scrub`](crate::Rvm::scrub)). Device failures propagate
+    /// (they are *not* checksum mismatches — the media may be fine);
+    /// corruption never poisons the instance, it quarantines at most the
+    /// affected regions.
+    pub(crate) fn scrub_pass(&self) -> Result<ScrubReport> {
+        let mut report = ScrubReport::default();
+        let regions: Vec<Arc<RegionInner>> = self.regions.read().values().cloned().collect();
+        for region in regions {
+            self.scrub_region(&region, &mut report)?;
+        }
+        Ok(report)
+    }
+
+    /// Scrubs one region page by page, taking the core lock per page so
+    /// commits interleave freely with a pass.
+    fn scrub_region(&self, region: &Arc<RegionInner>, report: &mut ScrubReport) -> Result<()> {
+        let Some(catalog) = &region.catalog else {
+            return Ok(());
+        };
+        let pages = (region.len / PAGE_SIZE) as usize;
+        for page in 0..pages {
+            let core = self.core.lock();
+            if core.epoch.is_some() {
+                // An off-lock epoch apply owns the segment writers; the
+                // rest of this region waits for the next pass.
+                report.pages_skipped += (pages - page) as u64;
+                return Ok(());
+            }
+            if !region.mapped.load(Ordering::Acquire) || region.is_degraded() {
+                report.pages_skipped += (pages - page) as u64;
+                return Ok(());
+            }
+            self.scrub_region_page(core, region, catalog, page, report)?;
+        }
+        Ok(())
+    }
+
+    /// Verifies one region page against the catalog and runs the repair
+    /// ladder on a mismatch: bounded re-reads and mirror read-repair
+    /// (inside [`read_page_verified`]), then a rewrite from the committed
+    /// image in VM, else quarantine.
+    ///
+    /// Holding `core` for the whole page excludes every other segment
+    /// writer (truncation holds `core`; the epoch apply was ruled out by
+    /// the caller), so the read-check-rewrite sequence cannot race a
+    /// concurrent apply to the same page.
+    fn scrub_region_page(
+        &self,
+        _core: CoreGuard<'_>,
+        region: &Arc<RegionInner>,
+        catalog: &SegmentChecksums,
+        page: usize,
+        report: &mut ScrubReport,
+    ) -> Result<()> {
+        let media = &self.stats.media;
+        let page_off = page as u64 * PAGE_SIZE;
+        let seg_page = ((region.seg_offset + page_off) / PAGE_SIZE) as usize;
+        let mut buf = vec![0u8; PAGE_SIZE as usize];
+        let (verified, healed) =
+            read_page_verified(region.seg_dev.as_ref(), catalog, seg_page, &mut buf)?;
+        report.pages_scanned += 1;
+        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
+        if verified {
+            if healed {
+                report.corruptions_detected += 1;
+                report.corruptions_repaired += 1;
+                media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(());
+        }
+        report.corruptions_detected += 1;
+        media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+        // Re-reads and any mirror failed; next rung is a rewrite from the
+        // committed image, when VM holds exactly that (map-time
+        // truncation drained the segment's live log records before the
+        // load, so nothing committed is missing from a loaded page).
+        match region.committed_page(page)? {
+            PageImage::Committed(img) => {
+                region
+                    .seg_dev
+                    .write_at(region.seg_offset + page_off, &img)?;
+                region.seg_dev.sync()?;
+                catalog.update(seg_page, &img);
+                catalog.persist()?;
+                report.corruptions_repaired += 1;
+                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+            }
+            // VM holds uncommitted bytes, or committed ones whose record
+            // is still in the spool; retry on a later pass.
+            PageImage::Uncommitted | PageImage::Unflushed => report.pages_skipped += 1,
+            // Unloaded and unverifiable: no healthy replica, no VM image,
+            // and no log span to rebuild from — quarantine the region.
+            PageImage::Unloaded => {
+                report.pages_quarantined += 1;
+                let _ = region.quarantine(seg_page);
+            }
+        }
+        Ok(())
     }
 }
 

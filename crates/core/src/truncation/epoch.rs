@@ -119,7 +119,7 @@ impl RvmShared {
     fn apply_epoch_span(&self, start: u64, start_seq: u64, end: u64) -> Result<()> {
         let applied = recovery::apply_span(
             self.dev.as_ref(),
-            self.log_capacity,
+            self.log_view.capacity,
             start,
             start_seq,
             Some(end),

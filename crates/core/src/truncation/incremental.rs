@@ -9,7 +9,7 @@ use parking_lot::MutexGuard;
 
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
-use crate::region::RegionInner;
+use crate::region::{PageImage, RegionInner};
 use crate::rvm::{CoreGuard, RvmShared};
 
 /// Pages written per incremental-truncation sync batch.
@@ -55,8 +55,9 @@ impl RvmShared {
                 break;
             }
 
-            // Gather a batch of writable pages from the queue head.
-            let mut batch: Vec<(Arc<RegionInner>, usize)> = Vec::new();
+            // Gather a batch of writable pages from the queue head, each
+            // with its committed image (`RegionInner::committed_page`).
+            let mut batch: Vec<(Arc<RegionInner>, usize, Vec<u8>)> = Vec::new();
             while batch.len() < INCREMENTAL_BATCH_PAGES {
                 let Some(front) = core.page_queue.front() else {
                     break;
@@ -74,50 +75,40 @@ impl RvmShared {
                     break;
                 };
                 let page = front.page;
-                {
-                    let mut pv = region.page_vector.lock();
-                    let entry = *pv.entry(page);
-                    if entry.uncommitted > 0 {
-                        // "Incremental truncation is now blocked until
-                        // the uncommitted reference count drops to zero."
-                        break;
+                match region.committed_page(page)? {
+                    PageImage::Committed(image) => {
+                        core.page_queue.pop_front();
+                        batch.push((region, page, image));
                     }
-                    if entry.unflushed > 0 {
-                        if !batch.is_empty() {
-                            break;
-                        }
+                    PageImage::Unflushed if batch.is_empty() => {
                         // Committed data still in the spool: flushing it
                         // is always safe and unblocks the page.
-                        drop(pv);
                         MutexGuard::unlocked(core, || self.flush_barrier())?;
                         continue 'outer;
                     }
-                    pv.entry_mut(page).reserved = true;
+                    // Write what was gathered first; with nothing
+                    // gathered, "incremental truncation is now blocked
+                    // until the uncommitted reference count drops to zero."
+                    _ => break,
                 }
-                core.page_queue.pop_front();
-                batch.push((region, page));
             }
             if batch.is_empty() {
                 break; // blocked at the queue head
             }
 
-            // Write the batch from VM to the data segments, one sync per
-            // distinct device. Region pages are full segment pages
-            // (mapping offsets are page-aligned), so the VM image updates
-            // the checksum catalog exactly.
-            for (region, page) in &batch {
-                let page_off = *page as u64 * PAGE_SIZE;
-                let len = PAGE_SIZE.min(region.len - page_off);
-                let buf = region.read_bytes(page_off, len);
-                region
-                    .seg_dev
-                    .write_at(region.seg_offset + page_off, &buf)?;
+            // Write the batch to the data segments, one sync per distinct
+            // device. Region pages are full segment pages (mapping offsets
+            // are page-aligned), so the image updates the checksum
+            // catalog exactly.
+            for (region, page, image) in &batch {
+                let seg_off = region.seg_offset + *page as u64 * PAGE_SIZE;
+                region.seg_dev.write_at(seg_off, image)?;
                 if let Some(catalog) = &region.catalog {
-                    catalog.update(((region.seg_offset + page_off) / PAGE_SIZE) as usize, &buf);
+                    catalog.update((seg_off / PAGE_SIZE) as usize, image);
                 }
             }
             let mut synced: Vec<u64> = Vec::new();
-            for (region, _) in &batch {
+            for (region, ..) in &batch {
                 if !synced.contains(&region.id) {
                     region.seg_dev.sync()?;
                     synced.push(region.id);
@@ -126,7 +117,7 @@ impl RvmShared {
             // Persist updated catalogs (once per segment) before the head
             // advances past the records whose pages were just applied.
             let mut persisted: Vec<u32> = Vec::new();
-            for (region, _) in &batch {
+            for (region, ..) in &batch {
                 if let Some(catalog) = &region.catalog {
                     if !persisted.contains(&region.seg.as_u32()) {
                         catalog.persist()?;
@@ -134,10 +125,8 @@ impl RvmShared {
                     }
                 }
             }
-            for (region, page) in &batch {
-                let mut pv = region.page_vector.lock();
-                pv.entry_mut(*page).reserved = false;
-                pv.entry_mut(*page).dirty = false;
+            for (region, page, _) in &batch {
+                region.page_vector.lock().entry_mut(*page).dirty = false;
             }
             self.stats.add(&self.stats.incremental_steps, 1);
             self.stats

@@ -8,6 +8,13 @@
 //! transaction whose log record could still be lost, breaking atomicity,
 //! so incremental truncation treats unflushed like uncommitted (it can
 //! clear the condition itself by flushing the spool).
+//!
+//! And we drop one the paper had: Figure 7's *reserved* bit, which marks a
+//! page while truncation writes it out of VM. Here the segment is written
+//! from a copy taken under this vector's lock in the same hold that
+//! checked the two counts (`RegionInner::committed_page`), so a later
+//! `set_range` cannot change what is written and there is nothing to
+//! reserve.
 
 use crate::options::PAGE_SIZE;
 
@@ -16,8 +23,6 @@ use crate::options::PAGE_SIZE;
 pub struct PageEntry {
     /// The page holds committed changes not yet applied to the segment.
     pub dirty: bool,
-    /// The page is being written out by incremental truncation.
-    pub reserved: bool,
     /// Number of active transactions with `set_range`s touching the page.
     pub uncommitted: u32,
     /// Number of spooled (committed, unflushed) records touching the page.
@@ -92,16 +97,6 @@ impl PageVector {
         self.pages[page].unflushed = self.pages[page].unflushed.saturating_sub(1);
     }
 
-    /// Marks every page of the byte range dirty.
-    // Only unit tests use the range form today; the library marks pages
-    // individually from precomputed page sets.
-    #[cfg_attr(not(test), expect(dead_code))]
-    pub fn mark_dirty(&mut self, offset: u64, len: u64) {
-        for p in Self::page_span(offset, len) {
-            self.mark_page_dirty(p);
-        }
-    }
-
     /// Marks one page dirty.
     pub fn mark_page_dirty(&mut self, page: usize) {
         self.pages[page].dirty = true;
@@ -146,7 +141,8 @@ mod tests {
         pv.dec_uncommitted(1);
         assert_eq!(pv.entry(1).uncommitted, 1);
 
-        pv.mark_dirty(PAGE_SIZE - 1, 2); // spans pages 0 and 1
+        pv.mark_page_dirty(0);
+        pv.mark_page_dirty(1);
         assert!(pv.entry(0).dirty && pv.entry(1).dirty);
         assert!(!pv.entry(2).dirty);
         assert_eq!(pv.dirty_pages().collect::<Vec<_>>(), vec![0, 1]);

@@ -18,7 +18,8 @@ use std::sync::{Arc, Barrier};
 use parking_lot::Mutex;
 use rvm::segment::DeviceResolver;
 use rvm::{
-    CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE,
+    CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, TruncationMode, Tuning,
+    TxnMode, PAGE_SIZE,
 };
 use rvm_storage::{Device, MemDevice, TraceDevice, TraceRecorder};
 
@@ -55,7 +56,15 @@ pub enum Workload {
     /// the states the committed-prefix oracle must survive.
     /// Multi-threaded (disjoint-cell oracle).
     Pipeline,
-    /// A seeded single-threaded mix of all of the above.
+    /// Incremental truncation over a small log: write-back steps follow
+    /// the commits, a long-running transaction pins the page at the queue
+    /// head until the blocked trigger reverts to an epoch, and lazy
+    /// commits block that page on `unflushed` until the step raises the
+    /// barrier itself. Whatever the step writes from VM, no crash image
+    /// may hold bytes of a transaction that had not committed.
+    Incremental,
+    /// A seeded single-threaded mix of the commit, truncation, spool and
+    /// abort shapes above.
     Seeded(u64),
     /// Flush commits only, never truncating: every committed byte stays
     /// in the live log span. This is the precondition for the bit-rot
@@ -228,6 +237,7 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
         Workload::NoFlushSpool => no_flush_spool(hooks),
         Workload::AbortMix => abort_mix(hooks),
         Workload::Pipeline => pipeline(hooks),
+        Workload::Incremental => incremental(hooks),
         Workload::Seeded(seed) => seeded(seed, hooks),
         Workload::BitRot => bit_rot(hooks),
     }
@@ -481,6 +491,113 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     trace
 }
 
+/// Transactions the [`Workload::Incremental`] script commits.
+const INCREMENTAL_TXNS: usize = 15;
+
+fn incremental(hooks: MutationHooks) -> Trace {
+    // Eight 512-byte cells to a page, one log block to a record, eight
+    // records to the 4 KiB record area. Above 0.2 every second commit
+    // triggers a write-back step; a step that is blocked with the log
+    // more than half full (0.2 + 0.3) reverts to an epoch.
+    const CELL: u64 = 512;
+    let tuning = Tuning {
+        truncation_mode: TruncationMode::Incremental,
+        truncation_threshold: 0.2,
+        ..Tuning::default()
+    };
+    let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
+    let region = rvm
+        .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
+        .expect("map cells");
+    cap.start();
+
+    let data = |cell: u64| vec![0x60 + cell as u8; 400];
+    let mut txns: Vec<TxnSpec> = Vec::new();
+    let mut unacked: Vec<usize> = Vec::new();
+    let flush = |txns: &mut Vec<TxnSpec>, unacked: &mut Vec<usize>, cell: u64| {
+        let spec = flush_txn(
+            &rvm,
+            &cap.recorder,
+            &region,
+            "cells",
+            0,
+            cell * CELL,
+            data(cell),
+        );
+        // A flush commit makes every commit before it durable too.
+        for idx in unacked.drain(..) {
+            txns[idx].ack = spec.ack;
+        }
+        txns.push(spec);
+    };
+
+    // Steps follow the commits: pages 0 and 1, then pages 0 and 2.
+    for cell in [0, 8, 1, 16] {
+        flush(&mut txns, &mut unacked, cell);
+    }
+    assert_eq!(rvm.stats().incremental_steps, 2);
+
+    // The long-running transaction declares cell 2 and pins page 0; the
+    // commit of cell 3 puts page 0 at the queue head. Four commits pile
+    // up behind it, and the fifth finds the log 5/8 full: an epoch.
+    let mut pinning = rvm.begin_transaction(TxnMode::Restore).expect("begin");
+    region
+        .write(&mut pinning, 2 * CELL, &data(2))
+        .expect("write");
+    for cell in [3, 9, 17, 10, 18] {
+        flush(&mut txns, &mut unacked, cell);
+    }
+    let stats = rvm.stats();
+    assert_eq!(
+        (stats.incremental_steps, stats.epoch_truncations),
+        (2, 1),
+        "the blocked trigger did not revert to an epoch: {stats:?}"
+    );
+
+    // Page 0 is at the head again, still pinned. A lazy commit to it,
+    // then the pinning transaction's own lazy commit: that one's trigger
+    // finds page 0 committed but unflushed, raises the barrier, and
+    // writes the page once both records are in the log.
+    for cell in [4, 11] {
+        flush(&mut txns, &mut unacked, cell);
+    }
+    unacked.push(txns.len());
+    txns.push(lazy_txn(&rvm, &region, "cells", 5 * CELL, data(5)));
+    pinning
+        .commit(CommitMode::NoFlush)
+        .expect("no-flush commit");
+    unacked.push(txns.len());
+    txns.push(TxnSpec {
+        thread: 0,
+        committed: true,
+        ack: None,
+        writes: vec![SegWrite {
+            segment: "cells".into(),
+            offset: 2 * CELL,
+            data: data(2),
+        }],
+    });
+    let stats = rvm.stats();
+    assert_eq!(
+        (
+            stats.incremental_steps,
+            stats.spool_flushes,
+            rvm.query().log.used
+        ),
+        (3, 1, 0),
+        "the step did not drain the spool and write the page: {stats:?}"
+    );
+
+    for cell in [19, 12] {
+        flush(&mut txns, &mut unacked, cell);
+    }
+    assert_eq!(txns.len(), INCREMENTAL_TXNS);
+
+    let trace = cap.finish(txns, true);
+    drop(rvm);
+    trace
+}
+
 fn abort_mix(hooks: MutationHooks) -> Trace {
     let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
@@ -660,6 +777,36 @@ mod tests {
             .ops
             .iter()
             .any(|o| o.device == seg_id && matches!(o.kind, TraceOpKind::Write { .. })));
+    }
+
+    #[test]
+    fn incremental_workload_writes_pages_and_reverts_to_one_epoch() {
+        let trace = run_workload(Workload::Incremental, MutationHooks::default());
+        assert!(trace.single_threaded);
+        assert_eq!(trace.txns.len(), INCREMENTAL_TXNS);
+        assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
+        // A write-back step writes whole pages, the epoch the ranges of
+        // the records it applies.
+        let seg_id = trace
+            .devices
+            .iter()
+            .find(|d| d.name == "cells")
+            .expect("segment device")
+            .id;
+        let seg_writes: Vec<usize> = trace
+            .ops
+            .iter()
+            .filter(|o| o.device == seg_id)
+            .filter_map(|o| match &o.kind {
+                TraceOpKind::Write { data, .. } => Some(data.len()),
+                _ => None,
+            })
+            .collect();
+        let pages = seg_writes
+            .iter()
+            .filter(|&&len| len == PAGE_SIZE as usize)
+            .count();
+        assert_eq!((pages, seg_writes.len() - pages), (8, 5), "{seg_writes:?}");
     }
 
     #[test]

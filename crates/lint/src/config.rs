@@ -300,9 +300,6 @@ pub enum AtomicRole {
     /// A flag/pointer that publishes state across threads: Release
     /// stores, Acquire loads, AcqRel RMW.
     Publication,
-    /// A seqlock generation word: Acquire loads, Release stores, AcqRel
-    /// reserve CAS; also subject to the read/write *shape* checks.
-    SeqlockGeneration,
     /// Unique-ID dispenser: Relaxed fetch_add; ordering carries nothing.
     Ticket,
 }
@@ -313,7 +310,6 @@ impl AtomicRole {
             "counter" => AtomicRole::Counter,
             "gauge" => AtomicRole::Gauge,
             "publication" => AtomicRole::Publication,
-            "seqlock-generation" => AtomicRole::SeqlockGeneration,
             "ticket" => AtomicRole::Ticket,
             _ => return None,
         })
@@ -324,7 +320,6 @@ impl AtomicRole {
             AtomicRole::Counter => "counter",
             AtomicRole::Gauge => "gauge",
             AtomicRole::Publication => "publication",
-            AtomicRole::SeqlockGeneration => "seqlock-generation",
             AtomicRole::Ticket => "ticket",
         }
     }
@@ -346,11 +341,6 @@ impl AtomicRole {
                 &[AcqRel, SeqCst]
             }
             (AtomicRole::Publication, OpClass::CasFailure) => &[Acquire, SeqCst],
-            (AtomicRole::SeqlockGeneration, OpClass::Load) => &[Acquire],
-            (AtomicRole::SeqlockGeneration, OpClass::Store) => &[Release],
-            (AtomicRole::SeqlockGeneration, OpClass::Cas) => &[AcqRel],
-            (AtomicRole::SeqlockGeneration, OpClass::CasFailure) => &[Relaxed, Acquire],
-            (AtomicRole::SeqlockGeneration, _) => &[],
             (AtomicRole::Ticket, OpClass::Load | OpClass::Rmw) => &[Relaxed],
             (AtomicRole::Ticket, _) => &[],
         }
@@ -360,7 +350,7 @@ impl AtomicRole {
 /// One declared atomic (or family of same-protocol atomics).
 #[derive(Debug, Clone)]
 pub struct AtomicDecl {
-    /// Unique name used in findings, orphan reports, and `protects`.
+    /// Unique name used in findings and orphan reports.
     pub name: String,
     pub role: AtomicRole,
     /// Field patterns, matched as receiver-chain suffixes like lock
@@ -375,9 +365,6 @@ pub struct AtomicDecl {
     /// local alias, static declared via a type alias) that the field
     /// inventory cannot see; exempt from the orphan check.
     pub binding: bool,
-    /// For `seqlock-generation` roles: names of the declarations whose
-    /// fields this generation word protects.
-    pub protects: Vec<String>,
     pub desc: String,
     /// Per-operation overrides of the role defaults.
     overrides: Vec<(OpClass, Vec<MemOrd>)>,
@@ -425,20 +412,18 @@ impl AtomicsSpec {
             let role = AtomicRole::parse(role_s).ok_or_else(|| {
                 cfg_err(format!(
                     "atomic `{name}` has unknown role `{role_s}` (expected \
-                     counter/gauge/publication/seqlock-generation/ticket)"
+                     counter/gauge/publication/ticket)"
                 ))
             })?;
-            let str_list = |key: &str| -> Vec<String> {
-                t.get(key)
-                    .and_then(Val::as_list)
-                    .map(|l| {
-                        l.iter()
-                            .filter_map(|v| v.as_str().map(String::from))
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            };
-            let fields = str_list("fields");
+            let fields: Vec<String> = t
+                .get("fields")
+                .and_then(Val::as_list)
+                .map(|l| {
+                    l.iter()
+                        .filter_map(|v| v.as_str().map(String::from))
+                        .collect()
+                })
+                .unwrap_or_default();
             if fields.is_empty() {
                 return Err(cfg_err(format!("atomic `{name}` has no `fields`")));
             }
@@ -465,19 +450,12 @@ impl AtomicsSpec {
                     overrides.push((op, ords));
                 }
             }
-            let protects = str_list("protects");
-            if !protects.is_empty() && role != AtomicRole::SeqlockGeneration {
-                return Err(cfg_err(format!(
-                    "atomic `{name}`: `protects` is only valid on role seqlock-generation"
-                )));
-            }
             spec.atomics.push(AtomicDecl {
                 name,
                 role,
                 fields,
                 file: t.str_of("file").map(String::from),
                 binding: t.get("binding").and_then(Val::as_bool).unwrap_or(false),
-                protects,
                 desc: t.str_of("desc").unwrap_or_default().to_string(),
                 overrides,
             });
@@ -501,16 +479,6 @@ impl AtomicsSpec {
                  disambiguate with a dotted pattern",
                 w[0]
             )));
-        }
-        for a in &spec.atomics {
-            for p in &a.protects {
-                if !spec.atomics.iter().any(|o| &o.name == p) {
-                    return Err(cfg_err(format!(
-                        "atomic `{}` protects undeclared atomic `{p}`",
-                        a.name
-                    )));
-                }
-            }
         }
         Ok(spec)
     }
@@ -542,9 +510,8 @@ impl AtomicsSpec {
              memory-ordering set per operation, machine-checked by `rvm-lint`\n\
              (pass `atomics`) on every CI run; this section is rendered from\n\
              that file (`rvm-lint --update-design`). Undeclared atomics,\n\
-             orderings outside the declared set, weakened CAS failure\n\
-             orderings, and seqlock accesses outside the generation-window\n\
-             shape are findings.\n\n",
+             orderings outside the declared set and weakened CAS failure\n\
+             orderings are findings.\n\n",
         );
         out.push_str("| Declaration | Role | Fields | Allowed orderings |\n");
         out.push_str("|---|---|---|---|\n");
@@ -562,9 +529,6 @@ impl AtomicsSpec {
             let mut role = a.role.as_str().to_string();
             if a.binding {
                 role.push_str(" (binding)");
-            }
-            if !a.protects.is_empty() {
-                role.push_str(&format!(" — protects {}", a.protects.join(", ")));
             }
             out.push_str(&format!(
                 "| {} | {} | {} | {} |\n",
@@ -726,12 +690,6 @@ fields = ["hits", "misses"]
 desc = "cache statistics"
 
 [[atomic]]
-name = "gen"
-role = "seqlock-generation"
-fields = ["gen"]
-protects = ["tail"]
-
-[[atomic]]
 name = "tail"
 role = "publication"
 fields = ["tail"]
@@ -741,7 +699,7 @@ load = ["Acquire", "Relaxed"]
     #[test]
     fn atomics_parse_roles_overrides_and_render() {
         let spec = AtomicsSpec::parse(ATOMICS_MINIMAL).unwrap();
-        assert_eq!(spec.atomics.len(), 3);
+        assert_eq!(spec.atomics.len(), 2);
         let hits = spec.by_name("hits").unwrap();
         assert_eq!(hits.role, AtomicRole::Counter);
         assert_eq!(hits.allowed(OpClass::Load), &[MemOrd::Relaxed]);
@@ -756,10 +714,8 @@ load = ["Acquire", "Relaxed"]
             tail.allowed(OpClass::Store),
             &[MemOrd::Release, MemOrd::SeqCst]
         );
-        assert_eq!(spec.by_name("gen").unwrap().protects, ["tail"]);
         let md = spec.render_markdown();
         assert!(md.contains("| hits | counter |"), "{md}");
-        assert!(md.contains("protects tail"), "{md}");
         assert!(md.contains("load: Acquire/Relaxed"), "{md}");
     }
 
@@ -770,15 +726,6 @@ load = ["Acquire", "Relaxed"]
         assert!(AtomicsSpec::parse(&bad).is_err());
         // Duplicate field pattern across declarations.
         let bad = ATOMICS_MINIMAL.replace("\"hits\", \"misses\"", "\"hits\", \"tail\"");
-        assert!(AtomicsSpec::parse(&bad).is_err());
-        // protects naming an undeclared atomic.
-        let bad = ATOMICS_MINIMAL.replace("protects = [\"tail\"]", "protects = [\"ghost\"]");
-        assert!(AtomicsSpec::parse(&bad).is_err());
-        // protects on a non-seqlock role.
-        let bad = ATOMICS_MINIMAL.replace(
-            "role = \"publication\"",
-            "role = \"publication\"\nprotects = [\"gen\"]",
-        );
         assert!(AtomicsSpec::parse(&bad).is_err());
         // Unknown ordering in an override.
         let bad = ATOMICS_MINIMAL.replace("\"Acquire\", \"Relaxed\"", "\"Acquired\"");

@@ -13,9 +13,9 @@
 //! 4. **panic-surface** — an inventory of unwrap/expect/panic!/indexing
 //!    reachable from the public API of `rvm` and `rvm-capi`;
 //! 5. **atomics** — every atomic field in `crates/core` declared in
-//!    `atomics.toml` with a role and allowed orderings, every op site
-//!    checked against its declaration (CAS failure orderings included),
-//!    and the seqlock read/write shape enforced on the WAL cursor.
+//!    `atomics.toml` with a role and allowed orderings, and every op
+//!    site checked against its declaration (CAS failure orderings
+//!    included).
 //!
 //! Findings carry stable IDs (hash of pass, file, function, detail key —
 //! *not* line numbers) and are suppressed either inline

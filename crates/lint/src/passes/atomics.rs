@@ -15,13 +15,6 @@
 //!   `Ordering::X` tokens in its argument list — no type information
 //!   needed — and checked against the declaration's allowed set for
 //!   that operation class, including the CAS *failure* ordering.
-//! * **Seqlock shape** — a `seqlock-generation` declaration names the
-//!   data it `protects`. Mutations of protected data must sit inside the
-//!   odd-generation window (a generation CAS before, the closing
-//!   generation store after — or be in a helper reachable from a
-//!   window-opening function via the call graph); lock-free readers that
-//!   load the generation and protected data must re-check the
-//!   generation.
 //!
 //! Like every pass here this is token-level and deliberately
 //! over-approximate in favor of precision: a method call is an atomic op
@@ -35,7 +28,7 @@ use crate::config::{AtomicRole, AtomicsSpec, MemOrd, OpClass};
 use crate::findings::{Finding, IdSpace, Pass};
 use crate::items::FileModel;
 use crate::lexer::{Kind, Tok};
-use crate::passes::{args_open, chain_matches, fn_key, paren_match, CallGraph};
+use crate::passes::{args_open, chain_matches, paren_match};
 
 const ATOMIC_TYPES: [&str; 4] = ["AtomicU64", "AtomicUsize", "AtomicU32", "AtomicBool"];
 
@@ -359,20 +352,11 @@ fn check_ord(
     }
 }
 
-/// One function's op sites, retained for the cross-file seqlock phase.
-struct FnOps<'a> {
-    fm: &'a FileModel,
-    qual: String,
-    key: String,
-    sites: Vec<OpSite>,
-}
-
 /// Runs the pass over `files` (typically `crates/core` minus `models/`).
 pub fn run(spec: &AtomicsSpec, files: &[&FileModel]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut ids = IdSpace::default();
     let mut used: HashSet<usize> = HashSet::new();
-    let mut fn_ops: Vec<FnOps> = Vec::new();
     // Undeclared ops are reported once per (file, chain, method).
     let mut undeclared_seen: HashSet<String> = HashSet::new();
 
@@ -404,12 +388,11 @@ pub fn run(spec: &AtomicsSpec, files: &[&FileModel]) -> Vec<Finding> {
             let Some((open, close)) = f.body else {
                 continue;
             };
-            let sites: Vec<OpSite> = op_sites(spec, &fm.lexed.toks, open, close)
+            let sites = op_sites(spec, &fm.lexed.toks, open, close)
                 .into_iter()
                 // Nested `fn` items own their sites.
-                .filter(|s| fm.enclosing_fn(s.at).is_none_or(|e| e.fn_idx == f.fn_idx))
-                .collect();
-            for s in &sites {
+                .filter(|s| fm.enclosing_fn(s.at).is_none_or(|e| e.fn_idx == f.fn_idx));
+            for s in sites {
                 match s.decl {
                     None => {
                         let chain = if s.chain.is_empty() {
@@ -497,16 +480,8 @@ pub fn run(spec: &AtomicsSpec, files: &[&FileModel]) -> Vec<Finding> {
                     }
                 }
             }
-            fn_ops.push(FnOps {
-                fm,
-                qual: f.qual.clone(),
-                key: fn_key(&fm.path, &f.qual),
-                sites,
-            });
         }
     }
-
-    seqlock_shape(spec, files, &fn_ops, &mut ids, &mut findings);
 
     // Orphans: declarations that matched neither a field nor an op site.
     // Bindings are exempt (the inventory cannot see them by design).
@@ -533,147 +508,6 @@ pub fn run(spec: &AtomicsSpec, files: &[&FileModel]) -> Vec<Finding> {
         });
     }
     findings
-}
-
-/// The seqlock read/write shape checks for every `seqlock-generation`
-/// declaration.
-fn seqlock_shape(
-    spec: &AtomicsSpec,
-    files: &[&FileModel],
-    fn_ops: &[FnOps],
-    ids: &mut IdSpace,
-    findings: &mut Vec<Finding>,
-) {
-    let gens: Vec<usize> = spec
-        .atomics
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.role == AtomicRole::SeqlockGeneration && !a.protects.is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    if gens.is_empty() {
-        return;
-    }
-    let (graph, _) = CallGraph::build(files);
-
-    for g in gens {
-        let gen_name = &spec.atomics[g].name;
-        let protected: HashSet<usize> = spec.atomics[g]
-            .protects
-            .iter()
-            .filter_map(|n| spec.atomics.iter().position(|a| &a.name == n))
-            .collect();
-
-        // Window openers: functions containing a CAS on the generation.
-        let openers: Vec<&FnOps> = fn_ops
-            .iter()
-            .filter(|f| {
-                f.sites
-                    .iter()
-                    .any(|s| s.decl == Some(g) && s.class == OpClass::Cas)
-            })
-            .collect();
-        let mut reachable: HashSet<String> = HashSet::new();
-        for o in &openers {
-            reachable.extend(graph.reachable(&o.key));
-        }
-
-        for f in fn_ops {
-            let gen_cas: Vec<usize> = f
-                .sites
-                .iter()
-                .filter(|s| s.decl == Some(g) && s.class == OpClass::Cas)
-                .map(|s| s.at)
-                .collect();
-            let gen_store: Vec<usize> = f
-                .sites
-                .iter()
-                .filter(|s| s.decl == Some(g) && matches!(s.class, OpClass::Store | OpClass::Swap))
-                .map(|s| s.at)
-                .collect();
-            let gen_loads: Vec<&OpSite> = f
-                .sites
-                .iter()
-                .filter(|s| s.decl == Some(g) && s.class == OpClass::Load)
-                .collect();
-            let in_window_via_call = gen_cas.is_empty() && reachable.contains(&f.key);
-
-            for s in &f.sites {
-                let mutates_protected = s.decl.is_some_and(|d| protected.contains(&d))
-                    && matches!(
-                        s.class,
-                        OpClass::Store | OpClass::Swap | OpClass::Rmw | OpClass::Cas
-                    );
-                if mutates_protected {
-                    let ok = (gen_cas.iter().any(|&c| c < s.at)
-                        && gen_store.iter().any(|&st| st > s.at))
-                        || in_window_via_call;
-                    if !ok {
-                        push(
-                            findings,
-                            ids,
-                            f.fm,
-                            &f.qual,
-                            s.line,
-                            &format!("seqlock-outside-window:{}", s.chain.join(".")),
-                            format!(
-                                "store to `{}` (protected by seqlock generation `{gen_name}`) \
-                                 outside the odd-generation window — reserve with a generation \
-                                 CAS before writing and close with the generation store after",
-                                s.chain.join(".")
-                            ),
-                        );
-                    }
-                }
-                // The generation's own store must sit after its CAS (the
-                // window close / abort release), or in a helper called
-                // from inside a window.
-                if s.decl == Some(g) && matches!(s.class, OpClass::Store | OpClass::Swap) {
-                    let ok = gen_cas.iter().any(|&c| c < s.at) || in_window_via_call;
-                    if !ok {
-                        push(
-                            findings,
-                            ids,
-                            f.fm,
-                            &f.qual,
-                            s.line,
-                            &format!("seqlock-outside-window:{gen_name}"),
-                            format!(
-                                "store to seqlock generation `{gen_name}` without a reserving \
-                                 CAS — blind generation writes can un-tear-protect a \
-                                 concurrent snapshot"
-                            ),
-                        );
-                    }
-                }
-            }
-
-            // Reader shape: a function that loads the generation and
-            // protected data (and is not a writer) must re-check the
-            // generation after its data loads.
-            if gen_cas.is_empty() && !gen_loads.is_empty() {
-                let reads_protected = f.sites.iter().any(|s| {
-                    s.decl.is_some_and(|d| protected.contains(&d)) && s.class == OpClass::Load
-                });
-                if reads_protected && gen_loads.len() < 2 {
-                    let first = gen_loads[0];
-                    push(
-                        findings,
-                        ids,
-                        f.fm,
-                        &f.qual,
-                        first.line,
-                        &format!("seqlock-no-recheck:{gen_name}"),
-                        format!(
-                            "reads `{gen_name}`-protected data after a single generation load — \
-                             a seqlock read must re-load the generation after the data reads \
-                             to detect a torn snapshot"
-                        ),
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -69,17 +69,6 @@ fields = ["depth"]
 name = "ready"
 role = "publication"
 fields = ["ready"]
-
-[[atomic]]
-name = "gen"
-role = "seqlock-generation"
-fields = ["gen"]
-protects = ["wal-tail"]
-
-[[atomic]]
-name = "wal-tail"
-role = "publication"
-fields = ["wal_tail"]
 "#;
 
 /// The protocol for the known-bad fixture: the same planes (minus
@@ -94,17 +83,6 @@ fields = ["hits"]
 name = "ready"
 role = "publication"
 fields = ["ready"]
-
-[[atomic]]
-name = "gen"
-role = "seqlock-generation"
-fields = ["gen"]
-protects = ["wal-tail"]
-
-[[atomic]]
-name = "wal-tail"
-role = "publication"
-fields = ["wal_tail"]
 
 [[atomic]]
 name = "ghost"
@@ -286,8 +264,6 @@ fn atomics_fixture_convicts_and_clean_passes() {
         "seqcst_counter",
         "relaxed_publication_store",
         "weakened_cas_failure",
-        "store_outside_window",
-        "read_without_recheck",
         "rogue_op",
     ] {
         assert!(
@@ -316,20 +292,6 @@ fn atomics_fixture_convicts_and_clean_passes() {
             .iter()
             .any(|f| f.function.contains("weakened_cas_failure")
                 && f.message.contains("failure ordering")),
-        "{findings:#?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.function.contains("store_outside_window")
-                && f.message.contains("odd-generation window")),
-        "{findings:#?}"
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.function.contains("read_without_recheck")
-                && f.message.contains("re-load the generation")),
         "{findings:#?}"
     );
     // The undeclared field, its op, and the seeded orphan all surface.

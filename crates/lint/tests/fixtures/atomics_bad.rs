@@ -6,8 +6,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct Planes {
     hits: AtomicU64,
     ready: AtomicBool,
-    gen: AtomicU64,
-    wal_tail: AtomicU64,
     rogue: AtomicU64,
 }
 
@@ -28,19 +26,6 @@ impl Planes {
         self.ready
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
-    }
-
-    /// Store to seqlock-protected data with no generation window in
-    /// sight — a reader can observe the torn half-update.
-    pub fn store_outside_window(&self, v: u64) {
-        self.wal_tail.store(v, Ordering::Release);
-    }
-
-    /// Lock-free read that never re-checks the generation after the
-    /// data load.
-    pub fn read_without_recheck(&self) -> u64 {
-        let _g = self.gen.load(Ordering::Acquire);
-        self.wal_tail.load(Ordering::Acquire)
     }
 
     /// Operates on an atomic no declaration covers.

@@ -1,7 +1,6 @@
 //! Known-good fixture for the atomics pass: every role exercised with
-//! its declared orderings, the canonical seqlock read/write pairs (one
-//! interprocedural), and the lexer decoys (raw strings, turbofish) that
-//! must not be misread as atomic operations. Never compiled — linted as
+//! its declared orderings, and the lexer decoys (raw strings, turbofish)
+//! that must not be misread as atomic operations. Never compiled — linted as
 //! text by tests/fixtures.rs.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -10,8 +9,6 @@ pub struct Planes {
     hits: AtomicU64,
     depth: AtomicU64,
     ready: AtomicBool,
-    gen: AtomicU64,
-    wal_tail: AtomicU64,
     // lint:allow(atomics): scratch probe for the single-threaded bench rig
     probe: AtomicU64,
 }
@@ -34,56 +31,6 @@ impl Planes {
         self.ready
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
-    }
-
-    /// The canonical seqlock write: reserve the odd window with a CAS,
-    /// mutate, close with the generation store.
-    pub fn write_pair(&self, v: u64) -> bool {
-        let g = self.gen.load(Ordering::Acquire);
-        if g & 1 == 1 {
-            return false;
-        }
-        if self
-            .gen
-            .compare_exchange(g, g + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        self.wal_tail.store(v, Ordering::Release);
-        self.gen.store(g + 2, Ordering::Release);
-        true
-    }
-
-    /// The canonical seqlock read: the generation is re-checked after
-    /// the data load.
-    pub fn read_pair(&self) -> u64 {
-        loop {
-            let g1 = self.gen.load(Ordering::Acquire);
-            let v = self.wal_tail.load(Ordering::Acquire);
-            if self.gen.load(Ordering::Acquire) == g1 {
-                return v;
-            }
-        }
-    }
-
-    /// Window opener that delegates the protected store to a helper —
-    /// legal via the call graph.
-    pub fn windowed_call(&self, v: u64) {
-        let g = self.gen.load(Ordering::Acquire);
-        if self
-            .gen
-            .compare_exchange(g, g + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return;
-        }
-        self.poke_inner(v);
-        self.gen.store(g + 2, Ordering::Release);
-    }
-
-    fn poke_inner(&self, v: u64) {
-        self.wal_tail.store(v, Ordering::Release);
     }
 
     /// Decoys: an atomic-looking op inside a raw string, and a turbofish

@@ -57,7 +57,7 @@ fn usage() -> ! {
     eprintln!("       rvmlog <log-file> salvage");
     eprintln!("       rvmlog crashck <trace-file> [--seed <n>]");
     eprintln!(
-        "       rvmlog crashck-gen <trace-file> <group|pipeline|truncate|spool|abort|bitrot|seeded:N>"
+        "       rvmlog crashck-gen <trace-file> <group|pipeline|truncate|incremental|spool|abort|bitrot|seeded:N>"
     );
     eprintln!("       rvmlog lint [rvm-lint options]");
     exit(2);
@@ -103,6 +103,7 @@ fn crashck_gen(args: &[String]) -> ! {
         "group" => Workload::GroupCommit,
         "pipeline" => Workload::Pipeline,
         "truncate" => Workload::Truncation,
+        "incremental" => Workload::Incremental,
         "spool" => Workload::NoFlushSpool,
         "abort" => Workload::AbortMix,
         "bitrot" => Workload::BitRot,

@@ -425,7 +425,7 @@ impl Device for GatedLog {
 /// log force holds the core lock for the duration, and `query` used to
 /// take that lock — so an observer calling `query` during a stalled
 /// commit hung with it. `query` is now served entirely from the atomic
-/// stats plane, the cursor seqlock, and the registry locks, so it must
+/// stats plane, the WAL's published view, and the registry locks, so it must
 /// return while the committer is still frozen — and without a single
 /// core-lock acquisition of its own.
 #[test]

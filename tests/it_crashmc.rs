@@ -78,6 +78,20 @@ fn truncation_epochs_survive_every_crash_image() {
     assert!(report.images_unique > 100, "{}", report.render());
 }
 
+/// Incremental truncation writes pages straight from VM: every crash
+/// image between a step's page writes, its catalog persist and its status
+/// write — and inside the epoch a blocked step reverts to — recovers to a
+/// committed prefix, with nothing of the long-running transaction in it
+/// before its commit.
+#[test]
+fn incremental_write_back_survives_every_crash_image() {
+    let report = checked("incremental", Workload::Incremental);
+    assert!(report.exhaustive, "{}", report.render());
+    // A step rewrites whole pages that differ from the segment in a cell
+    // or two, so most ways of tearing one leave the same image.
+    assert!(report.images_unique > 50, "{}", report.render());
+}
+
 #[test]
 fn no_flush_spool_crashes_lose_only_unacked_work() {
     let report = checked("no-flush spool", Workload::NoFlushSpool);

@@ -15,7 +15,10 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use rvm::log::status::read_status;
 use rvm::segment::{DeviceResolver, MemResolver};
-use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{
+    CommitMode, Options, RegionDescriptor, Rvm, RvmError, TruncationMode, Tuning, TxnMode,
+    PAGE_SIZE,
+};
 use rvm_storage::{Device, DeviceError, FaultOp, IoToken, MemDevice};
 
 const SLOTS: u64 = 16;
@@ -184,13 +187,17 @@ impl GatedWorld {
 
     /// A threshold of 1.0 never triggers: only a full log truncates.
     fn boot_with_threshold(&self, truncation_threshold: f64) -> Rvm {
+        self.boot_tuned(Tuning {
+            truncation_threshold,
+            ..Tuning::default()
+        })
+    }
+
+    fn boot_tuned(&self, tuning: Tuning) -> Rvm {
         Rvm::initialize(
             Options::new(self.log.clone())
                 .resolver(self.resolver.clone())
-                .tuning(Tuning {
-                    truncation_threshold,
-                    ..Tuning::default()
-                })
+                .tuning(tuning)
                 .create_if_empty(),
         )
         .expect("initialize")
@@ -858,4 +865,56 @@ fn crash_after_epoch_completion_is_ordinary_recovery() {
         .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
         .unwrap();
     assert_slots(&region, 24, "post-completion crash");
+}
+
+/// Incremental truncation writes a page's *committed* image, whatever
+/// happens to VM while its segment writes are under way. One flush commit
+/// dirties both pages of the region and its inline trigger parks on page
+/// 0's segment write; a second transaction then writes page 1 and aborts.
+/// The log head has passed the only record that could redo page 1, so the
+/// bytes the write-back put on the segment are the bytes a crash keeps.
+#[test]
+fn incremental_write_back_never_carries_uncommitted_bytes() {
+    let world = GatedWorld::new(256 * 1024, Park::Writes(0));
+    let rvm = world.boot_tuned(Tuning {
+        truncation_mode: TruncationMode::Incremental,
+        truncation_threshold: 0.0001,
+        ..Tuning::default()
+    });
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_eq!(REGION_LEN, 2 * PAGE_SIZE);
+
+    std::thread::scope(|s| {
+        let _unpark = OpenOnDrop(&world.gate);
+        let committer = s.spawn(|| {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, 0, &[0x11; 8]).unwrap();
+            region.write(&mut txn, PAGE_SIZE, &[0x11; 8]).unwrap();
+            txn.commit(CommitMode::Flush).unwrap();
+        });
+        world.gate.wait_parked();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.write(&mut txn, PAGE_SIZE, &[0xEE; 8]).unwrap();
+        world.gate.open();
+        committer.join().unwrap();
+        txn.abort().unwrap();
+    });
+    assert_eq!(rvm.stats().pages_written_incremental, 2);
+    assert_eq!(rvm.query().log.used, 0, "the head passed the record");
+
+    let mut on_segment = [0u8; 8];
+    world.seg_inner.read_at(PAGE_SIZE, &mut on_segment).unwrap();
+    assert_eq!(
+        on_segment, [0x11; 8],
+        "incremental truncation wrote an aborted transaction's bytes to the segment"
+    );
+    std::mem::forget(rvm); // crash
+    let rvm = world.boot();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_eq!(region.read_vec(0, 8).unwrap(), [0x11; 8]);
+    assert_eq!(region.read_vec(PAGE_SIZE, 8).unwrap(), [0x11; 8]);
 }

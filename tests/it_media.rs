@@ -9,7 +9,9 @@
 //!   quarantine: that region alone turns read-only degraded
 //!   ([`RvmError::Media`]) while other regions keep committing;
 //! * a seeded rot storm over a mirrored segment → repeated scrubs
-//!   converge with every detection repaired and nothing quarantined.
+//!   converge with every detection repaired and nothing quarantined;
+//! * rot under a page a lazy commit wrote → the rewrite rung waits for
+//!   the flush rather than persist half of the transaction.
 
 use std::sync::Arc;
 
@@ -283,4 +285,63 @@ fn seeded_rot_storm_over_a_mirror_converges_with_all_corruptions_repaired() {
         q.stats
     );
     rvm.terminate().unwrap();
+}
+
+/// The rewrite rung writes a page's *committed, logged* image. A no-flush
+/// transaction writes both pages of an unmirrored region and page 0 then
+/// rots on the segment: VM is the only donor, but it holds bytes whose
+/// record is still in the spool, and rewriting page 0 from it would leave
+/// a crash with the lazy bytes on page 0 and not on page 1. The rung
+/// waits; after `flush` it repairs.
+#[test]
+fn scrub_rewrite_never_persists_half_of_a_lazy_transaction() {
+    let log = Arc::new(MemDevice::with_len(1 << 20));
+    let segs = MemResolver::new();
+    let rvm = Rvm::initialize(
+        Options::new(log.clone())
+            .resolver(segs.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let desc = RegionDescriptor::new(SEG, 0, 2 * PAGE_SIZE);
+    let region = rvm.map(&desc).unwrap();
+    commit_fill(&rvm, &region, 0, &[0x11; 2 * PAGE_SIZE as usize]);
+    rvm.truncate().unwrap();
+
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region.write(&mut txn, 0, &[0xEE; 8]).unwrap();
+    region.write(&mut txn, PAGE_SIZE, &[0xEE; 8]).unwrap();
+    txn.commit(CommitMode::NoFlush).unwrap();
+    let seg = segs.get(SEG).unwrap();
+    seg.write_at(321, &[0x55; 8]).unwrap(); // rot page 0, clear of the range
+
+    let report = rvm.scrub().unwrap();
+    assert_eq!(report.corruptions_detected, 1, "{report:?}");
+    // What a crash right now keeps of the lazy transaction: the log holds
+    // no record of it, so the segment is all there is.
+    let on_segment = |offset: u64| {
+        let mut bytes = [0u8; 8];
+        seg.read_at(offset, &mut bytes).unwrap();
+        bytes
+    };
+    assert_eq!(
+        (on_segment(0), on_segment(PAGE_SIZE)),
+        ([0x11; 8], [0x11; 8]),
+        "scrub persisted half of a lazy transaction: {report:?}"
+    );
+    assert_eq!(
+        (report.corruptions_repaired, report.pages_skipped),
+        (0, 1),
+        "{report:?}"
+    );
+
+    rvm.flush().unwrap();
+    let report = rvm.scrub().unwrap();
+    assert_eq!(report.corruptions_repaired, 1, "{report:?}");
+    std::mem::forget(rvm); // crash
+    let rvm = Rvm::initialize(Options::new(log).resolver(segs.into_resolver())).unwrap();
+    let region = rvm.map(&desc).unwrap();
+    assert_eq!(region.read_vec(0, 8).unwrap(), [0xEE; 8]);
+    assert_eq!(region.read_vec(PAGE_SIZE, 8).unwrap(), [0xEE; 8]);
+    assert_eq!(region.read_vec(321, 8).unwrap(), [0x11; 8]);
 }
