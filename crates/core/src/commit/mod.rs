@@ -254,9 +254,9 @@ impl RvmShared {
             1,
         );
         stats.add(&stats.txns_committed, 1);
-        if self.epoch_active.load(Ordering::Acquire) {
-            // An epoch truncation is in flight right now; this commit
-            // made progress through it.
+        if self.truncation_active.load(Ordering::Acquire) {
+            // A truncation — an epoch or a step — is applying right now;
+            // this commit made progress through it.
             stats.add(&stats.commits_during_truncation, 1);
         }
         txn.release();

@@ -58,12 +58,15 @@
 //!   record area with a dual-copy status block (Figure 6).
 //! * Crash recovery by tail→head latest-wins trees, idempotent via
 //!   delayed status update (§5.1.2).
-//! * Epoch **and** incremental truncation (page vector, page queue,
-//!   uncommitted reference counts — Figure 7), with automatic reversion
-//!   to epoch truncation when incremental progress is blocked. Epoch
-//!   truncation is one protocol — recovery applied to the oldest part of
-//!   the log while commits continue in the rest — whether a `truncate`
-//!   call, the threshold or a full log starts it.
+//! * Incremental **and** epoch truncation, one in-flight protocol with
+//!   two sources of bytes. The threshold trigger runs incremental steps
+//!   by default — dirty pages written from VM (page vector, page queue,
+//!   uncommitted reference counts — Figure 7), no log scan — with
+//!   automatic reversion to epoch truncation when incremental progress
+//!   is blocked. Epoch truncation — recovery applied to the oldest part
+//!   of the log — is what a `truncate` call, a `map` settling its
+//!   segment or a full log starts. Either way the segments are written
+//!   with the core lock released, while commits continue.
 //! * Intra- and inter-transaction log optimizations (§5.2), individually
 //!   switchable for ablation.
 //! * No-restore and no-flush transaction modes, `flush`/`truncate` log
@@ -104,7 +107,7 @@
 //!    are relaxed atomics with no lock at all.
 //! 2. `RvmShared::regions` (read or write) — the region map.
 //! 3. Per-region memory locks (`mem_lock`), then per-region
-//!    `page_vector` — `committed_page` (incremental write-back, the
+//!    `page_vector` — `committed_page` (an incremental step's freeze, the
 //!    scrubber's rewrite rung) holds `core → mem_lock → page_vector` in
 //!    that order across its check and copy; no path acquires
 //!    `mem_lock` while holding a `page_vector`, or `core` while holding
@@ -129,15 +132,17 @@
 //!   `query` / read-only `begin_transaction` acquire no shared lock at
 //!   all ([`Rvm::core_lock_acquisitions`] pins this in tests).
 //!
-//! There is one epoch-truncation protocol (`truncation::epoch`): freeze
-//! the stable log prefix under `core`, apply it with `core` *released*,
-//! reacquire to advance the head. Anyone may start it — `truncate`, the
-//! threshold trigger, or a holder of `core` that ran out of log space
-//! (`make_log_space`, which releases the caller's guard around the apply
-//! with `MutexGuard::unlocked`) — and only its owner moves the head. The
-//! `epoch_done` condvar waits on `core` itself (releasing it while
-//! parked), so epoch truncation never blocks commits while holding a
-//! second lock.
+//! There is one in-flight truncation protocol (`truncation`): freeze
+//! under `core` — the stable log prefix for an epoch, the committed
+//! images of the pages at the queue head for an incremental step — take
+//! the one in-flight slot (`Core::truncation`), apply with `core`
+//! *released*, reacquire to advance the head. Anyone may start one —
+//! `truncate`, the threshold trigger, or a holder of `core` that ran out
+//! of log space (`make_log_space`, which releases the caller's guard
+//! around the apply with `MutexGuard::unlocked`) — and only the slot's
+//! owner writes segments or moves the head. The `truncation_done` condvar
+//! waits on `core` itself (releasing it while parked), so truncation
+//! never blocks commits while holding a second lock.
 
 mod check;
 mod commit;

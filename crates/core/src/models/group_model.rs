@@ -29,7 +29,7 @@ const DONE: u8 = 99;
 ///   stages members A and B. A member staged while an epoch is in flight
 ///   "does not fit right now": the leader closes the batch staged so far
 ///   — written, forced and completed before the lock is released — waits
-///   on `epoch_done` (releasing the lock, bumping `wait_gen` on wake) and
+///   on `truncation_done` (releasing the lock, bumping `wait_gen` on wake) and
 ///   resumes the fill in a new batch at a fresh checkpoint. The last
 ///   batch is submitted: the lock is released, the force completes
 ///   off-lock, and the leader reacquires the lock to complete the batch
@@ -65,7 +65,7 @@ pub struct GroupModel {
     log: Vec<u8>,
     /// Length of the durable (forced) log prefix.
     forced: u8,
-    /// Bitmask of threads waiting on `epoch_done`.
+    /// Bitmask of threads waiting on `truncation_done`.
     epoch_waiters: u8,
 
     leader_pc: u8,
@@ -124,7 +124,7 @@ impl GroupModel {
                 // The next member does not fit until the epoch completes:
                 // close the batch staged so far (the lock has been held
                 // since it opened, so it completes here, forced), then
-                // wait on epoch_done, releasing the lock.
+                // wait on truncation_done, releasing the lock.
                 self.forced = self.log.len() as u8;
                 self.epoch_waiters |= 1;
                 self.lock = None;
@@ -253,7 +253,7 @@ impl Model for GroupModel {
     fn runnable(&self, t: usize) -> bool {
         match t {
             0 => match self.leader_pc {
-                DONE | 20 => false,                // finished / parked on epoch_done
+                DONE | 20 => false,                // finished / parked on truncation_done
                 0 | 6 | 21 => self.lock.is_none(), // acquire steps
                 5 => true,                         // the off-lock force
                 _ => self.lock == Some(0),

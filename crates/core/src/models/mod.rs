@@ -29,13 +29,20 @@
 //!   record and a barrier slot: no lost wakeup, nothing published twice,
 //!   and a barrier that skips the leader check is convicted of returning
 //!   before the record spooled ahead of it is logged.
-//! * [`epoch_model`] — the one epoch-truncation protocol and its
-//!   `epoch_done` condvar handshake: a committer out of log space waits
-//!   an epoch in flight out or becomes the truncator itself (lock
-//!   released around the apply). No schedule deadlocks (no lost wakeup),
-//!   no two epochs are ever in flight, every committer bumps
-//!   `wait_generation` before re-deriving state, and breaking the wait's
-//!   atomicity (release-then-sleep) is caught as a deadlock.
+//! * [`epoch_model`] — the truncation plane. The one epoch-truncation
+//!   protocol and its `truncation_done` condvar handshake: a committer
+//!   out of log space waits an epoch in flight out or becomes the
+//!   truncator itself (lock released around the apply). No schedule
+//!   deadlocks (no lost wakeup), no two epochs are ever in flight, every
+//!   committer bumps `wait_generation` before re-deriving state, and
+//!   breaking the wait's atomicity (release-then-sleep) is caught as a
+//!   deadlock. And the slot epochs share with incremental steps
+//!   (`StepModel`): a step racing a commit that re-dirties the page it
+//!   froze, a `map` of the same segment and an explicit truncate — no
+//!   record is reclaimed before the segment holds it, a queued page stays
+//!   dirty, the map loads the committed image; clearing the dirty bit of
+//!   a re-enqueued page and moving the head past its new descriptor are
+//!   both convicted.
 
 pub mod epoch_model;
 pub mod explore;

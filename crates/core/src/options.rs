@@ -60,15 +60,26 @@ pub enum LoadPolicy {
     OnDemand,
 }
 
-/// Which truncation mechanism reclaims log space (§5.1.2).
+/// Which truncation mechanism the threshold trigger runs (§5.1.2). Both
+/// run the same in-flight protocol — freeze under the core lock, apply
+/// with it released, complete under it again — and differ in where the
+/// bytes come from. An explicit [`Rvm::truncate`](crate::Rvm::truncate),
+/// a `map` settling its segment, a commit that finds the log full and
+/// recovery are epochs in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TruncationMode {
-    /// Epoch truncation: the crash-recovery procedure applied to the log.
-    #[default]
+    /// Epoch truncation: the crash-recovery procedure applied to the
+    /// stable log prefix — scan, newest-wins resolution, range writes.
+    /// The log empties in bursts (§5.1.2: "bursty system performance");
+    /// what the paper's §7 measured.
     Epoch,
     /// Incremental truncation: dirty pages written from VM via the page
-    /// vector and page queue, falling back to epoch truncation when
-    /// blocked.
+    /// vector and page queue, in steps of
+    /// [`Tuning::incremental_reclaim_bytes`], with no log scan; the log
+    /// sits at the threshold. Falls back to an epoch when the page at
+    /// the queue head is pinned by a long-running transaction (and space
+    /// is critical) or its region was unmapped.
+    #[default]
     Incremental,
 }
 
@@ -113,7 +124,8 @@ pub struct Tuning {
     pub inter_optimization: bool,
     /// Auto-flush the no-flush spool when it exceeds this many bytes.
     pub spool_max_bytes: u64,
-    /// Bytes of log space an incremental-truncation run tries to reclaim.
+    /// Bytes of log space one triggered incremental-truncation run
+    /// reclaims before it hands the thread back: the step size.
     pub incremental_reclaim_bytes: u64,
     /// Detect mutations of mapped regions that no `set_range` declared —
     /// the §4.2 contract violation whose "result is disastrous" (§6).
@@ -157,7 +169,7 @@ impl Default for Tuning {
     fn default() -> Self {
         Self {
             truncation_threshold: 0.5,
-            truncation_mode: TruncationMode::Epoch,
+            truncation_mode: TruncationMode::Incremental,
             background_truncation: false,
             intra_optimization: true,
             inter_optimization: true,
@@ -267,7 +279,12 @@ mod tests {
             segment_checksums,
         } = Tuning::default();
         assert!(intra_optimization && inter_optimization);
-        assert_eq!(truncation_mode, TruncationMode::Epoch);
+        assert_eq!(
+            truncation_mode,
+            TruncationMode::Incremental,
+            "§5.1.2's expectation: no log scan, no bursts"
+        );
+        assert_eq!(truncation_mode, TruncationMode::default());
         assert!((0.0..1.0).contains(&truncation_threshold));
         assert!(!background_truncation, "truncation runs inline by default");
         assert!(spool_max_bytes > 0 && incremental_reclaim_bytes > 0);

@@ -43,7 +43,8 @@ pub struct QueryInfo {
     pub spool_bytes: u64,
     /// Dirty pages queued for incremental truncation.
     pub queued_pages: usize,
-    /// Whether an epoch truncation is applying its frozen span right
+    /// Whether a truncation — an epoch applying its frozen span, or an
+    /// incremental step writing its frozen pages — is in flight right
     /// now (commits keep flowing past it; see
     /// [`Rvm::truncate`](crate::Rvm::truncate)).
     pub truncation_in_flight: bool,

@@ -195,8 +195,9 @@ impl Drop for RegionMemory {
 
 /// What [`RegionInner::committed_page`] found.
 pub(crate) enum PageImage {
-    /// Exactly the committed, logged bytes of the page.
-    Committed(Vec<u8>),
+    /// Exactly the committed, logged bytes of the page, now in the
+    /// caller's buffer.
+    Committed,
     /// The page was never fetched from its segment (on-demand mapping).
     Unloaded,
     /// A live transaction has declared a range on the page.
@@ -420,9 +421,11 @@ impl RegionInner {
         Ok(())
     }
 
-    /// The committed image of region page `page`, copied out of VM — the
-    /// one way a page leaves VM for its segment (incremental truncation's
-    /// write-back, the scrubber's rewrite rung).
+    /// Copies the committed image of region page `page` out of VM into
+    /// `buf` (one [`PAGE_SIZE`] block, untouched unless the answer is
+    /// [`PageImage::Committed`]) — the one way a page leaves VM for its
+    /// segment (incremental truncation's freeze, the scrubber's rewrite
+    /// rung).
     ///
     /// VM holds exactly the committed, logged bytes of a page when the
     /// page is loaded (committed changes were applied at load or written
@@ -435,7 +438,7 @@ impl RegionInner {
     /// every `set_range` takes the page vector before its caller may
     /// write, through the safe API or a raw pointer, so nothing declared
     /// after the check can reach the copy.
-    pub(crate) fn committed_page(&self, page: usize) -> Result<PageImage> {
+    pub(crate) fn committed_page(&self, page: usize, buf: &mut [u8]) -> Result<PageImage> {
         let loaded = self
             .unloaded
             .lock()
@@ -453,10 +456,10 @@ impl RegionInner {
         if entry.unflushed > 0 {
             return Ok(PageImage::Unflushed);
         }
-        let mut image = vec![0u8; PAGE_SIZE as usize];
+        debug_assert_eq!(buf.len(), PAGE_SIZE as usize);
         // SAFETY: shared memory lock held; bounds checked by `copy_out`.
-        unsafe { self.mem.copy_out(page * PAGE_SIZE as usize, &mut image) }?;
-        Ok(PageImage::Committed(image))
+        unsafe { self.mem.copy_out(page * PAGE_SIZE as usize, buf) }?;
+        Ok(PageImage::Committed)
     }
 
     /// Reads bytes with the shared lock held (library-internal).

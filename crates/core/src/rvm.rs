@@ -29,7 +29,7 @@ use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
 use crate::truncation::page_vector::PageVector;
-use crate::truncation::{spawn_bg_thread, EpochInFlight, PageQueue};
+use crate::truncation::{spawn_bg_thread, InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
 /// The held core lock. Functions that may *release and reacquire* the
@@ -50,9 +50,13 @@ pub(crate) struct Core {
     pub(crate) page_queue: PageQueue,
     /// Segments referenced by live (untruncated) log records.
     pub(crate) segs_in_log: HashSet<u32>,
-    /// The epoch truncation in flight, if any. Written only by
-    /// [`crate::truncation`]; its owner alone moves the head.
-    pub(crate) epoch: Option<EpochInFlight>,
+    /// The truncation in flight, if any — an epoch or an incremental
+    /// step. Written only by [`crate::truncation`]; its owner alone
+    /// writes segments and moves the head.
+    pub(crate) truncation: Option<InFlight>,
+    /// The one buffer incremental steps freeze their pages into, kept
+    /// between steps for its allocations.
+    pub(crate) step: StepBatch,
     /// Bumped when a thread releases and reacquires the core lock
     /// mid-operation ([`RvmShared::make_log_space`]). A batch compares
     /// it against the value at its WAL checkpoint: if it changed, a
@@ -95,10 +99,10 @@ pub(crate) struct RvmShared {
     seg_catalogs: RwLock<HashMap<u32, Arc<SegmentChecksums>>>,
     /// Mirror of `core.page_queue.len()` (see [`PageQueue::gauge`]).
     queued_pages: Arc<AtomicUsize>,
-    /// Mirror of `core.epoch.is_some()`, so `query` reports
+    /// Mirror of `core.truncation.is_some()`, so `query` reports
     /// `truncation_in_flight`, and commits count
     /// `commits_during_truncation`, without the core lock.
-    pub(crate) epoch_active: AtomicBool,
+    pub(crate) truncation_active: AtomicBool,
     /// The commit queue (see [`crate::commit`]). Its lock is never held
     /// while acquiring `core` or vice versa.
     pub(crate) group: GroupCommit,
@@ -119,9 +123,9 @@ pub(crate) struct RvmShared {
     /// Tells the background truncation thread to exit; set by
     /// [`Rvm::set_options`] when `background_truncation` is toggled off.
     pub(crate) bg_stop: AtomicBool,
-    /// Paired with `core`: signalled whenever an epoch truncation
-    /// completes or fails. Waiters hold the core lock.
-    pub(crate) epoch_done: Condvar,
+    /// Paired with `core`: signalled whenever a truncation in flight — an
+    /// epoch or a step — completes or fails. Waiters hold the core lock.
+    pub(crate) truncation_done: Condvar,
     /// Batches submitted to the device but not yet reaped (see
     /// [`crate::commit`]); empty while leaders complete their batches
     /// inline. Its lock ranks just above `core` and is never held across
@@ -272,7 +276,8 @@ impl Rvm {
                 segments: status.segments,
                 page_queue,
                 segs_in_log: HashSet::new(),
-                epoch: None,
+                truncation: None,
+                step: StepBatch::default(),
                 wait_generation: 0,
                 staging: StagingBuf::new(),
                 hooks: MutationHooks::default(),
@@ -282,7 +287,7 @@ impl Rvm {
             seg_devices: RwLock::new(recovered.seg_devices),
             seg_catalogs: RwLock::new(recovered.seg_catalogs),
             queued_pages,
-            epoch_active: AtomicBool::new(false),
+            truncation_active: AtomicBool::new(false),
             group: GroupCommit::default(),
             regions: RwLock::new(HashMap::new()),
             check: Mutex::new(CheckState::default()),
@@ -294,7 +299,7 @@ impl Rvm {
             bg_wakeup: Mutex::new(false),
             bg_condvar: Condvar::new(),
             bg_stop: AtomicBool::new(false),
-            epoch_done: Condvar::new(),
+            truncation_done: Condvar::new(),
             pipeline: LogPipeline::default(),
         });
 
@@ -410,9 +415,9 @@ impl Rvm {
                         || core.segs_in_log.contains(&seg_raw)
                         || shared.spool.references(seg_id)
                         || core
-                            .epoch
+                            .truncation
                             .as_ref()
-                            .is_some_and(|e| e.segs.contains(&seg_raw));
+                            .is_some_and(|t| t.segs.contains(&seg_raw));
                     if !referenced {
                         break;
                     }
@@ -595,7 +600,7 @@ impl Rvm {
             spool_bytes: self.shared.spool.bytes(),
             queued_pages: self.shared.queued_pages.load(Ordering::Relaxed),
             log: self.shared.log_view.snapshot(),
-            truncation_in_flight: self.shared.epoch_active.load(Ordering::Acquire),
+            truncation_in_flight: self.shared.truncation_active.load(Ordering::Acquire),
             poisoned: self.shared.poisoned.load(Ordering::Acquire),
             check_violations,
             stats: self.shared.stats.snapshot(),
@@ -827,6 +832,8 @@ impl RvmShared {
 
     /// Writes the status block from live state.
     pub(crate) fn write_status_locked(&self, core: &mut Core) -> Result<()> {
+        // An epoch in flight persists its boundary; a step has none.
+        let boundary = core.truncation.as_ref().and_then(|t| t.boundary);
         let mut status = StatusBlock {
             seq: core.status_seq,
             head: core.wal.head(),
@@ -834,8 +841,8 @@ impl RvmShared {
             seq_at_head: core.wal.seq_at_head(),
             next_seq: core.wal.next_seq(),
             area_len: core.wal.capacity(),
-            epoch_end: core.epoch.as_ref().map_or(0, |e| e.end),
-            epoch_next_seq: core.epoch.as_ref().map_or(0, |e| e.next_seq),
+            epoch_end: boundary.map_or(0, |b| b.tail()),
+            epoch_next_seq: boundary.map_or(0, |b| b.next_seq()),
             segments: core.segments.clone(),
         };
         write_status(self.dev.as_ref(), &mut status)?;

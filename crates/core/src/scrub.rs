@@ -453,7 +453,7 @@ pub struct ScrubReport {
     /// regions are now quarantined (degraded, read-only).
     pub pages_quarantined: u64,
     /// Pages skipped: a live transaction or an unflushed lazy commit
-    /// pinned them, an epoch truncation owned the segment writers, or
+    /// pinned them, a truncation in flight owned the segment writers, or
     /// their region was already quarantined. They are re-examined on the
     /// next pass.
     pub pages_skipped: u64,
@@ -500,9 +500,9 @@ impl RvmShared {
         let pages = (region.len / PAGE_SIZE) as usize;
         for page in 0..pages {
             let core = self.core.lock();
-            if core.epoch.is_some() {
-                // An off-lock epoch apply owns the segment writers; the
-                // rest of this region waits for the next pass.
+            if core.truncation.is_some() {
+                // A truncation's off-lock apply owns the segment writers;
+                // the rest of this region waits for the next pass.
                 report.pages_skipped += (pages - page) as u64;
                 return Ok(());
             }
@@ -521,9 +521,9 @@ impl RvmShared {
     /// image in VM, else quarantine.
     ///
     /// Holding `core` for the whole page excludes every other segment
-    /// writer (truncation holds `core`; the epoch apply was ruled out by
-    /// the caller), so the read-check-rewrite sequence cannot race a
-    /// concurrent apply to the same page.
+    /// writer (a truncation takes the in-flight slot under `core`, and
+    /// the caller found it free), so the read-check-rewrite sequence
+    /// cannot race a concurrent apply to the same page.
     fn scrub_region_page(
         &self,
         _core: CoreGuard<'_>,
@@ -555,13 +555,13 @@ impl RvmShared {
         // committed image, when VM holds exactly that (map-time
         // truncation drained the segment's live log records before the
         // load, so nothing committed is missing from a loaded page).
-        match region.committed_page(page)? {
-            PageImage::Committed(img) => {
+        match region.committed_page(page, &mut buf)? {
+            PageImage::Committed => {
                 region
                     .seg_dev
-                    .write_at(region.seg_offset + page_off, &img)?;
+                    .write_at(region.seg_offset + page_off, &buf)?;
                 region.seg_dev.sync()?;
-                catalog.update(seg_page, &img);
+                catalog.update(seg_page, &buf);
                 catalog.persist()?;
                 report.corruptions_repaired += 1;
                 media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);

@@ -141,12 +141,14 @@ pub struct Stats {
     /// Completed epoch truncations (feeds both `epoch_truncations` and
     /// `epochs_truncated` of the snapshot: there is one epoch protocol).
     pub(crate) epoch_truncations: AtomicU64,
-    /// Transactions that committed while an epoch apply was in flight —
-    /// direct evidence that truncation no longer stalls the pipeline.
+    /// Transactions that committed while a truncation's apply — an
+    /// epoch's or an incremental step's — was in flight: direct evidence
+    /// that truncation no longer stalls the pipeline.
     pub(crate) commits_during_truncation: AtomicU64,
     /// Nanoseconds threads holding the core lock spent making log space
-    /// (`RvmShared::make_log_space`: waiting out an epoch, running the
-    /// epoch themselves, or reaping the oldest batch in flight).
+    /// (`RvmShared::make_log_space`: waiting out a truncation in flight,
+    /// running an epoch themselves, or reaping the oldest batch in
+    /// flight).
     pub(crate) truncation_stall_ns: AtomicU64,
     /// Log bytes scanned by epoch truncation.
     pub(crate) truncation_bytes_scanned: AtomicU64,
@@ -262,7 +264,8 @@ pub struct StatsSnapshot {
     /// The same count: every epoch runs the one protocol (apply off-lock
     /// while commits keep appending). Kept for the C API's query struct.
     pub epochs_truncated: u64,
-    /// Transactions committed while an epoch apply was in flight.
+    /// Transactions committed while a truncation's apply (an epoch's or
+    /// an incremental step's) was in flight.
     pub commits_during_truncation: u64,
     /// Nanoseconds commit-path threads spent blocked on truncation.
     pub truncation_stall_ns: u64,
@@ -272,7 +275,8 @@ pub struct StatsSnapshot {
     pub truncation_ranges_applied: u64,
     /// Bytes applied to segments by epoch truncation.
     pub truncation_bytes_applied: u64,
-    /// Incremental truncation steps executed.
+    /// Incremental truncation steps completed (one freeze, apply and
+    /// head advance each).
     pub incremental_steps: u64,
     /// Pages written to segments by incremental truncation.
     pub pages_written_incremental: u64,

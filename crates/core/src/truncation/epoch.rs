@@ -1,60 +1,47 @@
 //! Epoch truncation (§5.1.2, Figure 6): "the crash recovery procedure
 //! applied to the oldest part of the log while forward processing
-//! continues in the rest". There is one protocol, whoever starts it —
-//! an explicit [`Rvm::truncate`](crate::Rvm::truncate), the threshold
-//! trigger, or a thread that holds the core lock and has run out of log
-//! space ([`RvmShared::make_log_space`]). Three phases:
+//! continues in the rest". It is the plane's one in-flight protocol
+//! ([`super`]) with the log as the source of the bytes, whoever starts
+//! it — an explicit [`Rvm::truncate`](crate::Rvm::truncate), the
+//! threshold trigger in [`TruncationMode::Epoch`](crate::TruncationMode),
+//! or a thread that holds the core lock and cannot go on
+//! ([`RvmShared::make_log_space`]: the log is full, a `map` needs its
+//! segment settled, an incremental step is blocked). Three phases:
 //!
 //! 1. **Freeze** (core lock held): the stable span `[head, end)` becomes
-//!    the epoch. Its segment set and page-queue prefix move into
-//!    [`EpochInFlight`], and the boundary is persisted in the status
-//!    block — a crash from here on recovers by scanning from the unmoved
-//!    head, re-applying the span idempotently.
+//!    the epoch. Its segment set moves into the in-flight slot
+//!    ([`InFlight`]), its page-queue prefix to the owner, and the
+//!    boundary is persisted in the status block — a crash from here on
+//!    recovers by scanning from the unmoved head, re-applying the span
+//!    idempotently.
 //! 2. **Apply** (core lock *released*): [`recovery::apply_span`] scans
 //!    the frozen span and writes its newest-wins trees to the data
 //!    segments, while commits keep appending past `end`.
 //! 3. **Complete** (core lock reacquired): the head advances to `end`,
 //!    the boundary is cleared from core and status, the drained page
-//!    descriptors are settled, and every thread parked on `epoch_done`
-//!    is woken.
+//!    descriptors are settled, and every thread parked on
+//!    `truncation_done` is woken.
 //!
 //! The off-lock scan is safe because everything below the stable end is
 //! fully written and forced (every batch forces before it completes, and
 //! the commit leader never releases the lock with bytes staged but not
 //! submitted), and the frozen span cannot be overwritten, because
 //! free-space accounting counts it as live until the head advances. The
-//! head moves by epoch only while the mover owns `core.epoch`, so two
-//! truncations cannot race for it.
+//! head moves only while the mover owns `Core::truncation`, so two
+//! truncations — epochs or steps — cannot race for it.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use parking_lot::MutexGuard;
 
-use super::PageDesc;
+use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::log::wal::WalCheckpoint;
 use crate::recovery;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
 use crate::scrub::ApplyContext;
 use crate::segment::SegmentId;
-
-/// An epoch truncation in flight: `[wal.head(), end)` is frozen and being
-/// applied to the data segments with the core lock released.
-pub(crate) struct EpochInFlight {
-    /// Exclusive logical end of the frozen span.
-    pub(crate) end: u64,
-    /// `next_seq` the log had at `end` (becomes `seq_at_head` when the
-    /// head advances to `end`).
-    pub(crate) next_seq: u64,
-    /// Segments referenced by frozen-span records (restored on failure).
-    pub(crate) segs: HashSet<u32>,
-    /// Page-queue descriptors covered by the frozen span, drained at the
-    /// freeze so commits landing during the apply re-enqueue their pages
-    /// with new-epoch offsets.
-    drained: Vec<PageDesc>,
-}
 
 impl RvmShared {
     /// The stable end of the log — everything below it is fully written
@@ -71,14 +58,14 @@ impl RvmShared {
     /// Runs one epoch truncation over the stable log prefix. **Releases
     /// and reacquires the core lock** around the apply; the caller must
     /// re-derive whatever it read under the lock before. Returns whether
-    /// the head moved — `false` when an epoch is already in flight (its
-    /// owner frees the span) or nothing stable is live. Device failures
-    /// poison the instance before the waiters are woken.
+    /// the head moved — `false` when a truncation is already in flight
+    /// (its owner moves the head) or nothing stable is live. Device
+    /// failures poison the instance before the waiters are woken.
     pub(crate) fn epoch_truncate(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(RvmError::Poisoned);
         }
-        if core.epoch.is_some() {
+        if core.truncation.is_some() {
             return Ok(false);
         }
         let (start, start_seq) = (core.wal.head(), core.wal.seq_at_head());
@@ -94,13 +81,13 @@ impl RvmShared {
             core.segs_in_log.clone()
         };
         let drained = core.page_queue.drain_below(stable.tail());
-        core.epoch = Some(EpochInFlight {
-            end: stable.tail(),
-            next_seq: stable.next_seq(),
-            segs,
-            drained,
-        });
-        self.epoch_active.store(true, Ordering::Release);
+        self.begin_in_flight(
+            core,
+            InFlight {
+                boundary: Some(stable),
+                segs,
+            },
+        );
         // Persist the boundary *before* touching any segment.
         let frozen = self.write_status_locked(core);
         let applied = frozen.and_then(|()| {
@@ -108,8 +95,8 @@ impl RvmShared {
                 self.apply_epoch_span(start, start_seq, stable.tail())
             })
         });
-        let result = self.guard_io(self.finish_epoch(core, applied));
-        self.epoch_done.notify_all();
+        let result = self.guard_io(self.finish_epoch(core, drained, applied));
+        self.truncation_done.notify_all();
         result.map(|()| true)
     }
 
@@ -151,43 +138,35 @@ impl RvmShared {
     /// the span; failed (at the freeze's status write or in the apply),
     /// the span is still live and unapplied, so its segment set and
     /// drained page descriptors go back where they were.
-    fn finish_epoch(&self, core: &mut Core, applied: Result<()>) -> Result<()> {
-        let Some(epoch) = core.epoch.take() else {
+    fn finish_epoch(
+        &self,
+        core: &mut Core,
+        mut drained: Vec<PageDesc>,
+        applied: Result<()>,
+    ) -> Result<()> {
+        let Some(InFlight {
+            boundary: Some(end),
+            segs,
+        }) = self.end_in_flight(core)
+        else {
             return Err(RvmError::BadLog(
                 "epoch truncation lost its boundary before completing".to_owned(),
             ));
         };
-        self.epoch_active.store(false, Ordering::Release);
         if let Err(e) = applied {
-            core.segs_in_log.extend(epoch.segs);
-            core.page_queue.requeue_front(epoch.drained);
+            core.segs_in_log.extend(segs);
+            core.page_queue.requeue_front(&mut drained);
             return Err(e);
         }
-        core.wal.advance_head(epoch.end, epoch.next_seq);
-        // A drained page not re-dirtied during the apply is clean now:
-        // its latest committed bytes were all in the frozen span. One
-        // re-enqueued by a commit that landed during the apply keeps its
-        // new descriptor and its dirty bit; one with spooled (unflushed)
-        // data stays dirty too.
-        for desc in &epoch.drained {
-            if core.page_queue.contains(desc.region_id, desc.page) {
-                continue;
-            }
-            if let Some(region) = desc.region.upgrade() {
-                let mut pv = region.page_vector.lock();
-                let entry = pv.entry_mut(desc.page);
-                if entry.unflushed == 0 {
-                    entry.dirty = false;
-                }
-            }
-        }
+        core.wal.advance_head(end.tail(), end.next_seq());
+        Self::settle_drained(core, &drained);
         self.write_status_locked(core)?;
         self.stats.add(&self.stats.epoch_truncations, 1);
         Ok(())
     }
 
     /// Explicit truncation ([`Rvm::truncate`](crate::Rvm::truncate)):
-    /// waits out an epoch in flight, then truncates what remains.
+    /// waits out a truncation in flight, then truncates what remains.
     pub(crate) fn truncate_now(&self) -> Result<()> {
         // Settle in-flight batches first: the epoch can only freeze the
         // span below the pipeline floor, and an explicit truncate promises
@@ -196,8 +175,8 @@ impl RvmShared {
             self.pipeline_reap_front();
         }
         let mut core = self.core.lock();
-        while core.epoch.is_some() {
-            self.epoch_done.wait(&mut core);
+        while core.truncation.is_some() {
+            self.truncation_done.wait(&mut core);
         }
         self.epoch_truncate(&mut core).map(|_| ())
     }
@@ -205,10 +184,11 @@ impl RvmShared {
     /// Makes room in the log for a caller that holds the core lock and
     /// cannot go on without it — an append that does not fit, a `map`
     /// that needs the segment's live records applied, an incremental
-    /// truncation that is blocked. An epoch in flight is waited out; else
-    /// the caller runs the epoch itself over whatever is stable; else —
-    /// everything live sits above the pipeline floor — the oldest batch
-    /// in flight is reaped, so the next call finds it stable. All three
+    /// truncation that is blocked. A truncation in flight (an epoch or a
+    /// step) is waited out; else the caller runs the epoch itself over
+    /// whatever is stable; else — everything live sits above the
+    /// pipeline floor — the oldest batch in flight is reaped, so the
+    /// next call finds it stable. All three
     /// **release and reacquire the core lock**, which the bump of
     /// `Core::wait_generation` records: the caller must re-derive what
     /// it read before and try again. Returns `false` — the lock never
@@ -216,10 +196,10 @@ impl RvmShared {
     /// `truncation_stall_ns`.
     pub(crate) fn make_log_space(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
         let stall = Instant::now();
-        let advanced = if core.epoch.is_some() {
+        let advanced = if core.truncation.is_some() {
             // Its owner advances the head in phase 3, which needs the
             // lock this wait releases.
-            self.epoch_done.wait(core);
+            self.truncation_done.wait(core);
             Ok(true)
         } else if self.stable_end(core).tail() > core.wal.head() {
             self.epoch_truncate(core)

@@ -1,152 +1,281 @@
 //! Incremental truncation (Figure 7): dirty pages are written straight
-//! from VM in page-queue order and the log head follows the queue. When
-//! the queue head cannot be written — its region was unmapped — the run
-//! reverts to epoch truncation through [`RvmShared::make_log_space`].
+//! from VM in page-queue order and the log head follows the queue — no
+//! log scan. A *step* is the plane's one in-flight protocol
+//! ([`super`]) with VM as the source of the bytes:
+//!
+//! 1. **Freeze** (core lock held): pop the queue prefix the step will
+//!    write, copying each page's committed image
+//!    ([`RegionInner::committed_page`]) into the one buffer the plane
+//!    keeps ([`StepBatch`]), and take the in-flight slot.
+//! 2. **Apply** (core lock *released*): the page writes, one sync per
+//!    segment device, one catalog persist per segment. Commits keep
+//!    appending; one that re-dirties a frozen page enqueues it again at
+//!    its own offset. What reaches the segment is the frozen copy, so
+//!    nothing written to VM meanwhile can.
+//! 3. **Complete** (core lock reacquired): the head moves to the earliest
+//!    descriptor now queued — capped at the stable end — the frozen
+//!    pages' dirty bits are settled, the status block is written once,
+//!    and the waiters are woken.
+//!
+//! A crash anywhere in a step recovers from the unmoved head: every
+//! change to a frozen page since it was last clean is in the live log
+//! (its descriptor bounded the head), so replay rebuilds whatever a torn
+//! page write left. When the queue head cannot be written — its region
+//! was unmapped — the run reverts to epoch truncation through
+//! [`RvmShared::make_log_space`].
 
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 
-use crate::error::Result;
+use super::{InFlight, PageDesc};
+use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
 use crate::region::{PageImage, RegionInner};
-use crate::rvm::{CoreGuard, RvmShared};
+use crate::rvm::{Core, CoreGuard, RvmShared};
 
-/// Pages written per incremental-truncation sync batch.
-const INCREMENTAL_BATCH_PAGES: usize = 32;
+/// Most pages one step freezes: bounds the freeze's hold of the core
+/// lock and the image buffer (1 MiB).
+const STEP_MAX_PAGES: usize = 256;
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// What a step carries from its freeze to its completion. The plane
+/// keeps one (`Core::step`) and every step reuses its allocations, so a
+/// steady-state step allocates nothing per page.
+#[derive(Default)]
+pub(crate) struct StepBatch {
+    /// The descriptors popped at the freeze, in queue order.
+    drained: Vec<PageDesc>,
+    /// Their regions (strong: the apply writes through them), same order.
+    regions: Vec<Arc<RegionInner>>,
+    /// Their committed images, [`PAGE_SIZE`] bytes each, same order, at
+    /// the front of a buffer that only grows.
+    images: Vec<u8>,
+    /// Segments the apply has already synced, then persisted.
+    segs_done: Vec<u32>,
+}
+
+impl StepBatch {
+    fn clear(&mut self) {
+        self.drained.clear();
+        self.regions.clear();
+    }
+}
+
+/// What a freeze found at the queue head when it stopped gathering.
+enum QueueHead {
+    /// Nothing (more) to write below the limit.
+    Clear,
+    /// The page's region is gone: it cannot be written from VM any more.
+    Unmapped,
+    /// Committed data still in the spool; a flush barrier unblocks it.
+    Unflushed,
+    /// A live transaction has declared a range on it (or it was never
+    /// loaded): "incremental truncation is now blocked until the
+    /// uncommitted reference count drops to zero."
+    Pinned,
+}
 
 impl RvmShared {
-    /// Incremental truncation (Figure 7): write dirty pages from VM in
-    /// page-queue order, advancing the log head. Returns bytes reclaimed.
-    ///
-    /// Steps are batched: up to [`INCREMENTAL_BATCH_PAGES`] writable pages
-    /// are written and their segment devices synced once before the head
-    /// advances past all of them, so each step costs one positioning
-    /// batch rather than one sync per page.
-    pub(super) fn incremental_truncate_locked(
+    /// Runs steps until the head has moved `target` bytes, the queue is
+    /// drained of what was logged before the call, or its head is
+    /// blocked. **Releases and reacquires the core lock** around every
+    /// apply. Returns bytes reclaimed.
+    pub(super) fn incremental_truncate(
         &self,
         core: &mut CoreGuard<'_>,
         target: u64,
     ) -> Result<u64> {
+        if self.poisoned.load(Ordering::Acquire) {
+            return Err(RvmError::Poisoned);
+        }
         let start_head = core.wal.head();
-        'outer: loop {
-            // The barrier and `make_log_space` below release the core
-            // lock; if an epoch truncation started in that window,
-            // stop — the epoch owns the head now, and every remaining
-            // queue descriptor sits at or past its boundary.
-            if core.epoch.is_some() {
+        // Where the head is wanted. Records appended from here on are the
+        // next run's: commits landing during the applies cannot keep this
+        // one going.
+        let limit = start_head.saturating_add(target).min(core.wal.tail());
+        loop {
+            // Everything below that released the core lock may come back
+            // to a truncation someone else started: it owns the head now.
+            if core.truncation.is_some() || core.wal.head() >= limit {
                 break;
             }
-            if core.wal.head() - start_head >= target {
-                break;
-            }
-            if core.page_queue.is_empty() {
-                // Queue drained: every *reaped*, flushed change is
-                // applied, so the log is reclaimable up to its stable end
-                // (in-flight batches keep their span: their pages only
-                // enter the queue at reap).
-                let stable = self.stable_end(core);
-                if stable.tail() > core.wal.head() {
-                    core.wal.advance_head(stable.tail(), stable.next_seq());
-                    if stable.tail() == core.wal.tail() {
-                        core.segs_in_log.clear();
-                    }
-                }
-                break;
-            }
-
-            // Gather a batch of writable pages from the queue head, each
-            // with its committed image (`RegionInner::committed_page`).
-            let mut batch: Vec<(Arc<RegionInner>, usize, Vec<u8>)> = Vec::new();
-            while batch.len() < INCREMENTAL_BATCH_PAGES {
-                let Some(front) = core.page_queue.front() else {
-                    break;
-                };
-                let Some(region) = front.region.upgrade() else {
-                    if batch.is_empty() {
-                        // The region was unmapped: its pages cannot be
-                        // written from VM any more. Revert to epoch
-                        // truncation (§5.1.2), which drains them.
-                        if self.make_log_space(core)? {
-                            continue 'outer;
-                        }
-                        break 'outer;
-                    }
-                    break;
-                };
-                let page = front.page;
-                match region.committed_page(page)? {
-                    PageImage::Committed(image) => {
-                        core.page_queue.pop_front();
-                        batch.push((region, page, image));
-                    }
-                    PageImage::Unflushed if batch.is_empty() => {
-                        // Committed data still in the spool: flushing it
-                        // is always safe and unblocks the page.
-                        MutexGuard::unlocked(core, || self.flush_barrier())?;
-                        continue 'outer;
-                    }
-                    // Write what was gathered first; with nothing
-                    // gathered, "incremental truncation is now blocked
-                    // until the uncommitted reference count drops to zero."
-                    _ => break,
-                }
-            }
-            if batch.is_empty() {
-                break; // blocked at the queue head
-            }
-
-            // Write the batch to the data segments, one sync per distinct
-            // device. Region pages are full segment pages (mapping offsets
-            // are page-aligned), so the image updates the checksum
-            // catalog exactly.
-            for (region, page, image) in &batch {
-                let seg_off = region.seg_offset + *page as u64 * PAGE_SIZE;
-                region.seg_dev.write_at(seg_off, image)?;
-                if let Some(catalog) = &region.catalog {
-                    catalog.update((seg_off / PAGE_SIZE) as usize, image);
-                }
-            }
-            let mut synced: Vec<u64> = Vec::new();
-            for (region, ..) in &batch {
-                if !synced.contains(&region.id) {
-                    region.seg_dev.sync()?;
-                    synced.push(region.id);
-                }
-            }
-            // Persist updated catalogs (once per segment) before the head
-            // advances past the records whose pages were just applied.
-            let mut persisted: Vec<u32> = Vec::new();
-            for (region, ..) in &batch {
-                if let Some(catalog) = &region.catalog {
-                    if !persisted.contains(&region.seg.as_u32()) {
-                        catalog.persist()?;
-                        persisted.push(region.seg.as_u32());
-                    }
-                }
-            }
-            for (region, page, _) in &batch {
-                region.page_vector.lock().entry_mut(*page).dirty = false;
-            }
-            self.stats.add(&self.stats.incremental_steps, 1);
-            self.stats
-                .add(&self.stats.pages_written_incremental, batch.len() as u64);
-
-            // Move the log head to the next descriptor's offset — capped
-            // at the stable end: in-flight batches have no queue entries
-            // yet, and the head must not pass their unforced records.
-            let stable = self.stable_end(core);
-            let (new_head, new_seq) = match core.page_queue.front() {
-                Some(d) if d.offset <= core.wal.head() => (core.wal.head(), core.wal.seq_at_head()),
-                Some(d) if d.offset <= stable.tail() => (d.offset, d.seq),
-                _ => (stable.tail(), stable.next_seq()),
+            let mut batch = std::mem::take(&mut core.step);
+            let at_head = freeze_step(core, &mut batch, limit);
+            // (A failed freeze put back what it had popped.)
+            let stepped = !batch.drained.is_empty();
+            let ran = if stepped {
+                self.run_step(core, &mut batch)
+            } else {
+                Ok(())
             };
-            core.wal.advance_head(new_head, new_seq);
+            batch.clear();
+            core.step = batch;
+            ran?;
+            let at_head = at_head?;
+            if stepped {
+                // Write on; a block is met again with nothing gathered.
+                continue;
+            }
+            match at_head {
+                // Nothing to write below the limit: the head follows the
+                // queue as far as it goes.
+                QueueHead::Clear => {
+                    if self.follow_queue(core)? == 0 {
+                        break;
+                    }
+                }
+                // Revert to epoch truncation (§5.1.2), which drains the
+                // dead descriptors.
+                QueueHead::Unmapped => {
+                    if !self.make_log_space(core)? {
+                        break;
+                    }
+                }
+                // Flushing the spool is always safe and unblocks the page.
+                QueueHead::Unflushed => MutexGuard::unlocked(core, || self.flush_barrier())?,
+                QueueHead::Pinned => break,
+            }
         }
-        let reclaimed = core.wal.head() - start_head;
-        if reclaimed > 0 {
-            self.write_status_locked(core)?;
-        }
-        Ok(reclaimed)
+        Ok(core.wal.head() - start_head)
     }
+
+    /// Phases 2 and 3 around a frozen, non-empty `batch`: takes the slot,
+    /// applies with the core lock released, completes and wakes the
+    /// waiters. A device failure poisons the instance first.
+    fn run_step(&self, core: &mut CoreGuard<'_>, batch: &mut StepBatch) -> Result<()> {
+        self.begin_in_flight(
+            core,
+            InFlight {
+                boundary: None,
+                segs: HashSet::new(),
+            },
+        );
+        let applied = MutexGuard::unlocked(core, || apply_step(batch));
+        let result = self.guard_io(self.complete_step(core, batch, applied));
+        self.truncation_done.notify_all();
+        result
+    }
+
+    /// Phase 3: ends the step in flight. Applied, the frozen pages are on
+    /// their segments and the head follows the queue; failed, they are
+    /// still unapplied and their descriptors go back where they were.
+    fn complete_step(
+        &self,
+        core: &mut Core,
+        batch: &mut StepBatch,
+        applied: Result<()>,
+    ) -> Result<()> {
+        self.end_in_flight(core);
+        if let Err(e) = applied {
+            core.page_queue.requeue_front(&mut batch.drained);
+            return Err(e);
+        }
+        let stats = &self.stats;
+        stats.add(&stats.incremental_steps, 1);
+        stats.add(&stats.pages_written_incremental, batch.drained.len() as u64);
+        Self::settle_drained(core, &batch.drained);
+        self.follow_queue(core).map(|_| ())
+    }
+
+    /// Moves the log head as far as the page queue allows — to the
+    /// earliest descriptor queued, or past everything with none — capped
+    /// at the stable end (batches in flight have no descriptors yet, and
+    /// the head must not pass their unforced records), and persists it
+    /// under the same hold: space the in-memory head frees is appended
+    /// into at once. Returns bytes reclaimed.
+    fn follow_queue(&self, core: &mut Core) -> Result<u64> {
+        let stable = self.stable_end(core);
+        let (new_head, new_seq) = match core.page_queue.front() {
+            Some(d) if d.offset <= stable.tail() => (d.offset, d.seq),
+            _ => (stable.tail(), stable.next_seq()),
+        };
+        let head = core.wal.head();
+        if new_head <= head {
+            return Ok(0);
+        }
+        core.wal.advance_head(new_head, new_seq);
+        if new_head == core.wal.tail() {
+            core.segs_in_log.clear();
+        }
+        self.write_status_locked(core)?;
+        Ok(new_head - head)
+    }
+}
+
+/// Phase 1: pops the descriptors below `limit` (what the head must pass
+/// to get there) into `batch`, each with the committed image of its
+/// page, up to [`STEP_MAX_PAGES`]. Stops at the first page that cannot be
+/// frozen and says why; what was gathered before it is written first.
+fn freeze_step(core: &mut Core, batch: &mut StepBatch, limit: u64) -> Result<QueueHead> {
+    while batch.drained.len() < STEP_MAX_PAGES {
+        let Some(front) = core.page_queue.front().filter(|d| d.offset < limit) else {
+            break;
+        };
+        let Some(region) = front.region.upgrade() else {
+            return Ok(QueueHead::Unmapped);
+        };
+        let at = batch.drained.len() * PAGE;
+        if batch.images.len() < at + PAGE {
+            batch.images.resize(at + PAGE, 0);
+        }
+        let image = batch.images.get_mut(at..at + PAGE).unwrap_or_default();
+        match region.committed_page(front.page, image) {
+            Ok(PageImage::Committed) => {
+                batch.drained.extend(core.page_queue.pop_front());
+                batch.regions.push(region);
+            }
+            Ok(PageImage::Unflushed) => return Ok(QueueHead::Unflushed),
+            Ok(PageImage::Uncommitted | PageImage::Unloaded) => return Ok(QueueHead::Pinned),
+            Err(e) => {
+                core.page_queue.requeue_front(&mut batch.drained);
+                return Err(e);
+            }
+        }
+    }
+    Ok(QueueHead::Clear)
+}
+
+/// Phase 2: writes the frozen pages to their segments. Runs with the
+/// core lock released. Region pages are full segment pages (mapping
+/// offsets are page-aligned), so each image updates the checksum catalog
+/// exactly. Ordering: page writes → one sync per segment device → one
+/// catalog persist per segment; the caller moves the head only after
+/// this returns.
+fn apply_step(batch: &mut StepBatch) -> Result<()> {
+    let StepBatch {
+        drained,
+        regions,
+        images,
+        segs_done,
+    } = batch;
+    let pages = drained.iter().zip(regions.iter());
+    for ((desc, region), image) in pages.zip(images.chunks_exact(PAGE)) {
+        let seg_off = region.seg_offset + desc.page as u64 * PAGE_SIZE;
+        region.seg_dev.write_at(seg_off, image)?;
+        if let Some(catalog) = &region.catalog {
+            catalog.update((seg_off / PAGE_SIZE) as usize, image);
+        }
+    }
+    // Regions of one segment share its device and its catalog: both are
+    // keyed by segment, not by region.
+    segs_done.clear();
+    for region in regions.iter() {
+        if !segs_done.contains(&region.seg.as_u32()) {
+            region.seg_dev.sync()?;
+            segs_done.push(region.seg.as_u32());
+        }
+    }
+    segs_done.clear();
+    for region in regions.iter() {
+        if let Some(catalog) = &region.catalog {
+            if !segs_done.contains(&region.seg.as_u32()) {
+                catalog.persist()?;
+                segs_done.push(region.seg.as_u32());
+            }
+        }
+    }
+    Ok(())
 }

@@ -2,17 +2,34 @@
 //!
 //! Truncation "is the process of reclaiming space allocated to log entries
 //! by applying the changes contained in them to the recoverable data
-//! segment". Two mechanisms exist:
+//! segment". There is one in-flight protocol and two sources of bytes:
 //!
-//! * **epoch truncation** ([`epoch`]) — the crash-recovery procedure
-//!   applied to the stable log prefix while commits continue in the
-//!   rest: one three-phase protocol built on
-//!   [`recovery::apply_span`](crate::recovery), exactly as the paper
-//!   reused its recovery code, whoever starts it;
-//! * **incremental truncation** ([`incremental`]) — dirty pages written
-//!   directly from VM, coordinated by the per-region page vector
-//!   ([`page_vector`]) and the FIFO [`PageQueue`] of page modification
-//!   descriptors (Figure 7), reverting to an epoch when blocked.
+//! 1. **Freeze** (core lock held): decide what will be applied, take it
+//!    out of the page queue and take the in-flight slot
+//!    ([`InFlight`], `Core::truncation`).
+//! 2. **Apply** (core lock *released*): write the segments, sync them,
+//!    persist their checksum catalogs — while commits keep appending.
+//! 3. **Complete** (core lock reacquired): move the log head, settle the
+//!    dirty bits of the pages taken at the freeze, persist the status
+//!    block, free the slot and wake everyone parked on
+//!    `truncation_done`.
+//!
+//! * **Incremental truncation** ([`incremental`], the default trigger)
+//!   takes its bytes from VM: a *step* freezes the committed images of
+//!   the pages at the head of the FIFO [`PageQueue`] of page modification
+//!   descriptors (Figure 7, coordinated by the per-region
+//!   [`page_vector`]), and the head follows the queue. No log scan.
+//! * **Epoch truncation** ([`epoch`]) takes them from the log: the
+//!   crash-recovery procedure ([`recovery::apply_span`](crate::recovery))
+//!   applied to the frozen stable prefix, exactly as the paper reused its
+//!   recovery code. It is the explicit `truncate()`, the map-time settle,
+//!   and what a step falls back to when the queue head is blocked or
+//!   unmapped or the log is full.
+//!
+//! One slot means one segment writer and one mover of the head at a time,
+//! and one set of waiters for both mechanisms: `make_log_space`, `map`'s
+//! settle, `truncate_now`, `scrub` and the trigger all look at
+//! `Core::truncation` and park on `truncation_done`.
 //!
 //! The rest of the crate reaches in through three doors: `truncate_now`
 //! (the explicit call), `request_truncation` (the threshold [`trigger`],
@@ -24,14 +41,70 @@ mod incremental;
 pub mod page_vector;
 mod trigger;
 
-pub(crate) use epoch::EpochInFlight;
+pub(crate) use incremental::StepBatch;
 pub(crate) use trigger::spawn_bg_thread;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
+use crate::log::wal::WalCheckpoint;
 use crate::region::RegionInner;
+use crate::rvm::{Core, RvmShared};
+
+/// The truncation in flight: its owner froze what it applies under the
+/// core lock and is now writing segments with the lock released. Holds
+/// what *other* threads need to know meanwhile; the owner keeps the rest
+/// (the descriptors it took, a step's page images) to itself.
+pub(crate) struct InFlight {
+    /// An epoch's frozen span ends here (tail and `next_seq` of the log
+    /// at the freeze), persisted in the status block until the epoch
+    /// completes. `None` for an incremental step, which freezes pages,
+    /// not a span, and leaves the status block alone until it completes.
+    pub(crate) boundary: Option<WalCheckpoint>,
+    /// Segments referenced by an epoch's frozen-span records, moved out
+    /// of `Core::segs_in_log` (restored on failure). A step leaves
+    /// `segs_in_log` as it is and keeps this empty.
+    pub(crate) segs: HashSet<u32>,
+}
+
+impl RvmShared {
+    /// Takes the in-flight slot; the caller found it free under this hold
+    /// of the core lock.
+    fn begin_in_flight(&self, core: &mut Core, slot: InFlight) {
+        debug_assert!(core.truncation.is_none(), "one truncation at a time");
+        core.truncation = Some(slot);
+        self.truncation_active.store(true, Ordering::Release);
+    }
+
+    /// Frees the in-flight slot. The owner notifies `truncation_done`
+    /// once the outcome (poison included) is settled.
+    fn end_in_flight(&self, core: &mut Core) -> Option<InFlight> {
+        self.truncation_active.store(false, Ordering::Release);
+        core.truncation.take()
+    }
+
+    /// Settles the dirty bits of pages whose descriptors a truncation
+    /// took at its freeze and has now applied. A page not re-dirtied
+    /// during the apply is clean: its latest committed bytes are on the
+    /// segment. One re-enqueued by a commit that landed during the apply
+    /// keeps its new descriptor and its dirty bit; one with spooled
+    /// (unflushed) data stays dirty too.
+    fn settle_drained(core: &Core, drained: &[PageDesc]) {
+        for desc in drained {
+            if core.page_queue.contains(desc.region_id, desc.page) {
+                continue;
+            }
+            if let Some(region) = desc.region.upgrade() {
+                let mut pv = region.page_vector.lock();
+                let entry = pv.entry_mut(desc.page);
+                if entry.unflushed == 0 {
+                    entry.dirty = false;
+                }
+            }
+        }
+    }
+}
 
 /// A page modification descriptor (Figure 7): the log offset and sequence
 /// number of the *first* record referencing the page since it was last
@@ -122,7 +195,8 @@ impl PageQueue {
     /// prefix of the queue. Used when an epoch truncation freezes
     /// `[head, offset)`: the drained pages are covered by the epoch apply,
     /// and commits landing *during* the apply re-enqueue their pages with
-    /// offsets at or past the boundary.
+    /// offsets at or past the boundary. (A step pops its prefix one
+    /// descriptor at a time, as it copies each page.)
     pub fn drain_below(&mut self, offset: u64) -> Vec<PageDesc> {
         let mut drained = Vec::new();
         while let Some(front) = self.queue.front() {
@@ -136,17 +210,18 @@ impl PageQueue {
     }
 
     /// Puts drained descriptors back at the queue front in their original
-    /// order (epoch apply failed; the pages are still unapplied). A page
+    /// order (the apply failed; the pages are still unapplied). A page
     /// re-enqueued meanwhile keeps its newer descriptor — the older
     /// drained one still lower-bounds it, so dropping the newer duplicate
     /// in favour of the earlier offset preserves the queue invariant.
-    pub fn requeue_front(&mut self, drained: Vec<PageDesc>) {
-        for desc in drained.into_iter().rev() {
+    pub fn requeue_front(&mut self, drained: &mut Vec<PageDesc>) {
+        for desc in drained.drain(..).rev() {
             if self.queued.insert((desc.region_id, desc.page)) {
                 self.queue.push_front(desc);
             } else {
                 // A newer descriptor for the page was enqueued while the
-                // epoch was in flight; replace it with the earlier one.
+                // truncation was in flight; replace it with the earlier
+                // one.
                 if let Some(pos) = self
                     .queue
                     .iter()
@@ -171,6 +246,7 @@ impl PageQueue {
         self.queue.iter().map(|d| d.offset).collect()
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
@@ -230,13 +306,13 @@ mod tests {
         let mut q = PageQueue::new();
         q.enqueue(&region, 0, 100, 1);
         q.enqueue(&region, 1, 200, 2);
-        let drained = q.drain_below(u64::MAX);
+        let mut drained = q.drain_below(u64::MAX);
         assert!(q.is_empty());
         // Page 1 re-enqueued with a newer offset while the epoch was in
         // flight; the drained (earlier) descriptor must win.
         q.enqueue(&region, 1, 900, 9);
         q.enqueue(&region, 3, 950, 10);
-        q.requeue_front(drained);
+        q.requeue_front(&mut drained);
         assert_eq!(q.len(), 3);
         let d = q.pop_front().unwrap();
         assert_eq!((d.page, d.offset), (0, 100));

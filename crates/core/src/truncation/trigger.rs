@@ -29,9 +29,9 @@ impl RvmShared {
         let result = (|| -> Result<()> {
             let mut core = self.core.lock();
             // Re-check under the lock: another thread may have truncated
-            // already, and an epoch in flight *is* the truncation this
-            // trigger asked for.
-            if core.epoch.is_some() || core.wal.utilization() <= tuning.truncation_threshold {
+            // already, and a truncation in flight — an epoch or a step —
+            // *is* the truncation this trigger asked for.
+            if core.truncation.is_some() || core.wal.utilization() <= tuning.truncation_threshold {
                 return Ok(());
             }
             if tuning.truncation_mode == TruncationMode::Epoch {
@@ -39,7 +39,7 @@ impl RvmShared {
                 return Ok(());
             }
             let reclaimed =
-                self.incremental_truncate_locked(&mut core, tuning.incremental_reclaim_bytes)?;
+                self.incremental_truncate(&mut core, tuning.incremental_reclaim_bytes)?;
             // Blocked with space critical: revert to epoch truncation.
             // The revert point must sit at or above the trigger threshold
             // — with a threshold above 0.95, a bare `min(0.95)` would put
@@ -48,7 +48,7 @@ impl RvmShared {
             let critical = (tuning.truncation_threshold + 0.3)
                 .min(0.95)
                 .max(tuning.truncation_threshold);
-            if reclaimed == 0 && core.epoch.is_none() && core.wal.utilization() > critical {
+            if reclaimed == 0 && core.truncation.is_none() && core.wal.utilization() > critical {
                 self.make_log_space(&mut core)?;
             }
             Ok(())

@@ -181,6 +181,17 @@ fn setup(log_len: u64, tuning: Tuning, hooks: MutationHooks) -> (Capture, Rvm) {
     )
 }
 
+/// The tuning of every workload but [`Workload::Incremental`]: the
+/// threshold trigger runs epoch truncation, stated rather than inherited
+/// from the library's default, so each oracle — and the distinct-state
+/// counts the tests pin — keeps checking the traces it was written for.
+fn epoch_tuning() -> Tuning {
+    Tuning {
+        truncation_mode: TruncationMode::Epoch,
+        ..Tuning::default()
+    }
+}
+
 /// One committed flush-mode transaction writing `data` at `offset` of
 /// `region`, returning its spec with the ack point.
 fn flush_txn(
@@ -252,7 +263,7 @@ fn group_commit(hooks: MutationHooks) -> Trace {
         // A leader lingers so barrier-aligned committers join its batch:
         // bigger batches mean more pending pieces per crash window.
         group_commit_wait_us: 2_000,
-        ..Tuning::default()
+        ..epoch_tuning()
     };
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
@@ -316,7 +327,7 @@ fn pipeline(hooks: MutationHooks) -> Trace {
         // one between buffer A's completion and buffer B's submission.
         group_commit_wait_us: 2_000,
         group_commit_max_txns: 2,
-        ..Tuning::default()
+        ..epoch_tuning()
     };
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
@@ -374,7 +385,7 @@ fn truncation(hooks: MutationHooks) -> Trace {
     // runs the epoch itself.
     let tuning = Tuning {
         truncation_threshold: 1.0,
-        ..Tuning::default()
+        ..epoch_tuning()
     };
     let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
@@ -434,7 +445,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     // so far, runs the epoch itself and resumes.
     let tuning = Tuning {
         truncation_threshold: 1.0,
-        ..Tuning::default()
+        ..epoch_tuning()
     };
     let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
@@ -599,7 +610,7 @@ fn incremental(hooks: MutationHooks) -> Trace {
 }
 
 fn abort_mix(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
+    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
         .expect("map cells");
@@ -649,7 +660,7 @@ fn abort_mix(hooks: MutationHooks) -> Trace {
 /// sound — a byte flipped inside any acked write's range is always
 /// covered by the recovery tree, so redo must rewrite it.
 fn bit_rot(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
+    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
         .expect("map cells");
@@ -679,7 +690,7 @@ fn bit_rot(hooks: MutationHooks) -> Trace {
 /// determined by the seed.
 fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
     let mut rng = seed;
-    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
+    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 8 * PAGE_SIZE))
         .expect("map cells");

@@ -1,13 +1,13 @@
-//! Concurrent epoch truncation: commits must keep flowing while an epoch
-//! apply runs off-lock, and a crash at *any* stage of an in-flight epoch
-//! must recover every acknowledged commit.
+//! Concurrent truncation: commits must keep flowing while an apply — an
+//! epoch's or an incremental step's — runs off-lock, and a crash at *any*
+//! stage of a truncation in flight must recover every acknowledged
+//! commit.
 //!
-//! The tests park the epoch apply on a gated segment device (its writes
-//! or syncs block until the test releases them), which holds the
-//! truncation in its off-lock phase indefinitely. "Crashes" are device
-//! snapshots taken while the apply is parked — byte-exact images of what
-//! a kill at that instant would leave behind — rebooted into a fresh
-//! instance.
+//! The tests park the apply on a gated segment device (its writes or
+//! syncs block until the test releases them), which holds the truncation
+//! in its off-lock phase indefinitely. "Crashes" are device snapshots
+//! taken while the apply is parked — byte-exact images of what a kill at
+//! that instant would leave behind — rebooted into a fresh instance.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +28,7 @@ const REGION_LEN: u64 = SLOTS * SLOT_STRIDE;
 /// fills it within a few dozen commits.
 const TINY_LOG: u64 = 32 * 1024;
 
-/// Where the gate parks the epoch apply.
+/// Where the gate parks the apply.
 #[derive(Clone, Copy, Debug)]
 enum Park {
     /// Allow this many segment writes, then park the next one.
@@ -51,19 +51,25 @@ struct Gate {
     cv: Condvar,
 }
 
-impl Gate {
-    fn closed(park: Park) -> Arc<Self> {
+impl GateState {
+    fn closed(park: Park) -> Self {
         let (allow_writes, gate_sync) = match park {
             Park::Writes(n) => (n, false),
             Park::Sync => (u64::MAX, true),
         };
+        Self {
+            allow_writes,
+            gate_sync,
+            open: false,
+            parked: false,
+        }
+    }
+}
+
+impl Gate {
+    fn closed(park: Park) -> Arc<Self> {
         Arc::new(Self {
-            state: Mutex::new(GateState {
-                allow_writes,
-                gate_sync,
-                open: false,
-                parked: false,
-            }),
+            state: Mutex::new(GateState::closed(park)),
             cv: Condvar::new(),
         })
     }
@@ -99,10 +105,18 @@ impl Gate {
         }
     }
 
-    /// Test side: release everything, permanently.
+    /// Test side: release everything, until the gate is closed again.
     fn open(&self) {
         self.state.lock().unwrap().open = true;
         self.cv.notify_all();
+    }
+
+    /// Test side: close an open gate again, to park per `park` from now
+    /// on (nothing may be parked on it).
+    fn close(&self, park: Park) {
+        let mut st = self.state.lock().unwrap();
+        assert!(!st.parked);
+        *st = GateState::closed(park);
     }
 }
 
@@ -865,6 +879,287 @@ fn crash_after_epoch_completion_is_ordinary_recovery() {
         .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
         .unwrap();
     assert_slots(&region, 24, "post-completion crash");
+}
+
+/// `commit_slot` on a thread of its own, failing the test unless it
+/// returns within ten seconds — which is how a commit stuck behind a
+/// parked apply that holds the core lock shows up. (The caller's
+/// [`OpenOnDrop`] then unparks everything.)
+fn commit_slot_in_time<'scope>(
+    s: &'scope std::thread::Scope<'scope, '_>,
+    rvm: &'scope Rvm,
+    region: &'scope rvm::Region,
+    value: u64,
+    ctx: &str,
+) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    s.spawn(move || {
+        commit_slot(rvm, region, value);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{ctx}: commit {value} is stuck behind the parked apply"));
+}
+
+/// Incremental mode whose trigger never fires; [`arm_trigger`] makes the
+/// next commit run a step.
+fn incremental_untriggered() -> Tuning {
+    Tuning {
+        truncation_mode: TruncationMode::Incremental,
+        truncation_threshold: 0.99,
+        ..Tuning::default()
+    }
+}
+
+/// From now on every commit that leaves anything live triggers a step.
+fn arm_trigger(rvm: &Rvm) {
+    rvm.set_options(Tuning {
+        truncation_threshold: 0.0001,
+        ..rvm.options()
+    });
+}
+
+/// The step is off the core lock: with its apply parked on the first
+/// page write, or on the segment sync, commits return — and are counted
+/// as having run during a truncation, which `query` reports in flight.
+/// While the step held the core lock across its writes, the first of
+/// these commits never came back.
+#[test]
+fn commits_progress_while_an_incremental_step_is_parked() {
+    for park in [Park::Writes(0), Park::Sync] {
+        let ctx = format!("park {park:?}");
+        let world = GatedWorld::new(256 * 1024, park);
+        let rvm = world.boot_tuned(incremental_untriggered());
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+            .unwrap();
+        for i in 1..=16 {
+            commit_slot(&rvm, &region, i);
+        }
+        arm_trigger(&rvm);
+
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&world.gate);
+            // This commit's inline trigger runs the step and parks in it.
+            let stepper = s.spawn(|| commit_slot(&rvm, &region, 17));
+            world.gate.wait_parked();
+
+            let before = rvm.stats().commits_during_truncation;
+            for i in 18..=25 {
+                commit_slot_in_time(s, &rvm, &region, i, &ctx);
+            }
+            let during = rvm.stats().commits_during_truncation - before;
+            assert_eq!(
+                during, 8,
+                "{ctx}: all 8 commits ran inside the apply window"
+            );
+            assert!(rvm.query().truncation_in_flight, "{ctx}");
+            assert_eq!(
+                rvm.stats().incremental_steps,
+                0,
+                "{ctx}: parked before completing"
+            );
+
+            world.gate.open();
+            stepper.join().unwrap();
+        });
+
+        let (q, stats) = (rvm.query(), rvm.stats());
+        assert!(!q.truncation_in_flight, "{ctx}");
+        assert_eq!(
+            (
+                stats.incremental_steps,
+                stats.pages_written_incremental,
+                stats.epoch_truncations
+            ),
+            (1, 2, 0),
+            "{ctx}"
+        );
+        // The step froze what 1..=17 wrote; the 8 records that landed
+        // during its apply stay live, and so do the pages they dirtied.
+        assert_eq!(q.log.used, 8 * 512, "{ctx}: {:?}", q.log);
+        assert_slots(&region, 25, &ctx);
+        drop(region);
+        rvm.terminate().unwrap();
+
+        let rvm = world.boot();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+            .unwrap();
+        assert_slots(&region, 25, &format!("{ctx}, after reboot"));
+    }
+}
+
+/// The step's crash matrix: snapshot the devices while its apply is
+/// parked before the first page write, after one of two, and after both
+/// but before the sync, with and without commits landing during the
+/// park. An earlier step has completed, so part of the image is on the
+/// segment alone. A step persists nothing before it completes — no
+/// boundary, the head unmoved — so recovery replays from the old head
+/// over whatever the page writes left and must restore every commit
+/// whose record was forced, the one whose trigger ran the step included.
+#[test]
+fn crash_at_every_stage_of_an_inflight_step_recovers() {
+    for park in [Park::Writes(0), Park::Writes(1), Park::Sync] {
+        for commits_during in [0u64, 6] {
+            crash_mid_step_and_recover(park, commits_during);
+        }
+    }
+}
+
+fn crash_mid_step_and_recover(park: Park, commits_during: u64) {
+    let ctx = format!("park {park:?}, {commits_during} commits during the apply");
+    let world = GatedWorld::new(256 * 1024, park);
+    world.gate.open();
+    let rvm = world.boot_tuned(incremental_untriggered());
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    // A first step, ungated: commits 1..=20 reach the segment and leave
+    // the log.
+    for i in 1..=19 {
+        commit_slot(&rvm, &region, i);
+    }
+    arm_trigger(&rvm);
+    commit_slot(&rvm, &region, 20);
+    assert_eq!(rvm.stats().incremental_steps, 1, "{ctx}");
+    assert_eq!(rvm.query().log.used, 0, "{ctx}");
+    // Both pages dirty again, then the step the crash interrupts.
+    rvm.set_options(incremental_untriggered());
+    for i in 21..=39 {
+        commit_slot(&rvm, &region, i);
+    }
+    arm_trigger(&rvm);
+    world.gate.close(park);
+
+    let (log_image, seg_image, committed) = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        let stepper = s.spawn(|| commit_slot(&rvm, &region, 40));
+        world.gate.wait_parked();
+        for i in 41..41 + commits_during {
+            commit_slot_in_time(s, &rvm, &region, i, &ctx);
+        }
+        // The crash image: both devices, frozen mid-apply. Commit 40 has
+        // not returned, but its record was forced before its trigger ran.
+        let images = (
+            world.log.snapshot(),
+            world.seg_inner.snapshot(),
+            40 + commits_during,
+        );
+        world.gate.open();
+        stepper.join().unwrap();
+        images
+    });
+    drop(region);
+    drop(rvm);
+
+    // Reboot the crash image.
+    let crash_log = Arc::new(MemDevice::from_image(log_image));
+    let segments = MemResolver::new();
+    segments.resolve("seg", REGION_LEN).unwrap();
+    segments.get("seg").unwrap().restore(seg_image);
+    let rvm =
+        Rvm::initialize(Options::new(crash_log.clone()).resolver(segments.clone().into_resolver()))
+            .unwrap();
+    let report = rvm.recovery_report();
+    assert!(!report.interrupted_epoch, "{ctx}: a step draws no boundary");
+    assert_eq!(
+        report.records_replayed as u64,
+        20 + commits_during,
+        "{ctx}: the head had not moved"
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_slots(&region, committed, &ctx);
+
+    // The recovered instance is fully live: commit once more and
+    // reboot again over the same devices.
+    commit_slot(&rvm, &region, committed + 1);
+    drop(region);
+    drop(rvm);
+    let rvm = Rvm::initialize(Options::new(crash_log).resolver(segments.clone().into_resolver()))
+        .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    assert_slots(&region, committed + 1, &ctx);
+}
+
+/// A commit that lands while a step applies and writes to a page the
+/// step froze dirties that page again: the segment gets the frozen copy,
+/// without it. So the page must stay dirty and queued at the new record's
+/// offset, and the head must stop there — a head that followed the stable
+/// end instead would drop the one record that can redo the commit.
+#[test]
+fn a_commit_that_redirties_a_batched_page_keeps_its_descriptor() {
+    let world = GatedWorld::new(256 * 1024, Park::Writes(0));
+    let rvm = world.boot_tuned(incremental_untriggered());
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    // One 512-byte record each: page 0 (slot 1) at offset 0, page 1
+    // (slot 9) at 512.
+    commit_slot(&rvm, &region, 1);
+    commit_slot(&rvm, &region, 9);
+    arm_trigger(&rvm);
+
+    std::thread::scope(|s| {
+        let _open = OpenOnDrop(&world.gate);
+        // Page 0 again (slot 2, offset 1024); its trigger freezes both
+        // pages and parks before the first write.
+        let stepper = s.spawn(|| commit_slot(&rvm, &region, 2));
+        world.gate.wait_parked();
+        // Page 0 once more, at offset 1536, while the frozen copy —
+        // which cannot hold it — is on its way to the segment.
+        commit_slot_in_time(s, &rvm, &region, 3, "redirty");
+        assert_eq!(rvm.query().queued_pages, 1, "re-enqueued during the apply");
+        world.gate.open();
+        stepper.join().unwrap();
+    });
+
+    let q = rvm.query();
+    assert_eq!(rvm.stats().pages_written_incremental, 2);
+    assert_eq!(
+        region.dirty_pages(),
+        [0],
+        "page 0 was re-dirtied, page 1 is clean"
+    );
+    assert_eq!(q.queued_pages, 1, "page 0 keeps its new descriptor");
+    assert_eq!(
+        (q.log.head, q.log.tail),
+        (1536, 2048),
+        "the head stops at the record that re-dirtied page 0"
+    );
+    let mut on_segment = [0u8; 8];
+    world
+        .seg_inner
+        .read_at(3 * SLOT_STRIDE, &mut on_segment)
+        .unwrap();
+    assert_eq!(on_segment, [0; 8], "the frozen copy predates commit 3");
+
+    // Crash now: only the live record can bring commit 3 back.
+    let (log_image, seg_image) = (world.log.snapshot(), world.seg_inner.snapshot());
+    drop(region);
+    std::mem::forget(rvm);
+    let segments = MemResolver::new();
+    segments.resolve("seg", REGION_LEN).unwrap();
+    segments.get("seg").unwrap().restore(seg_image);
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::from_image(log_image))).resolver(segments.into_resolver()),
+    )
+    .unwrap();
+    assert_eq!(rvm.recovery_report().records_replayed, 1);
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .unwrap();
+    for (slot, value) in [(1, 1), (2, 2), (3, 3), (9, 9)] {
+        assert_eq!(
+            region.get_u64(slot * SLOT_STRIDE).unwrap(),
+            value,
+            "slot {slot}"
+        );
+    }
 }
 
 /// Incremental truncation writes a page's *committed* image, whatever

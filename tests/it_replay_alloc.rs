@@ -2,44 +2,17 @@
 //! a counting global allocator around `Rvm::initialize` (crash recovery),
 //! which runs the same scan → tree → apply code as epoch truncation.
 //!
-//! This binary holds exactly one test: the counter is process-wide, so a
-//! second test running beside it would be counted too.
+//! This binary holds exactly one test (see `counting_alloc.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting {
+    include!("counting_alloc.rs");
+}
+
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TxnMode, PAGE_SIZE};
 use rvm_storage::MemDevice;
-
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator,
-// which upholds the `GlobalAlloc` contract; the counter touches no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const REGION_PAGES: u64 = 16;
 
@@ -78,9 +51,9 @@ fn allocations_to_recover(records: u64) -> (u64, usize) {
 
     let log = Arc::new(MemDevice::from_image(crashed_log));
     let options = Options::new(log).resolver(MemResolver::new().into_resolver());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting::allocations();
     let rvm = Rvm::initialize(options).unwrap();
-    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let spent = counting::allocations() - before;
     let replayed = rvm.recovery_report().records_replayed;
     rvm.terminate().unwrap();
     (spent, replayed)

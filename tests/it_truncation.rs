@@ -8,46 +8,69 @@ mod common {
 use common::World;
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
 
+/// Runs `test` under each of the threshold trigger's two mechanisms,
+/// handing it the tuning to build on and the count of runs only that
+/// mechanism makes. A test of what the trigger *achieves* — the log
+/// wraps, the head advances, the image survives a restart — asserts that
+/// once per mode and adds the proof that this mechanism did it.
+fn in_both_modes(test: impl Fn(Tuning, &dyn Fn(&Rvm) -> u64)) {
+    for truncation_mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
+        let tuning = Tuning {
+            truncation_mode,
+            ..Tuning::default()
+        };
+        test(tuning, &|rvm| match truncation_mode {
+            TruncationMode::Epoch => rvm.stats().epoch_truncations,
+            TruncationMode::Incremental => rvm.stats().incremental_steps,
+        });
+    }
+}
+
 #[test]
 fn log_wraps_many_times_under_sustained_load() {
-    // ~16 KiB of record area; each txn consumes ~1 KiB of log.
-    let world = World::new(40 * 1024);
-    let rvm = world.boot_tuned(Tuning {
-        truncation_threshold: 0.6,
-        ..Tuning::default()
-    });
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
-        .unwrap();
-    for i in 0..500u64 {
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-        region
-            .write(&mut txn, (i % 8) * 512, &[(i % 251) as u8; 512])
+    in_both_modes(|tuning, ran| {
+        let mode = tuning.truncation_mode;
+        // ~38 KiB of record area; each txn consumes 1 KiB of log.
+        let world = World::new(40 * 1024);
+        let rvm = world.boot_tuned(Tuning {
+            truncation_threshold: 0.6,
+            ..tuning
+        });
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
             .unwrap();
-        txn.commit(CommitMode::Flush).unwrap();
-    }
-    let stats = rvm.stats();
-    assert!(stats.epoch_truncations >= 10, "{stats:?}");
-    drop(rvm);
+        for i in 0..500u64 {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region
+                .write(&mut txn, (i % 8) * 512, &[(i % 251) as u8; 512])
+                .unwrap();
+            txn.commit(CommitMode::Flush).unwrap();
+        }
+        let log = rvm.query().log;
+        assert!(log.tail / log.capacity >= 10, "{mode:?}: {log:?}");
+        assert!(log.utilization <= 0.6 + 1024.0 / log.capacity as f64);
+        assert!(ran(&rvm) >= 10, "{mode:?}: {:?}", rvm.stats());
+        drop(rvm);
 
-    // Everything still consistent after reboot.
-    let rvm = world.boot();
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
-        .unwrap();
-    for slot in 0..8u64 {
-        // The last writer of slot s was the largest i < 500 with i%8 == s.
-        let i = if 496 + slot < 500 {
-            496 + slot
-        } else {
-            488 + slot
-        };
-        assert_eq!(
-            region.read_vec(slot * 512, 4).unwrap(),
-            vec![(i % 251) as u8; 4],
-            "slot {slot}"
-        );
-    }
+        // Everything still consistent after reboot.
+        let rvm = world.boot();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
+            .unwrap();
+        for slot in 0..8u64 {
+            // The last writer of slot s was the largest i < 500 with i%8 == s.
+            let i = if 496 + slot < 500 {
+                496 + slot
+            } else {
+                488 + slot
+            };
+            assert_eq!(
+                region.read_vec(slot * 512, 4).unwrap(),
+                vec![(i % 251) as u8; 4],
+                "{mode:?}: slot {slot}"
+            );
+        }
+    });
 }
 
 #[test]
@@ -227,57 +250,72 @@ fn extreme_threshold_keeps_the_epoch_fallback_above_the_trigger() {
 
 #[test]
 fn set_options_toggles_the_background_truncation_thread() {
-    let world = World::new(64 * 1024);
-    // Born without a background thread, and with a threshold high enough
-    // that nothing triggers inline.
-    let rvm = world.boot_tuned(Tuning {
-        truncation_threshold: 0.95,
-        ..Tuning::default()
-    });
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    for i in 0..24u64 {
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-        region.write(&mut txn, (i % 4) * 512, &[8; 512]).unwrap();
-        txn.commit(CommitMode::Flush).unwrap();
-    }
-    assert_eq!(rvm.stats().epoch_truncations, 0);
+    in_both_modes(|tuning, ran| {
+        let mode = tuning.truncation_mode;
+        let world = World::new(64 * 1024);
+        // Born without a background thread, and with a threshold high
+        // enough that nothing triggers inline.
+        let rvm = world.boot_tuned(Tuning {
+            truncation_threshold: 0.95,
+            ..tuning
+        });
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+            .unwrap();
+        for i in 0..24u64 {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, (i % 4) * 512, &[8; 512]).unwrap();
+            txn.commit(CommitMode::Flush).unwrap();
+        }
+        assert_eq!((ran(&rvm), rvm.query().log.head), (0, 0), "{mode:?}");
 
-    // Enabling background truncation must actually spawn the thread: no
-    // further commits happen, so only the background thread can notice
-    // the lowered threshold and truncate.
-    rvm.set_options(Tuning {
-        background_truncation: true,
-        truncation_threshold: 0.01,
-        ..Tuning::default()
-    });
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while rvm.stats().epoch_truncations == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    assert!(
-        rvm.stats().epoch_truncations > 0,
-        "the toggled-on background thread never truncated"
-    );
+        // Enabling background truncation must actually spawn the thread:
+        // no further commits happen, so only the background thread can
+        // notice the lowered threshold and truncate.
+        rvm.set_options(Tuning {
+            background_truncation: true,
+            truncation_threshold: 0.01,
+            ..tuning
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while ran(&rvm) == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert!(
+            ran(&rvm) > 0,
+            "{mode:?}: the toggled-on background thread never truncated"
+        );
+        let head = rvm.query().log.head;
+        assert!(head > 0, "{mode:?}: the head did not move");
 
-    // Disabling joins the thread; the threshold keeps working inline.
-    rvm.set_options(Tuning {
-        background_truncation: false,
-        truncation_threshold: 0.01,
-        ..Tuning::default()
+        // Disabling joins the thread; the threshold keeps working inline.
+        rvm.set_options(Tuning {
+            background_truncation: false,
+            truncation_threshold: 0.01,
+            ..tuning
+        });
+        let before = ran(&rvm);
+        for i in 0..8u64 {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, (i % 4) * 512, &[9; 512]).unwrap();
+            txn.commit(CommitMode::Flush).unwrap();
+        }
+        assert!(
+            ran(&rvm) > before && rvm.query().log.head > head,
+            "{mode:?}: inline truncation must take over after the toggle-off"
+        );
+        rvm.terminate().unwrap();
+
+        let rvm = world.boot();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+            .unwrap();
+        assert_eq!(
+            region.read_vec(0, 4 * 512).unwrap(),
+            [9; 4 * 512],
+            "{mode:?}"
+        );
     });
-    let before = rvm.stats().epoch_truncations;
-    for i in 0..8u64 {
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-        region.write(&mut txn, (i % 4) * 512, &[9; 512]).unwrap();
-        txn.commit(CommitMode::Flush).unwrap();
-    }
-    assert!(
-        rvm.stats().epoch_truncations > before,
-        "inline truncation must take over after the toggle-off"
-    );
-    rvm.terminate().unwrap();
 }
 
 #[test]
