@@ -28,14 +28,8 @@ fn rvm_over_simdisk(clock: &Clock, tuning: Tuning) -> Rvm {
         clock.clone(),
         DiskParams::circa_1990(),
     ));
-    let resolver: rvm::segment::DeviceResolver = Arc::new(move |_name, min_len| {
-        use rvm_storage::Device as _;
-        if seg_backing.as_ref().len()? < min_len {
-            seg_backing.as_ref().set_len(min_len)?;
-        }
-        Ok(seg_backing.clone() as Arc<dyn rvm_storage::Device>)
-    });
-    // The resolver above aliases every name onto one backing disk, so
+    let resolver = rvm_bench::one_disk_resolver(seg_backing);
+    // The resolver aliases every name onto one backing disk, so
     // checksum sidecars are off: this bench measures the paper's logged
     // paths, not catalog maintenance.
     let tuning = Tuning {

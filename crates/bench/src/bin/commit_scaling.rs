@@ -28,7 +28,6 @@
 
 use std::sync::{Arc, Barrier};
 
-use rvm::segment::DeviceResolver;
 use rvm::{CommitMode, Options, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{MemDevice, NullDevice};
 use simclock::Clock;
@@ -65,13 +64,7 @@ fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
         clock.clone(),
         DiskParams::circa_1990(),
     ));
-    let data_for_resolver: Arc<dyn rvm_storage::Device> = data;
-    let resolver: DeviceResolver = Arc::new(move |_name, min_len| {
-        if data_for_resolver.len()? < min_len {
-            data_for_resolver.set_len(min_len)?;
-        }
-        Ok(data_for_resolver.clone())
-    });
+    let resolver = rvm_bench::one_disk_resolver(data);
     let tuning = Tuning {
         group_commit_max_txns: if grouped {
             Tuning::default().group_commit_max_txns

@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use rvm::segment::DeviceResolver;
 use rvm::{CommitMode, Options, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, MemDevice};
 
@@ -96,13 +95,7 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
         inner: Arc::new(MemDevice::with_len(PAGES * PAGE_SIZE)),
         write_delay: Duration::from_millis(1),
     });
-    let seg_for_resolver = seg.clone();
-    let resolver: DeviceResolver = Arc::new(move |_name, min_len| {
-        if seg_for_resolver.len()? < min_len {
-            seg_for_resolver.set_len(min_len)?;
-        }
-        Ok(seg_for_resolver.clone())
-    });
+    let resolver = rvm_bench::one_disk_resolver(seg.clone());
     let rvm = Arc::new(
         Rvm::initialize(
             Options::new(log)

@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use rvm::segment::DeviceResolver;
 use rvm::{
     CommitMode, Options, Region, RegionDescriptor, Rvm, StatsSnapshot, TruncationMode, Tuning,
     TxnMode,
@@ -68,13 +67,7 @@ impl RvmTpca {
             machine.disk.clone(),
         ));
 
-        let data_for_resolver = data_disk.clone();
-        let resolver: DeviceResolver = Arc::new(move |_name, min_len| {
-            if data_for_resolver.len()? < min_len {
-                data_for_resolver.set_len(min_len)?;
-            }
-            Ok(data_for_resolver.clone())
-        });
+        let resolver = crate::one_disk_resolver(data_disk);
         let tuning = Tuning {
             truncation_threshold: log_cfg.threshold,
             // §7 measured epoch truncation; incremental was still an

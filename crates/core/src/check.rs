@@ -24,9 +24,27 @@
 //! `query`, counted in the stats block, and — with
 //! [`Tuning::panic_on_violation`](crate::Tuning) — turned into panics so
 //! tests die at the first contract breach.
+//!
+//! # The gate
+//!
+//! The four hooks sit on the transaction path (`begin_transaction`,
+//! `set_range`, commit, transaction end), which with both checks off —
+//! the default — must not pay for them: each first loads one atomic,
+//! `RvmShared::check_armed`, and returns if it is clear, taking no lock.
+//! The flag is set while *a check is on, or a snapshot or declaration is
+//! outstanding* (a check turned off mid-transaction still drops its
+//! snapshot). It is **set** under the `tuning` write guard, by
+//! `set_options` installing a tuning with a check on; **cleared** only by
+//! `check_txn_ended`, under the `check` lock, when the state is empty and
+//! — under the `tuning` read guard, which orders the clear against such a
+//! `set_options` — both checks are off; and a hook **adds** to the state
+//! only after seeing the flag set *under the `check` lock*, so nothing is
+//! added behind a clear.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::ranges::{ByteRange, RangeSet};
@@ -165,12 +183,20 @@ pub(crate) fn subtract_ranges(range: ByteRange, allowed: &[ByteRange]) -> Vec<By
 }
 
 impl RvmShared {
-    /// `begin_transaction` hook: snapshots every fully loaded mapped
-    /// region for the commit-time unlogged-write diff. On-demand regions
-    /// still holding unfetched pages are skipped — a page fetch mutates
-    /// memory without any transaction writing it, which the diff would
-    /// misread as an unlogged write.
+    /// Whether the hooks have anything to do (see the module docs).
+    fn check_is_armed(&self) -> bool {
+        self.check_armed.load(Ordering::Acquire)
+    }
+
+    /// `begin_transaction` hook: with unlogged-write detection on,
+    /// snapshots every fully loaded mapped region for the commit-time
+    /// diff. On-demand regions still holding unfetched pages are skipped
+    /// — a page fetch mutates memory without any transaction writing it,
+    /// which the diff would misread as an unlogged write.
     pub(crate) fn snapshot_for_check(&self, tid: u64) {
+        if !self.check_is_armed() || !self.tuning.read().check_unlogged_writes {
+            return;
+        }
         let regions = self.regions.read();
         let mut snaps = HashMap::new();
         for (id, region) in regions.iter() {
@@ -179,7 +205,10 @@ impl RvmShared {
             }
             snaps.insert(*id, region.read_bytes(0, region.len));
         }
-        self.check.lock().snapshots.insert(tid, snaps);
+        let mut state = self.check.lock();
+        if self.check_is_armed() {
+            state.snapshots.insert(tid, snaps);
+        }
     }
 
     /// Commit-time unlogged-write check: diffs each snapshotted region
@@ -189,6 +218,9 @@ impl RvmShared {
     /// remains changed behind RVM's back (§6's forgotten-`set_range`
     /// disaster) and is recorded as a [`CheckViolation`].
     pub(crate) fn run_commit_check(&self, txn: &Transaction) {
+        if !self.check_is_armed() {
+            return;
+        }
         let (enabled, panic_on) = {
             let t = self.tuning.read();
             (t.check_unlogged_writes, t.panic_on_violation)
@@ -227,7 +259,7 @@ impl RvmShared {
                 for bad in subtract_ranges(d, &allowed) {
                     found.push(CheckViolation::UnloggedWrite {
                         tid: txn.tid,
-                        segment: region.seg_name.clone(),
+                        segment: region.segment.name.clone(),
                         offset: bad.start,
                         len: bad.len(),
                     });
@@ -257,18 +289,20 @@ impl RvmShared {
         region: &Arc<RegionInner>,
         range: ByteRange,
     ) {
+        if !self.check_is_armed() {
+            return;
+        }
         let (track, conflicts, panic_on) = {
             let t = self.tuning.read();
-            (
-                t.check_unlogged_writes || t.check_range_conflicts,
-                t.check_range_conflicts,
-                t.panic_on_violation,
-            )
+            (t.checks(), t.check_range_conflicts, t.panic_on_violation)
         };
         if !track {
             return;
         }
         let mut state = self.check.lock();
+        if !self.check_is_armed() {
+            return;
+        }
         let found = {
             let entries = state.declared.entry(region.id).or_default();
             let mut found = Vec::new();
@@ -280,7 +314,7 @@ impl RvmShared {
                         found.push(CheckViolation::RangeConflict {
                             tid,
                             other_tid: *other,
-                            segment: region.seg_name.clone(),
+                            segment: region.segment.name.clone(),
                             offset: start,
                             len: end - start,
                         });
@@ -296,12 +330,13 @@ impl RvmShared {
     /// Transaction-end hook (commit, abort, or drop): refreshes the other
     /// live snapshots over this transaction's declared ranges — those
     /// bytes are now either committed or restored, and must not read as
-    /// unlogged at someone else's commit — then forgets the transaction.
+    /// unlogged at someone else's commit — then forgets the transaction,
+    /// and clears the gate once nothing is left to do.
     pub(crate) fn check_txn_ended(&self, tid: u64, regions: &HashMap<u64, TxnRegion>) {
-        let mut state = self.check.lock();
-        if state.snapshots.is_empty() && state.declared.is_empty() {
+        if !self.check_is_armed() {
             return;
         }
+        let mut state = self.check.lock();
         for (region_id, txn_region) in regions {
             if state.snapshots.values().any(|m| m.contains_key(region_id)) {
                 for r in txn_region.ranges.iter() {
@@ -313,17 +348,20 @@ impl RvmShared {
                     }
                 }
             }
-            let empty = if let Some(entries) = state.declared.get_mut(region_id) {
-                entries.retain(|(t, _)| *t != tid);
-                entries.is_empty()
-            } else {
-                false
-            };
-            if empty {
-                state.declared.remove(region_id);
+            if let Entry::Occupied(mut declared) = state.declared.entry(*region_id) {
+                declared.get_mut().retain(|(t, _)| *t != tid);
+                if declared.get().is_empty() {
+                    declared.remove();
+                }
             }
         }
         state.snapshots.remove(&tid);
+        if state.snapshots.is_empty() && state.declared.is_empty() {
+            let tuning = self.tuning.read();
+            if !tuning.checks() {
+                self.check_armed.store(false, Ordering::Release);
+            }
+        }
     }
 
     /// Counts, stores, and (with `panic_on_violation`) panics on check
@@ -364,6 +402,71 @@ impl RvmShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::MemResolver;
+    use crate::{CommitMode, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
+    use rvm_storage::MemDevice;
+
+    fn instance(tuning: Tuning) -> (Arc<Rvm>, Region) {
+        let options = Options::new(Arc::new(MemDevice::with_len(1 << 20)))
+            .resolver(MemResolver::new().into_resolver())
+            .tuning(tuning)
+            .create_if_empty();
+        let rvm = Rvm::initialize(options).unwrap();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+            .unwrap();
+        (Arc::new(rvm), region)
+    }
+
+    /// With both checks off the transaction path never touches the
+    /// checker: a commit and an abort complete while another thread holds
+    /// its lock for their whole length.
+    #[test]
+    fn the_disabled_checker_is_off_the_transaction_path() {
+        let (rvm, region) = instance(Tuning::default());
+        let held = rvm.shared.check.lock();
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn({
+            let rvm = rvm.clone();
+            move || {
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                region.write(&mut txn, 0, b"committed").unwrap();
+                txn.commit(CommitMode::Flush).unwrap();
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                region.write(&mut txn, 0, b"aborted").unwrap();
+                txn.abort().unwrap();
+                let _ = done.send(());
+            }
+        });
+        let in_time = finished
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .is_ok();
+        drop(held);
+        client.join().unwrap();
+        assert!(in_time, "a transaction waited for the checker's lock");
+    }
+
+    /// The gate stays set while a snapshot taken under a check is
+    /// outstanding, so turning the check off mid-transaction still drops
+    /// it; the transaction's end then clears the gate.
+    #[test]
+    fn the_gate_outlives_a_check_turned_off_mid_transaction() {
+        let armed = |rvm: &Rvm| rvm.shared.check_armed.load(Ordering::Acquire);
+        let (rvm, region) = instance(Tuning::default());
+        assert!(!armed(&rvm));
+        rvm.set_options(Tuning {
+            check_unlogged_writes: true,
+            ..Tuning::default()
+        });
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.write(&mut txn, 0, b"x").unwrap();
+        rvm.set_options(Tuning::default());
+        assert!(armed(&rvm), "a snapshot and a declaration are outstanding");
+        txn.commit(CommitMode::Flush).unwrap();
+        assert!(!armed(&rvm));
+        let state = rvm.shared.check.lock();
+        assert!(state.snapshots.is_empty() && state.declared.is_empty());
+    }
 
     fn r(start: u64, end: u64) -> ByteRange {
         ByteRange::at(start, end - start)

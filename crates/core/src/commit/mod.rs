@@ -193,7 +193,7 @@ impl RvmShared {
                 net_data += data.len() as u64;
                 pages.extend(PageVector::page_span(r.start, r.len()));
                 ranges.push(RecordRange {
-                    seg: region.seg,
+                    seg: region.segment.id,
                     offset: region.seg_offset + r.start,
                     data,
                 });

@@ -99,9 +99,9 @@
 //!    truncation-boundary state, the log cursors included: the WAL
 //!    publishes only `head` and `tail`, as two atomics, for readers that
 //!    want the log's occupancy without the lock (`cursor::WalView`).
-//!    Resolved segment devices and checksum catalogs live behind their
-//!    own `RwLock` registries (`seg_devices`, `seg_catalogs`, ranked just
-//!    above `core`); spooled no-flush commits land in sharded
+//!    Open segments (`segment::Segment`: device and checksum catalog in
+//!    one handle) live behind one `RwLock` registry, ranked just above
+//!    `core`; spooled no-flush commits land in sharded
 //!    `SpoolPlane` locks (rank between `core` and `group-work` — the
 //!    commit leader's fill pops shards while holding `core`). Statistics
 //!    are relaxed atomics with no lock at all.
@@ -128,9 +128,12 @@
 //!   (a `map` settling its segment, incremental truncation) raises the
 //!   barrier under `MutexGuard::unlocked`.
 //! * The commit fast paths are plane-local: a disjoint-region no-flush
-//!   commit touches only its spool shard plus per-region state, and
-//!   `query` / read-only `begin_transaction` acquire no shared lock at
-//!   all ([`Rvm::core_lock_acquisitions`] pins this in tests).
+//!   commit touches only its spool shard plus per-region state (after
+//!   one shared read of `tuning`). With the debug checks off the
+//!   checker's hooks return on one atomic load (`check`'s gate), so
+//!   `begin_transaction`, `set_range` and abort take no shared lock at
+//!   all, and `query` never takes `core`
+//!   ([`Rvm::core_lock_acquisitions`] pins the `core`-free paths in tests).
 //!
 //! There is one in-flight truncation protocol (`truncation`): freeze
 //! under `core` — the stable log prefix for an epoch, the committed

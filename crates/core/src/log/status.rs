@@ -86,11 +86,6 @@ impl StatusBlock {
         self.segments.iter().find(|s| s.name == name)
     }
 
-    /// Looks up a segment by id.
-    pub fn segment_by_id(&self, id: SegmentId) -> Option<&SegmentInfo> {
-        self.segments.iter().find(|s| s.id == id)
-    }
-
     /// Serializes into one status-block image.
     ///
     /// # Panics
@@ -306,10 +301,6 @@ mod tests {
             SegmentId::new(1)
         );
         assert!(sb.segment_by_name("missing").is_none());
-        assert_eq!(
-            sb.segment_by_id(SegmentId::new(0)).unwrap().name,
-            "/data/seg0"
-        );
     }
 
     #[test]

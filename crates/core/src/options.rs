@@ -162,7 +162,20 @@ pub struct Tuning {
     /// [`Rvm::scrub`](crate::Rvm::scrub) passes. The
     /// detection layer the repair ladder (mirror read-repair → log
     /// reconstruction → quarantine) rests on. On by default.
+    ///
+    /// Read when this instance first opens the segment (recovery, or the
+    /// first `map` or truncation that touches it) and fixed for that
+    /// segment from then on, for all of its regions, whatever
+    /// `set_options` says later. Opened with it off, a segment's existing
+    /// `.sums` catalog is invalidated; a later run with it on adopts anew.
     pub segment_checksums: bool,
+}
+
+impl Tuning {
+    /// Whether either debug check is on (they share the checker's state).
+    pub(crate) fn checks(&self) -> bool {
+        self.check_unlogged_writes || self.check_range_conflicts
+    }
 }
 
 impl Default for Tuning {

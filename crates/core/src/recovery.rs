@@ -17,17 +17,18 @@
 //! applied. The pieces borrow their bytes from the scan's buffers: nothing
 //! is copied between the log read and the segment write.
 
-use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
 use crate::log::status::{write_status, StatusBlock};
 use crate::log::wal::scan_span;
+use crate::options::Tuning;
 use crate::ranges::latest_pieces;
-use crate::scrub::{apply_tree_verified, sidecar_name, ApplyContext, SegmentChecksums};
-use crate::segment::{DeviceResolver, SegmentId};
+use crate::segment::{ApplyContext, OpenSegments, Segment, SegmentId};
 
 /// What recovery did, for inspection and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -53,9 +54,6 @@ pub struct RecoveryReport {
     pub corrupt_pages_repaired: u64,
 }
 
-/// A segment's device and, with checksums on, its catalog.
-pub(crate) type SegmentTarget = (Arc<dyn Device>, Option<Arc<SegmentChecksums>>);
-
 /// What [`apply_span`] did.
 pub(crate) struct SpanApplied {
     /// Logical offset one past the last valid record scanned.
@@ -64,7 +62,8 @@ pub(crate) struct SpanApplied {
     pub next_seq: u64,
     /// Newest-wins pieces written, over all segments.
     pub ranges: u64,
-    /// The counts, in recovery's terms (`interrupted_epoch` unset).
+    /// The counts, in recovery's terms (`interrupted_epoch` and the
+    /// corrupt-page counts unset: the handles count those).
     pub report: RecoveryReport,
 }
 
@@ -76,11 +75,12 @@ pub(crate) struct SpanApplied {
 ///
 /// The records' ranges are resolved newest first, so the first value
 /// seen for a byte wins; one segment's sorted, disjoint pieces are one
-/// "tree". `resolve` maps a raw segment id and the tree's end offset to
-/// where that tree goes: the status table and resolver at `initialize`,
-/// the instance's registries at run time. Each tree is written, synced
-/// and its catalog persisted ([`apply_tree_verified`]) before this
-/// returns, so the caller may move the log head past the span.
+/// "tree". `resolve` maps a segment id and the tree's end offset to
+/// the segment's open handle, looked up in the status block's table at
+/// `initialize` and in `Core::segments` at run time. Each tree is
+/// written ([`Segment::apply_pieces`]) and made durable
+/// ([`Segment::finish`]) before this returns, so the caller may move the
+/// log head past the span.
 pub(crate) fn apply_span(
     log: &dyn Device,
     area_len: u64,
@@ -88,7 +88,7 @@ pub(crate) fn apply_span(
     seq_at_head: u64,
     end: Option<u64>,
     ctx: ApplyContext,
-    resolve: &mut dyn FnMut(u32, u64) -> Result<SegmentTarget>,
+    resolve: &mut dyn FnMut(SegmentId, u64) -> Result<Arc<Segment>>,
 ) -> Result<SpanApplied> {
     let scan = scan_span(log, area_len, head, seq_at_head, end)?;
     if end.is_some_and(|end| scan.tail != end) {
@@ -113,11 +113,10 @@ pub(crate) fn apply_span(
         let (Some(first), Some(last)) = (tree.first(), tree.last()) else {
             continue;
         };
-        let (dev, catalog) = resolve(first.seg, last.end())?;
-        let outcome = apply_tree_verified(dev.as_ref(), catalog.as_deref(), tree, ctx)?;
+        let segment = resolve(SegmentId::new(first.seg), last.end())?;
+        segment.apply_pieces(tree, ctx)?;
+        segment.finish()?;
         report.segments_updated += 1;
-        report.corrupt_pages_detected += outcome.corruptions_detected;
-        report.corrupt_pages_repaired += outcome.corruptions_repaired;
     }
     Ok(SpanApplied {
         tail: scan.tail,
@@ -131,27 +130,27 @@ pub(crate) fn apply_span(
 pub(crate) struct Recovered {
     /// Post-recovery status (already written to the device; log empty).
     pub status: StatusBlock,
-    /// Segment devices opened during recovery, keyed by raw segment id.
-    pub seg_devices: HashMap<u32, Arc<dyn Device>>,
-    /// Checksum catalogs opened (or adopted) for those segments, keyed
-    /// the same way; empty when checksums are off.
-    pub seg_catalogs: HashMap<u32, Arc<SegmentChecksums>>,
     pub report: RecoveryReport,
 }
 
 /// Runs crash recovery over the log and returns the recovered state.
-/// With `checksums` on, every touched segment's sidecar catalog is opened
-/// (or adopted) and the replay applies under checksum scrutiny — see
-/// [`apply_tree_verified`] — so the catalog is exact again before the
-/// status reset empties the log.
+/// Every segment the live span touches is opened into `segments` — with
+/// a catalog when `tuning` says so, and then the replay applies under
+/// checksum scrutiny (see [`Segment::apply_pieces`]) so the catalog is
+/// exact again before the status reset empties the log — and stays open
+/// for the instance.
 pub(crate) fn recover(
     dev: &Arc<dyn Device>,
     mut status: StatusBlock,
-    resolver: &DeviceResolver,
-    checksums: bool,
+    segments: &OpenSegments,
+    tuning: &RwLock<Tuning>,
 ) -> Result<Recovered> {
-    let mut seg_devices = HashMap::new();
-    let mut seg_catalogs = HashMap::new();
+    let media = &segments.media;
+    let corrupt_pages = || {
+        let detected = media.corruptions_detected.load(Ordering::Relaxed);
+        (detected, media.corruptions_repaired.load(Ordering::Relaxed))
+    };
+    let before = corrupt_pages();
     let applied = apply_span(
         dev.as_ref(),
         status.area_len,
@@ -159,38 +158,18 @@ pub(crate) fn recover(
         status.seq_at_head,
         None,
         ApplyContext::Recovery,
-        &mut |seg_raw, tree_end| {
-            let info = status
-                .segment_by_id(SegmentId::new(seg_raw))
-                .ok_or_else(|| {
-                    RvmError::BadLog(format!(
-                        "log references segment id {seg_raw} absent from the segment table"
-                    ))
-                })?;
-            let needed = tree_end.max(info.min_len);
-            let seg_dev = (resolver)(&info.name, needed)?;
-            if seg_dev.len()? < needed {
-                seg_dev.set_len(needed)?;
-            }
-            let catalog = if checksums {
-                let side = (resolver)(&sidecar_name(&info.name), 0)?;
-                let catalog = Arc::new(SegmentChecksums::open(side, &seg_dev, seg_dev.len()?)?);
-                seg_catalogs.insert(seg_raw, catalog.clone());
-                Some(catalog)
-            } else {
-                None
-            };
-            seg_devices.insert(seg_raw, seg_dev.clone());
-            Ok((seg_dev, catalog))
-        },
+        &mut |seg, tree_end| segments.get(&status.segments, seg, tree_end, tuning),
     )?;
 
     // Only now reset the status block to an empty log (idempotency). A
     // crash mid-epoch-truncation leaves a nonzero epoch boundary in the
     // status; the scan above already covered that span, so the fields are
     // simply cleared here.
+    let after = corrupt_pages();
     let report = RecoveryReport {
         interrupted_epoch: status.epoch_end != 0,
+        corrupt_pages_detected: after.0 - before.0,
+        corrupt_pages_repaired: after.1 - before.1,
         ..applied.report
     };
     status.head = applied.tail;
@@ -201,12 +180,7 @@ pub(crate) fn recover(
     status.epoch_next_seq = 0;
     write_status(dev.as_ref(), &mut status)?;
 
-    Ok(Recovered {
-        status,
-        seg_devices,
-        seg_catalogs,
-        report,
-    })
+    Ok(Recovered { status, report })
 }
 
 #[cfg(test)]
@@ -217,6 +191,16 @@ mod tests {
     use crate::log::wal::Wal;
     use crate::segment::{MemResolver, SegmentInfo};
     use rvm_storage::MemDevice;
+
+    /// Recovery over `resolver`'s segments, checksums on.
+    fn recover(
+        dev: &Arc<dyn Device>,
+        status: StatusBlock,
+        resolver: &MemResolver,
+    ) -> Result<Recovered> {
+        let segments = OpenSegments::new(resolver.clone().into_resolver(), Arc::default());
+        super::recover(dev, status, &segments, &RwLock::new(Tuning::default()))
+    }
 
     fn setup(area_blocks: u64) -> (Arc<dyn Device>, StatusBlock, MemResolver) {
         let dev: Arc<dyn Device> = Arc::new(MemDevice::with_len(
@@ -259,7 +243,7 @@ mod tests {
     #[test]
     fn empty_log_recovers_to_nothing() {
         let (dev, status, resolver) = setup(64);
-        let rec = recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.report, RecoveryReport::default());
         assert!(resolver.get("segA").is_none(), "no devices touched");
     }
@@ -273,7 +257,7 @@ mod tests {
         wal.append_txn(3, &[rr(0, 3, &[3])]).unwrap();
         wal.force().unwrap();
 
-        let rec = recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.report.records_replayed, 3);
         // Newest-wins pruning applies exactly 4 bytes, not 7.
         assert_eq!(rec.report.bytes_applied, 4);
@@ -290,7 +274,7 @@ mod tests {
         wal.append_txn(1, &[rr(0, 0, &[7; 8]), rr(1, 100, &[9; 8])])
             .unwrap();
         wal.force().unwrap();
-        let rec = recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.report.segments_updated, 2);
         let mut buf = [0u8; 8];
         resolver
@@ -309,13 +293,13 @@ mod tests {
         wal.force().unwrap();
         let tail = wal.tail();
 
-        let rec = recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.status.head, tail);
         assert_eq!(rec.status.tail, tail);
 
         // A second recovery (as if we crashed right after) finds nothing.
         let status2 = read_status(dev.as_ref()).unwrap();
-        let rec2 = recover(&dev, status2, &resolver.clone().into_resolver(), true).unwrap();
+        let rec2 = recover(&dev, status2, &resolver).unwrap();
         assert_eq!(rec2.report.records_replayed, 0);
         let seg = resolver.get("segA").unwrap();
         let mut buf = [0u8; 16];
@@ -332,7 +316,7 @@ mod tests {
         // Tear the second record.
         dev.write_at(LOG_AREA_START + info.offset + 50, &[0xFF; 4])
             .unwrap();
-        let rec = recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.report.records_replayed, 1);
         let seg = resolver.get("segA").unwrap();
         let mut buf = [0u8; 8];
@@ -346,7 +330,7 @@ mod tests {
         let mut wal = wal_for(&dev, &status);
         wal.append_txn(1, &[rr(9, 0, &[1; 4])]).unwrap();
         wal.force().unwrap();
-        let Err(err) = recover(&dev, status, &resolver.into_resolver(), true) else {
+        let Err(err) = recover(&dev, status, &resolver) else {
             panic!("recovery must fail for an unknown segment id");
         };
         assert!(matches!(err, RvmError::BadLog(_)));
@@ -358,7 +342,7 @@ mod tests {
         let mut wal = wal_for(&dev, &status);
         wal.append_txn(1, &[rr(0, 100_000, &[3; 50])]).unwrap();
         wal.force().unwrap();
-        recover(&dev, status, &resolver.clone().into_resolver(), true).unwrap();
+        recover(&dev, status, &resolver).unwrap();
         let seg = resolver.get("segA").unwrap();
         assert!(seg.len().unwrap() >= 100_050);
     }

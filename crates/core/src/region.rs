@@ -27,13 +27,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
-use rvm_storage::Device;
+use rvm_storage::VerifiedRead;
 
 use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
-use crate::scrub::SegmentChecksums;
-use crate::segment::SegmentId;
-use crate::stats::MediaCounters;
+use crate::segment::Segment;
 use crate::truncation::page_vector::PageVector;
 use crate::txn::Transaction;
 
@@ -209,9 +207,9 @@ pub(crate) enum PageImage {
 /// Library-internal state of a mapped region.
 pub(crate) struct RegionInner {
     pub(crate) id: u64,
-    pub(crate) seg: SegmentId,
-    pub(crate) seg_name: String,
-    pub(crate) seg_dev: Arc<dyn Device>,
+    /// The backing segment's open handle — device, catalog and write
+    /// ordering; every region of one segment holds the same one.
+    pub(crate) segment: Arc<Segment>,
     pub(crate) seg_offset: u64,
     pub(crate) len: u64,
     pub(crate) mem: RegionMemory,
@@ -224,16 +222,10 @@ pub(crate) struct RegionInner {
     /// `None` once fully loaded; otherwise tracks which pages still need
     /// fetching from the segment (the on-demand load policy).
     pub(crate) unloaded: Mutex<Option<Vec<bool>>>,
-    /// Per-page checksum catalog of the backing segment
-    /// ([`Tuning::segment_checksums`](crate::Tuning)); `None` disables
-    /// media scrutiny for this region.
-    pub(crate) catalog: Option<Arc<SegmentChecksums>>,
     /// Set (and never cleared while mapped) when unrecoverable media
     /// corruption quarantines the region: reads of loaded pages keep
     /// working, new `set_range`s fail with [`RvmError::Media`].
     pub(crate) degraded: AtomicBool,
-    /// Instance-wide media counters (shared with `Stats`).
-    pub(crate) media: Arc<MediaCounters>,
 }
 
 impl RegionInner {
@@ -302,7 +294,7 @@ impl RegionInner {
              after unrecoverable media corruption",
             self.seg_offset,
             self.seg_offset + self.len,
-            self.seg_name
+            self.segment.name
         ))
     }
 
@@ -310,76 +302,52 @@ impl RegionInner {
     /// describing the unrecoverable page.
     pub(crate) fn quarantine(&self, seg_page: usize) -> RvmError {
         if !self.degraded.swap(true, Ordering::AcqRel) {
-            self.media
-                .regions_quarantined
-                .fetch_add(1, Ordering::Relaxed);
+            let media = &self.segment.media;
+            media.regions_quarantined.fetch_add(1, Ordering::Relaxed);
         }
         RvmError::Media(format!(
             "segment '{}' page {} failed checksum verification and no replica or \
              committed image could repair it; region quarantined (read-only)",
-            self.seg_name, seg_page
+            self.segment.name, seg_page
         ))
     }
 
+    /// The segment page holding region page `page`: region offsets are
+    /// page-aligned, so it is `seg_offset / PAGE_SIZE + page` exactly.
+    pub(crate) fn seg_page(&self, page: usize) -> usize {
+        (self.seg_offset / PAGE_SIZE) as usize + page
+    }
+
     /// Reads region page `page` (one full [`PAGE_SIZE`] block) from the
-    /// segment, under checksum scrutiny when a catalog is attached: mirror
-    /// read-repair and transient re-reads first, quarantine when the page
-    /// stays unverifiable. This is the load half of the repair ladder —
-    /// a page being *loaded* is by definition not in VM and (map-time
+    /// segment ([`Segment::read_page_verified`]: mirror read-repair and
+    /// transient re-reads), quarantining the region when the page stays
+    /// unverifiable — a page being *loaded* is not in VM and (map-time
     /// truncation having drained the segment's live log records) not
     /// reconstructible from the log, so the mirror is its only donor.
     pub(crate) fn fetch_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<()> {
-        let page_off = page as u64 * PAGE_SIZE;
-        let Some(catalog) = &self.catalog else {
-            self.seg_dev.read_at(self.seg_offset + page_off, buf)?;
-            return Ok(());
-        };
-        // Region offsets are page-aligned, so region page i is segment
-        // page (seg_offset / PAGE_SIZE) + i exactly.
-        let seg_page = ((self.seg_offset + page_off) / PAGE_SIZE) as usize;
-        let (verified, healed) =
-            crate::scrub::read_page_verified(self.seg_dev.as_ref(), catalog, seg_page, buf)?;
-        self.media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if healed {
-            self.media
-                .corruptions_detected
-                .fetch_add(1, Ordering::Relaxed);
-            self.media
-                .corruptions_repaired
-                .fetch_add(1, Ordering::Relaxed);
+        let seg_page = self.seg_page(page);
+        match self.segment.read_page_verified(seg_page, buf)? {
+            VerifiedRead::Corrupt => Err(self.quarantine(seg_page)),
+            VerifiedRead::Clean | VerifiedRead::Repaired => Ok(()),
         }
-        if !verified {
-            self.media
-                .corruptions_detected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(self.quarantine(seg_page));
-        }
-        Ok(())
     }
 
-    /// Copies the committed image in from the segment device (map time).
+    /// Copies the committed image in from the segment device (map time):
+    /// page-wise and verified when the segment has a catalog, else in one
+    /// read (there is no per-page checksum boundary to verify against).
     pub(crate) fn load_from_segment(&self) -> Result<()> {
-        if self.catalog.is_some() {
-            // Page-wise verified load; the bulk path below has no
-            // per-page checksum boundary to verify against.
-            let pages = (self.len / PAGE_SIZE) as usize;
-            let mut buf = vec![0u8; PAGE_SIZE as usize];
-            for page in 0..pages {
-                self.fetch_page_verified(page, &mut buf)?;
-                let _guard = self.mem_lock.write();
-                // SAFETY: exclusive lock held; bounds derived from the
-                // region length.
-                unsafe { self.mem.copy_in(page * PAGE_SIZE as usize, &buf) }?;
-            }
-            *self.unloaded.lock() = None;
-            return Ok(());
-        }
         {
             let _guard = self.mem_lock.write();
             // SAFETY: exclusive lock held; the slice covers the whole
             // block.
             let buf = unsafe { self.mem.slice_mut(0, self.len as usize) }?;
-            self.seg_dev.read_at(self.seg_offset, buf)?;
+            if self.segment.has_catalog() {
+                for (page, image) in buf.chunks_exact_mut(PAGE_SIZE as usize).enumerate() {
+                    self.fetch_page_verified(page, image)?;
+                }
+            } else {
+                self.segment.read_at(self.seg_offset, buf)?;
+            }
         }
         // `unloaded` ranks before `mem_lock` (`ensure_loaded` repairs
         // pages under it), so the guard above must be gone first.
@@ -394,9 +362,7 @@ impl RegionInner {
         let Some(pending) = tracker.as_mut() else {
             return Ok(());
         };
-        let span = PageVector::page_span(offset, len.max(1));
-        let mut remaining_elsewhere = false;
-        for page in span {
+        for page in PageVector::page_span(offset, len.max(1)) {
             if pending[page] {
                 let page_off = page as u64 * PAGE_SIZE;
                 let page_len = PAGE_SIZE.min(self.len - page_off) as usize;
@@ -409,13 +375,7 @@ impl RegionInner {
                 pending[page] = false;
             }
         }
-        for &p in pending.iter() {
-            if p {
-                remaining_elsewhere = true;
-                break;
-            }
-        }
-        if !remaining_elsewhere {
+        if !pending.contains(&true) {
             *tracker = None;
         }
         Ok(())
@@ -505,7 +465,7 @@ impl Region {
 
     /// Name of the backing segment.
     pub fn segment_name(&self) -> &str {
-        &self.inner.seg_name
+        &self.inner.segment.name
     }
 
     /// Offset of this region within its segment.
@@ -649,7 +609,7 @@ impl Region {
 impl std::fmt::Debug for Region {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Region")
-            .field("segment", &self.inner.seg_name)
+            .field("segment", &self.inner.segment.name)
             .field("seg_offset", &self.inner.seg_offset)
             .field("len", &self.inner.len)
             .field("mapped", &self.is_mapped())
@@ -669,9 +629,7 @@ pub(crate) mod tests_support {
         static NEXT_ID: Counter = Counter::new(1);
         Arc::new(RegionInner {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            seg: SegmentId::new(0),
-            seg_name: "test-segment".to_owned(),
-            seg_dev: Arc::new(MemDevice::with_len(len)),
+            segment: Segment::for_test(Arc::new(MemDevice::with_len(len)), None),
             seg_offset: 0,
             len,
             mem: RegionMemory::alloc(len as usize),
@@ -680,9 +638,7 @@ pub(crate) mod tests_support {
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(len)),
             unloaded: Mutex::new(None),
-            catalog: None,
             degraded: AtomicBool::new(false),
-            media: Arc::new(MediaCounters::default()),
         })
     }
 }

@@ -18,17 +18,15 @@ use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
 use crate::log::wal::{StagingBuf, Wal};
-use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode, PAGE_SIZE};
+use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode};
 use crate::query::QueryInfo;
-use crate::ranges::ByteRange;
 use crate::recovery::{recover, RecoveryReport};
-use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
+use crate::region::{Region, RegionDescriptor, RegionInner};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
-use crate::scrub::{sidecar_name, ScrubReport, SegmentChecksums};
-use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
+use crate::scrub::ScrubReport;
+use crate::segment::{OpenSegments, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
-use crate::truncation::page_vector::PageVector;
 use crate::truncation::{spawn_bg_thread, InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
@@ -39,14 +37,16 @@ pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 
 /// State guarded by the "core" lock: the WAL, the segment table, and the
 /// page queue. Historically this one lock also guarded the spool, the
-/// segment-device registry, and every statistic; those now live in their
-/// own concurrency planes on [`RvmShared`] (`spool`, `seg_devices` /
-/// `seg_catalogs`, `stats`, and the published `log_view` of the WAL),
-/// so `core` serializes only log mutation and truncation boundaries.
+/// open segments, and every statistic; those now live in their own
+/// concurrency planes on [`RvmShared`] (`spool`, `open_segments`,
+/// `stats`, and the published `log_view` of the WAL), so `core`
+/// serializes only log mutation and truncation boundaries.
 pub(crate) struct Core {
     pub(crate) wal: Wal,
     status_seq: u64,
-    segments: Vec<SegmentInfo>,
+    /// The durable segment table (name and id of every segment ever
+    /// mapped), as the status block carries it.
+    pub(crate) segments: Vec<SegmentInfo>,
     pub(crate) page_queue: PageQueue,
     /// Segments referenced by live (untruncated) log records.
     pub(crate) segs_in_log: HashSet<u32>,
@@ -76,7 +76,6 @@ pub(crate) struct Core {
 /// Shared library state behind [`Rvm`] handles and live transactions.
 pub(crate) struct RvmShared {
     pub(crate) dev: Arc<dyn Device>,
-    resolver: DeviceResolver,
     pub(crate) tuning: RwLock<Tuning>,
     pub(crate) stats: Stats,
     pub(crate) core: TracedMutex<Core>,
@@ -88,15 +87,9 @@ pub(crate) struct RvmShared {
     /// [`crate::spool::SpoolPlane`]). No-flush commits push here without
     /// taking `core`; only the commit leader's fill pops it.
     pub(crate) spool: SpoolPlane,
-    /// Resolved segment devices, behind their own reader/writer lock so
-    /// cache hits (commit bookkeeping, `query` mirror health) never take
-    /// `core`. The miss path resolves by name from `core.segments`, which
-    /// callers already hold.
-    seg_devices: RwLock<HashMap<u32, Arc<dyn Device>>>,
-    /// Checksum catalogs for resolved segments (empty with
-    /// [`Tuning::segment_checksums`] off); same plane discipline as
-    /// `seg_devices`.
-    seg_catalogs: RwLock<HashMap<u32, Arc<SegmentChecksums>>>,
+    /// The segments this instance has opened (see [`crate::segment`]),
+    /// from their entries in `core.segments`.
+    pub(crate) open_segments: OpenSegments,
     /// Mirror of `core.page_queue.len()` (see [`PageQueue::gauge`]).
     queued_pages: Arc<AtomicUsize>,
     /// Mirror of `core.truncation.is_some()`, so `query` reports
@@ -111,8 +104,11 @@ pub(crate) struct RvmShared {
     /// Lock order: `regions` → `check` → region memory locks; never taken
     /// while holding `core`.
     pub(crate) check: Mutex<CheckState>,
+    /// Whether the commit path's checker hooks have anything to do (see
+    /// [`crate::check`]).
+    pub(crate) check_armed: AtomicBool,
     next_tid: AtomicU64,
-    next_region_id: AtomicU64,
+    pub(crate) next_region_id: AtomicU64,
     pub(crate) active_txns: AtomicU64,
     pub(crate) terminated: AtomicBool,
     /// Set when an unrecoverable I/O failure left the durable image ahead
@@ -251,7 +247,9 @@ impl Rvm {
             )));
         }
 
-        let recovered = recover(&dev, status, &resolver, options.tuning.segment_checksums)?;
+        let tuning = RwLock::new(options.tuning);
+        let open_segments = OpenSegments::new(resolver, stats.media.clone());
+        let recovered = recover(&dev, status, &open_segments, &tuning)?;
         let status = recovered.status;
         let wal = Wal::new(
             dev.clone(),
@@ -267,8 +265,7 @@ impl Rvm {
         let queued_pages = page_queue.gauge();
         let shared = Arc::new(RvmShared {
             dev,
-            resolver,
-            tuning: RwLock::new(options.tuning),
+            tuning,
             stats,
             core: TracedMutex::new(Core {
                 wal,
@@ -284,13 +281,13 @@ impl Rvm {
             }),
             log_view,
             spool: SpoolPlane::new(),
-            seg_devices: RwLock::new(recovered.seg_devices),
-            seg_catalogs: RwLock::new(recovered.seg_catalogs),
+            open_segments,
             queued_pages,
             truncation_active: AtomicBool::new(false),
             group: GroupCommit::default(),
             regions: RwLock::new(HashMap::new()),
             check: Mutex::new(CheckState::default()),
+            check_armed: AtomicBool::new(options.tuning.checks()),
             next_tid: AtomicU64::new(1),
             next_region_id: AtomicU64::new(1),
             active_txns: AtomicU64::new(0),
@@ -343,123 +340,7 @@ impl Rvm {
     pub fn map_with(&self, desc: &RegionDescriptor, policy: LoadPolicy) -> Result<Region> {
         self.shared.check_live()?;
         desc.validate()?;
-        let shared = &self.shared;
-        let mut core = shared.core.lock();
-
-        // Enter the segment into the durable table on first sight (or grow
-        // its recorded length), and persist the table under the hold that
-        // changed it, before anything can fail or release the core lock —
-        // the settle below does: the table must be durable before any
-        // record references the id, and a concurrent `map` that finds the
-        // entry by name may commit such records.
-        let min_len = desc.offset + desc.len;
-        let (seg_id, status_dirty) = match core.segments.iter_mut().find(|s| s.name == desc.segment)
-        {
-            Some(info) => {
-                let grew = info.min_len < min_len;
-                info.min_len = info.min_len.max(min_len);
-                (info.id, grew)
-            }
-            None => {
-                if !StatusBlock::segments_fit(&core.segments, desc.segment.len()) {
-                    return Err(RvmError::SegmentTableFull);
-                }
-                let id = SegmentId::new(core.segments.len() as u32);
-                let name = desc.segment.clone();
-                core.segments.push(SegmentInfo { id, name, min_len });
-                (id, true)
-            }
-        };
-        if status_dirty {
-            let r = shared.write_status_locked(&mut core);
-            shared.guard_io(r)?;
-        }
-        let seg_dev = shared.segment_device(&core, seg_id, min_len)?;
-        let catalog = shared.segment_catalog(&core, seg_id, &seg_dev)?;
-
-        // Guarantee the mapped image is the committed one. While no
-        // mapped region overlaps the new range nothing can commit into
-        // it, so what must reach the device first is fixed the moment
-        // that is observed: the spool, the batches in flight (their
-        // segments are recorded only at reap) and the live log — all
-        // below the tail once the barrier returns. Later commits to
-        // *other* regions of the segment are not waited for, which bounds
-        // the rounds under load. Every round releases the core lock, so
-        // each looks again, and the last look shares its hold with the
-        // insert below.
-        let seg_raw = seg_id.as_u32();
-        let new_range = ByteRange::at(desc.offset, desc.len);
-        // (log offset to apply through, `next_region_id` when it was taken)
-        let mut settle: Option<(u64, u64)> = None;
-        loop {
-            // §4.1 mapping rules: no region mapped twice, no overlap.
-            let taken = shared.regions.read().values().find_map(|r| {
-                let existing = ByteRange::at(r.seg_offset, r.len);
-                let overlaps = new_range.start < existing.end && existing.start < new_range.end;
-                (r.seg == seg_id && overlaps).then_some(existing)
-            });
-            if let Some(ByteRange { start, end }) = taken {
-                return Err(RvmError::BadMapping(format!(
-                    "[{}, {}) of '{}' overlaps the mapped region [{start}, {end})",
-                    new_range.start, new_range.end, desc.segment
-                )));
-            }
-            // A `map` that completed while the lock was released may have
-            // mapped, committed into and unmapped an overlapping range:
-            // take the offset again.
-            let maps = shared.next_region_id.load(Ordering::Relaxed);
-            let through = match settle {
-                Some((through, seen)) if seen == maps => through,
-                _ => {
-                    let referenced = !shared.pipeline.is_idle()
-                        || core.segs_in_log.contains(&seg_raw)
-                        || shared.spool.references(seg_id)
-                        || core
-                            .truncation
-                            .as_ref()
-                            .is_some_and(|t| t.segs.contains(&seg_raw));
-                    if !referenced {
-                        break;
-                    }
-                    MutexGuard::unlocked(&mut core, || shared.flush_barrier())?;
-                    settle = Some((core.wal.tail(), maps));
-                    continue;
-                }
-            };
-            if core.wal.head() >= through {
-                break;
-            }
-            let r = shared.make_log_space(&mut core);
-            if !shared.guard_io(r)? {
-                break; // nothing live below the tail
-            }
-        }
-
-        let inner = Arc::new(RegionInner {
-            id: shared.next_region_id.fetch_add(1, Ordering::Relaxed),
-            seg: seg_id,
-            seg_name: desc.segment.clone(),
-            seg_dev,
-            seg_offset: desc.offset,
-            len: desc.len,
-            mem: RegionMemory::alloc(desc.len as usize),
-            mem_lock: RwLock::new(()),
-            mapped: AtomicBool::new(true),
-            uncommitted_txns: AtomicU64::new(0),
-            page_vector: Mutex::new(PageVector::new(desc.len)),
-            unloaded: Mutex::new(match policy {
-                LoadPolicy::Eager => None,
-                LoadPolicy::OnDemand => Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize]),
-            }),
-            catalog,
-            degraded: AtomicBool::new(false),
-            media: self.shared.stats.media.clone(),
-        });
-        if policy == LoadPolicy::Eager {
-            inner.load_from_segment()?;
-        }
-        shared.regions.write().insert(inner.id, inner.clone());
-        Ok(Region { inner })
+        self.shared.map_region(desc, policy)
     }
 
     /// Unmaps a quiescent region (§4.1: no uncommitted transactions may be
@@ -482,9 +363,7 @@ impl Rvm {
         self.shared.active_txns.fetch_add(1, Ordering::AcqRel);
         let tid = self.shared.next_tid.fetch_add(1, Ordering::Relaxed);
         let txn = Transaction::new(tid, mode, self.shared.clone());
-        if self.shared.tuning.read().check_unlogged_writes {
-            self.shared.snapshot_for_check(tid);
-        }
+        self.shared.snapshot_for_check(tid);
         Ok(txn)
     }
 
@@ -532,8 +411,14 @@ impl Rvm {
         // spawn/stop so concurrent `set_options` calls cannot leave the
         // thread state disagreeing with the flag.
         let mut bg = self.bg_thread.lock();
-        let was_bg =
-            std::mem::replace(&mut *self.shared.tuning.write(), tuning).background_truncation;
+        let was_bg = {
+            let mut current = self.shared.tuning.write();
+            if tuning.checks() {
+                // Under the write guard: see `check_txn_ended`.
+                self.shared.check_armed.store(true, Ordering::Release);
+            }
+            std::mem::replace(&mut *current, tuning).background_truncation
+        };
         if tuning.background_truncation && !was_bg {
             if bg.is_none() {
                 *bg = Some(spawn_bg_thread(&self.shared));
@@ -560,7 +445,7 @@ impl Rvm {
     ///
     /// Served entirely from the lock-free planes — the atomic stats, the
     /// spool and page-queue gauges, the WAL's published view, and the
-    /// segment-device registry's read lock. `query` never acquires the
+    /// open-segment registry's read lock. `query` never acquires the
     /// core lock, so it cannot be wedged behind a commit that is itself
     /// stuck on a slow or gated device.
     pub fn query(&self) -> QueryInfo {
@@ -576,26 +461,16 @@ impl Rvm {
             )
         };
         // Mirror health: sum replica counts over every mirrored device in
-        // play (the log plus resolved segments). Plain devices report no
+        // play (the log plus open segments). Plain devices report no
         // replica health and contribute nothing.
-        let mut replicas_alive = 0usize;
-        let mut replicas_total = 0usize;
-        {
-            let seg_devices = self.shared.seg_devices.read();
-            for (alive, total) in std::iter::once(self.shared.dev.replica_health())
-                .chain(seg_devices.values().map(|d| d.replica_health()))
-                .flatten()
-            {
-                replicas_alive += alive;
-                replicas_total += total;
-            }
-        }
+        let (log_alive, log_total) = self.shared.dev.replica_health().unwrap_or((0, 0));
+        let (seg_alive, seg_total) = self.shared.open_segments.replica_health();
         QueryInfo {
             active_transactions: self.shared.active_txns.load(Ordering::Acquire),
             mapped_regions,
             regions_degraded,
-            replicas_alive,
-            replicas_total,
+            replicas_alive: log_alive + seg_alive,
+            replicas_total: log_total + seg_total,
             spooled_transactions: self.shared.spool.len(),
             spool_bytes: self.shared.spool.bytes(),
             queued_pages: self.shared.queued_pages.load(Ordering::Relaxed),
@@ -640,7 +515,8 @@ impl Rvm {
     /// ```
     ///
     /// Detection requires [`Tuning::segment_checksums`](crate::Tuning)
-    /// (on by default); regions mapped while it was off are skipped. On a
+    /// (on by default); regions of a segment this instance opened while
+    /// it was off are skipped. On a
     /// mismatch the repair ladder runs: bounded re-reads (transient,
     /// in-flight corruption), mirror read-repair (when the segment device
     /// is a [`MirrorDevice`](rvm_storage::MirrorDevice)), a rewrite from
@@ -757,77 +633,6 @@ impl RvmShared {
             self.poison();
         }
         result
-    }
-
-    /// Resolves (and caches) the device backing a segment. The cache is
-    /// the `seg_devices` registry plane; only the miss path needs `core`
-    /// (for the durable name table), which every caller already holds.
-    /// The registry guard is never held across device I/O.
-    pub(crate) fn segment_device(
-        &self,
-        core: &Core,
-        seg: SegmentId,
-        min_len: u64,
-    ) -> Result<Arc<dyn Device>> {
-        let cached = self.seg_devices.read().get(&seg.as_u32()).cloned();
-        if let Some(dev) = cached {
-            if dev.len()? < min_len {
-                dev.set_len(min_len)?;
-            }
-            return Ok(dev);
-        }
-        let info = core
-            .segments
-            .iter()
-            .find(|s| s.id == seg)
-            .ok_or_else(|| RvmError::BadLog(format!("unknown segment id {seg}")))?;
-        let dev = (self.resolver)(&info.name, min_len.max(info.min_len))?;
-        if dev.len()? < min_len {
-            dev.set_len(min_len)?;
-        }
-        // Double-checked insert: if another resolver of the same segment
-        // won the race, keep (and hand out) its entry.
-        let dev = self
-            .seg_devices
-            .write()
-            .entry(seg.as_u32())
-            .or_insert(dev)
-            .clone();
-        Ok(dev)
-    }
-
-    /// Resolves (and caches) a segment's checksum catalog sidecar; `None`
-    /// when [`Tuning::segment_checksums`] is off. A cached catalog is
-    /// grown to cover a segment that grew since it was opened. Same plane
-    /// discipline as [`RvmShared::segment_device`].
-    pub(crate) fn segment_catalog(
-        &self,
-        core: &Core,
-        seg: SegmentId,
-        dev: &Arc<dyn Device>,
-    ) -> Result<Option<Arc<SegmentChecksums>>> {
-        if !self.tuning.read().segment_checksums {
-            return Ok(None);
-        }
-        let cached = self.seg_catalogs.read().get(&seg.as_u32()).cloned();
-        if let Some(catalog) = cached {
-            catalog.ensure_covers(dev.as_ref(), dev.len()?)?;
-            return Ok(Some(catalog));
-        }
-        let info = core
-            .segments
-            .iter()
-            .find(|s| s.id == seg)
-            .ok_or_else(|| RvmError::BadLog(format!("unknown segment id {seg}")))?;
-        let side = (self.resolver)(&sidecar_name(&info.name), 0)?;
-        let catalog = Arc::new(SegmentChecksums::open(side, dev.as_ref(), dev.len()?)?);
-        let catalog = self
-            .seg_catalogs
-            .write()
-            .entry(seg.as_u32())
-            .or_insert(catalog)
-            .clone();
-        Ok(Some(catalog))
     }
 
     /// Writes the status block from live state.

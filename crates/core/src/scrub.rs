@@ -7,7 +7,10 @@
 //! sidecar *checksum catalog* — one CRC-32 per [`PAGE_SIZE`] page —
 //! updated whenever truncation or recovery writes segment pages and
 //! verified whenever mapped regions load pages and by
-//! [`Rvm::scrub`](crate::Rvm::scrub) passes.
+//! [`Rvm::scrub`](crate::Rvm::scrub) passes. The catalog is owned by its
+//! segment's handle ([`Segment`](crate::segment::Segment)), the only code
+//! that reads or writes either device; this module keeps the catalog
+//! format and the scrub pass.
 //!
 //! A checksum mismatch feeds the repair ladder (`scrub_region_page`,
 //! below): a healthy mirror replica first, then reconstruction from the
@@ -42,9 +45,9 @@
 //! # Crash ordering
 //!
 //! Writers keep one invariant: **the log head advances only after the
-//! catalog covering the applied pages is persisted.** Truncation and
-//! recovery order their steps segment writes → segment sync → catalog
-//! persist → status (head) advance. A crash in any window therefore
+//! catalog covering the applied pages is persisted.** Every writer goes
+//! through the handle, whose `finish` is segment sync → catalog persist;
+//! the status (head) advance comes after it. A crash in any window therefore
 //! leaves a catalog that is either current, or stale for pages the
 //! still-live log span re-applies (recovery rewrites them and recomputes
 //! their checksums before anything verifies), or torn (self-check fails,
@@ -54,12 +57,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rvm_storage::Device;
+use rvm_storage::{Device, VerifiedRead};
 
 use crate::crc::crc32;
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
-use crate::ranges::{overlay_pieces, Piece};
 use crate::region::{PageImage, RegionInner};
 use crate::rvm::{CoreGuard, RvmShared};
 
@@ -97,9 +99,10 @@ pub fn page_len(seg_len: u64, page: usize) -> usize {
     PAGE_SIZE.min(seg_len.saturating_sub(off)) as usize
 }
 
-/// Device length a catalog over `pages` entries needs.
-fn catalog_len(pages: usize) -> u64 {
-    HEADER_SIZE + pages as u64 * ENTRY_SIZE
+/// The little-endian `u32`s of `bytes` (a multiple of four long).
+fn words(bytes: &[u8]) -> Vec<u32> {
+    let word = |c: &[u8]| u32::from_le_bytes(c.try_into().unwrap_or_default());
+    bytes.chunks_exact(ENTRY_SIZE as usize).map(word).collect()
 }
 
 /// A per-page checksum catalog for one data segment, backed by a sidecar
@@ -122,63 +125,39 @@ impl SegmentChecksums {
     /// content (trust-on-first-use). A catalog shorter than the segment
     /// (the segment grew) adopts the new tail pages.
     pub fn open(dev: Arc<dyn Device>, seg: &dyn Device, seg_len: u64) -> Result<Self> {
-        let needed = page_count(seg_len);
-        let mut entries: Vec<u32> = Self::load(dev.as_ref())?.unwrap_or_default();
-        let known = entries.len();
-        if known < needed {
-            entries.resize(needed, 0);
-            for (page, entry) in entries.iter_mut().enumerate().skip(known) {
-                *entry = checksum_of(seg, seg_len, page)?;
-            }
-        }
-        let catalog = SegmentChecksums {
-            dev,
-            entries: Mutex::new(entries),
-        };
-        if known < needed {
-            catalog.persist()?;
-        }
+        let entries = Mutex::new(Self::load_readonly(dev.as_ref())?.unwrap_or_default());
+        let catalog = SegmentChecksums { dev, entries };
+        catalog.ensure_covers(seg, seg_len)?;
         Ok(catalog)
     }
 
     /// Reads and validates the persisted entry table without adopting
-    /// anything — the offline-tool path. Unlike [`SegmentChecksums::open`]
-    /// (which adopts and *writes* a catalog for an uncovered segment),
-    /// this never touches the device. `None` when it holds no
-    /// self-consistent catalog (empty, torn, or foreign bytes).
+    /// anything — also the offline-tool path: unlike
+    /// [`SegmentChecksums::open`] (which adopts and *writes* a catalog
+    /// for an uncovered segment), this never writes the device. `None`
+    /// when it holds no self-consistent catalog (empty, torn, or foreign
+    /// bytes).
     pub fn load_readonly(dev: &dyn Device) -> Result<Option<Vec<u32>>> {
-        Self::load(dev)
-    }
-
-    /// Reads and validates the persisted catalog; `None` when the device
-    /// holds no self-consistent catalog (empty, torn, or foreign bytes).
-    fn load(dev: &dyn Device) -> Result<Option<Vec<u32>>> {
         let len = dev.len()?;
         if len < HEADER_SIZE {
             return Ok(None);
         }
         let mut header = [0u8; HEADER_SIZE as usize];
         dev.read_at(0, &mut header)?;
-        if &header[0..4] != MAGIC || u32::from_le_bytes(header[4..8].try_into().unwrap()) != VERSION
-        {
+        // magic, version, page count (low, high), table CRC, reserved
+        let &[magic, version, pages_lo, pages_hi, table_crc, _] = words(&header).as_slice() else {
             return Ok(None);
-        }
-        let pages = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let table_crc = u32::from_le_bytes(header[16..20].try_into().unwrap());
-        if pages > (len - HEADER_SIZE) / ENTRY_SIZE {
+        };
+        let pages = u64::from(pages_hi) << 32 | u64::from(pages_lo);
+        if magic != u32::from_le_bytes(*MAGIC)
+            || version != VERSION
+            || pages > (len - HEADER_SIZE) / ENTRY_SIZE
+        {
             return Ok(None);
         }
         let mut table = vec![0u8; (pages * ENTRY_SIZE) as usize];
         dev.read_at(HEADER_SIZE, &mut table)?;
-        if crc32(&table) != table_crc {
-            return Ok(None);
-        }
-        Ok(Some(
-            table
-                .chunks_exact(ENTRY_SIZE as usize)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect(),
-        ))
+        Ok((crc32(&table) == table_crc).then(|| words(&table)))
     }
 
     /// Grows the catalog to cover a segment that grew to `seg_len`,
@@ -186,28 +165,19 @@ impl SegmentChecksums {
     /// covering.
     pub fn ensure_covers(&self, seg: &dyn Device, seg_len: u64) -> Result<()> {
         let needed = page_count(seg_len);
-        let adopt_from = {
-            let entries = self.entries.lock();
-            if entries.len() >= needed {
-                return Ok(());
-            }
-            entries.len()
-        };
-        // Checksum the new pages outside the lock; entries never shrink,
-        // so the starting point stays valid.
-        let mut fresh = Vec::with_capacity(needed - adopt_from);
-        for page in adopt_from..needed {
-            fresh.push(checksum_of(seg, seg_len, page)?);
+        let known = self.entries.lock().len();
+        if known >= needed {
+            return Ok(());
         }
+        // Checksum the new pages outside the lock; entries never shrink,
+        // so a racing grower can only have adopted a prefix of them.
+        let fresh = (known..needed)
+            .map(|page| checksum_of(seg, seg_len, page))
+            .collect::<Result<Vec<u32>>>()?;
         {
             let mut entries = self.entries.lock();
-            for (i, sum) in fresh.into_iter().enumerate() {
-                let page = adopt_from + i;
-                if page >= entries.len() {
-                    entries.resize(page + 1, 0);
-                    entries[page] = sum;
-                }
-            }
+            let adopted = entries.len() - known;
+            entries.extend(fresh.into_iter().skip(adopted));
         }
         self.persist()
     }
@@ -242,19 +212,6 @@ impl SegmentChecksums {
         entries[page] = crc32(data);
     }
 
-    /// Re-reads `page` from the segment and records its checksum — for
-    /// writers that updated a page through partial-range writes and no
-    /// longer hold the full page image.
-    pub fn update_from_segment(&self, seg: &dyn Device, seg_len: u64, page: usize) -> Result<()> {
-        let sum = checksum_of(seg, seg_len, page)?;
-        let mut entries = self.entries.lock();
-        if entries.len() <= page {
-            entries.resize(page + 1, 0);
-        }
-        entries[page] = sum;
-        Ok(())
-    }
-
     /// Writes the catalog (header + entry table) to the sidecar device
     /// and syncs it.
     pub fn persist(&self) -> Result<()> {
@@ -268,7 +225,7 @@ impl SegmentChecksums {
         header[4..8].copy_from_slice(&VERSION.to_le_bytes());
         header[8..16].copy_from_slice(&pages.to_le_bytes());
         header[16..20].copy_from_slice(&crc32(&table).to_le_bytes());
-        let needed = catalog_len(pages as usize);
+        let needed = HEADER_SIZE + table.len() as u64;
         if self.dev.len()? < needed {
             self.dev.set_len(needed)?;
         }
@@ -278,6 +235,19 @@ impl SegmentChecksums {
         self.dev.write_at(HEADER_SIZE, &table)?;
         self.dev.write_at(0, &header)?;
         self.dev.sync()?;
+        Ok(())
+    }
+
+    /// Overwrites the header of a valid catalog on `dev` so the next
+    /// [`SegmentChecksums::open`] re-adopts instead of trusting it — for
+    /// an instance about to write the segment without maintaining sums.
+    /// One header read when `dev` holds no catalog; nothing is written
+    /// unless one validates (a torn or foreign one is rejected anyway).
+    pub(crate) fn invalidate(dev: &dyn Device) -> Result<()> {
+        if Self::load_readonly(dev)?.is_some() {
+            dev.write_at(0, &[0u8; HEADER_SIZE as usize])?;
+            dev.sync()?;
+        }
         Ok(())
     }
 }
@@ -298,145 +268,6 @@ pub fn checksum_of(seg: &dyn Device, seg_len: u64, page: usize) -> Result<u32> {
         seg.read_at(page as u64 * PAGE_SIZE, &mut buf)?;
     }
     Ok(crc32(&buf))
-}
-
-/// Reads `page` into `buf` with checksum scrutiny: mirror read-repair via
-/// [`Device::read_verified`], then up to [`MEDIA_READ_RETRIES`] re-reads
-/// to rule out transient (in-flight) corruption. Returns `(verified,
-/// healed)`: `healed` means the first read failed verification but a
-/// repair or re-read recovered the page.
-pub(crate) fn read_page_verified(
-    dev: &dyn Device,
-    catalog: &SegmentChecksums,
-    page: usize,
-    buf: &mut [u8],
-) -> Result<(bool, bool)> {
-    let page_off = page as u64 * PAGE_SIZE;
-    let verify = |b: &[u8]| catalog.verify(page, b);
-    let mut outcome = dev.read_verified(page_off, buf, &verify)?;
-    let mut reread = false;
-    for _ in 0..MEDIA_READ_RETRIES {
-        if outcome.is_verified() {
-            break;
-        }
-        reread = true;
-        outcome = dev.read_verified(page_off, buf, &verify)?;
-    }
-    let verified = outcome.is_verified();
-    let healed = verified && (reread || outcome == rvm_storage::VerifiedRead::Repaired);
-    Ok((verified, healed))
-}
-
-/// Corruption counts from a verified tree application.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ApplyOutcome {
-    /// Pages whose pre-apply image failed checksum verification.
-    pub corruptions_detected: u64,
-    /// Detected pages whose post-apply checksum is nonetheless exact:
-    /// read-repair/re-read recovered the old image, or the tree rewrote
-    /// the whole page.
-    pub corruptions_repaired: u64,
-}
-
-/// Why a tree is being applied — it decides how an unverifiable,
-/// partially covered page is treated (see [`apply_tree_verified`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ApplyContext {
-    /// Crash recovery re-applying the redo span. A page in the span's
-    /// footprint that fails verification is *expected*: the crashed apply
-    /// tore exactly the tree-covered ranges (range writes are the only
-    /// segment writes), so bytes outside them are intact and the tree is
-    /// authoritative inside them — the entry is recomputed from the
-    /// post-apply page rather than quarantining a benign torn write.
-    Recovery,
-    /// A live truncation over a healthy instance. No crash happened, so
-    /// an unverifiable pre-image is genuine rot; re-adopting it would
-    /// launder the rotted remainder into a fresh catalog entry.
-    Truncation,
-}
-
-/// Applies one segment's latest-wins pieces (sorted, disjoint — see
-/// [`latest_pieces`](crate::ranges::latest_pieces)) to its device,
-/// keeping the checksum catalog exact — the one shared write path of
-/// truncation and recovery.
-///
-/// Without a catalog this is a plain range apply. With one, every touched
-/// page's *pre-apply* image is read under checksum scrutiny so that rot in
-/// the unwritten remainder of a page cannot be laundered into a fresh
-/// catalog entry: a verified (or repaired) page gets an exact post-apply
-/// checksum; an unverifiable page gets one if the pieces rewrite it
-/// completely, or — in the [`ApplyContext::Recovery`] context — by
-/// re-adoption of the post-apply bytes (a torn page inside the redo
-/// footprint is the crash being recovered from, not rot). Otherwise the
-/// stale entry stays so the page keeps failing verification until a
-/// mirror, a scrub rung, or quarantine resolves it. Ordering: per touched
-/// page read-verify → overlay → catalog update, then range writes →
-/// segment sync → catalog persist; the caller advances the log head only
-/// after this returns. The pages are visited in one ascending walk
-/// through one reused page buffer.
-pub(crate) fn apply_tree_verified(
-    dev: &dyn Device,
-    catalog: Option<&SegmentChecksums>,
-    pieces: &[Piece<'_>],
-    ctx: ApplyContext,
-) -> Result<ApplyOutcome> {
-    let mut outcome = ApplyOutcome::default();
-    let Some(catalog) = catalog else {
-        for piece in pieces {
-            dev.write_at(piece.start, piece.data)?;
-        }
-        dev.sync()?;
-        return Ok(outcome);
-    };
-    let seg_len = dev.len()?;
-    let mut page_buf = vec![0u8; PAGE_SIZE as usize];
-    // Pieces not yet wholly behind the walk: the first of them names the
-    // next touched page.
-    let mut ahead = pieces;
-    let mut next_page = 0usize;
-    while let Some(first) = ahead.first() {
-        let page = next_page.max((first.start / PAGE_SIZE) as usize);
-        let page_start = page as u64 * PAGE_SIZE;
-        let plen = page_len(seg_len, page);
-        let buf = page_buf.get_mut(..plen).unwrap_or_default();
-        let (verified, healed) = read_page_verified(dev, catalog, page, buf)?;
-        if !verified || healed {
-            outcome.corruptions_detected += 1;
-        }
-        let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
-        let fully_rewritten = covered_bytes == plen as u64;
-        if verified || fully_rewritten {
-            if !verified || healed {
-                outcome.corruptions_repaired += 1;
-            }
-            catalog.update(page, buf);
-        } else if ctx == ApplyContext::Recovery {
-            // Unverifiable and only partially covered, but this is the
-            // redo of a crashed apply: the tear that explains the
-            // mismatch lies inside the covered ranges being rewritten
-            // below, so the post-apply page (device remainder + piece
-            // data) is the committed image — re-adopt it. Counted as
-            // detected but not repaired: a mirror already had its
-            // chance in `read_page_verified`, and rot that struck the
-            // uncovered remainder during the same window is
-            // indistinguishable from the tear here.
-            catalog.update(page, buf);
-        }
-        // else: live truncation over a partially-covered, unverifiable
-        // page — the committed ranges below are still authoritative for
-        // their bytes, but the stale entry stays so the page keeps
-        // failing verification until a mirror or quarantine resolves it.
-        next_page = page + 1;
-        let page_end = page_start + PAGE_SIZE;
-        let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
-        ahead = ahead.get(behind..).unwrap_or_default();
-    }
-    for piece in pieces {
-        dev.write_at(piece.start, piece.data)?;
-    }
-    dev.sync()?;
-    catalog.persist()?;
-    Ok(outcome)
 }
 
 /// What one scrub pass did ([`Rvm::scrub`](crate::Rvm::scrub)).
@@ -465,23 +296,14 @@ impl ScrubReport {
     pub fn is_clean(&self) -> bool {
         self.corruptions_detected == self.corruptions_repaired && self.pages_quarantined == 0
     }
-
-    /// Field-wise accumulation (totals over several passes).
-    pub fn absorb(&mut self, other: &ScrubReport) {
-        self.pages_scanned += other.pages_scanned;
-        self.corruptions_detected += other.corruptions_detected;
-        self.corruptions_repaired += other.corruptions_repaired;
-        self.pages_quarantined += other.pages_quarantined;
-        self.pages_skipped += other.pages_skipped;
-    }
 }
 
 impl RvmShared {
-    /// One scrub pass over every mapped region with a checksum catalog
-    /// (see [`Rvm::scrub`](crate::Rvm::scrub)). Device failures propagate
-    /// (they are *not* checksum mismatches — the media may be fine);
-    /// corruption never poisons the instance, it quarantines at most the
-    /// affected regions.
+    /// One scrub pass over every mapped region of a segment with a
+    /// checksum catalog (see [`Rvm::scrub`](crate::Rvm::scrub)). Device
+    /// failures propagate (they are *not* checksum mismatches — the
+    /// media may be fine); corruption never poisons the instance, it
+    /// quarantines at most the affected regions.
     pub(crate) fn scrub_pass(&self) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
         let regions: Vec<Arc<RegionInner>> = self.regions.read().values().cloned().collect();
@@ -494,9 +316,9 @@ impl RvmShared {
     /// Scrubs one region page by page, taking the core lock per page so
     /// commits interleave freely with a pass.
     fn scrub_region(&self, region: &Arc<RegionInner>, report: &mut ScrubReport) -> Result<()> {
-        let Some(catalog) = &region.catalog else {
+        if !region.segment.has_catalog() {
             return Ok(());
-        };
+        }
         let pages = (region.len / PAGE_SIZE) as usize;
         for page in 0..pages {
             let core = self.core.lock();
@@ -510,15 +332,15 @@ impl RvmShared {
                 report.pages_skipped += (pages - page) as u64;
                 return Ok(());
             }
-            self.scrub_region_page(core, region, catalog, page, report)?;
+            self.scrub_region_page(core, region, page, report)?;
         }
         Ok(())
     }
 
     /// Verifies one region page against the catalog and runs the repair
     /// ladder on a mismatch: bounded re-reads and mirror read-repair
-    /// (inside [`read_page_verified`]), then a rewrite from the committed
-    /// image in VM, else quarantine.
+    /// (inside [`Segment::read_page_verified`](crate::segment::Segment)),
+    /// then a rewrite from the committed image in VM, else quarantine.
     ///
     /// Holding `core` for the whole page excludes every other segment
     /// writer (a truncation takes the in-flight slot under `core`, and
@@ -528,42 +350,32 @@ impl RvmShared {
         &self,
         _core: CoreGuard<'_>,
         region: &Arc<RegionInner>,
-        catalog: &SegmentChecksums,
         page: usize,
         report: &mut ScrubReport,
     ) -> Result<()> {
-        let media = &self.stats.media;
-        let page_off = page as u64 * PAGE_SIZE;
-        let seg_page = ((region.seg_offset + page_off) / PAGE_SIZE) as usize;
+        let seg_page = region.seg_page(page);
         let mut buf = vec![0u8; PAGE_SIZE as usize];
-        let (verified, healed) =
-            read_page_verified(region.seg_dev.as_ref(), catalog, seg_page, &mut buf)?;
+        let read = region.segment.read_page_verified(seg_page, &mut buf)?;
         report.pages_scanned += 1;
-        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if verified {
-            if healed {
+        match read {
+            VerifiedRead::Clean => return Ok(()),
+            VerifiedRead::Repaired => {
                 report.corruptions_detected += 1;
                 report.corruptions_repaired += 1;
-                media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
             }
-            return Ok(());
+            VerifiedRead::Corrupt => report.corruptions_detected += 1,
         }
-        report.corruptions_detected += 1;
-        media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
         // Re-reads and any mirror failed; next rung is a rewrite from the
         // committed image, when VM holds exactly that (map-time
         // truncation drained the segment's live log records before the
         // load, so nothing committed is missing from a loaded page).
         match region.committed_page(page, &mut buf)? {
             PageImage::Committed => {
-                region
-                    .seg_dev
-                    .write_at(region.seg_offset + page_off, &buf)?;
-                region.seg_dev.sync()?;
-                catalog.update(seg_page, &buf);
-                catalog.persist()?;
+                region.segment.write_page(seg_page, &buf)?;
+                region.segment.finish()?;
                 report.corruptions_repaired += 1;
+                let media = &self.stats.media;
                 media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
             }
             // VM holds uncommitted bytes, or committed ones whose record
@@ -583,6 +395,8 @@ impl RvmShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranges::Piece;
+    use crate::segment::{ApplyContext, Segment};
     use rvm_storage::MemDevice;
 
     fn piece(start: u64, data: &[u8]) -> Piece<'_> {
@@ -683,21 +497,18 @@ mod tests {
 
     #[test]
     fn scrub_report_accumulates_and_judges() {
-        let mut total = ScrubReport::default();
-        total.absorb(&ScrubReport {
+        let mut report = ScrubReport {
             pages_scanned: 10,
             corruptions_detected: 2,
             corruptions_repaired: 2,
             ..Default::default()
-        });
-        assert!(total.is_clean());
-        total.absorb(&ScrubReport {
-            pages_scanned: 1,
-            corruptions_detected: 1,
-            ..Default::default()
-        });
-        assert!(!total.is_clean());
-        assert_eq!(total.pages_scanned, 11);
+        };
+        assert!(report.is_clean());
+        report.corruptions_detected += 1;
+        assert!(!report.is_clean());
+        report.corruptions_repaired += 1;
+        report.pages_quarantined = 1;
+        assert!(!report.is_clean(), "a quarantine is never clean");
     }
 
     #[test]
@@ -706,53 +517,97 @@ mod tests {
         assert_eq!(sidecar_name("/tmp/data"), "/tmp/data.sums");
     }
 
+    /// A handle over `seg` with a freshly adopted catalog.
+    fn handle(seg: &Arc<MemDevice>) -> Arc<Segment> {
+        Segment::for_test(seg.clone(), Some(Arc::new(MemDevice::with_len(0))))
+    }
+
+    /// The handle's (detected, repaired) counts so far.
+    fn corruptions(segment: &Segment) -> (u64, u64) {
+        let media = &segment.media;
+        let detected = media.corruptions_detected.load(Ordering::Relaxed);
+        (detected, media.corruptions_repaired.load(Ordering::Relaxed))
+    }
+
+    /// What the handle reads back for page 0, and how the read verified.
+    fn page0(segment: &Segment) -> (Vec<u8>, VerifiedRead) {
+        let mut page = vec![0u8; PAGE_SIZE as usize];
+        let read = segment.read_page_verified(0, &mut page).unwrap();
+        (page, read)
+    }
+
     #[test]
     fn apply_tree_keeps_catalog_exact_on_clean_pages() {
         let seg = seg_with(PAGE_SIZE * 2, 1);
-        let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
-        let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE * 2).unwrap();
+        let segment = handle(&seg);
         let tree = [piece(100, &[9; 50])];
-        let out =
-            apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
-        assert_eq!(out.corruptions_detected, 0);
+        segment
+            .apply_pieces(&tree, ApplyContext::Truncation)
+            .unwrap();
+        segment.finish().unwrap();
+        assert_eq!(corruptions(&segment), (0, 0));
         let mut page = vec![1u8; PAGE_SIZE as usize];
         page[100..150].fill(9);
-        assert!(cat.verify(0, &page));
-        let mut on_disk = vec![0u8; PAGE_SIZE as usize];
-        seg.read_at(0, &mut on_disk).unwrap();
-        assert_eq!(on_disk, page);
+        assert_eq!(page0(&segment), (page, VerifiedRead::Clean));
     }
 
     #[test]
     fn apply_tree_repairs_a_fully_rewritten_rotted_page() {
         let seg = seg_with(PAGE_SIZE, 2);
-        let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
-        let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
+        let segment = handle(&seg);
         seg.write_at(50, &[0xEE]).unwrap(); // silent rot
         let tree = [piece(0, &[7; PAGE_SIZE as usize])];
-        let out =
-            apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
-        assert_eq!(out.corruptions_detected, 1);
-        assert_eq!(out.corruptions_repaired, 1);
-        assert!(cat.verify(0, &[7u8; PAGE_SIZE as usize]));
+        segment
+            .apply_pieces(&tree, ApplyContext::Truncation)
+            .unwrap();
+        assert_eq!(corruptions(&segment), (1, 1));
+        assert_eq!(
+            page0(&segment),
+            (vec![7u8; PAGE_SIZE as usize], VerifiedRead::Clean)
+        );
     }
 
     #[test]
     fn apply_tree_keeps_a_partially_covered_rotted_page_flagged() {
         let seg = seg_with(PAGE_SIZE, 3);
-        let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
-        let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
+        let segment = handle(&seg);
         seg.write_at(4000, &[0xEE]).unwrap(); // rot outside the tree span
         let tree = [piece(0, &[8; 64])];
-        let out =
-            apply_tree_verified(seg.as_ref(), Some(&cat), &tree, ApplyContext::Truncation).unwrap();
-        assert_eq!(out.corruptions_detected, 1);
-        assert_eq!(out.corruptions_repaired, 0);
+        segment
+            .apply_pieces(&tree, ApplyContext::Truncation)
+            .unwrap();
+        assert_eq!(corruptions(&segment), (1, 0));
         // Committed bytes landed, but the page still fails verification:
         // the rot was not laundered into the catalog.
-        let mut on_disk = vec![0u8; PAGE_SIZE as usize];
-        seg.read_at(0, &mut on_disk).unwrap();
+        let (on_disk, read) = page0(&segment);
         assert_eq!(&on_disk[..64], &[8u8; 64]);
-        assert!(!cat.verify(0, &on_disk));
+        assert_eq!(read, VerifiedRead::Corrupt);
+    }
+
+    #[test]
+    fn an_invalidated_catalog_is_readopted_and_an_empty_sidecar_is_left_alone() {
+        let seg = seg_with(PAGE_SIZE, 4);
+        let side = Arc::new(MemDevice::with_len(0));
+        SegmentChecksums::invalidate(side.as_ref()).unwrap();
+        assert_eq!(
+            side.len().unwrap(),
+            0,
+            "nothing to invalidate, nothing written"
+        );
+        SegmentChecksums::open(side.clone(), seg.as_ref(), PAGE_SIZE).unwrap();
+        // The segment changes with nobody keeping sums: the catalog is
+        // stale, and still validates.
+        seg.write_at(10, &[99]).unwrap();
+        assert!(SegmentChecksums::load_readonly(side.as_ref())
+            .unwrap()
+            .is_some());
+        SegmentChecksums::invalidate(side.as_ref()).unwrap();
+        assert!(SegmentChecksums::load_readonly(side.as_ref())
+            .unwrap()
+            .is_none());
+        let reopened = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
+        let mut page = vec![4u8; PAGE_SIZE as usize];
+        page[10] = 99;
+        assert!(reopened.verify(0, &page), "re-adopted from current content");
     }
 }

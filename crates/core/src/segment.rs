@@ -10,11 +10,43 @@
 //! Segment identities are small integers recorded in the log's status
 //! block, so crash recovery is self-contained: it can re-resolve every
 //! segment the log references without application help.
+//!
+//! # The handle
+//!
+//! An instance opens a segment once — recovery, or the first `map` or
+//! epoch apply that needs it — into one [`Segment`]: the device, and the
+//! checksum catalog ([`SegmentChecksums`]) if
+//! [`Tuning::segment_checksums`] was on *at that moment*, the only one
+//! the knob is read at. The handles live in one registry
+//! ([`OpenSegments`]) and every region of a segment holds the same `Arc`.
+//!
+//! The handle is the only code that touches a segment device or its
+//! sidecar. Bytes reach a segment from two sources — the log (recovery
+//! and epoch truncation: [`Segment::apply_pieces`]) and VM (an
+//! incremental step's pages, scrub's rewrite rung:
+//! [`Segment::write_page`]) — and both end in [`Segment::finish`], the
+//! one statement of the write ordering: segment writes → segment sync →
+//! catalog persist, and **only then may the caller move the log head**.
+//! Bytes leave it through [`Segment::read_page_verified`], where
+//! checksum mismatches are detected and counted.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rvm_storage::{Device, FileDevice};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use rvm_storage::{Device, FileDevice, VerifiedRead};
+
+use crate::error::{Result, RvmError};
+use crate::log::status::StatusBlock;
+use crate::options::{LoadPolicy, Tuning, PAGE_SIZE};
+use crate::ranges::{overlay_pieces, ByteRange, Piece};
+use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
+use crate::rvm::RvmShared;
+use crate::scrub::{page_len, sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
+use crate::stats::MediaCounters;
+use crate::truncation::page_vector::PageVector;
 
 /// Identifies a segment within one log's segment table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -140,6 +172,416 @@ impl MemResolver {
     /// Converts into a [`DeviceResolver`] for [`Options`](crate::Options).
     pub fn into_resolver(self) -> DeviceResolver {
         Arc::new(move |name, min_len| self.resolve(name, min_len))
+    }
+}
+
+/// Why pieces are being applied — it decides how an unverifiable,
+/// partially covered page is treated (see [`Segment::apply_pieces`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ApplyContext {
+    /// Crash recovery re-applying the redo span: the mismatch is the
+    /// crashed apply's torn write, and the post-apply page is re-adopted.
+    Recovery,
+    /// A live truncation over a healthy instance: the mismatch is genuine
+    /// rot, and re-adopting would launder it into a fresh catalog entry.
+    Truncation,
+}
+
+/// One open data segment: its device and, when the instance opened it
+/// with [`Tuning::segment_checksums`] on, its checksum catalog. See the
+/// module docs; every region of the segment shares one `Arc<Segment>`.
+pub(crate) struct Segment {
+    pub(crate) id: SegmentId,
+    pub(crate) name: String,
+    dev: Arc<dyn Device>,
+    catalog: Option<SegmentChecksums>,
+    /// Instance-wide media counters (shared with `Stats`).
+    pub(crate) media: Arc<MediaCounters>,
+}
+
+impl Segment {
+    /// Resolves the device (at least `min_len` long) and the sidecar.
+    /// With `checksums` the catalog is loaded, or adopted from the
+    /// segment's current content. Without, this instance is about to
+    /// write the segment and keep no sums: a valid catalog an earlier run
+    /// left would go stale and still validate, so it is invalidated
+    /// *now* — before the first write — and the next run re-adopts.
+    fn open(
+        info: &SegmentInfo,
+        min_len: u64,
+        resolver: &DeviceResolver,
+        checksums: bool,
+        media: Arc<MediaCounters>,
+    ) -> Result<Self> {
+        let needed = min_len.max(info.min_len);
+        let dev = resolver(&info.name, needed)?;
+        if dev.len()? < needed {
+            dev.set_len(needed)?;
+        }
+        let side = resolver(&sidecar_name(&info.name), 0)?;
+        let catalog = if checksums {
+            Some(SegmentChecksums::open(side, dev.as_ref(), dev.len()?)?)
+        } else {
+            SegmentChecksums::invalidate(side.as_ref())?;
+            None
+        };
+        Ok(Self {
+            id: info.id,
+            name: info.name.clone(),
+            dev,
+            catalog,
+            media,
+        })
+    }
+
+    /// Grows the device to hold `min_len` bytes and the catalog to cover
+    /// the device (a later `map` reaching past what the first one saw).
+    fn grow_to(&self, min_len: u64) -> Result<()> {
+        if self.dev.len()? < min_len {
+            self.dev.set_len(min_len)?;
+        }
+        if let Some(catalog) = &self.catalog {
+            catalog.ensure_covers(self.dev.as_ref(), self.dev.len()?)?;
+        }
+        Ok(())
+    }
+
+    /// Whether pages of this segment can be verified at all.
+    pub(crate) fn has_catalog(&self) -> bool {
+        self.catalog.is_some()
+    }
+
+    /// Plain ranged read, no scrutiny: the one-call map-time load of a
+    /// segment without a catalog.
+    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        Ok(self.dev.read_at(offset, buf)?)
+    }
+
+    /// Reads segment page `page` into `buf` under checksum scrutiny and
+    /// counts what it finds: mirror read-repair via
+    /// [`Device::read_verified`], then up to [`MEDIA_READ_RETRIES`]
+    /// re-reads to rule out transient (in-flight) corruption.
+    /// [`VerifiedRead::Repaired`] means the first read failed
+    /// verification but a repair or re-read recovered the page;
+    /// [`VerifiedRead::Corrupt`] leaves the next rung of the repair
+    /// ladder to the caller. Without a catalog every read is clean.
+    pub(crate) fn read_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<VerifiedRead> {
+        let page_off = page as u64 * PAGE_SIZE;
+        let Some(catalog) = &self.catalog else {
+            self.dev.read_at(page_off, buf)?;
+            return Ok(VerifiedRead::Clean);
+        };
+        let verify = |b: &[u8]| catalog.verify(page, b);
+        let mut read = self.dev.read_verified(page_off, buf, &verify)?;
+        for _ in 0..MEDIA_READ_RETRIES {
+            if read.is_verified() {
+                break;
+            }
+            read = match self.dev.read_verified(page_off, buf, &verify)? {
+                VerifiedRead::Clean => VerifiedRead::Repaired,
+                read => read,
+            };
+        }
+        let media = &self.media;
+        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
+        if read != VerifiedRead::Clean {
+            media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+        }
+        if read == VerifiedRead::Repaired {
+            media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(read)
+    }
+
+    /// Writes one segment's latest-wins pieces (sorted, disjoint — see
+    /// [`latest_pieces`](crate::ranges::latest_pieces)), keeping the
+    /// checksum catalog exact — the write path of recovery and epoch
+    /// truncation. [`Segment::finish`] must follow.
+    ///
+    /// Without a catalog this is a plain range apply. With one, every
+    /// touched page's *pre-apply* image is read under checksum scrutiny so
+    /// that rot in the unwritten remainder of a page cannot be laundered
+    /// into a fresh catalog entry: a verified (or repaired) page gets an
+    /// exact post-apply checksum; an unverifiable page gets one if the
+    /// pieces rewrite it completely, or — in the
+    /// [`ApplyContext::Recovery`] context — by re-adoption of the
+    /// post-apply bytes (a torn page inside the redo footprint is the
+    /// crash being recovered from, not rot). Otherwise the stale entry
+    /// stays so the page keeps failing verification until a mirror, a
+    /// scrub rung, or quarantine resolves it. Per touched page read-verify
+    /// ([`Segment::read_page_verified`], which counts the detections) →
+    /// overlay → catalog update, in one ascending walk through one reused
+    /// page buffer; then the range writes.
+    pub(crate) fn apply_pieces(&self, pieces: &[Piece<'_>], ctx: ApplyContext) -> Result<()> {
+        if let Some(catalog) = &self.catalog {
+            let seg_len = self.dev.len()?;
+            let mut page_buf = vec![0u8; PAGE_SIZE as usize];
+            // Pieces not yet wholly behind the walk: the first of them
+            // names the next touched page.
+            let mut ahead = pieces;
+            let mut next_page = 0usize;
+            while let Some(first) = ahead.first() {
+                let page = next_page.max((first.start / PAGE_SIZE) as usize);
+                let page_start = page as u64 * PAGE_SIZE;
+                let plen = page_len(seg_len, page);
+                let buf = page_buf.get_mut(..plen).unwrap_or_default();
+                let verified = self.read_page_verified(page, buf)?.is_verified();
+                let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
+                if verified {
+                    catalog.update(page, buf);
+                } else if covered_bytes == plen as u64 {
+                    // Rot, wherever it was, is rewritten whole: repaired.
+                    let media = &self.media;
+                    media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+                    catalog.update(page, buf);
+                } else if ctx == ApplyContext::Recovery {
+                    // Unverifiable and only partially covered, but this is
+                    // the redo of a crashed apply: the tear that explains
+                    // the mismatch lies inside the covered ranges being
+                    // rewritten below, so the post-apply page (device
+                    // remainder + piece data) is the committed image —
+                    // re-adopt it. Counted as detected but not repaired: a
+                    // mirror already had its chance in the read, and rot
+                    // that struck the uncovered remainder during the same
+                    // window is indistinguishable from the tear here.
+                    catalog.update(page, buf);
+                }
+                // else: live truncation over a partially-covered,
+                // unverifiable page — the committed ranges below are still
+                // authoritative for their bytes, but the stale entry stays
+                // so the page keeps failing verification until a mirror or
+                // quarantine resolves it.
+                next_page = page + 1;
+                let page_end = page_start + PAGE_SIZE;
+                let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
+                ahead = ahead.get(behind..).unwrap_or_default();
+            }
+        }
+        for piece in pieces {
+            self.dev.write_at(piece.start, piece.data)?;
+        }
+        Ok(())
+    }
+
+    /// Writes the whole segment page `page` and records its checksum — a
+    /// page out of VM: an incremental step's, or scrub's rewrite rung.
+    /// [`Segment::finish`] must follow.
+    pub(crate) fn write_page(&self, page: usize, image: &[u8]) -> Result<()> {
+        self.dev.write_at(page as u64 * PAGE_SIZE, image)?;
+        if let Some(catalog) = &self.catalog {
+            catalog.update(page, image);
+        }
+        Ok(())
+    }
+
+    /// Makes everything written since the last call durable: segment
+    /// sync, then catalog persist. Only after it returns may the caller
+    /// move the log head past the records that produced the writes; a
+    /// crash before then finds them still in the live log, which rewrites
+    /// the pages and recomputes their checksums before anything verifies.
+    pub(crate) fn finish(&self) -> Result<()> {
+        self.dev.sync()?;
+        if let Some(catalog) = &self.catalog {
+            catalog.persist()?;
+        }
+        Ok(())
+    }
+}
+
+/// The segments this instance has opened, by raw id: the one registry.
+/// Behind its own reader/writer lock so `query` reads mirror health
+/// without `core`; the guard is never held across device I/O.
+pub(crate) struct OpenSegments {
+    resolver: DeviceResolver,
+    pub(crate) media: Arc<MediaCounters>,
+    handles: RwLock<HashMap<u32, Arc<Segment>>>,
+}
+
+impl OpenSegments {
+    pub(crate) fn new(resolver: DeviceResolver, media: Arc<MediaCounters>) -> Self {
+        Self {
+            resolver,
+            media,
+            handles: RwLock::default(),
+        }
+    }
+
+    /// The handle of segment `id`, grown to hold `min_len` bytes; opened
+    /// on first use from its entry in `table` (the durable segment
+    /// table: the status block's at recovery, `Core::segments` after,
+    /// which every caller holds). That first use is the one moment
+    /// [`Tuning::segment_checksums`] is read.
+    pub(crate) fn get(
+        &self,
+        table: &[SegmentInfo],
+        id: SegmentId,
+        min_len: u64,
+        tuning: &RwLock<Tuning>,
+    ) -> Result<Arc<Segment>> {
+        let cached = self.handles.read().get(&id.as_u32()).cloned();
+        if let Some(segment) = cached {
+            segment.grow_to(min_len)?;
+            return Ok(segment);
+        }
+        let info = table.iter().find(|s| s.id == id).ok_or_else(|| {
+            RvmError::BadLog(format!("segment id {id} is absent from the segment table"))
+        })?;
+        let checksums = tuning.read().segment_checksums;
+        let media = self.media.clone();
+        let segment = Segment::open(info, min_len, &self.resolver, checksums, media)?;
+        // Double-checked insert: if another opener of the same segment
+        // won the race, keep (and hand out) its handle.
+        let mut handles = self.handles.write();
+        Ok(handles
+            .entry(id.as_u32())
+            .or_insert(Arc::new(segment))
+            .clone())
+    }
+
+    /// `(alive, total)` replica counts summed over every open segment on
+    /// a mirrored device; plain devices contribute nothing.
+    pub(crate) fn replica_health(&self) -> (usize, usize) {
+        let handles = self.handles.read();
+        let health = handles.values().filter_map(|s| s.dev.replica_health());
+        health.fold((0, 0), |(a, t), (alive, total)| (a + alive, t + total))
+    }
+}
+
+impl RvmShared {
+    /// [`Rvm::map_with`](crate::Rvm::map_with) past its argument checks.
+    pub(crate) fn map_region(&self, desc: &RegionDescriptor, policy: LoadPolicy) -> Result<Region> {
+        let mut core = self.core.lock();
+
+        // Enter the segment into the durable table on first sight (or grow
+        // its recorded length), and persist the table under the hold that
+        // changed it, before anything can fail or release the core lock —
+        // the settle below does: the table must be durable before any
+        // record references the id, and a concurrent `map` that finds the
+        // entry by name may commit such records.
+        let min_len = desc.offset + desc.len;
+        let (seg_id, status_dirty) = match core.segments.iter_mut().find(|s| s.name == desc.segment)
+        {
+            Some(info) => {
+                let grew = info.min_len < min_len;
+                info.min_len = info.min_len.max(min_len);
+                (info.id, grew)
+            }
+            None => {
+                if !StatusBlock::segments_fit(&core.segments, desc.segment.len()) {
+                    return Err(RvmError::SegmentTableFull);
+                }
+                let id = SegmentId::new(core.segments.len() as u32);
+                let name = desc.segment.clone();
+                core.segments.push(SegmentInfo { id, name, min_len });
+                (id, true)
+            }
+        };
+        if status_dirty {
+            let r = self.write_status_locked(&mut core);
+            self.guard_io(r)?;
+        }
+        let segment = self
+            .open_segments
+            .get(&core.segments, seg_id, min_len, &self.tuning)?;
+
+        // Guarantee the mapped image is the committed one. While no
+        // mapped region overlaps the new range nothing can commit into
+        // it, so what must reach the device first is fixed the moment
+        // that is observed: the spool, the batches in flight (their
+        // segments are recorded only at reap) and the live log — all
+        // below the tail once the barrier returns. Later commits to
+        // *other* regions of the segment are not waited for, which bounds
+        // the rounds under load. Every round releases the core lock, so
+        // each looks again, and the last look shares its hold with the
+        // insert below.
+        let seg_raw = seg_id.as_u32();
+        let new_range = ByteRange::at(desc.offset, desc.len);
+        // (log offset to apply through, `next_region_id` when it was taken)
+        let mut settle: Option<(u64, u64)> = None;
+        loop {
+            // §4.1 mapping rules: no region mapped twice, no overlap.
+            let taken = self.regions.read().values().find_map(|r| {
+                let existing = ByteRange::at(r.seg_offset, r.len);
+                let overlaps = new_range.start < existing.end && existing.start < new_range.end;
+                (r.segment.id == seg_id && overlaps).then_some(existing)
+            });
+            if let Some(ByteRange { start, end }) = taken {
+                return Err(RvmError::BadMapping(format!(
+                    "[{}, {}) of '{}' overlaps the mapped region [{start}, {end})",
+                    new_range.start, new_range.end, desc.segment
+                )));
+            }
+            // A `map` that completed while the lock was released may have
+            // mapped, committed into and unmapped an overlapping range:
+            // take the offset again.
+            let maps = self.next_region_id.load(Ordering::Relaxed);
+            let through = match settle {
+                Some((through, seen)) if seen == maps => through,
+                _ => {
+                    let referenced = !self.pipeline.is_idle()
+                        || core.segs_in_log.contains(&seg_raw)
+                        || self.spool.references(seg_id)
+                        || core
+                            .truncation
+                            .as_ref()
+                            .is_some_and(|t| t.segs.contains(&seg_raw));
+                    if !referenced {
+                        break;
+                    }
+                    MutexGuard::unlocked(&mut core, || self.flush_barrier())?;
+                    settle = Some((core.wal.tail(), maps));
+                    continue;
+                }
+            };
+            if core.wal.head() >= through {
+                break;
+            }
+            let r = self.make_log_space(&mut core);
+            if !self.guard_io(r)? {
+                break; // nothing live below the tail
+            }
+        }
+
+        let inner = Arc::new(RegionInner {
+            id: self.next_region_id.fetch_add(1, Ordering::Relaxed),
+            segment,
+            seg_offset: desc.offset,
+            len: desc.len,
+            mem: RegionMemory::alloc(desc.len as usize),
+            mem_lock: RwLock::new(()),
+            mapped: AtomicBool::new(true),
+            uncommitted_txns: AtomicU64::new(0),
+            page_vector: Mutex::new(PageVector::new(desc.len)),
+            unloaded: Mutex::new(match policy {
+                LoadPolicy::Eager => None,
+                LoadPolicy::OnDemand => Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize]),
+            }),
+            degraded: AtomicBool::new(false),
+        });
+        if policy == LoadPolicy::Eager {
+            inner.load_from_segment()?;
+        }
+        self.regions.write().insert(inner.id, inner.clone());
+        Ok(Region { inner })
+    }
+}
+
+#[cfg(test)]
+impl Segment {
+    /// A standalone handle over `dev`, adopting a catalog on `side` if
+    /// one is given.
+    pub(crate) fn for_test(dev: Arc<dyn Device>, side: Option<Arc<dyn Device>>) -> Arc<Self> {
+        let catalog = side.map(|side| {
+            let len = dev.len().expect("len");
+            SegmentChecksums::open(side, dev.as_ref(), len).expect("open catalog")
+        });
+        Arc::new(Self {
+            id: SegmentId::new(0),
+            name: "test-segment".to_owned(),
+            dev,
+            catalog,
+            media: Arc::default(),
+        })
     }
 }
 

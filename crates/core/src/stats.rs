@@ -88,8 +88,8 @@ pub(crate) struct FaultCounters {
 /// the same cells the stats snapshot reads.
 #[derive(Debug, Default)]
 pub(crate) struct MediaCounters {
-    /// Segment pages whose checksums were verified (scrub + verified
-    /// loads).
+    /// Segment pages whose checksums were verified (scrub, verified
+    /// loads, and the pre-images a verified apply reads).
     pub(crate) pages_scrubbed: AtomicU64,
     /// Checksum mismatches detected on segment pages.
     pub(crate) corruptions_detected: AtomicU64,
@@ -292,7 +292,7 @@ pub struct StatsSnapshot {
     pub transient_faults_healed: u64,
     /// Times the instance transitioned to the poisoned state.
     pub poisonings: u64,
-    /// Segment pages checksum-verified (scrub passes + verified loads).
+    /// Segment pages checksum-verified (scrub, loads, verified applies).
     pub pages_scrubbed: u64,
     /// Checksum mismatches detected on segment pages.
     pub corruptions_detected: u64,

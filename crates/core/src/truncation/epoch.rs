@@ -40,8 +40,7 @@ use crate::error::{Result, RvmError};
 use crate::log::wal::WalCheckpoint;
 use crate::recovery;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
-use crate::scrub::ApplyContext;
-use crate::segment::SegmentId;
+use crate::segment::ApplyContext;
 
 impl RvmShared {
     /// The stable end of the log — everything below it is fully written
@@ -102,7 +101,7 @@ impl RvmShared {
 
     /// Phase 2: applies the frozen span `[start, end)` to the data
     /// segments. Runs with the core lock released; it is taken briefly
-    /// per segment to resolve the device and catalog.
+    /// per segment to look up (or open) the handle.
     fn apply_epoch_span(&self, start: u64, start_seq: u64, end: u64) -> Result<()> {
         let applied = recovery::apply_span(
             self.dev.as_ref(),
@@ -111,26 +110,19 @@ impl RvmShared {
             start_seq,
             Some(end),
             ApplyContext::Truncation,
-            &mut |seg_raw, tree_end| {
-                let seg = SegmentId::new(seg_raw);
+            &mut |seg, tree_end| {
                 let core = self.core.lock();
-                let dev = self.segment_device(&core, seg, tree_end)?;
-                let catalog = self.segment_catalog(&core, seg, &dev)?;
-                Ok((dev, catalog))
+                self.open_segments
+                    .get(&core.segments, seg, tree_end, &self.tuning)
             },
         )?;
-        let (stats, report) = (&self.stats, &applied.report);
-        stats.add(
-            &stats.media.corruptions_detected,
-            report.corrupt_pages_detected,
-        );
-        stats.add(
-            &stats.media.corruptions_repaired,
-            report.corrupt_pages_repaired,
-        );
+        let stats = &self.stats;
         stats.add(&stats.truncation_bytes_scanned, end - start);
         stats.add(&stats.truncation_ranges_applied, applied.ranges);
-        stats.add(&stats.truncation_bytes_applied, report.bytes_applied);
+        stats.add(
+            &stats.truncation_bytes_applied,
+            applied.report.bytes_applied,
+        );
         Ok(())
     }
 

@@ -7,8 +7,9 @@
 //!    write, copying each page's committed image
 //!    ([`RegionInner::committed_page`]) into the one buffer the plane
 //!    keeps ([`StepBatch`]), and take the in-flight slot.
-//! 2. **Apply** (core lock *released*): the page writes, one sync per
-//!    segment device, one catalog persist per segment. Commits keep
+//! 2. **Apply** (core lock *released*): the page writes, then each
+//!    distinct segment's [`Segment::finish`](crate::segment::Segment).
+//!    Commits keep
 //!    appending; one that re-dirties a frozen page enqueues it again at
 //!    its own offset. What reaches the segment is the frozen copy, so
 //!    nothing written to VM meanwhile can.
@@ -53,8 +54,6 @@ pub(crate) struct StepBatch {
     /// Their committed images, [`PAGE_SIZE`] bytes each, same order, at
     /// the front of a buffer that only grows.
     images: Vec<u8>,
-    /// Segments the apply has already synced, then persisted.
-    segs_done: Vec<u32>,
 }
 
 impl StepBatch {
@@ -241,40 +240,20 @@ fn freeze_step(core: &mut Core, batch: &mut StepBatch, limit: u64) -> Result<Que
 /// Phase 2: writes the frozen pages to their segments. Runs with the
 /// core lock released. Region pages are full segment pages (mapping
 /// offsets are page-aligned), so each image updates the checksum catalog
-/// exactly. Ordering: page writes → one sync per segment device → one
-/// catalog persist per segment; the caller moves the head only after
-/// this returns.
-fn apply_step(batch: &mut StepBatch) -> Result<()> {
-    let StepBatch {
-        drained,
-        regions,
-        images,
-        segs_done,
-    } = batch;
-    let pages = drained.iter().zip(regions.iter());
-    for ((desc, region), image) in pages.zip(images.chunks_exact(PAGE)) {
-        let seg_off = region.seg_offset + desc.page as u64 * PAGE_SIZE;
-        region.seg_dev.write_at(seg_off, image)?;
-        if let Some(catalog) = &region.catalog {
-            catalog.update((seg_off / PAGE_SIZE) as usize, image);
-        }
+/// exactly. Regions of one segment share its handle, so the distinct
+/// handles are the distinct segments: each finishes once, and the caller
+/// moves the head only after this returns.
+fn apply_step(batch: &StepBatch) -> Result<()> {
+    let pages = batch.drained.iter().zip(&batch.regions);
+    for ((desc, region), image) in pages.zip(batch.images.chunks_exact(PAGE)) {
+        region
+            .segment
+            .write_page(region.seg_page(desc.page), image)?;
     }
-    // Regions of one segment share its device and its catalog: both are
-    // keyed by segment, not by region.
-    segs_done.clear();
-    for region in regions.iter() {
-        if !segs_done.contains(&region.seg.as_u32()) {
-            region.seg_dev.sync()?;
-            segs_done.push(region.seg.as_u32());
-        }
-    }
-    segs_done.clear();
-    for region in regions.iter() {
-        if let Some(catalog) = &region.catalog {
-            if !segs_done.contains(&region.seg.as_u32()) {
-                catalog.persist()?;
-                segs_done.push(region.seg.as_u32());
-            }
+    for (i, region) in batch.regions.iter().enumerate() {
+        let same = |r: &Arc<RegionInner>| Arc::ptr_eq(&r.segment, &region.segment);
+        if !batch.regions.iter().take(i).any(same) {
+            region.segment.finish()?;
         }
     }
     Ok(())

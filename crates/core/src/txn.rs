@@ -17,7 +17,10 @@
 //! log: `begin_transaction` is a pair of atomic counters, `set_range`
 //! takes only its region's own locks (`page_vector` for the reference
 //! counts, the region memory lock for the old-value capture), and
-//! abort/rollback/release undo the same per-region state. A read-only
+//! abort/rollback/release undo the same per-region state — plus, each,
+//! one load of the debug checker's gate, which leads on to the checker's
+//! locks only while a check is on (`crate::check`); a commit also reads
+//! `tuning` once, shared. A read-only
 //! transaction — begin, reads, abort, or a commit that declared
 //! nothing — therefore acquires the global `core` lock zero times;
 //! `Rvm::core_lock_acquisitions` exists so tests can pin that, and the

@@ -282,6 +282,53 @@ fn many_segments_fill_and_overflow_the_table() {
     txn.commit(CommitMode::Flush).unwrap();
 }
 
+/// A run with `segment_checksums` off overwrites the header of the valid
+/// `.sums` catalog it finds — and nothing else — so the sidecar is one
+/// more image without a self-consistent catalog: read-only tools see
+/// none, and the next run with checksums adopts from the segment.
+#[test]
+fn a_sidecar_invalidated_by_a_run_without_checksums_reads_as_no_catalog() {
+    use rvm::scrub::SegmentChecksums;
+    let (log, segs) = world();
+    let desc = RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE);
+    {
+        let rvm = boot(&log, &segs);
+        let region = rvm.map(&desc).unwrap();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.write(&mut txn, 100, &[7; 5000]).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+        rvm.truncate().unwrap();
+        rvm.terminate().unwrap();
+    }
+    let side = segs.get("seg.sums").unwrap();
+    let valid = side.snapshot();
+    let entries = SegmentChecksums::load_readonly(side.as_ref()).unwrap();
+    assert_eq!(entries.map(|e| e.len()), Some(2));
+
+    {
+        let off = Tuning {
+            segment_checksums: false,
+            ..Tuning::default()
+        };
+        let rvm = boot_tuned(&log, &segs, off);
+        rvm.map(&desc).unwrap(); // opening the segment is enough
+        rvm.terminate().unwrap();
+    }
+    let invalidated = side.snapshot();
+    assert_eq!(invalidated.len(), valid.len());
+    assert_eq!(invalidated[..24], [0u8; 24], "the header is gone");
+    assert_eq!(invalidated[24..], valid[24..], "the table was not touched");
+    let entries = SegmentChecksums::load_readonly(side.as_ref()).unwrap();
+    assert_eq!(entries, None, "no self-consistent catalog");
+
+    // The segment did not change meanwhile, so adoption writes back the
+    // very catalog the first run left.
+    let rvm = boot(&log, &segs);
+    let region = rvm.map(&desc).unwrap();
+    assert_eq!(region.read_vec(100, 5000).unwrap(), [7; 5000]);
+    assert_eq!(side.snapshot(), valid);
+}
+
 #[test]
 fn garbage_log_device_is_rejected_without_create_flag() {
     let log = Arc::new(MemDevice::with_len(1 << 20));

@@ -1,6 +1,12 @@
 //! End-to-end tests of the public RVM API over in-memory devices.
 
+mod common {
+    include!("../../../tests/lib.rs");
+}
+
 use std::sync::Arc;
+
+use common::{in_both_modes, World};
 
 use rvm::segment::MemResolver;
 use rvm::{
@@ -8,54 +14,6 @@ use rvm::{
     PAGE_SIZE,
 };
 use rvm_storage::{Device, MemDevice};
-
-/// A small self-contained world: one log device + one segment resolver,
-/// both shared across "reboots".
-struct World {
-    log: Arc<MemDevice>,
-    segments: MemResolver,
-}
-
-impl World {
-    fn new(log_len: u64) -> Self {
-        Self {
-            log: Arc::new(MemDevice::with_len(log_len)),
-            segments: MemResolver::new(),
-        }
-    }
-
-    fn options(&self) -> Options {
-        Options::new(self.log.clone())
-            .resolver(self.segments.clone().into_resolver())
-            .create_if_empty()
-    }
-
-    fn boot(&self) -> Rvm {
-        Rvm::initialize(self.options()).expect("initialize")
-    }
-
-    fn boot_tuned(&self, tuning: Tuning) -> Rvm {
-        Rvm::initialize(self.options().tuning(tuning)).expect("initialize")
-    }
-}
-
-/// Runs `test` under each of the threshold trigger's two mechanisms,
-/// handing it the tuning to build on and the count of runs only that
-/// mechanism makes. A test of what the trigger *achieves* — the log
-/// wraps, the head advances, the image survives a restart — asserts that
-/// once per mode and adds the proof that this mechanism did it.
-fn in_both_modes(test: impl Fn(Tuning, &dyn Fn(&Rvm) -> u64)) {
-    for truncation_mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
-        let tuning = Tuning {
-            truncation_mode,
-            ..Tuning::default()
-        };
-        test(tuning, &|rvm| match truncation_mode {
-            TruncationMode::Epoch => rvm.stats().epoch_truncations,
-            TruncationMode::Incremental => rvm.stats().incremental_steps,
-        });
-    }
-}
 
 #[test]
 fn committed_data_survives_a_reboot() {
@@ -662,6 +620,136 @@ fn background_truncation_reclaims_space() {
                 "{mode:?}: slot {}",
                 i % 4
             );
+        }
+    });
+}
+
+/// Forty flush commits of 512 bytes (1 KiB of log each) cycling over
+/// `region`'s first 2 KiB; over a 16 KiB log at the default threshold
+/// the trigger truncates several times on the way.
+fn churn(rvm: &Rvm, region: &rvm::Region, salt: u8) {
+    for i in 0..40u64 {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        let fill = [salt.wrapping_add(i as u8); 512];
+        region.write(&mut txn, (i % 4) * 512, &fill).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+    }
+}
+
+/// The last four writes of [`churn`], as a later load must find them.
+fn assert_churned(region: &rvm::Region, salt: u8, ctx: &dyn std::fmt::Debug) {
+    for i in 36..40u64 {
+        assert_eq!(
+            region.read_vec((i % 4) * 512, 512).unwrap(),
+            [salt.wrapping_add(i as u8); 512],
+            "{ctx:?}: slot {}",
+            i % 4
+        );
+    }
+}
+
+/// `segment_checksums` is read when the instance first opens a segment,
+/// and answers for every region of it from then on: a region mapped after
+/// the knob flipped shares the handle — catalog or none — of the region
+/// mapped before, so what truncation writes for one can never go stale
+/// under the other.
+#[test]
+fn regions_of_one_segment_share_its_catalog_whenever_they_were_mapped() {
+    in_both_modes(|tuning, ran| {
+        for at_first in [false, true] {
+            let ctx = (tuning.truncation_mode, at_first);
+            let with = |segment_checksums| Tuning {
+                segment_checksums,
+                ..tuning
+            };
+            let world = World::new(32 * 1024);
+            let rvm = world.boot_tuned(with(at_first));
+            let a_desc = RegionDescriptor::new("seg", 0, PAGE_SIZE);
+            let a = rvm.map(&a_desc).unwrap();
+            rvm.set_options(with(!at_first));
+            let b = rvm
+                .map(&RegionDescriptor::new("seg", PAGE_SIZE, PAGE_SIZE))
+                .unwrap();
+            churn(&rvm, &a, 1);
+            churn(&rvm, &b, 2);
+            assert!(ran(&rvm) >= 4, "{ctx:?}: {:?}", rvm.stats());
+
+            // A load of what the truncations wrote, against the catalog
+            // (if any) they kept.
+            rvm.unmap(&a).unwrap();
+            let a = rvm
+                .map(&a_desc)
+                .unwrap_or_else(|e| panic!("{ctx:?}: remap refused healthy data: {e}"));
+            assert_churned(&a, 1, &ctx);
+            let report = rvm.scrub().unwrap();
+            assert_eq!(report.corruptions_detected, 0, "{ctx:?}: {report:?}");
+            // Checked as a whole (both regions' pages) or not at all.
+            let scanned = if at_first { 2 } else { 0 };
+            assert_eq!(report.pages_scanned, scanned, "{ctx:?}: {report:?}");
+        }
+    });
+}
+
+/// Flipping `segment_checksums` under a mapped region changes nothing for
+/// its segment: both truncation mechanisms keep the catalog they found at
+/// the open, so a scrub never meets a page newer than its checksum.
+#[test]
+fn a_checksum_toggle_never_reports_rot_on_healthy_data() {
+    in_both_modes(|tuning, ran| {
+        for at_first in [true, false] {
+            let ctx = (tuning.truncation_mode, at_first);
+            let with = |segment_checksums| Tuning {
+                segment_checksums,
+                ..tuning
+            };
+            let world = World::new(32 * 1024);
+            let rvm = world.boot_tuned(with(at_first));
+            let a = rvm
+                .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                .unwrap();
+            rvm.set_options(with(!at_first));
+            churn(&rvm, &a, 3);
+            assert!(ran(&rvm) >= 2, "{ctx:?}: {:?}", rvm.stats());
+            let report = rvm.scrub().unwrap();
+            assert_eq!(report.corruptions_detected, 0, "{ctx:?}: {report:?}");
+            assert_eq!(rvm.stats().corruptions_detected, 0, "{ctx:?}");
+        }
+    });
+}
+
+/// A run with checksums off writes segment pages it keeps no sums for. It
+/// must not leave the previous run's catalog behind, valid and stale, for
+/// the next run with checksums on to trust.
+#[test]
+fn a_run_without_checksums_does_not_poison_the_next_run_with_them() {
+    in_both_modes(|tuning, ran| {
+        let mode = tuning.truncation_mode;
+        let world = World::new(32 * 1024);
+        let desc = RegionDescriptor::new("seg", 0, PAGE_SIZE);
+        for (run, segment_checksums) in [(1u8, true), (2, false), (3, true)] {
+            let rvm = world.boot_tuned(Tuning {
+                segment_checksums,
+                ..tuning
+            });
+            let region = rvm
+                .map(&desc)
+                .unwrap_or_else(|e| panic!("{mode:?} run {run}: map refused healthy data: {e}"));
+            if run > 1 {
+                assert_churned(&region, run - 1, &(mode, run));
+            }
+            churn(&rvm, &region, run);
+            assert!(ran(&rvm) >= 2, "{mode:?} run {run}: {:?}", rvm.stats());
+            let report = rvm.scrub().unwrap();
+            assert_eq!(report.corruptions_detected, 0, "{mode:?} run {run}");
+            assert_eq!(
+                report.pages_scanned,
+                u64::from(segment_checksums),
+                "{mode:?} run {run}: {report:?}"
+            );
+            // Leave nothing in the log for the next run's recovery to
+            // re-apply (and re-adopt the sums of).
+            rvm.truncate().unwrap();
+            rvm.terminate().unwrap();
         }
     });
 }

@@ -44,6 +44,12 @@ pub const FALLIBLE: &[&str] = &[
     "write_status",
     // Checksum catalogs.
     "persist",
+    "invalidate",
+    // The segment handle: the one sink of truncation, recovery and scrub.
+    "read_page_verified",
+    "apply_pieces",
+    "write_page",
+    "finish",
 ];
 
 /// What happened to the `Result`.

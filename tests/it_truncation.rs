@@ -5,26 +5,8 @@ mod common {
     include!("lib.rs");
 }
 
-use common::World;
+use common::{in_both_modes, World};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
-
-/// Runs `test` under each of the threshold trigger's two mechanisms,
-/// handing it the tuning to build on and the count of runs only that
-/// mechanism makes. A test of what the trigger *achieves* — the log
-/// wraps, the head advances, the image survives a restart — asserts that
-/// once per mode and adds the proof that this mechanism did it.
-fn in_both_modes(test: impl Fn(Tuning, &dyn Fn(&Rvm) -> u64)) {
-    for truncation_mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
-        let tuning = Tuning {
-            truncation_mode,
-            ..Tuning::default()
-        };
-        test(tuning, &|rvm| match truncation_mode {
-            TruncationMode::Epoch => rvm.stats().epoch_truncations,
-            TruncationMode::Incremental => rvm.stats().incremental_steps,
-        });
-    }
-}
 
 #[test]
 fn log_wraps_many_times_under_sustained_load() {

@@ -1,10 +1,10 @@
 // Shared helpers for the workspace integration tests, `include!`d into
-// each test binary as `mod common`.
+// each test binary as `mod common` (and into `crates/core/tests/rvm_api.rs`).
 
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
-use rvm::{Options, Rvm, Tuning};
+use rvm::{Options, Rvm, TruncationMode, Tuning};
 use rvm_storage::MemDevice;
 
 /// A self-contained world: one in-memory log plus shared segments, both
@@ -42,5 +42,24 @@ impl World {
     #[allow(dead_code)]
     pub fn boot_tuned(&self, tuning: Tuning) -> Rvm {
         Rvm::initialize(self.options().tuning(tuning)).expect("initialize")
+    }
+}
+
+/// Runs `test` under each of the threshold trigger's two mechanisms,
+/// handing it the tuning to build on and the count of runs only that
+/// mechanism makes. A test of what the trigger *achieves* — the log
+/// wraps, the head advances, the image survives a restart — asserts that
+/// once per mode and adds the proof that this mechanism did it.
+#[allow(dead_code)]
+pub fn in_both_modes(test: impl Fn(Tuning, &dyn Fn(&Rvm) -> u64)) {
+    for truncation_mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
+        let tuning = Tuning {
+            truncation_mode,
+            ..Tuning::default()
+        };
+        test(tuning, &|rvm| match truncation_mode {
+            TruncationMode::Epoch => rvm.stats().epoch_truncations,
+            TruncationMode::Incremental => rvm.stats().incremental_steps,
+        });
     }
 }
