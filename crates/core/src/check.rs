@@ -242,8 +242,9 @@ impl RvmShared {
             };
             let current = region.read_bytes(0, region.len);
             let mut allowed = RangeSet::new();
-            if let Some(txn_region) = txn.regions.get(region_id) {
-                for r in txn_region.ranges.iter() {
+            let declared_here = txn.scratch.regions.iter();
+            for txn_region in declared_here.filter(|r| r.region.id == *region_id) {
+                for r in txn_region.bufs.ranges.iter() {
                     allowed.insert(r);
                 }
             }
@@ -332,14 +333,15 @@ impl RvmShared {
     /// bytes are now either committed or restored, and must not read as
     /// unlogged at someone else's commit — then forgets the transaction,
     /// and clears the gate once nothing is left to do.
-    pub(crate) fn check_txn_ended(&self, tid: u64, regions: &HashMap<u64, TxnRegion>) {
+    pub(crate) fn check_txn_ended(&self, tid: u64, regions: &[TxnRegion]) {
         if !self.check_is_armed() {
             return;
         }
         let mut state = self.check.lock();
-        for (region_id, txn_region) in regions {
+        for txn_region in regions {
+            let region_id = &txn_region.region.id;
             if state.snapshots.values().any(|m| m.contains_key(region_id)) {
-                for r in txn_region.ranges.iter() {
+                for r in txn_region.bufs.ranges.iter() {
                     let bytes = txn_region.region.read_bytes(r.start, r.len());
                     for snaps in state.snapshots.values_mut() {
                         if let Some(img) = snaps.get_mut(region_id) {

@@ -27,6 +27,27 @@
 //! (`group_commit_max_txns` bounds waiters per force; spooled records
 //! and barriers ride along uncounted).
 //!
+//! Before it claims, a leader that just had company waits, boundedly, for
+//! it to come back — one rule, stated on `leader_round` in [`round`], of
+//! which `Tuning::group_commit_wait_us` is the fixed-budget form.
+//!
+//! ## Who owns a record's buffers
+//!
+//! A record ([`SpooledTxn`]) is four flat arenas out of its transaction's
+//! scratch ([`crate::txn::TxnScratch`]), filled straight from VM by
+//! `commit_txn`. A **flush commit** parks them in its queue slot; the
+//! claiming leader takes them, stages from them where they lie and
+//! carries them in the batch's member list — inline to the end of the
+//! lock hold, submitted to the reap — until `complete_batch` puts them
+//! back in the slot *with* the outcome, and the committer returns them,
+//! emptied, to its scratch and so to its thread's cache (a record whose
+//! round failed is dropped where it lies). A **spooled record** takes its
+//! arenas into the spool, where the drain or a subsuming record drops
+//! them: the next no-flush commit allocates its four anew. The slot
+//! stays with the committer's scratch, the claim list with the queue
+//! ([`GroupState::claim`]), the member list with the core
+//! (`Core::batch_members`): a steady-state round allocates nothing.
+//!
 //! ## Inline or submitted
 //!
 //! A leader with nobody to overlap with — its claim emptied the queue
@@ -104,38 +125,44 @@ mod inflight;
 mod round;
 
 pub(crate) use inflight::LogPipeline;
+pub(crate) use round::Member;
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, RvmError};
-use crate::log::record::{self, RecordRange};
+use crate::log::record;
 use crate::options::{CommitMode, Tuning};
-use crate::ranges::ByteRange;
 use crate::rvm::RvmShared;
 use crate::spool::SpooledTxn;
-use crate::truncation::page_vector::PageVector;
-use crate::txn::Transaction;
+use crate::txn::{Transaction, TxnRegion};
 
 /// Maximum record bytes staged under one force; a batch closes before
 /// the member that would exceed it.
 const BATCH_MAX_BYTES: u64 = 8 << 20;
 
 /// The payload a committer parks in the queue and the leader fills in.
+#[derive(Default)]
 struct SlotWork {
     /// The serialized transaction, taken by the leader that claims the
-    /// slot; `None` from the start for a barrier, which logs nothing.
+    /// slot and put back, for its arenas, with the outcome; `None` from
+    /// the start for a barrier, which logs nothing.
     record: Option<SpooledTxn>,
     /// Set when the slot's batch completes (or its round fails); the
     /// committer takes it.
     outcome: Option<Result<()>>,
 }
 
-/// One waiter's pending flush-mode commit or barrier.
-struct GroupSlot {
+/// One waiter's pending flush-mode commit or barrier. A thread keeps its
+/// slot between commits: a leader sets a claimed slot's outcome exactly
+/// once and never looks at the slot again, so once its owner has taken
+/// the outcome the slot is the owner's to reuse, whatever clones of the
+/// `Arc` a leader has yet to drop.
+#[derive(Default)]
+pub(crate) struct GroupSlot {
     work: Mutex<SlotWork>,
 }
 
@@ -148,6 +175,12 @@ struct GroupState {
     queue: VecDeque<Arc<GroupSlot>>,
     /// Whether some committer currently holds leadership.
     leader_active: bool,
+    /// Slots the previous round claimed: the company the next leader
+    /// waits for ([`RvmShared::leader_round`]).
+    last_claim: usize,
+    /// The claim list, empty, between rounds: the leader takes it with
+    /// the baton and returns it, so a round allocates none.
+    claim: Vec<Arc<GroupSlot>>,
 }
 
 /// The commit queue, its leadership flag, and the follower wakeup.
@@ -157,6 +190,9 @@ pub(crate) struct GroupCommit {
     /// Signalled after a leader publishes a batch's outcomes and releases
     /// leadership; woken followers re-check their slot or take over.
     wakeup: Condvar,
+    /// Nanoseconds the last batch with more than one waiter took from
+    /// close to completion — a force *in company*; 0 until one has.
+    company_force_ns: AtomicU64,
 }
 
 impl RvmShared {
@@ -174,46 +210,36 @@ impl RvmShared {
 
         // Read the new values out of recoverable memory *now* — "new-value
         // records that reflect the current contents of the corresponding
-        // ranges of memory" (§5.1.1).
-        let mut ranges: Vec<RecordRange> = Vec::new();
-        let mut net_data = 0u64;
-        let mut pages_list = Vec::new();
-        let mut txn_regions: Vec<_> = txn.regions.values().collect();
-        txn_regions.sort_by_key(|r| r.region.id);
-        for txn_region in txn_regions {
-            let region = &txn_region.region;
-            let iter: Vec<ByteRange> = if tuning.intra_optimization {
-                txn_region.ranges.iter().collect()
+        // ranges of memory" (§5.1.1) — straight into the record's arenas,
+        // regions in id order.
+        let scratch = &mut txn.scratch;
+        scratch.regions.sort_unstable_by_key(|r| r.region.id);
+        let mut record = std::mem::take(&mut scratch.record);
+        record.tid = txn.tid; // (its ticket the spool assigns, if it goes there)
+        for TxnRegion { region, bufs } in &scratch.regions {
+            // The pages the logged ranges span are the pages the
+            // declarations touched: coalescing moves no byte.
+            let pages = &bufs.touched_pages;
+            if tuning.intra_optimization {
+                record.log_region(region, bufs.ranges.iter(), pages);
             } else {
-                txn_region.raw_ranges.clone()
-            };
-            let mut pages = std::collections::BTreeSet::new();
-            for r in &iter {
-                let data = region.read_bytes(r.start, r.len());
-                net_data += data.len() as u64;
-                pages.extend(PageVector::page_span(r.start, r.len()));
-                ranges.push(RecordRange {
-                    seg: region.segment.id,
-                    offset: region.seg_offset + r.start,
-                    data,
-                });
+                record.log_region(region, bufs.raw_ranges.iter().copied(), pages);
             }
-            let pages: Vec<usize> = pages.into_iter().collect();
             if mode == CommitMode::NoFlush {
-                region.note_pages_spooled(&pages);
+                region.note_pages_spooled(pages);
             }
-            pages_list.push((Arc::downgrade(region), pages));
         }
+        let net_data = record.data.len() as u64;
         if tuning.intra_optimization && txn.gross_bytes >= net_data {
             stats.add(&stats.bytes_saved_intra, txn.gross_bytes - net_data);
         }
-        let record = (!ranges.is_empty()).then(|| SpooledTxn {
-            tid: txn.tid,
-            ticket: 0, // assigned by the spool, if that is where it goes
-            record_bytes: record::txn_record_bytes(&ranges),
-            ranges,
-            pages: pages_list,
-        });
+        record.record_bytes = record::record_bytes(record.pieces());
+        let record = if record.ranges.is_empty() {
+            scratch.record = record;
+            None
+        } else {
+            Some(record)
+        };
 
         // A commit that adds nothing to the log or the spool, and drains
         // nothing, cannot have crossed the truncation threshold.
@@ -229,7 +255,7 @@ impl RvmShared {
                 stats.add(&stats.bytes_saved_inter, saved);
                 if self.spool.bytes() > tuning.spool_max_bytes {
                     // Spool overflow is the slow path: drain it.
-                    self.flush_commit_enqueue(None, &tuning)
+                    self.flush_commit_enqueue(&mut None, &tuning, &mut scratch.slot)
                 } else {
                     Ok(())
                 }
@@ -240,7 +266,14 @@ impl RvmShared {
             // logs nothing itself, but a flush-mode commit still promises
             // that every commit that returned before it is durable —
             // including spooled no-flush commits: it is the barrier.
-            (CommitMode::Flush, record) => self.flush_commit_enqueue(record, &tuning),
+            (CommitMode::Flush, mut record) => {
+                let outcome = self.flush_commit_enqueue(&mut record, &tuning, &mut scratch.slot);
+                // What came back is this thread's to fill again.
+                if let Some(back) = record {
+                    scratch.record = back;
+                }
+                outcome
+            }
         };
         if let Err(e) = committed {
             txn.rollback();
@@ -269,7 +302,8 @@ impl RvmShared {
 
     /// Waiter side: parks `record` — or, with `None`, a barrier — in the
     /// commit queue, then either waits for a leader to settle it or
-    /// becomes the leader itself.
+    /// becomes the leader itself. A record that was logged comes back in
+    /// `record`, and the queue slot stays in `slot` for the next call.
     ///
     /// Leadership is a baton, not a thread: the first waiter to find no
     /// active leader takes it, runs one bounded round via
@@ -279,49 +313,53 @@ impl RvmShared {
     /// every enqueued slot is settled after at most
     /// `queue length / max_txns` rounds and durable-log order equals
     /// queue order.
-    fn flush_commit_enqueue(&self, record: Option<SpooledTxn>, tuning: &Tuning) -> Result<()> {
+    fn flush_commit_enqueue(
+        &self,
+        record: &mut Option<SpooledTxn>,
+        tuning: &Tuning,
+        slot: &mut Option<Arc<GroupSlot>>,
+    ) -> Result<()> {
         let barrier = record.is_none();
-        let slot = Arc::new(GroupSlot {
-            work: Mutex::new(SlotWork {
-                record,
-                outcome: None,
-            }),
-        });
-        {
-            let mut gs = self.group.state.lock();
-            // Only a leader pops the spool, stages, or puts a batch in
-            // flight, and nobody becomes one without this lock: with no
-            // leader, an empty spool and an idle pipeline, every record
-            // committed so far has been settled, and a barrier has
-            // nothing to wait for.
-            if barrier && !gs.leader_active && self.spool.is_empty() && self.pipeline.is_idle() {
-                return if self.poisoned.load(Ordering::Acquire) {
-                    Err(RvmError::Poisoned)
-                } else {
-                    Ok(())
-                };
-            }
-            gs.queue.push_back(slot.clone());
+        let mut gs = self.group.state.lock();
+        // Only a leader pops the spool, stages, or puts a batch in
+        // flight, and nobody becomes one without this lock: with no
+        // leader, an empty spool and an idle pipeline, every record
+        // committed so far has been settled, and a barrier has
+        // nothing to wait for.
+        if barrier && !gs.leader_active && self.spool.is_empty() && self.pipeline.is_idle() {
+            return if self.poisoned.load(Ordering::Acquire) {
+                Err(RvmError::Poisoned)
+            } else {
+                Ok(())
+            };
         }
+        let slot: &Arc<GroupSlot> = slot.get_or_insert_with(Arc::default);
+        slot.work.lock().record = record.take();
+        gs.queue.push_back(slot.clone());
+        // The queue lock is held at the top of every turn: from the push,
+        // from the condvar, or from handing the baton back.
         loop {
-            let mut gs = self.group.state.lock();
-            {
-                let mut work = slot.work.lock();
-                if let Some(outcome) = work.outcome.take() {
-                    return outcome;
-                }
-            }
             if gs.leader_active {
                 // A leader is running (possibly carrying this slot in its
                 // batch); wait for it to publish and hand off.
                 self.group.wakeup.wait(&mut gs);
-                continue;
+            } else {
+                gs.leader_active = true;
+                let company = gs.last_claim;
+                let mut claim = std::mem::take(&mut gs.claim);
+                drop(gs);
+                self.leader_round(tuning, company, &mut claim);
+                claim.clear();
+                gs = self.group.state.lock();
+                gs.claim = claim;
+                gs.leader_active = false;
+                self.group.wakeup.notify_all();
             }
-            gs.leader_active = true;
-            drop(gs);
-            self.leader_round(tuning);
-            self.group.state.lock().leader_active = false;
-            self.group.wakeup.notify_all();
+            let mut work = slot.work.lock();
+            if let Some(outcome) = work.outcome.take() {
+                *record = work.record.take();
+                return outcome;
+            }
         }
     }
 
@@ -332,7 +370,7 @@ impl RvmShared {
     /// core guard runs this under `MutexGuard::unlocked`.
     pub(crate) fn flush_barrier(&self) -> Result<()> {
         let tuning = *self.tuning.read();
-        self.flush_commit_enqueue(None, &tuning)
+        self.flush_commit_enqueue(&mut None, &tuning, &mut None)
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::MutexGuard;
 
@@ -10,13 +11,17 @@ use super::{GroupSlot, BATCH_MAX_BYTES};
 use crate::error::{Result, RvmError};
 use crate::log::wal::{AppendInfo, WalCheckpoint};
 use crate::options::Tuning;
-use crate::rvm::{Core, CoreGuard, RvmShared};
+use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
 use crate::spool::SpooledTxn;
 use crate::stats::batch_size_bucket;
 
+/// The shortest budget worth waiting out: yielding the processor costs a
+/// system call, about a microsecond, and overshoots anything finer.
+const SHORTEST_WAIT: Duration = Duration::from_micros(2);
+
 /// One member of a batch. A flush commit has a waiter and a record, a
 /// spooled lazy commit only the record, a barrier only the waiter.
-struct Member {
+pub(crate) struct Member {
     waiter: Option<Arc<GroupSlot>>,
     /// The record and where it was staged.
     record: Option<(SpooledTxn, AppendInfo)>,
@@ -26,7 +31,8 @@ struct Member {
 /// [`RvmShared::complete_batch`] needs once the batch's writes and force
 /// have finished, whichever thread waited.
 pub(super) struct Batch {
-    /// Log order.
+    /// Log order. The vector is `Core::batch_members`, borrowed from the
+    /// open to the completion.
     members: Vec<Member>,
     /// Unpadded record bytes staged, against [`BATCH_MAX_BYTES`].
     bytes: u64,
@@ -38,25 +44,29 @@ pub(super) struct Batch {
     /// WAL tail right after this batch's appends (set when it closes); a
     /// failure rolls back only if the tail still matches.
     end_tail: u64,
+    /// When the batch closed, if it forces for more than one waiter: its
+    /// completion times a force in company.
+    closed_at: Option<Instant>,
 }
 
 impl Batch {
     /// An empty batch at the current tail. The core lock stays held from
     /// here to the close, so everything in between is this batch's.
-    fn open(core: &Core) -> Self {
+    fn open(core: &mut Core) -> Self {
         Batch {
-            members: Vec::new(),
+            members: std::mem::take(&mut core.batch_members),
             bytes: 0,
             ckpt: core.wal.checkpoint(),
             ckpt_gen: core.wait_generation,
             end_tail: core.wal.tail(),
+            closed_at: None,
         }
     }
 
     /// Adds a member to the open batch, opening one if need be.
     fn join(
         open: &mut Option<Batch>,
-        core: &Core,
+        core: &mut Core,
         waiter: Option<Arc<GroupSlot>>,
         record: Option<(SpooledTxn, AppendInfo)>,
     ) {
@@ -66,32 +76,45 @@ impl Batch {
 }
 
 impl RvmShared {
-    /// Leader side — the one log writer. One bounded round: claims up to
-    /// `group_commit_max_txns` slots from the queue front and, under the
-    /// core lock, stages the spooled records (ticket order) and then the
-    /// claimed slots (queue order) into the open batch, which
-    /// [`Self::close_batch`] writes or submits.
+    /// Leader side — the one log writer. One bounded round: waits for
+    /// company, claims up to `group_commit_max_txns` slots from the queue
+    /// front into `claim` and, under the core lock, stages the spooled
+    /// records (ticket order) and then the claimed slots (queue order)
+    /// into the open batch, which [`Self::close_batch`] writes or submits.
     ///
     /// Staging and submission both happen under one core-lock hold, in
     /// queue order: a successor batch must never reach the device while
     /// an earlier batch's bytes are still an unwritten hole below it, or
     /// a crash after the successor's force could strand forced records
     /// beyond a gap the recovery scan cannot cross.
-    pub(super) fn leader_round(&self, tuning: &Tuning) {
-        if tuning.group_commit_wait_us > 0 {
-            // Accumulation window: let concurrent committers join the
-            // batch. Wall-clock only; nothing is charged to a simulated
-            // clock, and no lock is held.
-            std::thread::sleep(std::time::Duration::from_micros(
-                tuning.group_commit_wait_us,
-            ));
-        }
-        let (slots, queue_drained) = {
+    ///
+    /// **Waiting for company — the rule.** Sharing a force saves a whole
+    /// one, so a leader whose previous round claimed `company > 1` slots
+    /// gives those committers a bounded chance to come back: with no lock
+    /// held it polls the queue, yielding between polls — never sleeping,
+    /// which overshoots by the size of the budget — until the queue is as
+    /// long as that claim or a quarter of the last force measured in
+    /// company has passed. A round without company reads no clock.
+    /// `group_commit_wait_us > 0` is the same step with that budget fixed
+    /// and no early exit. **Worst case:** a committer whose company has
+    /// left pays a quarter of a force, once — the round that timed out
+    /// claimed one slot, so the next has nobody to wait for.
+    pub(super) fn leader_round(
+        &self,
+        tuning: &Tuning,
+        company: usize,
+        claim: &mut Vec<Arc<GroupSlot>>,
+    ) {
+        let max_txns = tuning.group_commit_max_txns.max(1);
+        self.accumulate(tuning, company.min(max_txns));
+        let queue_drained = {
             let mut gs = self.group.state.lock();
-            let claim = gs.queue.len().min(tuning.group_commit_max_txns.max(1));
-            let slots: Vec<Arc<GroupSlot>> = gs.queue.drain(..claim).collect();
-            (slots, gs.queue.is_empty())
+            let claimed = gs.queue.len().min(max_txns);
+            claim.extend(gs.queue.drain(..claimed));
+            gs.last_claim = claimed;
+            gs.queue.is_empty()
         };
+        let slots = &*claim;
         if slots.is_empty() {
             // Nothing queued: this round is the pipeline tail. Stand in
             // as the reaper so in-flight waiters (including, possibly,
@@ -113,7 +136,7 @@ impl RvmShared {
             // The waiters were promised everything spooled before them.
             Err(e) => self.fail_waiters(slots.iter(), e),
             Ok(()) => {
-                for slot in &slots {
+                for slot in slots {
                     let record = slot.work.lock().record.take();
                     let staged = match record {
                         None => Ok(None), // a barrier: nothing to append
@@ -122,7 +145,7 @@ impl RvmShared {
                             .map(|info| Some((txn, info))),
                     };
                     match staged {
-                        Ok(record) => Batch::join(&mut open, &core, Some(slot.clone()), record),
+                        Ok(record) => Batch::join(&mut open, &mut core, Some(slot.clone()), record),
                         // Its own failure (out of log space, say), alone.
                         Err(e) => slot.work.lock().outcome = Some(Err(e)),
                     }
@@ -137,6 +160,29 @@ impl RvmShared {
         if behind_predecessor {
             self.pipeline_reap_front();
         }
+    }
+
+    /// The accumulation step of [`Self::leader_round`].
+    fn accumulate(&self, tuning: &Tuning, company: usize) {
+        let fixed = tuning.group_commit_wait_us > 0;
+        let budget = if fixed {
+            Duration::from_micros(tuning.group_commit_wait_us)
+        } else if company > 1 {
+            Duration::from_nanos(self.group.company_force_ns.load(Ordering::Relaxed) / 4)
+        } else {
+            return;
+        };
+        let arrived = || !fixed && self.group.state.lock().queue.len() >= company;
+        if (!fixed && budget < SHORTEST_WAIT) || arrived() {
+            return;
+        }
+        let started = Instant::now();
+        while started.elapsed() < budget && !arrived() {
+            std::thread::yield_now();
+        }
+        let stats = &self.stats;
+        stats.add(&stats.group_waits, 1);
+        stats.add(&stats.group_wait_ns, elapsed_ns(started));
     }
 
     /// Stages every spooled record, oldest first — the only code that
@@ -202,7 +248,7 @@ impl RvmShared {
             }
             let batch = open.get_or_insert_with(|| Batch::open(core));
             let Core { wal, staging, .. } = &mut **core;
-            match wal.append_txn_staged(txn.tid, &txn.ranges, staging) {
+            match wal.append_staged(txn.tid, txn.pieces(), staging) {
                 Ok(info) => {
                     batch.bytes += txn.record_bytes;
                     return Ok(info);
@@ -250,6 +296,10 @@ impl RvmShared {
         // without its durability barrier: the classic lost-commit bug the
         // model checker must be able to see.
         let force = batch.bytes > 0 && !core.hooks.skip_group_force;
+        let waiters = batch.members.iter().filter(|m| m.waiter.is_some());
+        if force && waiters.count() > 1 {
+            batch.closed_at = Some(Instant::now());
+        }
         if inline {
             let io = core.wal.write_staged(&core.staging).and_then(|()| {
                 if force {
@@ -289,7 +339,7 @@ impl RvmShared {
     /// pre-batch checkpoint iff nothing appended past the batch, and a
     /// device error poisons the instance, because records may sit
     /// unacknowledged in the device's write-behind cache.
-    pub(super) fn complete_batch(&self, core: &mut Core, batch: Batch, io: Result<()>) {
+    pub(super) fn complete_batch(&self, core: &mut Core, mut batch: Batch, io: Result<()>) {
         let stats = &self.stats;
         if let Err(e) = io {
             // The checkpoint is a valid rollback point only while nothing
@@ -311,6 +361,12 @@ impl RvmShared {
             self.fail_waiters(waiters, e);
             return;
         }
+        if let Some(closed_at) = batch.closed_at {
+            let force_ns = elapsed_ns(closed_at);
+            self.group
+                .company_force_ns
+                .store(force_ns, Ordering::Relaxed);
+        }
         // Flush commits only: spooled records and barriers ride along.
         let committed = batch
             .members
@@ -331,9 +387,9 @@ impl RvmShared {
                 stats.add(bucket, 1);
             }
         }
-        for Member { waiter, record } in batch.members {
-            if let Some((txn, info)) = record {
-                for (region, pages) in &txn.pages {
+        for Member { waiter, record } in batch.members.drain(..) {
+            let txn = record.map(|(txn, info)| {
+                for (region, pages) in txn.region_pages() {
                     // A spooled record's region may have been unmapped.
                     let Some(region) = region.upgrade() else {
                         continue;
@@ -346,14 +402,24 @@ impl RvmShared {
                         core.page_queue.enqueue(&region, p, info.offset, info.seq);
                     }
                 }
-                for r in &txn.ranges {
-                    core.segs_in_log.insert(r.seg.as_u32());
+                // Ranges come region by region: a segment's run is one
+                // insertion, not one per range.
+                for run in txn.ranges.chunk_by(|a, b| a.0 == b.0) {
+                    if let [(seg, _), ..] = run {
+                        core.segs_in_log.insert(seg.as_u32());
+                    }
                 }
-            }
+                txn
+            });
+            // The record goes back to its committer with the outcome, for
+            // its arenas; a spooled one ends here.
             if let Some(slot) = waiter {
-                slot.work.lock().outcome = Some(Ok(()));
+                let mut work = slot.work.lock();
+                work.record = txn;
+                work.outcome = Some(Ok(()));
             }
         }
+        core.batch_members = batch.members;
     }
 
     /// Fails `waiters` with `e`: the first receives the original error

@@ -134,25 +134,31 @@ pub fn padded_len(payload_len: u64) -> u64 {
     raw.div_ceil(LOG_BLOCK) * LOG_BLOCK
 }
 
+/// `ranges` as the encoder takes them: each range's new value borrowed.
+pub fn borrowed(ranges: &[RecordRange]) -> impl Iterator<Item = Piece<'_>> + Clone {
+    ranges.iter().map(|r| Piece {
+        seg: r.seg.as_u32(),
+        start: r.offset,
+        data: &r.data,
+    })
+}
+
 /// Bytes of range table + data in a transaction record over `ranges`.
-fn txn_payload_len(ranges: &[RecordRange]) -> u64 {
-    ranges
-        .iter()
-        .map(|r| RANGE_ENTRY_SIZE + r.data.len() as u64)
-        .sum()
+fn payload_len<'a>(ranges: impl Iterator<Item = Piece<'a>>) -> u64 {
+    ranges.map(|r| RANGE_ENTRY_SIZE + r.data.len() as u64).sum()
 }
 
 /// Padded size of a transaction record over `ranges` (used for space
 /// accounting before serialization).
 pub fn txn_record_size(ranges: &[RecordRange]) -> u64 {
-    padded_len(txn_payload_len(ranges))
+    padded_len(payload_len(borrowed(ranges)))
 }
 
 /// Unpadded size of a transaction record over `ranges` — header, payload
 /// and trailer: the quantity Table 2 reports as "bytes written to log",
 /// and what batch and spool byte limits count.
-pub fn txn_record_bytes(ranges: &[RecordRange]) -> u64 {
-    HEADER_SIZE + txn_payload_len(ranges) + TRAILER_SIZE
+pub fn record_bytes<'a>(ranges: impl Iterator<Item = Piece<'a>>) -> u64 {
+    HEADER_SIZE + payload_len(ranges) + TRAILER_SIZE
 }
 
 fn put_u32(buf: &mut [u8], at: usize, v: u32) {
@@ -171,12 +177,13 @@ fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 
-/// Appends one encoded, padded record to `out`.
-fn encode(
+/// Appends one encoded, padded record to `out` — the one encoder, over
+/// ranges borrowed from wherever their bytes live.
+fn encode<'a>(
     kind: RecordKind,
     seq: u64,
     tid: u64,
-    ranges: &[RecordRange],
+    ranges: impl Iterator<Item = Piece<'a>> + Clone,
     payload_len: u64,
     out: &mut Vec<u8>,
 ) {
@@ -184,26 +191,27 @@ fn encode(
     let start = out.len();
     out.resize(start + total, 0);
     let buf = &mut out[start..];
+    let num_ranges = ranges.clone().count();
 
     // Header.
     put_u32(buf, 0, HEADER_MAGIC);
     buf[4] = kind.to_u8();
     put_u64(buf, 8, seq);
     put_u64(buf, 16, tid);
-    put_u32(buf, 24, ranges.len() as u32);
+    put_u32(buf, 24, num_ranges as u32);
     put_u32(buf, 28, payload_len as u32);
     let header_crc = crc32(&buf[..32]);
     put_u32(buf, 32, header_crc);
 
     // Range table, then data.
     let mut entry_at = HEADER_SIZE as usize;
-    let mut data_at = HEADER_SIZE as usize + ranges.len() * RANGE_ENTRY_SIZE as usize;
+    let mut data_at = HEADER_SIZE as usize + num_ranges * RANGE_ENTRY_SIZE as usize;
     for range in ranges {
-        put_u32(buf, entry_at, range.seg.as_u32());
-        put_u64(buf, entry_at + 8, range.offset);
+        put_u32(buf, entry_at, range.seg);
+        put_u64(buf, entry_at + 8, range.start);
         put_u64(buf, entry_at + 16, range.data.len() as u64);
         entry_at += RANGE_ENTRY_SIZE as usize;
-        buf[data_at..data_at + range.data.len()].copy_from_slice(&range.data);
+        buf[data_at..data_at + range.data.len()].copy_from_slice(range.data);
         data_at += range.data.len();
     }
 
@@ -226,14 +234,19 @@ pub fn encode_txn(seq: u64, tid: u64, ranges: &[RecordRange]) -> Vec<u8> {
 /// [`encode_txn`] appended to `out`, so a batch of records lands in one
 /// buffer without a copy each.
 pub fn encode_txn_into(seq: u64, tid: u64, ranges: &[RecordRange], out: &mut Vec<u8>) {
-    encode(
-        RecordKind::Txn,
-        seq,
-        tid,
-        ranges,
-        txn_payload_len(ranges),
-        out,
-    );
+    encode_borrowed_into(seq, tid, borrowed(ranges), out);
+}
+
+/// [`encode_txn_into`] over borrowed ranges: how a commit's arenas are
+/// staged, with no [`RecordRange`] built on the way.
+pub fn encode_borrowed_into<'a>(
+    seq: u64,
+    tid: u64,
+    ranges: impl Iterator<Item = Piece<'a>> + Clone,
+    out: &mut Vec<u8>,
+) {
+    let payload = payload_len(ranges.clone());
+    encode(RecordKind::Txn, seq, tid, ranges, payload, out);
 }
 
 /// Serializes a pad record of exactly `total_len` bytes (which must be a
@@ -249,7 +262,8 @@ pub fn encode_pad(seq: u64, total_len: u64) -> Vec<u8> {
     );
     let payload = total_len - HEADER_SIZE - TRAILER_SIZE;
     let mut buf = Vec::new();
-    encode(RecordKind::Pad, seq, 0, &[], payload, &mut buf);
+    let no_ranges = std::iter::empty();
+    encode(RecordKind::Pad, seq, 0, no_ranges, payload, &mut buf);
     buf
 }
 

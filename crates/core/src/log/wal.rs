@@ -26,10 +26,12 @@ use rvm_storage::{Device, IoToken};
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::record::{
-    self, encode_pad, encode_txn_into, parse_header, parse_record, validate_record, HeaderInfo,
-    RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, MIN_RECORD_SIZE, TRAILER_SIZE,
+    self, encode_borrowed_into, encode_pad, parse_header, parse_record, validate_record,
+    HeaderInfo, RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK,
+    MIN_RECORD_SIZE, TRAILER_SIZE,
 };
 use crate::log::status::LOG_AREA_START;
+use crate::ranges::Piece;
 
 /// Result of appending one transaction record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,6 +264,16 @@ impl Wal {
         Ok(info)
     }
 
+    /// [`Wal::append_staged`] over owned ranges, for tools and tests.
+    pub fn append_txn_staged(
+        &mut self,
+        tid: u64,
+        ranges: &[RecordRange],
+        staging: &mut StagingBuf,
+    ) -> Result<AppendInfo> {
+        self.append_staged(tid, record::borrowed(ranges), staging)
+    }
+
     /// Appends one committed transaction into `staging` instead of the
     /// device: the cursors advance past the record (and a pad record, if
     /// the record does not fit in the current lap), but the encoded bytes
@@ -275,13 +287,14 @@ impl Wal {
     /// in the *entire* area reports the area as `capacity`; one that
     /// merely cannot fit right now reports the free space
     /// ([`Wal::full_for_now`]).
-    pub fn append_txn_staged(
+    pub fn append_staged<'a>(
         &mut self,
         tid: u64,
-        ranges: &[RecordRange],
+        ranges: impl Iterator<Item = Piece<'a>> + Clone,
         staging: &mut StagingBuf,
     ) -> Result<AppendInfo> {
-        let padded = record::txn_record_size(ranges);
+        let record_bytes = record::record_bytes(ranges.clone());
+        let padded = record_bytes.next_multiple_of(LOG_BLOCK);
         if padded > self.area_len {
             return Err(RvmError::LogFull {
                 needed: padded,
@@ -309,14 +322,14 @@ impl Wal {
         let offset = self.tail();
         let buf = staging.at(self.phys(offset));
         let staged = buf.len();
-        encode_txn_into(seq, tid, ranges, buf);
+        encode_borrowed_into(seq, tid, ranges, buf);
         debug_assert_eq!((buf.len() - staged) as u64, padded);
         self.set_tail(offset + padded, seq + 1);
 
         Ok(AppendInfo {
             offset,
             seq,
-            record_bytes: record::txn_record_bytes(ranges),
+            record_bytes,
             space_consumed: need,
         })
     }
@@ -688,7 +701,6 @@ pub fn scan_backward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::record::LOG_BLOCK;
     use crate::segment::SegmentId;
     use rvm_storage::MemDevice;
 

@@ -325,7 +325,9 @@ impl Model for GroupModel {
 /// otherwise enqueues a slot with no record. Both then loop exactly like
 /// `flush_commit_enqueue`: take the outcome if published, wait on the
 /// queue condvar if a leader is active, otherwise take the baton, run a
-/// round (claim the queue and pop the spool; then log what was popped
+/// round (idle a bounded while for company — up to `idle_polls` looks at
+/// the queue under its lock, cut short once both waiters are in it —
+/// then claim the queue and pop the spool; then log what was popped
 /// and publish every claimed slot), release the baton, and notify. The
 /// explorer's deadlock detection doubles as the lost-wakeup check: a
 /// waiter parked on the condvar after its wakeup already fired can never
@@ -340,8 +342,13 @@ pub struct BatonModel {
     /// alone, without looking at `leader_active` — while a leader may
     /// hold the popped record, not yet logged.
     pub barrier_sees_leader: bool,
+    /// How many times a leader looks at the queue, waiting for company,
+    /// before it claims (the accumulation step); 0 claims at once.
+    pub idle_polls: u8,
 
     lock: Option<u8>,
+    /// Looks the leader of the round in progress has left.
+    polls_left: u8,
     queue: Vec<u8>,
     leader_active: bool,
     /// Records in the spool, in the round leader's hands, and in the log.
@@ -359,11 +366,13 @@ pub struct BatonModel {
 }
 
 impl BatonModel {
-    pub fn new(atomic_wait: bool, barrier_sees_leader: bool) -> Self {
+    pub fn new(atomic_wait: bool, barrier_sees_leader: bool, idle_polls: u8) -> Self {
         BatonModel {
             atomic_wait,
             barrier_sees_leader,
+            idle_polls,
             lock: None,
+            polls_left: 0,
             queue: Vec::new(),
             leader_active: false,
             spool: 0,
@@ -425,6 +434,15 @@ impl BatonModel {
                 } else {
                     self.leader_active = true;
                     self.lock = None;
+                    self.polls_left = self.idle_polls;
+                    self.pc[i] = if self.idle_polls > 0 { 11 } else { 6 };
+                }
+            }
+            11 => {
+                // Accumulation: one look at the queue, under its lock
+                // (taken and released within the step), then a yield.
+                self.polls_left -= 1;
+                if self.queue.len() == 2 || self.polls_left == 0 {
                     self.pc[i] = 6;
                 }
             }
@@ -477,7 +495,7 @@ impl Model for BatonModel {
     fn runnable(&self, t: usize) -> bool {
         match self.pc[t] {
             DONE | 4 => false,
-            0 | 2 | 7 => self.lock.is_none(),
+            0 | 2 | 7 | 11 => self.lock.is_none(),
             5 | 6 | 9 | 10 => true,
             _ => self.lock == Some(t as u8),
         }
@@ -561,33 +579,43 @@ mod tests {
         assert!(report.violation.is_none(), "{:?}", report.violation);
     }
 
+    /// Every conviction holds whether the leader claims at once or
+    /// idles before claiming.
+    const IDLE_POLLS: [u8; 2] = [0, 2];
+
     #[test]
     fn baton_handoff_never_strands_a_committer() {
-        let report = explore(BatonModel::new(true, true), 2_000_000);
-        assert!(report.complete, "state space fully covered");
-        assert!(
-            report.violation.is_none(),
-            "no lost wakeup, every slot settles once, the barrier holds: {:?}",
-            report.violation
-        );
-        assert!(report.states > 50, "nontrivial state space");
+        for idle_polls in IDLE_POLLS {
+            let report = explore(BatonModel::new(true, true, idle_polls), 2_000_000);
+            assert!(report.complete, "state space fully covered");
+            assert!(
+                report.violation.is_none(),
+                "no lost wakeup, every slot settles once, the barrier holds: {:?}",
+                report.violation
+            );
+            assert!(report.states > 50, "nontrivial state space");
+        }
     }
 
     #[test]
     fn non_atomic_wait_loses_a_wakeup() {
-        let report = explore(BatonModel::new(false, true), 2_000_000);
-        let (msg, _) = report
-            .violation
-            .expect("release-then-park must deadlock in some schedule");
-        assert!(msg.contains("deadlock"), "unexpected violation: {msg}");
+        for idle_polls in IDLE_POLLS {
+            let report = explore(BatonModel::new(false, true, idle_polls), 2_000_000);
+            let (msg, _) = report
+                .violation
+                .expect("release-then-park must deadlock in some schedule");
+            assert!(msg.contains("deadlock"), "unexpected violation: {msg}");
+        }
     }
 
     #[test]
     fn barrier_that_ignores_the_leader_acknowledges_an_unlogged_record() {
-        let report = explore(BatonModel::new(true, false), 2_000_000);
-        let (msg, _) = report
-            .violation
-            .expect("an empty spool alone does not mean the record is in the log");
-        assert!(msg.contains("barrier returned"), "unexpected: {msg}");
+        for idle_polls in IDLE_POLLS {
+            let report = explore(BatonModel::new(true, false, idle_polls), 2_000_000);
+            let (msg, _) = report
+                .violation
+                .expect("an empty spool alone does not mean the record is in the log");
+            assert!(msg.contains("barrier returned"), "unexpected: {msg}");
+        }
     }
 }

@@ -151,10 +151,13 @@ pub struct Tuning {
     /// is a batch of one. `1` is one force per commit. Spooled no-flush
     /// commits ride along in the leader's batch uncounted.
     pub group_commit_max_txns: usize,
-    /// Accumulation window in microseconds: a new leader waits this long
-    /// before draining the queue so concurrent committers can join its
-    /// batch. Zero (the default) batches only what lock contention
-    /// naturally accumulates, adding no latency to solo commits.
+    /// Accumulation window in microseconds: a new leader waits exactly
+    /// this long before claiming its batch, so concurrent committers can
+    /// join it — for tests and benchmarks that want batching to be
+    /// deterministic. Zero (the default) leaves the wait to the leader: it
+    /// waits only for company it just had — the committers of its
+    /// previous round, if there was more than one — and at most a quarter
+    /// of a force, adding no latency to solo commits.
     pub group_commit_wait_us: u64,
     /// Maintain a per-page checksum catalog beside each data segment:
     /// updated whenever truncation or recovery writes segment pages,

@@ -82,8 +82,10 @@ impl ByteRange {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
-    /// Maps start → end; invariant: disjoint and non-adjacent.
-    ranges: BTreeMap<u64, u64>,
+    /// Ascending; invariant: disjoint and non-adjacent. A vector, not a
+    /// tree: a transaction's set is short and mostly grows at the end,
+    /// and [`RangeSet::clear`] keeps the allocation for the next one.
+    ranges: Vec<ByteRange>,
 }
 
 impl RangeSet {
@@ -97,54 +99,44 @@ impl RangeSet {
     /// Returns the sub-ranges of `range` that were not previously covered,
     /// in ascending order (empty if `range` was already fully covered).
     pub fn insert(&mut self, range: ByteRange) -> Vec<ByteRange> {
-        if range.is_empty() {
-            return Vec::new();
-        }
-        let mut new_start = range.start;
-        let mut new_end = range.end;
         let mut newly = Vec::new();
-        let mut cursor = range.start;
+        self.insert_with(range, |piece| newly.push(piece));
+        newly
+    }
 
-        // Collect members touching `range`: start ≤ range.end and
-        // end ≥ range.start. Members are disjoint, so of those starting
-        // before `range.start` only the nearest can reach it: the walk
-        // begins at that predecessor, not at the first member.
-        let first = self
-            .ranges
-            .range(..=range.start)
-            .next_back()
-            .map_or(range.start, |(&start, _)| start);
-        let mut to_remove = Vec::new();
-        for (&start, &end) in self.ranges.range(first..=range.end) {
-            if end < range.start {
-                continue;
+    /// [`RangeSet::insert`] that hands each newly covered sub-range to
+    /// `newly` as it finds it, ascending, instead of collecting them.
+    pub fn insert_with(&mut self, range: ByteRange, mut newly: impl FnMut(ByteRange)) {
+        if range.is_empty() {
+            return;
+        }
+        // Members touching `range` — start ≤ range.end and end ≥
+        // range.start — are one run `first..last`: members are disjoint
+        // and ascending, so both bounds are ascending too.
+        let first = self.ranges.partition_point(|m| m.end < range.start);
+        if first == self.ranges.len() {
+            // Past every member: ascending insertion appends.
+            newly(range);
+            return self.ranges.push(range);
+        }
+        let (mut merged, mut cursor, mut last) = (range, range.start, first);
+        for m in self.ranges.iter().skip(first) {
+            if m.start > range.end {
+                break;
             }
-            // Overlapping or adjacent: merge.
-            if start > cursor {
-                let gap_end = start.min(range.end);
-                if cursor < gap_end {
-                    newly.push(ByteRange {
-                        start: cursor,
-                        end: gap_end,
-                    });
-                }
+            if m.start > cursor {
+                newly(ByteRange::at(cursor, m.start - cursor));
             }
-            cursor = cursor.max(end);
-            new_start = new_start.min(start);
-            new_end = new_end.max(end);
-            to_remove.push(start);
+            cursor = cursor.max(m.end);
+            merged.start = merged.start.min(m.start);
+            merged.end = merged.end.max(m.end);
+            last += 1;
         }
         if cursor < range.end {
-            newly.push(ByteRange {
-                start: cursor,
-                end: range.end,
-            });
+            newly(ByteRange::at(cursor, range.end - cursor));
         }
-        for s in to_remove {
-            self.ranges.remove(&s);
-        }
-        self.ranges.insert(new_start, new_end);
-        newly
+        // The run collapses into `merged` (an empty run: an insertion).
+        self.ranges.splice(first..last, std::iter::once(merged));
     }
 
     /// Returns `true` if every byte of `range` is covered.
@@ -152,22 +144,20 @@ impl RangeSet {
         if range.is_empty() {
             return true;
         }
-        match self.ranges.range(..=range.start).next_back() {
-            Some((_, &end)) => end >= range.end,
-            None => false,
-        }
+        // The last member starting at or before `range.start`.
+        let after = self.ranges.partition_point(|m| m.start <= range.start);
+        let before = self.ranges.get(..after).and_then(<[_]>::last);
+        before.is_some_and(|m| m.end >= range.end)
     }
 
     /// Iterates the coalesced ranges in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = ByteRange> + '_ {
-        self.ranges
-            .iter()
-            .map(|(&start, &end)| ByteRange { start, end })
+    pub fn iter(&self) -> impl Iterator<Item = ByteRange> + Clone + '_ {
+        self.ranges.iter().copied()
     }
 
     /// Total number of bytes covered.
     pub fn total_len(&self) -> u64 {
-        self.ranges.iter().map(|(s, e)| e - s).sum()
+        self.ranges.iter().map(ByteRange::len).sum()
     }
 
     /// Number of coalesced ranges.
@@ -178,6 +168,11 @@ impl RangeSet {
     /// Returns `true` if no ranges are present.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
+    }
+
+    /// Empties the set, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.ranges.clear();
     }
 }
 
@@ -199,6 +194,8 @@ impl RangeSet {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SegCoverage {
+    /// A set emptied by [`SegCoverage::clear`] stays, for its allocation,
+    /// and counts for nothing until added to again.
     per_seg: BTreeMap<u32, RangeSet>,
 }
 
@@ -210,17 +207,24 @@ impl SegCoverage {
 
     /// Adds `range` to segment `seg`'s covered set.
     pub fn add(&mut self, seg: u32, range: ByteRange) {
-        self.per_seg.entry(seg).or_default().insert(range);
+        let set = self.per_seg.entry(seg).or_default();
+        set.insert_with(range, |_| {});
     }
 
     /// Returns `true` if every byte of `range` in segment `seg` is covered.
     pub fn covers(&self, seg: u32, range: &ByteRange) -> bool {
-        self.per_seg.get(&seg).is_some_and(|set| set.covers(range))
+        let set = self.per_seg.get(&seg).filter(|set| !set.is_empty());
+        set.is_some_and(|set| set.covers(range))
     }
 
     /// Returns `true` if nothing is covered.
     pub fn is_empty(&self) -> bool {
-        self.per_seg.is_empty()
+        self.per_seg.values().all(RangeSet::is_empty)
+    }
+
+    /// Uncovers everything, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.per_seg.values_mut().for_each(RangeSet::clear);
     }
 }
 
@@ -540,6 +544,150 @@ mod tests {
     fn rangeset_empty_insert_is_noop() {
         let mut set = RangeSet::new();
         assert!(set.insert(ByteRange::at(5, 0)).is_empty());
+        assert!(set.is_empty());
+    }
+
+    /// The tree the set used to be, kept as the model the vector is
+    /// compared against: start → end, disjoint and non-adjacent.
+    #[derive(Default)]
+    struct ModelSet {
+        ranges: BTreeMap<u64, u64>,
+    }
+
+    impl ModelSet {
+        fn insert(&mut self, range: ByteRange) -> Vec<ByteRange> {
+            if range.is_empty() {
+                return Vec::new();
+            }
+            let mut new_start = range.start;
+            let mut new_end = range.end;
+            let mut newly = Vec::new();
+            let mut cursor = range.start;
+            let first = self
+                .ranges
+                .range(..=range.start)
+                .next_back()
+                .map_or(range.start, |(&start, _)| start);
+            let mut to_remove = Vec::new();
+            for (&start, &end) in self.ranges.range(first..=range.end) {
+                if end < range.start {
+                    continue;
+                }
+                if start > cursor {
+                    let gap_end = start.min(range.end);
+                    if cursor < gap_end {
+                        newly.push(ByteRange {
+                            start: cursor,
+                            end: gap_end,
+                        });
+                    }
+                }
+                cursor = cursor.max(end);
+                new_start = new_start.min(start);
+                new_end = new_end.max(end);
+                to_remove.push(start);
+            }
+            if cursor < range.end {
+                newly.push(ByteRange {
+                    start: cursor,
+                    end: range.end,
+                });
+            }
+            for s in to_remove {
+                self.ranges.remove(&s);
+            }
+            self.ranges.insert(new_start, new_end);
+            newly
+        }
+
+        fn covers(&self, range: &ByteRange) -> bool {
+            if range.is_empty() {
+                return true;
+            }
+            match self.ranges.range(..=range.start).next_back() {
+                Some((_, &end)) => end >= range.end,
+                None => false,
+            }
+        }
+
+        fn members(&self) -> Vec<ByteRange> {
+            self.ranges
+                .iter()
+                .map(|(&start, &end)| ByteRange { start, end })
+                .collect()
+        }
+    }
+
+    /// 10 000 seeded inserts — duplicates, overlaps, exact adjacency,
+    /// ranges spanning many members, the odd empty one — into the vector
+    /// and the tree: the same newly covered pieces from every insert, and
+    /// the same members, coverage answers and total after it.
+    #[test]
+    fn rangeset_matches_the_tree_model() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let mut set = RangeSet::new();
+        let mut model = ModelSet::default();
+        let mut history: Vec<ByteRange> = Vec::new();
+        for round in 0..10_000u32 {
+            if round % 2_500 == 0 {
+                // Start over now and then, so sparse sets are seen too.
+                set.clear();
+                model = ModelSet::default();
+            }
+            let range = match next(8) {
+                // A repeat, or a neighbour that touches one exactly.
+                0 if !history.is_empty() => history[next(history.len() as u64) as usize],
+                1 if !history.is_empty() => {
+                    let r = history[next(history.len() as u64) as usize];
+                    ByteRange::at(r.end, 1 + next(40))
+                }
+                2 if !history.is_empty() => {
+                    let r = history[next(history.len() as u64) as usize];
+                    let len = (1 + next(40)).min(r.start);
+                    ByteRange::at(r.start - len, len)
+                }
+                // One that spans many members.
+                3 => ByteRange::at(next(60_000), 200 + next(3_000)),
+                _ => ByteRange::at(next(64_000), next(48)),
+            };
+            history.push(range);
+            let newly = set.insert(range);
+            assert_eq!(newly, model.insert(range), "round {round}: {range:?}");
+            assert_eq!(
+                set.iter().collect::<Vec<_>>(),
+                model.members(),
+                "round {round}: {range:?}"
+            );
+            assert_eq!(set.len(), model.ranges.len());
+            assert_eq!(
+                set.total_len(),
+                model.members().iter().map(ByteRange::len).sum::<u64>()
+            );
+            for _ in 0..4 {
+                let probe = ByteRange::at(next(64_000), next(64));
+                assert_eq!(set.covers(&probe), model.covers(&probe), "{probe:?}");
+            }
+            assert!(set.covers(&range) && model.covers(&range));
+        }
+    }
+
+    #[test]
+    fn rangeset_ascending_inserts_append() {
+        let mut set = RangeSet::new();
+        let mut newly = 0;
+        for i in 0..1_000u64 {
+            set.insert_with(ByteRange::at(i * 10, 5), |_| newly += 1);
+        }
+        assert_eq!(set.len(), 1_000);
+        assert_eq!(newly, 1_000);
+        assert_eq!(set.total_len(), 5_000);
+        set.clear();
         assert!(set.is_empty());
     }
 

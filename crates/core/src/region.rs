@@ -31,6 +31,7 @@ use rvm_storage::VerifiedRead;
 
 use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
+use crate::ranges::ByteRange;
 use crate::segment::Segment;
 use crate::truncation::page_vector::PageVector;
 use crate::txn::Transaction;
@@ -150,6 +151,22 @@ impl RegionMemory {
         Ok(())
     }
 
+    /// [`RegionMemory::copy_out`] appending to `out`, so there is no
+    /// buffer to zero first.
+    ///
+    /// # Safety
+    ///
+    /// As for [`RegionMemory::copy_out`].
+    pub(crate) unsafe fn append_to(&self, at: usize, len: usize, out: &mut Vec<u8>) -> Result<()> {
+        self.check(at, len)?;
+        // SAFETY: bounds checked above, and the caller keeps writers off
+        // the range for the call, which is as long as the slice lives.
+        out.extend_from_slice(unsafe {
+            std::slice::from_raw_parts(self.ptr.as_ptr().add(at), len)
+        });
+        Ok(())
+    }
+
     /// Copies `data` into the block at `offset`, failing on out-of-bounds
     /// ranges.
     ///
@@ -222,6 +239,9 @@ pub(crate) struct RegionInner {
     /// `None` once fully loaded; otherwise tracks which pages still need
     /// fetching from the segment (the on-demand load policy).
     pub(crate) unloaded: Mutex<Option<Vec<bool>>>,
+    /// Set, and never cleared, once `unloaded` is `None`: an eager or
+    /// fully fetched region answers "is it loaded" without the mutex.
+    pub(crate) fully_loaded: AtomicBool,
     /// Set (and never cleared while mapped) when unrecoverable media
     /// corruption quarantines the region: reads of loaded pages keep
     /// working, new `set_range`s fail with [`RvmError::Media`].
@@ -352,12 +372,16 @@ impl RegionInner {
         // `unloaded` ranks before `mem_lock` (`ensure_loaded` repairs
         // pages under it), so the guard above must be gone first.
         *self.unloaded.lock() = None;
+        self.fully_loaded.store(true, Ordering::Release);
         Ok(())
     }
 
     /// Ensures every page overlapping `[offset, offset + len)` holds its
     /// committed image (no-op for eagerly loaded regions).
     pub(crate) fn ensure_loaded(&self, offset: u64, len: u64) -> Result<()> {
+        if self.fully_loaded.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let mut tracker = self.unloaded.lock();
         let Some(pending) = tracker.as_mut() else {
             return Ok(());
@@ -377,6 +401,7 @@ impl RegionInner {
         }
         if !pending.contains(&true) {
             *tracker = None;
+            self.fully_loaded.store(true, Ordering::Release);
         }
         Ok(())
     }
@@ -399,11 +424,12 @@ impl RegionInner {
     /// write, through the safe API or a raw pointer, so nothing declared
     /// after the check can reach the copy.
     pub(crate) fn committed_page(&self, page: usize, buf: &mut [u8]) -> Result<PageImage> {
-        let loaded = self
-            .unloaded
-            .lock()
-            .as_ref()
-            .is_none_or(|pending| pending.get(page) == Some(&false));
+        let loaded = self.fully_loaded.load(Ordering::Acquire)
+            || self
+                .unloaded
+                .lock()
+                .as_ref()
+                .is_none_or(|pending| pending.get(page) == Some(&false));
         if !loaded {
             return Ok(PageImage::Unloaded);
         }
@@ -424,12 +450,21 @@ impl RegionInner {
 
     /// Reads bytes with the shared lock held (library-internal).
     pub(crate) fn read_bytes(&self, offset: u64, len: u64) -> Vec<u8> {
-        let _guard = self.mem_lock.read();
-        let mut buf = vec![0u8; len as usize];
-        // SAFETY: shared lock held; caller validated bounds.
-        unsafe { self.mem.copy_out(offset as usize, &mut buf) }
-            .expect("read_bytes callers validate bounds");
+        let mut buf = Vec::new();
+        self.read_into([ByteRange::at(offset, len)], &mut buf);
         buf
+    }
+
+    /// Appends the bytes of `ranges`, back to back, to `out` under one
+    /// hold of the shared lock: old values into a transaction's undo
+    /// arena, new values into its commit record.
+    pub(crate) fn read_into(&self, ranges: impl IntoIterator<Item = ByteRange>, out: &mut Vec<u8>) {
+        let _guard = self.mem_lock.read();
+        for r in ranges {
+            // SAFETY: shared lock held; caller validated bounds.
+            unsafe { self.mem.append_to(r.start as usize, r.len() as usize, out) }
+                .expect("read_into callers validate bounds");
+        }
     }
 
     /// Writes bytes with the exclusive lock held (library-internal; used
@@ -528,7 +563,7 @@ impl Region {
 
     /// Returns `true` once the whole region holds its committed image.
     pub fn is_fully_loaded(&self) -> bool {
-        self.inner.unloaded.lock().is_none()
+        self.inner.fully_loaded.load(Ordering::Acquire)
     }
 
     /// Reads a little-endian `u32` at `offset`.
@@ -638,6 +673,7 @@ pub(crate) mod tests_support {
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(len)),
             unloaded: Mutex::new(None),
+            fully_loaded: AtomicBool::new(true),
             degraded: AtomicBool::new(false),
         })
     }

@@ -13,7 +13,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rvm_storage::Device;
 
 use crate::check::CheckState;
-use crate::commit::{GroupCommit, LogPipeline};
+use crate::commit::{self, GroupCommit, LogPipeline};
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
@@ -68,6 +68,9 @@ pub(crate) struct Core {
     /// keeps its allocation for the next round; submitted, its bytes
     /// leave with the writes.
     pub(crate) staging: StagingBuf,
+    /// The open batch's member list between batches — empty, kept for
+    /// its allocation, like `staging`.
+    pub(crate) batch_members: Vec<commit::Member>,
     /// crashmc's deliberate protocol mutations; all off unless the
     /// `mutation-hooks` feature's setter flipped one.
     pub(crate) hooks: MutationHooks,
@@ -277,6 +280,7 @@ impl Rvm {
                 step: StepBatch::default(),
                 wait_generation: 0,
                 staging: StagingBuf::new(),
+                batch_members: Vec::new(),
                 hooks: MutationHooks::default(),
             }),
             log_view,

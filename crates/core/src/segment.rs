@@ -556,6 +556,7 @@ impl RvmShared {
                 LoadPolicy::Eager => None,
                 LoadPolicy::OnDemand => Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize]),
             }),
+            fully_loaded: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
         });
         if policy == LoadPolicy::Eager {

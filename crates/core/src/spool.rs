@@ -22,12 +22,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Weak;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::log::record::RecordRange;
-use crate::ranges::{ByteRange, SegCoverage};
+use crate::ranges::{ByteRange, Piece, SegCoverage};
 use crate::region::RegionInner;
 use crate::segment::SegmentId;
 
@@ -38,7 +37,9 @@ pub(crate) const SPOOL_SHARDS: usize = 16;
 
 /// One committed transaction's log record, not yet written: in the spool
 /// (a no-flush commit) or parked in a commit-queue slot (a flush commit,
-/// which never takes a ticket).
+/// which never takes a ticket). Four flat arenas, filled straight from VM
+/// at commit; a flush commit gets them back with its outcome.
+#[derive(Default)]
 pub(crate) struct SpooledTxn {
     /// Transaction id (diagnostics).
     pub tid: u64,
@@ -46,18 +47,71 @@ pub(crate) struct SpooledTxn {
     /// shard lock; the drain pops shards in ticket order so the durable
     /// log preserves spool order across shards.
     pub ticket: u64,
-    /// New-value ranges, segment-absolute, exactly as they will be logged.
-    pub ranges: Vec<RecordRange>,
-    /// Pages the record dirties, per region; a spooled record holds their
-    /// unflushed counts.
-    pub pages: Vec<(Weak<RegionInner>, Vec<usize>)>,
+    /// The ranges, segment-absolute, in the order they will be logged.
+    pub ranges: Vec<(SegmentId, ByteRange)>,
+    /// Their new values, back to back.
+    pub data: Vec<u8>,
+    /// The regions the record dirties, in id order, each with where its
+    /// run of `pages` ends (and the next region's starts).
+    pub regions: Vec<(Weak<RegionInner>, usize)>,
+    /// The pages it dirties — the transaction's touched pages. A spooled
+    /// record holds their unflushed counts.
+    pub pages: Vec<usize>,
     /// Unpadded record size, for Table 2 accounting.
     pub record_bytes: u64,
 }
 
 impl SpooledTxn {
+    /// Adds `ranges` of `region`, as VM holds them now (one hold of the
+    /// region's memory lock), and the `pages` they dirty. Each arena
+    /// grows at most once per call, to its exact size.
+    pub fn log_region(
+        &mut self,
+        region: &Arc<RegionInner>,
+        ranges: impl Iterator<Item = ByteRange> + Clone,
+        pages: &[usize],
+    ) {
+        let bytes: u64 = ranges.clone().map(|r| r.len()).sum();
+        self.data.reserve(bytes as usize);
+        let in_segment = |r: ByteRange| ByteRange::at(region.seg_offset + r.start, r.len());
+        let logged = ranges.clone().map(|r| (region.segment.id, in_segment(r)));
+        self.ranges.extend(logged);
+        region.read_into(ranges, &mut self.data);
+        self.pages.extend_from_slice(pages);
+        let region = Arc::downgrade(region);
+        self.regions.push((region, self.pages.len()));
+    }
+
+    /// The ranges with their new values borrowed from the arena: what
+    /// the log's encoder takes.
+    pub fn pieces(&self) -> impl Iterator<Item = Piece<'_>> + Clone {
+        self.ranges.iter().scan(0usize, |at, (seg, r)| {
+            let data = self.data.get(*at..*at + r.len() as usize)?;
+            *at += data.len();
+            let (seg, start) = (seg.as_u32(), r.start);
+            Some(Piece { seg, start, data })
+        })
+    }
+
+    /// Each region the record dirties, with its pages.
+    pub fn region_pages(&self) -> impl Iterator<Item = (&Weak<RegionInner>, &[usize])> {
+        self.regions.iter().scan(0usize, |at, (region, end)| {
+            let pages = self.pages.get(*at..*end)?;
+            *at = *end;
+            Some((region, pages))
+        })
+    }
+
+    /// Empties the record, keeping the arenas' allocations.
+    pub fn clear(&mut self) {
+        self.ranges.clear();
+        self.data.clear();
+        self.regions.clear();
+        self.pages.clear();
+    }
+
     fn release_unflushed(&self) {
-        for (weak, pages) in &self.pages {
+        for (weak, pages) in self.region_pages() {
             if let Some(region) = weak.upgrade() {
                 let mut pv = region.page_vector.lock();
                 for &p in pages {
@@ -73,6 +127,8 @@ impl SpooledTxn {
 pub(crate) struct Spool {
     txns: VecDeque<SpooledTxn>,
     bytes: u64,
+    /// What the record being pushed covers, emptied between pushes.
+    coverage: SegCoverage,
 }
 
 impl Spool {
@@ -99,7 +155,7 @@ impl Spool {
     pub fn references(&self, seg: SegmentId) -> bool {
         self.txns
             .iter()
-            .any(|t| t.ranges.iter().any(|r| r.seg == seg))
+            .any(|t| t.ranges.iter().any(|r| r.0 == seg))
     }
 
     /// Appends a record, first discarding any older records it subsumes
@@ -108,17 +164,14 @@ impl Spool {
         let mut saved = 0u64;
         if inter_opt && !self.txns.is_empty() {
             // Coverage of the new record, per segment.
-            let mut coverage = SegCoverage::new();
-            for r in &txn.ranges {
-                coverage.add(r.seg.as_u32(), ByteRange::at(r.offset, r.data.len() as u64));
+            let coverage = &mut self.coverage;
+            coverage.clear();
+            for (seg, r) in &txn.ranges {
+                coverage.add(seg.as_u32(), *r);
             }
             self.txns.retain(|old| {
-                let subsumed = old.ranges.iter().all(|r| {
-                    coverage.covers(
-                        r.seg.as_u32(),
-                        &ByteRange::at(r.offset, r.data.len() as u64),
-                    )
-                });
+                let mut ranges = old.ranges.iter();
+                let subsumed = ranges.all(|(seg, r)| coverage.covers(seg.as_u32(), r));
                 if subsumed {
                     saved += old.record_bytes;
                     old.release_unflushed();
@@ -188,7 +241,7 @@ impl SpoolPlane {
     /// the panic surface.
     fn shard_of(&self, txn: &SpooledTxn) -> Option<&Mutex<Spool>> {
         let idx = match txn.ranges.first() {
-            Some(r) => r.seg.as_u32() as usize % SPOOL_SHARDS,
+            Some((seg, _)) => seg.as_u32() as usize % SPOOL_SHARDS,
             None => txn.tid as usize % SPOOL_SHARDS,
         };
         self.shards.get(idx)
@@ -289,18 +342,70 @@ impl SpoolPlane {
 mod tests {
     use super::*;
 
-    fn rec(seg: u32, offset: u64, len: usize, bytes: u64) -> SpooledTxn {
+    /// A record over `(offset, len)` ranges of segment `seg`.
+    fn rec_over(seg: u32, ranges: &[(u64, usize)], bytes: u64) -> SpooledTxn {
         SpooledTxn {
-            tid: 0,
-            ticket: 0,
-            ranges: vec![RecordRange {
-                seg: SegmentId::new(seg),
-                offset,
-                data: vec![0; len],
-            }],
-            pages: Vec::new(),
+            ranges: ranges
+                .iter()
+                .map(|&(offset, len)| (SegmentId::new(seg), ByteRange::at(offset, len as u64)))
+                .collect(),
+            data: vec![0; ranges.iter().map(|r| r.1).sum()],
             record_bytes: bytes,
+            ..SpooledTxn::default()
         }
+    }
+
+    fn rec(seg: u32, offset: u64, len: usize, bytes: u64) -> SpooledTxn {
+        rec_over(seg, &[(offset, len)], bytes)
+    }
+
+    /// The arenas read back as the ranges and pages that filled them,
+    /// and encode to the bytes the owned form encodes to.
+    #[test]
+    fn arenas_read_back_as_ranges_and_pages() {
+        use crate::log::record::{encode_borrowed_into, encode_txn, RecordRange};
+        use crate::region::tests_support::make_test_region;
+
+        let regions = [make_test_region(4096), make_test_region(4096)];
+        let mut txn = rec_over(3, &[(64, 5), (4096, 0), (8000, 300)], 0);
+        for (i, byte) in txn.data.iter_mut().enumerate() {
+            *byte = i as u8;
+        }
+        txn.pages = vec![0, 1, 0];
+        txn.regions = vec![
+            (Arc::downgrade(&regions[0]), 2),
+            (Arc::downgrade(&regions[1]), 3),
+        ];
+
+        let owned: Vec<RecordRange> = txn
+            .pieces()
+            .map(|p| RecordRange {
+                seg: SegmentId::new(p.seg),
+                offset: p.start,
+                data: p.data.to_vec(),
+            })
+            .collect();
+        let lens: Vec<usize> = owned.iter().map(|r| r.data.len()).collect();
+        assert_eq!(lens, [5, 0, 300]);
+        assert_eq!(
+            owned[2].data[0], 5,
+            "each range starts where the last ended"
+        );
+        let mut encoded = Vec::new();
+        encode_borrowed_into(9, 4, txn.pieces(), &mut encoded);
+        assert_eq!(encoded, encode_txn(9, 4, &owned));
+
+        let pages: Vec<(u64, &[usize])> = txn
+            .region_pages()
+            .map(|(region, pages)| (region.upgrade().unwrap().id, pages))
+            .collect();
+        assert_eq!(
+            pages,
+            [(regions[0].id, &[0, 1][..]), (regions[1].id, &[0][..])]
+        );
+        txn.clear();
+        assert_eq!(txn.pieces().count() + txn.region_pages().count(), 0);
+        assert!(txn.data.capacity() >= 305);
     }
 
     #[test]
@@ -366,48 +471,14 @@ mod tests {
     #[test]
     fn multi_range_subsumption_requires_all_ranges_covered() {
         let mut spool = Spool::new();
-        let old = SpooledTxn {
-            tid: 1,
-            ticket: 0,
-            ranges: vec![
-                RecordRange {
-                    seg: SegmentId::new(0),
-                    offset: 0,
-                    data: vec![0; 10],
-                },
-                RecordRange {
-                    seg: SegmentId::new(0),
-                    offset: 100,
-                    data: vec![0; 10],
-                },
-            ],
-            pages: Vec::new(),
-            record_bytes: 200,
-        };
+        let old = rec_over(0, &[(0, 10), (100, 10)], 200);
         spool.push(old, true);
         // Covers only the first range: no subsumption.
         assert_eq!(spool.push(rec(0, 0, 10, 50), true), 0);
         assert_eq!(spool.len(), 2);
         // Covers both: subsumes the two-range record (but not the 50-byte
         // one, whose [0,10) is inside the new coverage — it IS subsumed).
-        let new = SpooledTxn {
-            tid: 2,
-            ticket: 0,
-            ranges: vec![
-                RecordRange {
-                    seg: SegmentId::new(0),
-                    offset: 0,
-                    data: vec![0; 20],
-                },
-                RecordRange {
-                    seg: SegmentId::new(0),
-                    offset: 90,
-                    data: vec![0; 30],
-                },
-            ],
-            pages: Vec::new(),
-            record_bytes: 400,
-        };
+        let new = rec_over(0, &[(0, 20), (90, 30)], 400);
         let saved = spool.push(new, true);
         assert_eq!(saved, 250);
         assert_eq!(spool.len(), 1);

@@ -137,6 +137,10 @@ pub struct Stats {
     /// Nanoseconds leaders about to submit spent waiting for room in the
     /// in-flight queue (two batches already in flight): its backpressure.
     pub(crate) pipeline_stall_ns: AtomicU64,
+    /// Rounds whose leader waited for company before claiming
+    /// (`leader_round`), and the nanoseconds they waited.
+    pub(crate) group_waits: AtomicU64,
+    pub(crate) group_wait_ns: AtomicU64,
     pub(crate) spool_flushes: AtomicU64,
     /// Completed epoch truncations (feeds both `epoch_truncations` and
     /// `epochs_truncated` of the snapshot: there is one epoch protocol).
@@ -192,6 +196,8 @@ impl Stats {
             pipeline_submits: self.pipeline_submits.load(Ordering::Relaxed),
             forces_in_flight_hw: self.forces_in_flight_hw.load(Ordering::Relaxed),
             pipeline_stall_ns: self.pipeline_stall_ns.load(Ordering::Relaxed),
+            group_waits: self.group_waits.load(Ordering::Relaxed),
+            group_wait_ns: self.group_wait_ns.load(Ordering::Relaxed),
             spool_flushes: self.spool_flushes.load(Ordering::Relaxed),
             epoch_truncations: self.epoch_truncations.load(Ordering::Relaxed),
             epochs_truncated: self.epoch_truncations.load(Ordering::Relaxed),
@@ -256,6 +262,12 @@ pub struct StatsSnapshot {
     /// Nanoseconds leaders about to submit waited for room in the
     /// in-flight queue.
     pub pipeline_stall_ns: u64,
+    /// Rounds whose leader waited, before claiming its batch, for the
+    /// committers it had just shared a force with (or, with
+    /// `group_commit_wait_us` set, for that window).
+    pub group_waits: u64,
+    /// Nanoseconds those leaders waited, in total.
+    pub group_wait_ns: u64,
     /// Spool drains: commit rounds that moved at least one spooled
     /// record into the log (each covers many no-flush commits).
     pub spool_flushes: u64,
@@ -375,6 +387,8 @@ impl StatsSnapshot {
             // the mark as of its end.
             forces_in_flight_hw: self.forces_in_flight_hw,
             pipeline_stall_ns: self.pipeline_stall_ns - earlier.pipeline_stall_ns,
+            group_waits: self.group_waits - earlier.group_waits,
+            group_wait_ns: self.group_wait_ns - earlier.group_wait_ns,
             spool_flushes: self.spool_flushes - earlier.spool_flushes,
             epoch_truncations: self.epoch_truncations - earlier.epoch_truncations,
             epochs_truncated: self.epochs_truncated - earlier.epochs_truncated,

@@ -16,7 +16,9 @@
 //! The transaction lifecycle is plane-local until a commit needs the
 //! log: `begin_transaction` is a pair of atomic counters, `set_range`
 //! takes only its region's own locks (`page_vector` for the reference
-//! counts, the region memory lock for the old-value capture), and
+//! counts, the region memory lock for the old-value capture — and, on a
+//! region mapped on demand that still has pages to fetch, `unloaded`
+//! first; an eager or fully fetched region answers from one atomic), and
 //! abort/rollback/release undo the same per-region state — plus, each,
 //! one load of the debug checker's gate, which leads on to the checker's
 //! locks only while a check is on (`crate::check`); a commit also reads
@@ -26,42 +28,104 @@
 //! `Rvm::core_lock_acquisitions` exists so tests can pin that, and the
 //! no-flush commit of disjoint regions stays equally core-free via the
 //! spool plane (see `crate::spool`).
+//!
+//! ## Scratch
+//!
+//! Every growable buffer of a transaction's life is one [`TxnScratch`],
+//! taken from a per-thread cache at `begin_transaction` and put back by
+//! whichever thread ends the transaction: a steady-state transaction
+//! allocates nothing. Per thread, so the cache adds no lock (nor shared
+//! cache line) to the paths above; at most [`CACHED_SETS`] sets, and only
+//! of transactions under [`SET_CEILING`], so a huge one pins nothing;
+//! emptied first — region handles dropped — so it refers to no instance.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use crate::commit::GroupSlot;
 use crate::error::{Result, RvmError};
 use crate::options::{CommitMode, TxnMode};
 use crate::ranges::{ByteRange, RangeSet};
 use crate::region::{Region, RegionInner};
 use crate::rvm::RvmShared;
+use crate::spool::SpooledTxn;
 use crate::truncation::page_vector::PageVector;
 
-/// Per-region bookkeeping inside one transaction.
-pub(crate) struct TxnRegion {
-    pub(crate) region: Arc<RegionInner>,
+/// Sets a thread keeps: one is the common case, a few cover transactions
+/// interleaved on one thread.
+const CACHED_SETS: usize = 4;
+/// A set is kept only if its transaction declared at most this many
+/// bytes, counting 64 for the bookkeeping of each declaration: every
+/// buffer grows by what is declared, so this bounds them all.
+const SET_CEILING: u64 = 64 << 10;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<TxnScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One region's buffers inside a transaction.
+#[derive(Default)]
+pub(crate) struct RegionBufs {
     /// Coalesced modified ranges (drives old-value capture and, when intra
     /// optimization is on, the log record).
     pub(crate) ranges: RangeSet,
     /// The `set_range` calls verbatim, for the intra-off ablation.
     pub(crate) raw_ranges: Vec<ByteRange>,
-    /// Old values of newly covered sub-ranges (restore mode only).
-    pub(crate) undo: Vec<(u64, Vec<u8>)>,
-    /// Pages whose uncommitted reference count this transaction holds.
-    pub(crate) touched_pages: BTreeSet<usize>,
+    /// `(offset, start, len)` of each newly covered sub-range (restore
+    /// mode only): the old value of `[offset, offset + len)` is the `len`
+    /// bytes at `start` of the transaction's undo arena.
+    undo: Vec<(u64, usize, usize)>,
+    /// Pages whose uncommitted reference count this transaction holds,
+    /// ascending — and so the pages its commit record dirties.
+    pub(crate) touched_pages: Vec<usize>,
 }
 
-impl TxnRegion {
-    fn new(region: Arc<RegionInner>) -> Self {
-        region.uncommitted_txns.fetch_add(1, Ordering::AcqRel);
-        Self {
-            region,
-            ranges: RangeSet::new(),
-            raw_ranges: Vec::new(),
-            undo: Vec::new(),
-            touched_pages: BTreeSet::new(),
+/// Per-region bookkeeping inside one transaction.
+pub(crate) struct TxnRegion {
+    pub(crate) region: Arc<RegionInner>,
+    pub(crate) bufs: RegionBufs,
+}
+
+/// A transaction's buffers (see the module docs).
+#[derive(Default)]
+pub(crate) struct TxnScratch {
+    /// The regions declared so far: one, nearly always, so a vector
+    /// searched linearly. Empty while cached.
+    pub(crate) regions: Vec<TxnRegion>,
+    /// Emptied buffers for the next region declared.
+    spare: Vec<RegionBufs>,
+    /// The undo arena: old values, back to back.
+    undo_data: Vec<u8>,
+    /// The commit record's arenas, empty until the commit fills them.
+    pub(crate) record: SpooledTxn,
+    /// The commit-queue slot this thread's flush commits park in.
+    pub(crate) slot: Option<Arc<GroupSlot>>,
+}
+
+impl TxnScratch {
+    fn take() -> Self {
+        let cached = SCRATCH.try_with(|cache| cache.borrow_mut().pop());
+        cached.ok().flatten().unwrap_or_default()
+    }
+
+    /// Empties the set, region handles first, and caches it if the
+    /// thread's cache has room (and still exists: a transaction may end
+    /// in a thread-local destructor).
+    fn put_back(mut self) {
+        for TxnRegion { mut bufs, .. } in self.regions.drain(..) {
+            bufs.ranges.clear();
+            bufs.raw_ranges.clear();
+            bufs.undo.clear();
+            bufs.touched_pages.clear();
+            self.spare.push(bufs);
         }
+        self.undo_data.clear();
+        self.record.clear();
+        let _ = SCRATCH.try_with(|cache| {
+            let mut cache = cache.borrow_mut();
+            (cache.len() < CACHED_SETS).then(|| cache.push(self))
+        });
     }
 }
 
@@ -73,7 +137,7 @@ pub struct Transaction {
     pub(crate) tid: u64,
     pub(crate) mode: TxnMode,
     pub(crate) shared: Arc<RvmShared>,
-    pub(crate) regions: HashMap<u64, TxnRegion>,
+    pub(crate) scratch: TxnScratch,
     /// Sum of requested `set_range` lengths, before coalescing.
     pub(crate) gross_bytes: u64,
     pub(crate) ended: bool,
@@ -85,7 +149,7 @@ impl Transaction {
             tid,
             mode,
             shared,
-            regions: HashMap::new(),
+            scratch: TxnScratch::take(),
             gross_bytes: 0,
             ended: false,
         }
@@ -137,32 +201,42 @@ impl Transaction {
         stats.add(&stats.bytes_set_range_gross, len);
         self.gross_bytes += len;
 
-        let entry = self
+        let s = &mut self.scratch;
+        let known = s
             .regions
-            .entry(region.inner.id)
-            .or_insert_with(|| TxnRegion::new(region.inner.clone()));
-        let range = ByteRange::at(offset, len);
-        entry.raw_ranges.push(range);
-        let newly = entry.ranges.insert(range);
-
-        if self.mode == TxnMode::Restore {
-            for r in &newly {
-                let old = entry.region.read_bytes(r.start, r.len());
-                entry.undo.push((r.start, old));
-            }
+            .iter()
+            .position(|r| r.region.id == region.inner.id);
+        if known.is_none() {
+            region.inner.uncommitted_txns.fetch_add(1, Ordering::AcqRel);
+            let (region, bufs) = (region.inner.clone(), s.spare.pop().unwrap_or_default());
+            s.regions.push(TxnRegion { region, bufs });
         }
+        let at = known.unwrap_or(s.regions.len() - 1);
+        let Some(TxnRegion { region, bufs }) = s.regions.get_mut(at) else {
+            return Ok(()); // unreachable: found at `at`, or just pushed there
+        };
+        let range = ByteRange::at(offset, len);
+        bufs.raw_ranges.push(range);
+        let restore = self.mode == TxnMode::Restore;
+        bufs.ranges.insert_with(range, |newly| {
+            if restore {
+                let undo = (newly.start, s.undo_data.len(), newly.len() as usize);
+                region.read_into([newly], &mut s.undo_data);
+                bufs.undo.push(undo);
+            }
+        });
 
         // One uncommitted reference per (transaction, page), exactly undone
         // at commit or abort.
-        let mut pv = entry.region.page_vector.lock();
+        let mut pv = region.page_vector.lock();
         for page in PageVector::page_span(offset, len) {
-            if entry.touched_pages.insert(page) {
+            if let Err(at) = bufs.touched_pages.binary_search(&page) {
+                bufs.touched_pages.insert(at, page);
                 pv.inc_uncommitted(page);
             }
         }
         drop(pv);
-        self.shared
-            .check_declared_range(self.tid, &entry.region, range);
+        self.shared.check_declared_range(self.tid, region, range);
         Ok(())
     }
 
@@ -237,28 +311,35 @@ impl Transaction {
     /// captures are disjoint, so order is immaterial but kept reversed for
     /// clarity).
     pub(crate) fn restore_old_values(&mut self) {
-        for txn_region in self.regions.values_mut() {
-            for (offset, old) in txn_region.undo.drain(..).rev() {
-                txn_region.region.write_bytes(offset, &old);
+        let TxnScratch {
+            regions, undo_data, ..
+        } = &mut self.scratch;
+        for TxnRegion { region, bufs } in regions {
+            for (offset, start, len) in bufs.undo.drain(..).rev() {
+                if let Some(old) = undo_data.get(start..start + len) {
+                    region.write_bytes(offset, old);
+                }
             }
         }
     }
 
-    /// Releases page references and per-region transaction counts.
+    /// Releases page references and per-region transaction counts, and
+    /// hands the scratch back to the thread's cache.
     pub(crate) fn release(&mut self) {
-        self.shared.check_txn_ended(self.tid, &self.regions);
-        for txn_region in self.regions.values() {
-            let mut pv = txn_region.region.page_vector.lock();
-            for &page in &txn_region.touched_pages {
+        self.shared.check_txn_ended(self.tid, &self.scratch.regions);
+        for TxnRegion { region, bufs } in &self.scratch.regions {
+            let mut pv = region.page_vector.lock();
+            for &page in &bufs.touched_pages {
                 pv.dec_uncommitted(page);
             }
             drop(pv);
-            txn_region
-                .region
-                .uncommitted_txns
-                .fetch_sub(1, Ordering::AcqRel);
+            region.uncommitted_txns.fetch_sub(1, Ordering::AcqRel);
         }
-        self.regions.clear();
+        let scratch = std::mem::take(&mut self.scratch);
+        let declarations = scratch.regions.iter().map(|r| r.bufs.raw_ranges.len());
+        if self.gross_bytes + 64 * declarations.sum::<usize>() as u64 <= SET_CEILING {
+            scratch.put_back();
+        }
         self.shared.active_txns.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -282,7 +363,7 @@ impl std::fmt::Debug for Transaction {
         f.debug_struct("Transaction")
             .field("tid", &self.tid)
             .field("mode", &self.mode)
-            .field("regions", &self.regions.len())
+            .field("regions", &self.scratch.regions.len())
             .field("ended", &self.ended)
             .finish()
     }

@@ -76,12 +76,12 @@ fn panic_sites(toks: &[Tok], open: usize, close: usize) -> HashMap<Kind_, (u32, 
                 // Indexing: `expr[...]` — the `[` directly follows an
                 // ident or a closing group. Array literals/types follow
                 // `=`/`(`/`,`/`:`/`&`; attributes follow `#`; macro
-                // brackets follow `!`.
+                // brackets follow `!`; a slice pattern follows `let`.
                 let p = &toks[i - 1];
                 let indexing = (p.kind == Kind::Ident
                     && !matches!(
                         p.text.as_str(),
-                        "mut" | "return" | "in" | "as" | "dyn" | "box" | "else"
+                        "mut" | "return" | "in" | "as" | "dyn" | "box" | "else" | "let"
                     ))
                     || p.is_punct(')')
                     || p.is_punct(']');
@@ -176,8 +176,9 @@ mod tests {
 
     #[test]
     fn indexing_is_counted_but_literals_are_not() {
-        let f =
-            run_on("pub fn api(buf: &[u8]) -> u8 { let a = [0u8; 4]; let v = vec![1]; buf[3] }");
+        let f = run_on(
+            "pub fn api(buf: &[u8]) -> u8 { let a = [0u8; 4]; let [b, ..] = a; let v = vec![1]; buf[3] }",
+        );
         assert_eq!(f.len(), 1, "{f:#?}");
         assert!(f[0].message.contains("indexing"));
         assert!(f[0].message.contains("1 indexing site"));

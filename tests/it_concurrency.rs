@@ -577,6 +577,126 @@ fn leader_completes_inline_alone_and_submits_when_committers_queue() {
     );
 }
 
+/// A log whose force takes 2 ms of wall time and no processor, as a
+/// disk's does.
+struct SlowForceLog(MemDevice);
+
+impl Device for SlowForceLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.0.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.0.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.0.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        std::thread::sleep(Duration::from_millis(2));
+        self.0.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.0.set_len(len)
+    }
+}
+
+fn boot_over_slow_force(tuning: Tuning) -> Arc<Rvm> {
+    let log: Arc<dyn Device> = Arc::new(SlowForceLog(MemDevice::with_len(4 << 20)));
+    let options = Options::new(log)
+        .resolver(MemResolver::new().into_resolver())
+        .create_if_empty()
+        .tuning(tuning);
+    Arc::new(Rvm::initialize(options).expect("initialize"))
+}
+
+/// `commits` flush commits on each of `threads` threads, released
+/// together, each thread on a page of its own.
+fn commit_in_step(rvm: &Arc<Rvm>, region: &rvm::Region, threads: u64, commits: u64) {
+    let barrier = Barrier::new(threads as usize);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..commits {
+                    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                    region.put_u64(&mut txn, t * PAGE_SIZE, i + 1).unwrap();
+                    txn.commit(CommitMode::Flush).unwrap();
+                }
+            });
+        }
+    });
+}
+
+/// Two closed-loop committers behind a force that costs wall time come
+/// back to the queue within microseconds of each other, every round —
+/// but the first one back used to claim at once, alone, and the two fell
+/// into alternation: each commit waited out the other's force and then
+/// paid its own (0.72 forces per commit, measured). A leader that just
+/// had company now waits for it, so once two commits have shared a force
+/// they go on sharing: one force per pair.
+#[test]
+fn two_closed_loop_committers_share_their_forces() {
+    let rvm = boot_over_slow_force(Tuning::default());
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
+        .unwrap();
+    commit_in_step(&rvm, &region, 2, 150);
+    let stats = rvm.stats();
+    assert_eq!(stats.flush_commits, 300);
+    assert!(
+        stats.forces_per_flush_commit() < 0.6,
+        "{} forces for 300 commits; leaders waited {} times, {} ns",
+        stats.log_forces,
+        stats.group_waits,
+        stats.group_wait_ns
+    );
+    assert!(stats.group_waits > 0, "{stats:?}");
+}
+
+/// What the wait costs a committer whose company does not come back: a
+/// quarter of a force, once. The round that timed out claimed one slot,
+/// so the next one has no company to wait for.
+#[test]
+fn a_committer_whose_company_has_left_waits_at_most_once() {
+    // A window long enough for two commits released together to land in
+    // one round; it is closed again before the part under test.
+    let windowed = Tuning {
+        group_commit_wait_us: 100_000,
+        ..Tuning::default()
+    };
+    let rvm = boot_over_slow_force(windowed);
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
+        .unwrap();
+    let shared_rounds = |rvm: &Rvm| rvm.stats().group_commit_batch_sizes[1];
+    for _ in 0..20 {
+        commit_in_step(&rvm, &region, 2, 1);
+        if shared_rounds(&rvm) > 0 && rvm.stats().group_commit_batch_sizes[0] == 0 {
+            break;
+        }
+    }
+    // The latest round carried two commits under one 2 ms force, and its
+    // company has now left for good.
+    rvm.set_options(Tuning::default());
+    let lone_commit = || {
+        let before = rvm.stats();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, 8, 7).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+        rvm.stats().delta_since(&before)
+    };
+    let first = lone_commit();
+    assert_eq!(first.group_waits, 1, "{first:?}");
+    assert!(
+        first.group_wait_ns >= 400_000,
+        "a quarter of a 2 ms force: {first:?}"
+    );
+    let second = lone_commit();
+    assert_eq!((second.group_waits, second.group_wait_ns), (0, 0));
+    assert_eq!(second.log_forces, 1);
+}
+
 /// The read-only fast-path pin: a transaction that only reads — begin,
 /// `set_range` bookkeeping, abort (or drop) — runs entirely on the
 /// per-region plane, and a no-flush commit of disjoint regions runs on
