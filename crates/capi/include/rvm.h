@@ -35,6 +35,7 @@ typedef enum {
     RVM_EPANIC = 13,
     RVM_EPOISONED = 14,      /* instance poisoned by unrecoverable I/O */
     RVM_EIO_TRANSIENT = 15,  /* transient fault exhausted its retries */
+    RVM_EMEDIA = 16,         /* media corruption: region quarantined read-only */
 } rvm_return_t;
 
 #define RVM_RESTORE 0     /* begin_transaction restore_mode values */
@@ -42,6 +43,7 @@ typedef enum {
 #define RVM_FLUSH 0       /* end_transaction commit_mode values */
 #define RVM_NO_FLUSH 1
 
+/* Filled by rvm_query(); fields are only ever appended. */
 typedef struct {
     uint64_t active_transactions;
     uint64_t spooled_transactions;
@@ -49,6 +51,24 @@ typedef struct {
     uint64_t log_capacity;
     uint64_t txns_committed;
     uint64_t bytes_logged;
+    uint64_t log_forces;
+    uint64_t flush_commits;
+    uint64_t group_commit_batches;
+    uint64_t epochs_truncated;
+    uint64_t commits_during_truncation;
+    uint64_t truncation_stall_ns;
+    uint64_t truncation_in_flight;
+    uint64_t replicas_alive;
+    uint64_t replicas_total;
+    uint64_t pages_scrubbed;
+    uint64_t corruptions_detected;
+    uint64_t corruptions_repaired;
+    uint64_t regions_quarantined;
+    uint64_t pipeline_submits;
+    uint64_t forces_in_flight_hw;
+    uint64_t pipeline_stall_ns;
+    uint64_t group_waits;    /* times a commit leader waited for company */
+    uint64_t group_wait_ns;  /* nanoseconds spent in those waits */
 } rvm_query_t;
 
 rvm_return_t rvm_create_log(const char *log_path, uint64_t len);

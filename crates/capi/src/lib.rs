@@ -564,6 +564,10 @@ pub struct RvmQuery {
     /// Nanoseconds leaders about to submit stalled waiting for room in
     /// the in-flight queue (i.e. for an in-flight force to complete).
     pub pipeline_stall_ns: u64,
+    /// Times a group-commit leader waited for company before staging.
+    pub group_waits: u64,
+    /// Nanoseconds leaders spent in those waits.
+    pub group_wait_ns: u64,
 }
 
 /// Fills `*out` with library state (the paper's `query`).
@@ -607,6 +611,8 @@ pub unsafe extern "C" fn rvm_query(handle: *mut RvmHandle, out: *mut RvmQuery) -
                 pipeline_submits: q.stats.pipeline_submits,
                 forces_in_flight_hw: q.stats.forces_in_flight_hw,
                 pipeline_stall_ns: q.stats.pipeline_stall_ns,
+                group_waits: q.stats.group_waits,
+                group_wait_ns: q.stats.group_wait_ns,
             };
         }
         RvmReturn::RvmSuccess
@@ -911,6 +917,31 @@ mod tests {
         let _ = std::fs::remove_file(seg_path);
     }
 
+    /// `rvm_query` writes a whole `RvmQuery` through the caller's pointer:
+    /// a header that declares fewer fields than the struct has makes every
+    /// C caller's query a buffer overflow.
+    #[test]
+    fn the_header_declares_the_query_struct_field_for_field() {
+        let header = include_str!("../include/rvm.h");
+        let body = header.split("typedef struct {").nth(1).unwrap();
+        let body = body.split("} rvm_query_t;").next().unwrap();
+        let declared: Vec<&str> = body
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("uint64_t ")?.split(';').next())
+            .collect();
+        let debug = format!("{:?}", RvmQuery::default());
+        let fields = debug
+            .trim_start_matches("RvmQuery { ")
+            .trim_end_matches(" }");
+        let fields: Vec<&str> = fields
+            .split(", ")
+            .filter_map(|field| field.split(':').next())
+            .collect();
+        assert_eq!(declared, fields);
+        assert_eq!(std::mem::size_of::<RvmQuery>(), 8 * declared.len());
+        assert_eq!(fields.last(), Some(&"group_wait_ns"));
+    }
+
     #[test]
     fn query_round_trips_pipeline_counters() {
         use rvm::segment::MemResolver;
@@ -963,6 +994,10 @@ mod tests {
             assert_eq!(q.forces_in_flight_hw, expect.stats.forces_in_flight_hw);
             assert_eq!(q.pipeline_stall_ns, expect.stats.pipeline_stall_ns);
             assert!(q.pipeline_submits >= 1, "pipeline never submitted: {q:?}");
+            // With a fixed window every leader that runs a round waits it out.
+            assert_eq!(q.group_waits, expect.stats.group_waits);
+            assert_eq!(q.group_wait_ns, expect.stats.group_wait_ns);
+            assert!(q.group_waits >= 1 && q.group_wait_ns > 0, "{q:?}");
             assert_eq!(q.flush_commits, THREADS);
 
             assert_eq!(rvm_terminate(h), RvmReturn::RvmSuccess);

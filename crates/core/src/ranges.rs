@@ -327,26 +327,36 @@ fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(usize, Piece<'a>, u64)>,
     }
 }
 
-/// Copies the parts of `pieces` (one segment's, sorted and disjoint) that
-/// fall in `[start, start + buf.len())` into `buf`, leaving gaps
-/// untouched. Returns how many bytes of pieces lie in
-/// `[start, start + span)`, which may reach past `buf`.
-pub(crate) fn overlay_pieces(pieces: &[Piece<'_>], start: u64, span: u64, buf: &mut [u8]) -> u64 {
+/// The parts of `pieces` (one segment's, sorted and disjoint) that fall
+/// in `[start, start + span)`, each as its segment offset and bytes.
+pub(crate) fn clip_pieces<'a>(
+    pieces: &'a [Piece<'a>],
+    start: u64,
+    span: u64,
+) -> impl Iterator<Item = (u64, &'a [u8])> {
     let end = start.saturating_add(span);
-    let mut covered = 0;
-    for piece in pieces.iter().take_while(|p| p.start < end) {
+    let reaching = pieces.iter().take_while(move |p| p.start < end);
+    reaching.filter_map(move |piece| {
         let from = piece.start.max(start);
         let to = piece.end().min(end);
-        if from >= to {
-            continue;
-        }
-        covered += to - from;
-        // As much of `[from, to)` as both the piece and `buf` hold.
-        let src = piece.data.get((from - piece.start) as usize..);
-        let dst = buf.get_mut((from - start) as usize..);
-        if let (Some(src), Some(dst)) = (src, dst) {
-            let n = ((to - from) as usize).min(src.len()).min(dst.len());
-            if let (Some(src), Some(dst)) = (src.get(..n), dst.get_mut(..n)) {
+        // Empty, or inverted (so `None`), for a piece that ends before `start`.
+        let within = (from - piece.start) as usize..(to - piece.start) as usize;
+        let part = piece.data.get(within)?;
+        (!part.is_empty()).then_some((from, part))
+    })
+}
+
+/// Copies the parts of `pieces` that fall in `[start, start + buf.len())`
+/// into `buf`, leaving gaps untouched. Returns how many bytes of pieces
+/// lie in `[start, start + span)`, which may reach past `buf`.
+pub(crate) fn overlay_pieces(pieces: &[Piece<'_>], start: u64, span: u64, buf: &mut [u8]) -> u64 {
+    let mut covered = 0;
+    for (at, data) in clip_pieces(pieces, start, span) {
+        covered += data.len() as u64;
+        // As much of the part as `buf` holds.
+        if let Some(dst) = buf.get_mut((at - start) as usize..) {
+            let n = data.len().min(dst.len());
+            if let (Some(src), Some(dst)) = (data.get(..n), dst.get_mut(..n)) {
                 dst.copy_from_slice(src);
             }
         }

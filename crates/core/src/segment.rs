@@ -36,12 +36,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use rvm_storage::{Device, FileDevice, VerifiedRead};
+use rvm_storage::{Device, DeviceError, FileDevice, VerifiedRead};
 
 use crate::error::{Result, RvmError};
 use crate::log::status::StatusBlock;
 use crate::options::{LoadPolicy, Tuning, PAGE_SIZE};
-use crate::ranges::{overlay_pieces, ByteRange, Piece};
+use crate::ranges::{clip_pieces, overlay_pieces, ByteRange, Piece};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::rvm::RvmShared;
 use crate::scrub::{page_len, sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
@@ -298,38 +298,68 @@ impl Segment {
     /// checksum catalog exact — the write path of recovery and epoch
     /// truncation. [`Segment::finish`] must follow.
     ///
-    /// Without a catalog this is a plain range apply. With one, every
-    /// touched page's *pre-apply* image is read under checksum scrutiny so
-    /// that rot in the unwritten remainder of a page cannot be laundered
-    /// into a fresh catalog entry: a verified (or repaired) page gets an
-    /// exact post-apply checksum; an unverifiable page gets one if the
-    /// pieces rewrite it completely, or — in the
-    /// [`ApplyContext::Recovery`] context — by re-adoption of the
-    /// post-apply bytes (a torn page inside the redo footprint is the
-    /// crash being recovered from, not rot). Otherwise the stale entry
-    /// stays so the page keeps failing verification until a mirror, a
-    /// scrub rung, or quarantine resolves it. Per touched page read-verify
-    /// ([`Segment::read_page_verified`], which counts the detections) →
-    /// overlay → catalog update, in one ascending walk through one reused
-    /// page buffer; then the range writes.
+    /// Without a catalog this is one write per piece. With one, every
+    /// touched page's *pre-apply* image is read under checksum scrutiny
+    /// ([`Segment::read_page_verified`], which counts the detections) and
+    /// the pieces are laid over it, in one ascending walk through one
+    /// reused page buffer.
+    ///
+    /// A page that verified (or was repaired) is then written once, whole,
+    /// from the buffer its new checksum is computed over. The bytes
+    /// outside the pieces go back with the values just read, so however
+    /// the write tears they are what they were, and the pieces' bytes are
+    /// old or new exactly as under piece writes — which the live log
+    /// still covers until `finish` has returned and the head has moved
+    /// (the argument [`Segment::write_page`] rests on).
+    ///
+    /// A page that did not verify gets its pieces alone, so its remainder
+    /// is never copied from the buffer: the best-effort read of one
+    /// mirror replica does not overwrite the others, and rot cannot be
+    /// laundered into a fresh catalog entry. It gets a new checksum if the
+    /// pieces rewrite it completely, or — in the [`ApplyContext::Recovery`]
+    /// context — by re-adoption of the post-apply bytes (a torn page
+    /// inside the redo footprint is the crash being recovered from, not
+    /// rot). Otherwise the stale entry stays, and the page keeps failing
+    /// verification until a mirror, a scrub rung, or quarantine resolves
+    /// it.
     pub(crate) fn apply_pieces(&self, pieces: &[Piece<'_>], ctx: ApplyContext) -> Result<()> {
-        if let Some(catalog) = &self.catalog {
-            let seg_len = self.dev.len()?;
-            let mut page_buf = vec![0u8; PAGE_SIZE as usize];
-            // Pieces not yet wholly behind the walk: the first of them
-            // names the next touched page.
-            let mut ahead = pieces;
-            let mut next_page = 0usize;
-            while let Some(first) = ahead.first() {
-                let page = next_page.max((first.start / PAGE_SIZE) as usize);
-                let page_start = page as u64 * PAGE_SIZE;
-                let plen = page_len(seg_len, page);
-                let buf = page_buf.get_mut(..plen).unwrap_or_default();
-                let verified = self.read_page_verified(page, buf)?.is_verified();
-                let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
-                if verified {
-                    catalog.update(page, buf);
-                } else if covered_bytes == plen as u64 {
+        let Some(catalog) = &self.catalog else {
+            for piece in pieces {
+                self.dev.write_at(piece.start, piece.data)?;
+            }
+            return Ok(());
+        };
+        let seg_len = self.dev.len()?;
+        if let Some(last) = pieces.last().filter(|p| p.end() > seg_len) {
+            // A page write stops at the device's end: refuse here what a
+            // piece write would have been refused there.
+            return Err(DeviceError::OutOfBounds {
+                offset: last.start,
+                len: last.data.len() as u64,
+                device_len: seg_len,
+            }
+            .into());
+        }
+        let mut page_buf = vec![0u8; PAGE_SIZE as usize];
+        // Pieces not yet wholly behind the walk: the first of them names
+        // the next touched page.
+        let mut ahead = pieces;
+        let mut next_page = 0usize;
+        while let Some(first) = ahead.first() {
+            let page = next_page.max((first.start / PAGE_SIZE) as usize);
+            let page_start = page as u64 * PAGE_SIZE;
+            let plen = page_len(seg_len, page);
+            let buf = page_buf.get_mut(..plen).unwrap_or_default();
+            let verified = self.read_page_verified(page, buf)?.is_verified();
+            let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
+            if verified {
+                self.dev.write_at(page_start, buf)?;
+                catalog.update(page, buf);
+            } else {
+                for (at, part) in clip_pieces(ahead, page_start, PAGE_SIZE) {
+                    self.dev.write_at(at, part)?;
+                }
+                if covered_bytes == plen as u64 {
                     // Rot, wherever it was, is rewritten whole: repaired.
                     let media = &self.media;
                     media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
@@ -337,28 +367,23 @@ impl Segment {
                 } else if ctx == ApplyContext::Recovery {
                     // Unverifiable and only partially covered, but this is
                     // the redo of a crashed apply: the tear that explains
-                    // the mismatch lies inside the covered ranges being
-                    // rewritten below, so the post-apply page (device
-                    // remainder + piece data) is the committed image —
-                    // re-adopt it. Counted as detected but not repaired: a
-                    // mirror already had its chance in the read, and rot
-                    // that struck the uncovered remainder during the same
+                    // the mismatch lies inside the covered ranges just
+                    // rewritten, so the post-apply page (device remainder
+                    // + piece data) is the committed image — re-adopt it.
+                    // Counted as detected but not repaired: a mirror
+                    // already had its chance in the read, and rot that
+                    // struck the uncovered remainder during the same
                     // window is indistinguishable from the tear here.
                     catalog.update(page, buf);
                 }
                 // else: live truncation over a partially-covered,
-                // unverifiable page — the committed ranges below are still
-                // authoritative for their bytes, but the stale entry stays
-                // so the page keeps failing verification until a mirror or
-                // quarantine resolves it.
-                next_page = page + 1;
-                let page_end = page_start + PAGE_SIZE;
-                let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
-                ahead = ahead.get(behind..).unwrap_or_default();
+                // unverifiable page — the committed ranges are still
+                // authoritative for their bytes, but the stale entry stays.
             }
-        }
-        for piece in pieces {
-            self.dev.write_at(piece.start, piece.data)?;
+            next_page = page + 1;
+            let page_end = page_start + PAGE_SIZE;
+            let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
+            ahead = ahead.get(behind..).unwrap_or_default();
         }
         Ok(())
     }
@@ -641,5 +666,126 @@ mod tests {
         let dev = r(&name, 128).unwrap();
         assert_eq!(dev.len().unwrap(), 128);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Page writes against the reference that writes the pieces one by
+    /// one: over random pre-images and random sorted disjoint pieces —
+    /// short ones, ones that span pages, ones that end on the segment's
+    /// short last page — the segment holds the same bytes and the
+    /// catalog an exact entry for every page, in both contexts.
+    #[test]
+    fn page_writes_match_piece_writes_on_verified_pages() {
+        use rand::{rngs::StdRng, RngCore, RngExt, SeedableRng};
+        const LEN: u64 = 5 * PAGE_SIZE + 1000;
+        let mut rng = StdRng::seed_from_u64(21);
+        let seeded_bytes = |rng: &mut StdRng, len: u64| {
+            let mut bytes = vec![0u8; len as usize];
+            rng.fill_bytes(&mut bytes);
+            bytes
+        };
+        for trial in 0..60 {
+            let ctx = [ApplyContext::Recovery, ApplyContext::Truncation][trial % 2];
+            let image = seeded_bytes(&mut rng, LEN);
+            let mut payloads: Vec<(u64, Vec<u8>)> = Vec::new();
+            let mut at = rng.random_range(0..6000u64);
+            while payloads.len() < 40 && at < LEN {
+                let len = match rng.random_range(0..8) {
+                    0 => rng.random_range(1..=9000u64), // spans pages
+                    _ => rng.random_range(1..=300u64),
+                };
+                let len = len.min(LEN - at);
+                payloads.push((at, seeded_bytes(&mut rng, len)));
+                // Adjacent now and then, else a gap that may skip pages.
+                at += len + rng.random_range(0..4u64) * rng.random_range(0..3000u64);
+            }
+            let pieces: Vec<Piece<'_>> = payloads
+                .iter()
+                .map(|(start, data)| Piece {
+                    seg: 0,
+                    start: *start,
+                    data,
+                })
+                .collect();
+
+            let reference = rvm_storage::MemDevice::from_image(image.clone());
+            for piece in &pieces {
+                reference.write_at(piece.start, piece.data).unwrap();
+            }
+            let expected = reference.snapshot();
+
+            let dev = Arc::new(rvm_storage::MemDevice::from_image(image));
+            let side = Arc::new(rvm_storage::MemDevice::with_len(0));
+            let segment = Segment::for_test(dev.clone(), Some(side));
+            segment.apply_pieces(&pieces, ctx).unwrap();
+            segment.finish().unwrap();
+
+            assert_eq!(dev.snapshot(), expected, "trial {trial} ({ctx:?})");
+            let catalog = segment.catalog.as_ref().unwrap();
+            for (page, bytes) in expected.chunks(PAGE_SIZE as usize).enumerate() {
+                assert!(catalog.verify(page, bytes), "trial {trial} page {page}");
+            }
+            let media = &segment.media;
+            assert_eq!(media.corruptions_detected.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    /// A page that does not verify is never written from the page buffer:
+    /// with each replica of a mirror rotten in a *different* byte outside
+    /// the pieces, a whole-page write would copy one replica's rot over
+    /// the other's good byte. Each keeps its own remainder, the committed
+    /// bytes land on both, and the stale entry keeps the page flagged.
+    #[test]
+    fn an_unverified_page_gets_its_pieces_alone_on_every_replica() {
+        let len = 2 * PAGE_SIZE;
+        let replicas: Vec<Arc<rvm_storage::MemDevice>> = (0..2)
+            .map(|_| Arc::new(rvm_storage::MemDevice::from_image(vec![0x11; len as usize])))
+            .collect();
+        let mirror = rvm_storage::MirrorDevice::new(
+            replicas
+                .iter()
+                .map(|r| r.clone() as Arc<dyn Device>)
+                .collect(),
+        )
+        .unwrap();
+        let side = Arc::new(rvm_storage::MemDevice::with_len(0));
+        let segment = Segment::for_test(Arc::new(mirror), Some(side));
+        replicas[0].write_at(3000, &[0xA0]).unwrap(); // silent rot, page 0
+        replicas[1].write_at(3500, &[0xB1]).unwrap();
+
+        let pieces = [
+            Piece {
+                seg: 0,
+                start: 0,
+                data: &[7; 64],
+            },
+            // Page 1 verifies: written whole, to both replicas.
+            Piece {
+                seg: 0,
+                start: PAGE_SIZE + 10,
+                data: &[8; 10],
+            },
+        ];
+        segment
+            .apply_pieces(&pieces, ApplyContext::Truncation)
+            .unwrap();
+        segment.finish().unwrap();
+
+        let mut expected = vec![0x11u8; len as usize];
+        expected[..64].fill(7);
+        expected[PAGE_SIZE as usize + 10..PAGE_SIZE as usize + 20].fill(8);
+        let mut first = expected.clone();
+        first[3000] = 0xA0;
+        let mut second = expected;
+        second[3500] = 0xB1;
+        assert!(replicas[0].snapshot() == first, "replica 0");
+        assert!(replicas[1].snapshot() == second, "replica 1");
+
+        let mut page = vec![0u8; PAGE_SIZE as usize];
+        let read = segment.read_page_verified(0, &mut page).unwrap();
+        assert_eq!(read, VerifiedRead::Corrupt, "nothing was laundered");
+        let read = segment.read_page_verified(1, &mut page).unwrap();
+        assert_eq!(read, VerifiedRead::Clean);
+        let media = &segment.media;
+        assert_eq!(media.corruptions_repaired.load(Ordering::Relaxed), 0);
     }
 }

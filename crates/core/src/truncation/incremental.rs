@@ -36,6 +36,7 @@ use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
 use crate::region::{PageImage, RegionInner};
 use crate::rvm::{Core, CoreGuard, RvmShared};
+use crate::segment::Segment;
 
 /// Most pages one step freezes: bounds the freeze's hold of the core
 /// lock and the image buffer (1 MiB).
@@ -250,10 +251,11 @@ fn apply_step(batch: &StepBatch) -> Result<()> {
             .segment
             .write_page(region.seg_page(desc.page), image)?;
     }
-    for (i, region) in batch.regions.iter().enumerate() {
-        let same = |r: &Arc<RegionInner>| Arc::ptr_eq(&r.segment, &region.segment);
-        if !batch.regions.iter().take(i).any(same) {
+    let mut finished: Vec<&Arc<Segment>> = Vec::new();
+    for region in &batch.regions {
+        if !finished.iter().any(|s| Arc::ptr_eq(s, &region.segment)) {
             region.segment.finish()?;
+            finished.push(&region.segment);
         }
     }
     Ok(())

@@ -926,6 +926,96 @@ fn spooled_commits_ride_the_flush_commits_batch() {
     assert_eq!((count(true), count(false)), (1, 1), "{ops:?}");
 }
 
+/// What recovery writes to a segment: with a checksum catalog each
+/// touched page once, whole (it has the verified page in a buffer by
+/// then); without one each latest-wins piece once. The same log leaves
+/// the same segment bytes either way.
+#[test]
+fn recovery_writes_pages_with_a_catalog_and_pieces_without() {
+    use rvm_storage::{TraceOpKind, TraceRecorder};
+
+    const PAGES: u64 = 8;
+    const SLOT: u64 = 256;
+    const WRITE: usize = 100;
+    let never_truncate = |segment_checksums| Tuning {
+        truncation_threshold: 1.0,
+        segment_checksums,
+        ..Tuning::default()
+    };
+
+    // One 100-byte range somewhere in every 256-byte slot, written twice
+    // (the older value wholly covered): 128 disjoint pieces with gaps
+    // between them. The instance crashes with all of it in the log alone.
+    let world = World::new(1 << 20);
+    {
+        let rvm = world.boot_tuned(never_truncate(false));
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGES * PAGE_SIZE))
+            .unwrap();
+        for pass in 1..=2u8 {
+            for slot in 0..PAGES * PAGE_SIZE / SLOT {
+                let at = slot * SLOT + slot.wrapping_mul(0x9E37_79B9) % (SLOT - WRITE as u64);
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                let fill = [pass.wrapping_add(slot as u8) | 0x80; WRITE];
+                region.write(&mut txn, at, &fill).unwrap();
+                txn.commit(CommitMode::Flush).unwrap();
+            }
+        }
+        assert_eq!(rvm.stats().epoch_truncations, 0);
+        std::mem::forget(rvm);
+    }
+    let crashed_log = world.log.snapshot();
+
+    // Recovers that log onto an empty traced segment; returns the
+    // segment's bytes and the (offset, length) of every write it took.
+    let recover = |checksums: bool| {
+        let recorder = TraceRecorder::new();
+        let segments = MemResolver::new();
+        let resolver = {
+            let (recorder, segments) = (recorder.clone(), segments.clone());
+            Arc::new(move |name: &str, min_len: u64| {
+                let traced = recorder.wrap(name, segments.resolve(name, min_len)?);
+                Ok(traced as Arc<dyn Device>)
+            })
+        };
+        let rvm = Rvm::initialize(
+            Options::new(Arc::new(MemDevice::from_image(crashed_log.clone())))
+                .resolver(resolver)
+                .tuning(never_truncate(checksums)),
+        )
+        .unwrap();
+        let report = rvm.recovery_report();
+        assert_eq!(
+            (report.records_replayed, report.bytes_applied),
+            (256, 128 * WRITE as u64)
+        );
+        let devices = recorder.devices();
+        let is_segment = |id: u32| devices.iter().any(|(d, name)| *d == id && name == "seg");
+        let writes: Vec<(u64, usize)> = recorder
+            .ops()
+            .iter()
+            .filter(|op| is_segment(op.device))
+            .filter_map(|op| match &op.kind {
+                TraceOpKind::Write { offset, data } => Some((*offset, data.len())),
+                _ => None,
+            })
+            .collect();
+        (segments.get("seg").unwrap().snapshot(), writes)
+    };
+
+    let (by_pieces, piece_writes) = recover(false);
+    assert_eq!(piece_writes.len(), 128, "one write per piece");
+    assert!(piece_writes.iter().all(|&(_, len)| len == WRITE));
+
+    let (by_pages, page_writes) = recover(true);
+    let whole_pages: Vec<_> = (0..PAGES)
+        .map(|page| (page * PAGE_SIZE, PAGE_SIZE as usize))
+        .collect();
+    assert_eq!(page_writes, whole_pages, "one write per touched page");
+    assert!(by_pages == by_pieces, "segment images differ");
+    assert!(by_pages.iter().filter(|&&b| b != 0).count() == 128 * WRITE);
+}
+
 mod on_demand {
     use super::*;
     use rvm::LoadPolicy;

@@ -102,6 +102,14 @@ impl IoToken {
 /// conflicting accesses itself but may issue reads concurrently.
 pub trait Device: Send + Sync {
     /// Returns the current length of the device in bytes.
+    ///
+    /// This is the medium's answer, not a remembered one: a device may
+    /// be grown through another handle while this one is open, and
+    /// `if dev.len()? < n { dev.set_len(n)? }` must never shrink it. An
+    /// implementation may remember its length to bounds-check reads and
+    /// writes (see [`FileDevice`](crate::FileDevice)) as long as it asks
+    /// the medium again before refusing an access. Nothing but
+    /// [`Device::set_len`] on this handle may shrink a device in use.
     fn len(&self) -> Result<u64>;
 
     /// Returns `true` if the device has zero length.
@@ -115,8 +123,9 @@ pub trait Device: Send + Sync {
     /// Writes all of `data` starting at `offset`.
     ///
     /// Writes beyond the end of the device must fail with
-    /// [`DeviceError::OutOfBounds`](crate::DeviceError::OutOfBounds);
-    /// devices are sized explicitly with [`Device::set_len`].
+    /// [`DeviceError::OutOfBounds`](crate::DeviceError::OutOfBounds)
+    /// carrying the device's true length; devices are sized explicitly
+    /// with [`Device::set_len`].
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()>;
 
     /// Forces all completed writes to stable storage.

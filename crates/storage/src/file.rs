@@ -13,6 +13,62 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::{Device, DeviceError, IoToken, Result};
 
+/// The open file and the length this handle last learned for it, shared
+/// with the submit worker so both bounds-check against one word.
+///
+/// An access that ends at or below `len` makes one system call (`pread`
+/// or `pwrite`); one that ends above it asks the kernel once and
+/// refreshes the word before it is refused, so growth through another
+/// handle is seen. Every access to `len` is `Relaxed`: the word publishes
+/// no memory — the bytes are the kernel's, and `pread`/`pwrite` order
+/// themselves — so all a stale value can do is be too *low* (a racing
+/// refresh overwrote a larger one), which costs the next access one
+/// `fstat`. Too *high* needs the file shrunk behind this handle, which
+/// is outside the contract (see [`FileDevice`]).
+#[derive(Debug)]
+struct Backing {
+    file: File,
+    len: AtomicU64,
+    /// Kernel length queries made (see `kernel_len`).
+    #[cfg(test)]
+    len_queries: AtomicU64,
+}
+
+impl Backing {
+    /// Asks the kernel for the file's length and remembers the answer.
+    fn kernel_len(&self) -> Result<u64> {
+        #[cfg(test)]
+        self.len_queries.fetch_add(1, Ordering::Relaxed);
+        let len = self.file.metadata()?.len();
+        self.len.store(len, Ordering::Relaxed);
+        Ok(len)
+    }
+
+    /// Checks that `[offset, offset + len)` lies inside the file.
+    fn check(&self, offset: u64, len: u64) -> Result<()> {
+        let fits = |within: u64| offset.checked_add(len).is_some_and(|end| end <= within);
+        if fits(self.len.load(Ordering::Relaxed)) {
+            return Ok(());
+        }
+        let device_len = self.kernel_len()?;
+        if fits(device_len) {
+            return Ok(());
+        }
+        Err(DeviceError::OutOfBounds {
+            offset,
+            len,
+            device_len,
+        })
+    }
+
+    /// Bounds-checked positional write (the sync path's and the worker's).
+    fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.check(offset, data.len() as u64)?;
+        self.file.write_all_at(data, offset)?;
+        Ok(())
+    }
+}
+
 /// One job handed to the I/O worker thread.
 enum AioJob {
     Write { id: u64, offset: u64, data: Vec<u8> },
@@ -59,6 +115,15 @@ impl Drop for Aio {
 /// consult. The submit/complete split keeps the call sites io_uring-shaped
 /// without the dependency.
 ///
+/// The device remembers its length, so an in-bounds read or write is one
+/// system call. The file may be *grown* through another handle at any
+/// time: [`Device::len`] always asks the kernel, and an access past the
+/// remembered end asks before it is refused. Shrinking the file behind an
+/// open device is outside the contract, as it already was for
+/// [`Device::write_at`] (a write racing the truncation re-extends the
+/// file); shrink through [`Device::set_len`] on this handle, with no
+/// access in flight.
+///
 /// # Examples
 ///
 /// ```no_run
@@ -70,7 +135,7 @@ impl Drop for Aio {
 /// ```
 #[derive(Debug)]
 pub struct FileDevice {
-    file: Arc<File>,
+    backing: Arc<Backing>,
     path: PathBuf,
     next_id: AtomicU64,
     completions: Arc<AioCompletions>,
@@ -78,14 +143,20 @@ pub struct FileDevice {
 }
 
 impl FileDevice {
-    fn from_file(file: File, path: PathBuf) -> Self {
-        Self {
-            file: Arc::new(file),
+    fn from_file(file: File, path: PathBuf) -> Result<Self> {
+        let backing = Backing {
+            len: AtomicU64::new(file.metadata()?.len()),
+            file,
+            #[cfg(test)]
+            len_queries: AtomicU64::new(0),
+        };
+        Ok(Self {
+            backing: Arc::new(backing),
             path,
             next_id: AtomicU64::new(1),
             completions: Arc::new(AioCompletions::default()),
             aio: Mutex::new(None),
-        }
+        })
     }
 
     /// Opens an existing file for read/write access.
@@ -94,7 +165,7 @@ impl FileDevice {
             .read(true)
             .write(true)
             .open(path.as_ref())?;
-        Ok(Self::from_file(file, path.as_ref().to_owned()))
+        Self::from_file(file, path.as_ref().to_owned())
     }
 
     /// Creates (or truncates) a file of exactly `len` zero-filled bytes.
@@ -106,15 +177,21 @@ impl FileDevice {
             .truncate(true)
             .open(path.as_ref())?;
         file.set_len(len)?;
-        Ok(Self::from_file(file, path.as_ref().to_owned()))
+        Self::from_file(file, path.as_ref().to_owned())
     }
 
     /// Opens `path` if it exists, otherwise creates it with `len` bytes.
+    /// Never truncates: of two openers racing on a fresh path one creates
+    /// the file and the other opens what it created.
     pub fn open_or_create<P: AsRef<Path>>(path: P, len: u64) -> Result<Self> {
-        if path.as_ref().exists() {
-            Self::open(path)
-        } else {
-            Self::create(path, len)
+        let mut fresh = OpenOptions::new();
+        match fresh.read(true).write(true).create_new(true).open(&path) {
+            Ok(file) => {
+                file.set_len(len)?;
+                Self::from_file(file, path.as_ref().to_owned())
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Self::open(path),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -123,27 +200,11 @@ impl FileDevice {
         &self.path
     }
 
-    /// Bounds-checked positional write against `file` (shared by the sync
-    /// path and the worker thread).
-    fn write_to(file: &File, offset: u64, data: &[u8]) -> Result<()> {
-        let device_len = file.metadata()?.len();
-        let end = offset.checked_add(data.len() as u64);
-        if end.is_none() || end.unwrap() > device_len {
-            return Err(DeviceError::OutOfBounds {
-                offset,
-                len: data.len() as u64,
-                device_len,
-            });
-        }
-        file.write_all_at(data, offset)?;
-        Ok(())
-    }
-
-    fn worker_loop(file: Arc<File>, rx: Receiver<AioJob>, completions: Arc<AioCompletions>) {
+    fn worker_loop(backing: Arc<Backing>, rx: Receiver<AioJob>, completions: Arc<AioCompletions>) {
         while let Ok(job) = rx.recv() {
             let (id, result) = match job {
-                AioJob::Write { id, offset, data } => (id, Self::write_to(&file, offset, &data)),
-                AioJob::Sync { id } => (id, file.sync_data().map_err(DeviceError::from)),
+                AioJob::Write { id, offset, data } => (id, backing.write_at(offset, &data)),
+                AioJob::Sync { id } => (id, backing.file.sync_data().map_err(DeviceError::from)),
             };
             completions.done.lock().insert(id, result);
             completions.cv.notify_all();
@@ -158,11 +219,11 @@ impl FileDevice {
         let mut aio = self.aio.lock();
         if aio.is_none() {
             let (tx, rx) = std::sync::mpsc::channel();
-            let file = Arc::clone(&self.file);
+            let backing = Arc::clone(&self.backing);
             let completions = Arc::clone(&self.completions);
             let spawned = std::thread::Builder::new()
                 .name("rvm-file-io".into())
-                .spawn(move || Self::worker_loop(file, rx, completions));
+                .spawn(move || Self::worker_loop(backing, rx, completions));
             match spawned {
                 Ok(worker) => {
                     *aio = Some(Aio {
@@ -185,34 +246,27 @@ impl FileDevice {
 
 impl Device for FileDevice {
     fn len(&self) -> Result<u64> {
-        Ok(self.file.metadata()?.len())
+        self.backing.kernel_len()
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let device_len = self.len()?;
-        let end = offset.checked_add(buf.len() as u64);
-        if end.is_none() || end.unwrap() > device_len {
-            return Err(DeviceError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                device_len,
-            });
-        }
-        self.file.read_exact_at(buf, offset)?;
+        self.backing.check(offset, buf.len() as u64)?;
+        self.backing.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        Self::write_to(&self.file, offset, data)
+        self.backing.write_at(offset, data)
     }
 
     fn sync(&self) -> Result<()> {
-        self.file.sync_data()?;
+        self.backing.file.sync_data()?;
         Ok(())
     }
 
     fn set_len(&self, len: u64) -> Result<()> {
-        self.file.set_len(len)?;
+        self.backing.file.set_len(len)?;
+        self.backing.len.store(len, Ordering::Relaxed);
         Ok(())
     }
 
@@ -298,6 +352,123 @@ mod tests {
         let mut b = [0u8; 1];
         dev.read_at(0, &mut b).unwrap();
         assert_eq!(b[0], 42);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_or_create_never_truncates() {
+        let path = temp_path("ooc-race");
+        // Two openers race on a fresh path, round after round: whichever
+        // of them creates the file, the other must not empty it again, so
+        // once both have returned both their bytes are there.
+        for round in 1..=250u8 {
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for at in [0, 8] {
+                    let (path, barrier) = (&path, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let dev = FileDevice::open_or_create(path, 16).unwrap();
+                        if dev.len().unwrap() < 16 {
+                            dev.set_len(16).unwrap(); // opened before the creator sized it
+                        }
+                        dev.write_at(at, &[round]).unwrap();
+                    });
+                }
+            });
+            // A file that exists is opened as it is, whatever `len` says.
+            let dev = FileDevice::open_or_create(&path, 4).unwrap();
+            assert_eq!(dev.len().unwrap(), 16);
+            let mut b = [0u8; 9];
+            dev.read_at(0, &mut b).unwrap();
+            assert_eq!((b[0], b[8]), (round, round));
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    fn len_queries(dev: &FileDevice) -> u64 {
+        dev.backing.len_queries.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn in_bounds_accesses_never_ask_the_kernel_for_the_length() {
+        let path = temp_path("len-cached");
+        let dev = FileDevice::create(&path, 4096).unwrap();
+        let mut buf = [0u8; 8];
+        for i in 0..1000u64 {
+            dev.write_at(i * 4, &i.to_le_bytes()).unwrap();
+            dev.read_at(i * 4, &mut buf).unwrap();
+            assert_eq!(buf, i.to_le_bytes());
+        }
+        dev.write_at(4088, &buf).unwrap(); // ends exactly at the end
+        assert_eq!(len_queries(&dev), 0);
+
+        // Past the remembered end: one question, and the true length in
+        // the refusal.
+        let err = dev.write_at(4090, &buf).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DeviceError::OutOfBounds {
+                    offset: 4090,
+                    len: 8,
+                    device_len: 4096
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(len_queries(&dev), 1);
+        assert!(dev.read_at(u64::MAX, &mut buf).is_err(), "offset overflow");
+        assert_eq!(len_queries(&dev), 2);
+
+        // `set_len` stores what it set; `len` always asks.
+        dev.set_len(8192).unwrap();
+        dev.write_at(8184, &buf).unwrap();
+        assert_eq!(len_queries(&dev), 2);
+        assert_eq!(dev.len().unwrap(), 8192);
+        assert_eq!(len_queries(&dev), 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn growth_through_another_handle_is_seen() {
+        let path = temp_path("len-grown");
+        let dev = FileDevice::create(&path, 64).unwrap();
+        let other = FileDevice::open(&path).unwrap();
+        other.set_len(128).unwrap();
+        other.write_at(120, &[7; 8]).unwrap();
+        // The first handle still remembers 64: it asks once, then not again.
+        let mut buf = [0u8; 8];
+        dev.read_at(120, &mut buf).unwrap();
+        assert_eq!(buf, [7; 8]);
+        dev.write_at(100, &[1; 28]).unwrap();
+        assert_eq!(len_queries(&dev), 1);
+        // A stale answer can never make the grow idiom truncate.
+        other.set_len(256).unwrap();
+        if dev.len().unwrap() < 200 {
+            dev.set_len(200).unwrap();
+        }
+        assert_eq!(other.len().unwrap(), 256);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_worker_honours_a_set_len_made_after_it_was_spawned() {
+        let path = temp_path("aio-len");
+        let dev = FileDevice::create(&path, 64).unwrap();
+        dev.wait(dev.submit_sync()).unwrap(); // the worker is running
+        dev.set_len(128).unwrap();
+        dev.wait(dev.submit_write(120, vec![5; 8])).unwrap();
+        assert_eq!(len_queries(&dev), 0, "one length word, shared");
+        // Shrunk through this handle: a write past the new end is refused
+        // by the worker too, not performed (which would re-extend the file).
+        dev.set_len(32).unwrap();
+        let err = dev.wait(dev.submit_write(40, vec![5; 8])).unwrap_err();
+        assert!(
+            matches!(err, DeviceError::OutOfBounds { device_len: 32, .. }),
+            "{err}"
+        );
+        assert_eq!(dev.len().unwrap(), 32);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -96,7 +96,10 @@ fn incremental_write_back_survives_every_crash_image() {
 fn no_flush_spool_crashes_lose_only_unacked_work() {
     let report = checked("no-flush spool", Workload::NoFlushSpool);
     assert!(report.exhaustive, "{}", report.render());
-    assert!(report.images_unique > 100, "{}", report.render());
+    // Its epochs write each touched page whole, once (88 distinct images;
+    // 100-odd while they wrote the records' ranges one by one): as with
+    // a step's pages, most ways of tearing one leave the same image.
+    assert!(report.images_unique > 50, "{}", report.render());
 }
 
 #[test]

@@ -231,7 +231,8 @@ fn commit_until_an_epoch_completes(rvm: &Rvm, region: &rvm::Region, acked: &Atom
 }
 
 /// Commits `value` into slot `value % SLOTS` (8-byte range, slots far
-/// enough apart that the epoch apply makes one segment write per slot).
+/// enough apart that an epoch apply without a checksum catalog makes one
+/// segment write per slot; with one it writes the two pages).
 fn commit_slot(rvm: &Rvm, region: &rvm::Region, value: u64) {
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
     region
@@ -329,35 +330,48 @@ enum Starter {
 /// parked at each stage — before the first segment write, after one,
 /// mid-span, and after every write but before the sync — whoever started
 /// the epoch, with and without commits landing in the new epoch during
-/// the park (a full log admits none). Reboot the snapshot; recovery must
-/// report the interrupted epoch and restore every acknowledged commit.
+/// the park (a full log admits none), and in both shapes an apply takes:
+/// with a checksum catalog it writes each of the region's two pages
+/// whole, so "after one" is its mid-span; without one it writes the
+/// sixteen slots one by one. Reboot the snapshot; recovery must report
+/// the interrupted epoch and restore every acknowledged commit.
 #[test]
 fn crash_at_every_stage_of_an_inflight_epoch_recovers() {
+    const PAGE_WRITES: &[Park] = &[Park::Writes(0), Park::Writes(1), Park::Sync];
+    const PIECE_WRITES: &[Park] = &[
+        Park::Writes(0),
+        Park::Writes(1),
+        Park::Writes(5),
+        Park::Sync,
+    ];
     for starter in [Starter::Truncate, Starter::LogFullCommit] {
-        for park in [
-            Park::Writes(0),
-            Park::Writes(1),
-            Park::Writes(5),
-            Park::Sync,
-        ] {
-            for commits_during in [0u64, 6] {
-                if starter == Starter::LogFullCommit && commits_during > 0 {
-                    continue;
+        for (checksums, parks) in [(true, PAGE_WRITES), (false, PIECE_WRITES)] {
+            for &park in parks {
+                for commits_during in [0u64, 6] {
+                    if starter == Starter::LogFullCommit && commits_during > 0 {
+                        continue;
+                    }
+                    crash_mid_epoch_and_recover(starter, checksums, park, commits_during);
                 }
-                crash_mid_epoch_and_recover(starter, park, commits_during);
             }
         }
     }
 }
 
-fn crash_mid_epoch_and_recover(starter: Starter, park: Park, commits_during: u64) {
-    let ctx = format!("{starter:?}, park {park:?}, {commits_during} new-epoch commits");
-    let (log_len, threshold, preload) = match starter {
+fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, commits_during: u64) {
+    let ctx = format!(
+        "{starter:?}, checksums {checksums}, park {park:?}, {commits_during} new-epoch commits"
+    );
+    let (log_len, truncation_threshold, preload) = match starter {
         Starter::Truncate => (256 * 1024, 0.99, 40),
         Starter::LogFullCommit => (TINY_LOG, 1.0, 0),
     };
     let world = GatedWorld::new(log_len, park);
-    let rvm = world.boot_with_threshold(threshold);
+    let rvm = world.boot_tuned(Tuning {
+        truncation_threshold,
+        segment_checksums: checksums,
+        ..Tuning::default()
+    });
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
         .unwrap();
