@@ -42,8 +42,9 @@
 //! back in the slot *with* the outcome, and the committer returns them,
 //! emptied, to its scratch and so to its thread's cache (a record whose
 //! round failed is dropped where it lies). A **spooled record** takes its
-//! arenas into the spool, where the drain or a subsuming record drops
-//! them: the next no-flush commit allocates its four anew. The slot
+//! arenas into the spool. The drain drops them; a record that subsumes it
+//! takes them back, emptied, to its committer's scratch, so a run of
+//! lazy commits that each subsume the last allocates nothing. The slot
 //! stays with the committer's scratch, the claim list with the queue
 //! ([`GroupState::claim`]), the member list with the core
 //! (`Core::batch_members`): a steady-state round allocates nothing.
@@ -251,8 +252,13 @@ impl RvmShared {
             // locks, and the threshold check reads the WAL's published
             // view — disjoint-region no-flush commits share no lock at all.
             (CommitMode::NoFlush, Some(record)) => {
-                let saved = self.spool.push(record, tuning.inter_optimization);
+                let (saved, recycled) = self.spool.push(record, tuning.inter_optimization);
                 stats.add(&stats.bytes_saved_inter, saved);
+                // The arenas of a record this one subsumed are this
+                // thread's to fill next.
+                if let Some(back) = recycled {
+                    scratch.record = back;
+                }
                 if self.spool.bytes() > tuning.spool_max_bytes {
                     // Spool overflow is the slow path: drain it.
                     self.flush_commit_enqueue(&mut None, &tuning, &mut scratch.slot)

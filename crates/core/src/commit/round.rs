@@ -200,8 +200,9 @@ impl RvmShared {
             return Err(RvmError::Poisoned);
         }
         let mut drained = false;
+        let mut hint = None;
         while !self.spool.is_empty() {
-            let Some(txn) = self.spool.pop_front() else {
+            let Some(txn) = self.spool.pop_front(&mut hint) else {
                 break;
             };
             match self.stage(core, open, inline, &txn) {
@@ -210,7 +211,7 @@ impl RvmShared {
                     Batch::join(open, core, None, Some((txn, info)));
                 }
                 Err(e) => {
-                    self.spool.requeue_front(txn);
+                    self.spool.requeue_front(txn, &mut hint);
                     return Err(e);
                 }
             }

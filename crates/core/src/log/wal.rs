@@ -573,9 +573,12 @@ pub fn scan_span(
             }
             let ahead = stop_at.map_or(chunk_len, |stop| chunk_len.min(stop - pos));
             let len = need.max(ahead).min(room) as usize;
-            let mut bytes = Vec::with_capacity(len);
-            bytes.extend_from_slice(carried);
-            bytes.resize(len, 0);
+            // Zeroed by the allocator, which fresh pages already are, not
+            // by a fill that the read then overwrites.
+            let mut bytes = vec![0; len];
+            if let Some(kept) = bytes.get_mut(..carried.len()) {
+                kept.copy_from_slice(carried);
+            }
             let fresh = bytes.get_mut(carried.len()..).unwrap_or_default();
             dev.read_at(phys + carried.len() as u64, fresh)?;
             let records = Vec::with_capacity(len / MIN_RECORD_SIZE as usize);

@@ -217,6 +217,12 @@ impl SegCoverage {
         set.is_some_and(|set| set.covers(range))
     }
 
+    /// The covered ranges, coalesced: by segment, then ascending.
+    pub fn ranges(&self) -> impl Iterator<Item = (u32, ByteRange)> + '_ {
+        let per_seg = self.per_seg.iter();
+        per_seg.flat_map(|(&seg, set)| set.iter().map(move |range| (seg, range)))
+    }
+
     /// Returns `true` if nothing is covered.
     pub fn is_empty(&self) -> bool {
         self.per_seg.values().all(RangeSet::is_empty)
@@ -259,15 +265,37 @@ impl Piece<'_> {
 /// order — one per maximal run of an input range that no newer range
 /// covers, never merged with a neighbour — but found by one sort and one
 /// sweep over borrowed slices, with no allocation per range.
+///
+/// A range that newer ranges cover whole wins no byte and cuts no run,
+/// and a range that has ended wins no more, so dropping them early
+/// leaves the pieces as they are. Before the sort goes a range that a
+/// newer one at the same (segment, start) covers to its end, which a
+/// small memo of starts finds (the record rewritten in place). The sweep
+/// never pushes a range that the newest active one outlives, and empties
+/// its heap whenever everything in it has ended.
 pub fn latest_pieces<'a>(
     newest_first: impl Iterator<Item = Piece<'a>>,
     capacity: usize,
 ) -> Vec<Piece<'a>> {
+    // Per slot, a (segment, start) and where the newer ranges from it
+    // end at the furthest. A collision overwrites, which only forgets.
+    let mut memo = [(0u32, 0u64, 0u64); MEMO_SLOTS];
+    let mut repeated = |p: &Piece<'_>| {
+        let hash = (p.start ^ u64::from(p.seg).rotate_right(20)).wrapping_mul(FIB_HASH);
+        let Some(slot) = memo.get_mut((hash >> (64 - MEMO_SLOTS.ilog2())) as usize) else {
+            return false;
+        };
+        let covered = (slot.0, slot.1) == (p.seg, p.start) && slot.2 >= p.end();
+        if !covered {
+            *slot = (p.seg, p.start, p.end());
+        }
+        covered
+    };
     // (piece, rank); the lower rank is the newer range and wins.
     let mut input: Vec<(Piece<'a>, usize)> = Vec::with_capacity(capacity);
     input.extend(
         newest_first
-            .filter(|p| !p.data.is_empty())
+            .filter(|p| !p.data.is_empty() && !repeated(p))
             .enumerate()
             .map(|(rank, p)| (p, rank)),
     );
@@ -275,18 +303,32 @@ pub fn latest_pieces<'a>(
 
     let mut out: Vec<Piece<'a>> = Vec::with_capacity(input.len());
     // Ranges of the current segment that start at or before `cur`, newest
-    // on top; one that has ended is dropped only once it surfaces.
+    // on top; one that has ended is dropped once it surfaces, or once
+    // every range in the heap has ended.
     let mut active: BinaryHeap<Reverse<(usize, Piece<'a>)>> = BinaryHeap::new();
     for group in input.chunk_by(|a, b| a.0.seg == b.0.seg) {
         active.clear();
         let mut unstarted = group.iter().peekable();
         let mut cur = 0u64;
+        // Where the last range in the heap to end ends.
+        let mut reach = 0u64;
         // The piece being grown, ending at `cur`: the rank and extent of
         // the range it is cut from, and where it starts.
         let mut run: Option<(usize, Piece<'a>, u64)> = None;
         loop {
+            if reach <= cur {
+                // Ranges rewritten in time order leave the ended older
+                // ones under the newer: they would never surface.
+                active.clear();
+            }
             while let Some(&(range, rank)) = unstarted.next_if(|(p, _)| p.start <= cur) {
-                active.push(Reverse((rank, range)));
+                // It starts at `cur`, which the top covers if it has not
+                // ended: an older range that the top outlives wins nothing.
+                let top = active.peek();
+                if !top.is_some_and(|Reverse((r, p))| *r < rank && p.end() >= range.end()) {
+                    active.push(Reverse((rank, range)));
+                    reach = reach.max(range.end());
+                }
             }
             while active.peek().is_some_and(|Reverse((_, p))| p.end() <= cur) {
                 active.pop();
@@ -309,8 +351,17 @@ pub fn latest_pieces<'a>(
             cur = next_start.map_or(newest.end(), |start| start.min(newest.end()));
         }
     }
+    #[cfg(test)]
+    tests::HEAP_CAPACITY.set(active.capacity());
     out
 }
+
+/// Slots of [`latest_pieces`]'s memo, 24 bytes of stack each: a span
+/// rewrites a few starts in place over and over.
+const MEMO_SLOTS: usize = 1024;
+
+/// 2⁶⁴ over the golden ratio, which spreads a key into the top bits.
+const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Emits the finished run `[start, end)` of `range` as one piece.
 fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(usize, Piece<'a>, u64)>, end: u64) {
@@ -466,6 +517,12 @@ impl IntervalMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// The capacity [`latest_pieces`]'s heap ended with on this
+        /// thread, which bounds how deep it got, within a factor of two.
+        pub(super) static HEAP_CAPACITY: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn byte_range_basics() {
@@ -699,6 +756,50 @@ mod tests {
         assert_eq!(set.total_len(), 5_000);
         set.clear();
         assert!(set.is_empty());
+    }
+
+    /// 30 000 copies of one 128-byte range, rewritten in place, among
+    /// 30 000 distinct ranges: half under one newer wide range, half a
+    /// ring of slots written in address order. The pieces are the ones an
+    /// interval map keeps, from a heap that stays shallow. Without the
+    /// drops, each copy and each range under the wide one would stay in
+    /// the heap until the range over it ended, and each slot of the ring,
+    /// under every newer one, until the sweep left the segment.
+    #[test]
+    fn latest_pieces_drop_covered_ranges_early() {
+        let bytes: Vec<u8> = (0..60_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let piece = |k: usize, start: u64, len: usize| Piece {
+            seg: 0,
+            start,
+            data: &bytes[k % 1_000..k % 1_000 + len],
+        };
+        let wide = Piece {
+            seg: 0,
+            start: 0,
+            data: &bytes[..],
+        };
+        let mut newest_first = vec![wide];
+        for i in 0..30_000 {
+            newest_first.push(piece(i, 200_000, 128));
+            let slot = (i / 2) as u64;
+            match i % 2 {
+                0 => newest_first.push(piece(i + 1, slot * 4, 16)),
+                _ => newest_first.push(piece(i + 1, 100_000 + (15_000 - slot) * 16, 16)),
+            }
+        }
+        let pieces = latest_pieces(newest_first.iter().copied(), newest_first.len());
+        let mut map = IntervalMap::new();
+        for p in &newest_first {
+            map.insert_if_uncovered(p.start, p.data);
+        }
+        let expected: Vec<(u64, &[u8])> = map.iter().collect();
+        let got: Vec<(u64, &[u8])> = pieces.iter().map(|p| (p.start, p.data)).collect();
+        assert_eq!(got, expected);
+        assert!(
+            HEAP_CAPACITY.get() <= 16,
+            "heap grew to {}",
+            HEAP_CAPACITY.get()
+        );
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! transaction's life comes from a per-thread scratch set and goes back
 //! to it, so after warm-up a flush commit, and an abort, allocate
 //! nothing; a no-flush commit's record takes its arenas into the spool,
-//! so the next one allocates those — and nothing else — anew.
+//! so the next one allocates those — and nothing else — anew, unless it
+//! subsumes a spooled record: then it gets that record's arenas back.
+//! Coda's shape — one object re-declared by consecutive no-flush commits
+//! — allocates the arenas of the one record its burst leaves spooled,
+//! and nothing per commit.
 //!
 //! This binary holds exactly one test (see `counting_alloc.rs`).
 
@@ -57,6 +61,26 @@ fn phases(rvm: &Rvm, region: &Region, rounds: u64, end: impl Fn(Transaction)) ->
     (writes, ends)
 }
 
+/// One whole 2 KiB object, as Coda writes it.
+const OBJECT: u64 = 2048;
+
+/// A burst of `commits` no-flush transactions that each write all of
+/// object `object`: the allocations of each one's begin-and-write and of
+/// each one's commit.
+fn coda_burst(rvm: &Rvm, region: &Region, object: u64, commits: u64) -> Vec<(u64, u64)> {
+    let payload = [object as u8; OBJECT as usize];
+    (0..commits)
+        .map(|_| {
+            let before = counting::allocations();
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, object * OBJECT, &payload).unwrap();
+            let written = counting::allocations();
+            txn.commit(CommitMode::NoFlush).unwrap();
+            (written - before, counting::allocations() - written)
+        })
+        .collect()
+}
+
 /// Measured at the parent: 13 allocations in the writes and 13 in the
 /// flush commit, every transaction.
 #[test]
@@ -91,14 +115,29 @@ fn a_steady_state_transaction_allocates_nothing() {
     // Fewer than the warm-up spooled: the spool's queue has the room.
     let spooled = phases(&rvm, &region, 32, lazy);
     rvm.flush().unwrap();
+    // Coda: the first commit of a burst subsumes nothing, so the spool
+    // keeps its record, and the next commit allocates arenas anew; each
+    // commit after that gets back those of the one it subsumes.
+    coda_burst(&rvm, &region, 0, 8);
+    rvm.flush().unwrap();
+    let bursts: Vec<Vec<(u64, u64)>> = (1..5).map(|o| coda_burst(&rvm, &region, o, 16)).collect();
+    rvm.flush().unwrap();
     let report = format!(
         "allocations as (begin + four writes, end) — flush commit: {flushed:?} over {ROUNDS}; \
-         abort: {aborted:?} over {ROUNDS}; no-flush commit: {spooled:?} over 32"
+         abort: {aborted:?} over {ROUNDS}; no-flush commit: {spooled:?} over 32; \
+         Coda bursts of one object, per commit: {bursts:?}"
     );
     assert_eq!(flushed, (0, 0), "{report}");
     assert_eq!(aborted, (0, 0), "{report}");
     assert_eq!(spooled.0, 0, "{report}");
     assert!(spooled.1 <= 32 * ALLOCATIONS_PER_SPOOLED_RECORD, "{report}");
+    for burst in &bursts {
+        let (first_two, rest) = burst.split_at(2);
+        assert!(rest.iter().all(|&spent| spent == (0, 0)), "{report}");
+        assert!(first_two.iter().all(|&(writes, _)| writes == 0), "{report}");
+        let spent: u64 = first_two.iter().map(|&(_, end)| end).sum();
+        assert!(spent <= ALLOCATIONS_PER_SPOOLED_RECORD, "{report}");
+    }
     assert_eq!(
         rvm.stats().epoch_truncations + rvm.stats().incremental_steps,
         0

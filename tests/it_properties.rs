@@ -78,15 +78,24 @@ proptest! {
     /// The one-pass resolution replay uses yields, segment by segment,
     /// exactly the entries the incremental IntervalMap holds after the
     /// same ranges in the same (newest-first) order: same cuts, same
-    /// bytes, nothing merged.
+    /// bytes, nothing merged. Half the ranges start at one of three hot
+    /// offsets and end at one of three lengths from it, so that a range
+    /// a newer one at its start covers, or outlives, is common.
     #[test]
     fn latest_pieces_match_interval_maps(
         writes in prop::collection::vec(
-            (0u32..3, 0u64..300, prop::collection::vec(any::<u8>(), 0..40)),
+            (0u32..3, 0u64..300, prop::collection::vec(any::<u8>(), 0..40), 0usize..6),
             0..40
         )
     ) {
-        let newest_first = || writes.iter().map(|(seg, start, data)| Piece { seg: *seg, start: *start, data });
+        let writes: Vec<(u32, u64, &[u8])> = writes
+            .iter()
+            .map(|(seg, start, data, hot)| match [8, 16, 32].get(*hot) {
+                Some(&len) => (*seg, start % 3 * 100, &data[..data.len().min(len)]),
+                None => (*seg, *start, &data[..]),
+            })
+            .collect();
+        let newest_first = || writes.iter().map(|&(seg, start, data)| Piece { seg, start, data });
         let pieces = latest_pieces(newest_first(), writes.len());
         let mut maps: BTreeMap<u32, IntervalMap> = BTreeMap::new();
         for p in newest_first() {

@@ -72,7 +72,7 @@ fn recovery_allocations_do_not_grow_with_the_record_count() {
         (N as usize, 4 * N as usize)
     );
     // 3 MiB more log is three more 1 MiB chunks (bytes + index each); the
-    // pages touched are the same sixteen. Measured: 63 and 69 allocations;
+    // pages touched are the same sixteen. Measured: 64 and 68 allocations;
     // the commit before the borrowed replay path spent 16 201 and 64 203.
     let extra = large.saturating_sub(small);
     assert!(
