@@ -7,15 +7,10 @@
 //! disjoint pages, and measures the virtual I/O time the log consumed.
 //! One committer forcing every commit pays one ~17.4 ms force each: the
 //! paper's 57 txn/s ceiling (§7.1.2). With more threads at cap 1 every
-//! commit still costs a force; with no accumulation window a leader
-//! usually drains the queue before the next committer arrives, so those
-//! rows sit at the same ceiling, and when committers do pile up behind
-//! it the leader submits its force instead of waiting, so forces queue
-//! back to back at the disk and the row rises (thread timing, not a
-//! guarantee — the gate uses the one-thread row). Group commit shares
+//! commit still costs a force, one at a time, so those rows sit at the
+//! same ceiling (the gate uses the one-thread row). Group commit shares
 //! one force per batch, so throughput scales with the achieved batch
-//! size. The
-//! per-cell stats expose the mechanism: `log_forces` falls below
+//! size. The per-cell stats expose the mechanism: `log_forces` falls below
 //! `flush_commits` and the disk sees one coalesced extent per batch
 //! instead of one per commit.
 //!

@@ -64,9 +64,8 @@ typedef struct {
     uint64_t corruptions_detected;
     uint64_t corruptions_repaired;
     uint64_t regions_quarantined;
-    uint64_t pipeline_submits;
-    uint64_t forces_in_flight_hw;
-    uint64_t pipeline_stall_ns;
+    uint64_t pipeline_submits;   /* always 0: every batch completes inline */
+    uint64_t pipeline_stall_ns;  /* always 0 */
     uint64_t group_waits;    /* times a commit leader waited for company */
     uint64_t group_wait_ns;  /* nanoseconds spent in those waits */
 } rvm_query_t;

@@ -21,11 +21,10 @@
 //! The leader runs one bounded round ([`round`]): under the core lock it
 //! stages every *member* into one buffer — the spooled records in ticket
 //! order, then the claimed slots in queue order, which is the durable
-//! order — writes or submits the buffer once, forces once, and one
-//! completion settles every member, whichever thread waited for the
-//! device. One force per commit is a batch cap of 1
-//! (`group_commit_max_txns` bounds waiters per force; spooled records
-//! and barriers ride along uncounted).
+//! order — writes the buffer once, forces once, and completes the batch,
+//! settling every member, before it releases the lock. One force per
+//! commit is a batch cap of 1 (`group_commit_max_txns` bounds waiters per
+//! force; spooled records and barriers ride along uncounted).
 //!
 //! Before it claims, a leader that just had company waits, boundedly, for
 //! it to come back — one rule, stated on `leader_round` in [`round`], of
@@ -37,8 +36,7 @@
 //! scratch ([`crate::txn::TxnScratch`]), filled straight from VM by
 //! `commit_txn`. A **flush commit** parks them in its queue slot; the
 //! claiming leader takes them, stages from them where they lie and
-//! carries them in the batch's member list — inline to the end of the
-//! lock hold, submitted to the reap — until `complete_batch` puts them
+//! carries them in the batch's member list until `complete_batch` puts them
 //! back in the slot *with* the outcome, and the committer returns them,
 //! emptied, to its scratch and so to its thread's cache (a record whose
 //! round failed is dropped where it lies). A **spooled record** takes its
@@ -49,25 +47,6 @@
 //! ([`GroupState::claim`]), the member list with the core
 //! (`Core::batch_members`): a steady-state round allocates nothing.
 //!
-//! ## Inline or submitted
-//!
-//! A leader with nobody to overlap with — its claim emptied the queue
-//! and no batch is in flight — writes its batch, forces, and completes
-//! it on its own thread. Otherwise the force would be device time during
-//! which the next batch could already be serializing: the leader
-//! *submits* the writes and the force
-//! ([`Device::submit_write`](rvm_storage::Device) / `submit_sync`) and
-//! queues the batch in flight ([`inflight`]), the next leader stages and
-//! submits behind it, and completions are reaped strictly FIFO — only
-//! the reap, which waits the batch's tokens, acknowledges its waiters.
-//! Which side runs is observed, never configured, and durability is the
-//! same on both. At most [`inflight::PIPELINE_DEPTH`] batches are
-//! submitted-or-mid-reap at once: a leader about to submit first waits
-//! for room, reaping the oldest batch itself if nobody else is. Any
-//! thread may reap — in practice the *successor* leader, a leader that
-//! found the queue empty (the pipeline tail), or one waiting for room —
-//! but only one at a time, oldest batch first.
-//!
 //! ## Failure and poison rules
 //!
 //! A record that does not fit in the log fails alone with its own
@@ -75,41 +54,23 @@
 //! its round — whose waiters were promised everything spooled before
 //! them — fails with the same error, leaving the instance healthy. A
 //! batch whose writes or force fail fails *whole*: the WAL cursors roll
-//! back iff nothing was appended past the batch, and the instance is
-//! poisoned — records may sit unacknowledged in the device's
-//! write-behind cache. Batches submitted *after* a failed one fail with
-//! `Poisoned` even if their own force succeeded: their records sit
-//! beyond an unforced hole, where a recovery scan cannot reach them.
-//! Every writer is a round, so that includes every barrier: `flush()`
-//! cannot acknowledge records above a hole.
+//! back to its checkpoint — nothing else appended while it was open — and
+//! the instance is poisoned, since records may sit unacknowledged in the
+//! device's write-behind cache. Every later round, barriers included,
+//! fails fast with `Poisoned` without touching the log.
 //!
-//! ## Making room, and the stable end
+//! ## Making room
 //!
 //! Epoch truncation applies its frozen span with the core lock released,
 //! so a round can run *during* a truncation. When a member does not fit
 //! *right now*, one rule applies (`stage` in [`round`]): the batch staged
-//! so far is closed — written or submitted, forced, completed — then
+//! so far is closed — written, forced, completed — then
 //! `make_log_space` waits out or runs an epoch, releasing `core`, and
-//! the fill resumes with the rest. The lock is never released over bytes
-//! staged but not submitted, so truncation never scans what has not
-//! reached the device, and the leader's stall is bounded by the epoch
-//! apply (`truncation_stall_ns`).
-//!
-//! Nor may truncation treat in-flight records as stable: the oldest
-//! unreaped batch's checkpoint is the **pipeline floor**
-//! ([`LogPipeline::floor`]), and every truncation path stops at the
-//! log's stable end (`RvmShared::stable_end`: the floor, or the tail
-//! with nothing in flight). Everything under it is written *and forced*:
-//! reaps are FIFO and inline completions force before they release the
-//! core lock.
-//!
-//! A batch's checkpoint lets a failed force roll the whole batch back —
-//! unless a later round appended past it while it was in flight, whose
-//! records a rollback would destroy. `Core::wait_generation` counts the
-//! lock releases and `end_tail` catches the appends: a batch rolls back
-//! only if both are unchanged, and otherwise leaves its records in the
-//! log — harmless, since the failure poisons the instance and recovery
-//! replays only complete, committed records.
+//! the fill resumes with the rest. A batch is therefore opened, written,
+//! forced and completed within one core-lock hold: truncation never
+//! scans what has not been forced, everything below the tail is stable,
+//! and a failed force can always roll its batch back. The leader's stall
+//! is bounded by the epoch apply (`truncation_stall_ns`).
 //!
 //! ## Lock order
 //!
@@ -117,15 +78,10 @@
 //! only to read its outcome — never with `core`: the leader claims its
 //! slots, releases `state`, then takes `core`, and a barrier raised by a
 //! holder of the core guard runs under `MutexGuard::unlocked`. Under
-//! `core` the leader pops spool shards and locks slot `work`. The
-//! pipeline lock (`pipe`) ranks above both: taken while `core` is held
-//! (queueing a submitted batch; floor reads inside truncation), **never**
-//! held while acquiring either. Its condvar parks on `pipe` alone.
+//! `core` the leader pops spool shards and locks slot `work`.
 
-mod inflight;
 mod round;
 
-pub(crate) use inflight::LogPipeline;
 pub(crate) use round::Member;
 
 use std::collections::VecDeque;
@@ -314,8 +270,8 @@ impl RvmShared {
     /// Leadership is a baton, not a thread: the first waiter to find no
     /// active leader takes it, runs one bounded round via
     /// [`RvmShared::leader_round`], releases it, and re-checks its own
-    /// slot. A waiter whose slot was left out of a bounded round — or
-    /// whose batch is still in flight — simply takes the baton next, so
+    /// slot. A waiter whose slot was left out of a bounded round simply
+    /// takes the baton next, so
     /// every enqueued slot is settled after at most
     /// `queue length / max_txns` rounds and durable-log order equals
     /// queue order.
@@ -327,12 +283,11 @@ impl RvmShared {
     ) -> Result<()> {
         let barrier = record.is_none();
         let mut gs = self.group.state.lock();
-        // Only a leader pops the spool, stages, or puts a batch in
-        // flight, and nobody becomes one without this lock: with no
-        // leader, an empty spool and an idle pipeline, every record
-        // committed so far has been settled, and a barrier has
+        // Only a leader pops the spool or stages, and nobody becomes one
+        // without this lock: with no leader and an empty spool, every
+        // record committed so far has been settled, and a barrier has
         // nothing to wait for.
-        if barrier && !gs.leader_active && self.spool.is_empty() && self.pipeline.is_idle() {
+        if barrier && !gs.leader_active && self.spool.is_empty() {
             return if self.poisoned.load(Ordering::Acquire) {
                 Err(RvmError::Poisoned)
             } else {
@@ -385,17 +340,19 @@ mod tests {
     use std::sync::Arc;
 
     use parking_lot::{Condvar, Mutex};
-    use rvm_storage::{Device, IoToken, MemDevice};
+    use rvm_storage::{Device, MemDevice};
 
     use crate::segment::MemResolver;
-    use crate::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
+    use crate::{CommitMode, Options, RegionDescriptor, Rvm, TxnMode, PAGE_SIZE};
 
-    /// A log whose *submitted* forces complete only once the gate opens:
-    /// a submitted batch stays in flight, the core lock free, until then.
+    /// A log whose forces, once the gate closes, park until it opens: a
+    /// leader stays in its batch's force, holding the core lock.
+    #[derive(Default)]
     struct GatedForceLog {
         inner: MemDevice,
-        open: Mutex<bool>,
-        opened: Condvar,
+        /// (closed, a force is parked)
+        gate: Mutex<(bool, bool)>,
+        changed: Condvar,
     }
 
     impl Device for GatedForceLog {
@@ -409,48 +366,36 @@ mod tests {
             self.inner.write_at(offset, data)
         }
         fn sync(&self) -> rvm_storage::Result<()> {
+            let mut gate = self.gate.lock();
+            while gate.0 {
+                gate.1 = true;
+                self.changed.notify_all();
+                self.changed.wait(&mut gate);
+            }
+            gate.1 = false;
+            drop(gate);
             self.inner.sync()
         }
         fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
             self.inner.set_len(len)
         }
-        fn submit_sync(&self) -> IoToken {
-            IoToken::pending(1)
-        }
-        fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
-            token.into_inline().unwrap_or_else(|_| {
-                let mut open = self.open.lock();
-                while !*open {
-                    self.opened.wait(&mut open);
-                }
-                self.inner.sync()
-            })
-        }
     }
 
     /// `PageQueue`'s invariant — descriptor offsets never decrease, which
     /// `drain_below` relies on — across a `flush()` issued while an older
-    /// batch is still in flight: the drain is a batch behind it in the
-    /// FIFO reap, so its descriptors are enqueued after that batch's.
-    /// (When the drain was a second writer it appended above the batch
-    /// in flight and enqueued first.)
+    /// batch is still in its force: the drain queues behind that batch's
+    /// leader, so its descriptors are enqueued after that batch's. (When
+    /// the drain was a second writer it appended above the batch in
+    /// flight and enqueued first.)
     #[test]
     fn flush_behind_a_batch_in_flight_enqueues_in_log_order() {
         let log = Arc::new(GatedForceLog {
             inner: MemDevice::with_len(1 << 20),
-            open: Mutex::new(false),
-            opened: Condvar::new(),
+            ..GatedForceLog::default()
         });
         let rvm = Rvm::initialize(
             Options::new(log.clone())
                 .resolver(MemResolver::new().into_resolver())
-                // One waiter per batch and a window for both committers
-                // to queue up: the first batch is submitted, not inline.
-                .tuning(Tuning {
-                    group_commit_max_txns: 1,
-                    group_commit_wait_us: 50_000,
-                    ..Tuning::default()
-                })
                 .create_if_empty(),
         )
         .unwrap();
@@ -464,20 +409,26 @@ mod tests {
                 .unwrap();
             txn.commit(mode)
         };
+        log.gate.lock().0 = true;
         std::thread::scope(|s| {
-            let committers = [0, 1].map(|page| s.spawn(move || commit(page, CommitMode::Flush)));
-            while rvm.stats().pipeline_submits == 0 {
-                std::thread::yield_now();
+            let first = s.spawn(move || commit(0, CommitMode::Flush));
+            {
+                let mut gate = log.gate.lock();
+                while !gate.1 {
+                    log.changed.wait(&mut gate);
+                }
             }
+            let second = s.spawn(move || commit(1, CommitMode::Flush));
             let flusher = s.spawn(|| commit(2, CommitMode::NoFlush).and_then(|()| rvm.flush()));
-            // The flush cannot return before the batch ahead of it does.
-            while rvm.stats().pipeline_submits < 2 {
+            while rvm.stats().no_flush_commits == 0 {
                 std::thread::yield_now();
             }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            // The flush cannot return before the batch ahead of it does.
             assert!(!flusher.is_finished());
-            *log.open.lock() = true;
-            log.opened.notify_all();
-            for handle in committers.into_iter().chain([flusher]) {
+            log.gate.lock().0 = false;
+            log.changed.notify_all();
+            for handle in [first, second, flusher] {
                 handle.join().unwrap().unwrap();
             }
         });

@@ -4,9 +4,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::MutexGuard;
-
-use super::inflight::InFlightBatch;
 use super::{GroupSlot, BATCH_MAX_BYTES};
 use crate::error::{Result, RvmError};
 use crate::log::wal::{AppendInfo, WalCheckpoint};
@@ -29,21 +26,15 @@ pub(crate) struct Member {
 
 /// The members staged under one force, and what
 /// [`RvmShared::complete_batch`] needs once the batch's writes and force
-/// have finished, whichever thread waited.
-pub(super) struct Batch {
+/// have finished.
+struct Batch {
     /// Log order. The vector is `Core::batch_members`, borrowed from the
     /// open to the completion.
     members: Vec<Member>,
     /// Unpadded record bytes staged, against [`BATCH_MAX_BYTES`].
     bytes: u64,
-    /// WAL cursors before this batch's appends — the rollback point and,
-    /// while this batch is the oldest in flight, the pipeline floor.
-    pub(super) ckpt: WalCheckpoint,
-    /// `Core::wait_generation` at the checkpoint.
-    ckpt_gen: u64,
-    /// WAL tail right after this batch's appends (set when it closes); a
-    /// failure rolls back only if the tail still matches.
-    end_tail: u64,
+    /// WAL cursors before this batch's appends: the rollback point.
+    ckpt: WalCheckpoint,
     /// When the batch closed, if it forces for more than one waiter: its
     /// completion times a force in company.
     closed_at: Option<Instant>,
@@ -51,14 +42,12 @@ pub(super) struct Batch {
 
 impl Batch {
     /// An empty batch at the current tail. The core lock stays held from
-    /// here to the close, so everything in between is this batch's.
+    /// here to the completion, so everything in between is this batch's.
     fn open(core: &mut Core) -> Self {
         Batch {
             members: std::mem::take(&mut core.batch_members),
             bytes: 0,
             ckpt: core.wal.checkpoint(),
-            ckpt_gen: core.wait_generation,
-            end_tail: core.wal.tail(),
             closed_at: None,
         }
     }
@@ -80,13 +69,8 @@ impl RvmShared {
     /// company, claims up to `group_commit_max_txns` slots from the queue
     /// front into `claim` and, under the core lock, stages the spooled
     /// records (ticket order) and then the claimed slots (queue order)
-    /// into the open batch, which [`Self::close_batch`] writes or submits.
-    ///
-    /// Staging and submission both happen under one core-lock hold, in
-    /// queue order: a successor batch must never reach the device while
-    /// an earlier batch's bytes are still an unwritten hole below it, or
-    /// a crash after the successor's force could strand forced records
-    /// beyond a gap the recovery scan cannot cross.
+    /// into the open batch, which [`Self::close_batch`] writes, forces and
+    /// completes before the lock is released.
     ///
     /// **Waiting for company — the rule.** Sharing a force saves a whole
     /// one, so a leader whose previous round claimed `company > 1` slots
@@ -107,32 +91,20 @@ impl RvmShared {
     ) {
         let max_txns = tuning.group_commit_max_txns.max(1);
         self.accumulate(tuning, company.min(max_txns));
-        let queue_drained = {
+        {
             let mut gs = self.group.state.lock();
             let claimed = gs.queue.len().min(max_txns);
             claim.extend(gs.queue.drain(..claimed));
             gs.last_claim = claimed;
-            gs.queue.is_empty()
-        };
+        }
         let slots = &*claim;
         if slots.is_empty() {
-            // Nothing queued: this round is the pipeline tail. Stand in
-            // as the reaper so in-flight waiters (including, possibly,
-            // this thread's own batch) get their outcomes.
-            self.pipeline_reap_front();
-            return;
-        }
-        // Inline when there is nobody to overlap with. Only a leader puts
-        // batches in flight and leadership is exclusive, so a pipeline
-        // observed idle here stays idle for the rest of the round.
-        let inline = queue_drained && self.pipeline.is_idle();
-        if !inline {
-            self.pipeline_wait_for_room();
+            return; // an earlier round settled every slot
         }
 
         let mut core = self.core.lock();
         let mut open: Option<Batch> = None;
-        match self.stage_spool(&mut core, &mut open, inline) {
+        match self.stage_spool(&mut core, &mut open) {
             // The waiters were promised everything spooled before them.
             Err(e) => self.fail_waiters(slots.iter(), e),
             Ok(()) => {
@@ -141,7 +113,7 @@ impl RvmShared {
                     let staged = match record {
                         None => Ok(None), // a barrier: nothing to append
                         Some(txn) => self
-                            .stage(&mut core, &mut open, inline, &txn)
+                            .stage(&mut core, &mut open, &txn)
                             .map(|info| Some((txn, info))),
                     };
                     match staged {
@@ -152,14 +124,7 @@ impl RvmShared {
                 }
             }
         }
-        let behind_predecessor = self.close_batch(&mut core, &mut open, inline);
-        drop(core);
-        // Reap the predecessor, if any: its force has been in flight
-        // while this batch filled. This batch itself stays in flight so
-        // the *next* leader's fill overlaps it.
-        if behind_predecessor {
-            self.pipeline_reap_front();
-        }
+        self.close_batch(&mut core, &mut open);
     }
 
     /// The accumulation step of [`Self::leader_round`].
@@ -188,12 +153,7 @@ impl RvmShared {
     /// Stages every spooled record, oldest first — the only code that
     /// pops the spool. A record that cannot be staged goes back to the
     /// spool front, so whoever drains next still appends in commit order.
-    fn stage_spool(
-        &self,
-        core: &mut CoreGuard<'_>,
-        open: &mut Option<Batch>,
-        inline: bool,
-    ) -> Result<()> {
+    fn stage_spool(&self, core: &mut CoreGuard<'_>, open: &mut Option<Batch>) -> Result<()> {
         if self.poisoned.load(Ordering::Acquire) {
             // Poisoned between enqueue and leadership (e.g. by the
             // previous batch): fail fast without touching the log.
@@ -205,7 +165,7 @@ impl RvmShared {
             let Some(txn) = self.spool.pop_front(&mut hint) else {
                 break;
             };
-            match self.stage(core, open, inline, &txn) {
+            match self.stage(core, open, &txn) {
                 Ok(info) => {
                     drained = true;
                     Batch::join(open, core, None, Some((txn, info)));
@@ -224,9 +184,9 @@ impl RvmShared {
 
     /// Stages one record into the open batch (opening one if need be).
     /// One rule for a record that does not fit *right now* — in the log,
-    /// or under [`BATCH_MAX_BYTES`]: the batch staged so far closes, so
-    /// nothing sits unforced below a truncation boundary;
-    /// [`Self::make_log_space`] **releases the core lock** to make room;
+    /// or under [`BATCH_MAX_BYTES`]: the batch staged so far closes —
+    /// written, forced and completed — so no batch is open when
+    /// [`Self::make_log_space`] **releases the core lock** to make room,
     /// and the fill resumes in a new batch. With nothing reclaimable the
     /// record keeps its own `LogFull` (raised before any cursor or
     /// staging mutation, so there is nothing to undo).
@@ -234,14 +194,13 @@ impl RvmShared {
         &self,
         core: &mut CoreGuard<'_>,
         open: &mut Option<Batch>,
-        inline: bool,
         txn: &SpooledTxn,
     ) -> Result<AppendInfo> {
         if open
             .as_ref()
             .is_some_and(|b| b.bytes > 0 && b.bytes + txn.record_bytes > BATCH_MAX_BYTES)
         {
-            self.close_and_continue(core, open, inline);
+            self.close_batch(core, open);
         }
         loop {
             if self.poisoned.load(Ordering::Acquire) {
@@ -255,7 +214,7 @@ impl RvmShared {
                     return Ok(info);
                 }
                 Err(e) if wal.full_for_now(&e) => {
-                    self.close_and_continue(core, open, inline);
+                    self.close_batch(core, open);
                     if !self.make_log_space(core)? {
                         return Err(e);
                     }
@@ -265,34 +224,16 @@ impl RvmShared {
         }
     }
 
-    /// Mid-round close: the fill goes on in a new batch, which on the
-    /// submitted side needs room in flight first (core lock released for
-    /// the wait; nothing is staged).
-    fn close_and_continue(&self, core: &mut CoreGuard<'_>, open: &mut Option<Batch>, inline: bool) {
-        self.close_batch(core, open, inline);
-        if !inline {
-            MutexGuard::unlocked(core, || self.pipeline_wait_for_room());
-        }
-    }
-
     /// Closes the open batch, if it has members: the staged bytes reach
     /// the device in one write (two on wrap) under one force — the only
-    /// caller of the WAL's — and one [`Self::complete_batch`] settles
-    /// every member: here, inline, or at the reap of the batch this
-    /// submits. Returns whether it was submitted behind an older batch
-    /// still in flight.
-    fn close_batch(
-        &self,
-        core: &mut CoreGuard<'_>,
-        open: &mut Option<Batch>,
-        inline: bool,
-    ) -> bool {
+    /// caller of the WAL's — and [`Self::complete_batch`] settles every
+    /// member, all before the core lock is released.
+    fn close_batch(&self, core: &mut CoreGuard<'_>, open: &mut Option<Batch>) {
         let Some(mut batch) = open.take().filter(|b| !b.members.is_empty()) else {
-            return false;
+            return;
         };
-        batch.end_tail = core.wal.tail();
         // A batch of barriers appends nothing and needs no force of its
-        // own: everything below it is forced by the time it completes.
+        // own: everything below it was forced by an earlier batch.
         // `skip_group_force` (crashmc mutation hook) acknowledges a batch
         // without its durability barrier: the classic lost-commit bug the
         // model checker must be able to see.
@@ -301,60 +242,39 @@ impl RvmShared {
         if force && waiters.count() > 1 {
             batch.closed_at = Some(Instant::now());
         }
-        if inline {
-            let io = core.wal.write_staged(&core.staging).and_then(|()| {
-                if force {
-                    core.wal.force()
-                } else {
-                    Ok(())
-                }
-            });
-            core.staging.clear();
-            self.complete_batch(core, batch, io);
-            return false;
-        }
-        let Core { wal, staging, .. } = &mut **core;
-        let mut tokens = wal.submit_staged(staging);
-        tokens.extend(force.then(|| wal.submit_force()));
-        let stats = &self.stats;
-        stats.add(&stats.pipeline_submits, 1);
-        let (depth, behind_predecessor) = {
-            let mut ps = self.pipeline.pipe.lock();
-            ps.in_flight.push_back(InFlightBatch { batch, tokens });
-            (ps.depth(), ps.in_flight.len() > 1)
-        };
-        stats
-            .forces_in_flight_hw
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        behind_predecessor
+        let io = core.wal.write_staged(&core.staging).and_then(|()| {
+            if force {
+                core.wal.force()
+            } else {
+                Ok(())
+            }
+        });
+        core.staging.clear();
+        self.complete_batch(core, batch, io);
     }
 
     /// Completes a closed batch whose writes and force finished with
-    /// `io` — the one place a batch's outcome is decided, called with
-    /// the core lock held by whichever thread waited for the device (the
-    /// leader itself inline, the FIFO reap otherwise).
+    /// `io` — the one place a batch's outcome is decided.
+    ///
+    /// **Condition:** the caller has held the core lock without a break
+    /// since [`Batch::open`], so nothing but this batch appended past its
+    /// checkpoint. `stage` keeps it by closing the batch before
+    /// `make_log_space` releases the lock.
     ///
     /// On success: statistics, page-vector, page-queue and `segs_in_log`
     /// bookkeeping for every record, and `Ok` to every waiter. On failure
     /// the batch fails *whole*: the WAL cursors roll back to the
-    /// pre-batch checkpoint iff nothing appended past the batch, and a
-    /// device error poisons the instance, because records may sit
-    /// unacknowledged in the device's write-behind cache.
-    pub(super) fn complete_batch(&self, core: &mut Core, mut batch: Batch, io: Result<()>) {
+    /// pre-batch checkpoint, and a device error poisons the instance,
+    /// because records may sit unacknowledged in the device's
+    /// write-behind cache.
+    fn complete_batch(&self, core: &mut Core, mut batch: Batch, io: Result<()>) {
         let stats = &self.stats;
         if let Err(e) = io {
-            // The checkpoint is a valid rollback point only while nothing
-            // appended past the batch: the tail still matches its
-            // post-append position and no core-lock release (which lets
-            // a later round append) bumped the wait generation. Otherwise
-            // the records stay in the log unacknowledged — the instance
-            // poisons below. (`skip_group_rollback`, a crashmc mutation
-            // hook, reintroduces the cursors-past-unforced-records bug
-            // the rollback exists to prevent.)
-            if core.wait_generation == batch.ckpt_gen
-                && core.wal.tail() == batch.end_tail
-                && !core.hooks.skip_group_rollback
-            {
+            // By the condition above the checkpoint is the rollback point.
+            // (`skip_group_rollback`, a crashmc mutation hook, reintroduces
+            // the cursors-past-unforced-records bug the rollback exists to
+            // prevent.)
+            if !core.hooks.skip_group_rollback {
                 core.wal.rollback_to(batch.ckpt);
             }
             let e = self.guard_io(Err::<(), _>(e)).unwrap_err();

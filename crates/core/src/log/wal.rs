@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use rvm_storage::{Device, IoToken};
+use rvm_storage::Device;
 
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
@@ -55,11 +55,9 @@ pub struct AppendInfo {
 /// typically reaches the device as a single write (two when a pad record
 /// wraps the lap: the pad fills the old lap's physical end while the
 /// record restarts at the area's physical start). Every chunk lives in
-/// one byte buffer. Written in place ([`Wal::write_staged`]), the buffer
-/// keeps that allocation across [`StagingBuf::clear`], so a reused buffer
-/// fills without allocating. Submitted ([`Wal::submit_staged`]), the
-/// bytes leave with the writes — [`Device::submit_write`] owns its
-/// payload — and the next fill starts from an empty buffer.
+/// one byte buffer, written in place by [`Wal::write_staged`], which keeps
+/// its allocation across [`StagingBuf::clear`], so a reused buffer fills
+/// without allocating.
 #[derive(Debug, Default)]
 pub struct StagingBuf {
     bytes: Vec<u8>,
@@ -278,8 +276,8 @@ impl Wal {
     /// device: the cursors advance past the record (and a pad record, if
     /// the record does not fit in the current lap), but the encoded bytes
     /// land in RAM. The caller later pushes the whole buffer to the device
-    /// with [`Wal::write_staged`] or [`Wal::submit_staged`]. This is the
-    /// one place a record is encoded and the tail advanced.
+    /// with [`Wal::write_staged`]. This is the one place a record is
+    /// encoded and the tail advanced.
     ///
     /// The only possible error is [`RvmError::LogFull`], raised before any
     /// cursor or staging mutation, so a failed staged append needs no
@@ -349,41 +347,6 @@ impl Wal {
             self.dev.write_at(phys, bytes)?;
         }
         Ok(())
-    }
-
-    /// Submits every staged chunk as an asynchronous device write,
-    /// draining `staging`: the bytes move into the writes' payloads. The
-    /// writes are *submitted*, not durable — the caller must pair them
-    /// with [`Wal::submit_force`] and wait both before acknowledging
-    /// anything.
-    pub fn submit_staged(&self, staging: &mut StagingBuf) -> Vec<IoToken> {
-        // Peel chunks off the end; the first (usually only) chunk is the
-        // buffer the batch was encoded in, moved rather than copied.
-        let mut rest = std::mem::take(&mut staging.bytes);
-        let mut payloads: Vec<(u64, Vec<u8>)> = staging
-            .chunks
-            .drain(..)
-            .rev()
-            .map(|(phys, start)| {
-                let data = if start == 0 {
-                    std::mem::take(&mut rest)
-                } else {
-                    rest.split_off(start)
-                };
-                (phys, data)
-            })
-            .collect();
-        payloads.reverse();
-        payloads
-            .into_iter()
-            .map(|(phys, data)| self.dev.submit_write(phys, data))
-            .collect()
-    }
-
-    /// Submits an asynchronous durability barrier covering every write
-    /// submitted before it (the pipelined counterpart of [`Wal::force`]).
-    pub fn submit_force(&self) -> IoToken {
-        self.dev.submit_sync()
     }
 
     /// Forces all appended records to stable storage (a "log force").
@@ -991,12 +954,8 @@ mod tests {
         }
         // Three contiguous records coalesce into one chunk.
         assert_eq!(buf.chunks().count(), 1);
-        let tokens = staged.submit_staged(&mut buf);
-        assert_eq!(buf.chunks().count(), 0, "submit drains the staging buffer");
-        for t in tokens {
-            staged.device().wait(t).unwrap();
-        }
-        staged.device().wait(staged.submit_force()).unwrap();
+        staged.write_staged(&buf).unwrap();
+        staged.force().unwrap();
 
         let scan_d = scan_forward(direct.device().as_ref(), direct.capacity(), 0, 1, None).unwrap();
         let scan_s = scan_forward(staged.device().as_ref(), staged.capacity(), 0, 1, None).unwrap();
@@ -1027,10 +986,8 @@ mod tests {
             3 * LOG_BLOCK,
             "the wrapped record alone"
         );
-        for t in wal.submit_staged(&mut buf) {
-            wal.device().wait(t).unwrap();
-        }
-        wal.device().wait(wal.submit_force()).unwrap();
+        wal.write_staged(&buf).unwrap();
+        wal.force().unwrap();
 
         let scan = scan_forward(
             wal.device().as_ref(),

@@ -3,9 +3,8 @@
 //! incremental steps, with a commit re-dirtying a frozen page.
 //!
 //! [`EpochModel`] is the one epoch-truncation protocol and the
-//! `truncation_done` condvar + `wait_generation` handshake around it
-//! (`truncation::epoch`: `epoch_truncate`, `make_log_space`,
-//! `truncate_now`).
+//! `truncation_done` condvar handshake around it (`truncation::epoch`:
+//! `epoch_truncate`, `make_log_space`, `truncate_now`).
 //!
 //! Threads: one explicit truncator (`truncate_now`: wait out an epoch in
 //! flight, then run one) and two committers appending into a log with no
@@ -14,7 +13,7 @@
 //! one that finds none *becomes* the truncator — freeze under the lock,
 //! apply with the lock released, reacquire to complete and wake everyone
 //! — so the other committer may arrive during its apply. Either way the
-//! committer bumps `wait_generation` before it looks at the log again.
+//! committer looks at the log again once it holds the lock.
 //!
 //! Checked properties:
 //!
@@ -24,13 +23,8 @@
 //!   parked when an epoch completes.
 //! * **One owner** — an epoch is frozen only while none is in flight, so
 //!   no two threads ever race to move the head.
-//! * **Generation discipline** — a committer that released the core lock
-//!   (parked, or ran the epoch itself) must bump `wait_generation`
-//!   *before* it re-derives any state from the lock (the flush-batch
-//!   rollback guard depends on this).
-//! * The model's own power is demonstrated by two mutations the explorer
-//!   must catch: a non-atomic wait (release-then-park ⇒ deadlock) and a
-//!   skipped generation bump (⇒ invariant violation).
+//! * The model's own power is demonstrated by a mutation the explorer
+//!   must catch: a non-atomic wait (release-then-park ⇒ deadlock).
 
 use super::explore::Model;
 
@@ -44,10 +38,6 @@ pub struct EpochModel {
     /// Model mutation: `false` splits a committer's condvar wait into
     /// release-then-park, losing wakeups that land in between.
     pub atomic_wait: bool,
-    /// Model mutation: `true` skips the `wait_generation` bump after
-    /// `make_log_space` released the lock, the omission that would
-    /// silently re-enable unsafe batch rollbacks.
-    pub skip_gen_bump: bool,
 
     lock: Option<u8>,
     /// An epoch is in flight (`core.truncation.is_some()`).
@@ -56,38 +46,24 @@ pub struct EpochModel {
     double_owner: bool,
     /// Whether the log has room to append (starts false: log full).
     space: bool,
-    wait_gen: u8,
     /// Bitmask of threads parked on `truncation_done`.
     waiters: u8,
 
     trunc_pc: u8,
     com_pc: [u8; 2],
-    /// Per committer: it released the lock since it last looked at the
-    /// log.
-    released: [bool; 2],
-    /// Per committer: it bumped `wait_gen` after its latest release.
-    bumped: [bool; 2],
-    /// Per committer: it appended while `released && !bumped` — the
-    /// generation-discipline violation.
-    bad_append: [bool; 2],
 }
 
 impl EpochModel {
-    pub fn new(atomic_wait: bool, skip_gen_bump: bool) -> Self {
+    pub fn new(atomic_wait: bool) -> Self {
         EpochModel {
             atomic_wait,
-            skip_gen_bump,
             lock: None,
             epoch: false,
             double_owner: false,
             space: false,
-            wait_gen: 0,
             waiters: 0,
             trunc_pc: 0,
             com_pc: [0; 2],
-            released: [false; 2],
-            bumped: [false; 2],
-            bad_append: [false; 2],
         }
     }
 
@@ -171,17 +147,12 @@ impl EpochModel {
             }
             1 => {
                 if self.space {
-                    if self.released[i] && !self.bumped[i] {
-                        self.bad_append[i] = true;
-                    }
                     self.lock = None;
                     self.com_pc[i] = DONE;
                     return;
                 }
                 // `make_log_space`: whichever branch runs releases the
                 // lock.
-                self.released[i] = true;
-                self.bumped[i] = false;
                 if !self.epoch {
                     // No epoch in flight: this committer runs it.
                     self.freeze();
@@ -202,9 +173,8 @@ impl EpochModel {
                 self.com_pc[i] = 2;
             }
             4 => {
-                // Woken: reacquire the lock, bump the generation.
+                // Woken: reacquire the lock and look again.
                 self.lock = Some(t);
-                self.bump(i);
                 self.com_pc[i] = 1;
             }
             5 => {
@@ -222,18 +192,9 @@ impl EpochModel {
             }
             8 => {
                 self.complete();
-                self.bump(i);
                 self.com_pc[i] = 1;
             }
             _ => unreachable!("committer stepped while parked"),
-        }
-    }
-
-    /// `make_log_space`'s one `wait_generation` bump.
-    fn bump(&mut self, i: usize) {
-        if !self.skip_gen_bump {
-            self.wait_gen = self.wait_gen.wrapping_add(1);
-            self.bumped[i] = true;
         }
     }
 }
@@ -280,13 +241,6 @@ impl Model for EpochModel {
     fn check(&self) -> Result<(), String> {
         if self.double_owner {
             return Err("an epoch was frozen while another was in flight".into());
-        }
-        for i in 0..2 {
-            if self.bad_append[i] {
-                return Err(format!(
-                    "committer {i} re-derived core state after releasing the lock without bumping wait_generation"
-                ));
-            }
         }
         let all_done = self.trunc_pc == DONE && self.com_pc.iter().all(|&pc| pc == DONE);
         if all_done {
@@ -703,7 +657,7 @@ mod tests {
 
     #[test]
     fn epoch_handshake_has_no_lost_wakeup() {
-        let report = explore(EpochModel::new(true, false), 2_000_000);
+        let report = explore(EpochModel::new(true), 2_000_000);
         assert!(report.complete, "state space fully covered");
         assert!(
             report.violation.is_none(),
@@ -715,7 +669,7 @@ mod tests {
 
     #[test]
     fn non_atomic_wait_deadlocks_and_is_caught() {
-        let report = explore(EpochModel::new(false, false), 2_000_000);
+        let report = explore(EpochModel::new(false), 2_000_000);
         let (msg, schedule) = report
             .violation
             .expect("release-then-park must lose a wakeup in some schedule");
@@ -756,17 +710,5 @@ mod tests {
             "unexpected violation: {msg}"
         );
         assert!(schedule.contains(&1), "needs the commit: {schedule:?}");
-    }
-
-    #[test]
-    fn skipped_generation_bump_is_caught() {
-        let report = explore(EpochModel::new(true, true), 2_000_000);
-        let (msg, _) = report
-            .violation
-            .expect("a skipped wait_generation bump must be flagged");
-        assert!(
-            msg.contains("wait_generation"),
-            "unexpected violation: {msg}"
-        );
     }
 }

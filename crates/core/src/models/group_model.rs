@@ -5,10 +5,10 @@
 //! * [`GroupModel`] — the leader's *batch* half: a fill that, when a
 //!   member does not fit, closes the batch staged so far, releases the
 //!   core lock to wait out an epoch truncation, and resumes in a new
-//!   batch at a fresh checkpoint; the submitted force that completes with
-//!   the lock released; and the guarded rollback on force failure. The
+//!   batch at a fresh checkpoint; the force and completion under the
+//!   lock the batch opened under; and the rollback on force failure. The
 //!   property at stake is that a rollback never destroys records appended
-//!   by another thread while the batch was in flight.
+//!   by another thread.
 //! * [`BatonModel`] — the waiter's *queue* half: a flush committer and a
 //!   lazy committer that spools its record and then raises a barrier;
 //!   each waiter takes its outcome, waits on the queue condvar or takes
@@ -28,14 +28,11 @@ const DONE: u8 = 99;
 /// * **0 — leader**: under the core lock, opens a batch (checkpoint) and
 ///   stages members A and B. A member staged while an epoch is in flight
 ///   "does not fit right now": the leader closes the batch staged so far
-///   — written, forced and completed before the lock is released — waits
-///   on `truncation_done` (releasing the lock, bumping `wait_gen` on wake) and
-///   resumes the fill in a new batch at a fresh checkpoint. The last
-///   batch is submitted: the lock is released, the force completes
-///   off-lock, and the leader reacquires the lock to complete the batch
-///   — publish, or on a failed force the guarded rollback. (The inline
-///   side of the real path is the schedule in which nobody runs between
-///   the submit and the completion.)
+///   — written, forced and completed — waits on `truncation_done`
+///   (releasing the lock) and resumes the fill in a new batch at a fresh
+///   checkpoint. The last batch is written, forced and completed — on a
+///   failed force, rolled back to its checkpoint — before the lock is
+///   released.
 /// * **1 — truncator**: the three-phase epoch truncation — snapshot
 ///   under the lock, apply off-lock, complete under the lock and
 ///   `notify_all`.
@@ -45,22 +42,21 @@ const DONE: u8 = 99;
 ///
 /// The leader's stages wait whenever an epoch is in flight (modeling
 /// "does not fit until the frozen span is freed"); the successor's single
-/// record always fits. The window between the leader's submit and its
-/// completion is where the successor can append past the batch — the
-/// interference the rollback guard (`end_len` and `wait_gen` unchanged)
-/// exists for.
+/// record always fits. The rollback is unconditional, which is sound only
+/// because no batch stays open across a release of the lock: the
+/// mutation that releases it with the batch still open lets the
+/// successor append past the checkpoint.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct GroupModel {
-    /// Model mutation: `false` removes the rollback guard, the bug the
-    /// explorer must be able to exhibit.
-    pub guard_enabled: bool,
-    /// Whether the leader's submitted force fails (exercising the rollback
+    /// Model mutation: `false` releases the core lock for the epoch wait
+    /// with the batch still open, the bug the explorer must exhibit.
+    pub close_before_release: bool,
+    /// Whether the leader's last force fails (exercising the rollback
     /// path).
     pub force_fails: bool,
 
     lock: Option<u8>,
     epoch: bool,
-    wait_gen: u8,
     /// Appended records, in log order, by owner thread id.
     log: Vec<u8>,
     /// Length of the durable (forced) log prefix.
@@ -72,9 +68,6 @@ pub struct GroupModel {
     /// Members staged so far, over all of the round's batches.
     staged: u8,
     ckpt_len: u8,
-    ckpt_gen: u8,
-    /// Log length right after the batch's appends (`end_tail`).
-    end_len: u8,
     leader_outcome: Option<bool>,
     rollbacks: u8,
 
@@ -85,21 +78,18 @@ pub struct GroupModel {
 }
 
 impl GroupModel {
-    pub fn new(guard_enabled: bool, force_fails: bool) -> Self {
+    pub fn new(close_before_release: bool, force_fails: bool) -> Self {
         GroupModel {
-            guard_enabled,
+            close_before_release,
             force_fails,
             lock: None,
             epoch: false,
-            wait_gen: 0,
             log: Vec::new(),
             forced: 0,
             epoch_waiters: 0,
             leader_pc: 0,
             staged: 0,
             ckpt_len: 0,
-            ckpt_gen: 0,
-            end_len: 0,
             leader_outcome: None,
             rollbacks: 0,
             trunc_pc: 0,
@@ -115,17 +105,18 @@ impl GroupModel {
                 self.leader_pc = 1;
             }
             1 => {
-                // Open a batch: wal.checkpoint() + wait_generation.
+                // Open a batch: wal.checkpoint().
                 self.ckpt_len = self.log.len() as u8;
-                self.ckpt_gen = self.wait_gen;
                 self.leader_pc = 2;
             }
             2 if self.epoch => {
                 // The next member does not fit until the epoch completes:
-                // close the batch staged so far (the lock has been held
-                // since it opened, so it completes here, forced), then
-                // wait on truncation_done, releasing the lock.
-                self.forced = self.log.len() as u8;
+                // close the batch staged so far (written, forced and
+                // completed), then wait on truncation_done, releasing the
+                // lock.
+                if self.close_before_release {
+                    self.forced = self.log.len() as u8;
+                }
                 self.epoch_waiters |= 1;
                 self.lock = None;
                 self.leader_pc = 20;
@@ -138,29 +129,15 @@ impl GroupModel {
                 }
             }
             4 => {
-                // Submit the writes and the force; the batch is in flight
-                // and the lock is free.
-                self.end_len = self.log.len() as u8;
-                self.lock = None;
+                // Close: write and force, under the lock.
+                if !self.force_fails {
+                    self.forced = self.log.len() as u8;
+                }
                 self.leader_pc = 5;
             }
             5 => {
-                // The force completes (or fails) with no lock held.
-                if !self.force_fails {
-                    self.forced = self.forced.max(self.end_len);
-                }
-                self.leader_pc = 6;
-            }
-            6 => {
-                self.lock = Some(0);
-                self.leader_pc = 7;
-            }
-            7 => {
-                // complete_batch: on failure, roll back iff nothing
-                // appended past the batch.
-                let untouched =
-                    self.wait_gen == self.ckpt_gen && self.log.len() as u8 == self.end_len;
-                if self.force_fails && (!self.guard_enabled || untouched) {
+                // complete_batch: on failure, roll back to the checkpoint.
+                if self.force_fails {
                     self.log.truncate(self.ckpt_len as usize);
                     self.forced = self.forced.min(self.ckpt_len);
                     self.rollbacks += 1;
@@ -169,12 +146,11 @@ impl GroupModel {
                 self.lock = None;
                 self.leader_pc = DONE;
             }
-            // Woken from an epoch wait: reacquire the lock, bump the
-            // generation, resume the fill in a new batch.
+            // Woken from an epoch wait: reacquire the lock and resume the
+            // fill — in a new batch, or (mutated) in the one left open.
             21 => {
                 self.lock = Some(0);
-                self.wait_gen += 1;
-                self.leader_pc = 1;
+                self.leader_pc = if self.close_before_release { 1 } else { 2 };
             }
             _ => unreachable!("leader stepped while blocked"),
         }
@@ -253,9 +229,8 @@ impl Model for GroupModel {
     fn runnable(&self, t: usize) -> bool {
         match t {
             0 => match self.leader_pc {
-                DONE | 20 => false,                // finished / parked on truncation_done
-                0 | 6 | 21 => self.lock.is_none(), // acquire steps
-                5 => true,                         // the off-lock force
+                DONE | 20 => false,            // finished / parked on truncation_done
+                0 | 21 => self.lock.is_none(), // acquire steps
                 _ => self.lock == Some(0),
             },
             1 => match self.trunc_pc {
@@ -296,9 +271,7 @@ impl Model for GroupModel {
             return Err("batch rollback ran twice".into());
         }
         if self.successor_forced && !self.log.contains(&2) {
-            return Err(
-                "rollback destroyed another thread's forced record (rollback guard missing)".into(),
-            );
+            return Err("rollback destroyed another thread's forced record".into());
         }
         let all_done = self.leader_pc == DONE && self.trunc_pc == DONE && self.succ_pc == DONE;
         if all_done {
@@ -548,23 +521,23 @@ mod tests {
     use crate::models::explore::explore;
 
     #[test]
-    fn generation_guard_protects_interleaved_records() {
+    fn rollback_never_destroys_interleaved_records() {
         let report = explore(GroupModel::new(true, true), 2_000_000);
         assert!(report.complete, "state space fully covered");
         assert!(
             report.violation.is_none(),
-            "guarded rollback is safe in every interleaving: {:?}",
+            "the unconditional rollback is safe in every interleaving: {:?}",
             report.violation
         );
-        assert!(report.states > 100, "nontrivial state space");
+        assert!(report.states > 50, "nontrivial state space");
     }
 
     #[test]
-    fn removing_the_generation_guard_is_caught() {
+    fn releasing_the_core_lock_with_a_batch_open_is_caught() {
         let report = explore(GroupModel::new(false, true), 2_000_000);
         let (msg, schedule) = report
             .violation
-            .expect("unguarded rollback must destroy a forced record in some schedule");
+            .expect("a batch open across the epoch wait must lose a forced record");
         assert!(msg.contains("destroyed"), "unexpected violation: {msg}");
         assert!(
             !schedule.is_empty(),

@@ -20,21 +20,20 @@
 //!
 //! * [`group_model`] — the commit plane. The leader's batch: a
 //!   checkpoint, a fill that closes the batch and resumes in a new one
-//!   whenever it must release the core lock, the single force completing
-//!   while the batch is in flight, and the rollback guarded by
-//!   `end_tail`/`wait_generation` — the guard is *necessary and
-//!   sufficient* in the model: with it no schedule destroys another
-//!   thread's appended record, and with it removed the explorer exhibits
-//!   a schedule that does. And the leadership baton, with a spooled
-//!   record and a barrier slot: no lost wakeup, nothing published twice,
+//!   whenever it must release the core lock, the force and completion
+//!   under the lock the batch opened under, and the unconditional
+//!   rollback of a failed force — no schedule destroys another thread's
+//!   appended record, and when the core lock is released with a batch
+//!   still open the explorer exhibits a schedule that does. And the
+//!   leadership baton, with a spooled record and a barrier slot: no lost
+//!   wakeup, nothing published twice,
 //!   and a barrier that skips the leader check is convicted of returning
 //!   before the record spooled ahead of it is logged.
 //! * [`epoch_model`] — the truncation plane. The one epoch-truncation
 //!   protocol and its `truncation_done` condvar handshake: a committer
 //!   out of log space waits an epoch in flight out or becomes the
 //!   truncator itself (lock released around the apply). No schedule
-//!   deadlocks (no lost wakeup), no two epochs are ever in flight, every
-//!   committer bumps `wait_generation` before re-deriving state, and
+//!   deadlocks (no lost wakeup), no two epochs are ever in flight, and
 //!   breaking the wait's atomicity (release-then-sleep) is caught as a
 //!   deadlock. And the slot epochs share with incremental steps
 //!   (`StepModel`): a step racing a commit that re-dirties the page it

@@ -89,9 +89,16 @@ impl RegionDescriptor {
 /// Allocation is zeroed and page-aligned; the block never moves or resizes
 /// while the region lives, which is what makes the pointer-based API sound
 /// to offer at all.
+///
+/// The block is a page longer than the region and the region starts at
+/// its first page boundary: an allocation aligned to the allocator's
+/// minimum is a `calloc`, which leaves memory it knows is zero alone,
+/// where a page-aligned one is a `posix_memalign` and a `memset` over it.
 pub(crate) struct RegionMemory {
     ptr: NonNull<u8>,
     len: usize,
+    /// The allocation `ptr` lies in.
+    block: NonNull<u8>,
 }
 
 // SAFETY: the raw block is plain bytes; all access is synchronized either
@@ -105,11 +112,18 @@ unsafe impl Sync for RegionMemory {}
 impl RegionMemory {
     pub(crate) fn alloc(len: usize) -> Self {
         assert!(len > 0, "regions are never empty");
-        let layout = Layout::from_size_align(len, PAGE_SIZE as usize).expect("valid region layout");
-        // SAFETY: layout has non-zero size (asserted above).
-        let raw = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(raw).expect("region allocation failed");
-        Self { ptr, len }
+        // SAFETY: the layout has non-zero size.
+        let raw = unsafe { alloc_zeroed(Self::layout(len)) };
+        let block = NonNull::new(raw).expect("region allocation failed");
+        // SAFETY: the block is a page longer than `len`, so the first
+        // page boundary in it leaves `len` bytes.
+        let ptr =
+            unsafe { block.add(raw.addr().next_multiple_of(PAGE_SIZE as usize) - raw.addr()) };
+        Self { ptr, len, block }
+    }
+
+    fn layout(len: usize) -> Layout {
+        Layout::from_size_align(len + PAGE_SIZE as usize, 16).expect("valid region layout")
     }
 
     pub(crate) fn as_ptr(&self) -> *mut u8 {
@@ -201,10 +215,8 @@ impl RegionMemory {
 
 impl Drop for RegionMemory {
     fn drop(&mut self) {
-        let layout =
-            Layout::from_size_align(self.len, PAGE_SIZE as usize).expect("valid region layout");
-        // SAFETY: `ptr` was allocated with exactly this layout in `alloc`.
-        unsafe { dealloc(self.ptr.as_ptr(), layout) };
+        // SAFETY: `block` was allocated with exactly this layout in `alloc`.
+        unsafe { dealloc(self.block.as_ptr(), Self::layout(self.len)) };
     }
 }
 

@@ -115,28 +115,14 @@ impl Retrier {
 /// A [`Device`] wrapper that retries transient failures of every
 /// operation. This is what `Rvm::initialize` wraps the log device (and,
 /// via [`retry_resolver`], every segment device) in.
-///
-/// Asynchronous submissions pass through to the inner device so a real
-/// completion queue (file-device worker, simulated-disk overlap) stays
-/// reachable; transient failures are healed at `wait`: a failed async
-/// write is re-issued synchronously from a stash of its payload, and a
-/// failed async sync falls back to a retried synchronous `sync` (a later
-/// successful barrier covers at least the writes the original did).
 pub(crate) struct RetryDevice {
     inner: Arc<dyn Device>,
     retrier: Retrier,
-    /// Payloads of in-flight async writes, by token id, kept so a
-    /// transient completion failure can be healed by re-issuing the write.
-    inflight_writes: std::sync::Mutex<std::collections::HashMap<u64, (u64, Vec<u8>)>>,
 }
 
 impl RetryDevice {
     pub(crate) fn new(inner: Arc<dyn Device>, retrier: Retrier) -> Self {
-        RetryDevice {
-            inner,
-            retrier,
-            inflight_writes: std::sync::Mutex::new(std::collections::HashMap::new()),
-        }
+        RetryDevice { inner, retrier }
     }
 }
 
@@ -175,58 +161,6 @@ impl Device for RetryDevice {
 
     fn replica_health(&self) -> Option<(usize, usize)> {
         self.inner.replica_health()
-    }
-
-    fn submit_write(&self, offset: u64, data: Vec<u8>) -> rvm_storage::IoToken {
-        let token = self.inner.submit_write(offset, data.clone());
-        match token.into_inline() {
-            Ok(Ok(())) => rvm_storage::IoToken::inline(Ok(())),
-            Ok(Err(e)) if e.is_transient() => rvm_storage::IoToken::inline(
-                self.retrier.run(|| self.inner.write_at(offset, &data)),
-            ),
-            Ok(Err(e)) => rvm_storage::IoToken::inline(Err(e)),
-            Err(pending) => {
-                self.inflight_writes
-                    .lock()
-                    .unwrap()
-                    .insert(pending.id(), (offset, data));
-                pending
-            }
-        }
-    }
-
-    fn submit_sync(&self) -> rvm_storage::IoToken {
-        let token = self.inner.submit_sync();
-        match token.into_inline() {
-            Ok(Ok(())) => rvm_storage::IoToken::inline(Ok(())),
-            Ok(Err(e)) if e.is_transient() => {
-                rvm_storage::IoToken::inline(self.retrier.run(|| self.inner.sync()))
-            }
-            Ok(Err(e)) => rvm_storage::IoToken::inline(Err(e)),
-            Err(pending) => pending,
-        }
-    }
-
-    fn poll(&self, token: &rvm_storage::IoToken) -> bool {
-        self.inner.poll(token)
-    }
-
-    fn wait(&self, token: rvm_storage::IoToken) -> rvm_storage::Result<()> {
-        let pending = match token.into_inline() {
-            Ok(result) => return result,
-            Err(pending) => pending,
-        };
-        let id = pending.id();
-        let result = self.inner.wait(pending);
-        let stashed = self.inflight_writes.lock().unwrap().remove(&id);
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) if e.is_transient() => match stashed {
-                Some((offset, data)) => self.retrier.run(|| self.inner.write_at(offset, &data)),
-                None => self.retrier.run(|| self.inner.sync()),
-            },
-            Err(e) => Err(e),
-        }
     }
 }
 

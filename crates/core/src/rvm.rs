@@ -13,7 +13,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rvm_storage::Device;
 
 use crate::check::CheckState;
-use crate::commit::{self, GroupCommit, LogPipeline};
+use crate::commit::{self, GroupCommit};
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
@@ -57,16 +57,9 @@ pub(crate) struct Core {
     /// The one buffer incremental steps freeze their pages into, kept
     /// between steps for its allocations.
     pub(crate) step: StepBatch,
-    /// Bumped when a thread releases and reacquires the core lock
-    /// mid-operation ([`RvmShared::make_log_space`]). A batch compares
-    /// it against the value at its WAL checkpoint: if it changed, a
-    /// later round's records may sit past the batch and the checkpoint
-    /// is no longer a rollback point.
-    pub(crate) wait_generation: u64,
     /// Where the commit leader stages its batch (leadership is
-    /// exclusive, so one buffer serves every round). Completed inline it
-    /// keeps its allocation for the next round; submitted, its bytes
-    /// leave with the writes.
+    /// exclusive, so one buffer serves every round); it keeps its
+    /// allocation for the next round.
     pub(crate) staging: StagingBuf,
     /// The open batch's member list between batches — empty, kept for
     /// its allocation, like `staging`.
@@ -125,11 +118,6 @@ pub(crate) struct RvmShared {
     /// Paired with `core`: signalled whenever a truncation in flight — an
     /// epoch or a step — completes or fails. Waiters hold the core lock.
     pub(crate) truncation_done: Condvar,
-    /// Batches submitted to the device but not yet reaped (see
-    /// [`crate::commit`]); empty while leaders complete their batches
-    /// inline. Its lock ranks just above `core` and is never held across
-    /// an acquisition of `core`.
-    pub(crate) pipeline: LogPipeline,
 }
 
 /// A recoverable-virtual-memory instance over one log (§4.2's
@@ -278,7 +266,6 @@ impl Rvm {
                 segs_in_log: HashSet::new(),
                 truncation: None,
                 step: StepBatch::default(),
-                wait_generation: 0,
                 staging: StagingBuf::new(),
                 batch_members: Vec::new(),
                 hooks: MutationHooks::default(),
@@ -301,7 +288,6 @@ impl Rvm {
             bg_condvar: Condvar::new(),
             bg_stop: AtomicBool::new(false),
             truncation_done: Condvar::new(),
-            pipeline: LogPipeline::default(),
         });
 
         let bg_thread = options
@@ -375,8 +361,8 @@ impl Rvm {
     ///
     /// Returns `Ok` only when every record at or below the spool's last
     /// one is written and forced: the drain is a batch like any flush
-    /// commit's, so it waits out — and fails with — every batch still in
-    /// flight ahead of it, and a crash after an `Ok` recovers every
+    /// commit's, so it queues behind — and fails with — the batch being
+    /// written ahead of it, and a crash after an `Ok` recovers every
     /// commit that returned before the call.
     pub fn flush(&self) -> Result<()> {
         self.shared.check_live()?;

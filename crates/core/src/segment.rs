@@ -512,9 +512,8 @@ impl RvmShared {
         // Guarantee the mapped image is the committed one. While no
         // mapped region overlaps the new range nothing can commit into
         // it, so what must reach the device first is fixed the moment
-        // that is observed: the spool, the batches in flight (their
-        // segments are recorded only at reap) and the live log — all
-        // below the tail once the barrier returns. Later commits to
+        // that is observed: the spool and the live log — both below the
+        // tail once the barrier returns. Later commits to
         // *other* regions of the segment are not waited for, which bounds
         // the rounds under load. Every round releases the core lock, so
         // each looks again, and the last look shares its hold with the
@@ -543,8 +542,7 @@ impl RvmShared {
             let through = match settle {
                 Some((through, seen)) if seen == maps => through,
                 _ => {
-                    let referenced = !self.pipeline.is_idle()
-                        || core.segs_in_log.contains(&seg_raw)
+                    let referenced = core.segs_in_log.contains(&seg_raw)
                         || self.spool.references(seg_id)
                         || core
                             .truncation

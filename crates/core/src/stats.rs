@@ -125,18 +125,6 @@ pub struct Stats {
     pub(crate) group_commit_txns: AtomicU64,
     /// Batch-size histogram (additive buckets, so deltas stay field-wise).
     pub(crate) group_commit_batch_sizes: [AtomicU64; GROUP_BATCH_BUCKETS],
-    /// Batches submitted asynchronously (writes and force handed to
-    /// the device and reaped later) rather than completed inline by their
-    /// leader.
-    pub(crate) pipeline_submits: AtomicU64,
-    /// High-water mark of log forces in flight at once. NOT additive:
-    /// snapshots report the absolute mark, and `delta_since` carries the
-    /// later snapshot's value through unchanged. Above 1 proves forces
-    /// actually overlapped.
-    pub(crate) forces_in_flight_hw: AtomicU64,
-    /// Nanoseconds leaders about to submit spent waiting for room in the
-    /// in-flight queue (two batches already in flight): its backpressure.
-    pub(crate) pipeline_stall_ns: AtomicU64,
     /// Rounds whose leader waited for company before claiming
     /// (`leader_round`), and the nanoseconds they waited.
     pub(crate) group_waits: AtomicU64,
@@ -147,12 +135,11 @@ pub struct Stats {
     pub(crate) epoch_truncations: AtomicU64,
     /// Transactions that committed while a truncation's apply — an
     /// epoch's or an incremental step's — was in flight: direct evidence
-    /// that truncation no longer stalls the pipeline.
+    /// that truncation no longer stalls the commit path.
     pub(crate) commits_during_truncation: AtomicU64,
     /// Nanoseconds threads holding the core lock spent making log space
-    /// (`RvmShared::make_log_space`: waiting out a truncation in flight,
-    /// running an epoch themselves, or reaping the oldest batch in
-    /// flight).
+    /// (`RvmShared::make_log_space`: waiting out a truncation in flight
+    /// or running an epoch themselves).
     pub(crate) truncation_stall_ns: AtomicU64,
     /// Log bytes scanned by epoch truncation.
     pub(crate) truncation_bytes_scanned: AtomicU64,
@@ -193,9 +180,8 @@ impl Stats {
             group_commit_batch_sizes: std::array::from_fn(|i| {
                 self.group_commit_batch_sizes[i].load(Ordering::Relaxed)
             }),
-            pipeline_submits: self.pipeline_submits.load(Ordering::Relaxed),
-            forces_in_flight_hw: self.forces_in_flight_hw.load(Ordering::Relaxed),
-            pipeline_stall_ns: self.pipeline_stall_ns.load(Ordering::Relaxed),
+            pipeline_submits: 0,
+            pipeline_stall_ns: 0,
             group_waits: self.group_waits.load(Ordering::Relaxed),
             group_wait_ns: self.group_wait_ns.load(Ordering::Relaxed),
             spool_flushes: self.spool_flushes.load(Ordering::Relaxed),
@@ -252,15 +238,11 @@ pub struct StatsSnapshot {
     /// Group-commit batch-size histogram: batches of size 1, 2, 3–4,
     /// 5–8, 9–16, and 17+ (see [`batch_size_bucket`]).
     pub group_commit_batch_sizes: [u64; GROUP_BATCH_BUCKETS],
-    /// Batches submitted asynchronously rather than completed
-    /// inline by their leader.
+    /// Always 0: every batch is completed inline by its leader. Kept,
+    /// with `pipeline_stall_ns`, because the profile harness under
+    /// `bench/` reads both.
     pub pipeline_submits: u64,
-    /// High-water mark of log forces in flight at once (absolute, not
-    /// additive; `delta_since` carries the later value through). Above 1
-    /// means forces genuinely overlapped.
-    pub forces_in_flight_hw: u64,
-    /// Nanoseconds leaders about to submit waited for room in the
-    /// in-flight queue.
+    /// Always 0 (see `pipeline_submits`).
     pub pipeline_stall_ns: u64,
     /// Rounds whose leader waited, before claiming its batch, for the
     /// committers it had just shared a force with (or, with
@@ -383,9 +365,6 @@ impl StatsSnapshot {
                 self.group_commit_batch_sizes[i] - earlier.group_commit_batch_sizes[i]
             }),
             pipeline_submits: self.pipeline_submits - earlier.pipeline_submits,
-            // A high-water mark is not additive; the delta window reports
-            // the mark as of its end.
-            forces_in_flight_hw: self.forces_in_flight_hw,
             pipeline_stall_ns: self.pipeline_stall_ns - earlier.pipeline_stall_ns,
             group_waits: self.group_waits - earlier.group_waits,
             group_wait_ns: self.group_wait_ns - earlier.group_wait_ns,

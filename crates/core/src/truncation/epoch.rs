@@ -8,7 +8,7 @@
 //! ([`RvmShared::make_log_space`]: the log is full, a `map` needs its
 //! segment settled, an incremental step is blocked). Three phases:
 //!
-//! 1. **Freeze** (core lock held): the stable span `[head, end)` becomes
+//! 1. **Freeze** (core lock held): the live span `[head, tail)` becomes
 //!    the epoch. Its segment set moves into the in-flight slot
 //!    ([`InFlight`]), its page-queue prefix to the owner, and the
 //!    boundary is persisted in the status block — a crash from here on
@@ -22,13 +22,13 @@
 //!    descriptors are settled, and every thread parked on
 //!    `truncation_done` is woken.
 //!
-//! The off-lock scan is safe because everything below the stable end is
-//! fully written and forced (every batch forces before it completes, and
-//! the commit leader never releases the lock with bytes staged but not
-//! submitted), and the frozen span cannot be overwritten, because
-//! free-space accounting counts it as live until the head advances. The
-//! head moves only while the mover owns `Core::truncation`, so two
-//! truncations — epochs or steps — cannot race for it.
+//! The off-lock scan is safe because everything below the tail is fully
+//! written and forced (the commit leader opens, writes, forces and
+//! completes a batch within one core-lock hold), and the frozen span
+//! cannot be overwritten, because free-space accounting counts it as
+//! live until the head advances. The head moves only while the mover
+//! owns `Core::truncation`, so two truncations — epochs or steps —
+//! cannot race for it.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -37,29 +37,17 @@ use parking_lot::MutexGuard;
 
 use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
-use crate::log::wal::WalCheckpoint;
 use crate::recovery;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
 use crate::segment::ApplyContext;
 
 impl RvmShared {
-    /// The stable end of the log — everything below it is fully written
-    /// and forced, so truncation may scan and reclaim it: the pipeline
-    /// floor while submitted batches are in flight (written, or still
-    /// being written, but not forced), else the tail itself.
-    pub(crate) fn stable_end(&self, core: &Core) -> WalCheckpoint {
-        match self.pipeline.floor() {
-            Some(floor) if floor.tail() < core.wal.tail() => floor,
-            _ => core.wal.checkpoint(),
-        }
-    }
-
-    /// Runs one epoch truncation over the stable log prefix. **Releases
-    /// and reacquires the core lock** around the apply; the caller must
+    /// Runs one epoch truncation over the live log. **Releases and
+    /// reacquires the core lock** around the apply; the caller must
     /// re-derive whatever it read under the lock before. Returns whether
     /// the head moved — `false` when a truncation is already in flight
-    /// (its owner moves the head) or nothing stable is live. Device
-    /// failures poison the instance before the waiters are woken.
+    /// (its owner moves the head) or nothing is live. Device failures
+    /// poison the instance before the waiters are woken.
     pub(crate) fn epoch_truncate(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(RvmError::Poisoned);
@@ -68,31 +56,23 @@ impl RvmShared {
             return Ok(false);
         }
         let (start, start_seq) = (core.wal.head(), core.wal.seq_at_head());
-        let stable = self.stable_end(core);
-        if stable.tail() <= start {
+        let end = core.wal.checkpoint();
+        if end.tail() <= start {
             return Ok(false);
         }
-        let segs = if stable.tail() == core.wal.tail() {
-            std::mem::take(&mut core.segs_in_log)
-        } else {
-            // Records above the floor still reference segments; keep the
-            // set (an overbroad set is merely conservative).
-            core.segs_in_log.clone()
-        };
-        let drained = core.page_queue.drain_below(stable.tail());
+        let segs = std::mem::take(&mut core.segs_in_log);
+        let drained = core.page_queue.drain_below(end.tail());
         self.begin_in_flight(
             core,
             InFlight {
-                boundary: Some(stable),
+                boundary: Some(end),
                 segs,
             },
         );
         // Persist the boundary *before* touching any segment.
         let frozen = self.write_status_locked(core);
         let applied = frozen.and_then(|()| {
-            MutexGuard::unlocked(core, || {
-                self.apply_epoch_span(start, start_seq, stable.tail())
-            })
+            MutexGuard::unlocked(core, || self.apply_epoch_span(start, start_seq, end.tail()))
         });
         let result = self.guard_io(self.finish_epoch(core, drained, applied));
         self.truncation_done.notify_all();
@@ -160,12 +140,6 @@ impl RvmShared {
     /// Explicit truncation ([`Rvm::truncate`](crate::Rvm::truncate)):
     /// waits out a truncation in flight, then truncates what remains.
     pub(crate) fn truncate_now(&self) -> Result<()> {
-        // Settle in-flight batches first: the epoch can only freeze the
-        // span below the pipeline floor, and an explicit truncate promises
-        // to reclaim everything committed so far.
-        while !self.pipeline.is_idle() {
-            self.pipeline_reap_front();
-        }
         let mut core = self.core.lock();
         while core.truncation.is_some() {
             self.truncation_done.wait(&mut core);
@@ -178,14 +152,11 @@ impl RvmShared {
     /// that needs the segment's live records applied, an incremental
     /// truncation that is blocked. A truncation in flight (an epoch or a
     /// step) is waited out; else the caller runs the epoch itself over
-    /// whatever is stable; else — everything live sits above the
-    /// pipeline floor — the oldest batch in flight is reaped, so the
-    /// next call finds it stable. All three
-    /// **release and reacquire the core lock**, which the bump of
-    /// `Core::wait_generation` records: the caller must re-derive what
-    /// it read before and try again. Returns `false` — the lock never
-    /// released — when there was nothing to reclaim. The time spent is
-    /// `truncation_stall_ns`.
+    /// the live log. Both **release and reacquire the core lock**: the
+    /// caller must re-derive what it read before and try again, and must
+    /// hold no open batch (see `complete_batch` in [`crate::commit`]).
+    /// Returns `false` — the lock never released — when there was
+    /// nothing to reclaim. The time spent is `truncation_stall_ns`.
     pub(crate) fn make_log_space(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
         let stall = Instant::now();
         let advanced = if core.truncation.is_some() {
@@ -193,19 +164,11 @@ impl RvmShared {
             // lock this wait releases.
             self.truncation_done.wait(core);
             Ok(true)
-        } else if self.stable_end(core).tail() > core.wal.head() {
+        } else if core.wal.tail() > core.wal.head() {
             self.epoch_truncate(core)
-        } else if !self.pipeline.is_idle() {
-            // One reap, not a drain: under sustained load the pipeline
-            // need not ever go idle, while its oldest batch is stable
-            // within one force. Reaping needs the core lock; an epoch may
-            // begin meanwhile.
-            MutexGuard::unlocked(core, || self.pipeline_reap_front());
-            Ok(true)
         } else {
             Ok(false)
         };
-        core.wait_generation += 1;
         self.stats
             .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
         match advanced {

@@ -14,7 +14,7 @@
 //!    its own offset. What reaches the segment is the frozen copy, so
 //!    nothing written to VM meanwhile can.
 //! 3. **Complete** (core lock reacquired): the head moves to the earliest
-//!    descriptor now queued — capped at the stable end — the frozen
+//!    descriptor now queued (the tail with none), the frozen
 //!    pages' dirty bits are settled, the status block is written once,
 //!    and the waiters are woken.
 //!
@@ -181,16 +181,13 @@ impl RvmShared {
     }
 
     /// Moves the log head as far as the page queue allows — to the
-    /// earliest descriptor queued, or past everything with none — capped
-    /// at the stable end (batches in flight have no descriptors yet, and
-    /// the head must not pass their unforced records), and persists it
-    /// under the same hold: space the in-memory head frees is appended
-    /// into at once. Returns bytes reclaimed.
+    /// earliest descriptor queued, or to the tail with none — and
+    /// persists it under the same hold: space the in-memory head frees is
+    /// appended into at once. Returns bytes reclaimed.
     fn follow_queue(&self, core: &mut Core) -> Result<u64> {
-        let stable = self.stable_end(core);
         let (new_head, new_seq) = match core.page_queue.front() {
-            Some(d) if d.offset <= stable.tail() => (d.offset, d.seq),
-            _ => (stable.tail(), stable.next_seq()),
+            Some(d) => (d.offset, d.seq),
+            None => (core.wal.tail(), core.wal.next_seq()),
         };
         let head = core.wal.head();
         if new_head <= head {

@@ -49,12 +49,11 @@ pub enum Workload {
     /// writing poison values that must never survive recovery.
     AbortMix,
     /// Three threads of flush commits with a batch cap *below* the thread
-    /// count: a leader's drain leaves committers queued, so batches are
-    /// submitted asynchronously and consecutive batches coexist in
-    /// flight. The trace contains windows where batch A's force has
-    /// completed but batch B's records are not yet submitted — exactly
-    /// the states the committed-prefix oracle must survive.
-    /// Multi-threaded (disjoint-cell oracle).
+    /// count: a leader's claim leaves committers queued for the next
+    /// round, so the log sees consecutive batches back to back. The trace
+    /// crashes between them — after batch A's force, before or during
+    /// batch B's writes — exactly the states the committed-prefix oracle
+    /// must survive. Multi-threaded (disjoint-cell oracle).
     Pipeline,
     /// Incremental truncation over a small log: write-back steps follow
     /// the commits, a long-running transaction pins the page at the queue
@@ -320,11 +319,11 @@ fn pipeline(hooks: MutationHooks) -> Trace {
 
     let tuning = Tuning {
         // The leader lingers so barrier-aligned committers pile up, and
-        // the batch cap splits them below the thread count: the follower
-        // batch fills and submits while the first batch's force is still
-        // in flight, so the trace records sync(A) … writes(B) … sync(B)
-        // and the enumerator crashes inside every gap — including the
-        // one between buffer A's completion and buffer B's submission.
+        // the batch cap splits them below the thread count: the queued
+        // committers form the next round's batch, so the trace records
+        // sync(A) … writes(B) … sync(B) and the enumerator crashes inside
+        // every gap — including the one between batch A's completion and
+        // batch B's writes.
         group_commit_wait_us: 2_000,
         group_commit_max_txns: 2,
         ..epoch_tuning()
@@ -349,7 +348,7 @@ fn pipeline(hooks: MutationHooks) -> Trace {
                         let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
                         let data = vec![0x61 + idx as u8; CELL as usize - 64];
                         region.write(&mut txn, idx * CELL, &data).expect("write");
-                        // Commit together so batches form and overlap.
+                        // Commit together so batches form back to back.
                         barrier.wait();
                         txn.commit(CommitMode::Flush).expect("flush commit");
                         specs.push(TxnSpec {
@@ -848,15 +847,15 @@ mod tests {
         assert!(!trace.single_threaded);
         assert_eq!(trace.txns.len(), 12);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
-        // The pipelined writer still forces: every batch records exactly
-        // one log sync, and nine commits over capped batches need several.
+        // Every batch records exactly one log sync, and twelve commits
+        // over capped batches need several.
         let log_id = trace.log_base().id;
         let syncs = trace
             .ops
             .iter()
             .filter(|o| o.device == log_id && matches!(o.kind, TraceOpKind::Sync))
             .count();
-        assert!(syncs >= 2, "pipelined run forced only {syncs} times");
+        assert!(syncs >= 2, "capped batches forced only {syncs} times");
     }
 
     #[test]

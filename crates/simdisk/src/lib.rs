@@ -22,43 +22,11 @@
 //!
 //! All costs are charged to the I/O account of a shared [`simclock::Clock`],
 //! never to wall-clock time, so experiments are fast and deterministic.
-//!
-//! # Overlapped submission
-//!
-//! The asynchronous device interface ([`rvm_storage::Device::submit_sync`]
-//! and friends) maps onto a command-queuing model. The disk keeps a
-//! *mechanism busy horizon* (`busy_until`, a point on the virtual I/O
-//! timeline): a submitted operation is scheduled to start at
-//! `max(now, busy_until)` and advances the horizon to its end, but charges
-//! nothing at submit time. [`rvm_storage::Device::wait`] charges only the
-//! *residual* `end - now` — so any I/O the system performs between submit
-//! and wait (e.g. transferring the next batch's records over the bus)
-//! genuinely overlaps the in-flight force on the virtual clock, exactly as
-//! DMA into the write-behind cache overlaps a platter flush on real
-//! hardware. The synchronous [`rvm_storage::Device::sync`] is submit +
-//! immediate wait, which degenerates to the old additive charge.
-//!
-//! A sync *submitted while the mechanism is still busy* is a queued
-//! command: the controller processes its setup during the in-flight
-//! operation (so the fixed `controller_overhead` is hidden), and if its
-//! first extent is within the near-extent window of the head position the
-//! track buffer streams it without the half-rotation wait — the same
-//! elevator/track-buffer discount batched extents already get. This is
-//! what tagged command queuing buys on real disks, and it is why a
-//! pipelined log writer beats a strictly serial force loop on the same
-//! simulated hardware.
-//!
-//! With interval tracing enabled ([`SimDisk::set_interval_trace`]) every
-//! serviced operation records its `[start, end)` span on the virtual
-//! timeline as an [`OpInterval`], so a benchmark can *mechanically check*
-//! that a force overlapped concurrent record serialization instead of
-//! inferring it from totals.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rvm_storage::{Device, IoToken, Result};
+use rvm_storage::{Device, Result};
 use simclock::{Clock, SimTime};
 
 mod params;
@@ -66,40 +34,6 @@ mod stats;
 
 pub use params::DiskParams;
 pub use stats::DiskStats;
-
-/// The operation class of a recorded [`OpInterval`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskOp {
-    /// A positional read.
-    Read,
-    /// A write into the write-behind cache (bus transfer).
-    Write,
-    /// A cache flush (a log force).
-    Sync,
-}
-
-/// One serviced operation's span on the virtual I/O timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpInterval {
-    /// What the operation was.
-    pub op: DiskOp,
-    /// First byte touched (for a sync: the lowest flushed extent start).
-    pub offset: u64,
-    /// Bytes transferred (for a sync: total bytes across flushed extents).
-    pub len: u64,
-    /// Virtual time the operation began service.
-    pub start: SimTime,
-    /// Virtual time the operation completed.
-    pub end: SimTime,
-}
-
-impl OpInterval {
-    /// `true` if the two half-open spans `[start, end)` intersect — the
-    /// mechanical definition of "these operations overlapped in time".
-    pub fn overlaps(&self, other: &OpInterval) -> bool {
-        self.start < other.end && other.start < self.end
-    }
-}
 
 #[derive(Debug)]
 struct DiskState {
@@ -110,19 +44,6 @@ struct DiskState {
     pending: Vec<(u64, u64)>,
     /// Extent currently held by the read-ahead buffer.
     readahead: (u64, u64),
-    /// Virtual time the mechanism (platter + controller) is busy until.
-    busy_until: SimTime,
-    /// Virtual time the host bus is busy until (write transfers chain on
-    /// this so concurrent cache writes still serialize over the bus).
-    bus_busy_until: SimTime,
-    /// Completion time of each in-flight submitted operation, by token id.
-    completions: HashMap<u64, SimTime>,
-    /// Next token id to mint.
-    next_token: u64,
-    /// Whether to record per-op intervals.
-    trace_intervals: bool,
-    /// Recorded intervals (when tracing is on).
-    intervals: Vec<OpInterval>,
     stats: DiskStats,
 }
 
@@ -167,12 +88,6 @@ impl SimDisk {
                 head: 0,
                 pending: Vec::new(),
                 readahead: (0, 0),
-                busy_until: SimTime::ZERO,
-                bus_busy_until: SimTime::ZERO,
-                completions: HashMap::new(),
-                next_token: 1,
-                trace_intervals: false,
-                intervals: Vec::new(),
                 stats: DiskStats::default(),
             }),
         }
@@ -193,45 +108,11 @@ impl SimDisk {
         &self.clock
     }
 
-    /// Enables or disables per-operation interval recording. Disabled by
-    /// default (long runs would otherwise accumulate unbounded memory).
-    pub fn set_interval_trace(&self, enabled: bool) {
-        let mut state = self.state.lock();
-        state.trace_intervals = enabled;
-        if !enabled {
-            state.intervals.clear();
-        }
-    }
-
-    /// Drains and returns the recorded intervals.
-    pub fn take_intervals(&self) -> Vec<OpInterval> {
-        std::mem::take(&mut self.state.lock().intervals)
-    }
-
-    fn record(
-        state: &mut DiskState,
-        op: DiskOp,
-        offset: u64,
-        len: u64,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if state.trace_intervals {
-            state.intervals.push(OpInterval {
-                op,
-                offset,
-                len,
-                start,
-                end,
-            });
-        }
-    }
-
     /// Cost of a positioned access: seek from the current head to `offset`
     /// plus average rotational delay, then `len` bytes of transfer.
     ///
-    /// With `in_batch` set (a non-first extent of a batched flush, or the
-    /// first extent of an overlapped queued flush), a nearby extent pays
+    /// With `in_batch` set (a non-first extent of a batched flush), a
+    /// nearby extent pays
     /// only the discounted rotational wait: the elevator ordering and the
     /// track buffer let the controller write sectors as they come around
     /// instead of waiting half a revolution per extent.
@@ -271,69 +152,6 @@ impl SimDisk {
         let idx = pending.partition_point(|&(s, _)| s < start);
         pending.insert(idx, (start, end));
     }
-
-    /// Schedules a bus (cache) write of `len` bytes at `offset`: chains on
-    /// the bus-busy horizon, records the interval, and returns its
-    /// `(start, end)` without charging the clock.
-    fn schedule_write(&self, state: &mut DiskState, offset: u64, len: u64) -> (SimTime, SimTime) {
-        Self::add_pending(&mut state.pending, offset, len);
-        state.stats.writes += 1;
-        state.stats.bytes_written += len;
-        let now = self.clock.io_time();
-        let start = now.max(state.bus_busy_until);
-        let end = start + self.params.transfer_time(len);
-        state.bus_busy_until = end;
-        Self::record(state, DiskOp::Write, offset, len, start, end);
-        (start, end)
-    }
-
-    /// Schedules a cache flush: coalesced extents, queued-submission
-    /// discount, mechanism-busy chaining. Returns the completion token id
-    /// (a fresh entry in `completions`) without charging the clock.
-    fn schedule_sync(&self, state: &mut DiskState) -> u64 {
-        let pending = std::mem::take(&mut state.pending);
-        let now = self.clock.io_time();
-        // A queued command: submitted while the mechanism is still busy on
-        // the previous operation, so the controller's per-command setup is
-        // hidden behind that in-flight window, and a sequential first
-        // extent streams out of the track buffer (the in_batch discount).
-        let overlapped = state.busy_until > now && !pending.is_empty();
-        let mut cost = SimTime::ZERO;
-        let mut first = true;
-        let mut lo = u64::MAX;
-        let mut total = 0u64;
-        for &(s, e) in &pending {
-            cost += self.access_cost(state, s, e - s, !first || overlapped);
-            first = false;
-            state.stats.sync_extents += 1;
-            lo = lo.min(s);
-            total += e - s;
-        }
-        if !cost.is_zero() && !overlapped {
-            cost += self.params.controller_overhead;
-        }
-        state.stats.syncs += 1;
-        if overlapped {
-            state.stats.overlapped_syncs += 1;
-        }
-        // The flush cannot begin before the bus has finished transferring
-        // the writes it covers, nor before the mechanism is free.
-        let start = now.max(state.busy_until).max(state.bus_busy_until);
-        let end = start + cost;
-        state.busy_until = end;
-        Self::record(
-            state,
-            DiskOp::Sync,
-            if lo == u64::MAX { 0 } else { lo },
-            total,
-            start,
-            end,
-        );
-        let id = state.next_token;
-        state.next_token += 1;
-        state.completions.insert(id, end);
-        id
-    }
 }
 
 impl Device for SimDisk {
@@ -358,82 +176,44 @@ impl Device for SimDisk {
             self.access_cost(&mut state, offset, len, false)
         };
         state.stats.reads += 1;
-        state.stats.bytes_read += buf.len() as u64;
-        let now = self.clock.io_time();
-        let start = now.max(state.busy_until);
-        let end = start + cost;
-        state.busy_until = end;
-        Self::record(&mut state, DiskOp::Read, offset, len, start, end);
-        // Charged while holding the state lock so concurrent ops on this
-        // disk cannot double-count the same busy window.
-        self.clock.charge_io(end - now);
+        state.stats.bytes_read += len;
+        self.clock.charge_io(cost);
         Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.inner.write_at(offset, data)?;
+        let len = data.len() as u64;
         let mut state = self.state.lock();
         // Into the write-behind cache: transfer over the bus only.
-        let (_, end) = self.schedule_write(&mut state, offset, data.len() as u64);
-        let now = self.clock.io_time();
-        self.clock.charge_io(end - now);
+        Self::add_pending(&mut state.pending, offset, len);
+        state.stats.writes += 1;
+        state.stats.bytes_written += len;
+        self.clock.charge_io(self.params.transfer_time(len));
         Ok(())
     }
 
     fn sync(&self) -> Result<()> {
-        let token = self.submit_sync();
-        self.wait(token)
+        self.inner.sync()?;
+        let mut state = self.state.lock();
+        // Flush the cache: each coalesced extent pays its positioning, the
+        // extents after the first the elevator's near-extent discount.
+        let pending = std::mem::take(&mut state.pending);
+        let mut cost = SimTime::ZERO;
+        for (i, &(s, e)) in pending.iter().enumerate() {
+            cost += self.access_cost(&mut state, s, e - s, i > 0);
+            state.stats.sync_extents += 1;
+        }
+        if !cost.is_zero() {
+            cost += self.params.controller_overhead;
+        }
+        state.stats.syncs += 1;
+        self.clock.charge_io(cost);
+        Ok(())
     }
 
     fn set_len(&self, len: u64) -> Result<()> {
         self.inner.set_len(len)
-    }
-
-    fn submit_write(&self, offset: u64, data: Vec<u8>) -> IoToken {
-        if let Err(e) = self.inner.write_at(offset, &data) {
-            return IoToken::inline(Err(e));
-        }
-        let mut state = self.state.lock();
-        let (_, end) = self.schedule_write(&mut state, offset, data.len() as u64);
-        let id = state.next_token;
-        state.next_token += 1;
-        state.completions.insert(id, end);
-        IoToken::pending(id)
-    }
-
-    fn submit_sync(&self) -> IoToken {
-        if let Err(e) = self.inner.sync() {
-            return IoToken::inline(Err(e));
-        }
-        let mut state = self.state.lock();
-        let id = self.schedule_sync(&mut state);
-        IoToken::pending(id)
-    }
-
-    fn poll(&self, token: &IoToken) -> bool {
-        if token.is_inline() {
-            return true;
-        }
-        let state = self.state.lock();
-        match state.completions.get(&token.id()) {
-            Some(&end) => end <= self.clock.io_time(),
-            None => true,
-        }
-    }
-
-    fn wait(&self, token: IoToken) -> Result<()> {
-        let id = match token.into_inline() {
-            Ok(result) => return result,
-            Err(pending) => pending.id(),
-        };
-        let mut state = self.state.lock();
-        if let Some(end) = state.completions.remove(&id) {
-            let now = self.clock.io_time();
-            // Only the residual: time the system spent on other I/O while
-            // this operation was in flight already advanced the clock.
-            self.clock.charge_io(end - now);
-        }
-        Ok(())
     }
 }
 
@@ -589,93 +369,5 @@ mod tests {
         assert_eq!(pending, vec![(0, 20), (50, 60), (100, 110)]);
         SimDisk::add_pending(&mut pending, 15, 40); // bridges first two
         assert_eq!(pending, vec![(0, 60), (100, 110)]);
-    }
-
-    #[test]
-    fn overlapped_submission_charges_only_the_residual() {
-        let (disk, clock) = disk_with(DiskParams::circa_1990());
-        // Park the head at the tail so the overlapped force is sequential.
-        disk.write_at(0, &[0u8; 64]).unwrap();
-        disk.sync().unwrap();
-
-        let before = clock.snapshot();
-        disk.write_at(64, &[0u8; 256]).unwrap();
-        let force = disk.submit_sync();
-        assert!(!disk.poll(&force), "a real force takes virtual time");
-        // While the force is in flight, "the next batch" transfers 1 MB
-        // over the bus (250 ms at 4 MB/s — far more than the force).
-        disk.write_at(4096, &[0u8; 1 << 20]).unwrap();
-        disk.wait(force).unwrap();
-        let with_overlap = (clock.snapshot() - before).io;
-
-        // The force residual must have been absorbed by the bus transfer:
-        // total is the transfer (~250 ms) plus epsilon, not + 17 ms.
-        let transfer_only = DiskParams::circa_1990().transfer_time((1 << 20) + 256);
-        assert!(
-            with_overlap < transfer_only + SimTime::from_millis(2),
-            "force did not overlap the transfer: {with_overlap} vs {transfer_only}"
-        );
-    }
-
-    #[test]
-    fn queued_sequential_sync_skips_rotation_and_controller() {
-        let (disk, clock) = disk_with(DiskParams::circa_1990());
-        disk.write_at(0, &[0u8; 64]).unwrap();
-        disk.sync().unwrap();
-
-        // Submit force A, then (while A is in flight) write the next batch
-        // sequentially and submit force B: B is a queued command.
-        disk.write_at(64, &[0u8; 512]).unwrap();
-        let a = disk.submit_sync();
-        disk.write_at(576, &[0u8; 512]).unwrap();
-        let b = disk.submit_sync();
-        let before = clock.snapshot();
-        disk.wait(a).unwrap();
-        disk.wait(b).unwrap();
-        let both = (clock.snapshot() - before).io.as_millis_f64();
-        assert_eq!(disk.stats().overlapped_syncs, 1);
-        // A pays a full ~17.4 ms force; queued B streams: transfer only.
-        assert!(
-            both < 20.0,
-            "queued sequential force should not pay rotation again, got {both} ms"
-        );
-    }
-
-    #[test]
-    fn interval_trace_records_overlap() {
-        let (disk, _clock) = disk_with(DiskParams::circa_1990());
-        disk.set_interval_trace(true);
-        disk.write_at(0, &[0u8; 256]).unwrap();
-        let force = disk.submit_sync();
-        disk.write_at(4096, &[0u8; 8192]).unwrap();
-        disk.wait(force).unwrap();
-        let intervals = disk.take_intervals();
-        let sync = intervals
-            .iter()
-            .find(|i| i.op == DiskOp::Sync)
-            .expect("sync interval");
-        let concurrent_write = intervals
-            .iter()
-            .find(|i| i.op == DiskOp::Write && i.offset == 4096)
-            .expect("write interval");
-        assert!(
-            sync.overlaps(concurrent_write),
-            "sync {sync:?} should overlap write {concurrent_write:?}"
-        );
-        // Draining leaves the trace empty; disabled tracing records nothing.
-        assert!(disk.take_intervals().is_empty());
-        disk.set_interval_trace(false);
-        disk.write_at(0, &[1u8; 16]).unwrap();
-        assert!(disk.take_intervals().is_empty());
-    }
-
-    #[test]
-    fn serial_sync_is_never_an_overlapped_submission() {
-        let (disk, _clock) = disk_with(DiskParams::circa_1990());
-        for i in 0..4u64 {
-            disk.write_at(i * 512, &[0u8; 512]).unwrap();
-            disk.sync().unwrap();
-        }
-        assert_eq!(disk.stats().overlapped_syncs, 0);
     }
 }

@@ -13,11 +13,6 @@ pub struct DiskStats {
     /// commit that appends N transactions contiguously and forces once
     /// shows up as one sync and one extent, not N.
     pub sync_extents: u64,
-    /// Syncs submitted while the mechanism was still busy on a previous
-    /// operation (queued commands): these skip the controller overhead and
-    /// the sequential-first-extent rotational wait. A pipelined log writer
-    /// shows up here; a strictly serial force loop never does.
-    pub overlapped_syncs: u64,
     /// Number of non-zero-distance head movements.
     pub seeks: u64,
     /// Total bytes read.
@@ -34,7 +29,6 @@ impl DiskStats {
             writes: self.writes - earlier.writes,
             syncs: self.syncs - earlier.syncs,
             sync_extents: self.sync_extents - earlier.sync_extents,
-            overlapped_syncs: self.overlapped_syncs - earlier.overlapped_syncs,
             seeks: self.seeks - earlier.seeks,
             bytes_read: self.bytes_read - earlier.bytes_read,
             bytes_written: self.bytes_written - earlier.bytes_written,
@@ -53,7 +47,6 @@ mod tests {
             writes: 20,
             syncs: 3,
             sync_extents: 7,
-            overlapped_syncs: 2,
             seeks: 5,
             bytes_read: 1000,
             bytes_written: 2000,
@@ -63,7 +56,6 @@ mod tests {
             writes: 8,
             syncs: 1,
             sync_extents: 2,
-            overlapped_syncs: 1,
             seeks: 2,
             bytes_read: 400,
             bytes_written: 800,
@@ -73,7 +65,6 @@ mod tests {
         assert_eq!(d.writes, 12);
         assert_eq!(d.syncs, 2);
         assert_eq!(d.sync_extents, 5);
-        assert_eq!(d.overlapped_syncs, 1);
         assert_eq!(d.seeks, 3);
         assert_eq!(d.bytes_read, 600);
         assert_eq!(d.bytes_written, 1200);

@@ -30,15 +30,13 @@ impl VerifiedRead {
 /// Completion token for an asynchronous device operation submitted with
 /// [`Device::submit_write`] or [`Device::submit_sync`].
 ///
-/// A token is either *inline* — the operation already ran synchronously at
-/// submit time and the token carries its result, which [`Device::wait`]
-/// simply returns — or *pending*, carrying a device-assigned completion id
-/// that the submitting device resolves in its own `wait`/`poll` overrides.
-/// The inline form is what the default trait methods produce, so every
-/// existing [`Device`] implementation is async-capable (just without
-/// overlap) for free; devices with a real asynchronous path (a thread-backed
-/// file device, the simulated disk's overlapped cost model) return pending
-/// tokens.
+/// The submit interface is kept only for the profile harness under
+/// `bench/`, whose wrapper devices implement it: the library completes
+/// every write and force inline and never submits, and no device in this
+/// crate overrides the submit methods. A token is either *inline* — the
+/// operation already ran at submit time and the token carries its result,
+/// which [`Device::wait`] returns — or *pending*, carrying an id that only
+/// the device that minted it can resolve.
 ///
 /// Tokens are not `Clone`: completion is consumed exactly once by `wait`.
 #[derive(Debug)]
@@ -163,46 +161,30 @@ pub trait Device: Send + Sync {
         None
     }
 
-    /// Submits an asynchronous write of `data` at `offset`, returning a
-    /// completion token for [`Device::wait`].
-    ///
-    /// The durability contract is unchanged: the write is *completed* (in
-    /// the [`Device::sync`] sense) only once `wait` on its token returns.
-    /// A sync submitted after a write covers that write exactly when the
-    /// write was submitted first on the same device.
-    ///
-    /// The default runs the write synchronously and returns an inline
-    /// token, so plain devices need no override. Fault-injecting wrappers
-    /// evaluate their schedule here, at submit, but deliver the error at
-    /// `wait` — mirroring real completion-queue semantics.
+    /// Submits a write of `data` at `offset`, returning a completion
+    /// token for [`Device::wait`]. Kept, with [`Device::submit_sync`],
+    /// [`Device::poll`] and `wait`, only for the profile harness under
+    /// `bench/` (see [`IoToken`]); the library never calls them. The
+    /// default runs the write at once and returns an inline token.
     fn submit_write(&self, offset: u64, data: Vec<u8>) -> IoToken {
         IoToken::inline(self.write_at(offset, &data))
     }
 
-    /// Submits an asynchronous durability barrier covering every write
-    /// submitted (or issued with [`Device::write_at`]) before this call,
-    /// returning a completion token. The barrier has *taken effect* only
-    /// once [`Device::wait`] on the token returns `Ok`.
-    ///
-    /// The default runs [`Device::sync`] synchronously and returns an
-    /// inline token.
+    /// Submits a durability barrier covering every write before it. The
+    /// default runs [`Device::sync`] at once and returns an inline token.
     fn submit_sync(&self) -> IoToken {
         IoToken::inline(self.sync())
     }
 
-    /// Returns `true` once the operation behind `token` has completed
-    /// (successfully or not); `wait` will then not block. Inline tokens
-    /// are always complete.
+    /// Whether the operation behind `token` has completed. Inline tokens
+    /// always have.
     fn poll(&self, token: &IoToken) -> bool {
         let _ = token;
         true
     }
 
-    /// Blocks until the operation behind `token` completes and returns its
-    /// result. Must be called on the same device that minted the token.
-    ///
-    /// The default resolves inline tokens; devices that mint pending
-    /// tokens must override it.
+    /// Blocks until the operation behind `token` completes and returns
+    /// its result. The default resolves inline tokens.
     fn wait(&self, token: IoToken) -> Result<()> {
         // A pending token reaches the default only when a device overrode
         // `submit_*` without overriding `wait`. Nothing here can tell

@@ -539,23 +539,6 @@ impl<D: Device + ?Sized> Device for FlakyDevice<D> {
     fn replica_health(&self) -> Option<(usize, usize)> {
         self.inner.replica_health()
     }
-
-    fn submit_write(&self, offset: u64, data: Vec<u8>) -> crate::IoToken {
-        // The fault schedule is consulted here, at submit (the request
-        // enters the queue); the token carries the outcome and `wait`
-        // delivers it — completion-queue error semantics. The inner device
-        // is driven synchronously on purpose: fault schedules are keyed on
-        // a deterministic per-op order, which an overlapped inner queue
-        // would scramble.
-        crate::IoToken::inline(self.write_at(offset, &data))
-    }
-
-    fn submit_sync(&self) -> crate::IoToken {
-        // As above: an injected sync failure is decided now but only
-        // surfaces at `wait`, so a pipelined log writer sees its in-flight
-        // force fail exactly the way a real completion queue reports it.
-        crate::IoToken::inline(self.sync())
-    }
 }
 
 #[cfg(test)]

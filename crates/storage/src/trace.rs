@@ -174,56 +174,6 @@ impl Device for TraceDevice {
         self.recorder.record(self.id, TraceOpKind::SetLen { len });
         Ok(())
     }
-
-    fn submit_write(&self, offset: u64, data: Vec<u8>) -> crate::IoToken {
-        // Recorded at *submit* time: a sync submitted after this call
-        // covers the write on every conforming device, so submit order is
-        // the durability order the crash enumerator must see. (Commit
-        // acks happen strictly after `wait`, so recording early keeps the
-        // committed-prefix oracle sound in both directions.)
-        let kind = TraceOpKind::Write {
-            offset,
-            data: data.clone(),
-        };
-        let token = self.inner.submit_write(offset, data);
-        match token.into_inline() {
-            Ok(Ok(())) => {
-                self.recorder.record(self.id, kind);
-                crate::IoToken::inline(Ok(()))
-            }
-            Ok(Err(e)) => crate::IoToken::inline(Err(e)),
-            Err(pending) => {
-                self.recorder.record(self.id, kind);
-                pending
-            }
-        }
-    }
-
-    fn submit_sync(&self) -> crate::IoToken {
-        let token = self.inner.submit_sync();
-        match token.into_inline() {
-            Ok(Ok(())) => {
-                self.recorder.record(self.id, TraceOpKind::Sync);
-                crate::IoToken::inline(Ok(()))
-            }
-            Ok(Err(e)) => crate::IoToken::inline(Err(e)),
-            Err(pending) => {
-                self.recorder.record(self.id, TraceOpKind::Sync);
-                pending
-            }
-        }
-    }
-
-    fn poll(&self, token: &crate::IoToken) -> bool {
-        self.inner.poll(token)
-    }
-
-    fn wait(&self, token: crate::IoToken) -> Result<()> {
-        match token.into_inline() {
-            Ok(result) => result,
-            Err(pending) => self.inner.wait(pending),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ mod common {
     include!("lib.rs");
 }
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
@@ -140,20 +141,57 @@ fn group_commit_amortizes_forces_across_threads() {
     }
 }
 
+/// A log that counts how many `sync`s are in progress at once, each
+/// held open for a while so that any overlap would be seen.
+struct OverlapCountingLog {
+    inner: Arc<MemDevice>,
+    in_sync: AtomicU64,
+    max_in_sync: AtomicU64,
+}
+
+impl Device for OverlapCountingLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        let now = self.in_sync.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_in_sync.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_micros(200));
+        let synced = self.inner.sync();
+        self.in_sync.fetch_sub(1, Ordering::SeqCst);
+        synced
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
 #[test]
-fn pipelined_log_writer_amortizes_and_recovers() {
+fn queued_committers_amortize_forces_one_at_a_time_and_recover() {
     const THREADS: u64 = 8;
     const TXNS: u64 = 25;
     let world = World::new(8 << 20);
-    let rvm = Arc::new(world.boot_tuned(Tuning {
+    let log = Arc::new(OverlapCountingLog {
+        inner: world.log.clone(),
+        in_sync: AtomicU64::new(0),
+        max_in_sync: AtomicU64::new(0),
+    });
+    let mut options = world.options().tuning(Tuning {
         // A 2 ms accumulation window lets committers pile up (as in the
-        // group-commit test above), and a batch cap below the
-        // thread count splits them so consecutive batches coexist in the
-        // pipeline instead of one batch swallowing every waiter.
+        // group-commit test above), and a batch cap below the thread
+        // count leaves committers queued behind every round.
         group_commit_wait_us: 2_000,
         group_commit_max_txns: 4,
         ..Tuning::default()
-    }));
+    });
+    options.log = log.clone();
+    let rvm = Arc::new(Rvm::initialize(options).expect("initialize"));
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, THREADS * PAGE_SIZE))
         .unwrap();
@@ -179,10 +217,9 @@ fn pipelined_log_writer_amortizes_and_recovers() {
         t.join().unwrap();
     }
 
-    // Same amortization contract as the test above, plus evidence
-    // the pipeline engaged: batches were submitted asynchronously and at
-    // least two forces coexisted in flight (one buffer filling while the
-    // other's force was pending).
+    // Same amortization contract as the test above, with the leader
+    // writing, forcing and completing each batch itself: never two log
+    // forces at once, and nothing submitted.
     let q = rvm.query();
     assert_eq!(q.stats.flush_commits, THREADS * TXNS);
     assert_eq!(q.stats.group_commit_txns, THREADS * TXNS);
@@ -192,17 +229,16 @@ fn pipelined_log_writer_amortizes_and_recovers() {
         q.stats.log_forces,
         q.stats.flush_commits
     );
-    assert!(q.stats.pipeline_submits >= 2, "{:?}", q.stats);
-    assert!(
-        q.stats.forces_in_flight_hw >= 2,
-        "pipeline never overlapped: high-water {}",
-        q.stats.forces_in_flight_hw
+    assert_eq!(
+        log.max_in_sync.load(Ordering::SeqCst),
+        1,
+        "two forces overlapped"
     );
+    assert_eq!(q.stats.pipeline_submits, 0);
 
-    // Crash without terminating: acknowledged commits were all reaped
-    // (an outcome is only published after its batch's force completes),
-    // so the log must verify clean and recovery must find every thread's
-    // final write.
+    // Crash without terminating: an outcome is only published after its
+    // batch's force completes, so the log must verify clean and recovery
+    // must find every thread's final write.
     drop(region);
     std::mem::forget(Arc::try_unwrap(rvm).expect("sole owner"));
     let report = rvm_check::verify(&(world.log.clone() as Arc<dyn Device>)).unwrap();
@@ -216,7 +252,7 @@ fn pipelined_log_writer_amortizes_and_recovers() {
         assert_eq!(
             region.get_u64(t * PAGE_SIZE + 8 * 8).unwrap(),
             t * 1000 + 25,
-            "thread {t} lost its final pipelined commit"
+            "thread {t} lost its final grouped commit"
         );
     }
 }
@@ -492,14 +528,12 @@ fn query_returns_while_a_commit_is_parked_inside_its_force() {
     assert_eq!(rvm.stats().flush_commits, 2);
 }
 
-/// The flush-commit selection rule, pinned by counters so neither side
-/// can silently disappear. A leader whose drain emptied the queue with
-/// nothing in flight completes its batch inline — never a submit, one
-/// force per lone commit; a leader that leaves committers queued submits
-/// its batch, and the next one submits behind it, so two forces coexist
-/// in flight (the staging depth).
+/// One completion, pinned by counters: a lone committer forces once per
+/// commit, and committers that queue behind a leader parked in its force
+/// share forces in later rounds — every batch completed by its leader,
+/// none submitted.
 #[test]
-fn leader_completes_inline_alone_and_submits_when_committers_queue() {
+fn leader_completes_inline_alone_and_shares_forces_when_committers_queue() {
     const QUEUED: u64 = 8;
     let gate = SyncGate::new();
     let gated: Arc<dyn Device> = Arc::new(GatedLog {
@@ -528,8 +562,7 @@ fn leader_completes_inline_alone_and_submits_when_committers_queue() {
         txn.commit(CommitMode::Flush).unwrap();
     };
 
-    // A single committer: every round drains the queue and finds the
-    // pipeline idle.
+    // A single committer: every round drains the queue.
     for slot in 0..20 {
         commit(&rvm, &region, slot, &|| ());
     }
@@ -537,7 +570,6 @@ fn leader_completes_inline_alone_and_submits_when_committers_queue() {
     assert_eq!(alone.flush_commits, 20);
     assert_eq!(alone.log_forces, alone.flush_commits);
     assert_eq!(alone.pipeline_submits, 0, "a lone commit was submitted");
-    assert_eq!(alone.forces_in_flight_hw, 0);
 
     // Park one more lone commit inside its inline force: it holds
     // leadership (and the core lock) while the others queue up behind it.
@@ -569,8 +601,7 @@ fn leader_completes_inline_alone_and_submits_when_committers_queue() {
 
     let s = rvm.stats();
     assert_eq!(s.flush_commits, 21 + QUEUED);
-    assert!(s.pipeline_submits > 0, "queued committers never overlapped");
-    assert_eq!(s.forces_in_flight_hw, 2, "{s:?}");
+    assert_eq!(s.pipeline_submits, 0, "{s:?}");
     assert!(
         s.log_forces < s.flush_commits,
         "queued commits shared forces"

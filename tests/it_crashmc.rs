@@ -53,19 +53,19 @@ fn commit_workload_is_exhaustive_and_clean(label: &str, workload: Workload, piec
     );
 }
 
-/// Inline side of the flush-commit path: every leader drains the whole
-/// queue, then writes, forces and completes its batch itself. One write
-/// is pending per crash point (three well-batched rounds in all), so it
-/// is cut finer than the overlapping batches below.
+/// Every leader drains the whole queue, then writes, forces and
+/// completes its batch. One write is pending per crash point (three
+/// well-batched rounds in all), so it is cut finer than the capped
+/// batches below.
 #[test]
 fn group_commit_state_space_is_exhaustive_and_clean() {
     commit_workload_is_exhaustive_and_clean("group commit", Workload::GroupCommit, 10);
 }
 
-/// Submitted side: batch B's records are submitted while batch A's force
-/// is in flight, so the enumerated crash images include every state
-/// between A's completion and B's submission. Recovery must stop at the
-/// committed prefix in all of them.
+/// Capped batches: a batch cap below the committer count serves queued
+/// committers in successive rounds, so the enumerated crash images
+/// include every state between batch A's force and batch B's. Recovery
+/// must stop at the committed prefix in all of them.
 #[test]
 fn pipelined_commits_survive_every_crash_image() {
     commit_workload_is_exhaustive_and_clean("pipelined commits", Workload::Pipeline, 8);
@@ -111,11 +111,11 @@ fn aborted_transactions_never_surface_in_any_crash_image() {
 /// The checker must have teeth: skipping a batch's log force (a seeded
 /// mutation in the real commit path) acknowledges transactions whose
 /// records were never forced, and some crash image must expose that as a
-/// durability violation — whether the leader forces inline (`GroupCommit`)
-/// or submits the force (`Pipeline`), and also when the batch is a spool
-/// drain (`NoFlushSpool`): there is one log writer, so the spool's force
-/// *is* the group force, and no private force of the drain's hides the
-/// mutation.
+/// durability violation — whether the leader drains the queue
+/// (`GroupCommit`) or leaves committers for later rounds (`Pipeline`),
+/// and also when the batch is a spool drain (`NoFlushSpool`): there is
+/// one log writer, so the spool's force *is* the group force, and no
+/// private force of the drain's hides the mutation.
 #[test]
 fn model_checker_catches_a_skipped_group_force() {
     let hooks = MutationHooks {

@@ -9,8 +9,7 @@
 //! taken while the apply is parked — byte-exact images of what a kill at
 //! that instant would leave behind — rebooted into a fresh instance.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use rvm::log::status::read_status;
@@ -19,7 +18,7 @@ use rvm::{
     CommitMode, Options, RegionDescriptor, Rvm, RvmError, TruncationMode, Tuning, TxnMode,
     PAGE_SIZE,
 };
-use rvm_storage::{Device, DeviceError, FaultOp, IoToken, MemDevice};
+use rvm_storage::{Device, DeviceError, FaultOp, MemDevice};
 
 const SLOTS: u64 = 16;
 const SLOT_STRIDE: u64 = 512; // distinct pagesworth-of-separation ranges
@@ -582,282 +581,6 @@ fn map_of_a_sibling_region_settles_only_what_predates_it() {
     }
 }
 
-/// A log device whose submitted forces complete only through the gate:
-/// a submitted batch stays in flight — the pipeline non-idle, the core
-/// lock free — until the test opens it. Inline forces are not gated.
-struct AsyncGatedLog {
-    inner: Arc<MemDevice>,
-    gate: Arc<Gate>,
-}
-
-impl Device for AsyncGatedLog {
-    fn len(&self) -> rvm_storage::Result<u64> {
-        self.inner.len()
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
-        self.inner.write_at(offset, data)
-    }
-    fn sync(&self) -> rvm_storage::Result<()> {
-        self.inner.sync()
-    }
-    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn submit_sync(&self) -> IoToken {
-        IoToken::pending(1)
-    }
-    fn poll(&self, token: &IoToken) -> bool {
-        token.is_inline() || self.gate.state.lock().unwrap().open
-    }
-    fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
-        token.into_inline().unwrap_or_else(|_| {
-            self.gate.pass(true);
-            self.inner.sync()
-        })
-    }
-}
-
-/// The segment table must be durable before any record can carry a new
-/// segment's id — so `map` persists the entry under the hold that
-/// creates it, before its settle may release the core lock (another
-/// `map` of the same name would find the entry, skip the status write,
-/// and commit). Two submitted batches are parked in their forces, which
-/// sends the map of a brand-new segment into the settle; the crash image
-/// taken while it is still in there already lists the segment.
-#[test]
-fn new_segment_is_durable_before_map_releases_the_core_lock() {
-    let deadline = || std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let gate = Gate::closed(Park::Sync);
-    let log = Arc::new(MemDevice::with_len(256 * 1024));
-    let segments = MemResolver::new();
-    let rvm = Rvm::initialize(
-        Options::new(Arc::new(AsyncGatedLog {
-            inner: log.clone(),
-            gate: gate.clone(),
-        }))
-        .resolver(segments.clone().into_resolver())
-        .create_if_empty(),
-    )
-    .unwrap();
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    let commit = |region: &rvm::Region, slot: u64| {
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
-        txn.commit(CommitMode::Flush).unwrap();
-    };
-    // A lone commit completes inline; truncating it leaves nothing
-    // stable for the map's settle to run an epoch over (an epoch would
-    // persist the table as a side effect of its boundary).
-    commit(&region, 0);
-    rvm.truncate().unwrap();
-    // One member per batch and a long accumulation window: the first
-    // leader leaves the second committer queued, so both batches are
-    // submitted, and the second leader parks reaping the first.
-    rvm.set_options(Tuning {
-        group_commit_max_txns: 1,
-        group_commit_wait_us: 200_000,
-        ..rvm.options()
-    });
-
-    std::thread::scope(|s| {
-        let _open = OpenOnDrop(&gate);
-        let (rvm, region, commit) = (&rvm, &region, &commit);
-        for slot in [1, 2] {
-            s.spawn(move || commit(region, slot));
-        }
-        let until = deadline();
-        while rvm.stats().pipeline_submits < 2 {
-            assert!(
-                std::time::Instant::now() < until,
-                "the two committers never overlapped"
-            );
-            std::thread::yield_now();
-        }
-        gate.wait_parked();
-
-        let mapper = s.spawn(|| rvm.map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE)));
-        let listed = |image: Vec<u8>| {
-            let status = read_status(&MemDevice::from_image(image)).unwrap();
-            status.segments.iter().any(|seg| seg.name == "fresh")
-        };
-        let until = deadline();
-        while !listed(log.snapshot()) {
-            assert!(
-                std::time::Instant::now() < until,
-                "the map entered its settle without persisting the table"
-            );
-            std::thread::yield_now();
-        }
-        assert!(!mapper.is_finished(), "the batches it waits for are parked");
-
-        gate.open();
-        let fresh = mapper.join().unwrap().unwrap();
-        commit(&fresh, 3);
-    });
-    let image = log.snapshot();
-    drop(region);
-    std::mem::forget(rvm); // the "crash"
-
-    let rvm = Rvm::initialize(
-        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
-    )
-    .unwrap();
-    let fresh = rvm
-        .map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE))
-        .unwrap();
-    assert_eq!(fresh.get_u64(3 * 8).unwrap(), 4);
-}
-
-/// A log device whose *submitted* writes and forces park at the gate,
-/// and whose first submitted write, once released, fails for good
-/// without reaching the medium: a batch in flight whose bytes stay a
-/// hole. Inline writes and forces pass straight through.
-struct HoleLog {
-    inner: Arc<MemDevice>,
-    gate: Arc<Gate>,
-    /// Submitted writes not yet waited, by token id.
-    pending: Mutex<HashMap<u64, (u64, Vec<u8>)>>,
-    next_id: AtomicU64,
-}
-
-impl Device for HoleLog {
-    fn len(&self) -> rvm_storage::Result<u64> {
-        self.inner.len()
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
-        self.inner.write_at(offset, data)
-    }
-    fn sync(&self) -> rvm_storage::Result<()> {
-        self.inner.sync()
-    }
-    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn submit_write(&self, offset: u64, data: Vec<u8>) -> IoToken {
-        let id = self.next_id.fetch_add(1, Ordering::SeqCst) + 1;
-        self.pending.lock().unwrap().insert(id, (offset, data));
-        IoToken::pending(id)
-    }
-    fn submit_sync(&self) -> IoToken {
-        IoToken::pending(self.next_id.fetch_add(1, Ordering::SeqCst) + 1)
-    }
-    fn poll(&self, token: &IoToken) -> bool {
-        token.is_inline() || self.gate.state.lock().unwrap().open
-    }
-    fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
-        token.into_inline().unwrap_or_else(|pending| {
-            self.gate.pass(true);
-            let write = self.pending.lock().unwrap().remove(&pending.id());
-            match write {
-                Some(_) if pending.id() == 1 => Err(DeviceError::Injected {
-                    op: FaultOp::Write,
-                    transient: false,
-                }),
-                Some((offset, data)) => self.inner.write_at(offset, &data),
-                None => self.inner.sync(),
-            }
-        })
-    }
-}
-
-/// `flush()` returns `Ok` only when every record at or below the spool's
-/// last one is written and forced. Two flush committers leave a batch in
-/// flight — its write parked, the core lock free; a third thread commits
-/// lazily and calls `flush()`; then the parked write fails. The drain is
-/// a batch behind the one in flight, so it must fail with it: were it a
-/// second writer appending above the unwritten batch and forcing on its
-/// own, `flush()` would promise a record that recovery — whose scan
-/// stops at the hole — can never find.
-#[test]
-fn flush_cannot_acknowledge_records_above_a_batch_still_in_flight() {
-    let gate = Gate::closed(Park::Sync);
-    let log = Arc::new(MemDevice::with_len(256 * 1024));
-    let segments = MemResolver::new();
-    let rvm = Rvm::initialize(
-        Options::new(Arc::new(HoleLog {
-            inner: log.clone(),
-            gate: gate.clone(),
-            pending: Mutex::default(),
-            next_id: AtomicU64::new(0),
-        }))
-        .resolver(segments.clone().into_resolver())
-        .create_if_empty(),
-    )
-    .unwrap();
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    let commit = |slot: u64, mode| {
-        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
-        txn.commit(mode)
-    };
-    // One waiter per batch and a long accumulation window: the first
-    // leader leaves the second committer queued, so its batch is
-    // submitted, and the second leader spends its window with that batch
-    // in flight and the core lock free.
-    rvm.set_options(Tuning {
-        group_commit_max_txns: 1,
-        group_commit_wait_us: 200_000,
-        ..rvm.options()
-    });
-
-    let (flushed, image) = std::thread::scope(|s| {
-        let _open = OpenOnDrop(&gate);
-        let committers = [1, 2].map(|slot| s.spawn(move || commit(slot, CommitMode::Flush)));
-        while rvm.stats().pipeline_submits == 0 {
-            std::thread::yield_now();
-        }
-        let flusher = s.spawn(|| {
-            commit(3, CommitMode::NoFlush).unwrap();
-            let flushed = rvm.flush();
-            // What a crash right after `flush()` returned would keep.
-            (flushed, log.snapshot())
-        });
-        // The second leader has submitted its batch and reaps the first:
-        // parked on the write that is about to fail.
-        gate.wait_parked();
-        gate.open();
-        for committer in committers {
-            let outcome = committer.join().unwrap();
-            assert!(
-                matches!(outcome, Err(RvmError::Device(_) | RvmError::Poisoned)),
-                "a commit in or behind the failed batch returned {outcome:?}"
-            );
-        }
-        flusher.join().unwrap()
-    });
-    assert!(rvm.is_poisoned());
-    drop(region);
-    std::mem::forget(rvm); // the "crash"
-
-    let rvm = Rvm::initialize(
-        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
-    )
-    .unwrap();
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    let recovered = region.get_u64(3 * 8).unwrap();
-    assert!(
-        flushed.is_err() || recovered == 4,
-        "flush() returned Ok, yet a crash right after it recovers {recovered} where the lazy \
-         commit wrote 4: its record sits above a hole"
-    );
-    assert!(
-        matches!(flushed, Err(RvmError::Device(_) | RvmError::Poisoned)),
-        "flush() behind a failed batch returned {flushed:?}"
-    );
-}
-
 /// A crash *after* the epoch completed (head advanced, boundary cleared)
 /// is ordinary recovery: nothing to re-apply, no interrupted epoch.
 #[test]
@@ -893,6 +616,157 @@ fn crash_after_epoch_completion_is_ordinary_recovery() {
         .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
         .unwrap();
     assert_slots(&region, 24, "post-completion crash");
+}
+
+/// The segment table must be durable before any record can carry a new
+/// segment's id — so `map` persists the entry under the hold that
+/// creates it. The crash image taken the moment `map` returns already
+/// lists the segment, and a record committed into it right after is
+/// recovered.
+#[test]
+fn new_segment_is_durable_before_map_releases_the_core_lock() {
+    let log = Arc::new(MemDevice::with_len(256 * 1024));
+    let segments = MemResolver::new();
+    let rvm = Rvm::initialize(
+        Options::new(log.clone())
+            .resolver(segments.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let fresh = rvm
+        .map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE))
+        .unwrap();
+    let status = read_status(&MemDevice::from_image(log.snapshot())).unwrap();
+    assert!(status.segments.iter().any(|seg| seg.name == "fresh"));
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    fresh.put_u64(&mut txn, 3 * 8, 4).unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    let image = log.snapshot();
+    drop(fresh);
+    std::mem::forget(rvm); // the "crash"
+
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
+    )
+    .unwrap();
+    let fresh = rvm
+        .map(&RegionDescriptor::new("fresh", 0, PAGE_SIZE))
+        .unwrap();
+    assert_eq!(fresh.get_u64(3 * 8).unwrap(), 4);
+}
+
+/// A log device whose first write once armed parks at the gate and then
+/// fails for good without reaching the medium: a batch whose bytes stay
+/// a hole. Every other write and force passes straight through.
+struct HoleLog {
+    inner: Arc<MemDevice>,
+    gate: Arc<Gate>,
+    armed: AtomicBool,
+}
+
+impl Device for HoleLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.gate.pass(false);
+            return Err(DeviceError::Injected {
+                op: FaultOp::Write,
+                transient: false,
+            });
+        }
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+/// `flush()` returns `Ok` only when every record at or below the spool's
+/// last one is written and forced. A flush committer's batch is in
+/// flight — its leader parked in the write, holding the core lock; a
+/// second thread commits lazily and calls `flush()`; then the parked
+/// write fails. The drain is behind the failed batch, so it must fail
+/// with it: were it to append above the unwritten batch and force on its
+/// own, `flush()` would promise a record that recovery — whose scan stops
+/// at the hole — can never find.
+#[test]
+fn flush_cannot_acknowledge_records_above_a_batch_still_in_flight() {
+    let gate = Gate::closed(Park::Writes(0));
+    let log = Arc::new(MemDevice::with_len(256 * 1024));
+    let segments = MemResolver::new();
+    let hole = Arc::new(HoleLog {
+        inner: log.clone(),
+        gate: gate.clone(),
+        armed: AtomicBool::new(false),
+    });
+    let rvm = Rvm::initialize(
+        Options::new(hole.clone())
+            .resolver(segments.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let commit = |slot: u64, mode| {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.put_u64(&mut txn, slot * 8, slot + 1).unwrap();
+        txn.commit(mode)
+    };
+    hole.armed.store(true, Ordering::SeqCst);
+
+    let (flushed, image) = std::thread::scope(|s| {
+        let _open = OpenOnDrop(&gate);
+        let committer = s.spawn(move || commit(1, CommitMode::Flush));
+        gate.wait_parked();
+        let flusher = s.spawn(|| {
+            commit(3, CommitMode::NoFlush).unwrap();
+            let flushed = rvm.flush();
+            // What a crash right after `flush()` returned would keep.
+            (flushed, log.snapshot())
+        });
+        // Let the drain queue up behind the parked leader.
+        while rvm.stats().no_flush_commits == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        gate.open();
+        let outcome = committer.join().unwrap();
+        assert!(
+            matches!(outcome, Err(RvmError::Device(_))),
+            "the commit in the failed batch returned {outcome:?}"
+        );
+        flusher.join().unwrap()
+    });
+    assert!(rvm.is_poisoned());
+    drop(region);
+    std::mem::forget(rvm); // the "crash"
+
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::from_image(image))).resolver(segments.into_resolver()),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+        .unwrap();
+    let recovered = region.get_u64(3 * 8).unwrap();
+    assert!(
+        flushed.is_err() || recovered == 4,
+        "flush() returned Ok, yet a crash right after it recovers {recovered} where the lazy \
+         commit wrote 4: its record sits above a hole"
+    );
+    assert!(
+        matches!(flushed, Err(RvmError::Device(_) | RvmError::Poisoned)),
+        "flush() behind a failed batch returned {flushed:?}"
+    );
 }
 
 /// `commit_slot` on a thread of its own, failing the test unless it

@@ -392,18 +392,17 @@ fn failed_group_append_recovers_none_of_the_group() {
     }
 }
 
-/// Submitted-side twin of the failed-group-force scenario: a batch cap
-/// below the committer count leaves committers queued behind the first
-/// leader's drain, so its force is *submitted* asynchronously and the
-/// failure surfaces at the reap, not inline in the leader. The contract
-/// must be unchanged — the failure poisons exactly once, every member of
-/// that batch and of the batch submitted behind it fails, and work
-/// arriving after the poison fails fast without touching the device.
+/// Queued twin of the failed-group-force scenario: a batch cap below the
+/// committer count leaves committers queued behind the first leader, to
+/// be served in a later round. The first round's force fails: the batch
+/// fails whole and its cursors roll back, the failure poisons exactly
+/// once, the committers still queued fail with it, and work arriving
+/// after the poison fails fast without touching the device.
 #[test]
-fn failed_pipelined_force_rolls_back_and_poisons_once() {
+fn failed_force_before_queued_committers_rolls_back_and_poisons_once() {
     const N: u64 = 4;
 
-    fn pipelined_tuning() -> Tuning {
+    fn queued_tuning() -> Tuning {
         Tuning {
             group_commit_max_txns: 2,
             ..grouped_tuning()
@@ -411,14 +410,14 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     }
 
     // Dry run: count device syncs consumed by the setup prefix. The next
-    // sync after that is the pipelined batch's submitted force.
+    // sync after that is the first round's force.
     let dry_syncs = {
         let log = Arc::new(MemDevice::with_len(1 << 20));
         let segments = MemResolver::new();
         let clock = FaultClock::new(vec![]);
         let (sleeper, _) = recording_sleeper();
         let (rvm, _region) =
-            group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(pipelined_tuning()));
+            group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(queued_tuning()));
         let (_, _, syncs) = clock.ops_seen();
         std::mem::forget(rvm);
         syncs
@@ -430,16 +429,17 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     let clock = FaultClock::new(vec![FlakyFault::permanent(FaultOp::Sync, dry_syncs + 1)]);
     let (sleeper, _) = recording_sleeper();
     let (rvm, region) =
-        group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(pipelined_tuning()));
+        group_setup(flaky_options(&log, &segments, &clock, sleeper).tuning(queued_tuning()));
+    let tail0 = rvm.query().log.tail;
 
     let results = run_group(&rvm, &region, N);
 
-    // The submitted force failed at the reap: every member fails — none
-    // may report durability the log never achieved.
+    // The first batch's force failed: its members fail — none may report
+    // durability the log never achieved — and so does the later round.
     assert_eq!(
         results.iter().filter(|r| r.is_ok()).count(),
         0,
-        "a member of a failed pipelined batch reported success: {results:?}"
+        "a committer reported success after the failed force: {results:?}"
     );
     assert!(
         results
@@ -453,7 +453,7 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     assert!(rvm.is_poisoned());
     let q = rvm.query();
     assert_eq!(q.stats.poisonings, 1);
-    assert!(q.stats.pipeline_submits >= 1, "{q:?}");
+    assert_eq!(q.log.tail, tail0, "the failed batch's cursors rolled back");
 
     // Committers arriving after the poison fail fast, before any staging
     // or device work.
@@ -466,7 +466,7 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     assert_eq!(
         clock.total_ops(),
         ops_at_poison,
-        "a poisoned pipeline touched the device"
+        "a poisoned instance touched the device"
     );
 
     // Every member's in-memory state rolled back; the matching WAL cursor
@@ -477,24 +477,23 @@ fn failed_pipelined_force_rolls_back_and_poisons_once() {
     assert_slot(&region, 3, 0);
 
     // Reboot on repaired hardware: the records were fully written before
-    // the submitted force failed, so recovery replays the whole batch —
-    // and must never replay a partial one.
+    // the force failed, so recovery may replay the failed batch — but
+    // never a partial one, and nothing of the round that failed fast.
     std::mem::forget(rvm);
     let rvm = Rvm::initialize(clean_options(&log, &segments)).unwrap();
     let region = rvm.map(&descriptor()).unwrap();
     let replayed: Vec<bool> = (0..N)
         .map(|t| region.read_vec(t * SLOT_SIZE, 1).unwrap()[0] == 10 + t as u8)
         .collect();
+    let batch = queued_tuning().group_commit_max_txns;
     assert!(
-        replayed.iter().all(|&p| p) || replayed.iter().all(|&p| !p),
-        "pipelined batch replayed partially: {replayed:?}"
+        [0, batch].contains(&replayed.iter().filter(|&&p| p).count()),
+        "failed batch replayed partially: {replayed:?}"
     );
 }
 
-/// `terminate()` drains the spool with the same batch `flush()` does
-/// (the in-flight variant of the hole — see `it_epoch_truncation.rs` —
-/// cannot be staged against it: `terminate` takes the instance by value
-/// and refuses while a transaction is committing). When that batch's
+/// `terminate()` drains the spool with the same batch `flush()` does.
+/// When that batch's
 /// force fails, terminate must report it and hand the poisoned instance
 /// back, not write a clean-shutdown status over records never forced.
 #[test]
@@ -770,14 +769,12 @@ fn seeded_fault_storms_either_heal_or_poison_recoverably() {
 }
 
 /// `set_options` under load: flipping the batch cap between one force per
-/// commit, tiny batches (committers left queued, so batches are submitted
-/// and overlap) and the default (leaders drain everything and complete
-/// inline) moves consecutive rounds between the two sides of the
-/// flush-commit path while batches are in flight. Nothing in
-/// `set_options` drains the pipeline; every batch is reaped by a later
-/// leader round whatever the cap has become, so committers hammering
-/// flush commits through every flip must all complete, with nothing lost
-/// across a reboot.
+/// commit, tiny batches (committers left queued for later rounds) and the
+/// default (leaders drain everything) while committers are queued.
+/// Nothing in `set_options` touches the queue; every queued committer is
+/// served by a later leader round whatever the cap has become, so
+/// committers hammering flush commits through every flip must all
+/// complete, with nothing lost across a reboot.
 #[test]
 fn batch_cap_flips_under_concurrent_committers_strand_no_batch() {
     const THREADS: u64 = 4;
@@ -828,7 +825,7 @@ fn batch_cap_flips_under_concurrent_committers_strand_no_batch() {
     assert_eq!(rvm.query().active_transactions, 0);
 
     // Crash without terminating: every acknowledged flush commit must
-    // survive, whichever side carried it.
+    // survive, whichever cap its round ran under.
     drop(region);
     std::mem::forget(Arc::try_unwrap(rvm).expect("sole owner"));
     let rvm = Rvm::initialize(world.options()).unwrap();
@@ -847,7 +844,8 @@ fn batch_cap_flips_under_concurrent_committers_strand_no_batch() {
 }
 
 /// The `skip_group_rollback` mutation hook must be convictable on both
-/// sides of the flush-commit path. A crash image cannot show it — a
+/// sides of a batch boundary: a failed first batch, and a failed batch
+/// behind one that forced. A crash image cannot show it — a
 /// failed batch poisons the instance, which then never writes again — so
 /// the conviction is the in-memory invariant itself: after a batch's
 /// force fails with nothing appended past it, the WAL tail is back at the
@@ -859,8 +857,8 @@ fn skipped_batch_rollback_is_convicted_on_both_sides() {
 
     /// Runs `n` one-block committers at batch cap `cap` with the
     /// `nth_force` after setup failing; returns the WAL tail growth since
-    /// setup, in records, and how many batches were submitted.
-    fn tail_growth(cap: usize, n: u64, nth_force: u64, skip_rollback: bool) -> (u64, u64) {
+    /// setup, in records.
+    fn tail_growth(cap: usize, n: u64, nth_force: u64, skip_rollback: bool) -> u64 {
         let tuning = || Tuning {
             group_commit_max_txns: cap,
             ..grouped_tuning()
@@ -892,18 +890,14 @@ fn skipped_batch_rollback_is_convicted_on_both_sides() {
         assert!(rvm.is_poisoned(), "{results:?}");
         let q = rvm.query();
         std::mem::forget(rvm);
-        ((q.log.tail - tail0) / LOG_BLOCK, q.stats.pipeline_submits)
+        (q.log.tail - tail0) / LOG_BLOCK
     }
 
-    // Inline side: one batch of four, its force fails.
-    assert_eq!(tail_growth(64, 4, 1, false), (0, 0), "batch rolled back");
-    assert_eq!(tail_growth(64, 4, 1, true), (4, 0), "hook went unnoticed");
-    // Submitted side: batches of two then one, both in flight; the
-    // first force succeeds and the second — the last batch's — fails.
-    assert_eq!(
-        tail_growth(2, 3, 2, false),
-        (2, 2),
-        "last batch rolled back"
-    );
-    assert_eq!(tail_growth(2, 3, 2, true), (3, 2), "hook went unnoticed");
+    // One batch of four, its force fails.
+    assert_eq!(tail_growth(64, 4, 1, false), 0, "batch rolled back");
+    assert_eq!(tail_growth(64, 4, 1, true), 4, "hook went unnoticed");
+    // Batches of two then one in successive rounds; the first force
+    // succeeds and the second — the last batch's — fails.
+    assert_eq!(tail_growth(2, 3, 2, false), 2, "last batch rolled back");
+    assert_eq!(tail_growth(2, 3, 2, true), 3, "hook went unnoticed");
 }

@@ -3,14 +3,7 @@
 //! on reduced sweeps (full sweeps live in the `table1`/`figure8`/
 //! `figure9` binaries).
 
-use std::sync::{Arc, Barrier};
-
-use rvm::segment::MemResolver;
-use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_bench::tpca_run::{run_cell, SweepConfig, SystemKind};
-use rvm_storage::MemDevice;
-use simclock::Clock;
-use simdisk::{DiskOp, DiskParams, SimDisk};
 use tpca::AccessPattern;
 
 fn quick_cfg() -> SweepConfig {
@@ -120,92 +113,6 @@ fn sweeps_are_deterministic() {
     let a = run_cell(SystemKind::Rvm, 65_536, AccessPattern::Localized, &cfg).mean_tps();
     let b = run_cell(SystemKind::Rvm, 65_536, AccessPattern::Localized, &cfg).mean_tps();
     assert_eq!(a, b, "virtual-clock runs must be bit-for-bit repeatable");
-}
-
-#[test]
-fn pipelined_forces_overlap_record_serialization_on_simdisk() {
-    // The pipeline's whole point on real hardware: while one buffer's
-    // force spins the platter, the next buffer's records stream over the
-    // bus into the write-behind cache. The simulated disk records per-op
-    // `[start, end)` intervals on the virtual timeline, so the claim is
-    // checked mechanically rather than inferred from throughput totals.
-    const THREADS: u64 = 8;
-    const TXNS: u64 = 12;
-    let clock = Clock::new();
-    let disk = Arc::new(SimDisk::new(
-        Arc::new(MemDevice::with_len(8 << 20)),
-        clock.clone(),
-        DiskParams::circa_1990(),
-    ));
-    let rvm = Arc::new(
-        Rvm::initialize(
-            Options::new(disk.clone())
-                .resolver(MemResolver::new().into_resolver())
-                .create_if_empty()
-                .tuning(Tuning {
-                    group_commit_wait_us: 2_000,
-                    group_commit_max_txns: 4,
-                    ..Tuning::default()
-                }),
-        )
-        .expect("initialize"),
-    );
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, THREADS * PAGE_SIZE))
-        .unwrap();
-
-    // Trace only the workload, not initialization/recovery I/O.
-    let boot_stats = disk.stats();
-    disk.set_interval_trace(true);
-    let barrier = Arc::new(Barrier::new(THREADS as usize));
-    let threads: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let rvm = rvm.clone();
-            let region = region.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for i in 0..TXNS {
-                    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-                    region
-                        .put_u64(&mut txn, t * PAGE_SIZE + (i % 16) * 8, t * 1000 + i + 1)
-                        .unwrap();
-                    txn.commit(CommitMode::Flush).unwrap();
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    // (Disabling the trace clears the buffer, so drain it first.)
-    let intervals = disk.take_intervals();
-    disk.set_interval_trace(false);
-
-    // The pipeline engaged...
-    let q = rvm.query();
-    assert_eq!(q.stats.flush_commits, THREADS * TXNS);
-    assert!(q.stats.pipeline_submits >= 2, "{:?}", q.stats);
-
-    // ...and the disk saw it: queued syncs were submitted while the
-    // mechanism was still busy on the previous operation,
-    let delta = disk.stats().delta_since(&boot_stats);
-    assert!(
-        delta.overlapped_syncs > 0,
-        "no sync was ever queued behind an in-flight operation: {delta:?}"
-    );
-
-    // ...and at least one force's service interval intersects a record
-    // transfer (a log write) on the virtual timeline.
-    let syncs: Vec<_> = intervals.iter().filter(|i| i.op == DiskOp::Sync).collect();
-    let writes: Vec<_> = intervals.iter().filter(|i| i.op == DiskOp::Write).collect();
-    assert!(!syncs.is_empty() && !writes.is_empty());
-    assert!(
-        syncs.iter().any(|s| writes.iter().any(|w| s.overlaps(w))),
-        "no force overlapped record serialization across {} syncs / {} writes",
-        syncs.len(),
-        writes.len()
-    );
 }
 
 #[test]
