@@ -271,9 +271,8 @@ impl RvmShared {
     /// active leader takes it, runs one bounded round via
     /// [`RvmShared::leader_round`], releases it, and re-checks its own
     /// slot. A waiter whose slot was left out of a bounded round simply
-    /// takes the baton next, so
-    /// every enqueued slot is settled after at most
-    /// `queue length / max_txns` rounds and durable-log order equals
+    /// takes the baton next, so every enqueued slot is settled after at
+    /// most `queue length / max_txns` rounds and durable-log order equals
     /// queue order.
     fn flush_commit_enqueue(
         &self,
@@ -384,9 +383,7 @@ mod tests {
     /// `PageQueue`'s invariant — descriptor offsets never decrease, which
     /// `drain_below` relies on — across a `flush()` issued while an older
     /// batch is still in its force: the drain queues behind that batch's
-    /// leader, so its descriptors are enqueued after that batch's. (When
-    /// the drain was a second writer it appended above the batch in
-    /// flight and enqueued first.)
+    /// leader, so its descriptors are enqueued after that batch's.
     #[test]
     fn flush_behind_a_batch_in_flight_enqueues_in_log_order() {
         let log = Arc::new(GatedForceLog {
