@@ -169,11 +169,13 @@ fn put_u64(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+/// The little-endian `u32` at `at`, if `buf` holds one there.
+pub(crate) fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 
-fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
+/// The little-endian `u64` at `at`, if `buf` holds one there.
+pub(crate) fn le_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(*buf.get(at..)?.first_chunk()?))
 }
 

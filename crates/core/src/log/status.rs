@@ -13,6 +13,7 @@ use rvm_storage::Device;
 
 use crate::crc::crc32;
 use crate::error::{Result, RvmError};
+use crate::log::record::{le_u32, le_u64};
 use crate::segment::{SegmentId, SegmentInfo};
 
 /// Size reserved for one status-block copy.
@@ -124,50 +125,45 @@ impl StatusBlock {
         buf
     }
 
-    /// Parses and validates one status-block image.
+    /// Parses and validates one status-block image: `None` unless it is
+    /// exactly one block whose CRC, magic and version hold and whose
+    /// segment table — every entry's name in bounds and UTF-8 — ends
+    /// before the CRC.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         if buf.len() != STATUS_BLOCK_SIZE as usize {
             return None;
         }
-        let crc_at = STATUS_BLOCK_SIZE as usize - 4;
-        let stored = u32::from_le_bytes(buf[crc_at..].try_into().ok()?);
-        if crc32(&buf[..crc_at]) != stored {
+        let (body, stored) = buf.split_last_chunk::<4>()?;
+        if crc32(body) != u32::from_le_bytes(*stored) {
             return None;
         }
-        let get64 = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-        if get64(0) != STATUS_MAGIC || get64(8) != FORMAT_VERSION {
+        let get64 = |at: usize| le_u64(body, at);
+        if get64(0)? != STATUS_MAGIC || get64(8)? != FORMAT_VERSION {
             return None;
         }
-        let n_segments = u32::from_le_bytes(buf[64..68].try_into().unwrap()) as usize;
-        let mut segments = Vec::with_capacity(n_segments);
-        let mut at = SEGMENT_TABLE_AT;
+        let n_segments = le_u32(body, 64)?;
+        let mut table = body.get(SEGMENT_TABLE_AT..)?;
+        let mut segments = Vec::new();
         for _ in 0..n_segments {
-            if at + 16 > crc_at {
-                return None;
-            }
-            let id = u32::from_le_bytes(buf[at..at + 4].try_into().unwrap());
-            let name_len = u32::from_le_bytes(buf[at + 4..at + 8].try_into().unwrap()) as usize;
-            let min_len = get64(at + 8);
-            if at + 16 + name_len > crc_at {
-                return None;
-            }
-            let name = String::from_utf8(buf[at + 16..at + 16 + name_len].to_vec()).ok()?;
+            let (entry, rest) = table.split_first_chunk::<16>()?;
+            let name_len = usize::try_from(le_u32(entry, 4)?).ok()?;
+            let (name, rest) = rest.split_at_checked(name_len)?;
             segments.push(SegmentInfo {
-                id: SegmentId::new(id),
-                name,
-                min_len,
+                id: SegmentId::new(le_u32(entry, 0)?),
+                name: std::str::from_utf8(name).ok()?.to_owned(),
+                min_len: le_u64(entry, 8)?,
             });
-            at += 16 + name_len;
+            table = rest;
         }
         Some(Self {
-            seq: get64(16),
-            head: get64(24),
-            tail: get64(32),
-            seq_at_head: get64(40),
-            next_seq: get64(48),
-            area_len: get64(56),
-            epoch_end: get64(68),
-            epoch_next_seq: get64(76),
+            seq: get64(16)?,
+            head: get64(24)?,
+            tail: get64(32)?,
+            seq_at_head: get64(40)?,
+            next_seq: get64(48)?,
+            area_len: get64(56)?,
+            epoch_end: get64(68)?,
+            epoch_next_seq: get64(76)?,
             segments,
         })
     }

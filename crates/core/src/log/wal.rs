@@ -10,14 +10,17 @@
 //! Because records carry both a forward length (header) and a backward
 //! length (trailer), the log can be read in either direction, matching the
 //! bidirectional displacements of Figure 5. Recovery uses the forward scan
-//! to locate the true tail (the first invalid record or sequence gap) and
-//! then processes records newest-first; the backward scan backs the
-//! post-mortem inspection tool.
+//! to locate the true tail (the first invalid record or sequence gap),
+//! keeping each record's values as it passes and resolving them newest
+//! first at the end; the backward scan backs the post-mortem inspection
+//! tool.
 //!
-//! The forward scan ([`scan_span`]) reads the span in a few large reads
-//! and validates each record where it lies, so what truncation and
-//! recovery replay from is borrowed from those reads; [`scan_forward`]
-//! copies the same result into owned records for tools and tests.
+//! The forward scan ([`scan_records`]) streams the span through one
+//! reused window — 64 KiB doubling to 1 MiB, larger only for a larger
+//! record — validates each record where it lies, and hands it to a
+//! visitor before the window refills. Truncation and recovery copy only
+//! the ranges' values out of it (`ranges::ValueArena`); [`scan_forward`]
+//! copies whole records into owned form for tools and tests.
 
 use std::sync::Arc;
 
@@ -27,8 +30,8 @@ use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::record::{
     self, encode_borrowed_into, encode_pad, parse_header, parse_record, validate_record,
-    HeaderInfo, RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK,
-    MIN_RECORD_SIZE, TRAILER_SIZE,
+    RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK, MIN_RECORD_SIZE,
+    TRAILER_SIZE,
 };
 use crate::log::status::LOG_AREA_START;
 use crate::ranges::Piece;
@@ -403,70 +406,21 @@ impl Wal {
 /// [`SCAN_CHUNK_MAX`], so an empty or short log costs one small read and a
 /// long one is read in few.
 const SCAN_CHUNK_MIN: u64 = 64 << 10;
-/// Largest read of a scan, unless a single record is larger.
-const SCAN_CHUNK_MAX: u64 = 1 << 20;
+/// Largest read of a scan, and so the scan's window, unless a single
+/// record is larger.
+pub const SCAN_CHUNK_MAX: u64 = 1 << 20;
 
-/// One read of the record area and the transaction records validated in
-/// it. A chunk never crosses the physical end of the area, and no record
-/// straddles two chunks.
-#[derive(Debug)]
-struct SpanChunk {
-    /// Logical offset of `bytes[0]`.
-    base: u64,
-    bytes: Vec<u8>,
-    /// `(offset in bytes, header)` of each transaction record, oldest
-    /// first.
-    records: Vec<(usize, HeaderInfo)>,
-}
-
-impl SpanChunk {
-    /// The bytes read from logical offset `pos` (at or past `base`) on.
-    fn from(&self, pos: u64) -> &[u8] {
-        let at = (pos - self.base) as usize;
-        self.bytes.get(at..).unwrap_or_default()
-    }
-}
-
-/// The live span of the log in memory: the chunks a forward scan read and
-/// an index of the records it validated in them. Replay borrows every
-/// byte it applies from here.
-#[derive(Debug)]
-pub struct LiveSpan {
-    chunks: Vec<SpanChunk>,
+/// Where a forward scan ended, and what it passed on the way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanEnd {
     /// Logical offset one past the last valid record (the true tail).
     pub tail: u64,
     /// Sequence number the next appended record should carry.
     pub next_seq: u64,
+    /// Transaction records handed to the visitor.
+    pub records: usize,
     /// Pad records encountered.
     pub pads: u64,
-}
-
-impl LiveSpan {
-    /// The valid committed transaction records with their logical
-    /// offsets, oldest first (`.rev()` for the newest-first order replay
-    /// wants).
-    pub fn records(&self) -> impl DoubleEndedIterator<Item = (u64, RecordView<'_>)> + '_ {
-        self.chunks.iter().flat_map(|chunk| {
-            chunk.records.iter().filter_map(move |&(at, header)| {
-                let view = header.layout(chunk.bytes.get(at..)?)?;
-                Some((chunk.base + at as u64, view))
-            })
-        })
-    }
-
-    /// Number of transaction records.
-    pub fn record_count(&self) -> usize {
-        self.chunks.iter().map(|c| c.records.len()).sum()
-    }
-
-    /// Number of ranges over all transaction records.
-    pub fn range_count(&self) -> usize {
-        self.chunks
-            .iter()
-            .flat_map(|c| &c.records)
-            .map(|(_, header)| header.num_ranges as usize)
-            .sum()
-    }
 }
 
 /// Everything a forward scan learns about the live log, in owned form.
@@ -483,33 +437,84 @@ pub struct ScanOutcome {
     pub pads: u64,
 }
 
+/// The bytes of the record area a scan holds: one buffer, refilled in
+/// place, whose first `filled` bytes are the log from logical offset
+/// `base` on. It never crosses the physical end of the area.
+struct Window {
+    bytes: Vec<u8>,
+    base: u64,
+    filled: usize,
+}
+
+impl Window {
+    /// The bytes held from logical offset `pos` (at or past `base`) on.
+    fn from(&self, pos: u64) -> &[u8] {
+        let at = (pos - self.base) as usize;
+        self.bytes.get(at..self.filled).unwrap_or_default()
+    }
+
+    /// Makes the window hold at least `need` bytes from `pos` on, where
+    /// `phys` is `pos` on the device: what it already holds from `pos`
+    /// moves to the front and a read of `len` bytes in all (`len ≥ need`)
+    /// fills the rest. The buffer grows only when `len` is larger than
+    /// any refill before. Returns whether it read.
+    fn refill(
+        &mut self,
+        dev: &dyn Device,
+        pos: u64,
+        phys: u64,
+        need: u64,
+        len: u64,
+    ) -> Result<bool> {
+        let carried = self.from(pos).len();
+        if carried as u64 >= need {
+            return Ok(false);
+        }
+        let at = self.filled - carried;
+        self.bytes.copy_within(at..self.filled, 0);
+        let len = len as usize;
+        if self.bytes.len() < len {
+            self.bytes.resize(len, 0);
+        }
+        let fresh = self.bytes.get_mut(carried..len).unwrap_or_default();
+        dev.read_at(phys + carried as u64, fresh)?;
+        self.base = pos;
+        self.filled = len;
+        Ok(true)
+    }
+}
+
 /// Scans the record area forward from `head`, stopping at the first
 /// invalid record, the first sequence gap, `stop_at`, or after one full
-/// lap, and keeps what it read.
+/// lap, and hands each valid transaction record, with its logical
+/// offset, to `visit` — oldest first, borrowed from the scan's window,
+/// which the next refill overwrites.
 ///
-/// The area is read in chunks of [`SCAN_CHUNK_MIN`] doubling to
-/// [`SCAN_CHUNK_MAX`] — never past `stop_at` unless the record in hand
-/// needs it — and each record is validated where it lies: one header
-/// parse, then trailer, sequence and body CRC. Device read errors abort
-/// the scan with an error; torn or stale records are *expected* and
-/// simply terminate it.
-pub fn scan_span(
+/// The area is read into one reused window, in reads of
+/// [`SCAN_CHUNK_MIN`] doubling to [`SCAN_CHUNK_MAX`] — never past
+/// `stop_at` unless the record in hand needs it, and larger only for a
+/// record that is — and each record is validated where it lies: one
+/// header parse, then trailer, sequence and body CRC. Device read errors
+/// abort the scan with an error; torn or stale records are *expected*
+/// and simply terminate it.
+pub fn scan_records(
     dev: &dyn Device,
     area_len: u64,
     head: u64,
     seq_at_head: u64,
     stop_at: Option<u64>,
-) -> Result<LiveSpan> {
-    let mut span = LiveSpan {
-        chunks: Vec::new(),
+    mut visit: impl FnMut(u64, RecordView<'_>),
+) -> Result<ScanEnd> {
+    let mut end = ScanEnd {
         tail: head,
         next_seq: seq_at_head,
+        records: 0,
         pads: 0,
     };
-    let mut cur = SpanChunk {
-        base: head,
+    let mut window = Window {
         bytes: Vec::new(),
-        records: Vec::new(),
+        base: head,
+        filled: 0,
     };
     let mut chunk_len = SCAN_CHUNK_MIN;
     let mut pos = head;
@@ -526,79 +531,49 @@ pub fn scan_span(
         let room = (area_len - pos % area_len)
             .min(area_len - (pos - head))
             .min(dev_len.saturating_sub(phys));
-        // Makes `cur` hold at least `need` bytes from `pos` on: if it
-        // does not, a new chunk starting at `pos` replaces it, carrying
-        // over what `cur` already read.
-        let mut ensure = |cur: &mut SpanChunk, need: u64| -> Result<()> {
-            let carried = cur.from(pos);
-            if carried.len() as u64 >= need {
-                return Ok(());
-            }
+        let mut ensure = |window: &mut Window, need: u64| -> Result<()> {
             let ahead = stop_at.map_or(chunk_len, |stop| chunk_len.min(stop - pos));
-            let len = need.max(ahead).min(room) as usize;
-            // Zeroed by the allocator, which fresh pages already are, not
-            // by a fill that the read then overwrites.
-            let mut bytes = vec![0; len];
-            if let Some(kept) = bytes.get_mut(..carried.len()) {
-                kept.copy_from_slice(carried);
+            if window.refill(dev, pos, phys, need, need.max(ahead).min(room))? {
+                chunk_len = (chunk_len * 2).min(SCAN_CHUNK_MAX);
             }
-            let fresh = bytes.get_mut(carried.len()..).unwrap_or_default();
-            dev.read_at(phys + carried.len() as u64, fresh)?;
-            let records = Vec::with_capacity(len / MIN_RECORD_SIZE as usize);
-            let done = std::mem::replace(
-                cur,
-                SpanChunk {
-                    base: pos,
-                    bytes,
-                    records,
-                },
-            );
-            if !done.records.is_empty() {
-                span.chunks.push(done);
-            }
-            chunk_len = (chunk_len * 2).min(SCAN_CHUNK_MAX);
             Ok(())
         };
 
         if room < HEADER_SIZE {
             break;
         }
-        ensure(&mut cur, HEADER_SIZE)?;
-        let Some(header) = parse_header(cur.from(pos)) else {
+        ensure(&mut window, HEADER_SIZE)?;
+        let Some(header) = parse_header(window.from(pos)) else {
             break;
         };
-        if header.seq != span.next_seq {
+        if header.seq != end.next_seq {
             break;
         }
         let padded = header.padded_len();
         if padded > room {
             break;
         }
-        ensure(&mut cur, padded)?;
-        let at = (pos - cur.base) as usize;
-        let valid = cur
-            .bytes
-            .get(at..at + padded as usize)
-            .and_then(|image| validate_record(&header, image));
-        if valid.is_none() {
+        ensure(&mut window, padded)?;
+        let image = window.from(pos).get(..padded as usize);
+        let Some(view) = image.and_then(|image| validate_record(&header, image)) else {
             break;
-        }
+        };
         match header.kind {
-            RecordKind::Txn => cur.records.push((at, header)),
-            RecordKind::Pad => span.pads += 1,
+            RecordKind::Txn => {
+                visit(pos, view);
+                end.records += 1;
+            }
+            RecordKind::Pad => end.pads += 1,
         }
         pos += padded;
-        span.next_seq += 1;
+        end.next_seq += 1;
     }
 
-    if !cur.records.is_empty() {
-        span.chunks.push(cur);
-    }
-    span.tail = pos;
-    Ok(span)
+    end.tail = pos;
+    Ok(end)
 }
 
-/// [`scan_span`] with every record copied out of the scan's buffers —
+/// [`scan_records`] with every record copied out of the scan's window —
 /// the form the inspection tools, the checker and the tests consume.
 pub fn scan_forward(
     dev: &dyn Device,
@@ -607,15 +582,15 @@ pub fn scan_forward(
     seq_at_head: u64,
     stop_at: Option<u64>,
 ) -> Result<ScanOutcome> {
-    let span = scan_span(dev, area_len, head, seq_at_head, stop_at)?;
+    let mut records = Vec::new();
+    let end = scan_records(dev, area_len, head, seq_at_head, stop_at, |pos, view| {
+        records.extend(view.to_txn().map(|txn| (pos, txn)));
+    })?;
     Ok(ScanOutcome {
-        records: span
-            .records()
-            .filter_map(|(pos, view)| Some((pos, view.to_txn()?)))
-            .collect(),
-        tail: span.tail,
-        next_seq: span.next_seq,
-        pads: span.pads,
+        records,
+        tail: end.tail,
+        next_seq: end.next_seq,
+        pads: end.pads,
     })
 }
 

@@ -7,12 +7,14 @@
 //!   adjacent `set_range` calls within one transaction are coalesced —
 //!   [`RangeSet`] does this, and reports which sub-ranges were *newly*
 //!   covered so old-value capture copies each byte at most once.
-//! * **Recovery trees** (§5.1.2): scanning the log tail→head, the first
-//!   (newest) value seen for each byte wins. [`latest_pieces`] resolves a
-//!   whole span at once over values *borrowed* from the log bytes — the
-//!   form truncation and recovery replay from; [`IntervalMap`] is the
-//!   owned, incremental form (`insert_if_uncovered`) the inspection tools
-//!   use, and the model `latest_pieces` is tested against.
+//! * **Recovery trees** (§5.1.2): the newest value of each byte wins.
+//!   [`ValueArena`] copies each range's value once as a forward scan
+//!   passes its record, overwriting in place a value a newer range of
+//!   the same start and length supersedes, and then resolves the whole
+//!   span at once into disjoint pieces borrowed from the arena — the form
+//!   truncation and recovery replay from. [`IntervalMap`] is the owned,
+//!   incremental form (`insert_if_uncovered`, newest first) the
+//!   inspection tools use, and the model the arena is tested against.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -235,8 +237,7 @@ impl SegCoverage {
 }
 
 /// The new value of `[start, start + data.len())` in segment `seg`,
-/// borrowed from wherever the bytes live — for replay, the chunk of log a
-/// record was validated in.
+/// borrowed from wherever the bytes live — for replay, the value arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Piece<'a> {
     /// Raw id of the segment the bytes belong to.
@@ -254,58 +255,166 @@ impl Piece<'_> {
     }
 }
 
-/// Resolves ranges given newest first into "the latest committed changes
-/// for each data segment" (§5.1.2): the result is sorted by
-/// `(seg, start)`, disjoint within a segment, and holds for every byte
-/// the value of the first input range that covers it. `capacity` sizes
-/// the working set (the number of input ranges, when known).
+/// Which range wins a byte: the lower rank. A newer record ranks lower,
+/// and within a record an earlier range — the order of a newest-first
+/// read: `(u64::MAX - record ordinal, index in the record)`.
+type Rank = (u64, u32);
+
+/// One range's new value as a [`ValueArena`] keeps it.
+#[derive(Debug, Clone, Copy)]
+struct Kept {
+    seg: u32,
+    /// The range's index in its record.
+    idx: u32,
+    /// Its record's ordinal, the oldest record 0.
+    record: u64,
+    start: u64,
+    /// Where its bytes are: a block of the arena and an offset in it.
+    block: usize,
+    at: usize,
+    /// Its length; 0 once retired by a longer newer range at its start.
+    len: usize,
+}
+
+/// Bytes of a [`ValueArena`]'s first block; each later one doubles, up
+/// to [`ARENA_BLOCK_MAX`], and a longer value takes a block of its own.
+const ARENA_BLOCK_MIN: usize = 64 << 10;
+const ARENA_BLOCK_MAX: usize = 1 << 20;
+
+/// The new values of a log span's ranges, copied into one byte arena as
+/// a forward scan passes the records, oldest first, and resolved at the
+/// end into "the latest committed changes for each data segment"
+/// (§5.1.2). The arena's blocks fill in turn, so a value is copied once
+/// and never moves, as it would at each doubling of one growing vector.
 ///
-/// The pieces are exactly the entries an [`IntervalMap`] per segment
-/// would hold after `insert_if_uncovered` of the same ranges in the same
-/// order — one per maximal run of an input range that no newer range
-/// covers, never merged with a neighbour — but found by one sort and one
-/// sweep over borrowed slices, with no allocation per range.
+/// A direct-mapped memo remembers, per slot, a value kept at a (segment,
+/// start) that hashes there. A range of a newer record at that start and
+/// of the same length overwrites the value in place and takes its rank;
+/// a longer one retires it (a value a newer range covers whole wins no
+/// byte and cuts no run); a shorter one is appended beside it. A memo
+/// collision only forgets, and the ranges of one record are always
+/// appended: the earlier of two outranks the later.
 ///
-/// A range that newer ranges cover whole wins no byte and cuts no run,
-/// and a range that has ended wins no more, so dropping them early
-/// leaves the pieces as they are. Before the sort goes a range that a
-/// newer one at the same (segment, start) covers to its end, which a
-/// small memo of starts finds (the record rewritten in place). The sweep
+/// # Examples
+///
+/// ```
+/// use rvm::ranges::{Piece, ValueArena};
+///
+/// let piece = |start, data| Piece { seg: 0, start, data };
+/// let mut values = ValueArena::default();
+/// values.keep_record([piece(0, &[1; 8][..])].into_iter());
+/// values.keep_record([piece(4, &[2; 2][..]), piece(0, &[3; 8][..])].into_iter());
+/// values.keep_record([piece(4, &[4; 2][..])].into_iter());
+/// let pieces = values.latest_pieces();
+/// let got: Vec<(u64, &[u8])> = pieces.iter().map(|p| (p.start, p.data)).collect();
+/// assert_eq!(got, [(0, &[3; 4][..]), (4, &[4; 2][..]), (6, &[3; 2][..])]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ValueArena {
+    blocks: Vec<Vec<u8>>,
+    kept: Vec<Kept>,
+    /// Per slot, an index into `kept` (`usize::MAX`: none), allocated
+    /// by the first record.
+    memo: Vec<usize>,
+    records: u64,
+}
+
+impl ValueArena {
+    /// The memo slot a value at `start` in segment `seg` takes; values at
+    /// two starts with one slot forget each other.
+    pub fn memo_slot(seg: u32, start: u64) -> usize {
+        let hash = (start ^ u64::from(seg).rotate_right(20)).wrapping_mul(FIB_HASH);
+        (hash >> (64 - MEMO_SLOTS.ilog2())) as usize
+    }
+
+    /// Keeps the values of one record's ranges, in record order; each
+    /// call is a record newer than every one before it.
+    pub fn keep_record<'a>(&mut self, ranges: impl Iterator<Item = Piece<'a>>) {
+        let record = self.records;
+        self.records += 1;
+        if self.memo.is_empty() {
+            self.memo = vec![usize::MAX; MEMO_SLOTS];
+        }
+        for (idx, range) in ranges.enumerate() {
+            let (len, idx) = (range.data.len(), u32::try_from(idx).unwrap_or(u32::MAX));
+            if len == 0 {
+                continue;
+            }
+            let slot = Self::memo_slot(range.seg, range.start);
+            let last = self.memo.get(slot).and_then(|&k| self.kept.get_mut(k));
+            if let Some(kept) = last.filter(|kept| {
+                (kept.seg, kept.start) == (range.seg, range.start)
+                    && kept.record < record
+                    && kept.len <= len
+            }) {
+                if kept.len == len {
+                    let block = self.blocks.get_mut(kept.block);
+                    if let Some(value) = block.and_then(|b| b.get_mut(kept.at..kept.at + len)) {
+                        value.copy_from_slice(range.data);
+                    }
+                    (kept.record, kept.idx) = (record, idx);
+                    continue;
+                }
+                kept.len = 0;
+            }
+            if let Some(last) = self.memo.get_mut(slot) {
+                *last = self.kept.len();
+            }
+            let room = self.blocks.last().map_or(0, |b| b.capacity() - b.len());
+            if room < len {
+                let size = (ARENA_BLOCK_MIN << self.blocks.len().min(16)).min(ARENA_BLOCK_MAX);
+                self.blocks.push(Vec::with_capacity(size.max(len)));
+            }
+            let block = self.blocks.len() - 1;
+            let Some(bytes) = self.blocks.last_mut() else {
+                continue;
+            };
+            let (seg, start, at) = (range.seg, range.start, bytes.len());
+            self.kept.push(Kept {
+                seg,
+                idx,
+                record,
+                start,
+                block,
+                at,
+                len,
+            });
+            bytes.extend_from_slice(range.data);
+        }
+    }
+
+    /// Resolves the kept values into the pieces replay writes, borrowed
+    /// from the arena: sorted by `(seg, start)`, disjoint within a
+    /// segment, and exactly the entries an [`IntervalMap`] per segment
+    /// holds after `insert_if_uncovered` of every range kept, newest
+    /// record first and each record's ranges in order — one per maximal
+    /// run of a range that no newer range covers, never merged with a
+    /// neighbour — found by one sort and one sweep.
+    pub fn latest_pieces(&self) -> Vec<Piece<'_>> {
+        let live = self.kept.iter().filter(|k| k.len > 0);
+        let mut input: Vec<(Piece<'_>, Rank)> = live
+            .filter_map(|k| {
+                let data = self.blocks.get(k.block)?.get(k.at..k.at + k.len)?;
+                let (seg, start) = (k.seg, k.start);
+                Some((Piece { seg, start, data }, (u64::MAX - k.record, k.idx)))
+            })
+            .collect();
+        input.sort_unstable_by_key(|(p, rank)| (p.seg, p.start, *rank));
+        sweep(&input)
+    }
+}
+
+/// The sweep behind [`ValueArena::latest_pieces`], over ranges sorted by
+/// `(seg, start, rank)`. A range that has ended wins no more, and one
+/// that a newer range outlives from its start wins nothing, so the sweep
 /// never pushes a range that the newest active one outlives, and empties
 /// its heap whenever everything in it has ended.
-pub fn latest_pieces<'a>(
-    newest_first: impl Iterator<Item = Piece<'a>>,
-    capacity: usize,
-) -> Vec<Piece<'a>> {
-    // Per slot, a (segment, start) and where the newer ranges from it
-    // end at the furthest. A collision overwrites, which only forgets.
-    let mut memo = [(0u32, 0u64, 0u64); MEMO_SLOTS];
-    let mut repeated = |p: &Piece<'_>| {
-        let hash = (p.start ^ u64::from(p.seg).rotate_right(20)).wrapping_mul(FIB_HASH);
-        let Some(slot) = memo.get_mut((hash >> (64 - MEMO_SLOTS.ilog2())) as usize) else {
-            return false;
-        };
-        let covered = (slot.0, slot.1) == (p.seg, p.start) && slot.2 >= p.end();
-        if !covered {
-            *slot = (p.seg, p.start, p.end());
-        }
-        covered
-    };
-    // (piece, rank); the lower rank is the newer range and wins.
-    let mut input: Vec<(Piece<'a>, usize)> = Vec::with_capacity(capacity);
-    input.extend(
-        newest_first
-            .filter(|p| !p.data.is_empty() && !repeated(p))
-            .enumerate()
-            .map(|(rank, p)| (p, rank)),
-    );
-    input.sort_unstable_by_key(|(p, rank)| (p.seg, p.start, *rank));
-
+fn sweep<'a>(input: &[(Piece<'a>, Rank)]) -> Vec<Piece<'a>> {
     let mut out: Vec<Piece<'a>> = Vec::with_capacity(input.len());
     // Ranges of the current segment that start at or before `cur`, newest
     // on top; one that has ended is dropped once it surfaces, or once
     // every range in the heap has ended.
-    let mut active: BinaryHeap<Reverse<(usize, Piece<'a>)>> = BinaryHeap::new();
+    let mut active: BinaryHeap<Reverse<(Rank, Piece<'a>)>> = BinaryHeap::new();
     for group in input.chunk_by(|a, b| a.0.seg == b.0.seg) {
         active.clear();
         let mut unstarted = group.iter().peekable();
@@ -314,7 +423,7 @@ pub fn latest_pieces<'a>(
         let mut reach = 0u64;
         // The piece being grown, ending at `cur`: the rank and extent of
         // the range it is cut from, and where it starts.
-        let mut run: Option<(usize, Piece<'a>, u64)> = None;
+        let mut run: Option<(Rank, Piece<'a>, u64)> = None;
         loop {
             if reach <= cur {
                 // Ranges rewritten in time order leave the ended older
@@ -356,15 +465,15 @@ pub fn latest_pieces<'a>(
     out
 }
 
-/// Slots of [`latest_pieces`]'s memo, 24 bytes of stack each: a span
-/// rewrites a few starts in place over and over.
+/// Slots of a [`ValueArena`]'s memo: a span rewrites a few starts in
+/// place over and over.
 const MEMO_SLOTS: usize = 1024;
 
 /// 2⁶⁴ over the golden ratio, which spreads a key into the top bits.
 const FIB_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Emits the finished run `[start, end)` of `range` as one piece.
-fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(usize, Piece<'a>, u64)>, end: u64) {
+fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(Rank, Piece<'a>, u64)>, end: u64) {
     let Some((_, range, start)) = run else {
         return;
     };
@@ -519,7 +628,7 @@ mod tests {
     use super::*;
 
     thread_local! {
-        /// The capacity [`latest_pieces`]'s heap ended with on this
+        /// The capacity [`sweep`]'s heap ended with on this
         /// thread, which bounds how deep it got, within a factor of two.
         pub(super) static HEAP_CAPACITY: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
@@ -760,11 +869,12 @@ mod tests {
 
     /// 30 000 copies of one 128-byte range, rewritten in place, among
     /// 30 000 distinct ranges: half under one newer wide range, half a
-    /// ring of slots written in address order. The pieces are the ones an
-    /// interval map keeps, from a heap that stays shallow. Without the
-    /// drops, each copy and each range under the wide one would stay in
-    /// the heap until the range over it ended, and each slot of the ring,
-    /// under every newer one, until the sweep left the segment.
+    /// ring of slots written in address order. The copies share a few
+    /// values in the arena, and the pieces are the ones an interval map keeps,
+    /// from a heap that stays shallow. Without the drops, each copy and
+    /// each range under the wide one would stay in the heap until the
+    /// range over it ended, and each slot of the ring, under every newer
+    /// one, until the sweep left the segment.
     #[test]
     fn latest_pieces_drop_covered_ranges_early() {
         let bytes: Vec<u8> = (0..60_000u32).map(|i| (i * 7 % 251) as u8).collect();
@@ -787,7 +897,14 @@ mod tests {
                 _ => newest_first.push(piece(i + 1, 100_000 + (15_000 - slot) * 16, 16)),
             }
         }
-        let pieces = latest_pieces(newest_first.iter().copied(), newest_first.len());
+        let mut values = ValueArena::default();
+        for p in newest_first.iter().rev() {
+            values.keep_record(std::iter::once(*p));
+        }
+        // 30 002 distinct values, and a copy is appended only where a
+        // ring slot between two copies evicted their start from the memo.
+        assert!(values.kept.len() < 30_100, "{} values", values.kept.len());
+        let pieces = values.latest_pieces();
         let mut map = IntervalMap::new();
         for p in &newest_first {
             map.insert_if_uncovered(p.start, p.data);

@@ -9,13 +9,16 @@
 //! idempotency of recovery is achieved by delaying this step until all
 //! other recovery actions are complete."
 //!
-//! Concretely: the forward scan reads the live span into memory and
-//! locates the true tail (first torn record or sequence gap past the
-//! durable head); the records' ranges are then resolved newest-first into
-//! disjoint pieces per segment, so the first value seen for any byte — the
-//! latest committed one — wins and older values are dropped without being
-//! applied. The pieces borrow their bytes from the scan's buffers: nothing
-//! is copied between the log read and the segment write.
+//! Concretely: the forward scan streams the live span through one reused
+//! window and locates the true tail (first torn record or sequence gap
+//! past the durable head). As each record passes, its ranges' new values
+//! are copied once into a value arena, where a newer range of the same
+//! start and length overwrites the value it supersedes. The kept values
+//! are then resolved, newest first, into disjoint pieces per segment, so
+//! the latest committed value of every byte wins and older ones are
+//! dropped without being applied. Memory follows the values kept, not the
+//! log read: headers, padding and superseded values never outlive the
+//! window.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -25,9 +28,9 @@ use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
 use crate::log::status::{write_status, StatusBlock};
-use crate::log::wal::scan_span;
+use crate::log::wal::scan_records;
 use crate::options::Tuning;
-use crate::ranges::latest_pieces;
+use crate::ranges::ValueArena;
 use crate::segment::{ApplyContext, OpenSegments, Segment, SegmentId};
 
 /// What recovery did, for inspection and tests.
@@ -73,14 +76,15 @@ pub(crate) struct SpanApplied {
 /// is "the crash recovery procedure applied to the oldest part of the
 /// log" (§5.1.2; the paper reused its recovery code the same way).
 ///
-/// The records' ranges are resolved newest first, so the first value
-/// seen for a byte wins; one segment's sorted, disjoint pieces are one
-/// "tree". `resolve` maps a segment id and the tree's end offset to
-/// the segment's open handle, looked up in the status block's table at
-/// `initialize` and in `Core::segments` at run time. Each tree is
-/// written ([`Segment::apply_pieces`]) and made durable
-/// ([`Segment::finish`]) before this returns, so the caller may move the
-/// log head past the span.
+/// The records' values are kept in a [`ValueArena`] as the scan passes
+/// them and resolved at its end, the newest value of a byte winning; one
+/// segment's sorted, disjoint pieces are one "tree". `resolve` maps a
+/// segment id and the tree's end offset to the segment's open handle,
+/// looked up in the status block's table at `initialize` and in
+/// `Core::segments` at run time. Each tree is written
+/// ([`Segment::apply_pieces`]) and made durable ([`Segment::finish`])
+/// before this returns, so the caller may move the log head past the
+/// span.
 pub(crate) fn apply_span(
     log: &dyn Device,
     area_len: u64,
@@ -90,7 +94,10 @@ pub(crate) fn apply_span(
     ctx: ApplyContext,
     resolve: &mut dyn FnMut(SegmentId, u64) -> Result<Arc<Segment>>,
 ) -> Result<SpanApplied> {
-    let scan = scan_span(log, area_len, head, seq_at_head, end)?;
+    let mut values = ValueArena::default();
+    let scan = scan_records(log, area_len, head, seq_at_head, end, |_, record| {
+        values.keep_record(record.ranges());
+    })?;
     if end.is_some_and(|end| scan.tail != end) {
         // Everything below a truncation boundary was forced before it
         // was drawn; a short scan means the log was corrupted underneath.
@@ -99,12 +106,9 @@ pub(crate) fn apply_span(
             scan.tail
         )));
     }
-    let pieces = latest_pieces(
-        scan.records().rev().flat_map(|(_, record)| record.ranges()),
-        scan.range_count(),
-    );
+    let pieces = values.latest_pieces();
     let mut report = RecoveryReport {
-        records_replayed: scan.record_count(),
+        records_replayed: scan.records,
         bytes_applied: pieces.iter().map(|p| p.data.len() as u64).sum(),
         pads_skipped: scan.pads,
         ..RecoveryReport::default()

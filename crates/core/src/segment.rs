@@ -294,9 +294,9 @@ impl Segment {
     }
 
     /// Writes one segment's latest-wins pieces (sorted, disjoint — see
-    /// [`latest_pieces`](crate::ranges::latest_pieces)), keeping the
-    /// checksum catalog exact — the write path of recovery and epoch
-    /// truncation. [`Segment::finish`] must follow.
+    /// [`ValueArena`](crate::ranges::ValueArena)), keeping the checksum
+    /// catalog exact — the write path of recovery and epoch truncation.
+    /// [`Segment::finish`] must follow.
     ///
     /// Without a catalog this is one write per piece. With one, every
     /// touched page's *pre-apply* image is read under checksum scrutiny

@@ -423,20 +423,25 @@ impl Device for CountingReads {
 
 /// The forward scan reads the span in a few growing chunks, each byte at
 /// most once, across the physical end of the area — and an empty log
-/// costs one small read, not the area.
+/// costs one small read, not the area. Every record the visitor is
+/// handed holds its own bytes, though the window has been refilled
+/// around it many times.
 #[test]
 fn scan_reads_the_span_in_chunks_across_the_wrap() {
     use rvm::log::record::{RecordRange, LOG_BLOCK};
     use rvm::log::status::LOG_AREA_START;
-    use rvm::log::wal::{scan_forward, scan_span, Wal};
+    use rvm::log::wal::{scan_forward, scan_records, Wal};
     use rvm::segment::SegmentId;
 
     let area = 1024 * LOG_BLOCK;
     let dev = Arc::new(CountingReads::over(MemDevice::with_len(
         LOG_AREA_START + area,
     )));
-    let scan = scan_span(dev.as_ref(), area, 0, 1, None).unwrap();
-    assert_eq!((scan.record_count(), scan.tail), (0, 0));
+    let scan = scan_records(dev.as_ref(), area, 0, 1, None, |pos, _| {
+        panic!("an empty log holds no record, not one at {pos}")
+    })
+    .unwrap();
+    assert_eq!((scan.records, scan.tail), (0, 0));
     assert_eq!(dev.take(), (1, 64 << 10), "an empty log costs one read");
 
     // Three-block records, so chunk ends fall inside records and the
@@ -460,24 +465,30 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
     assert!(wal.tail() > area, "the live span wraps");
 
     dev.take();
-    let span = scan_span(dev.as_ref(), area, wal.head(), wal.seq_at_head(), None).unwrap();
+    let (mut tids, mut ranges) = (Vec::new(), 0);
+    let span = scan_records(
+        dev.as_ref(),
+        area,
+        wal.head(),
+        wal.seq_at_head(),
+        None,
+        |_, view| {
+            let tid = view.header().tid;
+            tids.push(tid);
+            for range in view.ranges() {
+                assert_eq!(range.start, tid * 8);
+                assert_eq!(range.data, &[tid as u8; 1000][..], "record {tid}");
+                ranges += 1;
+            }
+        },
+    )
+    .unwrap();
     let (reads, bytes) = dev.take();
     assert_eq!((span.tail, span.next_seq), (wal.tail(), wal.next_seq()));
-    assert_eq!(
-        (span.record_count(), span.range_count(), span.pads),
-        (300, 300, 1)
-    );
+    assert_eq!((span.records, ranges, span.pads), (300, 300, 1));
     assert!(reads <= 6, "{reads} reads for a 450 KiB span");
     assert!(bytes <= area, "{bytes} bytes read: no byte twice");
-    let tids: Vec<u64> = span.records().map(|(_, r)| r.header().tid).collect();
     assert_eq!(tids, (201..=500).collect::<Vec<u64>>());
-    for (_, view) in span.records().rev().take(3) {
-        let tid = view.header().tid;
-        let ranges: Vec<_> = view.ranges().collect();
-        assert_eq!(ranges.len(), 1);
-        assert_eq!(ranges[0].start, tid * 8);
-        assert_eq!(ranges[0].data, &[tid as u8; 1000][..]);
-    }
 
     // The owned adapter reports the same records, and a stop offset bounds
     // the reads to the span asked for.
@@ -490,16 +501,181 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
         .all(|((_, r), tid)| r.tid == tid));
     dev.take();
     let stop = wal.head() + 30 * LOG_BLOCK;
-    let short = scan_span(
+    let short = scan_records(
         dev.as_ref(),
         area,
         wal.head(),
         wal.seq_at_head(),
         Some(stop),
+        |_, _| {},
     )
     .unwrap();
-    assert_eq!((short.record_count(), short.tail), (10, stop));
+    assert_eq!((short.records, short.tail), (10, stop));
     assert_eq!(dev.take(), (1, 30 * LOG_BLOCK));
+}
+
+/// Commits `writes` as one flush transaction each over one region of
+/// `region_len` bytes, hands `damage` a copy of the log as the crash
+/// left it, and recovers that copy onto empty segments — so everything
+/// the recovered region holds came from the log. Returns the region's
+/// bytes and the records replayed.
+fn commit_crash_recover(
+    log_len: u64,
+    region_len: u64,
+    writes: &[(u64, Vec<u8>)],
+    damage: impl FnOnce(&MemDevice),
+) -> (Vec<u8>, usize) {
+    let log = Arc::new(MemDevice::with_len(log_len));
+    let segs = MemResolver::new();
+    let desc = RegionDescriptor::new("seg", 0, region_len);
+    let rvm = boot(&log, &segs);
+    let region = rvm.map(&desc).unwrap();
+    for (offset, data) in writes {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.write(&mut txn, *offset, data).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+    }
+    let crashed = MemDevice::from_image(log.snapshot());
+    let q = rvm.query().stats;
+    assert_eq!(
+        (q.epoch_truncations, q.incremental_steps),
+        (0, 0),
+        "the log holds every write"
+    );
+    drop(region);
+    rvm.terminate().unwrap();
+
+    damage(&crashed);
+    let rvm = boot(&Arc::new(crashed), &MemResolver::new());
+    let replayed = rvm.recovery_report().records_replayed;
+    let image = rvm.map(&desc).unwrap().read_vec(0, region_len).unwrap();
+    (image, replayed)
+}
+
+/// `writes` applied in order over `len` zero bytes.
+fn applied(len: u64, writes: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let mut image = vec![0u8; len as usize];
+    for (offset, data) in writes {
+        image[*offset as usize..][..data.len()].copy_from_slice(data);
+    }
+    image
+}
+
+/// A transaction record three times the scan's largest read: the window
+/// grows to hold it whole, between small records read the usual way,
+/// and recovery restores every byte.
+#[test]
+fn a_record_larger_than_the_scan_window_recovers() {
+    use rvm::log::wal::SCAN_CHUNK_MAX;
+
+    let big = 3 * SCAN_CHUNK_MAX;
+    let region_len = big + 16 * PAGE_SIZE;
+    let small = |i: u64| (i * 4099 % (region_len - 512), vec![i as u8 + 1; 512]);
+    let mut writes: Vec<(u64, Vec<u8>)> = (0..5).map(small).collect();
+    let blob: Vec<u8> = (0..big).map(|i| (i % 249) as u8).collect();
+    writes.push((PAGE_SIZE + 7, blob));
+    writes.extend((5..10).map(small));
+
+    let (image, replayed) = commit_crash_recover(16 << 20, region_len, &writes, |_| {});
+    assert_eq!(replayed, writes.len());
+    assert!(
+        image == applied(region_len, &writes),
+        "recovered bytes differ"
+    );
+}
+
+/// A record torn past the point where the scan's first read ends: the
+/// scan refills its window to validate it, finds it torn, and ends the
+/// log just before it — the records before it recovered byte for byte,
+/// it and those after it not at all.
+#[test]
+fn a_torn_record_straddling_a_window_refill_ends_the_log() {
+    use rvm::log::record::TRAILER_SIZE;
+    use rvm::log::status::{read_status, LOG_AREA_START};
+    use rvm::log::wal::scan_forward;
+
+    let region_len = 16 * PAGE_SIZE;
+    // Three-block records: one of them straddles the first read's end.
+    let writes: Vec<(u64, Vec<u8>)> = (0..60u64)
+        .map(|i| (i * 1009 % (region_len - 1000), vec![i as u8 + 1; 1000]))
+        .collect();
+    let first_read = 64 << 10;
+    let mut torn = None;
+    let (image, replayed) = commit_crash_recover(2 << 20, region_len, &writes, |log| {
+        let status = read_status(log).unwrap();
+        let scan = scan_forward(log, status.area_len, status.head, status.seq_at_head, None);
+        let records = scan.unwrap().records;
+        let ends = records.iter().skip(1).map(|(pos, _)| *pos);
+        let (k, end) = ends
+            .enumerate()
+            .find(|&(_, end)| end > status.head + first_read)
+            .unwrap();
+        let start = records[k].0;
+        assert!(start < status.head + first_read, "record {k} straddles");
+        // Its trailer lies past the first read.
+        log.write_at(LOG_AREA_START + end - TRAILER_SIZE, &[0xEE; 4])
+            .unwrap();
+        torn = Some(k);
+    });
+    let torn = torn.unwrap();
+    assert!(torn > 10, "the first read holds {torn} records");
+    assert_eq!(replayed, torn);
+    assert!(
+        image == applied(region_len, &writes[..torn]),
+        "recovered bytes differ"
+    );
+}
+
+/// Status copies with a valid CRC and a hostile segment table: a name
+/// length near `u32::MAX`, more entries than the block holds, a name
+/// that is not UTF-8. Each is no status at all — `initialize` refuses
+/// the log with an error, and nothing panics or allocates by the count.
+#[test]
+fn a_status_block_with_a_hostile_segment_table_is_refused() {
+    use rvm::log::status::{StatusBlock, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET};
+    use rvm::segment::{SegmentId, SegmentInfo};
+
+    let mut status = StatusBlock::fresh(1 << 20);
+    status.segments.push(SegmentInfo {
+        id: SegmentId::new(0),
+        name: "seg".to_owned(),
+        min_len: 4096,
+    });
+    let good = status.encode();
+    assert_eq!(StatusBlock::decode(&good), Some(status));
+
+    // The segment count at 64; the first entry at 84: id, name length,
+    // minimum length, name.
+    type Forgery<'a> = (&'a str, &'a dyn Fn(&mut Vec<u8>));
+    let forgeries: [Forgery; 4] = [
+        ("name length near u32::MAX", &|b| {
+            b[88..92].copy_from_slice(&(u32::MAX - 3).to_le_bytes())
+        }),
+        ("name length one past the block", &|b| {
+            let past = STATUS_BLOCK_SIZE as u32 - 84 - 16 - 4 + 1;
+            b[88..92].copy_from_slice(&past.to_le_bytes())
+        }),
+        ("more entries than the block holds", &|b| {
+            b[64..68].copy_from_slice(&u32::MAX.to_le_bytes())
+        }),
+        ("a name that is not UTF-8", &|b| {
+            b[100..103].copy_from_slice(&[0xC3, 0x28, 0xFF])
+        }),
+    ];
+    for (what, forge) in forgeries {
+        let mut block = good.clone();
+        forge(&mut block);
+        let crc_at = block.len() - 4;
+        let crc = rvm::crc32(&block[..crc_at]);
+        block[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(StatusBlock::decode(&block), None, "{what}");
+
+        let log = Arc::new(MemDevice::with_len(2 << 20));
+        log.write_at(STATUS_A_OFFSET, &block).unwrap();
+        log.write_at(STATUS_B_OFFSET, &block).unwrap();
+        let err = Rvm::initialize(Options::new(log)).expect_err(what);
+        assert!(matches!(err, RvmError::BadLog(_)), "{what}: {err}");
+    }
 }
 
 /// Forged records with *valid* checksums and lying lengths, a log cut

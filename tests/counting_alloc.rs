@@ -1,6 +1,6 @@
 // A counting global allocator, `include!`d into the test binaries that
 // pin a path's allocation behaviour from outside the library. Each such
-// binary holds exactly one test: the counter is process-wide, so a
+// binary holds exactly one test: the counters are process-wide, so a
 // second test running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -9,24 +9,42 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Counts `size` more bytes live, raising the high-water mark with them.
+fn grow(size: usize) {
+    let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(size: usize) {
+    LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator,
-// which upholds the `GlobalAlloc` contract; the counter touches no
+// which upholds the `GlobalAlloc` contract; the counters touch no
 // allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // Both blocks are live while the contents move.
+        grow(new_size);
+        shrink(layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,4 +55,24 @@ static GLOBAL: Counting = Counting;
 /// Allocations (and reallocations) made by the process so far.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes allocated and not yet freed.
+#[allow(dead_code)]
+pub fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark at the bytes live now, and returns them.
+#[allow(dead_code)]
+pub fn reset_peak() -> u64 {
+    let live = live_bytes();
+    PEAK_LIVE_BYTES.store(live, Ordering::Relaxed);
+    live
+}
+
+/// The most bytes live at once since the last [`reset_peak`].
+#[allow(dead_code)]
+pub fn peak_live_bytes() -> u64 {
+    PEAK_LIVE_BYTES.load(Ordering::Relaxed)
 }

@@ -13,7 +13,7 @@ use common::World;
 use proptest::prelude::*;
 use rvm::log::record::{encode_txn, parse_record, RecordRange};
 use rvm::log::status::StatusBlock;
-use rvm::ranges::{latest_pieces, ByteRange, IntervalMap, Piece, RangeSet};
+use rvm::ranges::{ByteRange, IntervalMap, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
@@ -80,7 +80,8 @@ proptest! {
     /// same ranges in the same (newest-first) order: same cuts, same
     /// bytes, nothing merged. Half the ranges start at one of three hot
     /// offsets and end at one of three lengths from it, so that a range
-    /// a newer one at its start covers, or outlives, is common.
+    /// a newer one at its start covers, or outlives, is common. Each
+    /// range is a record of its own, kept oldest first.
     #[test]
     fn latest_pieces_match_interval_maps(
         writes in prop::collection::vec(
@@ -96,7 +97,11 @@ proptest! {
             })
             .collect();
         let newest_first = || writes.iter().map(|&(seg, start, data)| Piece { seg, start, data });
-        let pieces = latest_pieces(newest_first(), writes.len());
+        let mut values = ValueArena::default();
+        for p in writes.iter().rev().map(|&(seg, start, data)| Piece { seg, start, data }) {
+            values.keep_record(std::iter::once(p));
+        }
+        let pieces = values.latest_pieces();
         let mut maps: BTreeMap<u32, IntervalMap> = BTreeMap::new();
         for p in newest_first() {
             maps.entry(p.seg).or_default().insert_if_uncovered(p.start, p.data);
@@ -312,6 +317,23 @@ proptest! {
     }
 }
 
+/// For each hot (segment, start) of `streamed_replay_matches_interval_maps`,
+/// the first other start in each of segments 0–2 that takes its memo
+/// slot.
+fn memo_collisions() -> Vec<(u32, u64)> {
+    let hot = (0..3u32).flat_map(|seg| [0, 100, 200].map(|start| (seg, start)));
+    let pairs = hot.flat_map(|key| (0..3u32).map(move |seg| (key, seg)));
+    pairs
+        .filter_map(|((seg, start), other)| {
+            let slot = ValueArena::memo_slot(seg, start);
+            let mut starts = (0..1_000_000u64).filter(|&s| (other, s) != (seg, start));
+            starts
+                .find(|&s| ValueArena::memo_slot(other, s) == slot)
+                .map(|s| (other, s))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -363,6 +385,90 @@ proptest! {
             prop_assert_eq!(scan.tail, wal.tail());
             prop_assert_eq!(scan.next_seq, wal.next_seq());
         }
+    }
+
+    /// Replay as recovery runs it — records written to a log, streamed
+    /// through the scan's window into a value arena, resolved — yields
+    /// exactly the entries an IntervalMap per segment holds after every
+    /// range, newest record first and each record's ranges in order.
+    /// Records hold several ranges that may overlap (as with the
+    /// intra-transaction optimization off); ranges start at three hot
+    /// offsets with three lengths (rewrites that are equal, longer and
+    /// shorter), inside a hot range, at starts that share a memo slot
+    /// with a hot one, or anywhere; and every record carries a bulk
+    /// range, so the span is several windows long and records straddle
+    /// refills.
+    #[test]
+    fn streamed_replay_matches_interval_maps(
+        records in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u8..10, 0u32..3, 0usize..64, 0usize..4, any::<u8>(), 0usize..48),
+                    0..6
+                ),
+                (0u64..60_000, 2_000usize..30_000, any::<u8>()),
+            ),
+            1..30
+        )
+    ) {
+        use rvm::log::status::LOG_AREA_START;
+        use rvm::log::wal::{scan_records, Wal};
+
+        let collide = memo_collisions();
+        let value = |fill: u8, len: usize| (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+        let range = |seg: u32, offset: u64, data: Vec<u8>| RecordRange {
+            seg: SegmentId::new(seg),
+            offset,
+            data,
+        };
+        // Three bulk records first, so even one short record makes a span
+        // longer than the first window.
+        let mut log: Vec<Vec<RecordRange>> = (0..3u64)
+            .map(|i| vec![range(3, i * 20_000, value(i as u8, 30_000))])
+            .collect();
+        for (ranges, (bulk_start, bulk_len, bulk_fill)) in &records {
+            let mut record: Vec<RecordRange> = ranges
+                .iter()
+                .map(|&(kind, seg, pick, len_pick, fill, raw_len)| {
+                    let len = [8, 16, 32, raw_len][len_pick];
+                    let (seg, start) = match kind {
+                        0..=3 => (seg, [0, 100, 200][pick % 3]),
+                        4..=5 => collide[pick % collide.len()],
+                        6..=7 => (seg, [0, 100, 200][pick % 3] + 1 + pick as u64 % 29),
+                        _ => (seg, pick as u64 * 5),
+                    };
+                    range(seg, start, value(fill, len))
+                })
+                .collect();
+            record.push(range(3, *bulk_start, value(*bulk_fill, *bulk_len)));
+            log.push(record);
+        }
+
+        let area = 4 << 20;
+        let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + area));
+        let mut wal = Wal::new(dev.clone(), area, 0, 0, 1, 1);
+        for (tid, record) in log.iter().enumerate() {
+            wal.append_txn(tid as u64, record).unwrap();
+        }
+        let mut values = ValueArena::default();
+        let end = scan_records(dev.as_ref(), area, 0, 1, None, |_, record| {
+            values.keep_record(record.ranges());
+        })
+        .unwrap();
+        prop_assert_eq!((end.records, end.tail), (log.len(), wal.tail()));
+        prop_assert!(end.tail > 64 << 10);
+        let pieces = values.latest_pieces();
+
+        let mut maps: BTreeMap<u32, IntervalMap> = BTreeMap::new();
+        for r in log.iter().rev().flatten() {
+            maps.entry(r.seg.as_u32()).or_default().insert_if_uncovered(r.offset, &r.data);
+        }
+        let expected: Vec<(u32, u64, &[u8])> = maps
+            .iter()
+            .flat_map(|(seg, map)| map.iter().map(move |(start, data)| (*seg, start, data)))
+            .collect();
+        let got: Vec<(u32, u64, &[u8])> = pieces.iter().map(|p| (p.seg, p.start, p.data)).collect();
+        prop_assert_eq!(got, expected);
     }
 
     /// Nested transactions against a flat model: an arbitrary tree of

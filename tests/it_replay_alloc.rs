@@ -16,10 +16,21 @@ use rvm_storage::MemDevice;
 
 const REGION_PAGES: u64 = 16;
 
+/// What recovering one log cost.
+struct Recovery {
+    /// Allocations made.
+    allocations: u64,
+    /// The most bytes live at once above those live before it began.
+    peak_bytes: u64,
+    /// Records replayed.
+    replayed: usize,
+    /// Bytes of log between the head and the tail.
+    span: u64,
+}
+
 /// Commits `records` transactions of three ranges each over one
-/// sixteen-page region, crashes, and returns how many allocations the
-/// recovery of that log makes, with what it replayed.
-fn allocations_to_recover(records: u64) -> (u64, usize) {
+/// sixteen-page region, crashes, and recovers that log.
+fn recover(records: u64) -> Recovery {
     let log = Arc::new(MemDevice::with_len(64 << 20));
     let segments = MemResolver::new();
     let rvm = Rvm::initialize(
@@ -45,39 +56,61 @@ fn allocations_to_recover(records: u64) -> (u64, usize) {
     // The crash: the log as it is now; the segments as they were when
     // mapped (nothing was truncated into them).
     let crashed_log = log.snapshot();
-    assert_eq!(rvm.query().stats.epoch_truncations, 0);
+    let query = rvm.query();
+    assert_eq!(query.stats.epoch_truncations, 0);
+    let span = query.log.used;
     drop(region);
     rvm.terminate().unwrap();
 
     let log = Arc::new(MemDevice::from_image(crashed_log));
     let options = Options::new(log).resolver(MemResolver::new().into_resolver());
     let before = counting::allocations();
+    let live = counting::reset_peak();
     let rvm = Rvm::initialize(options).unwrap();
-    let spent = counting::allocations() - before;
-    let replayed = rvm.recovery_report().records_replayed;
+    let recovery = Recovery {
+        allocations: counting::allocations() - before,
+        peak_bytes: counting::peak_live_bytes() - live,
+        replayed: rvm.recovery_report().records_replayed,
+        span,
+    };
     rvm.terminate().unwrap();
-    (spent, replayed)
+    recovery
 }
 
-/// Recovering four times the records costs a few more chunks of log, not
-/// four times the allocations: nothing on the path allocates per record,
-/// per range or per tree entry.
+/// Recovering four times the records over the same sixteen pages costs
+/// neither four times the allocations nor the memory of the longer log:
+/// nothing on the path allocates per record, per range or per tree
+/// entry, and the scan holds one window of log, not the span.
 #[test]
 fn recovery_allocations_do_not_grow_with_the_record_count() {
     const N: u64 = 2_000;
-    let (small, replayed_small) = allocations_to_recover(N);
-    let (large, replayed_large) = allocations_to_recover(4 * N);
+    let small = recover(N);
+    let large = recover(4 * N);
     assert_eq!(
-        (replayed_small, replayed_large),
+        (small.replayed, large.replayed),
         (N as usize, 4 * N as usize)
     );
-    // 3 MiB more log is three more 1 MiB chunks (bytes + index each); the
-    // pages touched are the same sixteen. Measured: 64 and 68 allocations;
-    // the commit before the borrowed replay path spent 16 201 and 64 203.
-    let extra = large.saturating_sub(small);
+    // The pages touched are the same sixteen, and the values kept about
+    // the same 1 024 slots' worth. Measured: 80 and 82 allocations (64
+    // and 68 keeping the span it read; 16 201 and 64 203 before the
+    // borrowed replay path).
+    let extra = large.allocations.saturating_sub(small.allocations);
     assert!(
         extra <= 32,
-        "recovering {N} records took {small} allocations, {} took {large}",
-        4 * N
+        "recovering {N} records took {} allocations, {} took {}",
+        small.allocations,
+        4 * N,
+        large.allocations
+    );
+    // Measured: the span grew 1 024 000 → 4 096 000 bytes and the peak
+    // stayed at 1 876 475 bytes, one 1 MiB window and the values. A scan
+    // that kept the span it read peaked at 2 481 571 → 5 543 043.
+    let span_growth = large.span - small.span;
+    let peak_growth = large.peak_bytes.saturating_sub(small.peak_bytes);
+    assert!(
+        peak_growth < span_growth / 8,
+        "the span grew {span_growth} bytes and the peak {} -> {}",
+        small.peak_bytes,
+        large.peak_bytes
     );
 }
