@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
-use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::MemDevice;
 use simclock::Clock;
 use simdisk::{DiskParams, SimDisk};
@@ -54,11 +54,13 @@ fn truncation_ablation() {
         "{:<14} {:>10} {:>12} {:>12} {:>14} {:>16}",
         "mode", "txn/s", "truncations", "pages", "io ms/txn", "max pause ms"
     );
-    for mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
+    const THRESHOLD: f64 = 0.30;
+    for epochs in [true, false] {
         let clock = Clock::new();
         let tuning = Tuning {
-            truncation_mode: mode,
-            truncation_threshold: 0.30,
+            // The epoch row turns the trigger's steps off and truncates
+            // from the commit loop instead.
+            truncation_threshold: if epochs { 1.0 } else { THRESHOLD },
             incremental_reclaim_bytes: 1 << 20,
             ..Tuning::default()
         };
@@ -78,14 +80,14 @@ fn truncation_ablation() {
             let off = (i % 8192) * 512;
             region.write(&mut txn, off, &[i as u8; 512]).unwrap();
             txn.commit(CommitMode::Flush).unwrap();
+            if epochs && rvm.query().log.utilization > THRESHOLD {
+                rvm.truncate().unwrap();
+            }
             max_pause_ms = max_pause_ms.max((clock.now() - t0).as_millis_f64());
         }
         let delta = clock.snapshot() - before;
         let stats = rvm.stats();
-        let label = match mode {
-            TruncationMode::Epoch => "epoch",
-            TruncationMode::Incremental => "incremental",
-        };
+        let label = if epochs { "epoch" } else { "incremental" };
         println!(
             "{:<14} {:>10.1} {:>12} {:>12} {:>14.2} {:>16.1}",
             label,

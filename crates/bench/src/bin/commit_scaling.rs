@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use rvm::{CommitMode, Options, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{CommitMode, Options, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{MemDevice, NullDevice};
 use simclock::Clock;
 use simdisk::{DiskParams, SimDisk};
@@ -72,9 +72,6 @@ fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
         // The resolver aliases every name onto one data disk; checksum
         // sidecars are off so catalog writes cannot land on it.
         segment_checksums: false,
-        // The gate was set against epoch truncation; it keeps measuring
-        // what it measured whatever the library's default is.
-        truncation_mode: TruncationMode::Epoch,
         ..Tuning::default()
     };
     let rvm = Arc::new(

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use rvm::segment::DeviceResolver;
-use rvm::{CommitMode, Options, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{CommitMode, Options, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, MemDevice};
 
 /// One measured cell of the sweep.
@@ -75,9 +75,6 @@ fn run_cell(threads: u64, total: u64) -> Cell {
         // would take `core` and charge log I/O to the measured loop.
         spool_max_bytes: u64::MAX,
         segment_checksums: false,
-        // The gate was set against epoch truncation; it keeps measuring
-        // what it measured whatever the library's default is.
-        truncation_mode: TruncationMode::Epoch,
         ..Tuning::default()
     };
     let rvm = Arc::new(

@@ -12,8 +12,10 @@
 //! This bench makes the apply phase expensive on purpose (every segment
 //! write sleeps) and measures commit throughput inside truncation windows
 //! versus steady state, plus commit latency split the same way, for the
-//! mechanism `--mode` names: the background trigger runs epochs, or
-//! incremental steps.
+//! mechanism `--mode` names: epochs, which an application thread starts
+//! with `truncate()` whenever the log is above the threshold, or the
+//! threshold trigger's incremental steps, inline on the committing
+//! threads.
 //!
 //! Usage: `truncation_overlap [--mode epoch|incremental] [--quick]
 //! [--check] [--txns N]`
@@ -31,8 +33,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use rvm::{CommitMode, Options, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{CommitMode, Options, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, MemDevice};
+
+/// The truncation mechanism under test.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Epochs from an application thread that calls `truncate()`.
+    Epoch,
+    /// The threshold trigger's steps, on the committing threads.
+    Incremental,
+}
+
+/// Log utilization above which either mechanism truncates.
+const THRESHOLD: f64 = 0.1;
 
 /// A segment device that makes every write and sync cost real wall time,
 /// standing in for a positioning-bound data disk.
@@ -89,7 +103,7 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
     sorted[idx] as f64 / 1000.0
 }
 
-fn run(mode: TruncationMode, total: u64) -> Measured {
+fn run(mode: Mode, total: u64) -> Measured {
     let log = Arc::new(MemDevice::with_len(16 << 20));
     let seg: Arc<dyn Device> = Arc::new(SlowDevice {
         inner: Arc::new(MemDevice::with_len(PAGES * PAGE_SIZE)),
@@ -101,9 +115,11 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
             Options::new(log)
                 .resolver(resolver)
                 .tuning(Tuning {
-                    truncation_mode: mode,
-                    background_truncation: true,
-                    truncation_threshold: 0.1,
+                    // Epochs are the application's: the trigger is off.
+                    truncation_threshold: match mode {
+                        Mode::Epoch => 1.0,
+                        Mode::Incremental => THRESHOLD,
+                    },
                     // One shared segment device behind every name, so
                     // checksum sidecars are off.
                     segment_checksums: false,
@@ -141,6 +157,21 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
             in_flight
         })
     };
+
+    // The application's truncating thread, polling as the monitor does.
+    let truncator = (mode == Mode::Epoch).then(|| {
+        let rvm = Arc::clone(&rvm);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                if rvm.query().log.utilization > THRESHOLD {
+                    rvm.truncate().expect("truncate");
+                } else {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
+        })
+    });
 
     let before = rvm.stats();
     let barrier = Arc::new(Barrier::new(COMMITTERS as usize));
@@ -187,12 +218,10 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
     let wall = started.elapsed();
     stop.store(true, Ordering::Release);
     let in_flight = monitor.join().expect("monitor");
-
-    // Let a truncation that is still applying finish so its completion
+    // An epoch still applying completes before the join returns, so it
     // shows up in the stats; rates below use only the committer window.
-    let drain_deadline = Instant::now() + Duration::from_secs(10);
-    while rvm.query().truncation_in_flight && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(1));
+    if let Some(truncator) = truncator {
+        truncator.join().expect("truncator");
     }
 
     let stats = rvm.stats().delta_since(&before);
@@ -214,8 +243,8 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
         wall_s,
         in_flight_s,
         truncations: match mode {
-            TruncationMode::Epoch => stats.epochs_truncated,
-            TruncationMode::Incremental => stats.incremental_steps,
+            Mode::Epoch => stats.epoch_truncations,
+            Mode::Incremental => stats.incremental_steps,
         },
         commits_during,
         rate_during,
@@ -234,7 +263,7 @@ fn run(mode: TruncationMode, total: u64) -> Measured {
 fn main() {
     let mut total: u64 = 120_000;
     let mut check = false;
-    let mut mode = TruncationMode::Epoch;
+    let mut mode = Mode::Epoch;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -248,8 +277,8 @@ fn main() {
             "--mode" => {
                 i += 1;
                 mode = match args.get(i).map(String::as_str) {
-                    Some("epoch") => TruncationMode::Epoch,
-                    Some("incremental") => TruncationMode::Incremental,
+                    Some("epoch") => Mode::Epoch,
+                    Some("incremental") => Mode::Incremental,
                     other => {
                         eprintln!("--mode epoch|incremental, got {other:?}");
                         std::process::exit(2);
@@ -265,8 +294,8 @@ fn main() {
     }
 
     let (label, unit) = match mode {
-        TruncationMode::Epoch => ("epoch", "epochs truncated"),
-        TruncationMode::Incremental => ("incremental", "steps completed"),
+        Mode::Epoch => ("epoch", "epochs truncated"),
+        Mode::Incremental => ("incremental", "steps completed"),
     };
     let m = run(mode, total);
     let mut table = String::new();
@@ -339,8 +368,8 @@ fn main() {
     std::fs::write("BENCH_truncation_overlap.json", &json).expect("write JSON");
     std::fs::create_dir_all("results").expect("mkdir results");
     let path = match mode {
-        TruncationMode::Epoch => "results/truncation_overlap.txt",
-        TruncationMode::Incremental => "results/truncation_overlap_incremental.txt",
+        Mode::Epoch => "results/truncation_overlap.txt",
+        Mode::Incremental => "results/truncation_overlap_incremental.txt",
     };
     std::fs::write(path, &table).expect("write table");
 

@@ -594,7 +594,7 @@ pub unsafe extern "C" fn rvm_query(handle: *mut RvmHandle, out: *mut RvmQuery) -
                 log_forces: q.stats.log_forces,
                 flush_commits: q.stats.flush_commits,
                 group_commit_batches: q.stats.group_commit_batches,
-                epochs_truncated: q.stats.epochs_truncated,
+                epochs_truncated: q.stats.epoch_truncations,
                 commits_during_truncation: q.stats.commits_during_truncation,
                 truncation_stall_ns: q.stats.truncation_stall_ns,
                 truncation_in_flight: u64::from(q.truncation_in_flight),

@@ -60,8 +60,9 @@
 //!   delayed status update (§5.1.2).
 //! * Incremental **and** epoch truncation, one in-flight protocol with
 //!   two sources of bytes. The threshold trigger runs incremental steps
-//!   by default — dirty pages written from VM (page vector, page queue,
-//!   uncommitted reference counts — Figure 7), no log scan — with
+//!   on the committing thread — dirty pages written from VM (page
+//!   vector, page queue, uncommitted reference counts — Figure 7), no
+//!   log scan — with
 //!   automatic reversion to epoch truncation when incremental progress
 //!   is blocked. Epoch truncation — recovery applied to the oldest part
 //!   of the log — is what a `truncate` call, a `map` settling its
@@ -113,8 +114,8 @@
 //!    `mem_lock` while holding a `page_vector`, or `core` while holding
 //!    either.
 //! 4. Leaf locks, never held while acquiring any of the above:
-//!    `RvmShared::check` (debug-checker state), `RvmShared::bg_wakeup`,
-//!    `Rvm::bg_thread`, and `SegmentChecksums`' internal entry table.
+//!    `RvmShared::check` (debug-checker state) and `SegmentChecksums`'
+//!    internal entry table.
 //!
 //! Non-obvious consequences:
 //!
@@ -175,7 +176,7 @@ pub use error::{Result, RvmError};
 #[cfg(feature = "mutation-hooks")]
 #[doc(hidden)]
 pub use options::MutationHooks;
-pub use options::{CommitMode, LoadPolicy, Options, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+pub use options::{CommitMode, LoadPolicy, Options, Tuning, TxnMode, PAGE_SIZE};
 pub use query::{LogInfo, QueryInfo};
 pub use recovery::RecoveryReport;
 pub use region::{Region, RegionDescriptor};

@@ -60,29 +60,6 @@ pub enum LoadPolicy {
     OnDemand,
 }
 
-/// Which truncation mechanism the threshold trigger runs (§5.1.2). Both
-/// run the same in-flight protocol — freeze under the core lock, apply
-/// with it released, complete under it again — and differ in where the
-/// bytes come from. An explicit [`Rvm::truncate`](crate::Rvm::truncate),
-/// a `map` settling its segment, a commit that finds the log full and
-/// recovery are epochs in either mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TruncationMode {
-    /// Epoch truncation: the crash-recovery procedure applied to the
-    /// stable log prefix — scan, newest-wins resolution, range writes.
-    /// The log empties in bursts (§5.1.2: "bursty system performance");
-    /// what the paper's §7 measured.
-    Epoch,
-    /// Incremental truncation: dirty pages written from VM via the page
-    /// vector and page queue, in steps of
-    /// [`Tuning::incremental_reclaim_bytes`], with no log scan; the log
-    /// sits at the threshold. Falls back to an epoch when the page at
-    /// the queue head is pinned by a long-running transaction (and space
-    /// is critical) or its region was unmapped.
-    #[default]
-    Incremental,
-}
-
 /// Deliberate protocol mutations for the `rvm-crashmc` model checker,
 /// installed through `Rvm::set_mutation_hooks` (which exists only under
 /// the `mutation-hooks` cargo feature; without it every hook stays off).
@@ -111,13 +88,11 @@ pub struct MutationHooks {
 /// it by value instead of cloning through the lock.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning {
-    /// Truncation triggers when log utilization exceeds this fraction.
+    /// A commit that leaves log utilization above this fraction runs
+    /// incremental truncation steps inline, on the committing thread
+    /// (§5.1.2). At 1.0 the trigger never fires: for an application that
+    /// calls [`Rvm::truncate`](crate::Rvm::truncate) itself.
     pub truncation_threshold: f64,
-    /// Truncation mechanism to use.
-    pub truncation_mode: TruncationMode,
-    /// Run threshold-triggered truncation on a background thread rather
-    /// than inline on the committing thread.
-    pub background_truncation: bool,
     /// Coalesce duplicate/overlapping/adjacent `set_range`s (§5.2).
     pub intra_optimization: bool,
     /// Let newer no-flush commits subsume older unflushed records (§5.2).
@@ -185,8 +160,6 @@ impl Default for Tuning {
     fn default() -> Self {
         Self {
             truncation_threshold: 0.5,
-            truncation_mode: TruncationMode::Incremental,
-            background_truncation: false,
             intra_optimization: true,
             inter_optimization: true,
             spool_max_bytes: 4 << 20,
@@ -281,8 +254,6 @@ mod tests {
         // stating its default here.
         let Tuning {
             truncation_threshold,
-            truncation_mode,
-            background_truncation,
             intra_optimization,
             inter_optimization,
             spool_max_bytes,
@@ -295,14 +266,7 @@ mod tests {
             segment_checksums,
         } = Tuning::default();
         assert!(intra_optimization && inter_optimization);
-        assert_eq!(
-            truncation_mode,
-            TruncationMode::Incremental,
-            "§5.1.2's expectation: no log scan, no bursts"
-        );
-        assert_eq!(truncation_mode, TruncationMode::default());
         assert!((0.0..1.0).contains(&truncation_threshold));
-        assert!(!background_truncation, "truncation runs inline by default");
         assert!(spool_max_bytes > 0 && incremental_reclaim_bytes > 0);
         assert!(
             !(check_unlogged_writes || check_range_conflicts || panic_on_violation),

@@ -6,7 +6,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -27,7 +26,7 @@ use crate::scrub::ScrubReport;
 use crate::segment::{OpenSegments, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
-use crate::truncation::{spawn_bg_thread, InFlight, PageQueue, StepBatch};
+use crate::truncation::{InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
 /// The held core lock. Functions that may *release and reacquire* the
@@ -110,11 +109,6 @@ pub(crate) struct RvmShared {
     /// Set when an unrecoverable I/O failure left the durable image ahead
     /// of what callers were told; see [`RvmError::Poisoned`].
     pub(crate) poisoned: AtomicBool,
-    pub(crate) bg_wakeup: Mutex<bool>,
-    pub(crate) bg_condvar: Condvar,
-    /// Tells the background truncation thread to exit; set by
-    /// [`Rvm::set_options`] when `background_truncation` is toggled off.
-    pub(crate) bg_stop: AtomicBool,
     /// Paired with `core`: signalled whenever a truncation in flight — an
     /// epoch or a step — completes or fails. Waiters hold the core lock.
     pub(crate) truncation_done: Condvar,
@@ -151,9 +145,6 @@ pub(crate) struct RvmShared {
 pub struct Rvm {
     pub(crate) shared: Arc<RvmShared>,
     recovery_report: RecoveryReport,
-    /// The background truncation thread, if running. Behind a mutex so
-    /// [`Rvm::set_options`] can spawn/stop it through `&self`.
-    bg_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Failure from [`Rvm::terminate`], carrying the instance back to the
@@ -284,21 +275,12 @@ impl Rvm {
             active_txns: AtomicU64::new(0),
             terminated: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            bg_wakeup: Mutex::new(false),
-            bg_condvar: Condvar::new(),
-            bg_stop: AtomicBool::new(false),
             truncation_done: Condvar::new(),
         });
-
-        let bg_thread = options
-            .tuning
-            .background_truncation
-            .then(|| spawn_bg_thread(&shared));
 
         Ok(Self {
             shared,
             recovery_report: recovered.report,
-            bg_thread: Mutex::new(bg_thread),
         })
     }
 
@@ -376,6 +358,22 @@ impl Rvm {
     /// (§5.1.2: truncation proceeds "while forward processing continues").
     /// Spooled no-flush commits are *not* included — call [`Rvm::flush`]
     /// first for that.
+    ///
+    /// The threshold trigger runs incremental steps on the committing
+    /// thread. An application that wants truncation off its commit path
+    /// sets [`Tuning::truncation_threshold`](crate::Tuning) to 1.0 and
+    /// calls this from a thread of its own:
+    ///
+    /// ```no_run
+    /// # fn truncator(rvm: std::sync::Arc<rvm::Rvm>) {
+    /// std::thread::spawn(move || loop {
+    ///     std::thread::sleep(std::time::Duration::from_millis(10));
+    ///     if rvm.query().log.utilization > 0.5 && rvm.truncate().is_err() {
+    ///         break; // terminated or poisoned
+    ///     }
+    /// });
+    /// # }
+    /// ```
     pub fn truncate(&self) -> Result<()> {
         self.shared.check_live()?;
         self.shared.truncate_now()
@@ -391,36 +389,13 @@ impl Rvm {
     /// Commit paths read the tuning once at entry, so a change applies to
     /// commits that *begin* after this call; a flush-commit leader mid
     /// batch finishes with the tuning its batch started under.
-    ///
-    /// Toggling `background_truncation` spawns or stops the background
-    /// truncation thread accordingly (the toggle used to be silently
-    /// ignored after construction). Stopping joins the thread, so a
-    /// disable returns only once any truncation it is running completes.
     pub fn set_options(&self, tuning: Tuning) {
-        // `bg_thread` is locked around both the tuning write and the
-        // spawn/stop so concurrent `set_options` calls cannot leave the
-        // thread state disagreeing with the flag.
-        let mut bg = self.bg_thread.lock();
-        let was_bg = {
-            let mut current = self.shared.tuning.write();
-            if tuning.checks() {
-                // Under the write guard: see `check_txn_ended`.
-                self.shared.check_armed.store(true, Ordering::Release);
-            }
-            std::mem::replace(&mut *current, tuning).background_truncation
-        };
-        if tuning.background_truncation && !was_bg {
-            if bg.is_none() {
-                *bg = Some(spawn_bg_thread(&self.shared));
-            }
-        } else if !tuning.background_truncation && was_bg {
-            if let Some(handle) = bg.take() {
-                self.shared.bg_stop.store(true, Ordering::Release);
-                self.shared.bg_condvar.notify_all();
-                let _ = handle.join();
-                self.shared.bg_stop.store(false, Ordering::Release);
-            }
+        let mut current = self.shared.tuning.write();
+        if tuning.checks() {
+            // Under the write guard: see `check_txn_ended`.
+            self.shared.check_armed.store(true, Ordering::Release);
         }
+        *current = tuning;
     }
 
     /// Installs deliberate protocol mutations for the `rvm-crashmc`
@@ -549,15 +524,6 @@ impl Rvm {
     fn shutdown(&mut self) -> Result<()> {
         if self.shared.terminated.swap(true, Ordering::AcqRel) {
             return Ok(());
-        }
-        // Wake and join the background truncation thread.
-        {
-            let mut flag = self.shared.bg_wakeup.lock();
-            *flag = true;
-            self.shared.bg_condvar.notify_all();
-        }
-        if let Some(handle) = self.bg_thread.lock().take() {
-            let _ = handle.join();
         }
         // A poisoned instance must not touch the durable image again: the
         // surviving log already holds the committed prefix, and a final

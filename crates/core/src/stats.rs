@@ -130,8 +130,7 @@ pub struct Stats {
     pub(crate) group_waits: AtomicU64,
     pub(crate) group_wait_ns: AtomicU64,
     pub(crate) spool_flushes: AtomicU64,
-    /// Completed epoch truncations (feeds both `epoch_truncations` and
-    /// `epochs_truncated` of the snapshot: there is one epoch protocol).
+    /// Completed epoch truncations.
     pub(crate) epoch_truncations: AtomicU64,
     /// Transactions that committed while a truncation's apply — an
     /// epoch's or an incremental step's — was in flight: direct evidence
@@ -186,7 +185,6 @@ impl Stats {
             group_wait_ns: self.group_wait_ns.load(Ordering::Relaxed),
             spool_flushes: self.spool_flushes.load(Ordering::Relaxed),
             epoch_truncations: self.epoch_truncations.load(Ordering::Relaxed),
-            epochs_truncated: self.epoch_truncations.load(Ordering::Relaxed),
             commits_during_truncation: self.commits_during_truncation.load(Ordering::Relaxed),
             truncation_stall_ns: self.truncation_stall_ns.load(Ordering::Relaxed),
             truncation_bytes_scanned: self.truncation_bytes_scanned.load(Ordering::Relaxed),
@@ -255,9 +253,6 @@ pub struct StatsSnapshot {
     pub spool_flushes: u64,
     /// Completed epoch truncations.
     pub epoch_truncations: u64,
-    /// The same count: every epoch runs the one protocol (apply off-lock
-    /// while commits keep appending). Kept for the C API's query struct.
-    pub epochs_truncated: u64,
     /// Transactions committed while a truncation's apply (an epoch's or
     /// an incremental step's) was in flight.
     pub commits_during_truncation: u64,
@@ -370,7 +365,6 @@ impl StatsSnapshot {
             group_wait_ns: self.group_wait_ns - earlier.group_wait_ns,
             spool_flushes: self.spool_flushes - earlier.spool_flushes,
             epoch_truncations: self.epoch_truncations - earlier.epoch_truncations,
-            epochs_truncated: self.epochs_truncated - earlier.epochs_truncated,
             commits_during_truncation: self.commits_during_truncation
                 - earlier.commits_during_truncation,
             truncation_stall_ns: self.truncation_stall_ns - earlier.truncation_stall_ns,

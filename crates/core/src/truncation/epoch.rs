@@ -2,9 +2,8 @@
 //! applied to the oldest part of the log while forward processing
 //! continues in the rest". It is the plane's one in-flight protocol
 //! ([`super`]) with the log as the source of the bytes, whoever starts
-//! it — an explicit [`Rvm::truncate`](crate::Rvm::truncate), the
-//! threshold trigger in [`TruncationMode::Epoch`](crate::TruncationMode),
-//! or a thread that holds the core lock and cannot go on
+//! it — an explicit [`Rvm::truncate`](crate::Rvm::truncate), or a thread
+//! that holds the core lock and cannot go on
 //! ([`RvmShared::make_log_space`]: the log is full, a `map` needs its
 //! segment settled, an incremental step is blocked). Three phases:
 //!

@@ -33,7 +33,7 @@ use parking_lot::MutexGuard;
 
 use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
-use crate::options::PAGE_SIZE;
+use crate::options::{Tuning, PAGE_SIZE};
 use crate::region::{PageImage, RegionInner};
 use crate::rvm::{Core, CoreGuard, RvmShared};
 use crate::segment::Segment;
@@ -79,6 +79,39 @@ enum QueueHead {
 }
 
 impl RvmShared {
+    /// The threshold trigger: a commit that left log utilization above
+    /// [`Tuning::truncation_threshold`] runs steps inline, on the
+    /// committing thread. Takes the core lock itself; the caller must not
+    /// hold it.
+    pub(crate) fn request_truncation(&self, tuning: &Tuning) {
+        let result = (|| -> Result<()> {
+            let mut core = self.core.lock();
+            // Re-check under the lock: another thread may have truncated
+            // already, and a truncation in flight — an epoch or a step —
+            // *is* the truncation this trigger asked for.
+            if core.truncation.is_some() || core.wal.utilization() <= tuning.truncation_threshold {
+                return Ok(());
+            }
+            let reclaimed =
+                self.incremental_truncate(&mut core, tuning.incremental_reclaim_bytes)?;
+            // Blocked with space critical: revert to epoch truncation.
+            // The revert point must sit at or above the trigger threshold
+            // — with a threshold above 0.95, a bare `min(0.95)` would put
+            // the "critical" mark *below* the trigger and every blocked
+            // trigger would look critical immediately.
+            let critical = (tuning.truncation_threshold + 0.3)
+                .min(0.95)
+                .max(tuning.truncation_threshold);
+            if reclaimed == 0 && core.truncation.is_none() && core.wal.utilization() > critical {
+                self.make_log_space(&mut core)?;
+            }
+            Ok(())
+        })();
+        // Nobody is told the outcome, so the poison transition must
+        // happen here or a failed truncation would go unnoticed.
+        let _ = self.guard_io(result);
+    }
+
     /// Runs steps until the head has moved `target` bytes, the queue is
     /// drained of what was logged before the call, or its head is
     /// blocked. **Releases and reacquires the core lock** around every

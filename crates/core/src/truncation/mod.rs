@@ -14,7 +14,7 @@
 //!    block, free the slot and wake everyone parked on
 //!    `truncation_done`.
 //!
-//! * **Incremental truncation** ([`incremental`], the default trigger)
+//! * **Incremental truncation** ([`incremental`], the threshold trigger)
 //!   takes its bytes from VM: a *step* freezes the committed images of
 //!   the pages at the head of the FIFO [`PageQueue`] of page modification
 //!   descriptors (Figure 7, coordinated by the per-region
@@ -31,18 +31,17 @@
 //! settle, `truncate_now`, `scrub` and the trigger all look at
 //! `Core::truncation` and park on `truncation_done`.
 //!
-//! The rest of the crate reaches in through three doors: `truncate_now`
-//! (the explicit call), `request_truncation` (the threshold [`trigger`],
-//! inline or on the background thread), and `make_log_space` (a holder
-//! of the core lock that cannot go on without room in the log).
+//! The rest of the crate reaches in through three doors, each on the
+//! caller's thread (the library spawns none): `truncate_now` (the
+//! explicit call), `request_truncation` (the threshold trigger: a commit
+//! that left the log above it runs steps), and `make_log_space` (a
+//! holder of the core lock that cannot go on without room in the log).
 
 mod epoch;
 mod incremental;
 pub mod page_vector;
-mod trigger;
 
 pub(crate) use incremental::StepBatch;
-pub(crate) use trigger::spawn_bg_thread;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,13 +6,10 @@ mod common {
 
 use std::sync::Arc;
 
-use common::{in_both_modes, World};
+use common::{Truncator, World};
 
 use rvm::segment::MemResolver;
-use rvm::{
-    CommitMode, Options, RegionDescriptor, Rvm, RvmError, TruncationMode, Tuning, TxnMode,
-    PAGE_SIZE,
-};
+use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, MemDevice};
 
 #[test]
@@ -165,13 +162,17 @@ fn truncate_applies_the_log_to_segments() {
     assert_eq!(buf, [3; 128]);
 }
 
+/// Both truncators at the default threshold (see [`Truncator`]).
+fn truncators() -> [Truncator; 2] {
+    Truncator::both(Tuning::default().truncation_threshold)
+}
+
 #[test]
 fn sustained_commits_wrap_the_log_via_inline_truncation() {
-    in_both_modes(|tuning, ran| {
-        let mode = tuning.truncation_mode;
+    for truncator in truncators() {
         // Log area of 28 KiB; each commit takes 1.5 KiB of it.
         let world = World::new(30 * 1024);
-        let rvm = world.boot_tuned(tuning);
+        let rvm = world.boot_tuned(truncator.tuning());
         let region = rvm
             .map(&RegionDescriptor::new("seg", 0, 4 * PAGE_SIZE))
             .unwrap();
@@ -180,18 +181,19 @@ fn sustained_commits_wrap_the_log_via_inline_truncation() {
             let off = (round % 16) * 1024;
             region.write(&mut txn, off, &[round as u8; 1024]).unwrap();
             txn.commit(CommitMode::Flush).unwrap();
+            truncator.after_commit(&rvm);
         }
         let log = rvm.query().log;
-        assert!(log.tail / log.capacity >= 4, "{mode:?}: {log:?}");
-        assert!(log.head > log.capacity, "{mode:?}: {log:?}");
-        assert!(ran(&rvm) > 0, "{mode:?}: threshold must trigger");
+        assert!(log.tail / log.capacity >= 4, "{truncator:?}: {log:?}");
+        assert!(log.head > log.capacity, "{truncator:?}: {log:?}");
+        assert!(truncator.runs(&rvm) > 0, "{truncator:?}: it must truncate");
         // Final state: offsets written in the last full cycle hold their data.
         for round in 84..100u64 {
             let off = (round % 16) * 1024;
             assert_eq!(
                 region.read_vec(off, 4).unwrap(),
                 vec![round as u8; 4],
-                "{mode:?}: round {round}"
+                "{truncator:?}: round {round}"
             );
         }
         // And it all survives a reboot.
@@ -205,17 +207,16 @@ fn sustained_commits_wrap_the_log_via_inline_truncation() {
             assert_eq!(
                 region.read_vec(off, 4).unwrap(),
                 vec![round as u8; 4],
-                "{mode:?}: round {round} after the reboot"
+                "{truncator:?}: round {round} after the reboot"
             );
         }
-    });
+    }
 }
 
 #[test]
 fn incremental_truncation_advances_the_head() {
     let world = World::new(64 * 1024);
     let tuning = Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.2,
         incremental_reclaim_bytes: 8 * 1024,
         ..Tuning::default()
@@ -250,7 +251,6 @@ fn incremental_truncation_advances_the_head() {
 fn incremental_truncation_blocks_on_uncommitted_pages() {
     let world = World::new(64 * 1024);
     let tuning = Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.05,
         incremental_reclaim_bytes: u64::MAX,
         ..Tuning::default()
@@ -572,20 +572,11 @@ fn terminate_flushes_the_spool() {
 }
 
 #[test]
-fn background_truncation_reclaims_space() {
-    in_both_modes(|tuning, ran| {
-        let mode = tuning.truncation_mode;
-        // Sized so the 40 records (1 KiB of log each) cross the threshold
-        // but stay below the blocked-step revert point, threshold + 0.3:
-        // the client's next transaction pins the one page most of the
-        // time, and a step still blocked when space turns critical
-        // rightly reverts to an epoch — not the run counted here.
+fn threshold_truncation_reclaims_space() {
+    for truncator in Truncator::both(0.3) {
+        // The 40 records (1 KiB of log each) cross the threshold.
         let world = World::new(128 * 1024);
-        let rvm = world.boot_tuned(Tuning {
-            background_truncation: true,
-            truncation_threshold: 0.3,
-            ..tuning
-        });
+        let rvm = world.boot_tuned(truncator.tuning());
         let region = rvm
             .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
             .unwrap();
@@ -595,18 +586,17 @@ fn background_truncation_reclaims_space() {
                 .write(&mut txn, (i % 4) * 512, &[i as u8; 512])
                 .unwrap();
             txn.commit(CommitMode::Flush).unwrap();
-        }
-        // Give the background thread a moment.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while ran(&rvm) == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            truncator.after_commit(&rvm);
         }
         assert!(
-            ran(&rvm) > 0,
-            "{mode:?}: the background thread never ran: {:?}",
+            truncator.runs(&rvm) > 0,
+            "{truncator:?}: it never ran: {:?}",
             rvm.query()
         );
-        assert!(rvm.query().log.head > 0, "{mode:?}: nothing was reclaimed");
+        assert!(
+            rvm.query().log.head > 0,
+            "{truncator:?}: nothing was reclaimed"
+        );
         rvm.terminate().unwrap();
 
         let rvm = world.boot();
@@ -617,22 +607,23 @@ fn background_truncation_reclaims_space() {
             assert_eq!(
                 region.read_vec((i % 4) * 512, 512).unwrap(),
                 [i as u8; 512],
-                "{mode:?}: slot {}",
+                "{truncator:?}: slot {}",
                 i % 4
             );
         }
-    });
+    }
 }
 
 /// Forty flush commits of 512 bytes (1 KiB of log each) cycling over
 /// `region`'s first 2 KiB; over a 16 KiB log at the default threshold
-/// the trigger truncates several times on the way.
-fn churn(rvm: &Rvm, region: &rvm::Region, salt: u8) {
+/// `truncator` truncates several times on the way.
+fn churn(rvm: &Rvm, region: &rvm::Region, salt: u8, truncator: Truncator) {
     for i in 0..40u64 {
         let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
         let fill = [salt.wrapping_add(i as u8); 512];
         region.write(&mut txn, (i % 4) * 512, &fill).unwrap();
         txn.commit(CommitMode::Flush).unwrap();
+        truncator.after_commit(rvm);
     }
 }
 
@@ -655,12 +646,12 @@ fn assert_churned(region: &rvm::Region, salt: u8, ctx: &dyn std::fmt::Debug) {
 /// under the other.
 #[test]
 fn regions_of_one_segment_share_its_catalog_whenever_they_were_mapped() {
-    in_both_modes(|tuning, ran| {
+    for truncator in truncators() {
         for at_first in [false, true] {
-            let ctx = (tuning.truncation_mode, at_first);
+            let ctx = (truncator, at_first);
             let with = |segment_checksums| Tuning {
                 segment_checksums,
-                ..tuning
+                ..truncator.tuning()
             };
             let world = World::new(32 * 1024);
             let rvm = world.boot_tuned(with(at_first));
@@ -670,9 +661,9 @@ fn regions_of_one_segment_share_its_catalog_whenever_they_were_mapped() {
             let b = rvm
                 .map(&RegionDescriptor::new("seg", PAGE_SIZE, PAGE_SIZE))
                 .unwrap();
-            churn(&rvm, &a, 1);
-            churn(&rvm, &b, 2);
-            assert!(ran(&rvm) >= 4, "{ctx:?}: {:?}", rvm.stats());
+            churn(&rvm, &a, 1, truncator);
+            churn(&rvm, &b, 2, truncator);
+            assert!(truncator.runs(&rvm) >= 4, "{ctx:?}: {:?}", rvm.stats());
 
             // A load of what the truncations wrote, against the catalog
             // (if any) they kept.
@@ -687,7 +678,7 @@ fn regions_of_one_segment_share_its_catalog_whenever_they_were_mapped() {
             let scanned = if at_first { 2 } else { 0 };
             assert_eq!(report.pages_scanned, scanned, "{ctx:?}: {report:?}");
         }
-    });
+    }
 }
 
 /// Flipping `segment_checksums` under a mapped region changes nothing for
@@ -695,12 +686,12 @@ fn regions_of_one_segment_share_its_catalog_whenever_they_were_mapped() {
 /// the open, so a scrub never meets a page newer than its checksum.
 #[test]
 fn a_checksum_toggle_never_reports_rot_on_healthy_data() {
-    in_both_modes(|tuning, ran| {
+    for truncator in truncators() {
         for at_first in [true, false] {
-            let ctx = (tuning.truncation_mode, at_first);
+            let ctx = (truncator, at_first);
             let with = |segment_checksums| Tuning {
                 segment_checksums,
-                ..tuning
+                ..truncator.tuning()
             };
             let world = World::new(32 * 1024);
             let rvm = world.boot_tuned(with(at_first));
@@ -708,13 +699,13 @@ fn a_checksum_toggle_never_reports_rot_on_healthy_data() {
                 .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
                 .unwrap();
             rvm.set_options(with(!at_first));
-            churn(&rvm, &a, 3);
-            assert!(ran(&rvm) >= 2, "{ctx:?}: {:?}", rvm.stats());
+            churn(&rvm, &a, 3, truncator);
+            assert!(truncator.runs(&rvm) >= 2, "{ctx:?}: {:?}", rvm.stats());
             let report = rvm.scrub().unwrap();
             assert_eq!(report.corruptions_detected, 0, "{ctx:?}: {report:?}");
             assert_eq!(rvm.stats().corruptions_detected, 0, "{ctx:?}");
         }
-    });
+    }
 }
 
 /// A run with checksums off writes segment pages it keeps no sums for. It
@@ -722,36 +713,39 @@ fn a_checksum_toggle_never_reports_rot_on_healthy_data() {
 /// the next run with checksums on to trust.
 #[test]
 fn a_run_without_checksums_does_not_poison_the_next_run_with_them() {
-    in_both_modes(|tuning, ran| {
-        let mode = tuning.truncation_mode;
+    for truncator in truncators() {
         let world = World::new(32 * 1024);
         let desc = RegionDescriptor::new("seg", 0, PAGE_SIZE);
         for (run, segment_checksums) in [(1u8, true), (2, false), (3, true)] {
             let rvm = world.boot_tuned(Tuning {
                 segment_checksums,
-                ..tuning
+                ..truncator.tuning()
             });
-            let region = rvm
-                .map(&desc)
-                .unwrap_or_else(|e| panic!("{mode:?} run {run}: map refused healthy data: {e}"));
+            let region = rvm.map(&desc).unwrap_or_else(|e| {
+                panic!("{truncator:?} run {run}: map refused healthy data: {e}")
+            });
             if run > 1 {
-                assert_churned(&region, run - 1, &(mode, run));
+                assert_churned(&region, run - 1, &(truncator, run));
             }
-            churn(&rvm, &region, run);
-            assert!(ran(&rvm) >= 2, "{mode:?} run {run}: {:?}", rvm.stats());
+            churn(&rvm, &region, run, truncator);
+            assert!(
+                truncator.runs(&rvm) >= 2,
+                "{truncator:?} run {run}: {:?}",
+                rvm.stats()
+            );
             let report = rvm.scrub().unwrap();
-            assert_eq!(report.corruptions_detected, 0, "{mode:?} run {run}");
+            assert_eq!(report.corruptions_detected, 0, "{truncator:?} run {run}");
             assert_eq!(
                 report.pages_scanned,
                 u64::from(segment_checksums),
-                "{mode:?} run {run}: {report:?}"
+                "{truncator:?} run {run}: {report:?}"
             );
             // Leave nothing in the log for the next run's recovery to
             // re-apply (and re-adopt the sums of).
             rvm.truncate().unwrap();
             rvm.terminate().unwrap();
         }
-    });
+    }
 }
 
 #[test]

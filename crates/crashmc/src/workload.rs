@@ -18,8 +18,7 @@ use std::sync::{Arc, Barrier};
 use parking_lot::Mutex;
 use rvm::segment::DeviceResolver;
 use rvm::{
-    CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, TruncationMode, Tuning,
-    TxnMode, PAGE_SIZE,
+    CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE,
 };
 use rvm_storage::{Device, MemDevice, TraceDevice, TraceRecorder};
 
@@ -54,7 +53,7 @@ pub enum Workload {
     /// crashes between them — after batch A's force, before or during
     /// batch B's writes — exactly the states the committed-prefix oracle
     /// must survive. Multi-threaded (disjoint-cell oracle).
-    Pipeline,
+    ConsecutiveBatches,
     /// Incremental truncation over a small log: write-back steps follow
     /// the commits, a long-running transaction pins the page at the queue
     /// head until the blocked trigger reverts to an epoch, and lazy
@@ -63,7 +62,8 @@ pub enum Workload {
     /// may hold bytes of a transaction that had not committed.
     Incremental,
     /// A seeded single-threaded mix of the commit, truncation, spool and
-    /// abort shapes above.
+    /// abort shapes above, over a log small enough that the default
+    /// trigger's steps join the explicit and log-full epochs.
     Seeded(u64),
     /// Flush commits only, never truncating: every committed byte stays
     /// in the live log span. This is the precondition for the bit-rot
@@ -180,17 +180,6 @@ fn setup(log_len: u64, tuning: Tuning, hooks: MutationHooks) -> (Capture, Rvm) {
     )
 }
 
-/// The tuning of every workload but [`Workload::Incremental`]: the
-/// threshold trigger runs epoch truncation, stated rather than inherited
-/// from the library's default, so each oracle — and the distinct-state
-/// counts the tests pin — keeps checking the traces it was written for.
-fn epoch_tuning() -> Tuning {
-    Tuning {
-        truncation_mode: TruncationMode::Epoch,
-        ..Tuning::default()
-    }
-}
-
 /// One committed flush-mode transaction writing `data` at `offset` of
 /// `region`, returning its spec with the ack point.
 fn flush_txn(
@@ -238,6 +227,13 @@ fn lazy_txn(rvm: &Rvm, region: &Region, segment: &str, offset: u64, data: Vec<u8
 /// Transactions the [`Workload::Truncation`] script commits.
 const TRUNCATION_TXNS: u64 = 16;
 
+/// The [`Workload::Seeded`] log: a 3 KiB record area, two or three of
+/// the mix's records.
+const SEEDED_LOG_LEN: u64 = 19 << 10;
+/// The most steps a [`Workload::Seeded`] mix draws: its 2 KiB cells fill
+/// an eight-page region.
+const SEEDED_CELLS: usize = 16;
+
 /// Runs a workload and captures its trace. `hooks` injects deliberate
 /// protocol mutations (all-off for real checking).
 pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
@@ -246,7 +242,7 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
         Workload::Truncation => truncation(hooks),
         Workload::NoFlushSpool => no_flush_spool(hooks),
         Workload::AbortMix => abort_mix(hooks),
-        Workload::Pipeline => pipeline(hooks),
+        Workload::ConsecutiveBatches => consecutive_batches(hooks),
         Workload::Incremental => incremental(hooks),
         Workload::Seeded(seed) => seeded(seed, hooks),
         Workload::BitRot => bit_rot(hooks),
@@ -262,7 +258,7 @@ fn group_commit(hooks: MutationHooks) -> Trace {
         // A leader lingers so barrier-aligned committers join its batch:
         // bigger batches mean more pending pieces per crash window.
         group_commit_wait_us: 2_000,
-        ..epoch_tuning()
+        ..Tuning::default()
     };
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
@@ -312,7 +308,7 @@ fn group_commit(hooks: MutationHooks) -> Trace {
     trace
 }
 
-fn pipeline(hooks: MutationHooks) -> Trace {
+fn consecutive_batches(hooks: MutationHooks) -> Trace {
     const THREADS: u32 = 3;
     const ROUNDS: u64 = 4;
     const CELL: u64 = 1024;
@@ -326,7 +322,7 @@ fn pipeline(hooks: MutationHooks) -> Trace {
         // batch B's writes.
         group_commit_wait_us: 2_000,
         group_commit_max_txns: 2,
-        ..epoch_tuning()
+        ..Tuning::default()
     };
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
@@ -384,7 +380,7 @@ fn truncation(hooks: MutationHooks) -> Trace {
     // runs the epoch itself.
     let tuning = Tuning {
         truncation_threshold: 1.0,
-        ..epoch_tuning()
+        ..Tuning::default()
     };
     let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
@@ -444,7 +440,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     // so far, runs the epoch itself and resumes.
     let tuning = Tuning {
         truncation_threshold: 1.0,
-        ..epoch_tuning()
+        ..Tuning::default()
     };
     let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
     let region = rvm
@@ -511,7 +507,6 @@ fn incremental(hooks: MutationHooks) -> Trace {
     // more than half full (0.2 + 0.3) reverts to an epoch.
     const CELL: u64 = 512;
     let tuning = Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.2,
         ..Tuning::default()
     };
@@ -609,7 +604,7 @@ fn incremental(hooks: MutationHooks) -> Trace {
 }
 
 fn abort_mix(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
         .expect("map cells");
@@ -659,7 +654,7 @@ fn abort_mix(hooks: MutationHooks) -> Trace {
 /// sound — a byte flipped inside any acked write's range is always
 /// covered by the recovery tree, so redo must rewrite it.
 fn bit_rot(hooks: MutationHooks) -> Trace {
-    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
+    let (mut cap, rvm) = setup(1 << 16, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
         .expect("map cells");
@@ -685,11 +680,12 @@ fn bit_rot(hooks: MutationHooks) -> Trace {
 }
 
 /// A seeded single-threaded mix: flush/no-flush/aborted transactions
-/// with varied sizes, plus explicit flushes and truncations. Fully
-/// determined by the seed.
+/// with varied sizes, plus explicit flushes and truncations, over a
+/// record area so small that the default trigger steps in every mix
+/// (asserted). Fully determined by the seed.
 fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
     let mut rng = seed;
-    let (mut cap, rvm) = setup(1 << 16, epoch_tuning(), hooks);
+    let (mut cap, rvm) = setup(SEEDED_LOG_LEN, Tuning::default(), hooks);
     let region = rvm
         .map(&RegionDescriptor::new("cells", 0, 8 * PAGE_SIZE))
         .expect("map cells");
@@ -698,7 +694,12 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
     let steps = 8 + (xorshift64(&mut rng) % 6) as usize;
     let mut txns: Vec<TxnSpec> = Vec::new();
     let mut unacked: Vec<usize> = Vec::new();
-    for step in 0..steps {
+    // A mix that logged too little for the trigger to step draws on, up
+    // to the region's sixteen cells.
+    for step in 0..SEEDED_CELLS {
+        if step >= steps && rvm.stats().incremental_steps > 0 {
+            break;
+        }
         let offset = step as u64 * 2048;
         let len = 64 + (xorshift64(&mut rng) % 1200) as usize;
         let value = 1 + (step % 250) as u8;
@@ -751,6 +752,11 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
             }
         }
     }
+    let stats = rvm.stats();
+    assert!(
+        stats.incremental_steps > 0,
+        "seed {seed}: the trigger never stepped: {stats:?}"
+    );
 
     let trace = cap.finish(txns, true);
     drop(rvm);
@@ -843,7 +849,7 @@ mod tests {
 
     #[test]
     fn pipeline_workload_is_multithreaded_and_forces_in_batches() {
-        let trace = run_workload(Workload::Pipeline, MutationHooks::default());
+        let trace = run_workload(Workload::ConsecutiveBatches, MutationHooks::default());
         assert!(!trace.single_threaded);
         assert_eq!(trace.txns.len(), 12);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
@@ -889,6 +895,15 @@ mod tests {
             .ops
             .iter()
             .all(|o| !seg_ids.contains(&o.device) || !matches!(o.kind, TraceOpKind::Write { .. })));
+    }
+
+    /// Every seed the crash-consistency property test draws steps (the
+    /// workload asserts it).
+    #[test]
+    fn every_seeded_mix_runs_the_default_trigger() {
+        for seed in 1..200 {
+            run_workload(Workload::Seeded(seed), MutationHooks::default());
+        }
     }
 
     #[test]

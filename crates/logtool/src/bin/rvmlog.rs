@@ -57,7 +57,7 @@ fn usage() -> ! {
     eprintln!("       rvmlog <log-file> salvage");
     eprintln!("       rvmlog crashck <trace-file> [--seed <n>]");
     eprintln!(
-        "       rvmlog crashck-gen <trace-file> <group|pipeline|truncate|incremental|spool|abort|bitrot|seeded:N>"
+        "       rvmlog crashck-gen <trace-file> <group|consecutive|truncate|incremental|spool|abort|bitrot|seeded:N>"
     );
     eprintln!("       rvmlog lint [rvm-lint options]");
     exit(2);
@@ -101,7 +101,7 @@ fn crashck(args: &[String]) -> ! {
 fn crashck_gen(args: &[String]) -> ! {
     let workload = match args[1].as_str() {
         "group" => Workload::GroupCommit,
-        "pipeline" => Workload::Pipeline,
+        "consecutive" => Workload::ConsecutiveBatches,
         "truncate" => Workload::Truncation,
         "incremental" => Workload::Incremental,
         "spool" => Workload::NoFlushSpool,

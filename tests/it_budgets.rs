@@ -115,7 +115,7 @@ fn every_count_is_within_its_ceiling() {
 #[test]
 fn a_count_over_its_ceiling_names_the_file_and_the_number() {
     let tuning = budgets().into_iter().next().expect("the Tuning budget");
-    assert_eq!(count(&tuning), Ok(13));
+    assert_eq!(count(&tuning), Ok(11));
     let with = |pairs: &[(&str, Val)]| {
         let mut budget = tuning.clone();
         budget
@@ -126,16 +126,16 @@ fn a_count_over_its_ceiling_names_the_file_and_the_number() {
             .extend(pairs.iter().map(|(k, v)| (k.to_string(), v.clone())));
         check(&budget)
     };
-    let over = with(&[("ceiling", Val::Int(12))]);
+    let over = with(&[("ceiling", Val::Int(10))]);
     assert_eq!(
         over,
-        Err("crates/core/src/options.rs: 13 for `Tuning`, over its ceiling of 12".into())
+        Err("crates/core/src/options.rs: 11 for `Tuning`, over its ceiling of 10".into())
     );
-    let raised = with(&[("ceiling", Val::Int(14))]);
+    let raised = with(&[("ceiling", Val::Int(12))]);
     assert!(raised.is_err_and(|e| e.contains("without a `reason`")));
     let reason = Val::Str("a benchmark needs the knob".into());
     assert_eq!(
-        with(&[("ceiling", Val::Int(14)), ("reason", reason)]),
+        with(&[("ceiling", Val::Int(12)), ("reason", reason)]),
         Ok(())
     );
 }

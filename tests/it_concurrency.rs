@@ -8,7 +8,7 @@ mod common {
     include!("lib.rs");
 }
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
@@ -293,16 +293,32 @@ fn mixed_commit_modes_under_concurrency() {
 }
 
 #[test]
-fn concurrent_commits_with_background_truncation() {
+fn committers_race_an_application_thread_that_truncates() {
+    // The trigger is off: an application thread of its own truncates
+    // whenever the log is above 30 %, racing four committers.
     let world = World::new(96 * 1024);
     let rvm = Arc::new(world.boot_tuned(Tuning {
-        background_truncation: true,
-        truncation_threshold: 0.3,
+        truncation_threshold: 1.0,
         ..Tuning::default()
     }));
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, 4 * PAGE_SIZE))
         .unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let truncator = {
+        let (rvm, stop) = (rvm.clone(), stop.clone());
+        std::thread::spawn(move || loop {
+            // Read before the check, so the last pass sees every commit.
+            let last = stop.load(Ordering::Acquire);
+            if rvm.query().log.utilization > 0.3 {
+                rvm.truncate().unwrap();
+            } else if last {
+                break;
+            } else {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        })
+    };
     let threads: Vec<_> = (0..4u64)
         .map(|t| {
             let rvm = rvm.clone();
@@ -321,20 +337,15 @@ fn concurrent_commits_with_background_truncation() {
     for t in threads {
         t.join().unwrap();
     }
-    // The background thread keeps the log bounded — but it runs when it
-    // is scheduled, which may be after the committers have joined: give
-    // it until a deadline to bring the log back under.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let q = loop {
-        let q = rvm.query();
-        let settled = !q.truncation_in_flight && q.log.utilization < 0.9;
-        if settled || std::time::Instant::now() > deadline {
-            break q;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    stop.store(true, Ordering::Release);
+    truncator.join().unwrap();
+    let q = rvm.query();
     assert!(!q.truncation_in_flight);
-    assert!(q.log.utilization < 0.9, "utilization {}", q.log.utilization);
+    assert!(
+        q.log.utilization <= 0.3,
+        "utilization {}",
+        q.log.utilization
+    );
     assert!(q.stats.epoch_truncations > 0, "{:?}", q.stats);
     assert_eq!(q.stats.txns_committed, 320);
     Arc::try_unwrap(rvm)

@@ -14,10 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use rvm::log::status::read_status;
 use rvm::segment::{DeviceResolver, MemResolver};
-use rvm::{
-    CommitMode, Options, RegionDescriptor, Rvm, RvmError, TruncationMode, Tuning, TxnMode,
-    PAGE_SIZE,
-};
+use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, DeviceError, FaultOp, MemDevice};
 
 const SLOTS: u64 = 16;
@@ -300,7 +297,7 @@ fn commits_progress_while_epoch_apply_is_parked() {
     // records remain live.
     let q = rvm.query();
     assert!(!q.truncation_in_flight);
-    assert_eq!(rvm.stats().epochs_truncated, 1);
+    assert_eq!(rvm.stats().epoch_truncations, 1);
     assert!(q.log.used > 0, "new-epoch records stay live");
     rvm.truncate().unwrap();
     assert_eq!(rvm.query().log.used, 0);
@@ -474,7 +471,7 @@ fn log_full_commit_runs_the_same_epoch() {
 
     let stats = rvm.stats();
     assert!(!rvm.query().truncation_in_flight);
-    assert_eq!((stats.epoch_truncations, stats.epochs_truncated), (1, 1));
+    assert_eq!(stats.epoch_truncations, 1);
     assert!(
         stats.truncation_stall_ns > 0,
         "the committer stalled for it"
@@ -793,7 +790,6 @@ fn commit_slot_in_time<'scope>(
 /// next commit run a step.
 fn incremental_untriggered() -> Tuning {
     Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.99,
         ..Tuning::default()
     }
@@ -1060,7 +1056,6 @@ fn a_commit_that_redirties_a_batched_page_keeps_its_descriptor() {
 fn incremental_write_back_never_carries_uncommitted_bytes() {
     let world = GatedWorld::new(256 * 1024, Park::Writes(0));
     let rvm = world.boot_tuned(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.0001,
         ..Tuning::default()
     });

@@ -13,16 +13,13 @@ mod counting {
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
-use rvm::{
-    CommitMode, Options, Region, RegionDescriptor, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE,
-};
+use rvm::{CommitMode, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::MemDevice;
 
 const REGION_PAGES: u64 = 64;
 
 fn tuning(truncation_threshold: f64) -> Tuning {
     Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold,
         ..Tuning::default()
     }

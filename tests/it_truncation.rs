@@ -5,19 +5,15 @@ mod common {
     include!("lib.rs");
 }
 
-use common::{in_both_modes, World};
-use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TruncationMode, Tuning, TxnMode, PAGE_SIZE};
+use common::{Truncator, World};
+use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 
 #[test]
 fn log_wraps_many_times_under_sustained_load() {
-    in_both_modes(|tuning, ran| {
-        let mode = tuning.truncation_mode;
+    for truncator in Truncator::both(0.6) {
         // ~38 KiB of record area; each txn consumes 1 KiB of log.
         let world = World::new(40 * 1024);
-        let rvm = world.boot_tuned(Tuning {
-            truncation_threshold: 0.6,
-            ..tuning
-        });
+        let rvm = world.boot_tuned(truncator.tuning());
         let region = rvm
             .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
             .unwrap();
@@ -27,11 +23,16 @@ fn log_wraps_many_times_under_sustained_load() {
                 .write(&mut txn, (i % 8) * 512, &[(i % 251) as u8; 512])
                 .unwrap();
             txn.commit(CommitMode::Flush).unwrap();
+            truncator.after_commit(&rvm);
         }
         let log = rvm.query().log;
-        assert!(log.tail / log.capacity >= 10, "{mode:?}: {log:?}");
+        assert!(log.tail / log.capacity >= 10, "{truncator:?}: {log:?}");
         assert!(log.utilization <= 0.6 + 1024.0 / log.capacity as f64);
-        assert!(ran(&rvm) >= 10, "{mode:?}: {:?}", rvm.stats());
+        assert!(
+            truncator.runs(&rvm) >= 10,
+            "{truncator:?}: {:?}",
+            rvm.stats()
+        );
         drop(rvm);
 
         // Everything still consistent after reboot.
@@ -49,10 +50,10 @@ fn log_wraps_many_times_under_sustained_load() {
             assert_eq!(
                 region.read_vec(slot * 512, 4).unwrap(),
                 vec![(i % 251) as u8; 4],
-                "{mode:?}: slot {slot}"
+                "{truncator:?}: slot {slot}"
             );
         }
-    });
+    }
 }
 
 #[test]
@@ -81,7 +82,6 @@ fn explicit_truncate_empties_the_log_and_applies_data() {
 fn incremental_mode_sustains_load_and_recovers() {
     let world = World::new(128 * 1024);
     let rvm = world.boot_tuned(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.25,
         incremental_reclaim_bytes: 16 * 1024,
         ..Tuning::default()
@@ -120,7 +120,6 @@ fn incremental_mode_sustains_load_and_recovers() {
 fn incremental_blocked_by_long_transaction_falls_back_to_epoch() {
     let world = World::new(48 * 1024);
     let rvm = world.boot_tuned(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.2,
         incremental_reclaim_bytes: u64::MAX,
         ..Tuning::default()
@@ -153,7 +152,6 @@ fn incremental_blocked_by_long_transaction_falls_back_to_epoch() {
 fn unmapped_region_in_queue_falls_back_to_epoch() {
     let world = World::new(64 * 1024);
     let rvm = world.boot_tuned(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.9, // no automatic triggering
         ..Tuning::default()
     });
@@ -173,7 +171,6 @@ fn unmapped_region_in_queue_falls_back_to_epoch() {
         .map(&RegionDescriptor::new("seg2", 0, PAGE_SIZE))
         .unwrap();
     rvm.set_options(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.0001,
         ..Tuning::default()
     });
@@ -192,15 +189,14 @@ fn unmapped_region_in_queue_falls_back_to_epoch() {
 
 #[test]
 fn extreme_threshold_keeps_the_epoch_fallback_above_the_trigger() {
-    // The incremental mode's "space critical" revert point is
-    // `threshold + 0.3`, capped at 0.95. With a threshold above the cap
-    // (here 0.97) the uncapped arithmetic would put the revert point
-    // *below* the trigger — the clamp must keep it at the threshold so
-    // the invariant `trigger <= critical` holds and a blocked queue
-    // still falls back to epoch truncation instead of filling the log.
+    // The trigger's "space critical" revert point is `threshold + 0.3`,
+    // capped at 0.95. With a threshold above the cap (here 0.97) the
+    // uncapped arithmetic would put the revert point *below* the trigger
+    // — the clamp must keep it at the threshold so the invariant
+    // `trigger <= critical` holds and a blocked queue still falls back to
+    // epoch truncation instead of filling the log.
     let world = World::new(20 * 1024);
     let rvm = world.boot_tuned(Tuning {
-        truncation_mode: TruncationMode::Incremental,
         truncation_threshold: 0.97,
         incremental_reclaim_bytes: u64::MAX,
         ..Tuning::default()
@@ -228,76 +224,6 @@ fn extreme_threshold_keeps_the_epoch_fallback_above_the_trigger() {
     );
     assert!(rvm.query().log.utilization < 0.97);
     long_txn.commit(CommitMode::Flush).unwrap();
-}
-
-#[test]
-fn set_options_toggles_the_background_truncation_thread() {
-    in_both_modes(|tuning, ran| {
-        let mode = tuning.truncation_mode;
-        let world = World::new(64 * 1024);
-        // Born without a background thread, and with a threshold high
-        // enough that nothing triggers inline.
-        let rvm = world.boot_tuned(Tuning {
-            truncation_threshold: 0.95,
-            ..tuning
-        });
-        let region = rvm
-            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-            .unwrap();
-        for i in 0..24u64 {
-            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-            region.write(&mut txn, (i % 4) * 512, &[8; 512]).unwrap();
-            txn.commit(CommitMode::Flush).unwrap();
-        }
-        assert_eq!((ran(&rvm), rvm.query().log.head), (0, 0), "{mode:?}");
-
-        // Enabling background truncation must actually spawn the thread:
-        // no further commits happen, so only the background thread can
-        // notice the lowered threshold and truncate.
-        rvm.set_options(Tuning {
-            background_truncation: true,
-            truncation_threshold: 0.01,
-            ..tuning
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while ran(&rvm) == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(
-            ran(&rvm) > 0,
-            "{mode:?}: the toggled-on background thread never truncated"
-        );
-        let head = rvm.query().log.head;
-        assert!(head > 0, "{mode:?}: the head did not move");
-
-        // Disabling joins the thread; the threshold keeps working inline.
-        rvm.set_options(Tuning {
-            background_truncation: false,
-            truncation_threshold: 0.01,
-            ..tuning
-        });
-        let before = ran(&rvm);
-        for i in 0..8u64 {
-            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-            region.write(&mut txn, (i % 4) * 512, &[9; 512]).unwrap();
-            txn.commit(CommitMode::Flush).unwrap();
-        }
-        assert!(
-            ran(&rvm) > before && rvm.query().log.head > head,
-            "{mode:?}: inline truncation must take over after the toggle-off"
-        );
-        rvm.terminate().unwrap();
-
-        let rvm = world.boot();
-        let region = rvm
-            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-            .unwrap();
-        assert_eq!(
-            region.read_vec(0, 4 * 512).unwrap(),
-            [9; 4 * 512],
-            "{mode:?}"
-        );
-    });
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
-use rvm::{Options, Rvm, TruncationMode, Tuning};
+use rvm::{Options, Rvm, Tuning};
 use rvm_storage::MemDevice;
 
 /// A self-contained world: one in-memory log plus shared segments, both
@@ -45,21 +45,56 @@ impl World {
     }
 }
 
-/// Runs `test` under each of the threshold trigger's two mechanisms,
-/// handing it the tuning to build on and the count of runs only that
-/// mechanism makes. A test of what the trigger *achieves* — the log
-/// wraps, the head advances, the image survives a restart — asserts that
-/// once per mode and adds the proof that this mechanism did it.
+/// Who truncates a log under load once it is above a threshold: the
+/// library's trigger, whose incremental steps run on the committing
+/// thread, or the application, which turns the trigger off and calls
+/// `truncate()` — an epoch — after each commit that left the log above
+/// it. A test of what truncation achieves (the log wraps, the head
+/// advances, the image survives a restart) runs under both and adds the
+/// proof that this one did it.
 #[allow(dead_code)]
-pub fn in_both_modes(test: impl Fn(Tuning, &dyn Fn(&Rvm) -> u64)) {
-    for truncation_mode in [TruncationMode::Epoch, TruncationMode::Incremental] {
-        let tuning = Tuning {
-            truncation_mode,
-            ..Tuning::default()
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Truncator {
+    /// The trigger, at this threshold.
+    Steps(f64),
+    /// The application, above this threshold.
+    Epochs(f64),
+}
+
+#[allow(dead_code)]
+impl Truncator {
+    /// Both truncators at `threshold`.
+    pub fn both(threshold: f64) -> [Self; 2] {
+        [Self::Steps(threshold), Self::Epochs(threshold)]
+    }
+
+    /// The default tuning with this truncator's threshold: the trigger's
+    /// for steps, off (1.0) for the application's epochs.
+    pub fn tuning(self) -> Tuning {
+        let truncation_threshold = match self {
+            Self::Steps(threshold) => threshold,
+            Self::Epochs(_) => 1.0,
         };
-        test(tuning, &|rvm| match truncation_mode {
-            TruncationMode::Epoch => rvm.stats().epoch_truncations,
-            TruncationMode::Incremental => rvm.stats().incremental_steps,
-        });
+        Tuning {
+            truncation_threshold,
+            ..Tuning::default()
+        }
+    }
+
+    /// Call after each commit: the application's epoch, if it is due.
+    pub fn after_commit(self, rvm: &Rvm) {
+        if let Self::Epochs(threshold) = self {
+            if rvm.query().log.utilization > threshold {
+                rvm.truncate().expect("truncate");
+            }
+        }
+    }
+
+    /// The runs only this truncator makes.
+    pub fn runs(self, rvm: &Rvm) -> u64 {
+        match self {
+            Self::Steps(_) => rvm.stats().incremental_steps,
+            Self::Epochs(_) => rvm.stats().epoch_truncations,
+        }
     }
 }
