@@ -792,15 +792,15 @@ mod tests {
 
     #[test]
     fn failed_append_restores_cursors() {
-        use rvm_storage::{FaultOp, FlakyDevice, FlakyFault};
+        use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault};
         let area = 8 * LOG_BLOCK;
         let mem = Arc::new(MemDevice::with_len(LOG_AREA_START + area));
         // Fail the 4th write: txn 1 and 2 are writes 1-2, the pad at the
         // lap end is write 3, and the wrapped txn-3 record is write 4 —
         // the exact "pad persisted, record not" divergence window.
-        let dev = Arc::new(FlakyDevice::new(
-            Arc::clone(&mem),
-            vec![FlakyFault::transient(FaultOp::Write, 4)],
+        let dev = Arc::new(FaultDevice::with_clock(
+            mem.clone(),
+            FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 4)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
         wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
@@ -831,13 +831,13 @@ mod tests {
 
     #[test]
     fn failed_pad_write_restores_cursors() {
-        use rvm_storage::{FaultOp, FlakyDevice, FlakyFault};
+        use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault};
         let area = 8 * LOG_BLOCK;
         let mem = Arc::new(MemDevice::with_len(LOG_AREA_START + area));
         // Write 3 is the pad record itself.
-        let dev = Arc::new(FlakyDevice::new(
+        let dev = Arc::new(FaultDevice::with_clock(
             mem,
-            vec![FlakyFault::transient(FaultOp::Write, 3)],
+            FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 3)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
         wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();

@@ -248,14 +248,14 @@ mod tests {
 
     #[test]
     fn retry_device_heals_flaky_writes() {
-        use rvm_storage::{FaultOp, FlakyDevice, FlakyFault, MemDevice};
+        use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
         let mem = Arc::new(MemDevice::with_len(4096));
-        let flaky = Arc::new(FlakyDevice::new(
-            Arc::clone(&mem),
-            vec![
+        let flaky = Arc::new(FaultDevice::with_clock(
+            mem.clone(),
+            FaultClock::new(vec![
                 FlakyFault::transient(FaultOp::Write, 1),
                 FlakyFault::transient(FaultOp::Sync, 1),
-            ],
+            ]),
         ));
         let (r, counters, _) = retrier(RetryPolicy::default());
         let dev = RetryDevice::new(flaky, r);

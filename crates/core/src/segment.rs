@@ -116,7 +116,7 @@ pub fn flaky_resolver(
 ) -> DeviceResolver {
     Arc::new(move |name: &str, min_len: u64| {
         let dev = inner(name, min_len)?;
-        Ok(Arc::new(rvm_storage::FlakyDevice::with_clock(
+        Ok(Arc::new(rvm_storage::FaultDevice::with_clock(
             dev,
             Arc::clone(&clock),
         )) as Arc<dyn Device>)

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rvm::segment::DeviceResolver;
 use rvm::{Options, RetryPolicy, Rvm};
-use rvm_storage::{Device, FaultClock, FlakyDevice, FlakyFault, MemDevice, UnsyncedFate};
+use rvm_storage::{Device, FaultClock, FaultDevice, FlakyFault, MemDevice, UnsyncedFate};
 
 use crate::{apply_write, segment_bases, SegWrite, Trace, TxnSpec};
 
@@ -407,23 +407,19 @@ pub fn check_recovery_determinism(parts: &CrashParts, crash_ops: &[u64]) -> Resu
 /// later ops fail, unsynced writes of the in-flight window are lost) and
 /// returns the resulting durable image.
 fn crash_during_recovery(parts: &CrashParts, k: u64) -> CrashParts {
-    let clock = FaultClock::new(vec![FlakyFault::crash_after_ops(k)]);
+    let clock =
+        FaultClock::new(vec![FlakyFault::crash_after_ops(k)]).crash_model(UnsyncedFate::Lost);
     let log_mem = Arc::new(MemDevice::from_image(parts.log.clone()));
-    let log = Arc::new(
-        FlakyDevice::with_clock(log_mem.clone(), clock.clone()).crash_model(UnsyncedFate::Lost),
-    );
+    let log = Arc::new(FaultDevice::with_clock(log_mem.clone(), clock.clone()));
 
-    type SegMap = HashMap<String, (Arc<MemDevice>, Arc<FlakyDevice<MemDevice>>)>;
+    type SegMap = HashMap<String, (Arc<MemDevice>, Arc<FaultDevice>)>;
     let segs: Arc<Mutex<SegMap>> = Arc::new(Mutex::new(
         parts
             .segments
             .iter()
             .map(|(name, img)| {
                 let mem = Arc::new(MemDevice::from_image(img.clone()));
-                let flaky = Arc::new(
-                    FlakyDevice::with_clock(mem.clone(), clock.clone())
-                        .crash_model(UnsyncedFate::Lost),
-                );
+                let flaky = Arc::new(FaultDevice::with_clock(mem.clone(), clock.clone()));
                 (name.clone(), (mem, flaky))
             })
             .collect(),
@@ -437,10 +433,7 @@ fn crash_during_recovery(parts: &CrashParts, k: u64) -> CrashParts {
                 .entry(name.to_owned())
                 .or_insert_with(|| {
                     let mem = Arc::new(MemDevice::with_len(min_len));
-                    let flaky = Arc::new(
-                        FlakyDevice::with_clock(mem.clone(), clock.clone())
-                            .crash_model(UnsyncedFate::Lost),
-                    );
+                    let flaky = Arc::new(FaultDevice::with_clock(mem.clone(), clock.clone()));
                     (mem, flaky)
                 })
                 .clone();
@@ -453,17 +446,15 @@ fn crash_during_recovery(parts: &CrashParts, k: u64) -> CrashParts {
 
     // Both outcomes are interesting: an error means the crash hit
     // mid-recovery; success means `k` exceeded recovery's op count and
-    // the image below is simply the fully recovered state.
+    // the image below is simply the fully recovered state. Either way the
+    // images are settled: the crash rolls back every device on the clock
+    // as it fires.
     let _ = Rvm::initialize(
-        Options::new(log.clone())
+        Options::new(log)
             .resolver(resolver)
             .retry_policy(RetryPolicy::none()),
     );
-    log.settle_crash();
     let m = segs.lock();
-    for (_, flaky) in m.values() {
-        flaky.settle_crash();
-    }
     CrashParts {
         log: log_mem.snapshot(),
         segments: m

@@ -45,7 +45,7 @@ pub enum DeviceError {
     /// [`FaultDevice`](crate::FaultDevice)); all subsequent operations fail
     /// with this error.
     Crashed,
-    /// A fault injected by a [`FlakyDevice`](crate::FlakyDevice) schedule.
+    /// A fault injected by a [`FaultClock`](crate::FaultClock) schedule.
     Injected {
         /// The operation the fault fired on.
         op: FaultOp,

@@ -1,13 +1,34 @@
-//! Crash-injection wrapper used by the recovery test matrix.
+//! Fault injection: one [`Device`] wrapper, [`FaultDevice`], driven by one
+//! schedule, a [`FaultClock`].
+//!
+//! A clock models both ways the device contract of the paper (§3.3) is
+//! tested:
+//!
+//! * **a crash** — once the clock's devices have written a byte budget (a
+//!   [`CrashPlan`]) or a scheduled [`FaultKind::Crash`] fires, every later
+//!   operation fails with [`DeviceError::Crashed`], and the writes issued
+//!   since each device's last successful `sync` meet the clock's
+//!   [`UnsyncedFate`];
+//! * **flaky hardware** — the Nth read, write or sync fails with a
+//!   transient or permanent [`DeviceError::Injected`], optionally for a run
+//!   of K consecutive operations before healing, or silently rots its data.
+//!   Schedules are explicit ([`FlakyFault`] lists) or pseudo-random from a
+//!   seed, so every scenario replays bit-for-bit.
+//!
+//! Several devices may share one clock (a log device plus every segment
+//! device resolved during recovery): they count operations and bytes
+//! against one global sequence — which is what lets a crash-matrix sweep
+//! place a crash after the K-th device operation *anywhere* in the system
+//! — and the crash settles every one of them at the moment it fires.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{Device, DeviceError, Result};
+use crate::{Device, DeviceError, FaultOp, Result};
 
 /// What happens to writes issued after the last successful `sync` when the
-/// planned crash fires.
+/// clock crashes.
 ///
 /// A real power failure may preserve any subset of unsynced writes.
 /// [`KeptInOrder`](UnsyncedFate::KeptInOrder) and
@@ -90,31 +111,387 @@ impl CrashPlan {
     }
 }
 
-#[derive(Debug)]
+/// What an injected fault does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The operation fails with a transient error; a retry may succeed.
+    Transient,
+    /// The operation fails with a permanent error; retries keep failing.
+    Permanent,
+    /// The clock crashes: this and every later operation fails with
+    /// [`DeviceError::Crashed`].
+    Crash,
+    /// Silent corruption: the operation *succeeds* but its data is
+    /// flipped — a rotted read returns corrupted bytes, a rotted write
+    /// persists corrupted bytes on the media. Rot on a sync does nothing.
+    /// This is the bit-rot fault the fail-stop kinds above cannot
+    /// express; only end-to-end checksums can catch it.
+    BitRot,
+}
+
+/// One scheduled fault: fail `count` operations starting at the `nth`
+/// matching operation (1-based).
+#[derive(Debug, Clone, Copy)]
+pub struct FlakyFault {
+    /// Operation to match, or `None` to count every operation on the clock.
+    pub op: Option<FaultOp>,
+    /// 1-based index of the first matching operation that fails.
+    pub nth: u64,
+    /// Number of consecutive matching operations that fail.
+    pub count: u64,
+    /// Failure mode.
+    pub kind: FaultKind,
+}
+
+impl FlakyFault {
+    /// Fail the `nth` operation of kind `op` with a transient error.
+    pub fn transient(op: FaultOp, nth: u64) -> Self {
+        Self::transient_run(op, nth, 1)
+    }
+
+    /// Fail `count` consecutive operations of kind `op` starting at the
+    /// `nth`, each with a transient error (the device "heals" after).
+    pub fn transient_run(op: FaultOp, nth: u64, count: u64) -> Self {
+        FlakyFault {
+            op: Some(op),
+            nth,
+            count,
+            kind: FaultKind::Transient,
+        }
+    }
+
+    /// Fail the `nth` operation of kind `op` with a permanent error.
+    pub fn permanent(op: FaultOp, nth: u64) -> Self {
+        FlakyFault {
+            op: Some(op),
+            nth,
+            count: u64::MAX,
+            kind: FaultKind::Permanent,
+        }
+    }
+
+    /// Crash on the `nth` operation of kind `op`.
+    pub fn crash(op: FaultOp, nth: u64) -> Self {
+        FlakyFault {
+            op: Some(op),
+            nth,
+            count: u64::MAX,
+            kind: FaultKind::Crash,
+        }
+    }
+
+    /// Crash on the `nth` operation of *any* kind, counted across every
+    /// device sharing the clock. The workhorse of crash-matrix sweeps.
+    pub fn crash_after_ops(nth: u64) -> Self {
+        FlakyFault {
+            op: None,
+            nth,
+            count: u64::MAX,
+            kind: FaultKind::Crash,
+        }
+    }
+
+    /// Silently corrupt the `nth` operation of kind `op`; see
+    /// [`FaultKind::BitRot`].
+    pub fn bit_rot(op: FaultOp, nth: u64) -> Self {
+        Self::bit_rot_run(op, nth, 1)
+    }
+
+    /// Silently corrupt `count` consecutive operations of kind `op`
+    /// starting at the `nth`.
+    pub fn bit_rot_run(op: FaultOp, nth: u64, count: u64) -> Self {
+        FlakyFault {
+            op: Some(op),
+            nth,
+            count,
+            kind: FaultKind::BitRot,
+        }
+    }
+}
+
+/// The xorshift64* state for `seed` (zero would stick at zero).
+fn seed_rng(seed: u64) -> u64 {
+    if seed == 0 {
+        0x9E3779B97F4A7C15
+    } else {
+        seed
+    }
+}
+
+/// Advances the xorshift64* state `x` and returns its next output.
+fn next_rand(x: &mut u64) -> u64 {
+    *x ^= *x >> 12;
+    *x ^= *x << 25;
+    *x ^= *x >> 27;
+    x.wrapping_mul(0x2545F4914F6CDD1D)
+}
+
+/// How the clock disposed of one admitted (non-failing) operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admitted {
+    /// The operation proceeds untouched.
+    Clean,
+    /// The operation proceeds but its data must be corrupted; the salt
+    /// picks which byte flips, deterministically per schedule.
+    Rot { salt: u64 },
+}
+
+fn op_index(op: FaultOp) -> usize {
+    match op {
+        FaultOp::Read => 0,
+        FaultOp::Write => 1,
+        FaultOp::Sync => 2,
+    }
+}
+
+/// One write since its device's last successful `sync`.
 struct JournalEntry {
+    dev: Arc<dyn Device>,
     offset: u64,
     old: Vec<u8>,
     new: Vec<u8>,
 }
 
-#[derive(Debug)]
-struct FaultState {
+struct ClockState {
+    faults: Vec<FlakyFault>,
+    /// Per-op counters, indexed by `FaultOp as usize`.
+    seen: [u64; 3],
+    /// Total operations across all ops.
+    total: u64,
+    /// xorshift64* state for seeded mode.
+    rng: u64,
+    /// In seeded mode, per-mille probability that any operation fails
+    /// with a transient fault.
+    per_mille: u32,
+    /// In seeded mode, per-mille probability that an operation is
+    /// silently corrupted ([`FaultKind::BitRot`]) when it did not fail.
+    rot_per_mille: u32,
+    /// The byte trigger: crash once `bytes_written` reaches it.
+    after_bytes: u64,
+    /// Bytes persisted through every device on the clock.
     bytes_written: u64,
-    crashed: bool,
-    /// Old contents of every range overwritten since the last sync, in write
-    /// order, so `UnsyncedFate::Lost` can roll the image back.
+    unsynced: UnsyncedFate,
+    /// Every write since its device's last *successful* sync, in global
+    /// write order — a failed sync is not a durability barrier. Kept only
+    /// for the fates that undo writes.
     journal: Vec<JournalEntry>,
+    crashed: bool,
+    /// Number of faults injected so far (all kinds, bit rot included).
+    injected: u64,
+    /// Number of bit-rot faults injected so far.
+    rotted: u64,
 }
 
-/// A [`Device`] wrapper that simulates a machine crash at a planned point.
+impl ClockState {
+    fn new(faults: Vec<FlakyFault>) -> Self {
+        ClockState {
+            faults,
+            seen: [0; 3],
+            total: 0,
+            rng: 0,
+            per_mille: 0,
+            rot_per_mille: 0,
+            after_bytes: u64::MAX,
+            bytes_written: 0,
+            unsynced: UnsyncedFate::KeptInOrder,
+            journal: Vec::new(),
+            crashed: false,
+            injected: 0,
+            rotted: 0,
+        }
+    }
+
+    fn alive(&self) -> Result<()> {
+        if self.crashed {
+            return Err(DeviceError::Crashed);
+        }
+        Ok(())
+    }
+
+    /// Record one operation of kind `op` and decide its fate.
+    fn admit(&mut self, op: FaultOp) -> Result<Admitted> {
+        self.alive()?;
+        self.seen[op_index(op)] += 1;
+        self.total += 1;
+
+        let mut verdict: Option<FaultKind> = None;
+        for f in &self.faults {
+            let n = match f.op {
+                Some(fop) if fop == op => self.seen[op_index(op)],
+                Some(_) => continue,
+                None => self.total,
+            };
+            if n >= f.nth && n - f.nth < f.count {
+                verdict = Some(f.kind);
+                break;
+            }
+        }
+        if verdict.is_none() && self.per_mille > 0 {
+            let roll = (next_rand(&mut self.rng) >> 32) % 1000;
+            if (roll as u32) < self.per_mille {
+                verdict = Some(FaultKind::Transient);
+            }
+        }
+        if verdict.is_none() && self.rot_per_mille > 0 {
+            // A second, independent roll for the rot channel. Guarded so
+            // rot-free seeded clocks keep their historical rng stream.
+            let roll = (next_rand(&mut self.rng) >> 32) % 1000;
+            if (roll as u32) < self.rot_per_mille {
+                verdict = Some(FaultKind::BitRot);
+            }
+        }
+
+        let Some(kind) = verdict else {
+            return Ok(Admitted::Clean);
+        };
+        self.injected += 1;
+        match kind {
+            FaultKind::Transient => Err(DeviceError::Injected {
+                op,
+                transient: true,
+            }),
+            FaultKind::Permanent => Err(DeviceError::Injected {
+                op,
+                transient: false,
+            }),
+            FaultKind::Crash => Err(self.crash()),
+            FaultKind::BitRot => {
+                self.rotted += 1;
+                // Salt the corruption with the op count so each rotted
+                // operation flips a different byte, deterministically per
+                // schedule.
+                Ok(Admitted::Rot { salt: self.total })
+            }
+        }
+    }
+
+    /// Fires the crash and settles every device on the clock: the journal
+    /// is rolled back in reverse order, then the writes the fate keeps are
+    /// re-applied in order — exactly the image a reordering write cache
+    /// could expose, even for overlapping writes.
+    fn crash(&mut self) -> DeviceError {
+        self.crashed = true;
+        let journal = std::mem::take(&mut self.journal);
+        let mut rng = match self.unsynced {
+            UnsyncedFate::ArbitrarySubset { seed } => Some(seed_rng(seed)),
+            _ => None,
+        };
+        // `Lost` keeps nothing; `ArbitrarySubset` flips a coin per write.
+        let keep: Vec<bool> = journal
+            .iter()
+            .map(|_| rng.as_mut().is_some_and(|x| next_rand(x) >> 63 == 1))
+            .collect();
+        // A failure to roll back would leave a *more* adversarial image,
+        // which recovery must tolerate anyway; ignore it.
+        for entry in journal.iter().rev() {
+            // lint:allow(device-fallibility): crash simulation builds the torn image
+            let _ = entry.dev.write_at(entry.offset, &entry.old);
+        }
+        for (entry, _) in journal.iter().zip(keep).filter(|(_, kept)| *kept) {
+            // lint:allow(device-fallibility): crash simulation builds the torn image
+            let _ = entry.dev.write_at(entry.offset, &entry.new);
+        }
+        DeviceError::Crashed
+    }
+}
+
+/// Shared fault schedule; see the [module docs](self).
+pub struct FaultClock {
+    state: Mutex<ClockState>,
+}
+
+impl FaultClock {
+    /// A clock with an explicit fault schedule.
+    pub fn new(faults: Vec<FlakyFault>) -> Arc<Self> {
+        Self::with_state(ClockState::new(faults))
+    }
+
+    /// A clock that fails each operation with probability
+    /// `fail_per_mille`/1000, pseudo-randomly from `seed` (xorshift64*),
+    /// always with a transient fault.
+    pub fn seeded(seed: u64, fail_per_mille: u32) -> Arc<Self> {
+        Self::seeded_with_rot(seed, fail_per_mille, 0)
+    }
+
+    /// A clock that fails each operation with probability
+    /// `fail_per_mille`/1000 (transiently) and silently corrupts each
+    /// surviving operation with probability `rot_per_mille`/1000 — the
+    /// seeded corruption *storm*. Both channels draw from the same
+    /// xorshift64* stream, so a storm replays bit-for-bit from its seed.
+    pub fn seeded_with_rot(seed: u64, fail_per_mille: u32, rot_per_mille: u32) -> Arc<Self> {
+        Self::with_state(ClockState {
+            rng: seed_rng(seed),
+            per_mille: fail_per_mille.min(1000),
+            rot_per_mille: rot_per_mille.min(1000),
+            ..ClockState::new(Vec::new())
+        })
+    }
+
+    fn with_state(state: ClockState) -> Arc<Self> {
+        Arc::new(FaultClock {
+            state: Mutex::new(state),
+        })
+    }
+
+    /// Sets the fate of unsynced writes when this clock crashes
+    /// ([`UnsyncedFate::KeptInOrder`] unless set). Set it before the
+    /// clock's first write: the fates that undo writes journal them from
+    /// then on.
+    pub fn crash_model(self: Arc<Self>, fate: UnsyncedFate) -> Arc<Self> {
+        self.state.lock().unsynced = fate;
+        self
+    }
+
+    /// Total operations admitted or failed so far, across all ops.
+    pub fn total_ops(&self) -> u64 {
+        self.state.lock().total
+    }
+
+    /// Operations of each kind seen so far, as `(reads, writes, syncs)`.
+    pub fn ops_seen(&self) -> (u64, u64, u64) {
+        let s = self.state.lock();
+        (s.seen[0], s.seen[1], s.seen[2])
+    }
+
+    /// Number of faults injected so far.
+    pub fn injected(&self) -> u64 {
+        self.state.lock().injected
+    }
+
+    /// Number of bit-rot faults injected so far.
+    pub fn rotted(&self) -> u64 {
+        self.state.lock().rotted
+    }
+
+    /// Whether the clock has crashed.
+    pub fn has_crashed(&self) -> bool {
+        self.state.lock().crashed
+    }
+}
+
+/// Flips one byte of `buf`, picked by `salt`. The corruption the
+/// [`FaultKind::BitRot`] fault applies: a single flipped byte, enough to
+/// fail any honest checksum while staying cheap to inject.
+fn rot_buf(buf: &mut [u8], salt: u64) {
+    if !buf.is_empty() {
+        let i = (salt % buf.len() as u64) as usize;
+        buf[i] ^= 0xA5;
+    }
+}
+
+/// A [`Device`] wrapper that injects the faults of its [`FaultClock`].
 ///
-/// Writes pass through to the inner device immediately; the wrapper records
-/// undo information so that, when the crash fires with
-/// [`UnsyncedFate::Lost`], every write since the last `sync` is rolled back
-/// on the inner device. After the crash every operation fails with
-/// [`DeviceError::Crashed`]; the *inner* device then holds exactly the
-/// post-crash durable image, ready to be handed to a fresh RVM instance for
-/// recovery.
+/// Writes pass through to the inner device immediately. An injected
+/// failure is fail-stop: a failed `write_at` writes nothing, a failed
+/// `sync` flushes nothing (and so protects nothing). The write that
+/// crosses the clock's byte budget persists only the prefix that fits —
+/// whole sectors of it under [`UnsyncedFate::TornWrite`] — and crashes the
+/// clock. `len` and `set_len` never inject faults but do fail once the
+/// clock has crashed.
+///
+/// After the crash every operation fails with [`DeviceError::Crashed`];
+/// the *inner* device then holds exactly the post-crash durable image,
+/// ready to be handed to a fresh RVM instance for recovery.
 ///
 /// # Examples
 ///
@@ -134,22 +511,18 @@ struct FaultState {
 /// ```
 pub struct FaultDevice {
     inner: Arc<dyn Device>,
-    plan: CrashPlan,
-    state: Mutex<FaultState>,
+    clock: Arc<FaultClock>,
 }
 
 impl FaultDevice {
-    /// Wraps `inner` with the given crash plan.
+    /// Wraps `inner` with a clock of its own that crashes by `plan`.
     pub fn new(inner: Arc<dyn Device>, plan: CrashPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            state: Mutex::new(FaultState {
-                bytes_written: 0,
-                crashed: false,
-                journal: Vec::new(),
-            }),
-        }
+        let clock = FaultClock::with_state(ClockState {
+            after_bytes: plan.after_bytes,
+            unsynced: plan.unsynced,
+            ..ClockState::new(Vec::new())
+        });
+        Self::with_clock(inner, clock)
     }
 
     /// Wraps `inner` with a plan that never fires, useful for recording the
@@ -158,139 +531,114 @@ impl FaultDevice {
         Self::new(inner, CrashPlan::torn_at(u64::MAX))
     }
 
-    /// Total bytes written through this device so far.
+    /// Wraps `inner` with an existing (possibly shared) clock.
+    pub fn with_clock(inner: Arc<dyn Device>, clock: Arc<FaultClock>) -> Self {
+        FaultDevice { inner, clock }
+    }
+
+    /// Total bytes written through this device's clock so far — through
+    /// this device alone unless the clock is shared.
     pub fn bytes_written(&self) -> u64 {
-        self.state.lock().bytes_written
+        self.clock.state.lock().bytes_written
     }
 
-    /// Returns `true` once the planned crash has fired.
+    /// Returns `true` once the clock has crashed.
     pub fn has_crashed(&self) -> bool {
-        self.state.lock().crashed
+        self.clock.has_crashed()
     }
 
-    /// Returns the wrapped device (the post-crash durable image lives here).
-    pub fn inner(&self) -> Arc<dyn Device> {
-        self.inner.clone()
-    }
-
-    fn crash(&self, state: &mut FaultState) -> DeviceError {
-        match self.plan.unsynced {
-            UnsyncedFate::Lost => {
-                // Roll back in reverse order so overlapping writes restore
-                // the pre-sync image exactly.
-                while let Some(entry) = state.journal.pop() {
-                    // A failure to roll back would leave a *more*
-                    // adversarial image, which recovery must tolerate
-                    // anyway; ignore it.
-                    // lint:allow(device-fallibility): crash simulation builds the torn image
-                    let _ = self.inner.write_at(entry.offset, &entry.old);
-                }
-            }
-            UnsyncedFate::ArbitrarySubset { seed } => {
-                // Decide each unsynced write's fate up front, then rebuild
-                // the image as "pre-sync state + kept writes applied in
-                // order". Rolling everything back first (reverse order) and
-                // re-applying the kept subset (forward order) gives exactly
-                // the image a reordering write cache could expose, even for
-                // overlapping writes.
-                let mut rng = if seed == 0 { 0x9E3779B97F4A7C15 } else { seed };
-                let keep: Vec<bool> = state
-                    .journal
-                    .iter()
-                    .map(|_| {
-                        rng ^= rng >> 12;
-                        rng ^= rng << 25;
-                        rng ^= rng >> 27;
-                        rng.wrapping_mul(0x2545F4914F6CDD1D) >> 63 == 1
-                    })
-                    .collect();
-                for entry in state.journal.iter().rev() {
-                    // lint:allow(device-fallibility): crash simulation builds the torn image
-                    let _ = self.inner.write_at(entry.offset, &entry.old);
-                }
-                for (entry, kept) in state.journal.iter().zip(&keep) {
-                    if *kept {
-                        // lint:allow(device-fallibility): crash simulation builds the torn image
-                        let _ = self.inner.write_at(entry.offset, &entry.new);
-                    }
-                }
-                state.journal.clear();
-            }
-            UnsyncedFate::KeptInOrder | UnsyncedFate::TornWrite { .. } => {}
-        }
-        state.crashed = true;
-        DeviceError::Crashed
+    /// The fault clock driving this device.
+    pub fn clock(&self) -> Arc<FaultClock> {
+        Arc::clone(&self.clock)
     }
 }
 
 impl Device for FaultDevice {
     fn len(&self) -> Result<u64> {
-        if self.state.lock().crashed {
-            return Err(DeviceError::Crashed);
-        }
+        self.clock.state.lock().alive()?;
         self.inner.len()
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DeviceError::Crashed);
+        let admitted = self.clock.state.lock().admit(FaultOp::Read)?;
+        self.inner.read_at(offset, buf)?;
+        if let Admitted::Rot { salt } = admitted {
+            rot_buf(buf, salt);
         }
-        self.inner.read_at(offset, buf)
+        Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut state = self.state.lock();
-        if state.crashed {
-            return Err(DeviceError::Crashed);
-        }
-        let remaining = self.plan.after_bytes.saturating_sub(state.bytes_written);
-        let mut persist_len = (data.len() as u64).min(remaining) as usize;
-        if (data.len() as u64) > remaining {
-            // This is the write in flight at the crash point; a
-            // sector-granular fate tears it on a sector boundary instead of
-            // mid-byte-stream.
-            if let UnsyncedFate::TornWrite { sector } = self.plan.unsynced {
-                let sector = sector.max(1) as usize;
-                persist_len -= persist_len % sector;
+        // The clock stays locked through the write, so a crash settles
+        // every device on it with no write in flight.
+        let mut s = self.clock.state.lock();
+        let mut rotted;
+        let data = match s.admit(FaultOp::Write)? {
+            Admitted::Clean => data,
+            Admitted::Rot { salt } => {
+                // Rot on a write persists corrupted bytes on the media.
+                rotted = data.to_vec();
+                rot_buf(&mut rotted, salt);
+                &rotted
             }
+        };
+        let remaining = s.after_bytes.saturating_sub(s.bytes_written);
+        let crosses = data.len() as u64 > remaining;
+        let mut persist_len = (data.len() as u64).min(remaining) as usize;
+        if let (true, UnsyncedFate::TornWrite { sector }) = (crosses, s.unsynced) {
+            persist_len -= persist_len % sector.max(1) as usize;
         }
 
         if persist_len > 0 {
-            let mut old = vec![0u8; persist_len];
-            self.inner.read_at(offset, &mut old)?;
-            self.inner.write_at(offset, &data[..persist_len])?;
-            state.bytes_written += persist_len as u64;
-            state.journal.push(JournalEntry {
-                offset,
-                old,
-                new: data[..persist_len].to_vec(),
-            });
+            let data = &data[..persist_len];
+            if matches!(
+                s.unsynced,
+                UnsyncedFate::Lost | UnsyncedFate::ArbitrarySubset { .. }
+            ) {
+                let mut old = vec![0u8; persist_len];
+                self.inner.read_at(offset, &mut old)?;
+                self.inner.write_at(offset, data)?;
+                s.journal.push(JournalEntry {
+                    dev: Arc::clone(&self.inner),
+                    offset,
+                    old,
+                    new: data.to_vec(),
+                });
+            } else {
+                self.inner.write_at(offset, data)?;
+            }
+            s.bytes_written += persist_len as u64;
         }
 
-        if (data.len() as u64) > remaining {
-            return Err(self.crash(&mut state));
-        }
-        if state.bytes_written >= self.plan.after_bytes {
-            return Err(self.crash(&mut state));
+        if crosses || s.bytes_written >= s.after_bytes {
+            return Err(s.crash());
         }
         Ok(())
     }
 
     fn sync(&self) -> Result<()> {
-        let mut state = self.state.lock();
-        if state.crashed {
-            return Err(DeviceError::Crashed);
-        }
+        let mut s = self.clock.state.lock();
+        // Rot on a sync does nothing — there is no data to corrupt.
+        s.admit(FaultOp::Sync)?;
+        // A failure propagates *without* touching the journal: the barrier
+        // did not happen, so unsynced writes stay at risk.
         self.inner.sync()?;
-        state.journal.clear();
+        s.journal
+            .retain(|entry| !Arc::ptr_eq(&entry.dev, &self.inner));
         Ok(())
     }
 
     fn set_len(&self, len: u64) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DeviceError::Crashed);
-        }
+        self.clock.state.lock().alive()?;
         self.inner.set_len(len)
+    }
+
+    // read_verified deliberately stays the default (read then check) so an
+    // injected rot is *visible* to the caller's checksum — that is the
+    // whole point of the fault.
+
+    fn replica_health(&self) -> Option<(usize, usize)> {
+        self.inner.replica_health()
     }
 }
 
@@ -473,5 +821,27 @@ mod tests {
             assert_eq!(&img[..2], &[9, 9], "synced prefix must survive");
             assert!(img[2] == 8 || img[2] == 0);
         }
+    }
+
+    #[test]
+    fn devices_with_plans_of_their_own_crash_independently() {
+        // One plan per device, as a crash check that gives each device
+        // role its own budget does: a crash on one device neither stops
+        // nor settles the other.
+        let inner_a = Arc::new(MemDevice::with_len(4));
+        let inner_b = Arc::new(MemDevice::with_len(4));
+        let a = FaultDevice::new(inner_a.clone(), CrashPlan::lose_unsynced_at(3));
+        let b = FaultDevice::new(inner_b.clone(), CrashPlan::lose_unsynced_at(8));
+        b.write_at(0, &[5, 5]).unwrap();
+        a.write_at(0, &[6, 6]).unwrap();
+        let err = a.write_at(2, &[7, 7]).unwrap_err();
+        assert!(matches!(err, DeviceError::Crashed));
+        assert_eq!(image(&inner_a), vec![0; 4]);
+        assert!(!b.has_crashed());
+        assert_eq!(image(&inner_b), vec![5, 5, 0, 0], "b is unsettled");
+        b.write_at(2, &[8, 8]).unwrap();
+        b.sync().unwrap();
+        assert_eq!((a.bytes_written(), b.bytes_written()), (3, 4));
+        assert_eq!(image(&inner_b), vec![5, 5, 8, 8]);
     }
 }

@@ -3,19 +3,19 @@
 //! The paper (§3.3) lets a log or external data segment live in "a Unix file
 //! or on a raw disk partition", with permanence resting on the correct
 //! implementation of `fsync`. This crate captures exactly that contract as
-//! the [`Device`] trait, plus three implementations:
+//! the [`Device`] trait, plus these implementations:
 //!
 //! * [`FileDevice`] — a real file, synced with `fdatasync`;
 //! * [`MemDevice`] — an in-memory image, handy for tests and simulation;
-//! * [`FaultDevice`] — a wrapper that models a machine crash: writes after
-//!   the last `sync` may be lost or torn, and every operation after the
-//!   planned crash point fails. This is the engine behind the crash-matrix
-//!   integration tests.
-//! * [`FlakyDevice`] — a wrapper that models flaky hardware: the Nth
-//!   read/write/sync fails with a transient or permanent
-//!   [`DeviceError::Injected`], on an explicit or seeded schedule. This is
-//!   the engine behind the transient-fault and crash-during-recovery
-//!   sweeps.
+//! * [`FaultDevice`] — the one fault-injection wrapper, driven by a
+//!   [`FaultClock`] that several devices may share: a machine crash
+//!   (after a byte budget or the Nth operation; writes since the last
+//!   successful `sync` are kept, lost, a seeded subset, or torn) and
+//!   flaky hardware (the Nth read/write/sync fails with a transient or
+//!   permanent [`DeviceError::Injected`], or silently rots, on an explicit
+//!   or seeded schedule). This is the engine behind the crash matrix, the
+//!   transient-fault and crash-during-recovery sweeps, and the benchmark's
+//!   crash check.
 //! * [`TraceDevice`] — a wrapper that records every mutation into a shared
 //!   [`TraceRecorder`] op-log, in global order across devices. This is the
 //!   input to the `rvm-crashmc` crash-state model checker, which
@@ -28,7 +28,6 @@ mod device;
 mod error;
 mod fault;
 mod file;
-mod flaky;
 mod mem;
 mod mirror;
 mod null;
@@ -36,10 +35,13 @@ mod trace;
 
 pub use device::{Device, IoToken, SharedDevice, VerifiedRead};
 pub use error::{DeviceError, FaultOp, Result};
-pub use fault::{CrashPlan, FaultDevice, UnsyncedFate};
+pub use fault::{CrashPlan, FaultClock, FaultDevice, FaultKind, FlakyFault, UnsyncedFate};
 pub use file::FileDevice;
-pub use flaky::{FaultClock, FaultKind, FlakyDevice, FlakyFault};
 pub use mem::MemDevice;
 pub use mirror::MirrorDevice;
 pub use null::NullDevice;
 pub use trace::{TraceDevice, TraceOp, TraceOpKind, TraceRecorder};
+
+/// The unit tests of `FaultClock` schedules.
+#[cfg(test)]
+mod flaky;

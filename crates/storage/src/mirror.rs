@@ -326,7 +326,7 @@ impl Device for MirrorDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CrashPlan, FaultClock, FaultDevice, FaultOp, FlakyDevice, FlakyFault, MemDevice};
+    use crate::{CrashPlan, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
 
     fn two_way() -> (MirrorDevice, Arc<MemDevice>, Arc<MemDevice>) {
         let a = Arc::new(MemDevice::with_len(1024));
@@ -408,9 +408,9 @@ mod tests {
     #[test]
     fn transient_write_failure_is_retried_not_dropped() {
         // One transient write fault: the in-place retry absorbs it.
-        let flaky: Arc<dyn Device> = Arc::new(FlakyDevice::new(
+        let flaky: Arc<dyn Device> = Arc::new(FaultDevice::with_clock(
             Arc::new(MemDevice::with_len(1024)),
-            vec![FlakyFault::transient(FaultOp::Write, 1)],
+            FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 1)]),
         ));
         let b = Arc::new(MemDevice::with_len(1024));
         let m = MirrorDevice::new(vec![flaky, b.clone()]).unwrap();
@@ -422,9 +422,9 @@ mod tests {
     fn transient_read_failure_skips_without_dropping() {
         // A long transient run on reads outlasts the retries; the read is
         // served by the other replica and the flaky one stays alive.
-        let flaky: Arc<dyn Device> = Arc::new(FlakyDevice::new(
+        let flaky: Arc<dyn Device> = Arc::new(FaultDevice::with_clock(
             Arc::new(MemDevice::with_len(1024)),
-            vec![FlakyFault::transient_run(FaultOp::Read, 1, 100)],
+            FaultClock::new(vec![FlakyFault::transient_run(FaultOp::Read, 1, 100)]),
         ));
         let b = Arc::new(MemDevice::with_len(1024));
         let m = MirrorDevice::new(vec![flaky, b.clone()]).unwrap();
@@ -439,9 +439,9 @@ mod tests {
     fn persistent_transient_write_failure_drops_replica() {
         // A transient run longer than the retry budget on the write path:
         // the replica is dropped (a skipped write would diverge copies).
-        let flaky: Arc<dyn Device> = Arc::new(FlakyDevice::new(
+        let flaky: Arc<dyn Device> = Arc::new(FaultDevice::with_clock(
             Arc::new(MemDevice::with_len(1024)),
-            vec![FlakyFault::transient_run(FaultOp::Write, 1, 100)],
+            FaultClock::new(vec![FlakyFault::transient_run(FaultOp::Write, 1, 100)]),
         ));
         let b = Arc::new(MemDevice::with_len(1024));
         let m = MirrorDevice::new(vec![flaky, b.clone()]).unwrap();
@@ -504,7 +504,7 @@ mod tests {
         let want = [0x42u8; 64];
         let mk = |seed| -> Arc<dyn Device> {
             let clock = FaultClock::seeded_with_rot(seed, 0, 150);
-            Arc::new(FlakyDevice::with_clock(
+            Arc::new(FaultDevice::with_clock(
                 Arc::new(MemDevice::with_len(1024)),
                 clock,
             ))

@@ -65,6 +65,7 @@ fn count(budget: &Table) -> Result<usize, String> {
             .map_err(|e| format!("{file}: {e}"))?
             .all(item)
             .count(),
+        "bytes" => src.len(),
         other => return Err(format!("{file}: no counting rule for kind `{other}`")),
     })
 }
@@ -105,9 +106,21 @@ fn budgets() -> Vec<Table> {
 #[test]
 fn every_count_is_within_its_ceiling() {
     let budgets = budgets();
-    assert_eq!(budgets.len(), 8);
+    assert_eq!(budgets.len(), 11);
     let failures: Vec<String> = budgets.iter().filter_map(|b| check(b).err()).collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Checks `budget` with the keys of `pairs` replaced.
+fn check_with(budget: &Table, pairs: &[(&str, Val)]) -> Result<(), String> {
+    let mut budget = budget.clone();
+    budget
+        .entries
+        .retain(|(key, _)| pairs.iter().all(|(k, _)| k != key));
+    budget
+        .entries
+        .extend(pairs.iter().map(|(k, v)| (k.to_string(), v.clone())));
+    check(&budget)
 }
 
 /// A count over its ceiling, and a raise without a reason, fail by
@@ -116,16 +129,7 @@ fn every_count_is_within_its_ceiling() {
 fn a_count_over_its_ceiling_names_the_file_and_the_number() {
     let tuning = budgets().into_iter().next().expect("the Tuning budget");
     assert_eq!(count(&tuning), Ok(11));
-    let with = |pairs: &[(&str, Val)]| {
-        let mut budget = tuning.clone();
-        budget
-            .entries
-            .retain(|(key, _)| pairs.iter().all(|(k, _)| k != key));
-        budget
-            .entries
-            .extend(pairs.iter().map(|(k, v)| (k.to_string(), v.clone())));
-        check(&budget)
-    };
+    let with = |pairs: &[(&str, Val)]| check_with(&tuning, pairs);
     let over = with(&[("ceiling", Val::Int(10))]);
     assert_eq!(
         over,
@@ -137,5 +141,24 @@ fn a_count_over_its_ceiling_names_the_file_and_the_number() {
     assert_eq!(
         with(&[("ceiling", Val::Int(12)), ("reason", reason)]),
         Ok(())
+    );
+
+    // A prose budget counts bytes, not characters.
+    let prose = budgets()
+        .into_iter()
+        .find(|b| b.str_of("file") == Some("DESIGN.md"))
+        .expect("the DESIGN.md budget");
+    let text = std::fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md");
+    assert!(text.len() > text.chars().count(), "DESIGN.md has `§`");
+    let over = check_with(
+        &prose,
+        &[("ceiling", Val::Int(1000)), ("baseline", Val::Int(1000))],
+    );
+    let n = text.len();
+    assert_eq!(
+        over,
+        Err(format!(
+            "DESIGN.md: {n} for `bytes`, over its ceiling of 1000"
+        ))
     );
 }

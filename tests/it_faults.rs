@@ -27,7 +27,7 @@ use rvm::{
     BackoffSleeper, CommitMode, Options, Region, RegionDescriptor, RetryPolicy, Rvm, RvmError,
     Tuning, TxnMode, PAGE_SIZE,
 };
-use rvm_storage::{FaultClock, FaultOp, FlakyDevice, FlakyFault, MemDevice};
+use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
 
 const SLOTS: u64 = 16;
 const SLOT_SIZE: u64 = 64;
@@ -85,8 +85,8 @@ fn flaky_options(
     clock: &Arc<FaultClock>,
     sleeper: BackoffSleeper,
 ) -> Options {
-    Options::new(Arc::new(FlakyDevice::with_clock(
-        Arc::clone(log),
+    Options::new(Arc::new(FaultDevice::with_clock(
+        log.clone(),
         Arc::clone(clock),
     )))
     .resolver(flaky_resolver(
@@ -671,10 +671,7 @@ fn mirrored_log_transient_faults_retry_and_skip_without_dropping_replicas() {
         FlakyFault::transient_run(FaultOp::Write, 20, 2),
         FlakyFault::transient(FaultOp::Sync, 4),
     ]);
-    let a = Arc::new(FlakyDevice::with_clock(
-        Arc::clone(&a_mem),
-        Arc::clone(&clock),
-    ));
+    let a = Arc::new(FaultDevice::with_clock(a_mem.clone(), Arc::clone(&clock)));
     let mirror = Arc::new(
         MirrorDevice::new(vec![
             a as Arc<dyn Device>,

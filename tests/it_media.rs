@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rvm::segment::{DeviceResolver, MemResolver};
 use rvm::{CommitMode, LoadPolicy, Options, RegionDescriptor, Rvm, RvmError, TxnMode, PAGE_SIZE};
-use rvm_storage::{Device, FaultClock, FlakyDevice, MemDevice, MirrorDevice};
+use rvm_storage::{Device, FaultClock, FaultDevice, MemDevice, MirrorDevice};
 
 const SEG: &str = "seg";
 
@@ -217,7 +217,7 @@ fn seeded_rot_storm_over_a_mirror_converges_with_all_corruptions_repaired() {
     // failures — those are it_faults territory): every read or write may
     // silently corrupt, and the checksum catalog is the only tripwire.
     let mk = |seed| -> Arc<dyn Device> {
-        Arc::new(FlakyDevice::with_clock(
+        Arc::new(FaultDevice::with_clock(
             Arc::new(MemDevice::with_len(1 << 16)),
             FaultClock::seeded_with_rot(seed, 0, 120),
         ))
