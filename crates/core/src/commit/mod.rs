@@ -85,16 +85,15 @@ mod round;
 pub(crate) use round::Member;
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, RvmError};
 use crate::log::record;
 use crate::options::{CommitMode, Tuning};
 use crate::rvm::RvmShared;
 use crate::spool::SpooledTxn;
+use crate::sync::{AtomicU64, Condvar, Mutex};
 use crate::txn::{Transaction, TxnRegion};
 
 /// Maximum record bytes staged under one force; a batch closes before
@@ -138,6 +137,8 @@ struct GroupState {
     /// The claim list, empty, between rounds: the leader takes it with
     /// the baton and returns it, so a round allocates none.
     claim: Vec<Arc<GroupSlot>>,
+    /// `MutationHooks::barrier_ignores_leader`, read under this lock.
+    barrier_ignores_leader: bool,
 }
 
 /// The commit queue, its leadership flag, and the follower wakeup.
@@ -286,7 +287,7 @@ impl RvmShared {
         // without this lock: with no leader and an empty spool, every
         // record committed so far has been settled, and a barrier has
         // nothing to wait for.
-        if barrier && !gs.leader_active && self.spool.is_empty() {
+        if barrier && (!gs.leader_active || gs.barrier_ignores_leader) && self.spool.is_empty() {
             return if self.poisoned.load(Ordering::Acquire) {
                 Err(RvmError::Poisoned)
             } else {
@@ -321,6 +322,13 @@ impl RvmShared {
                 return outcome;
             }
         }
+    }
+
+    /// Installs protocol mutations where their sites read them.
+    #[cfg(any(test, feature = "mutation-hooks"))]
+    pub(crate) fn set_hooks(&self, hooks: crate::options::MutationHooks) {
+        self.core.lock().hooks = hooks;
+        self.group.state.lock().barrier_ignores_leader = hooks.barrier_ignores_leader;
     }
 
     /// The barrier: an empty flush-mode commit. On `Ok` every commit that

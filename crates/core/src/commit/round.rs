@@ -2,7 +2,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use super::{GroupSlot, BATCH_MAX_BYTES};
 use crate::error::{Result, RvmError};
@@ -11,6 +11,7 @@ use crate::options::Tuning;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
 use crate::spool::SpooledTxn;
 use crate::stats::batch_size_bucket;
+use crate::sync::Instant;
 
 /// The shortest budget worth waiting out: yielding the processor costs a
 /// system call, about a microsecond, and overshoots anything finer.
@@ -214,7 +215,9 @@ impl RvmShared {
                     return Ok(info);
                 }
                 Err(e) if wal.full_for_now(&e) => {
-                    self.close_batch(core, open);
+                    if !core.hooks.release_core_with_batch_open {
+                        self.close_batch(core, open);
+                    }
                     if !self.make_log_space(core)? {
                         return Err(e);
                     }
@@ -310,17 +313,17 @@ impl RvmShared {
         }
         for Member { waiter, record } in batch.members.drain(..) {
             let txn = record.map(|(txn, info)| {
-                for (region, pages) in txn.region_pages() {
-                    // A spooled record's region may have been unmapped.
-                    let Some(region) = region.upgrade() else {
-                        continue;
-                    };
-                    match waiter {
-                        Some(_) => region.note_pages_logged(pages),
-                        None => region.note_spool_drained(pages),
+                for (region, id, pages) in txn.region_pages() {
+                    // A spooled record's region may have been unmapped: its
+                    // dead descriptors still bound the head (see `freeze_step`).
+                    match (region.upgrade(), &waiter) {
+                        (Some(region), Some(_)) => region.note_pages_logged(pages),
+                        (Some(region), None) => region.note_spool_drained(pages),
+                        (None, _) => {}
                     }
                     for &p in pages {
-                        core.page_queue.enqueue(&region, p, info.offset, info.seq);
+                        core.page_queue
+                            .enqueue(region, id, p, info.offset, info.seq);
                     }
                 }
                 // Ranges come region by region: a segment's run is one

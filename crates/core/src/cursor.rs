@@ -24,9 +24,10 @@
 //! other, and a tail stored below the head breaks the first; the
 //! interleaving model in this file's tests convicts each.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use crate::query::LogInfo;
+use crate::sync::AtomicU64;
 
 /// The shared cell. The WAL stores into it under the core lock; readers
 /// take [`WalView::snapshot`]s without it.

@@ -167,6 +167,7 @@ pub mod scrub;
 pub mod segment;
 mod spool;
 pub mod stats;
+mod sync;
 mod truncation;
 mod txn;
 

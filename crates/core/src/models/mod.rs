@@ -1,48 +1,124 @@
-//! Exhaustive interleaving models of the concurrency protocols.
+//! Exhaustive interleaving checks of the concurrency protocols, run
+//! over the real code.
 //!
-//! These are loom-style model checks: each protocol is restated as a
-//! small state machine per thread over explicitly shared state, and
-//! [`explore`](explore::explore) enumerates **every** schedule of the
-//! thread steps (with state dedup), checking invariants at each reachable
-//! state and flagging deadlocks — which is how a lost wakeup presents —
-//! automatically.
+//! Every lock, condvar, atomic and clock reading of the core goes
+//! through `crate::sync`, which in a test or `--cfg loom` build names the
+//! wrappers in [`sync`]: on a thread the explorer runs, each stops at a
+//! scheduling point. [`explore::Explorer`] runs two real threads over a
+//! fresh `Rvm` one at a time, in every schedule within a preemption bound
+//! (2, or 3 under `--cfg loom`), and reports a deadlock (a lost wakeup),
+//! a panic, a replay that left its recorded prefix, or an oracle's
+//! complaint, with the schedule that led there. The oracle (`scenarios`)
+//! is the library's promise: nothing failed that should not have, memory
+//! holds what was committed, and after a crash that loses every unsynced
+//! write, recovery shows each thread a prefix of its commits that holds
+//! every one it was told is durable.
 //!
-//! The real `loom` crate is deliberately not a dependency: the protocols
-//! under test span device I/O and multi-lock phases that loom's
-//! `UnsafeCell`-tracking model doesn't capture any better than an
-//! explicit state machine, and the models here stay dependency-free so
-//! they run in every environment (the CI loom job builds them with
-//! `RUSTFLAGS="--cfg loom"`; they also build under plain `cfg(test)`).
+//! The commit plane's scenarios (`group_model`): a lone leader with a
+//! lazy committer's barrier, and a leader with a follower. The
+//! truncation plane's (`epoch_model`): a log-full commit against
+//! `truncate`, a step against a committer that re-dirties its page, and
+//! `map` and `unmap` behind a step. Six seeded mutants must each be
+//! convicted: four [`MutationHooks`](crate::options::MutationHooks)
+//! switches at their real sites, and the explorer's `split_wait`, which
+//! makes every condvar wait release, reach a scheduling point, and only
+//! then park.
 //!
-//! Two protocols are modeled here, matching the PRs that complicated the
-//! durability argument (the WAL's two published words have a model of
-//! their own beside them, in `cursor.rs`'s tests):
-//!
-//! * [`group_model`] — the commit plane. The leader's batch: a
-//!   checkpoint, a fill that closes the batch and resumes in a new one
-//!   whenever it must release the core lock, the force and completion
-//!   under the lock the batch opened under, and the unconditional
-//!   rollback of a failed force — no schedule destroys another thread's
-//!   appended record, and when the core lock is released with a batch
-//!   still open the explorer exhibits a schedule that does. And the
-//!   leadership baton, with a spooled record and a barrier slot: no lost
-//!   wakeup, nothing published twice,
-//!   and a barrier that skips the leader check is convicted of returning
-//!   before the record spooled ahead of it is logged.
-//! * [`epoch_model`] — the truncation plane. The one epoch-truncation
-//!   protocol and its `truncation_done` condvar handshake: a committer
-//!   out of log space waits an epoch in flight out or becomes the
-//!   truncator itself (lock released around the apply). No schedule
-//!   deadlocks (no lost wakeup), no two epochs are ever in flight, and
-//!   breaking the wait's atomicity (release-then-sleep) is caught as a
-//!   deadlock. And the slot epochs share with incremental steps
-//!   (`StepModel`): a step racing a commit that re-dirties the page it
-//!   froze, a `map` of the same segment and an explicit truncate — no
-//!   record is reclaimed before the segment holds it, a queued page stays
-//!   dirty, the map loads the committed image; clearing the dirty bit of
-//!   a re-enqueued page and moving the head past its new descriptor are
-//!   both convicted.
+//! The stateful explorer in [`explore`] serves `cursor.rs`'s model of the
+//! WAL's two published words.
 
-pub mod epoch_model;
 pub mod explore;
-pub mod group_model;
+#[cfg(test)]
+mod scenarios;
+pub mod sync;
+
+#[cfg(test)]
+mod group_model {
+    mod tests {
+        use crate::models::scenarios::*;
+
+        const BATON: [fn(&World); 2] = [flush_commit, lazy_then_flush];
+        const FOLLOWER: [fn(&World); 2] = [flush_commit, redirty];
+
+        #[test]
+        fn rollback_never_destroys_interleaved_records() {
+            safe(setup(0, Twist::FailingSync), &FOLLOWER);
+        }
+
+        #[test]
+        fn releasing_the_core_lock_with_a_batch_open_is_caught() {
+            let mutant = setup(3, Twist::None).hooked(|h| h.release_core_with_batch_open = true);
+            convicted(mutant, &[lazy_then_full, truncate], "boundary");
+        }
+
+        #[test]
+        fn successful_batches_are_safe_in_every_interleaving() {
+            safe(setup(0, Twist::None), &FOLLOWER);
+        }
+
+        #[test]
+        fn baton_handoff_never_strands_a_committer() {
+            safe(setup(0, Twist::CrashAtBarrier), &BATON);
+            safe(setup(0, Twist::Wait), &BATON);
+        }
+
+        #[test]
+        fn non_atomic_wait_loses_a_wakeup() {
+            convicted(setup(0, Twist::SplitWait), &BATON, "deadlock");
+        }
+
+        #[test]
+        fn barrier_that_ignores_the_leader_acknowledges_an_unlogged_record() {
+            let mutant =
+                setup(0, Twist::CrashAtBarrier).hooked(|h| h.barrier_ignores_leader = true);
+            convicted(mutant, &BATON, "recovered");
+        }
+    }
+}
+
+#[cfg(test)]
+mod epoch_model {
+    mod tests {
+        use crate::models::scenarios::*;
+
+        const LOG_FULL: [fn(&World); 2] = [lazy_then_full, truncate];
+        const REDIRTY: [fn(&World); 2] = [step, redirty];
+
+        #[test]
+        fn epoch_handshake_has_no_lost_wakeup() {
+            safe(setup(3, Twist::None), &LOG_FULL);
+        }
+
+        #[test]
+        fn non_atomic_wait_deadlocks_and_is_caught() {
+            convicted(setup(3, Twist::SplitWait), &LOG_FULL, "deadlock");
+        }
+
+        #[test]
+        fn step_commit_map_and_epoch_share_the_slot_safely() {
+            safe(setup(1, Twist::None), &REDIRTY);
+            safe(setup(1, Twist::None), &[step, truncate]);
+            safe(setup(1, Twist::UnmappedInLog), &[step, remap]);
+        }
+
+        #[test]
+        fn clearing_dirty_on_a_requeued_page_is_caught() {
+            let mutant = setup(1, Twist::None).hooked(|h| h.clear_dirty_on_requeued = true);
+            convicted(mutant, &REDIRTY, "not dirty");
+        }
+
+        #[test]
+        fn a_head_past_a_requeued_descriptor_is_caught() {
+            let mutant = setup(1, Twist::None).hooked(|h| h.head_past_requeued = true);
+            convicted(mutant, &REDIRTY, "recovered");
+        }
+
+        /// A lazy commit whose region is unmapped before a flush drains
+        /// it, and the same region mapped again behind a step.
+        #[test]
+        fn unmapping_keeps_every_spooled_commit() {
+            safe(setup(0, Twist::None), &[lazy_then_unmap, flush_then_commit]);
+            safe(setup(1, Twist::None), &[lazy_then_remap, step]);
+        }
+    }
+}

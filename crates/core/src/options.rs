@@ -60,15 +60,15 @@ pub enum LoadPolicy {
     OnDemand,
 }
 
-/// Deliberate protocol mutations for the `rvm-crashmc` model checker,
-/// installed through `Rvm::set_mutation_hooks` (which exists only under
-/// the `mutation-hooks` cargo feature; without it every hook stays off).
+/// Deliberate protocol mutations, installed through
+/// `Rvm::set_mutation_hooks` (only under the `mutation-hooks` cargo
+/// feature) or by the core's own tests; otherwise every hook stays off.
 ///
-/// The checker's acceptance test is double-sided: the real tree must show
-/// **zero** committed-prefix violations, and a tree with one of these
-/// switches flipped must show **at least one** — proving the checker can
-/// actually see the bug class each switch reintroduces. They are not part
-/// of the public API surface and carry no stability promise.
+/// Each checker's acceptance test is double-sided: the real tree must
+/// show **zero** violations, and a tree with one of these switches flipped
+/// — the first two for `rvm-crashmc`, the rest for the interleaving
+/// explorer (`models`) — **at least one**, proving the checker can see
+/// the bug class. Not part of the public API; no stability promise.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MutationHooks {
@@ -80,6 +80,14 @@ pub struct MutationHooks {
     /// A failed batch skips its WAL-cursor rollback, leaving cursors
     /// pointing past records that were never forced.
     pub skip_group_rollback: bool,
+    /// A leader makes log space with its batch still open.
+    pub release_core_with_batch_open: bool,
+    /// A barrier returns on an empty spool while a leader is active.
+    pub barrier_ignores_leader: bool,
+    /// A truncation clears the dirty bit of a re-enqueued page.
+    pub clear_dirty_on_requeued: bool,
+    /// The log head moves to the tail whatever descriptor is queued.
+    pub head_past_requeued: bool,
 }
 
 /// Runtime tuning knobs (`set_options`).

@@ -23,7 +23,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
@@ -32,6 +31,7 @@ use crate::log::wal::scan_records;
 use crate::options::Tuning;
 use crate::ranges::ValueArena;
 use crate::segment::{ApplyContext, OpenSegments, Segment, SegmentId};
+use crate::sync::RwLock;
 
 /// What recovery did, for inspection and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

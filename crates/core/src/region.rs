@@ -23,16 +23,16 @@
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use rvm_storage::VerifiedRead;
 
 use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
 use crate::ranges::ByteRange;
 use crate::segment::Segment;
+use crate::sync::{AtomicBool, AtomicU64, Mutex, RwLock};
 use crate::truncation::page_vector::PageVector;
 use crate::txn::Transaction;
 

@@ -4,11 +4,9 @@
 //! share.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use rvm_storage::Device;
 
 use crate::check::CheckState;
@@ -26,6 +24,9 @@ use crate::scrub::ScrubReport;
 use crate::segment::{OpenSegments, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
+use crate::sync::{
+    AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, RwLock,
+};
 use crate::truncation::{InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
@@ -403,7 +404,7 @@ impl Rvm {
     #[cfg(feature = "mutation-hooks")]
     #[doc(hidden)]
     pub fn set_mutation_hooks(&self, hooks: MutationHooks) {
-        self.shared.core.lock().hooks = hooks;
+        self.shared.set_hooks(hooks);
     }
 
     /// Library-wide information (§4.2 `query`).

@@ -56,7 +56,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rvm_storage::{Device, VerifiedRead};
 
 use crate::crc::crc32;
@@ -64,6 +63,7 @@ use crate::error::Result;
 use crate::options::PAGE_SIZE;
 use crate::region::{PageImage, RegionInner};
 use crate::rvm::{CoreGuard, RvmShared};
+use crate::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"RVMC";
 const VERSION: u32 = 1;

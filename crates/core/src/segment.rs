@@ -32,10 +32,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard, RwLock};
 use rvm_storage::{Device, DeviceError, FileDevice, VerifiedRead};
 
 use crate::error::{Result, RvmError};
@@ -46,6 +45,7 @@ use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::rvm::RvmShared;
 use crate::scrub::{page_len, sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
 use crate::stats::MediaCounters;
+use crate::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, RwLock};
 use crate::truncation::page_vector::PageVector;
 
 /// Identifies a segment within one log's segment table.

@@ -21,15 +21,14 @@
 //! records no longer exist.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
 
 use crate::options::PAGE_SIZE;
 use crate::ranges::{ByteRange, Piece, SegCoverage};
 use crate::region::RegionInner;
 use crate::segment::SegmentId;
+use crate::sync::{AtomicU64, AtomicUsize, Mutex};
 
 /// Number of spool shards. Sixteen is plenty: the shard lock is held for
 /// a queue push, and records shard by segment, so disjoint-segment
@@ -52,9 +51,9 @@ pub(crate) struct SpooledTxn {
     pub ranges: Vec<(SegmentId, ByteRange)>,
     /// Their new values, back to back.
     pub data: Vec<u8>,
-    /// The regions the record dirties, in id order, each with where its
-    /// run of `pages` ends (and the next region's starts).
-    pub regions: Vec<(Weak<RegionInner>, usize)>,
+    /// The regions the record dirties, in id order, each with its id and
+    /// where its run of `pages` ends (and the next region's starts).
+    pub regions: Vec<(Weak<RegionInner>, u64, usize)>,
     /// The pages it dirties — the transaction's touched pages. A spooled
     /// record holds their unflushed counts.
     pub pages: Vec<usize>,
@@ -79,8 +78,8 @@ impl SpooledTxn {
         self.ranges.extend(logged);
         region.read_into(ranges, &mut self.data);
         self.pages.extend_from_slice(pages);
-        let region = Arc::downgrade(region);
-        self.regions.push((region, self.pages.len()));
+        let end = self.pages.len();
+        self.regions.push((Arc::downgrade(region), region.id, end));
     }
 
     /// The ranges with their new values borrowed from the arena: what
@@ -94,12 +93,12 @@ impl SpooledTxn {
         })
     }
 
-    /// Each region the record dirties, with its pages.
-    pub fn region_pages(&self) -> impl Iterator<Item = (&Weak<RegionInner>, &[usize])> {
-        self.regions.iter().scan(0usize, |at, (region, end)| {
+    /// Each region the record dirties, with its id and its pages.
+    pub fn region_pages(&self) -> impl Iterator<Item = (&Weak<RegionInner>, u64, &[usize])> {
+        self.regions.iter().scan(0usize, |at, (region, id, end)| {
             let pages = self.pages.get(*at..*end)?;
             *at = *end;
-            Some((region, pages))
+            Some((region, *id, pages))
         })
     }
 
@@ -112,7 +111,7 @@ impl SpooledTxn {
     }
 
     fn release_unflushed(&self) {
-        for (weak, pages) in self.region_pages() {
+        for (weak, _, pages) in self.region_pages() {
             if let Some(region) = weak.upgrade() {
                 let mut pv = region.page_vector.lock();
                 for &p in pages {
@@ -551,8 +550,8 @@ mod tests {
         }
         txn.pages = vec![0, 1, 0];
         txn.regions = vec![
-            (Arc::downgrade(&regions[0]), 2),
-            (Arc::downgrade(&regions[1]), 3),
+            (Arc::downgrade(&regions[0]), regions[0].id, 2),
+            (Arc::downgrade(&regions[1]), regions[1].id, 3),
         ];
 
         let owned: Vec<RecordRange> = txn
@@ -575,7 +574,7 @@ mod tests {
 
         let pages: Vec<(u64, &[usize])> = txn
             .region_pages()
-            .map(|(region, pages)| (region.upgrade().unwrap().id, pages))
+            .map(|(_, id, pages)| (id, pages))
             .collect();
         assert_eq!(
             pages,

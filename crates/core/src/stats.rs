@@ -5,10 +5,10 @@
 //! counters back this library's `query` operation, the Table 2 benchmark,
 //! and the optimization ablations.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use crate::sync::{AtomicU64, Mutex, MutexGuard};
 
 /// A mutex that counts its acquisitions: the lock-order *trace hook*.
 ///

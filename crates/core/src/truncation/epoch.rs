@@ -30,15 +30,13 @@
 //! cannot race for it.
 
 use std::sync::atomic::Ordering;
-use std::time::Instant;
-
-use parking_lot::MutexGuard;
 
 use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::recovery;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
 use crate::segment::ApplyContext;
+use crate::sync::{Instant, MutexGuard};
 
 impl RvmShared {
     /// Runs one epoch truncation over the live log. **Releases and

@@ -29,14 +29,13 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::MutexGuard;
-
 use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::options::{Tuning, PAGE_SIZE};
 use crate::region::{PageImage, RegionInner};
 use crate::rvm::{Core, CoreGuard, RvmShared};
 use crate::segment::Segment;
+use crate::sync::MutexGuard;
 
 /// Most pages one step freezes: bounds the freeze's hold of the core
 /// lock and the image buffer (1 MiB).
@@ -218,7 +217,11 @@ impl RvmShared {
     /// persists it under the same hold: space the in-memory head frees is
     /// appended into at once. Returns bytes reclaimed.
     fn follow_queue(&self, core: &mut Core) -> Result<u64> {
-        let (new_head, new_seq) = match core.page_queue.front() {
+        let front = core
+            .page_queue
+            .front()
+            .filter(|_| !core.hooks.head_past_requeued);
+        let (new_head, new_seq) = match front {
             Some(d) => (d.offset, d.seq),
             None => (core.wal.tail(), core.wal.next_seq()),
         };

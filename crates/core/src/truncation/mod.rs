@@ -44,12 +44,13 @@ pub mod page_vector;
 pub(crate) use incremental::StepBatch;
 
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 use crate::log::wal::WalCheckpoint;
 use crate::region::RegionInner;
 use crate::rvm::{Core, RvmShared};
+use crate::sync::AtomicUsize;
 
 /// The truncation in flight: its owner froze what it applies under the
 /// core lock and is now writing segments with the lock released. Holds
@@ -91,7 +92,8 @@ impl RvmShared {
     /// (unflushed) data stays dirty too.
     fn settle_drained(core: &Core, drained: &[PageDesc]) {
         for desc in drained {
-            if core.page_queue.contains(desc.region_id, desc.page) {
+            let requeued = core.page_queue.contains(desc.region_id, desc.page);
+            if requeued && !core.hooks.clear_dirty_on_requeued {
                 continue;
             }
             if let Some(region) = desc.region.upgrade() {
@@ -152,19 +154,19 @@ impl PageQueue {
         self.gauge.store(self.queue.len(), Ordering::Relaxed);
     }
 
-    /// Enqueues a descriptor unless the page is already queued (in which
-    /// case the earlier descriptor — with the earlier offset — stands).
-    pub fn enqueue(&mut self, region: &Arc<RegionInner>, page: usize, offset: u64, seq: u64) {
+    /// Enqueues `page` of region `id` (`region` dead if unmapped since) at
+    /// offset `at`, unless it is queued (the earlier descriptor stands).
+    pub fn enqueue(&mut self, region: &Weak<RegionInner>, id: u64, page: usize, at: u64, seq: u64) {
         debug_assert!(
-            self.queue.back().is_none_or(|back| back.offset <= offset),
+            self.queue.back().is_none_or(|back| back.offset <= at),
             "page descriptors are enqueued in append order"
         );
-        if self.queued.insert((region.id, page)) {
+        if self.queued.insert((id, page)) {
             self.queue.push_back(PageDesc {
-                region: Arc::downgrade(region),
-                region_id: region.id,
+                region: Weak::clone(region),
+                region_id: id,
                 page,
-                offset,
+                offset: at,
                 seq,
             });
             self.refresh_gauge();
@@ -261,14 +263,14 @@ mod tests {
     fn enqueue_deduplicates_keeping_earliest() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::new();
-        q.enqueue(&region, 0, 100, 1);
-        q.enqueue(&region, 1, 200, 2);
-        q.enqueue(&region, 0, 300, 3); // duplicate: ignored
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
+        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 300, 3); // duplicate: ignored
         assert_eq!(q.len(), 2);
         let d = q.pop_front().unwrap();
         assert_eq!((d.page, d.offset, d.seq), (0, 100, 1));
         // After popping, the page may be enqueued again.
-        q.enqueue(&region, 0, 400, 4);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 400, 4);
         assert_eq!(q.len(), 2);
         assert_eq!(q.front().unwrap().page, 1);
     }
@@ -277,7 +279,7 @@ mod tests {
     fn descriptors_survive_region_unmap_as_dead_weaks() {
         let region = make_test_region(PAGE_SIZE);
         let mut q = PageQueue::new();
-        q.enqueue(&region, 0, 100, 1);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
         drop(region);
         assert!(q.front().unwrap().region.upgrade().is_none());
     }
@@ -286,16 +288,16 @@ mod tests {
     fn drain_below_takes_the_offset_prefix() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::new();
-        q.enqueue(&region, 0, 100, 1);
-        q.enqueue(&region, 1, 200, 2);
-        q.enqueue(&region, 2, 300, 3);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
+        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
+        q.enqueue(&Arc::downgrade(&region), region.id, 2, 300, 3);
         let drained = q.drain_below(300);
         assert_eq!(drained.len(), 2);
         assert!(!q.contains(region.id, 0));
         assert!(!q.contains(region.id, 1));
         assert!(q.contains(region.id, 2));
         // Drained pages may be re-enqueued with new offsets.
-        q.enqueue(&region, 0, 400, 4);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 400, 4);
         assert_eq!(q.len(), 2);
     }
 
@@ -303,14 +305,14 @@ mod tests {
     fn requeue_front_restores_order_and_wins_over_duplicates() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::new();
-        q.enqueue(&region, 0, 100, 1);
-        q.enqueue(&region, 1, 200, 2);
+        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
+        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
         let mut drained = q.drain_below(u64::MAX);
         assert!(q.is_empty());
         // Page 1 re-enqueued with a newer offset while the epoch was in
         // flight; the drained (earlier) descriptor must win.
-        q.enqueue(&region, 1, 900, 9);
-        q.enqueue(&region, 3, 950, 10);
+        q.enqueue(&Arc::downgrade(&region), region.id, 1, 900, 9);
+        q.enqueue(&Arc::downgrade(&region), region.id, 3, 950, 10);
         q.requeue_front(&mut drained);
         assert_eq!(q.len(), 3);
         let d = q.pop_front().unwrap();
@@ -326,8 +328,8 @@ mod tests {
         let a = make_test_region(PAGE_SIZE);
         let b = make_test_region(PAGE_SIZE);
         let mut q = PageQueue::new();
-        q.enqueue(&a, 0, 100, 1);
-        q.enqueue(&b, 0, 200, 2);
+        q.enqueue(&Arc::downgrade(&a), a.id, 0, 100, 1);
+        q.enqueue(&Arc::downgrade(&b), b.id, 0, 200, 2);
         assert_eq!(q.len(), 2);
     }
 }

@@ -61,9 +61,9 @@ fn in_scope(pass: Pass, path: &str) -> bool {
     }
     let core = path.starts_with("crates/core/src/");
     match pass {
-        // The lock-order prose lives in crates/core; its models/ dir (if
-        // any) and other crates have their own, simpler locking.
-        Pass::LockOrder => core && !path.starts_with("crates/core/src/models/"),
+        // The lock-order prose lives in crates/core; other crates have
+        // their own, simpler locking.
+        Pass::LockOrder => core,
         // Wherever Device/WAL results flow.
         Pass::DeviceFallibility => {
             core || path.starts_with("crates/storage/src/")
@@ -89,15 +89,20 @@ fn in_scope(pass: Pass, path: &str) -> bool {
         .any(|p| path.starts_with(p)),
         Pass::PanicSurface => core || path.starts_with("crates/capi/src/"),
         // The concurrency planes (and their orderings) all live in
-        // crates/core; models/ carries no atomics by construction.
-        Pass::Atomics => core && !path.starts_with("crates/core/src/models/"),
+        // crates/core.
+        Pass::Atomics => core,
     }
 }
 
-/// `true` if the file is test-only (integration tests, benches, or the
-/// shared `tests/` crate): unwraps there are fine.
+/// `true` if the file is test-only (integration tests, benches, the
+/// shared `tests/` crate, or crates/core's `models/`, built only under
+/// `cfg(any(test, loom))`): unwraps there are fine, and its wrappers
+/// behind `crate::sync` are not the locks and atomics they wrap.
 fn file_is_test(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
+    path.starts_with("tests/")
+        || path.contains("/tests/")
+        || path.contains("/benches/")
+        || path.starts_with("crates/core/src/models/")
 }
 
 /// Options for a lint run.
@@ -539,7 +544,7 @@ mod tests {
         assert!(!in_scope(Pass::UnloggedWrite, "crates/core/src/rvm.rs"));
         assert!(in_scope(Pass::PanicSurface, "crates/capi/src/lib.rs"));
         assert!(in_scope(Pass::Atomics, "crates/core/src/cursor.rs"));
-        assert!(!in_scope(Pass::Atomics, "crates/core/src/models/free.rs"));
+        assert!(file_is_test("crates/core/src/models/sync.rs"));
         assert!(!in_scope(Pass::Atomics, "crates/storage/src/device.rs"));
         for p in Pass::ALL {
             assert!(!in_scope(p, "crates/lint/src/lib.rs"));

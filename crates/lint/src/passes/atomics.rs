@@ -352,7 +352,7 @@ fn check_ord(
     }
 }
 
-/// Runs the pass over `files` (typically `crates/core` minus `models/`).
+/// Runs the pass over `files` (typically `crates/core`, whose `models/` is test code).
 pub fn run(spec: &AtomicsSpec, files: &[&FileModel]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut ids = IdSpace::default();

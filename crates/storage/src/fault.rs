@@ -467,6 +467,16 @@ impl FaultClock {
     pub fn has_crashed(&self) -> bool {
         self.state.lock().crashed
     }
+
+    /// Crashes the clock now, as a scheduled [`FaultKind::Crash`] would:
+    /// every device on it settles by its [`UnsyncedFate`], and every later
+    /// operation fails with [`DeviceError::Crashed`].
+    pub fn crash_now(&self) {
+        let mut s = self.state.lock();
+        if !s.crashed {
+            s.crash();
+        }
+    }
 }
 
 /// Flips one byte of `buf`, picked by `salt`. The corruption the

@@ -155,6 +155,19 @@ mod tests {
     }
 
     #[test]
+    fn crash_now_settles_the_clock_between_operations() {
+        let inner = Arc::new(MemDevice::with_len(4));
+        let clock = FaultClock::new(Vec::new()).crash_model(UnsyncedFate::Lost);
+        let d = FaultDevice::with_clock(inner.clone(), Arc::clone(&clock));
+        d.write_at(0, &[1, 1]).unwrap();
+        d.sync().unwrap();
+        d.write_at(2, &[2, 2]).unwrap();
+        clock.crash_now();
+        assert!(matches!(d.read_at(0, &mut [0]), Err(DeviceError::Crashed)));
+        assert_eq!(inner.snapshot(), vec![1, 1, 0, 0]);
+    }
+
+    #[test]
     fn default_crash_model_keeps_unsynced_writes() {
         let inner = Arc::new(MemDevice::with_len(4));
         let d = FaultDevice::with_clock(
