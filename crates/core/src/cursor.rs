@@ -22,7 +22,7 @@
 //! Equal first and last loads make both hold of one pair — no generation
 //! word, nothing for a writer to reserve. Two loads give one bound or the
 //! other, and a tail stored below the head breaks the first; the
-//! interleaving model in this file's tests convicts each.
+//! explorer convicts each over a real `Wal` in this file's tests.
 
 use std::sync::atomic::Ordering;
 
@@ -82,7 +82,12 @@ impl WalView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::explore::{explore, Model};
+    use crate::log::status::LOG_AREA_START;
+    use crate::log::wal::{StagingBuf, Wal, WalCheckpoint};
+    use crate::models::explore::Explorer;
+    use crate::ranges::Piece;
+    use rvm_storage::MemDevice;
+    use std::sync::Arc;
 
     #[test]
     fn snapshot_sees_published_state() {
@@ -130,102 +135,82 @@ mod tests {
         });
     }
 
-    /// Every interleaving of one writer storing a word at a time and one
-    /// reader, over a log of capacity 8. The writer's steps: an append, a
-    /// head advance past it, a rollback to the checkpoint the head has
-    /// passed (skipped), an append into the freed space, a rollback that
-    /// takes it back, and the append again.
-    #[derive(Clone, Default, PartialEq, Eq, Hash)]
-    struct ViewModel {
-        /// Mutation: the reader returns after `head`, `tail`.
-        no_recheck: bool,
-        /// Mutation: `rollback_to` without its `head <= ckpt.tail` guard.
-        blind_rollback: bool,
-        head: u8,
-        tail: u8,
-        /// Writer steps taken.
-        w_pc: u8,
-        /// Reader loads done (3 = returned), and what they saw.
-        r_pc: u8,
-        r_head: u8,
-        r_tail: u8,
+    /// The writer's real `Wal`, with room for one record, and its view.
+    type Log = (std::sync::Mutex<Wal>, Arc<WalView>);
+
+    fn log() -> Log {
+        let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + 512));
+        let wal = Wal::new(dev, 512, 0, 0, 1, 1);
+        let view = Arc::clone(&wal.view);
+        (std::sync::Mutex::new(wal), view)
     }
 
-    impl Model for ViewModel {
-        fn threads(&self) -> usize {
-            2
-        }
-        fn runnable(&self, t: usize) -> bool {
-            !self.finished(t)
-        }
-        fn finished(&self, t: usize) -> bool {
-            [self.w_pc == 6, self.r_pc == 3][t]
-        }
-        fn step(&mut self, t: usize) {
-            if t == 0 {
-                match self.w_pc {
-                    0 | 3 | 5 => self.tail += 8,
-                    1 => self.head = self.tail,
-                    // `rollback_to` the checkpoint taken before step 0, then
-                    // the one taken before step 3.
-                    pc => {
-                        let ckpt = if pc == 2 { 0 } else { 8 };
-                        if self.head <= ckpt || self.blind_rollback {
-                            self.tail = ckpt;
-                        }
-                    }
-                }
-                self.w_pc += 1;
-                return;
-            }
-            self.r_pc = match self.r_pc {
-                0 => {
-                    self.r_head = self.head;
-                    1
-                }
-                1 => {
-                    self.r_tail = self.tail;
-                    2 + u8::from(self.no_recheck)
-                }
-                // The re-check: if the head moved, start over.
-                _ if self.head != self.r_head => 0,
-                _ => 3,
-            };
-        }
-        fn check(&self) -> Result<(), String> {
-            let (head, tail) = (self.r_head, self.r_tail);
-            if self.r_pc == 3 && (tail < head || tail - head > 8) {
-                return Err(format!("reader returned head {head}, tail {tail}"));
-            }
-            Ok(())
-        }
-    }
-
-    fn verdict(no_recheck: bool, blind_rollback: bool) -> Option<String> {
-        let model = ViewModel {
-            no_recheck,
-            blind_rollback,
-            ..ViewModel::default()
+    /// An append of one block, a head advance past it, a rollback to the
+    /// checkpoint before it (skipped), an append into the freed space, a
+    /// rollback that takes it back, and the append again; `roll` rolls.
+    fn write_with(log: &Log, roll: fn(&mut Wal, WalCheckpoint)) {
+        let wal = &mut *log.0.lock().unwrap();
+        let append = |wal: &mut Wal| {
+            let empty = std::iter::empty::<Piece>();
+            wal.append_staged(1, empty, &mut StagingBuf::new()).unwrap();
         };
-        let report = explore(model, 10_000);
-        assert!(report.complete || report.violation.is_some());
-        report.violation.map(|(msg, _)| msg)
+        let first = wal.checkpoint();
+        append(wal);
+        wal.advance_head(512, 2);
+        roll(wal, first);
+        let second = wal.checkpoint();
+        append(wal);
+        roll(wal, second);
+        append(wal);
+    }
+
+    fn write(log: &Log) {
+        write_with(log, Wal::rollback_to);
+    }
+
+    fn read(log: &Log) {
+        let LogInfo { head, tail, .. } = log.1.snapshot();
+        check(head, tail);
+    }
+
+    fn check(head: u64, tail: u64) {
+        let coherent = head <= tail && tail - head <= 512;
+        assert!(coherent, "reader returned head {head}, tail {tail}");
+    }
+
+    fn verdict(threads: [fn(&Log); 2]) -> Option<String> {
+        Explorer::default()
+            .run(log, &threads, |_| Ok(()))
+            .err()
+            .map(|(m, _)| m)
     }
 
     #[test]
     fn three_load_reader_never_sees_an_incoherent_pair() {
-        assert_eq!(verdict(false, false), None);
+        assert_eq!(verdict([write, read]), None);
     }
 
     #[test]
     fn reader_without_the_recheck_is_convicted() {
-        let msg = verdict(true, false).expect("a stale head beside a new tail");
-        assert_eq!(msg, "reader returned head 0, tail 16");
+        let read_twice = |log: &Log| {
+            let head = log.1.head.load(Ordering::Acquire);
+            check(head, log.1.tail.load(Ordering::Acquire));
+        };
+        let msg = verdict([write, read_twice]).expect("a stale head beside a new tail");
+        assert!(msg.contains("reader returned head 0, tail 1024"), "{msg}");
     }
 
     #[test]
     fn rollback_below_the_head_is_convicted() {
-        let msg = verdict(false, true).expect("a tail stored below the head");
-        assert_eq!(msg, "reader returned head 8, tail 0");
+        let blind = |log: &Log| {
+            write_with(log, |wal, ckpt| {
+                wal.view.set_tail(ckpt.tail());
+                wal.rollback_to(ckpt);
+            })
+        };
+        let msg = verdict([blind, read]).expect("a tail stored below the head");
+        // A debug build's `tail - head` in `snapshot` overflows first.
+        let torn = msg.contains("overflow") || msg.contains("head 512, tail 0");
+        assert!(torn, "{msg}");
     }
 }

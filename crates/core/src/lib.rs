@@ -154,8 +154,6 @@ pub mod crc;
 mod cursor;
 mod error;
 pub mod log;
-#[cfg(any(loom, test))]
-pub mod models;
 mod options;
 pub mod query;
 pub mod ranges;
@@ -186,3 +184,6 @@ pub use rvm::{Rvm, TerminateFailure};
 pub use scrub::{ScrubReport, SegmentChecksums};
 pub use stats::StatsSnapshot;
 pub use txn::Transaction;
+
+#[cfg(test)]
+pub mod models;

@@ -1,31 +1,22 @@
 //! Exhaustive interleaving checks of the concurrency protocols, run
 //! over the real code.
 //!
-//! Every lock, condvar, atomic and clock reading of the core goes
-//! through `crate::sync`, which in a test or `--cfg loom` build names the
-//! wrappers in [`sync`]: on a thread the explorer runs, each stops at a
-//! scheduling point. [`explore::Explorer`] runs two real threads over a
-//! fresh `Rvm` one at a time, in every schedule within a preemption bound
-//! (2, or 3 under `--cfg loom`), and reports a deadlock (a lost wakeup),
-//! a panic, a replay that left its recorded prefix, or an oracle's
-//! complaint, with the schedule that led there. The oracle (`scenarios`)
-//! is the library's promise: nothing failed that should not have, memory
-//! holds what was committed, and after a crash that loses every unsynced
-//! write, recovery shows each thread a prefix of its commits that holds
-//! every one it was told is durable.
+//! Every lock, condvar, atomic and clock reading of the core goes through
+//! `crate::sync`, which in a test build names the wrappers in [`sync`].
+//! [`explore::Explorer`] runs real threads over a fresh `Rvm` one at a
+//! time, in every schedule partial-order reduction keeps within the
+//! preemption bound — 3, or 2 for three threads — and reports a deadlock
+//! (a lost wakeup), a panic, a replay that left its recorded prefix, or
+//! the oracle's complaint, with the schedule that led there. The oracle
+//! (`scenarios`) is the library's promise: nothing failed that should
+//! not have, memory holds what was committed, and after a crash that
+//! loses every unsynced write, recovery shows each thread a prefix of its
+//! commits that holds every one it was told is durable.
 //!
-//! The commit plane's scenarios (`group_model`): a lone leader with a
-//! lazy committer's barrier, and a leader with a follower. The
-//! truncation plane's (`epoch_model`): a log-full commit against
-//! `truncate`, a step against a committer that re-dirties its page, and
-//! `map` and `unmap` behind a step. Six seeded mutants must each be
-//! convicted: four [`MutationHooks`](crate::options::MutationHooks)
-//! switches at their real sites, and the explorer's `split_wait`, which
-//! makes every condvar wait release, reach a scheduling point, and only
-//! then park.
-//!
-//! The stateful explorer in [`explore`] serves `cursor.rs`'s model of the
-//! WAL's two published words.
+//! The commit plane's scenarios are `group_model`'s, the truncation
+//! plane's `epoch_model`'s. Six seeded mutants must each be convicted:
+//! four [`MutationHooks`](crate::options::MutationHooks) switches at their
+//! real sites, and the explorer's `split_wait`.
 
 pub mod explore;
 #[cfg(test)]
@@ -73,6 +64,21 @@ mod group_model {
                 setup(0, Twist::CrashAtBarrier).hooked(|h| h.barrier_ignores_leader = true);
             convicted(mutant, &BATON, "recovered");
         }
+
+        /// Each thread's second transaction reuses the `TxnScratch` its
+        /// first got back, from a leader through its queue slot if it
+        /// followed.
+        #[test]
+        fn a_returned_scratch_carries_the_next_transaction() {
+            safe(setup(0, Twist::None), &[flush_twice, flush_twice_more]);
+        }
+
+        #[test]
+        fn a_follower_and_a_baton_beside_a_leader_are_safe() {
+            let mut three = setup(0, Twist::None);
+            three.bound = 2;
+            safe(three, &[flush_commit, redirty, lazy_then_flush]);
+        }
     }
 }
 
@@ -119,6 +125,22 @@ mod epoch_model {
         fn unmapping_keeps_every_spooled_commit() {
             safe(setup(0, Twist::None), &[lazy_then_unmap, flush_then_commit]);
             safe(setup(1, Twist::None), &[lazy_then_remap, step]);
+        }
+
+        #[test]
+        fn a_step_between_a_commit_and_truncate_is_safe() {
+            let mut three = setup(1, Twist::None);
+            three.bound = 2;
+            safe(three, &[step, redirty, truncate]);
+        }
+
+        /// The seam of the lost lazy commit (EXPERIMENTS.md E24): a drain
+        /// after the region's `unmap`, and a step behind it.
+        #[test]
+        fn unmapping_between_a_flush_and_a_step_keeps_every_commit() {
+            let mut three = setup(1, Twist::None);
+            three.bound = 2;
+            safe(three, &[lazy_then_unmap, flush_then_commit, step]);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The scenarios [`Explorer`] runs over a real `Rvm`: in-memory devices
-//! on one [`FaultClock`] that loses unsynced writes, and a region of two
-//! pages per *key*; a thread commits under its own key, writing the value
-//! to the first word of both pages. Setup's records go to key
+//! on one [`FaultClock`] that loses unsynced writes, each [`Watched`], and
+//! a region of two pages per *key*; a thread commits under its own key,
+//! writing the value to the first word of both pages. Setup's records go to key
 //! [`PREFILLED`], and key [`UNMAPPED`]'s region is unmapped and mapped
 //! again.
 //!
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate};
 
-use super::explore::{Explorer, Violation};
+use super::explore::{self, Explorer, Violation};
 use crate::log::status::LOG_AREA_START;
 use crate::options::MutationHooks;
 use crate::segment::{flaky_resolver, MemResolver};
@@ -50,14 +50,16 @@ pub(super) struct Setup {
     pub prefill: u64,
     pub twist: Twist,
     pub hooks: MutationHooks,
+    pub bound: usize,
 }
 
 pub(super) fn setup(prefill: u64, twist: Twist) -> Setup {
-    let hooks = MutationHooks::default();
+    let (hooks, bound) = (MutationHooks::default(), Explorer::default().bound);
     Setup {
         prefill,
         twist,
         hooks,
+        bound,
     }
 }
 
@@ -68,9 +70,46 @@ impl Setup {
     }
 }
 
+/// A device whose `read_at`, `write_at`, `sync` and `set_len` are each a
+/// scheduling point on an object named for it; all but `read_at` write.
+struct Watched(u64, Arc<dyn Device>);
+
+impl Device for Watched {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.1.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        explore::point(self.0, false);
+        self.1.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        explore::point(self.0, true);
+        self.1.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        explore::point(self.0, true);
+        self.1.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        explore::point(self.0, true);
+        self.1.set_len(len)
+    }
+}
+
+/// A world's devices, each by the object it is watched as; a crash writes
+/// them all. An instance resolves a segment once: one name a device.
+type Devices = Arc<Mutex<Vec<u64>>>;
+
+fn watch(devices: &Devices, dev: Arc<dyn Device>) -> Arc<dyn Device> {
+    let object = explore::name();
+    devices.lock().unwrap().push(object);
+    Arc::new(Watched(object, dev))
+}
+
 pub(super) struct World {
     setup: Setup,
     clock: Arc<FaultClock>,
+    devices: Devices,
     log: Arc<MemDevice>,
     segs: MemResolver,
     rvm: Rvm,
@@ -98,11 +137,14 @@ impl World {
             segment_checksums: false,
             ..Tuning::default()
         };
-        let options = Options::new(Arc::new(FaultDevice::with_clock(
-            log.clone(),
-            clock.clone(),
-        )))
-        .resolver(flaky_resolver(segs.clone().into_resolver(), clock.clone()));
+        let devices = Devices::default();
+        let faulty = Arc::new(FaultDevice::with_clock(log.clone(), clock.clone()));
+        let resolve = flaky_resolver(segs.clone().into_resolver(), clock.clone());
+        let watched = devices.clone();
+        let options =
+            Options::new(watch(&devices, faulty)).resolver(Arc::new(move |name: &str, len| {
+                Ok(watch(&watched, resolve(name, len)?))
+            }));
         let rvm = Rvm::initialize(options.tuning(tuning).create_if_empty()).expect("initialize");
         // The last region first: the segment's length is recorded once.
         let mut regions: [Option<Region>; KEYS] = Default::default();
@@ -113,6 +155,7 @@ impl World {
         let world = World {
             setup,
             clock,
+            devices,
             log,
             segs,
             rvm,
@@ -177,6 +220,10 @@ impl World {
 
     fn flush(&self) {
         if self.barrier("flush", || self.rvm.flush()) && self.setup.twist == Twist::CrashAtBarrier {
+            let devices = self.devices.lock().unwrap().clone();
+            for object in devices {
+                explore::point(object, true);
+            }
             self.clock.crash_now();
         }
     }
@@ -250,7 +297,7 @@ impl World {
 }
 
 /// Explores `threads` over worlds from `given`, and prints what it found.
-fn explore(given: Setup, threads: &[fn(&World)]) -> Result<u64, Violation> {
+fn search(given: Setup, threads: &[fn(&World)]) -> Result<u64, Violation> {
     let mut faults = Vec::new();
     if given.twist == Twist::FailingSync {
         let calm = World::build(setup(given.prefill, Twist::None), Vec::new());
@@ -261,8 +308,8 @@ fn explore(given: Setup, threads: &[fn(&World)]) -> Result<u64, Violation> {
     }
     let split_wait = given.twist == Twist::SplitWait;
     let explorer = Explorer {
+        bound: given.bound,
         split_wait,
-        ..Explorer::default()
     };
     let started = std::time::Instant::now();
     let found = explorer.run(
@@ -280,13 +327,13 @@ fn explore(given: Setup, threads: &[fn(&World)]) -> Result<u64, Violation> {
 
 /// Every schedule within the bound passes.
 pub(super) fn safe(setup: Setup, threads: &[fn(&World)]) {
-    let found = explore(setup, threads);
+    let found = search(setup, threads);
     assert!(found.is_ok(), "{found:?}");
 }
 
 /// Some schedule fails with `message`, and the explorer says which.
 pub(super) fn convicted(setup: Setup, threads: &[fn(&World)], message: &str) {
-    let (found, schedule) = explore(setup, threads).expect_err("the mutant must be convicted");
+    let (found, schedule) = search(setup, threads).expect_err("the mutant must be convicted");
     assert!(found.contains(message) && !schedule.is_empty(), "{found}");
 }
 
@@ -294,6 +341,16 @@ pub(super) fn convicted(setup: Setup, threads: &[fn(&World)], message: &str) {
 
 pub(super) fn flush_commit(w: &World) {
     w.commit(0, 1, CommitMode::Flush);
+}
+
+/// Two flush commits: the second reuses the `TxnScratch` that came back
+/// with the first, through its queue slot if a leader ran it.
+pub(super) fn flush_twice(w: &World) {
+    (1..=2).for_each(|v| w.commit(0, v, CommitMode::Flush));
+}
+
+pub(super) fn flush_twice_more(w: &World) {
+    (1..=2).for_each(|v| w.commit(2, v, CommitMode::Flush));
 }
 
 /// A flush commit to the prefilled region: it re-dirties pages a step

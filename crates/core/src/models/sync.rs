@@ -1,10 +1,10 @@
-//! What `crate::sync` names under `cfg(any(test, loom))`: `parking_lot`'s
-//! locks and `std`'s atomics and clock, each wrapped to carry the name
-//! the explorer knows it by ([`explore::name`]) and, on a thread of an
-//! exploration, to stop at a scheduling point — at every acquire and
-//! release (`MutexGuard::unlocked` included), condvar wait and notify,
-//! and atomic operation that is not `Relaxed` — and to read logical time.
-//! On any other thread a wrapper passes straight through.
+//! What `crate::sync` names under `cfg(test)`: `parking_lot`'s locks and
+//! `std`'s atomics and clock, each wrapped to carry the name the explorer
+//! knows it by ([`explore::name`]) and, on a thread of an exploration, to
+//! stop at a scheduling point — at every acquire (`MutexGuard::unlocked`'s
+//! included), condvar wait and notify, and atomic operation that is not
+//! `Relaxed` — to tell it of every release, and to read logical time. On
+//! any other thread a wrapper passes straight through.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
@@ -14,29 +14,36 @@ use super::explore;
 
 const TAKEN: &str = "guard released";
 
-/// A mutual exclusion lock: its name and the lock.
+/// A lock, condvar or atomic, and its name.
 #[derive(Debug)]
-pub struct Mutex<T: ?Sized>(u64, parking_lot::Mutex<T>);
+pub struct Named<L: ?Sized>(u64, L);
 
-/// A held [`Mutex`]; `None` inside only while a condvar wait or
+pub type Mutex<T> = Named<parking_lot::Mutex<T>>;
+pub type RwLock<T> = Named<parking_lot::RwLock<T>>;
+pub type Condvar = Named<parking_lot::Condvar>;
+pub type AtomicBool = Named<std::sync::atomic::AtomicBool>;
+pub type AtomicU64 = Named<std::sync::atomic::AtomicU64>;
+pub type AtomicUsize = Named<std::sync::atomic::AtomicUsize>;
+
+impl<L: Default> Default for Named<L> {
+    fn default() -> Self {
+        Named(explore::name(), L::default())
+    }
+}
+
+/// A held lock; `None` inside only while a condvar wait or
 /// [`MutexGuard::unlocked`] has it released.
-pub struct MutexGuard<'a, T: ?Sized>(&'a Mutex<T>, Option<parking_lot::MutexGuard<'a, T>>);
+pub struct Held<'a, L, G>(&'a Named<L>, Option<G>);
+
+pub type MutexGuard<'a, T> = Held<'a, parking_lot::Mutex<T>, parking_lot::MutexGuard<'a, T>>;
 
 impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
-        Mutex(explore::name(), parking_lot::Mutex::new(value))
+        Named(explore::name(), parking_lot::Mutex::new(value))
     }
-}
 
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(self, Some(self.acquire()))
+        Held(self, Some(self.acquire()))
     }
 
     fn acquire(&self) -> parking_lot::MutexGuard<'_, T> {
@@ -45,12 +52,12 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-impl<T: ?Sized> MutexGuard<'_, T> {
+impl<T> MutexGuard<'_, T> {
     /// Releases the lock for the duration of `f` and re-locks it after,
     /// as `parking_lot`'s does.
     pub fn unlocked<U>(s: &mut Self, f: impl FnOnce() -> U) -> U {
-        struct Relock<'g, 'a, T: ?Sized>(&'g mut MutexGuard<'a, T>);
-        impl<T: ?Sized> Drop for Relock<'_, '_, T> {
+        struct Relock<'g, 'a, T>(&'g mut MutexGuard<'a, T>);
+        impl<T> Drop for Relock<'_, '_, T> {
             fn drop(&mut self) {
                 if !explore::unwinding() {
                     self.0 .1 = Some(self.0 .0.acquire());
@@ -61,39 +68,38 @@ impl<T: ?Sized> MutexGuard<'_, T> {
         let _relock = Relock(s);
         f()
     }
+}
 
+impl<L, G> Held<'_, L, G> {
     fn release(&mut self) {
         if self.1.take().is_some() {
-            explore::released(self.0 .0, true);
+            explore::released(self.0 .0);
         }
     }
 }
 
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+impl<L, G> Drop for Held<'_, L, G> {
     fn drop(&mut self) {
         self.release();
     }
 }
 
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
+impl<L, G: Deref> Deref for Held<'_, L, G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
         self.1.as_deref().expect(TAKEN)
     }
 }
 
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<L, G: DerefMut> DerefMut for Held<'_, L, G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
         self.1.as_deref_mut().expect(TAKEN)
     }
 }
 
-/// A condition variable for [`Mutex`]: its name and the condvar.
-pub struct Condvar(u64, parking_lot::Condvar);
-
 impl Condvar {
     pub fn new() -> Self {
-        Condvar(explore::name(), parking_lot::Condvar::new())
+        Named::default()
     }
 
     pub fn wait<T>(&self, g: &mut MutexGuard<'_, T>) {
@@ -111,70 +117,30 @@ impl Condvar {
     }
 }
 
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-/// A reader-writer lock: its name and the lock.
-pub struct RwLock<T>(u64, parking_lot::RwLock<T>);
-
-/// A held [`RwLock`]: its name, whether exclusively, and the guard.
-pub struct Held<G: Deref>(u64, bool, Option<G>);
+type ReadGuard<'a, T> = Held<'a, parking_lot::RwLock<T>, parking_lot::RwLockReadGuard<'a, T>>;
+type WriteGuard<'a, T> = Held<'a, parking_lot::RwLock<T>, parking_lot::RwLockWriteGuard<'a, T>>;
 
 impl<T> RwLock<T> {
     pub fn new(value: T) -> Self {
-        RwLock(explore::name(), parking_lot::RwLock::new(value))
+        Named(explore::name(), parking_lot::RwLock::new(value))
     }
 
-    pub fn read(&self) -> Held<parking_lot::RwLockReadGuard<'_, T>> {
+    pub fn read(&self) -> ReadGuard<'_, T> {
         let taken = explore::acquire(self.0, false, || self.1.try_read());
-        Held(self.0, false, Some(taken.unwrap_or_else(|| self.1.read())))
+        Held(self, Some(taken.unwrap_or_else(|| self.1.read())))
     }
 
-    pub fn write(&self) -> Held<parking_lot::RwLockWriteGuard<'_, T>> {
+    pub fn write(&self) -> WriteGuard<'_, T> {
         let taken = explore::acquire(self.0, true, || self.1.try_write());
-        Held(self.0, true, Some(taken.unwrap_or_else(|| self.1.write())))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<G: Deref> Drop for Held<G> {
-    fn drop(&mut self) {
-        if self.2.take().is_some() {
-            explore::released(self.0, self.1);
-        }
-    }
-}
-
-impl<G: Deref> Deref for Held<G> {
-    type Target = G::Target;
-    fn deref(&self) -> &G::Target {
-        self.2.as_deref().expect(TAKEN)
-    }
-}
-
-impl<G: DerefMut> DerefMut for Held<G> {
-    fn deref_mut(&mut self) -> &mut G::Target {
-        self.2.as_deref_mut().expect(TAKEN)
+        Held(self, Some(taken.unwrap_or_else(|| self.1.write())))
     }
 }
 
 macro_rules! atomic {
     ($name:ident, $t:ty $(, $rmw:ident)*) => {
-        /// An atomic: its name and the atomic.
-        #[derive(Debug)]
-        pub struct $name(u64, std::sync::atomic::$name);
-
         impl $name {
             pub fn new(value: $t) -> Self {
-                $name(explore::name(), std::sync::atomic::$name::new(value))
+                Named(explore::name(), std::sync::atomic::$name::new(value))
             }
             /// A scheduling point, unless `order` publishes nothing.
             fn point(&self, order: Ordering, wrote: bool) {
@@ -198,12 +164,6 @@ macro_rules! atomic {
                 self.point(order, true);
                 self.1.$rmw(value, order)
             })*
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                $name::new(Default::default())
-            }
         }
     };
 }

@@ -72,8 +72,8 @@ struct Scope {
 }
 
 /// True if an attribute token span marks test code: contains `test`
-/// without `not` (`#[test]`, `#[cfg(test)]`, `#[cfg(any(test, loom))]`;
-/// but not `#[cfg(not(test))]`).
+/// without `not` (`#[test]`, `#[cfg(test)]`, `#[cfg(any(test, feature =
+/// "mutation-hooks"))]`; but not `#[cfg(not(test))]`).
 fn attr_is_test(toks: &[Tok]) -> bool {
     let has = |s: &str| toks.iter().any(|t| t.is_ident(s));
     has("test") && !has("not")

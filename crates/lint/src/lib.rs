@@ -96,7 +96,7 @@ fn in_scope(pass: Pass, path: &str) -> bool {
 
 /// `true` if the file is test-only (integration tests, benches, the
 /// shared `tests/` crate, or crates/core's `models/`, built only under
-/// `cfg(any(test, loom))`): unwraps there are fine, and its wrappers
+/// `cfg(test)`): unwraps there are fine, and its wrappers
 /// behind `crate::sync` are not the locks and atomics they wrap.
 fn file_is_test(path: &str) -> bool {
     path.starts_with("tests/")
