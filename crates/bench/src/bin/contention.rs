@@ -2,14 +2,15 @@
 //! regions versus thread count.
 //!
 //! The commit fast path for a no-flush transaction is plane-local: the
-//! record is pushed onto a spool shard (keyed by segment), page
-//! bookkeeping happens under the region's own locks, and the
-//! truncation-threshold check reads the WAL's two published words — the
-//! global `core` lock is acquired zero times. Each cell maps one region per
-//! thread on its *own* data segment (distinct segments land on distinct
-//! spool shards), runs a fixed commit budget split across the threads,
-//! and measures wall-clock throughput. With no shared lock on the path,
-//! throughput should scale with cores instead of flat-lining on `core`.
+//! record is pushed onto the spool under its one lock, held for a queue
+//! push and the subsumption walk, page bookkeeping happens under the
+//! region's own locks, and the truncation-threshold check reads the
+//! WAL's two published words — the global `core` lock is acquired zero
+//! times. Each cell maps one region per thread on its *own* data segment,
+//! runs a fixed commit budget split across the threads, and measures
+//! wall-clock throughput. The spool lock is the one lock every thread
+//! shares, and it is held only briefly, so throughput should still scale
+//! with cores instead of flat-lining on `core`.
 //!
 //! Two oracles:
 //!
@@ -52,7 +53,7 @@ struct Cell {
 fn run_cell(threads: u64, total: u64) -> Cell {
     let log: Arc<dyn Device> = Arc::new(MemDevice::with_len(64 << 20));
     // One MemDevice per distinct segment name, so every thread's region
-    // lives on its own segment (and therefore its own spool shard).
+    // lives on its own segment.
     type DeviceTable = Vec<(String, Arc<dyn Device>)>;
     let devices: Arc<Mutex<DeviceTable>> = Arc::new(Mutex::new(Vec::new()));
     let resolver: DeviceResolver = {

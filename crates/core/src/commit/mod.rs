@@ -19,7 +19,7 @@
 //!   ([`RvmShared::flush_barrier`]).
 //!
 //! The leader runs one bounded round ([`round`]): under the core lock it
-//! stages every *member* into one buffer — the spooled records in ticket
+//! stages every *member* into one buffer — the spooled records in spool
 //! order, then the claimed slots in queue order, which is the durable
 //! order — writes the buffer once, forces once, and completes the batch,
 //! settling every member, before it releases the lock. One force per
@@ -78,7 +78,7 @@
 //! only to read its outcome — never with `core`: the leader claims its
 //! slots, releases `state`, then takes `core`, and a barrier raised by a
 //! holder of the core guard runs under `MutexGuard::unlocked`. Under
-//! `core` the leader pops spool shards and locks slot `work`.
+//! `core` the leader pops the spool and locks slot `work`.
 
 mod round;
 
@@ -173,7 +173,7 @@ impl RvmShared {
         let scratch = &mut txn.scratch;
         scratch.regions.sort_unstable_by_key(|r| r.region.id);
         let mut record = std::mem::take(&mut scratch.record);
-        record.tid = txn.tid; // (its ticket the spool assigns, if it goes there)
+        record.tid = txn.tid;
         for TxnRegion { region, bufs } in &scratch.regions {
             // The pages the logged ranges span are the pages the
             // declarations touched: coalescing moves no byte.
@@ -204,10 +204,10 @@ impl RvmShared {
         let touches_log = record.is_some() || (mode == CommitMode::Flush && !self.spool.is_empty());
         let committed = match (mode, record) {
             // The no-flush fast path: nothing here touches the core lock.
-            // The record goes to the spool plane (one shard lock), page
+            // The record goes to the spool plane (the spool lock), page
             // bookkeeping stays behind the per-region `page_vector`
             // locks, and the threshold check reads the WAL's published
-            // view — disjoint-region no-flush commits share no lock at all.
+            // view — no-flush commits share no lock but the spool's.
             (CommitMode::NoFlush, Some(record)) => {
                 let (saved, recycled) = self.spool.push(record, tuning.inter_optimization);
                 stats.add(&stats.bytes_saved_inter, saved);

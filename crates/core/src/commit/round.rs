@@ -69,7 +69,7 @@ impl RvmShared {
     /// Leader side — the one log writer. One bounded round: waits for
     /// company, claims up to `group_commit_max_txns` slots from the queue
     /// front into `claim` and, under the core lock, stages the spooled
-    /// records (ticket order) and then the claimed slots (queue order)
+    /// records (spool order) and then the claimed slots (queue order)
     /// into the open batch, which [`Self::close_batch`] writes, forces and
     /// completes before the lock is released.
     ///
@@ -161,9 +161,8 @@ impl RvmShared {
             return Err(RvmError::Poisoned);
         }
         let mut drained = false;
-        let mut hint = None;
         while !self.spool.is_empty() {
-            let Some(txn) = self.spool.pop_front(&mut hint) else {
+            let Some(txn) = self.spool.pop_front() else {
                 break;
             };
             match self.stage(core, open, &txn) {
@@ -172,7 +171,7 @@ impl RvmShared {
                     Batch::join(open, core, None, Some((txn, info)));
                 }
                 Err(e) => {
-                    self.spool.requeue_front(txn, &mut hint);
+                    self.spool.push_front(txn);
                     return Err(e);
                 }
             }

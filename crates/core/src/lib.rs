@@ -102,9 +102,9 @@
 //!    want the log's occupancy without the lock (`cursor::WalView`).
 //!    Open segments (`segment::Segment`: device and checksum catalog in
 //!    one handle) live behind one `RwLock` registry, ranked just above
-//!    `core`; spooled no-flush commits land in sharded
-//!    `SpoolPlane` locks (rank between `core` and `group-work` — the
-//!    commit leader's fill pops shards while holding `core`). Statistics
+//!    `core`; spooled no-flush commits land under the one `SpoolPlane`
+//!    lock (rank between `core` and `group-work` — the commit leader's
+//!    fill pops the spool while holding `core`). Statistics
 //!    are relaxed atomics with no lock at all.
 //! 2. `RvmShared::regions` (read or write) — the region map.
 //! 3. Per-region memory locks (`mem_lock`), then per-region
@@ -128,8 +128,8 @@
 //!   slots, and a holder of the core guard that needs the spool durable
 //!   (a `map` settling its segment, incremental truncation) raises the
 //!   barrier under `MutexGuard::unlocked`.
-//! * The commit fast paths are plane-local: a disjoint-region no-flush
-//!   commit touches only its spool shard plus per-region state (after
+//! * The commit fast paths are plane-local: a no-flush commit touches
+//!   only the spool lock plus per-region state (after
 //!   one shared read of `tuning`). With the debug checks off the
 //!   checker's hooks return on one atomic load (`check`'s gate), so
 //!   `begin_transaction`, `set_range` and abort take no shared lock at

@@ -79,7 +79,7 @@ pub(crate) struct RvmShared {
     /// under the core lock). Readers (`query`, the truncation-threshold
     /// check) snapshot it without touching `core`.
     pub(crate) log_view: Arc<WalView>,
-    /// The spool plane: sharded locks + lock-free gauges (see
+    /// The spool plane: one lock + lock-free gauges (see
     /// [`crate::spool::SpoolPlane`]). No-flush commits push here without
     /// taking `core`; only the commit leader's fill pops it.
     pub(crate) spool: SpoolPlane,
@@ -263,7 +263,7 @@ impl Rvm {
                 hooks: MutationHooks::default(),
             }),
             log_view,
-            spool: SpoolPlane::new(),
+            spool: SpoolPlane::default(),
             open_segments,
             queued_pages,
             truncation_active: AtomicBool::new(false),

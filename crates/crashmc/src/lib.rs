@@ -203,6 +203,33 @@ impl Report {
 /// Checks every crash image of `trace` that `cfg` generates, stopping
 /// after [`EnumConfig::max_violations`] breaches.
 pub fn check_trace(trace: &Trace, cfg: &EnumConfig) -> Report {
+    check_images(trace, cfg, None)
+}
+
+/// Like [`check_trace`], but bit-rots each crash image before handing it
+/// to the oracle: one byte inside an acknowledged committed write's range
+/// is flipped on the segment device, and one byte of the checksum
+/// sidecar (when present) is flipped too. The committed-prefix oracle
+/// then demands that recovery *heal* the rot, and an extra convergence
+/// check ([`oracle::check_image_converged`]) demands that the persisted
+/// catalogs match the recovered bytes — i.e. an immediate scrub would
+/// find nothing left to repair.
+///
+/// Sound only over workloads that never truncate (e.g.
+/// [`workload::Workload::BitRot`]): truncation can retire an acked write
+/// from the live log span, after which redo cannot rebuild a rotted byte
+/// and the oracle would report a false violation.
+pub fn check_trace_with_rot(trace: &Trace, cfg: &EnumConfig) -> Report {
+    check_images(trace, cfg, Some(rot_images))
+}
+
+/// What [`check_trace_with_rot`] does to a crash image before recovery.
+type ImageTransform = fn(&Trace, usize, u64, &mut [(u32, Vec<u8>)]);
+
+/// The enumerate-dedupe-recover loop of both checks: each distinct
+/// recovery problem is judged once — as it is, or transformed by `rot`
+/// and then also checked for convergence.
+fn check_images(trace: &Trace, cfg: &EnumConfig, rot: Option<ImageTransform>) -> Report {
     let mut report = Report::default();
     let mut seen: HashSet<(u64, usize)> = HashSet::new();
     let mut violations = Vec::new();
@@ -220,65 +247,21 @@ pub fn check_trace(trace: &Trace, cfg: &EnumConfig) -> Report {
             return true;
         }
         report.recoveries_run += 1;
-        if let Err(detail) = oracle::check_image(trace, point, images) {
+        let verdict = match rot {
+            None => oracle::check_image(trace, point, images),
+            Some(rot) => {
+                let mut rotted = images.to_vec();
+                rot(trace, point, cfg.seed, &mut rotted);
+                oracle::check_image_converged(trace, point, &rotted)
+                    .map_err(|detail| format!("(with injected rot) {detail}"))
+            }
+        };
+        if let Err(detail) = verdict {
             violations.push(Violation {
                 point,
                 kept: kept.to_vec(),
                 seed: cfg.seed,
                 detail,
-            });
-            if violations.len() >= cfg.max_violations {
-                return false;
-            }
-        }
-        true
-    });
-
-    report.crash_points = stats.crash_points;
-    report.sampled_points = stats.sampled_points;
-    report.images_enumerated = stats.images_enumerated;
-    report.images_unique = stats.images_unique;
-    report.exhaustive = stats.exhaustive;
-    report.violations = violations;
-    report
-}
-
-/// Like [`check_trace`], but bit-rots each crash image before handing it
-/// to the oracle: one byte inside an acknowledged committed write's range
-/// is flipped on the segment device, and one byte of the checksum
-/// sidecar (when present) is flipped too. The committed-prefix oracle
-/// then demands that recovery *heal* the rot, and an extra convergence
-/// check ([`oracle::check_image_converged`]) demands that the persisted
-/// catalogs match the recovered bytes — i.e. an immediate scrub would
-/// find nothing left to repair.
-///
-/// Sound only over workloads that never truncate (e.g.
-/// [`workload::Workload::BitRot`]): truncation can retire an acked write
-/// from the live log span, after which redo cannot rebuild a rotted byte
-/// and the oracle would report a false violation.
-pub fn check_trace_with_rot(trace: &Trace, cfg: &EnumConfig) -> Report {
-    let mut report = Report::default();
-    let mut seen: HashSet<(u64, usize)> = HashSet::new();
-    let mut violations = Vec::new();
-
-    let stats = enumerate_images(trace, cfg, |point, kept, image_hash, images| {
-        let required = trace
-            .txns
-            .iter()
-            .filter(|t| t.ack.is_some_and(|a| a <= point))
-            .count();
-        if !seen.insert((image_hash, required)) {
-            return true;
-        }
-        let mut rotted = images.to_vec();
-        rot_images(trace, point, cfg.seed, &mut rotted);
-        report.recoveries_run += 1;
-        if let Err(detail) = oracle::check_image_converged(trace, point, &rotted) {
-            violations.push(Violation {
-                point,
-                kept: kept.to_vec(),
-                seed: cfg.seed,
-                detail: format!("(with injected rot) {detail}"),
             });
             if violations.len() >= cfg.max_violations {
                 return false;

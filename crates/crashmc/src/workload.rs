@@ -8,9 +8,10 @@
 //! the recorder length when it returns — the *ack point* after which a
 //! crash must preserve the transaction.
 //!
-//! Every workload writes disjoint cells with values distinct from the
-//! (all-zero) base, which is what lets the multi-threaded oracle decide
-//! per-transaction presence by looking at bytes.
+//! Every multi-threaded workload writes disjoint cells with values
+//! distinct from the (all-zero) base, which is what lets the
+//! multi-threaded oracle decide per-transaction presence by looking at
+//! bytes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -44,6 +45,14 @@ pub enum Workload {
     /// an epoch and resumes — with a tail of never-flushed transactions
     /// that a crash may legally drop.
     NoFlushSpool,
+    /// Lazy commits that rewrite cells on the default tuning, where a
+    /// commit may discard the unflushed records it subsumes: rewrites
+    /// with other cells spooled between them, a consecutive run that
+    /// does subsume, a drain that a log-full batch close splits, and a
+    /// never-flushed tail. Unlike every other workload it writes cells
+    /// more than once, so a discarded record is visible in a crash image
+    /// that keeps a later one.
+    Subsumption,
     /// Flush commits interleaved with deliberately aborted transactions
     /// writing poison values that must never survive recovery.
     AbortMix,
@@ -241,6 +250,7 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
         Workload::GroupCommit => group_commit(hooks),
         Workload::Truncation => truncation(hooks),
         Workload::NoFlushSpool => no_flush_spool(hooks),
+        Workload::Subsumption => subsumption(hooks),
         Workload::AbortMix => abort_mix(hooks),
         Workload::ConsecutiveBatches => consecutive_batches(hooks),
         Workload::Incremental => incremental(hooks),
@@ -490,6 +500,73 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     assert!(
         stats.epoch_truncations >= 2 && stats.spool_flushes == 4,
         "no drain found the log full: {stats:?}"
+    );
+
+    let trace = cap.finish(txns, true);
+    drop(rvm);
+    trace
+}
+
+/// The [`Workload::Subsumption`] script: per lazy commit, its cell and
+/// length, and whether a `flush` follows it. Cells 0 and 1 are rewritten
+/// with the other spooled between (nothing subsumes); cell 2 by a run of
+/// three, each subsuming the one before; cell 3 breaks a fourth rewrite
+/// of cell 2 off that run; the long commits of the third flush outgrow
+/// the free log, so its drain closes a batch and resumes after an epoch;
+/// the last two are never flushed.
+const SUBSUMPTION_SCRIPT: [(u64, usize, bool); 16] = [
+    (0, 200, false),
+    (1, 200, false),
+    (0, 200, true),
+    (2, 200, false),
+    (2, 200, false),
+    (2, 300, false),
+    (3, 200, false),
+    (2, 300, true),
+    (0, 700, false),
+    (1, 700, false),
+    (0, 700, false),
+    (4, 700, false),
+    (1, 700, false),
+    (0, 700, true),
+    (1, 200, false),
+    (0, 200, false),
+];
+/// Bytes between the starts of two [`Workload::Subsumption`] cells.
+const SUBSUMPTION_CELL: u64 = 768;
+
+fn subsumption(hooks: MutationHooks) -> Trace {
+    let (mut cap, rvm) = setup(20 << 10, Tuning::default(), hooks);
+    let region = rvm
+        .map(&RegionDescriptor::new("cells", 0, PAGE_SIZE))
+        .expect("map cells");
+    cap.start();
+
+    let mut txns: Vec<TxnSpec> = Vec::new();
+    let mut forces = Vec::new();
+    for (i, &(cell, len, flush)) in SUBSUMPTION_SCRIPT.iter().enumerate() {
+        let data = vec![0x21 + i as u8; len];
+        let offset = cell * SUBSUMPTION_CELL;
+        txns.push(lazy_txn(&rvm, &region, "cells", offset, data));
+        if flush {
+            let before = rvm.stats().log_forces;
+            rvm.flush().expect("flush");
+            forces.push(rvm.stats().log_forces - before);
+            // The return of the flush is the ack point for every spooled
+            // commit so far.
+            let ack = cap.recorder.len();
+            for t in txns.iter_mut().filter(|t| t.ack.is_none()) {
+                t.ack = Some(ack);
+            }
+        }
+    }
+    // The run subsumed, and the last drain was
+    // written as two batches with an epoch between them.
+    let stats = rvm.stats();
+    let saved = stats.bytes_saved_inter;
+    assert!(
+        saved > 0 && forces == [1, 1, 2] && stats.epoch_truncations == 1,
+        "saved {saved}, forces per flush {forces:?}: {stats:?}"
     );
 
     let trace = cap.finish(txns, true);

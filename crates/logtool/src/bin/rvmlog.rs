@@ -57,7 +57,7 @@ fn usage() -> ! {
     eprintln!("       rvmlog <log-file> salvage");
     eprintln!("       rvmlog crashck <trace-file> [--seed <n>]");
     eprintln!(
-        "       rvmlog crashck-gen <trace-file> <group|consecutive|truncate|incremental|spool|abort|bitrot|seeded:N>"
+        "       rvmlog crashck-gen <trace-file> <group|consecutive|truncate|incremental|spool|subsumption|abort|bitrot|seeded:N>"
     );
     eprintln!("       rvmlog lint [rvm-lint options]");
     exit(2);
@@ -105,6 +105,7 @@ fn crashck_gen(args: &[String]) -> ! {
         "truncate" => Workload::Truncation,
         "incremental" => Workload::Incremental,
         "spool" => Workload::NoFlushSpool,
+        "subsumption" => Workload::Subsumption,
         "abort" => Workload::AbortMix,
         "bitrot" => Workload::BitRot,
         w => match w.strip_prefix("seeded:").and_then(|n| n.parse().ok()) {

@@ -102,6 +102,23 @@ fn no_flush_spool_crashes_lose_only_unacked_work() {
     assert!(report.images_unique > 50, "{}", report.render());
 }
 
+/// Lazy commits on the default tuning that rewrite cells: whatever the
+/// spool discards, every crash image — a torn drain, a drain split by a
+/// log-full batch close, a lost tail — recovers to a commit prefix.
+#[test]
+fn subsuming_lazy_commits_recover_a_commit_prefix() {
+    let cfg = EnumConfig {
+        sector: 128,
+        max_pieces_per_write: 8,
+        ..EnumConfig::default()
+    };
+    let trace = run_workload(Workload::Subsumption, MutationHooks::default());
+    let report = check_trace(&trace, &cfg);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.exhaustive, "{}", report.render());
+    assert!(report.images_unique > 500, "{}", report.render());
+}
+
 #[test]
 fn aborted_transactions_never_surface_in_any_crash_image() {
     let report = checked("abort mix", Workload::AbortMix);

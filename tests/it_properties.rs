@@ -185,12 +185,35 @@ proptest! {
     /// Crash-prefix property with randomized workloads: after a crash at
     /// an arbitrary byte budget, recovery yields the state after some
     /// prefix of the committed transactions, and every acked commit is
-    /// included.
+    /// included. With `lazy_every` = k > 0 the commits are lazy, a `flush`
+    /// follows every k-th, and each writes one of four fixed slots, so
+    /// repeats subsume the records before them: a commit is acked once a
+    /// `flush` after it has returned.
     #[test]
     fn random_workload_crash_yields_a_commit_prefix(
         writes in prop::collection::vec((0u64..(PAGE_SIZE - 64), 1u64..64, any::<u8>()), 1..25),
+        lazy_every in 0usize..4,
         crash_frac in 0.0f64..1.0
     ) {
+        let at = |off: u64| if lazy_every == 0 { off } else { off % 4 * 256 };
+        let mode = if lazy_every == 0 { CommitMode::Flush } else { CommitMode::NoFlush };
+        // Runs the workload, counting in `acked` the commits acked so far.
+        let run = |rvm: &Rvm, acked: &mut u64| -> Option<()> {
+            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).ok()?;
+            for (i, (off, len, byte)) in writes.iter().enumerate() {
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).ok()?;
+                region.write(&mut txn, at(*off), &vec![*byte; *len as usize]).ok()?;
+                region.put_u64(&mut txn, PAGE_SIZE - 8, i as u64 + 1).ok()?;
+                txn.commit(mode).ok()?;
+                if lazy_every > 0 && (i + 1) % lazy_every == 0 {
+                    rvm.flush().ok()?;
+                }
+                if lazy_every == 0 || (i + 1) % lazy_every == 0 {
+                    *acked = i as u64 + 1;
+                }
+            }
+            Some(())
+        };
         // Dry run to find the total byte volume.
         let total = {
             let segments = MemResolver::new();
@@ -201,13 +224,7 @@ proptest! {
                     .resolver(segments.clone().into_resolver())
                     .create_if_empty(),
             ).unwrap();
-            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).unwrap();
-            for (i, (off, len, byte)) in writes.iter().enumerate() {
-                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-                region.write(&mut txn, *off, &vec![*byte; *len as usize]).unwrap();
-                region.put_u64(&mut txn, PAGE_SIZE - 8, i as u64 + 1).unwrap();
-                txn.commit(CommitMode::Flush).unwrap();
-            }
+            run(&rvm, &mut 0).unwrap();
             let n = fault.bytes_written();
             rvm.terminate().unwrap();
             n
@@ -219,23 +236,14 @@ proptest! {
         let inner = Arc::new(MemDevice::with_len(1 << 20));
         let fault = Arc::new(FaultDevice::new(inner.clone(), CrashPlan::torn_at(crash_at)));
         let mut acked = 0u64;
-        (|| {
-            let rvm = Rvm::initialize(
-                Options::new(fault.clone())
-                    .resolver(segments.clone().into_resolver())
-                    .create_if_empty(),
-            ).ok()?;
-            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).ok()?;
-            for (i, (off, len, byte)) in writes.iter().enumerate() {
-                let mut txn = rvm.begin_transaction(TxnMode::Restore).ok()?;
-                region.write(&mut txn, *off, &vec![*byte; *len as usize]).ok()?;
-                region.put_u64(&mut txn, PAGE_SIZE - 8, i as u64 + 1).ok()?;
-                txn.commit(CommitMode::Flush).ok()?;
-                acked = i as u64 + 1;
-            }
+        if let Ok(rvm) = Rvm::initialize(
+            Options::new(fault.clone())
+                .resolver(segments.clone().into_resolver())
+                .create_if_empty(),
+        ) {
+            run(&rvm, &mut acked);
             std::mem::forget(rvm);
-            Some(())
-        })();
+        }
 
         // Recover and compare against replaying the recovered prefix.
         let rvm = Rvm::initialize(
@@ -249,7 +257,7 @@ proptest! {
         prop_assert!(k <= writes.len() as u64);
         let mut model = vec![0u8; PAGE_SIZE as usize];
         for (off, len, byte) in writes.iter().take(k as usize) {
-            model[*off as usize..(*off + *len) as usize].fill(*byte);
+            model[at(*off) as usize..(at(*off) + *len) as usize].fill(*byte);
         }
         model[(PAGE_SIZE - 8) as usize..].copy_from_slice(&k.to_le_bytes());
         let got = region.read_vec(0, PAGE_SIZE).unwrap();
