@@ -31,7 +31,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rvm::log::record::{parse_header, RecordKind, HEADER_SIZE, LOG_BLOCK, TRAILER_SIZE};
+use rvm::log::record::{
+    parse_header, RecordKind, HEADER_SIZE, LOG_BLOCK, TRAILER_SIZE, V2_LOG_BLOCK,
+};
 use rvm::log::status::{
     read_status, StatusBlock, LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET,
 };
@@ -258,10 +260,18 @@ fn check_record_extents(
             // past it is not ours to judge here.
             break;
         };
-        let padded = header.padded_len();
+        // A version-2 log padded its records further: the trailer says.
+        let dense = header.padded_len();
+        let lap_end = status.area_len - pos % status.area_len;
+        let mut buf = vec![0u8; dense.next_multiple_of(V2_LOG_BLOCK).min(lap_end) as usize];
+        dev.read_at(LOG_AREA_START + pos % status.area_len, &mut buf)?;
+        let padded = if header.ends_at(&buf, dense) {
+            dense
+        } else {
+            buf.len() as u64
+        };
         if header.kind == RecordKind::Txn {
-            let mut buf = vec![0u8; padded as usize];
-            dev.read_at(LOG_AREA_START + pos % status.area_len, &mut buf)?;
+            buf.truncate(padded as usize);
             let body_len = (HEADER_SIZE + header.payload_len as u64) as usize;
             let trailer_at = (padded - TRAILER_SIZE) as usize;
             if let Some(nonzero) = buf[body_len..trailer_at].iter().position(|&b| b != 0) {

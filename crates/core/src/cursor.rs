@@ -82,6 +82,7 @@ impl WalView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::record::LOG_BLOCK;
     use crate::log::status::LOG_AREA_START;
     use crate::log::wal::{StagingBuf, Wal, WalCheckpoint};
     use crate::models::explore::Explorer;
@@ -139,8 +140,8 @@ mod tests {
     type Log = (std::sync::Mutex<Wal>, Arc<WalView>);
 
     fn log() -> Log {
-        let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + 512));
-        let wal = Wal::new(dev, 512, 0, 0, 1, 1);
+        let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + LOG_BLOCK));
+        let wal = Wal::new(dev, LOG_BLOCK, 0, 0, 1, 1);
         let view = Arc::clone(&wal.view);
         (std::sync::Mutex::new(wal), view)
     }
@@ -152,11 +153,12 @@ mod tests {
         let wal = &mut *log.0.lock().unwrap();
         let append = |wal: &mut Wal| {
             let empty = std::iter::empty::<Piece>();
-            wal.append_staged(1, empty, &mut StagingBuf::new()).unwrap();
+            wal.append_staged(1, empty, &mut StagingBuf::default())
+                .unwrap();
         };
         let first = wal.checkpoint();
         append(wal);
-        wal.advance_head(512, 2);
+        wal.advance_head(LOG_BLOCK, 2);
         roll(wal, first);
         let second = wal.checkpoint();
         append(wal);
@@ -174,7 +176,7 @@ mod tests {
     }
 
     fn check(head: u64, tail: u64) {
-        let coherent = head <= tail && tail - head <= 512;
+        let coherent = head <= tail && tail - head <= LOG_BLOCK;
         assert!(coherent, "reader returned head {head}, tail {tail}");
     }
 
@@ -197,7 +199,8 @@ mod tests {
             check(head, log.1.tail.load(Ordering::Acquire));
         };
         let msg = verdict([write, read_twice]).expect("a stale head beside a new tail");
-        assert!(msg.contains("reader returned head 0, tail 1024"), "{msg}");
+        let torn = format!("reader returned head 0, tail {}", 2 * LOG_BLOCK);
+        assert!(msg.contains(&torn), "{msg}");
     }
 
     #[test]
@@ -210,7 +213,7 @@ mod tests {
         };
         let msg = verdict([blind, read]).expect("a tail stored below the head");
         // A debug build's `tail - head` in `snapshot` overflows first.
-        let torn = msg.contains("overflow") || msg.contains("head 512, tail 0");
+        let torn = msg.contains("overflow") || msg.contains(&format!("head {LOG_BLOCK}, tail 0"));
         assert!(torn, "{msg}");
     }
 }

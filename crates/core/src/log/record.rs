@@ -5,9 +5,10 @@
 //! trailer carries the record's padded length — the paper's "reverse
 //! displacement" — so the log can be read tail→head as well as head→tail.
 //!
-//! Records are padded to a multiple of [`LOG_BLOCK`] bytes so a record
-//! never straddles the circular-area boundary awkwardly and so trailers sit
-//! at predictable offsets. Integrity is guarded twice:
+//! Records lie back to back, each padded to a multiple of [`LOG_BLOCK`]
+//! bytes so trailers sit at predictable offsets (version-2 logs padded to
+//! [`V2_LOG_BLOCK`]: see [`HeaderInfo::ends_at`]). Integrity is guarded
+//! twice:
 //!
 //! * a header CRC lets a forward scan trust the record length before
 //!   reading the payload;
@@ -32,7 +33,9 @@ use crate::ranges::Piece;
 use crate::segment::SegmentId;
 
 /// Alignment quantum for records in the log area.
-pub const LOG_BLOCK: u64 = 512;
+pub const LOG_BLOCK: u64 = 64;
+/// The alignment a version-2 log padded its records to.
+pub const V2_LOG_BLOCK: u64 = 512;
 /// Size of the fixed record header.
 pub const HEADER_SIZE: u64 = 40;
 /// Size of one range descriptor in the range table.
@@ -115,6 +118,15 @@ impl HeaderInfo {
     pub fn padded_len(&self) -> u64 {
         padded_len(self.payload_len as u64)
     }
+
+    /// Whether `image`, the log from the record's first byte on, ends an
+    /// extent of `len` in a trailer of this record: how a scan tells a
+    /// version-2 record, padded further, from a dense one.
+    pub fn ends_at(&self, image: &[u8], len: u64) -> bool {
+        let trailer = image.get(len.saturating_sub(TRAILER_SIZE) as usize..len as usize);
+        let trailer = trailer.and_then(parse_trailer);
+        trailer.is_some_and(|t| t.padded_len == len && t.seq == self.seq)
+    }
 }
 
 /// Trailer fields trusted after [`parse_trailer`] validates the magic.
@@ -146,12 +158,6 @@ pub fn borrowed(ranges: &[RecordRange]) -> impl Iterator<Item = Piece<'_>> + Clo
 /// Bytes of range table + data in a transaction record over `ranges`.
 fn payload_len<'a>(ranges: impl Iterator<Item = Piece<'a>>) -> u64 {
     ranges.map(|r| RANGE_ENTRY_SIZE + r.data.len() as u64).sum()
-}
-
-/// Padded size of a transaction record over `ranges` (used for space
-/// accounting before serialization).
-pub fn txn_record_size(ranges: &[RecordRange]) -> u64 {
-    padded_len(payload_len(borrowed(ranges)))
 }
 
 /// Unpadded size of a transaction record over `ranges` — header, payload
@@ -229,18 +235,12 @@ fn encode<'a>(
 /// Serializes a committed transaction as one padded record.
 pub fn encode_txn(seq: u64, tid: u64, ranges: &[RecordRange]) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_txn_into(seq, tid, ranges, &mut buf);
+    encode_borrowed_into(seq, tid, borrowed(ranges), &mut buf);
     buf
 }
 
-/// [`encode_txn`] appended to `out`, so a batch of records lands in one
-/// buffer without a copy each.
-pub fn encode_txn_into(seq: u64, tid: u64, ranges: &[RecordRange], out: &mut Vec<u8>) {
-    encode_borrowed_into(seq, tid, borrowed(ranges), out);
-}
-
-/// [`encode_txn_into`] over borrowed ranges: how a commit's arenas are
-/// staged, with no [`RecordRange`] built on the way.
+/// [`encode_txn`] over borrowed ranges, appended to `out`: how a commit's
+/// arenas are staged, with no [`RecordRange`] built on the way.
 pub fn encode_borrowed_into<'a>(
     seq: u64,
     tid: u64,
@@ -402,13 +402,13 @@ impl HeaderInfo {
 }
 
 /// Validates the whole padded image `buf` of a record whose header
-/// [`parse_header`] already accepted: exact length, trailer magic, length
-/// and sequence echo, the CRC over header and payload, and — for a
-/// transaction record — that the range table and the range data fill the
-/// payload exactly. Returns `None` if any check fails.
+/// [`parse_header`] already accepted: exact length (dense or version-2),
+/// trailer magic, length and sequence echo, the CRC over header and
+/// payload, and — for a transaction record — that the range table and the
+/// range data fill the payload exactly. Returns `None` if any check fails.
 pub fn validate_record<'a>(header: &HeaderInfo, buf: &'a [u8]) -> Option<RecordView<'a>> {
-    let padded = header.padded_len();
-    if buf.len() as u64 != padded {
+    let (padded, dense) = (buf.len() as u64, header.padded_len());
+    if padded != dense && padded != dense.next_multiple_of(V2_LOG_BLOCK) {
         return None;
     }
     let trailer = parse_trailer(buf.get(buf.len().checked_sub(TRAILER_SIZE as usize)?..)?)?;
@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn size_accounting_matches_encoding() {
         let ranges = sample_ranges();
-        let predicted = txn_record_size(&ranges);
+        let predicted = record_bytes(borrowed(&ranges)).next_multiple_of(LOG_BLOCK);
         assert_eq!(predicted, encode_txn(1, 1, &ranges).len() as u64);
     }
 

@@ -26,7 +26,9 @@ pub const STATUS_B_OFFSET: u64 = STATUS_BLOCK_SIZE;
 pub const LOG_AREA_START: u64 = 2 * STATUS_BLOCK_SIZE;
 
 const STATUS_MAGIC: u64 = 0x5256_4D53_5441_5431; // "RVMSTAT1"
-const FORMAT_VERSION: u64 = 2;
+const FORMAT_VERSION: u64 = 3;
+/// What `decode` reads: the record scan still reads version 2's records.
+const READABLE_VERSIONS: [u64; 2] = [2, FORMAT_VERSION];
 
 /// Byte offset of the segment table within a status copy. Bytes 68..84
 /// hold the in-flight epoch boundary (`epoch_end`, `epoch_next_seq`).
@@ -92,7 +94,7 @@ impl StatusBlock {
     /// # Panics
     ///
     /// Panics if the segment table does not fit; callers bound the table
-    /// via [`StatusBlock::table_has_room`].
+    /// via [`StatusBlock::segments_fit`].
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![0u8; STATUS_BLOCK_SIZE as usize];
         buf[0..8].copy_from_slice(&STATUS_MAGIC.to_le_bytes());
@@ -130,15 +132,9 @@ impl StatusBlock {
     /// segment table — every entry's name in bounds and UTF-8 — ends
     /// before the CRC.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() != STATUS_BLOCK_SIZE as usize {
-            return None;
-        }
-        let (body, stored) = buf.split_last_chunk::<4>()?;
-        if crc32(body) != u32::from_le_bytes(*stored) {
-            return None;
-        }
+        let body = sealed(buf)?;
         let get64 = |at: usize| le_u64(body, at);
-        if get64(0)? != STATUS_MAGIC || get64(8)? != FORMAT_VERSION {
+        if !READABLE_VERSIONS.contains(&get64(8)?) {
             return None;
         }
         let n_segments = le_u32(body, 64)?;
@@ -168,13 +164,8 @@ impl StatusBlock {
         })
     }
 
-    /// Returns `true` if a segment entry with a name of `name_len` bytes
-    /// still fits in the status block.
-    pub fn table_has_room(&self, name_len: usize) -> bool {
-        Self::segments_fit(&self.segments, name_len)
-    }
-
-    /// Like [`StatusBlock::table_has_room`] but over a bare segment table.
+    /// Returns `true` if a segment entry with a name of `extra_name_len`
+    /// bytes still fits beside `segments` in the status block.
     pub fn segments_fit(segments: &[SegmentInfo], extra_name_len: usize) -> bool {
         let used: usize =
             SEGMENT_TABLE_AT + segments.iter().map(|s| 16 + s.name.len()).sum::<usize>();
@@ -182,13 +173,35 @@ impl StatusBlock {
     }
 }
 
-/// Reads the valid status copy with the highest sequence number.
+/// The bytes under a status image's CRC, if it and the magic hold,
+/// whatever version it claims.
+fn sealed(buf: &[u8]) -> Option<&[u8]> {
+    let (body, crc) = buf.split_last_chunk::<4>()?;
+    let sound = buf.len() == STATUS_BLOCK_SIZE as usize && crc32(body) == u32::from_le_bytes(*crc);
+    (sound && le_u64(body, 0)? == STATUS_MAGIC).then_some(body)
+}
+
+/// Reads the valid status copy with the highest sequence number. A copy
+/// of a version this build cannot read fails the read, whatever the other
+/// copy holds: the log is another format's, not blank.
 pub fn read_status(dev: &dyn Device) -> Result<StatusBlock> {
+    open_status(dev, false)
+}
+
+/// [`read_status`], or — with `create`, when neither copy holds a status
+/// of any version — [`format_log`].
+pub(crate) fn open_status(dev: &dyn Device, create: bool) -> Result<StatusBlock> {
     let mut best: Option<StatusBlock> = None;
     for offset in [STATUS_A_OFFSET, STATUS_B_OFFSET] {
         let mut buf = vec![0u8; STATUS_BLOCK_SIZE as usize];
         if dev.read_at(offset, &mut buf).is_err() {
             continue;
+        }
+        let version = sealed(&buf).and_then(|body| le_u64(body, 8));
+        if let Some(v) = version.filter(|v| !READABLE_VERSIONS.contains(v)) {
+            return Err(RvmError::BadLog(format!(
+                "log format version {v}; this build reads versions {READABLE_VERSIONS:?}"
+            )));
         }
         if let Some(sb) = StatusBlock::decode(&buf) {
             if best.as_ref().is_none_or(|b| sb.seq > b.seq) {
@@ -196,7 +209,11 @@ pub fn read_status(dev: &dyn Device) -> Result<StatusBlock> {
             }
         }
     }
-    best.ok_or_else(|| RvmError::BadLog("no valid status block copy".to_owned()))
+    match best {
+        Some(status) => Ok(status),
+        None if create => format_log(dev),
+        None => Err(RvmError::BadLog("no valid status block copy".to_owned())),
+    }
 }
 
 /// Writes the status block to the copy slot selected by its (incremented)
@@ -400,9 +417,10 @@ mod tests {
 
     #[test]
     fn format_aligns_area_len() {
-        let dev = MemDevice::with_len(LOG_AREA_START + 1000);
+        use crate::log::record::LOG_BLOCK;
+        let dev = MemDevice::with_len(LOG_AREA_START + 8 * LOG_BLOCK - 24);
         let sb = format_log(&dev).unwrap();
-        assert_eq!(sb.area_len, 512);
+        assert_eq!(sb.area_len, 7 * LOG_BLOCK);
     }
 
     #[test]
@@ -472,21 +490,21 @@ mod tests {
 
     #[test]
     fn table_room_check() {
-        let mut sb = StatusBlock::fresh(512);
-        assert!(sb.table_has_room(100));
+        let mut segments = Vec::new();
+        assert!(StatusBlock::segments_fit(&segments, 100));
         // Fill the table almost to capacity.
         let big_name = "x".repeat(4000);
-        sb.segments.push(SegmentInfo {
+        segments.push(SegmentInfo {
             id: SegmentId::new(0),
             name: big_name.clone(),
             min_len: 0,
         });
-        assert!(sb.table_has_room(100));
-        sb.segments.push(SegmentInfo {
+        assert!(StatusBlock::segments_fit(&segments, 100));
+        segments.push(SegmentInfo {
             id: SegmentId::new(1),
             name: big_name,
             min_len: 0,
         });
-        assert!(!sb.table_has_room(1000));
+        assert!(!StatusBlock::segments_fit(&segments, 1000));
     }
 }

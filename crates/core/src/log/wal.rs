@@ -31,7 +31,7 @@ use crate::error::{Result, RvmError};
 use crate::log::record::{
     self, encode_borrowed_into, encode_pad, parse_header, parse_record, validate_record,
     RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK, MIN_RECORD_SIZE,
-    TRAILER_SIZE,
+    TRAILER_SIZE, V2_LOG_BLOCK,
 };
 use crate::log::status::LOG_AREA_START;
 use crate::ranges::Piece;
@@ -70,11 +70,6 @@ pub struct StagingBuf {
 }
 
 impl StagingBuf {
-    /// An empty staging buffer.
-    pub fn new() -> Self {
-        StagingBuf::default()
-    }
-
     /// Drops staged bytes, keeping the byte buffer's allocation.
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -240,7 +235,7 @@ impl Wal {
     }
 
     /// Appends one committed transaction as a single record: stages it
-    /// ([`Wal::append_txn_staged`]) and writes the staged bytes. The
+    /// ([`Wal::append_staged`]) and writes the staged bytes. The
     /// one-record convenience for tools and tests; the library's commit
     /// plane stages whole batches itself.
     ///
@@ -249,8 +244,8 @@ impl Wal {
     /// [`RvmError::LogFull`] apart.
     pub fn append_txn(&mut self, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
         let ckpt = self.checkpoint();
-        let mut staging = StagingBuf::new();
-        let info = self.append_txn_staged(tid, ranges, &mut staging)?;
+        let mut staging = StagingBuf::default();
+        let info = self.append_staged(tid, record::borrowed(ranges), &mut staging)?;
         if let Err(e) = self.write_staged(&staging) {
             // A failed append must leave the in-memory cursors exactly
             // where they were: if the pad record persisted but the txn
@@ -263,16 +258,6 @@ impl Wal {
             return Err(e);
         }
         Ok(info)
-    }
-
-    /// [`Wal::append_staged`] over owned ranges, for tools and tests.
-    pub fn append_txn_staged(
-        &mut self,
-        tid: u64,
-        ranges: &[RecordRange],
-        staging: &mut StagingBuf,
-    ) -> Result<AppendInfo> {
-        self.append_staged(tid, record::borrowed(ranges), staging)
     }
 
     /// Appends one committed transaction into `staging` instead of the
@@ -549,11 +534,17 @@ pub fn scan_records(
         if header.seq != end.next_seq {
             break;
         }
-        let padded = header.padded_len();
+        let mut padded = header.padded_len();
         if padded > room {
             break;
         }
         ensure(&mut window, padded)?;
+        let v2 = padded.next_multiple_of(V2_LOG_BLOCK);
+        if v2 > padded && v2 <= room && !header.ends_at(window.from(pos), padded) {
+            // A version-2 log padded it further (see `record`).
+            ensure(&mut window, v2)?;
+            padded = v2;
+        }
         let image = window.from(pos).get(..padded as usize);
         let Some(view) = image.and_then(|image| validate_record(&header, image)) else {
             break;
@@ -658,6 +649,13 @@ mod tests {
         }
     }
 
+    /// Data bytes that make a one-range record a little short of `blocks`
+    /// log blocks, so it pads to exactly that many.
+    fn fill(blocks: u64) -> usize {
+        let overhead = record::HEADER_SIZE + record::RANGE_ENTRY_SIZE + TRAILER_SIZE;
+        (blocks * LOG_BLOCK - overhead - 8) as usize
+    }
+
     #[test]
     fn append_then_scan_round_trips() {
         let mut wal = mk_wal(1 << 16);
@@ -689,20 +687,19 @@ mod tests {
 
     #[test]
     fn wraparound_inserts_pad_and_scans_clean() {
-        // Area of 8 blocks; records of ~3 blocks force a pad at the lap end.
+        // Area of 8 blocks; records of 3 blocks force a pad at the lap end.
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
-        // Each record: header 40 + entry 24 + 1000 + trailer 24 = 1088 -> 3 blocks.
-        let r1 = wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
-        let r2 = wal.append_txn(2, &[range(0, 0, 2, 1000)]).unwrap();
+        let r1 = wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
+        let r2 = wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
         assert_eq!(r1.space_consumed, 3 * LOG_BLOCK);
         assert_eq!(r2.space_consumed, 3 * LOG_BLOCK);
         // Two blocks remain in the lap; the next record needs a pad first,
         // which does not fit until we truncate.
-        assert!(wal.append_txn(3, &[range(0, 0, 3, 1000)]).is_err());
+        assert!(wal.append_txn(3, &[range(0, 0, 3, fill(3))]).is_err());
         // Simulate truncation of the first record.
         wal.advance_head(3 * LOG_BLOCK, 2);
-        let r3 = wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap();
+        let r3 = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
         assert_eq!(r3.space_consumed, 3 * LOG_BLOCK + 2 * LOG_BLOCK);
         assert_eq!(r3.offset, 8 * LOG_BLOCK, "record starts on the next lap");
 
@@ -731,12 +728,12 @@ mod tests {
     #[test]
     fn full_log_rejects_appends_until_head_moves() {
         let mut wal = mk_wal(4 * LOG_BLOCK);
-        wal.append_txn(1, &[range(0, 0, 1, 800)]).unwrap(); // 2 blocks
-        wal.append_txn(2, &[range(0, 0, 2, 800)]).unwrap(); // 2 blocks
+        wal.append_txn(1, &[range(0, 0, 1, fill(2))]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, fill(2))]).unwrap();
         assert_eq!(wal.free_space(), 0);
         assert!(wal.append_txn(3, &[]).is_err());
         wal.advance_head(2 * LOG_BLOCK, 2);
-        wal.append_txn(3, &[range(0, 0, 3, 100)]).unwrap();
+        wal.append_txn(3, &[range(0, 0, 3, fill(2))]).unwrap();
     }
 
     #[test]
@@ -744,11 +741,12 @@ mod tests {
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
         for tid in 1..=4u64 {
-            wal.append_txn(tid, &[range(0, 0, tid as u8, 800)]).unwrap();
+            wal.append_txn(tid, &[range(0, 0, tid as u8, fill(2))])
+                .unwrap();
         }
         // Truncate everything, then write one record on the second lap.
         wal.advance_head(wal.tail(), wal.next_seq());
-        wal.append_txn(9, &[range(0, 0, 9, 800)]).unwrap();
+        wal.append_txn(9, &[range(0, 0, 9, fill(2))]).unwrap();
         let scan = scan_forward(
             wal.device().as_ref(),
             wal.capacity(),
@@ -803,17 +801,17 @@ mod tests {
             FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 4)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
-        wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, 1000)]).unwrap();
+        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
         let (tail0, seq0) = (wal.tail(), wal.next_seq());
-        let err = wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap_err();
+        let err = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap_err();
         assert!(matches!(err, RvmError::Device(_)));
         assert_eq!(wal.tail(), tail0, "tail restored after failed append");
         assert_eq!(wal.next_seq(), seq0, "next_seq restored");
         // The device healed; re-appending succeeds (pad is rewritten
         // byte-identically) and the log scans clean.
-        let info = wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap();
+        let info = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
         assert_eq!(info.offset, 8 * LOG_BLOCK, "record starts on next lap");
         let scan = scan_forward(
             wal.device().as_ref(),
@@ -840,13 +838,13 @@ mod tests {
             FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 3)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
-        wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, 1000)]).unwrap();
+        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
         let (tail0, seq0) = (wal.tail(), wal.next_seq());
-        assert!(wal.append_txn(3, &[range(0, 0, 3, 1000)]).is_err());
+        assert!(wal.append_txn(3, &[range(0, 0, 3, fill(3))]).is_err());
         assert_eq!((wal.tail(), wal.next_seq()), (tail0, seq0));
-        wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap();
+        wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
     }
 
     #[test]
@@ -917,13 +915,17 @@ mod tests {
     fn staged_append_matches_direct_append_byte_for_byte() {
         let mut direct = mk_wal(1 << 16);
         let mut staged = mk_wal(1 << 16);
-        let mut buf = StagingBuf::new();
+        let mut buf = StagingBuf::default();
         for tid in 1..=3u64 {
             let a = direct
                 .append_txn(tid, &[range(0, tid * 16, tid as u8, 120)])
                 .unwrap();
             let b = staged
-                .append_txn_staged(tid, &[range(0, tid * 16, tid as u8, 120)], &mut buf)
+                .append_staged(
+                    tid,
+                    record::borrowed(&[range(0, tid * 16, tid as u8, 120)]),
+                    &mut buf,
+                )
                 .unwrap();
             assert_eq!(a, b, "staged append reports identical AppendInfo");
         }
@@ -943,15 +945,15 @@ mod tests {
     fn staged_wraparound_pad_splits_into_two_chunks() {
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
-        let mut buf = StagingBuf::new();
-        wal.append_txn_staged(1, &[range(0, 0, 1, 1000)], &mut buf)
+        let mut buf = StagingBuf::default();
+        wal.append_staged(1, record::borrowed(&[range(0, 0, 1, fill(3))]), &mut buf)
             .unwrap();
-        wal.append_txn_staged(2, &[range(0, 0, 2, 1000)], &mut buf)
+        wal.append_staged(2, record::borrowed(&[range(0, 0, 2, fill(3))]), &mut buf)
             .unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
         // Pads the lap end (contiguous with the first chunk) then wraps to
         // the physical start of the area: a second, non-contiguous chunk.
-        wal.append_txn_staged(3, &[range(0, 0, 3, 1000)], &mut buf)
+        wal.append_staged(3, record::borrowed(&[range(0, 0, 3, fill(3))]), &mut buf)
             .unwrap();
         assert_eq!(buf.chunks().count(), 2);
         let (wrapped_at, wrapped) = buf.chunks().nth(1).expect("two chunks");
@@ -981,13 +983,13 @@ mod tests {
     #[test]
     fn staged_log_full_leaves_cursors_and_staging_untouched() {
         let mut wal = mk_wal(4 * LOG_BLOCK);
-        let mut buf = StagingBuf::new();
-        wal.append_txn_staged(1, &[range(0, 0, 1, 100)], &mut buf)
+        let mut buf = StagingBuf::default();
+        wal.append_staged(1, record::borrowed(&[range(0, 0, 1, 100)]), &mut buf)
             .unwrap();
         let staged = |buf: &StagingBuf| buf.chunks().map(|(_, b)| b.len()).sum::<usize>();
         let (tail0, seq0, bytes0) = (wal.tail(), wal.next_seq(), staged(&buf));
         let err = wal
-            .append_txn_staged(2, &[range(0, 0, 2, 10_000)], &mut buf)
+            .append_staged(2, record::borrowed(&[range(0, 0, 2, 10_000)]), &mut buf)
             .unwrap_err();
         assert!(matches!(err, RvmError::LogFull { .. }));
         assert_eq!(wal.tail(), tail0);
@@ -999,10 +1001,10 @@ mod tests {
     fn backward_scan_crosses_lap_boundary() {
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
-        wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, 1000)]).unwrap();
+        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
-        wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap(); // pads + wraps
+        wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap(); // pads + wraps
         let records = scan_backward(
             wal.device().as_ref(),
             area,

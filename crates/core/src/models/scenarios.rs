@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate};
 
 use super::explore::{self, Explorer, Violation};
-use crate::log::status::LOG_AREA_START;
+use crate::log::{record::padded_len, record::RANGE_ENTRY_SIZE, status::LOG_AREA_START};
 use crate::options::MutationHooks;
 use crate::segment::{flaky_resolver, MemResolver};
 use crate::{CommitMode, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
@@ -126,8 +126,8 @@ fn desc(key: usize) -> RegionDescriptor {
 impl World {
     fn build(setup: Setup, faults: Vec<FlakyFault>) -> World {
         let clock = FaultClock::new(faults).crash_model(UnsyncedFate::Lost);
-        // Room for four one-block records.
-        let log = Arc::new(MemDevice::with_len(LOG_AREA_START + 4 * 512));
+        let four_records = 4 * padded_len(SLOTS.len() as u64 * (RANGE_ENTRY_SIZE + 8));
+        let log = Arc::new(MemDevice::with_len(LOG_AREA_START + four_records));
         let segs = MemResolver::new();
         let tuning = Tuning {
             truncation_threshold: 1.0,

@@ -62,16 +62,6 @@ pub struct QueryInfo {
 }
 
 impl QueryInfo {
-    /// Log forces per flush-mode commit — the measured group-commit
-    /// amortization ratio. 1.0 means every flush commit paid its own
-    /// force; with group commit engaged under concurrency this drops
-    /// toward `1 / mean batch size`. See
-    /// [`StatsSnapshot::forces_per_flush_commit`] for the caveat about
-    /// mixed workloads.
-    pub fn log_force_amortization(&self) -> f64 {
-        self.stats.forces_per_flush_commit()
-    }
-
     /// Mean transactions per group-commit batch (0 when no batch ran).
     pub fn mean_group_batch(&self) -> f64 {
         self.stats.mean_group_batch()

@@ -515,11 +515,6 @@ impl Region {
         &self.inner.segment.name
     }
 
-    /// Offset of this region within its segment.
-    pub fn segment_offset(&self) -> u64 {
-        self.inner.seg_offset
-    }
-
     /// Returns `true` while the region is mapped.
     pub fn is_mapped(&self) -> bool {
         self.inner.mapped.load(Ordering::Acquire)

@@ -3,7 +3,7 @@
 //! ([`crate::commit`]) and truncation ([`crate::truncation`]) planes
 //! share.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use crate::check::CheckState;
 use crate::commit::{self, GroupCommit};
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
-use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
+use crate::log::status::{format_log, open_status, write_status, StatusBlock, LOG_AREA_START};
 use crate::log::wal::{StagingBuf, Wal};
 use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode};
 use crate::query::QueryInfo;
@@ -27,7 +27,7 @@ use crate::stats::{Stats, StatsSnapshot, TracedMutex};
 use crate::sync::{
     AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, RwLock,
 };
-use crate::truncation::{InFlight, PageQueue, StepBatch};
+use crate::truncation::{IdSet, InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
 /// The held core lock. Functions that may *release and reacquire* the
@@ -49,7 +49,7 @@ pub(crate) struct Core {
     pub(crate) segments: Vec<SegmentInfo>,
     pub(crate) page_queue: PageQueue,
     /// Segments referenced by live (untruncated) log records.
-    pub(crate) segs_in_log: HashSet<u32>,
+    pub(crate) segs_in_log: IdSet<u32>,
     /// The truncation in flight, if any — an epoch or an incremental
     /// step. Written only by [`crate::truncation`]; its owner alone
     /// writes segments and moves the head.
@@ -164,13 +164,6 @@ pub struct TerminateFailure {
     pub error: RvmError,
 }
 
-impl TerminateFailure {
-    /// Splits into the instance and the error.
-    pub fn into_parts(self) -> (Rvm, RvmError) {
-        (self.rvm, self.error)
-    }
-}
-
 impl std::fmt::Debug for TerminateFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TerminateFailure")
@@ -217,11 +210,7 @@ impl Rvm {
         );
         let dev: Arc<dyn Device> = Arc::new(RetryDevice::new(options.log.clone(), retrier.clone()));
         let resolver = retry_resolver(options.resolver.clone(), retrier);
-        let status = match read_status(dev.as_ref()) {
-            Ok(s) => s,
-            Err(_) if options.create_if_empty => format_log(dev.as_ref())?,
-            Err(e) => return Err(e),
-        };
+        let status = open_status(dev.as_ref(), options.create_if_empty)?;
         if LOG_AREA_START + status.area_len > dev.len()? {
             return Err(RvmError::BadLog(format!(
                 "status block claims a record area of {} bytes but the device holds {}",
@@ -244,7 +233,7 @@ impl Rvm {
         );
 
         let log_view = wal.view.clone();
-        let page_queue = PageQueue::new();
+        let page_queue = PageQueue::default();
         let queued_pages = page_queue.gauge();
         let shared = Arc::new(RvmShared {
             dev,
@@ -255,10 +244,10 @@ impl Rvm {
                 status_seq: status.seq,
                 segments: status.segments,
                 page_queue,
-                segs_in_log: HashSet::new(),
+                segs_in_log: IdSet::default(),
                 truncation: None,
                 step: StepBatch::default(),
-                staging: StagingBuf::new(),
+                staging: StagingBuf::default(),
                 batch_members: Vec::new(),
                 hooks: MutationHooks::default(),
             }),

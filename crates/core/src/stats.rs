@@ -314,11 +314,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Total savings fraction (Table 2's final column).
-    pub fn total_savings_fraction(&self) -> f64 {
-        self.intra_savings_fraction() + self.inter_savings_fraction()
-    }
-
     /// Log forces per flush-mode commit: the amortization ratio group
     /// commit exists to shrink. 1.0 means every flush commit paid its own
     /// force; below 1.0 forces are being shared. In mixed workloads the
@@ -404,14 +399,13 @@ mod tests {
         };
         assert!((snap.intra_savings_fraction() - 0.25).abs() < 1e-9);
         assert!((snap.inter_savings_fraction() - 0.15).abs() < 1e-9);
-        assert!((snap.total_savings_fraction() - 0.40).abs() < 1e-9);
     }
 
     #[test]
     fn empty_stats_have_zero_savings() {
         let snap = StatsSnapshot::default();
         assert_eq!(snap.intra_savings_fraction(), 0.0);
-        assert_eq!(snap.total_savings_fraction(), 0.0);
+        assert_eq!(snap.inter_savings_fraction(), 0.0);
     }
 
     #[test]

@@ -25,11 +25,10 @@
 //! was unmapped — the run reverts to epoch truncation through
 //! [`RvmShared::make_log_space`].
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::{InFlight, PageDesc};
+use super::{IdSet, InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::options::{Tuning, PAGE_SIZE};
 use crate::region::{PageImage, RegionInner};
@@ -182,7 +181,7 @@ impl RvmShared {
             core,
             InFlight {
                 boundary: None,
-                segs: HashSet::new(),
+                segs: IdSet::default(),
             },
         );
         let applied = MutexGuard::unlocked(core, || apply_step(batch));

@@ -44,6 +44,7 @@ pub mod page_vector;
 pub(crate) use incremental::StepBatch;
 
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
@@ -65,7 +66,32 @@ pub(crate) struct InFlight {
     /// Segments referenced by an epoch's frozen-span records, moved out
     /// of `Core::segs_in_log` (restored on failure). A step leaves
     /// `segs_in_log` as it is and keeps this empty.
-    pub(crate) segs: HashSet<u32>,
+    pub(crate) segs: IdSet<u32>,
+}
+
+/// A set of library-chosen ids — region and page, segment: no caller
+/// picks them, so SipHash's flood resistance buys nothing on a path every
+/// flush commit takes.
+pub(crate) type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
+
+/// A fixed multiply-rotate hash over a key's 8-byte words, rotated at the
+/// end to bring the mixed high bits down to the low ones a table indexes.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le.iter_mut().zip(word).for_each(|(to, from)| *to = *from);
+            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(le);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl RvmShared {
@@ -132,7 +158,7 @@ pub(crate) struct PageDesc {
 #[derive(Default)]
 pub(crate) struct PageQueue {
     queue: VecDeque<PageDesc>,
-    queued: HashSet<(u64, usize)>,
+    queued: IdSet<(u64, usize)>,
     /// Mirror of `queue.len()`, refreshed (Relaxed) at the end of every
     /// mutator while the owning `core` lock is held. `query()` reads it
     /// through a clone of the [`PageQueue::gauge`] Arc without taking
@@ -141,10 +167,6 @@ pub(crate) struct PageQueue {
 }
 
 impl PageQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Handle to the lock-free length gauge.
     pub fn gauge(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.gauge)
@@ -262,7 +284,7 @@ mod tests {
     #[test]
     fn enqueue_deduplicates_keeping_earliest() {
         let region = make_test_region(4 * PAGE_SIZE);
-        let mut q = PageQueue::new();
+        let mut q = PageQueue::default();
         q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
         q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
         q.enqueue(&Arc::downgrade(&region), region.id, 0, 300, 3); // duplicate: ignored
@@ -278,7 +300,7 @@ mod tests {
     #[test]
     fn descriptors_survive_region_unmap_as_dead_weaks() {
         let region = make_test_region(PAGE_SIZE);
-        let mut q = PageQueue::new();
+        let mut q = PageQueue::default();
         q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
         drop(region);
         assert!(q.front().unwrap().region.upgrade().is_none());
@@ -287,7 +309,7 @@ mod tests {
     #[test]
     fn drain_below_takes_the_offset_prefix() {
         let region = make_test_region(4 * PAGE_SIZE);
-        let mut q = PageQueue::new();
+        let mut q = PageQueue::default();
         q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
         q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
         q.enqueue(&Arc::downgrade(&region), region.id, 2, 300, 3);
@@ -304,7 +326,7 @@ mod tests {
     #[test]
     fn requeue_front_restores_order_and_wins_over_duplicates() {
         let region = make_test_region(4 * PAGE_SIZE);
-        let mut q = PageQueue::new();
+        let mut q = PageQueue::default();
         q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
         q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
         let mut drained = q.drain_below(u64::MAX);
@@ -327,7 +349,7 @@ mod tests {
     fn distinct_regions_do_not_collide() {
         let a = make_test_region(PAGE_SIZE);
         let b = make_test_region(PAGE_SIZE);
-        let mut q = PageQueue::new();
+        let mut q = PageQueue::default();
         q.enqueue(&Arc::downgrade(&a), a.id, 0, 100, 1);
         q.enqueue(&Arc::downgrade(&b), b.id, 0, 200, 2);
         assert_eq!(q.len(), 2);

@@ -35,12 +35,15 @@ fn boot_tuned(log: &Arc<MemDevice>, segs: &MemResolver, tuning: Tuning) -> Rvm {
 /// version in the status block instead of silently breaking old logs.
 #[test]
 fn wire_format_golden_values() {
-    use rvm::log::record::{encode_txn, RecordRange, HEADER_SIZE, LOG_BLOCK, TRAILER_SIZE};
+    use rvm::log::record::{
+        encode_txn, RecordRange, HEADER_SIZE, LOG_BLOCK, TRAILER_SIZE, V2_LOG_BLOCK,
+    };
     use rvm::segment::SegmentId;
 
     assert_eq!(HEADER_SIZE, 40);
     assert_eq!(TRAILER_SIZE, 24);
-    assert_eq!(LOG_BLOCK, 512);
+    assert_eq!(LOG_BLOCK, HEADER_SIZE + TRAILER_SIZE);
+    assert_eq!((LOG_BLOCK, V2_LOG_BLOCK), (64, 512));
 
     let buf = encode_txn(
         7,
@@ -51,7 +54,7 @@ fn wire_format_golden_values() {
             data: vec![0xAA, 0xBB],
         }],
     );
-    assert_eq!(buf.len(), 512, "one small range fits one block");
+    assert_eq!(buf.len(), 128, "one small range fits two blocks");
     // Header magic "RVM1" little-endian.
     assert_eq!(&buf[0..4], &0x5256_4D31u32.to_le_bytes());
     assert_eq!(buf[4], 1, "kind = txn");
@@ -65,8 +68,8 @@ fn wire_format_golden_values() {
     // Data follows the table.
     assert_eq!(&buf[64..66], &[0xAA, 0xBB]);
     // Trailer magic "RVMT" + padded length at the block end.
-    assert_eq!(&buf[488..492], &0x5256_4D54u32.to_le_bytes());
-    assert_eq!(&buf[504..512], &512u64.to_le_bytes());
+    assert_eq!(&buf[104..108], &0x5256_4D54u32.to_le_bytes());
+    assert_eq!(&buf[120..128], &128u64.to_le_bytes());
 }
 
 /// Expands a fixture: hex digits, with `|n|` standing for `n` zero bytes.
@@ -87,8 +90,9 @@ fn fixture(rle: &str) -> Vec<u8> {
 }
 
 /// Images written by the commit before the slice-by-16 CRC kernel and the
-/// in-place record validator (00f6058): one transaction record, one pad
-/// record, one status-block copy, one `.sums` catalog.
+/// in-place record validator (00f6058), in format version 2: one
+/// transaction record and one pad record, padded to 512 bytes, one
+/// status-block copy, one `.sums` catalog.
 const PARENT_TXN_RECORD: &str = "\
      314d5652010000002a000000000000000700000000000000020000009b000000\
      793db57400000000010000000000000000100000000000006400000000000000\
@@ -110,9 +114,77 @@ const PARENT_SUMS_CATALOG: &str = "\
      52564d43010000000300000000000000f1952c200000000007f965d420351e89\
      88f7dfb5";
 
+/// The same transaction, the smallest pad record and the same status as
+/// version 3 writes them: records padded to 64 bytes.
+const DENSE_TXN_RECORD: &str = "\
+     314d5652010000002a000000000000000700000000000000020000009b000000\
+     793db5740000000001|8|1000000000000064000000000000000200000000000\
+     000070000000000000007|8|0102030405060708090a0b0c0d0e0f1011121314\
+     15161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f3031323334\
+     35363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f5051525354\
+     55565758595a5b5c5d5e5f6061626355555555555555|37|544d565286b9cb53\
+     2a|8|01000000000000";
+const DENSE_PAD_RECORD: &str = "\
+     314d56520200000009|23|a1f43e0500000000544d565269df22650900000000\
+     0000004000000000000000";
+const DENSE_STATUS_COPY: &str = "\
+     31544154534d5652030000000000000005|8|060000000000000010000000000\
+     000040000000000000009|9|10000000000002000000000800000000000005|1\
+     1|04000000002000000000000073656741030000000a00000064000000000000\
+     00646174612f7365672d62|8058|0ed9285d";
+
+/// A crashed version-2 log, as the build before dense records left it:
+/// four flush commits to segments `segA` and `segB` (ids 0 and 1), none
+/// truncated. And what that build's recovery wrote to each segment.
+const PARENT_V2_LOG: &str = "\
+     31544154534d5652020000000000000004|23|010000000000000001|8|20000\
+     00000000002|23|0400000000100000000000007365674101000000040000000\
+     01000000000000073656742|8064|c39f675e31544154534d565202000000000\
+     0000003|23|010000000000000001|8|2000000000000001|23|040000000010\
+     00000000000073656741|8084|482735e5314d56520100000001000000000000\
+     00010000000000000001000000400000000a063b2c|20|280000000000000001\
+     02030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f2021\
+     22232425262728|384|544d565203449d4401|8|02000000000000314d565201\
+     0000000200000000000000020000000000000001000000220000005824c2cc|1\
+     2|14000000000000000a000000000000005a5a5a5a5a5a5a5a5a5a|414|544d5\
+     6522311e2ad02|8|02000000000000314d565201000000030000000000000003\
+     0000000000000001000000280000008a30328c000000000100000000000000a0\
+     0f0000000000001000000000000000c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3|4\
+     08|544d5652280c975503|8|02000000000000314d5652010000000400000000\
+     0000000400000000000000010000002000000067d76785|12|24000000000000\
+     0008000000000000007777777777777777|416|544d56520f58e9d604|8|02|6\
+     150|";
+const PARENT_RECOVERED_SEG_A: &str = "\
+     0102030405060708090a0b0c0d0e0f10111213145a5a5a5a5a5a5a5a5a5a1f20\
+     212223247777777777777777|4052|";
+const PARENT_RECOVERED_SEG_B: &str = "\
+     |4000|c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3|80|";
+
+/// `dense` as a version-2 build wrote it: padded on to 512 bytes, with the
+/// trailer's length to match.
+fn padded_to_v2(dense: &[u8]) -> Vec<u8> {
+    let len = dense.len().next_multiple_of(512);
+    let (body, trailer) = dense.split_at(dense.len() - 24);
+    let mut out = body.to_vec();
+    out.resize(len - 24, 0);
+    out.extend_from_slice(&trailer[..16]);
+    out.extend_from_slice(&(len as u64).to_le_bytes());
+    out
+}
+
+/// A status copy re-sealed with format `version` in place of its own.
+fn with_version(mut copy: Vec<u8>, version: u64) -> Vec<u8> {
+    copy[8..16].copy_from_slice(&version.to_le_bytes());
+    let crc_at = copy.len() - 4;
+    let crc = rvm::crc32(&copy[..crc_at]);
+    copy[crc_at..].copy_from_slice(&crc.to_le_bytes());
+    copy
+}
+
 /// Logs, status blocks and catalogs written before this code must read
-/// back, and this code must write the same bytes: the checksum kernel and
-/// the validator changed, the format did not.
+/// back, and this code must write the same bytes but for the padding and
+/// the version: the checksum kernel, the validator and the alignment
+/// changed, the layout did not.
 #[test]
 fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
     use rvm::log::record::{encode_pad, encode_txn, parse_record, RecordKind, RecordRange};
@@ -133,7 +205,10 @@ fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
         },
     ];
     let txn = fixture(PARENT_TXN_RECORD);
-    assert_eq!(encode_txn(42, 7, &ranges), txn);
+    let dense = encode_txn(42, 7, &ranges);
+    assert_eq!(dense, fixture(DENSE_TXN_RECORD));
+    assert_eq!(padded_to_v2(&dense), txn);
+    assert_eq!(parse_record(&dense), parse_record(&txn));
     let (header, decoded) = parse_record(&txn).expect("parent's record parses");
     assert_eq!(
         (header.kind, header.seq, header.tid),
@@ -141,6 +216,7 @@ fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
     );
     assert_eq!(decoded.unwrap().ranges, ranges);
 
+    assert_eq!(encode_pad(9, 64), fixture(DENSE_PAD_RECORD));
     let pad = fixture(PARENT_PAD_RECORD);
     assert_eq!(encode_pad(9, 512), pad);
     let (header, decoded) = parse_record(&pad).expect("parent's pad parses");
@@ -163,7 +239,8 @@ fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
         });
     }
     let copy = fixture(PARENT_STATUS_COPY);
-    assert_eq!(status.encode(), copy);
+    assert_eq!(status.encode(), fixture(DENSE_STATUS_COPY));
+    assert_eq!(with_version(status.encode(), 2), copy);
     assert_eq!(StatusBlock::decode(&copy), Some(status));
 
     let seg_len = 2 * PAGE_SIZE + 100;
@@ -183,6 +260,77 @@ fn images_written_by_the_parent_commit_are_reproduced_and_parse() {
         .expect("parent's catalog validates");
     assert_eq!(loaded.len(), 3);
     assert_eq!(loaded[2], rvm::crc32(&image[2 * PAGE_SIZE as usize..]));
+}
+
+/// A crashed version-2 log recovers to the segment bytes the version-2
+/// build's own recovery wrote, its status comes back as version 3, and
+/// the dense records appended after its 512-byte ones recover too.
+#[test]
+fn a_version_2_log_recovers_and_is_rewritten_as_version_3() {
+    use rvm::log::status::{read_status, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET};
+
+    let log = Arc::new(MemDevice::from_image(fixture(PARENT_V2_LOG)));
+    let segs = MemResolver::new();
+    let rvm = boot(&log, &segs);
+    assert_eq!(rvm.recovery_report().records_replayed, 4);
+    let seg_image = |name: &str| {
+        let dev = segs.get(name).unwrap();
+        let mut image = vec![0u8; dev.len().unwrap() as usize];
+        dev.read_at(0, &mut image).unwrap();
+        image
+    };
+    assert_eq!(seg_image("segA"), fixture(PARENT_RECOVERED_SEG_A));
+    assert_eq!(seg_image("segB"), fixture(PARENT_RECOVERED_SEG_B));
+    let seq = read_status(log.as_ref()).unwrap().seq;
+    let newest = if seq.is_multiple_of(2) {
+        STATUS_A_OFFSET
+    } else {
+        STATUS_B_OFFSET
+    };
+    let mut copy = vec![0u8; STATUS_BLOCK_SIZE as usize];
+    log.read_at(newest, &mut copy).unwrap();
+    assert_eq!(copy[8..16], 3u64.to_le_bytes(), "rewritten as version 3");
+
+    let region = rvm
+        .map(&RegionDescriptor::new("segA", 0, PAGE_SIZE))
+        .unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region.write(&mut txn, 8, b"dense").unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    let crashed = Arc::new(MemDevice::from_image(log.snapshot()));
+    drop(region);
+    rvm.terminate().unwrap();
+    let rvm = boot(&crashed, &MemResolver::new());
+    assert_eq!(rvm.recovery_report().records_replayed, 1);
+}
+
+/// A status copy whose magic and CRC hold but whose format version this
+/// build does not read is refused, even with `create_if_empty`, and the
+/// log is left as it was; a blank or torn status area still formats.
+#[test]
+fn a_log_of_an_unknown_version_is_refused_and_left_untouched() {
+    use rvm::log::status::{StatusBlock, STATUS_A_OFFSET, STATUS_B_OFFSET};
+
+    let log = Arc::new(MemDevice::with_len(2 << 20));
+    let foreign = with_version(StatusBlock::fresh(1 << 20).encode(), 99);
+    log.write_at(STATUS_A_OFFSET, &foreign).unwrap();
+    let before = log.snapshot();
+    let options = Options::new(log.clone()).resolver(MemResolver::new().into_resolver());
+    let Err(RvmError::BadLog(msg)) = Rvm::initialize(options.create_if_empty()) else {
+        panic!("a version-99 status must be refused");
+    };
+    assert!(
+        msg.contains("version 99") && msg.contains("[2, 3]"),
+        "{msg}"
+    );
+    assert!(log.snapshot() == before, "the device is untouched");
+
+    // Torn: copy B's bytes damaged, copy A blank.
+    log.write_at(STATUS_A_OFFSET, &vec![0u8; foreign.len()])
+        .unwrap();
+    log.write_at(STATUS_B_OFFSET, &foreign[..100]).unwrap();
+    let rvm = boot(&log, &MemResolver::new());
+    assert_eq!(rvm.recovery_report().records_replayed, 0);
 }
 
 #[test]
@@ -428,12 +576,12 @@ impl Device for CountingReads {
 /// around it many times.
 #[test]
 fn scan_reads_the_span_in_chunks_across_the_wrap() {
-    use rvm::log::record::{RecordRange, LOG_BLOCK};
+    use rvm::log::record::{borrowed, record_bytes, RecordRange, LOG_BLOCK};
     use rvm::log::status::LOG_AREA_START;
     use rvm::log::wal::{scan_forward, scan_records, Wal};
     use rvm::segment::SegmentId;
 
-    let area = 1024 * LOG_BLOCK;
+    let area = 512 << 10;
     let dev = Arc::new(CountingReads::over(MemDevice::with_len(
         LOG_AREA_START + area,
     )));
@@ -444,7 +592,7 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
     assert_eq!((scan.records, scan.tail), (0, 0));
     assert_eq!(dev.take(), (1, 64 << 10), "an empty log costs one read");
 
-    // Three-block records, so chunk ends fall inside records and the
+    // Records of many blocks, so chunk ends fall inside records and the
     // scan has to carry a partial record into its next read.
     let record = |tid: u64| {
         vec![RecordRange {
@@ -453,12 +601,13 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
             data: vec![tid as u8; 1000],
         }]
     };
+    let padded = record_bytes(borrowed(&record(0))).next_multiple_of(LOG_BLOCK);
     let mut wal = Wal::new(dev.clone(), area, 0, 0, 1, 1);
     for tid in 1..=300 {
         wal.append_txn(tid, &record(tid)).unwrap();
     }
     // Drop the first 200 and run the tail around the physical end.
-    wal.advance_head(200 * 3 * LOG_BLOCK, 201);
+    wal.advance_head(200 * padded, 201);
     for tid in 301..=500 {
         wal.append_txn(tid, &record(tid)).unwrap();
     }
@@ -486,7 +635,11 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
     let (reads, bytes) = dev.take();
     assert_eq!((span.tail, span.next_seq), (wal.tail(), wal.next_seq()));
     assert_eq!((span.records, ranges, span.pads), (300, 300, 1));
-    assert!(reads <= 6, "{reads} reads for a 450 KiB span");
+    assert!(
+        reads <= 6,
+        "{reads} reads for a {} KiB span",
+        (300 * padded) >> 10
+    );
     assert!(bytes <= area, "{bytes} bytes read: no byte twice");
     assert_eq!(tids, (201..=500).collect::<Vec<u64>>());
 
@@ -500,7 +653,7 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
         .zip(201..)
         .all(|((_, r), tid)| r.tid == tid));
     dev.take();
-    let stop = wal.head() + 30 * LOG_BLOCK;
+    let stop = wal.head() + 10 * padded;
     let short = scan_records(
         dev.as_ref(),
         area,
@@ -511,7 +664,7 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
     )
     .unwrap();
     assert_eq!((short.records, short.tail), (10, stop));
-    assert_eq!(dev.take(), (1, 30 * LOG_BLOCK));
+    assert_eq!(dev.take(), (1, 10 * padded));
 }
 
 /// Commits `writes` as one flush transaction each over one region of
@@ -590,16 +743,18 @@ fn a_record_larger_than_the_scan_window_recovers() {
 /// it and those after it not at all.
 #[test]
 fn a_torn_record_straddling_a_window_refill_ends_the_log() {
-    use rvm::log::record::TRAILER_SIZE;
+    use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
     use rvm::log::status::{read_status, LOG_AREA_START};
     use rvm::log::wal::scan_forward;
 
     let region_len = 16 * PAGE_SIZE;
-    // Three-block records: one of them straddles the first read's end.
-    let writes: Vec<(u64, Vec<u8>)> = (0..60u64)
+    let first_read = 64 << 10;
+    // Records of many blocks, spanning two first reads: one of them
+    // straddles the first read's end.
+    let padded = (HEADER_SIZE + RANGE_ENTRY_SIZE + 1000 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
+    let writes: Vec<(u64, Vec<u8>)> = (0..2 * first_read / padded)
         .map(|i| (i * 1009 % (region_len - 1000), vec![i as u8 + 1; 1000]))
         .collect();
-    let first_read = 64 << 10;
     let mut torn = None;
     let (image, replayed) = commit_crash_recover(2 << 20, region_len, &writes, |log| {
         let status = read_status(log).unwrap();
@@ -689,7 +844,6 @@ fn hostile_lengths_end_the_log_without_panicking() {
     use rvm::log::wal::scan_forward;
     use rvm::segment::SegmentId;
 
-    let area = 8 * LOG_BLOCK;
     let good = |seq: u64| {
         encode_txn(
             seq,
@@ -718,17 +872,19 @@ fn hostile_lengths_end_the_log_without_panicking() {
         let trailer = image.len() - 24;
         image[trailer + 4..trailer + 8].copy_from_slice(&crc.to_le_bytes());
     };
+    // An area of four records; `rec` bytes, a whole number of blocks, each.
+    let rec = good(1).len() as u64;
+    let area = 4 * rec;
     // Scans a log holding `good(1)`, then `second` where record 2 belongs.
     let scan_with = |second: &[u8], dev_len: u64, stop: Option<u64>| {
         let dev = MemDevice::with_len(LOG_AREA_START + area);
         dev.write_at(LOG_AREA_START, &good(1)).unwrap();
-        dev.write_at(LOG_AREA_START + 2 * LOG_BLOCK, second)
-            .unwrap();
+        dev.write_at(LOG_AREA_START + rec, second).unwrap();
         dev.set_len(dev_len).unwrap();
         scan_forward(&dev, area, 0, 1, stop).unwrap()
     };
     let whole = LOG_AREA_START + area;
-    assert_eq!(good(1).len() as u64, 2 * LOG_BLOCK);
+    assert!(rec.is_multiple_of(LOG_BLOCK) && rec > LOG_BLOCK);
     assert_eq!(scan_with(&good(2), whole, None).records.len(), 2);
 
     type Forgery<'a> = (&'a str, &'a dyn Fn(&mut Vec<u8>));
@@ -737,7 +893,7 @@ fn hostile_lengths_end_the_log_without_panicking() {
             r[28..32].copy_from_slice(&(1u32 << 20).to_le_bytes())
         }),
         ("payload length filling the rest of the lap", &|r| {
-            r[28..32].copy_from_slice(&((6 * LOG_BLOCK - 64) as u32).to_le_bytes())
+            r[28..32].copy_from_slice(&((3 * rec - HEADER_SIZE - 24) as u32).to_le_bytes())
         }),
         ("range table larger than the payload", &|r| {
             r[24..28].copy_from_slice(&u32::MAX.to_le_bytes())
@@ -756,17 +912,17 @@ fn hostile_lengths_end_the_log_without_panicking() {
         assert!(parse_record(&record).is_none(), "{what}: parse_record");
         let scan = scan_with(&record, whole, None);
         assert_eq!(scan.records.len(), 1, "{what}");
-        assert_eq!((scan.tail, scan.next_seq), (2 * LOG_BLOCK, 2), "{what}");
+        assert_eq!((scan.tail, scan.next_seq), (rec, 2), "{what}");
     }
 
     // The device ends inside record 2, and inside its header.
-    for cut in [3 * LOG_BLOCK, 2 * LOG_BLOCK + 20] {
+    for cut in [rec + LOG_BLOCK, rec + 20] {
         let scan = scan_with(&good(2), LOG_AREA_START + cut, None);
-        assert_eq!((scan.records.len(), scan.tail), (1, 2 * LOG_BLOCK));
+        assert_eq!((scan.records.len(), scan.tail), (1, rec));
     }
     // A record that begins below the stop offset is scanned whole.
-    let scan = scan_with(&good(2), whole, Some(2 * LOG_BLOCK + 8));
-    assert_eq!((scan.records.len(), scan.tail), (2, 4 * LOG_BLOCK));
+    let scan = scan_with(&good(2), whole, Some(rec + 8));
+    assert_eq!((scan.records.len(), scan.tail), (2, 2 * rec));
 }
 
 #[test]

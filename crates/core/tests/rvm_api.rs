@@ -573,9 +573,13 @@ fn terminate_flushes_the_spool() {
 
 #[test]
 fn threshold_truncation_reclaims_space() {
+    use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+    use rvm::log::status::LOG_AREA_START;
+
+    let record = (HEADER_SIZE + RANGE_ENTRY_SIZE + 512 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
     for truncator in Truncator::both(0.3) {
-        // The 40 records (1 KiB of log each) cross the threshold.
-        let world = World::new(128 * 1024);
+        // The 40 records cross the threshold of an area of 112.
+        let world = World::new(LOG_AREA_START + 112 * record);
         let rvm = world.boot_tuned(truncator.tuning());
         let region = rvm
             .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))

@@ -172,6 +172,47 @@ where
     stats
 }
 
+/// Crash points at which a pending log write begins inside a `sector`
+/// whose bytes before it hold an acknowledged record: a durable write,
+/// forced before some transaction's acknowledgement that precedes the
+/// point. A dense log makes these — its records lie back to back, not
+/// sector-aligned — and the enumerator tears only the bytes a write
+/// covers, which is the one thing such a log assumes of the disk.
+pub fn shared_sector_points(trace: &Trace, sector: u64) -> usize {
+    let log = trace.log_base().id;
+    let acked_between = |from: usize, to: usize| {
+        let mut acks = trace.txns.iter().filter_map(|t| t.ack);
+        acks.any(|ack| ack > from && ack <= to)
+    };
+    // `(start, end, sync)` of every durable write; `(start, end)` pending.
+    let (mut durable, mut pending) = (Vec::<(u64, u64, usize)>::new(), Vec::new());
+    let mut points = 0;
+    for (at, op) in trace
+        .ops
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| op.device == log)
+    {
+        match &op.kind {
+            TraceOpKind::Write { offset, data } => {
+                pending.push((*offset, offset + data.len() as u64))
+            }
+            TraceOpKind::SetLen { .. } => {}
+            TraceOpKind::Sync => {
+                let shares = pending.iter().any(|&(start, _)| {
+                    let sector_start = start - start % sector;
+                    durable.iter().any(|&(s, e, synced)| {
+                        s < start && e > sector_start && acked_between(synced, at)
+                    })
+                });
+                points += usize::from(shares);
+                durable.extend(pending.drain(..).map(|(s, e)| (s, e, at)));
+            }
+        }
+    }
+    points
+}
+
 /// Emits every (or a sample of) crash image at one crash point.
 #[allow(clippy::too_many_arguments)]
 fn emit_point<F>(

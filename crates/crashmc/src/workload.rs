@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use parking_lot::Mutex;
+use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
 use rvm::segment::DeviceResolver;
 use rvm::{
     CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE,
@@ -321,7 +322,10 @@ fn group_commit(hooks: MutationHooks) -> Trace {
 fn consecutive_batches(hooks: MutationHooks) -> Trace {
     const THREADS: u32 = 3;
     const ROUNDS: u64 = 4;
-    const CELL: u64 = 1024;
+    const CELL: u64 = 2048;
+    // Records of 24 log blocks: a batch of two tears into the enumerator's
+    // full eight pieces at a 128-byte sector.
+    const DATA: usize = (24 * LOG_BLOCK - HEADER_SIZE - RANGE_ENTRY_SIZE - TRAILER_SIZE) as usize;
 
     let tuning = Tuning {
         // The leader lingers so barrier-aligned committers pile up, and
@@ -336,7 +340,7 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
     };
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
     let region = rvm
-        .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
+        .map(&RegionDescriptor::new("cells", 0, 6 * PAGE_SIZE))
         .expect("map cells");
     cap.start();
 
@@ -352,7 +356,7 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
                     for i in 0..ROUNDS {
                         let idx = t as u64 * ROUNDS + i;
                         let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
-                        let data = vec![0x61 + idx as u8; CELL as usize - 64];
+                        let data = vec![0x61 + idx as u8; DATA];
                         region.write(&mut txn, idx * CELL, &data).expect("write");
                         // Commit together so batches form back to back.
                         barrier.wait();
@@ -445,9 +449,10 @@ const SPOOL_TXNS: usize = 14;
 const SPOOL_UNACKED_TAIL: usize = 2;
 
 fn no_flush_spool(hooks: MutationHooks) -> Trace {
-    // A 4 KiB record area — four of these records — and no threshold
-    // trigger, so a drain that runs out of log closes the batch staged
-    // so far, runs the epoch itself and resumes.
+    // A 4 KiB record area — four of these records, 13 log blocks each —
+    // and no threshold trigger, so a drain that runs out of log closes
+    // the batch staged so far, runs the epoch itself and resumes.
+    const DATA: usize = (13 * LOG_BLOCK - HEADER_SIZE - RANGE_ENTRY_SIZE - TRAILER_SIZE) as usize;
     let tuning = Tuning {
         truncation_threshold: 1.0,
         ..Tuning::default()
@@ -461,7 +466,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
     let mut txns: Vec<TxnSpec> = Vec::new();
     let mut unacked: Vec<usize> = Vec::new();
     for i in 0..SPOOL_TXNS as u64 {
-        let data = vec![0x20 + i as u8; 600];
+        let data = vec![0x20 + i as u8; DATA];
         if i == 6 {
             // A flush commit behind two spooled ones: one mixed batch,
             // one force — and the log is full, so its round starts with
@@ -472,12 +477,12 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
                 &region,
                 "cells",
                 0,
-                i * 640,
+                i * 768,
                 data,
             ));
         } else {
             unacked.push(txns.len());
-            txns.push(lazy_txn(&rvm, &region, "cells", i * 640, data));
+            txns.push(lazy_txn(&rvm, &region, "cells", i * 768, data));
             // `flush` after 0-1 and 2-3 fills the log; after 7-11 it
             // drains five records into room for one: 7 closes a batch,
             // an epoch runs, 8-11 follow in the next.
@@ -578,8 +583,8 @@ fn subsumption(hooks: MutationHooks) -> Trace {
 const INCREMENTAL_TXNS: usize = 15;
 
 fn incremental(hooks: MutationHooks) -> Trace {
-    // Eight 512-byte cells to a page, one log block to a record, eight
-    // records to the 4 KiB record area. Above 0.2 every second commit
+    // Eight 512-byte cells to a page, one 512-byte record to a cell,
+    // eight records to the 4 KiB record area. Above 0.2 every second commit
     // triggers a write-back step; a step that is blocked with the log
     // more than half full (0.2 + 0.3) reverts to an epoch.
     const CELL: u64 = 512;

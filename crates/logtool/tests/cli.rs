@@ -86,8 +86,11 @@ fn doctor_subcommand_reports_damage() {
     assert!(text.contains("no damage found"), "{text}");
     assert!(text.contains("3 live record(s)"), "{text}");
 
-    // Corrupt the second record's payload (the record area starts at
-    // 16384; record 0 occupies the first block).
+    // Corrupt the second record's payload, 48 bytes in: the record area
+    // starts at 16384, and record 0 (one 8-byte range) comes first.
+    use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+    let record = (HEADER_SIZE + RANGE_ENTRY_SIZE + 8 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
+    let at = 16384 + record as usize + 48;
     let before = std::fs::read(&log_path).unwrap();
     {
         use std::io::{Seek, SeekFrom, Write};
@@ -95,7 +98,7 @@ fn doctor_subcommand_reports_damage() {
             .write(true)
             .open(&log_path)
             .unwrap();
-        f.seek(SeekFrom::Start(16384 + 512 + 48)).unwrap();
+        f.seek(SeekFrom::Start(at as u64)).unwrap();
         f.write_all(&[0xEE; 8]).unwrap();
     }
     let out = rvmlog().arg(&log_path).arg("doctor").output().unwrap();
@@ -107,7 +110,7 @@ fn doctor_subcommand_reports_damage() {
     // Doctor never mutates the image.
     let after = std::fs::read(&log_path).unwrap();
     let mut expected = before;
-    expected[16384 + 512 + 48..16384 + 512 + 56].copy_from_slice(&[0xEE; 8]);
+    expected[at..at + 8].copy_from_slice(&[0xEE; 8]);
     assert_eq!(after, expected, "doctor is read-only");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -117,7 +117,7 @@ fn group_commit_amortizes_forces_across_threads() {
         q.stats.log_forces,
         q.stats.flush_commits
     );
-    assert!(q.log_force_amortization() < 1.0);
+    assert!(q.stats.forces_per_flush_commit() < 1.0);
     assert!(q.mean_group_batch() > 1.0);
 
     // Crash without terminating: the shared forces must have made every

@@ -257,12 +257,13 @@ fn crash_mid_group_recovers_the_whole_group_or_none() {
     // Sweep a sync-barrier crash (unsynced writes lost) across the group
     // window. Wherever it lands, the recovered image must contain the
     // whole group or none of it: the members shared one force, so no
-    // proper subset may be durable.
+    // proper subset may be durable. The last point lies past the window,
+    // whatever the group's record sizes: there the force completed.
     let step = ((after_group - before_group) / 13).max(1);
     let mut crash_at = before_group + 1;
     let mut none_seen = false;
     let mut all_seen = false;
-    while crash_at < after_group + step {
+    while crash_at <= after_group + step {
         let segments = rvm::segment::MemResolver::new();
         let inner = Arc::new(MemDevice::with_len(1 << 20));
         let fault = Arc::new(FaultDevice::new(

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rvm::MutationHooks;
-use rvm_crashmc::enumerate::{enumerate_images, EnumConfig};
+use rvm_crashmc::enumerate::{enumerate_images, shared_sector_points, EnumConfig};
 use rvm_crashmc::oracle::{check_recovery_determinism, parts_from_images};
 use rvm_crashmc::workload::{run_workload, Workload};
 use rvm_crashmc::{check_trace, check_trace_with_rot, Report};
@@ -69,6 +69,27 @@ fn group_commit_state_space_is_exhaustive_and_clean() {
 #[test]
 fn pipelined_commits_survive_every_crash_image() {
     commit_workload_is_exhaustive_and_clean("pipelined commits", Workload::ConsecutiveBatches, 8);
+}
+
+/// A dense log packs records back to back, so a record's write can begin
+/// inside a sector that already holds an acknowledged record. Tearing a
+/// write only within the bytes it covers, the enumerator reaches such
+/// points at the 512-byte and at the 128-byte sector, exhaustively, and
+/// every image recovers to a committed prefix.
+#[test]
+fn records_sharing_a_sector_survive_every_crash_image() {
+    let trace = run_workload(Workload::BitRot, MutationHooks::default());
+    for sector in [512, 128] {
+        let shared = shared_sector_points(&trace, sector as u64);
+        assert!(shared > 0, "no crash point shares a {sector}-byte sector");
+        let cfg = EnumConfig {
+            sector,
+            ..EnumConfig::default()
+        };
+        let report = check_trace(&trace, &cfg);
+        assert!(report.is_clean(), "sector {sector}:\n{}", report.render());
+        assert!(report.exhaustive, "sector {sector}:\n{}", report.render());
+    }
 }
 
 #[test]

@@ -12,7 +12,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use rvm::log::status::read_status;
+use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+use rvm::log::status::{read_status, LOG_AREA_START};
 use rvm::segment::{DeviceResolver, MemResolver};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, RvmError, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{Device, DeviceError, FaultOp, MemDevice};
@@ -20,9 +21,12 @@ use rvm_storage::{Device, DeviceError, FaultOp, MemDevice};
 const SLOTS: u64 = 16;
 const SLOT_STRIDE: u64 = 512; // distinct pagesworth-of-separation ranges
 const REGION_LEN: u64 = SLOTS * SLOT_STRIDE;
-/// A log whose record area holds 32 one-block records: `commit_slot`
-/// fills it within a few dozen commits.
-const TINY_LOG: u64 = 32 * 1024;
+/// Log space one `commit_slot` record takes: one 8-byte range.
+const SLOT_RECORD: u64 =
+    (HEADER_SIZE + RANGE_ENTRY_SIZE + 8 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
+/// A log whose record area holds 32 `commit_slot` records: it fills
+/// within a few dozen commits.
+const TINY_LOG: u64 = LOG_AREA_START + 32 * SLOT_RECORD;
 
 /// Where the gate parks the apply.
 #[derive(Clone, Copy, Debug)]
@@ -861,7 +865,7 @@ fn commits_progress_while_an_incremental_step_is_parked() {
         );
         // The step froze what 1..=17 wrote; the 8 records that landed
         // during its apply stay live, and so do the pages they dirtied.
-        assert_eq!(q.log.used, 8 * 512, "{ctx}: {:?}", q.log);
+        assert_eq!(q.log.used, 8 * SLOT_RECORD, "{ctx}: {:?}", q.log);
         assert_slots(&region, 25, &ctx);
         drop(region);
         rvm.terminate().unwrap();
@@ -982,19 +986,19 @@ fn a_commit_that_redirties_a_batched_page_keeps_its_descriptor() {
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
         .unwrap();
-    // One 512-byte record each: page 0 (slot 1) at offset 0, page 1
-    // (slot 9) at 512.
+    // One `SLOT_RECORD` each: page 0 (slot 1) at offset 0, page 1
+    // (slot 9) at 1 × `SLOT_RECORD`.
     commit_slot(&rvm, &region, 1);
     commit_slot(&rvm, &region, 9);
     arm_trigger(&rvm);
 
     std::thread::scope(|s| {
         let _open = OpenOnDrop(&world.gate);
-        // Page 0 again (slot 2, offset 1024); its trigger freezes both
+        // Page 0 again (slot 2, record 2); its trigger freezes both
         // pages and parks before the first write.
         let stepper = s.spawn(|| commit_slot(&rvm, &region, 2));
         world.gate.wait_parked();
-        // Page 0 once more, at offset 1536, while the frozen copy —
+        // Page 0 once more, record 3, while the frozen copy —
         // which cannot hold it — is on its way to the segment.
         commit_slot_in_time(s, &rvm, &region, 3, "redirty");
         assert_eq!(rvm.query().queued_pages, 1, "re-enqueued during the apply");
@@ -1012,7 +1016,7 @@ fn a_commit_that_redirties_a_batched_page_keeps_its_descriptor() {
     assert_eq!(q.queued_pages, 1, "page 0 keeps its new descriptor");
     assert_eq!(
         (q.log.head, q.log.tail),
-        (1536, 2048),
+        (3 * SLOT_RECORD, 4 * SLOT_RECORD),
         "the head stops at the record that re-dirtied page 0"
     );
     let mut on_segment = [0u8; 8];

@@ -850,9 +850,13 @@ fn batch_cap_flips_under_concurrent_committers_strand_no_batch() {
 /// records.
 #[test]
 fn skipped_batch_rollback_is_convicted_on_both_sides() {
-    use rvm::log::record::LOG_BLOCK;
+    use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
 
-    /// Runs `n` one-block committers at batch cap `cap` with the
+    /// Log space one `run_group` record takes: one slot-sized range.
+    const RECORD: u64 =
+        (HEADER_SIZE + RANGE_ENTRY_SIZE + SLOT_SIZE + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
+
+    /// Runs `n` one-record committers at batch cap `cap` with the
     /// `nth_force` after setup failing; returns the WAL tail growth since
     /// setup, in records.
     fn tail_growth(cap: usize, n: u64, nth_force: u64, skip_rollback: bool) -> u64 {
@@ -887,7 +891,7 @@ fn skipped_batch_rollback_is_convicted_on_both_sides() {
         assert!(rvm.is_poisoned(), "{results:?}");
         let q = rvm.query();
         std::mem::forget(rvm);
-        (q.log.tail - tail0) / LOG_BLOCK
+        (q.log.tail - tail0) / RECORD
     }
 
     // One batch of four, its force fails.

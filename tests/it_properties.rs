@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use common::World;
 use proptest::prelude::*;
-use rvm::log::record::{encode_txn, parse_record, RecordRange};
+use rvm::log::record::{encode_txn, parse_record, RecordRange, LOG_BLOCK};
 use rvm::log::status::StatusBlock;
 use rvm::ranges::{ByteRange, IntervalMap, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
@@ -133,7 +133,7 @@ proptest! {
             })
             .collect();
         let buf = encode_txn(seq, tid, &ranges);
-        prop_assert_eq!(buf.len() % 512, 0);
+        prop_assert_eq!(buf.len() as u64 % LOG_BLOCK, 0);
         let (header, decoded) = parse_record(&buf).expect("valid record parses");
         prop_assert_eq!(header.seq, seq);
         let decoded = decoded.expect("txn record");

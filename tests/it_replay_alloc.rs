@@ -10,11 +10,16 @@ mod counting {
 
 use std::sync::Arc;
 
+use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+use rvm::log::wal::SCAN_CHUNK_MAX;
 use rvm::segment::MemResolver;
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, TxnMode, PAGE_SIZE};
 use rvm_storage::MemDevice;
 
 const REGION_PAGES: u64 = 16;
+/// Log space one of `recover`'s records takes: three 48-byte ranges.
+const RECORD: u64 =
+    (HEADER_SIZE + 3 * (RANGE_ENTRY_SIZE + 48) + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
 
 /// What recovering one log cost.
 struct Recovery {
@@ -83,7 +88,9 @@ fn recover(records: u64) -> Recovery {
 /// entry, and the scan holds one window of log, not the span.
 #[test]
 fn recovery_allocations_do_not_grow_with_the_record_count() {
-    const N: u64 = 2_000;
+    // Enough records that the shorter span, too, is read in the scan's
+    // largest window.
+    const N: u64 = SCAN_CHUNK_MAX / RECORD;
     let small = recover(N);
     let large = recover(4 * N);
     assert_eq!(
@@ -91,9 +98,19 @@ fn recovery_allocations_do_not_grow_with_the_record_count() {
         (N as usize, 4 * N as usize)
     );
     // The pages touched are the same sixteen, and the values kept about
-    // the same 1 024 slots' worth. Measured: 80 and 82 allocations (64
-    // and 68 keeping the span it read; 16 201 and 64 203 before the
-    // borrowed replay path).
+    // the same 1 024 slots' worth. Measured: 81 and 84 allocations (80
+    // and 82 for 2 000 and 8 000 records of 512 bytes, 64 and 68 keeping
+    // the span it read; 16 201 and 64 203 before the borrowed replay
+    // path).
+    eprintln!(
+        "DBG alloc {} {} span {} {} peak {} {}",
+        small.allocations,
+        large.allocations,
+        small.span,
+        large.span,
+        small.peak_bytes,
+        large.peak_bytes
+    );
     let extra = large.allocations.saturating_sub(small.allocations);
     assert!(
         extra <= 32,
@@ -102,9 +119,10 @@ fn recovery_allocations_do_not_grow_with_the_record_count() {
         4 * N,
         large.allocations
     );
-    // Measured: the span grew 1 024 000 → 4 096 000 bytes and the peak
-    // stayed at 1 876 475 bytes, one 1 MiB window and the values. A scan
-    // that kept the span it read peaked at 2 481 571 → 5 543 043.
+    // Measured: the span grew 1 048 320 → 4 193 280 bytes and the peak
+    // 1 876 475 → 2 105 851 bytes, one 1 MiB window and the values (at
+    // 512-byte records, 1 024 000 → 4 096 000 and a flat 1 876 475). A
+    // scan that kept the span it read peaked at 2 481 571 → 5 543 043.
     let span_growth = large.span - small.span;
     let peak_growth = large.peak_bytes.saturating_sub(small.peak_bytes);
     assert!(

@@ -12,11 +12,15 @@ mod counting {
 
 use std::sync::Arc;
 
+use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+use rvm::log::status::LOG_AREA_START;
 use rvm::segment::MemResolver;
 use rvm::{CommitMode, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::MemDevice;
 
 const REGION_PAGES: u64 = 64;
+/// Log space one `commit_page` record takes: one 8-byte range.
+const RECORD: u64 = (HEADER_SIZE + RANGE_ENTRY_SIZE + 8 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
 
 fn tuning(truncation_threshold: f64) -> Tuning {
     Tuning {
@@ -62,7 +66,9 @@ fn allocations_of_a_step(rvm: &Rvm, region: &Region, pages: u64, round: u64) -> 
 /// took two steps for 64 pages: 33 and 98).
 #[test]
 fn step_allocations_do_not_grow_with_the_page_count() {
-    let log = Arc::new(MemDevice::with_len(16 << 20));
+    // Room for 2 048 records: every round fits, and the nine records of
+    // the smallest step fill more than the armed threshold.
+    let log = Arc::new(MemDevice::with_len(LOG_AREA_START + 2048 * RECORD));
     let rvm = Rvm::initialize(
         Options::new(log)
             .resolver(MemResolver::new().into_resolver())

@@ -118,7 +118,13 @@ fn incremental_mode_sustains_load_and_recovers() {
 
 #[test]
 fn incremental_blocked_by_long_transaction_falls_back_to_epoch() {
-    let world = World::new(48 * 1024);
+    use rvm::log::record::{HEADER_SIZE, LOG_BLOCK, RANGE_ENTRY_SIZE, TRAILER_SIZE};
+    use rvm::log::status::LOG_AREA_START;
+
+    // A record area of 64 of the 128-byte commits below: the 60 of them
+    // take it past the critical mark.
+    let record = (HEADER_SIZE + RANGE_ENTRY_SIZE + 128 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
+    let world = World::new(LOG_AREA_START + 64 * record);
     let rvm = world.boot_tuned(Tuning {
         truncation_threshold: 0.2,
         incremental_reclaim_bytes: u64::MAX,
