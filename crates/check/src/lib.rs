@@ -23,12 +23,13 @@
 //! * **Recovery algebra.** The newest-wins tree built from the records
 //!   must be idempotent (applying it twice yields the same image) and
 //!   equal to oldest-first sequential replay — the two formulations of
-//!   §5.1.2's recovery that must agree for truncation to be safe.
+//!   §5.1.2's recovery that must agree for truncation to be safe — and
+//!   the library's own one-pass resolve must keep exactly its pieces.
 //!
 //! [`verify`] runs all of it read-only and reports findings; the `rvmlog
 //! verify` subcommand wraps it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rvm::log::record::{
@@ -38,9 +39,12 @@ use rvm::log::status::{
     read_status, StatusBlock, LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET,
 };
 use rvm::log::wal::{scan_backward, scan_forward};
-use rvm::ranges::IntervalMap;
+use rvm::ranges::{Piece, ValueArena};
 use rvm::Result;
 use rvm_storage::Device;
+
+mod interval_map;
+pub use interval_map::IntervalMap;
 
 /// What [`verify`] found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -292,12 +296,14 @@ fn check_record_extents(
 
 /// Rebuilds §5.1.2's recovery trees from the live records and verifies
 /// the algebra truncation relies on: tree application is idempotent, and
-/// newest-wins tree-apply equals oldest-first sequential replay.
+/// newest-wins tree-apply equals oldest-first sequential replay. The
+/// library's own one-pass resolve ([`ValueArena::latest_pieces`]) must
+/// yield exactly the trees' entries.
 fn check_recovery_algebra(
     records: &[(u64, rvm::log::record::TxnRecord)],
     findings: &mut Vec<String>,
 ) {
-    let mut trees: HashMap<u32, IntervalMap> = HashMap::new();
+    let mut trees: BTreeMap<u32, IntervalMap> = BTreeMap::new();
     let mut extents: HashMap<u32, u64> = HashMap::new();
     for (_, record) in records.iter().rev() {
         for range in &record.ranges {
@@ -310,6 +316,7 @@ fn check_recovery_algebra(
             *e = (*e).max(end);
         }
     }
+    check_resolve(records, &trees, findings);
     for (seg, tree) in &trees {
         let len = extents[seg] as usize;
         let mut once = vec![0u8; len];
@@ -338,6 +345,43 @@ fn check_recovery_algebra(
             ));
         }
     }
+}
+
+/// Resolves `records` as replay does and reports the first piece that
+/// differs from `trees`' entries.
+fn check_resolve(
+    records: &[(u64, rvm::log::record::TxnRecord)],
+    trees: &BTreeMap<u32, IntervalMap>,
+    findings: &mut Vec<String>,
+) {
+    let mut values = ValueArena::default();
+    for (_, record) in records {
+        values.keep_record(record.ranges.iter().map(|r| Piece {
+            seg: r.seg.as_u32(),
+            start: r.offset,
+            data: &r.data,
+        }));
+    }
+    let pieces = values.latest_pieces();
+    let got: Vec<(u32, u64, &[u8])> = pieces.iter().map(|p| (p.seg, p.start, p.data)).collect();
+    let entries = trees
+        .iter()
+        .flat_map(|(&seg, tree)| tree.iter().map(move |(s, d)| (seg, s, d)));
+    let expected: Vec<(u32, u64, &[u8])> = entries.collect();
+    let Some(at) = (0..got.len().max(expected.len())).find(|&i| got.get(i) != expected.get(i))
+    else {
+        return;
+    };
+    let extent = |piece: Option<&(u32, u64, &[u8])>| {
+        piece.map(|&(seg, start, data)| (seg, start, data.len()))
+    };
+    findings.push(format!(
+        "the library's resolve differs from the recovery trees at piece {at} of {}: \
+         (segment, start, length) {:?} where the trees hold {:?}",
+        expected.len(),
+        extent(got.get(at)),
+        extent(expected.get(at)),
+    ));
 }
 
 #[cfg(test)]
@@ -380,6 +424,38 @@ mod tests {
         assert_eq!(report.live_records, 5);
         assert!(report.checks_run.len() >= 5);
         assert!(report.render().contains("all invariants hold"));
+    }
+
+    /// Ranges of later transactions overlap earlier ones at other starts:
+    /// the library's resolve keeps exactly the recovery trees' pieces, so
+    /// the log verifies clean — a resolver that cut a piece wrongly would
+    /// be reported.
+    #[test]
+    fn overlapping_ranges_resolve_as_the_trees_do() {
+        let log = Arc::new(MemDevice::with_len(1 << 20));
+        let rvm = Rvm::initialize(
+            Options::new(log.clone())
+                .resolver(MemResolver::new().into_resolver())
+                .create_if_empty(),
+        )
+        .unwrap();
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+            .unwrap();
+        for i in 0..12u8 {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region
+                .write(&mut txn, 40 * u64::from(i % 5), &[i + 1; 100])
+                .unwrap();
+            region
+                .write(&mut txn, 300 + 7 * u64::from(i), &[i; 30])
+                .unwrap();
+            txn.commit(CommitMode::Flush).unwrap();
+        }
+        std::mem::forget(rvm);
+        let report = verify(&as_dyn(&log)).unwrap();
+        assert!(report.is_clean(), "{:?}", report.findings);
+        assert_eq!(report.live_records, 12);
     }
 
     #[test]

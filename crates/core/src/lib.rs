@@ -177,7 +177,7 @@ pub use error::{Result, RvmError};
 pub use options::MutationHooks;
 pub use options::{CommitMode, LoadPolicy, Options, Tuning, TxnMode, PAGE_SIZE};
 pub use query::{LogInfo, QueryInfo};
-pub use recovery::RecoveryReport;
+pub use recovery::{RecoveryReport, RecoveryTimes};
 pub use region::{Region, RegionDescriptor};
 pub use retry::{thread_sleeper, BackoffSleeper, RetryPolicy};
 pub use rvm::{Rvm, TerminateFailure};

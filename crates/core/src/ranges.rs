@@ -1,5 +1,5 @@
-//! Byte-range bookkeeping: coalescing range sets and latest-wins interval
-//! maps.
+//! Byte-range bookkeeping: coalescing range sets and latest-wins
+//! resolution.
 //!
 //! Two mechanisms in the paper reduce to interval arithmetic:
 //!
@@ -12,9 +12,9 @@
 //!   passes its record, overwriting in place a value a newer range of
 //!   the same start and length supersedes, and then resolves the whole
 //!   span at once into disjoint pieces borrowed from the arena — the form
-//!   truncation and recovery replay from. [`IntervalMap`] is the owned,
-//!   incremental form (`insert_if_uncovered`, newest first) the
-//!   inspection tools use, and the model the arena is tested against.
+//!   truncation and recovery replay from. The owned, incremental form
+//!   (`rvm_check::IntervalMap`) is the verifier's and the inspection
+//!   tools' model, which the arena is tested against.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -49,16 +49,6 @@ impl ByteRange {
     /// Returns `true` for an empty range.
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
-    }
-
-    /// Returns `true` if the ranges overlap or touch (are adjacent).
-    pub fn touches(&self, other: &ByteRange) -> bool {
-        self.start <= other.end && other.start <= self.end
-    }
-
-    /// Returns `true` if `other` lies entirely within `self`.
-    pub fn contains(&self, other: &ByteRange) -> bool {
-        self.start <= other.start && other.end <= self.end
     }
 }
 
@@ -219,17 +209,6 @@ impl SegCoverage {
         set.is_some_and(|set| set.covers(range))
     }
 
-    /// The covered ranges, coalesced: by segment, then ascending.
-    pub fn ranges(&self) -> impl Iterator<Item = (u32, ByteRange)> + '_ {
-        let per_seg = self.per_seg.iter();
-        per_seg.flat_map(|(&seg, set)| set.iter().map(move |range| (seg, range)))
-    }
-
-    /// Returns `true` if nothing is covered.
-    pub fn is_empty(&self) -> bool {
-        self.per_seg.values().all(RangeSet::is_empty)
-    }
-
     /// Uncovers everything, keeping the allocations.
     pub fn clear(&mut self) {
         self.per_seg.values_mut().for_each(RangeSet::clear);
@@ -263,17 +242,62 @@ type Rank = (u64, u32);
 /// One range's new value as a [`ValueArena`] keeps it.
 #[derive(Debug, Clone, Copy)]
 struct Kept {
+    start: u64,
+    /// Its record's ordinal, the oldest record 0.
+    record: u64,
+    /// Its length; 0 once retired by a longer newer range at its start.
+    len: usize,
     seg: u32,
     /// The range's index in its record.
     idx: u32,
-    /// Its record's ordinal, the oldest record 0.
-    record: u64,
-    start: u64,
-    /// Where its bytes are: a block of the arena and an offset in it.
-    block: usize,
-    at: usize,
-    /// Its length; 0 once retired by a longer newer range at its start.
-    len: usize,
+    /// Where its bytes are: a block of the arena and an offset in it,
+    /// which is below [`ARENA_BLOCK_MAX`] (a longer value starts a block
+    /// of exactly its length).
+    block: u32,
+    at: u32,
+}
+
+/// A kept value's place in the resolve order, `(start, seg, index into
+/// ValueArena::kept)` (an arena holds far fewer than 2³² values): 16
+/// bytes to move through the radix passes instead of the value's 40.
+type Key = (u64, u32, u32);
+
+/// Bits of one radix digit: a pass's 2 048 counters stay in L1.
+const DIGIT_BITS: u32 = 11;
+
+/// Sorts `keys` by `(seg, start)`, stably: a least-significant-digit
+/// radix sort whose passes cover only the bits in which some two keys
+/// differ: two for 64-byte-aligned starts within one 8 MiB segment.
+fn radix_sort(mut keys: Vec<Key>) -> Vec<Key> {
+    // The key as one number, segment above start.
+    let key_bits = |&(start, seg, _): &Key| (u128::from(seg) << 64) | u128::from(start);
+    let first = keys.first().map_or(0, key_bits);
+    let varying = keys.iter().fold(0, |acc, k| acc | (key_bits(k) ^ first));
+    // No pass at all (`128..0`) when no bit varies.
+    let (low, high) = (varying.trailing_zeros(), 128 - varying.leading_zeros());
+    let mut spare = vec![Key::default(); keys.len()];
+    let digit = |k: &Key, shift: u32| (key_bits(k) >> shift) as usize & ((1 << DIGIT_BITS) - 1);
+    for shift in (low..high).step_by(DIGIT_BITS as usize) {
+        // Each digit's first slot in the output, then the next free one.
+        let mut next = [0usize; 1 << DIGIT_BITS];
+        for k in &keys {
+            if let Some(n) = next.get_mut(digit(k, shift)) {
+                *n += 1;
+            }
+        }
+        next.iter_mut()
+            .fold(0, |at, n| at + std::mem::replace(n, at));
+        for k in &keys {
+            if let Some(n) = next.get_mut(digit(k, shift)) {
+                if let Some(slot) = spare.get_mut(*n) {
+                    *slot = *k;
+                }
+                *n += 1;
+            }
+        }
+        std::mem::swap(&mut keys, &mut spare);
+    }
+    keys
 }
 
 /// Bytes of a [`ValueArena`]'s first block; each later one doubles, up
@@ -348,8 +372,9 @@ impl ValueArena {
                     && kept.len <= len
             }) {
                 if kept.len == len {
-                    let block = self.blocks.get_mut(kept.block);
-                    if let Some(value) = block.and_then(|b| b.get_mut(kept.at..kept.at + len)) {
+                    let at = kept.at as usize;
+                    let block = self.blocks.get_mut(kept.block as usize);
+                    if let Some(value) = block.and_then(|b| b.get_mut(at..at + len)) {
                         value.copy_from_slice(range.data);
                     }
                     (kept.record, kept.idx) = (record, idx);
@@ -365,104 +390,125 @@ impl ValueArena {
                 let size = (ARENA_BLOCK_MIN << self.blocks.len().min(16)).min(ARENA_BLOCK_MAX);
                 self.blocks.push(Vec::with_capacity(size.max(len)));
             }
-            let block = self.blocks.len() - 1;
+            let block = self.blocks.len() as u32 - 1;
             let Some(bytes) = self.blocks.last_mut() else {
                 continue;
             };
-            let (seg, start, at) = (range.seg, range.start, bytes.len());
+            let (seg, start, at) = (range.seg, range.start, bytes.len() as u32);
             self.kept.push(Kept {
+                start,
+                record,
+                len,
                 seg,
                 idx,
-                record,
-                start,
                 block,
                 at,
-                len,
             });
             bytes.extend_from_slice(range.data);
         }
     }
 
+    /// Kept value `kept`, and its rank.
+    fn value(&self, kept: u32) -> Option<(Piece<'_>, Rank)> {
+        let k = self.kept.get(kept as usize)?;
+        let (seg, start, at) = (k.seg, k.start, k.at as usize);
+        let data = self.blocks.get(k.block as usize)?.get(at..at + k.len)?;
+        Some((Piece { seg, start, data }, (u64::MAX - k.record, k.idx)))
+    }
+
     /// Resolves the kept values into the pieces replay writes, borrowed
     /// from the arena: sorted by `(seg, start)`, disjoint within a
-    /// segment, and exactly the entries an [`IntervalMap`] per segment
-    /// holds after `insert_if_uncovered` of every range kept, newest
+    /// segment, and exactly the entries an interval map per segment
+    /// holds after a newest-wins insert of every range kept, newest
     /// record first and each record's ranges in order — one per maximal
     /// run of a range that no newer range covers, never merged with a
-    /// neighbour — found by one sort and one sweep.
+    /// neighbour. The values are put in `(seg, start)` order by a stable
+    /// radix sort of their keys, taken newest kept first, so each run of
+    /// one start comes newest record first: a kept value changes only
+    /// while the memo points at it, which ends when a later value at its
+    /// start is kept. Ranges of one record at one start come in reverse,
+    /// and the sweep's heap, which orders by rank, puts them right.
     pub fn latest_pieces(&self) -> Vec<Piece<'_>> {
-        let live = self.kept.iter().filter(|k| k.len > 0);
-        let mut input: Vec<(Piece<'_>, Rank)> = live
-            .filter_map(|k| {
-                let data = self.blocks.get(k.block)?.get(k.at..k.at + k.len)?;
-                let (seg, start) = (k.seg, k.start);
-                Some((Piece { seg, start, data }, (u64::MAX - k.record, k.idx)))
-            })
-            .collect();
-        input.sort_unstable_by_key(|(p, rank)| (p.seg, p.start, *rank));
-        sweep(&input)
+        let newest_first = self.kept.iter().enumerate().rev();
+        let live = newest_first.filter(|(_, k)| k.len > 0);
+        let keys = live.map(|(kept, k)| (k.start, k.seg, kept as u32));
+        self.sweep(&radix_sort(keys.collect()))
     }
-}
 
-/// The sweep behind [`ValueArena::latest_pieces`], over ranges sorted by
-/// `(seg, start, rank)`. A range that has ended wins no more, and one
-/// that a newer range outlives from its start wins nothing, so the sweep
-/// never pushes a range that the newest active one outlives, and empties
-/// its heap whenever everything in it has ended.
-fn sweep<'a>(input: &[(Piece<'a>, Rank)]) -> Vec<Piece<'a>> {
-    let mut out: Vec<Piece<'a>> = Vec::with_capacity(input.len());
-    // Ranges of the current segment that start at or before `cur`, newest
-    // on top; one that has ended is dropped once it surfaces, or once
-    // every range in the heap has ended.
-    let mut active: BinaryHeap<Reverse<(Rank, Piece<'a>)>> = BinaryHeap::new();
-    for group in input.chunk_by(|a, b| a.0.seg == b.0.seg) {
-        active.clear();
-        let mut unstarted = group.iter().peekable();
-        let mut cur = 0u64;
-        // Where the last range in the heap to end ends.
-        let mut reach = 0u64;
-        // The piece being grown, ending at `cur`: the rank and extent of
-        // the range it is cut from, and where it starts.
-        let mut run: Option<(Rank, Piece<'a>, u64)> = None;
-        loop {
-            if reach <= cur {
-                // Ranges rewritten in time order leave the ended older
-                // ones under the newer: they would never surface.
-                active.clear();
-            }
-            while let Some(&(range, rank)) = unstarted.next_if(|(p, _)| p.start <= cur) {
-                // It starts at `cur`, which the top covers if it has not
-                // ended: an older range that the top outlives wins nothing.
-                let top = active.peek();
-                if !top.is_some_and(|Reverse((r, p))| *r < rank && p.end() >= range.end()) {
+    /// The sweep behind [`ValueArena::latest_pieces`], over keys in
+    /// `(seg, start)` order. A range that has ended wins no more,
+    /// and one that a newer range outlives from its start wins nothing,
+    /// so the sweep never pushes a range that the newest active one
+    /// outlives, and empties its heap whenever everything in it has
+    /// ended. With the heap empty, a range that ends before the next one
+    /// starts is a piece whole and never enters the heap.
+    fn sweep(&self, keys: &[Key]) -> Vec<Piece<'_>> {
+        let mut out: Vec<Piece<'_>> = Vec::with_capacity(keys.len());
+        // Ranges of the current segment that start at or before `cur`,
+        // newest on top; one that has ended is dropped once it surfaces,
+        // or once every range in the heap has ended.
+        let mut active: BinaryHeap<Reverse<(Rank, Piece<'_>)>> = BinaryHeap::new();
+        for group in keys.chunk_by(|a, b| a.1 == b.1) {
+            let mut unstarted = group.iter().filter_map(|key| self.value(key.2)).peekable();
+            let mut cur = 0u64;
+            // Where the last range in the heap to end ends.
+            let mut reach = 0u64;
+            // The piece being grown, ending at `cur`: the rank and extent
+            // of the range it is cut from, and where it starts.
+            let mut run: Option<(Rank, Piece<'_>, u64)> = None;
+            loop {
+                if reach <= cur {
+                    // Ranges rewritten in time order leave the ended older
+                    // ones under the newer: they would never surface.
+                    active.clear();
+                    close_run(&mut out, run.take(), cur);
+                    let Some((range, rank)) = unstarted.next() else {
+                        break;
+                    };
+                    // Every range left starts at or after this one's start.
+                    let alone = unstarted.peek().is_none_or(|(p, _)| p.start >= range.end());
+                    if alone {
+                        close_run(&mut out, Some((rank, range, range.start)), range.end());
+                        (cur, reach) = (range.end(), range.end());
+                        continue;
+                    }
                     active.push(Reverse((rank, range)));
-                    reach = reach.max(range.end());
+                    (cur, reach) = (range.start, range.end());
                 }
-            }
-            while active.peek().is_some_and(|Reverse((_, p))| p.end() <= cur) {
-                active.pop();
-            }
-            let next_start = unstarted.peek().map(|(p, _)| p.start);
-            let Some(&Reverse((rank, newest))) = active.peek() else {
-                // Nothing covers `cur`: jump to the next range, if any.
-                close_run(&mut out, run.take(), cur);
-                match next_start {
-                    Some(start) => cur = start,
-                    None => break,
+                while let Some((range, rank)) = unstarted.next_if(|(p, _)| p.start <= cur) {
+                    // It starts at `cur`, which the top covers if it has not
+                    // ended: an older range that the top outlives wins nothing.
+                    let top = active.peek();
+                    if !top.is_some_and(|Reverse((r, p))| *r < rank && p.end() >= range.end()) {
+                        active.push(Reverse((rank, range)));
+                        reach = reach.max(range.end());
+                    }
                 }
-                continue;
-            };
-            // `newest` wins from `cur` until it ends or another range
-            // starts, whichever comes first.
-            if run.map(|(r, ..)| r) != Some(rank) {
-                close_run(&mut out, run.replace((rank, newest, cur)), cur);
+                while active.peek().is_some_and(|Reverse((_, p))| p.end() <= cur) {
+                    active.pop();
+                }
+                let next_start = unstarted.peek().map(|(p, _)| p.start);
+                let Some(&Reverse((rank, newest))) = active.peek() else {
+                    // Nothing covers `cur`: jump to the next range, if any.
+                    close_run(&mut out, run.take(), cur);
+                    match next_start {
+                        Some(start) => cur = start,
+                        None => break,
+                    }
+                    continue;
+                };
+                // `newest` wins from `cur` until it ends or another range
+                // starts, whichever comes first.
+                if run.map(|(r, ..)| r) != Some(rank) {
+                    close_run(&mut out, run.replace((rank, newest, cur)), cur);
+                }
+                cur = next_start.map_or(newest.end(), |start| start.min(newest.end()));
             }
-            cur = next_start.map_or(newest.end(), |start| start.min(newest.end()));
         }
+        #[cfg(test)]
+        tests::HEAP_CAPACITY.set(active.capacity());
+        out
     }
-    #[cfg(test)]
-    tests::HEAP_CAPACITY.set(active.capacity());
-    out
 }
 
 /// Slots of a [`ValueArena`]'s memo: a span rewrites a few starts in
@@ -478,12 +524,9 @@ fn close_run<'a>(out: &mut Vec<Piece<'a>>, run: Option<(Rank, Piece<'a>, u64)>, 
         return;
     };
     let within = (start - range.start) as usize..(end - range.start) as usize;
-    if let Some(data) = range.data.get(within) {
-        out.push(Piece {
-            seg: range.seg,
-            start,
-            data,
-        });
+    if let Some(data) = range.data.get(within).filter(|d| !d.is_empty()) {
+        let seg = range.seg;
+        out.push(Piece { seg, start, data });
     }
 }
 
@@ -524,105 +567,6 @@ pub(crate) fn overlay_pieces(pieces: &[Piece<'_>], start: u64, span: u64, buf: &
     covered
 }
 
-/// Disjoint intervals each carrying a byte payload, with newest-wins
-/// insertion.
-///
-/// This is the in-memory "tree of the latest committed changes" recovery
-/// builds per data segment (§5.1.2): records are processed newest first and
-/// [`IntervalMap::insert_if_uncovered`] keeps only the parts of older
-/// records that newer ones did not already cover.
-#[derive(Debug, Clone, Default)]
-pub struct IntervalMap {
-    /// start → payload; intervals are disjoint (adjacency is allowed).
-    entries: BTreeMap<u64, Vec<u8>>,
-}
-
-impl IntervalMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts `data` at `start`, keeping existing entries where they
-    /// overlap (existing entries are newer). Returns the number of bytes
-    /// actually inserted.
-    pub fn insert_if_uncovered(&mut self, start: u64, data: &[u8]) -> u64 {
-        let end = start + data.len() as u64;
-        if data.is_empty() {
-            return 0;
-        }
-        // Find the covered sub-ranges overlapping [start, end).
-        let mut covered: Vec<(u64, u64)> = Vec::new();
-        // An entry starting before `start` may still overlap it.
-        if let Some((&s, payload)) = self.entries.range(..start).next_back() {
-            let e = s + payload.len() as u64;
-            if e > start {
-                covered.push((s.max(start), e.min(end)));
-            }
-        }
-        for (&s, payload) in self.entries.range(start..end) {
-            let e = s + payload.len() as u64;
-            covered.push((s, e.min(end)));
-        }
-
-        // Insert the gaps.
-        let mut inserted = 0u64;
-        let mut cursor = start;
-        for (cs, ce) in covered.into_iter().chain(std::iter::once((end, end))) {
-            if cursor < cs {
-                let slice = &data[(cursor - start) as usize..(cs - start) as usize];
-                self.entries.insert(cursor, slice.to_vec());
-                inserted += cs - cursor;
-            }
-            cursor = cursor.max(ce);
-        }
-        inserted
-    }
-
-    /// Iterates `(start, payload)` in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
-        self.entries.iter().map(|(&s, p)| (s, p.as_slice()))
-    }
-
-    /// Total bytes held.
-    pub fn total_len(&self) -> u64 {
-        self.entries.values().map(|p| p.len() as u64).sum()
-    }
-
-    /// Returns `true` if the map holds no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of disjoint intervals.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Reads the map's view of `[start, start + buf.len())` into `buf`,
-    /// leaving gaps untouched. Used by tests to check recovery contents.
-    pub fn overlay_onto(&self, start: u64, buf: &mut [u8]) {
-        let end = start + buf.len() as u64;
-        let first = self
-            .entries
-            .range(..start)
-            .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(start);
-        for (&s, payload) in self.entries.range(first..end) {
-            let e = s + payload.len() as u64;
-            if e <= start {
-                continue;
-            }
-            let copy_start = s.max(start);
-            let copy_end = e.min(end);
-            let src = &payload[(copy_start - s) as usize..(copy_end - s) as usize];
-            let dst = &mut buf[(copy_start - start) as usize..(copy_end - start) as usize];
-            dst.copy_from_slice(src);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,11 +582,7 @@ mod tests {
         let r = ByteRange::at(10, 5);
         assert_eq!(r.len(), 5);
         assert!(!r.is_empty());
-        assert!(r.touches(&ByteRange::at(15, 1)), "adjacency counts");
-        assert!(r.touches(&ByteRange::at(12, 1)));
-        assert!(!r.touches(&ByteRange::at(16, 1)));
-        assert!(r.contains(&ByteRange::at(11, 2)));
-        assert!(!r.contains(&ByteRange::at(11, 10)));
+        assert!(ByteRange::at(10, 0).is_empty());
     }
 
     #[test]
@@ -870,11 +810,11 @@ mod tests {
     /// 30 000 copies of one 128-byte range, rewritten in place, among
     /// 30 000 distinct ranges: half under one newer wide range, half a
     /// ring of slots written in address order. The copies share a few
-    /// values in the arena, and the pieces are the ones an interval map keeps,
-    /// from a heap that stays shallow. Without the drops, each copy and
-    /// each range under the wide one would stay in the heap until the
-    /// range over it ended, and each slot of the ring, under every newer
-    /// one, until the sweep left the segment.
+    /// values in the arena, and the pieces are the maximal runs of bytes
+    /// one range wins, from a heap that stays shallow. Without the drops,
+    /// each copy and each range under the wide one would stay in the heap
+    /// until the range over it ended, and each slot of the ring, under
+    /// every newer one, until the sweep left the segment.
     #[test]
     fn latest_pieces_drop_covered_ranges_early() {
         let bytes: Vec<u8> = (0..60_000u32).map(|i| (i * 7 % 251) as u8).collect();
@@ -905,11 +845,27 @@ mod tests {
         // ring slot between two copies evicted their start from the memo.
         assert!(values.kept.len() < 30_100, "{} values", values.kept.len());
         let pieces = values.latest_pieces();
-        let mut map = IntervalMap::new();
-        for p in &newest_first {
-            map.insert_if_uncovered(p.start, p.data);
+        // The model: each byte's winner is the newest range over it, and
+        // a piece is a maximal run of bytes one range wins.
+        let extent = newest_first.iter().map(Piece::end).max().unwrap_or(0);
+        let mut winner = vec![usize::MAX; extent as usize];
+        for (i, p) in newest_first.iter().enumerate() {
+            let bytes = &mut winner[p.start as usize..p.end() as usize];
+            bytes
+                .iter_mut()
+                .filter(|w| **w == usize::MAX)
+                .for_each(|w| *w = i);
         }
-        let expected: Vec<(u64, &[u8])> = map.iter().collect();
+        let mut expected: Vec<(u64, &[u8])> = Vec::new();
+        let mut at = 0;
+        for run in winner.chunk_by(|a, b| a == b) {
+            if let Some(&i) = run.first().filter(|&&i| i != usize::MAX) {
+                let p = newest_first[i];
+                let from = at - p.start as usize;
+                expected.push((at as u64, &p.data[from..from + run.len()]));
+            }
+            at += run.len();
+        }
         let got: Vec<(u64, &[u8])> = pieces.iter().map(|p| (p.start, p.data)).collect();
         assert_eq!(got, expected);
         assert!(
@@ -917,55 +873,5 @@ mod tests {
             "heap grew to {}",
             HEAP_CAPACITY.get()
         );
-    }
-
-    #[test]
-    fn interval_map_newest_wins() {
-        let mut map = IntervalMap::new();
-        // Newest record inserted first.
-        assert_eq!(map.insert_if_uncovered(10, &[9, 9, 9, 9]), 4);
-        // Older record overlapping it only contributes uncovered bytes.
-        assert_eq!(map.insert_if_uncovered(8, &[1, 1, 1, 1, 1, 1, 1, 1]), 4);
-        let mut buf = [0u8; 10];
-        map.overlay_onto(8, &mut buf);
-        assert_eq!(buf, [1, 1, 9, 9, 9, 9, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn interval_map_fully_covered_inserts_nothing() {
-        let mut map = IntervalMap::new();
-        map.insert_if_uncovered(0, &[5; 16]);
-        assert_eq!(map.insert_if_uncovered(4, &[7; 8]), 0);
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.total_len(), 16);
-    }
-
-    #[test]
-    fn interval_map_gap_splitting() {
-        let mut map = IntervalMap::new();
-        map.insert_if_uncovered(10, &[2; 5]);
-        map.insert_if_uncovered(20, &[3; 5]);
-        // Older data spanning everything fills exactly the three gaps.
-        let inserted = map.insert_if_uncovered(5, &[1; 25]);
-        assert_eq!(inserted, 15);
-        let mut buf = [0u8; 25];
-        map.overlay_onto(5, &mut buf);
-        let mut expected = [1u8; 25];
-        expected[5..10].fill(2);
-        expected[15..20].fill(3);
-        assert_eq!(buf, expected);
-    }
-
-    #[test]
-    fn interval_map_preceding_entry_overlap() {
-        let mut map = IntervalMap::new();
-        map.insert_if_uncovered(0, &[4; 10]);
-        // Starts inside the existing entry.
-        assert_eq!(map.insert_if_uncovered(5, &[6; 10]), 5);
-        let mut buf = [0u8; 15];
-        map.overlay_onto(0, &mut buf);
-        let mut expected = [4u8; 15];
-        expected[10..].fill(6);
-        assert_eq!(buf, expected);
     }
 }

@@ -30,8 +30,9 @@ use crate::log::status::{write_status, StatusBlock};
 use crate::log::wal::scan_records;
 use crate::options::Tuning;
 use crate::ranges::ValueArena;
-use crate::segment::{ApplyContext, OpenSegments, Segment, SegmentId};
-use crate::sync::RwLock;
+use crate::rvm::elapsed_ns;
+use crate::segment::{table_entry, ApplyContext, OpenSegments, Segment, SegmentId};
+use crate::sync::{Instant, RwLock};
 
 /// What recovery did, for inspection and tests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -57,6 +58,18 @@ pub struct RecoveryReport {
     pub corrupt_pages_repaired: u64,
 }
 
+/// Wall-clock nanoseconds of a replay's three phases. Apart from
+/// [`RecoveryReport`], so that reports compare exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryTimes {
+    /// Reading the live span and keeping its values.
+    pub scan_ns: u64,
+    /// Resolving the kept values into per-segment trees.
+    pub resolve_ns: u64,
+    /// Writing the trees to their segments and making them durable.
+    pub apply_ns: u64,
+}
+
 /// What [`apply_span`] did.
 pub(crate) struct SpanApplied {
     /// Logical offset one past the last valid record scanned.
@@ -68,6 +81,7 @@ pub(crate) struct SpanApplied {
     /// The counts, in recovery's terms (`interrupted_epoch` and the
     /// corrupt-page counts unset: the handles count those).
     pub report: RecoveryReport,
+    pub times: RecoveryTimes,
 }
 
 /// Scans the log span from `head` (to `end`, or to the true tail) and
@@ -78,9 +92,11 @@ pub(crate) struct SpanApplied {
 ///
 /// The records' values are kept in a [`ValueArena`] as the scan passes
 /// them and resolved at its end, the newest value of a byte winning; one
-/// segment's sorted, disjoint pieces are one "tree". `resolve` maps a
-/// segment id and the tree's end offset to the segment's open handle,
-/// looked up in the status block's table at `initialize` and in
+/// segment's sorted, disjoint pieces are one "tree". Before anything is
+/// opened or written, `fits` checks every tree's segment id and end
+/// against the durable segment table ([`table_entry`]); `resolve` then
+/// maps a segment id and the tree's end offset to the segment's open
+/// handle. Both look in the status block's table at `initialize` and in
 /// `Core::segments` at run time. Each tree is written
 /// ([`Segment::apply_pieces`]) and made durable ([`Segment::finish`])
 /// before this returns, so the caller may move the log head past the
@@ -91,9 +107,12 @@ pub(crate) fn apply_span(
     head: u64,
     seq_at_head: u64,
     end: Option<u64>,
-    ctx: ApplyContext,
+    fits: &mut dyn FnMut(SegmentId, u64) -> Result<()>,
     resolve: &mut dyn FnMut(SegmentId, u64) -> Result<Arc<Segment>>,
 ) -> Result<SpanApplied> {
+    let mut clock = Instant::now();
+    let mut lap = || elapsed_ns(std::mem::replace(&mut clock, Instant::now()));
+    let mut times = RecoveryTimes::default();
     let mut values = ValueArena::default();
     let scan = scan_records(log, area_len, head, seq_at_head, end, |_, record| {
         values.keep_record(record.ranges());
@@ -106,27 +125,36 @@ pub(crate) fn apply_span(
             scan.tail
         )));
     }
+    times.scan_ns = lap();
     let pieces = values.latest_pieces();
+    times.resolve_ns = lap();
+    let chunks = pieces.chunk_by(|a, b| a.seg == b.seg);
+    let trees = chunks.filter_map(|t| Some((t, SegmentId::new(t.first()?.seg), t.last()?.end())));
+    let trees: Vec<_> = trees.collect();
+    for &(_, seg, end) in &trees {
+        fits(seg, end)?;
+    }
     let mut report = RecoveryReport {
         records_replayed: scan.records,
         bytes_applied: pieces.iter().map(|p| p.data.len() as u64).sum(),
         pads_skipped: scan.pads,
         ..RecoveryReport::default()
     };
-    for tree in pieces.chunk_by(|a, b| a.seg == b.seg) {
-        let (Some(first), Some(last)) = (tree.first(), tree.last()) else {
-            continue;
-        };
-        let segment = resolve(SegmentId::new(first.seg), last.end())?;
+    // A span that runs to a truncation boundary is an epoch's.
+    let ctx = end.map_or(ApplyContext::Recovery, |_| ApplyContext::Truncation);
+    for (tree, seg, end) in trees {
+        let segment = resolve(seg, end)?;
         segment.apply_pieces(tree, ctx)?;
         segment.finish()?;
         report.segments_updated += 1;
     }
+    times.apply_ns = lap();
     Ok(SpanApplied {
         tail: scan.tail,
         next_seq: scan.next_seq,
         ranges: pieces.len() as u64,
         report,
+        times,
     })
 }
 
@@ -135,6 +163,7 @@ pub(crate) struct Recovered {
     /// Post-recovery status (already written to the device; log empty).
     pub status: StatusBlock,
     pub report: RecoveryReport,
+    pub times: RecoveryTimes,
 }
 
 /// Runs crash recovery over the log and returns the recovered state.
@@ -161,7 +190,7 @@ pub(crate) fn recover(
         status.head,
         status.seq_at_head,
         None,
-        ApplyContext::Recovery,
+        &mut |seg, tree_end| table_entry(&status.segments, seg, tree_end).map(drop),
         &mut |seg, tree_end| segments.get(&status.segments, seg, tree_end, tuning),
     )?;
 
@@ -184,7 +213,11 @@ pub(crate) fn recover(
     status.epoch_next_seq = 0;
     write_status(dev.as_ref(), &mut status)?;
 
-    Ok(Recovered { status, report })
+    Ok(Recovered {
+        status,
+        report,
+        times: applied.times,
+    })
 }
 
 #[cfg(test)]
@@ -340,9 +373,15 @@ mod tests {
         assert!(matches!(err, RvmError::BadLog(_)));
     }
 
+    /// The table says segment A reaches 100 050 bytes (a `map` grew it
+    /// and crashed before the device followed): recovery grows the device
+    /// to hold the range the log writes there.
     #[test]
     fn segment_device_grows_to_fit_applied_ranges() {
-        let (dev, status, resolver) = setup(64);
+        let (dev, mut status, resolver) = setup(64);
+        resolver.resolve("segA", 4096).unwrap();
+        status.segments[0].min_len = 100_050;
+        write_status(dev.as_ref(), &mut status).unwrap();
         let mut wal = wal_for(&dev, &status);
         wal.append_txn(1, &[rr(0, 100_000, &[3; 50])]).unwrap();
         wal.force().unwrap();

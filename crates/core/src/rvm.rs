@@ -17,7 +17,7 @@ use crate::log::status::{format_log, open_status, write_status, StatusBlock, LOG
 use crate::log::wal::{StagingBuf, Wal};
 use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode};
 use crate::query::QueryInfo;
-use crate::recovery::{recover, RecoveryReport};
+use crate::recovery::{recover, RecoveryReport, RecoveryTimes};
 use crate::region::{Region, RegionDescriptor, RegionInner};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
 use crate::scrub::ScrubReport;
@@ -146,6 +146,7 @@ pub(crate) struct RvmShared {
 pub struct Rvm {
     pub(crate) shared: Arc<RvmShared>,
     recovery_report: RecoveryReport,
+    recovery_times: RecoveryTimes,
 }
 
 /// Failure from [`Rvm::terminate`], carrying the instance back to the
@@ -271,12 +272,18 @@ impl Rvm {
         Ok(Self {
             shared,
             recovery_report: recovered.report,
+            recovery_times: recovered.times,
         })
     }
 
     /// What crash recovery did during [`Rvm::initialize`].
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.recovery_report
+    }
+
+    /// How long each phase of the recovery in [`Rvm::initialize`] took.
+    pub fn recovery_times(&self) -> RecoveryTimes {
+        self.recovery_times
     }
 
     /// Whether the instance is poisoned (see [`RvmError::Poisoned`]).

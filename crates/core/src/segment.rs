@@ -413,6 +413,22 @@ impl Segment {
     }
 }
 
+/// Segment `id`'s entry in the durable segment table, which must hold
+/// its first `end` bytes. `map` persists a segment's length before any
+/// record can reach into it, so a record past it is corruption: a forged
+/// offset that would otherwise grow the segment without bound.
+pub(crate) fn table_entry(table: &[SegmentInfo], id: SegmentId, end: u64) -> Result<&SegmentInfo> {
+    let absent = || RvmError::BadLog(format!("segment id {id} is absent from the segment table"));
+    let info = table.iter().find(|s| s.id == id).ok_or_else(absent)?;
+    if end > info.min_len {
+        let (name, len) = (&info.name, info.min_len);
+        let msg =
+            format!("a record writes segment '{name}' up to byte {end}, past its {len} bytes");
+        return Err(RvmError::BadLog(msg));
+    }
+    Ok(info)
+}
+
 /// The segments this instance has opened, by raw id: the one registry.
 /// Behind its own reader/writer lock so `query` reads mirror health
 /// without `core`; the guard is never held across device I/O.
@@ -448,9 +464,7 @@ impl OpenSegments {
             segment.grow_to(min_len)?;
             return Ok(segment);
         }
-        let info = table.iter().find(|s| s.id == id).ok_or_else(|| {
-            RvmError::BadLog(format!("segment id {id} is absent from the segment table"))
-        })?;
+        let info = table_entry(table, id, min_len)?;
         let checksums = tuning.read().segment_checksums;
         let media = self.media.clone();
         let segment = Segment::open(info, min_len, &self.resolver, checksums, media)?;

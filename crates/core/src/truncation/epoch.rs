@@ -35,7 +35,7 @@ use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::recovery;
 use crate::rvm::{elapsed_ns, Core, CoreGuard, RvmShared};
-use crate::segment::ApplyContext;
+use crate::segment::{table_entry, SegmentInfo};
 use crate::sync::{Instant, MutexGuard};
 
 impl RvmShared {
@@ -66,10 +66,14 @@ impl RvmShared {
                 segs,
             },
         );
-        // Persist the boundary *before* touching any segment.
+        // Persist the boundary *before* touching any segment. The table as
+        // it is now bounds every record below it.
         let frozen = self.write_status_locked(core);
+        let table = core.segments.clone();
         let applied = frozen.and_then(|()| {
-            MutexGuard::unlocked(core, || self.apply_epoch_span(start, start_seq, end.tail()))
+            MutexGuard::unlocked(core, || {
+                self.apply_epoch_span(start, start_seq, end.tail(), &table)
+            })
         });
         let result = self.guard_io(self.finish_epoch(core, drained, applied));
         self.truncation_done.notify_all();
@@ -79,14 +83,14 @@ impl RvmShared {
     /// Phase 2: applies the frozen span `[start, end)` to the data
     /// segments. Runs with the core lock released; it is taken briefly
     /// per segment to look up (or open) the handle.
-    fn apply_epoch_span(&self, start: u64, start_seq: u64, end: u64) -> Result<()> {
+    fn apply_epoch_span(&self, start: u64, seq: u64, end: u64, segs: &[SegmentInfo]) -> Result<()> {
         let applied = recovery::apply_span(
             self.dev.as_ref(),
             self.log_view.capacity,
             start,
-            start_seq,
+            seq,
             Some(end),
-            ApplyContext::Truncation,
+            &mut |seg, tree_end| table_entry(segs, seg, tree_end).map(drop),
             &mut |seg, tree_end| {
                 let core = self.core.lock();
                 self.open_segments

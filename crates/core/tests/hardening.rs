@@ -925,6 +925,68 @@ fn hostile_lengths_end_the_log_without_panicking() {
     assert_eq!((scan.records.len(), scan.tail), (2, 2 * rec));
 }
 
+/// A record with valid checksums whose range lies past everything the
+/// segment table says its segment holds — at 1 TiB (recovery used to
+/// abort allocating it) and at 100 MB (it used to grow the segment to
+/// that) of a one-page segment: `initialize` refuses the log with
+/// `BadLog` naming the segment, and leaves the log and the segment as
+/// they were.
+#[test]
+fn a_record_past_its_segment_table_entry_is_refused() {
+    use rvm::log::record::{encode_txn, RecordRange};
+    use rvm::log::status::{read_status, LOG_AREA_START};
+    use rvm::log::wal::scan_forward;
+    use rvm::segment::SegmentId;
+
+    for offset in [1u64 << 40, 100_000_000] {
+        let (log, segs) = world();
+        let rvm = boot(&log, &segs);
+        let region = rvm
+            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+            .unwrap();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region.write(&mut txn, 0, &[1; 64]).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+        let crashed = Arc::new(MemDevice::from_image(log.snapshot()));
+        drop(region);
+        rvm.terminate().unwrap();
+
+        let status = read_status(crashed.as_ref()).unwrap();
+        let scan = scan_forward(
+            crashed.as_ref(),
+            status.area_len,
+            status.head,
+            status.seq_at_head,
+            None,
+        );
+        let scan = scan.unwrap();
+        let forged = RecordRange {
+            seg: SegmentId::new(0),
+            offset,
+            data: vec![7; 8],
+        };
+        let record = encode_txn(scan.next_seq, 99, &[forged]);
+        crashed
+            .write_at(LOG_AREA_START + scan.tail, &record)
+            .unwrap();
+        let images = || ["seg", "seg.sums"].map(|name| segs.get(name).unwrap().snapshot());
+        let before = (crashed.snapshot(), images());
+
+        let options = Options::new(crashed.clone()).resolver(segs.clone().into_resolver());
+        let Err(RvmError::BadLog(msg)) = Rvm::initialize(options) else {
+            panic!("a range at {offset} of a one-page segment must be refused");
+        };
+        assert!(
+            msg.contains("'seg'") && msg.contains(&format!("{}", offset + 8)),
+            "{msg}"
+        );
+        assert!(
+            before == (crashed.snapshot(), images()),
+            "devices untouched"
+        );
+    }
+}
+
 #[test]
 fn query_region_page_accounting() {
     let (log, segs) = world();

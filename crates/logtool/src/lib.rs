@@ -17,11 +17,11 @@ use rvm::log::status::{
     read_status, StatusBlock, LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET,
 };
 use rvm::log::wal::{scan_backward, scan_forward};
-use rvm::ranges::IntervalMap;
 use rvm::scrub::{checksum_of, page_count, page_len, sidecar_name, SegmentChecksums};
 pub use rvm::segment::DeviceResolver as Resolver;
 use rvm::segment::{DeviceResolver, SegmentId};
 use rvm::{Result, RvmError, PAGE_SIZE};
+use rvm_check::IntervalMap;
 pub use rvm_check::VerifyReport;
 use rvm_storage::Device;
 

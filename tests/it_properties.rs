@@ -13,9 +13,10 @@ use common::World;
 use proptest::prelude::*;
 use rvm::log::record::{encode_txn, parse_record, RecordRange, LOG_BLOCK};
 use rvm::log::status::StatusBlock;
-use rvm::ranges::{ByteRange, IntervalMap, Piece, RangeSet, ValueArena};
+use rvm::ranges::{ByteRange, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
+use rvm_check::IntervalMap;
 use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
 
 proptest! {
@@ -111,6 +112,27 @@ proptest! {
             .flat_map(|(seg, map)| map.iter().map(move |(start, data)| (*seg, start, data)))
             .collect();
         let got: Vec<(u32, u64, &[u8])> = pieces.iter().map(|p| (p.seg, p.start, p.data)).collect();
+        prop_assert_eq!(got, expected);
+    }
+
+    /// The same contract over the whole key space, records of several
+    /// ranges each: segment ids that differ above bit 11 (so the radix
+    /// passes reach the segment), starts in the low bits, above bit 32,
+    /// and within 300 bytes of `u64::MAX` (ends up to `u64::MAX` itself),
+    /// on a grid where ranges of one start have different lengths, inside
+    /// one record and across records, and others abut or nest in them.
+    #[test]
+    fn latest_pieces_match_interval_maps_across_the_key_space(
+        records in prop::collection::vec(
+            prop::collection::vec((0usize..5, 0usize..3, 0usize..8, 0usize..5, any::<u8>()), 1..8),
+            0..24
+        )
+    ) {
+        let records: Vec<Ranges> = records
+            .iter()
+            .map(|ranges| ranges.iter().map(|&(seg, base, off, len, fill)| resolver_range(seg, base, off, len, fill)).collect())
+            .collect();
+        let (got, expected) = resolve_both(&records);
         prop_assert_eq!(got, expected);
     }
 
@@ -323,6 +345,105 @@ proptest! {
         }
         txn.commit(CommitMode::Flush).unwrap();
     }
+}
+
+/// Range `(seg, base, off, len)` of the resolver's key-space grid,
+/// filled from `fill`.
+fn resolver_range(
+    seg: usize,
+    base: usize,
+    off: usize,
+    len: usize,
+    fill: u8,
+) -> (u32, u64, Vec<u8>) {
+    let seg = [0, 1, 2048, 1 << 20, u32::MAX][seg];
+    let start = [0, 1 << 33, u64::MAX - 300][base] + [0, 8, 16, 24, 32, 100, 108, 200][off];
+    let len = [8, 16, 24, 100, 1][len];
+    (
+        seg,
+        start,
+        (0..len).map(|i| fill.wrapping_add(i as u8)).collect(),
+    )
+}
+
+/// Ranges as `(segment, start, value)`.
+type Ranges = Vec<(u32, u64, Vec<u8>)>;
+
+/// `records` (oldest first) resolved by a value arena, and the entries
+/// of an interval map per segment after every range, newest record
+/// first and each record's ranges in order.
+fn resolve_both(records: &[Ranges]) -> (Ranges, Ranges) {
+    let mut values = ValueArena::default();
+    for record in records {
+        values.keep_record(record.iter().map(|(seg, start, data)| Piece {
+            seg: *seg,
+            start: *start,
+            data,
+        }));
+    }
+    let got = values
+        .latest_pieces()
+        .iter()
+        .map(|p| (p.seg, p.start, p.data.to_vec()))
+        .collect();
+    let mut maps: BTreeMap<u32, IntervalMap> = BTreeMap::new();
+    for (seg, start, data) in records.iter().rev().flatten() {
+        maps.entry(*seg)
+            .or_default()
+            .insert_if_uncovered(*start, data);
+    }
+    let expected = maps
+        .iter()
+        .flat_map(|(seg, map)| {
+            map.iter()
+                .map(move |(start, data)| (*seg, start, data.to_vec()))
+        })
+        .collect();
+    (got, expected)
+}
+
+/// 6 000 seeded records of one to three ranges over five segments, most
+/// at distinct starts so that some 12 000 values are kept — past the
+/// 4 096 at which a resolver might switch strategy — resolve as the
+/// interval maps do.
+#[test]
+fn latest_pieces_match_interval_maps_past_4096_values() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |bound: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % bound
+    };
+    let records: Vec<Ranges> = (0..6_000)
+        .map(|_| {
+            (0..1 + next(3))
+                .map(|_| match next(4) {
+                    0 => resolver_range(
+                        next(5) as usize,
+                        next(3) as usize,
+                        next(8) as usize,
+                        next(5) as usize,
+                        next(256) as u8,
+                    ),
+                    _ => {
+                        let seg = [0, 1, 2048, 1 << 20, u32::MAX][next(5) as usize];
+                        (
+                            seg,
+                            next(200_000),
+                            vec![next(256) as u8; 1 + next(300) as usize],
+                        )
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let (got, expected) = resolve_both(&records);
+    assert!(expected.len() > 4_096, "{} pieces", expected.len());
+    assert!(
+        got == expected,
+        "the resolve differs from the interval maps"
+    );
 }
 
 /// For each hot (segment, start) of `streamed_replay_matches_interval_maps`,
