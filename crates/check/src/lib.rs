@@ -1,4 +1,6 @@
-//! WAL invariant verification for RVM logs.
+//! Judges of RVM that stand outside it: WAL invariant verification
+//! ([`verify`]), the verifier's model of the recovery trees
+//! ([`IntervalMap`]), and the `set_range` contract checker ([`Checked`]).
 //!
 //! `rvmlog doctor` answers "where does the live log end, and what
 //! terminated it?" — it walks the forward scan and classifies the first
@@ -43,7 +45,9 @@ use rvm::ranges::{Piece, ValueArena};
 use rvm::Result;
 use rvm_storage::Device;
 
+mod check;
 mod interval_map;
+pub use check::{CheckViolation, Checked, CheckedTxn};
 pub use interval_map::IntervalMap;
 
 /// What [`verify`] found.

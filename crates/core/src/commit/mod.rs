@@ -160,7 +160,6 @@ impl RvmShared {
             txn.rollback();
             return Err(e);
         }
-        self.run_commit_check(txn);
         // `Tuning` is `Copy`: a plain read through the lock, no per-commit
         // heap clone.
         let tuning = *self.tuning.read();

@@ -113,27 +113,20 @@
 //!    that order across its check and copy; no path acquires
 //!    `mem_lock` while holding a `page_vector`, or `core` while holding
 //!    either.
-//! 4. Leaf locks, never held while acquiring any of the above:
-//!    `RvmShared::check` (debug-checker state) and `SegmentChecksums`'
-//!    internal entry table.
+//! 4. A leaf lock, never held while acquiring any of the above:
+//!    `SegmentChecksums`' internal entry table.
 //!
 //! Non-obvious consequences:
 //!
-//! * `check` is a leaf: the checker must copy what it needs and release
-//!   `check` *before* anything that takes `core` (`query` historically
-//!   held `check` across its `core` acquisition while commit paths took
-//!   them in the opposite order — a lock-order inversion, fixed).
 //! * The commit-queue locks (`commit::GroupCommit`) are taken only while
 //!   `core` is *not* held: the leader acquires `core` after claiming its
 //!   slots, and a holder of the core guard that needs the spool durable
 //!   (a `map` settling its segment, incremental truncation) raises the
 //!   barrier under `MutexGuard::unlocked`.
 //! * The commit fast paths are plane-local: a no-flush commit touches
-//!   only the spool lock plus per-region state (after
-//!   one shared read of `tuning`). With the debug checks off the
-//!   checker's hooks return on one atomic load (`check`'s gate), so
-//!   `begin_transaction`, `set_range` and abort take no shared lock at
-//!   all, and `query` never takes `core`
+//!   only the spool lock plus per-region state (after one shared read of
+//!   `tuning`); `begin_transaction`, `set_range` and abort take no shared
+//!   lock at all, and `query` takes no mutex
 //!   ([`Rvm::core_lock_acquisitions`] pins the `core`-free paths in tests).
 //!
 //! There is one in-flight truncation protocol (`truncation`): freeze
@@ -148,7 +141,6 @@
 //! waits on `core` itself (releasing it while parked), so truncation
 //! never blocks commits while holding a second lock.
 
-mod check;
 mod commit;
 pub mod crc;
 mod cursor;
@@ -169,7 +161,6 @@ mod sync;
 mod truncation;
 mod txn;
 
-pub use check::CheckViolation;
 pub use crc::crc32;
 pub use error::{Result, RvmError};
 #[cfg(feature = "mutation-hooks")]

@@ -110,23 +110,6 @@ pub struct Tuning {
     /// Bytes of log space one triggered incremental-truncation run
     /// reclaims before it hands the thread back: the step size.
     pub incremental_reclaim_bytes: u64,
-    /// Detect mutations of mapped regions that no `set_range` declared —
-    /// the §4.2 contract violation whose "result is disastrous" (§6).
-    /// Each `begin_transaction` snapshots the mapped regions and each
-    /// commit diffs memory against the declared write set; mutations
-    /// outside it are reported as
-    /// [`CheckViolation`](crate::CheckViolation)s through `query`.
-    /// Expensive (a full region copy per active transaction): a debugging
-    /// mode, off by default.
-    pub check_unlogged_writes: bool,
-    /// Flag overlapping `set_range` declarations from concurrent
-    /// uncommitted transactions — the data-race class the paper leaves to
-    /// the serializability layer above RVM (§3.1). Off by default.
-    pub check_range_conflicts: bool,
-    /// Panic the offending thread when a check violation is detected,
-    /// instead of only recording it. For tests and debugging sessions
-    /// that want to die at the first contract breach.
-    pub panic_on_violation: bool,
     /// Maximum flush-mode commits acknowledged by one force. Concurrent
     /// flush-mode commits queue up and one leader appends every waiting
     /// transaction and forces once for the whole batch (group commit);
@@ -157,13 +140,6 @@ pub struct Tuning {
     pub segment_checksums: bool,
 }
 
-impl Tuning {
-    /// Whether either debug check is on (they share the checker's state).
-    pub(crate) fn checks(&self) -> bool {
-        self.check_unlogged_writes || self.check_range_conflicts
-    }
-}
-
 impl Default for Tuning {
     fn default() -> Self {
         Self {
@@ -172,9 +148,6 @@ impl Default for Tuning {
             inter_optimization: true,
             spool_max_bytes: 4 << 20,
             incremental_reclaim_bytes: 256 << 10,
-            check_unlogged_writes: false,
-            check_range_conflicts: false,
-            panic_on_violation: false,
             group_commit_max_txns: 64,
             group_commit_wait_us: 0,
             segment_checksums: true,
@@ -266,9 +239,6 @@ mod tests {
             inter_optimization,
             spool_max_bytes,
             incremental_reclaim_bytes,
-            check_unlogged_writes,
-            check_range_conflicts,
-            panic_on_violation,
             group_commit_max_txns,
             group_commit_wait_us,
             segment_checksums,
@@ -276,10 +246,6 @@ mod tests {
         assert!(intra_optimization && inter_optimization);
         assert!((0.0..1.0).contains(&truncation_threshold));
         assert!(spool_max_bytes > 0 && incremental_reclaim_bytes > 0);
-        assert!(
-            !(check_unlogged_writes || check_range_conflicts || panic_on_violation),
-            "debug checks are opt-in"
-        );
         assert_eq!(TxnMode::default(), TxnMode::Restore);
         assert_eq!(CommitMode::default(), CommitMode::Flush);
         assert!(group_commit_max_txns > 1, "flush commits share forces");

@@ -1,6 +1,5 @@
 //! Results of the `query` operation (§4.2, Figure 4d).
 
-use crate::check::CheckViolation;
 use crate::stats::StatsSnapshot;
 
 /// Log geometry and occupancy.
@@ -53,10 +52,6 @@ pub struct QueryInfo {
     /// Whether the instance is poisoned (see
     /// [`RvmError::Poisoned`](crate::RvmError::Poisoned)).
     pub poisoned: bool,
-    /// Contract violations recorded by the debug-mode checker (empty
-    /// unless [`Tuning::check_unlogged_writes`](crate::Tuning) or
-    /// [`Tuning::check_range_conflicts`](crate::Tuning) is on).
-    pub check_violations: Vec<CheckViolation>,
     /// Operation counters.
     pub stats: StatsSnapshot,
 }

@@ -630,7 +630,9 @@ impl Region {
     /// through this pointer must be covered by
     /// [`Transaction::set_range_ptr`](crate::Transaction::set_range_ptr)
     /// calls — "the result is disastrous" otherwise, exactly as §6 warns —
-    /// and the caller takes over synchronization entirely.
+    /// and the caller takes over synchronization entirely. To catch an
+    /// undeclared write while debugging, map and transact through
+    /// `rvm_check::Checked`, which convicts it at commit.
     pub fn base_ptr(&self) -> *mut u8 {
         self.inner.mem.as_ptr()
     }

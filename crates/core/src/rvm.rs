@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use rvm_storage::Device;
 
-use crate::check::CheckState;
 use crate::commit::{self, GroupCommit};
 use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
@@ -24,9 +23,7 @@ use crate::scrub::ScrubReport;
 use crate::segment::{OpenSegments, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
-use crate::sync::{
-    AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, Mutex, MutexGuard, RwLock,
-};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, MutexGuard, RwLock};
 use crate::truncation::{IdSet, InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
@@ -96,13 +93,6 @@ pub(crate) struct RvmShared {
     /// while acquiring `core` or vice versa.
     pub(crate) group: GroupCommit,
     pub(crate) regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
-    /// Debug-mode checker state (snapshots, declared ranges, violations).
-    /// Lock order: `regions` → `check` → region memory locks; never taken
-    /// while holding `core`.
-    pub(crate) check: Mutex<CheckState>,
-    /// Whether the commit path's checker hooks have anything to do (see
-    /// [`crate::check`]).
-    pub(crate) check_armed: AtomicBool,
     next_tid: AtomicU64,
     pub(crate) next_region_id: AtomicU64,
     pub(crate) active_txns: AtomicU64,
@@ -259,8 +249,6 @@ impl Rvm {
             truncation_active: AtomicBool::new(false),
             group: GroupCommit::default(),
             regions: RwLock::new(HashMap::new()),
-            check: Mutex::new(CheckState::default()),
-            check_armed: AtomicBool::new(options.tuning.checks()),
             next_tid: AtomicU64::new(1),
             next_region_id: AtomicU64::new(1),
             active_txns: AtomicU64::new(0),
@@ -331,9 +319,7 @@ impl Rvm {
         self.shared.check_live()?;
         self.shared.active_txns.fetch_add(1, Ordering::AcqRel);
         let tid = self.shared.next_tid.fetch_add(1, Ordering::Relaxed);
-        let txn = Transaction::new(tid, mode, self.shared.clone());
-        self.shared.snapshot_for_check(tid);
-        Ok(txn)
+        Ok(Transaction::new(tid, mode, self.shared.clone()))
     }
 
     /// Forces all spooled no-flush commits to the log (§4.2 `flush`).
@@ -387,12 +373,7 @@ impl Rvm {
     /// commits that *begin* after this call; a flush-commit leader mid
     /// batch finishes with the tuning its batch started under.
     pub fn set_options(&self, tuning: Tuning) {
-        let mut current = self.shared.tuning.write();
-        if tuning.checks() {
-            // Under the write guard: see `check_txn_ended`.
-            self.shared.check_armed.store(true, Ordering::Release);
-        }
-        *current = tuning;
+        *self.shared.tuning.write() = tuning;
     }
 
     /// Installs deliberate protocol mutations for the `rvm-crashmc`
@@ -406,15 +387,12 @@ impl Rvm {
     /// Library-wide information (§4.2 `query`).
     ///
     /// Served entirely from the lock-free planes — the atomic stats, the
-    /// spool and page-queue gauges, the WAL's published view, and the
-    /// open-segment registry's read lock. `query` never acquires the
-    /// core lock, so it cannot be wedged behind a commit that is itself
-    /// stuck on a slow or gated device.
+    /// spool and page-queue gauges, the WAL's published view — and two
+    /// read locks, `regions` and the open-segment registry's. `query`
+    /// takes no mutex at all, the core lock included, so it cannot be
+    /// wedged behind a commit that is itself stuck on a slow or gated
+    /// device.
     pub fn query(&self) -> QueryInfo {
-        let check_violations = {
-            let check = self.shared.check.lock();
-            check.violations.clone()
-        };
         let (mapped_regions, regions_degraded) = {
             let regions = self.shared.regions.read();
             (
@@ -439,7 +417,6 @@ impl Rvm {
             log: self.shared.log_view.snapshot(),
             truncation_in_flight: self.shared.truncation_active.load(Ordering::Acquire),
             poisoned: self.shared.poisoned.load(Ordering::Acquire),
-            check_violations,
             stats: self.shared.stats.snapshot(),
         }
     }

@@ -148,10 +148,6 @@ pub struct Stats {
     pub(crate) truncation_bytes_applied: AtomicU64,
     pub(crate) incremental_steps: AtomicU64,
     pub(crate) pages_written_incremental: AtomicU64,
-    /// Unlogged-write violations detected by the commit-time checker.
-    pub(crate) check_unlogged_writes: AtomicU64,
-    /// Overlapping `set_range` declarations from concurrent transactions.
-    pub(crate) check_range_conflicts: AtomicU64,
     pub(crate) fault: Arc<FaultCounters>,
     pub(crate) media: Arc<MediaCounters>,
 }
@@ -192,8 +188,6 @@ impl Stats {
             truncation_bytes_applied: self.truncation_bytes_applied.load(Ordering::Relaxed),
             incremental_steps: self.incremental_steps.load(Ordering::Relaxed),
             pages_written_incremental: self.pages_written_incremental.load(Ordering::Relaxed),
-            check_unlogged_writes: self.check_unlogged_writes.load(Ordering::Relaxed),
-            check_range_conflicts: self.check_range_conflicts.load(Ordering::Relaxed),
             io_retries: self.fault.io_retries.load(Ordering::Relaxed),
             transient_faults_healed: self.fault.transient_faults_healed.load(Ordering::Relaxed),
             poisonings: self.fault.poisonings.load(Ordering::Relaxed),
@@ -269,12 +263,6 @@ pub struct StatsSnapshot {
     pub incremental_steps: u64,
     /// Pages written to segments by incremental truncation.
     pub pages_written_incremental: u64,
-    /// Unlogged-write violations detected by the commit-time checker
-    /// (`Tuning::check_unlogged_writes`).
-    pub check_unlogged_writes: u64,
-    /// Overlapping `set_range` declarations from concurrent transactions
-    /// (`Tuning::check_range_conflicts`).
-    pub check_range_conflicts: u64,
     /// Device operations retried after a transient failure.
     pub io_retries: u64,
     /// Device operations that succeeded after transient failure(s).
@@ -372,8 +360,6 @@ impl StatsSnapshot {
             incremental_steps: self.incremental_steps - earlier.incremental_steps,
             pages_written_incremental: self.pages_written_incremental
                 - earlier.pages_written_incremental,
-            check_unlogged_writes: self.check_unlogged_writes - earlier.check_unlogged_writes,
-            check_range_conflicts: self.check_range_conflicts - earlier.check_range_conflicts,
             io_retries: self.io_retries - earlier.io_retries,
             transient_faults_healed: self.transient_faults_healed - earlier.transient_faults_healed,
             poisonings: self.poisonings - earlier.poisonings,

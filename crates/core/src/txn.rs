@@ -19,10 +19,8 @@
 //! counts, the region memory lock for the old-value capture — and, on a
 //! region mapped on demand that still has pages to fetch, `unloaded`
 //! first; an eager or fully fetched region answers from one atomic), and
-//! abort/rollback/release undo the same per-region state — plus, each,
-//! one load of the debug checker's gate, which leads on to the checker's
-//! locks only while a check is on (`crate::check`); a commit also reads
-//! `tuning` once, shared. A read-only
+//! abort/rollback/release undo the same per-region state; a commit also
+//! reads `tuning` once, shared. A read-only
 //! transaction — begin, reads, abort, or a commit that declared
 //! nothing — therefore acquires the global `core` lock zero times;
 //! `Rvm::core_lock_acquisitions` exists so tests can pin that, and the
@@ -236,7 +234,6 @@ impl Transaction {
             }
         }
         drop(pv);
-        self.shared.check_declared_range(self.tid, region, range);
         Ok(())
     }
 
@@ -326,7 +323,6 @@ impl Transaction {
     /// Releases page references and per-region transaction counts, and
     /// hands the scratch back to the thread's cache.
     pub(crate) fn release(&mut self) {
-        self.shared.check_txn_ended(self.tid, &self.scratch.regions);
         for TxnRegion { region, bufs } in &self.scratch.regions {
             let mut pv = region.page_vector.lock();
             for &page in &bufs.touched_pages {

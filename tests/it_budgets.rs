@@ -128,18 +128,18 @@ fn check_with(budget: &Table, pairs: &[(&str, Val)]) -> Result<(), String> {
 #[test]
 fn a_count_over_its_ceiling_names_the_file_and_the_number() {
     let tuning = budgets().into_iter().next().expect("the Tuning budget");
-    assert_eq!(count(&tuning), Ok(11));
+    assert_eq!(count(&tuning), Ok(8));
     let with = |pairs: &[(&str, Val)]| check_with(&tuning, pairs);
-    let over = with(&[("ceiling", Val::Int(10))]);
+    let over = with(&[("ceiling", Val::Int(7))]);
     assert_eq!(
         over,
-        Err("crates/core/src/options.rs: 11 for `Tuning`, over its ceiling of 10".into())
+        Err("crates/core/src/options.rs: 8 for `Tuning`, over its ceiling of 7".into())
     );
-    let raised = with(&[("ceiling", Val::Int(12))]);
+    let raised = with(&[("ceiling", Val::Int(9))]);
     assert!(raised.is_err_and(|e| e.contains("without a `reason`")));
     let reason = Val::Str("a benchmark needs the knob".into());
     assert_eq!(
-        with(&[("ceiling", Val::Int(12)), ("reason", reason)]),
+        with(&[("ceiling", Val::Int(9)), ("reason", reason)]),
         Ok(())
     );
 

@@ -1,7 +1,8 @@
 //! Integration tests for the checking subsystem: the §6 unlogged-write
 //! detector ("the result is disastrous" — a forgotten `set-range` was the
-//! most common RVM bug), the range-conflict detector, and `rvmlog
-//! verify`'s WAL invariant verification.
+//! most common RVM bug) and the range-conflict detector, both through the
+//! `rvm_check::Checked` wrapper, and `rvmlog verify`'s WAL invariant
+//! verification.
 
 mod common {
     include!("lib.rs");
@@ -13,17 +14,10 @@ use std::sync::Arc;
 use common::World;
 use rvm::log::record::{parse_header, HEADER_SIZE};
 use rvm::log::status::LOG_AREA_START;
-use rvm::{CheckViolation, CommitMode, RegionDescriptor, Tuning, TxnMode, PAGE_SIZE};
+use rvm::{CommitMode, LoadPolicy, RegionDescriptor, TxnMode, PAGE_SIZE};
+use rvm_check::{CheckViolation, Checked};
 use rvm_logtool::LogInspector;
 use rvm_storage::Device;
-
-fn checking() -> Tuning {
-    Tuning {
-        check_unlogged_writes: true,
-        check_range_conflicts: true,
-        ..Tuning::default()
-    }
-}
 
 /// Writes a byte into mapped region memory behind the transaction's back —
 /// the exact §6 bug the checker exists to catch.
@@ -36,42 +30,36 @@ fn poke_unlogged(region: &rvm::Region, offset: u64, value: u8) {
     }
 }
 
+fn unlogged(tid: u64, segment: &str, offset: u64, len: u64) -> CheckViolation {
+    CheckViolation::UnloggedWrite {
+        tid,
+        segment: segment.into(),
+        offset,
+        len,
+    }
+}
+
 #[test]
 fn unlogged_mutation_is_caught_at_commit() {
     let world = World::new(1 << 20);
-    let rvm = world.boot_tuned(checking());
+    let rvm = Checked::new(world.boot());
     let region = rvm
         .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
         .unwrap();
 
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    region.write(&mut txn, 0, &[0x11; 8]).unwrap();
+    txn.write(&region, 0, &[0x11; 8]).unwrap();
     poke_unlogged(&region, 256, 0xAB);
     let tid = txn.tid();
     txn.commit(CommitMode::Flush).unwrap();
 
-    let q = rvm.query();
-    assert_eq!(q.stats.check_unlogged_writes, 1, "one violation counted");
-    let matching = q
-        .check_violations
-        .iter()
-        .filter(|v| match v {
-            CheckViolation::UnloggedWrite {
-                tid: t,
-                segment,
-                offset,
-                len,
-            } => *t == tid && segment == "data" && *offset <= 256 && 256 < offset + len,
-            _ => false,
-        })
-        .count();
-    assert_eq!(matching, 1, "violations: {:?}", q.check_violations);
+    assert_eq!(rvm.violations(), vec![unlogged(tid, "data", 256, 1)]);
 }
 
 #[test]
 fn declared_ptr_mutation_is_clean() {
     let world = World::new(1 << 20);
-    let rvm = world.boot_tuned(checking());
+    let rvm = Checked::new(world.boot());
     let region = rvm
         .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
         .unwrap();
@@ -85,25 +73,21 @@ fn declared_ptr_mutation_is_clean() {
     poke_unlogged(&region, 256, 0xAB);
     txn.commit(CommitMode::Flush).unwrap();
 
-    let q = rvm.query();
-    assert_eq!(q.stats.check_unlogged_writes, 0);
-    assert!(q.check_violations.is_empty(), "{:?}", q.check_violations);
+    assert!(rvm.violations().is_empty(), "{:?}", rvm.violations());
 }
 
 #[test]
 fn panic_mode_fires_inside_commit() {
     let world = World::new(1 << 20);
-    let rvm = world.boot_tuned(Tuning {
-        panic_on_violation: true,
-        ..checking()
-    });
+    let rvm = Checked::new(world.boot()).panicking();
     let region = rvm
         .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
         .unwrap();
 
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    region.write(&mut txn, 0, &[1; 4]).unwrap();
+    txn.write(&region, 0, &[1; 4]).unwrap();
     poke_unlogged(&region, 512, 0xEE);
+    let tid = txn.tid();
     let result = catch_unwind(AssertUnwindSafe(move || txn.commit(CommitMode::Flush)));
     let payload = result.expect_err("commit must panic on the violation");
     let msg = payload
@@ -113,46 +97,45 @@ fn panic_mode_fires_inside_commit() {
         .unwrap_or_default();
     assert!(msg.contains("rvm check violation"), "panic payload: {msg}");
 
-    // The violation is on record even though the commit never finished.
-    assert_eq!(rvm.query().stats.check_unlogged_writes, 1);
+    // The violation is on record even though the commit never finished,
+    // and the commit logged nothing: the transaction aborted as it unwound.
+    assert_eq!(rvm.violations(), vec![unlogged(tid, "data", 512, 1)]);
+    assert_eq!(rvm.rvm().stats().txns_committed, 0);
+    assert_eq!(region.read_vec(0, 4).unwrap(), vec![0; 4]);
 }
 
 #[test]
 fn overlapping_declarations_from_concurrent_txns_are_flagged() {
     let world = World::new(1 << 20);
-    let rvm = world.boot_tuned(checking());
+    let rvm = Checked::new(world.boot());
     let region = rvm
         .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
         .unwrap();
 
     let mut txn1 = rvm.begin_transaction(TxnMode::Restore).unwrap();
     let mut txn2 = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    region.write(&mut txn1, 100, &[1; 50]).unwrap();
-    region.write(&mut txn2, 120, &[2; 50]).unwrap();
+    txn1.write(&region, 100, &[1; 50]).unwrap();
+    txn2.write(&region, 120, &[2; 50]).unwrap();
 
-    let q = rvm.query();
-    assert_eq!(q.stats.check_range_conflicts, 1);
-    assert!(
-        q.check_violations.iter().any(|v| matches!(
-            v,
-            CheckViolation::RangeConflict {
-                segment,
-                offset: 120,
-                len: 30,
-                ..
-            } if segment == "data"
-        )),
-        "{:?}",
-        q.check_violations
-    );
+    let conflict = CheckViolation::RangeConflict {
+        tid: txn2.tid(),
+        other_tid: txn1.tid(),
+        segment: "data".into(),
+        offset: 120,
+        len: 30,
+    };
+    assert_eq!(rvm.violations(), vec![conflict.clone()]);
 
     // RVM leaves serializability to the application (§3.1): both commits
     // succeed, and the overlap does not masquerade as an unlogged write.
     txn1.commit(CommitMode::Flush).unwrap();
     txn2.commit(CommitMode::Flush).unwrap();
-    assert_eq!(rvm.query().stats.check_unlogged_writes, 0);
+    assert_eq!(rvm.violations(), vec![conflict]);
 }
 
+/// An unwrapped instance does not check: the undeclared byte commits
+/// without complaint and is silently lost at the next restart — §6's
+/// disaster, which only `Checked` would have reported.
 #[test]
 fn checker_is_off_by_default() {
     let world = World::new(1 << 20);
@@ -165,12 +148,22 @@ fn checker_is_off_by_default() {
     region.write(&mut txn, 0, &[3; 4]).unwrap();
     poke_unlogged(&region, 900, 0x77);
     txn.commit(CommitMode::Flush).unwrap();
+    std::mem::forget(rvm); // crash
 
-    let q = rvm.query();
-    assert_eq!(q.stats.check_unlogged_writes, 0);
-    assert!(q.check_violations.is_empty());
+    let rvm = world.boot();
+    let region = rvm
+        .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
+        .unwrap();
+    assert_eq!(region.read_vec(0, 4).unwrap(), vec![3; 4]);
+    assert_eq!(
+        region.read_vec(900, 1).unwrap(),
+        vec![0],
+        "the poke is lost"
+    );
 }
 
+/// Wrapping a running instance checks from then on: regions mapped
+/// through the wrapper are checked, transactions before it were not.
 #[test]
 fn set_options_enables_checking_mid_run() {
     let world = World::new(1 << 20);
@@ -182,15 +175,81 @@ fn set_options_enables_checking_mid_run() {
     // First transaction runs unchecked.
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
     region.write(&mut txn, 0, &[1; 8]).unwrap();
-    txn.commit(CommitMode::Flush).unwrap();
-
-    rvm.set_options(checking());
-    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    region.write(&mut txn, 0, &[2; 8]).unwrap();
     poke_unlogged(&region, 700, 0x55);
     txn.commit(CommitMode::Flush).unwrap();
 
-    assert_eq!(rvm.query().stats.check_unlogged_writes, 1);
+    let rvm = Checked::new(rvm);
+    let region = rvm
+        .map(&RegionDescriptor::new("more", 0, PAGE_SIZE))
+        .unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    txn.write(&region, 0, &[2; 8]).unwrap();
+    poke_unlogged(&region, 700, 0x55);
+    let tid = txn.tid();
+    txn.commit(CommitMode::Flush).unwrap();
+
+    assert_eq!(rvm.violations(), vec![unlogged(tid, "more", 700, 1)]);
+}
+
+/// An on-demand region is checked once it is fully loaded: `begin` does
+/// not fetch it, and a transaction that began before the fetch does not
+/// read the fetched pages as written.
+#[test]
+fn an_on_demand_region_is_checked_once_loaded() {
+    let world = World::new(1 << 20);
+    let rvm = Checked::new(world.boot());
+    let desc = RegionDescriptor::new("data", 0, 2 * PAGE_SIZE);
+    let region = rvm.map_with(&desc, LoadPolicy::OnDemand).unwrap();
+
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    assert!(!region.is_fully_loaded(), "begin fetched the region");
+    txn.write(&region, 0, &[1; 8]).unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    assert!(rvm.violations().is_empty(), "{:?}", rvm.violations());
+
+    region.prefetch(0, 2 * PAGE_SIZE).unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    txn.write(&region, 0, &[2; 8]).unwrap();
+    poke_unlogged(&region, PAGE_SIZE + 100, 0x66);
+    let tid = txn.tid();
+    txn.commit(CommitMode::Flush).unwrap();
+    let poke = unlogged(tid, "data", PAGE_SIZE + 100, 1);
+    assert_eq!(rvm.violations(), vec![poke]);
+}
+
+/// A snapshot taken while another transaction's uncommitted bytes are in
+/// memory is refreshed when that transaction aborts, however the two
+/// interleave: the snapshot and the refresh run under one lock, so the
+/// restored bytes never read as an unlogged write. One thread writes and
+/// aborts, the other commits a disjoint range.
+#[test]
+fn an_abort_racing_a_snapshot_is_no_unlogged_write() {
+    const ROUNDS: usize = 2_000;
+    let world = World::new(1 << 20);
+    let rvm = Checked::new(world.boot());
+    let region = rvm
+        .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
+        .unwrap();
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..ROUNDS {
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                txn.write(&region, 0, &[i as u8 | 1; 64]).unwrap();
+                txn.abort().unwrap();
+            }
+        });
+        s.spawn(|| {
+            for i in 0..ROUNDS {
+                let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                txn.write(&region, 2048, &(i as u64).to_le_bytes()).unwrap();
+                txn.commit(CommitMode::Flush).unwrap();
+            }
+        });
+    });
+
+    assert!(rvm.violations().is_empty(), "{:?}", rvm.violations());
+    assert_eq!(region.read_vec(0, 64).unwrap(), vec![0; 64]);
 }
 
 /// The acceptance pairing: corruption in a record's unchecksummed padding
@@ -248,75 +307,4 @@ fn verify_convicts_padding_corruption_doctor_acquits() {
         .map(&RegionDescriptor::new("data", 0, PAGE_SIZE))
         .unwrap();
     assert_eq!(region.read_vec(64, 16).unwrap(), vec![2u8; 16]);
-}
-
-/// Deterministic state machine: hundreds of *legal* operations (declared
-/// writes, interleaved transactions, commits, aborts) with every check
-/// enabled in panic mode never trip the checker, and the log that remains
-/// verifies clean.
-#[test]
-fn legal_histories_never_trip_the_checker() {
-    let world = World::new(4 << 20);
-    let rvm = world.boot_tuned(Tuning {
-        check_unlogged_writes: true,
-        // Overlapping declarations across transactions are legal (§3.1);
-        // the state machine below does not avoid them, so the conflict
-        // check stays off while the unlogged-write check runs in panic
-        // mode: any false positive aborts the test.
-        check_range_conflicts: false,
-        panic_on_violation: true,
-        ..Tuning::default()
-    });
-    let regions = [
-        rvm.map(&RegionDescriptor::new("a", 0, PAGE_SIZE)).unwrap(),
-        rvm.map(&RegionDescriptor::new("b", 0, PAGE_SIZE)).unwrap(),
-    ];
-
-    // xorshift64: deterministic, dependency-free randomness.
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-
-    let mut live: Vec<rvm::Transaction> = Vec::new();
-    for _ in 0..300 {
-        match next() % 4 {
-            0 if live.len() < 3 => {
-                live.push(rvm.begin_transaction(TxnMode::Restore).unwrap());
-            }
-            1 if !live.is_empty() => {
-                let t = (next() % live.len() as u64) as usize;
-                let region = &regions[(next() % 2) as usize];
-                let offset = next() % (PAGE_SIZE - 64);
-                let len = 1 + next() % 64;
-                let byte = (next() % 256) as u8;
-                region
-                    .write(&mut live[t], offset, &vec![byte; len as usize])
-                    .unwrap();
-            }
-            2 if !live.is_empty() => {
-                let t = (next() % live.len() as u64) as usize;
-                live.remove(t).commit(CommitMode::Flush).unwrap();
-            }
-            3 if !live.is_empty() => {
-                let t = (next() % live.len() as u64) as usize;
-                live.remove(t).abort().unwrap();
-            }
-            _ => {}
-        }
-    }
-    for txn in live {
-        txn.commit(CommitMode::Flush).unwrap();
-    }
-
-    let q = rvm.query();
-    assert_eq!(q.stats.check_unlogged_writes, 0);
-    assert!(q.check_violations.is_empty(), "{:?}", q.check_violations);
-
-    std::mem::forget(rvm);
-    let report = rvm_check::verify(&(world.log.clone() as Arc<dyn Device>)).unwrap();
-    assert!(report.is_clean(), "{:?}", report.findings);
 }

@@ -16,7 +16,7 @@ use rvm::log::status::StatusBlock;
 use rvm::ranges::{ByteRange, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
-use rvm_check::IntervalMap;
+use rvm_check::{Checked, IntervalMap};
 use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
 
 proptest! {
@@ -667,19 +667,14 @@ proptest! {
         )
     ) {
         let world = World::new(4 << 20);
-        let rvm = world.boot_tuned(Tuning {
-            check_unlogged_writes: true,
-            // Overlapping declarations across transactions are legal
-            // (serializability is the application's problem, §3.1).
-            check_range_conflicts: false,
-            panic_on_violation: true,
-            ..Tuning::default()
-        });
+        // Overlapping declarations across transactions are legal
+        // (serializability is the application's problem, §3.1).
+        let rvm = Checked::new(world.boot()).allowing_overlaps().panicking();
         let regions = [
             rvm.map(&RegionDescriptor::new("a", 0, PAGE_SIZE)).unwrap(),
             rvm.map(&RegionDescriptor::new("b", 0, PAGE_SIZE)).unwrap(),
         ];
-        let mut live: Vec<rvm::Transaction> = Vec::new();
+        let mut live = Vec::new();
         for (op, pick, reg, offset, len, byte) in ops {
             match op {
                 0 if live.len() < 3 => {
@@ -687,8 +682,8 @@ proptest! {
                 }
                 1 if !live.is_empty() => {
                     let t = pick.index(live.len());
-                    regions[reg as usize]
-                        .write(&mut live[t], offset, &vec![byte; len as usize])
+                    live[t]
+                        .write(&regions[reg as usize], offset, &vec![byte; len as usize])
                         .unwrap();
                 }
                 2 if !live.is_empty() => {
@@ -705,11 +700,9 @@ proptest! {
         for txn in live {
             txn.commit(CommitMode::Flush).unwrap();
         }
-        let q = rvm.query();
-        prop_assert_eq!(q.stats.check_unlogged_writes, 0);
-        prop_assert!(q.check_violations.is_empty(), "{:?}", q.check_violations);
+        prop_assert!(rvm.violations().is_empty(), "{:?}", rvm.violations());
 
-        std::mem::forget(rvm);
+        std::mem::forget(rvm.into_inner());
         let report = rvm_check::verify(
             &(world.log.clone() as Arc<dyn rvm_storage::Device>),
         ).unwrap();
