@@ -30,8 +30,8 @@ use crate::cursor::WalView;
 use crate::error::{Result, RvmError};
 use crate::log::record::{
     self, encode_borrowed_into, encode_pad, parse_header, parse_record, validate_record,
-    RecordKind, RecordRange, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK, MIN_RECORD_SIZE,
-    TRAILER_SIZE, V2_LOG_BLOCK,
+    RecordKind, RecordView, TxnRecord, HEADER_SIZE, LOG_BLOCK, MIN_RECORD_SIZE, TRAILER_SIZE,
+    V2_LOG_BLOCK,
 };
 use crate::log::status::LOG_AREA_START;
 use crate::ranges::Piece;
@@ -232,32 +232,6 @@ impl Wal {
         } else {
             padded_size + lap_remaining
         }
-    }
-
-    /// Appends one committed transaction as a single record: stages it
-    /// ([`Wal::append_staged`]) and writes the staged bytes. The
-    /// one-record convenience for tools and tests; the library's commit
-    /// plane stages whole batches itself.
-    ///
-    /// The caller is responsible for ensuring space (triggering truncation
-    /// as needed); see [`Wal::full_for_now`] for telling the two kinds of
-    /// [`RvmError::LogFull`] apart.
-    pub fn append_txn(&mut self, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
-        let ckpt = self.checkpoint();
-        let mut staging = StagingBuf::default();
-        let info = self.append_staged(tid, record::borrowed(ranges), &mut staging)?;
-        if let Err(e) = self.write_staged(&staging) {
-            // A failed append must leave the in-memory cursors exactly
-            // where they were: if the pad record persisted but the txn
-            // record did not (or either write failed outright), an
-            // advanced `tail` / `next_seq` would diverge from what a
-            // recovery scan of the durable image accepts. Restoring both
-            // makes a failed append harmless — a healed device can simply
-            // re-append, rewriting the identical pad bytes.
-            self.rollback_to(ckpt);
-            return Err(e);
-        }
-        Ok(info)
     }
 
     /// Appends one committed transaction into `staging` instead of the
@@ -631,10 +605,23 @@ pub fn scan_backward(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::log::record::RecordRange;
     use crate::segment::SegmentId;
     use rvm_storage::MemDevice;
+
+    /// Appends one record as the commit plane does: stages it, writes the
+    /// staged bytes, and rolls the cursors back if the write fails, so a
+    /// healed device can re-append (rewriting identical pad bytes).
+    pub(crate) fn append(wal: &mut Wal, tid: u64, ranges: &[RecordRange]) -> Result<AppendInfo> {
+        let ckpt = wal.checkpoint();
+        let mut staging = StagingBuf::default();
+        let info = wal.append_staged(tid, record::borrowed(ranges), &mut staging)?;
+        wal.write_staged(&staging)
+            .inspect_err(|_| wal.rollback_to(ckpt))?;
+        Ok(info)
+    }
 
     fn mk_wal(area_len: u64) -> Wal {
         let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + area_len));
@@ -659,10 +646,13 @@ mod tests {
     #[test]
     fn append_then_scan_round_trips() {
         let mut wal = mk_wal(1 << 16);
-        let a = wal.append_txn(1, &[range(0, 0, 0xAA, 100)]).unwrap();
-        let b = wal
-            .append_txn(2, &[range(0, 100, 0xBB, 50), range(1, 0, 0xCC, 10)])
-            .unwrap();
+        let a = append(&mut wal, 1, &[range(0, 0, 0xAA, 100)]).unwrap();
+        let b = append(
+            &mut wal,
+            2,
+            &[range(0, 100, 0xBB, 50), range(1, 0, 0xCC, 10)],
+        )
+        .unwrap();
         wal.force().unwrap();
         assert_eq!(a.seq, 1);
         assert_eq!(b.seq, 2);
@@ -690,16 +680,16 @@ mod tests {
         // Area of 8 blocks; records of 3 blocks force a pad at the lap end.
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
-        let r1 = wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
-        let r2 = wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
+        let r1 = append(&mut wal, 1, &[range(0, 0, 1, fill(3))]).unwrap();
+        let r2 = append(&mut wal, 2, &[range(0, 0, 2, fill(3))]).unwrap();
         assert_eq!(r1.space_consumed, 3 * LOG_BLOCK);
         assert_eq!(r2.space_consumed, 3 * LOG_BLOCK);
         // Two blocks remain in the lap; the next record needs a pad first,
         // which does not fit until we truncate.
-        assert!(wal.append_txn(3, &[range(0, 0, 3, fill(3))]).is_err());
+        assert!(append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).is_err());
         // Simulate truncation of the first record.
         wal.advance_head(3 * LOG_BLOCK, 2);
-        let r3 = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
+        let r3 = append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).unwrap();
         assert_eq!(r3.space_consumed, 3 * LOG_BLOCK + 2 * LOG_BLOCK);
         assert_eq!(r3.offset, 8 * LOG_BLOCK, "record starts on the next lap");
 
@@ -721,19 +711,19 @@ mod tests {
     #[test]
     fn oversized_record_is_log_full() {
         let mut wal = mk_wal(4 * LOG_BLOCK);
-        let err = wal.append_txn(1, &[range(0, 0, 1, 10_000)]).unwrap_err();
+        let err = append(&mut wal, 1, &[range(0, 0, 1, 10_000)]).unwrap_err();
         assert!(matches!(err, RvmError::LogFull { .. }));
     }
 
     #[test]
     fn full_log_rejects_appends_until_head_moves() {
         let mut wal = mk_wal(4 * LOG_BLOCK);
-        wal.append_txn(1, &[range(0, 0, 1, fill(2))]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, fill(2))]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, fill(2))]).unwrap();
+        append(&mut wal, 2, &[range(0, 0, 2, fill(2))]).unwrap();
         assert_eq!(wal.free_space(), 0);
-        assert!(wal.append_txn(3, &[]).is_err());
+        assert!(append(&mut wal, 3, &[]).is_err());
         wal.advance_head(2 * LOG_BLOCK, 2);
-        wal.append_txn(3, &[range(0, 0, 3, fill(2))]).unwrap();
+        append(&mut wal, 3, &[range(0, 0, 3, fill(2))]).unwrap();
     }
 
     #[test]
@@ -741,12 +731,11 @@ mod tests {
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
         for tid in 1..=4u64 {
-            wal.append_txn(tid, &[range(0, 0, tid as u8, fill(2))])
-                .unwrap();
+            append(&mut wal, tid, &[range(0, 0, tid as u8, fill(2))]).unwrap();
         }
         // Truncate everything, then write one record on the second lap.
         wal.advance_head(wal.tail(), wal.next_seq());
-        wal.append_txn(9, &[range(0, 0, 9, fill(2))]).unwrap();
+        append(&mut wal, 9, &[range(0, 0, 9, fill(2))]).unwrap();
         let scan = scan_forward(
             wal.device().as_ref(),
             wal.capacity(),
@@ -764,9 +753,9 @@ mod tests {
     #[test]
     fn scan_stops_at_stop_offset() {
         let mut wal = mk_wal(1 << 14);
-        wal.append_txn(1, &[range(0, 0, 1, 10)]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, 10)]).unwrap();
         let split = wal.tail();
-        wal.append_txn(2, &[range(0, 0, 2, 10)]).unwrap();
+        append(&mut wal, 2, &[range(0, 0, 2, 10)]).unwrap();
         let scan = scan_forward(wal.device().as_ref(), wal.capacity(), 0, 1, Some(split)).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.tail, split);
@@ -775,9 +764,9 @@ mod tests {
     #[test]
     fn torn_tail_record_is_ignored() {
         let mut wal = mk_wal(1 << 14);
-        wal.append_txn(1, &[range(0, 0, 1, 10)]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, 10)]).unwrap();
         let good_tail = wal.tail();
-        let info = wal.append_txn(2, &[range(0, 0, 2, 300)]).unwrap();
+        let info = append(&mut wal, 2, &[range(0, 0, 2, 300)]).unwrap();
         // Corrupt the middle of the second record, as a torn force would.
         wal.device()
             .write_at(LOG_AREA_START + info.offset + 200, &[0xEE; 8])
@@ -801,17 +790,17 @@ mod tests {
             FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 4)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
-        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, fill(3))]).unwrap();
+        append(&mut wal, 2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
         let (tail0, seq0) = (wal.tail(), wal.next_seq());
-        let err = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap_err();
+        let err = append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).unwrap_err();
         assert!(matches!(err, RvmError::Device(_)));
         assert_eq!(wal.tail(), tail0, "tail restored after failed append");
         assert_eq!(wal.next_seq(), seq0, "next_seq restored");
         // The device healed; re-appending succeeds (pad is rewritten
         // byte-identically) and the log scans clean.
-        let info = wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
+        let info = append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).unwrap();
         assert_eq!(info.offset, 8 * LOG_BLOCK, "record starts on next lap");
         let scan = scan_forward(
             wal.device().as_ref(),
@@ -838,25 +827,24 @@ mod tests {
             FaultClock::new(vec![FlakyFault::transient(FaultOp::Write, 3)]),
         ));
         let mut wal = Wal::new(dev, area, 0, 0, 1, 1);
-        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, fill(3))]).unwrap();
+        append(&mut wal, 2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
         let (tail0, seq0) = (wal.tail(), wal.next_seq());
-        assert!(wal.append_txn(3, &[range(0, 0, 3, fill(3))]).is_err());
+        assert!(append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).is_err());
         assert_eq!((wal.tail(), wal.next_seq()), (tail0, seq0));
-        wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap();
+        append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).unwrap();
     }
 
     #[test]
     fn group_rollback_restores_cursors_across_many_appends() {
         let mut wal = mk_wal(1 << 16);
-        wal.append_txn(1, &[range(0, 0, 1, 100)]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, 100)]).unwrap();
         let ckpt = wal.checkpoint();
         let (tail0, seq0) = (wal.tail(), wal.next_seq());
         // A "group" of three appends whose shared force never happened.
         for tid in 2..=4u64 {
-            wal.append_txn(tid, &[range(0, tid * 8, tid as u8, 200)])
-                .unwrap();
+            append(&mut wal, tid, &[range(0, tid * 8, tid as u8, 200)]).unwrap();
         }
         assert!(wal.tail() > tail0);
         wal.rollback_to(ckpt);
@@ -865,8 +853,7 @@ mod tests {
         // Re-appending from the checkpoint rewrites the same offsets and
         // sequence numbers; the log scans clean.
         for tid in 2..=4u64 {
-            wal.append_txn(tid, &[range(0, tid * 8, tid as u8, 200)])
-                .unwrap();
+            append(&mut wal, tid, &[range(0, tid * 8, tid as u8, 200)]).unwrap();
         }
         let scan = scan_forward(wal.device().as_ref(), wal.capacity(), 0, 1, None).unwrap();
         assert_eq!(scan.records.len(), 4);
@@ -877,9 +864,9 @@ mod tests {
     #[test]
     fn group_rollback_is_skipped_when_head_passed_the_checkpoint() {
         let mut wal = mk_wal(1 << 16);
-        wal.append_txn(1, &[range(0, 0, 1, 100)]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, 100)]).unwrap();
         let ckpt = wal.checkpoint();
-        wal.append_txn(2, &[range(0, 8, 2, 100)]).unwrap();
+        append(&mut wal, 2, &[range(0, 8, 2, 100)]).unwrap();
         // Truncation mid-group applied everything and moved the head past
         // the checkpointed tail; rolling back now would put tail < head.
         wal.advance_head(wal.tail(), wal.next_seq());
@@ -895,8 +882,7 @@ mod tests {
         let area = 16 * LOG_BLOCK;
         let mut wal = mk_wal(area);
         for tid in 1..=5u64 {
-            wal.append_txn(tid, &[range(0, tid * 8, tid as u8, 100)])
-                .unwrap();
+            append(&mut wal, tid, &[range(0, tid * 8, tid as u8, 100)]).unwrap();
         }
         let forward = scan_forward(wal.device().as_ref(), area, 0, 1, None).unwrap();
         let mut backward = scan_backward(
@@ -917,9 +903,7 @@ mod tests {
         let mut staged = mk_wal(1 << 16);
         let mut buf = StagingBuf::default();
         for tid in 1..=3u64 {
-            let a = direct
-                .append_txn(tid, &[range(0, tid * 16, tid as u8, 120)])
-                .unwrap();
+            let a = append(&mut direct, tid, &[range(0, tid * 16, tid as u8, 120)]).unwrap();
             let b = staged
                 .append_staged(
                     tid,
@@ -1001,10 +985,10 @@ mod tests {
     fn backward_scan_crosses_lap_boundary() {
         let area = 8 * LOG_BLOCK;
         let mut wal = mk_wal(area);
-        wal.append_txn(1, &[range(0, 0, 1, fill(3))]).unwrap();
-        wal.append_txn(2, &[range(0, 0, 2, fill(3))]).unwrap();
+        append(&mut wal, 1, &[range(0, 0, 1, fill(3))]).unwrap();
+        append(&mut wal, 2, &[range(0, 0, 2, fill(3))]).unwrap();
         wal.advance_head(3 * LOG_BLOCK, 2);
-        wal.append_txn(3, &[range(0, 0, 3, fill(3))]).unwrap(); // pads + wraps
+        append(&mut wal, 3, &[range(0, 0, 3, fill(3))]).unwrap(); // pads + wraps
         let records = scan_backward(
             wal.device().as_ref(),
             area,

@@ -9,11 +9,12 @@
 //! should not have; memory holds each key's last committed value (an
 //! unmapped region mapped again to look); every page with a queued
 //! descriptor is dirty; and after the clock crashes and a fresh instance
-//! recovers, each key's pages show one value, at least the last known
-//! durable and at most the last attempted — a prefix of its commits.
+//! recovers, [`rvm_reference::admits`] the segment, each key a stream of
+//! its commits, durable up to the last value known durable.
 
 use std::sync::{Arc, Mutex};
 
+use rvm_reference::{Commit, History, Images, Write};
 use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate};
 
 use super::explore::{self, Explorer, Violation};
@@ -278,21 +279,24 @@ impl World {
         self.clock.crash_now();
         let options = Options::new(self.log.clone()).resolver(self.segs.clone().into_resolver());
         drop(Rvm::initialize(options).map_err(|e| format!("recovery: {e}"))?);
-        let seg = self.segs.get("seg").expect("segment");
+        // Each key is a stream: its commit v writes v to both slots.
         let seen = *self.seen.lock().unwrap();
-        for (key, [tried, _, durable]) in seen.into_iter().enumerate() {
-            let got = SLOTS.map(|slot| {
-                let mut word = [0; 8];
-                let at = 2 * key as u64 * PAGE_SIZE + slot;
-                seg.read_at(at, &mut word)
-                    .map_or(u64::MAX, |()| u64::from_le_bytes(word))
-            });
-            if got.iter().any(|&v| v != got[0] || v < durable || v > tried) {
-                let bounds = format!("durable {durable}, attempted {tried}");
-                return Err(format!("key {key}: recovered {got:?}, {bounds}"));
-            }
-        }
-        Ok(())
+        let commit = |key: usize, v: u64| Commit {
+            stream: key as u32,
+            writes: Vec::from(SLOTS.map(|slot| Write {
+                segment: "seg".into(),
+                offset: 2 * key as u64 * PAGE_SIZE + slot,
+                bytes: v.to_le_bytes().to_vec(),
+            })),
+            durable: v <= seen[key][2],
+        };
+        let commits = (0..KEYS).flat_map(|key| (1..=seen[key][0]).map(move |v| commit(key, v)));
+        let history = History {
+            base: Images::new(),
+            commits: commits.collect(),
+        };
+        let image = Images::from([("seg".into(), self.segs.get("seg").expect("seg").snapshot())]);
+        rvm_reference::admits(&history, &image).map_err(|why| format!("recovered image: {why:?}"))
     }
 }
 
@@ -301,16 +305,11 @@ fn search(given: Setup, threads: &[fn(&World)]) -> Result<u64, Violation> {
     let mut faults = Vec::new();
     if given.twist == Twist::FailingSync {
         let calm = World::build(setup(given.prefill, Twist::None), Vec::new());
-        faults.push(FlakyFault::permanent(
-            FaultOp::Sync,
-            calm.clock.ops_seen().2 + 1,
-        ));
+        let first_sync = calm.clock.ops_seen().2 + 1;
+        faults.push(FlakyFault::permanent(FaultOp::Sync, first_sync));
     }
-    let split_wait = given.twist == Twist::SplitWait;
-    let explorer = Explorer {
-        bound: given.bound,
-        split_wait,
-    };
+    let (bound, split_wait) = (given.bound, given.twist == Twist::SplitWait);
+    let explorer = Explorer { bound, split_wait };
     let started = std::time::Instant::now();
     let found = explorer.run(
         || World::build(given, faults.clone()),

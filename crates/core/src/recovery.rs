@@ -225,7 +225,7 @@ mod tests {
     use super::*;
     use crate::log::record::RecordRange;
     use crate::log::status::{format_log, read_status, LOG_AREA_START};
-    use crate::log::wal::Wal;
+    use crate::log::wal::{tests::append, Wal};
     use crate::segment::{MemResolver, SegmentInfo};
     use rvm_storage::MemDevice;
 
@@ -289,9 +289,9 @@ mod tests {
     fn latest_committed_value_wins() {
         let (dev, status, resolver) = setup(64);
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(0, 0, &[1, 1, 1, 1])]).unwrap();
-        wal.append_txn(2, &[rr(0, 2, &[2, 2])]).unwrap();
-        wal.append_txn(3, &[rr(0, 3, &[3])]).unwrap();
+        append(&mut wal, 1, &[rr(0, 0, &[1, 1, 1, 1])]).unwrap();
+        append(&mut wal, 2, &[rr(0, 2, &[2, 2])]).unwrap();
+        append(&mut wal, 3, &[rr(0, 3, &[3])]).unwrap();
         wal.force().unwrap();
 
         let rec = recover(&dev, status, &resolver).unwrap();
@@ -308,8 +308,7 @@ mod tests {
     fn multiple_segments_are_applied() {
         let (dev, status, resolver) = setup(64);
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(0, 0, &[7; 8]), rr(1, 100, &[9; 8])])
-            .unwrap();
+        append(&mut wal, 1, &[rr(0, 0, &[7; 8]), rr(1, 100, &[9; 8])]).unwrap();
         wal.force().unwrap();
         let rec = recover(&dev, status, &resolver).unwrap();
         assert_eq!(rec.report.segments_updated, 2);
@@ -326,7 +325,7 @@ mod tests {
     fn status_is_reset_to_empty_log_and_recovery_is_idempotent() {
         let (dev, status, resolver) = setup(64);
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(0, 0, &[5; 16])]).unwrap();
+        append(&mut wal, 1, &[rr(0, 0, &[5; 16])]).unwrap();
         wal.force().unwrap();
         let tail = wal.tail();
 
@@ -348,8 +347,8 @@ mod tests {
     fn torn_tail_transaction_is_not_applied() {
         let (dev, status, resolver) = setup(64);
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(0, 0, &[1; 8])]).unwrap();
-        let info = wal.append_txn(2, &[rr(0, 0, &[2; 8])]).unwrap();
+        append(&mut wal, 1, &[rr(0, 0, &[1; 8])]).unwrap();
+        let info = append(&mut wal, 2, &[rr(0, 0, &[2; 8])]).unwrap();
         // Tear the second record.
         dev.write_at(LOG_AREA_START + info.offset + 50, &[0xFF; 4])
             .unwrap();
@@ -365,7 +364,7 @@ mod tests {
     fn unknown_segment_id_is_reported() {
         let (dev, status, resolver) = setup(64);
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(9, 0, &[1; 4])]).unwrap();
+        append(&mut wal, 1, &[rr(9, 0, &[1; 4])]).unwrap();
         wal.force().unwrap();
         let Err(err) = recover(&dev, status, &resolver) else {
             panic!("recovery must fail for an unknown segment id");
@@ -383,7 +382,7 @@ mod tests {
         status.segments[0].min_len = 100_050;
         write_status(dev.as_ref(), &mut status).unwrap();
         let mut wal = wal_for(&dev, &status);
-        wal.append_txn(1, &[rr(0, 100_000, &[3; 50])]).unwrap();
+        append(&mut wal, 1, &[rr(0, 100_000, &[3; 50])]).unwrap();
         wal.force().unwrap();
         recover(&dev, status, &resolver).unwrap();
         let seg = resolver.get("segA").unwrap();

@@ -578,7 +578,7 @@ impl Device for CountingReads {
 fn scan_reads_the_span_in_chunks_across_the_wrap() {
     use rvm::log::record::{borrowed, record_bytes, RecordRange, LOG_BLOCK};
     use rvm::log::status::LOG_AREA_START;
-    use rvm::log::wal::{scan_forward, scan_records, Wal};
+    use rvm::log::wal::{scan_forward, scan_records, StagingBuf, Wal};
     use rvm::segment::SegmentId;
 
     let area = 512 << 10;
@@ -603,13 +603,20 @@ fn scan_reads_the_span_in_chunks_across_the_wrap() {
     };
     let padded = record_bytes(borrowed(&record(0))).next_multiple_of(LOG_BLOCK);
     let mut wal = Wal::new(dev.clone(), area, 0, 0, 1, 1);
+    // One record at a time, staged and written as the commit plane does.
+    let append = |wal: &mut Wal, tid: u64| {
+        let mut staging = StagingBuf::default();
+        wal.append_staged(tid, borrowed(&record(tid)), &mut staging)
+            .unwrap();
+        wal.write_staged(&staging).unwrap();
+    };
     for tid in 1..=300 {
-        wal.append_txn(tid, &record(tid)).unwrap();
+        append(&mut wal, tid);
     }
     // Drop the first 200 and run the tail around the physical end.
     wal.advance_head(200 * padded, 201);
     for tid in 301..=500 {
-        wal.append_txn(tid, &record(tid)).unwrap();
+        append(&mut wal, tid);
     }
     assert!(wal.tail() > area, "the live span wraps");
 

@@ -27,7 +27,9 @@ use std::hash::{Hash, Hasher};
 
 use rvm_storage::TraceOpKind;
 
-use crate::{apply_write, ensure_len, xorshift64, Trace};
+use rvm_reference::apply;
+
+use crate::{xorshift64, Trace};
 
 /// Enumeration tuning. The defaults enumerate a small workload
 /// exhaustively in seconds; CI uses them as-is.
@@ -158,9 +160,7 @@ where
                 let ops = std::mem::take(&mut pending[d]);
                 for p in ops {
                     match p {
-                        Pending::Write { offset, data } => {
-                            apply_write(&mut durable[d], offset, &data)
-                        }
+                        Pending::Write { offset, data } => apply(&mut durable[d], offset, &data),
                         Pending::SetLen { len } => durable[d].resize(len as usize, 0),
                     }
                 }
@@ -337,10 +337,10 @@ fn synthesize(
             match p {
                 Pending::SetLen { len } => img.resize(*len as usize, 0),
                 Pending::Write { offset, data } => {
-                    ensure_len(img, *offset, data.len());
+                    img.resize(img.len().max(*offset as usize + data.len()), 0);
                     for (pi, piece) in pieces.iter().enumerate() {
                         if piece.device == d && piece.op == op_idx && mask[pi] {
-                            apply_write(
+                            apply(
                                 img,
                                 offset + piece.start as u64,
                                 &data[piece.start..piece.start + piece.len],
@@ -392,7 +392,6 @@ mod tests {
             }],
             ops,
             txns: Vec::new(),
-            single_threaded: true,
         }
     }
 

@@ -28,18 +28,16 @@
 //! 3. **Oracle** ([`oracle`]): each crash image is loaded into fresh
 //!    [`MemDevice`](rvm_storage::MemDevice)s and **real recovery** runs
 //!    on it (`Rvm::initialize`). The recovered state must satisfy the
-//!    committed-prefix invariant:
-//!
-//!    * single-threaded traces: the recovered segments equal the replay
-//!      of some *prefix* of the committed transactions, at least as long
-//!      as the acked prefix (every transaction whose commit returned
-//!      before the crash point must survive);
-//!    * multi-threaded traces (disjoint write cells): each transaction is
-//!      all-or-none, acked ⇒ present, aborted ⇒ never present, and
-//!      per-thread commit order is prefix-closed;
-//!    * the pre-recovery crash image itself passes the
-//!      [`rvm_check`] WAL invariant verifier, and recovery is
-//!      deterministic (see [`oracle::check_recovery_determinism`]).
+//!    committed-prefix invariant, judged by [`rvm_reference::admits`]:
+//!    each workload thread's cells hold some *prefix* of its committed
+//!    transactions, at least as long as its acked prefix (every
+//!    transaction whose commit, or a flush after it, returned before the
+//!    crash point must survive), and no other byte changed. One thread
+//!    makes this an exact prefix replay; over threads writing disjoint
+//!    cells it is all-or-none, acked ⇒ present, aborted ⇒ never present
+//!    and per-thread prefix closure. The pre-recovery crash image itself
+//!    must pass the [`rvm_check`] WAL invariant verifier, and recovery
+//!    must be deterministic (see [`oracle::check_recovery_determinism`]).
 //!
 //! The checker's acceptance is double-sided: the real tree must show
 //! zero violations over every workload, and a tree with a
@@ -56,7 +54,7 @@ pub mod oracle;
 pub mod tracefile;
 pub mod workload;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use enumerate::{enumerate_images, EnumConfig};
 use rvm_storage::TraceOp;
@@ -107,9 +105,6 @@ pub struct Trace {
     pub devices: Vec<DeviceBase>,
     pub ops: Vec<TraceOp>,
     pub txns: Vec<TxnSpec>,
-    /// Single-threaded traces get the exact prefix-replay oracle;
-    /// multi-threaded ones the disjoint-cell invariant oracle.
-    pub single_threaded: bool,
 }
 
 impl Trace {
@@ -308,7 +303,7 @@ fn rot_images(trace: &Trace, point: usize, seed: u64, images: &mut [(u32, Vec<u8
             .map(|d| d.id);
         if let Some(id) = dev {
             if let Some((_, img)) = images.iter_mut().find(|(i, _)| *i == id) {
-                ensure_len(img, byte, 1);
+                img.resize(img.len().max(byte as usize + 1), 0);
                 img[byte as usize] ^= 0xA5;
             }
         }
@@ -336,30 +331,6 @@ fn rot_images(trace: &Trace, point: usize, seed: u64, images: &mut [(u32, Vec<u8
     }
 }
 
-/// Grows `img` with zeros so `offset + len` is in bounds.
-pub(crate) fn ensure_len(img: &mut Vec<u8>, offset: u64, len: usize) {
-    let end = offset as usize + len;
-    if img.len() < end {
-        img.resize(end, 0);
-    }
-}
-
-/// Applies a write to a growable image.
-pub(crate) fn apply_write(img: &mut Vec<u8>, offset: u64, data: &[u8]) {
-    ensure_len(img, offset, data.len());
-    img[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-}
-
-/// The base images of every non-log device, by name.
-pub(crate) fn segment_bases(trace: &Trace) -> HashMap<String, Vec<u8>> {
-    trace
-        .devices
-        .iter()
-        .filter(|d| !d.is_log)
-        .map(|d| (d.name.clone(), d.image.clone()))
-        .collect()
-}
-
 /// xorshift64* — the crate's only randomness, fully determined by the
 /// seed (same generator as the storage fault layer).
 pub(crate) fn xorshift64(state: &mut u64) -> u64 {
@@ -377,15 +348,6 @@ pub(crate) fn xorshift64(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn apply_write_grows_and_overwrites() {
-        let mut img = vec![1, 2, 3];
-        apply_write(&mut img, 2, &[9, 9]);
-        assert_eq!(img, vec![1, 2, 9, 9]);
-        apply_write(&mut img, 6, &[5]);
-        assert_eq!(img, vec![1, 2, 9, 9, 0, 0, 5]);
-    }
 
     #[test]
     fn xorshift_is_deterministic_and_nonzero() {

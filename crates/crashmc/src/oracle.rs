@@ -9,11 +9,11 @@
 //!    canonicality, scan symmetry, status-copy validity).
 //! 2. **Recovery succeeds** — `Rvm::initialize` on the image must not
 //!    error: no reachable crash state is unrecoverable.
-//! 3. **Committed prefix** — the recovered segments equal the replay of
-//!    a prefix of the committed transactions, no shorter than the acked
-//!    prefix (single-threaded traces, exact), or satisfy the
-//!    all-or-none / acked-present / aborted-absent / per-thread-prefix
-//!    invariants over disjoint write cells (multi-threaded traces).
+//! 3. **Committed prefix** — [`rvm_reference::admits`] the recovered
+//!    segments: each workload thread's cells hold a prefix of its
+//!    committed transactions that keeps every one acknowledged by the
+//!    crash point, and every other byte is the base's. A single-threaded
+//!    trace is one thread, so this is an exact prefix replay.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +23,9 @@ use rvm::segment::DeviceResolver;
 use rvm::{Options, RetryPolicy, Rvm};
 use rvm_storage::{Device, FaultClock, FaultDevice, FlakyFault, MemDevice, UnsyncedFate};
 
-use crate::{apply_write, segment_bases, SegWrite, Trace, TxnSpec};
+use rvm_reference::{Commit, History, Images, Write};
+
+use crate::Trace;
 
 /// A crash image split into the recovery inputs: the log plus the
 /// segment images by name.
@@ -106,60 +108,23 @@ pub fn recover(parts: &CrashParts) -> Result<Recovered, String> {
     Ok(recovered)
 }
 
-/// Reads `len` bytes at `offset` from a by-name image map, zero-extending
-/// past the image's end (a shorter device reads as zeros there).
-fn cell(map: &HashMap<String, Vec<u8>>, seg: &str, offset: u64, len: usize) -> Vec<u8> {
-    let img: &[u8] = map.get(seg).map_or(&[], |v| v.as_slice());
-    let mut out = vec![0u8; len];
-    let start = (offset as usize).min(img.len());
-    let end = (offset as usize + len).min(img.len());
-    if end > start {
-        out[..end - start].copy_from_slice(&img[start..end]);
-    }
-    out
+/// The data segments of a by-name image map. Checksum-catalog sidecars
+/// are left out: they are metadata *derived* from the data segments
+/// (recovery rewrites them as it applies the log), and their integrity is
+/// checked by their own self-verifying format instead.
+fn data(segments: &HashMap<String, Vec<u8>>) -> Images {
+    segments
+        .iter()
+        .filter(|(name, _)| !rvm::scrub::is_sidecar(name))
+        .map(|(name, image)| (name.clone(), image.clone()))
+        .collect()
 }
 
-/// Zero-extended equality over two by-name image maps. Checksum-catalog
-/// sidecars are skipped: they are metadata *derived* from the data
-/// segments (recovery rewrites them as it applies the log), so the
-/// committed-prefix replay — which models only data writes — never
-/// contains them; their integrity is checked by their own self-verifying
-/// format instead.
-fn images_equal(a: &HashMap<String, Vec<u8>>, b: &HashMap<String, Vec<u8>>) -> Option<String> {
-    let names: std::collections::BTreeSet<&String> = a.keys().chain(b.keys()).collect();
-    for name in names {
-        if rvm::scrub::is_sidecar(name) {
-            continue;
-        }
-        let (x, y) = (
-            a.get(name).map_or(&[][..], |v| v),
-            b.get(name).map_or(&[][..], |v| v),
-        );
-        let len = x.len().max(y.len());
-        for i in 0..len {
-            let (xb, yb) = (
-                x.get(i).copied().unwrap_or(0),
-                y.get(i).copied().unwrap_or(0),
-            );
-            if xb != yb {
-                return Some(format!("{name}[{i}]: {xb:#04x} vs {yb:#04x}"));
-            }
-        }
-    }
-    None
-}
-
-fn matches_cell(recovered: &HashMap<String, Vec<u8>>, w: &SegWrite) -> bool {
-    cell(recovered, &w.segment, w.offset, w.data.len()) == w.data
-}
-
-fn matches_base(
-    recovered: &HashMap<String, Vec<u8>>,
-    bases: &HashMap<String, Vec<u8>>,
-    w: &SegWrite,
-) -> bool {
-    cell(recovered, &w.segment, w.offset, w.data.len())
-        == cell(bases, &w.segment, w.offset, w.data.len())
+/// Zero-extended equality of two recoveries' data segments: a history
+/// with no commits admits exactly its base.
+fn same(a: &Recovered, b: &Recovered) -> Result<(), rvm_reference::Why> {
+    let (base, commits) = (data(&a.segments), Vec::new());
+    rvm_reference::admits(&History { base, commits }, &data(&b.segments))
 }
 
 /// Checks one crash image end to end. `point` is the crash point the
@@ -199,138 +164,38 @@ pub fn check_image(trace: &Trace, point: usize, images: &[(u32, Vec<u8>)]) -> Re
     let recovered = recover(&parts)?;
 
     // 3. Committed-prefix invariant.
-    if trace.single_threaded {
-        check_exact_prefix(trace, point, &recovered)
-    } else {
-        check_disjoint_cells(trace, point, &recovered)
-    }
+    rvm_reference::admits(&history(trace, point), &data(&recovered.segments))
+        .map_err(|why| format!("recovered state at crash point {point}: {why:?}"))
 }
 
-/// Exact oracle for single-threaded traces: the recovered segments must
-/// equal the replay of the first `k` committed transactions for some
-/// `k >= acked`.
-fn check_exact_prefix(trace: &Trace, point: usize, recovered: &Recovered) -> Result<(), String> {
-    let committed: Vec<&TxnSpec> = trace.committed().collect();
-    // The mandatory prefix extends to the *furthest* acked transaction:
-    // flush-mode commits drain the spool first, so when a commit's force
-    // completed, every earlier committed transaction's record was made
-    // durable with it — even ones whose own ack (a later explicit flush)
-    // hadn't been observed by the workload script yet.
-    let acked = committed
+/// What a crash at `point` may leave, for [`rvm_reference::admits`]: the
+/// segments' base images and each thread's committed transactions, the
+/// ones acknowledged by `point` durable. Sidecars are left out, as in
+/// [`data`].
+fn history(trace: &Trace, point: usize) -> History {
+    let base = trace
+        .devices
         .iter()
-        .rposition(|t| t.ack.is_some_and(|a| a <= point))
-        .map_or(0, |i| i + 1);
-
-    let mut state = segment_bases(trace);
-    for t in &committed[..acked] {
-        for w in &t.writes {
-            apply_write(
-                state.entry(w.segment.clone()).or_default(),
-                w.offset,
-                &w.data,
-            );
-        }
-    }
-    for k in acked..=committed.len() {
-        if k > acked {
-            for w in &committed[k - 1].writes {
-                apply_write(
-                    state.entry(w.segment.clone()).or_default(),
-                    w.offset,
-                    &w.data,
-                );
-            }
-        }
-        if images_equal(&state, &recovered.segments).is_none() {
-            return Ok(());
-        }
-    }
-
-    // No prefix matches: report the mismatch against the mandatory
-    // (acked) prefix, the strongest claim.
-    let mut state = segment_bases(trace);
-    for t in &committed[..acked] {
-        for w in &t.writes {
-            apply_write(
-                state.entry(w.segment.clone()).or_default(),
-                w.offset,
-                &w.data,
-            );
-        }
-    }
-    let diff = images_equal(&state, &recovered.segments).unwrap_or_default();
-    Err(format!(
-        "recovered state matches no committed prefix ({} acked of {} committed at crash point {}); \
-         vs acked prefix: {diff}",
-        acked,
-        committed.len(),
-        point
-    ))
-}
-
-/// Disjoint-cell oracle for multi-threaded traces: per-transaction
-/// all-or-none, acked ⇒ present, aborted ⇒ absent, per-thread commit
-/// order prefix-closed. Requires the workload to write disjoint cells
-/// with values distinct from the base image.
-fn check_disjoint_cells(trace: &Trace, point: usize, recovered: &Recovered) -> Result<(), String> {
-    let bases = segment_bases(trace);
-    let mut present: Vec<bool> = Vec::with_capacity(trace.txns.len());
-
-    for (i, t) in trace.txns.iter().enumerate() {
-        let full = t
-            .writes
-            .iter()
-            .all(|w| matches_cell(&recovered.segments, w));
-        let none = t
-            .writes
-            .iter()
-            .all(|w| matches_base(&recovered.segments, &bases, w));
-        if !full && !none {
-            return Err(format!(
-                "txn {i} (thread {}) is partially applied after recovery (atomicity)",
-                t.thread
-            ));
-        }
-        if !t.committed && full && !t.writes.is_empty() {
-            return Err(format!(
-                "aborted txn {i} (thread {}) is visible after recovery",
-                t.thread
-            ));
-        }
-        if t.committed && t.ack.is_some_and(|a| a <= point) && !full {
-            return Err(format!(
-                "txn {i} (thread {}) was acknowledged at op {} but is lost after a crash at op {point} \
-                 (durability)",
-                t.thread,
-                t.ack.unwrap()
-            ));
-        }
-        present.push(t.committed && full);
-    }
-
-    // Per-thread prefix closure: once one of a thread's committed
-    // transactions is missing, every later one must be missing too
-    // (durable-log order matches commit order).
-    let threads: std::collections::BTreeSet<u32> = trace.txns.iter().map(|t| t.thread).collect();
-    for th in threads {
-        let mut gap = None;
-        for (i, t) in trace.txns.iter().enumerate() {
-            if t.thread != th || !t.committed {
-                continue;
-            }
-            match (present[i], gap) {
-                (false, None) => gap = Some(i),
-                (true, Some(g)) => {
-                    return Err(format!(
-                        "thread {th}: txn {i} survived but earlier txn {g} did not \
-                         (commit order not prefix-closed)"
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(())
+        .filter(|d| !d.is_log && !rvm::scrub::is_sidecar(&d.name))
+        .map(|d| (d.name.clone(), d.image.clone()))
+        .collect();
+    let commits = trace
+        .committed()
+        .map(|t| Commit {
+            stream: t.thread,
+            writes: t
+                .writes
+                .iter()
+                .map(|w| Write {
+                    segment: w.segment.clone(),
+                    offset: w.offset,
+                    bytes: w.data.clone(),
+                })
+                .collect(),
+            durable: t.ack.is_some_and(|a| a <= point),
+        })
+        .collect();
+    History { base, commits }
 }
 
 /// [`check_image`] plus the *scrub-convergence* assertion used by the
@@ -383,9 +248,7 @@ pub fn check_image_converged(
 pub fn check_recovery_determinism(parts: &CrashParts, crash_ops: &[u64]) -> Result<(), String> {
     let a = recover(parts)?;
     let b = recover(parts)?;
-    if let Some(diff) = images_equal(&a.segments, &b.segments) {
-        return Err(format!("recovery is not deterministic (segments): {diff}"));
-    }
+    same(&a, &b).map_err(|why| format!("recovery is not deterministic (segments): {why:?}"))?;
     if a.log != b.log {
         return Err("recovery is not deterministic (log image)".into());
     }
@@ -394,11 +257,9 @@ pub fn check_recovery_determinism(parts: &CrashParts, crash_ops: &[u64]) -> Resu
         let crashed = crash_during_recovery(parts, k);
         let c = recover(&crashed)
             .map_err(|e| format!("re-recovery after a crash at recovery op {k} failed: {e}"))?;
-        if let Some(diff) = images_equal(&a.segments, &c.segments) {
-            return Err(format!(
-                "crash during recovery at op {k} changed the recovered segments: {diff}"
-            ));
-        }
+        same(&a, &c).map_err(|why| {
+            format!("crash during recovery at op {k} changed the recovered segments: {why:?}")
+        })?;
     }
     Ok(())
 }

@@ -9,7 +9,7 @@ use rvm_storage::{TraceOp, TraceOpKind};
 
 use crate::{DeviceBase, SegWrite, Trace, TxnSpec};
 
-const MAGIC: &[u8; 8] = b"RVMCMC01";
+const MAGIC: &[u8; 8] = b"RVMCMC02";
 
 impl Trace {
     /// Serializes the trace.
@@ -57,7 +57,6 @@ impl Trace {
                 put_bytes(&mut out, &w.data);
             }
         }
-        out.push(self.single_threaded as u8);
         out
     }
 
@@ -122,16 +121,10 @@ impl Trace {
                 writes,
             });
         }
-        let single_threaded = get_u8(&mut r)? != 0;
         if !r.is_empty() {
             return Err(bad("trailing bytes after trace"));
         }
-        Ok(Trace {
-            devices,
-            ops,
-            txns,
-            single_threaded,
-        })
+        Ok(Trace { devices, ops, txns })
     }
 
     /// Writes the trace to a file.
@@ -248,7 +241,6 @@ mod tests {
                     data: vec![0xAB; 8],
                 }],
             }],
-            single_threaded: false,
         }
     }
 

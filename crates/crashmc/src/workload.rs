@@ -8,10 +8,10 @@
 //! the recorder length when it returns — the *ack point* after which a
 //! crash must preserve the transaction.
 //!
-//! Every multi-threaded workload writes disjoint cells with values
-//! distinct from the (all-zero) base, which is what lets the
-//! multi-threaded oracle decide per-transaction presence by looking at
-//! bytes.
+//! Each workload thread is one stream of the reference's history, so
+//! threads write disjoint cells: the order of two threads' commits is
+//! not part of the promise, and the reference refuses to judge a cell
+//! two threads share.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -32,7 +32,6 @@ pub enum Workload {
     /// Three threads × three rounds of barrier-aligned flush commits under
     /// the default batch cap: every leader drains the whole queue, so
     /// each batch is written, forced and completed inline by its leader.
-    /// Multi-threaded (disjoint-cell oracle).
     GroupCommit,
     /// Commits over a small log, with explicit epoch truncations
     /// interleaved and then none, so a commit (or the spool drain ahead
@@ -62,7 +61,7 @@ pub enum Workload {
     /// round, so the log sees consecutive batches back to back. The trace
     /// crashes between them — after batch A's force, before or during
     /// batch B's writes — exactly the states the committed-prefix oracle
-    /// must survive. Multi-threaded (disjoint-cell oracle).
+    /// must survive.
     ConsecutiveBatches,
     /// Incremental truncation over a small log: write-back steps follow
     /// the commits, a long-running transaction pins the page at the queue
@@ -116,7 +115,7 @@ impl Capture {
     /// Stops recording and assembles the trace. Devices first resolved
     /// while recording was live keep an empty base (they were created
     /// zero-filled; synthesis grows images on demand).
-    fn finish(self, txns: Vec<TxnSpec>, single_threaded: bool) -> Trace {
+    fn finish(self, txns: Vec<TxnSpec>) -> Trace {
         self.recorder.set_enabled(false);
         let devices = self
             .recorder
@@ -133,7 +132,6 @@ impl Capture {
             devices,
             ops: self.recorder.ops(),
             txns,
-            single_threaded,
         }
     }
 }
@@ -314,7 +312,7 @@ fn group_commit(hooks: MutationHooks) -> Trace {
         }
     });
 
-    let trace = cap.finish(txns, false);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -381,7 +379,7 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
         }
     });
 
-    let trace = cap.finish(txns, false);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -438,7 +436,7 @@ fn truncation(hooks: MutationHooks) -> Trace {
         "no commit found the log full"
     );
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -507,7 +505,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
         "no drain found the log full: {stats:?}"
     );
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -574,7 +572,7 @@ fn subsumption(hooks: MutationHooks) -> Trace {
         "saved {saved}, forces per flush {forces:?}: {stats:?}"
     );
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -680,7 +678,7 @@ fn incremental(hooks: MutationHooks) -> Trace {
     }
     assert_eq!(txns.len(), INCREMENTAL_TXNS);
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -725,7 +723,7 @@ fn abort_mix(hooks: MutationHooks) -> Trace {
         }
     }
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -756,7 +754,7 @@ fn bit_rot(hooks: MutationHooks) -> Trace {
         ));
     }
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -840,7 +838,7 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
         "seed {seed}: the trigger never stepped: {stats:?}"
     );
 
-    let trace = cap.finish(txns, true);
+    let trace = cap.finish(txns);
     drop(rvm);
     trace
 }
@@ -853,7 +851,6 @@ mod tests {
     #[test]
     fn truncation_workload_traces_commits_and_truncations() {
         let trace = run_workload(Workload::Truncation, MutationHooks::default());
-        assert!(trace.single_threaded);
         assert_eq!(trace.txns.len() as u64, TRUNCATION_TXNS);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
         let syncs = trace
@@ -880,7 +877,6 @@ mod tests {
     #[test]
     fn incremental_workload_writes_pages_and_reverts_to_one_epoch() {
         let trace = run_workload(Workload::Incremental, MutationHooks::default());
-        assert!(trace.single_threaded);
         assert_eq!(trace.txns.len(), INCREMENTAL_TXNS);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
         // A write-back step writes whole pages, and so does the epoch
@@ -915,7 +911,6 @@ mod tests {
     #[test]
     fn group_commit_workload_is_multithreaded_with_monotone_thread_acks() {
         let trace = run_workload(Workload::GroupCommit, MutationHooks::default());
-        assert!(!trace.single_threaded);
         assert_eq!(trace.txns.len(), 9);
         for th in 0..3u32 {
             let acks: Vec<usize> = trace
@@ -932,7 +927,6 @@ mod tests {
     #[test]
     fn pipeline_workload_is_multithreaded_and_forces_in_batches() {
         let trace = run_workload(Workload::ConsecutiveBatches, MutationHooks::default());
-        assert!(!trace.single_threaded);
         assert_eq!(trace.txns.len(), 12);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
         // Every batch records exactly one log sync, and twelve commits
@@ -961,7 +955,6 @@ mod tests {
     #[test]
     fn bit_rot_workload_never_touches_the_segment() {
         let trace = run_workload(Workload::BitRot, MutationHooks::default());
-        assert!(trace.single_threaded);
         assert_eq!(trace.txns.len(), 6);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
         // No truncation ran, so no recorded op writes any data segment:

@@ -36,7 +36,6 @@ pub const FALLIBLE: &[&str] = &[
     "read_verified",
     // WAL.
     "force",
-    "append_txn",
     "flush_barrier",
     "make_log_space",
     // Status block.

@@ -21,49 +21,13 @@ mod common {
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use common::World;
+use common::{assert_state_is_prefix, run_txn, World, INDEX_OFF, SLOT_SIZE};
 use rvm::segment::{flaky_resolver, MemResolver};
 use rvm::{
     BackoffSleeper, CommitMode, Options, Region, RegionDescriptor, RetryPolicy, Rvm, RvmError,
     Tuning, TxnMode, PAGE_SIZE,
 };
 use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
-
-const SLOTS: u64 = 16;
-const SLOT_SIZE: u64 = 64;
-/// Offset where each transaction records its own index.
-const INDEX_OFF: u64 = 2048;
-
-/// Runs transaction `i` of the canonical workload: fill slot `i % SLOTS`
-/// with byte `i` and record `i` at INDEX_OFF, all in one transaction.
-fn run_txn(rvm: &Rvm, region: &Region, i: u64) -> rvm::Result<()> {
-    let mut txn = rvm.begin_transaction(TxnMode::Restore)?;
-    region.write(
-        &mut txn,
-        (i % SLOTS) * SLOT_SIZE,
-        &[i as u8; SLOT_SIZE as usize],
-    )?;
-    region.put_u64(&mut txn, INDEX_OFF, i)?;
-    txn.commit(CommitMode::Flush)
-}
-
-/// Asserts the region equals the state after transactions `1..=k`.
-fn assert_state_is_prefix(region: &Region, k: u64) {
-    assert_eq!(region.get_u64(INDEX_OFF).unwrap(), k, "recorded index");
-    for slot in 0..SLOTS {
-        let expect: u8 = (1..=k)
-            .rev()
-            .find(|i| i % SLOTS == slot)
-            .map(|i| i as u8)
-            .unwrap_or(0);
-        let got = region.read_vec(slot * SLOT_SIZE, SLOT_SIZE).unwrap();
-        assert_eq!(
-            got,
-            vec![expect; SLOT_SIZE as usize],
-            "slot {slot} after prefix {k}"
-        );
-    }
-}
 
 /// A sleeper that records the requested backoffs instead of sleeping, so
 /// fault tests run instantly.

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the core invariants:
-//! interval arithmetic, record codecs, crash-prefix semantics,
-//! optimization transparency, and allocator disjointness.
+//! interval arithmetic, record codecs, crash-prefix semantics under
+//! every optimization setting, optimization transparency, and
+//! allocator disjointness.
 
 mod common {
     include!("lib.rs");
@@ -17,6 +18,7 @@ use rvm::ranges::{ByteRange, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_check::{Checked, IntervalMap};
+use rvm_reference::{Commit, History, Images, Write};
 use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
 
 proptest! {
@@ -202,54 +204,85 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Crash-prefix property with randomized workloads: after a crash at
-    /// an arbitrary byte budget, recovery yields the state after some
-    /// prefix of the committed transactions, and every acked commit is
-    /// included. With `lazy_every` = k > 0 the commits are lazy, a `flush`
-    /// follows every k-th, and each writes one of four fixed slots, so
-    /// repeats subsume the records before them: a commit is acked once a
-    /// `flush` after it has returned.
+    /// Crash-prefix property over random workloads and tunings: after a
+    /// crash at an arbitrary byte budget, or none past the end, the
+    /// reference admits what recovery left. Each transaction declares
+    /// ranges that may overlap, each twice: a redundant `set_range`, then
+    /// the write's own. With `lazy_every` = k > 0 the commits are lazy, a
+    /// `flush` follows every k-th and the last, and each range starts at
+    /// one of four slots, so repeats subsume the records before them: a
+    /// commit is durable once a `flush` after it has returned. The intra-
+    /// and inter-transaction optimizations and the segment checksums are
+    /// each on or off.
     #[test]
     fn random_workload_crash_yields_a_commit_prefix(
-        writes in prop::collection::vec((0u64..(PAGE_SIZE - 64), 1u64..64, any::<u8>()), 1..25),
+        txns in prop::collection::vec(
+            (0u64..(PAGE_SIZE - 256), prop::collection::vec((0u64..192, 1u64..64, any::<u8>()), 1..4)),
+            1..20
+        ),
         lazy_every in 0usize..4,
-        crash_frac in 0.0f64..1.0
+        crash_frac in 0.0f64..1.25,
+        intra_optimization in any::<bool>(),
+        inter_optimization in any::<bool>(),
+        segment_checksums in any::<bool>()
     ) {
-        let at = |off: u64| if lazy_every == 0 { off } else { off % 4 * 256 };
+        let tuning = Tuning {
+            intra_optimization,
+            inter_optimization,
+            segment_checksums,
+            ..Tuning::default()
+        };
         let mode = if lazy_every == 0 { CommitMode::Flush } else { CommitMode::NoFlush };
+        // Transaction `i`'s writes, in order.
+        let writes = |i: usize| -> Vec<Write> {
+            let (base, ranges) = &txns[i];
+            let at = |off: u64| if lazy_every == 0 { base + off } else { (base + off) % 4 * 256 };
+            ranges
+                .iter()
+                .map(|&(off, len, byte)| Write {
+                    segment: "seg".into(),
+                    offset: at(off),
+                    bytes: vec![byte; len as usize],
+                })
+                .collect()
+        };
         // Runs the workload, counting in `acked` the commits acked so far.
-        let run = |rvm: &Rvm, acked: &mut u64| -> Option<()> {
+        let run = |rvm: &Rvm, acked: &mut usize| -> Option<()> {
             let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).ok()?;
-            for (i, (off, len, byte)) in writes.iter().enumerate() {
+            for i in 0..txns.len() {
                 let mut txn = rvm.begin_transaction(TxnMode::Restore).ok()?;
-                region.write(&mut txn, at(*off), &vec![*byte; *len as usize]).ok()?;
-                region.put_u64(&mut txn, PAGE_SIZE - 8, i as u64 + 1).ok()?;
+                for w in writes(i) {
+                    txn.set_range(&region, w.offset, w.bytes.len() as u64).ok()?;
+                    region.write(&mut txn, w.offset, &w.bytes).ok()?;
+                }
                 txn.commit(mode).ok()?;
-                if lazy_every > 0 && (i + 1) % lazy_every == 0 {
+                let flush = lazy_every > 0 && ((i + 1) % lazy_every == 0 || i + 1 == txns.len());
+                if flush {
                     rvm.flush().ok()?;
                 }
-                if lazy_every == 0 || (i + 1) % lazy_every == 0 {
-                    *acked = i as u64 + 1;
+                if lazy_every == 0 || flush {
+                    *acked = i + 1;
                 }
             }
             Some(())
         };
+        let boot = |log: Arc<dyn rvm_storage::Device>, segments: &MemResolver| {
+            Rvm::initialize(
+                Options::new(log)
+                    .resolver(segments.clone().into_resolver())
+                    .tuning(tuning)
+                    .create_if_empty(),
+            )
+        };
         // Dry run to find the total byte volume.
         let total = {
-            let segments = MemResolver::new();
-            let inner = Arc::new(MemDevice::with_len(1 << 20));
-            let fault = Arc::new(FaultDevice::recording(inner));
-            let rvm = Rvm::initialize(
-                Options::new(fault.clone())
-                    .resolver(segments.clone().into_resolver())
-                    .create_if_empty(),
-            ).unwrap();
+            let fault = Arc::new(FaultDevice::recording(Arc::new(MemDevice::with_len(1 << 20))));
+            let rvm = boot(fault.clone(), &MemResolver::new()).unwrap();
             run(&rvm, &mut 0).unwrap();
-            let n = fault.bytes_written();
             rvm.terminate().unwrap();
-            n
+            fault.bytes_written()
         };
         let crash_at = (total as f64 * crash_frac) as u64;
 
@@ -257,34 +290,31 @@ proptest! {
         let segments = MemResolver::new();
         let inner = Arc::new(MemDevice::with_len(1 << 20));
         let fault = Arc::new(FaultDevice::new(inner.clone(), CrashPlan::torn_at(crash_at)));
-        let mut acked = 0u64;
-        if let Ok(rvm) = Rvm::initialize(
-            Options::new(fault.clone())
-                .resolver(segments.clone().into_resolver())
-                .create_if_empty(),
-        ) {
+        let mut acked = 0;
+        if let Ok(rvm) = boot(fault, &segments) {
             run(&rvm, &mut acked);
             std::mem::forget(rvm);
         }
 
-        // Recover and compare against replaying the recovered prefix.
-        let rvm = Rvm::initialize(
-            Options::new(inner)
-                .resolver(segments.clone().into_resolver())
-                .create_if_empty(),
-        ).unwrap();
+        // Recover, and judge the segment by the reference.
+        let rvm = boot(inner, &segments).unwrap();
         let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).unwrap();
-        let k = region.get_u64(PAGE_SIZE - 8).unwrap();
-        prop_assert!(k >= acked, "acked {} recovered {}", acked, k);
-        prop_assert!(k <= writes.len() as u64);
-        let mut model = vec![0u8; PAGE_SIZE as usize];
-        for (off, len, byte) in writes.iter().take(k as usize) {
-            model[at(*off) as usize..(at(*off) + *len) as usize].fill(*byte);
-        }
-        model[(PAGE_SIZE - 8) as usize..].copy_from_slice(&k.to_le_bytes());
-        let got = region.read_vec(0, PAGE_SIZE).unwrap();
-        prop_assert_eq!(got, model);
+        let commits = (0..txns.len()).map(|i| Commit {
+            stream: 0,
+            writes: writes(i),
+            durable: i < acked,
+        });
+        let history = History {
+            base: Images::new(),
+            commits: commits.collect(),
+        };
+        let image = Images::from([("seg".to_owned(), region.read_vec(0, PAGE_SIZE).unwrap())]);
+        prop_assert_eq!(rvm_reference::admits(&history, &image), Ok(()));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Inter-transaction optimization never changes recovered state.
     #[test]
@@ -446,6 +476,13 @@ fn latest_pieces_match_interval_maps_past_4096_values() {
     );
 }
 
+/// Appends one record as the commit plane does: staged, then written.
+fn append(wal: &mut rvm::log::wal::Wal, tid: u64, ranges: &[RecordRange]) -> rvm::Result<()> {
+    let mut staging = rvm::log::wal::StagingBuf::default();
+    wal.append_staged(tid, rvm::log::record::borrowed(ranges), &mut staging)?;
+    wal.write_staged(&staging)
+}
+
 /// For each hot (segment, start) of `streamed_replay_matches_interval_maps`,
 /// the first other start in each of segments 0–2 that takes its memo
 /// slot.
@@ -496,13 +533,13 @@ proptest! {
                     offset: tid * 8,
                     data: vec![tid as u8; len as usize],
                 }];
-                match wal.append_txn(tid, &ranges) {
+                match append(&mut wal, tid, &ranges) {
                     Ok(_) => live.push(tid),
                     Err(_) => {
                         // Full: truncate and retry once (always fits then).
                         wal.advance_head(wal.tail(), wal.next_seq());
                         live.clear();
-                        wal.append_txn(tid, &ranges).unwrap();
+                        append(&mut wal, tid, &ranges).unwrap();
                         live.push(tid);
                     }
                 }
@@ -577,7 +614,7 @@ proptest! {
         let dev = Arc::new(MemDevice::with_len(LOG_AREA_START + area));
         let mut wal = Wal::new(dev.clone(), area, 0, 0, 1, 1);
         for (tid, record) in log.iter().enumerate() {
-            wal.append_txn(tid as u64, record).unwrap();
+            append(&mut wal, tid as u64, record).unwrap();
         }
         let mut values = ValueArena::default();
         let end = scan_records(dev.as_ref(), area, 0, 1, None, |_, record| {

@@ -4,7 +4,8 @@
 use std::sync::Arc;
 
 use rvm::segment::MemResolver;
-use rvm::{Options, Rvm, Tuning};
+use rvm::{CommitMode, Options, Region, Rvm, Tuning, TxnMode};
+use rvm_reference::{Commit, Images, Write};
 use rvm_storage::MemDevice;
 
 /// A self-contained world: one in-memory log plus shared segments, both
@@ -97,4 +98,59 @@ impl Truncator {
             Self::Epochs(_) => rvm.stats().epoch_truncations,
         }
     }
+}
+
+// The canonical workload of the crash and fault matrices.
+
+/// Slots the canonical workload cycles through.
+#[allow(dead_code)]
+pub const SLOTS: u64 = 16;
+/// Bytes in a slot.
+#[allow(dead_code)]
+pub const SLOT_SIZE: u64 = 64;
+/// Offset where each transaction records its own index.
+#[allow(dead_code)]
+pub const INDEX_OFF: u64 = 2048;
+
+/// Runs transaction `i` of the canonical workload: fill slot `i % SLOTS`
+/// with byte `i` and record `i` at INDEX_OFF, all in one transaction.
+#[allow(dead_code)]
+pub fn run_txn(rvm: &Rvm, region: &Region, i: u64) -> rvm::Result<()> {
+    let mut txn = rvm.begin_transaction(TxnMode::Restore)?;
+    region.write(
+        &mut txn,
+        (i % SLOTS) * SLOT_SIZE,
+        &[i as u8; SLOT_SIZE as usize],
+    )?;
+    region.put_u64(&mut txn, INDEX_OFF, i)?;
+    txn.commit(CommitMode::Flush)
+}
+
+/// Asserts the region equals the state after transactions `1..=k` of
+/// the canonical workload, as the reference replays them.
+#[allow(dead_code)]
+pub fn assert_state_is_prefix(region: &Region, k: u64) {
+    assert_eq!(region.get_u64(INDEX_OFF).unwrap(), k, "recorded index");
+    let write = |offset, bytes| Write {
+        segment: "region".into(),
+        offset,
+        bytes,
+    };
+    let commits: Vec<Commit> = (1..=k)
+        .map(|i| Commit {
+            stream: 0,
+            writes: vec![
+                write((i % SLOTS) * SLOT_SIZE, vec![i as u8; SLOT_SIZE as usize]),
+                write(INDEX_OFF, i.to_le_bytes().to_vec()),
+            ],
+            durable: true,
+        })
+        .collect();
+    let mut want = rvm_reference::replay(&Images::new(), &commits)
+        .remove("region")
+        .unwrap_or_default();
+    let got = region.read_vec(0, INDEX_OFF + 8).unwrap();
+    want.resize(got.len(), 0);
+    let diff = (0..got.len()).find(|&at| got[at] != want[at]);
+    assert!(diff.is_none(), "byte {diff:?} differs from prefix {k}");
 }
