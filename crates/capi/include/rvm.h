@@ -43,7 +43,8 @@ typedef enum {
 #define RVM_FLUSH 0       /* end_transaction commit_mode values */
 #define RVM_NO_FLUSH 1
 
-/* Filled by rvm_query(); fields are only ever appended. */
+/* Filled by rvm_query(). New fields are appended; a field that can only
+ * read 0 is removed. */
 typedef struct {
     uint64_t active_transactions;
     uint64_t spooled_transactions;
@@ -64,8 +65,6 @@ typedef struct {
     uint64_t corruptions_detected;
     uint64_t corruptions_repaired;
     uint64_t regions_quarantined;
-    uint64_t pipeline_submits;   /* always 0: every batch completes inline */
-    uint64_t pipeline_stall_ns;  /* always 0 */
     uint64_t group_waits;    /* times a commit leader waited for company */
     uint64_t group_wait_ns;  /* nanoseconds spent in those waits */
 } rvm_query_t;

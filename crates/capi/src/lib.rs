@@ -555,11 +555,6 @@ pub struct RvmQuery {
     /// Regions quarantined into read-only degraded mode
     /// ([`RvmReturn::RvmEMedia`]).
     pub regions_quarantined: u64,
-    /// Always 0: every batch completes inline (mirrors
-    /// `StatsSnapshot::pipeline_submits`).
-    pub pipeline_submits: u64,
-    /// Always 0, like `pipeline_submits`.
-    pub pipeline_stall_ns: u64,
     /// Times a group-commit leader waited for company before staging.
     pub group_waits: u64,
     /// Nanoseconds leaders spent in those waits.
@@ -604,8 +599,6 @@ pub unsafe extern "C" fn rvm_query(handle: *mut RvmHandle, out: *mut RvmQuery) -
                 corruptions_detected: q.stats.corruptions_detected,
                 corruptions_repaired: q.stats.corruptions_repaired,
                 regions_quarantined: q.stats.regions_quarantined,
-                pipeline_submits: q.stats.pipeline_submits,
-                pipeline_stall_ns: q.stats.pipeline_stall_ns,
                 group_waits: q.stats.group_waits,
                 group_wait_ns: q.stats.group_wait_ns,
             };
@@ -938,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn query_round_trips_pipeline_counters() {
+    fn query_round_trips_group_commit_counters() {
         use rvm::segment::MemResolver;
         use rvm::{CommitMode, RegionDescriptor, Tuning, TxnMode};
         use rvm_storage::MemDevice;
@@ -984,10 +977,6 @@ mod tests {
             let expect = (*h).rvm.query();
             let mut q = RvmQuery::default();
             assert_eq!(rvm_query(h, &mut q), RvmReturn::RvmSuccess);
-            // Every batch completes inline: nothing is ever submitted.
-            assert_eq!((q.pipeline_submits, q.pipeline_stall_ns), (0, 0));
-            assert_eq!(q.pipeline_submits, expect.stats.pipeline_submits);
-            assert_eq!(q.pipeline_stall_ns, expect.stats.pipeline_stall_ns);
             assert_eq!(q.log_forces, expect.stats.log_forces);
             // With a fixed window every leader that runs a round waits it out.
             assert_eq!(q.group_waits, expect.stats.group_waits);

@@ -13,8 +13,8 @@
 //! * a **no-flush commit** pushes its record onto the spool
 //!   ([`crate::spool`]) and returns: no waiter, no shared lock;
 //! * a **barrier** — [`Rvm::flush`](crate::Rvm::flush), `terminate`,
-//!   spool overflow, an empty flush-mode commit, a `map` settling its
-//!   segment, incremental truncation unblocking a page — is an empty
+//!   spool overflow, an empty flush-mode commit, an `unmap` writing its
+//!   region back, incremental truncation unblocking a page — is an empty
 //!   flush commit: a queue slot with a waiter and no record
 //!   ([`RvmShared::flush_barrier`]).
 //!

@@ -263,8 +263,8 @@ impl RvmShared {
     /// checkpoint. `stage` keeps it by closing the batch before
     /// `make_log_space` releases the lock.
     ///
-    /// On success: statistics, page-vector, page-queue and `segs_in_log`
-    /// bookkeeping for every record, and `Ok` to every waiter. On failure
+    /// On success: statistics, page-vector and page-queue bookkeeping for
+    /// every record, and `Ok` to every waiter. On failure
     /// the batch fails *whole*: the WAL cursors roll back to the
     /// pre-batch checkpoint, and a device error poisons the instance,
     /// because records may sit unacknowledged in the device's
@@ -312,24 +312,13 @@ impl RvmShared {
         }
         for Member { waiter, record } in batch.members.drain(..) {
             let txn = record.map(|(txn, info)| {
-                for (region, id, pages) in txn.region_pages() {
-                    // A spooled record's region may have been unmapped: its
-                    // dead descriptors still bound the head (see `freeze_step`).
-                    match (region.upgrade(), &waiter) {
-                        (Some(region), Some(_)) => region.note_pages_logged(pages),
-                        (Some(region), None) => region.note_spool_drained(pages),
-                        (None, _) => {}
+                for (region, pages) in txn.region_pages() {
+                    match &waiter {
+                        Some(_) => region.note_pages_logged(pages),
+                        None => region.note_spool_drained(pages),
                     }
                     for &p in pages {
-                        core.page_queue
-                            .enqueue(region, id, p, info.offset, info.seq);
-                    }
-                }
-                // Ranges come region by region: a segment's run is one
-                // insertion, not one per range.
-                for run in txn.ranges.chunk_by(|a, b| a.0 == b.0) {
-                    if let [(seg, _), ..] = run {
-                        core.segs_in_log.insert(seg.as_u32());
+                        core.page_queue.enqueue(region, p, info.offset, info.seq);
                     }
                 }
                 txn

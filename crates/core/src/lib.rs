@@ -65,9 +65,13 @@
 //!   log scan — with
 //!   automatic reversion to epoch truncation when incremental progress
 //!   is blocked. Epoch truncation — recovery applied to the oldest part
-//!   of the log — is what a `truncate` call, a `map` settling its
-//!   segment or a full log starts. Either way the segments are written
+//!   of the log — is what a `truncate` call, an `unmap` of a dirty
+//!   region or a full log starts. Either way the segments are written
 //!   with the core lock released, while commits continue.
+//! * One invariant joins mapping to truncation: every segment byte that
+//!   no mapped region covers is current on its device. `unmap` writes a
+//!   dirty region back (a flush, then an epoch) before it lets go, so
+//!   `map` only reads the segment, under one hold of the core lock.
 //! * Intra- and inter-transaction log optimizations (§5.2), individually
 //!   switchable for ablation.
 //! * No-restore and no-flush transaction modes, `flush`/`truncate` log
@@ -121,8 +125,8 @@
 //! * The commit-queue locks (`commit::GroupCommit`) are taken only while
 //!   `core` is *not* held: the leader acquires `core` after claiming its
 //!   slots, and a holder of the core guard that needs the spool durable
-//!   (a `map` settling its segment, incremental truncation) raises the
-//!   barrier under `MutexGuard::unlocked`.
+//!   (incremental truncation) raises the barrier under
+//!   `MutexGuard::unlocked`.
 //! * The commit fast paths are plane-local: a no-flush commit touches
 //!   only the spool lock plus per-region state (after one shared read of
 //!   `tuning`); `begin_transaction`, `set_range` and abort take no shared

@@ -86,6 +86,7 @@ mod group_model {
 mod epoch_model {
     mod tests {
         use crate::models::scenarios::*;
+        use crate::CommitMode;
 
         const LOG_FULL: [fn(&World); 2] = [lazy_then_full, truncate];
         const REDIRTY: [fn(&World); 2] = [step, redirty];
@@ -132,6 +133,17 @@ mod epoch_model {
             let mut three = setup(1, Twist::None);
             three.bound = 2;
             safe(three, &[step, redirty, truncate]);
+        }
+
+        /// A transaction's first `set_range` on a region and the region's
+        /// `unmap`: the one is counted before the other looks, or fails.
+        #[test]
+        fn a_commit_racing_its_regions_unmap_survives_or_is_refused() {
+            let commit: fn(&World) = |w| w.commit(UNMAPPED, 1, CommitMode::Flush);
+            safe(
+                setup(0, Twist::RacingUnmap),
+                &[commit, |w| w.unmap(UNMAPPED)],
+            );
         }
 
         /// The seam of the lost lazy commit (EXPERIMENTS.md E24): a drain

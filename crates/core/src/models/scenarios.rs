@@ -18,6 +18,7 @@ use rvm_reference::{Commit, History, Images, Write};
 use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate};
 
 use super::explore::{self, Explorer, Violation};
+use crate::error::RvmError;
 use crate::log::{record::padded_len, record::RANGE_ENTRY_SIZE, status::LOG_AREA_START};
 use crate::options::MutationHooks;
 use crate::segment::{flaky_resolver, MemResolver};
@@ -25,7 +26,7 @@ use crate::{CommitMode, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode,
 
 const KEYS: usize = 4;
 const PREFILLED: usize = 1;
-const UNMAPPED: usize = 3;
+pub(super) const UNMAPPED: usize = 3;
 const SLOTS: [u64; 2] = [0, PAGE_SIZE];
 
 /// What sets a scenario apart.
@@ -35,6 +36,8 @@ pub(super) enum Twist {
     None,
     /// Commit to the [`UNMAPPED`] key in setup, and unmap it.
     UnmappedInLog,
+    /// A commit to [`UNMAPPED`] races its unmap: either may be refused.
+    RacingUnmap,
     /// Every sync after setup fails for good.
     FailingSync,
     /// A `flush()` that returns crashes the clock at once.
@@ -55,12 +58,11 @@ pub(super) struct Setup {
 }
 
 pub(super) fn setup(prefill: u64, twist: Twist) -> Setup {
-    let (hooks, bound) = (MutationHooks::default(), Explorer::default().bound);
     Setup {
         prefill,
         twist,
-        hooks,
-        bound,
+        bound: Explorer::default().bound,
+        ..Setup::default()
     }
 }
 
@@ -164,9 +166,7 @@ impl World {
             seen,
             errors,
         };
-        for v in 1..=setup.prefill {
-            world.commit(PREFILLED, v, CommitMode::Flush);
-        }
+        (1..=setup.prefill).for_each(|v| world.commit(PREFILLED, v, CommitMode::Flush));
         if setup.twist == Twist::UnmappedInLog {
             world.commit(UNMAPPED, 1, CommitMode::Flush);
             world.unmap(UNMAPPED);
@@ -182,7 +182,9 @@ impl World {
     /// Records a failure, unless the world expects failures.
     fn check(&self, what: &str, result: crate::Result<()>) -> bool {
         if let Err(e) = &result {
-            if self.setup.twist != Twist::FailingSync && !self.clock.has_crashed() {
+            let raced = matches!(e, RvmError::Unmapped | RvmError::RegionBusy { .. })
+                && self.setup.twist == Twist::RacingUnmap;
+            if !raced && self.setup.twist != Twist::FailingSync && !self.clock.has_crashed() {
                 self.errors.lock().unwrap().push(format!("{what}: {e}"));
             }
         }
@@ -199,10 +201,10 @@ impl World {
         ok
     }
 
-    fn commit(&self, key: usize, v: u64, mode: CommitMode) {
+    pub(super) fn commit(&self, key: usize, v: u64, mode: CommitMode) {
         self.seen.lock().unwrap()[key][0] = v;
-        let region = self.region(key).expect("mapped");
         let run = || {
+            let region = self.region(key).ok_or(RvmError::Unmapped)?;
             let mut txn = self.rvm.begin_transaction(TxnMode::Restore)?;
             for slot in SLOTS {
                 region.put_u64(&mut txn, slot, v)?;
@@ -221,24 +223,27 @@ impl World {
 
     fn flush(&self) {
         if self.barrier("flush", || self.rvm.flush()) && self.setup.twist == Twist::CrashAtBarrier {
-            let devices = self.devices.lock().unwrap().clone();
-            for object in devices {
+            for object in self.devices.lock().unwrap().clone() {
                 explore::point(object, true);
             }
             self.clock.crash_now();
         }
     }
 
-    fn unmap(&self, key: usize) {
-        let region = self.regions.lock().unwrap()[key].take().expect("mapped");
-        self.check("unmap", self.rvm.unmap(&region));
+    pub(super) fn unmap(&self, key: usize) {
+        let region = self.region(key).expect("mapped");
+        let unmapped = self.check("unmap", self.rvm.unmap(&region));
+        self.regions.lock().unwrap()[key].take_if(|_| unmapped);
     }
 
-    /// Maps `key`'s region again and compares it with the last commit.
+    /// Maps `key`'s region again, if it is unmapped, and compares it with
+    /// the last commit.
     fn remap(&self, key: usize) {
-        match self.rvm.map(&desc(key)) {
-            Ok(region) => self.regions.lock().unwrap()[key] = Some(region),
-            Err(e) => _ = self.check("map", Err(e)),
+        if self.region(key).is_none() {
+            match self.rvm.map(&desc(key)) {
+                Ok(region) => self.regions.lock().unwrap()[key] = Some(region),
+                Err(e) => _ = self.check("map", Err(e)),
+            }
         }
         self.compare_memory(key);
     }
@@ -257,12 +262,7 @@ impl World {
     }
 
     fn verdict(&self) -> Result<(), String> {
-        for key in 0..KEYS {
-            match self.region(key) {
-                Some(_) => self.compare_memory(key),
-                None => self.remap(key),
-            }
-        }
+        (0..KEYS).for_each(|key| self.remap(key));
         if let Some(error) = self.errors.lock().unwrap().first() {
             return Err(error.clone());
         }

@@ -98,10 +98,6 @@ impl<L, G: DerefMut> DerefMut for Held<'_, L, G> {
 }
 
 impl Condvar {
-    pub fn new() -> Self {
-        Named::default()
-    }
-
     pub fn wait<T>(&self, g: &mut MutexGuard<'_, T>) {
         if !explore::exploring() {
             return self.1.wait(g.1.as_mut().expect(TAKEN));
@@ -159,6 +155,10 @@ macro_rules! atomic {
             pub fn swap(&self, value: $t, order: Ordering) -> $t {
                 self.point(order, true);
                 self.1.swap(value, order)
+            }
+            pub fn compare_exchange(&self, old: $t, new: $t, ok: Ordering, no: Ordering) -> Result<$t, $t> {
+                self.point(ok, true);
+                self.1.compare_exchange(old, new, ok, no)
             }
             $(pub fn $rmw(&self, value: $t, order: Ordering) -> $t {
                 self.point(order, true);

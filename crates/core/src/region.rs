@@ -220,6 +220,9 @@ impl Drop for RegionMemory {
     }
 }
 
+/// The bit of [`RegionInner::uncommitted_txns`] an unmapped region has.
+pub(crate) const UNMAPPED: u64 = 1 << 63;
+
 /// What [`RegionInner::committed_page`] found.
 pub(crate) enum PageImage {
     /// Exactly the committed, logged bytes of the page, now in the
@@ -244,8 +247,10 @@ pub(crate) struct RegionInner {
     pub(crate) mem: RegionMemory,
     /// Guards memory access for the safe API and library internals.
     pub(crate) mem_lock: RwLock<()>,
-    pub(crate) mapped: AtomicBool,
-    /// Active transactions holding `set_range`s on this region.
+    /// Active transactions holding `set_range`s on this region, and the
+    /// [`UNMAPPED`] bit: `unmap` claims a count of 0 in one
+    /// compare-and-swap, so a transaction is either counted before the
+    /// claim (and the unmap refused) or finds the bit and fails.
     pub(crate) uncommitted_txns: AtomicU64,
     pub(crate) page_vector: Mutex<PageVector>,
     /// `None` once fully loaded; otherwise tracks which pages still need
@@ -262,10 +267,35 @@ pub(crate) struct RegionInner {
 
 impl RegionInner {
     pub(crate) fn check_mapped(&self) -> Result<()> {
-        if self.mapped.load(Ordering::Acquire) {
+        if self.uncommitted_txns.load(Ordering::Acquire) & UNMAPPED == 0 {
             Ok(())
         } else {
             Err(RvmError::Unmapped)
+        }
+    }
+
+    /// Counts a transaction declaring its first range on the region,
+    /// unless `unmap` has claimed the region.
+    pub(crate) fn count_txn(&self) -> Result<()> {
+        if self.uncommitted_txns.fetch_add(1, Ordering::AcqRel) & UNMAPPED == 0 {
+            return Ok(());
+        }
+        self.uncommitted_txns.fetch_sub(1, Ordering::AcqRel);
+        Err(RvmError::Unmapped)
+    }
+
+    /// `unmap`'s claim: sets [`UNMAPPED`] if no transaction is counted.
+    pub(crate) fn claim_unmapped(&self) -> Result<()> {
+        let claimed = self.uncommitted_txns.compare_exchange(
+            0,
+            UNMAPPED,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        match claimed {
+            Ok(_) => Ok(()),
+            Err(now) if now & UNMAPPED != 0 => Err(RvmError::Unmapped),
+            Err(uncommitted) => Err(RvmError::RegionBusy { uncommitted }),
         }
     }
 
@@ -353,9 +383,9 @@ impl RegionInner {
     /// Reads region page `page` (one full [`PAGE_SIZE`] block) from the
     /// segment ([`Segment::read_page_verified`]: mirror read-repair and
     /// transient re-reads), quarantining the region when the page stays
-    /// unverifiable — a page being *loaded* is not in VM and (map-time
-    /// truncation having drained the segment's live log records) not
-    /// reconstructible from the log, so the mirror is its only donor.
+    /// unverifiable — a page being *loaded* is not in VM, and the live
+    /// log need not hold its bytes (`unmap` left them current on the
+    /// segment), so the mirror is its only donor.
     pub(crate) fn fetch_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<()> {
         let seg_page = self.seg_page(page);
         match self.segment.read_page_verified(seg_page, buf)? {
@@ -517,13 +547,13 @@ impl Region {
 
     /// Returns `true` while the region is mapped.
     pub fn is_mapped(&self) -> bool {
-        self.inner.mapped.load(Ordering::Acquire)
+        self.inner.check_mapped().is_ok()
     }
 
     /// Number of transactions with uncommitted changes to this region —
     /// the paper's `query` information.
     pub fn uncommitted_transactions(&self) -> u64 {
-        self.inner.uncommitted_txns.load(Ordering::Acquire)
+        self.inner.uncommitted_txns.load(Ordering::Acquire) & !UNMAPPED
     }
 
     /// Number of pages tracked by the region's page vector.
@@ -678,7 +708,6 @@ pub(crate) mod tests_support {
             len,
             mem: RegionMemory::alloc(len as usize),
             mem_lock: RwLock::new(()),
-            mapped: AtomicBool::new(true),
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(len)),
             unloaded: Mutex::new(None),

@@ -17,14 +17,14 @@ use crate::log::wal::{StagingBuf, Wal};
 use crate::options::{LoadPolicy, MutationHooks, Options, Tuning, TxnMode};
 use crate::query::QueryInfo;
 use crate::recovery::{recover, RecoveryReport, RecoveryTimes};
-use crate::region::{Region, RegionDescriptor, RegionInner};
+use crate::region::{Region, RegionDescriptor, RegionInner, UNMAPPED};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
 use crate::scrub::ScrubReport;
 use crate::segment::{OpenSegments, SegmentInfo};
 use crate::spool::SpoolPlane;
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Instant, MutexGuard, RwLock};
-use crate::truncation::{IdSet, InFlight, PageQueue, StepBatch};
+use crate::truncation::{InFlight, PageQueue, StepBatch};
 use crate::txn::Transaction;
 
 /// The held core lock. Functions that may *release and reacquire* the
@@ -45,8 +45,6 @@ pub(crate) struct Core {
     /// mapped), as the status block carries it.
     pub(crate) segments: Vec<SegmentInfo>,
     pub(crate) page_queue: PageQueue,
-    /// Segments referenced by live (untruncated) log records.
-    pub(crate) segs_in_log: IdSet<u32>,
     /// The truncation in flight, if any — an epoch or an incremental
     /// step. Written only by [`crate::truncation`]; its owner alone
     /// writes segments and moves the head.
@@ -235,7 +233,6 @@ impl Rvm {
                 status_seq: status.seq,
                 segments: status.segments,
                 page_queue,
-                segs_in_log: IdSet::default(),
                 truncation: None,
                 step: StepBatch::default(),
                 staging: StagingBuf::default(),
@@ -254,7 +251,7 @@ impl Rvm {
             active_txns: AtomicU64::new(0),
             terminated: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
-            truncation_done: Condvar::new(),
+            truncation_done: Condvar::default(),
         });
 
         Ok(Self {
@@ -301,16 +298,27 @@ impl Rvm {
     }
 
     /// Unmaps a quiescent region (§4.1: no uncommitted transactions may be
-    /// outstanding). Committed-but-untruncated changes remain safe in the
-    /// log and spool.
+    /// outstanding), leaving its committed image on its segment: every
+    /// segment byte no mapped region covers is current on its device, so
+    /// a later [`Rvm::map`] of any of them just reads it.
+    ///
+    /// A region with a dirty page, or a commit still in the spool, is
+    /// written back first: a [`flush`](Rvm::flush), then an epoch
+    /// [`truncate`](Rvm::truncate) over the live log (after any
+    /// truncation in flight). An unmap of a dirty region therefore costs
+    /// a log force and an epoch; a clean region unmaps with no I/O. If
+    /// the write-back fails the region stays mapped and the error comes
+    /// back; a device failure poisons the instance.
     pub fn unmap(&self, region: &Region) -> Result<()> {
-        region.inner.check_mapped()?;
-        let uncommitted = region.inner.uncommitted_txns.load(Ordering::Acquire);
-        if uncommitted > 0 {
-            return Err(RvmError::RegionBusy { uncommitted });
+        let (inner, shared) = (&region.inner, &self.shared);
+        inner.claim_unmapped()?;
+        if !inner.page_vector.lock().is_clean() {
+            if let Err(e) = shared.flush_barrier().and_then(|()| shared.truncate_now()) {
+                inner.uncommitted_txns.fetch_sub(UNMAPPED, Ordering::AcqRel);
+                return Err(e);
+            }
         }
-        region.inner.mapped.store(false, Ordering::Release);
-        self.shared.regions.write().remove(&region.inner.id);
+        shared.regions.write().remove(&inner.id);
         Ok(())
     }
 

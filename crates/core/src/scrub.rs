@@ -328,7 +328,7 @@ impl RvmShared {
                 report.pages_skipped += (pages - page) as u64;
                 return Ok(());
             }
-            if !region.mapped.load(Ordering::Acquire) || region.is_degraded() {
+            if region.check_mapped().is_err() || region.is_degraded() {
                 report.pages_skipped += (pages - page) as u64;
                 return Ok(());
             }

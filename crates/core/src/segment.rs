@@ -45,7 +45,7 @@ use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::rvm::RvmShared;
 use crate::scrub::{page_len, sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
 use crate::stats::MediaCounters;
-use crate::sync::{AtomicBool, AtomicU64, Mutex, MutexGuard, RwLock};
+use crate::sync::{AtomicBool, AtomicU64, Mutex, RwLock};
 use crate::truncation::page_vector::PageVector;
 
 /// Identifies a segment within one log's segment table.
@@ -487,16 +487,16 @@ impl OpenSegments {
 }
 
 impl RvmShared {
-    /// [`Rvm::map_with`](crate::Rvm::map_with) past its argument checks.
+    /// [`Rvm::map_with`](crate::Rvm::map_with) past its argument checks:
+    /// one hold of the core lock.
     pub(crate) fn map_region(&self, desc: &RegionDescriptor, policy: LoadPolicy) -> Result<Region> {
         let mut core = self.core.lock();
 
         // Enter the segment into the durable table on first sight (or grow
         // its recorded length), and persist the table under the hold that
-        // changed it, before anything can fail or release the core lock —
-        // the settle below does: the table must be durable before any
-        // record references the id, and a concurrent `map` that finds the
-        // entry by name may commit such records.
+        // changed it, before anything can fail: the table must be durable
+        // before any record references the id, and a later `map` that
+        // finds the entry by name may commit such records.
         let min_len = desc.offset + desc.len;
         let (seg_id, status_dirty) = match core.segments.iter_mut().find(|s| s.name == desc.segment)
         {
@@ -523,60 +523,23 @@ impl RvmShared {
             .open_segments
             .get(&core.segments, seg_id, min_len, &self.tuning)?;
 
-        // Guarantee the mapped image is the committed one. While no
-        // mapped region overlaps the new range nothing can commit into
-        // it, so what must reach the device first is fixed the moment
-        // that is observed: the spool and the live log — both below the
-        // tail once the barrier returns. Later commits to
-        // *other* regions of the segment are not waited for, which bounds
-        // the rounds under load. Every round releases the core lock, so
-        // each looks again, and the last look shares its hold with the
-        // insert below.
-        let seg_raw = seg_id.as_u32();
+        // §4.1 mapping rules: no region mapped twice, no overlap. Every
+        // segment byte no mapped region covers is current on its device
+        // (`Rvm::unmap` writes a region back before it leaves `regions`),
+        // so the range's committed image is what the segment holds. The
+        // check and the insert share this hold: of two overlapping maps,
+        // one fails.
         let new_range = ByteRange::at(desc.offset, desc.len);
-        // (log offset to apply through, `next_region_id` when it was taken)
-        let mut settle: Option<(u64, u64)> = None;
-        loop {
-            // §4.1 mapping rules: no region mapped twice, no overlap.
-            let taken = self.regions.read().values().find_map(|r| {
-                let existing = ByteRange::at(r.seg_offset, r.len);
-                let overlaps = new_range.start < existing.end && existing.start < new_range.end;
-                (r.segment.id == seg_id && overlaps).then_some(existing)
-            });
-            if let Some(ByteRange { start, end }) = taken {
-                return Err(RvmError::BadMapping(format!(
-                    "[{}, {}) of '{}' overlaps the mapped region [{start}, {end})",
-                    new_range.start, new_range.end, desc.segment
-                )));
-            }
-            // A `map` that completed while the lock was released may have
-            // mapped, committed into and unmapped an overlapping range:
-            // take the offset again.
-            let maps = self.next_region_id.load(Ordering::Relaxed);
-            let through = match settle {
-                Some((through, seen)) if seen == maps => through,
-                _ => {
-                    let referenced = core.segs_in_log.contains(&seg_raw)
-                        || self.spool.references(seg_id)
-                        || core
-                            .truncation
-                            .as_ref()
-                            .is_some_and(|t| t.segs.contains(&seg_raw));
-                    if !referenced {
-                        break;
-                    }
-                    MutexGuard::unlocked(&mut core, || self.flush_barrier())?;
-                    settle = Some((core.wal.tail(), maps));
-                    continue;
-                }
-            };
-            if core.wal.head() >= through {
-                break;
-            }
-            let r = self.make_log_space(&mut core);
-            if !self.guard_io(r)? {
-                break; // nothing live below the tail
-            }
+        let taken = self.regions.read().values().find_map(|r| {
+            let existing = ByteRange::at(r.seg_offset, r.len);
+            let overlaps = new_range.start < existing.end && existing.start < new_range.end;
+            (r.segment.id == seg_id && overlaps).then_some(existing)
+        });
+        if let Some(ByteRange { start, end }) = taken {
+            return Err(RvmError::BadMapping(format!(
+                "[{}, {}) of '{}' overlaps the mapped region [{start}, {end})",
+                new_range.start, new_range.end, desc.segment
+            )));
         }
 
         let inner = Arc::new(RegionInner {
@@ -586,7 +549,6 @@ impl RvmShared {
             len: desc.len,
             mem: RegionMemory::alloc(desc.len as usize),
             mem_lock: RwLock::new(()),
-            mapped: AtomicBool::new(true),
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(desc.len)),
             unloaded: Mutex::new(match policy {

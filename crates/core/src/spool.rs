@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::ranges::{ByteRange, Piece, SegCoverage};
 use crate::region::RegionInner;
@@ -49,9 +49,9 @@ pub(crate) struct SpooledTxn {
     pub ranges: Vec<(SegmentId, ByteRange)>,
     /// Their new values, back to back.
     pub data: Vec<u8>,
-    /// The regions the record dirties, in id order, each with its id and
-    /// where its run of `pages` ends (and the next region's starts).
-    pub regions: Vec<(Weak<RegionInner>, u64, usize)>,
+    /// The regions the record dirties, in id order, each with where its
+    /// run of `pages` ends (and the next region's starts).
+    pub regions: Vec<(Arc<RegionInner>, usize)>,
     /// The pages it dirties — the transaction's touched pages. A spooled
     /// record holds their unflushed counts.
     pub pages: Vec<usize>,
@@ -77,7 +77,7 @@ impl SpooledTxn {
         region.read_into(ranges, &mut self.data);
         self.pages.extend_from_slice(pages);
         let end = self.pages.len();
-        self.regions.push((Arc::downgrade(region), region.id, end));
+        self.regions.push((Arc::clone(region), end));
     }
 
     /// The ranges with their new values borrowed from the arena: what
@@ -91,12 +91,12 @@ impl SpooledTxn {
         })
     }
 
-    /// Each region the record dirties, with its id and its pages.
-    pub fn region_pages(&self) -> impl Iterator<Item = (&Weak<RegionInner>, u64, &[usize])> {
-        self.regions.iter().scan(0usize, |at, (region, id, end)| {
+    /// Each region the record dirties, with its pages.
+    pub fn region_pages(&self) -> impl Iterator<Item = (&Arc<RegionInner>, &[usize])> {
+        self.regions.iter().scan(0usize, |at, (region, end)| {
             let pages = self.pages.get(*at..*end)?;
             *at = *end;
-            Some((region, *id, pages))
+            Some((region, pages))
         })
     }
 
@@ -109,12 +109,10 @@ impl SpooledTxn {
     }
 
     fn release_unflushed(&self) {
-        for (weak, _, pages) in self.region_pages() {
-            if let Some(region) = weak.upgrade() {
-                let mut pv = region.page_vector.lock();
-                for &p in pages {
-                    pv.dec_unflushed(p);
-                }
+        for (region, pages) in self.region_pages() {
+            let mut pv = region.page_vector.lock();
+            for &p in pages {
+                pv.dec_unflushed(p);
             }
         }
     }
@@ -140,12 +138,6 @@ impl Spool {
     /// Total unpadded record bytes pending.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Returns `true` if any pending record touches `seg`.
-    pub fn references(&self, seg: SegmentId) -> bool {
-        let mut txns = self.txns.iter();
-        txns.any(|t| t.ranges.iter().any(|r| r.0 == seg))
     }
 
     /// Appends a record, first discarding — when `inter_opt` is enabled —
@@ -249,11 +241,6 @@ impl SpoolPlane {
     pub fn push_front(&self, txn: SpooledTxn) {
         self.changed(|spool| spool.push_front(txn));
     }
-
-    /// Returns `true` if any pending record touches `seg`.
-    pub fn references(&self, seg: SegmentId) -> bool {
-        self.fifo.lock().references(seg)
-    }
 }
 
 #[cfg(test)]
@@ -316,10 +303,7 @@ mod tests {
             *byte = i as u8;
         }
         txn.pages = vec![0, 1, 0];
-        txn.regions = vec![
-            (Arc::downgrade(&regions[0]), regions[0].id, 2),
-            (Arc::downgrade(&regions[1]), regions[1].id, 3),
-        ];
+        txn.regions = vec![(regions[0].clone(), 2), (regions[1].clone(), 3)];
 
         let owned: Vec<RecordRange> = txn
             .pieces()
@@ -341,7 +325,7 @@ mod tests {
 
         let pages: Vec<(u64, &[usize])> = txn
             .region_pages()
-            .map(|(_, id, pages)| (id, pages))
+            .map(|(region, pages)| (region.id, pages))
             .collect();
         assert_eq!(
             pages,
@@ -432,14 +416,6 @@ mod tests {
         assert_eq!(saved, 250);
         assert_eq!(spool.len(), 1);
         assert_eq!(spool.bytes(), 400);
-    }
-
-    #[test]
-    fn references_checks_segments() {
-        let mut spool = Spool::default();
-        spool.push(rec(3, 0, 4, 10), false);
-        assert!(spool.references(SegmentId::new(3)));
-        assert!(!spool.references(SegmentId::new(4)));
     }
 
     /// The lead's three lazy commits: A writes X, B writes Y, C rewrites

@@ -2,15 +2,15 @@
 //! applied to the oldest part of the log while forward processing
 //! continues in the rest". It is the plane's one in-flight protocol
 //! ([`super`]) with the log as the source of the bytes, whoever starts
-//! it — an explicit [`Rvm::truncate`](crate::Rvm::truncate), or a thread
-//! that holds the core lock and cannot go on
-//! ([`RvmShared::make_log_space`]: the log is full, a `map` needs its
-//! segment settled, an incremental step is blocked). Three phases:
+//! it — an explicit [`Rvm::truncate`](crate::Rvm::truncate), an `unmap`
+//! writing a dirty region back, or a thread that holds the core lock and
+//! cannot go on ([`RvmShared::make_log_space`]: the log is full, an
+//! incremental step is blocked). Three phases:
 //!
 //! 1. **Freeze** (core lock held): the live span `[head, tail)` becomes
-//!    the epoch. Its segment set moves into the in-flight slot
-//!    ([`InFlight`]), its page-queue prefix to the owner, and the
-//!    boundary is persisted in the status block — a crash from here on
+//!    the epoch. It takes the in-flight slot ([`InFlight`]), its
+//!    page-queue prefix goes to the owner, and the boundary is persisted
+//!    in the status block — a crash from here on
 //!    recovers by scanning from the unmoved head, re-applying the span
 //!    idempotently.
 //! 2. **Apply** (core lock *released*): [`recovery::apply_span`] scans
@@ -57,13 +57,11 @@ impl RvmShared {
         if end.tail() <= start {
             return Ok(false);
         }
-        let segs = std::mem::take(&mut core.segs_in_log);
         let drained = core.page_queue.drain_below(end.tail());
         self.begin_in_flight(
             core,
             InFlight {
                 boundary: Some(end),
-                segs,
             },
         );
         // Persist the boundary *before* touching any segment. The table as
@@ -109,8 +107,8 @@ impl RvmShared {
 
     /// Phase 3: ends the epoch in flight. Applied, the head advances past
     /// the span; failed (at the freeze's status write or in the apply),
-    /// the span is still live and unapplied, so its segment set and
-    /// drained page descriptors go back where they were.
+    /// the span is still live and unapplied, so its drained page
+    /// descriptors go back where they were.
     fn finish_epoch(
         &self,
         core: &mut Core,
@@ -119,7 +117,6 @@ impl RvmShared {
     ) -> Result<()> {
         let Some(InFlight {
             boundary: Some(end),
-            segs,
         }) = self.end_in_flight(core)
         else {
             return Err(RvmError::BadLog(
@@ -127,7 +124,6 @@ impl RvmShared {
             ));
         };
         if let Err(e) = applied {
-            core.segs_in_log.extend(segs);
             core.page_queue.requeue_front(&mut drained);
             return Err(e);
         }
@@ -138,8 +134,9 @@ impl RvmShared {
         Ok(())
     }
 
-    /// Explicit truncation ([`Rvm::truncate`](crate::Rvm::truncate)):
-    /// waits out a truncation in flight, then truncates what remains.
+    /// Explicit truncation ([`Rvm::truncate`](crate::Rvm::truncate), and
+    /// `unmap`'s write-back): waits out a truncation in flight, then
+    /// truncates what remains.
     pub(crate) fn truncate_now(&self) -> Result<()> {
         let mut core = self.core.lock();
         while core.truncation.is_some() {
@@ -149,15 +146,15 @@ impl RvmShared {
     }
 
     /// Makes room in the log for a caller that holds the core lock and
-    /// cannot go on without it — an append that does not fit, a `map`
-    /// that needs the segment's live records applied, an incremental
-    /// truncation that is blocked. A truncation in flight (an epoch or a
-    /// step) is waited out; else the caller runs the epoch itself over
-    /// the live log. Both **release and reacquire the core lock**: the
-    /// caller must re-derive what it read before and try again, and must
-    /// hold no open batch (see `complete_batch` in [`crate::commit`]).
-    /// Returns `false` — the lock never released — when there was
-    /// nothing to reclaim. The time spent is `truncation_stall_ns`.
+    /// cannot go on without it — an append that does not fit, an
+    /// incremental truncation that is blocked. A truncation in flight (an
+    /// epoch or a step) is waited out; else the caller runs the epoch
+    /// itself over the live log. Both **release and reacquire the core
+    /// lock**: the caller must re-derive what it read before and try
+    /// again, and must hold no open batch (see `complete_batch` in
+    /// [`crate::commit`]). Returns `false` — the lock never released —
+    /// when there was nothing to reclaim. The time spent is
+    /// `truncation_stall_ns`.
     pub(crate) fn make_log_space(&self, core: &mut CoreGuard<'_>) -> Result<bool> {
         let stall = Instant::now();
         let advanced = if core.truncation.is_some() {

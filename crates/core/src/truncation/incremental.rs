@@ -21,17 +21,16 @@
 //! A crash anywhere in a step recovers from the unmoved head: every
 //! change to a frozen page since it was last clean is in the live log
 //! (its descriptor bounded the head), so replay rebuilds whatever a torn
-//! page write left. When the queue head cannot be written — its region
-//! was unmapped — the run reverts to epoch truncation through
-//! [`RvmShared::make_log_space`].
+//! page write left. A queued page's region is always mapped: `unmap`
+//! writes a dirty region back before it lets go of it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::{IdSet, InFlight, PageDesc};
+use super::{InFlight, PageDesc};
 use crate::error::{Result, RvmError};
 use crate::options::{Tuning, PAGE_SIZE};
-use crate::region::{PageImage, RegionInner};
+use crate::region::PageImage;
 use crate::rvm::{Core, CoreGuard, RvmShared};
 use crate::segment::Segment;
 use crate::sync::MutexGuard;
@@ -48,26 +47,15 @@ const PAGE: usize = PAGE_SIZE as usize;
 pub(crate) struct StepBatch {
     /// The descriptors popped at the freeze, in queue order.
     drained: Vec<PageDesc>,
-    /// Their regions (strong: the apply writes through them), same order.
-    regions: Vec<Arc<RegionInner>>,
     /// Their committed images, [`PAGE_SIZE`] bytes each, same order, at
     /// the front of a buffer that only grows.
     images: Vec<u8>,
-}
-
-impl StepBatch {
-    fn clear(&mut self) {
-        self.drained.clear();
-        self.regions.clear();
-    }
 }
 
 /// What a freeze found at the queue head when it stopped gathering.
 enum QueueHead {
     /// Nothing (more) to write below the limit.
     Clear,
-    /// The page's region is gone: it cannot be written from VM any more.
-    Unmapped,
     /// Committed data still in the spool; a flush barrier unblocks it.
     Unflushed,
     /// A live transaction has declared a range on it (or it was never
@@ -142,7 +130,7 @@ impl RvmShared {
             } else {
                 Ok(())
             };
-            batch.clear();
+            batch.drained.clear();
             core.step = batch;
             ran?;
             let at_head = at_head?;
@@ -158,13 +146,6 @@ impl RvmShared {
                         break;
                     }
                 }
-                // Revert to epoch truncation (§5.1.2), which drains the
-                // dead descriptors.
-                QueueHead::Unmapped => {
-                    if !self.make_log_space(core)? {
-                        break;
-                    }
-                }
                 // Flushing the spool is always safe and unblocks the page.
                 QueueHead::Unflushed => MutexGuard::unlocked(core, || self.flush_barrier())?,
                 QueueHead::Pinned => break,
@@ -177,13 +158,7 @@ impl RvmShared {
     /// applies with the core lock released, completes and wakes the
     /// waiters. A device failure poisons the instance first.
     fn run_step(&self, core: &mut CoreGuard<'_>, batch: &mut StepBatch) -> Result<()> {
-        self.begin_in_flight(
-            core,
-            InFlight {
-                boundary: None,
-                segs: IdSet::default(),
-            },
-        );
+        self.begin_in_flight(core, InFlight { boundary: None });
         let applied = MutexGuard::unlocked(core, || apply_step(batch));
         let result = self.guard_io(self.complete_step(core, batch, applied));
         self.truncation_done.notify_all();
@@ -229,9 +204,6 @@ impl RvmShared {
             return Ok(0);
         }
         core.wal.advance_head(new_head, new_seq);
-        if new_head == core.wal.tail() {
-            core.segs_in_log.clear();
-        }
         self.write_status_locked(core)?;
         Ok(new_head - head)
     }
@@ -246,19 +218,13 @@ fn freeze_step(core: &mut Core, batch: &mut StepBatch, limit: u64) -> Result<Que
         let Some(front) = core.page_queue.front().filter(|d| d.offset < limit) else {
             break;
         };
-        let Some(region) = front.region.upgrade() else {
-            return Ok(QueueHead::Unmapped);
-        };
         let at = batch.drained.len() * PAGE;
         if batch.images.len() < at + PAGE {
             batch.images.resize(at + PAGE, 0);
         }
         let image = batch.images.get_mut(at..at + PAGE).unwrap_or_default();
-        match region.committed_page(front.page, image) {
-            Ok(PageImage::Committed) => {
-                batch.drained.extend(core.page_queue.pop_front());
-                batch.regions.push(region);
-            }
+        match front.region.committed_page(front.page, image) {
+            Ok(PageImage::Committed) => batch.drained.extend(core.page_queue.pop_front()),
             Ok(PageImage::Unflushed) => return Ok(QueueHead::Unflushed),
             Ok(PageImage::Uncommitted | PageImage::Unloaded) => return Ok(QueueHead::Pinned),
             Err(e) => {
@@ -277,14 +243,14 @@ fn freeze_step(core: &mut Core, batch: &mut StepBatch, limit: u64) -> Result<Que
 /// handles are the distinct segments: each finishes once, and the caller
 /// moves the head only after this returns.
 fn apply_step(batch: &StepBatch) -> Result<()> {
-    let pages = batch.drained.iter().zip(&batch.regions);
-    for ((desc, region), image) in pages.zip(batch.images.chunks_exact(PAGE)) {
+    for (desc, image) in batch.drained.iter().zip(batch.images.chunks_exact(PAGE)) {
+        let region = &desc.region;
         region
             .segment
             .write_page(region.seg_page(desc.page), image)?;
     }
     let mut finished: Vec<&Arc<Segment>> = Vec::new();
-    for region in &batch.regions {
+    for PageDesc { region, .. } in &batch.drained {
         if !finished.iter().any(|s| Arc::ptr_eq(s, &region.segment)) {
             region.segment.finish()?;
             finished.push(&region.segment);

@@ -22,13 +22,13 @@
 //! * **Epoch truncation** ([`epoch`]) takes them from the log: the
 //!   crash-recovery procedure ([`recovery::apply_span`](crate::recovery))
 //!   applied to the frozen stable prefix, exactly as the paper reused its
-//!   recovery code. It is the explicit `truncate()`, the map-time settle,
-//!   and what a step falls back to when the queue head is blocked or
-//!   unmapped or the log is full.
+//!   recovery code. It is the explicit `truncate()`, an `unmap`'s
+//!   write-back, and what a step falls back to when the queue head is
+//!   blocked or the log is full.
 //!
 //! One slot means one segment writer and one mover of the head at a time,
-//! and one set of waiters for both mechanisms: `make_log_space`, `map`'s
-//! settle, `truncate_now`, `scrub` and the trigger all look at
+//! and one set of waiters for both mechanisms: `make_log_space`,
+//! `truncate_now`, `scrub` and the trigger all look at
 //! `Core::truncation` and park on `truncation_done`.
 //!
 //! The rest of the crate reaches in through three doors, each on the
@@ -46,7 +46,7 @@ pub(crate) use incremental::StepBatch;
 use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use crate::log::wal::WalCheckpoint;
 use crate::region::RegionInner;
@@ -63,10 +63,6 @@ pub(crate) struct InFlight {
     /// completes. `None` for an incremental step, which freezes pages,
     /// not a span, and leaves the status block alone until it completes.
     pub(crate) boundary: Option<WalCheckpoint>,
-    /// Segments referenced by an epoch's frozen-span records, moved out
-    /// of `Core::segs_in_log` (restored on failure). A step leaves
-    /// `segs_in_log` as it is and keeps this empty.
-    pub(crate) segs: IdSet<u32>,
 }
 
 /// A set of library-chosen ids — region and page, segment: no caller
@@ -118,16 +114,14 @@ impl RvmShared {
     /// (unflushed) data stays dirty too.
     fn settle_drained(core: &Core, drained: &[PageDesc]) {
         for desc in drained {
-            let requeued = core.page_queue.contains(desc.region_id, desc.page);
+            let requeued = core.page_queue.contains(desc.region.id, desc.page);
             if requeued && !core.hooks.clear_dirty_on_requeued {
                 continue;
             }
-            if let Some(region) = desc.region.upgrade() {
-                let mut pv = region.page_vector.lock();
-                let entry = pv.entry_mut(desc.page);
-                if entry.unflushed == 0 {
-                    entry.dirty = false;
-                }
+            let mut pv = desc.region.page_vector.lock();
+            let entry = pv.entry_mut(desc.page);
+            if entry.unflushed == 0 {
+                entry.dirty = false;
             }
         }
     }
@@ -137,9 +131,9 @@ impl RvmShared {
 /// number of the *first* record referencing the page since it was last
 /// clean.
 pub(crate) struct PageDesc {
-    /// The owning region (weak: regions may be unmapped while queued).
-    pub region: Weak<RegionInner>,
-    pub region_id: u64,
+    /// The owning region, which stays mapped while the page is dirty
+    /// (`unmap` writes a dirty region back first).
+    pub region: Arc<RegionInner>,
     /// Page index within the region.
     pub page: usize,
     /// Logical log offset of the first record referencing this page.
@@ -176,17 +170,16 @@ impl PageQueue {
         self.gauge.store(self.queue.len(), Ordering::Relaxed);
     }
 
-    /// Enqueues `page` of region `id` (`region` dead if unmapped since) at
-    /// offset `at`, unless it is queued (the earlier descriptor stands).
-    pub fn enqueue(&mut self, region: &Weak<RegionInner>, id: u64, page: usize, at: u64, seq: u64) {
+    /// Enqueues `page` of `region` at offset `at`, unless it is queued
+    /// (the earlier descriptor stands).
+    pub fn enqueue(&mut self, region: &Arc<RegionInner>, page: usize, at: u64, seq: u64) {
         debug_assert!(
             self.queue.back().is_none_or(|back| back.offset <= at),
             "page descriptors are enqueued in append order"
         );
-        if self.queued.insert((id, page)) {
+        if self.queued.insert((region.id, page)) {
             self.queue.push_back(PageDesc {
-                region: Weak::clone(region),
-                region_id: id,
+                region: Arc::clone(region),
                 page,
                 offset: at,
                 seq,
@@ -203,7 +196,7 @@ impl PageQueue {
     /// Removes the earliest descriptor.
     pub fn pop_front(&mut self) -> Option<PageDesc> {
         let desc = self.queue.pop_front()?;
-        self.queued.remove(&(desc.region_id, desc.page));
+        self.queued.remove(&(desc.region.id, desc.page));
         self.refresh_gauge();
         Some(desc)
     }
@@ -239,7 +232,7 @@ impl PageQueue {
     /// in favour of the earlier offset preserves the queue invariant.
     pub fn requeue_front(&mut self, drained: &mut Vec<PageDesc>) {
         for desc in drained.drain(..).rev() {
-            if self.queued.insert((desc.region_id, desc.page)) {
+            if self.queued.insert((desc.region.id, desc.page)) {
                 self.queue.push_front(desc);
             } else {
                 // A newer descriptor for the page was enqueued while the
@@ -248,7 +241,7 @@ impl PageQueue {
                 if let Some(pos) = self
                     .queue
                     .iter()
-                    .position(|d| d.region_id == desc.region_id && d.page == desc.page)
+                    .position(|d| d.region.id == desc.region.id && d.page == desc.page)
                 {
                     self.queue.remove(pos);
                 }
@@ -285,41 +278,32 @@ mod tests {
     fn enqueue_deduplicates_keeping_earliest() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::default();
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
-        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 300, 3); // duplicate: ignored
+        q.enqueue(&region, 0, 100, 1);
+        q.enqueue(&region, 1, 200, 2);
+        q.enqueue(&region, 0, 300, 3); // duplicate: ignored
         assert_eq!(q.len(), 2);
         let d = q.pop_front().unwrap();
         assert_eq!((d.page, d.offset, d.seq), (0, 100, 1));
         // After popping, the page may be enqueued again.
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 400, 4);
+        q.enqueue(&region, 0, 400, 4);
         assert_eq!(q.len(), 2);
         assert_eq!(q.front().unwrap().page, 1);
-    }
-
-    #[test]
-    fn descriptors_survive_region_unmap_as_dead_weaks() {
-        let region = make_test_region(PAGE_SIZE);
-        let mut q = PageQueue::default();
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
-        drop(region);
-        assert!(q.front().unwrap().region.upgrade().is_none());
     }
 
     #[test]
     fn drain_below_takes_the_offset_prefix() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::default();
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
-        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
-        q.enqueue(&Arc::downgrade(&region), region.id, 2, 300, 3);
+        q.enqueue(&region, 0, 100, 1);
+        q.enqueue(&region, 1, 200, 2);
+        q.enqueue(&region, 2, 300, 3);
         let drained = q.drain_below(300);
         assert_eq!(drained.len(), 2);
         assert!(!q.contains(region.id, 0));
         assert!(!q.contains(region.id, 1));
         assert!(q.contains(region.id, 2));
         // Drained pages may be re-enqueued with new offsets.
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 400, 4);
+        q.enqueue(&region, 0, 400, 4);
         assert_eq!(q.len(), 2);
     }
 
@@ -327,14 +311,14 @@ mod tests {
     fn requeue_front_restores_order_and_wins_over_duplicates() {
         let region = make_test_region(4 * PAGE_SIZE);
         let mut q = PageQueue::default();
-        q.enqueue(&Arc::downgrade(&region), region.id, 0, 100, 1);
-        q.enqueue(&Arc::downgrade(&region), region.id, 1, 200, 2);
+        q.enqueue(&region, 0, 100, 1);
+        q.enqueue(&region, 1, 200, 2);
         let mut drained = q.drain_below(u64::MAX);
         assert!(q.is_empty());
         // Page 1 re-enqueued with a newer offset while the epoch was in
         // flight; the drained (earlier) descriptor must win.
-        q.enqueue(&Arc::downgrade(&region), region.id, 1, 900, 9);
-        q.enqueue(&Arc::downgrade(&region), region.id, 3, 950, 10);
+        q.enqueue(&region, 1, 900, 9);
+        q.enqueue(&region, 3, 950, 10);
         q.requeue_front(&mut drained);
         assert_eq!(q.len(), 3);
         let d = q.pop_front().unwrap();
@@ -350,8 +334,8 @@ mod tests {
         let a = make_test_region(PAGE_SIZE);
         let b = make_test_region(PAGE_SIZE);
         let mut q = PageQueue::default();
-        q.enqueue(&Arc::downgrade(&a), a.id, 0, 100, 1);
-        q.enqueue(&Arc::downgrade(&b), b.id, 0, 200, 2);
+        q.enqueue(&a, 0, 100, 1);
+        q.enqueue(&b, 0, 200, 2);
         assert_eq!(q.len(), 2);
     }
 }

@@ -102,6 +102,12 @@ impl PageVector {
         self.pages[page].dirty = true;
     }
 
+    /// Whether every page's committed bytes are on the segment: none
+    /// dirty, none with a commit still in the spool.
+    pub fn is_clean(&self) -> bool {
+        self.pages.iter().all(|e| !e.dirty && e.unflushed == 0)
+    }
+
     /// Iterates indices of dirty pages.
     pub fn dirty_pages(&self) -> impl Iterator<Item = usize> + '_ {
         self.pages

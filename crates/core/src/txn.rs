@@ -194,21 +194,21 @@ impl Transaction {
         // On-demand regions must hold the committed image before old
         // values are captured or new ones written.
         region.inner.ensure_loaded(offset, len)?;
-        let stats = &self.shared.stats;
-        stats.add(&stats.set_range_calls, 1);
-        stats.add(&stats.bytes_set_range_gross, len);
-        self.gross_bytes += len;
-
         let s = &mut self.scratch;
         let known = s
             .regions
             .iter()
             .position(|r| r.region.id == region.inner.id);
         if known.is_none() {
-            region.inner.uncommitted_txns.fetch_add(1, Ordering::AcqRel);
+            // Counted here or refused: an `unmap` cannot slip in between.
+            region.inner.count_txn()?;
             let (region, bufs) = (region.inner.clone(), s.spare.pop().unwrap_or_default());
             s.regions.push(TxnRegion { region, bufs });
         }
+        let stats = &self.shared.stats;
+        stats.add(&stats.set_range_calls, 1);
+        stats.add(&stats.bytes_set_range_gross, len);
+        self.gross_bytes += len;
         let at = known.unwrap_or(s.regions.len() - 1);
         let Some(TxnRegion { region, bufs }) = s.regions.get_mut(at) else {
             return Ok(()); // unreachable: found at `at`, or just pushed there

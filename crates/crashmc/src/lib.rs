@@ -152,6 +152,9 @@ pub struct Report {
     /// True when every crash point was enumerated exhaustively: the
     /// report then covers *every* crash state the disk model permits.
     pub exhaustive: bool,
+    /// True when every image was bit-rotted before recovery
+    /// ([`check_trace_with_rot`]).
+    pub rotted: bool,
     pub violations: Vec<Violation>,
 }
 
@@ -182,6 +185,9 @@ impl Report {
                 "sampled"
             }
         ));
+        if self.rotted {
+            out.push_str("bit rot:           injected into every image\n");
+        }
         out.push_str(&format!("recoveries run:    {}\n", self.recoveries_run));
         out.push_str(&format!("violations:        {}\n", self.violations.len()));
         for v in &self.violations {
@@ -225,7 +231,10 @@ type ImageTransform = fn(&Trace, usize, u64, &mut [(u32, Vec<u8>)]);
 /// recovery problem is judged once — as it is, or transformed by `rot`
 /// and then also checked for convergence.
 fn check_images(trace: &Trace, cfg: &EnumConfig, rot: Option<ImageTransform>) -> Report {
-    let mut report = Report::default();
+    let mut report = Report {
+        rotted: rot.is_some(),
+        ..Report::default()
+    };
     let mut seen: HashSet<(u64, usize)> = HashSet::new();
     let mut violations = Vec::new();
 

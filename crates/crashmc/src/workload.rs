@@ -80,6 +80,12 @@ pub enum Workload {
     /// which flips committed segment bytes in each crash image and
     /// demands that recovery rebuild them from the log.
     BitRot,
+    /// A region leaves VM current on its segment: flush and lazy commits
+    /// to region A, a sibling region B mapped and committed to mid-run,
+    /// A unmapped — its write-back flushes the spool and runs an epoch —
+    /// then A's range mapped again and committed to, until the trigger's
+    /// step writes the remapped page from VM, and an unflushed tail.
+    Unmap,
 }
 
 /// Shared capture plumbing: the recorder, the raw in-memory devices
@@ -112,9 +118,10 @@ impl Capture {
         self.recorder.set_enabled(true);
     }
 
-    /// Stops recording and assembles the trace. Devices first resolved
-    /// while recording was live keep an empty base (they were created
-    /// zero-filled; synthesis grows images on demand).
+    /// Stops recording and assembles the trace, so the shutdown of the
+    /// instance, dropped after it, is not part of it. Devices first
+    /// resolved while recording was live keep an empty base (they were
+    /// created zero-filled; synthesis grows images on demand).
     fn finish(self, txns: Vec<TxnSpec>) -> Trace {
         self.recorder.set_enabled(false);
         let devices = self
@@ -188,48 +195,51 @@ fn setup(log_len: u64, tuning: Tuning, hooks: MutationHooks) -> (Capture, Rvm) {
     )
 }
 
+/// A transaction of `thread` that wrote `data` at `offset` of segment
+/// `cells`, the one segment the workloads write.
+fn cells_txn(
+    thread: u32,
+    committed: bool,
+    ack: Option<usize>,
+    offset: u64,
+    data: Vec<u8>,
+) -> TxnSpec {
+    let segment = "cells".to_owned();
+    let writes = vec![SegWrite {
+        segment,
+        offset,
+        data,
+    }];
+    TxnSpec {
+        thread,
+        committed,
+        ack,
+        writes,
+    }
+}
+
 /// One committed flush-mode transaction writing `data` at `offset` of
 /// `region`, returning its spec with the ack point.
 fn flush_txn(
     rvm: &Rvm,
     recorder: &TraceRecorder,
     region: &Region,
-    segment: &str,
-    thread: u32,
     offset: u64,
     data: Vec<u8>,
 ) -> TxnSpec {
     let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
     region.write(&mut txn, offset, &data).expect("write");
     txn.commit(CommitMode::Flush).expect("flush commit");
-    TxnSpec {
-        thread,
-        committed: true,
-        ack: Some(recorder.len()),
-        writes: vec![SegWrite {
-            segment: segment.to_owned(),
-            offset,
-            data,
-        }],
-    }
+    cells_txn(0, true, Some(recorder.len()), offset, data)
 }
 
 /// One committed no-flush transaction writing `data` at `offset` of
 /// `region`: spooled, so unacknowledged until a later flush covers it.
-fn lazy_txn(rvm: &Rvm, region: &Region, segment: &str, offset: u64, data: Vec<u8>) -> TxnSpec {
+fn lazy_txn(rvm: &Rvm, region: &Region, offset: u64, data: Vec<u8>) -> TxnSpec {
     let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
     region.write(&mut txn, offset, &data).expect("write");
     txn.commit(CommitMode::NoFlush).expect("no-flush commit");
-    TxnSpec {
-        thread: 0,
-        committed: true,
-        ack: None,
-        writes: vec![SegWrite {
-            segment: segment.to_owned(),
-            offset,
-            data,
-        }],
-    }
+    cells_txn(0, true, None, offset, data)
 }
 
 /// Transactions the [`Workload::Truncation`] script commits.
@@ -255,76 +265,24 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
         Workload::Incremental => incremental(hooks),
         Workload::Seeded(seed) => seeded(seed, hooks),
         Workload::BitRot => bit_rot(hooks),
+        Workload::Unmap => unmap(hooks),
     }
 }
 
 fn group_commit(hooks: MutationHooks) -> Trace {
-    const THREADS: u32 = 3;
-    const ROUNDS: u64 = 3;
-    const CELL: u64 = 1024;
-
     let tuning = Tuning {
         // A leader lingers so barrier-aligned committers join its batch:
         // bigger batches mean more pending pieces per crash window.
         group_commit_wait_us: 2_000,
         ..Tuning::default()
     };
-    let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
-    let region = rvm
-        .map(&RegionDescriptor::new("cells", 0, 3 * PAGE_SIZE))
-        .expect("map cells");
-    cap.start();
-
-    let barrier = Barrier::new(THREADS as usize);
-    let mut txns: Vec<TxnSpec> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let region = region.clone();
-                let (rvm, recorder, barrier) = (&rvm, &*cap.recorder, &barrier);
-                s.spawn(move || {
-                    let mut specs = Vec::new();
-                    for i in 0..ROUNDS {
-                        let idx = t as u64 * ROUNDS + i;
-                        let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
-                        let data = vec![0x41 + idx as u8; CELL as usize - 64];
-                        region.write(&mut txn, idx * CELL, &data).expect("write");
-                        // Commit together so the leader drains a batch.
-                        barrier.wait();
-                        txn.commit(CommitMode::Flush).expect("flush commit");
-                        specs.push(TxnSpec {
-                            thread: t,
-                            committed: true,
-                            ack: Some(recorder.len()),
-                            writes: vec![SegWrite {
-                                segment: "cells".into(),
-                                offset: idx * CELL,
-                                data,
-                            }],
-                        });
-                    }
-                    specs
-                })
-            })
-            .collect();
-        for h in handles {
-            txns.extend(h.join().expect("workload thread"));
-        }
-    });
-
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    flush_commit_threads(tuning, hooks, 3, 1024, 1024 - 64, 0x41)
 }
 
 fn consecutive_batches(hooks: MutationHooks) -> Trace {
-    const THREADS: u32 = 3;
-    const ROUNDS: u64 = 4;
-    const CELL: u64 = 2048;
     // Records of 24 log blocks: a batch of two tears into the enumerator's
     // full eight pieces at a 128-byte sector.
     const DATA: usize = (24 * LOG_BLOCK - HEADER_SIZE - RANGE_ENTRY_SIZE - TRAILER_SIZE) as usize;
-
     let tuning = Tuning {
         // The leader lingers so barrier-aligned committers pile up, and
         // the batch cap splits them below the thread count: the queued
@@ -336,9 +294,26 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
         group_commit_max_txns: 2,
         ..Tuning::default()
     };
+    flush_commit_threads(tuning, hooks, 4, 2048, DATA, 0x61)
+}
+
+/// Three threads × `rounds` flush commits, each round's committed
+/// together so a leader drains a batch: thread `t`'s `i`-th writes `len`
+/// bytes of `first + idx` to cell `idx = t * rounds + i`, `cell` bytes
+/// apart, in one region that holds every cell.
+fn flush_commit_threads(
+    tuning: Tuning,
+    hooks: MutationHooks,
+    rounds: u64,
+    cell: u64,
+    len: usize,
+    first: u8,
+) -> Trace {
+    const THREADS: u32 = 3;
     let (mut cap, rvm) = setup(1 << 16, tuning, hooks);
+    let region_len = (u64::from(THREADS) * rounds * cell).next_multiple_of(PAGE_SIZE);
     let region = rvm
-        .map(&RegionDescriptor::new("cells", 0, 6 * PAGE_SIZE))
+        .map(&RegionDescriptor::new("cells", 0, region_len))
         .expect("map cells");
     cap.start();
 
@@ -351,24 +326,15 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
                 let (rvm, recorder, barrier) = (&rvm, &*cap.recorder, &barrier);
                 s.spawn(move || {
                     let mut specs = Vec::new();
-                    for i in 0..ROUNDS {
-                        let idx = t as u64 * ROUNDS + i;
+                    for i in 0..rounds {
+                        let idx = u64::from(t) * rounds + i;
                         let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
-                        let data = vec![0x61 + idx as u8; DATA];
-                        region.write(&mut txn, idx * CELL, &data).expect("write");
-                        // Commit together so batches form back to back.
+                        let data = vec![first + idx as u8; len];
+                        region.write(&mut txn, idx * cell, &data).expect("write");
                         barrier.wait();
                         txn.commit(CommitMode::Flush).expect("flush commit");
-                        specs.push(TxnSpec {
-                            thread: t,
-                            committed: true,
-                            ack: Some(recorder.len()),
-                            writes: vec![SegWrite {
-                                segment: "cells".into(),
-                                offset: idx * CELL,
-                                data,
-                            }],
-                        });
+                        let ack = Some(recorder.len());
+                        specs.push(cells_txn(t, true, ack, idx * cell, data));
                     }
                     specs
                 })
@@ -378,10 +344,7 @@ fn consecutive_batches(hooks: MutationHooks) -> Trace {
             txns.extend(h.join().expect("workload thread"));
         }
     });
-
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 fn truncation(hooks: MutationHooks) -> Trace {
@@ -410,18 +373,10 @@ fn truncation(hooks: MutationHooks) -> Trace {
             // fit, the first is already appended — it must be forced
             // before the epoch that makes room may apply it.
             unacked.push(txns.len());
-            txns.push(lazy_txn(&rvm, &region, "cells", i * 768, data));
+            txns.push(lazy_txn(&rvm, &region, i * 768, data));
             continue;
         }
-        txns.push(flush_txn(
-            &rvm,
-            &cap.recorder,
-            &region,
-            "cells",
-            0,
-            i * 768,
-            data,
-        ));
+        txns.push(flush_txn(&rvm, &cap.recorder, &region, i * 768, data));
         // A flush commit makes every commit before it durable too.
         let ack = cap.recorder.len();
         for idx in unacked.drain(..) {
@@ -436,9 +391,7 @@ fn truncation(hooks: MutationHooks) -> Trace {
         "no commit found the log full"
     );
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 /// Transactions the [`Workload::NoFlushSpool`] script commits, and how
@@ -469,18 +422,10 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
             // A flush commit behind two spooled ones: one mixed batch,
             // one force — and the log is full, so its round starts with
             // an epoch.
-            txns.push(flush_txn(
-                &rvm,
-                &cap.recorder,
-                &region,
-                "cells",
-                0,
-                i * 768,
-                data,
-            ));
+            txns.push(flush_txn(&rvm, &cap.recorder, &region, i * 768, data));
         } else {
             unacked.push(txns.len());
-            txns.push(lazy_txn(&rvm, &region, "cells", i * 768, data));
+            txns.push(lazy_txn(&rvm, &region, i * 768, data));
             // `flush` after 0-1 and 2-3 fills the log; after 7-11 it
             // drains five records into room for one: 7 closes a batch,
             // an epoch runs, 8-11 follow in the next.
@@ -505,9 +450,7 @@ fn no_flush_spool(hooks: MutationHooks) -> Trace {
         "no drain found the log full: {stats:?}"
     );
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 /// The [`Workload::Subsumption`] script: per lazy commit, its cell and
@@ -550,7 +493,7 @@ fn subsumption(hooks: MutationHooks) -> Trace {
     for (i, &(cell, len, flush)) in SUBSUMPTION_SCRIPT.iter().enumerate() {
         let data = vec![0x21 + i as u8; len];
         let offset = cell * SUBSUMPTION_CELL;
-        txns.push(lazy_txn(&rvm, &region, "cells", offset, data));
+        txns.push(lazy_txn(&rvm, &region, offset, data));
         if flush {
             let before = rvm.stats().log_forces;
             rvm.flush().expect("flush");
@@ -572,9 +515,7 @@ fn subsumption(hooks: MutationHooks) -> Trace {
         "saved {saved}, forces per flush {forces:?}: {stats:?}"
     );
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 /// Transactions the [`Workload::Incremental`] script commits.
@@ -600,15 +541,7 @@ fn incremental(hooks: MutationHooks) -> Trace {
     let mut txns: Vec<TxnSpec> = Vec::new();
     let mut unacked: Vec<usize> = Vec::new();
     let flush = |txns: &mut Vec<TxnSpec>, unacked: &mut Vec<usize>, cell: u64| {
-        let spec = flush_txn(
-            &rvm,
-            &cap.recorder,
-            &region,
-            "cells",
-            0,
-            cell * CELL,
-            data(cell),
-        );
+        let spec = flush_txn(&rvm, &cap.recorder, &region, cell * CELL, data(cell));
         // A flush commit makes every commit before it durable too.
         for idx in unacked.drain(..) {
             txns[idx].ack = spec.ack;
@@ -647,21 +580,12 @@ fn incremental(hooks: MutationHooks) -> Trace {
         flush(&mut txns, &mut unacked, cell);
     }
     unacked.push(txns.len());
-    txns.push(lazy_txn(&rvm, &region, "cells", 5 * CELL, data(5)));
+    txns.push(lazy_txn(&rvm, &region, 5 * CELL, data(5)));
     pinning
         .commit(CommitMode::NoFlush)
         .expect("no-flush commit");
     unacked.push(txns.len());
-    txns.push(TxnSpec {
-        thread: 0,
-        committed: true,
-        ack: None,
-        writes: vec![SegWrite {
-            segment: "cells".into(),
-            offset: 2 * CELL,
-            data: data(2),
-        }],
-    });
+    txns.push(cells_txn(0, true, None, 2 * CELL, data(2)));
     let stats = rvm.stats();
     assert_eq!(
         (
@@ -678,9 +602,7 @@ fn incremental(hooks: MutationHooks) -> Trace {
     }
     assert_eq!(txns.len(), INCREMENTAL_TXNS);
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 fn abort_mix(hooks: MutationHooks) -> Trace {
@@ -699,33 +621,14 @@ fn abort_mix(hooks: MutationHooks) -> Trace {
             let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
             region.write(&mut txn, i * 640, &data).expect("write");
             txn.abort().expect("abort");
-            txns.push(TxnSpec {
-                thread: 0,
-                committed: false,
-                ack: None,
-                writes: vec![SegWrite {
-                    segment: "cells".into(),
-                    offset: i * 640,
-                    data,
-                }],
-            });
+            txns.push(cells_txn(0, false, None, i * 640, data));
         } else {
             let data = vec![0x30 + i as u8; 500];
-            txns.push(flush_txn(
-                &rvm,
-                &cap.recorder,
-                &region,
-                "cells",
-                0,
-                i * 640,
-                data,
-            ));
+            txns.push(flush_txn(&rvm, &cap.recorder, &region, i * 640, data));
         }
     }
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 /// Flush commits over disjoint cells with no truncation of any kind:
@@ -743,20 +646,58 @@ fn bit_rot(hooks: MutationHooks) -> Trace {
     let mut txns = Vec::new();
     for i in 0..6u64 {
         let data = vec![0x50 + i as u8; 700];
-        txns.push(flush_txn(
-            &rvm,
-            &cap.recorder,
-            &region,
-            "cells",
-            0,
-            i * 768,
-            data,
-        ));
+        txns.push(flush_txn(&rvm, &cap.recorder, &region, i * 768, data));
     }
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
+}
+
+fn unmap(hooks: MutationHooks) -> Trace {
+    // As in `incremental`: a 512-byte record to a 400-byte cell, eight to
+    // the 4 KiB record area, and a step whenever a commit leaves it more
+    // than 0.2 full.
+    const CELL: u64 = 512;
+    let tuning = Tuning {
+        truncation_threshold: 0.2,
+        ..Tuning::default()
+    };
+    let (mut cap, rvm) = setup(20 << 10, tuning, hooks);
+    let a_desc = RegionDescriptor::new("cells", 0, PAGE_SIZE);
+    let a = rvm.map(&a_desc).expect("map A");
+    cap.start();
+
+    let data = |cell: u64| vec![0x70 + cell as u8; 400];
+    let recorder = &cap.recorder;
+    // B's commits land at offset `at` of B, a page into the segment.
+    let on_b = |b: &Region, at: u64, cell: u64| {
+        let mut spec = flush_txn(&rvm, recorder, b, at, data(cell));
+        spec.writes[0].offset += PAGE_SIZE;
+        spec
+    };
+    let mut txns = vec![flush_txn(&rvm, recorder, &a, 0, data(0))];
+    txns.push(lazy_txn(&rvm, &a, CELL, data(1)));
+    // Mapped while recording: B grows the segment and its table entry.
+    // Its commit drains A's lazy one, and its trigger steps both pages.
+    let b_desc = RegionDescriptor::new("cells", PAGE_SIZE, PAGE_SIZE);
+    let b = rvm.map(&b_desc).expect("map B");
+    txns.push(on_b(&b, 0, 8));
+    txns[1].ack = txns[2].ack;
+    txns.push(lazy_txn(&rvm, &a, 2 * CELL, data(2)));
+    // The unmap leaves A's bytes on the segment, so it acks the lazy
+    // commit its flush drains.
+    rvm.unmap(&a).expect("unmap A");
+    txns[3].ack = Some(recorder.len());
+    let a = rvm.map(&a_desc).expect("map A again");
+    txns.push(flush_txn(&rvm, recorder, &a, 3 * CELL, data(3)));
+    txns.push(on_b(&b, CELL, 9));
+    txns.push(lazy_txn(&rvm, &a, 4 * CELL, data(4)));
+    let stats = rvm.stats();
+    assert_eq!(
+        (stats.epoch_truncations, stats.incremental_steps),
+        (1, 2),
+        "the unmap ran no epoch, or no step wrote the remapped page: {stats:?}"
+    );
+    cap.finish(txns)
 }
 
 /// A seeded single-threaded mix: flush/no-flush/aborted transactions
@@ -786,7 +727,7 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
         match xorshift64(&mut rng) % 6 {
             0..=2 => {
                 let data = vec![value; len];
-                let spec = flush_txn(&rvm, &cap.recorder, &region, "cells", 0, offset, data);
+                let spec = flush_txn(&rvm, &cap.recorder, &region, offset, data);
                 // A flush commit drains the spool first: it also acks
                 // every spooled no-flush commit before it.
                 let ack = spec.ack;
@@ -797,23 +738,14 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
             }
             3 => {
                 unacked.push(txns.len());
-                txns.push(lazy_txn(&rvm, &region, "cells", offset, vec![value; len]));
+                txns.push(lazy_txn(&rvm, &region, offset, vec![value; len]));
             }
             4 => {
                 let data = vec![0xEE; len];
                 let mut txn = rvm.begin_transaction(TxnMode::Restore).expect("begin");
                 region.write(&mut txn, offset, &data).expect("write");
                 txn.abort().expect("abort");
-                txns.push(TxnSpec {
-                    thread: 0,
-                    committed: false,
-                    ack: None,
-                    writes: vec![SegWrite {
-                        segment: "cells".into(),
-                        offset,
-                        data,
-                    }],
-                });
+                txns.push(cells_txn(0, false, None, offset, data));
             }
             _ => {
                 if xorshift64(&mut rng).is_multiple_of(2) {
@@ -838,9 +770,7 @@ fn seeded(seed: u64, hooks: MutationHooks) -> Trace {
         "seed {seed}: the trigger never stepped: {stats:?}"
     );
 
-    let trace = cap.finish(txns);
-    drop(rvm);
-    trace
+    cap.finish(txns)
 }
 
 #[cfg(test)]

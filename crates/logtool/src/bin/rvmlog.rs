@@ -26,7 +26,9 @@
 //!
 //! `crashck` takes a crash-consistency *trace* (not a log) captured by
 //! `rvm_crashmc`, enumerates every crash image the disk model permits,
-//! and recovers each one, asserting the committed-prefix invariant.
+//! and recovers each one, asserting the committed-prefix invariant;
+//! with `--rot` it also flips committed segment bytes in every image and
+//! demands that recovery heal them (the `bitrot` workload's check).
 //! `crashck-gen` produces such a trace from a canned workload.
 
 use std::process::exit;
@@ -34,7 +36,7 @@ use std::sync::Arc;
 
 use rvm_crashmc::enumerate::EnumConfig;
 use rvm_crashmc::workload::{run_workload, Workload};
-use rvm_crashmc::{check_trace, Trace};
+use rvm_crashmc::{check_trace, check_trace_with_rot, Trace};
 use rvm_logtool::{format_entry, LogInspector};
 use rvm_storage::FileDevice;
 
@@ -55,9 +57,9 @@ fn usage() -> ! {
     eprintln!("       rvmlog <log-file> verify");
     eprintln!("       rvmlog <log-file> scrub");
     eprintln!("       rvmlog <log-file> salvage");
-    eprintln!("       rvmlog crashck <trace-file> [--seed <n>]");
+    eprintln!("       rvmlog crashck <trace-file> [--seed <n>] [--rot]");
     eprintln!(
-        "       rvmlog crashck-gen <trace-file> <group|consecutive|truncate|incremental|spool|subsumption|abort|bitrot|seeded:N>"
+        "       rvmlog crashck-gen <trace-file> <group|consecutive|truncate|incremental|spool|subsumption|abort|bitrot|unmap|seeded:N>"
     );
     eprintln!("       rvmlog lint [rvm-lint options]");
     exit(2);
@@ -86,7 +88,11 @@ fn crashck(args: &[String]) -> ! {
             .unwrap_or_else(|| usage());
         cfg.seed = seed;
     }
-    let report = check_trace(&trace, &cfg);
+    let report = if args.iter().any(|a| a == "--rot") {
+        check_trace_with_rot(&trace, &cfg)
+    } else {
+        check_trace(&trace, &cfg)
+    };
     print!("{}", report.render());
     if !report.is_clean() {
         eprintln!(
@@ -108,6 +114,7 @@ fn crashck_gen(args: &[String]) -> ! {
         "subsumption" => Workload::Subsumption,
         "abort" => Workload::AbortMix,
         "bitrot" => Workload::BitRot,
+        "unmap" => Workload::Unmap,
         w => match w.strip_prefix("seeded:").and_then(|n| n.parse().ok()) {
             Some(seed) => Workload::Seeded(seed),
             None => usage(),

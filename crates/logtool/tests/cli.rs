@@ -173,6 +173,24 @@ fn crashck_gen_then_crashck_round_trip() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("violations:        0"), "{text}");
     assert!(text.contains("crash states:"), "{text}");
+    assert!(!text.contains("bit rot:"), "{text}");
+
+    // `--rot` flips committed segment bytes in every crash image of a
+    // `bitrot` trace, and recovery heals them.
+    let rot_path = dir.join("bitrot.cmctrace");
+    let mut gen = rvmlog();
+    gen.arg("crashck-gen").arg(&rot_path).arg("bitrot");
+    assert!(gen.output().unwrap().status.success());
+    let out = rvmlog()
+        .arg("crashck")
+        .arg(&rot_path)
+        .arg("--rot")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("bit rot:           injected"), "{text}");
+    assert!(text.contains("violations:        0"), "{text}");
 
     // A corrupt trace file is rejected cleanly.
     std::fs::write(&trace_path, b"not a trace").unwrap();

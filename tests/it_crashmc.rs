@@ -140,6 +140,22 @@ fn subsuming_lazy_commits_recover_a_commit_prefix() {
     assert!(report.images_unique > 500, "{}", report.render());
 }
 
+/// A region leaves VM current on its segment: whatever a crash keeps of
+/// an unmap's write-back, of a sibling's and the remapped region's
+/// commits, and of the step that writes the remapped page from VM,
+/// recovery shows a commit prefix.
+#[test]
+fn unmap_and_remap_survive_every_crash_image() {
+    let cfg = EnumConfig {
+        sector: 128,
+        ..EnumConfig::default()
+    };
+    let trace = run_workload(Workload::Unmap, MutationHooks::default());
+    let report = check_trace(&trace, &cfg);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.exhaustive, "{}", report.render());
+}
+
 #[test]
 fn aborted_transactions_never_surface_in_any_crash_image() {
     let report = checked("abort mix", Workload::AbortMix);

@@ -5,8 +5,12 @@ mod common {
     include!("lib.rs");
 }
 
+use std::sync::Arc;
+
 use common::{Truncator, World};
+use rvm::segment::{DeviceResolver, MemResolver};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
+use rvm_storage::{Device, MemDevice, TraceRecorder};
 
 #[test]
 fn log_wraps_many_times_under_sustained_load() {
@@ -73,7 +77,6 @@ fn explicit_truncate_empties_the_log_and_applies_data() {
     assert_eq!(rvm.query().log.used, 0);
     let seg = world.segments.get("seg").unwrap();
     let mut buf = vec![0u8; 100];
-    use rvm_storage::Device;
     seg.read_at(500, &mut buf).unwrap();
     assert_eq!(buf, vec![7; 100]);
 }
@@ -154,43 +157,64 @@ fn incremental_blocked_by_long_transaction_falls_back_to_epoch() {
     long_txn.commit(CommitMode::Flush).unwrap();
 }
 
+/// `unmap` writes a region back before it lets go of it: the bytes of
+/// its flush commit and of its lazy one are on the segment, and none of
+/// its pages stays queued for a truncation that could no longer write
+/// it from VM.
 #[test]
-fn unmapped_region_in_queue_falls_back_to_epoch() {
+fn unmap_leaves_the_committed_bytes_on_the_segment() {
     let world = World::new(64 * 1024);
     let rvm = world.boot_tuned(Tuning {
         truncation_threshold: 0.9, // no automatic triggering
         ..Tuning::default()
     });
     let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
+        .unwrap();
+    for (value, mode) in [(1, CommitMode::Flush), (2, CommitMode::NoFlush)] {
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        region
+            .write(&mut txn, value * PAGE_SIZE - 64, &[value as u8; 64])
+            .unwrap();
+        txn.commit(mode).unwrap();
+    }
+    assert_eq!(rvm.query().queued_pages, 1);
+    rvm.unmap(&region).unwrap();
+
+    let query = rvm.query();
+    assert_eq!((query.queued_pages, query.spooled_transactions), (0, 0));
+    assert_eq!(query.stats.epoch_truncations, 1, "{query:?}");
+    let seg = world.segments.get("seg").unwrap().snapshot();
+    assert_eq!(seg[PAGE_SIZE as usize - 64..][..64], [1; 64]);
+    assert_eq!(seg[2 * PAGE_SIZE as usize - 64..], [2; 64]);
+}
+
+/// A clean region — its pages written back by a truncation — unmaps
+/// with no I/O: not one write, sync or resize reaches a device.
+#[test]
+fn unmap_of_a_clean_region_writes_no_device_byte() {
+    let recorder = TraceRecorder::new();
+    let segments = MemResolver::new();
+    let resolve = segments.clone().into_resolver();
+    let traced = recorder.clone();
+    let resolver: DeviceResolver =
+        Arc::new(move |name, len| Ok(traced.wrap(name, resolve(name, len)?) as Arc<dyn Device>));
+    let log = recorder.wrap("log", Arc::new(MemDevice::with_len(64 * 1024)));
+    let options = Options::new(log).resolver(resolver).create_if_empty();
+    let rvm = Rvm::initialize(options).unwrap();
+    let region = rvm
         .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
         .unwrap();
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    region.write(&mut txn, 0, &[1; 64]).unwrap();
+    region.write(&mut txn, 0, &[3; 64]).unwrap();
     txn.commit(CommitMode::Flush).unwrap();
+    rvm.truncate().unwrap();
+    assert!(region.dirty_pages().is_empty());
+
+    let before = recorder.len();
     rvm.unmap(&region).unwrap();
-    drop(region);
-
-    // Force an incremental pass via the public truncate (epoch) path is
-    // not what we want; instead shrink the threshold and commit to
-    // another region so truncation runs with the dead descriptor queued.
-    let other = rvm
-        .map(&RegionDescriptor::new("seg2", 0, PAGE_SIZE))
-        .unwrap();
-    rvm.set_options(Tuning {
-        truncation_threshold: 0.0001,
-        ..Tuning::default()
-    });
-    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
-    other.write(&mut txn, 0, &[2; 64]).unwrap();
-    txn.commit(CommitMode::Flush).unwrap();
-    assert!(rvm.stats().epoch_truncations > 0);
-
-    // The unmapped region's committed data reached its segment.
-    use rvm_storage::Device;
-    let seg = world.segments.get("seg").unwrap();
-    let mut buf = [0u8; 4];
-    seg.read_at(0, &mut buf).unwrap();
-    assert_eq!(buf, [1; 4]);
+    assert_eq!(recorder.len(), before, "{:?}", &recorder.ops()[before..]);
+    assert_eq!(segments.get("seg").unwrap().snapshot()[..64], [3; 64]);
 }
 
 #[test]
@@ -247,7 +271,6 @@ fn truncation_after_no_flush_commits_requires_flush_first() {
     // spooled commit is untouched.
     rvm.truncate().unwrap();
     assert_eq!(rvm.query().spooled_transactions, 1);
-    use rvm_storage::Device;
     let seg = world.segments.get("seg").unwrap();
     let mut buf = [0u8; 4];
     seg.read_at(0, &mut buf).unwrap();
@@ -261,8 +284,7 @@ fn truncation_after_no_flush_commits_requires_flush_first() {
 
 #[test]
 fn crash_mid_truncation_is_recoverable() {
-    use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
-    use std::sync::Arc;
+    use rvm_storage::{CrashPlan, FaultDevice};
 
     // Drive a workload whose truncation writes through a fault device on
     // the *segment* side; crashes during segment application must leave
@@ -276,7 +298,6 @@ fn crash_mid_truncation_is_recoverable() {
         ));
         let seg_for_resolver = seg_fault.clone();
         let resolver: rvm::segment::DeviceResolver = Arc::new(move |_n, min| {
-            use rvm_storage::Device;
             if seg_for_resolver.as_ref().len().unwrap_or(0) < min {
                 seg_for_resolver.as_ref().set_len(min)?;
             }
