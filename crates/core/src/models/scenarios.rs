@@ -34,8 +34,6 @@ const SLOTS: [u64; 2] = [0, PAGE_SIZE];
 pub(super) enum Twist {
     #[default]
     None,
-    /// Commit to the [`UNMAPPED`] key in setup, and unmap it.
-    UnmappedInLog,
     /// A commit to [`UNMAPPED`] races its unmap: either may be refused.
     RacingUnmap,
     /// Every sync after setup fails for good.
@@ -167,10 +165,6 @@ impl World {
             errors,
         };
         (1..=setup.prefill).for_each(|v| world.commit(PREFILLED, v, CommitMode::Flush));
-        if setup.twist == Twist::UnmappedInLog {
-            world.commit(UNMAPPED, 1, CommitMode::Flush);
-            world.unmap(UNMAPPED);
-        }
         world.rvm.shared.set_hooks(setup.hooks);
         world
     }
@@ -398,8 +392,4 @@ pub(super) fn lazy_then_remap(w: &World) {
 pub(super) fn flush_then_commit(w: &World) {
     w.flush();
     w.commit(2, 1, CommitMode::Flush);
-}
-
-pub(super) fn remap(w: &World) {
-    w.remap(UNMAPPED);
 }

@@ -26,11 +26,10 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rvm_storage::VerifiedRead;
-
 use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
 use crate::ranges::ByteRange;
+use crate::scrub::READ_CHUNK;
 use crate::segment::Segment;
 use crate::sync::{AtomicBool, AtomicU64, Mutex, RwLock};
 use crate::truncation::page_vector::PageVector;
@@ -253,8 +252,8 @@ pub(crate) struct RegionInner {
     /// claim (and the unmap refused) or finds the bit and fails.
     pub(crate) uncommitted_txns: AtomicU64,
     pub(crate) page_vector: Mutex<PageVector>,
-    /// `None` once fully loaded; otherwise tracks which pages still need
-    /// fetching from the segment (the on-demand load policy).
+    /// `None` once fully loaded; until then, which pages still need
+    /// fetching from the segment (all of them when the region is mapped).
     pub(crate) unloaded: Mutex<Option<Vec<bool>>>,
     /// Set, and never cleared, once `unloaded` is `None`: an eager or
     /// fully fetched region answers "is it loaded" without the mutex.
@@ -380,46 +379,15 @@ impl RegionInner {
         (self.seg_offset / PAGE_SIZE) as usize + page
     }
 
-    /// Reads region page `page` (one full [`PAGE_SIZE`] block) from the
-    /// segment ([`Segment::read_page_verified`]: mirror read-repair and
-    /// transient re-reads), quarantining the region when the page stays
-    /// unverifiable — a page being *loaded* is not in VM, and the live
-    /// log need not hold its bytes (`unmap` left them current on the
-    /// segment), so the mirror is its only donor.
-    pub(crate) fn fetch_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<()> {
-        let seg_page = self.seg_page(page);
-        match self.segment.read_page_verified(seg_page, buf)? {
-            VerifiedRead::Corrupt => Err(self.quarantine(seg_page)),
-            VerifiedRead::Clean | VerifiedRead::Repaired => Ok(()),
-        }
-    }
-
-    /// Copies the committed image in from the segment device (map time):
-    /// page-wise and verified when the segment has a catalog, else in one
-    /// read (there is no per-page checksum boundary to verify against).
-    pub(crate) fn load_from_segment(&self) -> Result<()> {
-        {
-            let _guard = self.mem_lock.write();
-            // SAFETY: exclusive lock held; the slice covers the whole
-            // block.
-            let buf = unsafe { self.mem.slice_mut(0, self.len as usize) }?;
-            if self.segment.has_catalog() {
-                for (page, image) in buf.chunks_exact_mut(PAGE_SIZE as usize).enumerate() {
-                    self.fetch_page_verified(page, image)?;
-                }
-            } else {
-                self.segment.read_at(self.seg_offset, buf)?;
-            }
-        }
-        // `unloaded` ranks before `mem_lock` (`ensure_loaded` repairs
-        // pages under it), so the guard above must be gone first.
-        *self.unloaded.lock() = None;
-        self.fully_loaded.store(true, Ordering::Release);
-        Ok(())
-    }
-
     /// Ensures every page overlapping `[offset, offset + len)` holds its
-    /// committed image (no-op for eagerly loaded regions).
+    /// committed image: each run of pending pages, up to [`READ_CHUNK`]
+    /// bytes, is read straight into memory with one device read
+    /// ([`Segment::read_run_verified`]). `map`'s eager load is this over
+    /// the whole region. A page that stays unverifiable quarantines the
+    /// region, and its run stays pending, so no read sees it: a page being
+    /// *loaded* is not in VM, and the live log need not hold its bytes
+    /// (`unmap` left them current on the segment), so the mirror is its
+    /// only donor.
     pub(crate) fn ensure_loaded(&self, offset: u64, len: u64) -> Result<()> {
         if self.fully_loaded.load(Ordering::Acquire) {
             return Ok(());
@@ -428,18 +396,24 @@ impl RegionInner {
         let Some(pending) = tracker.as_mut() else {
             return Ok(());
         };
-        for page in PageVector::page_span(offset, len.max(1)) {
-            if pending[page] {
-                let page_off = page as u64 * PAGE_SIZE;
-                let page_len = PAGE_SIZE.min(self.len - page_off) as usize;
-                let mut buf = vec![0u8; page_len];
-                self.fetch_page_verified(page, &mut buf)?;
+        let span = PageVector::page_span(offset, len.max(1));
+        let page_size = PAGE_SIZE as usize;
+        let mut page = span.start;
+        while page < span.end {
+            let ahead = pending[page..span.end].iter().take(READ_CHUNK / page_size);
+            let run = ahead.take_while(|&&unloaded| unloaded).count();
+            if run > 0 {
                 let _guard = self.mem_lock.write();
-                // SAFETY: exclusive lock held; bounds derived from the
-                // region length.
-                unsafe { self.mem.copy_in(page_off as usize, &buf) }?;
-                pending[page] = false;
+                // SAFETY: exclusive lock held; `slice_mut` checks bounds.
+                let image = unsafe { self.mem.slice_mut(page * page_size, run * page_size) }?;
+                let first = self.seg_page(page);
+                let unverifiable = |i| self.quarantine(first + i);
+                let failed =
+                    |i, repaired: bool| repaired.then_some(()).ok_or_else(|| unverifiable(i));
+                self.segment.read_run_verified(first, image, failed)?;
+                pending[page..page + run].fill(false);
             }
+            page += run.max(1);
         }
         if !pending.contains(&true) {
             *tracker = None;

@@ -44,19 +44,16 @@
 //!
 //! # Crash ordering
 //!
-//! Writers keep one invariant: **the log head advances only after the
-//! catalog covering the applied pages is persisted.** Every writer goes
-//! through the handle, whose `finish` is segment sync → catalog persist;
-//! the status (head) advance comes after it. A crash in any window therefore
-//! leaves a catalog that is either current, or stale for pages the
-//! still-live log span re-applies (recovery rewrites them and recomputes
-//! their checksums before anything verifies), or torn (self-check fails,
-//! re-adopted).
+//! **The log head advances only after the catalog covering the applied
+//! pages is persisted** (`Segment::finish`). A crash therefore leaves a
+//! catalog that is current, stale only for pages the live log span
+//! re-applies, or torn (self-check fails, re-adopted).
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rvm_storage::{Device, VerifiedRead};
+use rvm_storage::Device;
 
 use crate::crc::crc32;
 use crate::error::Result;
@@ -74,6 +71,10 @@ const ENTRY_SIZE: u64 = 4;
 /// corruption rather than a transient read error. A re-read costs little
 /// and distinguishes rot on the medium from rot on the wire.
 pub(crate) const MEDIA_READ_RETRIES: usize = 2;
+
+/// The most bytes one read moves where a segment is read end to end:
+/// map-time loads, catalog adoption and [`checksums_of`].
+pub(crate) const READ_CHUNK: usize = 1 << 20;
 
 /// Returns the sidecar catalog name for a segment name.
 pub fn sidecar_name(segment: &str) -> String {
@@ -171,9 +172,7 @@ impl SegmentChecksums {
         }
         // Checksum the new pages outside the lock; entries never shrink,
         // so a racing grower can only have adopted a prefix of them.
-        let fresh = (known..needed)
-            .map(|page| checksum_of(seg, seg_len, page))
-            .collect::<Result<Vec<u32>>>()?;
+        let fresh = checksums_of(seg, seg_len, known..needed)?;
         {
             let mut entries = self.entries.lock();
             let adopted = entries.len() - known;
@@ -260,14 +259,18 @@ impl std::fmt::Debug for SegmentChecksums {
     }
 }
 
-/// CRC-32 of `page`'s current bytes on the segment device.
-pub fn checksum_of(seg: &dyn Device, seg_len: u64, page: usize) -> Result<u32> {
-    let len = page_len(seg_len, page);
-    let mut buf = vec![0u8; len];
-    if len > 0 {
-        seg.read_at(page as u64 * PAGE_SIZE, &mut buf)?;
+/// CRC-32s of the current bytes of `pages` (pages of the segment, the
+/// last one short where it ends) on a segment device of `seg_len` bytes,
+/// read 1 MiB a call through one buffer.
+pub fn checksums_of(seg: &dyn Device, seg_len: u64, pages: Range<usize>) -> Result<Vec<u32>> {
+    let end = (pages.end as u64 * PAGE_SIZE).min(seg_len);
+    let (mut sums, mut buf) = (Vec::with_capacity(pages.len()), Vec::new());
+    for at in (pages.start as u64 * PAGE_SIZE..end).step_by(READ_CHUNK) {
+        buf.resize((end - at).min(READ_CHUNK as u64) as usize, 0);
+        seg.read_at(at, &mut buf)?;
+        sums.extend(buf.chunks(PAGE_SIZE as usize).map(crc32));
     }
-    Ok(crc32(&buf))
+    Ok(sums)
 }
 
 /// What one scrub pass did ([`Rvm::scrub`](crate::Rvm::scrub)).
@@ -339,7 +342,7 @@ impl RvmShared {
 
     /// Verifies one region page against the catalog and runs the repair
     /// ladder on a mismatch: bounded re-reads and mirror read-repair
-    /// (inside [`Segment::read_page_verified`](crate::segment::Segment)),
+    /// (inside [`Segment::read_run_verified`](crate::segment::Segment)),
     /// then a rewrite from the committed image in VM, else quarantine.
     ///
     /// Holding `core` for the whole page excludes every other segment
@@ -355,16 +358,20 @@ impl RvmShared {
     ) -> Result<()> {
         let seg_page = region.seg_page(page);
         let mut buf = vec![0u8; PAGE_SIZE as usize];
-        let read = region.segment.read_page_verified(seg_page, &mut buf)?;
+        let mut failed = None;
+        let note = |_, repaired| {
+            failed = Some(repaired);
+            Ok(())
+        };
+        region.segment.read_run_verified(seg_page, &mut buf, note)?;
         report.pages_scanned += 1;
-        match read {
-            VerifiedRead::Clean => return Ok(()),
-            VerifiedRead::Repaired => {
-                report.corruptions_detected += 1;
-                report.corruptions_repaired += 1;
-                return Ok(());
-            }
-            VerifiedRead::Corrupt => report.corruptions_detected += 1,
+        let Some(repaired) = failed else {
+            return Ok(());
+        };
+        report.corruptions_detected += 1;
+        if repaired {
+            report.corruptions_repaired += 1;
+            return Ok(());
         }
         // Re-reads and any mirror failed; next rung is a rewrite from the
         // committed image, when VM holds exactly that (map-time
@@ -397,7 +404,7 @@ mod tests {
     use super::*;
     use crate::ranges::Piece;
     use crate::segment::{ApplyContext, Segment};
-    use rvm_storage::MemDevice;
+    use rvm_storage::{MemDevice, VerifiedRead};
 
     fn piece(start: u64, data: &[u8]) -> Piece<'_> {
         Piece {
@@ -434,8 +441,8 @@ mod tests {
     fn tail_page_checksums_cover_actual_length() {
         let len = PAGE_SIZE + 123;
         let seg = seg_with(len, 5);
-        let sum = checksum_of(seg.as_ref(), len, 1).unwrap();
-        assert_eq!(sum, crc32(&[5u8; 123]));
+        let sums = checksums_of(seg.as_ref(), len, 1..2).unwrap();
+        assert_eq!(sums, [crc32(&[5u8; 123])]);
         assert_eq!(page_len(len, 1), 123);
         assert_eq!(page_count(len), 2);
     }
@@ -531,9 +538,7 @@ mod tests {
 
     /// What the handle reads back for page 0, and how the read verified.
     fn page0(segment: &Segment) -> (Vec<u8>, VerifiedRead) {
-        let mut page = vec![0u8; PAGE_SIZE as usize];
-        let read = segment.read_page_verified(0, &mut page).unwrap();
-        (page, read)
+        segment.read_page_for_test(0).unwrap()
     }
 
     #[test]

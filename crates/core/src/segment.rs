@@ -27,15 +27,16 @@
 //! [`Segment::write_page`]) — and both end in [`Segment::finish`], the
 //! one statement of the write ordering: segment writes → segment sync →
 //! catalog persist, and **only then may the caller move the log head**.
-//! Bytes leave it through [`Segment::read_page_verified`], where
-//! checksum mismatches are detected and counted.
+//! Bytes leave it through [`Segment::read_run_verified`], one device
+//! read per run of pages, where checksum mismatches are detected and
+//! counted page by page.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rvm_storage::{Device, DeviceError, FileDevice, VerifiedRead};
+use rvm_storage::{Device, DeviceError, FileDevice};
 
 use crate::error::{Result, RvmError};
 use crate::log::status::StatusBlock;
@@ -43,10 +44,15 @@ use crate::options::{LoadPolicy, Tuning, PAGE_SIZE};
 use crate::ranges::{clip_pieces, overlay_pieces, ByteRange, Piece};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::rvm::RvmShared;
-use crate::scrub::{page_len, sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
+use crate::scrub::{sidecar_name, SegmentChecksums, MEDIA_READ_RETRIES};
 use crate::stats::MediaCounters;
 use crate::sync::{AtomicBool, AtomicU64, Mutex, RwLock};
 use crate::truncation::page_vector::PageVector;
+
+/// The most pages one apply read or write moves: one small buffer that
+/// stays in cache between read, overlay and write. Runs of 1 MiB were
+/// no faster (a memory-device recovery +1.6 %, EXPERIMENTS.md E29).
+const APPLY_RUN_PAGES: usize = 4;
 
 /// Identifies a segment within one log's segment table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -251,46 +257,43 @@ impl Segment {
         self.catalog.is_some()
     }
 
-    /// Plain ranged read, no scrutiny: the one-call map-time load of a
-    /// segment without a catalog.
-    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        Ok(self.dev.read_at(offset, buf)?)
-    }
-
-    /// Reads segment page `page` into `buf` under checksum scrutiny and
-    /// counts what it finds: mirror read-repair via
-    /// [`Device::read_verified`], then up to [`MEDIA_READ_RETRIES`]
-    /// re-reads to rule out transient (in-flight) corruption.
-    /// [`VerifiedRead::Repaired`] means the first read failed
-    /// verification but a repair or re-read recovered the page;
-    /// [`VerifiedRead::Corrupt`] leaves the next rung of the repair
-    /// ladder to the caller. Without a catalog every read is clean.
-    pub(crate) fn read_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<VerifiedRead> {
-        let page_off = page as u64 * PAGE_SIZE;
+    /// Reads segment pages `first..` into `buf` (whole pages, the last
+    /// one short where the segment ends) with one device read, checks
+    /// each against the catalog, and counts what it finds. That read is a
+    /// page's first: one that fails goes down the ladder alone — up to
+    /// [`MEDIA_READ_RETRIES`] more reads by [`Device::read_verified`],
+    /// which repairs from a mirror and outlasts transient rot — and
+    /// `failed(i, repaired)` hears if page `first + i` was recovered; if
+    /// not, the next rung is the caller's. An error from `failed` ends the
+    /// run there. Without a catalog every page is clean.
+    pub(crate) fn read_run_verified(
+        &self,
+        first: usize,
+        buf: &mut [u8],
+        mut failed: impl FnMut(usize, bool) -> Result<()>,
+    ) -> Result<()> {
+        self.dev.read_at(first as u64 * PAGE_SIZE, buf)?;
         let Some(catalog) = &self.catalog else {
-            self.dev.read_at(page_off, buf)?;
-            return Ok(VerifiedRead::Clean);
+            return Ok(());
         };
-        let verify = |b: &[u8]| catalog.verify(page, b);
-        let mut read = self.dev.read_verified(page_off, buf, &verify)?;
-        for _ in 0..MEDIA_READ_RETRIES {
-            if read.is_verified() {
-                break;
-            }
-            read = match self.dev.read_verified(page_off, buf, &verify)? {
-                VerifiedRead::Clean => VerifiedRead::Repaired,
-                read => read,
-            };
-        }
         let media = &self.media;
-        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if read != VerifiedRead::Clean {
+        for (i, image) in buf.chunks_mut(PAGE_SIZE as usize).enumerate() {
+            let page = first + i;
+            media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
+            if catalog.verify(page, image) {
+                continue;
+            }
             media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+            let (at, verify) = (page as u64 * PAGE_SIZE, |b: &[u8]| catalog.verify(page, b));
+            let repaired = (0..MEDIA_READ_RETRIES).try_fold(false, |ok, _| -> Result<bool> {
+                Ok(ok || self.dev.read_verified(at, image, &verify)?.is_verified())
+            })?;
+            media
+                .corruptions_repaired
+                .fetch_add(u64::from(repaired), Ordering::Relaxed);
+            failed(i, repaired)?;
         }
-        if read == VerifiedRead::Repaired {
-            media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(read)
+        Ok(())
     }
 
     /// Writes one segment's latest-wins pieces (sorted, disjoint — see
@@ -298,19 +301,20 @@ impl Segment {
     /// catalog exact — the write path of recovery and epoch truncation.
     /// [`Segment::finish`] must follow.
     ///
-    /// Without a catalog this is one write per piece. With one, every
-    /// touched page's *pre-apply* image is read under checksum scrutiny
-    /// ([`Segment::read_page_verified`], which counts the detections) and
-    /// the pieces are laid over it, in one ascending walk through one
-    /// reused page buffer.
+    /// Without a catalog this is one write per piece. With one, the
+    /// touched pages go in runs of consecutive pages, at most
+    /// [`APPLY_RUN_PAGES`]: each run's *pre-apply* image is read under
+    /// checksum scrutiny ([`Segment::read_run_verified`]) into one reused
+    /// buffer, and the pieces are laid over it.
     ///
-    /// A page that verified (or was repaired) is then written once, whole,
-    /// from the buffer its new checksum is computed over. The bytes
-    /// outside the pieces go back with the values just read, so however
-    /// the write tears they are what they were, and the pieces' bytes are
-    /// old or new exactly as under piece writes — which the live log
-    /// still covers until `finish` has returned and the head has moved
-    /// (the argument [`Segment::write_page`] rests on).
+    /// A run whose pages all verified (or were repaired) is then written
+    /// whole, with one write, from the buffer its new checksums are
+    /// computed over. The bytes outside the pieces go back with the values
+    /// just read, so however the write tears they are what they were, and
+    /// the pieces' bytes are old or new exactly as under piece writes —
+    /// which the live log still covers until `finish` has returned and the
+    /// head has moved (the argument [`Segment::write_page`] rests on). In
+    /// a run with a page that did not, each verified page is written alone.
     ///
     /// A page that did not verify gets its pieces alone, so its remainder
     /// is never copied from the buffer: the best-effort read of one
@@ -340,49 +344,67 @@ impl Segment {
             }
             .into());
         }
-        let mut page_buf = vec![0u8; PAGE_SIZE as usize];
+        let mut run_buf = vec![0u8; APPLY_RUN_PAGES * PAGE_SIZE as usize];
         // Pieces not yet wholly behind the walk: the first of them names
         // the next touched page.
         let mut ahead = pieces;
         let mut next_page = 0usize;
         while let Some(first) = ahead.first() {
-            let page = next_page.max((first.start / PAGE_SIZE) as usize);
-            let page_start = page as u64 * PAGE_SIZE;
-            let plen = page_len(seg_len, page);
-            let buf = page_buf.get_mut(..plen).unwrap_or_default();
-            let verified = self.read_page_verified(page, buf)?.is_verified();
-            let covered_bytes = overlay_pieces(ahead, page_start, PAGE_SIZE, buf);
-            if verified {
-                self.dev.write_at(page_start, buf)?;
-                catalog.update(page, buf);
-            } else {
-                for (at, part) in clip_pieces(ahead, page_start, PAGE_SIZE) {
+            let first_page = next_page.max((first.start / PAGE_SIZE) as usize);
+            let cap = first_page + APPLY_RUN_PAGES;
+            // The run takes the next page while a piece touches it.
+            let mut end_page = first_page + 1;
+            for piece in ahead {
+                if end_page >= cap || (piece.start / PAGE_SIZE) as usize > end_page {
+                    break;
+                }
+                end_page = end_page.max(piece.end().div_ceil(PAGE_SIZE) as usize);
+            }
+            let end_page = end_page.min(cap);
+            let run_start = first_page as u64 * PAGE_SIZE;
+            let run_end = (end_page as u64 * PAGE_SIZE).min(seg_len);
+            let run_len = (run_end - run_start) as usize;
+            let buf = run_buf.get_mut(..run_len).unwrap_or_default();
+            let mut unverified = 0u32; // bit `i`: page `first_page + i` failed
+            self.read_run_verified(first_page, buf, |i, repaired| {
+                unverified |= u32::from(!repaired) << i;
+                Ok(())
+            })?;
+            let mixed = unverified != 0;
+            for (i, image) in buf.chunks_mut(PAGE_SIZE as usize).enumerate() {
+                let (page, plen) = (first_page + i, image.len());
+                let page_start = page as u64 * PAGE_SIZE;
+                let (_, here) = ahead.split_at(ahead.partition_point(|p| p.end() <= page_start));
+                let covered_bytes = overlay_pieces(here, page_start, PAGE_SIZE, image);
+                if unverified & 1 << i == 0 {
+                    if mixed {
+                        self.dev.write_at(page_start, image)?;
+                    }
+                    catalog.update(page, image);
+                    continue;
+                }
+                for (at, part) in clip_pieces(here, page_start, PAGE_SIZE) {
                     self.dev.write_at(at, part)?;
                 }
-                if covered_bytes == plen as u64 {
-                    // Rot, wherever it was, is rewritten whole: repaired.
-                    let media = &self.media;
-                    media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-                    catalog.update(page, buf);
-                } else if ctx == ApplyContext::Recovery {
-                    // Unverifiable and only partially covered, but this is
-                    // the redo of a crashed apply: the tear that explains
-                    // the mismatch lies inside the covered ranges just
-                    // rewritten, so the post-apply page (device remainder
-                    // + piece data) is the committed image — re-adopt it.
-                    // Counted as detected but not repaired: a mirror
-                    // already had its chance in the read, and rot that
-                    // struck the uncovered remainder during the same
-                    // window is indistinguishable from the tear here.
-                    catalog.update(page, buf);
+                // Rewritten whole, rot is repaired. Partly covered in
+                // recovery, the post-apply page (device remainder + piece
+                // data) is the committed image — re-adopted, counted as
+                // detected only: a mirror had its chance in the read, and
+                // rot beside the tear being redone looks the same.
+                let whole = covered_bytes == plen as u64;
+                let media = &self.media;
+                media
+                    .corruptions_repaired
+                    .fetch_add(u64::from(whole), Ordering::Relaxed);
+                if whole || ctx == ApplyContext::Recovery {
+                    catalog.update(page, image);
                 }
-                // else: live truncation over a partially-covered,
-                // unverifiable page — the committed ranges are still
-                // authoritative for their bytes, but the stale entry stays.
             }
-            next_page = page + 1;
-            let page_end = page_start + PAGE_SIZE;
-            let behind = ahead.iter().take_while(|p| p.end() <= page_end).count();
+            if !mixed {
+                self.dev.write_at(run_start, buf)?;
+            }
+            next_page = end_page;
+            let behind = ahead.iter().take_while(|p| p.end() <= run_end).count();
             ahead = ahead.get(behind..).unwrap_or_default();
         }
         Ok(())
@@ -551,20 +573,20 @@ impl RvmShared {
             mem_lock: RwLock::new(()),
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(desc.len)),
-            unloaded: Mutex::new(match policy {
-                LoadPolicy::Eager => None,
-                LoadPolicy::OnDemand => Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize]),
-            }),
+            unloaded: Mutex::new(Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize])),
             fully_loaded: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
         });
         if policy == LoadPolicy::Eager {
-            inner.load_from_segment()?;
+            inner.ensure_loaded(0, desc.len)?;
         }
         self.regions.write().insert(inner.id, inner.clone());
         Ok(Region { inner })
     }
 }
+
+#[cfg(test)]
+use rvm_storage::VerifiedRead;
 
 #[cfg(test)]
 impl Segment {
@@ -582,6 +604,18 @@ impl Segment {
             catalog,
             media: Arc::default(),
         })
+    }
+
+    /// Segment page `page` as a run of one, and how it verified.
+    pub(crate) fn read_page_for_test(&self, page: usize) -> Result<(Vec<u8>, VerifiedRead)> {
+        let mut image = vec![0u8; PAGE_SIZE as usize];
+        let mut read = VerifiedRead::Clean;
+        let failed = |_, repaired| {
+            read = [VerifiedRead::Corrupt, VerifiedRead::Repaired][usize::from(repaired)];
+            Ok(())
+        };
+        self.read_run_verified(page, &mut image, failed)?;
+        Ok((image, read))
     }
 }
 
@@ -754,10 +788,9 @@ mod tests {
         assert!(replicas[0].snapshot() == first, "replica 0");
         assert!(replicas[1].snapshot() == second, "replica 1");
 
-        let mut page = vec![0u8; PAGE_SIZE as usize];
-        let read = segment.read_page_verified(0, &mut page).unwrap();
+        let (_, read) = segment.read_page_for_test(0).unwrap();
         assert_eq!(read, VerifiedRead::Corrupt, "nothing was laundered");
-        let read = segment.read_page_verified(1, &mut page).unwrap();
+        let (_, read) = segment.read_page_for_test(1).unwrap();
         assert_eq!(read, VerifiedRead::Clean);
         let media = &segment.media;
         assert_eq!(media.corruptions_repaired.load(Ordering::Relaxed), 0);

@@ -924,10 +924,10 @@ fn spooled_commits_ride_the_flush_commits_batch() {
     assert_eq!((count(true), count(false)), (1, 1), "{ops:?}");
 }
 
-/// What recovery writes to a segment: with a checksum catalog each
-/// touched page once, whole (it has the verified page in a buffer by
-/// then); without one each latest-wins piece once. The same log leaves
-/// the same segment bytes either way.
+/// What recovery writes to a segment: with a checksum catalog each run
+/// of touched pages (four at most) once, whole (it has the verified run
+/// in a buffer by then); without one each latest-wins piece once. The
+/// same log leaves the same segment bytes either way.
 #[test]
 fn recovery_writes_pages_with_a_catalog_and_pieces_without() {
     use rvm_storage::{TraceOpKind, TraceRecorder};
@@ -1006,10 +1006,14 @@ fn recovery_writes_pages_with_a_catalog_and_pieces_without() {
     assert!(piece_writes.iter().all(|&(_, len)| len == WRITE));
 
     let (by_pages, page_writes) = recover(true);
-    let whole_pages: Vec<_> = (0..PAGES)
-        .map(|page| (page * PAGE_SIZE, PAGE_SIZE as usize))
+    let whole_runs: Vec<_> = (0..PAGES)
+        .step_by(4)
+        .map(|page| (page * PAGE_SIZE, 4 * PAGE_SIZE as usize))
         .collect();
-    assert_eq!(page_writes, whole_pages, "one write per touched page");
+    assert_eq!(
+        page_writes, whole_runs,
+        "one write per run of touched pages"
+    );
     assert!(by_pages == by_pieces, "segment images differ");
     assert!(by_pages.iter().filter(|&&b| b != 0).count() == 128 * WRITE);
 }

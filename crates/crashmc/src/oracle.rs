@@ -227,9 +227,9 @@ pub fn check_image_converged(
             })?;
         let seg_dev = MemDevice::from_image(img.clone());
         let len = img.len() as u64;
-        for page in 0..rvm::scrub::page_count(len) {
-            let sum = rvm::scrub::checksum_of(&seg_dev, len, page)
-                .map_err(|e| format!("segment '{name}' page {page}: unreadable: {e}"))?;
+        let sums = rvm::scrub::checksums_of(&seg_dev, len, 0..rvm::scrub::page_count(len))
+            .map_err(|e| format!("segment '{name}': unreadable: {e}"))?;
+        for (page, sum) in sums.into_iter().enumerate() {
             if entries.get(page).copied() != Some(sum) {
                 return Err(format!(
                     "segment '{name}' page {page}: catalog mismatch after recovery — \

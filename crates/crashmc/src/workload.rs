@@ -809,9 +809,10 @@ mod tests {
         let trace = run_workload(Workload::Incremental, MutationHooks::default());
         assert_eq!(trace.txns.len(), INCREMENTAL_TXNS);
         assert!(trace.txns.iter().all(|t| t.committed && t.ack.is_some()));
-        // A write-back step writes whole pages, and so does the epoch
-        // (the workload asserts it ran) under the checksum catalog: the
-        // five records it applies fall on three pages.
+        // A write-back step writes whole pages, one at a time, and the
+        // epoch (the workload asserts it ran) under the checksum catalog
+        // writes whole runs: the five records it applies fall on three
+        // consecutive pages, one write.
         let seg_id = trace
             .devices
             .iter()
@@ -831,9 +832,13 @@ mod tests {
             .iter()
             .filter(|&&len| len == PAGE_SIZE as usize)
             .count();
+        let runs = seg_writes
+            .iter()
+            .filter(|&&len| len == 3 * PAGE_SIZE as usize)
+            .count();
         assert_eq!(
-            (pages, seg_writes.len() - pages),
-            (8 + 3, 0),
+            (pages, runs, seg_writes.len()),
+            (8, 1, 8 + 1),
             "{seg_writes:?}"
         );
     }

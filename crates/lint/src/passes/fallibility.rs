@@ -45,7 +45,7 @@ pub const FALLIBLE: &[&str] = &[
     "persist",
     "invalidate",
     // The segment handle: the one sink of truncation, recovery and scrub.
-    "read_page_verified",
+    "read_run_verified",
     "apply_pieces",
     "write_page",
     "finish",
@@ -306,6 +306,16 @@ mod tests {
              fn e(d: &D) { d.force(); }",
         );
         assert_eq!(f.len(), 4, "{f:#?}");
+    }
+
+    #[test]
+    fn convicts_a_discarded_or_unwrapped_run_read() {
+        let f = run_on(
+            "fn a(s: &S) { let _ = s.read_run_verified(0, b, |_, _| Ok(())); }\n\
+             fn b(s: &S) { s.read_run_verified(0, b, keep).unwrap(); }\n\
+             fn c(s: &S) -> R { s.read_run_verified(0, b, |i, r| note(i, r))?; Ok(()) }",
+        );
+        assert_eq!(f.len(), 2, "{f:#?}");
     }
 
     #[test]

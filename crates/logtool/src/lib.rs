@@ -17,7 +17,7 @@ use rvm::log::status::{
     read_status, StatusBlock, LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET,
 };
 use rvm::log::wal::{scan_backward, scan_forward};
-use rvm::scrub::{checksum_of, page_count, page_len, sidecar_name, SegmentChecksums};
+use rvm::scrub::{checksums_of, page_count, page_len, sidecar_name, SegmentChecksums};
 pub use rvm::segment::DeviceResolver as Resolver;
 use rvm::segment::{DeviceResolver, SegmentId};
 use rvm::{Result, RvmError, PAGE_SIZE};
@@ -609,8 +609,9 @@ impl LogInspector {
 
 /// Verifies one segment against its sidecar catalog, read-only. Errors
 /// opening the segment or its catalog become per-segment report states,
-/// never failures; a page whose read errors counts as a mismatch (the
-/// repair ladder is what distinguishes transient from resident).
+/// never failures; a segment whose read errors counts every covered page
+/// as a mismatch (the repair ladder is what distinguishes transient from
+/// resident).
 fn scrub_one(resolver: &DeviceResolver, name: &str) -> SegmentScrub {
     let unreachable = || SegmentScrub {
         segment: name.to_owned(),
@@ -638,13 +639,13 @@ fn scrub_one(resolver: &DeviceResolver, name: &str) -> SegmentScrub {
             mismatched: Vec::new(),
         };
     };
-    let mut mismatched = Vec::new();
-    for (page, &expected) in entries.iter().enumerate().take(pages) {
-        match checksum_of(seg.as_ref(), seg_len, page) {
-            Ok(sum) if sum == expected => {}
-            _ => mismatched.push(page),
-        }
-    }
+    let covered = entries.len().min(pages);
+    let mismatched = match checksums_of(seg.as_ref(), seg_len, 0..covered) {
+        Ok(sums) => (0..covered)
+            .filter(|&p| sums.get(p) != entries.get(p))
+            .collect(),
+        Err(_) => (0..covered).collect(),
+    };
     SegmentScrub {
         segment: name.to_owned(),
         pages: Some(pages),

@@ -21,6 +21,9 @@ use rvm_storage::{Device, DeviceError, FaultOp, MemDevice};
 const SLOTS: u64 = 16;
 const SLOT_STRIDE: u64 = 512; // distinct pagesworth-of-separation ranges
 const REGION_LEN: u64 = SLOTS * SLOT_STRIDE;
+/// Two slots a page: sixteen slots span eight pages, which a checksummed
+/// apply writes as two runs.
+const RUN_STRIDE: u64 = PAGE_SIZE / 2;
 /// Log space one `commit_slot` record takes: one 8-byte range.
 const SLOT_RECORD: u64 =
     (HEADER_SIZE + RANGE_ENTRY_SIZE + 8 + TRAILER_SIZE).next_multiple_of(LOG_BLOCK);
@@ -221,10 +224,15 @@ impl GatedWorld {
 /// Commits slots `1..` until an epoch truncation has completed,
 /// publishing each acknowledged value through `acked`. Over a tiny log
 /// with no trigger, the commit that finds the log full runs the epoch.
-fn commit_until_an_epoch_completes(rvm: &Rvm, region: &rvm::Region, acked: &AtomicU64) {
+fn commit_until_an_epoch_completes(
+    rvm: &Rvm,
+    region: &rvm::Region,
+    stride: u64,
+    acked: &AtomicU64,
+) {
     let mut i = 1;
     while rvm.stats().epoch_truncations == 0 {
-        commit_slot(rvm, region, i);
+        commit_slot_at(rvm, region, stride, i);
         acked.store(i, Ordering::SeqCst);
         i += 1;
     }
@@ -232,11 +240,16 @@ fn commit_until_an_epoch_completes(rvm: &Rvm, region: &rvm::Region, acked: &Atom
 
 /// Commits `value` into slot `value % SLOTS` (8-byte range, slots far
 /// enough apart that an epoch apply without a checksum catalog makes one
-/// segment write per slot; with one it writes the two pages).
+/// segment write per slot; with one it writes the two pages in one).
 fn commit_slot(rvm: &Rvm, region: &rvm::Region, value: u64) {
+    commit_slot_at(rvm, region, SLOT_STRIDE, value);
+}
+
+/// [`commit_slot`] with slot `s` at `s * stride`.
+fn commit_slot_at(rvm: &Rvm, region: &rvm::Region, stride: u64, value: u64) {
     let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
     region
-        .put_u64(&mut txn, (value % SLOTS) * SLOT_STRIDE, value)
+        .put_u64(&mut txn, (value % SLOTS) * stride, value)
         .unwrap();
     txn.commit(CommitMode::Flush).unwrap();
 }
@@ -251,9 +264,13 @@ fn expected_slot(slot: u64, committed: u64) -> u64 {
 }
 
 fn assert_slots(region: &rvm::Region, committed: u64, ctx: &str) {
+    assert_slots_at(region, SLOT_STRIDE, committed, ctx);
+}
+
+fn assert_slots_at(region: &rvm::Region, stride: u64, committed: u64, ctx: &str) {
     for s in 0..SLOTS {
         assert_eq!(
-            region.get_u64(s * SLOT_STRIDE).unwrap(),
+            region.get_u64(s * stride).unwrap(),
             expected_slot(s, committed),
             "{ctx}: slot {s}"
         );
@@ -331,10 +348,11 @@ enum Starter {
 /// mid-span, and after every write but before the sync — whoever started
 /// the epoch, with and without commits landing in the new epoch during
 /// the park (a full log admits none), and in both shapes an apply takes:
-/// with a checksum catalog it writes each of the region's two pages
-/// whole, so "after one" is its mid-span; without one it writes the
-/// sixteen slots one by one. Reboot the snapshot; recovery must report
-/// the interrupted epoch and restore every acknowledged commit.
+/// with a checksum catalog, slots two a page over eight pages, it writes
+/// them whole as two runs of four pages, so "after one" is its
+/// mid-span; without one it writes the sixteen slots one by one. Reboot
+/// the snapshot; recovery must report the interrupted epoch and restore
+/// every acknowledged commit.
 #[test]
 fn crash_at_every_stage_of_an_inflight_epoch_recovers() {
     const PAGE_WRITES: &[Park] = &[Park::Writes(0), Park::Writes(1), Park::Sync];
@@ -366,6 +384,10 @@ fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, co
         Starter::Truncate => (256 * 1024, 0.99, 40),
         Starter::LogFullCommit => (TINY_LOG, 1.0, 0),
     };
+    let (stride, region_len) = match checksums {
+        true => (RUN_STRIDE, SLOTS * RUN_STRIDE),
+        false => (SLOT_STRIDE, REGION_LEN),
+    };
     let world = GatedWorld::new(log_len, park);
     let rvm = world.boot_tuned(Tuning {
         truncation_threshold,
@@ -373,10 +395,10 @@ fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, co
         ..Tuning::default()
     });
     let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .map(&RegionDescriptor::new("seg", 0, region_len))
         .unwrap();
     for i in 1..=preload {
-        commit_slot(&rvm, &region, i);
+        commit_slot_at(&rvm, &region, stride, i);
     }
     // Highest value whose commit has returned.
     let acked = AtomicU64::new(preload);
@@ -385,12 +407,14 @@ fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, co
         let _open = OpenOnDrop(&world.gate);
         let handle = s.spawn(|| match starter {
             Starter::Truncate => rvm.truncate().unwrap(),
-            Starter::LogFullCommit => commit_until_an_epoch_completes(&rvm, &region, &acked),
+            Starter::LogFullCommit => {
+                commit_until_an_epoch_completes(&rvm, &region, stride, &acked)
+            }
         });
         world.gate.wait_parked();
         // Commits that land in the new epoch before the crash.
         for i in preload + 1..=preload + commits_during {
-            commit_slot(&rvm, &region, i);
+            commit_slot_at(&rvm, &region, stride, i);
             acked.store(i, Ordering::SeqCst);
         }
         // The crash image: both devices, frozen mid-apply. The commit
@@ -410,7 +434,7 @@ fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, co
     // Reboot the crash image.
     let crash_log = Arc::new(MemDevice::from_image(log_image));
     let segments = MemResolver::new();
-    segments.resolve("seg", REGION_LEN).unwrap();
+    segments.resolve("seg", region_len).unwrap();
     segments.get("seg").unwrap().restore(seg_image);
     let rvm =
         Rvm::initialize(Options::new(crash_log.clone()).resolver(segments.clone().into_resolver()))
@@ -420,22 +444,22 @@ fn crash_mid_epoch_and_recover(starter: Starter, checksums: bool, park: Park, co
         "{ctx}: the status block carried the epoch boundary"
     );
     let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .map(&RegionDescriptor::new("seg", 0, region_len))
         .unwrap();
-    assert_slots(&region, committed, &ctx);
+    assert_slots_at(&region, stride, committed, &ctx);
 
     // The recovered instance is fully live: commit once more and
     // reboot again over the same devices.
-    commit_slot(&rvm, &region, committed + 1);
+    commit_slot_at(&rvm, &region, stride, committed + 1);
     drop(region);
     drop(rvm);
     let rvm = Rvm::initialize(Options::new(crash_log).resolver(segments.clone().into_resolver()))
         .unwrap();
     assert!(!rvm.recovery_report().interrupted_epoch, "{ctx}");
     let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, REGION_LEN))
+        .map(&RegionDescriptor::new("seg", 0, region_len))
         .unwrap();
-    assert_slots(&region, committed + 1, &ctx);
+    assert_slots_at(&region, stride, committed + 1, &ctx);
 }
 
 /// A commit that finds the log full runs the *same* epoch as everyone
@@ -453,7 +477,8 @@ fn log_full_commit_runs_the_same_epoch() {
 
     std::thread::scope(|s| {
         let _open = OpenOnDrop(&world.gate);
-        let committer = s.spawn(|| commit_until_an_epoch_completes(&rvm, &region, &acked));
+        let committer =
+            s.spawn(|| commit_until_an_epoch_completes(&rvm, &region, SLOT_STRIDE, &acked));
         world.gate.wait_parked();
         assert!(rvm.query().truncation_in_flight);
         assert_eq!(rvm.stats().epoch_truncations, 0, "parked before completing");

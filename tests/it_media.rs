@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rvm::segment::{DeviceResolver, MemResolver};
 use rvm::{CommitMode, LoadPolicy, Options, RegionDescriptor, Rvm, RvmError, TxnMode, PAGE_SIZE};
-use rvm_storage::{Device, FaultClock, FaultDevice, MemDevice, MirrorDevice};
+use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, MirrorDevice};
 
 const SEG: &str = "seg";
 
@@ -344,4 +344,205 @@ fn scrub_rewrite_never_persists_half_of_a_lazy_transaction() {
     assert_eq!(region.read_vec(0, 8).unwrap(), [0xEE; 8]);
     assert_eq!(region.read_vec(PAGE_SIZE, 8).unwrap(), [0xEE; 8]);
     assert_eq!(region.read_vec(321, 8).unwrap(), [0x11; 8]);
+}
+
+/// A resolver over `segs` whose `SEG` device counts its operations on
+/// `clock`; the catalog beside it is not counted.
+fn counted_resolver(segs: &MemResolver, clock: &Arc<FaultClock>) -> DeviceResolver {
+    let (segs, clock) = (segs.clone(), Arc::clone(clock));
+    Arc::new(move |name: &str, min_len: u64| {
+        let dev = segs.resolve(name, min_len)?;
+        if name != SEG {
+            return Ok(dev);
+        }
+        Ok(Arc::new(FaultDevice::with_clock(dev, Arc::clone(&clock))) as Arc<dyn Device>)
+    })
+}
+
+/// A first map reads its segment a 1 MiB chunk a call: one read per
+/// chunk adopts the catalog, one per chunk loads the region — two for 64
+/// pages, and 9 + 9 for the 2 049 pages of the TPC-A benchmark's region
+/// (a read per page made 128 and 4 098). Every page is still verified.
+#[test]
+fn a_first_map_reads_its_segment_a_chunk_a_call() {
+    for (pages, reads) in [(64, 2), (2049, 18)] {
+        let clock = FaultClock::new(Vec::new());
+        let rvm = Rvm::initialize(
+            Options::new(Arc::new(MemDevice::with_len(1 << 20)))
+                .resolver(counted_resolver(&MemResolver::new(), &clock))
+                .create_if_empty(),
+        )
+        .unwrap();
+        let region = rvm
+            .map(&RegionDescriptor::new(SEG, 0, pages * PAGE_SIZE))
+            .unwrap();
+        assert_eq!(clock.ops_seen(), (reads, 0, 0), "{pages} pages");
+        assert_eq!(rvm.stats().pages_scrubbed, pages, "{pages} pages");
+        drop(region);
+        rvm.terminate().unwrap();
+    }
+}
+
+/// Recovery moves the pages a log touches in runs of at most four: a
+/// transaction over 16 consecutive pages is redone with four reads and
+/// four writes (sixteen of each a page at a time), then one sync.
+#[test]
+fn recovery_reads_and_writes_touched_pages_a_run_a_call() {
+    let log = Arc::new(MemDevice::with_len(1 << 20));
+    let segs = MemResolver::new();
+    let boot = |resolver| {
+        Rvm::initialize(
+            Options::new(log.clone())
+                .resolver(resolver)
+                .create_if_empty(),
+        )
+        .unwrap()
+    };
+    let desc = RegionDescriptor::new(SEG, 0, 20 * PAGE_SIZE);
+    let rvm = boot(segs.clone().into_resolver());
+    let region = rvm.map(&desc).unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    for page in 2..18 {
+        region
+            .write(&mut txn, page * PAGE_SIZE + 100, &[page as u8; 64])
+            .unwrap();
+    }
+    txn.commit(CommitMode::Flush).unwrap();
+    std::mem::forget(rvm); // crash: the commit is in the log alone
+
+    let clock = FaultClock::new(Vec::new());
+    let rvm = boot(counted_resolver(&segs, &clock));
+    assert_eq!(rvm.recovery_report().records_replayed, 1);
+    assert_eq!(clock.ops_seen(), (4, 4, 1), "(reads, writes, syncs)");
+    assert_eq!(rvm.stats().pages_scrubbed, 16);
+    let region = rvm.map(&desc).unwrap();
+    for page in 2..18 {
+        let got = region.read_vec(page * PAGE_SIZE + 100, 64).unwrap();
+        assert_eq!(got, vec![page as u8; 64], "page {page}");
+    }
+}
+
+/// A page that fails a run's read takes the ladder alone, and the counts
+/// are what a read per page gave: in recovery's run over four pages, page
+/// 1 rotten on one replica (read-repaired) and page 2 on both (detected,
+/// then re-adopted under the redo); in a later map's run, page 3 rotten
+/// on one replica (read-repaired).
+#[test]
+fn rot_in_the_middle_of_a_run_counts_as_a_read_per_page_did() {
+    let log = Arc::new(MemDevice::with_len(1 << 20));
+    let a = Arc::new(MemDevice::with_len(4 * PAGE_SIZE));
+    let b = Arc::new(MemDevice::with_len(4 * PAGE_SIZE));
+    let mirror = Arc::new(
+        MirrorDevice::new(vec![
+            Arc::clone(&a) as Arc<dyn Device>,
+            Arc::clone(&b) as Arc<dyn Device>,
+        ])
+        .unwrap(),
+    );
+    let side = MemResolver::new();
+    let boot = || {
+        Rvm::initialize(
+            Options::new(log.clone())
+                .resolver(mirrored_resolver(&mirror, &side))
+                .create_if_empty(),
+        )
+        .unwrap()
+    };
+    let desc = RegionDescriptor::new(SEG, 0, 4 * PAGE_SIZE);
+    let rvm = boot();
+    let region = rvm.map(&desc).unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    for page in 0..4 {
+        region
+            .write(&mut txn, page * PAGE_SIZE, &[0x5A; 64])
+            .unwrap();
+    }
+    txn.commit(CommitMode::Flush).unwrap();
+    std::mem::forget(rvm); // crash: the commit is in the log alone
+
+    let rot = |dev: &MemDevice, page: u64| dev.write_at(page * PAGE_SIZE + 3000, &[0xEE]).unwrap();
+    rot(&a, 1);
+    rot(&a, 2);
+    rot(&b, 2);
+    let rvm = boot();
+    let counts = |rvm: &Rvm| {
+        let s = rvm.stats();
+        (
+            s.pages_scrubbed,
+            s.corruptions_detected,
+            s.corruptions_repaired,
+        )
+    };
+    assert_eq!(counts(&rvm), (4, 2, 1), "recovery");
+    let report = rvm.recovery_report();
+    let recovered = (report.corrupt_pages_detected, report.corrupt_pages_repaired);
+    assert_eq!(recovered, (2, 1), "{report:?}");
+    assert_eq!(
+        a.snapshot()[PAGE_SIZE as usize + 3000],
+        0,
+        "replica a's page 1 repaired"
+    );
+
+    rot(&a, 3);
+    let region = rvm.map(&desc).unwrap();
+    assert_eq!(counts(&rvm), (4 + 4, 2 + 1, 1 + 1), "map");
+    assert_eq!(
+        a.snapshot()[3 * PAGE_SIZE as usize + 3000],
+        0,
+        "replica a's page 3 repaired"
+    );
+    assert_eq!(region.read_vec(3 * PAGE_SIZE, 64).unwrap(), vec![0x5A; 64]);
+    let report = rvm.scrub().unwrap();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+/// A run's read is its pages' first: a page it reads rotten gets two
+/// more, three reads in all, as when each page was read alone. Rot on the first two of them is transient (detected,
+/// repaired by a re-read); rot on all three is resident (detected, not
+/// repaired), and the map that finds it fails with a media error.
+#[test]
+fn a_page_rotten_on_three_reads_is_corrupt_and_on_two_is_repaired() {
+    let log = Arc::new(MemDevice::with_len(1 << 20));
+    let segs = MemResolver::new();
+    let desc = RegionDescriptor::new(SEG, 0, 4 * PAGE_SIZE);
+    let boot = |resolver| {
+        Rvm::initialize(
+            Options::new(log.clone())
+                .resolver(resolver)
+                .create_if_empty(),
+        )
+        .unwrap()
+    };
+    let rvm = boot(segs.clone().into_resolver());
+    let region = rvm.map(&desc).unwrap();
+    commit_fill(&rvm, &region, 0, &[0x5A; 4 * PAGE_SIZE as usize]);
+    rvm.truncate().unwrap(); // nothing left for recovery to read
+    drop(region);
+    rvm.terminate().unwrap();
+
+    for (rotten_reads, repaired) in [(2, 1), (3, 0)] {
+        let clock = FaultClock::new(vec![FlakyFault::bit_rot_run(
+            FaultOp::Read,
+            1,
+            rotten_reads,
+        )]);
+        let rvm = boot(counted_resolver(&segs, &clock));
+        let mapped = rvm.map(&desc);
+        let ctx = format!("rot on {rotten_reads} reads");
+        assert_eq!(clock.ops_seen(), (3, 0, 0), "{ctx}: run read + 2 re-reads");
+        let stats = rvm.stats();
+        let counts = (stats.corruptions_detected, stats.corruptions_repaired);
+        assert_eq!(counts, (1, repaired), "{ctx}");
+        match mapped {
+            Ok(region) => {
+                assert_eq!(repaired, 1, "{ctx}");
+                let image = region.read_vec(0, 4 * PAGE_SIZE).unwrap();
+                assert!(image.iter().all(|&b| b == 0x5A), "{ctx}");
+            }
+            Err(e) => assert!(
+                matches!(e, RvmError::Media(_)) && repaired == 0,
+                "{ctx}: {e}"
+            ),
+        }
+    }
 }

@@ -98,19 +98,9 @@ fn recovery_allocations_do_not_grow_with_the_record_count() {
         (N as usize, 4 * N as usize)
     );
     // The pages touched are the same sixteen, and the values kept about
-    // the same 1 024 slots' worth. Measured: 81 and 84 allocations (80
-    // and 82 for 2 000 and 8 000 records of 512 bytes, 64 and 68 keeping
-    // the span it read; 16 201 and 64 203 before the borrowed replay
-    // path).
-    eprintln!(
-        "DBG alloc {} {} span {} {} peak {} {}",
-        small.allocations,
-        large.allocations,
-        small.span,
-        large.span,
-        small.peak_bytes,
-        large.peak_bytes
-    );
+    // the same 1 024 slots' worth. Measured: 66 and 69 allocations (83
+    // and 86 while catalog adoption read each page into a `Vec` of its
+    // own; 16 201 and 64 203 before the borrowed replay path).
     let extra = large.allocations.saturating_sub(small.allocations);
     assert!(
         extra <= 32,
@@ -120,8 +110,7 @@ fn recovery_allocations_do_not_grow_with_the_record_count() {
         large.allocations
     );
     // Measured: the span grew 1 048 320 → 4 193 280 bytes and the peak
-    // 1 876 475 → 2 105 851 bytes, one 1 MiB window and the values (at
-    // 512-byte records, 1 024 000 → 4 096 000 and a flat 1 876 475). A
+    // 1 860 091 → 2 007 547 bytes, one 1 MiB window and the values. A
     // scan that kept the span it read peaked at 2 481 571 → 5 543 043.
     let span_growth = large.span - small.span;
     let peak_growth = large.peak_bytes.saturating_sub(small.peak_bytes);
