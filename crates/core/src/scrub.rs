@@ -42,6 +42,17 @@
 //! against rot *after* it was written, never against a segment that was
 //! already wrong when first seen.
 //!
+//! Where it happens: recovery, an epoch and an on-demand `map` adopt the
+//! pages their handle's catalog does not cover as they open it, with one
+//! [`checksums_of`] pass. An eager `map` reads each page once: its load
+//! adopts the region's pages from the bytes it copies into VM, one pass
+//! adopts the pages below and past the region (the entry table is a
+//! dense prefix), and the catalog is persisted before `map` returns. It
+//! is crash-safe because nothing writes those pages in between — they
+//! belong to no mapped region, so no record names them — and because a
+//! crash before the persist leaves the catalog uncovering them, to be
+//! adopted again from the same bytes.
+//!
 //! # Crash ordering
 //!
 //! **The log head advances only after the catalog covering the applied
@@ -119,17 +130,24 @@ pub struct SegmentChecksums {
 }
 
 impl SegmentChecksums {
-    /// Opens the catalog on `dev`, covering a segment of `seg_len` bytes.
-    ///
-    /// A valid persisted catalog is loaded; an empty, torn, or
-    /// foreign-format device is re-adopted from the segment's current
-    /// content (trust-on-first-use). A catalog shorter than the segment
-    /// (the segment grew) adopts the new tail pages.
+    /// Opens the catalog on `dev`, covering a segment of `seg_len` bytes:
+    /// the pages an empty, torn, foreign-format or short catalog does not
+    /// cover are adopted from the segment's content and persisted. An
+    /// instance's handle loads and adopts apart, so that an eager `map`'s
+    /// load adopts the pages it reads (`Segment::adopt`).
     pub fn open(dev: Arc<dyn Device>, seg: &dyn Device, seg_len: u64) -> Result<Self> {
-        let entries = Mutex::new(Self::load_readonly(dev.as_ref())?.unwrap_or_default());
-        let catalog = SegmentChecksums { dev, entries };
-        catalog.ensure_covers(seg, seg_len)?;
+        let catalog = Self::load(dev)?;
+        if catalog.adopt(seg, seg_len)? {
+            catalog.persist()?;
+        }
         Ok(catalog)
+    }
+
+    /// The catalog persisted on `dev` as it is, adopting nothing: empty
+    /// when `dev` holds no valid one.
+    pub(crate) fn load(dev: Arc<dyn Device>) -> Result<Self> {
+        let entries = Mutex::new(Self::load_readonly(dev.as_ref())?.unwrap_or_default());
+        Ok(SegmentChecksums { dev, entries })
     }
 
     /// Reads and validates the persisted entry table without adopting
@@ -161,24 +179,21 @@ impl SegmentChecksums {
         Ok((crc32(&table) == table_crc).then(|| words(&table)))
     }
 
-    /// Grows the catalog to cover a segment that grew to `seg_len`,
-    /// adopting checksums for the new tail pages. No-op when already
-    /// covering.
-    pub fn ensure_covers(&self, seg: &dyn Device, seg_len: u64) -> Result<()> {
-        let needed = page_count(seg_len);
-        let known = self.entries.lock().len();
+    /// Adopts, in memory, the entries of the pages below byte `end` that
+    /// the catalog does not cover yet, from one [`checksums_of`] pass over
+    /// `seg`. Returns whether there were any.
+    pub(crate) fn adopt(&self, seg: &dyn Device, end: u64) -> Result<bool> {
+        let (known, needed) = (self.pages(), page_count(end));
         if known >= needed {
-            return Ok(());
+            return Ok(false);
         }
         // Checksum the new pages outside the lock; entries never shrink,
-        // so a racing grower can only have adopted a prefix of them.
-        let fresh = checksums_of(seg, seg_len, known..needed)?;
-        {
-            let mut entries = self.entries.lock();
-            let adopted = entries.len() - known;
-            entries.extend(fresh.into_iter().skip(adopted));
-        }
-        self.persist()
+        // so a racing adopter can only have covered a prefix of them.
+        let fresh = checksums_of(seg, end, known..needed)?;
+        let mut entries = self.entries.lock();
+        let adopted = entries.len() - known;
+        entries.extend(fresh.into_iter().skip(adopted));
+        Ok(true)
     }
 
     /// Number of pages the catalog covers.
@@ -198,6 +213,18 @@ impl SegmentChecksums {
             Some(sum) => crc32(data) == sum,
             None => true,
         }
+    }
+
+    /// [`SegmentChecksums::verify`], except that the first page past the
+    /// catalog's end is adopted: `data` becomes its entry. The catalog
+    /// stays a dense prefix of the segment.
+    pub(crate) fn verify_or_adopt(&self, page: usize, data: &[u8]) -> bool {
+        let sum = crc32(data);
+        let mut entries = self.entries.lock();
+        if entries.len() == page {
+            entries.push(sum);
+        }
+        entries.get(page).is_none_or(|&entry| entry == sum)
     }
 
     /// Records the new content of `page` in memory (call
@@ -496,7 +523,7 @@ mod tests {
         let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
         assert_eq!(cat.pages(), 1);
         seg.set_len(PAGE_SIZE * 3).unwrap();
-        cat.ensure_covers(seg.as_ref(), PAGE_SIZE * 3).unwrap();
+        assert!(cat.adopt(seg.as_ref(), PAGE_SIZE * 3).unwrap());
         assert_eq!(cat.pages(), 3);
         let zeros = vec![0u8; PAGE_SIZE as usize];
         assert!(cat.verify(2, &zeros), "grown pages adopt zero-fill");

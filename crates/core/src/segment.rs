@@ -207,8 +207,8 @@ pub(crate) struct Segment {
 
 impl Segment {
     /// Resolves the device (at least `min_len` long) and the sidecar.
-    /// With `checksums` the catalog is loaded, or adopted from the
-    /// segment's current content. Without, this instance is about to
+    /// With `checksums` the persisted catalog is loaded as it is, for
+    /// [`Segment::adopt`] to complete. Without, this instance is about to
     /// write the segment and keep no sums: a valid catalog an earlier run
     /// left would go stale and still validate, so it is invalidated
     /// *now* — before the first write — and the next run re-adopts.
@@ -226,7 +226,7 @@ impl Segment {
         }
         let side = resolver(&sidecar_name(&info.name), 0)?;
         let catalog = if checksums {
-            Some(SegmentChecksums::open(side, dev.as_ref(), dev.len()?)?)
+            Some(SegmentChecksums::load(side)?)
         } else {
             SegmentChecksums::invalidate(side.as_ref())?;
             None
@@ -240,14 +240,36 @@ impl Segment {
         })
     }
 
-    /// Grows the device to hold `min_len` bytes and the catalog to cover
-    /// the device (a later `map` reaching past what the first one saw).
+    /// Grows the device to hold `min_len` bytes (a later `map` reaching
+    /// past what the first one saw); the new pages await adoption.
     fn grow_to(&self, min_len: u64) -> Result<()> {
         if self.dev.len()? < min_len {
             self.dev.set_len(min_len)?;
         }
-        if let Some(catalog) = &self.catalog {
-            catalog.ensure_covers(self.dev.as_ref(), self.dev.len()?)?;
+        Ok(())
+    }
+
+    /// Pages the catalog covers (all of them without one).
+    fn covered(&self) -> usize {
+        self.catalog
+            .as_ref()
+            .map_or(usize::MAX, SegmentChecksums::pages)
+    }
+
+    /// Adoption, trust-on-first-use: entries for the pages the catalog
+    /// does not cover, from one pass over the device, and a persist if it
+    /// covers more than `covered` pages. Recovery, an epoch and an
+    /// on-demand `map` run it on opening the handle; an eager `map` after
+    /// its load, which adopts the region's pages as it reads them
+    /// ([`Segment::read_run_verified`]). Until then nothing writes them:
+    /// they belong to no mapped region, so no record names them.
+    fn adopt(&self, covered: usize) -> Result<()> {
+        let Some(catalog) = &self.catalog else {
+            return Ok(());
+        };
+        catalog.adopt(self.dev.as_ref(), self.dev.len()?)?;
+        if catalog.pages() > covered {
+            catalog.persist()?;
         }
         Ok(())
     }
@@ -265,7 +287,9 @@ impl Segment {
     /// which repairs from a mirror and outlasts transient rot — and
     /// `failed(i, repaired)` hears if page `first + i` was recovered; if
     /// not, the next rung is the caller's. An error from `failed` ends the
-    /// run there. Without a catalog every page is clean.
+    /// run there. Without a catalog every page is clean. The first page
+    /// past the catalog's end is adopted from the bytes read: this is how
+    /// an eager `map` adopts its region's pages (see [`Segment::adopt`]).
     pub(crate) fn read_run_verified(
         &self,
         first: usize,
@@ -280,7 +304,7 @@ impl Segment {
         for (i, image) in buf.chunks_mut(PAGE_SIZE as usize).enumerate() {
             let page = first + i;
             media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-            if catalog.verify(page, image) {
+            if catalog.verify_or_adopt(page, image) {
                 continue;
             }
             media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
@@ -469,12 +493,26 @@ impl OpenSegments {
         }
     }
 
-    /// The handle of segment `id`, grown to hold `min_len` bytes; opened
-    /// on first use from its entry in `table` (the durable segment
-    /// table: the status block's at recovery, `Core::segments` after,
-    /// which every caller holds). That first use is the one moment
-    /// [`Tuning::segment_checksums`] is read.
+    /// [`OpenSegments::open`], then [`Segment::adopt`]: recovery's and
+    /// an epoch's handle.
     pub(crate) fn get(
+        &self,
+        table: &[SegmentInfo],
+        id: SegmentId,
+        min_len: u64,
+        tuning: &RwLock<Tuning>,
+    ) -> Result<Arc<Segment>> {
+        let segment = self.open(table, id, min_len, tuning)?;
+        segment.adopt(segment.covered())?;
+        Ok(segment)
+    }
+
+    /// The handle of segment `id`, grown to hold `min_len` bytes (the new
+    /// pages not adopted); opened on first use from its entry in `table`
+    /// (the durable segment table: the status block's at recovery,
+    /// `Core::segments` after, which every caller holds). That first use
+    /// is the one moment [`Tuning::segment_checksums`] is read.
+    fn open(
         &self,
         table: &[SegmentInfo],
         id: SegmentId,
@@ -541,10 +579,6 @@ impl RvmShared {
             let r = self.write_status_locked(&mut core);
             self.guard_io(r)?;
         }
-        let segment = self
-            .open_segments
-            .get(&core.segments, seg_id, min_len, &self.tuning)?;
-
         // §4.1 mapping rules: no region mapped twice, no overlap. Every
         // segment byte no mapped region covers is current on its device
         // (`Rvm::unmap` writes a region back before it leaves `regions`),
@@ -564,9 +598,13 @@ impl RvmShared {
             )));
         }
 
+        let segment = self
+            .open_segments
+            .open(&core.segments, seg_id, min_len, &self.tuning)?;
+        let covered = segment.covered();
         let inner = Arc::new(RegionInner {
             id: self.next_region_id.fetch_add(1, Ordering::Relaxed),
-            segment,
+            segment: segment.clone(),
             seg_offset: desc.offset,
             len: desc.len,
             mem: RegionMemory::alloc(desc.len as usize),
@@ -577,9 +615,18 @@ impl RvmShared {
             fully_loaded: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
         });
-        if policy == LoadPolicy::Eager {
-            inner.ensure_loaded(0, desc.len)?;
-        }
+        // An eager load is the region's adoption: each page is read once,
+        // into VM, and its entry is the CRC of those bytes. The catalog is
+        // a dense prefix, so the pages below the region are adopted first.
+        let loaded = match (policy, &segment.catalog) {
+            (LoadPolicy::OnDemand, _) => Ok(()),
+            (LoadPolicy::Eager, None) => inner.ensure_loaded(0, desc.len),
+            (LoadPolicy::Eager, Some(catalog)) => catalog
+                .adopt(segment.dev.as_ref(), desc.offset)
+                .and_then(|_| inner.ensure_loaded(0, desc.len)),
+        };
+        segment.adopt(covered)?;
+        loaded?;
         self.regions.write().insert(inner.id, inner.clone());
         Ok(Region { inner })
     }

@@ -42,6 +42,7 @@ pub const FALLIBLE: &[&str] = &[
     "read_status",
     "write_status",
     // Checksum catalogs.
+    "adopt",
     "persist",
     "invalidate",
     // The segment handle: the one sink of truncation, recovery and scrub.

@@ -619,9 +619,9 @@ fn leader_completes_inline_alone_and_shares_forces_when_committers_queue() {
     );
 }
 
-/// A log whose force takes 2 ms of wall time and no processor, as a
-/// disk's does.
-struct SlowForceLog(MemDevice);
+/// A log whose force takes wall time and no processor, as a disk's
+/// does.
+struct SlowForceLog(MemDevice, Duration);
 
 impl Device for SlowForceLog {
     fn len(&self) -> rvm_storage::Result<u64> {
@@ -634,7 +634,7 @@ impl Device for SlowForceLog {
         self.0.write_at(offset, data)
     }
     fn sync(&self) -> rvm_storage::Result<()> {
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(self.1);
         self.0.sync()
     }
     fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
@@ -642,8 +642,9 @@ impl Device for SlowForceLog {
     }
 }
 
-fn boot_over_slow_force(tuning: Tuning) -> Arc<Rvm> {
-    let log: Arc<dyn Device> = Arc::new(SlowForceLog(MemDevice::with_len(4 << 20)));
+/// An instance over a log whose force takes `force`.
+fn boot_over_force(force: Duration, tuning: Tuning) -> Arc<Rvm> {
+    let log: Arc<dyn Device> = Arc::new(SlowForceLog(MemDevice::with_len(4 << 20), force));
     let options = Options::new(log)
         .resolver(MemResolver::new().into_resolver())
         .create_if_empty()
@@ -670,30 +671,55 @@ fn commit_in_step(rvm: &Arc<Rvm>, region: &rvm::Region, threads: u64, commits: u
     });
 }
 
-/// Two closed-loop committers behind a force that costs wall time come
-/// back to the queue within microseconds of each other, every round —
-/// but the first one back used to claim at once, alone, and the two fell
-/// into alternation: each commit waited out the other's force and then
-/// paid its own (0.72 forces per commit, measured). A leader that just
-/// had company now waits for it, so once two commits have shared a force
-/// they go on sharing: one force per pair.
+/// Two committers that come back to the queue a moment apart share one
+/// force a round. Alone, the first one back would claim at once and the
+/// two would fall into alternation, each commit waiting out the other's
+/// force and then paying its own (0.72 forces per commit, measured). The
+/// rule, judged round by round rather than by a ratio the scheduler
+/// decides: a leader whose last round had company waits for it — a
+/// quarter of that round's force — and takes the company that arrives
+/// meanwhile. Each round one committer starts a millisecond after the
+/// other: far inside the 20 ms wait, far past a leader that claims at
+/// once.
 #[test]
 fn two_closed_loop_committers_share_their_forces() {
-    let rvm = boot_over_slow_force(Tuning::default());
+    let windowed = Tuning {
+        group_commit_wait_us: 100_000,
+        ..Tuning::default()
+    };
+    let rvm = boot_over_force(Duration::from_millis(80), windowed);
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
         .unwrap();
-    commit_in_step(&rvm, &region, 2, 150);
-    let stats = rvm.stats();
-    assert_eq!(stats.flush_commits, 300);
-    assert!(
-        stats.forces_per_flush_commit() < 0.6,
-        "{} forces for 300 commits; leaders waited {} times, {} ns",
-        stats.log_forces,
-        stats.group_waits,
-        stats.group_wait_ns
-    );
-    assert!(stats.group_waits > 0, "{stats:?}");
+    let round = || {
+        let before = rvm.stats();
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (rvm, region) = (&rvm, &region);
+                scope.spawn(move || {
+                    std::thread::sleep(Duration::from_millis(t));
+                    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+                    region.put_u64(&mut txn, t * PAGE_SIZE, 1).unwrap();
+                    txn.commit(CommitMode::Flush).unwrap();
+                });
+            }
+        });
+        rvm.stats().delta_since(&before)
+    };
+    // The first round has company because a fixed window holds its
+    // leader 100 ms, whoever is behind.
+    let first = round();
+    assert_eq!(first.group_commit_batch_sizes[1], 1, "{first:?}");
+    rvm.set_options(Tuning::default());
+    let mut waits = 0;
+    for r in 0..8 {
+        let d = round();
+        let judged = (d.flush_commits, d.log_forces, d.group_commit_batch_sizes[1]);
+        assert_eq!(judged, (2, 1, 1), "round {r}: {d:?}");
+        assert!(d.group_waits <= 1, "round {r}: {d:?}");
+        waits += d.group_waits;
+    }
+    assert!(waits > 0, "no leader waited for its company");
 }
 
 /// What the wait costs a committer whose company does not come back: a
@@ -707,7 +733,7 @@ fn a_committer_whose_company_has_left_waits_at_most_once() {
         group_commit_wait_us: 100_000,
         ..Tuning::default()
     };
-    let rvm = boot_over_slow_force(windowed);
+    let rvm = boot_over_force(Duration::from_millis(2), windowed);
     let region = rvm
         .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
         .unwrap();
