@@ -425,33 +425,40 @@ mod tests {
 
     #[test]
     fn format_crash_between_copies_leaves_a_valid_copy() {
-        use rvm_storage::{CrashPlan, FaultDevice};
+        use rvm_images::{crash_images, EnumConfig};
+        use rvm_storage::{CrashPlan, Device, FaultDevice};
         use std::sync::Arc;
 
-        // Crash while format_log is writing copy B, tearing it on a
-        // sector boundary. Copy A was synced first, so it must survive and
-        // read_status must succeed. Before the fix (one sync covering both
-        // copies) the torn window spanned both writes and a crash here
-        // could leave no valid copy.
-        let inner: Arc<MemDevice> = Arc::new(MemDevice::with_len(LOG_AREA_START + 4096));
-        let dev = FaultDevice::new(
-            inner.clone(),
-            CrashPlan::torn_sector_at(STATUS_BLOCK_SIZE + 1500, 512),
-        );
-        assert!(format_log(&dev).is_err(), "the planned crash fires");
-        let got = read_status(inner.as_ref()).unwrap();
-        assert_eq!(got.seq, 0, "copy A (seq 0) survives the torn copy B");
-
-        // Same crash point with all unsynced writes lost: copy A is past
-        // its own sync, so it still survives.
+        // Crash while format_log is writing copy B. Copy A was synced
+        // first, so it must survive and read_status must succeed in every
+        // image the crash allows: copy B lost, kept, or torn on a sector
+        // boundary. Before the fix (one sync covering both copies) the
+        // torn window spanned both writes and a crash here could leave no
+        // valid copy.
         let inner: Arc<MemDevice> = Arc::new(MemDevice::with_len(LOG_AREA_START + 4096));
         let dev = FaultDevice::new(
             inner.clone(),
             CrashPlan::lose_unsynced_at(STATUS_BLOCK_SIZE + 1500),
         );
-        assert!(format_log(&dev).is_err());
+        assert!(format_log(&dev).is_err(), "the planned crash fires");
         let got = read_status(inner.as_ref()).unwrap();
-        assert_eq!(got.seq, 0);
+        assert_eq!(got.seq, 0, "copy A (seq 0) survives copy B lost");
+
+        let mut torn = 0;
+        let devices = [inner as Arc<dyn Device>];
+        crash_images(
+            &dev.clock(),
+            &devices,
+            &EnumConfig::default(),
+            |kept, images| {
+                torn += usize::from(kept.contains(&true) && kept.contains(&false));
+                let got = read_status(&MemDevice::from_image(images[0].1.clone())).unwrap();
+                assert_eq!(got.seq, 0, "copy A (seq 0) survives copy B kept {kept:?}");
+                true
+            },
+        )
+        .unwrap();
+        assert!(torn > 0, "copy B tears on a sector boundary");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use rvm_reference::{Commit, History, Images, Write};
-use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate};
+use rvm_storage::{Device, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
 
 use super::explore::{self, Explorer, Violation};
 use crate::error::RvmError;
@@ -126,7 +126,7 @@ fn desc(key: usize) -> RegionDescriptor {
 
 impl World {
     fn build(setup: Setup, faults: Vec<FlakyFault>) -> World {
-        let clock = FaultClock::new(faults).crash_model(UnsyncedFate::Lost);
+        let clock = FaultClock::new(faults);
         let four_records = 4 * padded_len(SLOTS.len() as u64 * (RANGE_ENTRY_SIZE + 8));
         let log = Arc::new(MemDevice::with_len(LOG_AREA_START + four_records));
         let segs = MemResolver::new();

@@ -104,13 +104,6 @@ pub fn page_count(seg_len: u64) -> usize {
     seg_len.div_ceil(PAGE_SIZE) as usize
 }
 
-/// Byte length of `page` within a segment of `seg_len` bytes (the last
-/// page may be partial).
-pub fn page_len(seg_len: u64, page: usize) -> usize {
-    let off = page as u64 * PAGE_SIZE;
-    PAGE_SIZE.min(seg_len.saturating_sub(off)) as usize
-}
-
 /// The little-endian `u32`s of `bytes` (a multiple of four long).
 fn words(bytes: &[u8]) -> Vec<u32> {
     let word = |c: &[u8]| u32::from_le_bytes(c.try_into().unwrap_or_default());
@@ -187,13 +180,19 @@ impl SegmentChecksums {
         if known >= needed {
             return Ok(false);
         }
-        // Checksum the new pages outside the lock; entries never shrink,
-        // so a racing adopter can only have covered a prefix of them.
+        // Checksum the new pages outside the lock; entries shrink only as a
+        // grow drops a short last page no region maps, so a racing adopter
+        // can only have covered a prefix of them.
         let fresh = checksums_of(seg, end, known..needed)?;
         let mut entries = self.entries.lock();
         let adopted = entries.len() - known;
         entries.extend(fresh.into_iter().skip(adopted));
         Ok(true)
+    }
+
+    /// Stops covering pages `pages..`, in memory.
+    pub(crate) fn truncate(&self, pages: usize) {
+        self.entries.lock().truncate(pages);
     }
 
     /// Number of pages the catalog covers.
@@ -275,14 +274,6 @@ impl SegmentChecksums {
             dev.sync()?;
         }
         Ok(())
-    }
-}
-
-impl std::fmt::Debug for SegmentChecksums {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SegmentChecksums")
-            .field("pages", &self.pages())
-            .finish()
     }
 }
 
@@ -470,7 +461,6 @@ mod tests {
         let seg = seg_with(len, 5);
         let sums = checksums_of(seg.as_ref(), len, 1..2).unwrap();
         assert_eq!(sums, [crc32(&[5u8; 123])]);
-        assert_eq!(page_len(len, 1), 123);
         assert_eq!(page_count(len), 2);
     }
 

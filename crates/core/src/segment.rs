@@ -91,8 +91,8 @@ pub struct SegmentInfo {
 
 /// Resolves a segment name to a device.
 ///
-/// Called with the segment's name and the minimum length the caller needs;
-/// the returned device must be at least that long.
+/// Called with a name and the length the caller needs at least (the
+/// library asks for 0: it grows segments itself); returns at least that.
 pub type DeviceResolver =
     Arc<dyn Fn(&str, u64) -> rvm_storage::Result<Arc<dyn Device>> + Send + Sync>;
 
@@ -206,12 +206,10 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Resolves the device (at least `min_len` long) and the sidecar.
-    /// With `checksums` the persisted catalog is loaded as it is, for
-    /// [`Segment::adopt`] to complete. Without, this instance is about to
-    /// write the segment and keep no sums: a valid catalog an earlier run
-    /// left would go stale and still validate, so it is invalidated
-    /// *now* — before the first write — and the next run re-adopts.
+    /// Resolves the device as it is and the sidecar, then grows the device
+    /// to `min_len`. With `checksums` the catalog is loaded as it is, for
+    /// [`Segment::adopt`] to complete; without, a valid one an earlier run
+    /// left would go stale yet validate: it is invalidated before a write.
     fn open(
         info: &SegmentInfo,
         min_len: u64,
@@ -219,11 +217,7 @@ impl Segment {
         checksums: bool,
         media: Arc<MediaCounters>,
     ) -> Result<Self> {
-        let needed = min_len.max(info.min_len);
-        let dev = resolver(&info.name, needed)?;
-        if dev.len()? < needed {
-            dev.set_len(needed)?;
-        }
+        let dev = resolver(&info.name, 0)?;
         let side = resolver(&sidecar_name(&info.name), 0)?;
         let catalog = if checksums {
             Some(SegmentChecksums::load(side)?)
@@ -231,21 +225,36 @@ impl Segment {
             SegmentChecksums::invalidate(side.as_ref())?;
             None
         };
-        Ok(Self {
+        let segment = Self {
             id: info.id,
             name: info.name.clone(),
             dev,
             catalog,
             media,
-        })
+        };
+        segment.grow_to(min_len.max(info.min_len))?;
+        Ok(segment)
     }
 
-    /// Grows the device to hold `min_len` bytes (a later `map` reaching
-    /// past what the first one saw); the new pages await adoption.
+    /// Grows the device to hold `min_len` bytes; the new pages await
+    /// adoption. A short last page's entry goes stale as it zero-extends:
+    /// unless the page fails it, it is dropped and persisted first.
     fn grow_to(&self, min_len: u64) -> Result<()> {
-        if self.dev.len()? < min_len {
-            self.dev.set_len(min_len)?;
+        let len = self.dev.len()?;
+        if len >= min_len {
+            return Ok(());
         }
+        let (page, short) = ((len / PAGE_SIZE) as usize, (len % PAGE_SIZE) as usize);
+        let covered = self.catalog.as_ref().filter(|c| c.pages() > page);
+        if let Some(catalog) = covered.filter(|_| short > 0) {
+            let mut bytes = vec![0; short];
+            self.dev.read_at(len - short as u64, &mut bytes)?;
+            if catalog.verify(page, &bytes) {
+                catalog.truncate(page);
+                catalog.persist()?;
+            }
+        }
+        self.dev.set_len(min_len)?;
         Ok(())
     }
 

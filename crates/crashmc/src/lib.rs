@@ -12,18 +12,17 @@
 //!    transaction script with *ack points* — the op-log index at which
 //!    each flush-mode commit returned to the application.
 //!
-//! 2. **Crash-image enumeration** ([`enumerate`]): every `sync` boundary
-//!    (plus the end of the trace) is a crash point. At a crash point,
-//!    writes covered by an earlier completed `sync` on their device are
-//!    durable; writes since are *pending*, split into sector-granular
-//!    pieces, and any subset of the pieces may have reached the platter —
-//!    this is the `ArbitrarySubset` + `TornWrite` disk model, strictly
-//!    weaker (more adversarial) than "kept in order". Small piece sets
-//!    are enumerated exhaustively; large ones are sampled with seeded
-//!    pseudo-randomness plus a deterministic worst-case core (all-kept,
-//!    all-dropped, every single-piece drop). Images are deduplicated by
-//!    hash, so the reported state count is *distinct reachable crash
-//!    states*.
+//! 2. **Crash-image enumeration** ([`rvm_images`], the workspace's one
+//!    source of crash images): every `sync` boundary (plus the end of the
+//!    trace) is a crash point. At a crash point, writes covered by an
+//!    earlier completed `sync` on their device are durable; writes since
+//!    are *pending*, split into sector-granular pieces, and any subset of
+//!    the pieces may have reached the platter — torn, dropped, or kept
+//!    out of order. Small piece sets are enumerated exhaustively; large
+//!    ones are sampled with seeded pseudo-randomness plus a deterministic
+//!    worst-case core (all-kept, all-dropped, every single-piece drop).
+//!    Images are deduplicated by hash, so the reported state count is
+//!    *distinct reachable crash states*.
 //!
 //! 3. **Oracle** ([`oracle`]): each crash image is loaded into fresh
 //!    [`MemDevice`](rvm_storage::MemDevice)s and **real recovery** runs
@@ -49,15 +48,14 @@
 //! Traces serialize to disk ([`tracefile`]) so failing cases can be
 //! re-checked post mortem: `rvmlog <trace> crashck`.
 
-pub mod enumerate;
 pub mod oracle;
 pub mod tracefile;
 pub mod workload;
 
 use std::collections::HashSet;
 
-use enumerate::{enumerate_images, EnumConfig};
-use rvm_storage::TraceOp;
+use rvm_images::{enumerate_images, EnumConfig};
+use rvm_storage::{xorshift64, TraceOp, TraceOpKind};
 
 /// A device participating in a trace: identity plus its durable image at
 /// the moment recording started (the pre-crash base every enumeration
@@ -119,6 +117,47 @@ impl Trace {
     /// Committed transactions in trace order.
     pub fn committed(&self) -> impl Iterator<Item = &TxnSpec> {
         self.txns.iter().filter(|t| t.committed)
+    }
+
+    /// Crash points at which a pending log write begins inside a `sector`
+    /// whose bytes before it hold an acknowledged record: a durable write,
+    /// forced before some transaction's acknowledgement that precedes the
+    /// point. A dense log makes these — its records lie back to back, not
+    /// sector-aligned — and the enumerator tears only the bytes a write
+    /// covers, which is the one thing such a log assumes of the disk.
+    pub fn shared_sector_points(&self, sector: u64) -> usize {
+        let log = self.log_base().id;
+        let acked_between = |from: usize, to: usize| {
+            let mut acks = self.txns.iter().filter_map(|t| t.ack);
+            acks.any(|ack| ack > from && ack <= to)
+        };
+        // `(start, end, sync)` of every durable write; `(start, end)` pending.
+        let (mut durable, mut pending) = (Vec::<(u64, u64, usize)>::new(), Vec::new());
+        let mut points = 0;
+        let log_ops = self
+            .ops
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| op.device == log);
+        for (at, op) in log_ops {
+            match &op.kind {
+                TraceOpKind::Write { offset, data } => {
+                    pending.push((*offset, offset + data.len() as u64))
+                }
+                TraceOpKind::SetLen { .. } => {}
+                TraceOpKind::Sync => {
+                    let shares = pending.iter().any(|&(start, _)| {
+                        let sector_start = start - start % sector;
+                        durable.iter().any(|&(s, e, synced)| {
+                            s < start && e > sector_start && acked_between(synced, at)
+                        })
+                    });
+                    points += usize::from(shares);
+                    durable.extend(pending.drain(..).map(|(s, e)| (s, e, at)));
+                }
+            }
+        }
+        points
     }
 }
 
@@ -238,7 +277,8 @@ fn check_images(trace: &Trace, cfg: &EnumConfig, rot: Option<ImageTransform>) ->
     let mut seen: HashSet<(u64, usize)> = HashSet::new();
     let mut violations = Vec::new();
 
-    let stats = enumerate_images(trace, cfg, |point, kept, image_hash, images| {
+    let bases = trace.devices.iter().map(|d| d.image.clone()).collect();
+    let stats = enumerate_images(bases, &trace.ops, cfg, |point, kept, image_hash, images| {
         // The required prefix depends only on the crash point (acks are
         // monotone in the op-log), so (image, required-count) identifies
         // a recovery problem; equal pairs need only one recovery run.
@@ -337,37 +377,5 @@ fn rot_images(trace: &Trace, point: usize, seed: u64, images: &mut [(u32, Vec<u8
                 img[byte] ^= 0xA5;
             }
         }
-    }
-}
-
-/// xorshift64* — the crate's only randomness, fully determined by the
-/// seed (same generator as the storage fault layer).
-pub(crate) fn xorshift64(state: &mut u64) -> u64 {
-    if *state == 0 {
-        *state = 0x9E37_79B9_7F4A_7C15;
-    }
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn xorshift_is_deterministic_and_nonzero() {
-        let mut a = 42;
-        let mut b = 42;
-        for _ in 0..16 {
-            let x = xorshift64(&mut a);
-            assert_eq!(x, xorshift64(&mut b));
-            assert_ne!(x, 0);
-        }
-        let mut z = 0;
-        assert_ne!(xorshift64(&mut z), 0, "zero seed is remapped");
     }
 }

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rvm::segment::DeviceResolver;
 use rvm::{Options, RetryPolicy, Rvm};
-use rvm_storage::{Device, FaultClock, FaultDevice, FlakyFault, MemDevice, UnsyncedFate};
+use rvm_storage::{Device, FaultClock, FaultDevice, FlakyFault, MemDevice};
 
 use rvm_reference::{Commit, History, Images, Write};
 
@@ -268,8 +268,7 @@ pub fn check_recovery_determinism(parts: &CrashParts, crash_ops: &[u64]) -> Resu
 /// later ops fail, unsynced writes of the in-flight window are lost) and
 /// returns the resulting durable image.
 fn crash_during_recovery(parts: &CrashParts, k: u64) -> CrashParts {
-    let clock =
-        FaultClock::new(vec![FlakyFault::crash_after_ops(k)]).crash_model(UnsyncedFate::Lost);
+    let clock = FaultClock::new(vec![FlakyFault::crash_after_ops(k)]);
     let log_mem = Arc::new(MemDevice::from_image(parts.log.clone()));
     let log = Arc::new(FaultDevice::with_clock(log_mem.clone(), clock.clone()));
 

@@ -22,9 +22,9 @@ use rvm::segment::DeviceResolver;
 use rvm::{
     CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE,
 };
-use rvm_storage::{Device, MemDevice, TraceDevice, TraceRecorder};
+use rvm_storage::{xorshift64, Device, MemDevice, TraceDevice, TraceRecorder};
 
-use crate::{xorshift64, DeviceBase, SegWrite, Trace, TxnSpec};
+use crate::{DeviceBase, SegWrite, Trace, TxnSpec};
 
 /// The canned workload shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

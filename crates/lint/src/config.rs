@@ -13,13 +13,13 @@ pub struct LockDecl {
     /// Unique rank; acquisitions must be strictly rank-increasing while
     /// other locks are held.
     pub rank: i64,
-    /// Short name used in findings and rendered docs.
+    /// Short name used in findings.
     pub name: String,
     /// Acquisition patterns, `field.method` (e.g. `core.lock`,
     /// `regions.read`). Matched as a suffix of the receiver chain, the
     /// longest pattern winning.
     pub patterns: Vec<String>,
-    /// Human description for the rendered DESIGN.md section.
+    /// What the lock guards, for a reader of `lockorder.toml`.
     pub desc: String,
 }
 
@@ -39,7 +39,7 @@ pub struct CondvarDecl {
 pub struct LockOrder {
     pub locks: Vec<LockDecl>,
     pub condvars: Vec<CondvarDecl>,
-    /// Free-text preamble lines rendered into the docs section.
+    /// Free-text protocol notes beside the declarations.
     pub notes: Vec<String>,
 }
 
@@ -161,50 +161,6 @@ impl LockOrder {
     /// Lock declaration by name.
     pub fn by_name(&self, name: &str) -> Option<&LockDecl> {
         self.locks.iter().find(|l| l.name == name)
-    }
-
-    /// Renders the DESIGN.md "Locking" section body. This output is the
-    /// single source of truth shared by the docs and the checker; a test
-    /// asserts DESIGN.md contains it verbatim.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "The canonical lock acquisition order is declared in\n\
-             [`lockorder.toml`](lockorder.toml) and machine-checked by\n\
-             `rvm-lint` (pass `lock-order`) on every CI run; this section is\n\
-             rendered from that file (`rvm-lint --update-design`). Locks must\n\
-             be acquired in strictly increasing rank while any other lock is\n\
-             held; a condvar may only park on its declared lock, with nothing\n\
-             else held.\n\n",
-        );
-        out.push_str("| Rank | Lock | Acquired as | Role |\n");
-        out.push_str("|---|---|---|---|\n");
-        for l in &self.locks {
-            let pats: Vec<String> = l.patterns.iter().map(|p| format!("`{p}()`")).collect();
-            out.push_str(&format!(
-                "| {} | {} | {} | {} |\n",
-                l.rank,
-                l.name,
-                pats.join(", "),
-                l.desc
-            ));
-        }
-        if !self.condvars.is_empty() {
-            out.push_str("\nCondvars (each releases its lock while parked):\n\n");
-            for c in &self.condvars {
-                out.push_str(&format!(
-                    "* `{}` parks on **{}** — {}\n",
-                    c.name, c.parks, c.desc
-                ));
-            }
-        }
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for n in &self.notes {
-                out.push_str(&format!("* {n}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -385,7 +341,7 @@ impl AtomicDecl {
 #[derive(Debug, Clone, Default)]
 pub struct AtomicsSpec {
     pub atomics: Vec<AtomicDecl>,
-    /// Free-text preamble lines rendered into the docs section.
+    /// Free-text protocol notes beside the declarations.
     pub notes: Vec<String>,
 }
 
@@ -498,60 +454,6 @@ impl AtomicsSpec {
     /// Declaration by name.
     pub fn by_name(&self, name: &str) -> Option<&AtomicDecl> {
         self.atomics.iter().find(|a| a.name == name)
-    }
-
-    /// Renders the DESIGN.md "Memory ordering" section body — the single
-    /// source of truth shared by the docs and the checker.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "Every atomic in `crates/core` is declared in\n\
-             [`atomics.toml`](atomics.toml) with a *role* and an allowed\n\
-             memory-ordering set per operation, machine-checked by `rvm-lint`\n\
-             (pass `atomics`) on every CI run; this section is rendered from\n\
-             that file (`rvm-lint --update-design`). Undeclared atomics,\n\
-             orderings outside the declared set and weakened CAS failure\n\
-             orderings are findings.\n\n",
-        );
-        out.push_str("| Declaration | Role | Fields | Allowed orderings |\n");
-        out.push_str("|---|---|---|---|\n");
-        for a in &self.atomics {
-            let fields: Vec<String> = a.fields.iter().map(|f| format!("`{f}`")).collect();
-            let mut ords: Vec<String> = Vec::new();
-            for op in OpClass::ALL {
-                let set = a.allowed(op);
-                if set.is_empty() {
-                    continue;
-                }
-                let names: Vec<&str> = set.iter().map(|o| o.as_str()).collect();
-                ords.push(format!("{}: {}", op.key(), names.join("/")));
-            }
-            let mut role = a.role.as_str().to_string();
-            if a.binding {
-                role.push_str(" (binding)");
-            }
-            out.push_str(&format!(
-                "| {} | {} | {} | {} |\n",
-                a.name,
-                role,
-                fields.join(", "),
-                ords.join(" · ")
-            ));
-        }
-        let descs: Vec<&AtomicDecl> = self.atomics.iter().filter(|a| !a.desc.is_empty()).collect();
-        if !descs.is_empty() {
-            out.push('\n');
-            for a in descs {
-                out.push_str(&format!("* **{}** — {}\n", a.name, a.desc));
-            }
-        }
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for n in &self.notes {
-                out.push_str(&format!("* {n}\n"));
-            }
-        }
-        out
     }
 }
 
@@ -669,7 +571,6 @@ desc = "epoch completion"
         let o = LockOrder::parse(MINIMAL).unwrap();
         assert_eq!(o.locks.len(), 2);
         assert_eq!(o.condvars[0].parks, "core");
-        assert!(o.render_markdown().contains("| 10 | core |"));
     }
 
     #[test]
@@ -697,7 +598,7 @@ load = ["Acquire", "Relaxed"]
 "#;
 
     #[test]
-    fn atomics_parse_roles_overrides_and_render() {
+    fn atomics_parse_roles_and_overrides() {
         let spec = AtomicsSpec::parse(ATOMICS_MINIMAL).unwrap();
         assert_eq!(spec.atomics.len(), 2);
         let hits = spec.by_name("hits").unwrap();
@@ -714,9 +615,6 @@ load = ["Acquire", "Relaxed"]
             tail.allowed(OpClass::Store),
             &[MemOrd::Release, MemOrd::SeqCst]
         );
-        let md = spec.render_markdown();
-        assert!(md.contains("| hits | counter |"), "{md}");
-        assert!(md.contains("load: Acquire/Relaxed"), "{md}");
     }
 
     #[test]

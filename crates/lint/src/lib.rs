@@ -319,54 +319,6 @@ impl Report {
     }
 }
 
-/// Markers delimiting the rendered Locking section inside DESIGN.md.
-pub const DESIGN_BEGIN: &str = "<!-- lockorder:begin (rendered by rvm-lint --update-design) -->";
-pub const DESIGN_END: &str = "<!-- lockorder:end -->";
-
-/// Markers delimiting the rendered Memory-ordering section.
-pub const DESIGN_ATOMICS_BEGIN: &str =
-    "<!-- atomics:begin (rendered by rvm-lint --update-design) -->";
-pub const DESIGN_ATOMICS_END: &str = "<!-- atomics:end -->";
-
-/// Replaces the text between `begin` and `end` markers with `body`.
-/// Returns `None` if either marker is missing (or out of order).
-pub fn splice_section(src: &str, begin: &str, end: &str, body: &str) -> Option<String> {
-    let begin_at = src.find(begin)?;
-    let end_at = src.find(end)?;
-    if end_at < begin_at {
-        return None;
-    }
-    let mut out = String::new();
-    out.push_str(&src[..begin_at + begin.len()]);
-    out.push_str("\n\n");
-    out.push_str(body);
-    out.push('\n');
-    out.push_str(&src[end_at..]);
-    Some(out)
-}
-
-/// Replaces the marked Locking region of `design_src` with the section
-/// rendered from `order`. Returns `None` if the markers are missing.
-pub fn splice_design(design_src: &str, order: &LockOrder) -> Option<String> {
-    splice_section(
-        design_src,
-        DESIGN_BEGIN,
-        DESIGN_END,
-        &order.render_markdown(),
-    )
-}
-
-/// Replaces the marked Memory-ordering region with the section rendered
-/// from `spec`. Returns `None` if the markers are missing.
-pub fn splice_design_atomics(design_src: &str, spec: &AtomicsSpec) -> Option<String> {
-    splice_section(
-        design_src,
-        DESIGN_ATOMICS_BEGIN,
-        DESIGN_ATOMICS_END,
-        &spec.render_markdown(),
-    )
-}
-
 const USAGE: &str = "\
 rvm-lint — static analysis for the RVM workspace
 
@@ -381,9 +333,6 @@ OPTIONS:
     --json                emit the machine-readable report on stdout
     --write-baseline      rewrite the baseline to the current findings
                           (preserving notes, sorted) and exit 0
-    --update-design       re-render the Locking and Memory-ordering
-                          sections of DESIGN.md from the declarations
-                          and exit 0
     -h, --help            this help
 
 EXIT STATUS:
@@ -421,7 +370,6 @@ pub fn cli_main(argv: &[String]) -> i32 {
     let mut baseline: Option<PathBuf> = None;
     let mut json = false;
     let mut write_baseline = false;
-    let mut update_design = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" | "--lockorder" | "--atomics" | "--baseline" => {
@@ -438,7 +386,6 @@ pub fn cli_main(argv: &[String]) -> i32 {
             }
             "--json" => json = true,
             "--write-baseline" => write_baseline = true,
-            "--update-design" => update_design = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return 0;
@@ -460,42 +407,6 @@ pub fn cli_main(argv: &[String]) -> i32 {
     }
     if let Some(p) = baseline {
         opts.baseline = p;
-    }
-
-    if update_design {
-        let order = match LockOrder::load(&opts.lockorder) {
-            Ok(o) => o,
-            Err(e) => return fail(&e.to_string()),
-        };
-        let design = root.join("DESIGN.md");
-        let src = match std::fs::read_to_string(&design) {
-            Ok(s) => s,
-            Err(e) => return fail(&format!("reading {}: {e}", design.display())),
-        };
-        let Some(mut out) = splice_design(&src, &order) else {
-            return fail("DESIGN.md has no lockorder:begin/end markers");
-        };
-        // The Memory-ordering section only exists once atomics.toml
-        // does; with no spec file there is nothing to render.
-        if opts.atomics.is_file() {
-            let spec = match AtomicsSpec::load(&opts.atomics) {
-                Ok(s) => s,
-                Err(e) => return fail(&e.to_string()),
-            };
-            let Some(spliced) = splice_design_atomics(&out, &spec) else {
-                return fail("DESIGN.md has no atomics:begin/end markers");
-            };
-            out = spliced;
-        }
-        if out != src {
-            if let Err(e) = std::fs::write(&design, out) {
-                return fail(&format!("writing {}: {e}", design.display()));
-            }
-            eprintln!("rvm-lint: DESIGN.md rendered sections updated");
-        } else {
-            eprintln!("rvm-lint: DESIGN.md rendered sections already current");
-        }
-        return 0;
     }
 
     let report = match lint_workspace(&opts) {
@@ -550,19 +461,5 @@ mod tests {
             assert!(!in_scope(p, "crates/lint/src/lib.rs"));
             assert!(!in_scope(p, "vendor/rand/src/lib.rs"));
         }
-    }
-
-    #[test]
-    fn design_splice_replaces_marked_region() {
-        let order = LockOrder::parse(
-            "[[lock]]\nrank = 1\nname = \"core\"\npatterns = [\"core.lock\"]\ndesc = \"d\"\n",
-        )
-        .unwrap();
-        let doc = format!("# Title\n\n{DESIGN_BEGIN}\nold\n{DESIGN_END}\n\ntail\n");
-        let out = splice_design(&doc, &order).unwrap();
-        assert!(out.contains("| 1 | core |"));
-        assert!(!out.contains("\nold\n"));
-        assert!(out.contains("tail"));
-        assert!(splice_design("no markers", &order).is_none());
     }
 }

@@ -34,9 +34,9 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use rvm_crashmc::enumerate::EnumConfig;
 use rvm_crashmc::workload::{run_workload, Workload};
 use rvm_crashmc::{check_trace, check_trace_with_rot, Trace};
+use rvm_images::EnumConfig;
 use rvm_logtool::{format_entry, LogInspector};
 use rvm_storage::FileDevice;
 
@@ -67,7 +67,7 @@ fn usage() -> ! {
 
 /// `rvmlog lint` — the workspace static analyzer. Takes no log file;
 /// all arguments pass straight through to `rvm-lint` (`--json`,
-/// `--root`, `--write-baseline`, `--update-design`, ...).
+/// `--root`, `--write-baseline`, ...).
 fn lint(args: &[String]) -> ! {
     exit(rvm_lint::cli_main(args));
 }

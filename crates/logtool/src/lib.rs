@@ -17,7 +17,7 @@ use rvm::log::status::{
     read_status, StatusBlock, LOG_AREA_START, STATUS_A_OFFSET, STATUS_BLOCK_SIZE, STATUS_B_OFFSET,
 };
 use rvm::log::wal::{scan_backward, scan_forward};
-use rvm::scrub::{checksums_of, page_count, page_len, sidecar_name, SegmentChecksums};
+use rvm::scrub::{checksums_of, page_count, sidecar_name, SegmentChecksums};
 pub use rvm::segment::DeviceResolver as Resolver;
 use rvm::segment::{DeviceResolver, SegmentId};
 use rvm::{Result, RvmError, PAGE_SIZE};
@@ -540,7 +540,7 @@ impl LogInspector {
             let mut wrote = false;
             for &page in &seg_scrub.mismatched {
                 let start = page as u64 * PAGE_SIZE;
-                let plen = page_len(seg_len, page) as u64;
+                let plen = PAGE_SIZE.min(seg_len.saturating_sub(start));
                 let covered: u64 = tree
                     .iter()
                     .map(|(off, data)| {

@@ -6,9 +6,11 @@
 //!
 //! * **a crash** — once the clock's devices have written a byte budget (a
 //!   [`CrashPlan`]) or a scheduled [`FaultKind::Crash`] fires, every later
-//!   operation fails with [`DeviceError::Crashed`], and the writes issued
-//!   since each device's last successful `sync` meet the clock's
-//!   [`UnsyncedFate`];
+//!   operation fails with [`DeviceError::Crashed`], and every device on the
+//!   clock is rolled back to its last successful `sync`. The clock then
+//!   hands out the writes it rolled back ([`FaultClock::rolled_back`]), so
+//!   the crash images between "none kept" and "all kept" come from one
+//!   enumerator (`rvm-images`), not from here;
 //! * **flaky hardware** — the Nth read, write or sync fails with a
 //!   transient or permanent [`DeviceError::Injected`], optionally for a run
 //!   of K consecutive operations before healing, or silently rots its data.
@@ -25,89 +27,22 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::{Device, DeviceError, FaultOp, Result};
+use crate::{Device, DeviceError, FaultOp, Result, TraceOp, TraceOpKind};
 
-/// What happens to writes issued after the last successful `sync` when the
-/// clock crashes.
-///
-/// A real power failure may preserve any subset of unsynced writes.
-/// [`KeptInOrder`](UnsyncedFate::KeptInOrder) and
-/// [`Lost`](UnsyncedFate::Lost) bracket that space with the two extremes;
-/// [`ArbitrarySubset`](UnsyncedFate::ArbitrarySubset) and
-/// [`TornWrite`](UnsyncedFate::TornWrite) sample the interior — the
-/// reorder/torn-write windows that hand-picked crash matrices miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsyncedFate {
-    /// Every byte written before the crash point persists, in write order;
-    /// the write in flight at the crash point is torn (a prefix persists).
-    KeptInOrder,
-    /// All writes since the last successful `sync` are rolled back, as if
-    /// they never reached the platter.
-    Lost,
-    /// Each write since the last successful `sync` independently persists
-    /// or vanishes, decided pseudo-randomly from `seed` (xorshift64*);
-    /// surviving writes apply in their original order. Models a drive that
-    /// reorders its write cache arbitrarily across a power cut.
-    ArbitrarySubset {
-        /// Seed for the keep/drop coin flips; the same seed replays the
-        /// same subset bit-for-bit.
-        seed: u64,
-    },
-    /// Like [`KeptInOrder`](UnsyncedFate::KeptInOrder), but the write in
-    /// flight at the crash point tears on a sector boundary: only whole
-    /// leading sectors of it persist. Models the sector-granular
-    /// atomicity a real disk offers a multi-sector write.
-    TornWrite {
-        /// Sector size in bytes (must be nonzero).
-        sector: u64,
-    },
-}
-
-/// A plan describing when and how a [`FaultDevice`] crashes.
+/// When a [`FaultDevice`] crashes: once its clock's devices have written
+/// `after_bytes` bytes. The write that crosses the budget is cut at it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPlan {
     /// Fire the crash once this many total bytes have been written through
     /// the device (the triggering write is the one that crosses this count).
     pub after_bytes: u64,
-    /// Fate of unsynced writes at the moment of the crash.
-    pub unsynced: UnsyncedFate,
 }
 
 impl CrashPlan {
-    /// A plan that crashes after `after_bytes` written, keeping all earlier
-    /// bytes (torn final write).
-    pub fn torn_at(after_bytes: u64) -> Self {
-        Self {
-            after_bytes,
-            unsynced: UnsyncedFate::KeptInOrder,
-        }
-    }
-
     /// A plan that crashes after `after_bytes` written and loses everything
     /// since the last sync.
     pub fn lose_unsynced_at(after_bytes: u64) -> Self {
-        Self {
-            after_bytes,
-            unsynced: UnsyncedFate::Lost,
-        }
-    }
-
-    /// A plan that crashes after `after_bytes` written, keeping a seeded
-    /// arbitrary subset of the unsynced writes.
-    pub fn arbitrary_subset_at(after_bytes: u64, seed: u64) -> Self {
-        Self {
-            after_bytes,
-            unsynced: UnsyncedFate::ArbitrarySubset { seed },
-        }
-    }
-
-    /// A plan that crashes after `after_bytes` written, tearing the
-    /// in-flight write on a `sector`-byte boundary.
-    pub fn torn_sector_at(after_bytes: u64, sector: u64) -> Self {
-        Self {
-            after_bytes,
-            unsynced: UnsyncedFate::TornWrite { sector },
-        }
+        Self { after_bytes }
     }
 }
 
@@ -209,21 +144,19 @@ impl FlakyFault {
     }
 }
 
-/// The xorshift64* state for `seed` (zero would stick at zero).
-fn seed_rng(seed: u64) -> u64 {
-    if seed == 0 {
-        0x9E3779B97F4A7C15
-    } else {
-        seed
+/// xorshift64*: advances `state` (a zero state, which would stick at
+/// zero, starts from a fixed constant) and returns its next output. The
+/// workspace's one generator: seeded clocks, crash-image samples and the
+/// crash checker's workloads all replay bit-for-bit from their seeds.
+pub fn xorshift64(state: &mut u64) -> u64 {
+    if *state == 0 {
+        *state = 0x9E37_79B9_7F4A_7C15;
     }
-}
-
-/// Advances the xorshift64* state `x` and returns its next output.
-fn next_rand(x: &mut u64) -> u64 {
+    let x = state;
     *x ^= *x >> 12;
     *x ^= *x << 25;
     *x ^= *x >> 27;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// How the clock disposed of one admitted (non-failing) operation.
@@ -270,10 +203,9 @@ struct ClockState {
     after_bytes: u64,
     /// Bytes persisted through every device on the clock.
     bytes_written: u64,
-    unsynced: UnsyncedFate,
     /// Every write since its device's last *successful* sync, in global
-    /// write order — a failed sync is not a durability barrier. Kept only
-    /// for the fates that undo writes.
+    /// write order — a failed sync is not a durability barrier. After the
+    /// crash, the writes it rolled back.
     journal: Vec<JournalEntry>,
     crashed: bool,
     /// Number of faults injected so far (all kinds, bit rot included).
@@ -293,7 +225,6 @@ impl ClockState {
             rot_per_mille: 0,
             after_bytes: u64::MAX,
             bytes_written: 0,
-            unsynced: UnsyncedFate::KeptInOrder,
             journal: Vec::new(),
             crashed: false,
             injected: 0,
@@ -327,7 +258,7 @@ impl ClockState {
             }
         }
         if verdict.is_none() && self.per_mille > 0 {
-            let roll = (next_rand(&mut self.rng) >> 32) % 1000;
+            let roll = (xorshift64(&mut self.rng) >> 32) % 1000;
             if (roll as u32) < self.per_mille {
                 verdict = Some(FaultKind::Transient);
             }
@@ -335,7 +266,7 @@ impl ClockState {
         if verdict.is_none() && self.rot_per_mille > 0 {
             // A second, independent roll for the rot channel. Guarded so
             // rot-free seeded clocks keep their historical rng stream.
-            let roll = (next_rand(&mut self.rng) >> 32) % 1000;
+            let roll = (xorshift64(&mut self.rng) >> 32) % 1000;
             if (roll as u32) < self.rot_per_mille {
                 verdict = Some(FaultKind::BitRot);
             }
@@ -366,30 +297,16 @@ impl ClockState {
     }
 
     /// Fires the crash and settles every device on the clock: the journal
-    /// is rolled back in reverse order, then the writes the fate keeps are
-    /// re-applied in order — exactly the image a reordering write cache
-    /// could expose, even for overlapping writes.
+    /// is rolled back in reverse order, which leaves each device as it was
+    /// at its last successful sync even where writes overlap. The journal
+    /// stays, as the writes the crash rolled back.
     fn crash(&mut self) -> DeviceError {
         self.crashed = true;
-        let journal = std::mem::take(&mut self.journal);
-        let mut rng = match self.unsynced {
-            UnsyncedFate::ArbitrarySubset { seed } => Some(seed_rng(seed)),
-            _ => None,
-        };
-        // `Lost` keeps nothing; `ArbitrarySubset` flips a coin per write.
-        let keep: Vec<bool> = journal
-            .iter()
-            .map(|_| rng.as_mut().is_some_and(|x| next_rand(x) >> 63 == 1))
-            .collect();
         // A failure to roll back would leave a *more* adversarial image,
         // which recovery must tolerate anyway; ignore it.
-        for entry in journal.iter().rev() {
-            // lint:allow(device-fallibility): crash simulation builds the torn image
+        for entry in self.journal.iter().rev() {
+            // lint:allow(device-fallibility): crash simulation rolls the device back
             let _ = entry.dev.write_at(entry.offset, &entry.old);
-        }
-        for (entry, _) in journal.iter().zip(keep).filter(|(_, kept)| *kept) {
-            // lint:allow(device-fallibility): crash simulation builds the torn image
-            let _ = entry.dev.write_at(entry.offset, &entry.new);
         }
         DeviceError::Crashed
     }
@@ -420,7 +337,7 @@ impl FaultClock {
     /// xorshift64* stream, so a storm replays bit-for-bit from its seed.
     pub fn seeded_with_rot(seed: u64, fail_per_mille: u32, rot_per_mille: u32) -> Arc<Self> {
         Self::with_state(ClockState {
-            rng: seed_rng(seed),
+            rng: seed,
             per_mille: fail_per_mille.min(1000),
             rot_per_mille: rot_per_mille.min(1000),
             ..ClockState::new(Vec::new())
@@ -431,15 +348,6 @@ impl FaultClock {
         Arc::new(FaultClock {
             state: Mutex::new(state),
         })
-    }
-
-    /// Sets the fate of unsynced writes when this clock crashes
-    /// ([`UnsyncedFate::KeptInOrder`] unless set). Set it before the
-    /// clock's first write: the fates that undo writes journal them from
-    /// then on.
-    pub fn crash_model(self: Arc<Self>, fate: UnsyncedFate) -> Arc<Self> {
-        self.state.lock().unsynced = fate;
-        self
     }
 
     /// Total operations admitted or failed so far, across all ops.
@@ -469,13 +377,42 @@ impl FaultClock {
     }
 
     /// Crashes the clock now, as a scheduled [`FaultKind::Crash`] would:
-    /// every device on it settles by its [`UnsyncedFate`], and every later
-    /// operation fails with [`DeviceError::Crashed`].
+    /// every device on it rolls back to its last successful sync, and
+    /// every later operation fails with [`DeviceError::Crashed`].
     pub fn crash_now(&self) {
         let mut s = self.state.lock();
         if !s.crashed {
             s.crash();
         }
+    }
+
+    /// The writes the crash rolled back on `devices` (the devices the
+    /// clock's [`FaultDevice`]s wrap), in issue order, each naming its
+    /// device by its index in `devices`. Each device holds its image as
+    /// of its last successful sync; these writes were pending on top of
+    /// it, and any subset of them may have reached the media. Empty
+    /// before the clock crashes.
+    ///
+    /// # Panics
+    ///
+    /// If a rolled-back write landed on a device `devices` does not list:
+    /// its images would silently lose that write.
+    pub fn rolled_back(&self, devices: &[Arc<dyn Device>]) -> Vec<TraceOp> {
+        let s = self.state.lock();
+        if !s.crashed {
+            return Vec::new();
+        }
+        let op = |entry: &JournalEntry| {
+            let device = devices.iter().position(|d| Arc::ptr_eq(d, &entry.dev));
+            let device = device.expect("every device the crash rolled back is listed");
+            let (offset, data) = (entry.offset, entry.new.clone());
+            let kind = TraceOpKind::Write { offset, data };
+            TraceOp {
+                device: device as u32,
+                kind,
+            }
+        };
+        s.journal.iter().map(op).collect()
     }
 }
 
@@ -494,30 +431,32 @@ fn rot_buf(buf: &mut [u8], salt: u64) {
 /// Writes pass through to the inner device immediately. An injected
 /// failure is fail-stop: a failed `write_at` writes nothing, a failed
 /// `sync` flushes nothing (and so protects nothing). The write that
-/// crosses the clock's byte budget persists only the prefix that fits —
-/// whole sectors of it under [`UnsyncedFate::TornWrite`] — and crashes the
-/// clock. `len` and `set_len` never inject faults but do fail once the
-/// clock has crashed.
+/// crosses the clock's byte budget is cut at the budget, pends like any
+/// other, and crashes the clock. `len` and `set_len` never inject faults
+/// but do fail once the clock has crashed; a `set_len` is not rolled back.
 ///
 /// After the crash every operation fails with [`DeviceError::Crashed`];
-/// the *inner* device then holds exactly the post-crash durable image,
-/// ready to be handed to a fresh RVM instance for recovery.
+/// the *inner* device then holds its image as of its last successful
+/// sync, and [`FaultClock::rolled_back`] names the writes that were
+/// pending on it.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use rvm_storage::{CrashPlan, Device, DeviceError, FaultDevice, MemDevice};
+/// use rvm_storage::{CrashPlan, Device, DeviceError, FaultDevice, MemDevice, TraceOpKind};
 ///
 /// let inner = Arc::new(MemDevice::with_len(8));
-/// let dev = FaultDevice::new(inner.clone(), CrashPlan::torn_at(6));
+/// let dev = FaultDevice::new(inner.clone(), CrashPlan::lose_unsynced_at(6));
 /// dev.write_at(0, &[1, 2, 3, 4]).unwrap();
-/// // This write crosses the 6-byte budget: only its first 2 bytes persist.
+/// dev.sync().unwrap();
+/// // This write crosses the 6-byte budget: it is cut to its first 2 bytes.
 /// let err = dev.write_at(4, &[5, 6, 7, 8]).unwrap_err();
 /// assert!(matches!(err, DeviceError::Crashed));
-/// let mut image = [0u8; 8];
-/// inner.read_at(0, &mut image).unwrap();
-/// assert_eq!(image, [1, 2, 3, 4, 5, 6, 0, 0]);
+/// assert_eq!(inner.snapshot(), [1, 2, 3, 4, 0, 0, 0, 0]);
+/// let pending = dev.clock().rolled_back(&[inner as Arc<dyn Device>]);
+/// let data = vec![5, 6];
+/// assert_eq!(pending[0].kind, TraceOpKind::Write { offset: 4, data });
 /// ```
 pub struct FaultDevice {
     inner: Arc<dyn Device>,
@@ -529,7 +468,6 @@ impl FaultDevice {
     pub fn new(inner: Arc<dyn Device>, plan: CrashPlan) -> Self {
         let clock = FaultClock::with_state(ClockState {
             after_bytes: plan.after_bytes,
-            unsynced: plan.unsynced,
             ..ClockState::new(Vec::new())
         });
         Self::with_clock(inner, clock)
@@ -538,7 +476,7 @@ impl FaultDevice {
     /// Wraps `inner` with a plan that never fires, useful for recording the
     /// total bytes a scenario writes before replaying it with crash points.
     pub fn recording(inner: Arc<dyn Device>) -> Self {
-        Self::new(inner, CrashPlan::torn_at(u64::MAX))
+        Self::new(inner, CrashPlan::lose_unsynced_at(u64::MAX))
     }
 
     /// Wraps `inner` with an existing (possibly shared) clock.
@@ -594,30 +532,18 @@ impl Device for FaultDevice {
         };
         let remaining = s.after_bytes.saturating_sub(s.bytes_written);
         let crosses = data.len() as u64 > remaining;
-        let mut persist_len = (data.len() as u64).min(remaining) as usize;
-        if let (true, UnsyncedFate::TornWrite { sector }) = (crosses, s.unsynced) {
-            persist_len -= persist_len % sector.max(1) as usize;
-        }
-
-        if persist_len > 0 {
-            let data = &data[..persist_len];
-            if matches!(
-                s.unsynced,
-                UnsyncedFate::Lost | UnsyncedFate::ArbitrarySubset { .. }
-            ) {
-                let mut old = vec![0u8; persist_len];
-                self.inner.read_at(offset, &mut old)?;
-                self.inner.write_at(offset, data)?;
-                s.journal.push(JournalEntry {
-                    dev: Arc::clone(&self.inner),
-                    offset,
-                    old,
-                    new: data.to_vec(),
-                });
-            } else {
-                self.inner.write_at(offset, data)?;
-            }
-            s.bytes_written += persist_len as u64;
+        let data = &data[..(data.len() as u64).min(remaining) as usize];
+        if !data.is_empty() {
+            let mut old = vec![0u8; data.len()];
+            self.inner.read_at(offset, &mut old)?;
+            self.inner.write_at(offset, data)?;
+            s.journal.push(JournalEntry {
+                dev: Arc::clone(&self.inner),
+                offset,
+                old,
+                new: data.to_vec(),
+            });
+            s.bytes_written += data.len() as u64;
         }
 
         if crosses || s.bytes_written >= s.after_bytes {
@@ -661,6 +587,16 @@ mod tests {
         dev.snapshot()
     }
 
+    /// The writes `dev`'s clock rolled back on `inner`, as `(offset, data)`.
+    fn rolled_back(dev: &FaultDevice, inner: &Arc<MemDevice>) -> Vec<(u64, Vec<u8>)> {
+        let ops = dev.clock().rolled_back(&[inner.clone() as Arc<dyn Device>]);
+        let write = |op: TraceOp| match op.kind {
+            TraceOpKind::Write { offset, data } => (offset, data),
+            kind => panic!("a clock rolls back writes only, not {kind:?}"),
+        };
+        ops.into_iter().map(write).collect()
+    }
+
     #[test]
     fn recording_never_crashes() {
         let inner = Arc::new(MemDevice::with_len(1024));
@@ -674,20 +610,35 @@ mod tests {
 
     #[test]
     fn torn_write_keeps_prefix() {
+        // The write that crosses the budget pends cut at it.
         let inner = Arc::new(MemDevice::with_len(8));
-        let dev = FaultDevice::new(inner.clone(), CrashPlan::torn_at(3));
+        let dev = FaultDevice::new(inner.clone(), CrashPlan::lose_unsynced_at(3));
         let err = dev.write_at(0, &[1, 2, 3, 4, 5]).unwrap_err();
         assert!(matches!(err, DeviceError::Crashed));
-        assert_eq!(image(&inner), vec![1, 2, 3, 0, 0, 0, 0, 0]);
+        assert_eq!(image(&inner), vec![0; 8]);
+        assert_eq!(rolled_back(&dev, &inner), vec![(0, vec![1, 2, 3])]);
+    }
+
+    #[test]
+    fn torn_write_keeps_earlier_writes_in_order() {
+        let inner = Arc::new(MemDevice::with_len(16));
+        let dev = FaultDevice::new(inner.clone(), CrashPlan::lose_unsynced_at(6));
+        dev.write_at(0, &[1; 4]).unwrap();
+        // Crossing write: 2 bytes of budget remain, so it pends as its
+        // first 2 bytes, behind the write before it.
+        let err = dev.write_at(4, &[2; 4]).unwrap_err();
+        assert!(matches!(err, DeviceError::Crashed));
+        let pending = vec![(0, vec![1; 4]), (4, vec![2; 2])];
+        assert_eq!(rolled_back(&dev, &inner), pending);
     }
 
     #[test]
     fn exact_budget_crashes_after_full_write() {
         let inner = Arc::new(MemDevice::with_len(8));
-        let dev = FaultDevice::new(inner.clone(), CrashPlan::torn_at(4));
+        let dev = FaultDevice::new(inner.clone(), CrashPlan::lose_unsynced_at(4));
         let err = dev.write_at(0, &[1, 2, 3, 4]).unwrap_err();
         assert!(matches!(err, DeviceError::Crashed));
-        assert_eq!(image(&inner), vec![1, 2, 3, 4, 0, 0, 0, 0]);
+        assert_eq!(rolled_back(&dev, &inner), vec![(0, vec![1, 2, 3, 4])]);
     }
 
     #[test]
@@ -697,10 +648,14 @@ mod tests {
         dev.write_at(0, &[1, 1]).unwrap();
         dev.sync().unwrap();
         dev.write_at(2, &[2, 2]).unwrap();
-        // Crossing the budget: both unsynced writes must vanish.
+        // Crossing the budget: both unsynced writes must vanish, and the
+        // clock hands both out in issue order, the second cut at the
+        // budget.
         let err = dev.write_at(4, &[3, 3, 3]).unwrap_err();
         assert!(matches!(err, DeviceError::Crashed));
         assert_eq!(image(&inner), vec![1, 1, 0, 0, 0, 0, 0, 0]);
+        let pending = vec![(2, vec![2, 2]), (4, vec![3, 3])];
+        assert_eq!(rolled_back(&dev, &inner), pending);
     }
 
     #[test]
@@ -721,7 +676,7 @@ mod tests {
     #[test]
     fn all_operations_fail_after_crash() {
         let inner = Arc::new(MemDevice::with_len(4));
-        let dev = FaultDevice::new(inner, CrashPlan::torn_at(0));
+        let dev = FaultDevice::new(inner, CrashPlan::lose_unsynced_at(0));
         assert!(dev.write_at(0, &[1]).is_err());
         assert!(dev.has_crashed());
         assert!(matches!(
@@ -744,93 +699,7 @@ mod tests {
         // The synced bytes survive; the post-sync write is rolled back even
         // though one of its bytes was within budget.
         assert_eq!(image(&inner), vec![5, 5, 0, 0]);
-    }
-
-    #[test]
-    fn torn_write_tears_on_sector_boundary() {
-        let inner = Arc::new(MemDevice::with_len(16));
-        // Budget 10: the 12-byte write crosses it; with 4-byte sectors only
-        // the first two whole sectors (8 bytes) may persist.
-        let dev = FaultDevice::new(inner.clone(), CrashPlan::torn_sector_at(10, 4));
-        let err = dev.write_at(0, &[7; 12]).unwrap_err();
-        assert!(matches!(err, DeviceError::Crashed));
-        let mut expect = vec![7u8; 8];
-        expect.extend_from_slice(&[0; 8]);
-        assert_eq!(image(&inner), expect);
-    }
-
-    #[test]
-    fn torn_write_keeps_earlier_writes_in_order() {
-        let inner = Arc::new(MemDevice::with_len(16));
-        let dev = FaultDevice::new(inner.clone(), CrashPlan::torn_sector_at(6, 4));
-        dev.write_at(0, &[1; 4]).unwrap();
-        // Crossing write: 2 bytes of budget remain, under one 4-byte
-        // sector, so none of it persists.
-        let err = dev.write_at(4, &[2; 4]).unwrap_err();
-        assert!(matches!(err, DeviceError::Crashed));
-        let mut expect = vec![1u8; 4];
-        expect.extend_from_slice(&[0; 12]);
-        assert_eq!(image(&inner), expect);
-    }
-
-    #[test]
-    fn arbitrary_subset_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let inner = Arc::new(MemDevice::with_len(8));
-            let dev = FaultDevice::new(inner.clone(), CrashPlan::arbitrary_subset_at(8, seed));
-            for i in 0..8u64 {
-                let _ = dev.write_at(i, &[i as u8 + 1]);
-            }
-            assert!(dev.has_crashed());
-            image(&inner)
-        };
-        assert_eq!(run(42), run(42));
-        // Across many seeds the kept subsets differ (overwhelmingly
-        // likely); find two seeds that disagree.
-        assert!((1..32u64).any(|s| run(s) != run(s + 100)));
-    }
-
-    #[test]
-    fn arbitrary_subset_applies_kept_writes_in_order() {
-        // Two overlapping writes: whatever the subset, the overlap region
-        // must read as one of {old, first, second} consistent with
-        // in-order application of the kept subset — never a value the
-        // device was never asked to hold.
-        for seed in 1..64u64 {
-            let inner = Arc::new(MemDevice::with_len(4));
-            let dev = FaultDevice::new(inner.clone(), CrashPlan::arbitrary_subset_at(9, seed));
-            dev.write_at(0, &[1, 1, 1, 1]).unwrap();
-            dev.write_at(0, &[2, 2, 2, 2]).unwrap();
-            let _ = dev.write_at(0, &[3]);
-            assert!(dev.has_crashed());
-            let img = image(&inner);
-            // Byte 3 is only touched by writes 1 and 2.
-            assert!(
-                [0u8, 1, 2].contains(&img[3]),
-                "seed {seed}: impossible byte {img:?}"
-            );
-            // In-order application: if write 2 was kept, byte 1 cannot show
-            // write 1's value (2 overwrote it after 1).
-            if img[3] == 2 {
-                assert!(img[1] == 2, "seed {seed}: reordered overlap {img:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn arbitrary_subset_never_touches_synced_writes() {
-        for seed in 1..16u64 {
-            let inner = Arc::new(MemDevice::with_len(8));
-            let dev = FaultDevice::new(inner.clone(), CrashPlan::arbitrary_subset_at(6, seed));
-            dev.write_at(0, &[9, 9]).unwrap();
-            dev.sync().unwrap();
-            dev.write_at(2, &[8, 8]).unwrap();
-            let _ = dev.write_at(4, &[7, 7, 7]);
-            assert!(dev.has_crashed());
-            let img = image(&inner);
-            assert_eq!(&img[..2], &[9, 9], "synced prefix must survive");
-            assert!(img[2] == 8 || img[2] == 0);
-        }
+        assert_eq!(rolled_back(&dev, &inner), vec![(2, vec![6])]);
     }
 
     #[test]
@@ -849,6 +718,8 @@ mod tests {
         assert_eq!(image(&inner_a), vec![0; 4]);
         assert!(!b.has_crashed());
         assert_eq!(image(&inner_b), vec![5, 5, 0, 0], "b is unsettled");
+        let pending = vec![(0, vec![6, 6]), (2, vec![7])];
+        assert_eq!(rolled_back(&a, &inner_a), pending, "a rolled back its own");
         b.write_at(2, &[8, 8]).unwrap();
         b.sync().unwrap();
         assert_eq!((a.bytes_written(), b.bytes_written()), (3, 4));

@@ -7,7 +7,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::{
-        Device, DeviceError, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, UnsyncedFate,
+        Device, DeviceError, FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice, TraceOpKind,
     };
 
     fn dev(faults: Vec<FlakyFault>) -> FaultDevice {
@@ -110,8 +110,8 @@ mod tests {
     #[test]
     fn failed_sync_is_not_a_durability_barrier() {
         // Schedule: the first sync fails transiently, then a crash on the
-        // 5th total op. With a Lost crash model, *every* write since the
-        // last SUCCESSFUL sync must roll back — including writes issued
+        // 5th total op. *Every* write since the last SUCCESSFUL sync must
+        // roll back — including writes issued
         // before the failed sync.
         let inner = Arc::new(MemDevice::with_len(8));
         let d = FaultDevice::with_clock(
@@ -119,8 +119,7 @@ mod tests {
             FaultClock::new(vec![
                 FlakyFault::transient(FaultOp::Sync, 1),
                 FlakyFault::crash_after_ops(5),
-            ])
-            .crash_model(UnsyncedFate::Lost),
+            ]),
         );
 
         d.write_at(0, &[1, 1]).unwrap(); // op 1
@@ -141,7 +140,7 @@ mod tests {
         let inner = Arc::new(MemDevice::with_len(8));
         let d = FaultDevice::with_clock(
             inner.clone(),
-            FaultClock::new(vec![FlakyFault::crash_after_ops(4)]).crash_model(UnsyncedFate::Lost),
+            FaultClock::new(vec![FlakyFault::crash_after_ops(4)]),
         );
 
         d.write_at(0, &[1, 1]).unwrap(); // op 1
@@ -157,7 +156,7 @@ mod tests {
     #[test]
     fn crash_now_settles_the_clock_between_operations() {
         let inner = Arc::new(MemDevice::with_len(4));
-        let clock = FaultClock::new(Vec::new()).crash_model(UnsyncedFate::Lost);
+        let clock = FaultClock::new(Vec::new());
         let d = FaultDevice::with_clock(inner.clone(), Arc::clone(&clock));
         d.write_at(0, &[1, 1]).unwrap();
         d.sync().unwrap();
@@ -168,23 +167,24 @@ mod tests {
     }
 
     #[test]
-    fn default_crash_model_keeps_unsynced_writes() {
+    fn a_scheduled_crash_hands_out_what_it_rolled_back() {
         let inner = Arc::new(MemDevice::with_len(4));
-        let d = FaultDevice::with_clock(
-            inner.clone(),
-            FaultClock::new(vec![FlakyFault::crash_after_ops(2)]),
-        );
+        let clock = FaultClock::new(vec![FlakyFault::crash_after_ops(2)]);
+        let d = FaultDevice::with_clock(inner.clone(), Arc::clone(&clock));
         d.write_at(0, &[9, 9]).unwrap();
         assert!(d.write_at(2, &[8, 8]).is_err());
-        assert_eq!(inner.snapshot(), vec![9, 9, 0, 0]);
+        assert_eq!(inner.snapshot(), vec![0; 4]);
+        let ops = clock.rolled_back(&[inner as Arc<dyn Device>]);
+        let data = vec![9, 9];
+        assert_eq!(ops.len(), 1, "the crashing write never ran");
+        assert_eq!(ops[0].kind, TraceOpKind::Write { offset: 0, data });
     }
 
     #[test]
     fn crash_on_shared_clock_rolls_back_every_device_as_it_fires() {
         // The crash fires on device A; device B's unsynced write is rolled
         // back at that moment too, though B runs no operation after it.
-        let clock =
-            FaultClock::new(vec![FlakyFault::crash_after_ops(3)]).crash_model(UnsyncedFate::Lost);
+        let clock = FaultClock::new(vec![FlakyFault::crash_after_ops(3)]);
         let inner_a = Arc::new(MemDevice::with_len(4));
         let inner_b = Arc::new(MemDevice::with_len(4));
         let a = FaultDevice::with_clock(inner_a.clone(), Arc::clone(&clock));
@@ -198,8 +198,7 @@ mod tests {
 
     #[test]
     fn sync_on_a_shared_clock_protects_only_its_own_device() {
-        let clock =
-            FaultClock::new(vec![FlakyFault::crash_after_ops(4)]).crash_model(UnsyncedFate::Lost);
+        let clock = FaultClock::new(vec![FlakyFault::crash_after_ops(4)]);
         let inner_a = Arc::new(MemDevice::with_len(4));
         let inner_b = Arc::new(MemDevice::with_len(4));
         let a = FaultDevice::with_clock(inner_a.clone(), Arc::clone(&clock));

@@ -10,7 +10,8 @@
 //! * [`FaultDevice`] — the one fault-injection wrapper, driven by a
 //!   [`FaultClock`] that several devices may share: a machine crash
 //!   (after a byte budget or the Nth operation; writes since the last
-//!   successful `sync` are kept, lost, a seeded subset, or torn) and
+//!   successful `sync` are rolled back and handed out, for `rvm-images`
+//!   to enumerate what else the crash may have kept) and
 //!   flaky hardware (the Nth read/write/sync fails with a transient or
 //!   permanent [`DeviceError::Injected`], or silently rots, on an explicit
 //!   or seeded schedule). This is the engine behind the crash matrix, the
@@ -18,8 +19,8 @@
 //!   crash check.
 //! * [`TraceDevice`] — a wrapper that records every mutation into a shared
 //!   [`TraceRecorder`] op-log, in global order across devices. This is the
-//!   input to the `rvm-crashmc` crash-state model checker, which
-//!   enumerates every durable image the op-log permits.
+//!   input to the `rvm-crashmc` crash-state model checker, whose images
+//!   come from `rvm-images`.
 //!
 //! The `simdisk` crate provides a further implementation that charges seek,
 //! rotation and transfer latency to a virtual clock.
@@ -35,7 +36,7 @@ mod trace;
 
 pub use device::{Device, IoToken, SharedDevice, VerifiedRead};
 pub use error::{DeviceError, FaultOp, Result};
-pub use fault::{CrashPlan, FaultClock, FaultDevice, FaultKind, FlakyFault, UnsyncedFate};
+pub use fault::{xorshift64, CrashPlan, FaultClock, FaultDevice, FaultKind, FlakyFault};
 pub use file::FileDevice;
 pub use mem::MemDevice;
 pub use mirror::MirrorDevice;

@@ -365,7 +365,7 @@ mod tests {
     fn failing_replica_is_dropped_automatically() {
         let a: Arc<dyn Device> = Arc::new(FaultDevice::new(
             Arc::new(MemDevice::with_len(1024)),
-            CrashPlan::torn_at(8),
+            CrashPlan::lose_unsynced_at(8),
         ));
         let b = Arc::new(MemDevice::with_len(1024));
         let m = MirrorDevice::new(vec![a, b.clone()]).unwrap();

@@ -1,7 +1,9 @@
 //! The crash-point matrix: a deterministic workload is run against a
 //! fault-injecting log device that crashes after N bytes written, for a
-//! sweep of N and both unsynced-write fates. After every crash the world
-//! reboots from the surviving image and must satisfy the WAL contract:
+//! sweep of N, and the world reboots from the synced image the crash
+//! leaves or from each of a sample of crash images (`rvm-images`) that
+//! keep torn, dropped or reordered pieces of the unsynced writes. Every
+//! one must satisfy the WAL contract:
 //!
 //! * every transaction whose flush-mode commit *returned* is present;
 //! * the recovered state equals the state after some prefix of commits
@@ -14,20 +16,17 @@ mod common {
 
 use std::sync::{Arc, Barrier};
 
-use common::{assert_state_is_prefix, run_txn, World, INDEX_OFF, SLOT_SIZE};
+use common::{
+    assert_state_is_prefix, for_each_crash_image, run_txn, sample, World, INDEX_OFF, SLOT_SIZE,
+};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_storage::{CrashPlan, Device, FaultDevice, MemDevice};
 
-/// Runs the workload against a crash plan; returns (acked commits,
-/// post-crash durable log image is left in `inner`).
-fn run_until_crash(
-    inner: Arc<MemDevice>,
-    segments: &rvm::segment::MemResolver,
-    plan: CrashPlan,
-) -> u64 {
-    let fault = Arc::new(FaultDevice::new(inner, plan));
+/// Runs the workload over `log` until it crashes; returns the acked
+/// commits.
+fn run_until_crash(log: Arc<FaultDevice>, segments: &rvm::segment::MemResolver) -> u64 {
     let rvm = match Rvm::initialize(
-        Options::new(fault.clone())
+        Options::new(log)
             .resolver(segments.clone().into_resolver())
             .create_if_empty(),
     ) {
@@ -53,7 +52,10 @@ fn run_until_crash(
     acked
 }
 
-fn crash_matrix(unsynced_lost: bool) {
+/// Sweeps the crash point; after each crash, judges the synced image the
+/// clock leaves, or with `every_image` each image of a sample of those the
+/// crash allows.
+fn crash_matrix(every_image: bool) {
     // First, record how many bytes the full scenario writes.
     let world = World::new(1 << 20);
     {
@@ -96,30 +98,37 @@ fn crash_matrix(unsynced_lost: bool) {
     while crash_at < total_bytes {
         let segments = rvm::segment::MemResolver::new();
         let inner = Arc::new(MemDevice::with_len(1 << 20));
-        let plan = if unsynced_lost {
-            CrashPlan::lose_unsynced_at(crash_at)
-        } else {
-            CrashPlan::torn_at(crash_at)
-        };
-        let acked = run_until_crash(inner.clone(), &segments, plan);
+        let plan = CrashPlan::lose_unsynced_at(crash_at);
+        let fault = Arc::new(FaultDevice::new(inner.clone(), plan));
+        let acked = run_until_crash(fault.clone(), &segments);
 
         // Reboot from the surviving image.
-        let rvm = Rvm::initialize(
-            Options::new(inner.clone())
-                .resolver(segments.clone().into_resolver())
-                .create_if_empty(),
-        )
-        .unwrap_or_else(|e| panic!("recovery failed at crash point {crash_at}: {e}"));
-        let region = rvm
-            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-            .unwrap();
-        let recovered = region.get_u64(INDEX_OFF).unwrap();
-        assert!(
-            recovered >= acked,
-            "crash at {crash_at}: acked {acked} but recovered only {recovered}"
-        );
-        assert!(recovered <= 60, "crash at {crash_at}");
-        assert_state_is_prefix(&region, recovered);
+        let judge = |kept: &[bool], world: &World| {
+            let rvm = Rvm::initialize(world.options()).unwrap_or_else(|e| {
+                panic!("recovery failed at crash point {crash_at}, kept {kept:?}: {e}")
+            });
+            let region = rvm
+                .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                .unwrap();
+            let recovered = region.get_u64(INDEX_OFF).unwrap();
+            assert!(
+                recovered >= acked,
+                "crash at {crash_at}, kept {kept:?}: acked {acked} but recovered only {recovered}"
+            );
+            assert!(recovered <= 60, "crash at {crash_at}");
+            assert_state_is_prefix(&region, recovered);
+        };
+        if every_image {
+            for_each_crash_image(&fault.clock(), &inner, &segments, &sample(crash_at), judge);
+        } else {
+            judge(
+                &[],
+                &World {
+                    log: inner,
+                    segments,
+                },
+            );
+        }
         points_checked += 1;
         crash_at += step;
     }
@@ -128,12 +137,12 @@ fn crash_matrix(unsynced_lost: bool) {
 
 #[test]
 fn crash_matrix_with_torn_writes() {
-    crash_matrix(false);
+    crash_matrix(true);
 }
 
 #[test]
 fn crash_matrix_with_lost_unsynced_writes() {
-    crash_matrix(true);
+    crash_matrix(false);
 }
 
 /// Boots an RVM over `log` with a long group-commit accumulation window
@@ -275,49 +284,61 @@ fn crash_mid_group_recovers_the_whole_group_or_none() {
 fn recovery_is_idempotent_after_a_crash() {
     let segments = rvm::segment::MemResolver::new();
     let inner = Arc::new(MemDevice::with_len(1 << 20));
-    // Formatting + the first status write consume ~25 KB before the
-    // first record; crash a few transactions in.
-    let acked = run_until_crash(inner.clone(), &segments, CrashPlan::torn_at(60_000));
+    // Formatting + the first status writes consume ~33 KB before the
+    // first record; crash a few transactions in, inside a record.
+    let fault = Arc::new(FaultDevice::new(
+        inner.clone(),
+        CrashPlan::lose_unsynced_at(35_600),
+    ));
+    let acked = run_until_crash(fault.clone(), &segments);
     assert!(acked > 0);
 
-    // First recovery.
-    let boot = |img: Arc<MemDevice>| {
-        Rvm::initialize(
-            Options::new(img)
-                .resolver(segments.clone().into_resolver())
-                .create_if_empty(),
-        )
-        .unwrap()
-    };
-    let rvm = boot(inner.clone());
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    let first = region.get_u64(INDEX_OFF).unwrap();
-    let snapshot: Vec<u8> = segments.get("seg").unwrap().snapshot();
-    std::mem::forget(rvm); // crash immediately after recovery
+    // Over each image, a torn log tail among them: a second recovery over
+    // the image a first one left must land in the same state.
+    let mut images = 0;
+    for_each_crash_image(
+        &fault.clock(),
+        &inner,
+        &segments,
+        &sample(35_600),
+        |kept, world| {
+            let rvm = world.boot();
+            let region = rvm
+                .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                .unwrap();
+            let first = region.get_u64(INDEX_OFF).unwrap();
+            assert!(
+                first >= acked,
+                "kept {kept:?}: acked {acked}, recovered {first}"
+            );
+            let snapshot: Vec<u8> = world.segments.get("seg").unwrap().snapshot();
+            std::mem::forget(rvm); // crash immediately after recovery
 
-    // Second recovery over the same image must land in the same state.
-    let rvm = boot(inner);
-    let region = rvm
-        .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-        .unwrap();
-    assert_eq!(region.get_u64(INDEX_OFF).unwrap(), first);
-    assert_eq!(segments.get("seg").unwrap().snapshot(), snapshot);
+            let rvm = world.boot();
+            let region = rvm
+                .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                .unwrap();
+            assert_eq!(region.get_u64(INDEX_OFF).unwrap(), first, "kept {kept:?}");
+            let again = world.segments.get("seg").unwrap().snapshot();
+            assert_eq!(again, snapshot, "kept {kept:?}");
+            images += 1;
+        },
+    );
+    assert!(images > 1, "the crash tore a record");
 }
 
 #[test]
 fn crash_during_spool_flush_preserves_commit_order_prefix() {
     // No-flush commits build up in the spool; the crash hits mid-flush.
-    // Whatever survives must be a *prefix* of the commit order: seeing
-    // transaction i implies seeing every j < i that wrote the log before
-    // it.
+    // Whatever survives, in any image the crash allows, must be a
+    // *prefix* of the commit order: seeing transaction i implies seeing
+    // every j < i that wrote the log before it.
     for crash_at in [600u64, 2000, 4000, 8000, 16000] {
         let segments = rvm::segment::MemResolver::new();
         let inner = Arc::new(MemDevice::with_len(1 << 20));
         let fault = Arc::new(FaultDevice::new(
             inner.clone(),
-            CrashPlan::torn_at(crash_at),
+            CrashPlan::lose_unsynced_at(crash_at),
         ));
         {
             let rvm = match Rvm::initialize(
@@ -347,30 +368,33 @@ fn crash_during_spool_flush_preserves_commit_order_prefix() {
             std::mem::forget(rvm);
         }
 
-        let rvm = Rvm::initialize(
-            Options::new(inner)
-                .resolver(segments.clone().into_resolver())
-                .create_if_empty(),
-        )
-        .unwrap();
-        let region = rvm
-            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-            .unwrap();
-        // Find the highest surviving transaction, then require all lower
-        // ones to be present too.
-        let mut highest = 0;
-        for i in 1..=20u64 {
-            if region.get_u64(i * 8).unwrap() == i {
-                highest = i;
-            }
-        }
-        for i in 1..=highest {
-            assert_eq!(
-                region.get_u64(i * 8).unwrap(),
-                i,
-                "crash at {crash_at}: transaction {i} missing below survivor {highest}"
-            );
-        }
+        for_each_crash_image(
+            &fault.clock(),
+            &inner,
+            &segments,
+            &sample(crash_at),
+            |kept, world| {
+                let rvm = world.boot();
+                let region = rvm
+                    .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                    .unwrap();
+                // Find the highest surviving transaction, then require all
+                // lower ones to be present too.
+                let mut highest = 0;
+                for i in 1..=20u64 {
+                    if region.get_u64(i * 8).unwrap() == i {
+                        highest = i;
+                    }
+                }
+                for i in 1..=highest {
+                    assert_eq!(
+                    region.get_u64(i * 8).unwrap(),
+                    i,
+                    "crash at {crash_at}, kept {kept:?}: transaction {i} missing below survivor {highest}"
+                );
+                }
+            },
+        );
     }
 }
 

@@ -9,10 +9,10 @@
 
 use proptest::prelude::*;
 use rvm::MutationHooks;
-use rvm_crashmc::enumerate::{enumerate_images, shared_sector_points, EnumConfig};
 use rvm_crashmc::oracle::{check_recovery_determinism, parts_from_images};
 use rvm_crashmc::workload::{run_workload, Workload};
 use rvm_crashmc::{check_trace, check_trace_with_rot, Report};
+use rvm_images::{enumerate_images, EnumConfig};
 
 fn checked(label: &str, workload: Workload) -> Report {
     let trace = run_workload(workload, MutationHooks::default());
@@ -80,7 +80,7 @@ fn pipelined_commits_survive_every_crash_image() {
 fn records_sharing_a_sector_survive_every_crash_image() {
     let trace = run_workload(Workload::BitRot, MutationHooks::default());
     for sector in [512, 128] {
-        let shared = shared_sector_points(&trace, sector as u64);
+        let shared = trace.shared_sector_points(sector as u64);
         assert!(shared > 0, "no crash point shares a {sector}-byte sector");
         let cfg = EnumConfig {
             sector,
@@ -225,7 +225,8 @@ fn recovery_is_deterministic_across_repeated_and_interrupted_runs() {
     let cfg = EnumConfig::default();
     let mut picked = Vec::new();
     let mut count = 0u64;
-    enumerate_images(&trace, &cfg, |point, _, _, images| {
+    let bases = trace.devices.iter().map(|d| d.image.clone()).collect();
+    enumerate_images(bases, &trace.ops, &cfg, |point, _, _, images| {
         if count.is_multiple_of(31) && picked.len() < 8 {
             picked.push((point, images.to_vec()));
         }

@@ -21,7 +21,9 @@ mod common {
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use common::{assert_state_is_prefix, run_txn, World, INDEX_OFF, SLOT_SIZE};
+use common::{
+    assert_state_is_prefix, for_each_crash_image, run_txn, sample, World, INDEX_OFF, SLOT_SIZE,
+};
 use rvm::segment::{flaky_resolver, MemResolver};
 use rvm::{
     BackoffSleeper, CommitMode, Options, Region, RegionDescriptor, RetryPolicy, Rvm, RvmError,
@@ -535,29 +537,34 @@ fn crash_during_recovery_matrix_re_recovers_idempotently() {
         }
         assert!(clock.has_crashed(), "crash op {k} never fired");
 
-        // Re-recovery over the surviving image reaches the full committed
+        // Re-recovery over each image the crash allows (a sample: the
+        // synced one, the one that keeps every unsynced write in order,
+        // torn and reordered ones between) reaches the full committed
         // state...
-        let rvm = Rvm::initialize(clean_options(&log, &segments))
-            .unwrap_or_else(|e| panic!("re-recovery failed after crash at op {k}: {e}"));
-        let region = rvm.map(&descriptor()).unwrap();
-        assert_eq!(
-            region.get_u64(INDEX_OFF).unwrap(),
-            N,
-            "crash at recovery op {k} lost committed transactions"
-        );
-        assert_state_is_prefix(&region, N);
-        let seg_snap = segments.get("seg").unwrap().snapshot();
-        std::mem::forget(rvm); // crash again immediately after recovery
+        for_each_crash_image(&clock, &log, &segments, &sample(k), |kept, world| {
+            let rvm = Rvm::initialize(world.options()).unwrap_or_else(|e| {
+                panic!("re-recovery failed after crash at op {k}, kept {kept:?}: {e}")
+            });
+            let region = rvm.map(&descriptor()).unwrap();
+            assert_eq!(
+                region.get_u64(INDEX_OFF).unwrap(),
+                N,
+                "crash at recovery op {k}, kept {kept:?}, lost committed transactions"
+            );
+            assert_state_is_prefix(&region, N);
+            let seg_snap = world.segments.get("seg").unwrap().snapshot();
+            std::mem::forget(rvm); // crash again immediately after recovery
 
-        // ...and is idempotent: a third recovery lands in the same state.
-        let rvm = Rvm::initialize(clean_options(&log, &segments)).unwrap();
-        let region = rvm.map(&descriptor()).unwrap();
-        assert_eq!(region.get_u64(INDEX_OFF).unwrap(), N);
-        assert_eq!(
-            segments.get("seg").unwrap().snapshot(),
-            seg_snap,
-            "recovery after crash op {k} is not idempotent"
-        );
+            // ...and is idempotent: a third recovery lands in the same state.
+            let rvm = world.boot();
+            let region = rvm.map(&descriptor()).unwrap();
+            assert_eq!(region.get_u64(INDEX_OFF).unwrap(), N);
+            assert_eq!(
+                world.segments.get("seg").unwrap().snapshot(),
+                seg_snap,
+                "recovery after crash op {k}, kept {kept:?}, is not idempotent"
+            );
+        });
     }
 }
 
@@ -602,16 +609,20 @@ fn crash_during_truncation_matrix_preserves_all_commits() {
         assert!(rvm.is_poisoned(), "crash op {k} did not poison");
         std::mem::forget(rvm);
 
-        // Reboot from the torn image: every acknowledged commit survives.
-        let rvm = Rvm::initialize(clean_options(&log, &segments))
-            .unwrap_or_else(|e| panic!("recovery failed after truncation crash at op {k}: {e}"));
-        let region = rvm.map(&descriptor()).unwrap();
-        assert_eq!(
-            region.get_u64(INDEX_OFF).unwrap(),
-            N,
-            "truncation crash at op {k} lost committed transactions"
-        );
-        assert_state_is_prefix(&region, N);
+        // Reboot from each image the crash allows (a sample): every
+        // acknowledged commit survives.
+        for_each_crash_image(&clock, &log, &segments, &sample(k), |kept, world| {
+            let rvm = Rvm::initialize(world.options()).unwrap_or_else(|e| {
+                panic!("recovery failed after truncation crash at op {k}, kept {kept:?}: {e}")
+            });
+            let region = rvm.map(&descriptor()).unwrap();
+            assert_eq!(
+                region.get_u64(INDEX_OFF).unwrap(),
+                N,
+                "truncation crash at op {k}, kept {kept:?}, lost committed transactions"
+            );
+            assert_state_is_prefix(&region, N);
+        });
     }
 }
 

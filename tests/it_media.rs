@@ -435,6 +435,35 @@ fn an_eager_map_adopts_what_it_loads_and_one_pass_around_it() {
     rvm.terminate().unwrap();
 }
 
+/// A pre-existing segment of 6 000 bytes ends in a short page. Mapping
+/// page 0 adopts it; mapping page 1 then zero-extends it to a whole page,
+/// whose checksum is the one adopted, so it loads clean and nothing is
+/// quarantined.
+#[test]
+fn growing_a_short_last_page_keeps_its_checksum() {
+    let segs = MemResolver::new();
+    let pattern: Vec<u8> = (0..6_000).map(|i| (i % 251) as u8 + 1).collect();
+    segs.resolve(SEG, 0).unwrap();
+    segs.get(SEG).unwrap().restore(pattern.clone());
+    let rvm = Rvm::initialize(
+        Options::new(Arc::new(MemDevice::with_len(1 << 20)))
+            .resolver(segs.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let first = rvm.map(&RegionDescriptor::new(SEG, 0, PAGE_SIZE)).unwrap();
+    let second = rvm
+        .map(&RegionDescriptor::new(SEG, PAGE_SIZE, PAGE_SIZE))
+        .expect("the grown page verifies");
+    let mut page = pattern[PAGE_SIZE as usize..].to_vec();
+    page.resize(PAGE_SIZE as usize, 0);
+    assert!(second.read_vec(0, PAGE_SIZE).unwrap() == page);
+    assert_eq!(rvm.stats().corruptions_detected, 0);
+    assert_eq!(rvm.stats().regions_quarantined, 0);
+    drop((first, second));
+    rvm.terminate().unwrap();
+}
+
 /// An on-demand map still adopts at open, one read for its 64 pages,
 /// and loads nothing until a page is touched.
 #[test]

@@ -18,8 +18,9 @@ use rvm::ranges::{ByteRange, Piece, RangeSet, ValueArena};
 use rvm::segment::{MemResolver, SegmentId, SegmentInfo};
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
 use rvm_check::{Checked, IntervalMap};
+use rvm_images::EnumConfig;
 use rvm_reference::{Commit, History, Images, Write};
-use rvm_storage::{CrashPlan, FaultDevice, MemDevice};
+use rvm_storage::{FaultClock, FaultDevice, FaultOp, FlakyFault, MemDevice};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -207,12 +208,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Crash-prefix property over random workloads and tunings: after a
-    /// crash at an arbitrary byte budget, or none past the end, the
-    /// reference admits what recovery left. Each transaction declares
+    /// crash at an arbitrary sync of the log, or at the end, the reference
+    /// admits what recovery leaves of each crash image in a seeded sample
+    /// (`rvm-images`): the log's unsynced writes torn at 64-byte sectors,
+    /// dropped, or kept out of order. Each transaction declares
     /// ranges that may overlap, each twice: a redundant `set_range`, then
-    /// the write's own. With `lazy_every` = k > 0 the commits are lazy, a
-    /// `flush` follows every k-th and the last, and each range starts at
-    /// one of four slots, so repeats subsume the records before them: a
+    /// the write's own. With `lazy_every` = k of 1, 3 or 7 the commits
+    /// are lazy, a `flush` follows every k-th and the last, and each range
+    /// starts at one of four slots, so repeats subsume the records before
+    /// them, across records of other slots in a window of 3 or 7: a
     /// commit is durable once a `flush` after it has returned. The intra-
     /// and inter-transaction optimizations and the segment checksums are
     /// each on or off.
@@ -222,12 +226,13 @@ proptest! {
             (0u64..(PAGE_SIZE - 256), prop::collection::vec((0u64..192, 1u64..64, any::<u8>()), 1..4)),
             1..20
         ),
-        lazy_every in 0usize..4,
+        lazy in 0usize..4,
         crash_frac in 0.0f64..1.25,
         intra_optimization in any::<bool>(),
         inter_optimization in any::<bool>(),
         segment_checksums in any::<bool>()
     ) {
+        let lazy_every = [0, 1, 3, 7][lazy];
         let tuning = Tuning {
             intra_optimization,
             inter_optimization,
@@ -276,29 +281,29 @@ proptest! {
                     .create_if_empty(),
             )
         };
-        // Dry run to find the total byte volume.
-        let total = {
+        // Dry run to count the log's syncs, at boot and in the workload.
+        let (booted, syncs) = {
             let fault = Arc::new(FaultDevice::recording(Arc::new(MemDevice::with_len(1 << 20))));
             let rvm = boot(fault.clone(), &MemResolver::new()).unwrap();
+            let booted = fault.clock().ops_seen().2;
             run(&rvm, &mut 0).unwrap();
-            rvm.terminate().unwrap();
-            fault.bytes_written()
+            (booted, fault.clock().ops_seen().2 - booted)
         };
-        let crash_at = (total as f64 * crash_frac) as u64;
-
-        // Crash run.
+        // Crash run: the crash fails one of the workload's syncs, the last
+        // moment of the window whose writes it leaves pending, or comes at
+        // the end.
+        let crash_at = booted + 1 + (syncs as f64 * crash_frac) as u64;
         let segments = MemResolver::new();
         let inner = Arc::new(MemDevice::with_len(1 << 20));
-        let fault = Arc::new(FaultDevice::new(inner.clone(), CrashPlan::torn_at(crash_at)));
+        let clock = FaultClock::new(vec![FlakyFault::crash(FaultOp::Sync, crash_at)]);
+        let fault = Arc::new(FaultDevice::with_clock(inner.clone(), clock));
         let mut acked = 0;
-        if let Ok(rvm) = boot(fault, &segments) {
+        if let Ok(rvm) = boot(fault.clone(), &segments) {
             run(&rvm, &mut acked);
             std::mem::forget(rvm);
         }
 
-        // Recover, and judge the segment by the reference.
-        let rvm = boot(inner, &segments).unwrap();
-        let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).unwrap();
+        // Recover each image, and judge the segment by the reference.
         let commits = (0..txns.len()).map(|i| Commit {
             stream: 0,
             writes: writes(i),
@@ -308,8 +313,21 @@ proptest! {
             base: Images::new(),
             commits: commits.collect(),
         };
-        let image = Images::from([("seg".to_owned(), region.read_vec(0, PAGE_SIZE).unwrap())]);
-        prop_assert_eq!(rvm_reference::admits(&history, &image), Ok(()));
+        let cfg = EnumConfig {
+            sector: LOG_BLOCK as usize,
+            max_pieces_per_write: 16,
+            ..common::sample(crash_at)
+        };
+        let mut verdicts = Vec::new();
+        common::for_each_crash_image(&fault.clock(), &inner, &segments, &cfg, |kept, world| {
+            let rvm = boot(world.log.clone(), &world.segments).unwrap();
+            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).unwrap();
+            let image = Images::from([("seg".to_owned(), region.read_vec(0, PAGE_SIZE).unwrap())]);
+            verdicts.push((kept.to_vec(), rvm_reference::admits(&history, &image)));
+        });
+        for (kept, verdict) in verdicts {
+            prop_assert_eq!(verdict, Ok(()), "kept {:?}", kept);
+        }
     }
 }
 

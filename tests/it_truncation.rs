@@ -288,13 +288,14 @@ fn crash_mid_truncation_is_recoverable() {
 
     // Drive a workload whose truncation writes through a fault device on
     // the *segment* side; crashes during segment application must leave
-    // the log intact so recovery replays.
+    // the log intact so recovery replays, whatever pieces of the unsynced
+    // segment writes each crash image keeps.
     for crash_at in [2000u64, 6000, 12000] {
         let log = Arc::new(MemDevice::with_len(64 * 1024));
         let seg_inner = Arc::new(MemDevice::with_len(PAGE_SIZE));
         let seg_fault = Arc::new(FaultDevice::new(
             seg_inner.clone(),
-            CrashPlan::torn_at(crash_at),
+            CrashPlan::lose_unsynced_at(crash_at),
         ));
         let seg_for_resolver = seg_fault.clone();
         let resolver: rvm::segment::DeviceResolver = Arc::new(move |_n, min| {
@@ -334,33 +335,41 @@ fn crash_mid_truncation_is_recoverable() {
             std::mem::forget(rvm);
         }
 
-        // Reboot with the (possibly torn) segment image and intact log.
-        let seg_resolver = rvm::segment::MemResolver::new();
-        seg_resolver.resolve("seg", PAGE_SIZE).unwrap();
-        seg_resolver
-            .get("seg")
-            .unwrap()
-            .restore(seg_inner.snapshot());
-        let rvm = Rvm::initialize(
-            Options::new(log)
-                .resolver(seg_resolver.clone().into_resolver())
-                .create_if_empty(),
+        // Reboot with each (possibly torn) segment image and intact log.
+        let devices = [seg_inner as Arc<dyn rvm_storage::Device>];
+        let clock = seg_fault.clock();
+        rvm_images::crash_images(
+            &clock,
+            &devices,
+            &common::sample(crash_at),
+            |kept, images| {
+                let world = World::new(0);
+                world.log.restore(log.snapshot());
+                world.segments.resolve("seg", PAGE_SIZE).unwrap();
+                world
+                    .segments
+                    .get("seg")
+                    .unwrap()
+                    .restore(images[0].1.clone());
+                let rvm = world.boot();
+                let region = rvm
+                    .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
+                    .unwrap();
+                let recovered: Vec<u64> = (0..16).map(|s| region.get_u64(s * 8).unwrap()).collect();
+                // Every acked transaction's slot holds a value >= what it
+                // wrote at its last update; full prefix semantics as in the
+                // crash matrix are guaranteed because the log survived.
+                for i in 1..=committed {
+                    let slot = (i % 16) as usize;
+                    let latest_writer = (1..=committed).rev().find(|j| j % 16 == i % 16).unwrap();
+                    assert_eq!(
+                        recovered[slot], latest_writer,
+                        "crash_at {crash_at}, kept {kept:?}: slot {slot}"
+                    );
+                }
+                true
+            },
         )
         .unwrap();
-        let region = rvm
-            .map(&RegionDescriptor::new("seg", 0, PAGE_SIZE))
-            .unwrap();
-        let recovered: Vec<u64> = (0..16).map(|s| region.get_u64(s * 8).unwrap()).collect();
-        // Every acked transaction's slot holds a value >= what it wrote
-        // at its last update; full prefix semantics as in the crash
-        // matrix are guaranteed because the log survived.
-        for i in 1..=committed {
-            let slot = (i % 16) as usize;
-            let latest_writer = (1..=committed).rev().find(|j| j % 16 == i % 16).unwrap();
-            assert_eq!(
-                recovered[slot], latest_writer,
-                "crash_at {crash_at}: slot {slot}"
-            );
-        }
     }
 }

@@ -5,8 +5,9 @@ use std::sync::Arc;
 
 use rvm::segment::MemResolver;
 use rvm::{CommitMode, Options, Region, Rvm, Tuning, TxnMode};
+use rvm_images::EnumConfig;
 use rvm_reference::{Commit, Images, Write};
-use rvm_storage::MemDevice;
+use rvm_storage::{Device, FaultClock, MemDevice};
 
 /// A self-contained world: one in-memory log plus shared segments, both
 /// surviving simulated reboots.
@@ -44,6 +45,53 @@ impl World {
     pub fn boot_tuned(&self, tuning: Tuning) -> Rvm {
         Rvm::initialize(self.options().tuning(tuning)).expect("initialize")
     }
+}
+
+/// The crash images a crash test judges at one crash point: every one
+/// up to 4 pieces, else the worst-case core plus 4 masks seeded by
+/// `seed`.
+#[allow(dead_code)]
+pub fn sample(seed: u64) -> EnumConfig {
+    EnumConfig {
+        exhaustive_piece_cap: 4,
+        samples_per_point: 4,
+        seed,
+        ..EnumConfig::default()
+    }
+}
+
+/// Calls `check` with the kept-piece mask and a world per crash image
+/// (`cfg`'s) that `clock`'s crash leaves on `log` and on `segments`'
+/// segment `seg` and its sidecar, the one segment the crash tests map:
+/// every write the crash rolled back on them may survive, torn or not.
+/// A recovery then leaves `log` and `segments` as the crash left them.
+#[allow(dead_code)]
+pub fn for_each_crash_image(
+    clock: &FaultClock,
+    log: &Arc<MemDevice>,
+    segments: &MemResolver,
+    cfg: &EnumConfig,
+    mut check: impl FnMut(&[bool], &World),
+) {
+    let mut devices = vec![log.clone() as Arc<dyn Device>];
+    let mut names = Vec::new();
+    for name in ["seg".to_owned(), rvm::scrub::sidecar_name("seg")] {
+        if let Some(dev) = segments.get(&name) {
+            devices.push(dev);
+            names.push(name);
+        }
+    }
+    rvm_images::crash_images(clock, &devices, cfg, |kept, images| {
+        let log = Arc::new(MemDevice::from_image(images[0].1.clone()));
+        let segments = MemResolver::new();
+        for (name, (_, image)) in names.iter().zip(&images[1..]) {
+            segments.resolve(name, 0).unwrap();
+            segments.get(name).unwrap().restore(image.clone());
+        }
+        check(kept, &World { log, segments });
+        true
+    })
+    .expect("the crashed devices read");
 }
 
 /// Who truncates a log under load once it is above a threshold: the
