@@ -253,7 +253,7 @@ pub(crate) struct RegionInner {
     pub(crate) uncommitted_txns: AtomicU64,
     pub(crate) page_vector: Mutex<PageVector>,
     /// `None` once fully loaded; until then, which pages still need
-    /// fetching from the segment (all of them when the region is mapped).
+    /// fetching from the segment (at `map`, those below the zero mark).
     pub(crate) unloaded: Mutex<Option<Vec<bool>>>,
     /// Set, and never cleared, once `unloaded` is `None`: an eager or
     /// fully fetched region answers "is it loaded" without the mutex.

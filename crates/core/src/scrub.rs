@@ -130,7 +130,7 @@ impl SegmentChecksums {
     /// load adopts the pages it reads (`Segment::adopt`).
     pub fn open(dev: Arc<dyn Device>, seg: &dyn Device, seg_len: u64) -> Result<Self> {
         let catalog = Self::load(dev)?;
-        if catalog.adopt(seg, seg_len)? {
+        if catalog.adopt(seg, seg_len, usize::MAX)? {
             catalog.persist()?;
         }
         Ok(catalog)
@@ -174,8 +174,10 @@ impl SegmentChecksums {
 
     /// Adopts, in memory, the entries of the pages below byte `end` that
     /// the catalog does not cover yet, from one [`checksums_of`] pass over
-    /// `seg`. Returns whether there were any.
-    pub(crate) fn adopt(&self, seg: &dyn Device, end: u64) -> Result<bool> {
+    /// `seg` that stops at page `zero_from`: a page from there on is known
+    /// to be zeros (`Segment::grow_to`'s mark), and gets their CRC unread.
+    /// Returns whether there were any.
+    pub(crate) fn adopt(&self, seg: &dyn Device, end: u64, zero_from: usize) -> Result<bool> {
         let (known, needed) = (self.pages(), page_count(end));
         if known >= needed {
             return Ok(false);
@@ -183,7 +185,14 @@ impl SegmentChecksums {
         // Checksum the new pages outside the lock; entries shrink only as a
         // grow drops a short last page no region maps, so a racing adopter
         // can only have covered a prefix of them.
-        let fresh = checksums_of(seg, end, known..needed)?;
+        let zero_from = zero_from.clamp(known, needed);
+        let mut fresh = checksums_of(seg, end, known..zero_from)?;
+        let zeros = [0; PAGE_SIZE as usize];
+        let (whole, short) = (crc32(&zeros), end % PAGE_SIZE);
+        fresh.resize(needed - known, whole);
+        if short > 0 && zero_from < needed {
+            fresh[needed - known - 1] = crc32(&zeros[..short as usize]);
+        }
         let mut entries = self.entries.lock();
         let adopted = entries.len() - known;
         entries.extend(fresh.into_iter().skip(adopted));
@@ -506,17 +515,25 @@ mod tests {
         assert!(reloaded.verify(0, &page));
     }
 
+    /// Pages at or past the zero mark adopt the zero-fill's CRC unread, a
+    /// short last page the CRC of its own length: the entries a pass that
+    /// reads them computes.
     #[test]
     fn catalog_grows_with_the_segment() {
-        let seg = seg_with(PAGE_SIZE, 6);
-        let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
-        let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
-        assert_eq!(cat.pages(), 1);
-        seg.set_len(PAGE_SIZE * 3).unwrap();
-        assert!(cat.adopt(seg.as_ref(), PAGE_SIZE * 3).unwrap());
-        assert_eq!(cat.pages(), 3);
-        let zeros = vec![0u8; PAGE_SIZE as usize];
-        assert!(cat.verify(2, &zeros), "grown pages adopt zero-fill");
+        use rvm_storage::{FaultClock, FaultDevice};
+        for end in [PAGE_SIZE * 3, PAGE_SIZE * 3 + 100] {
+            let seg = seg_with(PAGE_SIZE, 6);
+            let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
+            let cat = SegmentChecksums::open(side, seg.as_ref(), PAGE_SIZE).unwrap();
+            assert_eq!(cat.pages(), 1);
+            seg.set_len(end).unwrap();
+            let clock = FaultClock::new(Vec::new());
+            let counted = FaultDevice::with_clock(seg.clone(), clock.clone());
+            assert!(cat.adopt(&counted, end, 1).unwrap());
+            assert_eq!(clock.ops_seen(), (0, 0, 0), "{end}: nothing read");
+            let entries: Vec<u32> = (0..4).map_while(|p| cat.expected(p)).collect();
+            assert_eq!(entries, checksums_of(seg.as_ref(), end, 0..4).unwrap());
+        }
     }
 
     #[test]

@@ -207,16 +207,17 @@ pub(crate) struct Segment {
 
 impl Segment {
     /// Resolves the device as it is and the sidecar, then grows the device
-    /// to `min_len`. With `checksums` the catalog is loaded as it is, for
-    /// [`Segment::adopt`] to complete; without, a valid one an earlier run
-    /// left would go stale yet validate: it is invalidated before a write.
+    /// to `min_len`, returning the handle and the grow's zero mark. With
+    /// `checksums` the catalog is loaded as it is, for [`Segment::adopt`]
+    /// to complete; without, a valid one an earlier run left would go
+    /// stale yet validate: it is invalidated before a write.
     fn open(
         info: &SegmentInfo,
         min_len: u64,
         resolver: &DeviceResolver,
         checksums: bool,
         media: Arc<MediaCounters>,
-    ) -> Result<Self> {
+    ) -> Result<(Self, usize)> {
         let dev = resolver(&info.name, 0)?;
         let side = resolver(&sidecar_name(&info.name), 0)?;
         let catalog = if checksums {
@@ -232,17 +233,24 @@ impl Segment {
             catalog,
             media,
         };
-        segment.grow_to(min_len.max(info.min_len))?;
-        Ok(segment)
+        let zero_from = segment.grow_to(min_len.max(info.min_len))?;
+        Ok((segment, zero_from))
     }
 
     /// Grows the device to hold `min_len` bytes; the new pages await
     /// adoption. A short last page's entry goes stale as it zero-extends:
     /// unless the page fails it, it is dropped and persisted first.
-    fn grow_to(&self, min_len: u64) -> Result<()> {
+    ///
+    /// Returns the *zero mark*: the first page wholly at or past the old
+    /// length, which [`Device::set_len`] zero-filled (past the end when
+    /// nothing grew). Until the caller's core-lock hold ends, nothing
+    /// writes there: no record reaches past the durable table's length,
+    /// which the device already held, and no mapped region covers it.
+    fn grow_to(&self, min_len: u64) -> Result<usize> {
         let len = self.dev.len()?;
+        let zero_from = len.div_ceil(PAGE_SIZE) as usize;
         if len >= min_len {
-            return Ok(());
+            return Ok(zero_from);
         }
         let (page, short) = ((len / PAGE_SIZE) as usize, (len % PAGE_SIZE) as usize);
         let covered = self.catalog.as_ref().filter(|c| c.pages() > page);
@@ -255,7 +263,7 @@ impl Segment {
             }
         }
         self.dev.set_len(min_len)?;
-        Ok(())
+        Ok(zero_from)
     }
 
     /// Pages the catalog covers (all of them without one).
@@ -266,17 +274,18 @@ impl Segment {
     }
 
     /// Adoption, trust-on-first-use: entries for the pages the catalog
-    /// does not cover, from one pass over the device, and a persist if it
-    /// covers more than `covered` pages. Recovery, an epoch and an
-    /// on-demand `map` run it on opening the handle; an eager `map` after
-    /// its load, which adopts the region's pages as it reads them
+    /// does not cover, from one pass over the device up to the zero mark
+    /// `zero_from` (see [`Segment::grow_to`]), and a persist if it covers
+    /// more than `covered` pages. Recovery, an epoch and an on-demand
+    /// `map` run it on opening the handle; an eager `map` after its load,
+    /// which adopts the region's pages as it reads them
     /// ([`Segment::read_run_verified`]). Until then nothing writes them:
     /// they belong to no mapped region, so no record names them.
-    fn adopt(&self, covered: usize) -> Result<()> {
+    fn adopt(&self, covered: usize, zero_from: usize) -> Result<()> {
         let Some(catalog) = &self.catalog else {
             return Ok(());
         };
-        catalog.adopt(self.dev.as_ref(), self.dev.len()?)?;
+        catalog.adopt(self.dev.as_ref(), self.dev.len()?, zero_from)?;
         if catalog.pages() > covered {
             catalog.persist()?;
         }
@@ -511,39 +520,38 @@ impl OpenSegments {
         min_len: u64,
         tuning: &RwLock<Tuning>,
     ) -> Result<Arc<Segment>> {
-        let segment = self.open(table, id, min_len, tuning)?;
-        segment.adopt(segment.covered())?;
+        let (segment, zero_from) = self.open(table, id, min_len, tuning)?;
+        segment.adopt(segment.covered(), zero_from)?;
         Ok(segment)
     }
 
     /// The handle of segment `id`, grown to hold `min_len` bytes (the new
-    /// pages not adopted); opened on first use from its entry in `table`
-    /// (the durable segment table: the status block's at recovery,
-    /// `Core::segments` after, which every caller holds). That first use
-    /// is the one moment [`Tuning::segment_checksums`] is read.
+    /// pages not adopted), and the grow's zero mark; opened on first use
+    /// from its entry in `table` (the durable segment table: the status
+    /// block's at recovery, `Core::segments` after, which every caller
+    /// holds). That first use is the one moment
+    /// [`Tuning::segment_checksums`] is read.
     fn open(
         &self,
         table: &[SegmentInfo],
         id: SegmentId,
         min_len: u64,
         tuning: &RwLock<Tuning>,
-    ) -> Result<Arc<Segment>> {
+    ) -> Result<(Arc<Segment>, usize)> {
         let cached = self.handles.read().get(&id.as_u32()).cloned();
         if let Some(segment) = cached {
-            segment.grow_to(min_len)?;
-            return Ok(segment);
+            let zero_from = segment.grow_to(min_len)?;
+            return Ok((segment, zero_from));
         }
         let info = table_entry(table, id, min_len)?;
         let checksums = tuning.read().segment_checksums;
         let media = self.media.clone();
-        let segment = Segment::open(info, min_len, &self.resolver, checksums, media)?;
+        let (segment, zero_from) = Segment::open(info, min_len, &self.resolver, checksums, media)?;
         // Double-checked insert: if another opener of the same segment
         // won the race, keep (and hand out) its handle.
         let mut handles = self.handles.write();
-        Ok(handles
-            .entry(id.as_u32())
-            .or_insert(Arc::new(segment))
-            .clone())
+        let segment = handles.entry(id.as_u32()).or_insert(Arc::new(segment));
+        Ok((segment.clone(), zero_from))
     }
 
     /// `(alive, total)` replica counts summed over every open segment on
@@ -607,10 +615,15 @@ impl RvmShared {
             )));
         }
 
-        let segment = self
-            .open_segments
-            .open(&core.segments, seg_id, min_len, &self.tuning)?;
+        let (segment, zero_from) =
+            self.open_segments
+                .open(&core.segments, seg_id, min_len, &self.tuning)?;
         let covered = segment.covered();
+        // VM starts zeroed, so the pages at or past the zero mark already
+        // hold their committed image: they are loaded without a read.
+        let zero_page = zero_from.saturating_sub((desc.offset / PAGE_SIZE) as usize);
+        let pending = (0..desc.len.div_ceil(PAGE_SIZE) as usize).map(|page| page < zero_page);
+        let unloaded = Some(pending.collect::<Vec<_>>()).filter(|p| p.contains(&true));
         let inner = Arc::new(RegionInner {
             id: self.next_region_id.fetch_add(1, Ordering::Relaxed),
             segment: segment.clone(),
@@ -620,8 +633,8 @@ impl RvmShared {
             mem_lock: RwLock::new(()),
             uncommitted_txns: AtomicU64::new(0),
             page_vector: Mutex::new(PageVector::new(desc.len)),
-            unloaded: Mutex::new(Some(vec![true; desc.len.div_ceil(PAGE_SIZE) as usize])),
-            fully_loaded: AtomicBool::new(false),
+            fully_loaded: AtomicBool::new(unloaded.is_none()),
+            unloaded: Mutex::new(unloaded),
             degraded: AtomicBool::new(false),
         });
         // An eager load is the region's adoption: each page is read once,
@@ -631,10 +644,10 @@ impl RvmShared {
             (LoadPolicy::OnDemand, _) => Ok(()),
             (LoadPolicy::Eager, None) => inner.ensure_loaded(0, desc.len),
             (LoadPolicy::Eager, Some(catalog)) => catalog
-                .adopt(segment.dev.as_ref(), desc.offset)
+                .adopt(segment.dev.as_ref(), desc.offset, zero_from)
                 .and_then(|_| inner.ensure_loaded(0, desc.len)),
         };
-        segment.adopt(covered)?;
+        segment.adopt(covered, zero_from)?;
         loaded?;
         self.regions.write().insert(inner.id, inner.clone());
         Ok(Region { inner })

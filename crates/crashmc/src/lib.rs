@@ -103,6 +103,11 @@ pub struct Trace {
     pub devices: Vec<DeviceBase>,
     pub ops: Vec<TraceOp>,
     pub txns: Vec<TxnSpec>,
+    /// Set when the script did not reach the shape it exists to check
+    /// (say, no commit subsumed a record): what it meant to reach and the
+    /// stats it saw. Its images are judged all the same, but a trace
+    /// that missed its shape never checks clean.
+    pub shape_missed: Option<String>,
 }
 
 impl Trace {
@@ -195,11 +200,13 @@ pub struct Report {
     /// ([`check_trace_with_rot`]).
     pub rotted: bool,
     pub violations: Vec<Violation>,
+    /// The trace's [`Trace::shape_missed`]: a verdict of its own.
+    pub shape_missed: Option<String>,
 }
 
 impl Report {
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && self.shape_missed.is_none()
     }
 
     /// Human-readable rendering (the `rvmlog crashck` output).
@@ -228,6 +235,9 @@ impl Report {
             out.push_str("bit rot:           injected into every image\n");
         }
         out.push_str(&format!("recoveries run:    {}\n", self.recoveries_run));
+        if let Some(missed) = &self.shape_missed {
+            out.push_str(&format!("shape not reached: {missed}\n"));
+        }
         out.push_str(&format!("violations:        {}\n", self.violations.len()));
         for v in &self.violations {
             let kept: String = v.kept.iter().map(|&k| if k { '1' } else { '0' }).collect();
@@ -272,6 +282,7 @@ type ImageTransform = fn(&Trace, usize, u64, &mut [(u32, Vec<u8>)]);
 fn check_images(trace: &Trace, cfg: &EnumConfig, rot: Option<ImageTransform>) -> Report {
     let mut report = Report {
         rotted: rot.is_some(),
+        shape_missed: trace.shape_missed.clone(),
         ..Report::default()
     };
     let mut seen: HashSet<(u64, usize)> = HashSet::new();

@@ -9,7 +9,7 @@ use rvm_storage::{TraceOp, TraceOpKind};
 
 use crate::{DeviceBase, SegWrite, Trace, TxnSpec};
 
-const MAGIC: &[u8; 8] = b"RVMCMC02";
+const MAGIC: &[u8; 8] = b"RVMCMC03";
 
 impl Trace {
     /// Serializes the trace.
@@ -57,6 +57,9 @@ impl Trace {
                 put_bytes(&mut out, &w.data);
             }
         }
+        let missed = self.shape_missed.as_deref().unwrap_or_default();
+        out.push(self.shape_missed.is_some() as u8);
+        put_str(&mut out, missed);
         out
     }
 
@@ -121,10 +124,17 @@ impl Trace {
                 writes,
             });
         }
+        let missed = get_u8(&mut r)? != 0;
+        let shape_missed = Some(get_str(&mut r)?).filter(|_| missed);
         if !r.is_empty() {
             return Err(bad("trailing bytes after trace"));
         }
-        Ok(Trace { devices, ops, txns })
+        Ok(Trace {
+            devices,
+            ops,
+            txns,
+            shape_missed,
+        })
     }
 
     /// Writes the trace to a file.
@@ -241,14 +251,18 @@ mod tests {
                     data: vec![0xAB; 8],
                 }],
             }],
+            shape_missed: None,
         }
     }
 
     #[test]
     fn round_trips() {
-        let t = sample();
-        let bytes = t.to_bytes();
-        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
+        let mut t = sample();
+        for missed in [None, Some("no commit subsumed".to_owned())] {
+            t.shape_missed = missed;
+            let bytes = t.to_bytes();
+            assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
+        }
     }
 
     #[test]

@@ -433,7 +433,8 @@ fn rot_buf(buf: &mut [u8], salt: u64) {
 /// `sync` flushes nothing (and so protects nothing). The write that
 /// crosses the clock's byte budget is cut at the budget, pends like any
 /// other, and crashes the clock. `len` and `set_len` never inject faults
-/// but do fail once the clock has crashed; a `set_len` is not rolled back.
+/// but do fail once the clock has crashed; a `set_len` is not rolled back,
+/// and a shrink drops what the journal holds past the new end.
 ///
 /// After the crash every operation fails with [`DeviceError::Crashed`];
 /// the *inner* device then holds its image as of its last successful
@@ -565,7 +566,18 @@ impl Device for FaultDevice {
     }
 
     fn set_len(&self, len: u64) -> Result<()> {
-        self.clock.state.lock().alive()?;
+        let mut s = self.clock.state.lock();
+        s.alive()?;
+        // A shrink drops the bytes past `len`, pending or not: a crash
+        // must not roll them back into a later extension's zeros.
+        for entry in s.journal.iter_mut() {
+            if Arc::ptr_eq(&entry.dev, &self.inner) {
+                let kept = len.saturating_sub(entry.offset).min(entry.old.len() as u64);
+                entry.old.truncate(kept as usize);
+                entry.new.truncate(kept as usize);
+            }
+        }
+        s.journal.retain(|entry| !entry.old.is_empty());
         self.inner.set_len(len)
     }
 

@@ -193,10 +193,12 @@ fn set_options_enables_checking_mid_run() {
 
 /// An on-demand region is checked once it is fully loaded: `begin` does
 /// not fetch it, and a transaction that began before the fetch does not
-/// read the fetched pages as written.
+/// read the fetched pages as written. The segment exists before the map,
+/// or its grow would leave nothing to fetch.
 #[test]
 fn an_on_demand_region_is_checked_once_loaded() {
     let world = World::new(1 << 20);
+    world.segments.resolve("data", 2 * PAGE_SIZE).unwrap();
     let rvm = Checked::new(world.boot());
     let desc = RegionDescriptor::new("data", 0, 2 * PAGE_SIZE);
     let region = rvm.map_with(&desc, LoadPolicy::OnDemand).unwrap();

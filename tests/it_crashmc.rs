@@ -156,6 +156,22 @@ fn unmap_and_remap_survive_every_crash_image() {
     assert!(report.exhaustive, "{}", report.render());
 }
 
+/// A script that misses the shape it exists to check is a verdict of its
+/// own, not a panic: the trace carries it through a save, its images are
+/// still judged, and the report fails with what the script saw.
+#[test]
+fn a_shape_not_reached_fails_the_check_after_judging_the_images() {
+    let mut trace = run_workload(Workload::AbortMix, MutationHooks::default());
+    trace.shape_missed = Some("saved 0, forces per flush [1, 1, 1]".to_owned());
+    let trace = rvm_crashmc::Trace::from_bytes(&trace.to_bytes()).unwrap();
+    let report = check_trace(&trace, &EnumConfig::default());
+    assert!(!report.is_clean(), "{}", report.render());
+    assert!(report.violations.is_empty(), "{}", report.render());
+    assert!(report.recoveries_run > 0, "{}", report.render());
+    let line = "shape not reached: saved 0, forces per flush [1, 1, 1]\n";
+    assert!(report.render().contains(line), "{}", report.render());
+}
+
 #[test]
 fn aborted_transactions_never_surface_in_any_crash_image() {
     let report = checked("abort mix", Workload::AbortMix);

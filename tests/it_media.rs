@@ -360,28 +360,178 @@ fn counted_resolver(segs: &MemResolver, clock: &Arc<FaultClock>) -> DeviceResolv
     })
 }
 
-/// A first map reads its segment a 1 MiB chunk a call, and each page
-/// once: the load that fills the region adopts the catalog — one read
-/// for 64 pages, 9 for the 2 049 pages of the TPC-A benchmark's region.
-/// Every page still counts as verified.
+/// A fresh instance over a 1 MiB log and `resolver`'s segments.
+fn fresh_instance(resolver: DeviceResolver) -> Rvm {
+    let log = Arc::new(MemDevice::with_len(1 << 20));
+    Rvm::initialize(Options::new(log).resolver(resolver).create_if_empty()).unwrap()
+}
+
+/// `segs` with `SEG` already `len` bytes long and patterned to its end,
+/// and the pattern.
+fn prewritten(len: u64) -> (MemResolver, Vec<u8>) {
+    let segs = MemResolver::new();
+    let pattern: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+    segs.resolve(SEG, len)
+        .unwrap()
+        .write_at(0, &pattern)
+        .unwrap();
+    (segs, pattern)
+}
+
+/// A first map reads a segment that already holds its region a 1 MiB
+/// chunk a call, and each page once: the load that fills the region
+/// adopts the catalog — one read for 64 pages, 9 for 2 049 pages. Every
+/// page still counts as verified.
 #[test]
 fn a_first_map_reads_its_segment_a_chunk_a_call() {
     for (pages, reads) in [(64, 1), (2049, 9)] {
+        let (segs, pattern) = prewritten(pages * PAGE_SIZE);
         let clock = FaultClock::new(Vec::new());
-        let rvm = Rvm::initialize(
-            Options::new(Arc::new(MemDevice::with_len(1 << 20)))
-                .resolver(counted_resolver(&MemResolver::new(), &clock))
-                .create_if_empty(),
-        )
-        .unwrap();
+        let rvm = fresh_instance(counted_resolver(&segs, &clock));
         let region = rvm
             .map(&RegionDescriptor::new(SEG, 0, pages * PAGE_SIZE))
             .unwrap();
         assert_eq!(clock.ops_seen(), (reads, 0, 0), "{pages} pages");
         assert_eq!(rvm.stats().pages_scrubbed, pages, "{pages} pages");
+        assert!(region.read_vec(0, pages * PAGE_SIZE).unwrap() == pattern);
+        let (side, adopted) = sidecar_and_adopted(&segs);
+        assert!(side == adopted, "{pages} pages");
         drop(region);
         rvm.terminate().unwrap();
     }
+}
+
+/// A first map that grows a fresh segment to hold its region reads none
+/// of it: the grow zero-filled those pages and VM starts zeroed. None
+/// counts as verified, and the catalog holds the zero pages' CRCs, as
+/// adoption over the segment computes them — 2 049 pages are the TPC-A
+/// benchmark's region.
+#[test]
+fn a_first_map_of_a_fresh_segment_reads_nothing() {
+    for pages in [64, 2049] {
+        let segs = MemResolver::new();
+        let clock = FaultClock::new(Vec::new());
+        let rvm = fresh_instance(counted_resolver(&segs, &clock));
+        let region = rvm
+            .map(&RegionDescriptor::new(SEG, 0, pages * PAGE_SIZE))
+            .unwrap();
+        assert_eq!(clock.ops_seen(), (0, 0, 0), "{pages} pages");
+        assert_eq!(rvm.stats().pages_scrubbed, 0, "{pages} pages");
+        let image = region.read_vec(0, pages * PAGE_SIZE).unwrap();
+        assert!(image.iter().all(|&b| b == 0), "{pages} pages");
+        let (side, adopted) = sidecar_and_adopted(&segs);
+        assert!(side == adopted, "{pages} pages");
+        drop(region);
+        rvm.terminate().unwrap();
+    }
+}
+
+/// A region that straddles a segment's old end reads exactly the pages
+/// that held data before its map grew the segment — a short last page
+/// among them — in one call, and none of the pages the grow added.
+#[test]
+fn a_map_across_the_old_end_reads_only_the_old_pages() {
+    for (old_len, old_pages) in [(3 * PAGE_SIZE, 3), (3 * PAGE_SIZE + 100, 4)] {
+        let (segs, pattern) = prewritten(old_len);
+        let clock = FaultClock::new(Vec::new());
+        let rvm = fresh_instance(counted_resolver(&segs, &clock));
+        let region = rvm
+            .map(&RegionDescriptor::new(SEG, 0, 6 * PAGE_SIZE))
+            .unwrap();
+        let ctx = format!("{old_len} bytes before the grow");
+        assert_eq!(clock.ops_seen(), (1, 0, 0), "{ctx}");
+        assert_eq!(rvm.stats().pages_scrubbed, old_pages, "{ctx}");
+        let mut expected = pattern;
+        expected.resize(6 * PAGE_SIZE as usize, 0);
+        assert!(
+            region.read_vec(0, 6 * PAGE_SIZE).unwrap() == expected,
+            "{ctx}"
+        );
+        let (side, adopted) = sidecar_and_adopted(&segs);
+        assert!(side == adopted, "{ctx}");
+        drop(region);
+        rvm.terminate().unwrap();
+    }
+}
+
+/// A page a map took as zeros without reading it is still verified by
+/// scrub: rot that lands on it after the map is detected, and repaired
+/// from the zeros in VM.
+#[test]
+fn rot_on_a_page_a_map_took_as_zeros_is_repaired_by_scrub() {
+    let segs = MemResolver::new();
+    let rvm = fresh_instance(segs.clone().into_resolver());
+    let region = rvm
+        .map(&RegionDescriptor::new(SEG, 0, 4 * PAGE_SIZE))
+        .unwrap();
+    assert_eq!(rvm.stats().pages_scrubbed, 0);
+    let seg = segs.get(SEG).unwrap();
+    seg.write_at(2 * PAGE_SIZE + 100, &[0xEE]).unwrap();
+    let report = rvm.scrub().unwrap();
+    assert_eq!(report.pages_scanned, 4, "{report:?}");
+    assert_eq!(report.corruptions_detected, 1, "{report:?}");
+    assert!(report.is_clean(), "{report:?}");
+    assert!(seg.snapshot().iter().all(|&b| b == 0), "the rot is gone");
+    assert_eq!(region.read_vec(2 * PAGE_SIZE + 100, 1).unwrap(), [0]);
+    drop(region);
+    rvm.terminate().unwrap();
+}
+
+/// What a map trusts of a grow: every shipped device reads an extension
+/// as zeros — after a shrink too, over bytes it held before (the null
+/// device holds none) — and so does a fault-injected one after a crash
+/// rolled back a write it took before the shrink.
+#[test]
+fn every_device_zero_fills_an_extension() {
+    let extends_with_zeros = |dev: &dyn Device, what: &str, kept: u8| {
+        dev.set_len(64).unwrap();
+        dev.write_at(0, &[0x5A; 64]).unwrap();
+        dev.set_len(16).unwrap();
+        dev.set_len(96).unwrap();
+        let mut bytes = [0xFF; 96];
+        dev.read_at(0, &mut bytes).unwrap();
+        assert!(bytes[..16] == [kept; 16], "{what}: the bytes it kept");
+        assert!(bytes[16..] == [0; 80], "{what}: the extension");
+    };
+    let mem = || Arc::new(MemDevice::with_len(0));
+    extends_with_zeros(mem().as_ref(), "MemDevice", 0x5A);
+    let path = std::env::temp_dir().join(format!("rvm-zero-fill-{}", std::process::id()));
+    extends_with_zeros(
+        &rvm_storage::FileDevice::create(&path, 0).unwrap(),
+        "FileDevice",
+        0x5A,
+    );
+    std::fs::remove_file(&path).unwrap();
+    let replicas = vec![mem() as Arc<dyn Device>, mem()];
+    extends_with_zeros(&MirrorDevice::new(replicas).unwrap(), "MirrorDevice", 0x5A);
+    let null = rvm_storage::NullDevice::new(0);
+    extends_with_zeros(&null, "NullDevice", 0);
+    let disk = simdisk::SimDisk::new(
+        mem(),
+        simclock::Clock::new(),
+        simdisk::DiskParams::circa_1990(),
+    );
+    extends_with_zeros(&disk, "SimDisk", 0x5A);
+    let fault = FaultDevice::with_clock(mem(), FaultClock::new(Vec::new()));
+    extends_with_zeros(&fault, "FaultDevice", 0x5A);
+
+    // Durable bytes, a pending write over them, a shrink below it and a
+    // grow: the crash's roll-back must not bring the old bytes back.
+    let inner = mem();
+    let fault = FaultDevice::with_clock(inner.clone(), FaultClock::new(Vec::new()));
+    fault.set_len(64).unwrap();
+    fault.write_at(0, &[0x5A; 64]).unwrap();
+    fault.sync().unwrap();
+    fault.write_at(8, &[0xA5; 56]).unwrap();
+    fault.set_len(16).unwrap();
+    fault.set_len(96).unwrap();
+    fault.clock().crash_now();
+    let image = inner.snapshot();
+    assert!(image[..8] == [0x5A; 8], "durable bytes");
+    assert!(
+        image[16..] == [0; 80],
+        "FaultDevice after a crash: {image:?}"
+    );
 }
 
 /// The sidecar of `segs`' segment and, beside it, the one
@@ -399,8 +549,9 @@ fn sidecar_and_adopted(segs: &MemResolver) -> (Vec<u8>, Vec<u8>) {
 /// below and past its region: on a fresh 10-page segment of patterned
 /// bytes, a region over pages 3..6 reads three times, verifies its 3
 /// pages, and persists the very catalog adoption at open wrote. A second
-/// map that grows the segment to 14 pages, over pages 12..14, reads the
-/// gap (pages 10 and 11) once and its region once.
+/// map that grows the segment to 14 pages, over pages 12..14, reads
+/// nothing: the gap (pages 10 and 11) and its region are the grow's
+/// zeros.
 #[test]
 fn an_eager_map_adopts_what_it_loads_and_one_pass_around_it() {
     let segs = MemResolver::new();
@@ -427,8 +578,9 @@ fn an_eager_map_adopts_what_it_loads_and_one_pass_around_it() {
     let grown = rvm
         .map(&RegionDescriptor::new(SEG, 12 * PAGE_SIZE, 2 * PAGE_SIZE))
         .unwrap();
-    assert_eq!(clock.ops_seen(), (3 + 2, 0, 0), "gap, region");
-    assert_eq!(rvm.stats().pages_scrubbed, 3 + 2);
+    assert_eq!(clock.ops_seen(), (3, 0, 0), "nothing past the old end");
+    assert_eq!(rvm.stats().pages_scrubbed, 3);
+    assert!(grown.read_vec(0, 2 * PAGE_SIZE).unwrap() == [0; 2 * PAGE_SIZE as usize]);
     let (side, adopted) = sidecar_and_adopted(&segs);
     assert!(side == adopted, "the grown catalog");
     drop((region, grown));
@@ -464,29 +616,31 @@ fn growing_a_short_last_page_keeps_its_checksum() {
     rvm.terminate().unwrap();
 }
 
-/// An on-demand map still adopts at open, one read for its 64 pages,
-/// and loads nothing until a page is touched.
+/// An on-demand map still adopts at open and loads nothing until a page
+/// is touched. Over a segment that holds its 64 pages that is one read
+/// each; over a fresh segment its grow made, neither reads.
 #[test]
 fn an_on_demand_map_adopts_at_open() {
-    let segs = MemResolver::new();
-    let clock = FaultClock::new(Vec::new());
-    let rvm = Rvm::initialize(
-        Options::new(Arc::new(MemDevice::with_len(1 << 20)))
-            .resolver(counted_resolver(&segs, &clock))
-            .create_if_empty(),
-    )
-    .unwrap();
-    let desc = RegionDescriptor::new(SEG, 0, 64 * PAGE_SIZE);
-    let region = rvm.map_with(&desc, LoadPolicy::OnDemand).unwrap();
-    assert_eq!(clock.ops_seen(), (1, 0, 0), "adoption");
-    assert_eq!(rvm.stats().pages_scrubbed, 0);
-    region.read_vec(5 * PAGE_SIZE, 8).unwrap();
-    assert_eq!(clock.ops_seen(), (2, 0, 0), "page 5's load");
-    assert_eq!(rvm.stats().pages_scrubbed, 1);
-    let (side, adopted) = sidecar_and_adopted(&segs);
-    assert!(side == adopted);
-    drop(region);
-    rvm.terminate().unwrap();
+    for (written, reads) in [(true, 1), (false, 0)] {
+        let segs = match written {
+            true => prewritten(64 * PAGE_SIZE).0,
+            false => MemResolver::new(),
+        };
+        let clock = FaultClock::new(Vec::new());
+        let rvm = fresh_instance(counted_resolver(&segs, &clock));
+        let desc = RegionDescriptor::new(SEG, 0, 64 * PAGE_SIZE);
+        let region = rvm.map_with(&desc, LoadPolicy::OnDemand).unwrap();
+        let ctx = if written { "written" } else { "fresh" };
+        assert_eq!(clock.ops_seen(), (reads, 0, 0), "{ctx}: adoption");
+        assert_eq!(rvm.stats().pages_scrubbed, 0, "{ctx}");
+        region.read_vec(5 * PAGE_SIZE, 8).unwrap();
+        assert_eq!(clock.ops_seen(), (2 * reads, 0, 0), "{ctx}: page 5's load");
+        assert_eq!(rvm.stats().pages_scrubbed, reads, "{ctx}");
+        let (side, adopted) = sidecar_and_adopted(&segs);
+        assert!(side == adopted, "{ctx}");
+        drop(region);
+        rvm.terminate().unwrap();
+    }
 }
 
 /// The catalog an eager map adopts is durable before `map` returns: rot

@@ -211,7 +211,10 @@ proptest! {
     /// crash at an arbitrary sync of the log, or at the end, the reference
     /// admits what recovery leaves of each crash image in a seeded sample
     /// (`rvm-images`): the log's unsynced writes torn at 64-byte sectors,
-    /// dropped, or kept out of order. Each transaction declares
+    /// dropped, or kept out of order. The segment holds 2 or 3 one-page
+    /// regions, mapped in a drawn order, and each range falls in a drawn
+    /// one of them, so one drain carries records of several regions.
+    /// Each transaction declares
     /// ranges that may overlap, each twice: a redundant `set_range`, then
     /// the write's own. With `lazy_every` = k of 1, 3 or 7 the commits
     /// are lazy, a `flush` follows every k-th and the last, and each range
@@ -223,9 +226,14 @@ proptest! {
     #[test]
     fn random_workload_crash_yields_a_commit_prefix(
         txns in prop::collection::vec(
-            (0u64..(PAGE_SIZE - 256), prop::collection::vec((0u64..192, 1u64..64, any::<u8>()), 1..4)),
+            (
+                0u64..(PAGE_SIZE - 256),
+                prop::collection::vec((0u64..3, 0u64..192, 1u64..64, any::<u8>()), 1..4),
+            ),
             1..20
         ),
+        regions in 2u64..4,
+        map_order in 0usize..6,
         lazy in 0usize..4,
         crash_frac in 0.0f64..1.25,
         intra_optimization in any::<bool>(),
@@ -240,27 +248,35 @@ proptest! {
             ..Tuning::default()
         };
         let mode = if lazy_every == 0 { CommitMode::Flush } else { CommitMode::NoFlush };
-        // Transaction `i`'s writes, in order.
+        // Transaction `i`'s writes, in order, at segment offsets: region
+        // `r` is the segment's page `r`.
         let writes = |i: usize| -> Vec<Write> {
             let (base, ranges) = &txns[i];
             let at = |off: u64| if lazy_every == 0 { base + off } else { (base + off) % 4 * 256 };
             ranges
                 .iter()
-                .map(|&(off, len, byte)| Write {
+                .map(|&(region, off, len, byte)| Write {
                     segment: "seg".into(),
-                    offset: at(off),
+                    offset: region % regions * PAGE_SIZE + at(off),
                     bytes: vec![byte; len as usize],
                 })
                 .collect()
         };
         // Runs the workload, counting in `acked` the commits acked so far.
         let run = |rvm: &Rvm, acked: &mut usize| -> Option<()> {
-            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).ok()?;
+            let mut mapped = Vec::new();
+            let orders = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+            for page in orders[map_order].into_iter().filter(|&page| page < regions) {
+                let desc = RegionDescriptor::new("seg", page * PAGE_SIZE, PAGE_SIZE);
+                mapped.push((page, rvm.map(&desc).ok()?));
+            }
+            mapped.sort_by_key(|&(page, _)| page);
             for i in 0..txns.len() {
                 let mut txn = rvm.begin_transaction(TxnMode::Restore).ok()?;
                 for w in writes(i) {
-                    txn.set_range(&region, w.offset, w.bytes.len() as u64).ok()?;
-                    region.write(&mut txn, w.offset, &w.bytes).ok()?;
+                    let (region, at) = (&mapped[(w.offset / PAGE_SIZE) as usize].1, w.offset % PAGE_SIZE);
+                    txn.set_range(region, at, w.bytes.len() as u64).ok()?;
+                    region.write(&mut txn, at, &w.bytes).ok()?;
                 }
                 txn.commit(mode).ok()?;
                 let flush = lazy_every > 0 && ((i + 1) % lazy_every == 0 || i + 1 == txns.len());
@@ -321,8 +337,9 @@ proptest! {
         let mut verdicts = Vec::new();
         common::for_each_crash_image(&fault.clock(), &inner, &segments, &cfg, |kept, world| {
             let rvm = boot(world.log.clone(), &world.segments).unwrap();
-            let region = rvm.map(&RegionDescriptor::new("seg", 0, PAGE_SIZE)).unwrap();
-            let image = Images::from([("seg".to_owned(), region.read_vec(0, PAGE_SIZE).unwrap())]);
+            let len = regions * PAGE_SIZE;
+            let region = rvm.map(&RegionDescriptor::new("seg", 0, len)).unwrap();
+            let image = Images::from([("seg".to_owned(), region.read_vec(0, len).unwrap())]);
             verdicts.push((kept.to_vec(), rvm_reference::admits(&history, &image)));
         });
         for (kept, verdict) in verdicts {
